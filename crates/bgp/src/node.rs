@@ -126,8 +126,8 @@ pub struct BgpNode {
     /// This node's index into the slab's id spaces.
     slab_idx: u32,
     mode: MraiMode,
-    /// Sender-side loop detection (§4.1). On by default; the ablation
-    /// benches disable it to quantify how much churn it suppresses.
+    /// Sender-side loop detection (§4.1). On by default; turning it off
+    /// moves the check to the receiver without moving the fixpoint.
     sender_loop_check: bool,
     /// Per-prefix SoA state: Adj-RIB-in columns, origination flags and the
     /// Loc-RIB best, addressed by sorted prefix row.

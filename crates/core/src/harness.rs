@@ -231,21 +231,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ChurnReport {
 /// # Panics
 /// As [`run_experiment`].
 pub fn run_experiment_jobs(cfg: &ExperimentConfig, jobs: usize) -> ChurnReport {
-    let setup = ExperimentSetup::build(cfg);
-    let measurements: Vec<EventMeasurement> = {
-        let _span = bgpscale_obs::span!("run_events");
-        run_indexed(jobs, setup.c_nodes.len(), |k| {
-            measure_event(
-                cfg,
-                &setup.template,
-                &setup.node_types,
-                setup.c_nodes[k],
-                k,
-                setup.sim_seed,
-            )
-        })
-    };
-    fold_measurements(cfg, &setup, &measurements)
+    run_experiment_with_cost(cfg, jobs).0
 }
 
 /// [`run_experiment_jobs`] plus the per-event [`CostModel`]: exact
@@ -313,34 +299,14 @@ pub struct ObservedReport {
 }
 
 /// Runs the experiment with a [`Recorder`] attached to every C-event's
-/// simulator, merging per-event metrics (and, when `trace_sample` is
-/// `Some(n)`, 1-in-`n` sampled trace records) in event-index order.
+/// simulator, merging per-event metrics and whatever else `opts` asks for
+/// — 1-in-`n` sampled trace records, the simulated-time series — in
+/// event-index order.
 ///
-/// All collected telemetry is a pure function of the simulated
-/// trajectories, so — like the report itself — `metrics.to_json()` and the
-/// trace stream are **byte-identical for every `jobs` value**.
-///
-/// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_observed(
-    cfg: &ExperimentConfig,
-    jobs: usize,
-    trace_sample: Option<u64>,
-) -> ObservedReport {
-    run_experiment_observed_with(
-        cfg,
-        jobs,
-        &ObserveOptions {
-            trace_sample,
-            timeseries_bin_us: None,
-        },
-    )
-}
-
-/// [`run_experiment_observed`] with the full option set: optional trace
-/// sampling plus the simulated-time series recorder. The time series is
-/// integer-only and merged in event-index order, so its JSON rendering is
-/// byte-identical for every `jobs` value, exactly like the metrics.
+/// All collected telemetry is integer-only and a pure function of the
+/// simulated trajectories, so — like the report itself —
+/// `metrics.to_json()`, the trace stream and the time series' JSON are
+/// **byte-identical for every `jobs` value**.
 ///
 /// # Panics
 /// As [`run_experiment`].
@@ -534,6 +500,14 @@ mod tests {
         })
     }
 
+    /// Metrics plus an optional 1-in-`n` trace, no time series.
+    fn traced(trace_sample: Option<u64>) -> ObserveOptions {
+        ObserveOptions {
+            trace_sample,
+            timeseries_bin_us: None,
+        }
+    }
+
     #[test]
     fn report_is_deterministic() {
         let a = quick(GrowthScenario::Baseline, 200, 3, 11);
@@ -581,7 +555,7 @@ mod tests {
             event_limit: None,
             wheel_slot_bits: None,
         };
-        let base = run_experiment_observed(&cfg, 1, Some(5));
+        let base = run_experiment_observed_with(&cfg, 1, &traced(Some(5)));
         let base_json = base.metrics.to_json();
         let base_trace: String = base
             .trace
@@ -591,7 +565,7 @@ mod tests {
         assert!(base.metrics.counter("events.total") > 0);
         assert!(!base.trace.is_empty(), "sampled trace should have records");
         for jobs in [4, 8] {
-            let other = run_experiment_observed(&cfg, jobs, Some(5));
+            let other = run_experiment_observed_with(&cfg, jobs, &traced(Some(5)));
             assert_eq!(
                 base_json,
                 other.metrics.to_json(),
@@ -692,7 +666,7 @@ mod tests {
             assert_eq!(base_report, report, "report diverged at jobs={jobs}");
         }
         // The observed flavor collects the identical model.
-        let observed = run_experiment_observed(&cfg, 4, None);
+        let observed = run_experiment_observed_with(&cfg, 4, &traced(None));
         assert_eq!(base_json, observed.cost.to_json(), "observed cost diverged");
     }
 
@@ -711,7 +685,7 @@ mod tests {
             event_limit: None,
             wheel_slot_bits: Some(6),
         };
-        let base = run_experiment_observed(&cfg, 1, Some(5));
+        let base = run_experiment_observed_with(&cfg, 1, &traced(Some(5)));
         let base_json = base.metrics.to_json();
         let base_cost = base.cost.to_json();
         let base_trace: String = base
@@ -721,7 +695,7 @@ mod tests {
             .collect();
         assert!(!base.trace.is_empty(), "sampled trace should have records");
         for jobs in [4, 8] {
-            let other = run_experiment_observed(&cfg, jobs, Some(5));
+            let other = run_experiment_observed_with(&cfg, jobs, &traced(Some(5)));
             assert_eq!(base_json, other.metrics.to_json(), "metrics diverged at jobs={jobs}");
             assert_eq!(base_cost, other.cost.to_json(), "costmodel diverged at jobs={jobs}");
             let other_trace: String = other
@@ -790,7 +764,7 @@ mod tests {
             wheel_slot_bits: None,
         };
         let plain = run_experiment_jobs(&cfg, 1);
-        let observed = run_experiment_observed(&cfg, 1, None);
+        let observed = run_experiment_observed_with(&cfg, 1, &traced(None));
         assert_eq!(plain, observed.report);
         assert!(observed.trace.is_empty(), "no trace requested");
         // The recorder saw the same world the churn counters did: every

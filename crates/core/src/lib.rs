@@ -60,7 +60,7 @@ pub mod levent;
 pub mod sim;
 
 pub use harness::{
-    run_experiment, run_experiment_jobs, run_experiment_observed, run_experiment_observed_with,
-    run_experiment_with_cost, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
+    run_experiment, run_experiment_jobs, run_experiment_observed_with, run_experiment_with_cost,
+    ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
 pub use sim::{BudgetSnapshot, SimTemplate, Simulator};

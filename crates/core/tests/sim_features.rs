@@ -3,7 +3,7 @@
 //! interaction of link events with WRATE and RFD.
 
 use bgpscale_bgp::rfd::RfdConfig;
-use bgpscale_bgp::{BgpConfig, MraiMode, MraiScope, Prefix};
+use bgpscale_bgp::{BgpConfig, MraiMode, MraiScope, Prefix, ServiceTimeModel};
 use bgpscale_core::cevent::run_c_event;
 use bgpscale_core::levent::run_l_event;
 use bgpscale_core::Simulator;
@@ -79,6 +79,41 @@ fn per_prefix_scope_converges_and_counts_consistently() {
     for id in sim.graph().node_ids() {
         assert!(sim.node(id).best_route(Prefix(0)).is_some(), "{id}");
     }
+}
+
+/// `sender_side_loop_detection = false` and `ServiceTimeModel::Constant`
+/// change which messages are sent and when, never where routing settles:
+/// a C-event under each must converge with every node routing the prefix
+/// after UP, on the same best routes as the default configuration.
+/// (Update counts are not ordered between the variants: they move with
+/// message timing, in either direction from seed to seed.)
+#[test]
+fn non_default_loop_detection_and_service_model_reach_the_default_fixpoint() {
+    let fixpoint = |cfg: BgpConfig| {
+        let (mut sim, origin) = baseline_sim(200, 9, cfg);
+        let outcome = run_c_event(&mut sim, origin, Prefix(0)).unwrap();
+        assert!(outcome.total_updates > 0);
+        let routes: Vec<_> = sim
+            .graph()
+            .node_ids()
+            .map(|id| {
+                let (next_hop, path) = sim.node(id).best_route(Prefix(0)).expect("routed after UP");
+                (id, next_hop, path.clone())
+            })
+            .collect();
+        routes
+    };
+    let default = fixpoint(BgpConfig::default());
+    let receiver_side_only = fixpoint(BgpConfig {
+        sender_side_loop_detection: false,
+        ..BgpConfig::default()
+    });
+    assert_eq!(receiver_side_only, default, "loop-detection side moved the fixpoint");
+    let constant_service = fixpoint(BgpConfig {
+        service_model: ServiceTimeModel::Constant,
+        ..BgpConfig::default()
+    });
+    assert_eq!(constant_service, default, "service-time model moved the fixpoint");
 }
 
 #[test]

@@ -12,19 +12,18 @@
 //!   ext_concurrency extension: per-interface vs per-prefix MRAI
 //!   ext_tablesize  extension: per-event churn vs resident table size
 //!   all            every target above, sharing one experiment cache
-//!   bench          time the Baseline sweep at several worker counts and
-//!                  write BENCH_harness.json (see --bench-jobs / --out);
-//!                  also records observer off/metrics/trace overhead
-//!                  (median of 5 after a warmup), peak RSS, per-cell
-//!                  exact op-count and allocator columns, and fitted
-//!                  per-op-class scaling exponents (cost_exponents)
-//!   perf           run cells and compare their exact op counts against
-//!                  checked-in baselines (results/perf-baselines/):
-//!                    --check          gate: exit 1 on any drift
-//!                    --bless          (re)record the baselines instead
+//!   perf           run cells and compare their exact op counts and
+//!                  costmodel.json hash against their baselines: the
+//!                  newest blessed `perf` line of each cell in the run
+//!                  ledger (see --ledger). Speed is not judged here —
+//!                  that is `bash benchmark/run.sh`.
+//!                    --check          gate: exit 1 on any drift or
+//!                                     missing baseline; never writes
+//!                                     the ledger (the default mode)
+//!                    --bless          append the measured cells to the
+//!                                     ledger as the new baselines
 //!                    --perturb <seed> deterministically corrupt one
 //!                                     counter first (CI mutation gate)
-//!                    --baseline-dir <dir>   override the baseline dir
 //!                    --costmodel-out <file> also write costmodel.json
 //!   profile        run one observed cell and print a phase profile
 //!                  (see --scenario, --cell-n, --check)
@@ -33,8 +32,9 @@
 //!                  self-contained HTML churn-provenance report plus a
 //!                  timeseries.json artifact (see --bin-us, --report-out,
 //!                  --timeseries-out, --check)
-//!   trend          fold the run ledger (every bench/perf/profile run
-//!                  appends one record to results/ledger/runs.jsonl)
+//!   trend          fold the run ledger (`perf --bless` and every
+//!                  profile run append one record per cell to
+//!                  results/ledger/runs.jsonl)
 //!                  into per-config op-count series, scaling-exponent
 //!                  refits, and a self-contained trend.html dashboard:
 //!                    --check          gate: exit 1 on any op-count or
@@ -65,18 +65,6 @@
 //!   --jobs <n>     worker threads for C-event / cell fan-out. 0 (the
 //!                  default) uses every hardware thread; 1 runs the plain
 //!                  sequential path. Results are bit-identical either way.
-//!   --bench-jobs a,b,c  (bench only) worker counts to compare
-//!                       (default: 1,8)
-//!   --out <file>   (bench only) output path (default BENCH_harness.json)
-//!
-//!   bench uses its own default sweep (1000..20000, see
-//!   `bench::DEFAULT_BENCH_SIZES`) unless --tiny/--quick/--full/--sizes
-//!   is given. The default sweep finishes with an Internet-scale
-//!   frontier cell (~minutes); scale-overridden runs skip it unless a
-//!   --frontier-* flag asks for one explicitly:
-//!   --frontier-n <n>      frontier cell AS count (default 70000)
-//!   --frontier-events <k> frontier cell C-events (default 3)
-//!   --no-frontier         skip the frontier cell
 //!   --metrics-out <file>  write the deterministic metrics registry of
 //!                  every computed cell as JSON (byte-identical for any
 //!                  --jobs value)
@@ -97,10 +85,11 @@
 //!                  recorded nothing or no events were processed;
 //!                  (report) exit non-zero if any report panel is empty;
 //!                  (trend) exit 1 on any regression finding
-//!   --ledger <file>  the append-only run ledger every bench/perf/profile
-//!                  run records into and `trend` reads (default
+//!   --ledger <file>  the append-only run ledger: `perf` reads its
+//!                  baselines from it and `--bless` appends them,
+//!                  `profile` records into it, `trend` reads it (default
 //!                  results/ledger/runs.jsonl)
-//!   --no-ledger    don't append this run to the ledger
+//!   --no-ledger    (profile) don't append this run to the ledger
 //!   --ledger-rev <rev>  record this revision string instead of
 //!                  `git rev-parse HEAD` (tests, CI matrices)
 //!
@@ -117,7 +106,7 @@
 
 use std::io::Write as _;
 
-use bgpscale_experiments::{bench, figures, htmlreport, perf, profile, trend};
+use bgpscale_experiments::{figures, htmlreport, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
 use bgpscale_experiments::{EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord};
@@ -125,22 +114,15 @@ use bgpscale_obs::{log, TraceRecord, TraceWriter};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
 
-/// With the `alloc-count` feature, tally every heap allocation so
-/// `repro bench` can report per-cell allocator columns. Wall-side only.
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: bgpscale_simkernel::alloc::CountingAlloc =
-    bgpscale_simkernel::alloc::CountingAlloc;
-
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig1|fig3|fig4|...|fig12|all|bench|perf|profile|report|trend> \
+        "usage: repro <table1|fig1|fig3|fig4|...|fig12|all|perf|profile|report|trend> \
          [--tiny|--quick|--full] [--seed N] [--events K] [--sizes a,b,c] [--csv DIR] \
-         [--jobs N] [--bench-jobs a,b,c] [--out FILE] \
+         [--jobs N] \
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
          [--report-out FILE] [--timeseries-out FILE] [--check] \
-         [--bless] [--perturb SEED] [--wheel-bits N] [--baseline-dir DIR] [--costmodel-out FILE] \
+         [--bless] [--perturb SEED] [--wheel-bits N] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE] \
          [--window K] [--band PCT] [--exp-band X]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
@@ -155,12 +137,6 @@ struct Options {
     csv_dir: Option<std::path::PathBuf>,
     /// Worker threads; 0 = every hardware thread.
     jobs: usize,
-    /// `bench`: the worker counts to compare.
-    bench_jobs: Vec<usize>,
-    /// `bench`: where to write the JSON report.
-    bench_out: std::path::PathBuf,
-    /// `bench`: the frontier cell's `(n, events)`; `None` skips it.
-    frontier: Option<(usize, usize)>,
     /// Write the merged deterministic metrics registry here.
     metrics_out: Option<std::path::PathBuf>,
     /// Write sampled JSONL trace records here.
@@ -179,20 +155,19 @@ struct Options {
     report_out: std::path::PathBuf,
     /// `report`: where to write the raw time series.
     timeseries_out: std::path::PathBuf,
-    /// `profile`/`report`/`perf`: fail the process if the check fails.
+    /// `profile`/`report`/`trend`: fail the process if the check fails
+    /// (`perf` checks unless `--bless`).
     check: bool,
-    /// `perf`: (re)record the baselines instead of checking.
+    /// `perf`: append the measured cells as baselines instead of checking.
     bless: bool,
     /// `perf`: deterministically corrupt one counter before comparison.
     perturb: Option<u64>,
     /// `perf`: run on a timing wheel with this slot granularity (the
     /// tick-granularity mutation axis; see `PerfConfig::wheel_slot_bits`).
     wheel_bits: Option<u32>,
-    /// `perf`: where the checked-in baselines live.
-    baseline_dir: std::path::PathBuf,
     /// `perf`: also write the measured cost model here.
     costmodel_out: Option<std::path::PathBuf>,
-    /// The append-only run ledger; `None` disables recording.
+    /// The append-only run ledger; `None` under `--no-ledger`.
     ledger: Option<std::path::PathBuf>,
     /// Revision string to record instead of `git rev-parse HEAD`.
     ledger_rev: Option<String>,
@@ -208,13 +183,6 @@ fn parse_args() -> Options {
     let mut cfg = RunConfig::quick();
     let mut csv_dir = None;
     let mut jobs = 0;
-    let mut bench_jobs = vec![1, 8];
-    let mut bench_out = std::path::PathBuf::from("BENCH_harness.json");
-    let mut cfg_overridden = false;
-    let mut frontier_n = bench::FRONTIER_N;
-    let mut frontier_events = bench::FRONTIER_EVENTS;
-    let mut frontier_requested = false;
-    let mut no_frontier = false;
     let mut metrics_out = None;
     let mut trace_out = None;
     let mut trace_sample = 1u64;
@@ -228,7 +196,6 @@ fn parse_args() -> Options {
     let mut bless = false;
     let mut perturb = None;
     let mut wheel_bits = None;
-    let mut baseline_dir = std::path::PathBuf::from("results/perf-baselines");
     let mut costmodel_out = None;
     let mut ledger = Some(std::path::PathBuf::from("results/ledger/runs.jsonl"));
     let mut ledger_rev = None;
@@ -236,18 +203,9 @@ fn parse_args() -> Options {
     let mut trend_opts = trend::TrendOptions::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tiny" => {
-                cfg = RunConfig::tiny().with_seed(cfg.seed);
-                cfg_overridden = true;
-            }
-            "--quick" => {
-                cfg = RunConfig::quick().with_seed(cfg.seed);
-                cfg_overridden = true;
-            }
-            "--full" => {
-                cfg = RunConfig::full().with_seed(cfg.seed);
-                cfg_overridden = true;
-            }
+            "--tiny" => cfg = RunConfig::tiny().with_seed(cfg.seed),
+            "--quick" => cfg = RunConfig::quick().with_seed(cfg.seed),
+            "--full" => cfg = RunConfig::full().with_seed(cfg.seed),
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 cfg.seed = v.parse().unwrap_or_else(|_| usage());
@@ -265,7 +223,6 @@ fn parse_args() -> Options {
                 if cfg.sizes.is_empty() {
                     usage();
                 }
-                cfg_overridden = true;
             }
             "--csv" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -274,31 +231,6 @@ fn parse_args() -> Options {
             "--jobs" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 jobs = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--bench-jobs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bench_jobs = v
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if bench_jobs.is_empty() {
-                    usage();
-                }
-            }
-            "--frontier-n" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                frontier_n = v.parse().unwrap_or_else(|_| usage());
-                frontier_requested = true;
-            }
-            "--frontier-events" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                frontier_events = v.parse().unwrap_or_else(|_| usage());
-                frontier_requested = true;
-            }
-            "--no-frontier" => no_frontier = true,
-            "--out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bench_out = std::path::PathBuf::from(v);
             }
             "--metrics-out" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -355,10 +287,6 @@ fn parse_args() -> Options {
                 let v = args.next().unwrap_or_else(|| usage());
                 perturb = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--baseline-dir" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                baseline_dir = std::path::PathBuf::from(v);
-            }
             "--costmodel-out" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 costmodel_out = Some(std::path::PathBuf::from(v));
@@ -403,21 +331,11 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
-    if target == "bench" && !cfg_overridden {
-        cfg.sizes = bench::DEFAULT_BENCH_SIZES.to_vec();
-    }
-    // The frontier cell takes minutes: it rides along with the default
-    // full sweep, but a scale-overridden run (--tiny/--quick/--sizes,
-    // the CI and smoke-test shapes) only gets one on explicit request.
-    let want_frontier = !no_frontier && (!cfg_overridden || frontier_requested);
     Options {
         target,
         cfg,
         csv_dir,
         jobs,
-        bench_jobs,
-        bench_out,
-        frontier: want_frontier.then_some((frontier_n, frontier_events)),
         metrics_out,
         trace_out,
         trace_sample,
@@ -431,7 +349,6 @@ fn parse_args() -> Options {
         bless,
         perturb,
         wheel_bits,
-        baseline_dir,
         costmodel_out,
         ledger,
         ledger_rev,
@@ -585,9 +502,21 @@ fn ledger_rev(opts: &Options) -> String {
     opts.ledger_rev.clone().unwrap_or_else(git_rev)
 }
 
+/// Reports a ledger failure as `who`'s and returns its exit code: a
+/// filesystem failure is a run failure (1); a corrupt or schema-foreign
+/// ledger is a configuration problem (2).
+fn ledger_failure(who: &str, e: &LedgerError, path: &std::path::Path) -> i32 {
+    if matches!(e, LedgerError::Io(_)) {
+        eprintln!("{who}: {e}");
+        EXIT_FAIL
+    } else {
+        eprintln!("{who}: {e} (inspect or move {} aside)", path.display());
+        EXIT_USAGE
+    }
+}
+
 /// Appends this run's records to the ledger (a no-op under
-/// `--no-ledger`). A corrupt or schema-foreign ledger is a configuration
-/// problem (exit 2); a filesystem failure is a run failure (exit 1).
+/// `--no-ledger`).
 fn append_ledger(opts: &Options, records: &[LedgerRecord]) {
     let Some(path) = &opts.ledger else { return };
     match append_records(path, records) {
@@ -598,14 +527,7 @@ fn append_ledger(opts: &Options, records: &[LedgerRecord]) {
             path.display(),
             outcome.deduped
         ),
-        Err(e @ LedgerError::Io(_)) => {
-            eprintln!("ledger: {e}");
-            std::process::exit(EXIT_FAIL);
-        }
-        Err(e) => {
-            eprintln!("ledger: {e} (inspect or move {} aside)", path.display());
-            std::process::exit(EXIT_USAGE);
-        }
+        Err(e) => std::process::exit(ledger_failure("ledger", &e, path)),
     }
 }
 
@@ -618,18 +540,11 @@ fn run_trend_target(opts: &Options) -> i32 {
     };
     let mut records = match read_ledger(path) {
         Ok(records) => records,
-        Err(e @ LedgerError::Io(_)) => {
-            eprintln!("trend: {e}");
-            return 1;
-        }
-        Err(e) => {
-            eprintln!("trend: {e} (inspect or move {} aside)", path.display());
-            return 2;
-        }
+        Err(e) => return ledger_failure("trend", &e, path),
     };
     if records.is_empty() {
         eprintln!(
-            "trend: ledger {} is empty — run `repro bench|perf|profile` first",
+            "trend: ledger {} is empty — run `repro perf --bless` or `repro profile` first",
             path.display()
         );
         return 2;
@@ -655,88 +570,56 @@ fn run_trend_target(opts: &Options) -> i32 {
     0
 }
 
-/// `repro bench`: time the Baseline NO-WRATE sweep once per requested
-/// worker count, run the Internet-scale frontier cell (unless
-/// `--no-frontier`), and write `BENCH_harness.json` (measurement and
-/// JSON rendering live in [`bench`]).
-fn run_bench(
-    cfg: &RunConfig,
-    jobs_list: &[usize],
-    frontier: Option<(usize, usize)>,
-    out: &std::path::Path,
-) -> std::io::Result<bench::BenchOutput> {
-    let mut measured = bench::run_bench(cfg, jobs_list);
-    if let Some((n, events)) = frontier {
-        measured.frontier = Some(bench::run_frontier(n, events, cfg.seed));
-    }
-    std::fs::write(out, bench::render_json(cfg, &measured, &git_rev()))?;
-    log!(Info, "bench: wrote {}", out.display());
-    Ok(measured)
-}
-
-/// `repro perf`: check (or `--bless`) the exact op counts of every sweep
-/// size against the checked-in baselines. Returns the process exit code.
+/// `repro perf`: check the exact op counts of every sweep size against
+/// the cell's ledger baseline, or `--bless` them as the new baselines
+/// (policy in [`perf::run`]). Returns the process exit code.
 fn run_perf_target(opts: &Options) -> i32 {
+    let Some(ledger) = &opts.ledger else {
+        eprintln!("perf: --no-ledger leaves no baselines to check or bless");
+        return EXIT_USAGE;
+    };
+    if opts.bless && (opts.perturb.is_some() || opts.wheel_bits.is_some()) {
+        eprintln!(
+            "perf: --bless refuses --perturb/--wheel-bits — a deliberately shifted \
+             count must never become a baseline"
+        );
+        return EXIT_USAGE;
+    }
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
-    let mut exit = 0i32;
-    let rev = ledger_rev(opts);
-    let mut records = Vec::new();
-    for (i, &n) in opts.cfg.sizes.iter().enumerate() {
-        let cfg = perf::PerfConfig {
+    let cells: Vec<perf::PerfConfig> = opts
+        .cfg
+        .sizes
+        .iter()
+        .map(|&n| perf::PerfConfig {
             scenario: opts.profile_scenario,
             n,
             events: opts.cfg.events,
             seed: opts.cfg.seed,
             jobs,
-            baseline_dir: opts.baseline_dir.clone(),
             perturb: opts.perturb,
             wheel_slot_bits: opts.wheel_bits,
-        };
-        log!(
-            Info,
-            "perf: {} n={n} events={} seed={} ({}) …",
-            cfg.scenario,
-            cfg.events,
-            cfg.seed,
-            if opts.bless { "bless" } else { "check" }
-        );
-        let measurement = if opts.bless {
-            match perf::bless_cell(&cfg) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("perf: blessing n={n} failed: {e}");
-                    return 1;
+        })
+        .collect();
+    let outcomes = match perf::run(&cells, opts.bless, ledger, &ledger_rev(opts)) {
+        Ok(outcomes) => outcomes,
+        Err(e) => return ledger_failure("perf", &e, ledger),
+    };
+    let mut exit = EXIT_OK;
+    for (cfg, (measurement, verdict)) in cells.iter().zip(&outcomes) {
+        let n = cfg.n;
+        match verdict {
+            Ok(()) => log!(Info, "perf: n={n} OK ({} total ops)", measurement.ops.grand_total()),
+            Err(msgs) => {
+                for msg in msgs {
+                    eprintln!("perf: n={n} FAILED: {msg}");
                 }
+                exit = EXIT_FAIL;
             }
-        } else {
-            let (verdict, m) = perf::check_cell(&cfg);
-            match verdict {
-                perf::PerfVerdict::Pass => {
-                    log!(Info, "perf: n={n} OK ({} total ops)", m.ops.grand_total());
-                }
-                perf::PerfVerdict::Fail(msgs) => {
-                    for msg in &msgs {
-                        eprintln!("perf: n={n} FAILED: {msg}");
-                    }
-                    exit = exit.max(1);
-                }
-                perf::PerfVerdict::ConfigError(msg) => {
-                    eprintln!("perf: n={n} config error: {msg}");
-                    exit = 2;
-                }
-            }
-            m
-        };
-        // A `--perturb` run carries a deliberately corrupted counter and
-        // a `--wheel-bits` run a non-default queue granularity (same
-        // results, different op mix) — never let either into history.
-        if opts.perturb.is_none() && opts.wheel_bits.is_none() {
-            records.push(trend::record_from_perf(&cfg, &measurement, &rev));
         }
         if let Some(path) = &opts.costmodel_out {
             // One size writes the exact path; more sizes get a per-size
             // suffix so nothing is silently overwritten.
-            let path = if opts.cfg.sizes.len() == 1 {
+            let path = if cells.len() == 1 {
                 path.clone()
             } else {
                 let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("costmodel");
@@ -745,14 +628,10 @@ fn run_perf_target(opts: &Options) -> i32 {
             };
             if let Err(e) = std::fs::write(&path, measurement.cost.to_json()) {
                 eprintln!("perf: writing {} failed: {e}", path.display());
-                return 1;
+                return EXIT_FAIL;
             }
             log!(Info, "perf: wrote {}", path.display());
         }
-        let _ = i;
-    }
-    if exit != 2 {
-        append_ledger(opts, &records);
     }
     exit
 }
@@ -774,19 +653,6 @@ fn write_csv(dir: &std::path::Path, fig: &Figure) -> std::io::Result<()> {
 
 fn main() {
     let opts = parse_args();
-    if opts.target == "bench" {
-        match run_bench(&opts.cfg, &opts.bench_jobs, opts.frontier, &opts.bench_out) {
-            Ok(measured) => {
-                let records = trend::records_from_bench(&opts.cfg, &measured, &ledger_rev(&opts));
-                append_ledger(&opts, &records);
-            }
-            Err(e) => {
-                eprintln!("bench failed: {e}");
-                std::process::exit(EXIT_FAIL);
-            }
-        }
-        return;
-    }
     if opts.target == "perf" {
         std::process::exit(run_perf_target(&opts));
     }

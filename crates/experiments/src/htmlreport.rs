@@ -24,8 +24,8 @@ use bgpscale_obs::timeseries::DEPTH_BOUNDS;
 use bgpscale_obs::{CostModel, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
 
-use crate::bench::{fit_cost_exponents, CostExponent};
 use crate::sweep::{CellSeries, RunConfig, Sweeper};
+use crate::trend::{fit_exponents, ClassExponent};
 
 /// One reported cell pair (the same `(scenario, n)` under both modes).
 #[derive(Clone, Debug)]
@@ -59,7 +59,7 @@ pub struct ReportOutput {
     /// Fitted per-op-class scaling exponents; empty when the mini sweep
     /// collapsed to a single size (tiny n) — rendered as "n/a", not an
     /// error.
-    pub cost_exponents: Vec<CostExponent>,
+    pub cost_exponents: Vec<ClassExponent>,
     /// The self-contained HTML page.
     pub html: String,
     /// The raw integer time series as deterministic JSON.
@@ -120,7 +120,11 @@ pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
         })
         .collect();
     let _ = sw.take_series(); // drop the mini sweep's series
-    let cost_exponents = fit_cost_exponents(&cost_sweep, cfg.events);
+    let sweep_ops: Vec<_> = cost_sweep
+        .iter()
+        .map(|(n, cost)| (*n as u64, cost.total()))
+        .collect();
+    let cost_exponents = fit_exponents(&sweep_ops, cfg.events as u64);
 
     let timeseries_json = timeseries_json(cfg, &cells);
     let html = render_html(cfg, &reports, &cells, &costs, &cost_sweep, &cost_exponents);
@@ -248,14 +252,14 @@ fn render_cost_section(
     costs: &[Arc<CostModel>],
     cells: &[CellSeries],
     cost_sweep: &[(usize, Arc<CostModel>)],
-    exponents: &[CostExponent],
+    exponents: &[ClassExponent],
     events: usize,
 ) {
     body.push_str("<h2>Cost attribution (exact op counts)</h2>");
     body.push_str(
         "<p>Integer operation counts from the deterministic cost model — \
          byte-identical for any worker count. Wall-clock and allocator \
-         numbers live in BENCH_harness.json, never here.</p>",
+         numbers come from benchmark/run.sh, never from here.</p>",
     );
     for (cost, cell) in costs.iter().zip(cells) {
         let _ = write!(
@@ -325,7 +329,7 @@ fn render_html(
     cells: &[CellSeries],
     costs: &[Arc<CostModel>],
     cost_sweep: &[(usize, Arc<CostModel>)],
-    exponents: &[CostExponent],
+    exponents: &[ClassExponent],
 ) -> String {
     let title = format!(
         "Churn provenance — {} n={} ({} events, seed {:#x})",

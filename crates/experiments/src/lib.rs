@@ -39,7 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod churn_trace;
 pub mod figures;
 pub mod htmlreport;

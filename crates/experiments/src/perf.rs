@@ -1,41 +1,52 @@
 //! `repro perf`: the CI perf-regression gate over the exact cost model.
 //!
-//! A **baseline** is a small checked-in JSON file under
-//! `results/perf-baselines/` holding the total per-op-class counts of one
-//! experiment cell (`<scenario>_n<N>.json`). Because the counts are exact
-//! integers and a pure function of `(scenario, n, events, seed)`, the
-//! comparison policy is two-tiered:
+//! A cell's **baseline** is a line of the run ledger (`obs::ledger`,
+//! default `results/ledger/runs.jsonl`): the newest `perf` record of the
+//! current schema whose config fingerprint `(scenario, n, mode, seed,
+//! events)` is the cell's. `perf` records are written by `--bless` only —
+//! a `--check` never appends, so a drifted measurement cannot bless
+//! itself — and `profile` records, which every `repro profile` run
+//! appends ungated, are never baselines. Because the counts are exact
+//! integers and a pure function of the cell, the comparison policy is
+//! two-tiered:
 //!
-//! * **deterministic op counts — exact equality.** Any drift is a real
-//!   behavior change (more decision runs, more heap work, …) and must be
-//!   either fixed or consciously re-blessed with `repro perf --bless`.
+//! * **the record's `det` tier — exact equality.** All fifteen op counts
+//!   (through [`trend::class_drift`] with a zero band) and the
+//!   `costmodel.json` content hash, which pins every per-event, per-phase
+//!   count as well. Any drift is a real behavior change (more decision
+//!   runs, more queue work, …) and must be either fixed or consciously
+//!   re-blessed with `repro perf --bless`, with the cause in the commit.
 //! * **wall-clock seconds — a wide multiplicative band** (×/÷
 //!   [`WALL_BAND`]). Wall time is recorded for context only; the band
 //!   exists to catch pathological blowups (an accidental O(n²) that the
 //!   op counts would also catch) without flaking on slow CI machines.
+//!   Speed itself is judged by `benchmark/run.sh`.
 //!
 //! Exit codes follow the repo-wide convention (`detlint --check`,
-//! `repro --check`): 0 = pass, 1 = check failed, 2 = usage/config error
-//! (baseline was recorded for different cell coordinates).
+//! `repro --check`): 0 = pass, 1 = check failed (drift, or no baseline
+//! for the cell), 2 = usage/config error (damaged ledger).
 //!
-//! `--perturb <seed>` deterministically inflates one op-class count
-//! before comparison — CI uses it as a mutation gate proving the check
-//! actually fails (exit exactly 1) when counts drift.
+//! `--perturb <seed>` corrupts one measured op count with
+//! [`trend::perturb_ops`] before comparison — CI uses it as a mutation
+//! gate proving the check actually fails (exit exactly 1) when counts
+//! drift.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bgpscale_core::{run_experiment_with_cost, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
-use bgpscale_simkernel::rng::hash64_pair;
+use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord, RunKind};
+use bgpscale_obs::{log, CostModel};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
+
+use crate::trend;
 
 /// Wall-time sanity band: measured wall time must lie within
 /// `[baseline / WALL_BAND, baseline · WALL_BAND]`. Deliberately huge —
 /// the exact op counts are the real gate; this only catches order-of-
 /// magnitude blowups.
-pub const WALL_BAND: f64 = 25.0;
+pub const WALL_BAND: u64 = 25;
 
 /// One perf cell to check or bless.
 #[derive(Clone, Debug)]
@@ -45,8 +56,6 @@ pub struct PerfConfig {
     pub events: usize,
     pub seed: u64,
     pub jobs: usize,
-    /// Directory holding the checked-in baselines.
-    pub baseline_dir: PathBuf,
     /// When `Some(seed)`, deterministically perturb one measured op count
     /// before comparison (the CI mutation gate).
     pub perturb: Option<u64>,
@@ -62,33 +71,14 @@ pub struct PerfConfig {
 #[derive(Clone, Debug)]
 pub struct PerfMeasurement {
     pub ops: OpCounts,
-    pub phase_grand_totals: [u64; bgpscale_obs::PHASES],
     pub wall_s: f64,
-    /// The full model, for `--costmodel-out`.
+    /// The full model, for `--costmodel-out` and the record's hash.
     pub cost: CostModel,
 }
 
-/// How a check ended; maps onto the process exit code.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PerfVerdict {
-    /// Exit 0.
-    Pass,
-    /// Exit 1 — counts drifted, wall time blew the band, or the baseline
-    /// file is missing (the message carries the `--bless` hint).
-    Fail(Vec<String>),
-    /// Exit 2 — the baseline exists but was recorded for different cell
-    /// coordinates or a different schema; comparing would be meaningless.
-    ConfigError(String),
-}
-
-/// `<dir>/<scenario-lowercase>_n<N>.json`.
-pub fn baseline_path(dir: &Path, scenario: GrowthScenario, n: usize) -> PathBuf {
-    let name = scenario.to_string().to_lowercase().replace('-', "_");
-    dir.join(format!("{name}_n{n}.json"))
-}
-
-fn cell_config(cfg: &PerfConfig) -> ExperimentConfig {
-    ExperimentConfig {
+/// Runs the cell and returns its measured cost model and wall time.
+pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
+    let cell = ExperimentConfig {
         scenario: cfg.scenario,
         n: cfg.n,
         events: cfg.events,
@@ -96,330 +86,185 @@ fn cell_config(cfg: &PerfConfig) -> ExperimentConfig {
         bgp: Default::default(),
         event_limit: None,
         wheel_slot_bits: cfg.wheel_slot_bits,
-    }
-}
-
-/// Runs the cell and returns its measured cost model and wall time.
-pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
+    };
     let started = Stopwatch::start();
-    let (_report, cost) = run_experiment_with_cost(&cell_config(cfg), cfg.jobs.max(1));
+    let (_report, cost) = run_experiment_with_cost(&cell, cfg.jobs.max(1));
     let wall_s = started.elapsed_secs_f64();
-    let totals = cost.phase_totals();
-    let mut phase_grand_totals = [0u64; bgpscale_obs::PHASES];
-    for (slot, phase) in phase_grand_totals.iter_mut().zip(&totals) {
-        *slot = phase.grand_total();
-    }
     let mut ops = cost.total();
     if let Some(seed) = cfg.perturb {
-        perturb_ops(&mut ops, seed);
+        let (class, bump) = trend::perturb_ops(&mut ops, seed);
+        log!(Info, "perf: perturbing {class} (×2 +{bump}, seed {seed})");
     }
-    PerfMeasurement {
-        ops,
-        phase_grand_totals,
-        wall_s,
-        cost,
-    }
+    PerfMeasurement { ops, wall_s, cost }
 }
 
-/// Deterministically inflates one op-class count: class index and bump
-/// size both derive from `seed` via the repo's standard seed-fanout hash.
-fn perturb_ops(ops: &mut OpCounts, seed: u64) {
-    let idx = (hash64_pair(seed, 0xBAD) % OpCounts::FIELD_COUNT as u64) as usize;
-    let bump = 1 + hash64_pair(seed, 0xB00) % 1_000;
-    let class = OpCounts::field_names()[idx];
-    let mut fields = ops.fields();
-    fields[idx].1 += bump;
-    *ops = OpCounts::from_fields(&fields);
-    log!(Info, "perf: perturbing {class} by +{bump} (seed {seed})");
+/// The baseline of `cell` in `history` (append order, as `read_ledger`
+/// returns it); see the module docs for what qualifies.
+pub fn baseline<'a>(history: &'a [LedgerRecord], cell: &LedgerRecord) -> Option<&'a LedgerRecord> {
+    let fingerprint = cell.fingerprint();
+    history.iter().rev().find(|r| {
+        r.kind == RunKind::Perf && r.schema == cell.schema && r.fingerprint() == fingerprint
+    })
 }
 
-/// Renders the baseline document for one measured cell. Flat keys so the
-/// checker can re-read it without a JSON parser dependency.
-pub fn baseline_json(cfg: &PerfConfig, m: &PerfMeasurement) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"scenario\": \"{}\",\n", cfg.scenario));
-    s.push_str(&format!("  \"n\": {},\n", cfg.n));
-    s.push_str(&format!("  \"events\": {},\n", cfg.events));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!(
-        "  \"wall_band\": {WALL_BAND},\n  \"wall_s\": {:.6},\n",
-        m.wall_s
-    ));
-    s.push_str("  \"ops\": {\n");
-    let fields = m.ops.fields();
-    for (i, (name, value)) in fields.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{name}\": {value}{}\n",
-            if i + 1 < fields.len() { "," } else { "" }
+/// How one cell's check ended: `Err` carries one message per finding (a
+/// missing baseline's carries the `--bless` hint).
+pub type Verdict = Result<(), Vec<String>>;
+
+/// Compares a measured cell record against its baseline in `history`.
+pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
+    let Some(base) = baseline(history, cell) else {
+        return Err(vec![format!(
+            "no perf baseline in the ledger for {} n={} {} seed={} events={} \
+             (fingerprint {:016x}); record one with `repro perf --bless`",
+            cell.scenario,
+            cell.n,
+            cell.mode,
+            cell.seed,
+            cell.events,
+            cell.fingerprint()
+        )]);
+    };
+    let mut failures: Vec<String> = trend::class_drift(&cell.ops, &base.ops, 0.0)
+        .iter()
+        .map(|d| {
+            format!(
+                "op count drift: {} = {}, baseline {} ({:+}) at rev {}",
+                d.class,
+                d.new,
+                d.reference,
+                i128::from(d.new) - i128::from(d.reference),
+                base.git_rev
+            )
+        })
+        .collect();
+    if cell.artifacts.costmodel != base.artifacts.costmodel {
+        let hex = |h: Option<u64>| h.map_or("none".to_string(), |h| format!("{h:016x}"));
+        failures.push(format!(
+            "costmodel.json hash {} != baseline {} — the per-event, per-phase \
+             attribution moved",
+            hex(cell.artifacts.costmodel),
+            hex(base.artifacts.costmodel)
         ));
     }
-    s.push_str("  },\n");
-    s.push_str(&format!(
-        "  \"phase_grand_totals\": [{}]\n",
-        m.phase_grand_totals
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str("}\n");
-    s
-}
-
-/// Extracts `"key": <integer>` from the flat baseline document.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": <float>`.
-fn json_f64(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"`.
-fn json_str<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    rest.split('"').next()
-}
-
-/// Extracts `"key": [a, b, c]` of integers.
-fn json_u64_array(doc: &str, key: &str) -> Option<Vec<u64>> {
-    let needle = format!("\"{key}\": [");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find(']')?;
-    rest[..end]
-        .split(',')
-        .map(|v| v.trim().parse().ok())
-        .collect()
-}
-
-/// Compares a measurement against the baseline document.
-pub fn compare(cfg: &PerfConfig, m: &PerfMeasurement, baseline: &str) -> PerfVerdict {
-    // Coordinate checks first: a mismatch means the comparison itself is
-    // ill-posed (exit 2), not that performance regressed.
-    match json_u64(baseline, "schema_version") {
-        Some(v) if v == SCHEMA_VERSION as u64 => {}
-        other => {
-            return PerfVerdict::ConfigError(format!(
-                "baseline schema_version {other:?} != {SCHEMA_VERSION}"
-            ))
-        }
-    }
-    for (key, want) in [
-        ("n", cfg.n as u64),
-        ("events", cfg.events as u64),
-        ("seed", cfg.seed),
-    ] {
-        match json_u64(baseline, key) {
-            Some(v) if v == want => {}
-            other => {
-                return PerfVerdict::ConfigError(format!(
-                    "baseline {key} = {other:?}, this run uses {want} — \
-                     re-bless or fix the invocation"
-                ))
-            }
-        }
-    }
-    let scenario = cfg.scenario.to_string();
-    if json_str(baseline, "scenario") != Some(scenario.as_str()) {
-        return PerfVerdict::ConfigError(format!(
-            "baseline scenario {:?} != {scenario}",
-            json_str(baseline, "scenario")
+    let (wall, base_wall) = (cell.wall.wall_us, base.wall.wall_us);
+    if base_wall > 0 && (wall > base_wall * WALL_BAND || wall < base_wall / WALL_BAND) {
+        failures.push(format!(
+            "wall time {wall} µs outside ×/÷{WALL_BAND} band of baseline {base_wall} µs"
         ));
-    }
-
-    let mut failures = Vec::new();
-    // Tier 1: exact op-count equality.
-    for (name, measured) in m.ops.fields() {
-        match json_u64(baseline, name) {
-            Some(expected) if expected == measured => {}
-            Some(expected) => failures.push(format!(
-                "op count drift: {name} = {measured}, baseline {expected} \
-                 ({:+})",
-                measured as i128 - expected as i128
-            )),
-            None => failures.push(format!("baseline is missing op class {name}")),
-        }
-    }
-    match json_u64_array(baseline, "phase_grand_totals") {
-        Some(expected) if expected == m.phase_grand_totals => {}
-        other => failures.push(format!(
-            "phase grand totals {:?} != baseline {other:?}",
-            m.phase_grand_totals
-        )),
-    }
-    // Tier 2: wall-time sanity band (wall-side, intentionally loose).
-    if let Some(base_wall) = json_f64(baseline, "wall_s") {
-        if base_wall > 0.0
-            && (m.wall_s > base_wall * WALL_BAND || m.wall_s < base_wall / WALL_BAND)
-        {
-            failures.push(format!(
-                "wall time {:.3}s outside ×/÷{WALL_BAND} band of baseline {base_wall:.3}s",
-                m.wall_s
-            ));
-        }
     }
     if failures.is_empty() {
-        PerfVerdict::Pass
+        Ok(())
     } else {
-        PerfVerdict::Fail(failures)
+        Err(failures)
     }
 }
 
-/// Runs the full check for one cell: measure, load the baseline, compare.
-pub fn check_cell(cfg: &PerfConfig) -> (PerfVerdict, PerfMeasurement) {
-    let m = measure(cfg);
-    let path = baseline_path(&cfg.baseline_dir, cfg.scenario, cfg.n);
-    let verdict = match std::fs::read_to_string(&path) {
-        Ok(doc) => compare(cfg, &m, &doc),
-        Err(e) => PerfVerdict::Fail(vec![format!(
-            "no baseline at {} ({e}); record one with `repro perf --bless`",
-            path.display()
-        )]),
-    };
-    (verdict, m)
-}
-
-/// Measures the cell and writes its baseline (the `--bless` flow).
-pub fn bless_cell(cfg: &PerfConfig) -> std::io::Result<PerfMeasurement> {
-    let m = measure(cfg);
-    let path = baseline_path(&cfg.baseline_dir, cfg.scenario, cfg.n);
-    std::fs::create_dir_all(&cfg.baseline_dir)?;
-    std::fs::write(&path, baseline_json(cfg, &m))?;
-    log!(Info, "perf: blessed {}", path.display());
-    Ok(m)
+/// One `repro perf` run: measures every cell, then checks each against
+/// its baseline in the ledger at `ledger` or, with `bless`, appends their
+/// records to it in one batch. A check reads the ledger and never writes
+/// it. Callers must not bless a `perturb`ed or `wheel_slot_bits` cell —
+/// a deliberately shifted count must never become a baseline.
+///
+/// # Errors
+/// Any [`LedgerError`] from reading (a damaged ledger is refused before
+/// anything is measured) or appending.
+pub fn run(
+    cells: &[PerfConfig],
+    bless: bool,
+    ledger: &Path,
+    git_rev: &str,
+) -> Result<Vec<(PerfMeasurement, Verdict)>, LedgerError> {
+    let history = read_ledger(ledger)?;
+    let mut outcomes = Vec::with_capacity(cells.len());
+    let mut blessed = Vec::new();
+    for cfg in cells {
+        log!(
+            Info,
+            "perf: {} n={} events={} seed={} ({}) …",
+            cfg.scenario,
+            cfg.n,
+            cfg.events,
+            cfg.seed,
+            if bless { "bless" } else { "check" }
+        );
+        let m = measure(cfg);
+        let record = trend::record_from_perf(cfg, &m, git_rev);
+        let verdict = if bless {
+            blessed.push(record);
+            Ok(())
+        } else {
+            check(&history, &record)
+        };
+        outcomes.push((m, verdict));
+    }
+    if bless {
+        let outcome = append_records(ledger, &blessed)?;
+        log!(
+            Info,
+            "perf: blessed {} cell(s) into {} ({} deduped)",
+            outcome.appended,
+            ledger.display(),
+            outcome.deduped
+        );
+    }
+    Ok(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny(dir: &Path) -> PerfConfig {
+    fn tiny() -> PerfConfig {
         PerfConfig {
             scenario: GrowthScenario::Baseline,
             n: 150,
             events: 2,
             seed: 7,
             jobs: 2,
-            baseline_dir: dir.to_path_buf(),
             perturb: None,
             wheel_slot_bits: None,
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bgpscale_perf_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn record(cfg: &PerfConfig, rev: &str) -> LedgerRecord {
+        trend::record_from_perf(cfg, &measure(cfg), rev)
     }
 
     #[test]
-    fn bless_then_check_passes() {
-        let dir = tmpdir("roundtrip");
-        let cfg = tiny(&dir);
-        bless_cell(&cfg).unwrap();
-        let (verdict, m) = check_cell(&cfg);
-        assert_eq!(verdict, PerfVerdict::Pass, "fresh baseline must pass");
-        assert!(m.ops.grand_total() > 0);
-        assert!(m.phase_grand_totals.iter().all(|&t| t > 0));
-        std::fs::remove_dir_all(&dir).ok();
+    fn newest_same_schema_perf_line_is_the_baseline() {
+        let cfg = tiny();
+        let cell = record(&cfg, "head");
+        let mut stale = record(&cfg, "r1");
+        stale.ops.deliveries += 1;
+        let blessed = record(&cfg, "r2");
+        // Same cell, ungated kind and older schema: both must be skipped
+        // even though they are newer than the blessed line.
+        let mut profile = record(&cfg, "r3");
+        profile.kind = RunKind::Profile;
+        profile.ops.deliveries += 2;
+        let mut old_schema = record(&cfg, "r4");
+        old_schema.schema = 1;
+        let other_cell = record(&PerfConfig { n: 175, ..tiny() }, "r5");
+        let history = [stale, blessed, profile, old_schema, other_cell];
+        assert_eq!(baseline(&history, &cell).unwrap().git_rev, "r2");
+        assert_eq!(check(&history, &cell), Ok(()));
+        // With only the drifted line left, the same cell fails.
+        let msgs = check(&history[..1], &cell).unwrap_err();
+        assert!(msgs.iter().any(|m| m.contains("op count drift: deliveries")), "{msgs:?}");
     }
 
     #[test]
-    fn perturbation_fails_the_check() {
-        let dir = tmpdir("perturb");
-        let cfg = tiny(&dir);
-        bless_cell(&cfg).unwrap();
-        let perturbed = PerfConfig {
-            perturb: Some(1),
-            ..tiny(&dir)
-        };
-        let (verdict, _) = check_cell(&perturbed);
-        match verdict {
-            PerfVerdict::Fail(msgs) => {
-                assert!(
-                    msgs.iter().any(|m| m.contains("op count drift")),
-                    "{msgs:?}"
-                );
-            }
-            other => panic!("perturbed check must fail, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_baseline_fails_with_bless_hint() {
-        let dir = tmpdir("missing");
-        let cfg = PerfConfig {
-            n: 175,
-            ..tiny(&dir)
-        };
-        let (verdict, _) = check_cell(&cfg);
-        match verdict {
-            PerfVerdict::Fail(msgs) => {
-                assert!(msgs[0].contains("--bless"), "{msgs:?}");
-            }
-            other => panic!("missing baseline must fail, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn coordinate_mismatch_is_a_config_error() {
-        let dir = tmpdir("coords");
-        let cfg = tiny(&dir);
-        let m = measure(&cfg);
-        let doc = baseline_json(&cfg, &m);
-        let other = PerfConfig { seed: 8, ..tiny(&dir) };
-        match compare(&other, &m, &doc) {
-            PerfVerdict::ConfigError(msg) => assert!(msg.contains("seed"), "{msg}"),
-            v => panic!("seed mismatch must be a config error, got {v:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn baseline_document_is_flat_and_versioned() {
-        let dir = tmpdir("doc");
-        let cfg = tiny(&dir);
-        let m = measure(&cfg);
-        let doc = baseline_json(&cfg, &m);
-        assert!(doc.starts_with("{\n  \"schema_version\": "));
-        for name in OpCounts::field_names() {
-            assert!(json_u64(&doc, name).is_some(), "missing {name}");
-        }
-        assert_eq!(json_u64_array(&doc, "phase_grand_totals").unwrap().len(), 3);
-        assert_eq!(json_str(&doc, "scenario"), Some("BASELINE"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn perturb_is_deterministic() {
-        let mut a = OpCounts::default();
-        let mut b = OpCounts::default();
-        perturb_ops(&mut a, 3);
-        perturb_ops(&mut b, 3);
-        assert_eq!(a, b);
-        assert!(a.grand_total() > 0, "perturbation must change something");
-        let mut c = OpCounts::default();
-        perturb_ops(&mut c, 4);
-        assert_ne!(a, c, "different seeds should differ (almost surely)");
+    fn costmodel_hash_and_wall_band_are_checked() {
+        let cfg = tiny();
+        let cell = record(&cfg, "head");
+        let mut moved = cell.clone();
+        moved.artifacts.costmodel = Some(1);
+        let msgs = check(&[moved], &cell).unwrap_err();
+        assert!(msgs.len() == 1 && msgs[0].contains("costmodel.json hash"), "{msgs:?}");
+        let mut slow = cell.clone();
+        slow.wall.wall_us = cell.wall.wall_us.max(1) * (WALL_BAND + 1);
+        let msgs = check(&[slow], &cell).unwrap_err();
+        assert!(msgs.len() == 1 && msgs[0].contains("wall time"), "{msgs:?}");
     }
 }

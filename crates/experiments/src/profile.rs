@@ -11,7 +11,9 @@
 //! recorded nothing or when the simulators processed zero events —
 //! catching "the harness silently did no work" regressions.
 
-use bgpscale_core::{run_experiment_observed, ExperimentConfig, ObservedReport};
+use bgpscale_core::{
+    run_experiment_observed_with, ExperimentConfig, ObserveOptions, ObservedReport,
+};
 use bgpscale_obs::span::{self, SpanStats};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
@@ -93,7 +95,11 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_experiment_observed(&experiment, jobs, cfg.trace_sample)
+        let opts = ObserveOptions {
+            trace_sample: cfg.trace_sample,
+            timeseries_bin_us: None,
+        };
+        run_experiment_observed_with(&experiment, jobs, &opts)
     }));
     std::panic::set_hook(prev_hook);
     match caught {

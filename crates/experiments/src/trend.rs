@@ -2,8 +2,8 @@
 //! regression gate.
 //!
 //! The ledger (`obs::ledger`, default `results/ledger/runs.jsonl`) is the
-//! append-only history every `repro bench` / `perf` / `profile` run
-//! writes. This module is the analysis layer on top:
+//! append-only history `repro perf --bless` and every `repro profile` run
+//! write. This module is the analysis layer on top:
 //!
 //! * **Record builders** turn each subcommand's output into
 //!   [`LedgerRecord`]s — deterministic fields from the cost model and
@@ -16,6 +16,11 @@
 //!   and exponent drift between consecutive revisions (`--exp-band`,
 //!   absolute). Under `--check` any finding exits 1 (the repo-wide
 //!   0/1/2 convention; a corrupt or empty ledger is 2).
+//! * **Shared gate parts.** [`class_drift`] (the per-class band
+//!   comparison), [`perturb_ops`] (the mutation-gate corruption) and
+//!   [`fit_exponents`] (the log-log scaling fit) each have exactly one
+//!   implementation; `repro perf --check` and `repro report` call the
+//!   same ones.
 //! * **[`render_html`]** writes the self-contained `trend.html`
 //!   dashboard with `obs::render`: updates-per-event and events/sec vs n
 //!   across revisions — the repo's own Fig. 1 analog, except the x-axis
@@ -25,21 +30,16 @@
 //! fields and renders floats); the determinism contract is enforced
 //! upstream, where the record's `det` block is produced.
 
-use std::sync::Arc;
-
 use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind, WallSide};
 use bgpscale_obs::render::{self, LineSeries};
-use bgpscale_obs::SCHEMA_VERSION;
-use bgpscale_obs::{log, CostModel};
+use bgpscale_obs::{log, SCHEMA_VERSION};
 use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
 use bgpscale_stats::descriptive::median_u64;
 use bgpscale_stats::regression::fit_linear;
 
-use crate::bench::BenchOutput;
 use crate::perf::{PerfConfig, PerfMeasurement};
 use crate::profile::{ProfileConfig, ProfileOutput};
-use crate::sweep::RunConfig;
 
 /// Analysis knobs; all have CLI flags on `repro trend`.
 #[derive(Clone, Copy, Debug)]
@@ -62,20 +62,27 @@ impl Default for TrendOptions {
     }
 }
 
-/// One fitted per-class scaling exponent at one revision of one config
-/// group (`ops_per_event ∝ n^exponent` over that rev's sizes).
+/// A fitted per-op-class scaling law `ops_per_event ∝ n^exponent`.
 #[derive(Clone, Debug)]
-pub struct ExponentFit {
-    /// The config group label (`scenario/mode seed events`).
-    pub group: String,
-    /// Git revision the fit belongs to.
-    pub rev: String,
+pub struct ClassExponent {
     /// Op class.
     pub class: &'static str,
     /// Fitted log-log slope.
     pub exponent: f64,
     /// Fit quality.
     pub r_squared: f64,
+}
+
+/// One [`ClassExponent`] at one revision of one config group (fitted
+/// over that rev's sizes).
+#[derive(Clone, Debug)]
+pub struct ExponentFit {
+    /// The config group label (`scenario/mode seed events`).
+    pub group: String,
+    /// Git revision the fit belongs to.
+    pub rev: String,
+    /// The fitted law.
+    pub fit: ClassExponent,
 }
 
 /// What [`analyze`] produced.
@@ -97,10 +104,6 @@ fn secs_to_us(s: f64) -> u64 {
     (s * 1e6).max(0.0).round() as u64
 }
 
-fn pct_to_cpct(pct: f64) -> i64 {
-    (pct * 100.0).round() as i64
-}
-
 fn hash_json(json: &str) -> Option<u64> {
     Some(hash64_bytes(json.as_bytes()))
 }
@@ -111,54 +114,8 @@ fn default_mode_label() -> &'static str {
     bgpscale_bgp::BgpConfig::default().mrai_mode.label()
 }
 
-/// One ledger record per cell of the first bench run. Deterministic
-/// fields come from the cost model (identical across runs — `run_bench`
-/// asserts cross-run report equality); wall time is that cell's, observer
-/// overheads attach to the first-size record (where the micro-benchmark
-/// ran).
-pub fn records_from_bench(cfg: &RunConfig, out: &BenchOutput, git_rev: &str) -> Vec<LedgerRecord> {
-    let Some(first) = out.runs.first() else {
-        return Vec::new();
-    };
-    let mut records = Vec::new();
-    for (i, cell) in first.cells.iter().enumerate() {
-        let cost: Option<&Arc<CostModel>> = out
-            .first_run_costs
-            .iter()
-            .find(|(n, _)| *n == cell.n)
-            .map(|(_, c)| c);
-        records.push(LedgerRecord {
-            schema: SCHEMA_VERSION,
-            kind: RunKind::Bench,
-            git_rev: git_rev.to_string(),
-            scenario: "BASELINE".to_string(),
-            n: cell.n as u64,
-            mode: "NO-WRATE".to_string(),
-            seed: cfg.seed,
-            events: cfg.events as u64,
-            ops: cell.ops,
-            artifacts: ArtifactHashes {
-                metrics: None,
-                timeseries: None,
-                costmodel: cost.and_then(|c| hash_json(&c.to_json())),
-            },
-            wall: WallSide {
-                wall_us: secs_to_us(cell.wall_s),
-                jobs: first.effective_jobs as u64,
-                peak_rss_bytes: out.peak_rss_bytes,
-                metrics_overhead_cpct: (i == 0)
-                    .then(|| pct_to_cpct(out.overhead.metrics_overhead.raw_pct)),
-                trace_overhead_cpct: (i == 0)
-                    .then(|| pct_to_cpct(out.overhead.trace_overhead.raw_pct)),
-            },
-        });
-    }
-    records
-}
-
-/// The ledger record of one `repro perf` cell. Callers must skip the
-/// append under `--perturb` — a deliberately corrupted count must never
-/// enter history.
+/// The ledger record of one `repro perf` cell: what `--check` compares
+/// against the cell's baseline and what `--bless` appends.
 pub fn record_from_perf(cfg: &PerfConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
     LedgerRecord {
         schema: SCHEMA_VERSION,
@@ -217,34 +174,83 @@ pub fn record_from_profile(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &s
     }
 }
 
-/// Deterministically corrupts the newest entry of every fingerprint
-/// series that has history (≥ 2 entries): one op class (chosen from
-/// `seed` like `perf --perturb`) is inflated past any sane band
-/// (`v → 2·v + 1 + bump`). The CI mutation gate proving `trend --check`
-/// still catches what it claims to catch. In-memory only — never written
-/// back to the ledger.
-pub fn perturb_latest(records: &mut [LedgerRecord], seed: u64) {
+/// Deterministically inflates one op class past any sane band
+/// (`v → 2·v + bump`, `bump ≥ 1`): class index and bump size both derive
+/// from `seed` via the repo's standard seed-fanout hash. The one
+/// corruption routine behind both `--perturb` mutation gates. Returns the
+/// class and the bump for the caller's log line.
+pub fn perturb_ops(ops: &mut OpCounts, seed: u64) -> (&'static str, u64) {
     let idx = (hash64_pair(seed, 0xBAD) % OpCounts::FIELD_COUNT as u64) as usize;
     let bump = 1 + hash64_pair(seed, 0xB00) % 1_000;
-    let class = OpCounts::field_names()[idx];
-    // Newest entry per fingerprint, and whether that fingerprint recurs.
-    let mut perturbed = 0usize;
+    let mut fields = ops.fields();
+    fields[idx].1 = fields[idx].1 * 2 + bump;
+    *ops = OpCounts::from_fields(&fields);
+    (fields[idx].0, bump)
+}
+
+/// [`perturb_ops`] on the newest entry of every fingerprint series that
+/// has history (≥ 2 entries). The CI mutation gate proving
+/// `trend --check` still catches what it claims to catch. In-memory only
+/// — never written back to the ledger.
+pub fn perturb_latest(records: &mut [LedgerRecord], seed: u64) {
     let fingerprints: Vec<u64> = records.iter().map(LedgerRecord::fingerprint).collect();
+    let mut perturbed = None;
+    let mut count = 0usize;
     for i in 0..records.len() {
         let fp = fingerprints[i];
         let is_latest = !fingerprints[i + 1..].contains(&fp);
         let has_history = fingerprints[..i].contains(&fp);
         if is_latest && has_history {
-            let mut fields = records[i].ops.fields();
-            fields[idx].1 = fields[idx].1 * 2 + bump;
-            records[i].ops = OpCounts::from_fields(&fields);
-            perturbed += 1;
+            perturbed = Some(perturb_ops(&mut records[i].ops, seed));
+            count += 1;
         }
     }
-    log!(
-        Info,
-        "trend: perturbing {class} (×2 +{bump}, seed {seed}) on {perturbed} newest entries"
-    );
+    if let Some((class, bump)) = perturbed {
+        log!(
+            Info,
+            "trend: perturbing {class} (×2 +{bump}, seed {seed}) on {count} newest entries"
+        );
+    }
+}
+
+/// One op class outside its band.
+#[derive(Clone, Debug)]
+pub struct ClassDrift {
+    /// Op class.
+    pub class: &'static str,
+    /// The count under test.
+    pub new: u64,
+    /// The count it was compared against.
+    pub reference: u64,
+    /// Signed deviation in percent (infinite off a zero reference).
+    pub delta_pct: f64,
+}
+
+/// The per-class comparison both gates share: every class of `new` that
+/// deviates from `reference` by more than `band_pct` percent (a zero
+/// reference admits only zero). `trend --check` passes the window median
+/// and `--band`; `perf --check` passes the baseline and a zero band,
+/// which is exact equality.
+pub fn class_drift(new: &OpCounts, reference: &OpCounts, band_pct: f64) -> Vec<ClassDrift> {
+    let mut drifts = Vec::new();
+    for ((class, new), (_, reference)) in new.fields().into_iter().zip(reference.fields()) {
+        let delta_pct = if reference == 0 {
+            if new == 0 { 0.0 } else { f64::INFINITY }
+        } else {
+            // Integer difference first: exact, so unequal counts never
+            // round to a zero deviation under the zero band.
+            (i128::from(new) - i128::from(reference)) as f64 / reference as f64 * 100.0
+        };
+        if delta_pct.abs() > band_pct {
+            drifts.push(ClassDrift {
+                class,
+                new,
+                reference,
+                delta_pct,
+            });
+        }
+    }
+    drifts
 }
 
 /// The per-config grouping key for exponent fits and dashboards
@@ -260,42 +266,30 @@ fn group_label(key: &GroupKey) -> String {
     format!("{}/{} seed={} events={}", key.0, key.1, key.2, key.3)
 }
 
-/// Fits per-class scaling exponents for one rev of one config group:
-/// `ln(ops/event) = a + b·ln(n)` over its distinct sizes. Mirrors
-/// `bench::fit_cost_exponents`, but over ledger history instead of a
-/// fresh sweep. Classes with a zero count at any size are skipped (the
-/// log-log fit is undefined there).
-fn fit_rev_exponents(
-    group: &str,
-    rev: &str,
-    cells: &[(u64, OpCounts)],
-    events: u64,
-) -> Vec<ExponentFit> {
-    if cells.len() < 2 || events == 0 {
+/// Fits per-class scaling exponents over one size sweep:
+/// `ln(ops/event) = a + b·ln(n)` by least squares over `cells`' distinct
+/// sizes. Needs at least two sizes; classes with a zero count at any size
+/// are skipped (the log-log fit is undefined there). The one exponent
+/// fit: `trend` feeds it one revision of ledger history, `repro report`
+/// a fresh mini sweep.
+pub fn fit_exponents(cells: &[(u64, OpCounts)], events: u64) -> Vec<ClassExponent> {
+    if cells.len() < 2 || events == 0 || cells.iter().any(|(n, _)| *n == 0) {
         return Vec::new();
     }
+    let xs: Vec<f64> = cells.iter().map(|(n, _)| (*n as f64).ln()).collect();
     let mut fits = Vec::new();
-    for (idx, name) in OpCounts::field_names().iter().enumerate() {
-        let mut xs = Vec::with_capacity(cells.len());
-        let mut ys = Vec::with_capacity(cells.len());
-        let mut ok = true;
-        for (n, ops) in cells {
-            let count = ops.fields()[idx].1;
-            if count == 0 || *n == 0 {
-                ok = false;
-                break;
-            }
-            xs.push((*n as f64).ln());
-            ys.push((count as f64 / events as f64).ln());
-        }
-        if !ok {
+    for (idx, class) in OpCounts::field_names().into_iter().enumerate() {
+        let counts: Vec<u64> = cells.iter().map(|(_, ops)| ops.fields()[idx].1).collect();
+        if counts.contains(&0) {
             continue;
         }
+        let ys: Vec<f64> = counts
+            .iter()
+            .map(|&count| (count as f64 / events as f64).ln())
+            .collect();
         let fit = fit_linear(&xs, &ys);
-        fits.push(ExponentFit {
-            group: group.to_string(),
-            rev: rev.to_string(),
-            class: name,
+        fits.push(ClassExponent {
+            class,
             exponent: fit.slope,
             r_squared: fit.r_squared,
         });
@@ -346,37 +340,26 @@ pub fn analyze(records: &[LedgerRecord], opts: &TrendOptions) -> TrendReport {
             continue;
         }
         let window = &history[history.len().saturating_sub(opts.window)..];
-        for (idx, name) in OpCounts::field_names().iter().enumerate() {
+        let mut median = OpCounts::default().fields();
+        for (idx, slot) in median.iter_mut().enumerate() {
             let values: Vec<u64> = window.iter().map(|r| r.ops.fields()[idx].1).collect();
-            let med = median_u64(&values).expect("window is non-empty");
-            let new = latest.ops.fields()[idx].1;
-            let out_of_band = if med == 0 {
-                new != 0
-            } else {
-                let delta_pct = (new as f64 - med as f64).abs() / med as f64 * 100.0;
-                delta_pct > opts.band_pct
-            };
-            if out_of_band {
-                let delta_pct = if med == 0 {
-                    f64::INFINITY
-                } else {
-                    (new as f64 - med as f64) / med as f64 * 100.0
-                };
-                report.regressions.push(format!(
-                    "op-count regression: {} n={} {} {}: {} vs median {} of last {} \
-                     ({:+.1}% outside ±{}% band) at rev {}",
-                    latest.scenario,
-                    latest.n,
-                    latest.mode,
-                    name,
-                    new,
-                    med,
-                    window.len(),
-                    delta_pct,
-                    opts.band_pct,
-                    latest.git_rev
-                ));
-            }
+            slot.1 = median_u64(&values).expect("window is non-empty");
+        }
+        for d in class_drift(&latest.ops, &OpCounts::from_fields(&median), opts.band_pct) {
+            report.regressions.push(format!(
+                "op-count regression: {} n={} {} {}: {} vs median {} of last {} \
+                 ({:+.1}% outside ±{}% band) at rev {}",
+                latest.scenario,
+                latest.n,
+                latest.mode,
+                d.class,
+                d.new,
+                d.reference,
+                window.len(),
+                d.delta_pct,
+                opts.band_pct,
+                latest.git_rev
+            ));
         }
     }
 
@@ -395,8 +378,8 @@ pub fn analyze(records: &[LedgerRecord], opts: &TrendOptions) -> TrendReport {
         let mut rev_fits: Vec<(String, Vec<ExponentFit>)> = Vec::new();
         for rev in &report.revs {
             // One (n → ops) cell per size at this rev; duplicates (e.g. a
-            // bench and a perf record of the same cell, or a dedupe-missed
-            // re-run) keep the newest.
+            // perf and a profile record of the same cell, or a
+            // dedupe-missed re-run) keep the newest.
             let mut cells: Vec<(u64, OpCounts)> = Vec::new();
             for r in entries.iter().filter(|r| &r.git_rev == rev) {
                 match cells.iter_mut().find(|(n, _)| *n == r.n) {
@@ -405,7 +388,14 @@ pub fn analyze(records: &[LedgerRecord], opts: &TrendOptions) -> TrendReport {
                 }
             }
             cells.sort_unstable_by_key(|(n, _)| *n);
-            let fits = fit_rev_exponents(&label, rev, &cells, key.3);
+            let fits: Vec<ExponentFit> = fit_exponents(&cells, key.3)
+                .into_iter()
+                .map(|fit| ExponentFit {
+                    group: label.clone(),
+                    rev: rev.clone(),
+                    fit,
+                })
+                .collect();
             if !fits.is_empty() {
                 rev_fits.push((rev.clone(), fits));
             }
@@ -413,8 +403,8 @@ pub fn analyze(records: &[LedgerRecord], opts: &TrendOptions) -> TrendReport {
         for pair in rev_fits.windows(2) {
             let (prev_rev, prev) = &pair[0];
             let (next_rev, next) = &pair[1];
-            for f in next {
-                let Some(p) = prev.iter().find(|p| p.class == f.class) else {
+            for ExponentFit { fit: f, .. } in next {
+                let Some(p) = prev.iter().map(|p| &p.fit).find(|p| p.class == f.class) else {
                     continue;
                 };
                 let drift = f.exponent - p.exponent;
@@ -541,7 +531,7 @@ pub fn render_html(records: &[LedgerRecord], report: &TrendReport, opts: &TrendO
             (
                 "total ops per event vs n",
                 2usize,
-                "deterministic: all op classes summed, per C-event",
+                "deterministic: work op classes summed (no gauge, no avoided work), per C-event",
             ),
         ] {
             let series_pts: Vec<Vec<(f64, f64)>> = per_rev
@@ -602,9 +592,9 @@ pub fn render_html(records: &[LedgerRecord], report: &TrendReport, opts: &TrendO
                 vec![
                     f.group.clone(),
                     short_rev(&f.rev).to_string(),
-                    f.class.to_string(),
-                    format!("{:.3}", f.exponent),
-                    format!("{:.3}", f.r_squared),
+                    f.fit.class.to_string(),
+                    format!("{:.3}", f.fit.exponent),
+                    format!("{:.3}", f.fit.r_squared),
                 ]
             })
             .collect();
@@ -661,9 +651,9 @@ pub fn render_text(report: &TrendReport) -> String {
             "  exponent {} @ {}: {:<18} {:+.3} (r²={:.3})",
             f.group,
             short_rev(&f.rev),
-            f.class,
-            f.exponent,
-            f.r_squared
+            f.fit.class,
+            f.fit.exponent,
+            f.fit.r_squared
         );
     }
     if report.regressions.is_empty() {
@@ -719,7 +709,7 @@ mod tests {
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
         // Counts ∝ n → exponent ≈ 1 for every class at every rev.
         assert!(!report.exponent_fits.is_empty());
-        for f in &report.exponent_fits {
+        for ExponentFit { fit: f, .. } in &report.exponent_fits {
             assert!((f.exponent - 1.0).abs() < 1e-9, "{}: {}", f.class, f.exponent);
             assert!((f.r_squared - 1.0).abs() < 1e-9);
         }
@@ -885,35 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_carry_cost_hashes_and_wall_segregation() {
-        let cfg = RunConfig {
-            sizes: vec![150, 250],
-            events: 2,
-            seed: 42,
-        };
-        let out = crate::bench::run_bench(&cfg, &[1]);
-        let records = records_from_bench(&cfg, &out, "testrev");
-        assert_eq!(records.len(), 2);
-        for (r, n) in records.iter().zip([150u64, 250]) {
-            assert_eq!(r.kind, RunKind::Bench);
-            assert_eq!(r.n, n);
-            assert_eq!(r.seed, 42);
-            assert!(r.ops.grand_total() > 0);
-            assert!(r.artifacts.costmodel.is_some(), "cost model hashed");
-            assert!(r.wall.wall_us > 0);
-            assert_eq!(r.wall.jobs, 1);
-        }
-        assert!(
-            records[0].wall.metrics_overhead_cpct.is_some(),
-            "overhead attaches to the first-size record"
-        );
-        assert!(records[1].wall.metrics_overhead_cpct.is_none());
-        // The artifact hash is the hash of the exact bytes.
-        let expect = hash64_bytes(out.first_run_costs[0].1.to_json().as_bytes());
-        assert_eq!(records[0].artifacts.costmodel, Some(expect));
-    }
-
-    #[test]
     fn perf_and_profile_records_share_the_cell_fingerprint() {
         let perf_cfg = PerfConfig {
             scenario: GrowthScenario::Baseline,
@@ -921,7 +882,6 @@ mod tests {
             events: 2,
             seed: 7,
             jobs: 1,
-            baseline_dir: std::path::PathBuf::from("/nonexistent"),
             perturb: None,
             wheel_slot_bits: None,
         };

@@ -22,9 +22,10 @@
 //! C-event (after warm-up, after the DOWN phase, after the UP phase) and
 //! stores the per-phase *differences* in event-index order. Wall-side
 //! quantities (allocation counts, peak RSS, timings) never enter this
-//! model — they live in `BENCH_harness.json` only. Arena footprint *is*
-//! in the model, but as `arena_bytes_reserved`: a deterministic byte
-//! count from the fixed arena byte model, not an allocator measurement.
+//! model — they live in `benchmark/`'s output and the run ledger's `wall`
+//! tier only. Arena footprint *is* in the model, but as
+//! `arena_bytes_reserved`: a deterministic byte count from the fixed
+//! arena byte model, not an allocator measurement.
 
 use std::fmt::Write as _;
 
@@ -82,7 +83,7 @@ impl OpCounts {
     /// Number of counter classes (schema v2).
     pub const FIELD_COUNT: usize = 15;
 
-    /// Number of counter classes in schema v1 ledger lines and baselines
+    /// Number of counter classes in schema v1 ledger lines
     /// (everything before `queue_cascades`). New classes are only ever
     /// appended, so a v1 prefix of [`OpCounts::fields`] is exactly the v1
     /// field set.
@@ -188,9 +189,13 @@ impl OpCounts {
         }
     }
 
-    /// Sum over every counter class — a scalar "total ops" figure.
+    /// Sum over the work classes — a scalar "total ops" figure for
+    /// display. Leaves out the `arena_bytes_reserved` gauge (bytes, not
+    /// ops) and the two avoided-work classes, `mrai_coalesced` and
+    /// `path_intern_hits` (each counts an operation *saved*).
     pub fn grand_total(&self) -> u64 {
-        self.fields().iter().map(|&(_, v)| v).sum()
+        let all: u64 = self.fields().iter().map(|&(_, v)| v).sum();
+        all - self.arena_bytes_reserved - self.mrai_coalesced - self.path_intern_hits
     }
 
     /// Writes this bundle as a single-line JSON object.
@@ -342,25 +347,24 @@ mod tests {
 
     #[test]
     fn fields_cover_every_counter() {
-        // grand_total over fields() must equal the explicit sum, so a field
-        // added to the struct but not to fields() is caught here.
+        // grand_total over fields() must equal the explicit sum of the
+        // work classes, so a field added to the struct but not to
+        // fields() is caught here — and so is a byte gauge or an
+        // avoided-work class creeping back into "total ops".
         let c = sample(1);
-        let explicit = c.queue_pushes
+        let work = c.queue_pushes
             + c.queue_pops
             + c.queue_decreases
             + c.queue_comparisons
             + c.decision_runs
             + c.route_comparisons
             + c.rib_out_writes
-            + c.path_intern_hits
             + c.path_intern_misses
             + c.deliveries
             + c.mrai_armed
             + c.mrai_fired
-            + c.mrai_coalesced
-            + c.queue_cascades
-            + c.arena_bytes_reserved;
-        assert_eq!(c.grand_total(), explicit);
+            + c.queue_cascades;
+        assert_eq!(c.grand_total(), work);
         assert_eq!(OpCounts::field_names().len(), OpCounts::FIELD_COUNT);
         assert_eq!(OpCounts::from_fields(&c.fields()), c, "fields roundtrip");
     }

@@ -1,8 +1,10 @@
 //! The run ledger: append-only, cross-run performance history.
 //!
-//! Every `repro bench`, `repro perf`, and `repro profile` invocation
-//! appends one immutable, schema-versioned record per experiment cell to
-//! `results/ledger/runs.jsonl`. The ledger is the repo's own trend data:
+//! Every `repro perf --bless` and `repro profile` invocation appends one
+//! immutable, schema-versioned record per experiment cell to
+//! `results/ledger/runs.jsonl`. It is also the perf gate's only baseline
+//! store: `repro perf --check` compares a cell against its newest blessed
+//! `perf` line and never appends. The ledger is the repo's own trend data:
 //! where the paper asks whether per-router workload stays sublinear as
 //! the topology grows, the ledger asks whether *our* per-event cost stays
 //! flat as the code grows — `repro trend` folds it into scaling-exponent
@@ -62,7 +64,8 @@ use crate::SCHEMA_VERSION;
 /// Which subcommand produced a record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunKind {
-    /// `repro bench` — the wall-clock scaling sweep.
+    /// The retired `repro bench` wall-clock sweep. Nothing writes this
+    /// kind any more; it stays parseable so checked-in history round-trips.
     Bench,
     /// `repro perf` — the exact op-count regression gate.
     Perf,

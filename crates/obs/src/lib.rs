@@ -20,7 +20,8 @@
 //! The simulator is generic over [`SimObserver`] with [`NoopObserver`] as
 //! the default: hooks are statically dispatched empty inline bodies, so
 //! the un-observed simulator compiles to the same code as before this
-//! crate existed (overhead budget enforced by `repro bench`).
+//! crate existed (the live-[`Recorder`] cost is `benchmark/`'s
+//! `obs.recorder_ns_per_delivery`).
 //!
 //! ## Example
 //!
@@ -50,8 +51,8 @@ pub mod timeseries;
 pub mod trace;
 
 /// Schema version stamped into every JSON artifact the workspace writes
-/// (`metrics.json`, `timeseries.json`, `costmodel.json`,
-/// `BENCH_harness.json`, perf baselines). Bump when a writer changes its
+/// (`metrics.json`, `timeseries.json`, `costmodel.json`, the trace
+/// header, run-ledger lines). Bump when a writer changes its
 /// key layout incompatibly; readers reject mismatches — except the run
 /// ledger, which is append-only history and keeps a read path for every
 /// schema it ever wrote (see [`ledger::parse_line`]).

@@ -4,7 +4,8 @@
 //! experiment harness). It keeps its hot-path state in plain fields —
 //! fixed arrays, no map lookups per event — and materializes a
 //! [`MetricsRegistry`] only when the run is over, so the metrics-on
-//! overhead stays small (measured by `repro bench`).
+//! overhead stays small (measured by `benchmark/`'s `observed_5k`
+//! workload as `obs.recorder_ns_per_delivery`).
 //!
 //! Everything a `Recorder` captures is a pure function of the simulated
 //! trajectory: counters, integer histograms, and (optionally) sampled

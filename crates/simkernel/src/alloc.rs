@@ -2,15 +2,15 @@
 //!
 //! When the `alloc-count` feature is enabled, [`CountingAlloc`] wraps the
 //! system allocator and tallies allocation calls, bytes requested, and the
-//! peak number of live heap bytes into process-global atomics. The `repro`
-//! binary installs it as the `#[global_allocator]` so `repro bench` can
-//! report per-cell allocation columns.
+//! peak number of live heap bytes into process-global atomics. The
+//! benchmark's traced binary (`benchmark/`, `bgpbench-traced`) installs it
+//! as the `#[global_allocator]` to report its `alloc.*` metrics.
 //!
 //! **Allocation counts are wall-side telemetry, not deterministic
 //! artifacts.** They vary with worker count (thread stacks, scratch
-//! buffers) and allocator/library versions, so they are reported only in
-//! `BENCH_harness.json` — never in `costmodel.json`, `metrics.json` or any
-//! other byte-identity-gated file.
+//! buffers) and allocator/library versions, so they are reported only by
+//! the benchmark — never in `costmodel.json`, `metrics.json` or any other
+//! byte-identity-gated file.
 //!
 //! Without the feature the module still compiles (so callers need no
 //! `cfg`s): [`snapshot`] simply returns `None` and the crate keeps its

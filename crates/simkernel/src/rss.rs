@@ -4,9 +4,9 @@
 //! `/proc/self/status`. Like the wall-clock [`crate::Stopwatch`] and the
 //! optional allocation counters, peak RSS is **never** allowed into a
 //! deterministic artifact: it depends on the machine, the allocator and
-//! the worker count, so it is reported only in `BENCH_harness.json` and
-//! perf-baseline wall-side fields (which carry a tolerance band, not an
-//! equality gate).
+//! the worker count, so it is reported only by the benchmark
+//! (`peak_rss_mb`) and in the run ledger's `wall` tier (which carries a
+//! tolerance band at most, never an equality gate).
 
 /// The process's peak resident set size in bytes, or `None` when the
 /// platform does not expose it (non-Linux, or an unparsable

@@ -1,11 +1,13 @@
 //! Cross-crate contract tests for the run ledger (`obs::ledger` +
-//! `experiments::trend`): the deterministic half of every record is
-//! byte-identical for any worker count, history dedupes on content, and
-//! a damaged ledger is rejected loudly instead of silently analyzed.
+//! `experiments::{perf, trend}`): the deterministic half of every record
+//! is byte-identical for any worker count, history dedupes on content, a
+//! damaged ledger is rejected loudly instead of silently analyzed, and
+//! the ledger is the perf gate's only baseline store — blessed into,
+//! never written by a check.
 
-use bgpscale_experiments::perf::{measure, PerfConfig};
+use bgpscale_experiments::perf::{self, measure, PerfConfig};
 use bgpscale_experiments::trend::{self, TrendOptions};
-use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError};
+use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, RunKind};
 use bgpscale_topology::GrowthScenario;
 
 fn cell_cfg(jobs: usize) -> PerfConfig {
@@ -15,7 +17,6 @@ fn cell_cfg(jobs: usize) -> PerfConfig {
         events: 2,
         seed: 7,
         jobs,
-        baseline_dir: std::path::PathBuf::from("/nonexistent"),
         perturb: None,
         wheel_slot_bits: None,
     }
@@ -133,4 +134,73 @@ fn trend_gate_passes_fresh_history_and_catches_perturbation() {
         "seeded perturbation must trip the gate"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The perf gate over the ledger, through the same `perf::run` the
+/// `repro perf` target calls: a blessed cell passes its check at a later
+/// revision, a `--perturb`-style drift and a never-blessed cell fail (the
+/// latter with the `--bless` hint), and no check — passing or failing —
+/// changes a byte of the ledger file.
+#[test]
+fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
+    let path = temp_path("perf_gate");
+    let _ = std::fs::remove_file(&path);
+    let cell = cell_cfg(1);
+
+    let blessed = perf::run(std::slice::from_ref(&cell), true, &path, "revA").unwrap();
+    assert_eq!(blessed.len(), 1);
+    let ledger = std::fs::read(&path).unwrap();
+    assert_eq!(read_ledger(&path).unwrap().len(), 1, "bless appends the record");
+
+    let verdicts = |cells: &[PerfConfig]| -> Vec<perf::Verdict> {
+        let outcomes = perf::run(cells, false, &path, "revB").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), ledger, "a check wrote the ledger");
+        outcomes.into_iter().map(|(_, verdict)| verdict).collect()
+    };
+    assert_eq!(verdicts(std::slice::from_ref(&cell)), vec![Ok(())]);
+
+    let perturbed = PerfConfig {
+        perturb: Some(1),
+        ..cell_cfg(1)
+    };
+    let unknown = PerfConfig {
+        n: 175,
+        ..cell_cfg(1)
+    };
+    let failed = verdicts(&[perturbed, unknown]);
+    let drift = failed[0].as_ref().unwrap_err();
+    assert!(drift.iter().any(|m| m.contains("op count drift")), "{drift:?}");
+    let missing = failed[1].as_ref().unwrap_err();
+    assert!(missing[0].contains("--bless"), "{missing:?}");
+
+    // A damaged ledger is refused before anything is measured, in
+    // either mode (the CLI maps this to exit 2).
+    std::fs::write(&path, &ledger[..ledger.len() - 25]).unwrap();
+    for bless in [false, true] {
+        assert!(matches!(
+            perf::run(std::slice::from_ref(&cell), bless, &path, "revC"),
+            Err(LedgerError::Corrupt { line: 1, .. })
+        ));
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The checked-in ledger is history and baseline store at once. Every
+/// line of it — the schema-1 lines and the `bench` lines, whose writer is
+/// gone — must still pass the reader's canonical round-trip, and the
+/// three cells CI checks must each have a blessed `perf` baseline.
+#[test]
+fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger/runs.jsonl");
+    let history = read_ledger(std::path::Path::new(path)).unwrap();
+    assert!(history.iter().any(|r| r.schema == 1), "schema-1 history kept");
+    assert!(history.iter().any(|r| r.kind == RunKind::Bench), "bench history kept");
+    for n in [300, 600, 2000] {
+        assert!(
+            history.iter().any(|r| {
+                r.kind == RunKind::Perf && (r.n, r.events, r.seed) == (n, 5, 0x2008_0612)
+            }),
+            "no perf baseline for n={n}"
+        );
+    }
 }

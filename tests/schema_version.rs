@@ -3,15 +3,13 @@
 //! The constant lives in exactly one place — [`bgpscale_obs::SCHEMA_VERSION`] —
 //! and the writers embed it: `metrics.json` (`MetricsRegistry::to_json`),
 //! `costmodel.json` (`CostModel::to_json`), `timeseries.json` (the
-//! `repro report` wrapper), `BENCH_harness.json` (`bench::render_json`),
-//! the perf baselines (`perf::baseline_json`), and every run-ledger line
-//! (`LedgerRecord::to_line`). A writer that forgets
-//! the stamp (or stamps a different number) fails here before it can ship
-//! an unversioned artifact.
+//! `repro report` wrapper), the trace header, and every run-ledger line
+//! (`LedgerRecord::to_line`) — which is also what a perf baseline is. A
+//! writer that forgets the stamp (or stamps a different number) fails
+//! here before it can ship an unversioned artifact.
 
 use bgpscale_experiments::htmlreport::{run_report, ReportConfig};
-use bgpscale_experiments::perf::{baseline_json, measure, PerfConfig};
-use bgpscale_experiments::{bench, RunConfig};
+use bgpscale_experiments::perf::{measure, PerfConfig};
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
 
@@ -42,8 +40,7 @@ fn costmodel_json_is_stamped() {
 }
 
 #[test]
-fn timeseries_json_and_bench_json_are_stamped() {
-    // One tiny report covers the timeseries wrapper…
+fn timeseries_json_is_stamped() {
     let report = run_report(&ReportConfig {
         scenario: GrowthScenario::Baseline,
         n: 150,
@@ -53,15 +50,6 @@ fn timeseries_json_and_bench_json_are_stamped() {
         bin_us: 100_000,
     });
     assert_stamped(&report.timeseries_json, "timeseries.json");
-
-    // …and one tiny bench covers BENCH_harness.json.
-    let cfg = RunConfig {
-        sizes: vec![150],
-        events: 2,
-        seed: 11,
-    };
-    let out = bench::run_bench(&cfg, &[1]);
-    assert_stamped(&bench::render_json(&cfg, &out, "testrev"), "BENCH_harness.json");
 }
 
 #[test]
@@ -80,27 +68,10 @@ fn ledger_line_is_stamped() {
         events: 2,
         seed: 11,
         jobs: 2,
-        baseline_dir: std::env::temp_dir(),
         perturb: None,
         wheel_slot_bits: None,
     };
     let m = measure(&cfg);
     let record = bgpscale_experiments::trend::record_from_perf(&cfg, &m, "testrev");
     assert_stamped(&record.to_line(), "ledger line");
-}
-
-#[test]
-fn perf_baseline_is_stamped() {
-    let cfg = PerfConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 150,
-        events: 2,
-        seed: 11,
-        jobs: 2,
-        baseline_dir: std::env::temp_dir(),
-        perturb: None,
-        wheel_slot_bits: None,
-    };
-    let m = measure(&cfg);
-    assert_stamped(&baseline_json(&cfg, &m), "perf baseline");
 }
