@@ -13,7 +13,8 @@
 //!            PREFER-MIDDLE, PREFER-TOP   (case-insensitive, `_` ok)
 //!
 //! formats:
-//!   summary  population, links, stable-property metrics (default)
+//!   summary  population, links, stable-property metrics, the generator's
+//!            work counters and the generate / validate wall times (default)
 //!   dot      Graphviz DOT on stdout
 //!   edges    CSV: src,dst,relationship (each link once, from the
 //!            customer / lower-id-peer side)
@@ -22,11 +23,13 @@
 
 #![forbid(unsafe_code)]
 
+use bgpscale_simkernel::Stopwatch;
+use bgpscale_topology::generator::generate_with_stats;
 use bgpscale_topology::metrics::{
     degree_assortativity, degree_ccdf, TopologySummary,
 };
 use bgpscale_topology::validate::validate;
-use bgpscale_topology::{generate, GrowthScenario, NodeType, Relationship};
+use bgpscale_topology::{GrowthScenario, NodeType, Relationship};
 
 fn usage() -> ! {
     eprintln!(
@@ -61,8 +64,13 @@ fn main() {
         }
     }
 
-    let g = generate(scenario, n, seed);
-    if let Err(violations) = validate(&g) {
+    let watch = Stopwatch::start();
+    let (g, stats) = generate_with_stats(&scenario.params(n), seed);
+    let generate_s = watch.elapsed_secs_f64();
+    let watch = Stopwatch::start();
+    let validated = validate(&g);
+    let validate_s = watch.elapsed_secs_f64();
+    if let Err(violations) = validated {
         eprintln!("generated topology FAILED validation ({} violations):", violations.len());
         for v in violations.iter().take(5) {
             eprintln!("  {v}");
@@ -83,6 +91,11 @@ fn main() {
             println!("clustering      : {:.3}", s.clustering);
             println!("avg path length : {:.2} hops (valley-free)", s.avg_path_length);
             println!("assortativity   : {:.3}", degree_assortativity(&g));
+            println!("generator work  : {} draws ({} rejected), {} weight updates, {} ancestry checks",
+                stats.draws, stats.rejected_draws, stats.weight_updates, stats.ancestry_checks);
+            println!("generate        : {generate_s:.3} s ({:.2} us/link)",
+                generate_s * 1e6 / g.link_count().max(1) as f64);
+            println!("validate        : {validate_s:.3} s");
             println!("validation      : OK");
         }
         "dot" => print!("{}", g.to_dot()),

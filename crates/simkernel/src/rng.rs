@@ -190,7 +190,13 @@ pub trait Rng {
                 return i;
             }
         }
-        weights.len() - 1 // floating-point slack: fall back to the last index
+        // Floating-point slack: the subtractions rounded away the margin
+        // `target < total` left. The draw belongs to the last candidate that
+        // can be chosen at all, never to a trailing zero weight.
+        weights
+            .iter()
+            .rposition(|&w| w > 0.0)
+            .expect("a positive total has a positive term")
     }
 
     /// Fisher–Yates shuffle.
@@ -419,6 +425,21 @@ mod tests {
         let p2 = counts[2] as f64 / n as f64;
         assert!((p1 - 0.3).abs() < 0.01, "weight-3 share {p1}");
         assert!((p2 - 0.6).abs() < 0.01, "weight-6 share {p2}");
+    }
+
+    #[test]
+    fn choose_weighted_slack_skips_trailing_zero_weights() {
+        /// The largest uniform: `next_f64()` is `1 − 2⁻⁵³`.
+        struct Top;
+        impl Rng for Top {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        // fl(0.3 + 0.7) = 1 and fl(fl(1 − 2⁻⁵³ − 0.3) − 0.7) = 0: the scan
+        // falls through without the target ever turning negative.
+        assert_eq!(Top.choose_weighted(&[0.3, 0.7]), 1);
+        assert_eq!(Top.choose_weighted(&[0.3, 0.7, 0.0, 0.0]), 1);
     }
 
     #[test]

@@ -23,13 +23,46 @@
 //! Throughout phase 2 the generator enforces the paper's economic
 //! invariant: a node never peers with a node in its own customer tree
 //! (such a link would cannibalize its own transit revenue).
+//!
+//! # Cost of a pick
+//!
+//! Node ids are dense in creation order, so each candidate pool (T, M, CP)
+//! is a contiguous id range, and each (pool, weight kind) pair has one
+//! incrementally maintained [`Sampler`]: transit degree + 1 over T and
+//! over M, peering degree + 1 over M, constant 1 over M and over CP.
+//! Linking bumps the endpoints' weights; the node being wired hides
+//! itself, its neighbours and the candidates it rejected, and unhides them
+//! when it is done. A pick is `O(log pool)` plus `O(degree)` of hiding
+//! once per wired node, and reproduces `Rng::choose_weighted` on the
+//! equivalent weight vector draw for draw (see [`crate::sampler`]), so
+//! topologies are bit-identical to those of the linear scan it replaced.
+//!
+//! The customer-tree rule reads **provider-ancestor bitsets**, one row
+//! per M node, built as the node is wired: the provider DAG only grows
+//! downward and is complete before phase 2, and neither T nodes (never
+//! drawn) nor stubs (no customers) can be the root of a violated tree.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 
 use crate::graph::AsGraph;
 use crate::params::TopologyParams;
+use crate::sampler::Sampler;
 use crate::scenario::GrowthScenario;
 use crate::types::{AsId, NodeType, RegionSet};
+
+/// Integer work counters of one generator run: what the draw machinery
+/// did, independent of the clock. Deterministic per `(params, seed)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GenStats {
+    /// Weighted draws that consumed a uniform from the generator.
+    pub draws: u64,
+    /// Drawn peer candidates rejected by the customer-tree rule.
+    pub rejected_draws: u64,
+    /// Fenwick point updates: activations, ±1 bumps, hides and unhides.
+    pub weight_updates: u64,
+    /// Customer-tree queries answered from the ancestor bitsets.
+    pub ancestry_checks: u64,
+}
 
 /// Generates a topology for `scenario` at size `n` with the given seed.
 ///
@@ -44,6 +77,11 @@ pub fn generate(scenario: GrowthScenario, n: usize, seed: u64) -> AsGraph {
 /// # Panics
 /// Panics if `params.check()` fails.
 pub fn generate_with_params(params: &TopologyParams, seed: u64) -> AsGraph {
+    generate_with_stats(params, seed).0
+}
+
+/// [`generate_with_params`], also returning the run's [`GenStats`].
+pub fn generate_with_stats(params: &TopologyParams, seed: u64) -> (AsGraph, GenStats) {
     params
         .check()
         .unwrap_or_else(|e| panic!("invalid topology parameters: {e}"));
@@ -54,31 +92,50 @@ pub fn generate_with_params(params: &TopologyParams, seed: u64) -> AsGraph {
     b.add_stubs(NodeType::C);
     b.add_m_peering();
     b.add_cp_peering();
-    b.graph
+    for pool in &b.pools {
+        b.stats.draws += pool.draws;
+        b.stats.weight_updates += pool.updates;
+    }
+    (b.graph, b.stats)
 }
+
+// Indices into `Builder::pools`.
+const T_TRANSIT: usize = 0;
+const M_TRANSIT: usize = 1;
+const M_PEERING: usize = 2;
+const M_UNIFORM: usize = 3;
+const CP_UNIFORM: usize = 4;
 
 struct Builder<'a> {
     p: &'a TopologyParams,
     rng: Xoshiro256StarStar,
     graph: AsGraph,
-    t_nodes: Vec<AsId>,
-    m_nodes: Vec<AsId>,
-    cp_nodes: Vec<AsId>,
-    /// Scratch buffer for weighted draws, reused to avoid per-draw
-    /// allocation.
-    weights: Vec<f64>,
+    pools: [Sampler; 5],
+    /// Row `i`: the M nodes (by M-pool position) strictly above M node `i`
+    /// in the provider DAG, `anc_words` words a row.
+    ancestors: Vec<u64>,
+    anc_words: usize,
+    stats: GenStats,
 }
 
 impl<'a> Builder<'a> {
     fn new(p: &'a TopologyParams, seed: u64) -> Self {
+        let (m_base, cp_base) = (p.n_t, p.n_t + p.n_m);
+        let anc_words = p.n_m.div_ceil(64);
         Builder {
             p,
             rng: Xoshiro256StarStar::new(seed),
             graph: AsGraph::with_capacity(p.n),
-            t_nodes: Vec::with_capacity(p.n_t),
-            m_nodes: Vec::with_capacity(p.n_m),
-            cp_nodes: Vec::with_capacity(p.n_cp),
-            weights: Vec::new(),
+            pools: [
+                Sampler::new(0, p.n_t),
+                Sampler::new(m_base, p.n_m),
+                Sampler::new(m_base, p.n_m),
+                Sampler::new(m_base, p.n_m),
+                Sampler::new(cp_base, p.n_cp),
+            ],
+            ancestors: vec![0; p.n_m * anc_words],
+            anc_words,
+            stats: GenStats::default(),
         }
     }
 
@@ -124,113 +181,87 @@ impl<'a> Builder<'a> {
         let all_regions = RegionSet::all(self.p.regions);
         for _ in 0..self.p.n_t {
             let id = self.graph.add_node(NodeType::T, all_regions);
-            self.t_nodes.push(id);
+            self.pools[T_TRANSIT].activate(id, all_regions, 1);
         }
-        for i in 0..self.t_nodes.len() {
-            for j in (i + 1)..self.t_nodes.len() {
-                self.graph.add_peer_link(self.t_nodes[i], self.t_nodes[j]);
+        for i in 0..self.p.n_t as u32 {
+            for j in (i + 1)..self.p.n_t as u32 {
+                self.graph.add_peer_link(AsId(i), AsId(j));
             }
         }
     }
 
-    /// Weighted provider pick from `pool` by preferential attachment on
-    /// transit degree (+1 smoothing so degree-zero candidates remain
-    /// reachable). Region compatibility and already-chosen providers are
-    /// excluded. Returns `None` if the pool has no eligible candidate.
-    fn pick_provider(&mut self, me: AsId, pool: &[AsId], chosen: &[AsId]) -> Option<AsId> {
-        let my_regions = self.graph.regions(me);
-        self.weights.clear();
-        let mut total = 0.0;
-        for &cand in pool {
-            let w = if cand == me
-                || chosen.contains(&cand)
-                || !self.graph.regions(cand).intersects(my_regions)
-            {
-                0.0
-            } else {
-                (self.graph.transit_degree(cand) + 1) as f64
-            };
-            self.weights.push(w);
-            total += w;
-        }
-        if total <= 0.0 {
-            return None;
-        }
-        Some(pool[self.rng.choose_weighted(&self.weights)])
-    }
-
-    /// Selects and wires the providers for one freshly added node.
+    /// Selects and wires the providers for one freshly added node, by
+    /// preferential attachment on transit degree (+1 smoothing so
+    /// degree-zero candidates remain reachable) among the region-compatible
+    /// candidates not chosen yet.
     ///
-    /// `t_prob` is the probability that a slot draws from the T pool;
-    /// `m_pool` holds the eligible M candidates (nodes added earlier).
-    /// The PREFER-* caps of §5.4 are applied here: when a pool's cap is
-    /// reached (or the pool has no eligible candidate), the slot falls back
-    /// to the other pool; if neither pool can serve, the slot is dropped.
-    fn wire_providers(&mut self, me: AsId, count: usize, t_prob: f64, m_pool: &[AsId], is_m_node: bool) {
+    /// `t_prob` is the probability that a slot draws from the T pool
+    /// rather than from the M nodes wired so far. The PREFER-* caps of
+    /// §5.4 are applied here: when a pool's cap is reached (or the pool has
+    /// no eligible candidate), the slot falls back to the other pool; if
+    /// neither pool can serve, the slot is dropped.
+    fn wire_providers(&mut self, me: AsId, count: usize, t_prob: f64, is_m_node: bool) {
         let t_cap = if is_m_node {
             self.p.max_t_providers_for_m.unwrap_or(usize::MAX)
         } else {
             usize::MAX
         };
-        let m_cap = self.p.max_m_providers.unwrap_or(usize::MAX);
-        let mut chosen: Vec<AsId> = Vec::with_capacity(count);
-        let mut t_used = 0usize;
-        let mut m_used = 0usize;
-        // Split into owned vec to satisfy the borrow checker on t_nodes.
-        let t_pool: Vec<AsId> = self.t_nodes.clone();
+        let regions = self.graph.regions(me);
+        // Indexed by `T_TRANSIT` / `M_TRANSIT`: the pool's cap and the
+        // providers taken from it, which stay hidden until the end.
+        let cap = [t_cap, self.p.max_m_providers.unwrap_or(usize::MAX)];
+        let mut used = [0usize; 2];
         for _ in 0..count {
             let mut want_t = self.rng.chance(t_prob);
-            if want_t && t_used >= t_cap {
+            if want_t && used[T_TRANSIT] >= cap[T_TRANSIT] {
                 want_t = false;
             }
-            if !want_t && m_used >= m_cap {
+            if !want_t && used[M_TRANSIT] >= cap[M_TRANSIT] {
                 want_t = true;
             }
-            if want_t && t_used >= t_cap {
+            if want_t && used[T_TRANSIT] >= cap[T_TRANSIT] {
                 break; // both pools capped
             }
-            let provider = if want_t {
-                self.pick_provider(me, &t_pool, &chosen).or_else(|| {
-                    if m_used < m_cap {
-                        self.pick_provider(me, m_pool, &chosen)
-                    } else {
-                        None
-                    }
-                })
-            } else {
-                self.pick_provider(me, m_pool, &chosen).or_else(|| {
-                    if t_used < t_cap {
-                        self.pick_provider(me, &t_pool, &chosen)
-                    } else {
-                        None
-                    }
-                })
-            };
-            let Some(provider) = provider else { break };
-            if self.graph.node_type(provider) == NodeType::T {
-                t_used += 1;
-            } else {
-                m_used += 1;
+            let (first, other) = if want_t { (T_TRANSIT, M_TRANSIT) } else { (M_TRANSIT, T_TRANSIT) };
+            let mut pool = first;
+            let mut provider = self.pools[first].draw(&mut self.rng, regions);
+            if provider.is_none() && used[other] < cap[other] {
+                pool = other;
+                provider = self.pools[other].draw(&mut self.rng, regions);
             }
+            let Some(provider) = provider else { break };
+            used[pool] += 1;
             self.graph.add_transit_link(me, provider);
-            chosen.push(provider);
+            // Hidden first: the bump then costs no tree update of its own.
+            self.pools[pool].hide(provider);
+            self.pools[pool].bump(provider);
         }
-        debug_assert!(
-            !chosen.is_empty(),
+        self.pools[T_TRANSIT].unhide_to(0);
+        self.pools[M_TRANSIT].unhide_to(0);
+        assert!(
+            used != [0, 0],
             "node {me} ended up with no provider (pool exhaustion should be impossible: T pool is global)"
         );
     }
 
     fn add_m_nodes(&mut self) {
-        for _ in 0..self.p.n_m {
+        for i in 0..self.p.n_m {
             let regions = self.draw_regions(self.p.m_two_region_frac);
             let id = self.graph.add_node(NodeType::M, regions);
             let count = self.draw_provider_count(self.p.d_m);
-            // Pool = M nodes added before `id` only: keeps the provider
-            // relation acyclic.
-            let pool: Vec<AsId> = self.m_nodes.clone();
-            self.wire_providers(id, count, self.p.t_m, &pool, true);
-            self.m_nodes.push(id);
+            // `id` joins the M pools only after it is wired, so it buys
+            // from earlier M nodes only: the provider relation is acyclic.
+            self.wire_providers(id, count, self.p.t_m, true);
+            let (above, row) = self.ancestors.split_at_mut(i * self.anc_words);
+            for j in self.graph.providers(id).filter_map(|p| self.pools[M_TRANSIT].index(p)) {
+                let theirs = &above[j * self.anc_words..][..self.anc_words];
+                row.iter_mut().zip(theirs).for_each(|(mine, t)| *mine |= t);
+                row[j / 64] |= 1 << (j % 64);
+            }
+            let transit_weight = self.graph.transit_degree(id) as u64 + 1;
+            self.pools[M_TRANSIT].activate(id, regions, transit_weight);
+            self.pools[M_PEERING].activate(id, regions, 1);
+            self.pools[M_UNIFORM].activate(id, regions, 1);
         }
     }
 
@@ -240,102 +271,91 @@ impl<'a> Builder<'a> {
             NodeType::C => (self.p.n_c, 0.0, self.p.d_c, self.p.t_c),
             _ => unreachable!("add_stubs only handles stub types"),
         };
-        let pool: Vec<AsId> = self.m_nodes.clone();
         for _ in 0..count {
             let regions = self.draw_regions(two_region_frac);
             let id = self.graph.add_node(ty, regions);
             let slots = self.draw_provider_count(d);
-            self.wire_providers(id, slots, t_prob, &pool, false);
+            self.wire_providers(id, slots, t_prob, false);
             if ty == NodeType::Cp {
-                self.cp_nodes.push(id);
+                self.pools[CP_UNIFORM].activate(id, regions, 1);
             }
         }
     }
 
-    /// True if `a`–`b` is an acceptable peering link: not already adjacent
-    /// and neither endpoint lies in the other's customer tree.
-    fn peering_ok(&self, a: AsId, b: AsId) -> bool {
-        a != b
-            && !self.graph.has_link(a, b)
-            && !self.graph.in_customer_tree(a, b)
-            && !self.graph.in_customer_tree(b, a)
+    /// True if `node` lies in the customer tree of `root`. Only M roots
+    /// can say yes: stubs have no customers and T nodes are never drawn.
+    fn in_customer_tree(&mut self, root: AsId, node: AsId) -> bool {
+        let Some(r) = self.pools[M_TRANSIT].index(root) else {
+            return false;
+        };
+        self.stats.ancestry_checks += 1;
+        let above = |i: usize| self.ancestors[i * self.anc_words + r / 64] & (1 << (r % 64)) != 0;
+        match self.pools[M_TRANSIT].index(node) {
+            Some(i) => above(i),
+            // A stub: below `root` if it buys from it or from anything below it.
+            None => self.graph.providers(node).any(|p| {
+                p == root || self.pools[M_TRANSIT].index(p).is_some_and(above)
+            }),
+        }
     }
 
-    /// Weighted peer pick with an expensive validity predicate: weights are
-    /// computed from cheap checks, and customer-tree validity is verified
-    /// only on drawn candidates (zeroing and redrawing on failure), which
-    /// avoids a BFS per candidate.
-    fn pick_peer(
-        &mut self,
-        me: AsId,
-        pool: &[AsId],
-        preferential_on_peering_degree: bool,
-    ) -> Option<AsId> {
-        let my_regions = self.graph.regions(me);
-        self.weights.clear();
-        let mut total = 0.0;
-        for &cand in pool {
-            let w = if cand == me
-                || !self.graph.regions(cand).intersects(my_regions)
-                || self.graph.has_link(me, cand)
-            {
-                0.0
-            } else if preferential_on_peering_degree {
-                (self.graph.peering_degree(cand) + 1) as f64
-            } else {
-                1.0
+    /// Draws `U[0, 2·mean]` peers for `me` from pool `k` and links them.
+    ///
+    /// Candidates that cannot be linked — `me` itself and its neighbours —
+    /// are hidden while `me` draws; a drawn candidate that fails the
+    /// customer-tree rule is hidden for the rest of that one pick and the
+    /// pick redrawn, so the (costlier) rule is only evaluated on drawn
+    /// candidates. A pick that exhausts the pool ends `me`'s turn.
+    fn add_peers(&mut self, me: AsId, mean: f64, k: usize) {
+        let count = self.draw_peer_count(mean);
+        if count == 0 {
+            return;
+        }
+        let regions = self.graph.regions(me);
+        self.pools[k].hide(me);
+        for nb in self.graph.neighbors(me) {
+            self.pools[k].hide(nb.id);
+        }
+        for _ in 0..count {
+            let mark = self.pools[k].hidden_len();
+            let peer = loop {
+                let Some(cand) = self.pools[k].draw(&mut self.rng, regions) else {
+                    break None;
+                };
+                if !self.in_customer_tree(me, cand) && !self.in_customer_tree(cand, me) {
+                    break Some(cand);
+                }
+                self.stats.rejected_draws += 1;
+                self.pools[k].hide(cand);
             };
-            self.weights.push(w);
-            total += w;
-        }
-        while total > 0.0 {
-            let idx = self.rng.choose_weighted(&self.weights);
-            let cand = pool[idx];
-            if self.peering_ok(me, cand) {
-                return Some(cand);
+            self.pools[k].unhide_to(mark);
+            let Some(peer) = peer else { break };
+            self.graph.add_peer_link(me, peer);
+            self.pools[k].hide(peer);
+            if k == M_PEERING {
+                // The only weights that follow peering degree; both
+                // endpoints are hidden, so these land when `me` is done.
+                self.pools[k].bump(me);
+                self.pools[k].bump(peer);
             }
-            total -= self.weights[idx];
-            self.weights[idx] = 0.0;
         }
-        None
+        self.pools[k].unhide_to(0);
     }
 
     fn add_m_peering(&mut self) {
-        let pool: Vec<AsId> = self.m_nodes.clone();
-        for i in 0..pool.len() {
-            let me = pool[i];
-            let count = self.draw_peer_count(self.p.p_m);
-            for _ in 0..count {
-                // Preferential attachment "considering only the peering
-                // degree of each potential peer" (§3).
-                match self.pick_peer(me, &pool, true) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
-                }
-            }
+        for i in 0..self.p.n_m {
+            // Preferential attachment "considering only the peering
+            // degree of each potential peer" (§3).
+            self.add_peers(AsId((self.p.n_t + i) as u32), self.p.p_m, M_PEERING);
         }
     }
 
     fn add_cp_peering(&mut self) {
-        let m_pool: Vec<AsId> = self.m_nodes.clone();
-        let cp_pool: Vec<AsId> = self.cp_nodes.clone();
-        for i in 0..cp_pool.len() {
-            let me = cp_pool[i];
-            let to_m = self.draw_peer_count(self.p.p_cp_m);
-            for _ in 0..to_m {
-                // CP nodes select peers uniformly within their region (§3).
-                match self.pick_peer(me, &m_pool, false) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
-                }
-            }
-            let to_cp = self.draw_peer_count(self.p.p_cp_cp);
-            for _ in 0..to_cp {
-                match self.pick_peer(me, &cp_pool, false) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
-                }
-            }
+        for i in 0..self.p.n_cp {
+            // CP nodes select peers uniformly within their region (§3).
+            let me = AsId((self.p.n_t + self.p.n_m + i) as u32);
+            self.add_peers(me, self.p.p_cp_m, M_UNIFORM);
+            self.add_peers(me, self.p.p_cp_cp, CP_UNIFORM);
         }
     }
 }
@@ -555,6 +575,48 @@ mod tests {
             max as f64 > 3.0 * mean,
             "max peering degree {max} not heavy-tailed vs mean {mean}"
         );
+    }
+
+    #[test]
+    fn work_per_link_does_not_grow_with_n() {
+        // Counted, not timed: sampler operations per link. The linear scan
+        // this replaced touched every pool member per draw (∝ n).
+        let per_link = |n: usize| {
+            let (g, s) = generate_with_stats(&GrowthScenario::Baseline.params(n), 42);
+            (s.weight_updates + s.draws) as f64 / g.link_count() as f64
+        };
+        let (small, large) = (per_link(1_000), per_link(8_000));
+        assert!(large <= 1.5 * small, "{small:.2} ops/link at n=1000, {large:.2} at n=8000");
+    }
+
+    #[test]
+    fn stats_are_pinned_at_n2000() {
+        let (g, stats) = generate_with_stats(&GrowthScenario::Baseline.params(2_000), 42);
+        assert_eq!((g.transit_link_count(), g.peer_link_count()), (2_712, 513));
+        assert_eq!(
+            stats,
+            GenStats { draws: 3_256, rejected_draws: 37, weight_updates: 9_998, ancestry_checks: 975 }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology parameters")]
+    fn caps_that_exclude_both_pools_rejected() {
+        let mut p = GrowthScenario::Baseline.params(1_000);
+        p.max_t_providers_for_m = Some(0);
+        p.max_m_providers = Some(0);
+        let _ = generate_with_params(&p, 1);
+    }
+
+    #[test]
+    fn m_cap_of_zero_sends_every_slot_to_tier_one() {
+        let mut p = GrowthScenario::Baseline.params(600);
+        p.max_m_providers = Some(0);
+        let g = generate_with_params(&p, 3);
+        for id in g.node_ids() {
+            assert!(g.providers(id).all(|p| g.node_type(p) == NodeType::T), "{id}");
+        }
+        crate::validate::validate(&g).unwrap();
     }
 
     #[test]

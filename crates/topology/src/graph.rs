@@ -9,7 +9,7 @@
 //! which matches how topologies are generated and lets all per-node lookup
 //! tables in the simulator be flat vectors indexed by [`AsId`].
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::types::{AsId, NodeType, RegionSet, Relationship};
 
@@ -137,15 +137,20 @@ impl AsGraph {
     }
 
     /// Iterates over the neighbors of `id` with a given relationship.
+    ///
+    /// The scan stops at the last match (the tally is cached), so reading
+    /// the providers of a generated node — wired before it gains any
+    /// customer or peer — does not walk its whole adjacency.
     pub fn neighbors_with_rel(
         &self,
         id: AsId,
         rel: Relationship,
     ) -> impl Iterator<Item = AsId> + '_ {
-        self.nodes[id.index()]
-            .neighbors
+        let node = &self.nodes[id.index()];
+        node.neighbors
             .iter()
             .filter(move |n| n.rel == rel)
+            .take(node.rel_counts[rel_slot(rel)] as usize)
             .map(|n| n.id)
     }
 
@@ -275,35 +280,33 @@ impl AsGraph {
         out
     }
 
+    /// Visits every AS strictly above `from` in the provider hierarchy.
+    ///
+    /// `first_visit(p)` marks `p` as seen and says whether it was unseen;
+    /// the caller owns the seen-set, so repeated walks can share one.
+    pub(crate) fn walk_up(&self, from: AsId, mut first_visit: impl FnMut(AsId) -> bool) {
+        let mut stack = vec![from];
+        while let Some(node) = stack.pop() {
+            for p in self.providers(node) {
+                if first_visit(p) {
+                    stack.push(p);
+                }
+            }
+        }
+    }
+
     /// True if `candidate` lies in the customer tree of `root`
     /// (i.e. strictly below it in the hierarchy).
     ///
-    /// Early-exits as soon as `candidate` is found.
+    /// Walks *up* from `candidate`: the ASes above a node are transit
+    /// providers only, far fewer than the customer cone of a large `root`.
     pub fn in_customer_tree(&self, root: AsId, candidate: AsId) -> bool {
         if root == candidate {
             return false;
         }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue: VecDeque<AsId> = VecDeque::new();
-        for c in self.customers(root) {
-            if c == candidate {
-                return true;
-            }
-            seen[c.index()] = true;
-            queue.push_back(c);
-        }
-        while let Some(node) = queue.pop_front() {
-            for c in self.customers(node) {
-                if c == candidate {
-                    return true;
-                }
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    queue.push_back(c);
-                }
-            }
-        }
-        false
+        let mut above = BTreeSet::new();
+        self.walk_up(candidate, |p| above.insert(p));
+        above.contains(&root)
     }
 
     /// Size of the customer tree of `root` (number of ASes strictly below

@@ -45,6 +45,7 @@ pub mod generator;
 pub mod graph;
 pub mod metrics;
 pub mod params;
+mod sampler;
 pub mod scenario;
 pub mod types;
 pub mod validate;

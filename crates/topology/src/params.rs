@@ -176,6 +176,11 @@ impl TopologyParams {
                 return Err(format!("{name} = {v} must be a probability"));
             }
         }
+        // The T pool spans all regions and is every node's provider of last
+        // resort: the first M node has no M candidate, whatever the M cap.
+        if self.max_t_providers_for_m == Some(0) && self.n_m > 0 {
+            return Err("max_t_providers_for_m = 0 leaves M nodes without a provider".to_string());
+        }
         Ok(())
     }
 }
@@ -265,6 +270,18 @@ mod tests {
         let mut p = TopologyParams::baseline(1_000);
         p.t_m = 1.5;
         assert!(p.check().unwrap_err().contains("tM"));
+    }
+
+    #[test]
+    fn check_rejects_caps_that_orphan_m_nodes() {
+        let mut p = TopologyParams::baseline(1_000);
+        p.max_t_providers_for_m = Some(0);
+        assert!(p.check().unwrap_err().contains("without a provider"));
+        p.max_m_providers = Some(0);
+        assert!(p.check().unwrap_err().contains("without a provider"));
+        // Stubs are not T-capped, so capping only the M pool is fine.
+        p.max_t_providers_for_m = None;
+        assert_eq!(p.check(), Ok(()));
     }
 
     #[test]

@@ -208,14 +208,16 @@ fn check_regions(g: &AsGraph, out: &mut Vec<Violation>) {
 }
 
 fn check_peer_not_in_customer_tree(g: &AsGraph, out: &mut Vec<Violation>) {
-    for id in g.node_ids() {
-        for peer in g.peers(id) {
-            if g.in_customer_tree(id, peer) {
-                out.push(Violation {
-                    rule: Rule::PeerInCustomerTree,
-                    detail: format!("{id} peers with its customer-tree member {peer}"),
-                });
-            }
+    // One upward walk per node that peers, all sharing one stamp array:
+    // `above[p] == member` marks `p` as an ancestor of `member`.
+    let mut above = vec![u32::MAX; g.len()];
+    for member in g.node_ids().filter(|&id| g.peering_degree(id) > 0) {
+        g.walk_up(member, |p| std::mem::replace(&mut above[p.index()], member.0) != member.0);
+        for root in g.peers(member).filter(|root| above[root.index()] == member.0) {
+            out.push(Violation {
+                rule: Rule::PeerInCustomerTree,
+                detail: format!("{root} peers with its customer-tree member {member}"),
+            });
         }
     }
 }
