@@ -10,7 +10,9 @@
 //! discipline:
 //!
 //! * **AS id** (`AsId`) — the global, topology-wide node index. Only ever
-//!   translated at the edge of a node (who sent me this update?).
+//!   translated at the edge of a node (who sent me this update?), and in
+//!   the simulator not even there: the sender reads the receiver's slot
+//!   off the slab ([`SessionSlab::far_end`]).
 //! * **slot** (`u32`) — a node-local session index, `0..degree`. All hot
 //!   per-neighbor state (Adj-RIB-in columns, output queues, liveness) is
 //!   slot-indexed.
@@ -58,7 +60,12 @@ pub(crate) const NO_BEST: u32 = u32::MAX - 1;
 /// `Option<AsPath>` as pointer + length + discriminant word plus its
 /// cached 16-byte preference key and 4-byte order/limbo entry, a row
 /// models the prefix/originated/best-slot/best-path columns plus the
-/// sorted-order and limbo vector headers and the validity flag.
+/// sorted-order and limbo vector headers and the validity flag. The
+/// model is part of every pinned op-count baseline (it feeds
+/// `arena_bytes_reserved`), so it stays as it is when the layout changes
+/// without changing what is simulated: the per-row vector headers it
+/// charges are the ranks stripe's length pair today, and the slab's
+/// mirror column is not charged at all.
 const BYTES_PER_RIB_CELL: u64 = 44;
 const BYTES_PER_ROW: u64 = 88;
 const BYTES_PER_SESSION: u64 = 16;
@@ -77,6 +84,13 @@ pub struct SessionSlab {
     /// Per node: offset into both columns (length = next offset). The
     /// extra trailing entry makes `range(i)` branch-free.
     offsets: Vec<u32>,
+    /// Per session (indexed like `sessions`): the slot the session's own
+    /// node holds at the peer, i.e. the receiver-side slot of a message
+    /// sent over it. Filled only for a *closed* slab — node `i` is
+    /// `AsId(i)` and every session has its mirror session in the slab, as
+    /// in a slab built from a topology; empty otherwise (a standalone
+    /// node's one-node slab).
+    mirror: Vec<u32>,
 }
 
 impl SessionSlab {
@@ -95,6 +109,7 @@ impl SessionSlab {
             sessions: Vec::with_capacity(total),
             lookup: Vec::with_capacity(total),
             offsets: Vec::with_capacity(node_count + 1),
+            mirror: Vec::new(),
         };
         slab.offsets.push(0);
         for (i, sess) in sessions_of.iter().enumerate() {
@@ -113,7 +128,39 @@ impl SessionSlab {
             slab.offsets
                 .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
         }
+        if (0..node_count).all(|i| id_of(i) == AsId(i as u32)) {
+            slab.mirror = slab.mirror_slots().unwrap_or_default();
+        }
         Arc::new(slab)
+    }
+
+    /// The mirror column of a slab whose node `i` is `AsId(i)`, or `None`
+    /// if some session has no mirror session. One pass over the lookup
+    /// stripes and no searching: node `i`'s peers come up in ascending
+    /// id order, and so — as `i` ascends — do the entries of each peer's
+    /// own sorted stripe, so a cursor per node always points at the
+    /// mirror of the session at hand.
+    fn mirror_slots(&self) -> Option<Vec<u32>> {
+        let n = self.len();
+        let mut mirror = vec![0u32; self.sessions.len()];
+        // The next unmatched entry of each node's lookup stripe.
+        let mut cursor: Vec<usize> = self.offsets[..n].iter().map(|&o| o as usize).collect();
+        for i in 0..n {
+            let first = self.offsets[i] as usize;
+            for &(peer, slot) in &self.lookup[self.range(i as u32)] {
+                let j = peer.index();
+                if j >= n || cursor[j] >= self.offsets[j + 1] as usize {
+                    return None;
+                }
+                let (back, peer_slot) = self.lookup[cursor[j]];
+                if back != AsId(i as u32) {
+                    return None;
+                }
+                cursor[j] += 1;
+                mirror[first + slot as usize] = peer_slot;
+            }
+        }
+        Some(mirror)
     }
 
     /// Builds a one-node slab (unit tests and standalone nodes).
@@ -161,6 +208,19 @@ impl SessionSlab {
             .map(|i| stripe[i].1)
     }
 
+    /// The far end of node `node`'s session `slot`: the peer, and the slot
+    /// `node` holds at that peer — where a message sent over the session
+    /// arrives. Lets the sender address the receiver's slot directly, so
+    /// no delivery has to search for it.
+    ///
+    /// # Panics
+    /// Panics on a slab that is not closed (see the `mirror` column).
+    // detflow::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract, and the simulator's slab is built from a topology, whose adjacency is symmetric: the mirror column is filled")
+    pub fn far_end(&self, node: u32, slot: u32) -> (AsId, u32) {
+        let session = (self.offsets[node as usize] + slot) as usize;
+        (self.sessions[session].peer, self.mirror[session])
+    }
+
     /// Index of node `node`'s slot 0 in the global session id space —
     /// the base for flat per-session side tables (the simulator's MRAI
     /// epoch array indexes `first_session(node) + slot`).
@@ -202,21 +262,30 @@ pub struct PrefixTable {
     /// the decision process compare candidates by one integer compare
     /// instead of re-deriving the full preference tuple from the path.
     rib_key: Vec<u128>,
-    /// Per-row candidate slots sorted ascending by `rib_key` — the last
-    /// entry is the best route. Maintained incrementally with damping
-    /// off: a withdrawal is a positional remove (zero preference
-    /// comparisons) and an announcement one comparison against the top,
-    /// so no decision run ever rescans the row.
-    order: Vec<Vec<u32>>,
-    /// Per-row unranked candidates, in arrival order: routes that lost
-    /// their one comparison against the then-best and whose rank among
-    /// the rest is not yet needed. Invariant: every limbo entry's key is
-    /// below the current top of `order` (it lost to the top reigning at
-    /// its arrival, and the top only ever rises until it is removed —
-    /// which drains limbo into `order`). Defers the sort work to
-    /// withdrawal storms, where it amortizes to one binary insertion per
-    /// candidate instead of a full rescan per withdrawal.
-    limbo: Vec<Vec<u32>>,
+    /// The candidate ranking of every row: one `slots`-wide stripe per
+    /// row (same indexing as `rib_in`) holding the row's two slot lists
+    /// end to end, with their lengths in `rank_len`. A slot is in at most
+    /// one of the lists, so they never meet, and a row costs no heap
+    /// block of its own.
+    ///
+    /// * The **order** grows from the front of the stripe: candidate
+    ///   slots sorted ascending by `rib_key`, the last entry the best
+    ///   route. Maintained incrementally with damping off: a withdrawal
+    ///   is a positional remove (zero preference comparisons) and an
+    ///   announcement one comparison against the top, so no decision run
+    ///   ever rescans the row.
+    /// * The **limbo** grows from the back, the k-th arrival at stripe
+    ///   index `slots - 1 - k`: routes that lost their one comparison
+    ///   against the then-best and whose rank among the rest is not yet
+    ///   needed. Invariant: every limbo entry's key is below the current
+    ///   top of the order (it lost to the top reigning at its arrival,
+    ///   and the top only ever rises until it is removed — which drains
+    ///   limbo into the order). Defers the sort work to withdrawal
+    ///   storms, where it amortizes to one binary insertion per candidate
+    ///   instead of a full rescan per withdrawal.
+    ranks: Vec<u32>,
+    /// Per row: `[order length, limbo length]`.
+    rank_len: Vec<[u32; 2]>,
     /// Whether `order` is exact for the row. Cleared wholesale when
     /// route-eligibility rules change (damping reconfiguration); an
     /// invalid row is rebuilt — with counted comparisons — on its next
@@ -236,8 +305,8 @@ impl PrefixTable {
             best_slot: Vec::new(),
             best_path: Vec::new(),
             rib_key: Vec::new(),
-            order: Vec::new(),
-            limbo: Vec::new(),
+            ranks: Vec::new(),
+            rank_len: Vec::new(),
             order_valid: Vec::new(),
             rib_in: Vec::new(),
         }
@@ -268,10 +337,11 @@ impl PrefixTable {
                 self.originated.insert(row, false);
                 self.best_slot.insert(row, NO_BEST);
                 self.best_path.insert(row, AsPath::new());
-                self.order.insert(row, Vec::new());
-                self.limbo.insert(row, Vec::new());
+                self.rank_len.insert(row, [0, 0]);
                 // A fresh row is vacuously in order: no candidates yet.
                 self.order_valid.insert(row, true);
+                self.ranks
+                    .splice(row * slots..row * slots, std::iter::repeat_n(0, slots));
                 self.rib_in.splice(
                     row * slots..row * slots,
                     std::iter::repeat_with(|| None).take(slots),
@@ -371,76 +441,76 @@ impl PrefixTable {
     ///   pays its `log k` ranking cost at most once per reign of a top,
     ///   so a withdrawal storm costs `k·log k` amortized instead of the
     ///   `k` comparisons per withdrawal a rescan would pay.
-    // detflow::allow(panic-surface, reason = "row is a live row index; positional scans yield indices inside the scanned vectors and cell indices stay within the row's key stripe")
+    // detflow::allow(panic-surface, reason = "row is a live row index, so its ranks/rib_key stripes are in bounds; order and limbo hold distinct slots < slots, so their lengths sum to at most slots and every stripe index below stays inside the stripe")
     pub(crate) fn order_update(&mut self, row: usize, slot: u32, key: Option<u128>) -> u64 {
-        let base = row * self.slots as usize;
+        let slots = self.slots as usize;
+        let base = row * slots;
+        let keys = &mut self.rib_key[base..base + slots];
+        let stripe = &mut self.ranks[base..base + slots];
+        let [mut order_len, mut limbo_len] = self.rank_len[row].map(|len| len as usize);
         let mut comparisons = 0u64;
         // An improving (or identical) re-announcement at the reigning top
         // keeps its crown without consulting anyone else: the old key
         // already beat every other candidate.
         if let Some(key) = key {
-            if self.order[row].last() == Some(&slot) {
+            if order_len > 0 && stripe[order_len - 1] == slot {
                 comparisons += 1;
-                if key >= self.rib_key[base + slot as usize] {
-                    self.rib_key[base + slot as usize] = key;
+                if key >= keys[slot as usize] {
+                    keys[slot as usize] = key;
                     return comparisons;
                 }
             }
         }
         // Remove any existing entry for the slot — positional scans, zero
-        // preference comparisons. Removing the top invalidates the limbo
-        // invariant (parked routes only ever lost to a *current or past*
-        // top), so limbo drains into the sorted order first.
-        let ord = &mut self.order[row];
-        let was_top = match ord.iter().position(|&x| x == slot) {
-            Some(pos) => {
-                let top = pos + 1 == ord.len();
-                ord.remove(pos);
-                top
+        // preference comparisons.
+        let mut was_top = false;
+        if let Some(pos) = stripe[..order_len].iter().position(|&x| x == slot) {
+            stripe.copy_within(pos + 1..order_len, pos);
+            order_len -= 1;
+            was_top = pos == order_len;
+        } else {
+            let lo = slots - limbo_len;
+            if let Some(pos) = stripe[lo..].iter().position(|&x| x == slot) {
+                // Later arrivals sit below the vacated cell; close the
+                // gap upward so arrival order is kept.
+                stripe.copy_within(lo..lo + pos, lo + 1);
+                limbo_len -= 1;
             }
-            None => {
-                let lim = &mut self.limbo[row];
-                if let Some(pos) = lim.iter().position(|&x| x == slot) {
-                    lim.remove(pos);
-                }
-                false
-            }
-        };
+        }
+        // Removing the top invalidates the limbo invariant (parked routes
+        // only ever lost to a *current or past* top), so limbo drains
+        // into the sorted order first: every parked candidate is ranked,
+        // in arrival order (which is deterministic). Turned around, the
+        // earliest arrival is the one next to the order's free end, so
+        // each insertion grows the order into the cell just read.
         if was_top {
-            comparisons += self.drain_limbo(row);
+            let lo = slots - limbo_len;
+            stripe[lo..].reverse();
+            for at in lo..slots {
+                let parked = stripe[at];
+                comparisons += binary_insert(stripe, &mut order_len, keys, parked);
+            }
+            limbo_len = 0;
         }
         if let Some(key) = key {
-            self.rib_key[base + slot as usize] = key;
-            match self.order[row].last().copied() {
+            keys[slot as usize] = key;
+            if order_len == 0 {
                 // Limbo is empty whenever the order is (draining on every
                 // top removal guarantees it), so a lone candidate rules.
-                None => self.order[row].push(slot),
-                Some(top) => {
-                    comparisons += 1;
-                    if key > self.rib_key[base + top as usize] {
-                        self.order[row].push(slot);
-                    } else {
-                        self.limbo[row].push(slot);
-                    }
+                stripe[0] = slot;
+                order_len = 1;
+            } else {
+                comparisons += 1;
+                if key > keys[stripe[order_len - 1] as usize] {
+                    stripe[order_len] = slot;
+                    order_len += 1;
+                } else {
+                    limbo_len += 1;
+                    stripe[slots - limbo_len] = slot;
                 }
             }
         }
-        comparisons
-    }
-
-    /// Ranks every parked candidate into the sorted order (in arrival
-    /// order, which is deterministic), returning the comparisons counted
-    /// by the binary insertions.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the limbo column parallels the prefix column")
-    fn drain_limbo(&mut self, row: usize) -> u64 {
-        let mut comparisons = 0u64;
-        let parked = std::mem::take(&mut self.limbo[row]);
-        for slot in &parked {
-            comparisons += self.binary_insert(row, *slot);
-        }
-        // Hand the emptied buffer back so the row keeps its allocation.
-        self.limbo[row] = parked;
-        self.limbo[row].clear();
+        self.rank_len[row] = [order_len as u32, limbo_len as u32];
         comparisons
     }
 
@@ -449,49 +519,32 @@ impl PrefixTable {
     /// number of key comparisons the binary search performed. Used by
     /// full rebuilds; incremental maintenance goes through
     /// [`PrefixTable::order_update`].
-    // detflow::allow(panic-surface, reason = "row is a live row index and slot < slots is the caller contract, so the key-stripe cell is in bounds")
+    // detflow::allow(panic-surface, reason = "row is a live row index and slot < slots is the caller contract, so the row's ranks/rib_key stripes and the slot's key cell are in bounds")
     pub(crate) fn order_insert(&mut self, row: usize, slot: u32, key: u128) -> u64 {
-        self.rib_key[row * self.slots as usize + slot as usize] = key;
-        self.binary_insert(row, slot)
-    }
-
-    /// Binary-inserts `slot` into the row's sorted order by its cached
-    /// key, counting one comparison per probe. Keys are distinct across
-    /// slots (the packed key ends in the neighbor id), so the insertion
-    /// point is unambiguous.
-    // detflow::allow(panic-surface, reason = "row is a live row index; lo/hi stay within the order vector and cell indices within the row's key stripe")
-    fn binary_insert(&mut self, row: usize, slot: u32) -> u64 {
-        let base = row * self.slots as usize;
-        let key = self.rib_key[base + slot as usize];
-        let ord = &mut self.order[row];
-        let mut comparisons = 0u64;
-        let (mut lo, mut hi) = (0usize, ord.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            comparisons += 1;
-            if self.rib_key[base + ord[mid] as usize] < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        ord.insert(lo, slot);
+        let slots = self.slots as usize;
+        let base = row * slots;
+        let keys = &mut self.rib_key[base..base + slots];
+        keys[slot as usize] = key;
+        let mut order_len = self.rank_len[row][0] as usize;
+        let comparisons =
+            binary_insert(&mut self.ranks[base..base + slots], &mut order_len, keys, slot);
+        self.rank_len[row][0] = order_len as u32;
         comparisons
     }
 
     /// Clears the row's candidate bookkeeping (prelude to a rebuild).
-    // detflow::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
+    // detflow::allow(panic-surface, reason = "row is a live row index; the rank_len column parallels the prefix column")
     pub(crate) fn order_clear_row(&mut self, row: usize) {
-        self.order[row].clear();
-        self.limbo[row].clear();
+        self.rank_len[row] = [0, 0];
     }
 
     /// The best candidate slot for `row` per the sorted order (the
     /// largest cached key), or `None` for an empty row. Only meaningful
     /// while [`PrefixTable::order_valid`] holds.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
+    // detflow::allow(panic-surface, reason = "row is a live row index; the order's length is at most slots, so its last entry is inside the row's ranks stripe")
     pub(crate) fn order_best(&self, row: usize) -> Option<u32> {
-        self.order[row].last().copied()
+        let order_len = self.rank_len[row][0] as usize;
+        (order_len > 0).then(|| self.ranks[row * self.slots as usize + order_len - 1])
     }
 
     /// Marks every row's sorted order stale (used when route-eligibility
@@ -513,8 +566,8 @@ impl PrefixTable {
         self.best_slot.clear();
         self.best_path.clear();
         self.rib_key.clear();
-        self.order.clear();
-        self.limbo.clear();
+        self.ranks.clear();
+        self.rank_len.clear();
         self.order_valid.clear();
         self.rib_in.clear();
     }
@@ -524,6 +577,31 @@ impl PrefixTable {
     pub fn arena_bytes(&self) -> u64 {
         self.prefixes.len() as u64 * (BYTES_PER_ROW + self.slots as u64 * BYTES_PER_RIB_CELL)
     }
+}
+
+/// Binary-inserts `slot` into the sorted order at the front of a row's
+/// ranks `stripe` (the first `*order_len` entries) by its cached key,
+/// counting one comparison per probe. Keys are distinct across slots (the
+/// packed key ends in the neighbor id), so the insertion point is
+/// unambiguous. The cell at `*order_len` must be free.
+// detflow::allow(panic-surface, reason = "lo/hi stay within the order, which with the free cell the caller guarantees stays within the stripe; stripe entries are slots, which index the row's key stripe")
+fn binary_insert(stripe: &mut [u32], order_len: &mut usize, keys: &[u128], slot: u32) -> u64 {
+    let key = keys[slot as usize];
+    let mut comparisons = 0u64;
+    let (mut lo, mut hi) = (0usize, *order_len);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        comparisons += 1;
+        if keys[stripe[mid] as usize] < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    stripe.copy_within(lo..*order_len, lo + 1);
+    stripe[lo] = slot;
+    *order_len += 1;
+    comparisons
 }
 
 /// Sparse per-(slot, prefix) damping state: a flat sorted vector with
@@ -634,6 +712,36 @@ mod tests {
     }
 
     #[test]
+    fn slab_mirror_column_addresses_the_receivers_slot() {
+        let slab = SessionSlab::build(
+            4,
+            |i| AsId(i as u32),
+            &[
+                vec![session(3, Relationship::Customer), session(1, Relationship::Peer)],
+                vec![session(2, Relationship::Customer), session(0, Relationship::Peer)],
+                vec![session(3, Relationship::Peer), session(1, Relationship::Provider)],
+                vec![session(2, Relationship::Peer), session(0, Relationship::Provider)],
+            ],
+        );
+        for node in 0..4u32 {
+            for slot in 0..slab.degree(node) {
+                let (peer, at_peer) = slab.far_end(node, slot);
+                assert_eq!(peer, slab.sessions(node)[slot as usize].peer);
+                assert_eq!(slab.slot_of(peer.0, AsId(node)), Some(at_peer));
+                assert_eq!(slab.far_end(peer.0, at_peer), (AsId(node), slot), "mirror of the mirror");
+            }
+        }
+        // Open slabs — a standalone node, a one-way session — have none.
+        assert!(SessionSlab::for_single(AsId(0), vec![session(1, Relationship::Peer)]).mirror.is_empty());
+        let one_way = SessionSlab::build(
+            2,
+            |i| AsId(i as u32),
+            &[vec![session(1, Relationship::Peer)], vec![]],
+        );
+        assert!(one_way.mirror.is_empty());
+    }
+
+    #[test]
     fn slab_lookup_is_sorted_independently_of_slot_order() {
         // Slots keep declaration order; the lookup stripe sorts by peer.
         let slab = SessionSlab::for_single(
@@ -709,6 +817,130 @@ mod tests {
         let one = t.arena_bytes();
         t.row_or_insert(Prefix(2));
         assert_eq!(t.arena_bytes(), 2 * one, "bytes are a pure row count model");
+    }
+
+    /// The ranking the stripe replaced, kept as the reference: one sorted
+    /// `Vec` and one arrival-ordered `Vec` per row.
+    #[derive(Default)]
+    struct VecRanking {
+        order: Vec<u32>,
+        limbo: Vec<u32>,
+        keys: std::collections::BTreeMap<u32, u128>,
+    }
+
+    impl VecRanking {
+        fn binary_insert(&mut self, slot: u32) -> u64 {
+            let key = self.keys[&slot];
+            let mut comparisons = 0;
+            let (mut lo, mut hi) = (0, self.order.len());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                comparisons += 1;
+                if self.keys[&self.order[mid]] < key {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            self.order.insert(lo, slot);
+            comparisons
+        }
+
+        fn update(&mut self, slot: u32, key: Option<u128>) -> u64 {
+            let mut comparisons = 0;
+            if let Some(key) = key {
+                if self.order.last() == Some(&slot) {
+                    comparisons += 1;
+                    if key >= self.keys[&slot] {
+                        self.keys.insert(slot, key);
+                        return comparisons;
+                    }
+                }
+            }
+            let was_top = match self.order.iter().position(|&x| x == slot) {
+                Some(pos) => {
+                    self.order.remove(pos);
+                    pos == self.order.len()
+                }
+                None => {
+                    self.limbo.retain(|&x| x != slot);
+                    false
+                }
+            };
+            if was_top {
+                for parked in std::mem::take(&mut self.limbo) {
+                    comparisons += self.binary_insert(parked);
+                }
+            }
+            if let Some(key) = key {
+                self.keys.insert(slot, key);
+                match self.order.last() {
+                    None => self.order.push(slot),
+                    Some(top) => {
+                        comparisons += 1;
+                        if key > self.keys[top] {
+                            self.order.push(slot);
+                        } else {
+                            self.limbo.push(slot);
+                        }
+                    }
+                }
+            }
+            comparisons
+        }
+    }
+
+    /// The ranks stripe against the two-`Vec` reference on seeded random
+    /// announce/withdraw traces over a narrow row (lists meet end to end)
+    /// and a wide one: the same best slot, the same lists, the same
+    /// comparison count at every step — `route_comparisons` is an exact
+    /// cost-model tally.
+    #[test]
+    fn ranks_stripe_matches_the_two_vec_reference() {
+        use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
+        for (slots, seed) in [(3u32, 1u64), (5, 2), (16, 3), (16, 4)] {
+            let mut g = Xoshiro256StarStar::new(seed);
+            let mut t = PrefixTable::new(slots);
+            // A second row on each side: neighbours must stay untouched.
+            t.row_or_insert(Prefix(9));
+            t.row_or_insert(Prefix(1));
+            let row = t.row_or_insert(Prefix(5));
+            let mut want = VecRanking::default();
+            let (mut total, mut total_want, mut drains) = (0u64, 0u64, 0u32);
+            for _ in 0..3000 {
+                let slot = g.next_below(slots as u64) as u32;
+                // Distinct keys per slot, as packed keys are: the slot id
+                // fills the low bits.
+                let key = (g.next_below(3) != 0)
+                    .then(|| ((g.next_below(40) as u128) << 32) | slot as u128);
+                let limbo_before = want.limbo.len();
+                total += t.order_update(row, slot, key);
+                total_want += want.update(slot, key);
+                drains += u32::from(limbo_before > 1 && want.limbo.is_empty());
+                assert_eq!(total, total_want, "comparison counts diverged");
+                assert_eq!(t.order_best(row), want.order.last().copied());
+                let [order_len, limbo_len] = t.rank_len[row].map(|l| l as usize);
+                let stripe = &t.ranks[row * slots as usize..][..slots as usize];
+                assert_eq!(&stripe[..order_len], want.order.as_slice());
+                let limbo: Vec<u32> = stripe[slots as usize - limbo_len..].iter().rev().copied().collect();
+                assert_eq!(limbo, want.limbo, "arrival order of the parked slots");
+            }
+            assert!(drains > 10, "the trace must drain multi-entry limbos ({drains})");
+            for other in [Prefix(1), Prefix(9)] {
+                let r = t.row(other).unwrap();
+                assert_eq!((t.order_best(r), t.rank_len[r]), (None, [0, 0]));
+            }
+            // A rebuild ranks the survivors into the same order.
+            let survivors = want.order.iter().chain(&want.limbo).copied().collect::<Vec<_>>();
+            t.order_clear_row(row);
+            for slot in survivors {
+                t.order_insert(row, slot, want.keys[&slot]);
+            }
+            let mut sorted = want.order.clone();
+            sorted.extend(&want.limbo);
+            sorted.sort_by_key(|s| want.keys[s]);
+            assert_eq!(&t.ranks[row * slots as usize..][..sorted.len()], sorted.as_slice());
+        }
     }
 
     #[test]

@@ -50,12 +50,11 @@ impl AsPath {
     }
 
     /// Builds the export path `head · tail` (ourselves prepended to the
-    /// best path) in a single pass.
+    /// best path) in a single pass and a single allocation: the chained
+    /// iterator reports its exact length, so `Arc<[_]>` is sized once and
+    /// filled in place, with no intermediate `Vec`.
     pub fn prepended(head: AsId, tail: &[AsId]) -> AsPath {
-        let mut hops = Vec::with_capacity(tail.len() + 1);
-        hops.push(head);
-        hops.extend_from_slice(tail);
-        AsPath(hops.into())
+        AsPath(std::iter::once(head).chain(tail.iter().copied()).collect())
     }
 
     /// The hops as a slice (also available through [`Deref`]).

@@ -31,6 +31,7 @@
 //! honest.
 
 use bgpscale_obs::Provenance;
+use bgpscale_topology::Relationship;
 
 use crate::config::{MraiMode, MraiScope};
 use crate::message::{AsPath, Prefix, Update, UpdateKind};
@@ -53,6 +54,112 @@ pub enum Submit {
     Suppressed,
 }
 
+/// A map from prefix to `V`, iterated in prefix order, with inline room
+/// for one entry. A session of a C-event experiment only ever carries the
+/// event's one prefix, so its Adj-RIB-out and pending update live inside
+/// the [`OutQueue`] itself: no heap block per session, and nothing for a
+/// recycled simulator to accumulate. A second prefix spills to a sorted
+/// `Vec` with binary-search access, which keeps the flush order of the
+/// `BTreeMap` this once was.
+#[derive(Clone, Debug, Default)]
+enum PrefixMap<V> {
+    #[default]
+    Empty,
+    One(Prefix, V),
+    /// Sorted by prefix, at most one entry per prefix. Stays spilled when
+    /// removals shrink it, so a multi-prefix session keeps its buffer.
+    Many(Vec<(Prefix, V)>),
+}
+
+impl<V> PrefixMap<V> {
+    fn len(&self) -> usize {
+        match self {
+            PrefixMap::Empty => 0,
+            PrefixMap::One(..) => 1,
+            PrefixMap::Many(entries) => entries.len(),
+        }
+    }
+
+    /// Binary search of a spilled map's entries.
+    fn search(entries: &[(Prefix, V)], prefix: Prefix) -> Result<usize, usize> {
+        entries.binary_search_by_key(&prefix, |e| e.0)
+    }
+
+    fn get(&self, prefix: Prefix) -> Option<&V> {
+        match self {
+            PrefixMap::Empty => None,
+            PrefixMap::One(p, v) => (*p == prefix).then_some(v),
+            PrefixMap::Many(entries) => Self::search(entries, prefix)
+                .ok()
+                .and_then(|i| entries.get(i))
+                .map(|e| &e.1),
+        }
+    }
+
+    fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
+        match self {
+            PrefixMap::Empty => None,
+            PrefixMap::One(p, v) => (*p == prefix).then_some(v),
+            PrefixMap::Many(entries) => Self::search(entries, prefix)
+                .ok()
+                .and_then(|i| entries.get_mut(i))
+                .map(|e| &mut e.1),
+        }
+    }
+
+    /// Sets the entry for `prefix`, replacing any previous value.
+    fn insert(&mut self, prefix: Prefix, value: V) {
+        if let Some(held) = self.get_mut(prefix) {
+            *held = value;
+            return;
+        }
+        *self = match std::mem::take(self) {
+            PrefixMap::Empty => PrefixMap::One(prefix, value),
+            PrefixMap::One(p, v) => PrefixMap::Many(if p < prefix {
+                vec![(p, v), (prefix, value)]
+            } else {
+                vec![(prefix, value), (p, v)]
+            }),
+            PrefixMap::Many(mut entries) => {
+                let at = entries.partition_point(|e| e.0 < prefix);
+                entries.insert(at, (prefix, value));
+                PrefixMap::Many(entries)
+            }
+        };
+    }
+
+    fn remove(&mut self, prefix: Prefix) -> Option<V> {
+        match self {
+            PrefixMap::Many(entries) => Self::search(entries, prefix)
+                .ok()
+                .map(|i| entries.remove(i).1),
+            PrefixMap::One(p, _) if *p == prefix => match std::mem::take(self) {
+                PrefixMap::One(_, v) => Some(v),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Empties the map into `f`, in prefix order. A spilled map keeps
+    /// its buffer.
+    fn drain_into(&mut self, mut f: impl FnMut(Prefix, V)) {
+        match self {
+            PrefixMap::Many(entries) => entries.drain(..).for_each(|(p, v)| f(p, v)),
+            _ => {
+                if let PrefixMap::One(p, v) = std::mem::take(self) {
+                    f(p, v);
+                }
+            }
+        }
+    }
+
+    /// Drops every entry and any spilled buffer.
+    fn clear(&mut self) {
+        *self = PrefixMap::Empty;
+    }
+}
+
 /// One neighbor session's rate-limited output queue plus Adj-RIB-out.
 #[derive(Clone, Debug)]
 pub struct OutQueue {
@@ -61,18 +168,16 @@ pub struct OutQueue {
     timer_armed: bool,
     /// Per-prefix scope: the prefixes whose timers are armed (sorted).
     armed_prefixes: Vec<Prefix>,
-    /// Updates waiting for a timer, sorted by prefix; at most one per
-    /// prefix, each with the provenance it will carry when flushed. When a
-    /// newer update replaces a queued one, the stamps coalesce (root sets
-    /// union) so attribution survives rate-limiting. Sorted-`Vec` storage
-    /// keeps the flush order identical to the former `BTreeMap` while
-    /// staying dense — queues hold a handful of entries at a time.
-    pending: Vec<(Prefix, UpdateKind, Provenance)>,
-    /// Adj-RIB-out: the path last actually sent, per prefix (sorted).
-    /// Absent means the neighbor holds no route from us (withdrawn or
-    /// never announced). Entries share the export path's `Arc` with the
-    /// node's Loc-RIB — an Adj-RIB-out write is a refcount bump.
-    sent: Vec<(Prefix, AsPath)>,
+    /// Updates waiting for a timer; at most one per prefix, each with the
+    /// provenance it will carry when flushed. When a newer update
+    /// replaces a queued one, the stamps coalesce (root sets union) so
+    /// attribution survives rate-limiting.
+    pending: PrefixMap<(UpdateKind, Provenance)>,
+    /// Adj-RIB-out: the path last actually sent, per prefix. Absent means
+    /// the neighbor holds no route from us (withdrawn or never
+    /// announced). Entries share the export path's `Arc` with the node's
+    /// Loc-RIB — an Adj-RIB-out write is a refcount bump.
+    sent: PrefixMap<AsPath>,
     /// Cost-model tally: Adj-RIB-out mutations (inserts plus successful
     /// removes). Monotone over the queue's lifetime — survives resets so
     /// phase-boundary snapshots can be diffed (see `obs::costmodel`).
@@ -100,47 +205,11 @@ impl OutQueue {
             scope,
             timer_armed: false,
             armed_prefixes: Vec::new(),
-            pending: Vec::new(),
-            sent: Vec::new(),
+            pending: PrefixMap::Empty,
+            sent: PrefixMap::Empty,
             rib_out_writes: 0,
             coalesced: 0,
         }
-    }
-
-    // Sorted-Vec primitives for the three per-prefix collections. All
-    // lookups are binary searches; inserts keep the sort.
-
-    // detflow::allow(panic-surface, reason = "binary_search's Ok index is inside the searched Vec by contract")
-    fn sent_get(&self, prefix: Prefix) -> Option<&AsPath> {
-        self.sent
-            .binary_search_by_key(&prefix, |&(p, _)| p)
-            .ok()
-            .map(|i| &self.sent[i].1)
-    }
-
-    // detflow::allow(panic-surface, reason = "on Ok the index is a hit inside sent; on Err it is the sorted insertion point")
-    fn sent_insert(&mut self, prefix: Prefix, path: AsPath) {
-        match self.sent.binary_search_by_key(&prefix, |&(p, _)| p) {
-            Ok(i) => self.sent[i].1 = path,
-            Err(i) => self.sent.insert(i, (prefix, path)),
-        }
-    }
-
-    fn sent_remove(&mut self, prefix: Prefix) -> Option<AsPath> {
-        self.sent
-            .binary_search_by_key(&prefix, |&(p, _)| p)
-            .ok()
-            .map(|i| self.sent.remove(i).1)
-    }
-
-    fn pending_remove(&mut self, prefix: Prefix) -> Option<(UpdateKind, Provenance)> {
-        self.pending
-            .binary_search_by_key(&prefix, |e| e.0)
-            .ok()
-            .map(|i| {
-                let (_, kind, stamp) = self.pending.remove(i);
-                (kind, stamp)
-            })
     }
 
     /// Cost-model tally: Adj-RIB-out mutations so far (monotone).
@@ -203,109 +272,109 @@ impl OutQueue {
     /// The path the neighbor currently holds from us for `prefix`
     /// (Adj-RIB-out), ignoring anything still queued.
     pub fn advertised(&self, prefix: Prefix) -> Option<&AsPath> {
-        self.sent_get(prefix)
+        self.sent.get(prefix)
     }
 
     /// What the neighbor will believe once the queue drains: the queued
     /// intent if any, else the Adj-RIB-out.
-    // detflow::allow(panic-surface, reason = "binary_search's Ok index is inside pending by contract")
     pub fn intent(&self, prefix: Prefix) -> Option<&AsPath> {
-        match self.pending.binary_search_by_key(&prefix, |e| e.0) {
-            Ok(i) => match &self.pending[i].1 {
-                UpdateKind::Announce(p) => Some(p),
-                UpdateKind::Withdraw => None,
-            },
-            Err(_) => self.sent_get(prefix),
+        match self.pending.get(prefix) {
+            Some((kind, _)) => kind.path(),
+            None => self.sent.get(prefix),
         }
     }
 
     /// Queues `kind` behind the timer, folding the stamp of any update it
-    /// displaces into `cause` so no root loses its attribution.
-    // detflow::allow(panic-surface, reason = "on Ok the index is a hit inside pending; on Err it is the sorted insertion point")
-    fn queue_pending(&mut self, prefix: Prefix, kind: UpdateKind, cause: &Provenance) {
-        let mut stamp = cause.clone();
-        match self.pending.binary_search_by_key(&prefix, |e| e.0) {
-            Ok(i) => {
-                stamp.coalesce_with(&self.pending[i].2);
+    /// displaces into its own so no root loses its attribution.
+    fn queue_pending(&mut self, prefix: Prefix, kind: UpdateKind, mut stamp: Provenance) {
+        match self.pending.get_mut(prefix) {
+            Some(queued) => {
+                stamp.coalesce_with(&queued.1);
                 self.coalesced += 1;
-                self.pending[i].1 = kind;
-                self.pending[i].2 = stamp;
+                *queued = (kind, stamp);
             }
-            Err(i) => self.pending.insert(i, (prefix, kind, stamp)),
+            None => self.pending.insert(prefix, (kind, stamp)),
         }
     }
 
     /// Submits a new intent for `prefix`: `Some(path)` to announce, `None`
-    /// to withdraw. `cause` is the provenance stamp the resulting update
-    /// carries (pass [`Provenance::none`] when attribution is not
-    /// wanted — it never changes what is sent, queued, or suppressed).
-    /// Returns what the caller must do.
+    /// to withdraw. `cause` is the provenance of whatever triggered the
+    /// export and `rel` the relation of this session's edge; the resulting
+    /// update carries `cause.with_rel(rel)` (pass [`Provenance::none`]
+    /// when attribution is not wanted — it never changes what is sent,
+    /// queued, or suppressed). The path and the stamp are cloned only when
+    /// the update is stored or sent. Returns what the caller must do.
     pub fn submit(
         &mut self,
         prefix: Prefix,
-        intent: Option<AsPath>,
+        intent: Option<&AsPath>,
         mode: MraiMode,
         cause: &Provenance,
+        rel: Relationship,
     ) -> Submit {
         // Drop no-ops against the eventual neighbor state.
-        if self.intent(prefix) == intent.as_ref() {
+        if self.intent(prefix) == intent {
             return Submit::Suppressed;
         }
         match intent {
-            None => self.submit_withdraw(prefix, mode, cause),
-            Some(path) => self.submit_announce(prefix, path, cause),
+            None => self.submit_withdraw(prefix, mode, cause, rel),
+            Some(path) => self.submit_announce(prefix, path, cause, rel),
         }
     }
 
-    fn submit_withdraw(&mut self, prefix: Prefix, mode: MraiMode, cause: &Provenance) -> Submit {
+    fn submit_withdraw(
+        &mut self,
+        prefix: Prefix,
+        mode: MraiMode,
+        cause: &Provenance,
+        rel: Relationship,
+    ) -> Submit {
         // A queued announcement that never went out is invalidated: if the
         // neighbor holds nothing, removing it finishes the job silently.
-        self.pending_remove(prefix);
-        if self.sent_get(prefix).is_none() {
+        self.pending.remove(prefix);
+        if self.sent.get(prefix).is_none() {
             return Submit::Suppressed;
         }
-        match mode {
-            MraiMode::NoWrate => {
-                // RFC 1771: withdrawals are never rate-limited and do not
-                // arm the timer.
-                self.sent_remove(prefix);
-                self.rib_out_writes += 1;
-                Submit::SendNow {
-                    update: Update::withdraw(prefix).stamped(cause.clone()),
-                    arm_timer: false,
-                }
-            }
-            MraiMode::Wrate => {
-                if self.is_armed(prefix) {
-                    self.queue_pending(prefix, UpdateKind::Withdraw, cause);
-                    Submit::Queued
-                } else {
-                    self.sent_remove(prefix);
-                    self.rib_out_writes += 1;
-                    self.set_armed(prefix);
-                    Submit::SendNow {
-                        update: Update::withdraw(prefix).stamped(cause.clone()),
-                        arm_timer: true,
-                    }
-                }
-            }
+        // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and do
+        // not arm the timer. RFC 4271 (WRATE): they queue like
+        // announcements.
+        let rate_limited = mode == MraiMode::Wrate;
+        if rate_limited && self.is_armed(prefix) {
+            self.queue_pending(prefix, UpdateKind::Withdraw, cause.with_rel(rel));
+            return Submit::Queued;
+        }
+        self.sent.remove(prefix);
+        self.rib_out_writes += 1;
+        if rate_limited {
+            self.set_armed(prefix);
+        }
+        Submit::SendNow {
+            update: Update::withdraw(prefix).stamped(cause.with_rel(rel)),
+            arm_timer: rate_limited,
         }
     }
 
-    fn submit_announce(&mut self, prefix: Prefix, path: AsPath, cause: &Provenance) -> Submit {
+    fn submit_announce(
+        &mut self,
+        prefix: Prefix,
+        path: &AsPath,
+        cause: &Provenance,
+        rel: Relationship,
+    ) -> Submit {
         if self.is_armed(prefix) {
-            self.queue_pending(prefix, UpdateKind::Announce(path), cause);
+            let kind = UpdateKind::Announce(path.clone());
+            self.queue_pending(prefix, kind, cause.with_rel(rel));
             Submit::Queued
         } else {
             debug_assert!(
-                self.pending.binary_search_by_key(&prefix, |e| e.0).is_err(),
+                self.pending.get(prefix).is_none(),
                 "pending update with an idle timer"
             );
-            self.sent_insert(prefix, path.clone());
+            self.sent.insert(prefix, path.clone());
             self.rib_out_writes += 1;
             self.set_armed(prefix);
             Submit::SendNow {
-                update: Update::announce(prefix, path).stamped(cause.clone()),
+                update: Update::announce(prefix, path.clone()).stamped(cause.with_rel(rel)),
                 arm_timer: true,
             }
         }
@@ -313,9 +382,10 @@ impl OutQueue {
 
     /// Handles an MRAI expiry: drains pending updates governed by the
     /// expired timer (skipping any that have become no-ops against the
-    /// Adj-RIB-out), and reports whether that timer re-arms. When the
-    /// returned flag is `true` the caller must schedule the next expiry;
-    /// the returned updates go on the wire now.
+    /// Adj-RIB-out), pushes the ones that go on the wire now onto `sends`
+    /// tagged with `slot` (this queue's session slot at its node), and
+    /// returns whether that timer re-arms. When it does the caller must
+    /// schedule the next expiry.
     ///
     /// `trigger` identifies the timer: `None` for the per-interface
     /// session timer, `Some(prefix)` for a per-prefix timer.
@@ -323,44 +393,47 @@ impl OutQueue {
     /// # Panics
     /// Panics (in debug builds) if `trigger` does not match the queue's
     /// scope.
-    pub fn flush(&mut self, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
+    pub fn flush(
+        &mut self,
+        trigger: Option<Prefix>,
+        slot: u32,
+        sends: &mut Vec<(u32, Update)>,
+    ) -> bool {
+        let before = sends.len();
         match (self.scope, trigger) {
             (MraiScope::PerInterface, None) => {
                 debug_assert!(self.timer_armed, "flush on an idle queue");
-                // The Vec is sorted by prefix, so the drain emits in the
-                // same prefix order the BTreeMap-backed queue did.
-                let pending = std::mem::take(&mut self.pending);
-                let mut out = Vec::with_capacity(pending.len());
-                for (prefix, kind, stamp) in pending {
-                    if let Some(u) = self.emit(prefix, kind, stamp) {
-                        out.push(u);
-                    }
-                }
-                let rearm = !out.is_empty();
+                // Taken out so `emit` can write the Adj-RIB-out while the
+                // drain runs, and put back emptied: a spilled map keeps
+                // its buffer for the next window.
+                let mut pending = std::mem::take(&mut self.pending);
+                pending.drain_into(|prefix, (kind, stamp)| {
+                    sends.extend(self.emit(prefix, kind, stamp).map(|u| (slot, u)));
+                });
+                self.pending = pending;
+                let rearm = sends.len() > before;
                 self.timer_armed = rearm;
-                (out, rearm)
+                rearm
             }
             (MraiScope::PerPrefix, Some(prefix)) => {
                 debug_assert!(
                     self.armed_prefixes.binary_search(&prefix).is_ok(),
                     "flush on an idle per-prefix timer"
                 );
-                let out: Vec<Update> = self
-                    .pending_remove(prefix)
-                    .and_then(|(kind, stamp)| self.emit(prefix, kind, stamp))
-                    .into_iter()
-                    .collect();
-                let rearm = !out.is_empty();
+                if let Some((kind, stamp)) = self.pending.remove(prefix) {
+                    sends.extend(self.emit(prefix, kind, stamp).map(|u| (slot, u)));
+                }
+                let rearm = sends.len() > before;
                 if !rearm {
                     if let Ok(i) = self.armed_prefixes.binary_search(&prefix) {
                         self.armed_prefixes.remove(i);
                     }
                 }
-                (out, rearm)
+                rearm
             }
             (scope, trigger) => {
                 debug_assert!(false, "flush trigger {trigger:?} does not match scope {scope:?}");
-                (Vec::new(), false)
+                false
             }
         }
     }
@@ -371,19 +444,17 @@ impl OutQueue {
     fn emit(&mut self, prefix: Prefix, kind: UpdateKind, stamp: Provenance) -> Option<Update> {
         match kind {
             UpdateKind::Announce(path) => {
-                if self.sent_get(prefix) == Some(&path) {
+                if self.sent.get(prefix) == Some(&path) {
                     return None; // neighbor already has it
                 }
-                self.sent_insert(prefix, path.clone());
+                self.sent.insert(prefix, path.clone());
                 self.rib_out_writes += 1;
                 Some(Update::announce(prefix, path).stamped(stamp))
             }
             UpdateKind::Withdraw => {
-                let removed = self.sent_remove(prefix);
-                if removed.is_some() {
-                    self.rib_out_writes += 1;
-                }
-                removed.map(|_| Update::withdraw(prefix).stamped(stamp))
+                self.sent.remove(prefix)?;
+                self.rib_out_writes += 1;
+                Some(Update::withdraw(prefix).stamped(stamp))
             }
         }
     }
@@ -415,10 +486,10 @@ impl OutQueue {
         cause: &Provenance,
     ) -> Option<Update> {
         assert!(!self.timer_armed(), "initial exchange on a rate-limited session");
-        if self.sent_get(prefix) == Some(&path) {
+        if self.sent.get(prefix) == Some(&path) {
             return None;
         }
-        self.sent_insert(prefix, path.clone());
+        self.sent.insert(prefix, path.clone());
         self.rib_out_writes += 1;
         Some(Update::announce(prefix, path).stamped(cause.clone()))
     }
@@ -430,11 +501,7 @@ impl OutQueue {
     pub fn arm_timer(&mut self, prefix: Option<Prefix>) {
         match (self.scope, prefix) {
             (MraiScope::PerInterface, None) => self.timer_armed = true,
-            (MraiScope::PerPrefix, Some(p)) => {
-                if let Err(i) = self.armed_prefixes.binary_search(&p) {
-                    self.armed_prefixes.insert(i, p);
-                }
-            }
+            (MraiScope::PerPrefix, Some(p)) => self.set_armed(p),
             (scope, prefix) => {
                 debug_assert!(false, "arm_timer {prefix:?} does not match scope {scope:?}");
             }
@@ -470,10 +537,54 @@ mod tests {
         Provenance::none()
     }
 
+    /// Every queue under test is slot 3 of its node, over a peer edge.
+    const SLOT: u32 = 3;
+    const REL: Relationship = Relationship::Peer;
+
+    /// `flush` into a scratch send list: the flushed updates (each tagged
+    /// with the queue's slot) and the re-arm flag.
+    fn flush(q: &mut OutQueue, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
+        let mut sends = Vec::new();
+        let rearm = q.flush(trigger, SLOT, &mut sends);
+        assert!(sends.iter().all(|(slot, _)| *slot == SLOT));
+        (sends.into_iter().map(|(_, u)| u).collect(), rearm)
+    }
+
+    #[test]
+    fn prefix_map_stays_sorted_across_the_inline_to_spilled_boundary() {
+        let mut m: PrefixMap<u32> = PrefixMap::default();
+        assert_eq!((m.len(), m.get(P)), (0, None));
+        m.insert(Q, 20);
+        m.insert(Q, 21); // replace in the inline slot
+        assert!(matches!(m, PrefixMap::One(..)));
+        assert_eq!((m.len(), m.get(Q), m.get(P)), (1, Some(&21), None));
+        assert_eq!(m.remove(P), None);
+        m.insert(Prefix(0), 0); // spills, smaller key first
+        m.insert(P, 10);
+        m.insert(P, 11);
+        *m.get_mut(Q).unwrap() += 1;
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.remove(Prefix(0)), Some(0));
+        let mut seen = Vec::new();
+        m.drain_into(|p, v| seen.push((p, v)));
+        assert_eq!(seen, vec![(P, 11), (Q, 22)], "drained in prefix order");
+        assert_eq!(m.len(), 0);
+        assert!(matches!(m, PrefixMap::Many(_)), "a spilled map keeps its buffer");
+        m.clear();
+        assert!(matches!(m, PrefixMap::Empty));
+        // The inline entry drains and removes too.
+        m.insert(P, 1);
+        assert_eq!(m.remove(P), Some(1));
+        m.insert(P, 2);
+        m.drain_into(|p, v| seen.push((p, v)));
+        assert_eq!(seen.last(), Some(&(P, 2)));
+        assert!(matches!(m, PrefixMap::Empty));
+    }
+
     #[test]
     fn first_announcement_sends_and_arms() {
         let mut q = OutQueue::new();
-        let r = q.submit(P, Some(path(&[1, 2])), MraiMode::NoWrate, &none());
+        let r = q.submit(P, Some(&path(&[1, 2])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -488,8 +599,8 @@ mod tests {
     #[test]
     fn second_announcement_queues_behind_timer() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        let r = q.submit(P, Some(path(&[1, 3])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let r = q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(r, Submit::Queued);
         assert_eq!(q.pending_len(), 1);
         // Adj-RIB-out still shows the transmitted route; intent shows the
@@ -501,11 +612,11 @@ mod tests {
     #[test]
     fn newer_update_replaces_queued_one() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        q.submit(P, Some(path(&[1, 3])), MraiMode::NoWrate, &none());
-        q.submit(P, Some(path(&[1, 4])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL);
+        q.submit(P, Some(&path(&[1, 4])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(q.pending_len(), 1, "replaced, not accumulated");
-        let (sent, rearm) = q.flush(None);
+        let (sent, rearm) = flush(&mut q, None);
         assert_eq!(sent, vec![Update::announce(P, path(&[1, 4]))]);
         assert!(rearm);
     }
@@ -513,8 +624,8 @@ mod tests {
     #[test]
     fn duplicate_announcement_is_suppressed() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        let r = q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let r = q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(r, Submit::Suppressed);
         assert_eq!(q.pending_len(), 0);
     }
@@ -524,10 +635,10 @@ mod tests {
         // Send A; queue B; queue A again (flap back). At expiry the
         // neighbor already holds A → nothing goes out, timer idles.
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        q.submit(P, Some(path(&[2])), MraiMode::NoWrate, &none());
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        let (sent, rearm) = q.flush(None);
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let (sent, rearm) = flush(&mut q, None);
         assert!(sent.is_empty());
         assert!(!rearm);
         assert!(!q.timer_armed());
@@ -536,9 +647,9 @@ mod tests {
     #[test]
     fn no_wrate_withdrawal_bypasses_timer() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
         assert!(q.timer_armed());
-        let r = q.submit(P, None, MraiMode::NoWrate, &none());
+        let r = q.submit(P, None, MraiMode::NoWrate, &none(), REL);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -557,21 +668,21 @@ mod tests {
         // before it ever goes out: the neighbor never learned Q, so no
         // withdrawal is needed at all.
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        q.submit(Q, Some(path(&[2])), MraiMode::NoWrate, &none());
-        let r = q.submit(Q, None, MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
+        let r = q.submit(Q, None, MraiMode::NoWrate, &none(), REL);
         assert_eq!(r, Submit::Suppressed);
-        let (sent, _) = q.flush(None);
+        let (sent, _) = flush(&mut q, None);
         assert!(sent.is_empty(), "queued announcement must be invalidated");
     }
 
     #[test]
     fn wrate_withdrawal_queues_behind_timer() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::Wrate, &none());
-        let r = q.submit(P, None, MraiMode::Wrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
+        let r = q.submit(P, None, MraiMode::Wrate, &none(), REL);
         assert_eq!(r, Submit::Queued);
-        let (sent, rearm) = q.flush(None);
+        let (sent, rearm) = flush(&mut q, None);
         assert_eq!(sent, vec![Update::withdraw(P)]);
         assert!(rearm, "a transmitted withdrawal re-arms under WRATE");
     }
@@ -579,10 +690,10 @@ mod tests {
     #[test]
     fn wrate_withdrawal_sends_immediately_when_idle_and_arms() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::Wrate, &none());
-        let (_, rearm) = q.flush(None);
+        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
+        let (_, rearm) = flush(&mut q, None);
         assert!(!rearm);
-        let r = q.submit(P, None, MraiMode::Wrate, &none());
+        let r = q.submit(P, None, MraiMode::Wrate, &none(), REL);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -595,8 +706,8 @@ mod tests {
     #[test]
     fn withdraw_of_never_announced_prefix_is_suppressed() {
         let mut q = OutQueue::new();
-        assert_eq!(q.submit(P, None, MraiMode::NoWrate, &none()), Submit::Suppressed);
-        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none()), Submit::Suppressed);
+        assert_eq!(q.submit(P, None, MraiMode::NoWrate, &none(), REL), Submit::Suppressed);
+        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none(), REL), Submit::Suppressed);
     }
 
     #[test]
@@ -605,11 +716,11 @@ mod tests {
         // queued withdraw is replaced by Announce(A), which the flush then
         // suppresses against the Adj-RIB-out.
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::Wrate, &none());
-        q.submit(P, None, MraiMode::Wrate, &none());
-        let r = q.submit(P, Some(path(&[1])), MraiMode::Wrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
+        q.submit(P, None, MraiMode::Wrate, &none(), REL);
+        let r = q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
         assert_eq!(r, Submit::Queued);
-        let (sent, rearm) = q.flush(None);
+        let (sent, rearm) = flush(&mut q, None);
         assert!(sent.is_empty());
         assert!(!rearm);
         assert_eq!(q.advertised(P), Some(&path(&[1])));
@@ -618,10 +729,10 @@ mod tests {
     #[test]
     fn multiple_prefixes_flush_together_in_prefix_order() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none()); // sends, arms
-        q.submit(Q, Some(path(&[2])), MraiMode::NoWrate, &none()); // queues
-        q.submit(Prefix(0), Some(path(&[3])), MraiMode::NoWrate, &none()); // queues
-        let (sent, rearm) = q.flush(None);
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL); // sends, arms
+        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL); // queues
+        q.submit(Prefix(0), Some(&path(&[3])), MraiMode::NoWrate, &none(), REL); // queues
+        let (sent, rearm) = flush(&mut q, None);
         assert_eq!(
             sent,
             vec![
@@ -635,20 +746,20 @@ mod tests {
     #[test]
     fn timer_lifecycle_idle_after_empty_flush() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        let (sent, rearm) = q.flush(None);
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let (sent, rearm) = flush(&mut q, None);
         assert!(sent.is_empty());
         assert!(!rearm);
         // Next announcement goes straight out again.
-        let r = q.submit(P, Some(path(&[9])), MraiMode::NoWrate, &none());
+        let r = q.submit(P, Some(&path(&[9])), MraiMode::NoWrate, &none(), REL);
         assert!(matches!(r, Submit::SendNow { .. }));
     }
 
     #[test]
     fn reset_clears_state_when_idle() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        q.flush(None);
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        flush(&mut q, None);
         q.reset();
         assert_eq!(q.advertised(P), None);
         assert_eq!(q.pending_len(), 0);
@@ -659,19 +770,19 @@ mod tests {
         // Under PerPrefix, announcing P must not rate-limit Q.
         let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
         assert!(matches!(
-            q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none()),
+            q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL),
             Submit::SendNow { .. }
         ));
         assert!(
             matches!(
-                q.submit(Q, Some(path(&[2])), MraiMode::NoWrate, &none()),
+                q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL),
                 Submit::SendNow { .. }
             ),
             "a different prefix must not queue behind P's timer"
         );
         // But a second update for P itself queues.
         assert_eq!(
-            q.submit(P, Some(path(&[1, 3])), MraiMode::NoWrate, &none()),
+            q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL),
             Submit::Queued
         );
         assert!(q.is_armed(P));
@@ -682,25 +793,25 @@ mod tests {
     #[test]
     fn per_prefix_flush_only_touches_its_prefix() {
         let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        q.submit(Q, Some(path(&[2])), MraiMode::NoWrate, &none());
-        q.submit(P, Some(path(&[1, 3])), MraiMode::NoWrate, &none()); // queued
-        q.submit(Q, Some(path(&[2, 4])), MraiMode::NoWrate, &none()); // queued
-        let (sent, rearm) = q.flush(Some(P));
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
+        q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL); // queued
+        q.submit(Q, Some(&path(&[2, 4])), MraiMode::NoWrate, &none(), REL); // queued
+        let (sent, rearm) = flush(&mut q, Some(P));
         assert_eq!(sent, vec![Update::announce(P, path(&[1, 3]))]);
         assert!(rearm);
         // Q's pending update is untouched.
         assert_eq!(q.pending_len(), 1);
         assert_eq!(q.intent(Q), Some(&path(&[2, 4])));
-        let (sent_q, _) = q.flush(Some(Q));
+        let (sent_q, _) = flush(&mut q, Some(Q));
         assert_eq!(sent_q, vec![Update::announce(Q, path(&[2, 4]))]);
     }
 
     #[test]
     fn per_prefix_timer_idles_after_empty_flush() {
         let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        let (sent, rearm) = q.flush(Some(P));
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let (sent, rearm) = flush(&mut q, Some(P));
         assert!(sent.is_empty());
         assert!(!rearm);
         assert!(!q.is_armed(P));
@@ -710,13 +821,13 @@ mod tests {
     #[test]
     fn per_prefix_wrate_withdrawal_queues_only_its_prefix() {
         let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(path(&[1])), MraiMode::Wrate, &none());
-        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none()), Submit::Queued);
+        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
+        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none(), REL), Submit::Queued);
         // An idle prefix's withdrawal goes straight out.
-        q.submit(Q, Some(path(&[2])), MraiMode::Wrate, &none());
-        let (s2, _) = q.flush(Some(Q));
+        q.submit(Q, Some(&path(&[2])), MraiMode::Wrate, &none(), REL);
+        let (s2, _) = flush(&mut q, Some(Q));
         assert!(s2.is_empty());
-        let r = q.submit(Q, None, MraiMode::Wrate, &none());
+        let r = q.submit(Q, None, MraiMode::Wrate, &none(), REL);
         assert!(matches!(r, Submit::SendNow { arm_timer: true, .. }));
     }
 
@@ -724,7 +835,7 @@ mod tests {
     #[should_panic(expected = "armed MRAI timer")]
     fn reset_rejects_armed_timer() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
         q.reset();
     }
 
@@ -735,32 +846,33 @@ mod tests {
         // message must answer for roots 2 and 3 — the displaced intents —
         // with the depth of the newest one.
         let mut q = OutQueue::new();
-        let first = q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &Provenance::root(1));
+        let first = q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &Provenance::root(1), REL);
         match first {
             Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
-        q.submit(P, Some(path(&[2])), MraiMode::NoWrate, &Provenance::root(2));
-        q.submit(P, Some(path(&[3])), MraiMode::NoWrate, &Provenance::root(3).child());
-        let (sent, _) = q.flush(None);
+        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &Provenance::root(2), REL);
+        q.submit(P, Some(&path(&[3])), MraiMode::NoWrate, &Provenance::root(3).child(), REL);
+        let (sent, _) = flush(&mut q, None);
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].provenance.roots(), &[2, 3], "displaced root kept");
         assert_eq!(sent[0].provenance.depth(), 1, "newest intent's depth");
+        assert_eq!(sent[0].provenance.rel(), Some(REL), "stamped with the session's edge");
     }
 
     #[test]
     fn cost_counters_tally_rib_writes_and_coalescing() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none()); // sends: 1 write
-        q.submit(P, Some(path(&[2])), MraiMode::NoWrate, &none()); // queues
-        q.submit(P, Some(path(&[3])), MraiMode::NoWrate, &none()); // displaces: coalesce
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL); // sends: 1 write
+        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL); // queues
+        q.submit(P, Some(&path(&[3])), MraiMode::NoWrate, &none(), REL); // displaces: coalesce
         assert_eq!(q.rib_out_writes(), 1);
         assert_eq!(q.coalesced(), 1);
-        let (sent, _) = q.flush(None); // emits the announce: 1 more write
+        let (sent, _) = flush(&mut q, None); // emits the announce: 1 more write
         assert_eq!(sent.len(), 1);
         assert_eq!(q.rib_out_writes(), 2);
         // A withdrawal that reaches the wire is a write too.
-        q.submit(P, None, MraiMode::NoWrate, &none());
+        q.submit(P, None, MraiMode::NoWrate, &none(), REL);
         assert_eq!(q.rib_out_writes(), 3);
         // Counters are monotone across a forced reset.
         q.force_reset();
@@ -772,11 +884,11 @@ mod tests {
     fn armed_count_matches_scope() {
         let mut q = OutQueue::new();
         assert_eq!(q.armed_count(), 0);
-        q.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
+        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(q.armed_count(), 1);
         let mut pp = OutQueue::with_scope(MraiScope::PerPrefix);
-        pp.submit(P, Some(path(&[1])), MraiMode::NoWrate, &none());
-        pp.submit(Q, Some(path(&[2])), MraiMode::NoWrate, &none());
+        pp.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        pp.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
         assert_eq!(pp.armed_count(), 2);
     }
 }

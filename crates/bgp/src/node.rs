@@ -3,10 +3,17 @@
 //! A [`BgpNode`] holds, per neighbor session, an Adj-RIB-in slot and an
 //! MRAI-limited output queue ([`crate::mrai::OutQueue`]); per prefix, the
 //! selected best route (Loc-RIB). It is a **pure protocol machine**: every
-//! entry point returns the transmissions and timer requests it produced as
+//! entry point reports the transmissions and timer requests it produced as
 //! plain data ([`Actions`]), and the caller (the event-driven simulator in
 //! `bgpscale-core`, or a unit test) decides when those happen. The node
 //! never sees the clock.
+//!
+//! The entry points come in two forms. The working form appends to an
+//! `&mut Actions` the caller owns — the simulator keeps one, drains it
+//! after every step and hands it back, so a protocol step allocates no
+//! buffers. The by-value form ([`BgpNode::originate`],
+//! [`BgpNode::handle_update_at`], [`BgpNode::mrai_expired`], …) is a
+//! one-line shim over it for standalone use and unit tests.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -51,7 +58,10 @@ pub struct Session {
 /// `sends` are messages to put on the wire immediately (the simulator adds
 /// link latency); for every slot in `arm_timers` the caller must schedule
 /// one MRAI expiry after a jittered MRAI interval and eventually call
-/// [`BgpNode::mrai_expired`] for it.
+/// [`BgpNode::mrai_flush`] for it.
+///
+/// Entry points that take an `&mut Actions` append to it and never clear
+/// it: the caller drains the lists once it has acted on them.
 #[derive(Clone, Debug, Default)]
 pub struct Actions {
     /// `(neighbor slot, message)` pairs to transmit now.
@@ -60,7 +70,7 @@ pub struct Actions {
     pub arm_timers: Vec<u32>,
     /// Per-prefix MRAI timers to arm now (only populated under
     /// [`MraiScope::PerPrefix`]); the caller schedules one expiry per
-    /// entry and eventually calls [`BgpNode::mrai_prefix_expired`].
+    /// entry and eventually calls [`BgpNode::mrai_flush`] with the prefix.
     pub arm_prefix_timers: Vec<(u32, Prefix)>,
     /// Route-flap-damping reuse wake-ups to schedule: at the given time,
     /// call [`BgpNode::rfd_reuse`] for the (slot, prefix) pair.
@@ -74,13 +84,6 @@ impl Actions {
             && self.arm_timers.is_empty()
             && self.arm_prefix_timers.is_empty()
             && self.rfd_wakeups.is_empty()
-    }
-
-    fn merge(&mut self, other: Actions) {
-        self.sends.extend(other.sends);
-        self.arm_timers.extend(other.arm_timers);
-        self.arm_prefix_timers.extend(other.arm_prefix_timers);
-        self.rfd_wakeups.extend(other.rfd_wakeups);
     }
 
     fn absorb(&mut self, slot: u32, submit: Submit, scope: MraiScope) {
@@ -246,6 +249,9 @@ impl BgpNode {
             "{}: cannot change MRAI scope with live routing state",
             self.id
         );
+        if self.mrai_scope() == scope {
+            return;
+        }
         self.out = (0..self.active.len())
             .map(|_| OutQueue::with_scope(scope))
             .collect();
@@ -332,28 +338,39 @@ impl BgpNode {
 
     /// Starts originating `prefix`.
     pub fn originate(&mut self, prefix: Prefix) -> Actions {
-        self.originate_caused(prefix, &Provenance::none())
+        let mut out = Actions::default();
+        self.originate_caused(prefix, &Provenance::none(), &mut out);
+        out
     }
 
     /// [`BgpNode::originate`] with a provenance stamp for the resulting
-    /// exports. The unstamped entry points delegate here with
-    /// [`Provenance::none`]; stamping never changes routing behavior.
-    pub fn originate_caused(&mut self, prefix: Prefix, cause: &Provenance) -> Actions {
+    /// exports, which are appended to `out`. The by-value entry points
+    /// delegate to the `_caused` forms with [`Provenance::none`]; stamping
+    /// never changes routing behavior.
+    pub fn originate_caused(&mut self, prefix: Prefix, cause: &Provenance, out: &mut Actions) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, true);
-        self.reevaluate(row, prefix, cause, Reeval::Full)
+        self.reevaluate(row, prefix, cause, Reeval::Full, out);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event).
     pub fn withdraw_origin(&mut self, prefix: Prefix) -> Actions {
-        self.withdraw_origin_caused(prefix, &Provenance::none())
+        let mut out = Actions::default();
+        self.withdraw_origin_caused(prefix, &Provenance::none(), &mut out);
+        out
     }
 
-    /// [`BgpNode::withdraw_origin`] with a provenance stamp.
-    pub fn withdraw_origin_caused(&mut self, prefix: Prefix, cause: &Provenance) -> Actions {
+    /// [`BgpNode::withdraw_origin`] with a provenance stamp, appending to
+    /// `out`.
+    pub fn withdraw_origin_caused(
+        &mut self,
+        prefix: Prefix,
+        cause: &Provenance,
+        out: &mut Actions,
+    ) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, false);
-        self.reevaluate(row, prefix, cause, Reeval::Full)
+        self.reevaluate(row, prefix, cause, Reeval::Full, out);
     }
 
     /// Processes one UPDATE received from `from`, with damping disabled
@@ -368,16 +385,31 @@ impl BgpNode {
         self.handle_update_at(from, update, SimTime::ZERO)
     }
 
-    /// Processes one UPDATE received from `from` at simulated time `now`.
+    /// Processes one UPDATE received from `from` at simulated time `now`:
+    /// resolves the sender to its session slot and runs
+    /// [`BgpNode::receive`].
     ///
     /// # Panics
     /// Panics if `from` is not a configured neighbor.
-    // detflow::allow(panic-surface, reason = "non-neighbor senders are a documented panic (# Panics above); every arena access uses the slab-minted slot and the row created earlier in this fn")
+    // detflow::allow(panic-surface, reason = "non-neighbor senders are a documented panic (# Panics above)")
     pub fn handle_update_at(&mut self, from: AsId, update: Update, now: SimTime) -> Actions {
         let slot = self
             .slab
             .slot_of(self.slab_idx, from)
             .unwrap_or_else(|| panic!("{}: update from non-neighbor {from}", self.id));
+        let mut out = Actions::default();
+        self.receive(slot, update, now, &mut out);
+        out
+    }
+
+    /// Processes one UPDATE that arrived over session `slot` at simulated
+    /// time `now`, appending the resulting transmissions, timer arms and
+    /// damping wake-ups to `out`. The simulator resolves the slot once,
+    /// when the message is delivered, and queues it with the message.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not one of this node's sessions.
+    pub fn receive(&mut self, slot: u32, update: Update, now: SimTime, out: &mut Actions) {
         let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself. Computed before the match
@@ -398,8 +430,7 @@ impl BgpNode {
         // Route Flap Damping: charge the figure of merit before
         // installing. Initial advertisements are free; withdrawals,
         // re-advertisements and path changes are flaps (RFC 2439).
-        let mut wakeups = Vec::new();
-        if let Some(cfg) = self.rfd.clone() {
+        if let Some(cfg) = &self.rfd {
             let prev = self.table.rib_in_cell(row, slot);
             let flap = match (prev, &incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
@@ -411,9 +442,9 @@ impl BgpNode {
             };
             if let Some(kind) = flap {
                 let state = self.damp.get_or_insert(slot, prefix);
-                if state.charge(kind, now, &cfg) {
-                    if let Some(at) = state.reuse_time(&cfg) {
-                        wakeups.push((slot, prefix, at));
+                if state.charge(kind, now, cfg) {
+                    if let Some(at) = state.reuse_time(cfg) {
+                        out.rfd_wakeups.push((slot, prefix, at));
                     }
                 }
             }
@@ -421,9 +452,7 @@ impl BgpNode {
 
         self.table.set_rib_in(row, slot, incoming);
 
-        let mut actions = self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot));
-        actions.rfd_wakeups.extend(wakeups);
-        actions
+        self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot), out);
     }
 
     /// Handles a Route Flap Damping reuse wake-up for `(slot, prefix)`:
@@ -432,30 +461,30 @@ impl BgpNode {
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
     pub fn rfd_reuse(&mut self, slot: u32, prefix: Prefix, now: SimTime) -> Actions {
-        self.rfd_reuse_caused(slot, prefix, now, &Provenance::none())
+        let mut out = Actions::default();
+        self.rfd_reuse_caused(slot, prefix, now, &Provenance::none(), &mut out);
+        out
     }
 
-    /// [`BgpNode::rfd_reuse`] with a provenance stamp.
+    /// [`BgpNode::rfd_reuse`] with a provenance stamp, appending to `out`.
     pub fn rfd_reuse_caused(
         &mut self,
         slot: u32,
         prefix: Prefix,
         now: SimTime,
         cause: &Provenance,
-    ) -> Actions {
-        let Some(cfg) = self.rfd.clone() else {
-            return Actions::default();
-        };
+        out: &mut Actions,
+    ) {
+        let Some(cfg) = &self.rfd else { return };
         let Some(state) = self.damp.get_mut(slot, prefix) else {
-            return Actions::default();
+            return;
         };
-        if !state.maybe_reuse(now, &cfg) {
-            return Actions::default();
+        if !state.maybe_reuse(now, cfg) {
+            return;
         }
-        match self.table.row(prefix) {
-            // Eligibility changed, so the incumbent may now lose: full run.
-            Some(row) => self.reevaluate(row, prefix, cause, Reeval::Full),
-            None => Actions::default(),
+        // Eligibility changed, so the incumbent may now lose: full run.
+        if let Some(row) = self.table.row(prefix) {
+            self.reevaluate(row, prefix, cause, Reeval::Full, out);
         }
     }
 
@@ -479,16 +508,18 @@ impl BgpNode {
     /// # Panics
     /// Panics if the session is already down.
     pub fn session_down(&mut self, slot: u32) -> Actions {
-        self.session_down_caused(slot, &Provenance::none())
+        let mut out = Actions::default();
+        self.session_down_caused(slot, &Provenance::none(), &mut out);
+        out
     }
 
-    /// [`BgpNode::session_down`] with a provenance stamp.
-    pub fn session_down_caused(&mut self, slot: u32, cause: &Provenance) -> Actions {
+    /// [`BgpNode::session_down`] with a provenance stamp, appending to
+    /// `out`.
+    pub fn session_down_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
         assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
         self.active[slot as usize] = false;
         self.out[slot as usize].force_reset();
         self.damp.clear_slot(slot);
-        let mut actions = Actions::default();
         // Rows are only ever appended by row_or_insert, never removed, so
         // the indices collected here stay valid across the reevaluations.
         let affected: Vec<(usize, Prefix)> = self
@@ -498,10 +529,8 @@ impl BgpNode {
             .collect();
         for (row, prefix) in affected {
             self.table.set_rib_in(row, slot, None);
-            let a = self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot));
-            actions.merge(a);
+            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), out);
         }
-        actions
     }
 
     /// Re-establishes the session at `slot` and re-advertises the current
@@ -512,16 +541,19 @@ impl BgpNode {
     /// # Panics
     /// Panics if the session is already up.
     pub fn session_up(&mut self, slot: u32) -> Actions {
-        self.session_up_caused(slot, &Provenance::none())
+        let mut out = Actions::default();
+        self.session_up_caused(slot, &Provenance::none(), &mut out);
+        out
     }
 
     /// [`BgpNode::session_up`] with a provenance stamp for the replayed
-    /// table.
-    pub fn session_up_caused(&mut self, slot: u32, cause: &Provenance) -> Actions {
+    /// table, appending to `out`.
+    pub fn session_up_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
         assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
         self.active[slot as usize] = true;
         debug_assert!(!self.out[slot as usize].timer_armed());
-        let mut actions = Actions::default();
+        // The replay is whatever this call appends past `first`.
+        let first = out.sends.len();
         let session = self.sessions()[slot as usize];
         let stamp = cause.with_rel(session.rel);
         // Iterating rows walks prefixes in sorted order — the same
@@ -548,58 +580,54 @@ impl BgpNode {
             // subsequent updates only.
             if let Some(update) = self.out[slot as usize].send_unlimited(prefix, export_path, &stamp)
             {
-                actions.sends.push((slot, update));
+                out.sends.push((slot, update));
             }
         }
-        if !actions.sends.is_empty() {
+        if out.sends.len() > first {
             match self.mrai_scope() {
                 MraiScope::PerInterface => {
                     self.out[slot as usize].arm_timer(None);
-                    actions.arm_timers.push(slot);
+                    out.arm_timers.push(slot);
                 }
                 MraiScope::PerPrefix => {
-                    let prefixes: Vec<Prefix> =
-                        actions.sends.iter().map(|(_, u)| u.prefix).collect();
-                    for p in prefixes {
-                        self.out[slot as usize].arm_timer(Some(p));
-                        actions.arm_prefix_timers.push((slot, p));
+                    for (_, update) in &out.sends[first..] {
+                        self.out[slot as usize].arm_timer(Some(update.prefix));
+                        out.arm_prefix_timers.push((slot, update.prefix));
                     }
                 }
             }
         }
-        actions
     }
 
-    /// Handles a per-interface MRAI expiry for `slot`, returning the
-    /// flushed transmissions. The caller re-arms iff `arm_timers` is
-    /// non-empty.
+    /// Handles an MRAI expiry on `slot` — the session timer when
+    /// `trigger` is `None`, the per-prefix timer of `Some(prefix)` (only
+    /// under [`MraiScope::PerPrefix`]) — appending the flushed
+    /// transmissions to `out`, plus one timer arm iff something was sent:
+    /// the caller re-arms exactly the timers `out` lists.
     // detflow::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
+    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, out: &mut Actions) {
+        if self.out[slot as usize].flush(trigger, slot, &mut out.sends) {
+            match trigger {
+                None => out.arm_timers.push(slot),
+                Some(prefix) => out.arm_prefix_timers.push((slot, prefix)),
+            }
+        }
+    }
+
+    /// By-value [`BgpNode::mrai_flush`] for the per-interface timer of
+    /// `slot`.
     pub fn mrai_expired(&mut self, slot: u32) -> Actions {
-        let (updates, rearm) = self.out[slot as usize].flush(None);
-        let mut actions = Actions::default();
-        for u in updates {
-            actions.sends.push((slot, u));
-        }
-        if rearm {
-            actions.arm_timers.push(slot);
-        }
-        actions
+        let mut out = Actions::default();
+        self.mrai_flush(slot, None, &mut out);
+        out
     }
 
-    /// Handles a per-prefix MRAI expiry for `(slot, prefix)` (only under
-    /// [`MraiScope::PerPrefix`]). The caller re-arms iff
-    /// `arm_prefix_timers` is non-empty.
-    // detflow::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
+    /// By-value [`BgpNode::mrai_flush`] for the per-prefix timer of
+    /// `(slot, prefix)`.
     pub fn mrai_prefix_expired(&mut self, slot: u32, prefix: Prefix) -> Actions {
-        let (updates, rearm) = self.out[slot as usize].flush(Some(prefix));
-        let mut actions = Actions::default();
-        for u in updates {
-            actions.sends.push((slot, u));
-        }
-        if rearm {
-            actions.arm_prefix_timers.push((slot, prefix));
-        }
-        actions
+        let mut out = Actions::default();
+        self.mrai_flush(slot, Some(prefix), &mut out);
+        out
     }
 
     /// Clears all routing state (RIBs, output queues), keeping the session
@@ -614,6 +642,23 @@ impl BgpNode {
         for q in &mut self.out {
             q.reset();
         }
+    }
+
+    /// Returns the speaker to the state it was constructed in, from any
+    /// state: RIBs, damping history, Adj-RIB-outs and queued updates
+    /// cleared, every MRAI timer disarmed, every session up.
+    /// Configuration (mode, scope, loop detection, damping parameters)
+    /// and the monotone cost tallies are kept, and so are the table's
+    /// column buffers. Unlike [`BgpNode::reset_routing`] this does not
+    /// require quiescence: the caller discards its outstanding expiry
+    /// events along with everything else.
+    pub fn recycle(&mut self) {
+        self.table.clear();
+        self.damp.clear();
+        for q in &mut self.out {
+            q.force_reset();
+        }
+        self.active.fill(true);
     }
 
     /// Rebuilds the row's sorted candidate order from scratch — one
@@ -656,7 +701,14 @@ impl BgpNode {
     /// with damping off — RFD changes route *eligibility* independently of
     /// the Adj-RIB-in, invalidating the single-slot reasoning.
     // detflow::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
-    fn reevaluate(&mut self, row: usize, prefix: Prefix, cause: &Provenance, hint: Reeval) -> Actions {
+    fn reevaluate(
+        &mut self,
+        row: usize,
+        prefix: Prefix,
+        cause: &Provenance,
+        hint: Reeval,
+        out: &mut Actions,
+    ) {
         self.costs.decision_runs += 1;
 
         // Keep the row's sorted candidate order exact *before* anything
@@ -747,70 +799,48 @@ impl BgpNode {
             _ => false,
         };
         if unchanged {
-            return Actions::default();
+            return;
         }
-        self.table.set_best(row, new_best.clone());
+        self.table.set_best(row, new_best);
 
-        // Export phase.
-        let mut actions = Actions::default();
-        match new_best {
-            None => {
-                for slot in 0..self.active.len() as u32 {
-                    if !self.active[slot as usize] {
-                        continue;
-                    }
-                    let session = self.slab.sessions(self.slab_idx)[slot as usize];
-                    let scope = self.out[slot as usize].scope();
-                    let submit = self.out[slot as usize].submit(
-                        prefix,
-                        None,
-                        self.mode,
-                        &cause.with_rel(session.rel),
-                    );
-                    actions.absorb(slot, submit, scope);
-                }
+        // Export phase: the Gao–Rexford filter plus sender-side loop
+        // detection (the best path necessarily contains the neighbor it
+        // was learned from, so this also prevents echoing a route back to
+        // its sender) decide, per live session, between the export path
+        // and a withdrawal. Each queue gets the path and the cause by
+        // reference and clones them only if it stores or sends the
+        // update; most submissions are suppressed as no-ops.
+        let sessions = self.slab.sessions(self.slab_idx);
+        // The exported path: ourselves prepended to the best path. Built
+        // once; every queue that keeps it shares it by refcount.
+        let export = self.table.best(row).map(|(best_slot, best_path)| {
+            let source = if best_slot == SELF_SLOT {
+                RouteSource::SelfOriginated
+            } else {
+                RouteSource::Learned(sessions[best_slot as usize].rel)
+            };
+            self.costs.path_intern_misses += 1;
+            (source, best_path, AsPath::prepended(self.id, best_path))
+        });
+        for (slot, session) in sessions.iter().enumerate() {
+            if !self.active[slot] {
+                continue;
             }
-            Some((best_slot, best_path)) => {
-                let sessions = self.slab.sessions(self.slab_idx);
-                let source = if best_slot == SELF_SLOT {
-                    RouteSource::SelfOriginated
-                } else {
-                    RouteSource::Learned(sessions[best_slot as usize].rel)
-                };
-                // The exported path: ourselves prepended to the best path.
-                // Built once; every queue below shares it by refcount, so
-                // exporting to k neighbors is k refcount bumps.
-                let export_path = AsPath::prepended(self.id, &best_path);
-                self.costs.path_intern_misses += 1;
-                for slot in 0..sessions.len() as u32 {
-                    if !self.active[slot as usize] {
-                        continue;
-                    }
-                    let session = sessions[slot as usize];
-                    // The Gao–Rexford filter plus sender-side loop
-                    // detection (the best path necessarily contains the
-                    // neighbor it was learned from, so this also prevents
-                    // echoing a route back to its sender).
-                    let intent = if export_allowed(source, session.rel)
-                        && !(self.sender_loop_check && would_loop(&best_path, session.peer))
-                    {
-                        self.costs.path_intern_hits += 1;
-                        Some(export_path.clone())
-                    } else {
-                        None
-                    };
-                    let scope = self.out[slot as usize].scope();
-                    let submit = self.out[slot as usize].submit(
-                        prefix,
-                        intent,
-                        self.mode,
-                        &cause.with_rel(session.rel),
-                    );
-                    actions.absorb(slot, submit, scope);
+            let intent = match &export {
+                Some((source, best_path, export_path))
+                    if export_allowed(*source, session.rel)
+                        && !(self.sender_loop_check && would_loop(best_path, session.peer)) =>
+                {
+                    self.costs.path_intern_hits += 1;
+                    Some(export_path)
                 }
-            }
+                _ => None,
+            };
+            let queue = &mut self.out[slot];
+            let scope = queue.scope();
+            let submit = queue.submit(prefix, intent, self.mode, cause, session.rel);
+            out.absorb(slot as u32, submit, scope);
         }
-        actions
     }
 }
 
@@ -1296,6 +1326,87 @@ mod tests {
                 "Adj-RIB-out entries must share the export path's allocation"
             );
         }
+    }
+
+    /// The sends and session-timer arms of `a`, comparable.
+    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>) {
+        assert!(a.arm_prefix_timers.is_empty() && a.rfd_wakeups.is_empty());
+        (a.sends.clone(), a.arm_timers.clone())
+    }
+
+    /// The in-place entry points append to the caller's buffer — never
+    /// clearing it — exactly what the by-value shims return.
+    #[test]
+    fn in_place_entry_points_append_what_the_shims_return() {
+        let (mut by_value, mut in_place) = (node(), node());
+        let mut buf = Actions::default();
+        let mut want = Actions::default();
+        let mut push = |a: Actions| {
+            want.sends.extend(a.sends);
+            want.arm_timers.extend(a.arm_timers);
+        };
+        let customer = Update::announce(P, vec![AsId(1), AsId(9)]);
+        let provider = Update::announce(P, vec![AsId(3), AsId(9)]);
+
+        push(by_value.handle_update(AsId(3), provider.clone()));
+        in_place.receive(2, provider, SimTime::ZERO, &mut buf);
+        push(by_value.handle_update(AsId(1), customer.clone()));
+        in_place.receive(0, customer, SimTime::ZERO, &mut buf);
+        push(by_value.mrai_expired(1));
+        in_place.mrai_flush(1, None, &mut buf);
+        push(by_value.originate(Prefix(7)));
+        in_place.originate_caused(Prefix(7), &Provenance::none(), &mut buf);
+        push(by_value.session_down(0));
+        in_place.session_down_caused(0, &Provenance::none(), &mut buf);
+        push(by_value.session_up(0));
+        in_place.session_up_caused(0, &Provenance::none(), &mut buf);
+        push(by_value.withdraw_origin(Prefix(7)));
+        in_place.withdraw_origin_caused(Prefix(7), &Provenance::none(), &mut buf);
+
+        assert!(want.sends.len() >= 8, "the script must exercise the export path");
+        assert_eq!(flat(&buf), flat(&want));
+        assert_eq!(by_value.cost_counters(), in_place.cost_counters());
+    }
+
+    /// `recycle` from a state with armed timers, a queued update and a
+    /// session down leaves a node that replays a script exactly as a
+    /// newly built one does, with its cost tallies still running.
+    #[test]
+    fn recycle_restores_the_constructed_state_from_any_state() {
+        let script = |n: &mut BgpNode| {
+            let mut all = Actions::default();
+            n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, &mut all);
+            n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, &mut all);
+            n.receive(0, Update::withdraw(P), SimTime::ZERO, &mut all);
+            n.mrai_flush(1, None, &mut all);
+            let best = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
+            (flat(&all), best)
+        };
+        let mut fresh = node();
+        let want = script(&mut fresh);
+
+        let mut used = node();
+        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(8)]), SimTime::ZERO, &mut Actions::default());
+        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(7), AsId(8)]), SimTime::ZERO, &mut Actions::default());
+        used.session_down(2);
+        assert!(used.timer_armed(1), "recycled mid-window, timers armed");
+        let spent = used.cost_counters();
+        used.recycle();
+        assert_eq!(used.best_route(Prefix(4)), None);
+        assert!((0..3).all(|s| used.session_active(s) && !used.timer_armed(s)));
+        assert!((0..3).all(|s| used.advertised(s, Prefix(4)).is_none()));
+        assert_eq!(used.arena_bytes(), 0);
+        assert_eq!(used.cost_counters(), spent, "tallies are monotone, not reset");
+
+        assert_eq!(script(&mut used), want);
+        let mut delta = used.cost_counters();
+        delta.decision_runs -= spent.decision_runs;
+        delta.route_comparisons -= spent.route_comparisons;
+        delta.path_intern_hits -= spent.path_intern_hits;
+        delta.path_intern_misses -= spent.path_intern_misses;
+        delta.rib_out_writes -= spent.rib_out_writes;
+        delta.mrai_coalesced -= spent.mrai_coalesced;
+        assert_eq!(delta, fresh.cost_counters(), "same work after recycling");
     }
 
     #[test]

@@ -16,6 +16,22 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
     ])
 }
 
+/// `OutQueue::flush` into a scratch send list, as a node's expiry handler
+/// drives it: the updates that went on the wire, each tagged `slot`.
+fn flush(q: &mut OutQueue, slot: u32) -> Vec<Update> {
+    let mut sends = Vec::new();
+    let rearm = q.flush(None, slot, &mut sends);
+    assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
+    assert_eq!(rearm, q.timer_armed());
+    sends
+        .into_iter()
+        .map(|(tag, update)| {
+            assert_eq!(tag, slot, "flushed updates carry the queue's slot");
+            update
+        })
+        .collect()
+}
+
 fn path_strategy() -> impl Strategy<Value = AsPath> {
     prop::collection::vec((0u32..1000).prop_map(AsId), 1..8).prop_map(AsPath::from)
 }
@@ -75,6 +91,7 @@ proptest! {
     #[test]
     fn outqueue_never_lies(
         mode in prop::sample::select(vec![MraiMode::NoWrate, MraiMode::Wrate]),
+        rel in rel_strategy(),
         script in prop::collection::vec(
             // (prefix 0..3, intent: None = withdraw, Some(k) = announce path k)
             ((0u32..3).prop_map(Prefix), prop::option::of(0u32..5), any::<bool>()),
@@ -101,13 +118,16 @@ proptest! {
         for (prefix, path_id, flush_after) in script {
             let path: Option<AsPath> = path_id.map(|k| AsPath::from(vec![AsId(100 + k), AsId(999)]));
             intent.insert(prefix, path.clone());
-            match q.submit(prefix, path, mode, &Provenance::none()) {
-                Submit::SendNow { update, .. } => apply(&mut neighbor, update)?,
+            match q.submit(prefix, path.as_ref(), mode, &Provenance::root(7), rel) {
+                Submit::SendNow { update, .. } => {
+                    prop_assert_eq!(update.provenance.rel(), Some(rel), "sent over this edge");
+                    apply(&mut neighbor, update)?
+                }
                 Submit::Queued | Submit::Suppressed => {}
             }
             if flush_after && q.timer_armed() {
-                let (sent, _) = q.flush(None);
-                for u in sent {
+                for u in flush(&mut q, 5) {
+                    prop_assert_eq!(u.provenance.rel(), Some(rel), "flushed over this edge");
                     apply(&mut neighbor, u)?;
                 }
             }
@@ -120,8 +140,7 @@ proptest! {
 
         // Drain all timers.
         while q.timer_armed() {
-            let (sent, _) = q.flush(None);
-            for u in sent {
+            for u in flush(&mut q, 5) {
                 apply(&mut neighbor, u)?;
             }
         }
@@ -140,10 +159,11 @@ proptest! {
         path in path_strategy(),
     ) {
         let mut q = OutQueue::new();
-        let first = q.submit(Prefix(0), Some(path.clone()), mode, &Provenance::none());
+        let rel = Relationship::Customer;
+        let first = q.submit(Prefix(0), Some(&path), mode, &Provenance::none(), rel);
         let sent_now = matches!(first, Submit::SendNow { .. });
         prop_assert!(sent_now);
-        let second = q.submit(Prefix(0), Some(path), mode, &Provenance::none());
+        let second = q.submit(Prefix(0), Some(&path), mode, &Provenance::none(), rel);
         prop_assert_eq!(second, Submit::Suppressed);
     }
 }

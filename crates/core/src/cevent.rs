@@ -23,7 +23,7 @@ use bgpscale_topology::AsId;
 use crate::sim::{EventBudgetExceeded, Simulator};
 
 /// Aggregate measurements of one C-event.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CEventOutcome {
     /// Total updates delivered network-wide during DOWN + UP.
     pub total_updates: u64,

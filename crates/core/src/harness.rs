@@ -14,14 +14,17 @@
 //!
 //! Events are **independent by construction**: the topology is generated
 //! once and shared read-only (`Arc<AsGraph>` inside a [`SimTemplate`]),
-//! and event `k` runs on a fresh simulator seeded with
-//! `hash64_pair(sim_seed, k)` — no RNG stream, RIB state, or clock is
-//! carried from one event to the next. [`run_experiment_jobs`] therefore
-//! fans events out across a worker pool and folds the per-event
-//! measurements back **in event-index order**, so the report is
-//! bit-for-bit identical for any job count (f64 accumulation order never
-//! changes). `jobs = 1` takes a plain sequential loop over the identical
-//! per-event code.
+//! and event `k` runs on a simulator in exactly the state of
+//! `template.instantiate(hash64_pair(sim_seed, k))` — no RNG stream, RIB
+//! state, or clock is carried from one event to the next. Each worker
+//! stamps one simulator out of the template for its first event and
+//! [recycles](Simulator::recycle) it in place for every later one: only
+//! buffers survive, and `tests/recycle_equivalence.rs` pins the recycled
+//! state to the instantiated one. [`run_experiment_jobs`] therefore fans
+//! events out across a worker pool and folds the per-event measurements
+//! back **in event-index order**, so the report is bit-for-bit identical
+//! for any job count (f64 accumulation order never changes). `jobs = 1`
+//! is the one-worker case of the identical per-event code.
 
 use std::sync::Arc;
 
@@ -31,13 +34,13 @@ use bgpscale_obs::{
     MetricsRegistry, Recorder, RecorderOptions, SimObserver, TimeSeries, TimeSeriesSpec,
     TraceRecord,
 };
-use bgpscale_simkernel::pool::run_indexed;
+use bgpscale_simkernel::pool::run_indexed_with;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
 use bgpscale_topology::{generate, AsId, GrowthScenario, NodeType, Relationship};
 
 use crate::cevent::run_c_event;
 use crate::factors::{node_factors, type_index, FactorAccumulator, FactorMeans};
-use crate::sim::SimTemplate;
+use crate::sim::{SimTemplate, Simulator};
 
 /// Everything needed to reproduce one experiment cell.
 #[derive(Clone, Debug)]
@@ -134,46 +137,41 @@ struct EventMeasurement {
     phase_costs: PhaseCosts,
 }
 
-/// Runs C-event `k` from `origin` on a fresh simulator stamped from the
-/// shared template, and measures it. Pure function of its arguments —
-/// the property the parallel fan-out relies on.
-fn measure_event(
-    cfg: &ExperimentConfig,
+/// Makes a worker's simulator ready for the event seeded `seed`, with
+/// `obs` attached: stamped out of the template on the worker's first
+/// event, recycled in place on every later one. Either way the simulator
+/// is in the state of `template.instantiate_observed(seed, obs)`.
+fn ready_sim<'a, O: SimObserver>(
+    worker: &'a mut Option<Simulator<O>>,
     template: &SimTemplate,
-    node_types: &[NodeType],
-    origin: AsId,
-    k: usize,
-    sim_seed: u64,
-) -> EventMeasurement {
-    measure_event_observed(
-        cfg,
-        template,
-        node_types,
-        origin,
-        k,
-        sim_seed,
-        bgpscale_obs::NoopObserver,
-    )
-    .0
+    seed: u64,
+    obs: O,
+) -> &'a mut Simulator<O> {
+    match worker {
+        Some(sim) => {
+            sim.recycle(seed);
+            sim.replace_observer(obs);
+            sim
+        }
+        None => worker.insert(template.instantiate_observed(seed, obs)),
+    }
 }
 
-/// [`measure_event`] with an attached observer, returned alongside the
-/// measurement so the caller can fold telemetry in event-index order.
-#[allow(clippy::too_many_arguments)]
-fn measure_event_observed<O: SimObserver>(
+/// Runs C-event `k` from `origin` on `sim` — pristine, seeded for event
+/// `k` (see [`ready_sim`]) — and measures it. A pure function of the
+/// event index given such a simulator: the property the parallel fan-out
+/// relies on.
+fn measure_event<O: SimObserver>(
     cfg: &ExperimentConfig,
-    template: &SimTemplate,
+    sim: &mut Simulator<O>,
     node_types: &[NodeType],
     origin: AsId,
     k: usize,
-    sim_seed: u64,
-    obs: O,
-) -> (EventMeasurement, O) {
-    let mut sim = template.instantiate_observed(hash64_pair(sim_seed, k as u64), obs);
+) -> EventMeasurement {
     if let Some(limit) = cfg.event_limit {
         sim.set_event_limit(limit);
     }
-    let outcome = run_c_event(&mut sim, origin, Prefix(k as u32))
+    let outcome = run_c_event(sim, origin, Prefix(k as u32))
         .unwrap_or_else(|e| panic!("{} n={} event {k}: {e}", cfg.scenario, cfg.n));
 
     let mut acc = FactorAccumulator::new();
@@ -184,7 +182,7 @@ fn measure_event_observed<O: SimObserver>(
         if node == origin {
             continue; // the originator causes the event, it does not observe it
         }
-        let f = node_factors(&sim, node);
+        let f = node_factors(sim, node);
         let t = type_index(ty);
         acc.add(ty, &f);
         event_u_sum[t] += f.total_updates() as f64;
@@ -196,15 +194,14 @@ fn measure_event_observed<O: SimObserver>(
             event_u[t] = Some(event_u_sum[t] / event_u_cnt[t] as f64);
         }
     }
-    let m = EventMeasurement {
+    EventMeasurement {
         acc,
         event_u,
         total_updates: outcome.total_updates as f64,
         down_s: outcome.down_convergence.as_secs_f64(),
         up_s: outcome.up_convergence.as_secs_f64(),
         phase_costs: outcome.phase_costs,
-    };
-    (m, sim.into_observer())
+    }
 }
 
 /// Runs the full averaged C-event experiment for one configuration.
@@ -223,10 +220,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ChurnReport {
 ///
 /// The report is **bit-for-bit identical for every `jobs` value**
 /// (including 1): the topology is generated once, event `k` always runs
-/// on a fresh simulator seeded `hash64_pair(sim_seed, k)`, and per-event
-/// measurements are folded in event-index order regardless of which
-/// worker finishes first. `jobs = 1` executes a plain sequential loop —
-/// no threads are spawned.
+/// on a pristine simulator seeded `hash64_pair(sim_seed, k)` — whichever
+/// worker's recycled simulator that is — and per-event measurements are
+/// folded in event-index order regardless of which worker finishes first.
+/// `jobs = 1` executes a plain sequential loop — no threads are spawned.
 ///
 /// # Panics
 /// As [`run_experiment`].
@@ -237,8 +234,9 @@ pub fn run_experiment_jobs(cfg: &ExperimentConfig, jobs: usize) -> ChurnReport {
 /// [`run_experiment_jobs`] plus the per-event [`CostModel`]: exact
 /// operation counts attributed to each C-event's warm-up/DOWN/UP phases.
 ///
-/// The counts are integer-only and computed per event on a fresh
-/// simulator, then pushed into the model **in event-index order**, so
+/// The counts are integer-only and computed per event as differences of
+/// the simulator's monotone tallies, then pushed into the model **in
+/// event-index order**, so
 /// `CostModel::to_json()` is byte-identical for every `jobs` value —
 /// the same contract the churn report and the telemetry artifacts obey.
 ///
@@ -248,16 +246,16 @@ pub fn run_experiment_with_cost(cfg: &ExperimentConfig, jobs: usize) -> (ChurnRe
     let setup = ExperimentSetup::build(cfg);
     let measurements: Vec<EventMeasurement> = {
         let _span = bgpscale_obs::span!("run_events");
-        run_indexed(jobs, setup.c_nodes.len(), |k| {
-            measure_event(
-                cfg,
-                &setup.template,
-                &setup.node_types,
-                setup.c_nodes[k],
-                k,
-                setup.sim_seed,
-            )
-        })
+        run_indexed_with(
+            jobs,
+            setup.c_nodes.len(),
+            || None,
+            |worker, k| {
+                let seed = hash64_pair(setup.sim_seed, k as u64);
+                let sim = ready_sim(worker, &setup.template, seed, bgpscale_obs::NoopObserver);
+                measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k)
+            },
+        )
     };
     let mut cost = CostModel::new();
     for m in &measurements {
@@ -324,23 +322,26 @@ pub fn run_experiment_observed_with(
     });
     let observed: Vec<(EventMeasurement, Recorder)> = {
         let _span = bgpscale_obs::span!("run_events");
-        run_indexed(jobs, setup.c_nodes.len(), |k| {
-            measure_event_observed(
-                cfg,
-                &setup.template,
-                &setup.node_types,
-                setup.c_nodes[k],
-                k,
-                setup.sim_seed,
-                Recorder::with_options(
+        run_indexed_with(
+            jobs,
+            setup.c_nodes.len(),
+            || None,
+            |worker, k| {
+                let seed = hash64_pair(setup.sim_seed, k as u64);
+                let recorder = Recorder::with_options(
                     k as u32,
                     RecorderOptions {
                         trace_sample: opts.trace_sample,
                         timeseries: spec.clone(),
                     },
-                ),
-            )
-        })
+                );
+                let sim = ready_sim(worker, &setup.template, seed, recorder);
+                let m = measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k);
+                // The event's telemetry leaves with its recorder; the idle
+                // simulator keeps an empty one until its next event.
+                (m, sim.replace_observer(Recorder::new(k as u32)))
+            },
+        )
     };
 
     let _span = bgpscale_obs::span!("fold_telemetry");
@@ -408,8 +409,8 @@ impl ExperimentSetup {
         pick_rng.shuffle(&mut c_nodes);
         c_nodes.truncate(cfg.events.max(1));
 
-        // Build the clean simulator blueprint once; every event (on any
-        // worker) stamps its own instance from it.
+        // Build the clean simulator blueprint once; every worker stamps
+        // its simulator out of it.
         let template = {
             let _span = bgpscale_obs::span!("build_template");
             let mut t = SimTemplate::new(Arc::clone(&graph), cfg.bgp.clone());

@@ -38,8 +38,9 @@ const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 /// Simulator events.
 #[derive(Clone, Debug)]
 enum SimEvent {
-    /// `update` sent by `from` reaches `to`'s input queue.
-    Deliver { to: AsId, from: AsId, update: Update },
+    /// `update` reaches `to`'s input queue over `to`'s session `slot`
+    /// (the sender is that session's peer).
+    Deliver { to: AsId, slot: u32, update: Update },
     /// `node`'s processor finishes the message at the head of its queue.
     ProcDone { node: AsId },
     /// An MRAI timer for `node`'s neighbor session `slot` expires:
@@ -134,8 +135,13 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// flat per-session side tables like `mrai_epoch` index into.
     slab: Arc<SessionSlab>,
     nodes: Vec<BgpNode>,
-    /// Per-node FIFO input queue: (sender, message).
-    inbox: Vec<std::collections::VecDeque<(AsId, Update)>>,
+    /// The buffer every protocol step writes its transmissions and timer
+    /// arms into; [`Simulator::apply_actions`] drains it after each step,
+    /// so its lists are empty between steps and keep their capacity.
+    actions: Actions,
+    /// Per-node FIFO input queue: (the session slot the message arrived
+    /// over, message), as the `Deliver` event carried them.
+    inbox: Vec<std::collections::VecDeque<(u32, Update)>>,
     /// Per-node processor-busy flag.
     busy: Vec<bool>,
     queue: EventQueue<SimEvent>,
@@ -184,15 +190,17 @@ fn link_key(a: AsId, b: AsId) -> (AsId, AsId) {
 /// clean per-node state, all built once.
 ///
 /// The experiment harness runs up to 100 independent C-events over the
-/// *same* topology, each on a fresh simulator with its own derived seed.
-/// Rebuilding the node array from the graph for each event repeats the
-/// session/adjacency construction work; a template does it once and
+/// *same* topology, each from pristine state with its own derived seed.
+/// Rebuilding the node array from the graph repeats the session/adjacency
+/// construction work; a template does it once and
 /// [`SimTemplate::instantiate`] stamps out simulators by cloning the clean
-/// nodes (cheap: pristine RIBs are empty, and the session slab — one
-/// contiguous [`SessionSlab`] covering every node's adjacency — is shared
-/// behind a single `Arc` by the template and every node of every
-/// instantiation). Templates are `Send + Sync`, so one template can feed
-/// every worker of a parallel fan-out.
+/// nodes (pristine RIBs are empty, and the session slab — one contiguous
+/// [`SessionSlab`] covering every node's adjacency — is shared behind a
+/// single `Arc` by the template and every node of every instantiation).
+/// The harness instantiates once per worker and then
+/// [recycles](Simulator::recycle) that simulator from event to event.
+/// Templates are `Send + Sync`, so one template can feed every worker of
+/// a parallel fan-out.
 #[derive(Clone)]
 pub struct SimTemplate {
     graph: Arc<AsGraph>,
@@ -292,6 +300,7 @@ impl SimTemplate {
             cfg: self.cfg.clone(),
             slab: Arc::clone(&self.slab),
             nodes: self.nodes.clone(),
+            actions: Actions::default(),
             inbox: vec![std::collections::VecDeque::new(); n],
             busy: vec![false; n],
             queue,
@@ -343,6 +352,13 @@ impl<O: SimObserver> Simulator<O> {
     /// collected. The idiomatic end of an observed run.
     pub fn into_observer(self) -> O {
         self.obs
+    }
+
+    /// Attaches `obs` and returns the observer it replaces, with
+    /// everything that one collected — the end of an observed run on a
+    /// simulator that will be [recycled](Simulator::recycle).
+    pub fn replace_observer(&mut self, obs: O) -> O {
+        std::mem::replace(&mut self.obs, obs)
     }
 
     /// The topology being simulated.
@@ -458,8 +474,8 @@ impl<O: SimObserver> Simulator<O> {
                 self.armed_timers -= disarmed;
                 self.obs.on_timer_occupancy(self.armed_timers, self.queue.now());
             }
-            let actions = self.nodes[x.index()].session_down_caused(slot, &cause);
-            self.apply_actions(x, actions);
+            self.nodes[x.index()].session_down_caused(slot, &cause, &mut self.actions);
+            self.apply_actions(x);
         }
     }
 
@@ -476,8 +492,8 @@ impl<O: SimObserver> Simulator<O> {
         let cause = self.new_root(RootCauseKind::SessionUp, a);
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
-            let actions = self.nodes[x.index()].session_up_caused(slot, &cause);
-            self.apply_actions(x, actions);
+            self.nodes[x.index()].session_up_caused(slot, &cause, &mut self.actions);
+            self.apply_actions(x);
         }
     }
 
@@ -485,16 +501,16 @@ impl<O: SimObserver> Simulator<O> {
     // detflow::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn originate(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::Originate, origin);
-        let actions = self.nodes[origin.index()].originate_caused(prefix, &cause);
-        self.apply_actions(origin, actions);
+        self.nodes[origin.index()].originate_caused(prefix, &cause, &mut self.actions);
+        self.apply_actions(origin);
     }
 
     /// Node `origin` stops originating `prefix` (the "DOWN" action).
     // detflow::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn withdraw(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::WithdrawOrigin, origin);
-        let actions = self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause);
-        self.apply_actions(origin, actions);
+        self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause, &mut self.actions);
+        self.apply_actions(origin);
     }
 
     /// Processes events up to and including `deadline`, then stops (the
@@ -582,11 +598,50 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    // detflow::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver from a non-neighbor and a ProcDone with an empty inbox are scheduling-invariant breaches that must abort the run, not be masked")
+    /// Restores, in place and from **any** state, exactly the observable
+    /// state of `template.instantiate(seed)`: clock at zero, event queue
+    /// and input queues empty, processors idle, RNG reseeded, root-cause
+    /// ids from 0, churn counters zeroed and disabled, the default event
+    /// limit, every link up, and every node as constructed (see
+    /// [`BgpNode::recycle`]). Pending events, busy processors, armed
+    /// timers and failed links — the remains of a run that blew its event
+    /// budget, or of an L-event never restored — are simply discarded.
+    ///
+    /// What is kept: the buffers (that is the point — the harness runs
+    /// every C-event of a worker on one simulator instead of cloning and
+    /// dropping 5000 nodes per event), the attached observer (swap it
+    /// with [`Simulator::replace_observer`]), and the monotone cost
+    /// tallies behind [`Simulator::cost_counts`], which phase costs only
+    /// ever diff.
+    pub fn recycle(&mut self, seed: u64) {
+        self.queue.reset();
+        for inbox in &mut self.inbox {
+            inbox.clear();
+        }
+        self.busy.fill(false);
+        for node in &mut self.nodes {
+            node.recycle();
+        }
+        self.rng = Xoshiro256StarStar::new(seed);
+        self.churn.take_timeline();
+        self.churn.reset();
+        self.churn.set_enabled(false);
+        self.last_activity = SimTime::ZERO;
+        self.event_limit = DEFAULT_EVENT_LIMIT;
+        self.mrai_epoch.fill(0);
+        self.down_links.clear();
+        self.messages_dropped = 0;
+        self.next_root = 0;
+        self.armed_timers = 0;
+    }
+
+    // detflow::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {
-            SimEvent::Deliver { to, from, update } => {
+            SimEvent::Deliver { to, slot, update } => {
+                let session = self.nodes[to.index()].sessions()[slot as usize];
+                let from = session.peer;
                 if self.down_links.contains(&link_key(from, to)) {
                     // The link failed while the message was in flight.
                     self.messages_dropped += 1;
@@ -594,9 +649,6 @@ impl<O: SimObserver> Simulator<O> {
                 }
                 self.last_activity = now;
                 self.deliveries += 1;
-                let slot = self.nodes[to.index()]
-                    .slot_of(from)
-                    .expect("delivery from non-neighbor");
                 self.churn.record(to, slot, update.kind.is_withdraw(), now);
                 // Depth the arriving message will reach once enqueued —
                 // the receiver-side backlog signal.
@@ -604,7 +656,7 @@ impl<O: SimObserver> Simulator<O> {
                 self.obs.on_message(
                     from,
                     to,
-                    self.nodes[to.index()].sessions()[slot as usize].rel,
+                    session.rel,
                     if update.kind.is_withdraw() {
                         UpdateClass::Withdraw
                     } else {
@@ -616,7 +668,7 @@ impl<O: SimObserver> Simulator<O> {
                     inbox_depth,
                     now,
                 );
-                self.inbox[to.index()].push_back((from, update));
+                self.inbox[to.index()].push_back((slot, update));
                 if !self.busy[to.index()] {
                     self.busy[to.index()] = true;
                     let service = self.draw_service_time();
@@ -626,12 +678,12 @@ impl<O: SimObserver> Simulator<O> {
             }
             SimEvent::ProcDone { node } => {
                 self.last_activity = now;
-                let (from, update) = self.inbox[node.index()]
+                let (slot, update) = self.inbox[node.index()]
                     .pop_front()
                     .expect("ProcDone with empty input queue");
-                let actions = self.nodes[node.index()].handle_update_at(from, update, now);
+                self.nodes[node.index()].receive(slot, update, now, &mut self.actions);
                 self.obs.on_decision_run(node, now);
-                self.apply_actions(node, actions);
+                self.apply_actions(node);
                 if self.inbox[node.index()].is_empty() {
                     self.busy[node.index()] = false;
                 } else {
@@ -654,39 +706,36 @@ impl<O: SimObserver> Simulator<O> {
                 self.armed_timers -= 1;
                 self.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.armed_timers, now);
-                let actions = match prefix {
-                    None => self.nodes[node.index()].mrai_expired(slot),
-                    Some(p) => self.nodes[node.index()].mrai_prefix_expired(slot, p),
-                };
+                self.nodes[node.index()].mrai_flush(slot, prefix, &mut self.actions);
                 self.obs
-                    .on_mrai_flush(node, actions.sends.len() as u32, now);
-                self.apply_actions(node, actions);
+                    .on_mrai_flush(node, self.actions.sends.len() as u32, now);
+                self.apply_actions(node);
             }
             SimEvent::RfdReuse { node, slot, prefix } => {
                 let cause = self.new_root(RootCauseKind::RfdReuse, node);
-                let actions = self.nodes[node.index()].rfd_reuse_caused(slot, prefix, now, &cause);
-                self.apply_actions(node, actions);
+                self.nodes[node.index()]
+                    .rfd_reuse_caused(slot, prefix, now, &cause, &mut self.actions);
+                self.apply_actions(node);
             }
         }
     }
 
-    /// Schedules the transmissions and timer arms a protocol step produced.
+    /// Schedules the transmissions and timer arms the protocol step just
+    /// run at `node` wrote into `self.actions`, leaving the buffer empty
+    /// for the next step.
     // detflow::allow(panic-surface, reason = "node ids and session slots index vecs sized at construction (nodes, mrai_epoch, per-session rows)")
-    fn apply_actions(&mut self, node: AsId, actions: Actions) {
+    fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
+        // Out of `self` while the loops below draw from the RNG and push
+        // onto the queue; handed back drained, capacity intact.
+        let mut actions = std::mem::take(&mut self.actions);
         let armed_delta = (actions.arm_timers.len() + actions.arm_prefix_timers.len()) as u64;
-        for (slot, update) in actions.sends {
-            let to = self.nodes[node.index()].sessions()[slot as usize].peer;
-            self.queue.schedule(
-                now + self.cfg.link_delay,
-                SimEvent::Deliver {
-                    to,
-                    from: node,
-                    update,
-                },
-            );
+        for (slot, update) in actions.sends.drain(..) {
+            let (to, slot) = self.slab.far_end(node.index() as u32, slot);
+            self.queue
+                .schedule(now + self.cfg.link_delay, SimEvent::Deliver { to, slot, update });
         }
-        for slot in actions.arm_timers {
+        for slot in actions.arm_timers.drain(..) {
             let delay = self.draw_mrai_interval();
             let epoch = self.mrai_epoch[self.session_ix(node, slot)];
             self.queue.schedule(
@@ -699,7 +748,7 @@ impl<O: SimObserver> Simulator<O> {
                 },
             );
         }
-        for (slot, prefix) in actions.arm_prefix_timers {
+        for (slot, prefix) in actions.arm_prefix_timers.drain(..) {
             let delay = self.draw_mrai_interval();
             let epoch = self.mrai_epoch[self.session_ix(node, slot)];
             self.queue.schedule(
@@ -712,11 +761,12 @@ impl<O: SimObserver> Simulator<O> {
                 },
             );
         }
-        for (slot, prefix, at) in actions.rfd_wakeups {
+        for (slot, prefix, at) in actions.rfd_wakeups.drain(..) {
             debug_assert!(at >= now, "reuse time in the past");
             self.queue
                 .schedule(at.max(now), SimEvent::RfdReuse { node, slot, prefix });
         }
+        self.actions = actions;
         if armed_delta > 0 {
             self.armed_timers += armed_delta;
             self.mrai_armed_total += armed_delta;

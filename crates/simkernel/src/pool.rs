@@ -12,7 +12,8 @@
 //!
 //! * `f` must be a pure function of its index (each unit derives its own
 //!   seed; no shared mutable state), so scheduling order cannot influence
-//!   any result.
+//!   any result. Per-worker state ([`run_indexed_with`]) may carry buffers
+//!   from one unit to the next, never values a result depends on.
 //! * The returned `Vec` is always index-ordered, so any fold the caller
 //!   performs over it is independent of which worker finished first.
 //! * `jobs <= 1` (or building without the `parallel` feature) takes a plain
@@ -65,30 +66,53 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_indexed_with(jobs, count, || (), |(), i| f(i))
+}
+
+/// [`run_indexed`] with per-worker state: every worker calls `init` once
+/// and hands `f` a mutable reference to its own state with each index it
+/// claims — scratch buffers, or a simulator recycled from unit to unit.
+///
+/// The determinism contract extends to the state: `f(state, i)` must
+/// return the same value whatever indices the worker's state served
+/// before, because which worker claims which index is a race. The
+/// sequential path (`jobs <= 1`) is the one-worker case: one `init`, every
+/// index in order on that state.
+pub fn run_indexed_with<S, T, I, F>(jobs: usize, count: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     if jobs <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
+        let mut state = init();
+        return (0..count).map(|i| f(&mut state, i)).collect();
     }
-    run_threaded(jobs.min(count), count, f)
+    run_threaded(jobs.min(count), count, init, f)
 }
 
 #[cfg(feature = "parallel")]
-fn run_threaded<T, F>(workers: usize, count: usize, f: F) -> Vec<T>
+fn run_threaded<S, T, I, F>(workers: usize, count: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
+                scope.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break;
+                        }
+                        let value = f(&mut state, i);
+                        *slots[i].lock().expect("result slot poisoned") = Some(value);
                     }
-                    let value = f(i);
-                    *slots[i].lock().expect("result slot poisoned") = Some(value);
                 })
             })
             .collect();
@@ -109,12 +133,14 @@ where
 }
 
 #[cfg(not(feature = "parallel"))]
-fn run_threaded<T, F>(_workers: usize, count: usize, f: F) -> Vec<T>
+fn run_threaded<S, T, I, F>(_workers: usize, count: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
-    (0..count).map(f).collect()
+    let mut state = init();
+    (0..count).map(|i| f(&mut state, i)).collect()
 }
 
 #[cfg(test)]
@@ -137,6 +163,31 @@ mod tests {
     fn results_are_index_ordered() {
         let out = run_indexed(4, 100, |i| i);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn per_worker_state_is_made_once_per_worker_and_reused() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for jobs in [1, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let out = run_indexed_with(
+                jobs,
+                40,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |served, i| {
+                    served.push(i);
+                    // The state is the worker's own: indices only grow.
+                    assert!(served.windows(2).all(|w| w[0] < w[1]));
+                    i * 2
+                },
+            );
+            assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>());
+            let made = inits.load(Ordering::Relaxed);
+            assert!((1..=jobs).contains(&made), "jobs={jobs}: {made} states");
+        }
     }
 
     #[test]

@@ -280,10 +280,14 @@ impl<E> TimingWheel<E> {
     /// Removes all pending events and resets the clock and the `popped`
     /// counter; sequence numbering and op tallies are kept (matching
     /// the heap backend's reset semantics).
+    ///
+    /// Bucket storage is released, not kept: which buckets a run fills
+    /// depends on its timestamps, so a wheel reused across runs would
+    /// otherwise hold the union of every run's bursts.
     pub fn reset(&mut self) {
         for level in &mut self.levels {
             for bucket in &mut level.buckets {
-                bucket.clear();
+                *bucket = Vec::new();
             }
             for word in &mut level.occ {
                 *word = 0;
@@ -482,6 +486,30 @@ mod tests {
         assert_eq!(w.op_counts(), before, "op tallies are monotone");
         w.schedule(SimTime::from_micros(1), ());
         assert_eq!(w.pop().unwrap().0, SimTime::from_micros(1));
+    }
+
+    #[test]
+    fn reset_releases_bucket_storage() {
+        let reserved = |w: &TimingWheel<u64>| -> usize {
+            w.levels
+                .iter()
+                .flat_map(|l| l.buckets.iter())
+                .map(Vec::capacity)
+                .sum()
+        };
+        let mut w = TimingWheel::new(8);
+        for i in 0..1000u64 {
+            w.schedule(SimTime::from_micros(i * 7919), i);
+        }
+        // A run_until-style partial drain: drained buckets get their
+        // allocation handed back, undrained ones still hold entries.
+        for _ in 0..300 {
+            w.pop();
+        }
+        assert!(reserved(&w) > 0);
+        w.reset();
+        assert_eq!(reserved(&w), 0, "a reused wheel must not ratchet");
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -140,3 +140,97 @@ fn wheel_matches_heap_on_mrai_like_load() {
     }
     assert!(wheel.op_counts().cascades > 0, "far timers must cascade");
 }
+
+/// One round of a reuse trace: schedule/pop per `script`, then either
+/// drain to empty or stop at a `run_until`-style deadline with events
+/// still pending. Pops are compared pointwise across all three queues.
+fn reuse_round(
+    queues: &mut [&mut EventQueue<u64>; 3],
+    g: &mut Xoshiro256StarStar,
+    script: &[bool],
+    drain: bool,
+) {
+    let mut scheduled = 0u64;
+    for &do_pop in script {
+        if do_pop {
+            let [a, b, c] = queues.each_mut().map(|q| q.pop());
+            assert_eq!(a, b, "reused wheel disagrees with the heap");
+            assert_eq!(a, c, "reused wheel disagrees with a fresh wheel");
+        } else {
+            // Near deliveries and far (MRAI-like) timers, so a partial
+            // drain leaves entries parked in the upper levels.
+            let dt = if g.next_below(4) == 0 {
+                SimDuration::from_secs(30) + SimDuration::from_micros(g.next_below(7_500_000))
+            } else {
+                SimDuration::from_micros(g.next_below(50_000))
+            };
+            for q in queues.iter_mut() {
+                q.schedule(q.now() + dt, scheduled);
+            }
+            scheduled += 1;
+        }
+    }
+    if drain {
+        loop {
+            let [a, b, c] = queues.each_mut().map(|q| q.pop());
+            assert_eq!(a, b);
+            assert_eq!(a, c);
+            if a.is_none() {
+                break;
+            }
+        }
+    } else {
+        // run_until: pop while the next event is due by the deadline.
+        let deadline = queues[0].now() + SimDuration::from_secs(1);
+        while queues[0].peek_time().is_some_and(|t| t <= deadline) {
+            let [a, b, c] = queues.each_mut().map(|q| q.pop());
+            assert_eq!(a, b);
+            assert_eq!(a, c);
+        }
+        for q in queues.iter() {
+            assert_eq!(q.peek_time(), queues[0].peek_time());
+        }
+    }
+}
+
+proptest! {
+    /// Queue reuse across `reset`: a wheel that is reset and reused —
+    /// after a full drain or with a `run_until`-style partial drain
+    /// leaving events pending in every level — pops exactly what the heap
+    /// pops, and each round costs it exactly the ops a brand-new wheel
+    /// pays for the same round. (ROADMAP item 5.)
+    #[test]
+    fn wheel_parity_survives_reset_and_reuse(
+        seed in any::<u64>(),
+        rounds in prop::collection::vec(
+            (prop::collection::vec(any::<bool>(), 1..120), any::<bool>()),
+            2..5,
+        ),
+        slot_bits in prop::sample::select(vec![2u32, 8]),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut reused: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel { slot_bits });
+        let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+        for (script, drain) in &rounds {
+            let mut fresh: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel { slot_bits });
+            let before = reused.op_counts();
+            reuse_round(&mut [&mut reused, &mut heap, &mut fresh], &mut g, script, *drain);
+            let after = reused.op_counts();
+            let paid = bgpscale_simkernel::QueueOpCounts {
+                pushes: after.pushes - before.pushes,
+                pops: after.pops - before.pops,
+                decreases: after.decreases - before.decreases,
+                comparisons: after.comparisons - before.comparisons,
+                cascades: after.cascades - before.cascades,
+            };
+            prop_assert_eq!(paid, fresh.op_counts(), "a reused wheel's round must cost what a new wheel's does");
+            prop_assert_eq!(reused.len(), heap.len());
+            reused.reset();
+            heap.reset();
+            prop_assert!(reused.is_empty());
+            prop_assert_eq!(reused.now(), heap.now());
+            prop_assert_eq!(reused.popped(), 0);
+            prop_assert_eq!(reused.op_counts(), after, "reset keeps the tallies");
+        }
+    }
+}
