@@ -178,7 +178,7 @@ impl SessionSlab {
         self.len() == 0
     }
 
-    // detflow::allow(panic-surface, reason = "node < len() is the caller contract; offsets has len()+1 entries by construction so node and node+1 are in bounds")
+    // det::allow(panic-surface, reason = "node < len() is the caller contract; offsets has len()+1 entries by construction so node and node+1 are in bounds")
     fn range(&self, node: u32) -> std::ops::Range<usize> {
         let lo = self.offsets[node as usize] as usize;
         let hi = self.offsets[node as usize + 1] as usize;
@@ -186,7 +186,7 @@ impl SessionSlab {
     }
 
     /// Node `node`'s sessions, in slot order.
-    // detflow::allow(panic-surface, reason = "range() returns offsets bounded by sessions.len() (the final offsets entry) by construction")
+    // det::allow(panic-surface, reason = "range() returns offsets bounded by sessions.len() (the final offsets entry) by construction")
     pub fn sessions(&self, node: u32) -> &[Session] {
         &self.sessions[self.range(node)]
     }
@@ -199,7 +199,6 @@ impl SessionSlab {
 
     /// The slot of `peer` on node `node`, if it is a neighbor — a binary
     /// search over the node's sorted lookup stripe.
-    // detflow::allow(panic-surface, reason = "range() is in bounds for lookup, which parallels sessions; binary_search returns an index inside the searched slice")
     pub fn slot_of(&self, node: u32, peer: AsId) -> Option<u32> {
         let stripe = &self.lookup[self.range(node)];
         stripe
@@ -215,7 +214,7 @@ impl SessionSlab {
     ///
     /// # Panics
     /// Panics on a slab that is not closed (see the `mirror` column).
-    // detflow::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract, and the simulator's slab is built from a topology, whose adjacency is symmetric: the mirror column is filled")
+    // det::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract, and the simulator's slab is built from a topology, whose adjacency is symmetric: the mirror column is filled")
     pub fn far_end(&self, node: u32, slot: u32) -> (AsId, u32) {
         let session = (self.offsets[node as usize] + slot) as usize;
         (self.sessions[session].peer, self.mirror[session])
@@ -224,7 +223,7 @@ impl SessionSlab {
     /// Index of node `node`'s slot 0 in the global session id space —
     /// the base for flat per-session side tables (the simulator's MRAI
     /// epoch array indexes `first_session(node) + slot`).
-    // detflow::allow(panic-surface, reason = "node <= len() is the caller contract and offsets has len()+1 entries by construction")
+    // det::allow(panic-surface, reason = "node <= len() is the caller contract and offsets has len()+1 entries by construction")
     pub fn first_session(&self, node: u32) -> u32 {
         self.offsets[node as usize]
     }
@@ -359,39 +358,39 @@ impl PrefixTable {
     }
 
     /// The Adj-RIB-in stripe of `row`: one cell per slot.
-    // detflow::allow(panic-surface, reason = "row is a live row index, and rib_in holds exactly len()*slots cells by construction")
+    // det::allow(panic-surface, reason = "row is a live row index, and rib_in holds exactly len()*slots cells by construction")
     pub fn rib_in(&self, row: usize) -> &[Option<AsPath>] {
         let slots = self.slots as usize;
         &self.rib_in[row * slots..(row + 1) * slots]
     }
 
     /// One Adj-RIB-in cell.
-    // detflow::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
+    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
     pub fn rib_in_cell(&self, row: usize, slot: u32) -> &Option<AsPath> {
         &self.rib_in[row * self.slots as usize + slot as usize]
     }
 
     /// Overwrites one Adj-RIB-in cell.
-    // detflow::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
+    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
     pub fn set_rib_in(&mut self, row: usize, slot: u32, path: Option<AsPath>) {
         self.rib_in[row * self.slots as usize + slot as usize] = path;
     }
 
     /// True while the node originates the row's prefix.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
     pub fn originated(&self, row: usize) -> bool {
         self.originated[row]
     }
 
     /// Marks/unmarks the row's prefix as self-originated.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
     pub fn set_originated(&mut self, row: usize, on: bool) {
         self.originated[row] = on;
     }
 
     /// The Loc-RIB best for `row`: `None` if unreachable, else
     /// `(slot-or-SELF_SLOT, path as received)`.
-    // detflow::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
     pub fn best(&self, row: usize) -> Option<(u32, &AsPath)> {
         match self.best_slot[row] {
             NO_BEST => None,
@@ -400,7 +399,7 @@ impl PrefixTable {
     }
 
     /// Replaces the Loc-RIB best for `row`.
-    // detflow::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
     pub fn set_best(&mut self, row: usize, best: Option<(u32, AsPath)>) {
         match best {
             None => {
@@ -416,13 +415,13 @@ impl PrefixTable {
     }
 
     /// Whether the sorted candidate order for `row` is exact.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
     pub(crate) fn order_valid(&self, row: usize) -> bool {
         self.order_valid[row]
     }
 
     /// Marks the sorted candidate order for `row` exact or stale.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
     pub(crate) fn set_order_valid(&mut self, row: usize, valid: bool) {
         self.order_valid[row] = valid;
     }
@@ -441,7 +440,7 @@ impl PrefixTable {
     ///   pays its `log k` ranking cost at most once per reign of a top,
     ///   so a withdrawal storm costs `k·log k` amortized instead of the
     ///   `k` comparisons per withdrawal a rescan would pay.
-    // detflow::allow(panic-surface, reason = "row is a live row index, so its ranks/rib_key stripes are in bounds; order and limbo hold distinct slots < slots, so their lengths sum to at most slots and every stripe index below stays inside the stripe")
+    // det::allow(panic-surface, reason = "row is a live row index, so its ranks/rib_key stripes are in bounds; order and limbo hold distinct slots < slots, so their lengths sum to at most slots and every stripe index below stays inside the stripe")
     pub(crate) fn order_update(&mut self, row: usize, slot: u32, key: Option<u128>) -> u64 {
         let slots = self.slots as usize;
         let base = row * slots;
@@ -519,7 +518,7 @@ impl PrefixTable {
     /// number of key comparisons the binary search performed. Used by
     /// full rebuilds; incremental maintenance goes through
     /// [`PrefixTable::order_update`].
-    // detflow::allow(panic-surface, reason = "row is a live row index and slot < slots is the caller contract, so the row's ranks/rib_key stripes and the slot's key cell are in bounds")
+    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the caller contract, so the row's ranks/rib_key stripes and the slot's key cell are in bounds")
     pub(crate) fn order_insert(&mut self, row: usize, slot: u32, key: u128) -> u64 {
         let slots = self.slots as usize;
         let base = row * slots;
@@ -533,7 +532,7 @@ impl PrefixTable {
     }
 
     /// Clears the row's candidate bookkeeping (prelude to a rebuild).
-    // detflow::allow(panic-surface, reason = "row is a live row index; the rank_len column parallels the prefix column")
+    // det::allow(panic-surface, reason = "row is a live row index; the rank_len column parallels the prefix column")
     pub(crate) fn order_clear_row(&mut self, row: usize) {
         self.rank_len[row] = [0, 0];
     }
@@ -541,7 +540,7 @@ impl PrefixTable {
     /// The best candidate slot for `row` per the sorted order (the
     /// largest cached key), or `None` for an empty row. Only meaningful
     /// while [`PrefixTable::order_valid`] holds.
-    // detflow::allow(panic-surface, reason = "row is a live row index; the order's length is at most slots, so its last entry is inside the row's ranks stripe")
+    // det::allow(panic-surface, reason = "row is a live row index; the order's length is at most slots, so its last entry is inside the row's ranks stripe")
     pub(crate) fn order_best(&self, row: usize) -> Option<u32> {
         let order_len = self.rank_len[row][0] as usize;
         (order_len > 0).then(|| self.ranks[row * self.slots as usize + order_len - 1])
@@ -584,7 +583,7 @@ impl PrefixTable {
 /// counting one comparison per probe. Keys are distinct across slots (the
 /// packed key ends in the neighbor id), so the insertion point is
 /// unambiguous. The cell at `*order_len` must be free.
-// detflow::allow(panic-surface, reason = "lo/hi stay within the order, which with the free cell the caller guarantees stays within the stripe; stripe entries are slots, which index the row's key stripe")
+// det::allow(panic-surface, reason = "lo/hi stay within the order, which with the free cell the caller guarantees stays within the stripe; stripe entries are slots, which index the row's key stripe")
 fn binary_insert(stripe: &mut [u32], order_len: &mut usize, keys: &[u128], slot: u32) -> u64 {
     let key = keys[slot as usize];
     let mut comparisons = 0u64;
@@ -630,7 +629,7 @@ impl DampTable {
     }
 
     /// The damping state for `(slot, prefix)`, if any.
-    // detflow::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
+    // det::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
     pub fn get(&self, slot: u32, prefix: Prefix) -> Option<&DampState> {
         self.entries
             .binary_search_by_key(&(slot, prefix), |&(k, _)| k)
@@ -639,7 +638,7 @@ impl DampTable {
     }
 
     /// Mutable damping state for `(slot, prefix)`, if any.
-    // detflow::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
+    // det::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
     pub fn get_mut(&mut self, slot: u32, prefix: Prefix) -> Option<&mut DampState> {
         self.entries
             .binary_search_by_key(&(slot, prefix), |&(k, _)| k)
@@ -648,7 +647,7 @@ impl DampTable {
     }
 
     /// The damping state for `(slot, prefix)`, default-inserting.
-    // detflow::allow(panic-surface, reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at")
+    // det::allow(panic-surface, reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at")
     pub fn get_or_insert(&mut self, slot: u32, prefix: Prefix) -> &mut DampState {
         let key = (slot, prefix);
         let i = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {

@@ -8,12 +8,10 @@
 //! `bgpscale-core`, or a unit test) decides when those happen. The node
 //! never sees the clock.
 //!
-//! The entry points come in two forms. The working form appends to an
-//! `&mut Actions` the caller owns — the simulator keeps one, drains it
-//! after every step and hands it back, so a protocol step allocates no
-//! buffers. The by-value form ([`BgpNode::originate`],
-//! [`BgpNode::handle_update_at`], [`BgpNode::mrai_expired`], …) is a
-//! one-line shim over it for standalone use and unit tests.
+//! Every entry point ([`BgpNode::originate_caused`], [`BgpNode::receive`],
+//! [`BgpNode::mrai_flush`], …) appends to an `&mut Actions` the caller
+//! owns — the simulator keeps one, drains it after every step and hands
+//! it back, so a protocol step allocates no buffers.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -73,7 +71,7 @@ pub struct Actions {
     /// entry and eventually calls [`BgpNode::mrai_flush`] with the prefix.
     pub arm_prefix_timers: Vec<(u32, Prefix)>,
     /// Route-flap-damping reuse wake-ups to schedule: at the given time,
-    /// call [`BgpNode::rfd_reuse`] for the (slot, prefix) pair.
+    /// call [`BgpNode::rfd_reuse_caused`] for the (slot, prefix) pair.
     pub rfd_wakeups: Vec<(u32, Prefix, SimTime)>,
 }
 
@@ -137,7 +135,7 @@ pub struct BgpNode {
     table: PrefixTable,
     out: Vec<OutQueue>,
     /// Per-slot session liveness. A down session receives no exports and
-    /// contributes no routes; see [`BgpNode::session_down`].
+    /// contributes no routes; see [`BgpNode::session_down_caused`].
     active: Vec<bool>,
     /// Route Flap Damping configuration; `None` disables damping (the
     /// paper's configuration).
@@ -323,7 +321,7 @@ impl BgpNode {
     }
 
     /// True while `slot`'s MRAI timer is armed.
-    // detflow::allow(panic-surface, reason = "slot is a session index minted by this node's own slab lookup; out holds one queue per session by construction")
+    // det::allow(panic-surface, reason = "slot is a session index minted by this node's own slab lookup; out holds one queue per session by construction")
     pub fn timer_armed(&self, slot: u32) -> bool {
         self.out[slot as usize].timer_armed()
     }
@@ -336,32 +334,17 @@ impl BgpNode {
         self.out[slot as usize].armed_count() as u32
     }
 
-    /// Starts originating `prefix`.
-    pub fn originate(&mut self, prefix: Prefix) -> Actions {
-        let mut out = Actions::default();
-        self.originate_caused(prefix, &Provenance::none(), &mut out);
-        out
-    }
-
-    /// [`BgpNode::originate`] with a provenance stamp for the resulting
-    /// exports, which are appended to `out`. The by-value entry points
-    /// delegate to the `_caused` forms with [`Provenance::none`]; stamping
-    /// never changes routing behavior.
+    /// Starts originating `prefix`. `cause` stamps the resulting exports,
+    /// which are appended to `out`; pass [`Provenance::none`] when there is
+    /// nothing to attribute — stamping never changes routing behavior.
     pub fn originate_caused(&mut self, prefix: Prefix, cause: &Provenance, out: &mut Actions) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, true);
         self.reevaluate(row, prefix, cause, Reeval::Full, out);
     }
 
-    /// Stops originating `prefix` (the "DOWN" half of a C-event).
-    pub fn withdraw_origin(&mut self, prefix: Prefix) -> Actions {
-        let mut out = Actions::default();
-        self.withdraw_origin_caused(prefix, &Provenance::none(), &mut out);
-        out
-    }
-
-    /// [`BgpNode::withdraw_origin`] with a provenance stamp, appending to
-    /// `out`.
+    /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
+    /// the resulting exports with `cause` and appending them to `out`.
     pub fn withdraw_origin_caused(
         &mut self,
         prefix: Prefix,
@@ -371,35 +354,6 @@ impl BgpNode {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, false);
         self.reevaluate(row, prefix, cause, Reeval::Full, out);
-    }
-
-    /// Processes one UPDATE received from `from`, with damping disabled
-    /// or time-independent. Equivalent to
-    /// [`BgpNode::handle_update_at`]`(from, update, SimTime::ZERO)`; use
-    /// the `_at` form when Route Flap Damping is enabled (its penalties
-    /// decay in simulated time).
-    ///
-    /// # Panics
-    /// Panics if `from` is not a configured neighbor.
-    pub fn handle_update(&mut self, from: AsId, update: Update) -> Actions {
-        self.handle_update_at(from, update, SimTime::ZERO)
-    }
-
-    /// Processes one UPDATE received from `from` at simulated time `now`:
-    /// resolves the sender to its session slot and runs
-    /// [`BgpNode::receive`].
-    ///
-    /// # Panics
-    /// Panics if `from` is not a configured neighbor.
-    // detflow::allow(panic-surface, reason = "non-neighbor senders are a documented panic (# Panics above)")
-    pub fn handle_update_at(&mut self, from: AsId, update: Update, now: SimTime) -> Actions {
-        let slot = self
-            .slab
-            .slot_of(self.slab_idx, from)
-            .unwrap_or_else(|| panic!("{}: update from non-neighbor {from}", self.id));
-        let mut out = Actions::default();
-        self.receive(slot, update, now, &mut out);
-        out
     }
 
     /// Processes one UPDATE that arrived over session `slot` at simulated
@@ -460,13 +414,7 @@ impl BgpNode {
     /// damped route becomes eligible again and the decision process
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
-    pub fn rfd_reuse(&mut self, slot: u32, prefix: Prefix, now: SimTime) -> Actions {
-        let mut out = Actions::default();
-        self.rfd_reuse_caused(slot, prefix, now, &Provenance::none(), &mut out);
-        out
-    }
-
-    /// [`BgpNode::rfd_reuse`] with a provenance stamp, appending to `out`.
+    /// Exports are stamped with `cause` and appended to `out`.
     pub fn rfd_reuse_caused(
         &mut self,
         slot: u32,
@@ -500,21 +448,13 @@ impl BgpNode {
     /// BGP session drop implicitly withdraws the whole Adj-RIB-in), the
     /// output queue is cleared (the neighbor has likewise discarded our
     /// routes), and the decision process re-runs for every affected
-    /// prefix; the returned actions notify the *other* neighbors.
+    /// prefix; the actions appended to `out` notify the *other* neighbors.
     ///
     /// The caller must invalidate any outstanding MRAI expiry for this
     /// slot (the simulator tracks a per-slot epoch).
     ///
     /// # Panics
     /// Panics if the session is already down.
-    pub fn session_down(&mut self, slot: u32) -> Actions {
-        let mut out = Actions::default();
-        self.session_down_caused(slot, &Provenance::none(), &mut out);
-        out
-    }
-
-    /// [`BgpNode::session_down`] with a provenance stamp, appending to
-    /// `out`.
     pub fn session_down_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
         assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
         self.active[slot as usize] = false;
@@ -540,14 +480,6 @@ impl BgpNode {
     ///
     /// # Panics
     /// Panics if the session is already up.
-    pub fn session_up(&mut self, slot: u32) -> Actions {
-        let mut out = Actions::default();
-        self.session_up_caused(slot, &Provenance::none(), &mut out);
-        out
-    }
-
-    /// [`BgpNode::session_up`] with a provenance stamp for the replayed
-    /// table, appending to `out`.
     pub fn session_up_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
         assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
         self.active[slot as usize] = true;
@@ -604,7 +536,7 @@ impl BgpNode {
     /// under [`MraiScope::PerPrefix`]) — appending the flushed
     /// transmissions to `out`, plus one timer arm iff something was sent:
     /// the caller re-arms exactly the timers `out` lists.
-    // detflow::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
+    // det::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
     pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, out: &mut Actions) {
         if self.out[slot as usize].flush(trigger, slot, &mut out.sends) {
             match trigger {
@@ -612,22 +544,6 @@ impl BgpNode {
                 Some(prefix) => out.arm_prefix_timers.push((slot, prefix)),
             }
         }
-    }
-
-    /// By-value [`BgpNode::mrai_flush`] for the per-interface timer of
-    /// `slot`.
-    pub fn mrai_expired(&mut self, slot: u32) -> Actions {
-        let mut out = Actions::default();
-        self.mrai_flush(slot, None, &mut out);
-        out
-    }
-
-    /// By-value [`BgpNode::mrai_flush`] for the per-prefix timer of
-    /// `(slot, prefix)`.
-    pub fn mrai_prefix_expired(&mut self, slot: u32, prefix: Prefix) -> Actions {
-        let mut out = Actions::default();
-        self.mrai_flush(slot, Some(prefix), &mut out);
-        out
     }
 
     /// Clears all routing state (RIBs, output queues), keeping the session
@@ -665,7 +581,7 @@ impl BgpNode {
     /// binary-search insertion per held route, every key comparison
     /// counted. Only needed after the order was invalidated (damping
     /// reconfiguration, or a row maintained while damping was on).
-    // detflow::allow(panic-surface, reason = "row is a live row index and the rib_in stripe enumerates exactly this node's session slots, which index the slab stripe by construction")
+    // det::allow(panic-surface, reason = "row is a live row index and the rib_in stripe enumerates exactly this node's session slots, which index the slab stripe by construction")
     fn rebuild_order(&mut self, row: usize) {
         self.table.order_clear_row(row);
         let sessions = self.slab.sessions(self.slab_idx);
@@ -700,7 +616,7 @@ impl BgpNode {
     /// `hint` narrows the decision (see [`Reeval`]); it is only honored
     /// with damping off — RFD changes route *eligibility* independently of
     /// the Adj-RIB-in, invalidating the single-slot reasoning.
-    // detflow::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
+    // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
     fn reevaluate(
         &mut self,
         row: usize,
@@ -870,6 +786,15 @@ mod tests {
         )
     }
 
+    /// Runs one in-place entry point on an empty buffer and returns what it
+    /// appended: the tests' by-value view of the in-place API. In `node()`
+    /// AS1, AS2 and AS3 sit on slots 0, 1 and 2.
+    fn act(f: impl FnOnce(&mut Actions)) -> Actions {
+        let mut out = Actions::default();
+        f(&mut out);
+        out
+    }
+
     fn sends_to(actions: &Actions) -> Vec<u32> {
         actions.sends.iter().map(|(s, _)| *s).collect()
     }
@@ -877,7 +802,7 @@ mod tests {
     #[test]
     fn origination_announces_to_everyone() {
         let mut n = node();
-        let a = n.originate(P);
+        let a = act(|o| n.originate_caused(P, &Provenance::none(), o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert_eq!(a.arm_timers, vec![0, 1, 2]);
         for (_, u) in &a.sends {
@@ -889,7 +814,7 @@ mod tests {
     #[test]
     fn customer_route_exports_to_everyone_else() {
         let mut n = node();
-        let a = n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // Export to peer and provider (customer route), but not back to the
         // customer (loop detection: AS1 is on the path).
         assert_eq!(sends_to(&a), vec![1, 2]);
@@ -901,14 +826,14 @@ mod tests {
     #[test]
     fn provider_route_exports_only_to_customers() {
         let mut n = node();
-        let a = n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(sends_to(&a), vec![0], "only the customer hears about it");
     }
 
     #[test]
     fn peer_route_exports_only_to_customers() {
         let mut n = node();
-        let a = n.handle_update(AsId(2), Update::announce(P, vec![AsId(2), AsId(9)]));
+        let a = act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(sends_to(&a), vec![0]);
     }
 
@@ -916,13 +841,13 @@ mod tests {
     fn better_route_triggers_reexport_with_new_path() {
         let mut n = node();
         // Provider route first: exported to customer only.
-        n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         // Customer route arrives: better (prefer-customer). Peers and
         // providers hear the new path immediately (their timers are idle).
         // The customer itself cannot be given its own route back (loop
         // detection) — instead the stale provider route we advertised to it
         // is withdrawn, immediately under NO-WRATE.
-        let a = n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(7), AsId(9)]));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(7), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert!(a.sends[0].1.kind.is_withdraw(), "stale route to customer revoked");
         assert_eq!(
@@ -932,7 +857,7 @@ mod tests {
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // Slot 0's timer (armed by the earlier provider-route export) has
         // nothing pending at expiry and goes idle.
-        let f = n.mrai_expired(0);
+        let f = act(|o| n.mrai_flush(0, None, o));
         assert!(f.sends.is_empty());
         assert!(f.arm_timers.is_empty());
     }
@@ -940,9 +865,9 @@ mod tests {
     #[test]
     fn worse_route_does_not_displace_best() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // A provider route arrives; best (customer) unchanged → no exports.
-        let a = n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
@@ -950,15 +875,15 @@ mod tests {
     #[test]
     fn withdrawal_falls_back_to_alternate_route() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
-        n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         // Customer withdraws; best falls back to the provider route, which
         // may only be exported to customers. Slot 0's timer is idle (the
         // customer was never sent anything — loop detection), so the new
         // announcement goes out at once; slots 1 and 2, which previously
         // got the customer route, receive withdrawals immediately
         // (NO-WRATE).
-        let a = n.handle_update(AsId(1), Update::withdraw(P));
+        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
         let withdraws: Vec<u32> = a
             .sends
             .iter()
@@ -976,15 +901,15 @@ mod tests {
         assert_eq!(a.arm_timers, vec![0], "only the announcement arms a timer");
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         // Slot 0's timer expires with nothing pending.
-        let f = n.mrai_expired(0);
+        let f = act(|o| n.mrai_flush(0, None, o));
         assert!(f.sends.is_empty());
     }
 
     #[test]
     fn total_loss_withdraws_from_everyone_reached() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
-        let a = n.handle_update(AsId(1), Update::withdraw(P));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
         // No alternate: withdraw goes to the peers/providers that heard
         // the announcement. The customer never got it (loop), so no
         // withdrawal there.
@@ -1003,11 +928,11 @@ mod tests {
             vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
             MraiMode::Wrate,
         );
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // Announcement armed slot 1's timer; the withdrawal must queue.
-        let a = n.handle_update(AsId(1), Update::withdraw(P));
+        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
         assert!(a.sends.is_empty(), "WRATE withdrawal must wait for MRAI");
-        let f = n.mrai_expired(1);
+        let f = act(|o| n.mrai_flush(1, None, o));
         assert_eq!(f.sends.len(), 1);
         assert!(f.sends[0].1.kind.is_withdraw());
         assert_eq!(f.arm_timers, vec![1], "withdrawal re-arms under WRATE");
@@ -1016,14 +941,14 @@ mod tests {
     #[test]
     fn flap_within_mrai_window_is_absorbed() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // Withdraw + identical re-announce before any timer expires.
-        let w = n.handle_update(AsId(1), Update::withdraw(P));
+        let w = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
         assert_eq!(w.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
-        let r = n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        let r = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // Timers on slots 1,2 are armed, so the re-announcements queue.
         assert!(r.sends.is_empty());
-        let f1 = n.mrai_expired(1);
+        let f1 = act(|o| n.mrai_flush(1, None, o));
         assert_eq!(f1.sends.len(), 1);
         assert!(f1.sends[0].1.kind.is_announce());
     }
@@ -1031,11 +956,11 @@ mod tests {
     #[test]
     fn self_origination_beats_any_learned_route() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
-        n.originate(P);
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.originate_caused(P, &Provenance::none(), o));
         assert_eq!(n.best_route(P), Some((None, &AsPath::new())));
         // Withdrawing the origin falls back to the learned route.
-        n.withdraw_origin(P);
+        act(|o| n.withdraw_origin_caused(P, &Provenance::none(), o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
@@ -1049,15 +974,15 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]));
-        n.handle_update(AsId(2), Update::announce(P, vec![AsId(2), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(2)));
     }
 
     #[test]
     fn looping_announcement_is_ignored() {
         let mut n = node();
-        let a = n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(0), AsId(9)]));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(0), AsId(9)]), SimTime::ZERO, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P), None);
     }
@@ -1065,11 +990,11 @@ mod tests {
     #[test]
     fn reset_routing_clears_ribs_but_keeps_sessions() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         // Only slots 1 and 2 were armed (the customer route was exported
         // to the peer and provider; nothing went back to the customer).
-        n.mrai_expired(1);
-        n.mrai_expired(2);
+        act(|o| n.mrai_flush(1, None, o));
+        act(|o| n.mrai_flush(2, None, o));
         n.reset_routing();
         assert_eq!(n.best_route(P), None);
         assert_eq!(n.sessions().len(), 3);
@@ -1077,10 +1002,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "update from non-neighbor")]
-    fn update_from_stranger_panics() {
+    #[should_panic]
+    fn update_on_an_unknown_slot_panics() {
         let mut n = node();
-        n.handle_update(AsId(42), Update::withdraw(P));
+        act(|o| n.receive(3, Update::withdraw(P), SimTime::ZERO, o));
     }
 
     #[test]
@@ -1096,11 +1021,11 @@ mod tests {
     #[test]
     fn session_down_invalidates_learned_routes_and_notifies_others() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
-        let a = n.session_down(0);
+        let a = act(|o| n.session_down_caused(0, &Provenance::none(), o));
         assert!(!n.session_active(0));
         assert_eq!(n.best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
@@ -1111,10 +1036,10 @@ mod tests {
     #[test]
     fn down_session_receives_no_exports() {
         let mut n = node();
-        n.session_down(0);
+        act(|o| n.session_down_caused(0, &Provenance::none(), o));
         // A new best route arrives from the provider; normally the
         // customer (slot 0) would hear it, but the session is down.
-        let a = n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
         assert_eq!(n.advertised(0, P), None);
     }
@@ -1122,13 +1047,13 @@ mod tests {
     #[test]
     fn session_up_replays_the_table() {
         let mut n = node();
-        n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
-        n.originate(Prefix(7));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.originate_caused(Prefix(7), &Provenance::none(), o));
         // Drop and restore the customer session: on restore it must learn
         // both the provider-learned route and the originated prefix
         // (customers receive everything).
-        n.session_down(0);
-        let a = n.session_up(0);
+        act(|o| n.session_down_caused(0, &Provenance::none(), o));
+        let a = act(|o| n.session_up_caused(0, &Provenance::none(), o));
         assert!(n.session_active(0));
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
@@ -1143,18 +1068,18 @@ mod tests {
         // A provider-learned route must not be replayed to a peer session
         // that comes back up.
         let mut n = node();
-        n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
-        n.session_down(1); // peer
-        let a = n.session_up(1);
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.session_down_caused(1, &Provenance::none(), o)); // peer
+        let a = act(|o| n.session_up_caused(1, &Provenance::none(), o));
         assert!(a.sends.is_empty(), "provider route leaked to peer on replay");
     }
 
     #[test]
     fn session_down_clears_output_queue_state() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         assert!(n.advertised(1, P).is_some());
-        n.session_down(1);
+        act(|o| n.session_down_caused(1, &Provenance::none(), o));
         assert_eq!(n.advertised(1, P), None);
         assert!(!n.timer_armed(1));
     }
@@ -1163,8 +1088,8 @@ mod tests {
     #[should_panic(expected = "already down")]
     fn double_session_down_panics() {
         let mut n = node();
-        n.session_down(0);
-        n.session_down(0);
+        act(|o| n.session_down_caused(0, &Provenance::none(), o));
+        act(|o| n.session_down_caused(0, &Provenance::none(), o));
     }
 
     #[test]
@@ -1174,20 +1099,20 @@ mod tests {
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
         // A stable alternate via the provider.
-        n.handle_update_at(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO);
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         // The customer route flaps: announce, withdraw, announce, withdraw…
         let mut t = SimTime::from_secs(1);
         for _ in 0..3 {
-            n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), t);
+            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
             t += SimDuration::from_secs(1);
-            n.handle_update_at(AsId(1), Update::withdraw(P), t);
+            act(|o| n.receive(0, Update::withdraw(P), t, o));
             t += SimDuration::from_secs(1);
         }
         // Withdrawal(1000) ×3 + readvert(1000) ×2 ≫ suppress threshold.
         assert!(n.is_suppressed(0, P));
         // A further announcement installs the route but the decision
         // sticks with the stable provider route.
-        n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), t);
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
         assert_eq!(
             n.best_route(P).unwrap().0,
             Some(AsId(3)),
@@ -1201,36 +1126,36 @@ mod tests {
         use bgpscale_simkernel::{SimDuration, SimTime};
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        n.handle_update_at(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO);
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         let mut t = SimTime::from_secs(1);
         let mut wake = None;
         for _ in 0..4 {
-            n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), t);
+            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
             t += SimDuration::from_secs(1);
-            let a = n.handle_update_at(AsId(1), Update::withdraw(P), t);
+            let a = act(|o| n.receive(0, Update::withdraw(P), t, o));
             if let Some(&(_, _, at)) = a.rfd_wakeups.last() {
                 wake = Some(at);
             }
             t += SimDuration::from_secs(1);
         }
         // Final state: suppressed, route re-announced and stored.
-        n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), t);
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
         assert!(n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
-        let early = n.rfd_reuse(0, P, t + SimDuration::from_secs(60));
+        let early = act(|o| n.rfd_reuse_caused(0, P, t + SimDuration::from_secs(60), &Provenance::none(), o));
         assert!(early.is_empty());
         assert!(n.is_suppressed(0, P));
         // Well past the scheduled reuse time the customer route wins
         // again.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
-        n.rfd_reuse(0, P, wake);
+        act(|o| n.rfd_reuse_caused(0, P, wake, &Provenance::none(), o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // The re-selection's announcements queue behind the MRAI timers
         // armed during the flapping; flushing the peer slot reveals the
         // new best path on the wire.
-        let f = n.mrai_expired(1);
+        let f = act(|o| n.mrai_flush(1, None, o));
         assert!(
             f.sends.iter().any(|(_, u)| u.kind.is_announce()),
             "re-selection must (eventually) announce the change"
@@ -1243,11 +1168,11 @@ mod tests {
         use bgpscale_simkernel::SimTime;
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO);
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         assert!(!n.is_suppressed(0, P));
         // Stable routes never accumulate penalty: identical re-announce
         // is a no-op, not a flap.
-        n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO);
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
@@ -1257,8 +1182,8 @@ mod tests {
         use bgpscale_simkernel::SimTime;
         let mut n = node();
         for _ in 0..20 {
-            n.handle_update_at(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO);
-            n.handle_update_at(AsId(1), Update::withdraw(P), SimTime::ZERO);
+            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+            act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
         }
         assert!(!n.is_suppressed(0, P));
     }
@@ -1270,7 +1195,7 @@ mod tests {
         assert_eq!(before, NodeCostCounters::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         let c = n.cost_counters();
         assert_eq!(c.decision_runs, 1);
         assert_eq!(c.path_intern_misses, 1);
@@ -1278,13 +1203,13 @@ mod tests {
         assert_eq!(c.rib_out_writes, 2, "announced to peer and provider");
         // A competing provider route triggers exactly one comparison:
         // the incremental decision challenges the incumbent head-to-head.
-        n.handle_update(AsId(3), Update::announce(P, vec![AsId(3), AsId(9)]));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
         let c2 = n.cost_counters();
         assert_eq!(c2.decision_runs, 2);
         assert_eq!(c2.route_comparisons, 1);
         // Counters survive a routing reset (monotone).
-        n.mrai_expired(1);
-        n.mrai_expired(2);
+        act(|o| n.mrai_flush(1, None, o));
+        act(|o| n.mrai_flush(2, None, o));
         n.reset_routing();
         assert_eq!(n.cost_counters().decision_runs, 2);
     }
@@ -1292,7 +1217,7 @@ mod tests {
     #[test]
     fn advertised_tracks_what_was_sent() {
         let mut n = node();
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         assert_eq!(
             n.advertised(1, P),
             Some(&AsPath::from(vec![AsId(0), AsId(1), AsId(9)]))
@@ -1317,7 +1242,7 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        n.handle_update(AsId(1), Update::announce(P, vec![AsId(1), AsId(9)]));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
         let exported: Vec<&AsPath> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
         assert_eq!(exported.len(), 3, "customer route reaches the other three");
         for path in &exported[1..] {
@@ -1334,10 +1259,10 @@ mod tests {
         (a.sends.clone(), a.arm_timers.clone())
     }
 
-    /// The in-place entry points append to the caller's buffer — never
-    /// clearing it — exactly what the by-value shims return.
+    /// The entry points append to the caller's buffer — never clearing it
+    /// — exactly what they produce on an empty one.
     #[test]
-    fn in_place_entry_points_append_what_the_shims_return() {
+    fn entry_points_append_to_a_shared_buffer_what_they_produce_on_an_empty_one() {
         let (mut by_value, mut in_place) = (node(), node());
         let mut buf = Actions::default();
         let mut want = Actions::default();
@@ -1348,19 +1273,19 @@ mod tests {
         let customer = Update::announce(P, vec![AsId(1), AsId(9)]);
         let provider = Update::announce(P, vec![AsId(3), AsId(9)]);
 
-        push(by_value.handle_update(AsId(3), provider.clone()));
+        push(act(|o| by_value.receive(2, provider.clone(), SimTime::ZERO, o)));
         in_place.receive(2, provider, SimTime::ZERO, &mut buf);
-        push(by_value.handle_update(AsId(1), customer.clone()));
+        push(act(|o| by_value.receive(0, customer.clone(), SimTime::ZERO, o)));
         in_place.receive(0, customer, SimTime::ZERO, &mut buf);
-        push(by_value.mrai_expired(1));
+        push(act(|o| by_value.mrai_flush(1, None, o)));
         in_place.mrai_flush(1, None, &mut buf);
-        push(by_value.originate(Prefix(7)));
+        push(act(|o| by_value.originate_caused(Prefix(7), &Provenance::none(), o)));
         in_place.originate_caused(Prefix(7), &Provenance::none(), &mut buf);
-        push(by_value.session_down(0));
+        push(act(|o| by_value.session_down_caused(0, &Provenance::none(), o)));
         in_place.session_down_caused(0, &Provenance::none(), &mut buf);
-        push(by_value.session_up(0));
+        push(act(|o| by_value.session_up_caused(0, &Provenance::none(), o)));
         in_place.session_up_caused(0, &Provenance::none(), &mut buf);
-        push(by_value.withdraw_origin(Prefix(7)));
+        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), &Provenance::none(), o)));
         in_place.withdraw_origin_caused(Prefix(7), &Provenance::none(), &mut buf);
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
@@ -1388,7 +1313,7 @@ mod tests {
         let mut used = node();
         used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(8)]), SimTime::ZERO, &mut Actions::default());
         used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(7), AsId(8)]), SimTime::ZERO, &mut Actions::default());
-        used.session_down(2);
+        act(|o| used.session_down_caused(2, &Provenance::none(), o));
         assert!(used.timer_armed(1), "recycled mid-window, timers armed");
         let spent = used.cost_counters();
         used.recycle();
@@ -1425,7 +1350,7 @@ mod tests {
         assert_eq!(a.slot_of(AsId(1)), Some(0));
         assert_eq!(b.slot_of(AsId(0)), Some(0));
         assert_eq!(a.sessions().len(), 1);
-        let acts = a.originate(P);
+        let acts = act(|o| a.originate_caused(P, &Provenance::none(), o));
         assert_eq!(sends_to(&acts), vec![0]);
         assert!(a.arena_bytes() > 0, "prefix rows are accounted");
         assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
@@ -1453,11 +1378,11 @@ mod tests {
             let slot = g.next_below(5) as usize;
             let peer = sessions[slot].peer;
             if g.next_below(3) == 0 {
-                n.handle_update(peer, Update::withdraw(P));
+                act(|o| n.receive(slot as u32, Update::withdraw(P), SimTime::ZERO, o));
                 mirror[slot] = None;
             } else {
                 let path = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
-                n.handle_update(peer, Update::announce(P, path.clone()));
+                act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), SimTime::ZERO, o));
                 mirror[slot] = Some(AsPath::from(path));
             }
             let mut want: Option<(u32, &AsPath)> = None;

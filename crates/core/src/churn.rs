@@ -30,7 +30,7 @@ impl Timeline {
         }
     }
 
-    // detflow::allow(panic-surface, reason = "counts is resized to idx + 1 on the line before the index")
+    // det::allow(panic-surface, reason = "counts is resized to idx + 1 on the line before the index")
     fn record(&mut self, now: SimTime) {
         let idx = (now.saturating_since(self.origin).as_micros() / self.bin.as_micros()) as usize;
         if idx >= self.counts.len() {
@@ -55,13 +55,13 @@ impl Timeline {
     }
 
     /// Peak-to-mean ratio over non-empty time (0 if nothing recorded).
-    pub fn peak_to_mean(&self) -> f64 { // detlint::allow(float-accum, reason = "display-only ratio derived from exact integer bins; not part of the serialized report")
+    pub fn peak_to_mean(&self) -> f64 { // det::allow(float-accum, reason = "display-only ratio derived from exact integer bins; not part of the serialized report")
         let total: u64 = self.counts.iter().map(|&c| c as u64).sum();
         if total == 0 || self.counts.is_empty() {
             return 0.0;
         }
-        let mean = total as f64 / self.counts.len() as f64; // detlint::allow(float-accum, reason = "single division of exact integers at render time")
-        self.peak() as f64 / mean // detlint::allow(float-accum, reason = "single division of exact integers at render time")
+        let mean = total as f64 / self.counts.len() as f64; // det::allow(float-accum, reason = "single division of exact integers at render time")
+        self.peak() as f64 / mean // det::allow(float-accum, reason = "single division of exact integers at render time")
     }
 }
 
@@ -106,7 +106,7 @@ impl ChurnCollector {
 
     /// Records one delivered update (called by the simulator).
     #[inline]
-    // detflow::allow(panic-surface, reason = "per_edge is sized one row per node and one slot per neighbor at construction, and the simulator only passes slot_of-minted slots")
+    // det::allow(panic-surface, reason = "per_edge is sized one row per node and one slot per neighbor at construction, and the simulator only passes slot_of-minted slots")
     pub fn record(&mut self, to: AsId, slot: u32, is_withdrawal: bool, now: SimTime) {
         if self.enabled {
             self.per_edge[to.index()][slot as usize] += 1;

@@ -43,14 +43,14 @@ impl NodeFactors {
     }
 
     /// `q` for one class, `None` when the node has no such neighbors.
-    // detflow::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
+    // det::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
     pub fn q(&self, rel: Relationship) -> Option<f64> {
         let i = rel_index(rel);
         (self.m[i] > 0).then(|| self.active[i] as f64 / self.m[i] as f64)
     }
 
     /// `e` for one class, `None` when no neighbor of the class was active.
-    // detflow::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
+    // det::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
     pub fn e(&self, rel: Relationship) -> Option<f64> {
         let i = rel_index(rel);
         (self.active[i] > 0).then(|| self.updates[i] as f64 / self.active[i] as f64)
@@ -155,7 +155,7 @@ impl FactorAccumulator {
     /// Folds in one node's factors for one event. The event originator
     /// itself should be excluded by the caller (it *causes* the event
     /// rather than observing it).
-    // detflow::allow(panic-surface, reason = "type_index and rel_index map enum variants onto fixed [_; 4] / [_; 3] accumulator arrays")
+    // det::allow(panic-surface, reason = "type_index and rel_index map enum variants onto fixed [_; 4] / [_; 3] accumulator arrays")
     pub fn add(&mut self, ty: NodeType, f: &NodeFactors) {
         let t = type_index(ty);
         self.samples[t] += 1;

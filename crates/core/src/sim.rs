@@ -498,7 +498,7 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Node `origin` starts originating `prefix` (the "UP" action).
-    // detflow::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
+    // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn originate(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::Originate, origin);
         self.nodes[origin.index()].originate_caused(prefix, &cause, &mut self.actions);
@@ -506,7 +506,7 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Node `origin` stops originating `prefix` (the "DOWN" action).
-    // detflow::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
+    // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn withdraw(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::WithdrawOrigin, origin);
         self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause, &mut self.actions);
@@ -536,7 +536,7 @@ impl<O: SimObserver> Simulator<O> {
 
     /// Builds the budget-exhaustion error with a state snapshot — called
     /// only on the failure path, so the scans here cost nothing normally.
-    // detflow::allow(panic-surface, reason = "pending_by_kind is a fixed [_; 4] indexed by the four EventKind variants")
+    // det::allow(panic-surface, reason = "pending_by_kind is a fixed [_; 4] indexed by the four EventKind variants")
     fn budget_exceeded(&self, start: u64) -> EventBudgetExceeded {
         let mut pending_by_kind = [0u64; 4];
         for (_, event) in self.queue.iter_pending() {
@@ -635,7 +635,7 @@ impl<O: SimObserver> Simulator<O> {
         self.armed_timers = 0;
     }
 
-    // detflow::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
+    // det::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {
@@ -723,7 +723,7 @@ impl<O: SimObserver> Simulator<O> {
     /// Schedules the transmissions and timer arms the protocol step just
     /// run at `node` wrote into `self.actions`, leaving the buffer empty
     /// for the next step.
-    // detflow::allow(panic-surface, reason = "node ids and session slots index vecs sized at construction (nodes, mrai_epoch, per-session rows)")
+    // det::allow(panic-surface, reason = "node ids and session slots index vecs sized at construction (nodes, mrai_epoch, per-session rows)")
     fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
         // Out of `self` while the loops below draw from the RNG and push

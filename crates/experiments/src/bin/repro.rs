@@ -96,7 +96,7 @@
 //! Set BGPSCALE_LOG=quiet|info|debug to control progress chatter on
 //! stderr (default info).
 //!
-//! exit codes (shared with `detlint --check`):
+//! exit codes (shared with `det --check`):
 //!   0  success — targets ran and all requested checks passed
 //!   1  a run or a `--check` validation failed
 //!   2  usage / configuration error (unknown target or malformed option)
@@ -126,7 +126,7 @@ fn usage() -> ! {
          [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE] \
          [--window K] [--band PCT] [--exp-band X]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
-         (same convention as detlint --check)"
+         (same convention as det --check)"
     );
     std::process::exit(EXIT_USAGE);
 }

@@ -53,8 +53,8 @@ pub use sweep::{CellSeries, RunConfig, Sweeper};
 
 /// Exit code: targets ran and every requested check passed.
 ///
-/// The 0/1/2 exit convention is shared workspace-wide (`detlint`,
-/// `detflow`, `repro`) and detflow's artifact-contract pass requires
+/// The 0/1/2 exit convention is shared workspace-wide (`det`,
+/// `repro`) and det's artifact-contract pass requires
 /// artifact-writing binaries to route their exits through these named
 /// constants rather than magic numbers.
 pub const EXIT_OK: i32 = 0;

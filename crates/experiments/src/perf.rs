@@ -22,7 +22,7 @@
 //!   op counts would also catch) without flaking on slow CI machines.
 //!   Speed itself is judged by `benchmark/run.sh`.
 //!
-//! Exit codes follow the repo-wide convention (`detlint --check`,
+//! Exit codes follow the repo-wide convention (`det --check`,
 //! `repro --check`): 0 = pass, 1 = check failed (drift, or no baseline
 //! for the cell), 2 = usage/config error (damaged ledger).
 //!

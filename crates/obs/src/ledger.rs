@@ -25,7 +25,7 @@
 //!   observer-overhead numbers. Machine- and scheduling-dependent by
 //!   definition; they never participate in hashing or dedup. All wall
 //!   fields are stored in integer units (microseconds, bytes,
-//!   centi-percent) because this file sits in the detlint
+//!   centi-percent) because this file sits in det.toml's
 //!   `[integer-only]` tier.
 //!
 //! The **config fingerprint** hashes `(scenario, n, mode, seed, events)`
@@ -116,7 +116,7 @@ pub struct ArtifactHashes {
 
 /// Wall-side measurements of one run. Integer units only: microseconds,
 /// bytes, and centi-percent (1 cpct = 0.01%), so this file satisfies the
-/// detlint `[integer-only]` tier while still carrying signed overhead
+/// det.toml `[integer-only]` tier while still carrying signed overhead
 /// readings. Never hashed, never deduplicated on, never deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallSide {

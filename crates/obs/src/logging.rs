@@ -42,8 +42,8 @@ impl Level {
 pub fn max_level() -> Level {
     static LEVEL: OnceLock<Level> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        // detflow::allow(det-closure, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
-        std::env::var("BGPSCALE_LOG") // detlint::allow(env-read, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
+        // det::allow(det-closure, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
+        std::env::var("BGPSCALE_LOG") // det::allow(env-read, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
             .ok()
             .and_then(|v| Level::parse(&v))
             .unwrap_or(Level::Info)

@@ -111,11 +111,11 @@ impl Histogram {
 
     /// Mean sample as a display convenience (not part of the
     /// deterministic serialization, which stays integer-only).
-    pub fn mean(&self) -> f64 { // detlint::allow(float-accum, reason = "display-only ratio of two exact integer counters; never accumulated or serialized")
+    pub fn mean(&self) -> f64 { // det::allow(float-accum, reason = "display-only ratio of two exact integer counters; never accumulated or serialized")
         if self.count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64 // detlint::allow(float-accum, reason = "single division of exact integers at render time")
+            self.sum as f64 / self.count as f64 // det::allow(float-accum, reason = "single division of exact integers at render time")
         }
     }
 

@@ -229,13 +229,13 @@ fn inject_histogram(r: &mut MetricsRegistry, name: &str, bounds: &[u64], counts:
 
 impl SimObserver for Recorder {
     #[inline]
-    // detflow::allow(panic-surface, reason = "events_by_kind is a fixed array indexed by EventKind::index, which enumerates the variants")
+    // det::allow(panic-surface, reason = "events_by_kind is a fixed array indexed by EventKind::index, which enumerates the variants")
     fn on_event(&mut self, kind: EventKind, _now: SimTime) {
         self.events_by_kind[kind.index()] += 1;
     }
 
     #[inline]
-    // detflow::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; rel_index enumerates the variants")
+    // det::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; rel_index enumerates the variants")
     fn on_message(
         &mut self,
         _from: AsId,
@@ -295,7 +295,7 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // detflow::allow(panic-surface, reason = "roots_by_kind is a fixed array indexed by RootCauseKind::index, which enumerates the variants")
+    // det::allow(panic-surface, reason = "roots_by_kind is a fixed array indexed by RootCauseKind::index, which enumerates the variants")
     fn on_root_cause(&mut self, id: u32, kind: RootCauseKind, node: AsId, now: SimTime) {
         self.roots_by_kind[kind.index()] += 1;
         if let Some(ts) = &mut self.timeseries {
@@ -312,7 +312,7 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // detflow::allow(panic-surface, reason = "flush_hist is fixed-size and bucket clamps to the last bin")
+    // det::allow(panic-surface, reason = "flush_hist is fixed-size and bucket clamps to the last bin")
     fn on_mrai_flush(&mut self, node: AsId, sent: u32, now: SimTime) {
         self.mrai_flushes += 1;
         self.mrai_flushed_updates += u64::from(sent);

@@ -87,7 +87,7 @@ impl TsBin {
         self.announces + self.withdraws
     }
 
-    // detflow::allow(panic-surface, reason = "by_rel and by_type are fixed [_; 3] / [_; 4] arrays walked with literal bounds")
+    // det::allow(panic-surface, reason = "by_rel and by_type are fixed [_; 3] / [_; 4] arrays walked with literal bounds")
     fn add(&mut self, other: &TsBin) {
         for i in 0..3 {
             self.by_rel[i] += other.by_rel[i];
@@ -301,7 +301,7 @@ impl TimeSeriesRecorder {
         }
     }
 
-    // detflow::allow(panic-surface, reason = "idx is clamped to MAX_BINS - 1 and bins is resized to idx + 1 before the index")
+    // det::allow(panic-surface, reason = "idx is clamped to MAX_BINS - 1 and bins is resized to idx + 1 before the index")
     fn bin_mut(&mut self, t_us: u64) -> &mut TsBin {
         let idx = ((t_us / self.series.bin_us) as usize).min(MAX_BINS - 1);
         if self.series.bins.len() <= idx {
@@ -330,7 +330,7 @@ impl TimeSeriesRecorder {
     }
 
     /// Records a delivered update.
-    // detflow::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers; depth_hist buckets clamp to the last bin")
+    // det::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers; depth_hist buckets clamp to the last bin")
     pub fn record_message(
         &mut self,
         to: AsId,

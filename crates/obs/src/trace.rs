@@ -130,7 +130,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Writes the schema-version header line. Call once, before any
     /// records, when the sink is a persisted artifact: the workspace
-    /// artifact contract (detflow's artifact-contract pass) requires
+    /// artifact contract (det's artifact-contract pass) requires
     /// every written file to carry its schema version. The header does
     /// not count toward [`TraceWriter::written`].
     pub fn write_header(&mut self) -> io::Result<()> {

@@ -36,7 +36,7 @@ impl AllocSnapshot {
     ///
     /// Deliberately *not* named `since`: this module is wall-side, and
     /// `since` is the deterministic tier's delta-method name
-    /// (`SimTime::since`, `OpCounts::since`). detflow's call graph
+    /// (`SimTime::since`, `OpCounts::since`). det's call graph
     /// resolves ambiguous method names to every workspace impl, so a
     /// shared name would make every deterministic `.since(..)` call
     /// look like a wall-side crossing.

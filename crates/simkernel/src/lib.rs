@@ -47,7 +47,7 @@ pub mod rng;
 pub mod rss;
 pub mod time;
 pub mod wheel;
-pub mod wallclock; // detlint::allow(wall-clock, reason = "declares the one sanctioned wall-clock module; the module itself is exempt in detlint.toml")
+pub mod wallclock; // det::allow(wall-clock, reason = "declares the one sanctioned wall-clock module; the module itself is a det.toml [wall-side] module")
 
 pub use alloc::AllocSnapshot;
 pub use pool::{effective_jobs, run_indexed};
@@ -56,4 +56,4 @@ pub use wheel::TimingWheel;
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;
 pub use time::{SimDuration, SimTime};
-pub use wallclock::Stopwatch; // detlint::allow(wall-clock, reason = "re-export of the sanctioned Stopwatch so callers need no extra path")
+pub use wallclock::Stopwatch; // det::allow(wall-clock, reason = "re-export of the sanctioned Stopwatch so callers need no extra path")

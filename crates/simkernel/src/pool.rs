@@ -21,7 +21,7 @@
 //!   with no thread machinery at all.
 
 // The one sanctioned home for thread spawning (mirrored by clippy.toml's
-// disallowed-methods and detlint's thread-spawn exemption).
+// disallowed-methods and det.toml's thread-spawn exemption).
 #![allow(clippy::disallowed_methods)]
 
 #[cfg(feature = "parallel")]

@@ -314,7 +314,7 @@ impl<E> HeapQueue<E> {
     }
 
     /// Restores the heap invariant upward from `idx` after a push.
-    // detflow::allow(panic-surface, reason = "binary-heap index arithmetic: idx starts in bounds and parent = (idx - 1) / 2 < idx")
+    // det::allow(panic-surface, reason = "binary-heap index arithmetic: idx starts in bounds and parent = (idx - 1) / 2 < idx")
     fn sift_up(&mut self, mut idx: usize) {
         while idx > 0 {
             let parent = (idx - 1) / 2;
@@ -330,7 +330,7 @@ impl<E> HeapQueue<E> {
     }
 
     /// Restores the heap invariant downward from `idx` after a pop.
-    // detflow::allow(panic-surface, reason = "binary-heap index arithmetic: children are indexed only after a `< len` check")
+    // det::allow(panic-surface, reason = "binary-heap index arithmetic: children are indexed only after a `< len` check")
     fn sift_down(&mut self, mut idx: usize) {
         let len = self.heap.len();
         loop {

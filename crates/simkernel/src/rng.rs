@@ -247,7 +247,7 @@ impl Xoshiro256StarStar {
 
 impl Rng for Xoshiro256StarStar {
     #[inline]
-    // detflow::allow(panic-surface, reason = "s is a fixed [u64; 4] indexed only by the literal constants 0..=3")
+    // det::allow(panic-surface, reason = "s is a fixed [u64; 4] indexed only by the literal constants 0..=3")
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;

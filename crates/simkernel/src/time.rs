@@ -51,7 +51,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`; a simulation clock never
     /// runs backwards, so this indicates a kernel bug.
-    // detflow::allow(panic-surface, reason = "a backwards clock is a kernel bug and panicking is the documented contract (# Panics above); saturating_since is the non-panicking form")
+    // det::allow(panic-surface, reason = "a backwards clock is a kernel bug and panicking is the documented contract (# Panics above); saturating_since is the non-panicking form")
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0

@@ -8,7 +8,7 @@
 //! may feed back into simulation results.
 
 // The one sanctioned home for host-clock reads (mirrored by clippy.toml's
-// disallowed-methods and detlint's wall-clock exemption).
+// disallowed-methods and det.toml's `[wall-side]` modules).
 #![allow(clippy::disallowed_methods)]
 
 use std::time::Instant;

@@ -79,12 +79,12 @@ impl<E> Level<E> {
         }
     }
 
-    // detflow::allow(panic-surface, reason = "slot < buckets.len() = 1 << slot_bits by digit masking, and occ holds ceil(buckets/64) words, so slot >> 6 is in bounds")
+    // det::allow(panic-surface, reason = "slot < buckets.len() = 1 << slot_bits by digit masking, and occ holds ceil(buckets/64) words, so slot >> 6 is in bounds")
     fn mark_occupied(&mut self, slot: usize) {
         self.occ[slot >> 6] |= 1u64 << (slot & 63);
     }
 
-    // detflow::allow(panic-surface, reason = "slot < buckets.len() = 1 << slot_bits by digit masking, and occ holds ceil(buckets/64) words, so slot >> 6 is in bounds")
+    // det::allow(panic-surface, reason = "slot < buckets.len() = 1 << slot_bits by digit masking, and occ holds ceil(buckets/64) words, so slot >> 6 is in bounds")
     fn mark_empty(&mut self, slot: usize) {
         self.occ[slot >> 6] &= !(1u64 << (slot & 63));
     }
@@ -313,7 +313,7 @@ impl<E> TimingWheel<E> {
     }
 
     /// Files an entry under its level/slot for the current cursor.
-    // detflow::allow(panic-surface, reason = "level < levels.len() because level_of divides a bit index < 64 by slot_bits, and slot <= mask < buckets.len() by construction")
+    // det::allow(panic-surface, reason = "level < levels.len() because level_of divides a bit index < 64 by slot_bits, and slot <= mask < buckets.len() by construction")
     fn insert_entry(&mut self, entry: Entry<E>) {
         let tick = entry.time.as_micros();
         debug_assert!(tick >= self.cursor, "entry behind the cursor");
@@ -331,7 +331,7 @@ impl<E> TimingWheel<E> {
     /// Scans bottom-up: a level-0 hit pins an exact tick; a hit at a
     /// higher level only narrows the window — the cursor jumps to the
     /// window start and the bucket cascades into finer levels.
-    // detflow::allow(panic-surface, reason = "slot indices come from first_occupied_from over the occupancy bitmap (always in bounds); due[pos-1] is guarded by pos > 0; the final assert documents that len > 0 implies an occupied slot exists")
+    // det::allow(panic-surface, reason = "slot indices come from first_occupied_from over the occupancy bitmap (always in bounds); due[pos-1] is guarded by pos > 0; the final assert documents that len > 0 implies an occupied slot exists")
     fn fill_due(&mut self) -> bool {
         if self.len == 0 {
             return false;
