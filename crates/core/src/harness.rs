@@ -61,12 +61,11 @@ pub struct ExperimentConfig {
     /// failure path: the harness panics with the budget snapshot, which
     /// `repro profile` catches and renders.
     pub event_limit: Option<u64>,
-    /// Timing-wheel slot-granularity override (bits per wheel level);
-    /// `None` keeps the simkernel default. Results are backend-invariant,
-    /// so this only moves the op-count mix — which is exactly what the
-    /// perf mutation gate (`repro perf --wheel-bits`) perturbs to prove
-    /// the gate bites.
-    pub wheel_slot_bits: Option<u32>,
+    /// Reserved: always `None`, selects nothing. The timing wheel it
+    /// tuned is gone; the name survives only because `benchmark/`'s
+    /// struct literal (frozen to ordinary PRs) still writes it, and the
+    /// type makes `Some(_)` unwritable. The next `benchmark` PR drops it.
+    pub wheel_slot_bits: Option<std::convert::Infallible>,
 }
 
 /// Churn summary for one node type.
@@ -413,9 +412,7 @@ impl ExperimentSetup {
         // its simulator out of it.
         let template = {
             let _span = bgpscale_obs::span!("build_template");
-            let mut t = SimTemplate::new(Arc::clone(&graph), cfg.bgp.clone());
-            t.set_wheel_slot_bits(cfg.wheel_slot_bits);
-            t
+            SimTemplate::new(Arc::clone(&graph), cfg.bgp.clone())
         };
 
         ExperimentSetup {
@@ -669,52 +666,6 @@ mod tests {
         // The observed flavor collects the identical model.
         let observed = run_experiment_observed_with(&cfg, 4, &traced(None));
         assert_eq!(base_json, observed.cost.to_json(), "observed cost diverged");
-    }
-
-    /// Satellite of the memory-layout PR: a wheel-granularity override
-    /// keeps every deterministic artifact byte-identical for
-    /// jobs = 1, 4, 8, and the churn report equal to the
-    /// default-granularity run — only the queue op-count mix may move.
-    #[test]
-    fn wheel_backed_run_is_byte_identical_across_jobs() {
-        let mut cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 6,
-            seed: 0xDE7,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: Some(6),
-        };
-        let base = run_experiment_observed_with(&cfg, 1, &traced(Some(5)));
-        let base_json = base.metrics.to_json();
-        let base_cost = base.cost.to_json();
-        let base_trace: String = base
-            .trace
-            .iter()
-            .map(|r| r.to_json_line() + "\n")
-            .collect();
-        assert!(!base.trace.is_empty(), "sampled trace should have records");
-        for jobs in [4, 8] {
-            let other = run_experiment_observed_with(&cfg, jobs, &traced(Some(5)));
-            assert_eq!(base_json, other.metrics.to_json(), "metrics diverged at jobs={jobs}");
-            assert_eq!(base_cost, other.cost.to_json(), "costmodel diverged at jobs={jobs}");
-            let other_trace: String = other
-                .trace
-                .iter()
-                .map(|r| r.to_json_line() + "\n")
-                .collect();
-            assert_eq!(base_trace, other_trace, "trace diverged at jobs={jobs}");
-            assert_eq!(base.report, other.report, "report diverged at jobs={jobs}");
-        }
-        // Pop order is granularity-invariant: the simulated outcome of
-        // the overridden run equals the default-granularity run.
-        cfg.wheel_slot_bits = None;
-        let default_run = run_experiment_jobs(&cfg, 1);
-        assert_eq!(
-            base.report, default_run,
-            "slot-granularity override changed simulated results"
-        );
     }
 
     /// Provenance-enabled runs leave the churn report unchanged: stamps

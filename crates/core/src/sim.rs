@@ -25,7 +25,7 @@ use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, QueueBackend, SimDuration, SimTime};
+use bgpscale_simkernel::{EventQueue, SimDuration, SimTime};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
@@ -207,11 +207,6 @@ pub struct SimTemplate {
     cfg: BgpConfig,
     slab: Arc<SessionSlab>,
     nodes: Vec<BgpNode>,
-    /// Timing-wheel slot-granularity override for stamped-out simulators;
-    /// `None` keeps the simkernel default. Exists for the perf mutation
-    /// gate (`repro perf --wheel-bits`), which perturbs the granularity
-    /// and asserts the op-count gate catches the drift.
-    wheel_slot_bits: Option<u32>,
 }
 
 impl SimTemplate {
@@ -257,7 +252,6 @@ impl SimTemplate {
             cfg,
             slab,
             nodes,
-            wheel_slot_bits: None,
         }
     }
 
@@ -271,14 +265,6 @@ impl SimTemplate {
         &self.slab
     }
 
-    /// Overrides the timing-wheel slot granularity of stamped-out
-    /// simulators (`None` restores the default). Bits outside the wheel's
-    /// accepted range will panic at instantiation, matching
-    /// `TimingWheel::new`.
-    pub fn set_wheel_slot_bits(&mut self, bits: Option<u32>) {
-        self.wheel_slot_bits = bits;
-    }
-
     /// Stamps out a fresh simulator with its own RNG stream.
     pub fn instantiate(&self, seed: u64) -> Simulator {
         self.instantiate_observed(seed, NoopObserver)
@@ -290,10 +276,6 @@ impl SimTemplate {
         let n = self.graph.len();
         let churn = ChurnCollector::new(&self.graph);
         let mrai_epoch = vec![0u32; self.slab.total_sessions()];
-        let queue = match self.wheel_slot_bits {
-            Some(slot_bits) => EventQueue::with_backend(QueueBackend::Wheel { slot_bits }),
-            None => EventQueue::with_capacity(1024),
-        };
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
@@ -303,7 +285,7 @@ impl SimTemplate {
             actions: Actions::default(),
             inbox: vec![std::collections::VecDeque::new(); n],
             busy: vec![false; n],
-            queue,
+            queue: EventQueue::with_capacity(1024),
             rng: Xoshiro256StarStar::new(seed),
             churn,
             last_activity: SimTime::ZERO,
@@ -412,11 +394,6 @@ impl<O: SimObserver> Simulator<O> {
     /// Messages lost to links that failed while they were in flight.
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
-    }
-
-    /// Which priority-queue backend this simulator's event queue runs on.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Flat index of `(node, slot)` in the slab's global session id
@@ -789,7 +766,6 @@ impl<O: SimObserver> Simulator<O> {
             queue_pops: q.pops,
             queue_decreases: q.decreases,
             queue_comparisons: q.comparisons,
-            queue_cascades: q.cascades,
             deliveries: self.deliveries,
             mrai_armed: self.mrai_armed_total,
             mrai_fired: self.mrai_fired,
@@ -1052,29 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_slot_bits_override_changes_the_backend_not_the_results() {
-        let (g, ids) = chain_graph();
-        let g = Arc::new(g);
-        let mut template = SimTemplate::new(Arc::clone(&g), BgpConfig::default());
-        let run = |t: &SimTemplate| {
-            let mut sim = t.instantiate(5);
-            sim.churn_mut().set_enabled(true);
-            sim.originate(ids[4], P);
-            sim.run_to_quiescence().unwrap();
-            (sim.queue_backend(), sim.churn().total(), sim.now())
-        };
-        let (default_backend, churn_default, now_default) = run(&template);
-        assert!(matches!(default_backend, QueueBackend::Wheel { .. }));
-        template.set_wheel_slot_bits(Some(4));
-        let (coarse_backend, churn_coarse, now_coarse) = run(&template);
-        assert_eq!(coarse_backend, QueueBackend::Wheel { slot_bits: 4 });
-        // Pop order is backend-invariant, so the simulation results are
-        // too — only the op-count mix (cascades vs comparisons) moves.
-        assert_eq!(churn_default, churn_coarse);
-        assert_eq!(now_default, now_coarse);
-    }
-
-    #[test]
     fn cost_counts_report_arena_footprint_and_cascades() {
         let (g, ids) = chain_graph();
         let template = SimTemplate::new(Arc::new(g), BgpConfig::default());
@@ -1089,9 +1042,10 @@ mod tests {
             "prefix rows grew the arenas: {} !> {empty}",
             routed.arena_bytes_reserved
         );
-        // The wheel cascades on long waits (MRAI expiries sit several
-        // levels up); the counter must flow through to OpCounts.
-        assert!(routed.queue_cascades > 0, "expected wheel cascades");
+        // The heap's sift moves flow through to OpCounts; the reserved
+        // `queue_cascades` class reads 0.
+        assert!(routed.queue_decreases > 0, "expected sift moves");
+        assert_eq!(routed.queue_cascades, 0);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn usage() -> ! {
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
          [--report-out FILE] [--timeseries-out FILE] [--check] \
-         [--bless] [--perturb SEED] [--wheel-bits N] [--costmodel-out FILE] \
+         [--bless] [--perturb SEED] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE] \
          [--window K] [--band PCT] [--exp-band X]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
@@ -162,9 +162,6 @@ struct Options {
     bless: bool,
     /// `perf`: deterministically corrupt one counter before comparison.
     perturb: Option<u64>,
-    /// `perf`: run on a timing wheel with this slot granularity (the
-    /// tick-granularity mutation axis; see `PerfConfig::wheel_slot_bits`).
-    wheel_bits: Option<u32>,
     /// `perf`: also write the measured cost model here.
     costmodel_out: Option<std::path::PathBuf>,
     /// The append-only run ledger; `None` under `--no-ledger`.
@@ -195,7 +192,6 @@ fn parse_args() -> Options {
     let mut check = false;
     let mut bless = false;
     let mut perturb = None;
-    let mut wheel_bits = None;
     let mut costmodel_out = None;
     let mut ledger = Some(std::path::PathBuf::from("results/ledger/runs.jsonl"));
     let mut ledger_rev = None;
@@ -279,10 +275,6 @@ fn parse_args() -> Options {
             }
             "--check" => check = true,
             "--bless" => bless = true,
-            "--wheel-bits" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                wheel_bits = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--perturb" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 perturb = Some(v.parse().unwrap_or_else(|_| usage()));
@@ -348,7 +340,6 @@ fn parse_args() -> Options {
         check,
         bless,
         perturb,
-        wheel_bits,
         costmodel_out,
         ledger,
         ledger_rev,
@@ -422,7 +413,6 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
         jobs: opts.jobs,
         trace_sample: opts.trace_out.as_ref().map(|_| opts.trace_sample),
         event_limit: opts.event_limit,
-        wheel_slot_bits: opts.wheel_bits,
     };
     let out = match profile::run_profile(&cfg) {
         Ok(out) => out,
@@ -578,10 +568,10 @@ fn run_perf_target(opts: &Options) -> i32 {
         eprintln!("perf: --no-ledger leaves no baselines to check or bless");
         return EXIT_USAGE;
     };
-    if opts.bless && (opts.perturb.is_some() || opts.wheel_bits.is_some()) {
+    if opts.bless && opts.perturb.is_some() {
         eprintln!(
-            "perf: --bless refuses --perturb/--wheel-bits — a deliberately shifted \
-             count must never become a baseline"
+            "perf: --bless refuses --perturb — a deliberately shifted count must \
+             never become a baseline"
         );
         return EXIT_USAGE;
     }
@@ -597,8 +587,7 @@ fn run_perf_target(opts: &Options) -> i32 {
             seed: opts.cfg.seed,
             jobs,
             perturb: opts.perturb,
-            wheel_slot_bits: opts.wheel_bits,
-        })
+            })
         .collect();
     let outcomes = match perf::run(&cells, opts.bless, ledger, &ledger_rev(opts)) {
         Ok(outcomes) => outcomes,

@@ -59,12 +59,6 @@ pub struct PerfConfig {
     /// When `Some(seed)`, deterministically perturb one measured op count
     /// before comparison (the CI mutation gate).
     pub perturb: Option<u64>,
-    /// When `Some(bits)`, run the cell on a timing wheel with that slot
-    /// granularity instead of the default. A second mutation-gate axis:
-    /// pop order (and thus every simulation result) is granularity-
-    /// invariant, but the queue op-count mix is not, so a perturbed run
-    /// against a default-granularity baseline must exit exactly 1.
-    pub wheel_slot_bits: Option<u32>,
 }
 
 /// The measured side of one cell.
@@ -85,7 +79,7 @@ pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
         seed: cfg.seed,
         bgp: Default::default(),
         event_limit: None,
-        wheel_slot_bits: cfg.wheel_slot_bits,
+        wheel_slot_bits: None,
     };
     let started = Stopwatch::start();
     let (_report, cost) = run_experiment_with_cost(&cell, cfg.jobs.max(1));
@@ -163,8 +157,8 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
 /// One `repro perf` run: measures every cell, then checks each against
 /// its baseline in the ledger at `ledger` or, with `bless`, appends their
 /// records to it in one batch. A check reads the ledger and never writes
-/// it. Callers must not bless a `perturb`ed or `wheel_slot_bits` cell —
-/// a deliberately shifted count must never become a baseline.
+/// it. Callers must not bless a `perturb`ed cell — a deliberately
+/// shifted count must never become a baseline.
 ///
 /// # Errors
 /// Any [`LedgerError`] from reading (a damaged ledger is refused before
@@ -223,7 +217,6 @@ mod tests {
             seed: 7,
             jobs: 2,
             perturb: None,
-            wheel_slot_bits: None,
         }
     }
 

@@ -38,8 +38,6 @@ pub struct ProfileConfig {
     /// harness's budget snapshot (queue depth, pending events by kind,
     /// busiest inbox) instead of crashing the process.
     pub event_limit: Option<u64>,
-    /// Timing-wheel slot-granularity override; `None` keeps the default.
-    pub wheel_slot_bits: Option<u32>,
 }
 
 /// The result of [`run_profile`].
@@ -84,7 +82,7 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
         seed: cfg.seed,
         bgp: Default::default(),
         event_limit: cfg.event_limit,
-        wheel_slot_bits: cfg.wheel_slot_bits,
+        wheel_slot_bits: None,
     };
     let jobs = bgpscale_simkernel::pool::effective_jobs(cfg.jobs).max(1);
     // The harness panics on budget exhaustion (a model bug in normal
@@ -227,7 +225,6 @@ mod tests {
             jobs: 1,
             trace_sample: Some(10),
             event_limit: None,
-            wheel_slot_bits: None,
         }
     }
 

@@ -329,8 +329,9 @@ pub fn analyze(records: &[LedgerRecord], opts: &TrendOptions) -> TrendReport {
         let latest = entries[entries.len() - 1];
         // Schema-aware: op classes are append-only, so records written
         // under an older schema carry zero-filled padding for the newer
-        // classes — comparing against them manufactures regressions out
-        // of thin air. Only same-schema history is comparable.
+        // classes, and schema 3 re-based what the queue classes count —
+        // comparing across either manufactures regressions out of thin
+        // air. Only same-schema history is comparable.
         let history: Vec<&LedgerRecord> = entries[..entries.len() - 1]
             .iter()
             .filter(|r| r.schema == latest.schema)
@@ -883,7 +884,6 @@ mod tests {
             seed: 7,
             jobs: 1,
             perturb: None,
-            wheel_slot_bits: None,
         };
         let m = crate::perf::measure(&perf_cfg);
         let pr = record_from_perf(&perf_cfg, &m, "r1");
@@ -895,7 +895,6 @@ mod tests {
             jobs: 1,
             trace_sample: None,
             event_limit: None,
-            wheel_slot_bits: None,
         };
         let out = crate::profile::run_profile(&prof_cfg).unwrap();
         let fr = record_from_profile(&prof_cfg, &out, "r1");

@@ -11,8 +11,8 @@
 //!
 //! Three layers feed the model:
 //!
-//! * `simkernel::queue` counts event-queue pushes, pops, sift moves,
-//!   `(time, seq)` comparisons and timing-wheel cascades;
+//! * `simkernel::queue` counts event-queue pushes, pops, sift moves
+//!   and `(time, seq)` comparisons;
 //! * `bgpscale-bgp` counts decision-process runs, route comparisons,
 //!   Adj-RIB-out writes and AS-path intern hits vs misses;
 //! * `bgpscale-core` counts message deliveries and MRAI arm/fire/coalesce
@@ -35,53 +35,108 @@ pub const PHASES: usize = 3;
 /// Phase labels, in attribution order.
 pub const PHASE_NAMES: [&str; PHASES] = ["warmup", "down", "up"];
 
-/// One bundle of operation counters. All fields are exact `u64` counts;
-/// addition and subtraction are the only operations, so merges are
-/// order-independent and bit-exact.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpCounts {
+/// What a counter class measures: only [`ClassKind::Work`] classes
+/// enter the scalar "total ops" figure ([`OpCounts::grand_total`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClassKind {
+    /// An operation performed.
+    Work,
+    /// An operation *saved* (a coalesced update, an interned path).
+    Avoided,
+    /// A level (bytes), not an operation.
+    Gauge,
+}
+
+/// Generates [`OpCounts`] and everything that enumerates its classes
+/// from the one list below, in canonical serialization order.
+macro_rules! op_classes {
+    ($($(#[$doc:meta])* $name:ident: $kind:ident,)+) => {
+        /// One bundle of operation counters. All fields are exact `u64`
+        /// counts; addition and subtraction are the only operations, so
+        /// merges are order-independent and bit-exact.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct OpCounts {
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl OpCounts {
+            /// Class names and kinds in canonical order; its length is
+            /// the number of counter classes (schemas 2 and 3).
+            pub const CLASSES: &'static [(&'static str, ClassKind)] =
+                &[$((stringify!($name), ClassKind::$kind)),+];
+
+            /// Field names and values in canonical serialization order.
+            pub fn fields(&self) -> [(&'static str, u64); Self::FIELD_COUNT] {
+                [$((stringify!($name), self.$name)),+]
+            }
+
+            /// Rebuilds a bundle from a [`OpCounts::fields`]-shaped array.
+            /// Names are ignored; positions follow the canonical order.
+            pub fn from_fields(fields: &[(&str, u64); Self::FIELD_COUNT]) -> OpCounts {
+                let [$($name),+] = fields.map(|(_, value)| value);
+                OpCounts { $($name),+ }
+            }
+
+            /// Adds `other` into `self` (exact integer sums).
+            pub fn add(&mut self, other: &OpCounts) {
+                $(self.$name += other.$name;)+
+            }
+
+            /// `self - earlier`, field-wise. Counters are monotone within
+            /// a run, so a later snapshot minus an earlier one is the work
+            /// done between them; saturating guards against misuse rather
+            /// than wrapping.
+            pub fn since(&self, earlier: &OpCounts) -> OpCounts {
+                OpCounts { $($name: self.$name.saturating_sub(earlier.$name)),+ }
+            }
+        }
+    };
+}
+
+op_classes! {
     /// Events pushed onto the simulator's future-event list.
-    pub queue_pushes: u64,
+    queue_pushes: Work,
     /// Events popped off the future-event list.
-    pub queue_pops: u64,
-    /// Element moves during heap sift-up/sift-down (the "decrease"-class
-    /// restructuring work of the priority queue).
-    pub queue_decreases: u64,
-    /// `(time, seq)` key comparisons performed by the heap.
-    pub queue_comparisons: u64,
+    queue_pops: Work,
+    /// Element moves during the binary heap's sift-up/sift-down (the
+    /// "decrease"-class restructuring work of the priority queue).
+    queue_decreases: Work,
+    /// `(time, seq)` key comparisons made by the heap's sifts.
+    queue_comparisons: Work,
     /// BGP decision-process runs (one per `reevaluate` of a prefix).
-    pub decision_runs: u64,
+    decision_runs: Work,
     /// Candidate-route preference comparisons inside the decision process.
-    pub route_comparisons: u64,
+    route_comparisons: Work,
     /// Adj-RIB-out mutations (inserts and successful removes).
-    pub rib_out_writes: u64,
+    rib_out_writes: Work,
     /// AS-path reuses via refcount bump (`Arc` clone — intern hit).
-    pub path_intern_hits: u64,
+    path_intern_hits: Avoided,
     /// Fresh AS-path allocations (`prepended` — intern miss).
-    pub path_intern_misses: u64,
+    path_intern_misses: Work,
     /// BGP update messages delivered to a node (after loss filtering).
-    pub deliveries: u64,
+    deliveries: Work,
     /// MRAI timers armed.
-    pub mrai_armed: u64,
+    mrai_armed: Work,
     /// MRAI timers that fired while still valid (epoch check passed).
-    pub mrai_fired: u64,
+    mrai_fired: Work,
     /// Pending updates displaced by a newer update for the same prefix
     /// while an MRAI timer was running (rate-limiting coalescing).
-    pub mrai_coalesced: u64,
-    /// Timing-wheel cascade re-files (entries moved into finer wheel
-    /// levels during cursor jumps). Always zero on the heap backend.
-    pub queue_cascades: u64,
+    mrai_coalesced: Avoided,
+    /// Reserved: reads 0. Counted the re-files of the timing wheel that
+    /// schemas 1–2 ran on; the heap has no such operation. The class
+    /// keeps its slot because ledger history and `benchmark/` name it.
+    queue_cascades: Work,
     /// Bytes reserved by the node arenas (session slab + prefix-major
     /// RIB columns + damping entries) at snapshot time, per the fixed
     /// arena byte model. Monotone within a C-event — arenas only grow
     /// until the inter-event `reset_routing` — so phase diffs attribute
     /// arena growth like any other counter class.
-    pub arena_bytes_reserved: u64,
+    arena_bytes_reserved: Gauge,
 }
 
 impl OpCounts {
-    /// Number of counter classes (schema v2).
-    pub const FIELD_COUNT: usize = 15;
+    /// Number of counter classes.
+    pub const FIELD_COUNT: usize = Self::CLASSES.len();
 
     /// Number of counter classes in schema v1 ledger lines
     /// (everything before `queue_cascades`). New classes are only ever
@@ -89,113 +144,16 @@ impl OpCounts {
     /// field set.
     pub const FIELD_COUNT_V1: usize = 13;
 
-    /// Field names and values in canonical serialization order.
-    pub fn fields(&self) -> [(&'static str, u64); Self::FIELD_COUNT] {
-        [
-            ("queue_pushes", self.queue_pushes),
-            ("queue_pops", self.queue_pops),
-            ("queue_decreases", self.queue_decreases),
-            ("queue_comparisons", self.queue_comparisons),
-            ("decision_runs", self.decision_runs),
-            ("route_comparisons", self.route_comparisons),
-            ("rib_out_writes", self.rib_out_writes),
-            ("path_intern_hits", self.path_intern_hits),
-            ("path_intern_misses", self.path_intern_misses),
-            ("deliveries", self.deliveries),
-            ("mrai_armed", self.mrai_armed),
-            ("mrai_fired", self.mrai_fired),
-            ("mrai_coalesced", self.mrai_coalesced),
-            ("queue_cascades", self.queue_cascades),
-            ("arena_bytes_reserved", self.arena_bytes_reserved),
-        ]
-    }
-
     /// Canonical field names (matches [`OpCounts::fields`] order).
     pub fn field_names() -> [&'static str; Self::FIELD_COUNT] {
         OpCounts::default().fields().map(|(name, _)| name)
     }
 
-    /// Rebuilds a bundle from a [`OpCounts::fields`]-shaped array. Names
-    /// are ignored; positions follow the canonical order.
-    pub fn from_fields(fields: &[(&str, u64); Self::FIELD_COUNT]) -> OpCounts {
-        OpCounts {
-            queue_pushes: fields[0].1,
-            queue_pops: fields[1].1,
-            queue_decreases: fields[2].1,
-            queue_comparisons: fields[3].1,
-            decision_runs: fields[4].1,
-            route_comparisons: fields[5].1,
-            rib_out_writes: fields[6].1,
-            path_intern_hits: fields[7].1,
-            path_intern_misses: fields[8].1,
-            deliveries: fields[9].1,
-            mrai_armed: fields[10].1,
-            mrai_fired: fields[11].1,
-            mrai_coalesced: fields[12].1,
-            queue_cascades: fields[13].1,
-            arena_bytes_reserved: fields[14].1,
-        }
-    }
-
-    /// Adds `other` into `self` (exact integer sums).
-    pub fn add(&mut self, other: &OpCounts) {
-        self.queue_pushes += other.queue_pushes;
-        self.queue_pops += other.queue_pops;
-        self.queue_decreases += other.queue_decreases;
-        self.queue_comparisons += other.queue_comparisons;
-        self.decision_runs += other.decision_runs;
-        self.route_comparisons += other.route_comparisons;
-        self.rib_out_writes += other.rib_out_writes;
-        self.path_intern_hits += other.path_intern_hits;
-        self.path_intern_misses += other.path_intern_misses;
-        self.deliveries += other.deliveries;
-        self.mrai_armed += other.mrai_armed;
-        self.mrai_fired += other.mrai_fired;
-        self.mrai_coalesced += other.mrai_coalesced;
-        self.queue_cascades += other.queue_cascades;
-        self.arena_bytes_reserved += other.arena_bytes_reserved;
-    }
-
-    /// `self - earlier`, field-wise. Counters are monotone within a run,
-    /// so a later snapshot minus an earlier one is the work done between
-    /// them; saturating guards against misuse rather than wrapping.
-    pub fn since(&self, earlier: &OpCounts) -> OpCounts {
-        OpCounts {
-            queue_pushes: self.queue_pushes.saturating_sub(earlier.queue_pushes),
-            queue_pops: self.queue_pops.saturating_sub(earlier.queue_pops),
-            queue_decreases: self.queue_decreases.saturating_sub(earlier.queue_decreases),
-            queue_comparisons: self
-                .queue_comparisons
-                .saturating_sub(earlier.queue_comparisons),
-            decision_runs: self.decision_runs.saturating_sub(earlier.decision_runs),
-            route_comparisons: self
-                .route_comparisons
-                .saturating_sub(earlier.route_comparisons),
-            rib_out_writes: self.rib_out_writes.saturating_sub(earlier.rib_out_writes),
-            path_intern_hits: self
-                .path_intern_hits
-                .saturating_sub(earlier.path_intern_hits),
-            path_intern_misses: self
-                .path_intern_misses
-                .saturating_sub(earlier.path_intern_misses),
-            deliveries: self.deliveries.saturating_sub(earlier.deliveries),
-            mrai_armed: self.mrai_armed.saturating_sub(earlier.mrai_armed),
-            mrai_fired: self.mrai_fired.saturating_sub(earlier.mrai_fired),
-            mrai_coalesced: self.mrai_coalesced.saturating_sub(earlier.mrai_coalesced),
-            queue_cascades: self.queue_cascades.saturating_sub(earlier.queue_cascades),
-            arena_bytes_reserved: self
-                .arena_bytes_reserved
-                .saturating_sub(earlier.arena_bytes_reserved),
-        }
-    }
-
-    /// Sum over the work classes — a scalar "total ops" figure for
-    /// display. Leaves out the `arena_bytes_reserved` gauge (bytes, not
-    /// ops) and the two avoided-work classes, `mrai_coalesced` and
-    /// `path_intern_hits` (each counts an operation *saved*).
+    /// Sum over the [`ClassKind::Work`] classes — a scalar "total ops"
+    /// figure for display.
     pub fn grand_total(&self) -> u64 {
-        let all: u64 = self.fields().iter().map(|&(_, v)| v).sum();
-        all - self.arena_bytes_reserved - self.mrai_coalesced - self.path_intern_hits
+        let kinded = self.fields().into_iter().zip(Self::CLASSES);
+        kinded.filter(|(_, class)| class.1 == ClassKind::Work).map(|((_, value), _)| value).sum()
     }
 
     /// Writes this bundle as a single-line JSON object.
@@ -315,24 +273,13 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// Class `i` (canonical order) holds `seed + i`.
     fn sample(seed: u64) -> OpCounts {
-        OpCounts {
-            queue_pushes: seed,
-            queue_pops: seed + 1,
-            queue_decreases: seed + 2,
-            queue_comparisons: seed + 3,
-            decision_runs: seed + 4,
-            route_comparisons: seed + 5,
-            rib_out_writes: seed + 6,
-            path_intern_hits: seed + 7,
-            path_intern_misses: seed + 8,
-            deliveries: seed + 9,
-            mrai_armed: seed + 10,
-            mrai_fired: seed + 11,
-            mrai_coalesced: seed + 12,
-            queue_cascades: seed + 13,
-            arena_bytes_reserved: seed + 14,
+        let mut fields = OpCounts::default().fields();
+        for (i, (_, value)) in fields.iter_mut().enumerate() {
+            *value = seed + i as u64;
         }
+        OpCounts::from_fields(&fields)
     }
 
     #[test]
@@ -365,8 +312,15 @@ mod tests {
             + c.mrai_fired
             + c.queue_cascades;
         assert_eq!(c.grand_total(), work);
-        assert_eq!(OpCounts::field_names().len(), OpCounts::FIELD_COUNT);
+        assert_eq!(OpCounts::FIELD_COUNT, 15, "schemas 2 and 3 carry fifteen classes");
         assert_eq!(OpCounts::from_fields(&c.fields()), c, "fields roundtrip");
+        // Positions are the wire order: first, v1's last, and the two
+        // appended classes.
+        let at = |name: &str| OpCounts::field_names().iter().position(|&n| n == name);
+        assert_eq!((c.queue_pushes, at("queue_pushes")), (1, Some(0)));
+        assert_eq!((c.mrai_coalesced, at("mrai_coalesced")), (13, Some(OpCounts::FIELD_COUNT_V1 - 1)));
+        assert_eq!((c.queue_cascades, at("queue_cascades")), (14, Some(13)));
+        assert_eq!((c.arena_bytes_reserved, at("arena_bytes_reserved")), (15, Some(14)));
     }
 
     #[test]

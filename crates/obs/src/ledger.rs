@@ -49,7 +49,8 @@
 //! Because history is append-only, a schema bump never orphans old
 //! lines: op-count classes are only ever appended to [`OpCounts`], so a
 //! v1 `ops` block is a prefix of today's and parses with the new classes
-//! at zero. New lines are always written in the current schema.
+//! at zero; v2 and v3 share a layout and differ only in what the queue
+//! classes count. New lines are always written in the current schema.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -385,7 +386,8 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
     // line simply populates a prefix of today's OpCounts (the rest is 0).
     let field_count = match schema {
         1 => OpCounts::FIELD_COUNT_V1,
-        v if v == u64::from(SCHEMA_VERSION) => OpCounts::FIELD_COUNT,
+        // v3 re-based the queue classes' meaning, not the layout.
+        v if (2..=u64::from(SCHEMA_VERSION)).contains(&v) => OpCounts::FIELD_COUNT,
         _ => {
             return Err(LedgerError::Schema {
                 line: line_no,
@@ -749,12 +751,15 @@ mod tests {
             LedgerRecord { schema: 1, ..rec },
             "sample sets no v2-only class"
         );
+        // A v2 line has today's layout under its own stamp (v3 re-based
+        // the queue classes' meaning only) and keeps that stamp.
+        let v2 = sample(600, "r2").to_line_with(2, OpCounts::FIELD_COUNT);
+        assert!(v2.starts_with("{\"schema_version\":2,\"det\":{"));
+        assert_eq!(parse_line(&v2, 1).unwrap(), LedgerRecord { schema: 2, ..sample(600, "r2") });
         // Mixed-schema ledgers read end to end, in order.
-        let v2 = sample(600, "r2").to_line();
-        let all = parse_ledger(&format!("{v1}\n{v2}\n")).unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].n, 300);
-        assert_eq!(all[1].n, 600);
+        let v3 = sample(2000, "r3").to_line();
+        let all = parse_ledger(&format!("{v1}\n{v2}\n{v3}\n")).unwrap();
+        assert_eq!(all.iter().map(|r| (r.schema, r.n)).collect::<Vec<_>>(), [(1, 300), (2, 600), (3, 2000)]);
         // An edited v1 line still fails its canonical round-trip.
         let edited = v1.replacen("\"queue_pushes\":30000", "\"queue_pushes\":30001", 1);
         assert_ne!(edited, v1);

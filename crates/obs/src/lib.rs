@@ -59,9 +59,15 @@ pub mod trace;
 ///
 /// v1 → v2: [`OpCounts`] grew `queue_cascades` and `arena_bytes_reserved`
 /// (appended classes; the v1 field set is an exact prefix).
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v2 → v3: the same fifteen classes under binary-heap accounting.
+/// `queue_decreases` and `queue_comparisons` count the event queue's
+/// sift moves and key comparisons (up ~80× on what schema 2 counted)
+/// and `queue_cascades` reads 0. The layout is unchanged; the bump only
+/// keeps baselines and trends from comparing across the two meanings.
+pub const SCHEMA_VERSION: u32 = 3;
 
-pub use costmodel::{CostModel, OpCounts, PhaseCosts, PHASES, PHASE_NAMES};
+pub use costmodel::{ClassKind, CostModel, OpCounts, PhaseCosts, PHASES, PHASE_NAMES};
 pub use ledger::{
     append_records, config_fingerprint, read_ledger, AppendOutcome, ArtifactHashes, LedgerError,
     LedgerRecord, RunKind, WallSide,

@@ -2,8 +2,55 @@
 //! against a sorted oracle, and conservation of the op counters.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, SimDuration, SimTime};
+use bgpscale_simkernel::{EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// The sorted-oracle property on an interleaved trace: per `script`
+/// step either pop (it must be the oracle's `(time, seq)` minimum) or
+/// schedule a burst of one to three same-time events `delay(g)` after
+/// `now`; then drain, or with `drain == false` stop at a
+/// `run_until`-style deadline with events left pending. Returns the
+/// number of events scheduled.
+fn drive_against_oracle(
+    q: &mut EventQueue<u64>,
+    g: &mut Xoshiro256StarStar,
+    script: &[bool],
+    delay: impl Fn(&mut Xoshiro256StarStar) -> SimDuration,
+    drain: bool,
+) -> u64 {
+    let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+    let mut scheduled = 0u64;
+    for &do_pop in script {
+        if do_pop {
+            assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
+        } else {
+            let time = q.now() + delay(g);
+            for _ in 0..1 + g.next_below(3) {
+                q.schedule(time, scheduled);
+                oracle.insert((time, scheduled));
+                scheduled += 1;
+            }
+        }
+        assert_eq!(q.len(), oracle.len());
+    }
+    let deadline = q.now() + SimDuration::from_secs(1);
+    while q.peek_time().is_some_and(|t| drain || t <= deadline) {
+        assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
+    }
+    assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
+    scheduled
+}
+
+/// The simulator's steady-state mix: near deliveries (µs–100 ms) and,
+/// one time in four, a far MRAI expiry (30 s plus jitter).
+fn mrai_like_delay(g: &mut Xoshiro256StarStar) -> SimDuration {
+    if g.next_below(4) == 0 {
+        SimDuration::from_secs(30) + SimDuration::from_micros(g.next_below(7_500_000))
+    } else {
+        SimDuration::from_micros(1 + g.next_below(100_000))
+    }
+}
 
 proptest! {
     /// The pop sequence equals a stable sort of the scheduled
@@ -91,5 +138,69 @@ proptest! {
             ops.comparisons
         );
         prop_assert!(ops.decreases <= ops.comparisons, "every sift move was paid for by a comparison");
+    }
+
+    /// Dense same-time collisions on an interleaved trace: a four-tick
+    /// horizon makes most events share a timestamp, so agreement with
+    /// the oracle here is agreement of the FIFO tie-break.
+    #[test]
+    fn interleaved_same_time_collisions_match_sorted_oracle(
+        seed in any::<u64>(),
+        script in prop::collection::vec(any::<bool>(), 1..200),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut q = EventQueue::new();
+        let horizon = |g: &mut Xoshiro256StarStar| SimDuration::from_micros(g.next_below(4));
+        let scheduled = drive_against_oracle(&mut q, &mut g, &script, horizon, true);
+        prop_assert_eq!(q.op_counts().pushes, scheduled);
+        prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
+    }
+
+    /// Far timers (30 s ahead of a µs-scale clock) among near deliveries
+    /// pop in oracle order too.
+    #[test]
+    fn mrai_like_mix_matches_sorted_oracle(
+        seed in any::<u64>(),
+        script in prop::collection::vec(any::<bool>(), 1..250),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        drive_against_oracle(&mut EventQueue::new(), &mut g, &script, mrai_like_delay, true);
+    }
+
+    /// Reuse across `reset`: a queue that is reset — after a full drain
+    /// or with far timers still pending — pops like a fresh one, each
+    /// round costs it exactly the ops a fresh queue pays (sequence
+    /// numbers keep growing; only their order matters), and the
+    /// tallies stay monotone across the reset.
+    #[test]
+    fn reset_then_reuse_pops_like_a_fresh_queue(
+        seed in any::<u64>(),
+        rounds in prop::collection::vec(
+            (prop::collection::vec(any::<bool>(), 1..120), any::<bool>()),
+            2..5,
+        ),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut reused = EventQueue::new();
+        for (script, drain) in &rounds {
+            let before = reused.op_counts();
+            let mut replay = g.clone();
+            drive_against_oracle(&mut reused, &mut g, script, mrai_like_delay, *drain);
+            let mut fresh = EventQueue::new();
+            drive_against_oracle(&mut fresh, &mut replay, script, mrai_like_delay, *drain);
+            let after = reused.op_counts();
+            let paid = QueueOpCounts {
+                pushes: after.pushes - before.pushes,
+                pops: after.pops - before.pops,
+                decreases: after.decreases - before.decreases,
+                comparisons: after.comparisons - before.comparisons,
+            };
+            prop_assert_eq!(paid, fresh.op_counts(), "a reused queue's round costs what a new queue's does");
+            reused.reset();
+            prop_assert!(reused.is_empty());
+            prop_assert_eq!(reused.now(), SimTime::ZERO);
+            prop_assert_eq!(reused.popped(), 0);
+            prop_assert_eq!(reused.op_counts(), after, "reset keeps the tallies");
+        }
     }
 }

@@ -18,7 +18,6 @@ fn cell_cfg(jobs: usize) -> PerfConfig {
         seed: 7,
         jobs,
         perturb: None,
-        wheel_slot_bits: None,
     }
 }
 
@@ -186,21 +185,26 @@ fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
 }
 
 /// The checked-in ledger is history and baseline store at once. Every
-/// line of it — the schema-1 lines and the `bench` lines, whose writer is
-/// gone — must still pass the reader's canonical round-trip, and the
-/// three cells CI checks must each have a blessed `perf` baseline.
+/// line of it — the schema-1 and schema-2 lines and the `bench` lines,
+/// whose writers are gone — must still pass the reader's canonical
+/// round-trip, and the three cells CI checks must each have a blessed
+/// `perf` baseline in the current schema (the only kind the gate uses).
 #[test]
 fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger/runs.jsonl");
     let history = read_ledger(std::path::Path::new(path)).unwrap();
-    assert!(history.iter().any(|r| r.schema == 1), "schema-1 history kept");
+    for schema in [1, 2] {
+        assert!(history.iter().any(|r| r.schema == schema), "schema-{schema} history kept");
+    }
     assert!(history.iter().any(|r| r.kind == RunKind::Bench), "bench history kept");
     for n in [300, 600, 2000] {
         assert!(
             history.iter().any(|r| {
-                r.kind == RunKind::Perf && (r.n, r.events, r.seed) == (n, 5, 0x2008_0612)
+                r.kind == RunKind::Perf
+                    && r.schema == bgpscale_obs::SCHEMA_VERSION
+                    && (r.n, r.events, r.seed) == (n, 5, 0x2008_0612)
             }),
-            "no perf baseline for n={n}"
+            "no current-schema perf baseline for n={n}: `repro perf --check` would fail in CI"
         );
     }
 }

@@ -69,7 +69,6 @@ fn ledger_line_is_stamped() {
         seed: 11,
         jobs: 2,
         perturb: None,
-        wheel_slot_bits: None,
     };
     let m = measure(&cfg);
     let record = bgpscale_experiments::trend::record_from_perf(&cfg, &m, "testrev");
