@@ -32,24 +32,19 @@
 //!                  self-contained HTML churn-provenance report plus a
 //!                  timeseries.json artifact (see --bin-us, --report-out,
 //!                  --timeseries-out, --check)
-//!   trend          fold the run ledger (`perf --bless` and every
-//!                  profile run append one record per cell to
-//!                  results/ledger/runs.jsonl)
-//!                  into per-config op-count series, scaling-exponent
-//!                  refits, and a self-contained trend.html dashboard:
-//!                    --check          gate: exit 1 on any op-count or
-//!                                     exponent regression vs history
-//!                    --window <k>     median over the last k entries
-//!                                     per fingerprint (default 5)
-//!                    --band <pct>     allowed op-count deviation from
-//!                                     that median (default 10)
-//!                    --exp-band <x>   allowed exponent drift between
-//!                                     consecutive revisions (default 0.25)
-//!                    --perturb <seed> corrupt the newest entries in
-//!                                     memory first (CI mutation gate)
+//!   trend          read-only dashboard over the run ledger (`perf
+//!                  --bless` and every profile run append one record per
+//!                  cell to results/ledger/runs.jsonl): per-revision
+//!                  series, scaling-exponent refits with each class's
+//!                  kind (work / avoided / gauge), wall-side context, as
+//!                  a terminal summary and a self-contained trend.html.
+//!                  It judges nothing (exit 0; 2 on an empty or damaged
+//!                  ledger) — the regression gate is `repro perf --check`.
 //!                    --trend-out <file>  HTML path (default trend.html)
 //!
 //! options:
+//!   --tiny | --quick | --full  scale preset; --seed/--events/--sizes
+//!                  override it wherever they stand on the command line
 //!   --tiny         seconds-scale smoke run (n ≤ 900, 5 events). NOTE:
 //!                  a handful of claims are scale-dependent (they need
 //!                  n ≥ 1000 to rise above sampling noise or, for
@@ -83,8 +78,7 @@
 //!   --timeseries-out <file> (report only) JSON path (default timeseries.json)
 //!   --check        (profile) exit non-zero if any expected phase span
 //!                  recorded nothing or no events were processed;
-//!                  (report) exit non-zero if any report panel is empty;
-//!                  (trend) exit 1 on any regression finding
+//!                  (report) exit non-zero if any report panel is empty
 //!   --ledger <file>  the append-only run ledger: `perf` reads its
 //!                  baselines from it and `--bless` appends them,
 //!                  `profile` records into it, `trend` reads it (default
@@ -105,6 +99,9 @@
 #![forbid(unsafe_code)]
 
 use std::io::Write as _;
+use std::num::NonZeroU64;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use bgpscale_experiments::{figures, htmlreport, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
@@ -114,33 +111,37 @@ use bgpscale_obs::{log, TraceRecord, TraceWriter};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
 
-fn usage() -> ! {
+fn usage(problem: &str) -> ! {
     eprintln!(
-        "usage: repro <table1|fig1|fig3|fig4|...|fig12|all|perf|profile|report|trend> \
+        "repro: {problem}\n\
+         usage: repro <table1|fig1|fig3|fig4|...|fig12|all|perf|profile|report|trend> \
          [--tiny|--quick|--full] [--seed N] [--events K] [--sizes a,b,c] [--csv DIR] \
          [--jobs N] \
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
          [--report-out FILE] [--timeseries-out FILE] [--check] \
          [--bless] [--perturb SEED] [--costmodel-out FILE] \
-         [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE] \
-         [--window K] [--band PCT] [--exp-band X]\n\
+         [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
          (same convention as det --check)"
     );
     std::process::exit(EXIT_USAGE);
 }
 
+/// What `repro trend` answers to a gate flag it used to take.
+const TREND_IS_NOT_A_GATE: &str =
+    "`repro trend` only reports; the regression gate is `repro perf --check`";
+
 struct Options {
     target: String,
     cfg: RunConfig,
-    csv_dir: Option<std::path::PathBuf>,
+    csv_dir: Option<PathBuf>,
     /// Worker threads; 0 = every hardware thread.
     jobs: usize,
     /// Write the merged deterministic metrics registry here.
-    metrics_out: Option<std::path::PathBuf>,
+    metrics_out: Option<PathBuf>,
     /// Write sampled JSONL trace records here.
-    trace_out: Option<std::path::PathBuf>,
+    trace_out: Option<PathBuf>,
     /// Keep 1 in N trace records (1 = all).
     trace_sample: u64,
     /// `profile`/`report`: the cell's growth scenario.
@@ -152,200 +153,112 @@ struct Options {
     /// `report`: time-series bin width in simulated microseconds.
     bin_us: u64,
     /// `report`: where to write the HTML page.
-    report_out: std::path::PathBuf,
+    report_out: PathBuf,
     /// `report`: where to write the raw time series.
-    timeseries_out: std::path::PathBuf,
-    /// `profile`/`report`/`trend`: fail the process if the check fails
-    /// (`perf` checks unless `--bless`).
+    timeseries_out: PathBuf,
+    /// `profile`/`report`: fail the process if the check fails (`perf`
+    /// checks unless `--bless`).
     check: bool,
     /// `perf`: append the measured cells as baselines instead of checking.
     bless: bool,
     /// `perf`: deterministically corrupt one counter before comparison.
     perturb: Option<u64>,
     /// `perf`: also write the measured cost model here.
-    costmodel_out: Option<std::path::PathBuf>,
+    costmodel_out: Option<PathBuf>,
     /// The append-only run ledger; `None` under `--no-ledger`.
-    ledger: Option<std::path::PathBuf>,
+    ledger: Option<PathBuf>,
     /// Revision string to record instead of `git rev-parse HEAD`.
     ledger_rev: Option<String>,
     /// `trend`: where to write the HTML dashboard.
-    trend_out: std::path::PathBuf,
-    /// `trend`: analysis knobs (`--window`, `--band`, `--exp-band`).
-    trend_opts: trend::TrendOptions,
+    trend_out: PathBuf,
 }
 
-fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
-    let target = args.next().unwrap_or_else(|| usage());
-    let mut cfg = RunConfig::quick();
-    let mut csv_dir = None;
-    let mut jobs = 0;
-    let mut metrics_out = None;
-    let mut trace_out = None;
-    let mut trace_sample = 1u64;
-    let mut profile_scenario = GrowthScenario::Baseline;
-    let mut cell_n = None;
-    let mut event_limit = None;
-    let mut bin_us = 100_000u64;
-    let mut report_out = std::path::PathBuf::from("report.html");
-    let mut timeseries_out = std::path::PathBuf::from("timeseries.json");
-    let mut check = false;
-    let mut bless = false;
-    let mut perturb = None;
-    let mut costmodel_out = None;
-    let mut ledger = Some(std::path::PathBuf::from("results/ledger/runs.jsonl"));
-    let mut ledger_rev = None;
-    let mut trend_out = std::path::PathBuf::from("trend.html");
-    let mut trend_opts = trend::TrendOptions::default();
+/// The value of `flag`: the next argument, parsed as a `T`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|_| format!("{flag}: malformed value `{raw}`"))
+}
+
+/// Parses everything after the program name. The scale preset applies
+/// first and `--seed`/`--events`/`--sizes` override it, whatever their
+/// order on the command line.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+    let mut o = Options {
+        target: args.next().ok_or("missing target")?,
+        cfg: RunConfig::quick(),
+        csv_dir: None,
+        jobs: 0,
+        metrics_out: None,
+        trace_out: None,
+        trace_sample: 1,
+        profile_scenario: GrowthScenario::Baseline,
+        cell_n: None,
+        event_limit: None,
+        bin_us: 100_000,
+        report_out: PathBuf::from("report.html"),
+        timeseries_out: PathBuf::from("timeseries.json"),
+        check: false,
+        bless: false,
+        perturb: None,
+        costmodel_out: None,
+        ledger: Some(PathBuf::from("results/ledger/runs.jsonl")),
+        ledger_rev: None,
+        trend_out: PathBuf::from("trend.html"),
+    };
+    let (mut seed, mut events, mut sizes) = (None, None, None);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tiny" => cfg = RunConfig::tiny().with_seed(cfg.seed),
-            "--quick" => cfg = RunConfig::quick().with_seed(cfg.seed),
-            "--full" => cfg = RunConfig::full().with_seed(cfg.seed),
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.seed = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--events" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.events = v.parse().unwrap_or_else(|_| usage());
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--tiny" => o.cfg = RunConfig::tiny(),
+            "--quick" => o.cfg = RunConfig::quick(),
+            "--full" => o.cfg = RunConfig::full(),
+            "--seed" => seed = Some(value(&mut args, flag)?),
+            "--events" => events = Some(value(&mut args, flag)?),
             "--sizes" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.sizes = v
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if cfg.sizes.is_empty() {
-                    usage();
-                }
+                let list: String = value(&mut args, flag)?;
+                let parsed: Result<Vec<usize>, _> = list.split(',').map(|s| s.trim().parse()).collect();
+                sizes = Some(parsed.map_err(|_| format!("{flag}: malformed value `{list}`"))?);
             }
-            "--csv" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                csv_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                jobs = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--metrics-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                metrics_out = Some(std::path::PathBuf::from(v));
-            }
-            "--trace-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trace_out = Some(std::path::PathBuf::from(v));
-            }
-            "--trace-sample" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trace_sample = v.parse().unwrap_or_else(|_| usage());
-                if trace_sample == 0 {
-                    usage();
-                }
-            }
+            "--csv" => o.csv_dir = Some(value(&mut args, flag)?),
+            "--jobs" => o.jobs = value(&mut args, flag)?,
+            "--metrics-out" => o.metrics_out = Some(value(&mut args, flag)?),
+            "--trace-out" => o.trace_out = Some(value(&mut args, flag)?),
+            "--trace-sample" => o.trace_sample = value::<NonZeroU64>(&mut args, flag)?.get(),
             "--scenario" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                profile_scenario = GrowthScenario::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scenario: {v}");
-                    usage()
-                });
+                let name: String = value(&mut args, flag)?;
+                o.profile_scenario = GrowthScenario::from_name(&name)
+                    .ok_or_else(|| format!("unknown scenario: {name}"))?;
             }
-            "--cell-n" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cell_n = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--event-limit" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                event_limit = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--bin-us" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bin_us = v.parse().unwrap_or_else(|_| usage());
-                if bin_us == 0 {
-                    usage();
-                }
-            }
-            "--report-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                report_out = std::path::PathBuf::from(v);
-            }
-            "--timeseries-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                timeseries_out = std::path::PathBuf::from(v);
-            }
-            "--check" => check = true,
-            "--bless" => bless = true,
-            "--perturb" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                perturb = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--costmodel-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                costmodel_out = Some(std::path::PathBuf::from(v));
-            }
-            "--ledger" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                ledger = Some(std::path::PathBuf::from(v));
-            }
-            "--no-ledger" => ledger = None,
+            "--cell-n" => o.cell_n = Some(value(&mut args, flag)?),
+            "--event-limit" => o.event_limit = Some(value(&mut args, flag)?),
+            "--bin-us" => o.bin_us = value::<NonZeroU64>(&mut args, flag)?.get(),
+            "--report-out" => o.report_out = value(&mut args, flag)?,
+            "--timeseries-out" => o.timeseries_out = value(&mut args, flag)?,
+            "--check" => o.check = true,
+            "--bless" => o.bless = true,
+            "--perturb" => o.perturb = Some(value(&mut args, flag)?),
+            "--costmodel-out" => o.costmodel_out = Some(value(&mut args, flag)?),
+            "--ledger" => o.ledger = Some(value(&mut args, flag)?),
+            "--no-ledger" => o.ledger = None,
             "--ledger-rev" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                if v.is_empty() {
-                    usage();
+                let rev: String = value(&mut args, flag)?;
+                if rev.is_empty() {
+                    return Err("--ledger-rev needs a non-empty revision".to_string());
                 }
-                ledger_rev = Some(v);
+                o.ledger_rev = Some(rev);
             }
-            "--trend-out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trend_out = std::path::PathBuf::from(v);
-            }
-            "--window" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trend_opts.window = v.parse().unwrap_or_else(|_| usage());
-                if trend_opts.window == 0 {
-                    usage();
-                }
-            }
-            "--band" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trend_opts.band_pct = v.parse().unwrap_or_else(|_| usage());
-                if !trend_opts.band_pct.is_finite() || trend_opts.band_pct < 0.0 {
-                    usage();
-                }
-            }
-            "--exp-band" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                trend_opts.exp_band = v.parse().unwrap_or_else(|_| usage());
-                if !trend_opts.exp_band.is_finite() || trend_opts.exp_band < 0.0 {
-                    usage();
-                }
-            }
-            _ => usage(),
+            "--trend-out" => o.trend_out = value(&mut args, flag)?,
+            "--window" | "--band" | "--exp-band" => return Err(TREND_IS_NOT_A_GATE.to_string()),
+            _ => return Err(format!("unknown option {flag}")),
         }
     }
-    Options {
-        target,
-        cfg,
-        csv_dir,
-        jobs,
-        metrics_out,
-        trace_out,
-        trace_sample,
-        profile_scenario,
-        cell_n,
-        event_limit,
-        bin_us,
-        report_out,
-        timeseries_out,
-        check,
-        bless,
-        perturb,
-        costmodel_out,
-        ledger,
-        ledger_rev,
-        trend_out,
-        trend_opts,
+    if o.target == "trend" && (o.check || o.perturb.is_some()) {
+        return Err(TREND_IS_NOT_A_GATE.to_string());
     }
+    o.cfg.seed = seed.unwrap_or(o.cfg.seed);
+    o.cfg.events = events.unwrap_or(o.cfg.events);
+    o.cfg.sizes = sizes.unwrap_or(o.cfg.sizes);
+    Ok(o)
 }
 
 fn run_target(target: &str, sw: &mut Sweeper) -> Option<Figure> {
@@ -382,7 +295,7 @@ const ALL_TARGETS: [&str; 18] = [
 
 /// Writes the merged metrics registry as deterministic JSON.
 fn write_metrics(
-    path: &std::path::Path,
+    path: &Path,
     metrics: &bgpscale_obs::MetricsRegistry,
 ) -> std::io::Result<()> {
     std::fs::write(path, metrics.to_json())?;
@@ -392,7 +305,7 @@ fn write_metrics(
 
 /// Streams trace records as JSONL through a buffered [`TraceWriter`],
 /// stamped with a schema-version header line.
-fn write_trace(path: &std::path::Path, records: &[TraceRecord]) -> std::io::Result<()> {
+fn write_trace(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
     let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
     writer.write_header()?;
@@ -430,7 +343,7 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
     if let Some(path) = &opts.trace_out {
         write_trace(path, &out.observed.trace)?;
     }
-    append_ledger(opts, &[trend::record_from_profile(&cfg, &out, &ledger_rev(opts))]);
+    append_ledger(opts, &[profile::profile_record(&cfg, &out, &ledger_rev(opts))]);
     if opts.check {
         if let Err(reason) = profile::check(&out) {
             eprintln!("profile check FAILED: {reason}");
@@ -495,7 +408,7 @@ fn ledger_rev(opts: &Options) -> String {
 /// Reports a ledger failure as `who`'s and returns its exit code: a
 /// filesystem failure is a run failure (1); a corrupt or schema-foreign
 /// ledger is a configuration problem (2).
-fn ledger_failure(who: &str, e: &LedgerError, path: &std::path::Path) -> i32 {
+fn ledger_failure(who: &str, e: &LedgerError, path: &Path) -> i32 {
     if matches!(e, LedgerError::Io(_)) {
         eprintln!("{who}: {e}");
         EXIT_FAIL
@@ -521,14 +434,15 @@ fn append_ledger(opts: &Options, records: &[LedgerRecord]) {
     }
 }
 
-/// `repro trend`: fold the ledger into trends, write the dashboard, and
-/// optionally gate on regressions. Returns the process exit code.
+/// `repro trend`: fold the ledger into the terminal summary and the
+/// `trend.html` dashboard. Read-only and verdict-free. Returns the
+/// process exit code.
 fn run_trend_target(opts: &Options) -> i32 {
     let Some(path) = &opts.ledger else {
         eprintln!("trend: --no-ledger leaves nothing to analyze");
-        return 2;
+        return EXIT_USAGE;
     };
-    let mut records = match read_ledger(path) {
+    let records = match read_ledger(path) {
         Ok(records) => records,
         Err(e) => return ledger_failure("trend", &e, path),
     };
@@ -537,27 +451,16 @@ fn run_trend_target(opts: &Options) -> i32 {
             "trend: ledger {} is empty — run `repro perf --bless` or `repro profile` first",
             path.display()
         );
-        return 2;
+        return EXIT_USAGE;
     }
-    if let Some(seed) = opts.perturb {
-        trend::perturb_latest(&mut records, seed);
-    }
-    let report = trend::analyze(&records, &opts.trend_opts);
+    let report = trend::analyze(&records);
     print!("{}", trend::render_text(&report));
-    let html = trend::render_html(&records, &report, &opts.trend_opts);
-    if let Err(e) = std::fs::write(&opts.trend_out, html) {
+    if let Err(e) = std::fs::write(&opts.trend_out, trend::render_html(&records, &report)) {
         eprintln!("trend: writing {} failed: {e}", opts.trend_out.display());
-        return 1;
+        return EXIT_FAIL;
     }
     log!(Info, "trend: wrote {}", opts.trend_out.display());
-    if opts.check {
-        if !report.regressions.is_empty() {
-            eprintln!("trend check FAILED: {} regression(s)", report.regressions.len());
-            return 1;
-        }
-        log!(Info, "trend check passed");
-    }
-    0
+    EXIT_OK
 }
 
 /// `repro perf`: check the exact op counts of every sweep size against
@@ -587,7 +490,7 @@ fn run_perf_target(opts: &Options) -> i32 {
             seed: opts.cfg.seed,
             jobs,
             perturb: opts.perturb,
-            })
+        })
         .collect();
     let outcomes = match perf::run(&cells, opts.bless, ledger, &ledger_rev(opts)) {
         Ok(outcomes) => outcomes,
@@ -625,7 +528,7 @@ fn run_perf_target(opts: &Options) -> i32 {
     exit
 }
 
-fn write_csv(dir: &std::path::Path, fig: &Figure) -> std::io::Result<()> {
+fn write_csv(dir: &Path, fig: &Figure) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     for (i, table) in fig.tables.iter().enumerate() {
         let path = dir.join(format!("{}_{}.csv", fig.id, i));
@@ -641,7 +544,7 @@ fn write_csv(dir: &std::path::Path, fig: &Figure) -> std::io::Result<()> {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| usage(&problem));
     if opts.target == "perf" {
         std::process::exit(run_perf_target(&opts));
     }
@@ -689,8 +592,7 @@ fn main() {
     let mut failed_claims = 0usize;
     for t in &targets {
         let Some(fig) = run_target(t, &mut sw) else {
-            eprintln!("unknown target: {t}");
-            usage();
+            usage(&format!("unknown target: {t}"));
         };
         println!("{}", fig.render());
         failed_claims += fig.claims.iter().filter(|c| !c.holds).count();
@@ -721,4 +623,61 @@ fn main() {
         failed_claims
     );
     std::process::exit(if failed_claims > 0 { EXIT_FAIL } else { EXIT_OK });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn overrides_beat_the_preset_in_either_order() {
+        for line in [
+            "perf --check --sizes 300 --events 5 --seed 9 --tiny",
+            "perf --tiny --check --sizes 300 --events 5 --seed 9",
+        ] {
+            let o = parse(line).unwrap();
+            assert_eq!((o.cfg.sizes, o.cfg.events, o.cfg.seed), (vec![300], 5, 9), "{line}");
+        }
+        // What no override names is the preset's, the last preset winning.
+        let o = parse("fig4 --events 2 --quick --tiny").unwrap();
+        assert_eq!((o.cfg.sizes, o.cfg.events), (RunConfig::tiny().sizes, 2));
+        assert_eq!(o.cfg.seed, RunConfig::tiny().seed);
+    }
+
+    #[test]
+    fn malformed_missing_and_unknown_values_are_errors() {
+        for line in [
+            "",
+            "fig4 --jobs many",
+            "fig4 --sizes 300,,600",
+            "fig4 --events",
+            "fig4 --trace-sample 0",
+            "report --bin-us 0",
+            "profile --scenario NOPE",
+            "profile --ledger-rev",
+            "fig4 --frobnicate",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` must be a usage error");
+        }
+    }
+
+    #[test]
+    fn trend_refuses_gate_flags_with_a_pointer_to_perf_check() {
+        for line in [
+            "trend --check",
+            "trend --perturb 1",
+            "trend --window 5",
+            "trend --band 10",
+            "trend --exp-band 0.25",
+        ] {
+            let problem = parse(line).err().unwrap_or_else(|| panic!("`{line}` must not parse"));
+            assert!(problem.contains("repro perf --check"), "{line}: {problem}");
+        }
+        assert!(parse("trend --trend-out t.html").is_ok());
+        assert!(parse("profile --check").is_ok(), "--check still gates profile/report");
+    }
 }

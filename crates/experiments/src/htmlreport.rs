@@ -25,7 +25,7 @@ use bgpscale_obs::{CostModel, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
 
 use crate::sweep::{CellSeries, RunConfig, Sweeper};
-use crate::trend::{fit_exponents, ClassExponent};
+use crate::trend::{fit_exponents, kind_label, ClassExponent};
 
 /// One reported cell pair (the same `(scenario, n)` under both modes).
 #[derive(Clone, Debug)]
@@ -293,12 +293,17 @@ fn render_cost_section(
              report at a larger n for a fit.</p>",
         );
     } else {
-        body.push_str("<table><tr><th>op class</th><th>exponent</th><th>r²</th></tr>");
+        body.push_str(
+            "<table><tr><th>op class</th><th>kind</th><th>exponent</th><th>r²</th></tr>",
+        );
         for e in exponents {
             let _ = write!(
                 body,
-                "<tr><td>{}</td><td>{:.3}</td><td>{:.3}</td></tr>",
-                e.class, e.exponent, e.r_squared
+                "<tr><td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td></tr>",
+                e.class,
+                kind_label(e.kind),
+                e.exponent,
+                e.r_squared
             );
         }
         body.push_str("</table>");
@@ -485,6 +490,7 @@ mod tests {
         assert!(!out.cost_sweep.is_empty());
         assert!(!out.cost_exponents.is_empty());
         assert!(out.html.contains("Scaling exponents"));
+        assert!(out.html.contains("<td>path_intern_hits</td><td>avoided</td>"), "kind column");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `repro perf`: the CI perf-regression gate over the exact cost model.
+//! `repro perf`: the repo's one regression gate, over the exact cost model.
 //!
 //! A cell's **baseline** is a line of the run ledger (`obs::ledger`,
 //! default `results/ledger/runs.jsonl`): the newest `perf` record of the
@@ -10,12 +10,13 @@
 //! integers and a pure function of the cell, the comparison policy is
 //! two-tiered:
 //!
-//! * **the record's `det` tier — exact equality.** All fifteen op counts
-//!   (through [`trend::class_drift`] with a zero band) and the
-//!   `costmodel.json` content hash, which pins every per-event, per-phase
-//!   count as well. Any drift is a real behavior change (more decision
-//!   runs, more queue work, …) and must be either fixed or consciously
-//!   re-blessed with `repro perf --bless`, with the cause in the commit.
+//! * **the record's `det` tier — exact equality.** Each of the fifteen op
+//!   counts and the `costmodel.json` content hash, which pins every
+//!   per-event, per-phase count as well. Any drift is a real behavior
+//!   change (more decision runs, more queue work, …) and must be either
+//!   fixed or consciously re-blessed with `repro perf --bless`, with the
+//!   cause in the commit. Nothing second-guesses a bless: `repro trend`
+//!   only draws the step it leaves in the history.
 //! * **wall-clock seconds — a wide multiplicative band** (×/÷
 //!   [`WALL_BAND`]). Wall time is recorded for context only; the band
 //!   exists to catch pathological blowups (an accidental O(n²) that the
@@ -27,20 +28,23 @@
 //! for the cell), 2 = usage/config error (damaged ledger).
 //!
 //! `--perturb <seed>` corrupts one measured op count with
-//! [`trend::perturb_ops`] before comparison — CI uses it as a mutation
-//! gate proving the check actually fails (exit exactly 1) when counts
-//! drift.
+//! [`perturb_ops`] before comparison — CI uses it as a mutation gate
+//! proving the check actually fails (exit exactly 1) when counts drift.
+//!
+//! [`cell_record`] is the one builder of ledger lines: `perf` and
+//! `profile` both describe their cell through it.
 
 use std::path::Path;
 
 use bgpscale_core::{run_experiment_with_cost, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord, RunKind};
-use bgpscale_obs::{log, CostModel};
+use bgpscale_obs::ledger::{
+    append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
+};
+use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
+use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
-
-use crate::trend;
 
 /// Wall-time sanity band: measured wall time must lie within
 /// `[baseline / WALL_BAND, baseline · WALL_BAND]`. Deliberately huge —
@@ -70,26 +74,94 @@ pub struct PerfMeasurement {
     pub cost: CostModel,
 }
 
+impl PerfConfig {
+    /// The experiment cell this config measures (default BGP config).
+    pub fn cell(&self) -> ExperimentConfig {
+        ExperimentConfig {
+            scenario: self.scenario,
+            n: self.n,
+            events: self.events,
+            seed: self.seed,
+            bgp: Default::default(),
+            event_limit: None,
+            wheel_slot_bits: None,
+        }
+    }
+}
+
 /// Runs the cell and returns its measured cost model and wall time.
 pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
-    let cell = ExperimentConfig {
-        scenario: cfg.scenario,
-        n: cfg.n,
-        events: cfg.events,
-        seed: cfg.seed,
-        bgp: Default::default(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    };
     let started = Stopwatch::start();
-    let (_report, cost) = run_experiment_with_cost(&cell, cfg.jobs.max(1));
+    let (_report, cost) = run_experiment_with_cost(&cfg.cell(), cfg.jobs.max(1));
     let wall_s = started.elapsed_secs_f64();
     let mut ops = cost.total();
     if let Some(seed) = cfg.perturb {
-        let (class, bump) = trend::perturb_ops(&mut ops, seed);
+        let (class, bump) = perturb_ops(&mut ops, seed);
         log!(Info, "perf: perturbing {class} (×2 +{bump}, seed {seed})");
     }
     PerfMeasurement { ops, wall_s, cost }
+}
+
+/// Deterministically inflates one op class (`v → 2·v + bump`,
+/// `bump ≥ 1`): class index and bump size both derive from `seed` via the
+/// repo's standard seed-fanout hash. The corruption behind `--perturb`.
+/// Returns the class and the bump for the caller's log line.
+pub fn perturb_ops(ops: &mut OpCounts, seed: u64) -> (&'static str, u64) {
+    let idx = (hash64_pair(seed, 0xBAD) % OpCounts::FIELD_COUNT as u64) as usize;
+    let bump = 1 + hash64_pair(seed, 0xB00) % 1_000;
+    let mut fields = ops.fields();
+    fields[idx].1 = fields[idx].1 * 2 + bump;
+    *ops = OpCounts::from_fields(&fields);
+    (fields[idx].0, bump)
+}
+
+/// The content hash of one JSON artifact, as a record's `artifacts`
+/// block stores it.
+pub fn artifact_hash(json: &str) -> Option<u64> {
+    Some(hash64_bytes(json.as_bytes()))
+}
+
+/// The ledger record of one measured cell: the deterministic tier from
+/// the cell's config, op counts and artifact hashes, the wall tier in
+/// integer units. `perf` records are what `--check` compares against the
+/// cell's baseline and what `--bless` appends.
+pub fn cell_record(
+    kind: RunKind,
+    cell: &ExperimentConfig,
+    jobs: usize,
+    ops: OpCounts,
+    artifacts: ArtifactHashes,
+    wall_s: f64,
+    git_rev: &str,
+) -> LedgerRecord {
+    LedgerRecord {
+        schema: SCHEMA_VERSION,
+        kind,
+        git_rev: git_rev.to_string(),
+        scenario: cell.scenario.to_string(),
+        n: cell.n as u64,
+        mode: cell.bgp.mrai_mode.label().to_string(),
+        seed: cell.seed,
+        events: cell.events as u64,
+        ops,
+        artifacts,
+        wall: WallSide {
+            wall_us: (wall_s * 1e6).max(0.0).round() as u64,
+            jobs: jobs as u64,
+            peak_rss_bytes: bgpscale_simkernel::peak_rss_bytes(),
+            metrics_overhead_cpct: None,
+            trace_overhead_cpct: None,
+        },
+    }
+}
+
+/// [`cell_record`] of one `repro perf` measurement.
+pub fn perf_record(cfg: &PerfConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
+    let artifacts = ArtifactHashes {
+        costmodel: artifact_hash(&m.cost.to_json()),
+        ..ArtifactHashes::default()
+    };
+    cell_record(RunKind::Perf, &cfg.cell(), cfg.jobs, m.ops, artifacts, m.wall_s, git_rev)
 }
 
 /// The baseline of `cell` in `history` (append order, as `read_ledger`
@@ -119,15 +191,16 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
             cell.fingerprint()
         )]);
     };
-    let mut failures: Vec<String> = trend::class_drift(&cell.ops, &base.ops, 0.0)
-        .iter()
-        .map(|d| {
+    let mut failures: Vec<String> = cell
+        .ops
+        .fields()
+        .into_iter()
+        .zip(base.ops.fields())
+        .filter(|((_, new), (_, blessed))| new != blessed)
+        .map(|((class, new), (_, blessed))| {
             format!(
-                "op count drift: {} = {}, baseline {} ({:+}) at rev {}",
-                d.class,
-                d.new,
-                d.reference,
-                i128::from(d.new) - i128::from(d.reference),
+                "op count drift: {class} = {new}, baseline {blessed} ({:+}) at rev {}",
+                i128::from(new) - i128::from(blessed),
                 base.git_rev
             )
         })
@@ -183,7 +256,7 @@ pub fn run(
             if bless { "bless" } else { "check" }
         );
         let m = measure(cfg);
-        let record = trend::record_from_perf(cfg, &m, git_rev);
+        let record = perf_record(cfg, &m, git_rev);
         let verdict = if bless {
             blessed.push(record);
             Ok(())
@@ -221,7 +294,7 @@ mod tests {
     }
 
     fn record(cfg: &PerfConfig, rev: &str) -> LedgerRecord {
-        trend::record_from_perf(cfg, &measure(cfg), rev)
+        perf_record(cfg, &measure(cfg), rev)
     }
 
     #[test]
@@ -245,6 +318,29 @@ mod tests {
         // With only the drifted line left, the same cell fails.
         let msgs = check(&history[..1], &cell).unwrap_err();
         assert!(msgs.iter().any(|m| m.contains("op count drift: deliveries")), "{msgs:?}");
+    }
+
+    #[test]
+    fn any_single_class_off_by_one_fails_naming_exactly_that_class() {
+        let blessed = record(&tiny(), "r1");
+        for (idx, &(class, _)) in OpCounts::CLASSES.iter().enumerate() {
+            for delta in [1i64, -1] {
+                let mut fields = blessed.ops.fields();
+                let Some(moved) = fields[idx].1.checked_add_signed(delta) else {
+                    continue; // a zero count has no "one below"
+                };
+                fields[idx].1 = moved;
+                let mut cell = blessed.clone();
+                cell.ops = OpCounts::from_fields(&fields);
+                let msgs = check(std::slice::from_ref(&blessed), &cell).unwrap_err();
+                assert_eq!(msgs.len(), 1, "{class}: {msgs:?}");
+                assert!(
+                    msgs[0].starts_with(&format!("op count drift: {class} = {moved},"))
+                        && msgs[0].contains(&format!("({delta:+})")),
+                    "{class}: {msgs:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,12 @@
 use bgpscale_core::{
     run_experiment_observed_with, ExperimentConfig, ObserveOptions, ObservedReport,
 };
+use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind};
 use bgpscale_obs::span::{self, SpanStats};
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
+
+use crate::perf::{artifact_hash, cell_record};
 
 /// One profiled cell.
 #[derive(Clone, Debug)]
@@ -38,6 +41,21 @@ pub struct ProfileConfig {
     /// harness's budget snapshot (queue depth, pending events by kind,
     /// busiest inbox) instead of crashing the process.
     pub event_limit: Option<u64>,
+}
+
+impl ProfileConfig {
+    /// The experiment cell this config profiles (default BGP config).
+    pub fn cell(&self) -> ExperimentConfig {
+        ExperimentConfig {
+            scenario: self.scenario,
+            n: self.n,
+            events: self.events,
+            seed: self.seed,
+            bgp: Default::default(),
+            event_limit: self.event_limit,
+            wheel_slot_bits: None,
+        }
+    }
 }
 
 /// The result of [`run_profile`].
@@ -75,15 +93,7 @@ pub const EXPECTED_SPANS: [&str; 5] = [
 pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
     span::reset();
     let watch = Stopwatch::start();
-    let experiment = ExperimentConfig {
-        scenario: cfg.scenario,
-        n: cfg.n,
-        events: cfg.events,
-        seed: cfg.seed,
-        bgp: Default::default(),
-        event_limit: cfg.event_limit,
-        wheel_slot_bits: None,
-    };
+    let experiment = cfg.cell();
     let jobs = bgpscale_simkernel::pool::effective_jobs(cfg.jobs).max(1);
     // The harness panics on budget exhaustion (a model bug in normal
     // operation); for the interactive profile tool a caught panic with
@@ -112,6 +122,19 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .unwrap_or_else(|| "experiment cell panicked".to_string())),
     }
+}
+
+/// [`cell_record`] of one profiled cell, with content hashes of every
+/// deterministic artifact the run produced.
+pub fn profile_record(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &str) -> LedgerRecord {
+    let observed = &out.observed;
+    let artifacts = ArtifactHashes {
+        metrics: artifact_hash(&observed.metrics.to_json()),
+        timeseries: observed.timeseries.as_ref().and_then(|ts| artifact_hash(&ts.to_json())),
+        costmodel: artifact_hash(&observed.cost.to_json()),
+    };
+    let ops = observed.cost.total();
+    cell_record(RunKind::Profile, &cfg.cell(), cfg.jobs, ops, artifacts, out.wall_s, git_rev)
 }
 
 /// The CI gate: every expected span recorded at least one call, and the
@@ -249,6 +272,44 @@ mod tests {
         let mut out = run_profile(&cfg).expect("tiny profile must complete");
         out.spans.retain(|(n, _)| *n != "run_events");
         assert!(check(&out).unwrap_err().contains("run_events"));
+    }
+
+    #[test]
+    fn perf_and_profile_records_share_the_cell_fingerprint() {
+        use crate::perf::{measure, perf_record, PerfConfig};
+        let _guard = PROFILE_LOCK.lock().unwrap();
+        let perf_cfg = PerfConfig {
+            scenario: GrowthScenario::Baseline,
+            n: 150,
+            events: 2,
+            seed: 7,
+            jobs: 1,
+            perturb: None,
+        };
+        let pr = perf_record(&perf_cfg, &measure(&perf_cfg), "r1");
+        let prof_cfg = ProfileConfig {
+            seed: 7,
+            trace_sample: None,
+            ..tiny_cfg()
+        };
+        let out = run_profile(&prof_cfg).unwrap();
+        let fr = profile_record(&prof_cfg, &out, "r1");
+        // Same cell coordinates → same fingerprint and identical ops
+        // (determinism); different kinds → distinct det hashes.
+        assert_eq!(pr.fingerprint(), fr.fingerprint());
+        assert_eq!(pr.ops, fr.ops, "op counts are a pure function of the cell");
+        assert_ne!(pr.det_hash(), fr.det_hash(), "kind is part of the det block");
+        assert!(fr.artifacts.metrics.is_some(), "profile hashes metrics.json");
+        assert!(fr.artifacts.costmodel.is_some());
+        // The mode label is the config's, not a constant: the same cell
+        // under WRATE is another fingerprint.
+        let wrate = ExperimentConfig {
+            bgp: bgpscale_bgp::BgpConfig::wrate(),
+            ..perf_cfg.cell()
+        };
+        let wr = cell_record(RunKind::Perf, &wrate, 1, pr.ops, pr.artifacts, 0.0, "r1");
+        assert_eq!((pr.mode.as_str(), wr.mode.as_str()), ("NO-WRATE", "WRATE"));
+        assert_ne!(pr.fingerprint(), wr.fingerprint());
     }
 
     /// Satellite fix: a blown event budget must surface the harness's

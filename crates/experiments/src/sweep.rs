@@ -92,19 +92,67 @@ struct CellKey {
     mode: MraiMode,
 }
 
-/// Telemetry collection settings for a [`Sweeper`] (off by default).
-#[derive(Clone, Copy, Debug, Default)]
-struct Telemetry {
-    enabled: bool,
-    trace_sample: Option<u64>,
-    timeseries_bin_us: Option<u64>,
+/// Wall-side progress of one [`Sweeper::sweep_mode`] call, ticked at fold
+/// time on the owning thread (see [`Sweeper::enable_heartbeat`]).
+struct Heartbeat {
+    /// `None` when the heartbeat is off: every tick is then a no-op.
+    watch: Option<Stopwatch>,
+    total: usize,
+    done: usize,
+    events: u64,
 }
 
-impl Telemetry {
-    fn options(&self) -> ObserveOptions {
-        ObserveOptions {
-            trace_sample: self.trace_sample,
-            timeseries_bin_us: self.timeseries_bin_us,
+impl Heartbeat {
+    fn new(on: bool, total: usize) -> Heartbeat {
+        Heartbeat {
+            watch: on.then(Stopwatch::start),
+            total,
+            done: 0,
+            events: 0,
+        }
+    }
+
+    fn tick(&mut self, cfg: &ExperimentConfig, cell_events: u64) {
+        let Some(watch) = &self.watch else { return };
+        self.done += 1;
+        self.events += cell_events;
+        let (done, total) = (self.done, self.total);
+        let elapsed = watch.elapsed_secs_f64();
+        let eta = if done < total {
+            elapsed / done as f64 * (total - done) as f64
+        } else {
+            0.0
+        };
+        let rate = if elapsed > 0.0 {
+            self.events as f64 / elapsed
+        } else {
+            0.0
+        };
+        log!(
+            Info,
+            "sweep: {done}/{total} cells done ({} n={} {}) {cell_events} events {rate:.0} ev/s elapsed {elapsed:.1}s eta {eta:.1}s",
+            cfg.scenario,
+            cfg.n,
+            cfg.bgp.mrai_mode.label()
+        );
+    }
+}
+
+/// Runs one cell with `jobs` workers. An unobserved cell goes through
+/// `run_experiment_with_cost` (the `NoopObserver` path) and carries empty
+/// telemetry.
+fn run_cell(cfg: &ExperimentConfig, jobs: usize, telemetry: Option<&ObserveOptions>) -> ObservedReport {
+    match telemetry {
+        Some(opts) => run_experiment_observed_with(cfg, jobs, opts),
+        None => {
+            let (report, cost) = run_experiment_with_cost(cfg, jobs);
+            ObservedReport {
+                report,
+                metrics: MetricsRegistry::new(),
+                trace: Vec::new(),
+                timeseries: None,
+                cost,
+            }
         }
     }
 }
@@ -134,7 +182,8 @@ pub struct Sweeper {
     progress: Option<ProgressFn>,
     /// Worker budget per sweep call; 1 = fully sequential.
     jobs: usize,
-    telemetry: Telemetry,
+    /// What every uncached cell records; `None` = unobserved.
+    telemetry: Option<ObserveOptions>,
     /// Merged metrics of every uncached cell computed so far, folded on
     /// the owning thread in cell-completion order (deterministic for a
     /// fixed call sequence, independent of `jobs`).
@@ -160,7 +209,7 @@ impl Sweeper {
             costs: BTreeMap::new(),
             progress: None,
             jobs: 1,
-            telemetry: Telemetry::default(),
+            telemetry: None,
             metrics: MetricsRegistry::new(),
             trace: Vec::new(),
             series: Vec::new(),
@@ -179,46 +228,6 @@ impl Sweeper {
         self.heartbeat = true;
     }
 
-    /// Simulator events a computed cell processed (queue pops: one per
-    /// event), read from the cached cost model. Heartbeat bookkeeping
-    /// only.
-    fn cell_events(&self, scenario: GrowthScenario, n: usize, mode: MraiMode) -> u64 {
-        self.costs
-            .get(&CellKey { scenario, n, mode })
-            .map(|c| c.total().queue_pops)
-            .unwrap_or(0)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn heartbeat_line(
-        watch: &Option<Stopwatch>,
-        scenario: GrowthScenario,
-        n: usize,
-        mode: MraiMode,
-        done: usize,
-        total: usize,
-        cell_events: u64,
-        total_events: u64,
-    ) {
-        let Some(watch) = watch else { return };
-        let elapsed = watch.elapsed_secs_f64();
-        let eta = if done > 0 && done < total {
-            elapsed / done as f64 * (total - done) as f64
-        } else {
-            0.0
-        };
-        let rate = if elapsed > 0.0 {
-            total_events as f64 / elapsed
-        } else {
-            0.0
-        };
-        log!(
-            Info,
-            "sweep: {done}/{total} cells done ({scenario} n={n} {}) {cell_events} events {rate:.0} ev/s elapsed {elapsed:.1}s eta {eta:.1}s",
-            mode.label()
-        );
-    }
-
     /// Turns on telemetry collection: every *uncached* cell computed from
     /// now on runs with a metrics recorder attached (and, when
     /// `trace_sample` is `Some(n)`, keeps 1-in-`n` trace records). The
@@ -226,8 +235,7 @@ impl Sweeper {
     /// accumulated telemetry with [`Sweeper::metrics`] /
     /// [`Sweeper::take_trace`].
     pub fn enable_telemetry(&mut self, trace_sample: Option<u64>) {
-        self.telemetry.enabled = true;
-        self.telemetry.trace_sample = trace_sample;
+        self.telemetry.get_or_insert_with(ObserveOptions::default).trace_sample = trace_sample;
     }
 
     /// Additionally records a simulated-time series (bin width `bin_us`
@@ -235,8 +243,7 @@ impl Sweeper {
     /// from now on. Implies telemetry. Collected series are labeled with
     /// their cell coordinates; drain them with [`Sweeper::take_series`].
     pub fn enable_timeseries(&mut self, bin_us: u64) {
-        self.telemetry.enabled = true;
-        self.telemetry.timeseries_bin_us = Some(bin_us);
+        self.telemetry.get_or_insert_with(ObserveOptions::default).timeseries_bin_us = Some(bin_us);
     }
 
     /// The metrics merged across all telemetry-enabled cells so far.
@@ -256,28 +263,20 @@ impl Sweeper {
         std::mem::take(&mut self.series)
     }
 
-    /// Runs one uncached cell, folding telemetry if enabled. The cell's
-    /// cost model is always captured into the cost cache.
-    fn compute_cell(&mut self, cfg: &ExperimentConfig) -> Arc<ChurnReport> {
-        if self.telemetry.enabled {
-            let observed = run_experiment_observed_with(cfg, self.jobs, &self.telemetry.options());
-            self.fold_telemetry(cfg, observed)
-        } else {
-            let (report, cost) = run_experiment_with_cost(cfg, self.jobs);
-            self.costs.insert(Self::cost_key(cfg), Arc::new(cost));
-            Arc::new(report)
-        }
-    }
-
-    fn cost_key(cfg: &ExperimentConfig) -> CellKey {
-        CellKey {
+    /// Folds one computed cell into the caches and the accumulated
+    /// telemetry (empty for an unobserved cell), then ticks `hb`. Always on
+    /// the owning thread, in the order cells are handed in.
+    fn fold_cell(
+        &mut self,
+        cfg: &ExperimentConfig,
+        observed: ObservedReport,
+        hb: &mut Heartbeat,
+    ) -> Arc<ChurnReport> {
+        let key = CellKey {
             scenario: cfg.scenario,
             n: cfg.n,
             mode: cfg.bgp.mrai_mode,
-        }
-    }
-
-    fn fold_telemetry(&mut self, cfg: &ExperimentConfig, observed: ObservedReport) -> Arc<ChurnReport> {
+        };
         self.metrics.merge(&observed.metrics);
         self.trace.extend(observed.trace);
         if let Some(series) = observed.timeseries {
@@ -288,8 +287,12 @@ impl Sweeper {
                 series,
             });
         }
-        self.costs.insert(Self::cost_key(cfg), Arc::new(observed.cost));
-        Arc::new(observed.report)
+        // Simulator events the cell processed: one queue pop each.
+        hb.tick(cfg, observed.cost.total().queue_pops);
+        self.costs.insert(key.clone(), Arc::new(observed.cost));
+        let report = Arc::new(observed.report);
+        self.cache.insert(key, Arc::clone(&report));
+        report
     }
 
     /// The exact op-count model of a cell, if that cell has been computed
@@ -374,17 +377,26 @@ impl Sweeper {
         n: usize,
         mode: MraiMode,
     ) -> Arc<ChurnReport> {
-        let key = CellKey { scenario, n, mode };
-        if let Some(hit) = self.cache.get(&key) {
+        self.cell(scenario, n, mode, &mut Heartbeat::new(false, 0))
+    }
+
+    /// [`Sweeper::report`], ticking `hb` when the cell had to be computed.
+    fn cell(
+        &mut self,
+        scenario: GrowthScenario,
+        n: usize,
+        mode: MraiMode,
+        hb: &mut Heartbeat,
+    ) -> Arc<ChurnReport> {
+        if let Some(hit) = self.cache.get(&CellKey { scenario, n, mode }) {
             return Arc::clone(hit);
         }
         if let Some(cb) = &self.progress {
             cb(scenario, n, mode);
         }
         let cell_cfg = self.cell_config(scenario, n, mode);
-        let report = self.compute_cell(&cell_cfg);
-        self.cache.insert(key, Arc::clone(&report));
-        report
+        let observed = run_cell(&cell_cfg, self.jobs, self.telemetry.as_ref());
+        self.fold_cell(&cell_cfg, observed, hb)
     }
 
     /// Runs the whole size sweep for one scenario (NO-WRATE).
@@ -404,89 +416,35 @@ impl Sweeper {
         scenario: GrowthScenario,
         mode: MraiMode,
     ) -> Vec<Arc<ChurnReport>> {
-        let uncached: Vec<usize> = self
+        let uncached: Vec<ExperimentConfig> = self
             .cfg
             .sizes
             .iter()
-            .copied()
-            .filter(|&n| !self.cache.contains_key(&CellKey { scenario, n, mode }))
+            .filter(|&&n| !self.cache.contains_key(&CellKey { scenario, n, mode }))
+            .map(|&n| self.cell_config(scenario, n, mode))
             .collect();
-        // Wall-side heartbeat bookkeeping for this call; see
-        // `enable_heartbeat`. Counted at fold time on the owning thread.
-        let hb_watch = self.heartbeat.then(Stopwatch::start);
-        let hb_total = uncached.len();
-        let mut hb_done = 0usize;
-        let mut hb_events = 0u64;
+        let mut hb = Heartbeat::new(self.heartbeat, uncached.len());
 
         // Split the budget: `inner` workers per cell (C-event fan-out),
         // and any leftover across cells.
         let inner = self.jobs.min(self.cfg.events.max(1));
         let outer = uncached.len().min((self.jobs / inner.max(1)).max(1));
         if outer > 1 {
-            let progress = self.progress.clone();
-            let telemetry = self.telemetry;
-            let configs: Vec<ExperimentConfig> = uncached
-                .iter()
-                .map(|&n| self.cell_config(scenario, n, mode))
-                .collect();
-            if telemetry.enabled {
-                // Observed cells return their telemetry to the owning
-                // thread, which folds it in ascending-size (index) order.
-                let observed = run_indexed(outer, configs.len(), |i| {
-                    if let Some(cb) = &progress {
-                        cb(scenario, configs[i].n, mode);
-                    }
-                    run_experiment_observed_with(&configs[i], inner, &telemetry.options())
-                });
-                for ((&n, obs), cell_cfg) in uncached.iter().zip(observed).zip(&configs) {
-                    let report = self.fold_telemetry(cell_cfg, obs);
-                    self.cache.insert(CellKey { scenario, n, mode }, report);
-                    hb_done += 1;
-                    let ev = self.cell_events(scenario, n, mode);
-                    hb_events += ev;
-                    Self::heartbeat_line(
-                        &hb_watch, scenario, n, mode, hb_done, hb_total, ev, hb_events,
-                    );
+            // Workers hand their cells back to this thread, which folds
+            // them in ascending-size (index) order.
+            let computed = run_indexed(outer, uncached.len(), |i| {
+                if let Some(cb) = &self.progress {
+                    cb(scenario, uncached[i].n, mode);
                 }
-            } else {
-                let results = run_indexed(outer, configs.len(), |i| {
-                    if let Some(cb) = &progress {
-                        cb(scenario, configs[i].n, mode);
-                    }
-                    let (report, cost) = run_experiment_with_cost(&configs[i], inner);
-                    (Arc::new(report), Arc::new(cost))
-                });
-                for (&n, (report, cost)) in uncached.iter().zip(results) {
-                    self.cache.insert(CellKey { scenario, n, mode }, report);
-                    self.costs.insert(CellKey { scenario, n, mode }, cost);
-                    hb_done += 1;
-                    let ev = self.cell_events(scenario, n, mode);
-                    hb_events += ev;
-                    Self::heartbeat_line(
-                        &hb_watch, scenario, n, mode, hb_done, hb_total, ev, hb_events,
-                    );
-                }
+                run_cell(&uncached[i], inner, self.telemetry.as_ref())
+            });
+            for (cell_cfg, observed) in uncached.iter().zip(computed) {
+                self.fold_cell(cell_cfg, observed, &mut hb);
             }
         }
 
-        self.cfg
-            .sizes
-            .clone()
-            .into_iter()
-            .map(|n| {
-                let fresh = !self.cache.contains_key(&CellKey { scenario, n, mode });
-                let report = self.report(scenario, n, mode);
-                if fresh {
-                    hb_done += 1;
-                    let ev = self.cell_events(scenario, n, mode);
-                    hb_events += ev;
-                    Self::heartbeat_line(
-                        &hb_watch, scenario, n, mode, hb_done, hb_total, ev, hb_events,
-                    );
-                }
-                report
-            })
-            .collect()
+        let sizes = self.cfg.sizes.clone();
+        sizes.into_iter().map(|n| self.cell(scenario, n, mode, &mut hb)).collect()
     }
 
     /// Number of cached cells (for tests).

@@ -7,8 +7,8 @@
 //! `perf` line and never appends. The ledger is the repo's own trend data:
 //! where the paper asks whether per-router workload stays sublinear as
 //! the topology grows, the ledger asks whether *our* per-event cost stays
-//! flat as the code grows — `repro trend` folds it into scaling-exponent
-//! refits and regression gates.
+//! flat as the code grows — `repro trend` draws it as a read-only
+//! dashboard (per-revision series and scaling-exponent refits).
 //!
 //! ## Record anatomy
 //!
@@ -44,7 +44,8 @@
 //! canonical round-trip: parse, re-serialize *in the line's own schema
 //! layout*, compare bytes — a corrupt or truncated trailing line is a
 //! hard [`LedgerError::Corrupt`], never silently skipped (surfaced as
-//! exit 2 by `repro trend`, the shared usage/config-error code).
+//! exit 2 by `repro perf` and `repro trend`, the shared
+//! usage/config-error code).
 //!
 //! Because history is append-only, a schema bump never orphans old
 //! lines: op-count classes are only ever appended to [`OpCounts`], so a
@@ -142,8 +143,8 @@ pub struct LedgerRecord {
     /// current [`SCHEMA_VERSION`] for fresh records, the wire version for
     /// parsed ones. Op classes are append-only, so an older record's
     /// trailing op fields are zero-filled; consumers comparing op counts
-    /// across records (the trend gates) must not treat that padding as
-    /// measured data.
+    /// across records (the perf gate matches baselines on schema) must
+    /// not treat that padding as measured data.
     pub schema: u32,
     /// Which subcommand produced this record.
     pub kind: RunKind,
@@ -669,7 +670,7 @@ mod tests {
         let out = append_records(&path, &[rerun]).unwrap();
         assert_eq!(out, AppendOutcome { appended: 0, deduped: 1 });
         // Same config + rev but drifted counts: a fresh line (the drift
-        // is exactly what the trend gate wants to see).
+        // is exactly what the history must show).
         let mut drifted = rec.clone();
         drifted.ops.deliveries += 1;
         let out = append_records(&path, &[drifted]).unwrap();

@@ -11,26 +11,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median of an integer sample, `None` when empty. Exact: an even-length
-/// sample averages the two middle values with floor division, so the
-/// result stays integral — suitable for comparing op-count histories
-/// without introducing order-sensitive float arithmetic.
-pub fn median_u64(xs: &[u64]) -> Option<u64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable();
-    let mid = sorted.len() / 2;
-    Some(if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        let lo = sorted[mid - 1];
-        let hi = sorted[mid];
-        lo + (hi - lo) / 2
-    })
-}
-
 /// Sample variance (n − 1 denominator); 0 with fewer than two samples.
 pub fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -125,17 +105,6 @@ mod tests {
         // Population variance is 4; sample variance = 32/7.
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((std_dev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_u64_is_exact_and_total() {
-        assert_eq!(median_u64(&[]), None);
-        assert_eq!(median_u64(&[7]), Some(7));
-        assert_eq!(median_u64(&[3, 1, 2]), Some(2));
-        // Even length: midpoint with floor division, overflow-safe form.
-        assert_eq!(median_u64(&[1, 4]), Some(2));
-        assert_eq!(median_u64(&[u64::MAX, u64::MAX - 2]), Some(u64::MAX - 1));
-        assert_eq!(median_u64(&[10, 0, 10, 0]), Some(5));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Cross-crate contract tests for the run ledger (`obs::ledger` +
 //! `experiments::{perf, trend}`): the deterministic half of every record
 //! is byte-identical for any worker count, history dedupes on content, a
-//! damaged ledger is rejected loudly instead of silently analyzed, and
-//! the ledger is the perf gate's only baseline store — blessed into,
-//! never written by a check.
+//! damaged ledger is rejected loudly instead of silently analyzed, the
+//! ledger is the perf gate's only baseline store — blessed into, never
+//! written by a check — and the checked-in history renders as a dashboard.
 
-use bgpscale_experiments::perf::{self, measure, PerfConfig};
-use bgpscale_experiments::trend::{self, TrendOptions};
+use bgpscale_experiments::perf::{self, measure, perf_record, PerfConfig};
+use bgpscale_experiments::trend;
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, RunKind};
 use bgpscale_topology::GrowthScenario;
 
@@ -35,7 +35,7 @@ fn det_fields_are_byte_identical_across_jobs_1_4_8() {
         .iter()
         .map(|&jobs| {
             let cfg = cell_cfg(jobs);
-            trend::record_from_perf(&cfg, &measure(&cfg), "testrev")
+            perf_record(&cfg, &measure(&cfg), "testrev")
         })
         .collect();
     let baseline = records[0].det_json();
@@ -54,18 +54,18 @@ fn same_config_and_rev_dedupes_by_content_hash() {
     let _ = std::fs::remove_file(&path);
     let cfg = cell_cfg(1);
     let m = measure(&cfg);
-    let first = trend::record_from_perf(&cfg, &m, "revA");
+    let first = perf_record(&cfg, &m, "revA");
     let out = append_records(&path, std::slice::from_ref(&first)).unwrap();
     assert_eq!((out.appended, out.deduped), (1, 0));
 
     // Same cell, same rev, fresh measurement: different wall time, same
     // det content → deduped.
-    let rerun = trend::record_from_perf(&cfg, &measure(&cfg), "revA");
+    let rerun = perf_record(&cfg, &measure(&cfg), "revA");
     let out = append_records(&path, &[rerun]).unwrap();
     assert_eq!((out.appended, out.deduped), (0, 1));
 
     // Same cell at a new revision is new history.
-    let next_rev = trend::record_from_perf(&cfg, &m, "revB");
+    let next_rev = perf_record(&cfg, &m, "revB");
     let out = append_records(&path, &[next_rev]).unwrap();
     assert_eq!((out.appended, out.deduped), (1, 0));
 
@@ -90,8 +90,8 @@ fn truncated_trailing_line_is_rejected_as_corrupt() {
     let _ = std::fs::remove_file(&path);
     let cfg = cell_cfg(1);
     let m = measure(&cfg);
-    append_records(&path, &[trend::record_from_perf(&cfg, &m, "revA")]).unwrap();
-    append_records(&path, &[trend::record_from_perf(&cfg, &m, "revB")]).unwrap();
+    append_records(&path, &[perf_record(&cfg, &m, "revA")]).unwrap();
+    append_records(&path, &[perf_record(&cfg, &m, "revB")]).unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
     let cut = text.trim_end().len() - 25;
@@ -103,35 +103,9 @@ fn truncated_trailing_line_is_rejected_as_corrupt() {
     }
     // Appending to a damaged ledger must refuse too, not paper over it.
     assert!(matches!(
-        append_records(&path, &[trend::record_from_perf(&cfg, &m, "revC")]),
+        append_records(&path, &[perf_record(&cfg, &m, "revC")]),
         Err(LedgerError::Corrupt { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Disk round trip feeds the trend gate: two revisions of real
-/// measurements pass fresh, and a seeded perturbation is caught.
-#[test]
-fn trend_gate_passes_fresh_history_and_catches_perturbation() {
-    let path = temp_path("trend");
-    let _ = std::fs::remove_file(&path);
-    let cfg = cell_cfg(1);
-    let m = measure(&cfg);
-    append_records(&path, &[trend::record_from_perf(&cfg, &m, "revA")]).unwrap();
-    append_records(&path, &[trend::record_from_perf(&cfg, &m, "revB")]).unwrap();
-
-    let mut records = read_ledger(&path).unwrap();
-    let opts = TrendOptions::default();
-    let report = trend::analyze(&records, &opts);
-    assert_eq!(report.revs, vec!["revA", "revB"]);
-    assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-
-    trend::perturb_latest(&mut records, 1);
-    let perturbed = trend::analyze(&records, &opts);
-    assert!(
-        !perturbed.regressions.is_empty(),
-        "seeded perturbation must trip the gate"
-    );
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -207,4 +181,23 @@ fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
             "no current-schema perf baseline for n={n}: `repro perf --check` would fail in CI"
         );
     }
+}
+
+/// The checked-in ledger renders: `repro trend` is a read-only dashboard
+/// over exactly this file, so its three revisions and ten fingerprints
+/// must fold, and the page must name every revision and carry the
+/// exponent table with each class's kind.
+#[test]
+fn checked_in_ledger_renders_as_a_dashboard() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger/runs.jsonl");
+    let history = read_ledger(std::path::Path::new(path)).unwrap();
+    let report = trend::analyze(&history);
+    assert_eq!(report.records, history.len());
+    assert_eq!((report.revs.len(), report.fingerprints), (3, 10));
+    let html = trend::render_html(&history, &report);
+    for rev in &report.revs {
+        assert!(html.contains(&rev[..10]), "trend.html does not name rev {rev}");
+    }
+    assert!(html.contains("Scaling-exponent refits"));
+    assert!(html.contains("<td>mrai_coalesced</td><td>avoided</td>"), "kind column");
 }

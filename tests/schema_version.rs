@@ -71,6 +71,6 @@ fn ledger_line_is_stamped() {
         perturb: None,
     };
     let m = measure(&cfg);
-    let record = bgpscale_experiments::trend::record_from_perf(&cfg, &m, "testrev");
+    let record = bgpscale_experiments::perf::perf_record(&cfg, &m, "testrev");
     assert_stamped(&record.to_line(), "ledger line");
 }
