@@ -5,13 +5,20 @@
 //! `bgpscale-simkernel`. Three event kinds exist (the paper's Fig. 2):
 //!
 //! * **Deliver** — a message arrives at a node and joins its FIFO input
-//!   queue; if the node's processor is idle, service begins.
+//!   queue; if the node's processor is idle, service begins. The event
+//!   names only the receiver and its session slot: the `Update` itself
+//!   rides the simulator's `wire` FIFO, because every message takes the
+//!   same constant link delay and so arrives in the order it was sent.
 //! * **ProcDone** — the processor finishes one message (service time drawn
 //!   uniformly from `[0, proc_delay_max]`), the protocol machine runs, and
 //!   resulting transmissions are scheduled after the link delay.
 //! * **MraiExpire** — a neighbor session's MRAI timer fires; queued
 //!   updates flush and the timer re-arms (jittered) iff something was
 //!   sent.
+//!
+//! `Deliver`s are scheduled on the event queue's in-order lane
+//! (`EventQueue::schedule_in_order`), the two timer-like kinds in its heap;
+//! the pop sequence is the one `(time, seq)` total order either way.
 //!
 //! The simulation **quiesces** when the event queue empties: every RIB is
 //! stable and every MRAI timer idle. All randomness (service times,
@@ -35,12 +42,14 @@ use crate::churn::ChurnCollector;
 /// indicates a model bug rather than a slow run.
 const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
-/// Simulator events.
+/// Simulator events. Small on purpose: the heap sifts whole entries, so
+/// the 48-byte `Update` of a `Deliver` travels on `Simulator::wire`
+/// instead of in the event.
 #[derive(Clone, Debug)]
 enum SimEvent {
-    /// `update` reaches `to`'s input queue over `to`'s session `slot`
-    /// (the sender is that session's peer).
-    Deliver { to: AsId, slot: u32, update: Update },
+    /// The `Update` at the front of the wire reaches `to`'s input queue
+    /// over `to`'s session `slot` (the sender is that session's peer).
+    Deliver { to: AsId, slot: u32 },
     /// `node`'s processor finishes the message at the head of its queue.
     ProcDone { node: AsId },
     /// An MRAI timer for `node`'s neighbor session `slot` expires:
@@ -56,6 +65,8 @@ enum SimEvent {
     /// A Route-Flap-Damping reuse wake-up for `(node, slot, prefix)`.
     RfdReuse { node: AsId, slot: u32, prefix: Prefix },
 }
+
+const _: () = assert!(std::mem::size_of::<SimEvent>() <= 24);
 
 impl SimEvent {
     fn kind(&self) -> EventKind {
@@ -145,6 +156,15 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// Per-node processor-busy flag.
     busy: Vec<bool>,
     queue: EventQueue<SimEvent>,
+    /// The `Update`s in flight, in the order their `Deliver` events were
+    /// scheduled — which is the order those events pop, because every
+    /// `Deliver` is scheduled one constant `cfg.link_delay` after a
+    /// monotone clock ([`Simulator::apply_actions`] asserts it). The
+    /// k-th `Deliver` to pop takes the k-th `Update` pushed.
+    wire: std::collections::VecDeque<Update>,
+    /// Arrival time of the newest `Update` on the wire: no later
+    /// `Deliver` may be scheduled before it.
+    wire_tail_at: SimTime,
     rng: Xoshiro256StarStar,
     churn: ChurnCollector,
     /// Time of the most recent Deliver or ProcDone (i.e. of actual routing
@@ -286,6 +306,8 @@ impl SimTemplate {
             inbox: vec![std::collections::VecDeque::new(); n],
             busy: vec![false; n],
             queue: EventQueue::with_capacity(1024),
+            wire: std::collections::VecDeque::new(),
+            wire_tail_at: SimTime::ZERO,
             rng: Xoshiro256StarStar::new(seed),
             churn,
             last_activity: SimTime::ZERO,
@@ -576,8 +598,8 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Restores, in place and from **any** state, exactly the observable
-    /// state of `template.instantiate(seed)`: clock at zero, event queue
-    /// and input queues empty, processors idle, RNG reseeded, root-cause
+    /// state of `template.instantiate(seed)`: clock at zero, event queue,
+    /// wire and input queues empty, processors idle, RNG reseeded, root-cause
     /// ids from 0, churn counters zeroed and disabled, the default event
     /// limit, every link up, and every node as constructed (see
     /// [`BgpNode::recycle`]). Pending events, busy processors, armed
@@ -592,6 +614,8 @@ impl<O: SimObserver> Simulator<O> {
     /// ever diff.
     pub fn recycle(&mut self, seed: u64) {
         self.queue.reset();
+        self.wire.clear();
+        self.wire_tail_at = SimTime::ZERO;
         for inbox in &mut self.inbox {
             inbox.clear();
         }
@@ -612,11 +636,15 @@ impl<O: SimObserver> Simulator<O> {
         self.armed_timers = 0;
     }
 
-    // det::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
+    // det::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a Deliver with an empty wire or a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {
-            SimEvent::Deliver { to, slot, update } => {
+            SimEvent::Deliver { to, slot } => {
+                let update = self
+                    .wire
+                    .pop_front()
+                    .expect("Deliver with nothing on the wire");
                 let session = self.nodes[to.index()].sessions()[slot as usize];
                 let from = session.peer;
                 if self.down_links.contains(&link_key(from, to)) {
@@ -707,10 +735,24 @@ impl<O: SimObserver> Simulator<O> {
         // onto the queue; handed back drained, capacity intact.
         let mut actions = std::mem::take(&mut self.actions);
         let armed_delta = (actions.arm_timers.len() + actions.arm_prefix_timers.len()) as u64;
-        for (slot, update) in actions.sends.drain(..) {
-            let (to, slot) = self.slab.far_end(node.index() as u32, slot);
-            self.queue
-                .schedule(now + self.cfg.link_delay, SimEvent::Deliver { to, slot, update });
+        if !actions.sends.is_empty() {
+            let arrival = now + self.cfg.link_delay;
+            // The wire pairs the k-th `Deliver` to pop with the k-th
+            // `Update` pushed, which is only right while `Deliver`s pop in
+            // schedule order — true for one constant link delay, and what
+            // a per-link delay would have to give up the wire for.
+            assert!(
+                arrival >= self.wire_tail_at,
+                "Deliver at {arrival:?} scheduled before the wire's tail {:?}",
+                self.wire_tail_at
+            );
+            self.wire_tail_at = arrival;
+            for (slot, update) in actions.sends.drain(..) {
+                let (to, slot) = self.slab.far_end(node.index() as u32, slot);
+                self.wire.push_back(update);
+                self.queue
+                    .schedule_in_order(arrival, SimEvent::Deliver { to, slot });
+            }
         }
         for slot in actions.arm_timers.drain(..) {
             let delay = self.draw_mrai_interval();
@@ -1057,6 +1099,87 @@ mod tests {
         let err = sim.run_to_quiescence().unwrap_err();
         assert!(err.processed > 3);
         assert!(err.to_string().contains("did not quiesce"));
+    }
+
+    /// The snapshot of a run abandoned mid-convergence covers the heap,
+    /// the in-order lane and the wire, and `recycle` clears all three.
+    #[test]
+    fn budget_snapshot_covers_the_lane_and_the_wire() {
+        let g = generate(GrowthScenario::Baseline, 200, 42);
+        let origin = g.nodes_of_type(NodeType::C)[0];
+        let template = SimTemplate::new(Arc::new(g), BgpConfig::no_wrate());
+        let mut sim = template.instantiate(15);
+        sim.set_event_limit(150);
+        sim.originate(origin, P);
+        let snap = sim.run_to_quiescence().unwrap_err().snapshot;
+        let deliver = EventKind::Deliver.index();
+        assert_eq!(snap.pending_by_kind.iter().sum::<u64>(), snap.queue_depth);
+        assert_eq!(snap.queue_depth, sim.queue.len() as u64);
+        assert!(snap.pending_by_kind[deliver] > 0, "messages are in flight");
+        assert!(snap.pending_by_kind[EventKind::MraiExpire.index()] > 0, "timers are armed");
+        assert_eq!(snap.pending_by_kind[deliver], sim.wire.len() as u64);
+        assert_eq!(snap.sim_time_us, sim.now().as_micros());
+
+        let wire_capacity = sim.wire.capacity();
+        sim.recycle(16);
+        assert!(sim.queue.is_empty() && sim.wire.is_empty());
+        assert_eq!(sim.wire_tail_at, SimTime::ZERO);
+        assert_eq!(sim.wire.capacity(), wire_capacity, "recycle keeps buffers");
+        // That the recycled simulator then equals a fresh one is
+        // `recycle_equivalence.rs`'s blown-budget case; here, only that
+        // a run to quiescence takes every `Update` off the wire.
+        sim.originate(origin, P);
+        sim.run_to_quiescence().unwrap();
+        assert!(sim.wire.is_empty(), "quiescence leaves nothing on the wire");
+    }
+
+    /// A `Deliver` scheduled to arrive before one already on the wire
+    /// would be handed that one's `Update`; `apply_actions` refuses.
+    #[test]
+    #[should_panic(expected = "scheduled before the wire's tail")]
+    fn a_deliver_out_of_schedule_order_fails_loudly() {
+        let (g, ids) = chain_graph();
+        let mut sim = Simulator::new(g, BgpConfig::default(), 18);
+        sim.originate(ids[4], P);
+        // What a shorter delay on some other link would amount to.
+        sim.cfg.link_delay = SimDuration::ZERO;
+        sim.originate(ids[5], Prefix(1));
+    }
+
+    #[derive(Default)]
+    struct FlushCounter {
+        flushes: u64,
+        empty: u64,
+        sent: u64,
+    }
+
+    impl SimObserver for FlushCounter {
+        fn on_mrai_flush(&mut self, _node: AsId, sent: u32, _now: SimTime) {
+            self.flushes += 1;
+            self.empty += u64::from(sent == 0);
+            self.sent += u64::from(sent);
+        }
+    }
+
+    /// `on_mrai_flush` fires on every valid expiry, also on the ones
+    /// that find nothing queued; metrics.json's `mrai.flushes` and the
+    /// flush histogram's zero bin are built on that.
+    #[test]
+    fn flush_hook_fires_on_every_valid_expiry() {
+        let g = generate(GrowthScenario::Baseline, 200, 42);
+        let origin = g.nodes_of_type(NodeType::C)[0];
+        let template = SimTemplate::new(Arc::new(g), BgpConfig::wrate());
+        let mut sim = template.instantiate_observed(19, FlushCounter::default());
+        sim.originate(origin, P);
+        sim.run_to_quiescence().unwrap();
+        sim.withdraw(origin, P);
+        sim.run_to_quiescence().unwrap();
+        let fired = sim.cost_counts().mrai_fired;
+        let seen = sim.observer();
+        assert!(fired > 0);
+        assert_eq!(seen.flushes, fired, "one hook per valid expiry");
+        assert!(seen.empty > 0, "some expiries flush nothing and still fire the hook");
+        assert!(seen.sent > 0, "and some release queued updates");
     }
 
     #[test]

@@ -131,7 +131,8 @@ fn recycled_and_instantiated_simulators_are_indistinguishable() {
 
 /// A recycled simulator owes nothing to how its previous run ended. Here
 /// it ended badly: the event budget ran out mid-convergence, leaving
-/// pending events, busy processors, queued input and armed MRAI timers.
+/// pending events, messages on the wire, busy processors, queued input
+/// and armed MRAI timers.
 #[test]
 fn recycle_after_a_blown_event_budget() {
     for cfg in [BgpConfig::no_wrate(), BgpConfig::wrate()] {
@@ -144,6 +145,15 @@ fn recycle_after_a_blown_event_budget() {
             .run_to_quiescence()
             .expect_err("400 events do not converge n=300");
         assert!(err.snapshot.queue_depth > 0, "events are still pending");
+        assert_eq!(
+            err.snapshot.pending_by_kind.iter().sum::<u64>(),
+            err.snapshot.queue_depth,
+            "the snapshot counts the heap and the in-order lane"
+        );
+        assert!(
+            err.snapshot.pending_by_kind[0] > 0,
+            "UPDATEs are in flight: abandoned on the wire, not only in inboxes"
+        );
         assert!(err.snapshot.pending_by_kind[2] > 0, "MRAI timers are armed");
         assert!(
             err.snapshot.busiest_inbox.is_some(),

@@ -392,7 +392,7 @@ fn workspace_is_clean() {
         "test and example trees must stay out of the graph"
     );
     assert_eq!(
-        a.hot_roots, 5,
+        a.hot_roots, 6,
         "a [hot-paths] root no longer matches any function"
     );
     assert!(

@@ -128,8 +128,11 @@ pub trait SimObserver {
     #[inline]
     fn on_timer_occupancy(&mut self, _armed: u64, _now: SimTime) {}
 
-    /// An MRAI timer expiry actually flushed `sent` queued updates at
-    /// `node` (no-op expiries — nothing queued — do not fire this hook).
+    /// A valid MRAI timer expiry at `node` flushed `sent` queued updates.
+    /// Fires on **every** valid expiry, so `sent` is 0 when nothing was
+    /// queued (most expiries; `Recorder` counts them in `mrai.flushes`
+    /// and the flush histogram's zero bin). Only stale expiries — armed
+    /// before a session reset bumped the epoch — do not fire this hook.
     #[inline]
     fn on_mrai_flush(&mut self, _node: AsId, _sent: u32, _now: SimTime) {}
 

@@ -14,7 +14,10 @@
 //!   `(time, sequence number)` so that events scheduled for the same
 //!   instant are delivered in scheduling order, making every run a pure
 //!   function of its inputs. It is a binary min-heap with hand-rolled,
-//!   counted sifts ([`QueueOpCounts`]).
+//!   counted sifts ([`QueueOpCounts`]), plus an in-order lane — a FIFO
+//!   for events whose times are already sorted when scheduled
+//!   ([`EventQueue::schedule_in_order`]) — merged on pop into the same
+//!   `(time, sequence number)` order.
 //! * **Seeded PRNG streams** ([`rng::SplitMix64`], [`rng::Xoshiro256StarStar`])
 //!   implemented locally so that results are bit-for-bit reproducible
 //!   independent of external crate version churn.

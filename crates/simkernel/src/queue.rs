@@ -1,8 +1,15 @@
 //! A deterministic discrete-event queue with exact operation counting.
 //!
 //! [`EventQueue`] is a hand-rolled **binary min-heap** (array layout,
-//! `(time, seq)` keys) with the three guarantees the simulator depends
-//! on:
+//! `(time, seq)` keys) with an **in-order lane** beside it: a FIFO for
+//! events whose times are already sorted when they are scheduled
+//! ([`EventQueue::schedule_in_order`] — a simulator's messages after one
+//! constant link delay on a monotone clock). An in-order push is an
+//! append and its pop a `pop_front`; nothing is sifted. Both structures
+//! are live in every queue and share one sequence counter, and `pop`
+//! returns the `(time, seq)`-smaller of heap root and lane front, so the
+//! three guarantees the simulator depends on hold whichever entry point
+//! scheduled an event:
 //!
 //! 1. **Monotonic delivery** — events pop in non-decreasing time order, and
 //!    scheduling an event in the past (before the last popped time) is a
@@ -18,10 +25,17 @@
 //!    machines, and therefore usable as CI perf-regression gates (see
 //!    `obs::costmodel`).
 //!
+//! The lane is an optimisation the caller cannot get wrong: a
+//! `schedule_in_order` whose time is before the lane's last entry goes
+//! into the heap like any `schedule`, and the pop sequence is the same
+//! total order either way.
+//!
 //! The heap is implemented directly on a `Vec` (instead of wrapping
 //! `std::collections::BinaryHeap`) so the comparison and sift-move counts
 //! are under our control rather than at the mercy of the standard
 //! library's internal heapify strategy changing between toolchains.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -52,7 +66,8 @@ pub struct QueueOpCounts {
     /// Element moves: sift-up/sift-down swaps — the "decrease-key"-class
     /// restructuring work of the priority queue.
     pub decreases: u64,
-    /// `(time, seq)` key comparisons made by the sifts.
+    /// `(time, seq)` key comparisons: those made by the sifts, plus one
+    /// per pop that finds both the heap and the in-order lane non-empty.
     pub comparisons: u64,
 }
 
@@ -74,6 +89,10 @@ impl QueueOpCounts {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: Vec<Entry<E>>,
+    /// The in-order lane: entries in `(time, seq)` order front to back,
+    /// by construction ([`EventQueue::schedule_in_order`] appends only a
+    /// time that is not before the last entry's).
+    lane: VecDeque<Entry<E>>,
     next_seq: u64,
     /// Time of the most recently popped event; new events may not be
     /// scheduled before it.
@@ -94,10 +113,12 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `cap` pending events.
+    /// Creates an empty queue with room for `cap` pending events in the
+    /// heap and as many in the in-order lane.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(cap),
+            lane: VecDeque::with_capacity(cap),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -110,14 +131,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events (heap and lane).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Total number of events popped so far (a cheap progress metric and
@@ -139,6 +160,33 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the current clock — the model would
     /// be violating causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        let entry = self.stamp(time, event);
+        self.push_heap(entry);
+    }
+
+    /// Schedules `event` at absolute time `time`, for a caller whose
+    /// `time`s never decrease from one call to the next (a constant delay
+    /// added to the clock): the entry is appended to the in-order lane —
+    /// no comparison, no move — and pops exactly where
+    /// [`EventQueue::schedule`] would have put it. A `time` before the
+    /// lane's last entry is not an error; that entry goes into the heap.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the current clock, like
+    /// [`EventQueue::schedule`].
+    pub fn schedule_in_order(&mut self, time: SimTime, event: E) {
+        let entry = self.stamp(time, event);
+        if self.lane.back().is_some_and(|last| time < last.time) {
+            self.push_heap(entry);
+        } else {
+            self.lane.push_back(entry);
+        }
+    }
+
+    /// Checks causality, takes the next sequence number and counts the
+    /// push: the part of scheduling both entry points share.
+    #[inline]
+    fn stamp(&mut self, time: SimTime, event: E) -> Entry<E> {
         assert!(
             time >= self.now,
             "event scheduled in the past: {time:?} < now {:?}",
@@ -146,24 +194,40 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
         self.ops.pushes += 1;
+        Entry { time, seq, event }
+    }
+
+    #[inline]
+    fn push_heap(&mut self, entry: Entry<E>) {
+        self.heap.push(entry);
         self.sift_up(self.heap.len() - 1);
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     /// Returns `None` when the simulation has quiesced.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let entry = self.heap.pop()?;
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        debug_assert!(entry.time >= self.now, "heap returned a past event");
+        let from_lane = match (self.heap.first(), self.lane.front()) {
+            (None, None) => return None,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (Some(root), Some(front)) => {
+                self.ops.comparisons += 1;
+                front.key() < root.key()
+            }
+        };
+        let entry = if from_lane {
+            self.lane.pop_front()?
+        } else {
+            let last = self.heap.len() - 1;
+            self.heap.swap(0, last);
+            let entry = self.heap.pop()?;
+            if !self.heap.is_empty() {
+                self.sift_down(0);
+            }
+            entry
+        };
+        debug_assert!(entry.time >= self.now, "queue returned a past event");
         self.now = entry.time;
         self.popped += 1;
         self.ops.pops += 1;
@@ -172,15 +236,21 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        match (self.heap.first(), self.lane.front()) {
+            (Some(root), Some(front)) => Some(root.time.min(front.time)),
+            (root, front) => root.or(front).map(|e| e.time),
+        }
     }
 
     /// Iterates over the pending events in **unspecified order** (heap
-    /// storage order, not delivery order). Intended for diagnostics —
-    /// counting pending events per kind for an error snapshot — where only
-    /// order-insensitive aggregation is sound.
+    /// storage order, then the lane — not delivery order). Intended for
+    /// diagnostics — counting pending events per kind for an error
+    /// snapshot — where only order-insensitive aggregation is sound.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap.iter().map(|e| (e.time, &e.event))
+        self.heap
+            .iter()
+            .chain(&self.lane)
+            .map(|e| (e.time, &e.event))
     }
 
     /// Removes all pending events and resets the clock and the `popped`
@@ -189,6 +259,7 @@ impl<E> EventQueue<E> {
     /// reusing allocations.)
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.now = SimTime::ZERO;
         self.popped = 0;
     }
@@ -408,6 +479,96 @@ mod tests {
         let cap = q.heap.capacity();
         q.reset();
         assert_eq!(q.heap.capacity(), cap, "reset is for reusing allocations");
+    }
+
+    #[test]
+    fn in_order_pushes_cost_no_comparisons_and_no_moves() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule_in_order(SimTime::from_micros(i / 3), i);
+        }
+        for i in 0..100u64 {
+            assert_eq!(q.pop(), Some((SimTime::from_micros(i / 3), i)));
+        }
+        let ops = q.op_counts();
+        assert_eq!((ops.pushes, ops.pops), (100, 100));
+        assert_eq!((ops.comparisons, ops.decreases), (0, 0), "the heap never held an entry");
+    }
+
+    #[test]
+    fn lane_and_heap_merge_in_time_then_schedule_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis;
+        q.schedule(t(30), "timer");
+        q.schedule_in_order(t(10), "msg a");
+        q.schedule(t(10), "proc");
+        q.schedule_in_order(t(10), "msg b");
+        q.schedule_in_order(t(40), "msg c");
+        let before = q.op_counts().comparisons;
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(popped, vec!["msg a", "proc", "msg b", "timer", "msg c"]);
+        // One comparison per pop that saw both structures non-empty (the
+        // first four); a heap of at most two entries sifts nothing down.
+        assert_eq!(q.op_counts().comparisons - before, 4);
+    }
+
+    #[test]
+    fn an_out_of_order_lane_push_falls_into_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_in_order(SimTime::from_millis(20), 0);
+        q.schedule_in_order(SimTime::from_millis(10), 1); // before the lane's tail
+        q.schedule_in_order(SimTime::from_millis(20), 2);
+        assert_eq!((q.lane.len(), q.heap.len()), (2, 1));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(10), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 2)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn peek_len_and_iter_pending_see_both_structures() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), 0u64);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)));
+        q.schedule_in_order(SimTime::from_millis(10), 1);
+        q.schedule_in_order(SimTime::from_millis(50), 2);
+        assert_eq!(q.len(), 3);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)), "the lane's front is earlier");
+        let mut pending: Vec<u64> = q.iter_pending().map(|(_, &e)| e).collect();
+        pending.sort_unstable();
+        assert_eq!(pending, vec![0, 1, 2]);
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)), "the heap's root is earlier");
+        q.pop();
+        assert_eq!((q.len(), q.peek_time()), (1, Some(SimTime::from_millis(50))), "lane only");
+        assert!(!q.is_empty());
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!((q.len(), q.peek_time()), (0, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_in_the_past_panics_on_the_lane_too() {
+        let mut q = EventQueue::new();
+        q.schedule_in_order(SimTime::from_secs(5), ());
+        q.pop();
+        q.schedule_in_order(SimTime::from_secs(4), ());
+    }
+
+    #[test]
+    fn reset_keeps_the_lane_storage() {
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(64);
+        assert!(q.lane.capacity() >= 64);
+        for i in 0..500 {
+            q.schedule_in_order(SimTime::from_micros(i), i);
+        }
+        let cap = q.lane.capacity();
+        q.reset();
+        assert_eq!(q.lane.capacity(), cap, "reset is for reusing allocations");
+        q.schedule_in_order(SimTime::ZERO, 0); // the lane's tail is forgotten too
+        assert_eq!(q.lane.len(), 1);
     }
 
     #[test]

@@ -6,33 +6,58 @@ use bgpscale_simkernel::{EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// One step of a script: pop, or push a burst through one of the
+/// queue's two entry points.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Pop,
+    /// `EventQueue::schedule`.
+    Schedule,
+    /// `EventQueue::schedule_in_order`, at a time drawn like any other —
+    /// so often *before* the lane's last entry, where the push must fall
+    /// into the heap.
+    InOrder,
+}
+
+/// Scripts that pop half the time and split the pushes evenly.
+fn steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop::sample::select(vec![Step::Pop, Step::Pop, Step::Schedule, Step::InOrder]),
+        len,
+    )
+}
+
 /// The sorted-oracle property on an interleaved trace: per `script`
 /// step either pop (it must be the oracle's `(time, seq)` minimum) or
-/// schedule a burst of one to three same-time events `delay(g)` after
-/// `now`; then drain, or with `drain == false` stop at a
-/// `run_until`-style deadline with events left pending. Returns the
-/// number of events scheduled.
+/// push a burst of one to three same-time events `delay(g)` after
+/// `now`, onto the heap or the in-order lane as the step says; then
+/// drain, or with `drain == false` stop at a `run_until`-style deadline
+/// with events left pending. Returns the number of events scheduled.
 fn drive_against_oracle(
     q: &mut EventQueue<u64>,
     g: &mut Xoshiro256StarStar,
-    script: &[bool],
+    script: &[Step],
     delay: impl Fn(&mut Xoshiro256StarStar) -> SimDuration,
     drain: bool,
 ) -> u64 {
     let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
     let mut scheduled = 0u64;
-    for &do_pop in script {
-        if do_pop {
+    for &step in script {
+        if let Step::Pop = step {
             assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
         } else {
             let time = q.now() + delay(g);
             for _ in 0..1 + g.next_below(3) {
-                q.schedule(time, scheduled);
+                match step {
+                    Step::InOrder => q.schedule_in_order(time, scheduled),
+                    _ => q.schedule(time, scheduled),
+                }
                 oracle.insert((time, scheduled));
                 scheduled += 1;
             }
         }
         assert_eq!(q.len(), oracle.len());
+        assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
     }
     let deadline = q.now() + SimDuration::from_secs(1);
     while q.peek_time().is_some_and(|t| drain || t <= deadline) {
@@ -142,11 +167,12 @@ proptest! {
 
     /// Dense same-time collisions on an interleaved trace: a four-tick
     /// horizon makes most events share a timestamp, so agreement with
-    /// the oracle here is agreement of the FIFO tie-break.
+    /// the oracle here is agreement of the FIFO tie-break — within the
+    /// heap, within the lane, and between the two.
     #[test]
     fn interleaved_same_time_collisions_match_sorted_oracle(
         seed in any::<u64>(),
-        script in prop::collection::vec(any::<bool>(), 1..200),
+        script in steps(1..200),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
         let mut q = EventQueue::new();
@@ -157,14 +183,66 @@ proptest! {
     }
 
     /// Far timers (30 s ahead of a µs-scale clock) among near deliveries
-    /// pop in oracle order too.
+    /// pop in oracle order too. A far time pushed in order parks the
+    /// lane's tail 30 s out, so the near in-order pushes behind it are
+    /// the out-of-order ones that land in the heap.
     #[test]
     fn mrai_like_mix_matches_sorted_oracle(
         seed in any::<u64>(),
-        script in prop::collection::vec(any::<bool>(), 1..250),
+        script in steps(1..250),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        drive_against_oracle(&mut EventQueue::new(), &mut g, &script, mrai_like_delay, true);
+        let mut q = EventQueue::new();
+        let scheduled = drive_against_oracle(&mut q, &mut g, &script, mrai_like_delay, true);
+        prop_assert_eq!(q.op_counts().pushes, scheduled);
+        prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
+    }
+
+    /// The simulator's use of the lane: every in-order push is one
+    /// constant delay after the clock, so none of them is ever out of
+    /// order, while the heap takes the jittered rest. Oracle order, and
+    /// the lane's entries are never sifted: the comparisons fit the
+    /// log-linear bound of the heap's share alone, plus one per pop.
+    #[test]
+    fn constant_delay_lane_beside_a_jittered_heap_matches_sorted_oracle(
+        seed in any::<u64>(),
+        script in steps(1..250),
+    ) {
+        let link = SimDuration::from_millis(2);
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut q = EventQueue::new();
+        let mut heap_pushes = 0u64;
+        let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut scheduled = 0u64;
+        for &step in &script {
+            match step {
+                Step::Pop => prop_assert_eq!(q.pop(), oracle.pop_first()),
+                Step::InOrder => {
+                    q.schedule_in_order(q.now() + link, scheduled);
+                    oracle.insert((q.now() + link, scheduled));
+                    scheduled += 1;
+                }
+                Step::Schedule => {
+                    let time = q.now() + mrai_like_delay(&mut g);
+                    q.schedule(time, scheduled);
+                    heap_pushes += 1;
+                    oracle.insert((time, scheduled));
+                    scheduled += 1;
+                }
+            }
+        }
+        while let Some(popped) = q.pop() {
+            prop_assert_eq!(Some(popped), oracle.pop_first());
+        }
+        prop_assert!(oracle.is_empty());
+        let ops = q.op_counts();
+        prop_assert_eq!((ops.pushes, ops.pops), (scheduled, scheduled));
+        let log2h = 64 - heap_pushes.leading_zeros() as u64;
+        prop_assert!(
+            ops.comparisons <= 4 * heap_pushes * (log2h + 1) + ops.pops,
+            "lane entries were sifted: {ops:?} with {heap_pushes} heap pushes"
+        );
+        prop_assert!(ops.decreases <= ops.comparisons);
     }
 
     /// Reuse across `reset`: a queue that is reset — after a full drain
@@ -175,10 +253,7 @@ proptest! {
     #[test]
     fn reset_then_reuse_pops_like_a_fresh_queue(
         seed in any::<u64>(),
-        rounds in prop::collection::vec(
-            (prop::collection::vec(any::<bool>(), 1..120), any::<bool>()),
-            2..5,
-        ),
+        rounds in prop::collection::vec((steps(1..120), any::<bool>()), 2..5),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
         let mut reused = EventQueue::new();
