@@ -56,18 +56,16 @@ pub(crate) const NO_BEST: u32 = u32::MAX - 1;
 /// Documented per-element byte costs for the deterministic arena-size
 /// estimate (see [`PrefixTable::arena_bytes`]). These are *fixed model
 /// constants*, deliberately not `size_of` (which could drift between
-/// toolchains and break bit-identical op counts): a slot cell models an
-/// `Option<AsPath>` as pointer + length + discriminant word plus its
-/// cached 16-byte preference key and 4-byte order/limbo entry, a row
-/// models the prefix/originated/best-slot/best-path columns plus the
-/// sorted-order and limbo vector headers and the validity flag. The
-/// model is part of every pinned op-count baseline (it feeds
-/// `arena_bytes_reserved`), so it stays as it is when the layout changes
-/// without changing what is simulated: the per-row vector headers it
-/// charges are the ranks stripe's length pair today, and the slab's
-/// mirror column is not charged at all.
-const BYTES_PER_RIB_CELL: u64 = 44;
-const BYTES_PER_ROW: u64 = 88;
+/// toolchains and break bit-identical op counts), and they follow the
+/// columns that exist: a slot cell models an `Option<AsPath>` as
+/// pointer, length and discriminant word plus its cached 16-byte
+/// preference key, a row models the prefix/originated/best-slot/best-path
+/// columns. The model is part of every pinned op-count baseline (it feeds
+/// `arena_bytes_reserved`), so it moves only in a diff that adds or
+/// deletes a per-prefix column; the slab's mirror column is not charged
+/// at all.
+const BYTES_PER_RIB_CELL: u64 = 40;
+const BYTES_PER_ROW: u64 = 64;
 const BYTES_PER_SESSION: u64 = 16;
 const BYTES_PER_DAMP_ENTRY: u64 = 40;
 
@@ -257,39 +255,11 @@ pub struct PrefixTable {
     /// and for [`NO_BEST`] rows).
     best_path: Vec<AsPath>,
     /// Cached packed preference key per Adj-RIB-in cell (same indexing
-    /// as `rib_in`; meaningful only while the cell holds a route). Lets
-    /// the decision process compare candidates by one integer compare
-    /// instead of re-deriving the full preference tuple from the path.
+    /// as `rib_in`; meaningful only while the cell holds a route), written
+    /// with the route by [`PrefixTable::set_rib_in`]. Lets the decision
+    /// process compare candidates by one integer compare instead of
+    /// re-deriving the full preference tuple from the path.
     rib_key: Vec<u128>,
-    /// The candidate ranking of every row: one `slots`-wide stripe per
-    /// row (same indexing as `rib_in`) holding the row's two slot lists
-    /// end to end, with their lengths in `rank_len`. A slot is in at most
-    /// one of the lists, so they never meet, and a row costs no heap
-    /// block of its own.
-    ///
-    /// * The **order** grows from the front of the stripe: candidate
-    ///   slots sorted ascending by `rib_key`, the last entry the best
-    ///   route. Maintained incrementally with damping off: a withdrawal
-    ///   is a positional remove (zero preference comparisons) and an
-    ///   announcement one comparison against the top, so no decision run
-    ///   ever rescans the row.
-    /// * The **limbo** grows from the back, the k-th arrival at stripe
-    ///   index `slots - 1 - k`: routes that lost their one comparison
-    ///   against the then-best and whose rank among the rest is not yet
-    ///   needed. Invariant: every limbo entry's key is below the current
-    ///   top of the order (it lost to the top reigning at its arrival,
-    ///   and the top only ever rises until it is removed — which drains
-    ///   limbo into the order). Defers the sort work to withdrawal
-    ///   storms, where it amortizes to one binary insertion per candidate
-    ///   instead of a full rescan per withdrawal.
-    ranks: Vec<u32>,
-    /// Per row: `[order length, limbo length]`.
-    rank_len: Vec<[u32; 2]>,
-    /// Whether `order` is exact for the row. Cleared wholesale when
-    /// route-eligibility rules change (damping reconfiguration); an
-    /// invalid row is rebuilt — with counted comparisons — on its next
-    /// undamped decision run.
-    order_valid: Vec<bool>,
     /// Adj-RIB-in, prefix-major: `rib_in[row * slots + slot]`.
     rib_in: Vec<Option<AsPath>>,
 }
@@ -304,9 +274,6 @@ impl PrefixTable {
             best_slot: Vec::new(),
             best_path: Vec::new(),
             rib_key: Vec::new(),
-            ranks: Vec::new(),
-            rank_len: Vec::new(),
-            order_valid: Vec::new(),
             rib_in: Vec::new(),
         }
     }
@@ -336,11 +303,6 @@ impl PrefixTable {
                 self.originated.insert(row, false);
                 self.best_slot.insert(row, NO_BEST);
                 self.best_path.insert(row, AsPath::new());
-                self.rank_len.insert(row, [0, 0]);
-                // A fresh row is vacuously in order: no candidates yet.
-                self.order_valid.insert(row, true);
-                self.ranks
-                    .splice(row * slots..row * slots, std::iter::repeat_n(0, slots));
                 self.rib_in.splice(
                     row * slots..row * slots,
                     std::iter::repeat_with(|| None).take(slots),
@@ -370,10 +332,28 @@ impl PrefixTable {
         &self.rib_in[row * self.slots as usize + slot as usize]
     }
 
-    /// Overwrites one Adj-RIB-in cell.
+    /// Overwrites one Adj-RIB-in cell: the route with its packed
+    /// preference key ([`crate::decision::packed_key`]), or `None` for a
+    /// withdrawal (the stale key stays behind, unread).
     // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
-    pub fn set_rib_in(&mut self, row: usize, slot: u32, path: Option<AsPath>) {
-        self.rib_in[row * self.slots as usize + slot as usize] = path;
+    pub fn set_rib_in(&mut self, row: usize, slot: u32, route: Option<(AsPath, u128)>) {
+        let cell = row * self.slots as usize + slot as usize;
+        self.rib_in[cell] = match route {
+            Some((path, key)) => {
+                self.rib_key[cell] = key;
+                Some(path)
+            }
+            None => None,
+        };
+    }
+
+    /// The cached preference keys of `row`, one per slot like
+    /// [`PrefixTable::rib_in`]; a key means something only while its cell
+    /// holds a route.
+    // det::allow(panic-surface, reason = "row is a live row index, and rib_key holds exactly len()*slots cells by construction")
+    pub(crate) fn rib_keys(&self, row: usize) -> &[u128] {
+        let slots = self.slots as usize;
+        &self.rib_key[row * slots..(row + 1) * slots]
     }
 
     /// True while the node originates the row's prefix.
@@ -414,144 +394,6 @@ impl PrefixTable {
         }
     }
 
-    /// Whether the sorted candidate order for `row` is exact.
-    // det::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
-    pub(crate) fn order_valid(&self, row: usize) -> bool {
-        self.order_valid[row]
-    }
-
-    /// Marks the sorted candidate order for `row` exact or stale.
-    // det::allow(panic-surface, reason = "row is a live row index; the order columns parallel the prefix column")
-    pub(crate) fn set_order_valid(&mut self, row: usize, valid: bool) {
-        self.order_valid[row] = valid;
-    }
-
-    /// Applies one Adj-RIB-in cell change to the row's candidate
-    /// bookkeeping, returning the number of key comparisons performed.
-    /// `key` is the packed preference key of the slot's new route, or
-    /// `None` for a withdrawal.
-    ///
-    /// Cost shape (the point of the limbo design):
-    /// * withdrawal of a non-top candidate — **0** comparisons;
-    /// * announcement into an occupied row — **1** comparison against the
-    ///   top (winners append, losers park unranked in limbo);
-    /// * removal of the top — limbo drains into the sorted order, one
-    ///   counted binary insertion per parked candidate. Each candidate
-    ///   pays its `log k` ranking cost at most once per reign of a top,
-    ///   so a withdrawal storm costs `k·log k` amortized instead of the
-    ///   `k` comparisons per withdrawal a rescan would pay.
-    // det::allow(panic-surface, reason = "row is a live row index, so its ranks/rib_key stripes are in bounds; order and limbo hold distinct slots < slots, so their lengths sum to at most slots and every stripe index below stays inside the stripe")
-    pub(crate) fn order_update(&mut self, row: usize, slot: u32, key: Option<u128>) -> u64 {
-        let slots = self.slots as usize;
-        let base = row * slots;
-        let keys = &mut self.rib_key[base..base + slots];
-        let stripe = &mut self.ranks[base..base + slots];
-        let [mut order_len, mut limbo_len] = self.rank_len[row].map(|len| len as usize);
-        let mut comparisons = 0u64;
-        // An improving (or identical) re-announcement at the reigning top
-        // keeps its crown without consulting anyone else: the old key
-        // already beat every other candidate.
-        if let Some(key) = key {
-            if order_len > 0 && stripe[order_len - 1] == slot {
-                comparisons += 1;
-                if key >= keys[slot as usize] {
-                    keys[slot as usize] = key;
-                    return comparisons;
-                }
-            }
-        }
-        // Remove any existing entry for the slot — positional scans, zero
-        // preference comparisons.
-        let mut was_top = false;
-        if let Some(pos) = stripe[..order_len].iter().position(|&x| x == slot) {
-            stripe.copy_within(pos + 1..order_len, pos);
-            order_len -= 1;
-            was_top = pos == order_len;
-        } else {
-            let lo = slots - limbo_len;
-            if let Some(pos) = stripe[lo..].iter().position(|&x| x == slot) {
-                // Later arrivals sit below the vacated cell; close the
-                // gap upward so arrival order is kept.
-                stripe.copy_within(lo..lo + pos, lo + 1);
-                limbo_len -= 1;
-            }
-        }
-        // Removing the top invalidates the limbo invariant (parked routes
-        // only ever lost to a *current or past* top), so limbo drains
-        // into the sorted order first: every parked candidate is ranked,
-        // in arrival order (which is deterministic). Turned around, the
-        // earliest arrival is the one next to the order's free end, so
-        // each insertion grows the order into the cell just read.
-        if was_top {
-            let lo = slots - limbo_len;
-            stripe[lo..].reverse();
-            for at in lo..slots {
-                let parked = stripe[at];
-                comparisons += binary_insert(stripe, &mut order_len, keys, parked);
-            }
-            limbo_len = 0;
-        }
-        if let Some(key) = key {
-            keys[slot as usize] = key;
-            if order_len == 0 {
-                // Limbo is empty whenever the order is (draining on every
-                // top removal guarantees it), so a lone candidate rules.
-                stripe[0] = slot;
-                order_len = 1;
-            } else {
-                comparisons += 1;
-                if key > keys[stripe[order_len - 1] as usize] {
-                    stripe[order_len] = slot;
-                    order_len += 1;
-                } else {
-                    limbo_len += 1;
-                    stripe[slots - limbo_len] = slot;
-                }
-            }
-        }
-        self.rank_len[row] = [order_len as u32, limbo_len as u32];
-        comparisons
-    }
-
-    /// Inserts `slot` (whose Adj-RIB-in cell must hold a route) into the
-    /// row's sorted candidate order under cached key `key`, returning the
-    /// number of key comparisons the binary search performed. Used by
-    /// full rebuilds; incremental maintenance goes through
-    /// [`PrefixTable::order_update`].
-    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the caller contract, so the row's ranks/rib_key stripes and the slot's key cell are in bounds")
-    pub(crate) fn order_insert(&mut self, row: usize, slot: u32, key: u128) -> u64 {
-        let slots = self.slots as usize;
-        let base = row * slots;
-        let keys = &mut self.rib_key[base..base + slots];
-        keys[slot as usize] = key;
-        let mut order_len = self.rank_len[row][0] as usize;
-        let comparisons =
-            binary_insert(&mut self.ranks[base..base + slots], &mut order_len, keys, slot);
-        self.rank_len[row][0] = order_len as u32;
-        comparisons
-    }
-
-    /// Clears the row's candidate bookkeeping (prelude to a rebuild).
-    // det::allow(panic-surface, reason = "row is a live row index; the rank_len column parallels the prefix column")
-    pub(crate) fn order_clear_row(&mut self, row: usize) {
-        self.rank_len[row] = [0, 0];
-    }
-
-    /// The best candidate slot for `row` per the sorted order (the
-    /// largest cached key), or `None` for an empty row. Only meaningful
-    /// while [`PrefixTable::order_valid`] holds.
-    // det::allow(panic-surface, reason = "row is a live row index; the order's length is at most slots, so its last entry is inside the row's ranks stripe")
-    pub(crate) fn order_best(&self, row: usize) -> Option<u32> {
-        let order_len = self.rank_len[row][0] as usize;
-        (order_len > 0).then(|| self.ranks[row * self.slots as usize + order_len - 1])
-    }
-
-    /// Marks every row's sorted order stale (used when route-eligibility
-    /// rules change, e.g. a damping reconfiguration).
-    pub(crate) fn invalidate_orders(&mut self) {
-        self.order_valid.fill(false);
-    }
-
     /// Iterates `(row, prefix)` in sorted prefix order — the same
     /// deterministic order the former `BTreeMap` iteration gave.
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, Prefix)> + '_ {
@@ -565,9 +407,6 @@ impl PrefixTable {
         self.best_slot.clear();
         self.best_path.clear();
         self.rib_key.clear();
-        self.ranks.clear();
-        self.rank_len.clear();
-        self.order_valid.clear();
         self.rib_in.clear();
     }
 
@@ -576,31 +415,6 @@ impl PrefixTable {
     pub fn arena_bytes(&self) -> u64 {
         self.prefixes.len() as u64 * (BYTES_PER_ROW + self.slots as u64 * BYTES_PER_RIB_CELL)
     }
-}
-
-/// Binary-inserts `slot` into the sorted order at the front of a row's
-/// ranks `stripe` (the first `*order_len` entries) by its cached key,
-/// counting one comparison per probe. Keys are distinct across slots (the
-/// packed key ends in the neighbor id), so the insertion point is
-/// unambiguous. The cell at `*order_len` must be free.
-// det::allow(panic-surface, reason = "lo/hi stay within the order, which with the free cell the caller guarantees stays within the stripe; stripe entries are slots, which index the row's key stripe")
-fn binary_insert(stripe: &mut [u32], order_len: &mut usize, keys: &[u128], slot: u32) -> u64 {
-    let key = keys[slot as usize];
-    let mut comparisons = 0u64;
-    let (mut lo, mut hi) = (0usize, *order_len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        comparisons += 1;
-        if keys[stripe[mid] as usize] < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    stripe.copy_within(lo..*order_len, lo + 1);
-    stripe[lo] = slot;
-    *order_len += 1;
-    comparisons
 }
 
 /// Sparse per-(slot, prefix) damping state: a flat sorted vector with
@@ -783,7 +597,7 @@ mod tests {
 
         let r3 = t.row(Prefix(3)).unwrap();
         let r9 = t.row(Prefix(9)).unwrap();
-        t.set_rib_in(r3, 1, Some(AsPath::from(vec![AsId(7)])));
+        t.set_rib_in(r3, 1, Some((AsPath::from(vec![AsId(7)]), 42)));
         t.set_originated(r9, true);
         t.set_best(r9, Some((SELF_SLOT, AsPath::new())));
 
@@ -816,130 +630,6 @@ mod tests {
         let one = t.arena_bytes();
         t.row_or_insert(Prefix(2));
         assert_eq!(t.arena_bytes(), 2 * one, "bytes are a pure row count model");
-    }
-
-    /// The ranking the stripe replaced, kept as the reference: one sorted
-    /// `Vec` and one arrival-ordered `Vec` per row.
-    #[derive(Default)]
-    struct VecRanking {
-        order: Vec<u32>,
-        limbo: Vec<u32>,
-        keys: std::collections::BTreeMap<u32, u128>,
-    }
-
-    impl VecRanking {
-        fn binary_insert(&mut self, slot: u32) -> u64 {
-            let key = self.keys[&slot];
-            let mut comparisons = 0;
-            let (mut lo, mut hi) = (0, self.order.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                comparisons += 1;
-                if self.keys[&self.order[mid]] < key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            self.order.insert(lo, slot);
-            comparisons
-        }
-
-        fn update(&mut self, slot: u32, key: Option<u128>) -> u64 {
-            let mut comparisons = 0;
-            if let Some(key) = key {
-                if self.order.last() == Some(&slot) {
-                    comparisons += 1;
-                    if key >= self.keys[&slot] {
-                        self.keys.insert(slot, key);
-                        return comparisons;
-                    }
-                }
-            }
-            let was_top = match self.order.iter().position(|&x| x == slot) {
-                Some(pos) => {
-                    self.order.remove(pos);
-                    pos == self.order.len()
-                }
-                None => {
-                    self.limbo.retain(|&x| x != slot);
-                    false
-                }
-            };
-            if was_top {
-                for parked in std::mem::take(&mut self.limbo) {
-                    comparisons += self.binary_insert(parked);
-                }
-            }
-            if let Some(key) = key {
-                self.keys.insert(slot, key);
-                match self.order.last() {
-                    None => self.order.push(slot),
-                    Some(top) => {
-                        comparisons += 1;
-                        if key > self.keys[top] {
-                            self.order.push(slot);
-                        } else {
-                            self.limbo.push(slot);
-                        }
-                    }
-                }
-            }
-            comparisons
-        }
-    }
-
-    /// The ranks stripe against the two-`Vec` reference on seeded random
-    /// announce/withdraw traces over a narrow row (lists meet end to end)
-    /// and a wide one: the same best slot, the same lists, the same
-    /// comparison count at every step — `route_comparisons` is an exact
-    /// cost-model tally.
-    #[test]
-    fn ranks_stripe_matches_the_two_vec_reference() {
-        use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
-        for (slots, seed) in [(3u32, 1u64), (5, 2), (16, 3), (16, 4)] {
-            let mut g = Xoshiro256StarStar::new(seed);
-            let mut t = PrefixTable::new(slots);
-            // A second row on each side: neighbours must stay untouched.
-            t.row_or_insert(Prefix(9));
-            t.row_or_insert(Prefix(1));
-            let row = t.row_or_insert(Prefix(5));
-            let mut want = VecRanking::default();
-            let (mut total, mut total_want, mut drains) = (0u64, 0u64, 0u32);
-            for _ in 0..3000 {
-                let slot = g.next_below(slots as u64) as u32;
-                // Distinct keys per slot, as packed keys are: the slot id
-                // fills the low bits.
-                let key = (g.next_below(3) != 0)
-                    .then(|| ((g.next_below(40) as u128) << 32) | slot as u128);
-                let limbo_before = want.limbo.len();
-                total += t.order_update(row, slot, key);
-                total_want += want.update(slot, key);
-                drains += u32::from(limbo_before > 1 && want.limbo.is_empty());
-                assert_eq!(total, total_want, "comparison counts diverged");
-                assert_eq!(t.order_best(row), want.order.last().copied());
-                let [order_len, limbo_len] = t.rank_len[row].map(|l| l as usize);
-                let stripe = &t.ranks[row * slots as usize..][..slots as usize];
-                assert_eq!(&stripe[..order_len], want.order.as_slice());
-                let limbo: Vec<u32> = stripe[slots as usize - limbo_len..].iter().rev().copied().collect();
-                assert_eq!(limbo, want.limbo, "arrival order of the parked slots");
-            }
-            assert!(drains > 10, "the trace must drain multi-entry limbos ({drains})");
-            for other in [Prefix(1), Prefix(9)] {
-                let r = t.row(other).unwrap();
-                assert_eq!((t.order_best(r), t.rank_len[r]), (None, [0, 0]));
-            }
-            // A rebuild ranks the survivors into the same order.
-            let survivors = want.order.iter().chain(&want.limbo).copied().collect::<Vec<_>>();
-            t.order_clear_row(row);
-            for slot in survivors {
-                t.order_insert(row, slot, want.keys[&slot]);
-            }
-            let mut sorted = want.order.clone();
-            sorted.extend(&want.limbo);
-            sorted.sort_by_key(|s| want.keys[s]);
-            assert_eq!(&t.ranks[row * slots as usize..][..sorted.len()], sorted.as_slice());
-        }
     }
 
     #[test]

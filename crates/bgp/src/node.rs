@@ -36,7 +36,7 @@ use bgpscale_topology::{AsId, Relationship};
 
 use crate::arena::{DampTable, PrefixTable, SessionSlab, SELF_SLOT};
 use crate::config::{MraiMode, MraiScope};
-use crate::decision::preference_key;
+use crate::decision::{packed_key, Candidate};
 use crate::message::{AsPath, Prefix, Update, UpdateKind};
 use crate::mrai::{OutQueue, Submit};
 use crate::policy::{export_allowed, would_loop, RouteSource};
@@ -102,14 +102,14 @@ impl Actions {
     }
 }
 
-/// How a decision re-run may be narrowed.
+/// What changed since the row's last decision run.
 ///
 /// With damping off (the paper's configuration), a change confined to one
 /// Adj-RIB-in slot cannot displace the incumbent best route without
 /// beating it head-to-head — [`crate::decision::preference_key`] is a
-/// strict total order — so the decision process runs in O(1) instead of
-/// O(degree). `Full` rescans every slot: originations, RFD eligibility
-/// changes, and any change to the incumbent's own slot.
+/// strict total order — so the decision costs one comparison instead of
+/// a rescan, unless the incumbent itself was withdrawn or got worse.
+/// `Full` always rescans: originations and RFD eligibility changes.
 #[derive(Clone, Copy, Debug)]
 enum Reeval {
     /// Rescan every Adj-RIB-in slot.
@@ -217,16 +217,22 @@ impl BgpNode {
     /// Enables Route Flap Damping with the given parameters, or disables
     /// it with `None` (the default; also the paper's configuration).
     ///
+    /// Must be called before any routing state exists: with damping off
+    /// the decision process trusts the incumbent best route, and a route
+    /// chosen under one eligibility regime is not the best under another.
+    ///
     /// # Panics
-    /// Panics if the configuration fails [`RfdConfig::check`].
+    /// Panics if the configuration fails [`RfdConfig::check`], or if the
+    /// node already holds routing state.
     pub fn set_rfd(&mut self, rfd: Option<RfdConfig>) {
         if let Some(cfg) = &rfd {
             cfg.check().unwrap_or_else(|e| panic!("invalid RFD config: {e}"));
         }
-        // The sorted candidate order is only exact relative to one
-        // eligibility regime; flipping damping on or off invalidates it
-        // wholesale (rows rebuild on their next undamped decision run).
-        self.table.invalidate_orders();
+        assert!(
+            self.table.is_empty(),
+            "{}: cannot change damping with live routing state",
+            self.id
+        );
         self.rfd = rfd;
     }
 
@@ -404,7 +410,11 @@ impl BgpNode {
             }
         }
 
-        self.table.set_rib_in(row, slot, incoming);
+        let route = incoming.map(|path| {
+            let key = self.route_key(slot, &path);
+            (path, key)
+        });
+        self.table.set_rib_in(row, slot, route);
 
         self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot), out);
     }
@@ -577,34 +587,70 @@ impl BgpNode {
         self.active.fill(true);
     }
 
-    /// Rebuilds the row's sorted candidate order from scratch — one
-    /// binary-search insertion per held route, every key comparison
-    /// counted. Only needed after the order was invalidated (damping
-    /// reconfiguration, or a row maintained while damping was on).
-    // det::allow(panic-surface, reason = "row is a live row index and the rib_in stripe enumerates exactly this node's session slots, which index the slab stripe by construction")
-    fn rebuild_order(&mut self, row: usize) {
-        self.table.order_clear_row(row);
-        let sessions = self.slab.sessions(self.slab_idx);
-        let keyed: Vec<(u32, u128)> = self
-            .table
-            .rib_in(row)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, entry)| {
-                entry.as_ref().map(|path| {
-                    let key = crate::decision::packed_key(&crate::decision::Candidate {
-                        neighbor: sessions[i].peer,
-                        rel: sessions[i].rel,
-                        path: path.as_slice(),
-                    });
-                    (i as u32, key)
-                })
-            })
-            .collect();
-        for (slot, key) in keyed {
-            self.costs.route_comparisons += self.table.order_insert(row, slot, key);
+    /// The packed preference key of `path` as a route learned over
+    /// session `slot` — what the Adj-RIB-in caches beside the route.
+    // det::allow(panic-surface, reason = "slot is one of this node's session slots, which index the slab stripe by construction")
+    fn route_key(&self, slot: u32, path: &AsPath) -> u128 {
+        let session = self.sessions()[slot as usize];
+        packed_key(&Candidate {
+            neighbor: session.peer,
+            rel: session.rel,
+            path: path.as_slice(),
+        })
+    }
+
+    /// The decision process proper (§2: LOCAL_PREF, shortest AS path,
+    /// hashed tie-break — all folded into the cached `rib_key`): the slot
+    /// holding the row's best eligible learned route. Counts every key
+    /// comparison into `route_comparisons`.
+    // det::allow(panic-surface, reason = "row is a live row index whose rib_in/rib_key stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
+    fn decide(&mut self, row: usize, prefix: Prefix, hint: Reeval) -> Option<u32> {
+        let routes = self.table.rib_in(row);
+        let keys = self.table.rib_keys(row);
+        // With damping off the incumbent is still the best of every slot
+        // but `s`, so it only has to face the route at `s`; if `s` is its
+        // own slot, it stands as long as it did not get worse. (Rows that
+        // originate the prefix never get here, so the incumbent is a
+        // learned route.)
+        if let (Reeval::SlotChanged(s), None, Some((incumbent, old_path))) =
+            (hint, &self.rfd, self.table.best(row))
+        {
+            let announced = routes[s as usize].is_some();
+            if s != incumbent {
+                if !announced {
+                    return Some(incumbent);
+                }
+                self.costs.route_comparisons += 1;
+                let wins = keys[s as usize] > keys[incumbent as usize];
+                return Some(if wins { s } else { incumbent });
+            }
+            if announced {
+                self.costs.route_comparisons += 1;
+                if keys[s as usize] >= self.route_key(s, old_path) {
+                    return Some(s);
+                }
+            }
         }
-        self.table.set_order_valid(row, true);
+        // Everything else rescans the row: suppressed routes are stored
+        // but ineligible (RFC 2439), and the damping table is empty while
+        // damping is off.
+        let mut winner: Option<u32> = None;
+        for (slot, route) in routes.iter().enumerate() {
+            if route.is_none() || self.is_suppressed(slot as u32, prefix) {
+                continue;
+            }
+            let better = match winner {
+                None => true,
+                Some(w) => {
+                    self.costs.route_comparisons += 1;
+                    keys[slot] > keys[w as usize]
+                }
+            };
+            if better {
+                winner = Some(slot as u32);
+            }
+        }
+        winner
     }
 
     /// Re-runs the decision process for row `row` (holding `prefix`); on a
@@ -613,9 +659,7 @@ impl BgpNode {
     /// the sending edge's Gao–Rexford relation, so attribution survives
     /// MRAI coalescing downstream.
     ///
-    /// `hint` narrows the decision (see [`Reeval`]); it is only honored
-    /// with damping off — RFD changes route *eligibility* independently of
-    /// the Adj-RIB-in, invalidating the single-slot reasoning.
+    /// `hint` says what changed since the last run (see [`Reeval`]).
     // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
     fn reevaluate(
         &mut self,
@@ -627,86 +671,17 @@ impl BgpNode {
     ) {
         self.costs.decision_runs += 1;
 
-        // Keep the row's sorted candidate order exact *before* anything
-        // else — including the self-origination early exit below — so the
-        // column never goes stale while a row is originated. Only the
-        // hinted slot's Adj-RIB-in cell changed: a withdrawal is a
-        // positional remove (zero preference comparisons) and an
-        // announcement one binary-search insert under the cached packed
-        // key. Damped runs skip maintenance and mark the row stale
-        // instead: suppression changes route eligibility without touching
-        // the Adj-RIB-in, so the order cannot be trusted again until a
-        // counted rebuild.
-        if let Reeval::SlotChanged(s) = hint {
-            if self.rfd.is_some() {
-                self.table.set_order_valid(row, false);
-            } else if self.table.order_valid(row) {
-                let sessions = self.slab.sessions(self.slab_idx);
-                let key = self.table.rib_in_cell(row, s).as_ref().map(|path| {
-                    crate::decision::packed_key(&crate::decision::Candidate {
-                        neighbor: sessions[s as usize].peer,
-                        rel: sessions[s as usize].rel,
-                        path: path.as_slice(),
-                    })
-                });
-                self.costs.route_comparisons += self.table.order_update(row, s, key);
-            }
-        }
-
-        // Decision process.
-        let new_best: Option<(u32, AsPath)> = 'best: {
-            if self.table.originated(row) {
-                break 'best Some((SELF_SLOT, AsPath::new()));
-            }
-            if self.rfd.is_none() {
-                if !self.table.order_valid(row) {
-                    self.rebuild_order(row);
-                }
-                break 'best self.table.order_best(row).map(|slot| {
-                    let path = self
-                        .table
-                        .rib_in_cell(row, slot)
-                        .clone()
-                        .expect("ordered slot holds a route");
-                    (slot, path)
-                });
-            }
-            // Damped rescan: suppressed routes are stored but ineligible
-            // (RFC 2439), so the sorted order is no shortcut here — scan
-            // every eligible candidate under the full preference order.
-            let sessions = self.slab.sessions(self.slab_idx);
-            let mut winner: Option<(u32, &AsPath)> = None;
-            for (i, entry) in self.table.rib_in(row).iter().enumerate() {
-                let Some(path) = entry else { continue };
-                if self
-                    .damp
-                    .get(i as u32, prefix)
-                    .is_some_and(|d| d.suppressed)
-                {
-                    continue;
-                }
-                let cand = crate::decision::Candidate {
-                    neighbor: sessions[i].peer,
-                    rel: sessions[i].rel,
-                    path: path.as_slice(),
-                };
-                let better = match winner {
-                    None => true,
-                    Some((wslot, wpath)) => {
-                        let wcand = crate::decision::Candidate {
-                            neighbor: sessions[wslot as usize].peer,
-                            rel: sessions[wslot as usize].rel,
-                            path: wpath.as_slice(),
-                        };
-                        self.costs.route_comparisons += 1;
-                        preference_key(&cand) > preference_key(&wcand)
-                    }
-                };
-                if better {
-                    winner = Some((i as u32, path));
-                }
-            }
-            winner.map(|(slot, path)| (slot, path.clone()))
+        let new_best: Option<(u32, AsPath)> = if self.table.originated(row) {
+            Some((SELF_SLOT, AsPath::new()))
+        } else {
+            self.decide(row, prefix, hint).map(|slot| {
+                let path = self
+                    .table
+                    .rib_in_cell(row, slot)
+                    .clone()
+                    .expect("the winning slot holds a route");
+                (slot, path)
+            })
         };
 
         let unchanged = match (self.table.best(row), &new_best) {
@@ -1356,14 +1331,57 @@ mod tests {
         assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
     }
 
-    /// The incremental (hint-narrowed) decision must be observationally
-    /// identical to a brute-force rescan: drive one node through a long
-    /// seeded announce/withdraw trace while mirroring the Adj-RIB-in in
-    /// the test, and after every step recompute the best route from
-    /// scratch and compare.
+    #[test]
+    #[should_panic(expected = "cannot change damping with live routing state")]
+    fn damping_cannot_change_once_routes_exist() {
+        let mut n = node();
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        n.set_rfd(Some(RfdConfig::default()));
+    }
+
+    /// The cost shape of the decision process in exact
+    /// `route_comparisons`: one comparison while the incumbent stands,
+    /// and otherwise one per route held after the first — never one per
+    /// session slot.
+    #[test]
+    fn decision_costs_one_comparison_or_a_rescan_of_the_routes_held() {
+        let sessions = (1..=64)
+            .map(|peer| session(peer, if peer == 1 { Relationship::Customer } else { Relationship::Provider }))
+            .collect();
+        let mut n = BgpNode::new(AsId(0), sessions, MraiMode::NoWrate);
+        let route = |slot: u32, len: u32| {
+            let hops = std::iter::once(AsId(slot + 1)).chain((1..len).map(|i| AsId(100 + i)));
+            Update::announce(P, hops.collect::<Vec<_>>())
+        };
+        let mut cost = |slot: u32, update: Update| {
+            let before = n.cost_counters().route_comparisons;
+            act(|o| n.receive(slot, update, SimTime::ZERO, o));
+            n.cost_counters().route_comparisons - before
+        };
+        assert_eq!(cost(0, route(0, 3)), 0, "the first route has no rival");
+        for loser in [20, 40, 63] {
+            assert_eq!(cost(loser, route(loser, 2)), 1, "a loser meets the incumbent only");
+        }
+        assert_eq!(cost(0, route(0, 2)), 1, "an improving incumbent meets its old key only");
+        assert_eq!(cost(40, Update::withdraw(P)), 0, "a withdrawn loser meets nobody");
+        assert_eq!(cost(40, route(40, 2)), 1);
+        assert_eq!(cost(0, route(0, 4)), 1 + 3, "a worsened incumbent: its old key, then a rescan of 4 routes");
+        assert_eq!(cost(0, Update::withdraw(P)), 2, "a rescan of the 3 routes left, not of 64 slots");
+        assert_eq!(n.cost_counters().decision_runs, 9);
+    }
+
+    /// The decision process must be observationally identical to a
+    /// brute-force rescan under the full `preference_key` (not the packed
+    /// key the node caches): drive one node through a long seeded
+    /// announce/withdraw trace while mirroring the Adj-RIB-in in the
+    /// test, and after every step recompute the best route from scratch
+    /// and compare. The second pass runs the same trace with damping on,
+    /// the clock advancing and every reuse wake-up offered: the mirror
+    /// then skips the slots the node reports suppressed.
     #[test]
     fn incremental_decision_matches_a_brute_force_mirror() {
-        use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
+        use crate::decision::preference_key;
+        use bgpscale_simkernel::{Rng, SimDuration, Xoshiro256StarStar};
         let sessions = vec![
             session(1, Relationship::Customer),
             session(2, Relationship::Customer),
@@ -1371,46 +1389,65 @@ mod tests {
             session(4, Relationship::Provider),
             session(5, Relationship::Provider),
         ];
-        let mut n = BgpNode::new(AsId(0), sessions.clone(), MraiMode::NoWrate);
-        let mut mirror: Vec<Option<AsPath>> = vec![None; sessions.len()];
-        let mut g = Xoshiro256StarStar::new(0xA11_0CA7);
-        for _ in 0..400 {
-            let slot = g.next_below(5) as usize;
-            let peer = sessions[slot].peer;
-            if g.next_below(3) == 0 {
-                act(|o| n.receive(slot as u32, Update::withdraw(P), SimTime::ZERO, o));
-                mirror[slot] = None;
-            } else {
-                let path = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
-                act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), SimTime::ZERO, o));
-                mirror[slot] = Some(AsPath::from(path));
-            }
-            let mut want: Option<(u32, &AsPath)> = None;
-            for (i, entry) in mirror.iter().enumerate() {
-                let Some(path) = entry else { continue };
-                let cand = crate::decision::Candidate {
-                    neighbor: sessions[i].peer,
-                    rel: sessions[i].rel,
-                    path: path.as_slice(),
-                };
-                let better = match want {
-                    None => true,
-                    Some((w, wp)) => {
-                        let wcand = crate::decision::Candidate {
-                            neighbor: sessions[w as usize].peer,
-                            rel: sessions[w as usize].rel,
-                            path: wp.as_slice(),
-                        };
-                        preference_key(&cand) > preference_key(&wcand)
-                    }
-                };
-                if better {
-                    want = Some((i as u32, path));
+        for damped in [false, true] {
+            let mut n = BgpNode::new(AsId(0), sessions.clone(), MraiMode::NoWrate);
+            n.set_rfd(damped.then(RfdConfig::default));
+            let mut mirror: Vec<Option<AsPath>> = vec![None; sessions.len()];
+            let mut g = Xoshiro256StarStar::new(0xA11_0CA7);
+            let mut now = SimTime::ZERO;
+            let suppressed = |n: &BgpNode| (0..5).filter(|&s| n.is_suppressed(s, P)).count();
+            let (mut suppressions, mut reuses) = (0, 0);
+            for _ in 0..400 {
+                now += SimDuration::from_secs(120);
+                let slot = g.next_below(5) as usize;
+                let peer = sessions[slot].peer;
+                let before = suppressed(&n);
+                for s in 0..5 {
+                    act(|o| n.rfd_reuse_caused(s, P, now, &Provenance::none(), o));
                 }
+                let between = suppressed(&n);
+                reuses += before - between;
+                if g.next_below(3) == 0 {
+                    act(|o| n.receive(slot as u32, Update::withdraw(P), now, o));
+                    mirror[slot] = None;
+                } else {
+                    // One to three hops: the incumbent's own route both
+                    // improves and worsens along the trace.
+                    let mut path = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
+                    path.truncate(1 + g.next_below(3) as usize);
+                    act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), now, o));
+                    mirror[slot] = Some(AsPath::from(path));
+                }
+                suppressions += suppressed(&n) - between;
+                let key = |i: usize, path: &AsPath| {
+                    preference_key(&Candidate {
+                        neighbor: sessions[i].peer,
+                        rel: sessions[i].rel,
+                        path: path.as_slice(),
+                    })
+                };
+                let mut want: Option<(usize, &AsPath)> = None;
+                for (i, entry) in mirror.iter().enumerate() {
+                    let Some(path) = entry else { continue };
+                    if n.is_suppressed(i as u32, P) {
+                        continue;
+                    }
+                    if want.is_none_or(|(w, wp)| key(i, path) > key(w, wp)) {
+                        want = Some((i, path));
+                    }
+                }
+                let got = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
+                let want = want.map(|(s, p)| (Some(sessions[s].peer), p.clone()));
+                assert_eq!(got, want, "decision diverged from the brute-force rescan (damped: {damped})");
             }
-            let got = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
-            let want = want.map(|(s, p)| (Some(sessions[s as usize].peer), p.clone()));
-            assert_eq!(got, want, "incremental decision diverged from rescan");
+            if damped {
+                assert!(
+                    suppressions > 10 && reuses > 10,
+                    "the damped trace must suppress and reuse routes ({suppressions}, {reuses})"
+                );
+            } else {
+                assert_eq!((suppressions, reuses), (0, 0));
+            }
         }
     }
 }

@@ -417,7 +417,7 @@ fn workspace_is_clean() {
         .count();
     assert_eq!(
         (a.allows.len(), line_allows),
-        (55, 8),
+        (50, 8),
         "audited-allow count moved"
     );
 }
