@@ -17,6 +17,20 @@
 //! * **Timer expiry** → all still-valid pending updates are flushed; the
 //!   timer re-arms iff something was sent.
 //!
+//! ## Lazy timers
+//!
+//! A timer is not a flag that an expiry event clears. Arming it stores
+//! the [`EventKey`] its expiry *would* pop at — the caller reserves that
+//! place in the event order at every arm, jitter drawn, whether or not an
+//! event is ever put there — and the timer is armed exactly while that
+//! key is after the key of the event being processed ([`Step::now`]).
+//! Most timers run out with nothing queued behind them; those lapse by
+//! comparison alone and cost the event loop nothing. Only the first
+//! update queued in a window asks for the expiry event
+//! (`expire_at` of [`Submit::Queued`]), at the stored key, so the flush
+//! happens at the instant, and at the rank among simultaneous events, at
+//! which an eagerly scheduled expiry would have fired.
+//!
 //! Withdrawals depend on the [`MraiMode`]:
 //!
 //! * **NO-WRATE** (RFC 1771): withdrawals bypass the queue entirely — sent
@@ -31,16 +45,32 @@
 //! honest.
 
 use bgpscale_obs::Provenance;
+use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
 use crate::config::{MraiMode, MraiScope};
 use crate::message::{AsPath, Prefix, Update, UpdateKind};
+use crate::node::NodeCostCounters;
+
+/// What a protocol step tells every queue it touches: the node's MRAI
+/// settings and the key of the event being processed.
+#[derive(Clone, Copy, Debug)]
+pub struct Step {
+    /// Withdrawal treatment.
+    pub mode: MraiMode,
+    /// Timer granularity.
+    pub scope: MraiScope,
+    /// The key of the event this step handles
+    /// (`EventQueue::last_key`): a timer whose key is after it is armed.
+    pub now: EventKey,
+}
 
 /// Result of submitting an update to an [`OutQueue`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Submit {
     /// Send the update on the wire now. If `arm_timer` is true the caller
-    /// must schedule a (jittered) MRAI expiry for this queue.
+    /// must reserve the key of a (jittered) MRAI expiry for this queue and
+    /// hand it over with [`OutQueue::arm_at`] before the step ends.
     SendNow {
         /// The message to transmit.
         update: Update,
@@ -48,7 +78,14 @@ pub enum Submit {
         arm_timer: bool,
     },
     /// The update was queued behind the running MRAI timer.
-    Queued,
+    Queued {
+        /// `Some(key)` when this is the first update waiting in the
+        /// timer's window: the caller must schedule the expiry event at
+        /// `key`, the place reserved when the timer was armed. `None` when
+        /// the expiry is already scheduled, or when the timer was armed
+        /// earlier in this very step and [`OutQueue::arm_at`] will ask.
+        expire_at: Option<EventKey>,
+    },
     /// The update was redundant (the neighbor already has, or will get,
     /// equivalent state) and was dropped.
     Suppressed,
@@ -160,14 +197,39 @@ impl<V> PrefixMap<V> {
     }
 }
 
+/// One MRAI timer.
+#[derive(Clone, Copy, Debug)]
+struct Timer {
+    /// The key this timer's expiry pops at, reserved when the timer was
+    /// armed; the timer is armed while it is after the current event's
+    /// key. [`EventKey::NEVER`] from the send that arms the timer until
+    /// [`OutQueue::arm_at`] delivers the key later in the same step.
+    until: EventKey,
+    /// True while an expiry event is scheduled at `until` and has not
+    /// popped: from the first update queued in the window to the flush.
+    expiry_scheduled: bool,
+}
+
+impl Timer {
+    const IDLE: Timer = Timer {
+        until: EventKey::ZERO,
+        expiry_scheduled: false,
+    };
+
+    fn armed(&self, now: EventKey) -> bool {
+        self.until > now
+    }
+}
+
 /// One neighbor session's rate-limited output queue plus Adj-RIB-out.
 #[derive(Clone, Debug)]
 pub struct OutQueue {
-    scope: MraiScope,
-    /// Per-interface scope: the single session timer.
-    timer_armed: bool,
-    /// Per-prefix scope: the prefixes whose timers are armed (sorted).
-    armed_prefixes: Vec<Prefix>,
+    /// The session timer (per-interface scope).
+    timer: Timer,
+    /// Per-prefix scope: the timer of every prefix armed since the last
+    /// reset, sorted by prefix. A lapsed entry stays and is overwritten by
+    /// its prefix's next arm.
+    prefix_timers: Vec<(Prefix, Timer)>,
     /// Updates waiting for a timer; at most one per prefix, each with the
     /// provenance it will carry when flushed. When a newer update
     /// replaces a queued one, the stamps coalesce (root sets union) so
@@ -178,14 +240,11 @@ pub struct OutQueue {
     /// announced). Entries share the export path's `Arc` with the node's
     /// Loc-RIB — an Adj-RIB-out write is a refcount bump.
     sent: PrefixMap<AsPath>,
-    /// Cost-model tally: Adj-RIB-out mutations (inserts plus successful
-    /// removes). Monotone over the queue's lifetime — survives resets so
-    /// phase-boundary snapshots can be diffed (see `obs::costmodel`).
-    rib_out_writes: u64,
-    /// Cost-model tally: pending updates displaced by a newer update for
-    /// the same prefix while a timer was running (MRAI coalescing).
-    coalesced: u64,
 }
+
+// One per session of the topology: the lazy timer's key took the room of
+// the per-queue tallies that now live in `NodeCostCounters`.
+const _: () = assert!(std::mem::size_of::<OutQueue>() <= 128);
 
 impl Default for OutQueue {
     fn default() -> Self {
@@ -194,74 +253,91 @@ impl Default for OutQueue {
 }
 
 impl OutQueue {
-    /// Creates an idle queue with the paper's per-interface timer scope.
+    /// Creates an idle queue.
     pub fn new() -> Self {
-        OutQueue::with_scope(MraiScope::PerInterface)
-    }
-
-    /// Creates an idle queue with an explicit timer scope.
-    pub fn with_scope(scope: MraiScope) -> Self {
         OutQueue {
-            scope,
-            timer_armed: false,
-            armed_prefixes: Vec::new(),
+            timer: Timer::IDLE,
+            prefix_timers: Vec::new(),
             pending: PrefixMap::Empty,
             sent: PrefixMap::Empty,
-            rib_out_writes: 0,
-            coalesced: 0,
         }
     }
 
-    /// Cost-model tally: Adj-RIB-out mutations so far (monotone).
-    pub fn rib_out_writes(&self) -> u64 {
-        self.rib_out_writes
+    /// Every timer of this queue with the prefix it governs (`None`: the
+    /// session timer).
+    fn timers(&self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + '_ {
+        std::iter::once((None, self.timer))
+            .chain(self.prefix_timers.iter().map(|&(p, t)| (Some(p), t)))
     }
 
-    /// Cost-model tally: MRAI-coalesced pending updates so far (monotone).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
-    /// The timer granularity of this queue.
-    pub fn scope(&self) -> MraiScope {
-        self.scope
-    }
-
-    /// True while an MRAI expiry is outstanding that governs `prefix`.
-    pub fn is_armed(&self, prefix: Prefix) -> bool {
-        match self.scope {
-            MraiScope::PerInterface => self.timer_armed,
-            MraiScope::PerPrefix => self.armed_prefixes.binary_search(&prefix).is_ok(),
-        }
-    }
-
-    fn set_armed(&mut self, prefix: Prefix) {
-        match self.scope {
-            MraiScope::PerInterface => self.timer_armed = true,
-            MraiScope::PerPrefix => {
-                if let Err(i) = self.armed_prefixes.binary_search(&prefix) {
-                    self.armed_prefixes.insert(i, prefix);
-                }
+    /// The timer `which` names, created idle if it is a prefix's first.
+    // det::allow(panic-surface, reason = "at is the index binary_search found the prefix at, or the one its timer was just inserted at")
+    fn timer_mut(&mut self, which: Option<Prefix>) -> &mut Timer {
+        let Some(prefix) = which else {
+            return &mut self.timer;
+        };
+        let at = match self.prefix_timers.binary_search_by_key(&prefix, |e| e.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.prefix_timers.insert(at, (prefix, Timer::IDLE));
+                at
             }
+        };
+        &mut self.prefix_timers[at].1
+    }
+
+    /// True while the MRAI timer governing `prefix` under `scope` is
+    /// armed at `now`.
+    pub fn is_armed(&self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
+        match governing(scope, prefix) {
+            None => self.timer.armed(now),
+            Some(prefix) => self
+                .prefix_timers
+                .binary_search_by_key(&prefix, |e| e.0)
+                .ok()
+                .and_then(|at| self.prefix_timers.get(at))
+                .is_some_and(|(_, timer)| timer.armed(now)),
         }
     }
 
-    /// True while any MRAI expiry for this queue is outstanding.
-    pub fn timer_armed(&self) -> bool {
-        match self.scope {
-            MraiScope::PerInterface => self.timer_armed,
-            MraiScope::PerPrefix => !self.armed_prefixes.is_empty(),
-        }
+    /// True while any MRAI timer of this queue is armed at `now`.
+    pub fn timer_armed(&self, now: EventKey) -> bool {
+        self.armed_count(now) > 0
     }
 
-    /// Number of armed timers this queue holds (0 or 1 for the
-    /// per-interface scope; one per armed prefix otherwise). Each armed
-    /// timer corresponds to exactly one outstanding expiry event.
-    pub fn armed_count(&self) -> usize {
-        match self.scope {
-            MraiScope::PerInterface => usize::from(self.timer_armed),
-            MraiScope::PerPrefix => self.armed_prefixes.len(),
-        }
+    /// Number of timers armed at `now` (0 or 1 for the per-interface
+    /// scope; one per armed prefix otherwise).
+    pub fn armed_count(&self, now: EventKey) -> usize {
+        self.timers().filter(|(_, t)| t.armed(now)).count()
+    }
+
+    /// Number of expiry events scheduled for this queue and not yet
+    /// popped: the timers something is queued behind.
+    pub fn scheduled_expiries(&self) -> usize {
+        self.timers().filter(|(_, t)| t.expiry_scheduled).count()
+    }
+
+    /// The timers armed at `now` that no expiry event is scheduled for,
+    /// each with the key reserved for it. A caller about to
+    /// [`OutQueue::force_reset`] this queue uses them to keep the clock
+    /// passing those keys.
+    pub fn silent_timers(
+        &self,
+        now: EventKey,
+    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + '_ {
+        self.timers()
+            .filter(move |(_, t)| t.armed(now) && !t.expiry_scheduled)
+            .map(|(which, t)| (which, t.until))
+    }
+
+    /// The latest key reserved for a timer of this queue that is not
+    /// after `deadline`, if any: where the clock stands once every timer
+    /// due by then has run out, scheduled or not.
+    pub fn latest_key_by(&self, deadline: SimTime) -> Option<EventKey> {
+        self.timers()
+            .map(|(_, t)| t.until)
+            .filter(|key| key.time <= deadline)
+            .max()
     }
 
     /// Number of queued (pending) updates.
@@ -284,16 +360,33 @@ impl OutQueue {
         }
     }
 
-    /// Queues `kind` behind the timer, folding the stamp of any update it
-    /// displaces into its own so no root loses its attribution.
-    fn queue_pending(&mut self, prefix: Prefix, kind: UpdateKind, mut stamp: Provenance) {
+    /// Queues `kind` behind the armed timer governing `prefix`, folding
+    /// the stamp of any update it displaces into its own so no root loses
+    /// its attribution, and asks for the timer's expiry event if this is
+    /// the first update to wait for it.
+    fn park(
+        &mut self,
+        prefix: Prefix,
+        kind: UpdateKind,
+        mut stamp: Provenance,
+        scope: MraiScope,
+        costs: &mut NodeCostCounters,
+    ) -> Submit {
         match self.pending.get_mut(prefix) {
             Some(queued) => {
                 stamp.coalesce_with(&queued.1);
-                self.coalesced += 1;
+                costs.mrai_coalesced += 1;
                 *queued = (kind, stamp);
             }
             None => self.pending.insert(prefix, (kind, stamp)),
+        }
+        let timer = self.timer_mut(governing(scope, prefix));
+        // A timer armed earlier in this step has no key yet; `arm_at`
+        // delivers it and finds this update waiting.
+        let ask = !timer.expiry_scheduled && timer.until != EventKey::NEVER;
+        timer.expiry_scheduled |= ask;
+        Submit::Queued {
+            expire_at: ask.then_some(timer.until),
         }
     }
 
@@ -303,31 +396,34 @@ impl OutQueue {
     /// update carries `cause.with_rel(rel)` (pass [`Provenance::none`]
     /// when attribution is not wanted — it never changes what is sent,
     /// queued, or suppressed). The path and the stamp are cloned only when
-    /// the update is stored or sent. Returns what the caller must do.
+    /// the update is stored or sent. Adj-RIB-out writes and coalesced
+    /// updates are tallied into `costs`. Returns what the caller must do.
     pub fn submit(
         &mut self,
         prefix: Prefix,
         intent: Option<&AsPath>,
-        mode: MraiMode,
+        step: &Step,
         cause: &Provenance,
         rel: Relationship,
+        costs: &mut NodeCostCounters,
     ) -> Submit {
         // Drop no-ops against the eventual neighbor state.
         if self.intent(prefix) == intent {
             return Submit::Suppressed;
         }
         match intent {
-            None => self.submit_withdraw(prefix, mode, cause, rel),
-            Some(path) => self.submit_announce(prefix, path, cause, rel),
+            None => self.submit_withdraw(prefix, step, cause, rel, costs),
+            Some(path) => self.submit_announce(prefix, path, step, cause, rel, costs),
         }
     }
 
     fn submit_withdraw(
         &mut self,
         prefix: Prefix,
-        mode: MraiMode,
+        step: &Step,
         cause: &Provenance,
         rel: Relationship,
+        costs: &mut NodeCostCounters,
     ) -> Submit {
         // A queued announcement that never went out is invalidated: if the
         // neighbor holds nothing, removing it finishes the job silently.
@@ -338,15 +434,14 @@ impl OutQueue {
         // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and do
         // not arm the timer. RFC 4271 (WRATE): they queue like
         // announcements.
-        let rate_limited = mode == MraiMode::Wrate;
-        if rate_limited && self.is_armed(prefix) {
-            self.queue_pending(prefix, UpdateKind::Withdraw, cause.with_rel(rel));
-            return Submit::Queued;
+        let rate_limited = step.mode == MraiMode::Wrate;
+        if rate_limited && self.is_armed(prefix, step.scope, step.now) {
+            return self.park(prefix, UpdateKind::Withdraw, cause.with_rel(rel), step.scope, costs);
         }
         self.sent.remove(prefix);
-        self.rib_out_writes += 1;
+        costs.rib_out_writes += 1;
         if rate_limited {
-            self.set_armed(prefix);
+            self.arm_timer(governing(step.scope, prefix));
         }
         Submit::SendNow {
             update: Update::withdraw(prefix).stamped(cause.with_rel(rel)),
@@ -358,21 +453,22 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         path: &AsPath,
+        step: &Step,
         cause: &Provenance,
         rel: Relationship,
+        costs: &mut NodeCostCounters,
     ) -> Submit {
-        if self.is_armed(prefix) {
+        if self.is_armed(prefix, step.scope, step.now) {
             let kind = UpdateKind::Announce(path.clone());
-            self.queue_pending(prefix, kind, cause.with_rel(rel));
-            Submit::Queued
+            self.park(prefix, kind, cause.with_rel(rel), step.scope, costs)
         } else {
             debug_assert!(
                 self.pending.get(prefix).is_none(),
                 "pending update with an idle timer"
             );
             self.sent.insert(prefix, path.clone());
-            self.rib_out_writes += 1;
-            self.set_armed(prefix);
+            costs.rib_out_writes += 1;
+            self.arm_timer(governing(step.scope, prefix));
             Submit::SendNow {
                 update: Update::announce(prefix, path.clone()).stamped(cause.with_rel(rel)),
                 arm_timer: true,
@@ -380,94 +476,114 @@ impl OutQueue {
         }
     }
 
-    /// Handles an MRAI expiry: drains pending updates governed by the
-    /// expired timer (skipping any that have become no-ops against the
-    /// Adj-RIB-out), pushes the ones that go on the wire now onto `sends`
-    /// tagged with `slot` (this queue's session slot at its node), and
-    /// returns whether that timer re-arms. When it does the caller must
-    /// schedule the next expiry.
-    ///
-    /// `trigger` identifies the timer: `None` for the per-interface
-    /// session timer, `Some(prefix)` for a per-prefix timer.
+    /// Delivers the key reserved for the expiry of the timer `which`
+    /// names (`None`: the session timer), which a send or
+    /// [`OutQueue::arm_timer`] armed earlier in this step. Returns true
+    /// if an update was queued behind the timer in the meantime: the
+    /// caller must then schedule the expiry event at `key` right away.
+    pub fn arm_at(&mut self, which: Option<Prefix>, key: EventKey) -> bool {
+        let waiting = match which {
+            None => self.pending.len() > 0,
+            Some(prefix) => self.pending.get(prefix).is_some(),
+        };
+        let timer = self.timer_mut(which);
+        debug_assert!(timer.until == EventKey::NEVER, "a key for a timer nothing armed");
+        *timer = Timer {
+            until: key,
+            expiry_scheduled: waiting,
+        };
+        waiting
+    }
+
+    /// Handles the expiry event of the timer `trigger` names (`None`: the
+    /// per-interface session timer, `Some(prefix)`: a per-prefix timer),
+    /// popping at `now`: drains the pending updates that timer governs
+    /// (skipping any that have become no-ops against the Adj-RIB-out),
+    /// pushes the ones that go on the wire now onto `sends` tagged with
+    /// `slot` (this queue's session slot at its node), and returns
+    /// whether the timer re-arms. When it does the caller must reserve
+    /// the next expiry's key and hand it over with [`OutQueue::arm_at`].
     ///
     /// # Panics
-    /// Panics (in debug builds) if `trigger` does not match the queue's
-    /// scope.
+    /// Panics (in debug builds) unless the timer's expiry was asked for
+    /// and `now` is its key.
     pub fn flush(
         &mut self,
         trigger: Option<Prefix>,
         slot: u32,
+        now: EventKey,
         sends: &mut Vec<(u32, Update)>,
+        costs: &mut NodeCostCounters,
     ) -> bool {
         let before = sends.len();
-        match (self.scope, trigger) {
-            (MraiScope::PerInterface, None) => {
-                debug_assert!(self.timer_armed, "flush on an idle queue");
+        match trigger {
+            None => {
                 // Taken out so `emit` can write the Adj-RIB-out while the
                 // drain runs, and put back emptied: a spilled map keeps
                 // its buffer for the next window.
                 let mut pending = std::mem::take(&mut self.pending);
                 pending.drain_into(|prefix, (kind, stamp)| {
-                    sends.extend(self.emit(prefix, kind, stamp).map(|u| (slot, u)));
+                    sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
                 });
                 self.pending = pending;
-                let rearm = sends.len() > before;
-                self.timer_armed = rearm;
-                rearm
             }
-            (MraiScope::PerPrefix, Some(prefix)) => {
-                debug_assert!(
-                    self.armed_prefixes.binary_search(&prefix).is_ok(),
-                    "flush on an idle per-prefix timer"
-                );
+            Some(prefix) => {
                 if let Some((kind, stamp)) = self.pending.remove(prefix) {
-                    sends.extend(self.emit(prefix, kind, stamp).map(|u| (slot, u)));
+                    sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
                 }
-                let rearm = sends.len() > before;
-                if !rearm {
-                    if let Ok(i) = self.armed_prefixes.binary_search(&prefix) {
-                        self.armed_prefixes.remove(i);
-                    }
-                }
-                rearm
-            }
-            (scope, trigger) => {
-                debug_assert!(false, "flush trigger {trigger:?} does not match scope {scope:?}");
-                false
             }
         }
+        let rearm = sends.len() > before;
+        let timer = self.timer_mut(trigger);
+        debug_assert!(
+            timer.expiry_scheduled && timer.until == now,
+            "flush at {now:?} of a timer expiring at {:?}",
+            timer.until
+        );
+        timer.expiry_scheduled = false;
+        // Otherwise the timer has run out: its key is `now`.
+        if rearm {
+            timer.until = EventKey::NEVER;
+        }
+        rearm
     }
 
     /// Emits one pending update unless it is a no-op against the
     /// Adj-RIB-out, updating the Adj-RIB-out on emission. The stored
     /// (possibly coalesced) stamp rides out on the message.
-    fn emit(&mut self, prefix: Prefix, kind: UpdateKind, stamp: Provenance) -> Option<Update> {
+    fn emit(
+        &mut self,
+        prefix: Prefix,
+        kind: UpdateKind,
+        stamp: Provenance,
+        costs: &mut NodeCostCounters,
+    ) -> Option<Update> {
         match kind {
             UpdateKind::Announce(path) => {
                 if self.sent.get(prefix) == Some(&path) {
                     return None; // neighbor already has it
                 }
                 self.sent.insert(prefix, path.clone());
-                self.rib_out_writes += 1;
+                costs.rib_out_writes += 1;
                 Some(Update::announce(prefix, path).stamped(stamp))
             }
             UpdateKind::Withdraw => {
                 self.sent.remove(prefix)?;
-                self.rib_out_writes += 1;
+                costs.rib_out_writes += 1;
                 Some(Update::withdraw(prefix).stamped(stamp))
             }
         }
     }
 
-    /// Clears all routing state (Adj-RIB-out, pending updates).
+    /// Clears all routing state (Adj-RIB-out, pending updates, run-out
+    /// timers).
     ///
     /// # Panics
-    /// Panics if the timer is still armed — resetting with an outstanding
-    /// expiry event would desynchronize the simulator.
-    pub fn reset(&mut self) {
-        assert!(!self.timer_armed(), "reset with an armed MRAI timer");
-        self.pending.clear();
-        self.sent.clear();
+    /// Panics if a timer is still armed at `now` — the neighbor would see
+    /// the next announcement too early.
+    pub fn reset(&mut self, now: EventKey) {
+        assert!(!self.timer_armed(now), "reset with an armed MRAI timer");
+        self.force_reset();
     }
 
     /// Transmits `path` immediately, bypassing the rate limiter — used
@@ -478,52 +594,60 @@ impl OutQueue {
     /// caller arms the timer once afterwards via [`OutQueue::arm_timer`].
     ///
     /// # Panics
-    /// Panics if the timer is armed (a fresh session starts idle).
+    /// Panics if a timer is armed at `now` (a fresh session starts idle).
     pub fn send_unlimited(
         &mut self,
         prefix: Prefix,
         path: AsPath,
         cause: &Provenance,
+        now: EventKey,
+        costs: &mut NodeCostCounters,
     ) -> Option<Update> {
-        assert!(!self.timer_armed(), "initial exchange on a rate-limited session");
+        assert!(!self.timer_armed(now), "initial exchange on a rate-limited session");
         if self.sent.get(prefix) == Some(&path) {
             return None;
         }
         self.sent.insert(prefix, path.clone());
-        self.rib_out_writes += 1;
+        costs.rib_out_writes += 1;
         Some(Update::announce(prefix, path).stamped(cause.clone()))
     }
 
-    /// Arms a timer without sending (used after an initial table
-    /// exchange): the per-interface session timer when `prefix` is
-    /// `None`, a per-prefix timer otherwise. The caller must schedule the
-    /// matching expiry.
-    pub fn arm_timer(&mut self, prefix: Option<Prefix>) {
-        match (self.scope, prefix) {
-            (MraiScope::PerInterface, None) => self.timer_armed = true,
-            (MraiScope::PerPrefix, Some(p)) => self.set_armed(p),
-            (scope, prefix) => {
-                debug_assert!(false, "arm_timer {prefix:?} does not match scope {scope:?}");
-            }
-        }
+    /// Arms a timer (a send does it itself; the caller does after an
+    /// initial table exchange): the per-interface session timer when
+    /// `which` is `None`, a per-prefix timer otherwise. The caller must
+    /// reserve the expiry's key and hand it over with [`OutQueue::arm_at`].
+    pub fn arm_timer(&mut self, which: Option<Prefix>) {
+        let timer = self.timer_mut(which);
+        debug_assert!(!timer.expiry_scheduled, "arming over a scheduled expiry");
+        timer.until = EventKey::NEVER;
     }
 
-    /// Clears all state unconditionally, disarming the timer — used on a
+    /// Clears all state unconditionally, disarming every timer — used on a
     /// **session reset** (the TCP session to the neighbor dropped, so the
     /// neighbor has discarded everything we sent and any queued updates
-    /// are moot). The caller must ignore or invalidate any outstanding
+    /// are moot). The caller must ignore or invalidate any scheduled
     /// expiry event for this queue (the simulator uses an epoch counter).
     pub fn force_reset(&mut self) {
-        self.timer_armed = false;
-        self.armed_prefixes.clear();
+        self.timer = Timer::IDLE;
+        self.prefix_timers.clear();
         self.pending.clear();
         self.sent.clear();
+    }
+}
+
+/// Which timer of a session governs `prefix` under `scope`: `None` is the
+/// session's one timer, `Some(prefix)` that prefix's own.
+pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
+    match scope {
+        MraiScope::PerInterface => None,
+        MraiScope::PerPrefix => Some(prefix),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_simkernel::SimDuration;
     use bgpscale_topology::AsId;
 
     const P: Prefix = Prefix(1);
@@ -540,14 +664,108 @@ mod tests {
     /// Every queue under test is slot 3 of its node, over a peer edge.
     const SLOT: u32 = 3;
     const REL: Relationship = Relationship::Peer;
+    const MRAI: SimDuration = SimDuration::from_secs(30);
 
-    /// `flush` into a scratch send list: the flushed updates (each tagged
-    /// with the queue's slot) and the re-arm flag.
-    fn flush(q: &mut OutQueue, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
-        let mut sends = Vec::new();
-        let rearm = q.flush(trigger, SLOT, &mut sends);
-        assert!(sends.iter().all(|(slot, _)| *slot == SLOT));
-        (sends.into_iter().map(|(_, u)| u).collect(), rearm)
+    /// A queue with the caller's side of the contract around it, as the
+    /// simulator keeps it: a clock, a sequence counter to reserve keys
+    /// from, the expiry events asked for, and the node's tallies.
+    struct Driven {
+        q: OutQueue,
+        scope: MraiScope,
+        now: EventKey,
+        next_seq: u64,
+        expiries: Vec<EventKey>,
+        costs: NodeCostCounters,
+    }
+
+    impl Driven {
+        fn new(scope: MraiScope) -> Driven {
+            Driven {
+                q: OutQueue::new(),
+                scope,
+                now: EventKey::ZERO,
+                next_seq: 1,
+                expiries: Vec::new(),
+                costs: NodeCostCounters::default(),
+            }
+        }
+
+        fn per_interface() -> Driven {
+            Driven::new(MraiScope::PerInterface)
+        }
+
+        /// The key of an event scheduled now to pop `after` from now.
+        fn reserve(&mut self, after: SimDuration) -> EventKey {
+            self.next_seq += 1;
+            EventKey {
+                time: self.now.time + after,
+                seq: self.next_seq,
+            }
+        }
+
+        /// Some later event pops `after` from now.
+        fn advance(&mut self, after: SimDuration) {
+            self.now = self.reserve(after);
+        }
+
+        fn arm_at(&mut self, which: Option<Prefix>) {
+            let key = self.reserve(MRAI);
+            if self.q.arm_at(which, key) {
+                self.expiries.push(key);
+            }
+        }
+
+        fn submit_caused(
+            &mut self,
+            prefix: Prefix,
+            intent: Option<&AsPath>,
+            mode: MraiMode,
+            cause: &Provenance,
+        ) -> Submit {
+            let step = Step {
+                mode,
+                scope: self.scope,
+                now: self.now,
+            };
+            let submit = self.q.submit(prefix, intent, &step, cause, REL, &mut self.costs);
+            match &submit {
+                Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.scope, prefix)),
+                Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
+                _ => {}
+            }
+            submit
+        }
+
+        fn submit(&mut self, prefix: Prefix, intent: Option<&AsPath>, mode: MraiMode) -> Submit {
+            self.submit_caused(prefix, intent, mode, &none())
+        }
+
+        /// Pops the earliest expiry event asked for and flushes the timer
+        /// `trigger` names at its key: the flushed updates (each tagged
+        /// with the queue's slot) and the re-arm flag.
+        fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
+            self.expiries.sort();
+            self.now = self.expiries.remove(0);
+            let mut sends = Vec::new();
+            let rearm = self.q.flush(trigger, SLOT, self.now, &mut sends, &mut self.costs);
+            if rearm {
+                self.arm_at(trigger);
+            }
+            assert!(sends.iter().all(|(slot, _)| *slot == SLOT));
+            (sends.into_iter().map(|(_, u)| u).collect(), rearm)
+        }
+
+        fn armed(&self) -> bool {
+            self.q.timer_armed(self.now)
+        }
+    }
+
+    fn sent_now(submit: &Submit) -> bool {
+        matches!(submit, Submit::SendNow { .. })
+    }
+
+    fn queued(submit: &Submit) -> bool {
+        matches!(submit, Submit::Queued { .. })
     }
 
     #[test]
@@ -583,8 +801,8 @@ mod tests {
 
     #[test]
     fn first_announcement_sends_and_arms() {
-        let mut q = OutQueue::new();
-        let r = q.submit(P, Some(&path(&[1, 2])), MraiMode::NoWrate, &none(), REL);
+        let mut d = Driven::per_interface();
+        let r = d.submit(P, Some(&path(&[1, 2])), MraiMode::NoWrate);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -592,64 +810,65 @@ mod tests {
                 arm_timer: true
             }
         );
-        assert!(q.timer_armed());
-        assert_eq!(q.advertised(P), Some(&path(&[1, 2])));
+        assert!(d.armed());
+        assert_eq!(d.q.advertised(P), Some(&path(&[1, 2])));
+        assert!(d.expiries.is_empty(), "nothing waits: no expiry event");
     }
 
     #[test]
     fn second_announcement_queues_behind_timer() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        let r = q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL);
-        assert_eq!(r, Submit::Queued);
-        assert_eq!(q.pending_len(), 1);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate);
+        assert!(queued(&r));
+        assert_eq!(d.q.pending_len(), 1);
         // Adj-RIB-out still shows the transmitted route; intent shows the
         // queued one.
-        assert_eq!(q.advertised(P), Some(&path(&[1])));
-        assert_eq!(q.intent(P), Some(&path(&[1, 3])));
+        assert_eq!(d.q.advertised(P), Some(&path(&[1])));
+        assert_eq!(d.q.intent(P), Some(&path(&[1, 3])));
     }
 
     #[test]
     fn newer_update_replaces_queued_one() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL);
-        q.submit(P, Some(&path(&[1, 4])), MraiMode::NoWrate, &none(), REL);
-        assert_eq!(q.pending_len(), 1, "replaced, not accumulated");
-        let (sent, rearm) = flush(&mut q, None);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate);
+        d.submit(P, Some(&path(&[1, 4])), MraiMode::NoWrate);
+        assert_eq!(d.q.pending_len(), 1, "replaced, not accumulated");
+        let (sent, rearm) = d.expire(None);
         assert_eq!(sent, vec![Update::announce(P, path(&[1, 4]))]);
         assert!(rearm);
     }
 
     #[test]
     fn duplicate_announcement_is_suppressed() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        let r = q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
         assert_eq!(r, Submit::Suppressed);
-        assert_eq!(q.pending_len(), 0);
+        assert_eq!(d.q.pending_len(), 0);
     }
 
     #[test]
     fn flush_skips_updates_that_became_noops() {
         // Send A; queue B; queue A again (flap back). At expiry the
         // neighbor already holds A → nothing goes out, timer idles.
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        let (sent, rearm) = flush(&mut q, None);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty());
         assert!(!rearm);
-        assert!(!q.timer_armed());
+        assert!(!d.armed());
     }
 
     #[test]
     fn no_wrate_withdrawal_bypasses_timer() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        assert!(q.timer_armed());
-        let r = q.submit(P, None, MraiMode::NoWrate, &none(), REL);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        assert!(d.armed());
+        let r = d.submit(P, None, MraiMode::NoWrate);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -657,43 +876,44 @@ mod tests {
                 arm_timer: false
             }
         );
-        assert_eq!(q.advertised(P), None);
+        assert_eq!(d.q.advertised(P), None);
         // Timer stays armed from the earlier announcement.
-        assert!(q.timer_armed());
+        assert!(d.armed());
     }
 
     #[test]
     fn no_wrate_withdrawal_cancels_queued_announcement_silently() {
         // Announce A (sent), queue announcement for Q, then withdraw Q
         // before it ever goes out: the neighbor never learned Q, so no
-        // withdrawal is needed at all.
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
-        let r = q.submit(Q, None, MraiMode::NoWrate, &none(), REL);
+        // withdrawal is needed at all. The expiry asked for when Q queued
+        // still pops, and finds nothing.
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        let r = d.submit(Q, None, MraiMode::NoWrate);
         assert_eq!(r, Submit::Suppressed);
-        let (sent, _) = flush(&mut q, None);
+        let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty(), "queued announcement must be invalidated");
+        assert!(!rearm && !d.armed());
     }
 
     #[test]
     fn wrate_withdrawal_queues_behind_timer() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
-        let r = q.submit(P, None, MraiMode::Wrate, &none(), REL);
-        assert_eq!(r, Submit::Queued);
-        let (sent, rearm) = flush(&mut q, None);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        let r = d.submit(P, None, MraiMode::Wrate);
+        assert!(queued(&r));
+        let (sent, rearm) = d.expire(None);
         assert_eq!(sent, vec![Update::withdraw(P)]);
         assert!(rearm, "a transmitted withdrawal re-arms under WRATE");
     }
 
     #[test]
     fn wrate_withdrawal_sends_immediately_when_idle_and_arms() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
-        let (_, rearm) = flush(&mut q, None);
-        assert!(!rearm);
-        let r = q.submit(P, None, MraiMode::Wrate, &none(), REL);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.advance(MRAI); // the timer runs out
+        let r = d.submit(P, None, MraiMode::Wrate);
         assert_eq!(
             r,
             Submit::SendNow {
@@ -705,9 +925,9 @@ mod tests {
 
     #[test]
     fn withdraw_of_never_announced_prefix_is_suppressed() {
-        let mut q = OutQueue::new();
-        assert_eq!(q.submit(P, None, MraiMode::NoWrate, &none(), REL), Submit::Suppressed);
-        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none(), REL), Submit::Suppressed);
+        let mut d = Driven::per_interface();
+        assert_eq!(d.submit(P, None, MraiMode::NoWrate), Submit::Suppressed);
+        assert_eq!(d.submit(P, None, MraiMode::Wrate), Submit::Suppressed);
     }
 
     #[test]
@@ -715,24 +935,24 @@ mod tests {
         // A sent; withdraw queued (WRATE); re-announce identical A. The
         // queued withdraw is replaced by Announce(A), which the flush then
         // suppresses against the Adj-RIB-out.
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
-        q.submit(P, None, MraiMode::Wrate, &none(), REL);
-        let r = q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
-        assert_eq!(r, Submit::Queued);
-        let (sent, rearm) = flush(&mut q, None);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.submit(P, None, MraiMode::Wrate);
+        let r = d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        assert!(queued(&r));
+        let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty());
         assert!(!rearm);
-        assert_eq!(q.advertised(P), Some(&path(&[1])));
+        assert_eq!(d.q.advertised(P), Some(&path(&[1])));
     }
 
     #[test]
     fn multiple_prefixes_flush_together_in_prefix_order() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL); // sends, arms
-        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL); // queues
-        q.submit(Prefix(0), Some(&path(&[3])), MraiMode::NoWrate, &none(), REL); // queues
-        let (sent, rearm) = flush(&mut q, None);
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate); // sends, arms
+        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate); // queues
+        d.submit(Prefix(0), Some(&path(&[3])), MraiMode::NoWrate); // queues
+        let (sent, rearm) = d.expire(None);
         assert_eq!(
             sent,
             vec![
@@ -743,100 +963,182 @@ mod tests {
         assert!(rearm);
     }
 
+    /// A timer nothing queues behind runs out by itself: no flush, no
+    /// expiry event, and the next announcement goes straight out.
     #[test]
-    fn timer_lifecycle_idle_after_empty_flush() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        let (sent, rearm) = flush(&mut q, None);
-        assert!(sent.is_empty());
-        assert!(!rearm);
-        // Next announcement goes straight out again.
-        let r = q.submit(P, Some(&path(&[9])), MraiMode::NoWrate, &none(), REL);
-        assert!(matches!(r, Submit::SendNow { .. }));
+    fn a_timer_lapses_with_no_flush_call_and_the_next_announce_sends() {
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        assert!(d.armed());
+        d.advance(MRAI);
+        assert!(!d.armed());
+        assert!(d.expiries.is_empty(), "no expiry was ever asked for");
+        let r = d.submit(P, Some(&path(&[9])), MraiMode::NoWrate);
+        assert!(sent_now(&r));
+        assert!(d.armed(), "and arms the next window");
+    }
+
+    /// Armed means "the stored key is after the current event's key" —
+    /// time first, then rank among the events of that instant.
+    #[test]
+    fn a_submit_just_before_the_stored_key_parks_and_just_after_it_sends() {
+        for (earlier_seq, parks) in [(true, true), (false, false)] {
+            let mut d = Driven::per_interface();
+            d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+            let until = d.q.latest_key_by(SimTime::MAX).expect("the armed timer's key");
+            assert_eq!(until.time, SimTime::ZERO + MRAI);
+            // An event of the expiry's own instant, scheduled before or
+            // after the timer was armed.
+            d.now = EventKey {
+                time: until.time,
+                seq: if earlier_seq { until.seq - 1 } else { until.seq + 1 },
+            };
+            let r = d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
+            if parks {
+                assert_eq!(r, Submit::Queued { expire_at: Some(until) });
+                let (sent, _) = d.expire(None);
+                assert_eq!(sent, vec![Update::announce(P, path(&[2]))]);
+                assert_eq!(d.now, until, "flushed at the stored key");
+            } else {
+                assert!(sent_now(&r));
+            }
+        }
     }
 
     #[test]
-    fn reset_clears_state_when_idle() {
+    fn parking_asks_for_exactly_one_expiry_per_window() {
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        let first = d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
+        let Submit::Queued { expire_at: Some(key) } = first else {
+            panic!("the first update to wait asks for the expiry, got {first:?}");
+        };
+        assert_eq!(d.q.scheduled_expiries(), 1);
+        // More updates in the window, and a NO-WRATE withdrawal that
+        // empties the queue again, ask for nothing.
+        assert_eq!(d.submit(Q, Some(&path(&[3])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(P, Some(&path(&[4])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        d.submit(P, None, MraiMode::NoWrate);
+        d.submit(Q, None, MraiMode::NoWrate);
+        assert_eq!(d.q.pending_len(), 0);
+        assert_eq!(d.submit(P, Some(&path(&[5])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.expiries, vec![key]);
+        // The flush re-arms; the next window asks again, at its own key.
+        let (_, rearm) = d.expire(None);
+        assert!(rearm);
+        assert_eq!(d.q.scheduled_expiries(), 0);
+        let again = d.submit(P, Some(&path(&[6])), MraiMode::NoWrate);
+        assert!(matches!(again, Submit::Queued { expire_at: Some(k) } if k > key));
+    }
+
+    /// Two prefixes exported in one step: the first send arms the session
+    /// timer, the second queues before the caller has reserved the key.
+    /// `arm_at` then reports the waiting update.
+    #[test]
+    fn an_update_queued_before_the_key_arrives_gets_its_expiry_from_arm_at() {
         let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        flush(&mut q, None);
-        q.reset();
-        assert_eq!(q.advertised(P), None);
-        assert_eq!(q.pending_len(), 0);
+        let mut costs = NodeCostCounters::default();
+        let step = Step {
+            mode: MraiMode::NoWrate,
+            scope: MraiScope::PerInterface,
+            now: EventKey::ZERO,
+        };
+        assert!(sent_now(&q.submit(P, Some(&path(&[1])), &step, &none(), REL, &mut costs)));
+        let second = q.submit(Q, Some(&path(&[2])), &step, &none(), REL, &mut costs);
+        assert_eq!(second, Submit::Queued { expire_at: None });
+        let key = EventKey {
+            time: SimTime::from_secs(25),
+            seq: 7,
+        };
+        assert!(q.arm_at(None, key), "an update waits: schedule the expiry now");
+        assert_eq!(q.scheduled_expiries(), 1);
+        let mut sends = Vec::new();
+        assert!(q.flush(None, SLOT, key, &mut sends, &mut costs));
+        assert_eq!(sends, vec![(SLOT, Update::announce(Q, path(&[2])))]);
+    }
+
+    #[test]
+    fn reset_clears_state_once_the_timer_has_run_out() {
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.advance(MRAI);
+        d.q.reset(d.now);
+        assert_eq!(d.q.advertised(P), None);
+        assert_eq!(d.q.pending_len(), 0);
     }
 
     #[test]
     fn per_prefix_scope_does_not_couple_prefixes() {
         // Under PerPrefix, announcing P must not rate-limit Q.
-        let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        assert!(matches!(
-            q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL),
-            Submit::SendNow { .. }
-        ));
+        let mut d = Driven::new(MraiScope::PerPrefix);
+        assert!(sent_now(&d.submit(P, Some(&path(&[1])), MraiMode::NoWrate)));
         assert!(
-            matches!(
-                q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL),
-                Submit::SendNow { .. }
-            ),
+            sent_now(&d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate)),
             "a different prefix must not queue behind P's timer"
         );
         // But a second update for P itself queues.
-        assert_eq!(
-            q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL),
-            Submit::Queued
-        );
-        assert!(q.is_armed(P));
-        assert!(q.is_armed(Q));
-        assert!(!q.is_armed(Prefix(99)));
+        assert!(queued(&d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate)));
+        let armed = |d: &Driven, prefix| d.q.is_armed(prefix, MraiScope::PerPrefix, d.now);
+        assert!(armed(&d, P));
+        assert!(armed(&d, Q));
+        assert!(!armed(&d, Prefix(99)));
     }
 
     #[test]
     fn per_prefix_flush_only_touches_its_prefix() {
-        let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        q.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
-        q.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate, &none(), REL); // queued
-        q.submit(Q, Some(&path(&[2, 4])), MraiMode::NoWrate, &none(), REL); // queued
-        let (sent, rearm) = flush(&mut q, Some(P));
+        let mut d = Driven::new(MraiScope::PerPrefix);
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate); // queued
+        d.submit(Q, Some(&path(&[2, 4])), MraiMode::NoWrate); // queued
+        assert_eq!(d.q.scheduled_expiries(), 2, "one expiry per prefix timer");
+        let (sent, rearm) = d.expire(Some(P));
         assert_eq!(sent, vec![Update::announce(P, path(&[1, 3]))]);
         assert!(rearm);
         // Q's pending update is untouched.
-        assert_eq!(q.pending_len(), 1);
-        assert_eq!(q.intent(Q), Some(&path(&[2, 4])));
-        let (sent_q, _) = flush(&mut q, Some(Q));
+        assert_eq!(d.q.pending_len(), 1);
+        assert_eq!(d.q.intent(Q), Some(&path(&[2, 4])));
+        let (sent_q, _) = d.expire(Some(Q));
         assert_eq!(sent_q, vec![Update::announce(Q, path(&[2, 4]))]);
     }
 
+    /// A prefix's timer entry outlives its window and is the one its next
+    /// arm writes: a session flapping one prefix holds one entry.
     #[test]
-    fn per_prefix_timer_idles_after_empty_flush() {
-        let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        let (sent, rearm) = flush(&mut q, Some(P));
-        assert!(sent.is_empty());
-        assert!(!rearm);
-        assert!(!q.is_armed(P));
-        assert!(!q.timer_armed());
+    fn per_prefix_entries_whose_key_has_passed_are_reused_not_accumulated() {
+        let mut d = Driven::new(MraiScope::PerPrefix);
+        for round in 0..5 {
+            d.submit(P, Some(&path(&[1, round])), MraiMode::NoWrate);
+            assert_eq!(d.q.armed_count(d.now), 1);
+            d.advance(MRAI);
+            assert!(!d.q.is_armed(P, MraiScope::PerPrefix, d.now));
+        }
+        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        assert_eq!(d.q.prefix_timers.len(), 2, "one entry per prefix, not per arm");
+        assert!(d.expiries.is_empty());
+        d.advance(MRAI);
+        d.q.reset(d.now);
+        assert!(d.q.prefix_timers.is_empty(), "a reset drops the run-out entries");
     }
 
     #[test]
     fn per_prefix_wrate_withdrawal_queues_only_its_prefix() {
-        let mut q = OutQueue::with_scope(MraiScope::PerPrefix);
-        q.submit(P, Some(&path(&[1])), MraiMode::Wrate, &none(), REL);
-        assert_eq!(q.submit(P, None, MraiMode::Wrate, &none(), REL), Submit::Queued);
-        // An idle prefix's withdrawal goes straight out.
-        q.submit(Q, Some(&path(&[2])), MraiMode::Wrate, &none(), REL);
-        let (s2, _) = flush(&mut q, Some(Q));
-        assert!(s2.is_empty());
-        let r = q.submit(Q, None, MraiMode::Wrate, &none(), REL);
+        let mut d = Driven::new(MraiScope::PerPrefix);
+        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        assert!(queued(&d.submit(P, None, MraiMode::Wrate)));
+        // A prefix whose timer has run out withdraws at once.
+        d.submit(Q, Some(&path(&[2])), MraiMode::Wrate);
+        d.advance(MRAI + MRAI);
+        let r = d.submit(Q, None, MraiMode::Wrate);
         assert!(matches!(r, Submit::SendNow { arm_timer: true, .. }));
     }
 
     #[test]
     #[should_panic(expected = "armed MRAI timer")]
     fn reset_rejects_armed_timer() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        q.reset();
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.q.reset(d.now);
     }
 
     #[test]
@@ -845,15 +1147,15 @@ mod tests {
         // roots 2 and 3 each replace the queued update. The flushed
         // message must answer for roots 2 and 3 — the displaced intents —
         // with the depth of the newest one.
-        let mut q = OutQueue::new();
-        let first = q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &Provenance::root(1), REL);
+        let mut d = Driven::per_interface();
+        let first = d.submit_caused(P, Some(&path(&[1])), MraiMode::NoWrate, &Provenance::root(1));
         match first {
             Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
-        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &Provenance::root(2), REL);
-        q.submit(P, Some(&path(&[3])), MraiMode::NoWrate, &Provenance::root(3).child(), REL);
-        let (sent, _) = flush(&mut q, None);
+        d.submit_caused(P, Some(&path(&[2])), MraiMode::NoWrate, &Provenance::root(2));
+        d.submit_caused(P, Some(&path(&[3])), MraiMode::NoWrate, &Provenance::root(3).child());
+        let (sent, _) = d.expire(None);
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].provenance.roots(), &[2, 3], "displaced root kept");
         assert_eq!(sent[0].provenance.depth(), 1, "newest intent's depth");
@@ -862,33 +1164,49 @@ mod tests {
 
     #[test]
     fn cost_counters_tally_rib_writes_and_coalescing() {
-        let mut q = OutQueue::new();
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL); // sends: 1 write
-        q.submit(P, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL); // queues
-        q.submit(P, Some(&path(&[3])), MraiMode::NoWrate, &none(), REL); // displaces: coalesce
-        assert_eq!(q.rib_out_writes(), 1);
-        assert_eq!(q.coalesced(), 1);
-        let (sent, _) = flush(&mut q, None); // emits the announce: 1 more write
+        let mut d = Driven::per_interface();
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate); // sends: 1 write
+        d.submit(P, Some(&path(&[2])), MraiMode::NoWrate); // queues
+        d.submit(P, Some(&path(&[3])), MraiMode::NoWrate); // displaces: coalesce
+        assert_eq!(d.costs.rib_out_writes, 1);
+        assert_eq!(d.costs.mrai_coalesced, 1);
+        let (sent, _) = d.expire(None); // emits the announce: 1 more write
         assert_eq!(sent.len(), 1);
-        assert_eq!(q.rib_out_writes(), 2);
+        assert_eq!(d.costs.rib_out_writes, 2);
         // A withdrawal that reaches the wire is a write too.
-        q.submit(P, None, MraiMode::NoWrate, &none(), REL);
-        assert_eq!(q.rib_out_writes(), 3);
-        // Counters are monotone across a forced reset.
-        q.force_reset();
-        assert_eq!(q.rib_out_writes(), 3);
-        assert_eq!(q.coalesced(), 1);
+        d.submit(P, None, MraiMode::NoWrate);
+        assert_eq!(d.costs.rib_out_writes, 3);
     }
 
     #[test]
     fn armed_count_matches_scope() {
-        let mut q = OutQueue::new();
-        assert_eq!(q.armed_count(), 0);
-        q.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        assert_eq!(q.armed_count(), 1);
-        let mut pp = OutQueue::with_scope(MraiScope::PerPrefix);
-        pp.submit(P, Some(&path(&[1])), MraiMode::NoWrate, &none(), REL);
-        pp.submit(Q, Some(&path(&[2])), MraiMode::NoWrate, &none(), REL);
-        assert_eq!(pp.armed_count(), 2);
+        let mut d = Driven::per_interface();
+        assert_eq!(d.q.armed_count(d.now), 0);
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        assert_eq!(d.q.armed_count(d.now), 1);
+        let mut pp = Driven::new(MraiScope::PerPrefix);
+        pp.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        pp.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        assert_eq!(pp.q.armed_count(pp.now), 2);
+    }
+
+    /// What a caller about to reset the session needs: the armed timers
+    /// no event stands for, and the latest key due by a deadline.
+    #[test]
+    fn silent_timers_and_latest_key_see_every_timer() {
+        let mut d = Driven::new(MraiScope::PerPrefix);
+        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.advance(SimDuration::from_secs(1));
+        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        d.submit(Q, Some(&path(&[3])), MraiMode::NoWrate); // queues: Q's expiry is scheduled
+        let silent: Vec<_> = d.q.silent_timers(d.now).collect();
+        let p_key = d.q.latest_key_by(SimTime::from_secs(30)).expect("P's timer");
+        assert_eq!(silent, vec![(Some(P), p_key)]);
+        assert_eq!(p_key.time, SimTime::from_secs(30));
+        assert_eq!(d.q.latest_key_by(SimTime::from_secs(31)).map(|k| k.time), Some(SimTime::from_secs(31)));
+        assert_eq!(d.q.latest_key_by(SimTime::from_secs(29)), Some(EventKey::ZERO), "only the unused session timer");
+        d.q.force_reset();
+        assert_eq!(d.q.silent_timers(d.now).count(), 0);
+        assert_eq!((d.q.armed_count(d.now), d.q.scheduled_expiries()), (0, 0));
     }
 }

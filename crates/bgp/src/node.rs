@@ -6,7 +6,9 @@
 //! entry point reports the transmissions and timer requests it produced as
 //! plain data ([`Actions`]), and the caller (the event-driven simulator in
 //! `bgpscale-core`, or a unit test) decides when those happen. The node
-//! never sees the clock.
+//! keeps no clock: every entry point is told the [`EventKey`] of the event
+//! it handles, which is all an MRAI timer needs to know whether it is
+//! still armed (see [`crate::mrai`]).
 //!
 //! Every entry point ([`BgpNode::originate_caused`], [`BgpNode::receive`],
 //! [`BgpNode::mrai_flush`], …) appends to an `&mut Actions` the caller
@@ -31,14 +33,14 @@
 use std::sync::Arc;
 
 use bgpscale_obs::Provenance;
-use bgpscale_simkernel::SimTime;
+use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 
 use crate::arena::{DampTable, PrefixTable, SessionSlab, SELF_SLOT};
 use crate::config::{MraiMode, MraiScope};
 use crate::decision::{packed_key, Candidate};
 use crate::message::{AsPath, Prefix, Update, UpdateKind};
-use crate::mrai::{OutQueue, Submit};
+use crate::mrai::{governing, OutQueue, Step, Submit};
 use crate::policy::{export_allowed, would_loop, RouteSource};
 use crate::rfd::{FlapKind, RfdConfig};
 
@@ -51,12 +53,14 @@ pub struct Session {
     pub rel: Relationship,
 }
 
-/// The transmissions and timer arm requests produced by one protocol step.
+/// The transmissions and timer requests produced by one protocol step.
 ///
 /// `sends` are messages to put on the wire immediately (the simulator adds
-/// link latency); for every slot in `arm_timers` the caller must schedule
-/// one MRAI expiry after a jittered MRAI interval and eventually call
-/// [`BgpNode::mrai_flush`] for it.
+/// link latency); for every slot in `arm_timers` the caller must reserve
+/// the key of an expiry one jittered MRAI interval away and hand it to
+/// [`BgpNode::timer_armed_at`] — no event yet; for every entry of
+/// `expiries` it must schedule the expiry event at the given key and call
+/// [`BgpNode::mrai_flush`] when it pops.
 ///
 /// Entry points that take an `&mut Actions` append to it and never clear
 /// it: the caller drains the lists once it has acted on them.
@@ -67,9 +71,12 @@ pub struct Actions {
     /// Slots whose MRAI timer must be armed now.
     pub arm_timers: Vec<u32>,
     /// Per-prefix MRAI timers to arm now (only populated under
-    /// [`MraiScope::PerPrefix`]); the caller schedules one expiry per
-    /// entry and eventually calls [`BgpNode::mrai_flush`] with the prefix.
+    /// [`MraiScope::PerPrefix`]); the caller reserves one key per entry.
     pub arm_prefix_timers: Vec<(u32, Prefix)>,
+    /// Expiry events to schedule: an update now waits behind the timer of
+    /// `(slot, prefix or the session timer)`, armed in an earlier step
+    /// under the given key.
+    pub expiries: Vec<(u32, Option<Prefix>, EventKey)>,
     /// Route-flap-damping reuse wake-ups to schedule: at the given time,
     /// call [`BgpNode::rfd_reuse_caused`] for the (slot, prefix) pair.
     pub rfd_wakeups: Vec<(u32, Prefix, SimTime)>,
@@ -81,23 +88,27 @@ impl Actions {
         self.sends.is_empty()
             && self.arm_timers.is_empty()
             && self.arm_prefix_timers.is_empty()
+            && self.expiries.is_empty()
             && self.rfd_wakeups.is_empty()
     }
 
-    fn absorb(&mut self, slot: u32, submit: Submit, scope: MraiScope) {
+    /// Records what `submit`, the answer of `slot`'s queue to an intent
+    /// for `prefix`, obliges the caller to do.
+    fn absorb(&mut self, slot: u32, prefix: Prefix, submit: Submit, scope: MraiScope) {
         match submit {
             Submit::SendNow { update, arm_timer } => {
                 if arm_timer {
                     match scope {
                         MraiScope::PerInterface => self.arm_timers.push(slot),
-                        MraiScope::PerPrefix => {
-                            self.arm_prefix_timers.push((slot, update.prefix));
-                        }
+                        MraiScope::PerPrefix => self.arm_prefix_timers.push((slot, prefix)),
                     }
                 }
                 self.sends.push((slot, update));
             }
-            Submit::Queued | Submit::Suppressed => {}
+            Submit::Queued {
+                expire_at: Some(key),
+            } => self.expiries.push((slot, governing(scope, prefix), key)),
+            Submit::Queued { expire_at: None } | Submit::Suppressed => {}
         }
     }
 }
@@ -127,6 +138,8 @@ pub struct BgpNode {
     /// This node's index into the slab's id spaces.
     slab_idx: u32,
     mode: MraiMode,
+    /// MRAI timer granularity, the same for every session.
+    scope: MraiScope,
     /// Sender-side loop detection (§4.1). On by default; turning it off
     /// moves the check to the receiver without moving the fixpoint.
     sender_loop_check: bool,
@@ -150,10 +163,9 @@ pub struct BgpNode {
 }
 
 /// Monotone operation tallies for one BGP speaker, feeding the
-/// workspace-wide deterministic cost model (`obs::costmodel`). Decision
-/// and path-handling counts live on the node; Adj-RIB-out and MRAI
-/// coalescing counts are summed over the per-session output queues by
-/// [`BgpNode::cost_counters`].
+/// workspace-wide deterministic cost model (`obs::costmodel`). The node
+/// tallies its decision and path handling itself and lends the struct to
+/// its output queues for their Adj-RIB-out writes and MRAI coalescing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeCostCounters {
     /// Decision-process runs (one per `reevaluate` of a prefix).
@@ -195,6 +207,7 @@ impl BgpNode {
             slab,
             slab_idx,
             mode,
+            scope: MraiScope::PerInterface,
             sender_loop_check: true,
             rfd: None,
             damp: DampTable::new(),
@@ -202,16 +215,10 @@ impl BgpNode {
         }
     }
 
-    /// Cost-model tallies for this speaker: the node's own decision/path
-    /// counters plus the Adj-RIB-out and coalescing counts summed over its
-    /// output queues. Monotone — never reset by routing-state clears.
+    /// Cost-model tallies for this speaker and its output queues.
+    /// Monotone — never reset by routing-state clears.
     pub fn cost_counters(&self) -> NodeCostCounters {
-        let mut c = self.costs;
-        for q in &self.out {
-            c.rib_out_writes += q.rib_out_writes();
-            c.mrai_coalesced += q.coalesced();
-        }
-        c
+        self.costs
     }
 
     /// Enables Route Flap Damping with the given parameters, or disables
@@ -243,7 +250,7 @@ impl BgpNode {
 
     /// Switches the MRAI timer granularity (default:
     /// [`MraiScope::PerInterface`], the paper's model). Must be called
-    /// before any routing state exists — the output queues are rebuilt.
+    /// before any routing state exists.
     ///
     /// # Panics
     /// Panics if the node already holds routing state.
@@ -253,19 +260,12 @@ impl BgpNode {
             "{}: cannot change MRAI scope with live routing state",
             self.id
         );
-        if self.mrai_scope() == scope {
-            return;
-        }
-        self.out = (0..self.active.len())
-            .map(|_| OutQueue::with_scope(scope))
-            .collect();
+        self.scope = scope;
     }
 
     /// The MRAI timer granularity of this speaker.
     pub fn mrai_scope(&self) -> MraiScope {
-        self.out
-            .first()
-            .map_or(MraiScope::PerInterface, |q| q.scope())
+        self.scope
     }
 
     /// Enables or disables sender-side loop detection (default: enabled).
@@ -326,27 +326,63 @@ impl BgpNode {
         self.out[slot as usize].advertised(prefix)
     }
 
-    /// True while `slot`'s MRAI timer is armed.
+    /// True while an MRAI timer of `slot` is armed at `now`.
     // det::allow(panic-surface, reason = "slot is a session index minted by this node's own slab lookup; out holds one queue per session by construction")
-    pub fn timer_armed(&self, slot: u32) -> bool {
-        self.out[slot as usize].timer_armed()
+    pub fn timer_armed(&self, slot: u32, now: EventKey) -> bool {
+        self.out[slot as usize].timer_armed(now)
     }
 
-    /// Number of armed MRAI timers on `slot`'s output queue (each one
-    /// backed by exactly one outstanding expiry event). The simulator uses
-    /// this to keep its timer-occupancy accounting exact across session
-    /// resets.
-    pub fn armed_timer_count(&self, slot: u32) -> u32 {
-        self.out[slot as usize].armed_count() as u32
+    /// Delivers the key reserved for the expiry of a timer this step
+    /// listed in [`Actions::arm_timers`] (`which` is `None`) or
+    /// [`Actions::arm_prefix_timers`] (`Some(prefix)`). Returns true if
+    /// an update already waits behind the timer: the caller must then
+    /// schedule the expiry event at `key` right away.
+    // det::allow(panic-surface, reason = "slot is a session index this node's own step put into Actions; out holds one queue per session by construction")
+    pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
+        self.out[slot as usize].arm_at(which, key)
     }
 
-    /// Starts originating `prefix`. `cause` stamps the resulting exports,
-    /// which are appended to `out`; pass [`Provenance::none`] when there is
-    /// nothing to attribute — stamping never changes routing behavior.
-    pub fn originate_caused(&mut self, prefix: Prefix, cause: &Provenance, out: &mut Actions) {
+    /// Number of expiry events scheduled for `slot`'s output queue and not
+    /// yet popped. The simulator uses this to keep its timer-occupancy
+    /// accounting exact across session resets.
+    pub fn scheduled_expiries(&self, slot: u32) -> u32 {
+        self.out[slot as usize].scheduled_expiries() as u32
+    }
+
+    /// The timers of `slot` armed at `now` with no expiry event
+    /// scheduled, each with its reserved key (see
+    /// [`OutQueue::silent_timers`]).
+    pub fn silent_timers(
+        &self,
+        slot: u32,
+        now: EventKey,
+    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + '_ {
+        self.out[slot as usize].silent_timers(now)
+    }
+
+    /// The latest key reserved for any MRAI timer of this speaker that is
+    /// not after `deadline` (see [`OutQueue::latest_key_by`]).
+    pub fn latest_timer_key_by(&self, deadline: SimTime) -> Option<EventKey> {
+        self.out
+            .iter()
+            .filter_map(|q| q.latest_key_by(deadline))
+            .max()
+    }
+
+    /// Starts originating `prefix`, in the step of the event keyed `now`.
+    /// `cause` stamps the resulting exports, which are appended to `out`;
+    /// pass [`Provenance::none`] when there is nothing to attribute —
+    /// stamping never changes routing behavior.
+    pub fn originate_caused(
+        &mut self,
+        prefix: Prefix,
+        cause: &Provenance,
+        now: EventKey,
+        out: &mut Actions,
+    ) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, true);
-        self.reevaluate(row, prefix, cause, Reeval::Full, out);
+        self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
@@ -355,21 +391,22 @@ impl BgpNode {
         &mut self,
         prefix: Prefix,
         cause: &Provenance,
+        now: EventKey,
         out: &mut Actions,
     ) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, false);
-        self.reevaluate(row, prefix, cause, Reeval::Full, out);
+        self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
     }
 
-    /// Processes one UPDATE that arrived over session `slot` at simulated
-    /// time `now`, appending the resulting transmissions, timer arms and
+    /// Processes one UPDATE that arrived over session `slot`, in the step
+    /// of the event keyed `now`, appending the resulting transmissions, timer arms and
     /// damping wake-ups to `out`. The simulator resolves the slot once,
     /// when the message is delivered, and queues it with the message.
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    pub fn receive(&mut self, slot: u32, update: Update, now: SimTime, out: &mut Actions) {
+    pub fn receive(&mut self, slot: u32, update: Update, now: EventKey, out: &mut Actions) {
         let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself. Computed before the match
@@ -402,7 +439,7 @@ impl BgpNode {
             };
             if let Some(kind) = flap {
                 let state = self.damp.get_or_insert(slot, prefix);
-                if state.charge(kind, now, cfg) {
+                if state.charge(kind, now.time, cfg) {
                     if let Some(at) = state.reuse_time(cfg) {
                         out.rfd_wakeups.push((slot, prefix, at));
                     }
@@ -416,7 +453,7 @@ impl BgpNode {
         });
         self.table.set_rib_in(row, slot, route);
 
-        self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot), out);
+        self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot), now, out);
     }
 
     /// Handles a Route Flap Damping reuse wake-up for `(slot, prefix)`:
@@ -429,7 +466,7 @@ impl BgpNode {
         &mut self,
         slot: u32,
         prefix: Prefix,
-        now: SimTime,
+        now: EventKey,
         cause: &Provenance,
         out: &mut Actions,
     ) {
@@ -437,12 +474,12 @@ impl BgpNode {
         let Some(state) = self.damp.get_mut(slot, prefix) else {
             return;
         };
-        if !state.maybe_reuse(now, cfg) {
+        if !state.maybe_reuse(now.time, cfg) {
             return;
         }
         // Eligibility changed, so the incumbent may now lose: full run.
         if let Some(row) = self.table.row(prefix) {
-            self.reevaluate(row, prefix, cause, Reeval::Full, out);
+            self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
         }
     }
 
@@ -460,12 +497,18 @@ impl BgpNode {
     /// routes), and the decision process re-runs for every affected
     /// prefix; the actions appended to `out` notify the *other* neighbors.
     ///
-    /// The caller must invalidate any outstanding MRAI expiry for this
-    /// slot (the simulator tracks a per-slot epoch).
+    /// The caller must invalidate any scheduled MRAI expiry for this slot
+    /// (the simulator tracks a per-slot epoch).
     ///
     /// # Panics
     /// Panics if the session is already down.
-    pub fn session_down_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
+    pub fn session_down_caused(
+        &mut self,
+        slot: u32,
+        cause: &Provenance,
+        now: EventKey,
+        out: &mut Actions,
+    ) {
         assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
         self.active[slot as usize] = false;
         self.out[slot as usize].force_reset();
@@ -479,7 +522,7 @@ impl BgpNode {
             .collect();
         for (row, prefix) in affected {
             self.table.set_rib_in(row, slot, None);
-            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), out);
+            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, out);
         }
     }
 
@@ -490,10 +533,16 @@ impl BgpNode {
     ///
     /// # Panics
     /// Panics if the session is already up.
-    pub fn session_up_caused(&mut self, slot: u32, cause: &Provenance, out: &mut Actions) {
+    pub fn session_up_caused(
+        &mut self,
+        slot: u32,
+        cause: &Provenance,
+        now: EventKey,
+        out: &mut Actions,
+    ) {
         assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
         self.active[slot as usize] = true;
-        debug_assert!(!self.out[slot as usize].timer_armed());
+        debug_assert!(!self.out[slot as usize].timer_armed(now));
         // The replay is whatever this call appends past `first`.
         let first = out.sends.len();
         let session = self.sessions()[slot as usize];
@@ -520,13 +569,15 @@ impl BgpNode {
             self.costs.path_intern_misses += 1;
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
-            if let Some(update) = self.out[slot as usize].send_unlimited(prefix, export_path, &stamp)
+            let queue = &mut self.out[slot as usize];
+            if let Some(update) =
+                queue.send_unlimited(prefix, export_path, &stamp, now, &mut self.costs)
             {
                 out.sends.push((slot, update));
             }
         }
         if out.sends.len() > first {
-            match self.mrai_scope() {
+            match self.scope {
                 MraiScope::PerInterface => {
                     self.out[slot as usize].arm_timer(None);
                     out.arm_timers.push(slot);
@@ -541,14 +592,23 @@ impl BgpNode {
         }
     }
 
-    /// Handles an MRAI expiry on `slot` — the session timer when
-    /// `trigger` is `None`, the per-prefix timer of `Some(prefix)` (only
-    /// under [`MraiScope::PerPrefix`]) — appending the flushed
+    /// Handles the MRAI expiry event of `slot` popping at `now`, the key
+    /// it was asked for at ([`Actions::expiries`]) — the session timer
+    /// when `trigger` is `None`, the per-prefix timer of `Some(prefix)`
+    /// (only under [`MraiScope::PerPrefix`]) — appending the flushed
     /// transmissions to `out`, plus one timer arm iff something was sent:
     /// the caller re-arms exactly the timers `out` lists.
     // det::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
-    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, out: &mut Actions) {
-        if self.out[slot as usize].flush(trigger, slot, &mut out.sends) {
+    pub fn mrai_flush(
+        &mut self,
+        slot: u32,
+        trigger: Option<Prefix>,
+        now: EventKey,
+        out: &mut Actions,
+    ) {
+        debug_assert_eq!(trigger.is_some(), self.scope == MraiScope::PerPrefix);
+        let queue = &mut self.out[slot as usize];
+        if queue.flush(trigger, slot, now, &mut out.sends, &mut self.costs) {
             match trigger {
                 None => out.arm_timers.push(slot),
                 Some(prefix) => out.arm_prefix_timers.push((slot, prefix)),
@@ -560,13 +620,13 @@ impl BgpNode {
     /// configuration. Used between C-events.
     ///
     /// # Panics
-    /// Panics if any MRAI timer is still armed (see
+    /// Panics if any MRAI timer is still armed at `now` (see
     /// [`crate::mrai::OutQueue::reset`]).
-    pub fn reset_routing(&mut self) {
+    pub fn reset_routing(&mut self, now: EventKey) {
         self.table.clear();
         self.damp.clear();
         for q in &mut self.out {
-            q.reset();
+            q.reset(now);
         }
     }
 
@@ -576,8 +636,8 @@ impl BgpNode {
     /// Configuration (mode, scope, loop detection, damping parameters)
     /// and the monotone cost tallies are kept, and so are the table's
     /// column buffers. Unlike [`BgpNode::reset_routing`] this does not
-    /// require quiescence: the caller discards its outstanding expiry
-    /// events along with everything else.
+    /// require quiescence: the caller discards its scheduled expiry events
+    /// along with everything else.
     pub fn recycle(&mut self) {
         self.table.clear();
         self.damp.clear();
@@ -667,6 +727,7 @@ impl BgpNode {
         prefix: Prefix,
         cause: &Provenance,
         hint: Reeval,
+        now: EventKey,
         out: &mut Actions,
     ) {
         self.costs.decision_runs += 1;
@@ -702,6 +763,11 @@ impl BgpNode {
         // reference and clones them only if it stores or sends the
         // update; most submissions are suppressed as no-ops.
         let sessions = self.slab.sessions(self.slab_idx);
+        let step = Step {
+            mode: self.mode,
+            scope: self.scope,
+            now,
+        };
         // The exported path: ourselves prepended to the best path. Built
         // once; every queue that keeps it shares it by refcount.
         let export = self.table.best(row).map(|(best_slot, best_path)| {
@@ -727,10 +793,9 @@ impl BgpNode {
                 }
                 _ => None,
             };
-            let queue = &mut self.out[slot];
-            let scope = queue.scope();
-            let submit = queue.submit(prefix, intent, self.mode, cause, session.rel);
-            out.absorb(slot as u32, submit, scope);
+            let submit =
+                self.out[slot].submit(prefix, intent, &step, cause, session.rel, &mut self.costs);
+            out.absorb(slot as u32, prefix, submit, self.scope);
         }
     }
 }
@@ -738,6 +803,7 @@ impl BgpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_simkernel::SimDuration;
 
     const P: Prefix = Prefix(1);
 
@@ -774,10 +840,46 @@ mod tests {
         actions.sends.iter().map(|(s, _)| *s).collect()
     }
 
+    /// The key of the step every test starts in.
+    const T0: EventKey = EventKey::ZERO;
+    const MRAI: SimDuration = SimDuration::from_secs(30);
+
+    /// A step at time `t`.
+    fn at(t: SimTime) -> EventKey {
+        EventKey { time: t, seq: 0 }
+    }
+
+    /// The caller's side of the timer contract for the step at `now` that
+    /// produced `a`: reserves a key one MRAI later for every session timer
+    /// `a` arms and hands it to the node. Returns the expiry events to
+    /// schedule — those `a` lists and those `timer_armed_at` asks for.
+    fn settle(n: &mut BgpNode, a: &Actions, now: EventKey) -> Vec<(u32, Option<Prefix>, EventKey)> {
+        assert!(a.arm_prefix_timers.is_empty());
+        let mut expiries = a.expiries.clone();
+        for (i, &slot) in a.arm_timers.iter().enumerate() {
+            let key = EventKey {
+                time: now.time + MRAI,
+                seq: now.seq + 1 + i as u64,
+            };
+            if n.timer_armed_at(slot, None, key) {
+                expiries.push((slot, None, key));
+            }
+        }
+        expiries
+    }
+
+    /// A step after every timer armed at or before `now` has run out.
+    fn after_mrai(now: EventKey) -> EventKey {
+        EventKey {
+            time: now.time + MRAI + MRAI,
+            seq: 0,
+        }
+    }
+
     #[test]
     fn origination_announces_to_everyone() {
         let mut n = node();
-        let a = act(|o| n.originate_caused(P, &Provenance::none(), o));
+        let a = act(|o| n.originate_caused(P, &Provenance::none(), T0, o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert_eq!(a.arm_timers, vec![0, 1, 2]);
         for (_, u) in &a.sends {
@@ -789,7 +891,7 @@ mod tests {
     #[test]
     fn customer_route_exports_to_everyone_else() {
         let mut n = node();
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         // Export to peer and provider (customer route), but not back to the
         // customer (loop detection: AS1 is on the path).
         assert_eq!(sends_to(&a), vec![1, 2]);
@@ -801,14 +903,14 @@ mod tests {
     #[test]
     fn provider_route_exports_only_to_customers() {
         let mut n = node();
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         assert_eq!(sends_to(&a), vec![0], "only the customer hears about it");
     }
 
     #[test]
     fn peer_route_exports_only_to_customers() {
         let mut n = node();
-        let a = act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), T0, o));
         assert_eq!(sends_to(&a), vec![0]);
     }
 
@@ -816,13 +918,13 @@ mod tests {
     fn better_route_triggers_reexport_with_new_path() {
         let mut n = node();
         // Provider route first: exported to customer only.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         // Customer route arrives: better (prefer-customer). Peers and
         // providers hear the new path immediately (their timers are idle).
         // The customer itself cannot be given its own route back (loop
         // detection) — instead the stale provider route we advertised to it
         // is withdrawn, immediately under NO-WRATE.
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(7), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(7), AsId(9)]), T0, o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert!(a.sends[0].1.kind.is_withdraw(), "stale route to customer revoked");
         assert_eq!(
@@ -831,18 +933,16 @@ mod tests {
         );
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // Slot 0's timer (armed by the earlier provider-route export) has
-        // nothing pending at expiry and goes idle.
-        let f = act(|o| n.mrai_flush(0, None, o));
-        assert!(f.sends.is_empty());
-        assert!(f.arm_timers.is_empty());
+        // nothing waiting behind it: no expiry event is asked for.
+        assert!(a.expiries.is_empty());
     }
 
     #[test]
     fn worse_route_does_not_displace_best() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         // A provider route arrives; best (customer) unchanged → no exports.
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
@@ -850,15 +950,15 @@ mod tests {
     #[test]
     fn withdrawal_falls_back_to_alternate_route() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         // Customer withdraws; best falls back to the provider route, which
         // may only be exported to customers. Slot 0's timer is idle (the
         // customer was never sent anything — loop detection), so the new
         // announcement goes out at once; slots 1 and 2, which previously
         // got the customer route, receive withdrawals immediately
         // (NO-WRATE).
-        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
         let withdraws: Vec<u32> = a
             .sends
             .iter()
@@ -875,16 +975,14 @@ mod tests {
         assert_eq!(announces, vec![0], "customer hears the fallback route");
         assert_eq!(a.arm_timers, vec![0], "only the announcement arms a timer");
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
-        // Slot 0's timer expires with nothing pending.
-        let f = act(|o| n.mrai_flush(0, None, o));
-        assert!(f.sends.is_empty());
+        assert!(a.expiries.is_empty(), "nothing waits behind slot 0's new timer");
     }
 
     #[test]
     fn total_loss_withdraws_from_everyone_reached() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
         // No alternate: withdraw goes to the peers/providers that heard
         // the announcement. The customer never got it (loop), so no
         // withdrawal there.
@@ -903,11 +1001,17 @@ mod tests {
             vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
             MraiMode::Wrate,
         );
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-        // Announcement armed slot 1's timer; the withdrawal must queue.
-        let a = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
+        let first = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        assert!(settle(&mut n, &first, T0).is_empty());
+        // Announcement armed slot 1's timer; the withdrawal must queue,
+        // and asks for the expiry at the timer's key.
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
         assert!(a.sends.is_empty(), "WRATE withdrawal must wait for MRAI");
-        let f = act(|o| n.mrai_flush(1, None, o));
+        let [(1, None, key)] = a.expiries[..] else {
+            panic!("one expiry for slot 1's session timer, got {:?}", a.expiries);
+        };
+        assert_eq!(key.time, T0.time + MRAI);
+        let f = act(|o| n.mrai_flush(1, None, key, o));
         assert_eq!(f.sends.len(), 1);
         assert!(f.sends[0].1.kind.is_withdraw());
         assert_eq!(f.arm_timers, vec![1], "withdrawal re-arms under WRATE");
@@ -916,14 +1020,18 @@ mod tests {
     #[test]
     fn flap_within_mrai_window_is_absorbed() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        let first = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        settle(&mut n, &first, T0);
         // Withdraw + identical re-announce before any timer expires.
-        let w = act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
+        let w = act(|o| n.receive(0, Update::withdraw(P), T0, o));
         assert_eq!(w.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
-        let r = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        let r = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         // Timers on slots 1,2 are armed, so the re-announcements queue.
         assert!(r.sends.is_empty());
-        let f1 = act(|o| n.mrai_flush(1, None, o));
+        let [(1, None, key), (2, None, _)] = r.expiries[..] else {
+            panic!("one expiry per waiting session, got {:?}", r.expiries);
+        };
+        let f1 = act(|o| n.mrai_flush(1, None, key, o));
         assert_eq!(f1.sends.len(), 1);
         assert!(f1.sends[0].1.kind.is_announce());
     }
@@ -931,11 +1039,11 @@ mod tests {
     #[test]
     fn self_origination_beats_any_learned_route() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-        act(|o| n.originate_caused(P, &Provenance::none(), o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.originate_caused(P, &Provenance::none(), T0, o));
         assert_eq!(n.best_route(P), Some((None, &AsPath::new())));
         // Withdrawing the origin falls back to the learned route.
-        act(|o| n.withdraw_origin_caused(P, &Provenance::none(), o));
+        act(|o| n.withdraw_origin_caused(P, &Provenance::none(), T0, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
@@ -949,15 +1057,15 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), SimTime::ZERO, o));
-        act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), T0, o));
+        act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), T0, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(2)));
     }
 
     #[test]
     fn looping_announcement_is_ignored() {
         let mut n = node();
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(0), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(0), AsId(9)]), T0, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P), None);
     }
@@ -965,12 +1073,11 @@ mod tests {
     #[test]
     fn reset_routing_clears_ribs_but_keeps_sessions() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-        // Only slots 1 and 2 were armed (the customer route was exported
-        // to the peer and provider; nothing went back to the customer).
-        act(|o| n.mrai_flush(1, None, o));
-        act(|o| n.mrai_flush(2, None, o));
-        n.reset_routing();
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        // Slots 1 and 2 were armed (the customer route was exported to the
+        // peer and provider) and run out with nothing behind them.
+        settle(&mut n, &a, T0);
+        n.reset_routing(after_mrai(T0));
         assert_eq!(n.best_route(P), None);
         assert_eq!(n.sessions().len(), 3);
         assert_eq!(n.advertised(1, P), None);
@@ -980,7 +1087,7 @@ mod tests {
     #[should_panic]
     fn update_on_an_unknown_slot_panics() {
         let mut n = node();
-        act(|o| n.receive(3, Update::withdraw(P), SimTime::ZERO, o));
+        act(|o| n.receive(3, Update::withdraw(P), T0, o));
     }
 
     #[test]
@@ -996,11 +1103,11 @@ mod tests {
     #[test]
     fn session_down_invalidates_learned_routes_and_notifies_others() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
-        let a = act(|o| n.session_down_caused(0, &Provenance::none(), o));
+        let a = act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
         assert!(!n.session_active(0));
         assert_eq!(n.best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
@@ -1011,10 +1118,10 @@ mod tests {
     #[test]
     fn down_session_receives_no_exports() {
         let mut n = node();
-        act(|o| n.session_down_caused(0, &Provenance::none(), o));
+        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
         // A new best route arrives from the provider; normally the
         // customer (slot 0) would hear it, but the session is down.
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
         assert_eq!(n.advertised(0, P), None);
     }
@@ -1022,13 +1129,13 @@ mod tests {
     #[test]
     fn session_up_replays_the_table() {
         let mut n = node();
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
-        act(|o| n.originate_caused(Prefix(7), &Provenance::none(), o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.originate_caused(Prefix(7), &Provenance::none(), T0, o));
         // Drop and restore the customer session: on restore it must learn
         // both the provider-learned route and the originated prefix
         // (customers receive everything).
-        act(|o| n.session_down_caused(0, &Provenance::none(), o));
-        let a = act(|o| n.session_up_caused(0, &Provenance::none(), o));
+        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
+        let a = act(|o| n.session_up_caused(0, &Provenance::none(), T0, o));
         assert!(n.session_active(0));
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
@@ -1043,51 +1150,50 @@ mod tests {
         // A provider-learned route must not be replayed to a peer session
         // that comes back up.
         let mut n = node();
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
-        act(|o| n.session_down_caused(1, &Provenance::none(), o)); // peer
-        let a = act(|o| n.session_up_caused(1, &Provenance::none(), o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.session_down_caused(1, &Provenance::none(), T0, o)); // peer
+        let a = act(|o| n.session_up_caused(1, &Provenance::none(), T0, o));
         assert!(a.sends.is_empty(), "provider route leaked to peer on replay");
     }
 
     #[test]
     fn session_down_clears_output_queue_state() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         assert!(n.advertised(1, P).is_some());
-        act(|o| n.session_down_caused(1, &Provenance::none(), o));
+        act(|o| n.session_down_caused(1, &Provenance::none(), T0, o));
         assert_eq!(n.advertised(1, P), None);
-        assert!(!n.timer_armed(1));
+        assert!(!n.timer_armed(1, T0));
     }
 
     #[test]
     #[should_panic(expected = "already down")]
     fn double_session_down_panics() {
         let mut n = node();
-        act(|o| n.session_down_caused(0, &Provenance::none(), o));
-        act(|o| n.session_down_caused(0, &Provenance::none(), o));
+        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
+        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
     }
 
     #[test]
     fn rfd_suppresses_flapping_route_and_falls_back() {
         use crate::rfd::RfdConfig;
-        use bgpscale_simkernel::{SimDuration, SimTime};
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
         // A stable alternate via the provider.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         // The customer route flaps: announce, withdraw, announce, withdraw…
         let mut t = SimTime::from_secs(1);
         for _ in 0..3 {
-            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
+            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
             t += SimDuration::from_secs(1);
-            act(|o| n.receive(0, Update::withdraw(P), t, o));
+            act(|o| n.receive(0, Update::withdraw(P), at(t), o));
             t += SimDuration::from_secs(1);
         }
         // Withdrawal(1000) ×3 + readvert(1000) ×2 ≫ suppress threshold.
         assert!(n.is_suppressed(0, P));
         // A further announcement installs the route but the decision
         // sticks with the stable provider route.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
         assert_eq!(
             n.best_route(P).unwrap().0,
             Some(AsId(3)),
@@ -1098,67 +1204,72 @@ mod tests {
     #[test]
     fn rfd_reuse_restores_eligibility() {
         use crate::rfd::RfdConfig;
-        use bgpscale_simkernel::{SimDuration, SimTime};
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         let mut t = SimTime::from_secs(1);
         let mut wake = None;
+        let mut expiries = Vec::new();
         for _ in 0..4 {
-            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
+            let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
+            expiries.extend(settle(&mut n, &a, at(t)));
             t += SimDuration::from_secs(1);
-            let a = act(|o| n.receive(0, Update::withdraw(P), t, o));
-            if let Some(&(_, _, at)) = a.rfd_wakeups.last() {
-                wake = Some(at);
+            let a = act(|o| n.receive(0, Update::withdraw(P), at(t), o));
+            expiries.extend(settle(&mut n, &a, at(t)));
+            if let Some(&(_, _, reuse_at)) = a.rfd_wakeups.last() {
+                wake = Some(reuse_at);
             }
             t += SimDuration::from_secs(1);
         }
         // Final state: suppressed, route re-announced and stored.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), t, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
         assert!(n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
-        let early = act(|o| n.rfd_reuse_caused(0, P, t + SimDuration::from_secs(60), &Provenance::none(), o));
+        let early = act(|o| n.rfd_reuse_caused(0, P, at(t + SimDuration::from_secs(60)), &Provenance::none(), o));
         assert!(early.is_empty());
         assert!(n.is_suppressed(0, P));
+        // The MRAI windows of the flapping close, flushing what queued
+        // behind them.
+        assert!(!expiries.is_empty(), "the flapping queued updates");
+        while !expiries.is_empty() {
+            let (slot, which, key) = expiries.remove(0);
+            let f = act(|o| n.mrai_flush(slot, which, key, o));
+            expiries.extend(settle(&mut n, &f, key));
+        }
         // Well past the scheduled reuse time the customer route wins
-        // again.
+        // again, and with every timer run out the re-selection is
+        // announced at once.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
-        act(|o| n.rfd_reuse_caused(0, P, wake, &Provenance::none(), o));
+        let a = act(|o| n.rfd_reuse_caused(0, P, at(wake), &Provenance::none(), o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
-        // The re-selection's announcements queue behind the MRAI timers
-        // armed during the flapping; flushing the peer slot reveals the
-        // new best path on the wire.
-        let f = act(|o| n.mrai_flush(1, None, o));
         assert!(
-            f.sends.iter().any(|(_, u)| u.kind.is_announce()),
-            "re-selection must (eventually) announce the change"
+            a.sends.iter().any(|(_, u)| u.kind.is_announce()),
+            "re-selection must announce the change"
         );
     }
 
     #[test]
     fn rfd_initial_advertisement_is_free() {
         use crate::rfd::RfdConfig;
-        use bgpscale_simkernel::SimTime;
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         assert!(!n.is_suppressed(0, P));
         // Stable routes never accumulate penalty: identical re-announce
         // is a no-op, not a flap.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn rfd_disabled_means_no_suppression_ever() {
-        use bgpscale_simkernel::SimTime;
         let mut n = node();
         for _ in 0..20 {
-            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
-            act(|o| n.receive(0, Update::withdraw(P), SimTime::ZERO, o));
+            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+            act(|o| n.receive(0, Update::withdraw(P), T0, o));
         }
         assert!(!n.is_suppressed(0, P));
     }
@@ -1170,7 +1281,8 @@ mod tests {
         assert_eq!(before, NodeCostCounters::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        settle(&mut n, &a, T0);
         let c = n.cost_counters();
         assert_eq!(c.decision_runs, 1);
         assert_eq!(c.path_intern_misses, 1);
@@ -1178,28 +1290,26 @@ mod tests {
         assert_eq!(c.rib_out_writes, 2, "announced to peer and provider");
         // A competing provider route triggers exactly one comparison:
         // the incremental decision challenges the incumbent head-to-head.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
         let c2 = n.cost_counters();
         assert_eq!(c2.decision_runs, 2);
         assert_eq!(c2.route_comparisons, 1);
         // Counters survive a routing reset (monotone).
-        act(|o| n.mrai_flush(1, None, o));
-        act(|o| n.mrai_flush(2, None, o));
-        n.reset_routing();
+        n.reset_routing(after_mrai(T0));
         assert_eq!(n.cost_counters().decision_runs, 2);
     }
 
     #[test]
     fn advertised_tracks_what_was_sent() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         assert_eq!(
             n.advertised(1, P),
             Some(&AsPath::from(vec![AsId(0), AsId(1), AsId(9)]))
         );
         assert_eq!(n.advertised(0, P), None, "never sent back to learner");
-        assert!(n.timer_armed(1));
-        assert!(!n.timer_armed(0));
+        assert!(n.timer_armed(1, T0));
+        assert!(!n.timer_armed(0, T0));
     }
 
     /// The Adj-RIB-out interning invariant: one best-route change builds
@@ -1217,7 +1327,7 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         let exported: Vec<&AsPath> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
         assert_eq!(exported.len(), 3, "customer route reaches the other three");
         for path in &exported[1..] {
@@ -1228,10 +1338,12 @@ mod tests {
         }
     }
 
-    /// The sends and session-timer arms of `a`, comparable.
-    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>) {
+    /// The sends, session-timer arms and expiry requests of `a`,
+    /// comparable.
+    #[allow(clippy::type_complexity)]
+    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<Prefix>, EventKey)>) {
         assert!(a.arm_prefix_timers.is_empty() && a.rfd_wakeups.is_empty());
-        (a.sends.clone(), a.arm_timers.clone())
+        (a.sends.clone(), a.arm_timers.clone(), a.expiries.clone())
     }
 
     /// The entry points append to the caller's buffer — never clearing it
@@ -1244,24 +1356,38 @@ mod tests {
         let mut push = |a: Actions| {
             want.sends.extend(a.sends);
             want.arm_timers.extend(a.arm_timers);
+            want.expiries.extend(a.expiries);
         };
         let customer = Update::announce(P, vec![AsId(1), AsId(9)]);
         let provider = Update::announce(P, vec![AsId(3), AsId(9)]);
 
-        push(act(|o| by_value.receive(2, provider.clone(), SimTime::ZERO, o)));
-        in_place.receive(2, provider, SimTime::ZERO, &mut buf);
-        push(act(|o| by_value.receive(0, customer.clone(), SimTime::ZERO, o)));
-        in_place.receive(0, customer, SimTime::ZERO, &mut buf);
-        push(act(|o| by_value.mrai_flush(1, None, o)));
-        in_place.mrai_flush(1, None, &mut buf);
-        push(act(|o| by_value.originate_caused(Prefix(7), &Provenance::none(), o)));
-        in_place.originate_caused(Prefix(7), &Provenance::none(), &mut buf);
-        push(act(|o| by_value.session_down_caused(0, &Provenance::none(), o)));
-        in_place.session_down_caused(0, &Provenance::none(), &mut buf);
-        push(act(|o| by_value.session_up_caused(0, &Provenance::none(), o)));
-        in_place.session_up_caused(0, &Provenance::none(), &mut buf);
-        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), &Provenance::none(), o)));
-        in_place.withdraw_origin_caused(Prefix(7), &Provenance::none(), &mut buf);
+        push(act(|o| by_value.receive(2, provider.clone(), T0, o)));
+        in_place.receive(2, provider, T0, &mut buf);
+        push(act(|o| by_value.receive(0, customer.clone(), T0, o)));
+        in_place.receive(0, customer, T0, &mut buf);
+        // Both get the key of slot 1's timer; a longer customer path then
+        // waits behind it and is flushed at that key.
+        let key = EventKey {
+            time: T0.time + MRAI,
+            seq: 1,
+        };
+        let longer = Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]);
+        for n in [&mut by_value, &mut in_place] {
+            assert!(!n.timer_armed_at(1, None, key));
+            n.timer_armed_at(2, None, key);
+        }
+        push(act(|o| by_value.receive(0, longer.clone(), T0, o)));
+        in_place.receive(0, longer, T0, &mut buf);
+        push(act(|o| by_value.mrai_flush(1, None, key, o)));
+        in_place.mrai_flush(1, None, key, &mut buf);
+        push(act(|o| by_value.originate_caused(Prefix(7), &Provenance::none(), T0, o)));
+        in_place.originate_caused(Prefix(7), &Provenance::none(), T0, &mut buf);
+        push(act(|o| by_value.session_down_caused(0, &Provenance::none(), T0, o)));
+        in_place.session_down_caused(0, &Provenance::none(), T0, &mut buf);
+        push(act(|o| by_value.session_up_caused(0, &Provenance::none(), T0, o)));
+        in_place.session_up_caused(0, &Provenance::none(), T0, &mut buf);
+        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), &Provenance::none(), T0, o)));
+        in_place.withdraw_origin_caused(Prefix(7), &Provenance::none(), T0, &mut buf);
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
         assert_eq!(flat(&buf), flat(&want));
@@ -1275,10 +1401,14 @@ mod tests {
     fn recycle_restores_the_constructed_state_from_any_state() {
         let script = |n: &mut BgpNode| {
             let mut all = Actions::default();
-            n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, &mut all);
-            n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), SimTime::ZERO, &mut all);
-            n.receive(0, Update::withdraw(P), SimTime::ZERO, &mut all);
-            n.mrai_flush(1, None, &mut all);
+            n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, &mut all);
+            assert!(settle(n, &all, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
+            n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, &mut all);
+            // A longer customer path waits behind both timers.
+            n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), T0, &mut all);
+            let (slot, which, key) = all.expiries[0];
+            n.mrai_flush(slot, which, key, &mut all);
+            n.receive(0, Update::withdraw(P), T0, &mut all);
             let best = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
             (flat(&all), best)
         };
@@ -1286,14 +1416,14 @@ mod tests {
         let want = script(&mut fresh);
 
         let mut used = node();
-        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(8)]), SimTime::ZERO, &mut Actions::default());
-        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(7), AsId(8)]), SimTime::ZERO, &mut Actions::default());
-        act(|o| used.session_down_caused(2, &Provenance::none(), o));
-        assert!(used.timer_armed(1), "recycled mid-window, timers armed");
+        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(8)]), T0, &mut Actions::default());
+        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(7), AsId(8)]), T0, &mut Actions::default());
+        act(|o| used.session_down_caused(2, &Provenance::none(), T0, o));
+        assert!(used.timer_armed(1, T0), "recycled mid-window, timers armed");
         let spent = used.cost_counters();
         used.recycle();
         assert_eq!(used.best_route(Prefix(4)), None);
-        assert!((0..3).all(|s| used.session_active(s) && !used.timer_armed(s)));
+        assert!((0..3).all(|s| used.session_active(s) && !used.timer_armed(s, T0)));
         assert!((0..3).all(|s| used.advertised(s, Prefix(4)).is_none()));
         assert_eq!(used.arena_bytes(), 0);
         assert_eq!(used.cost_counters(), spent, "tallies are monotone, not reset");
@@ -1325,7 +1455,7 @@ mod tests {
         assert_eq!(a.slot_of(AsId(1)), Some(0));
         assert_eq!(b.slot_of(AsId(0)), Some(0));
         assert_eq!(a.sessions().len(), 1);
-        let acts = act(|o| a.originate_caused(P, &Provenance::none(), o));
+        let acts = act(|o| a.originate_caused(P, &Provenance::none(), T0, o));
         assert_eq!(sends_to(&acts), vec![0]);
         assert!(a.arena_bytes() > 0, "prefix rows are accounted");
         assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
@@ -1335,7 +1465,7 @@ mod tests {
     #[should_panic(expected = "cannot change damping with live routing state")]
     fn damping_cannot_change_once_routes_exist() {
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), SimTime::ZERO, o));
+        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
         n.set_rfd(Some(RfdConfig::default()));
     }
 
@@ -1355,7 +1485,7 @@ mod tests {
         };
         let mut cost = |slot: u32, update: Update| {
             let before = n.cost_counters().route_comparisons;
-            act(|o| n.receive(slot, update, SimTime::ZERO, o));
+            act(|o| n.receive(slot, update, T0, o));
             n.cost_counters().route_comparisons - before
         };
         assert_eq!(cost(0, route(0, 3)), 0, "the first route has no rival");
@@ -1381,7 +1511,7 @@ mod tests {
     #[test]
     fn incremental_decision_matches_a_brute_force_mirror() {
         use crate::decision::preference_key;
-        use bgpscale_simkernel::{Rng, SimDuration, Xoshiro256StarStar};
+        use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
         let sessions = vec![
             session(1, Relationship::Customer),
             session(2, Relationship::Customer),
@@ -1403,19 +1533,19 @@ mod tests {
                 let peer = sessions[slot].peer;
                 let before = suppressed(&n);
                 for s in 0..5 {
-                    act(|o| n.rfd_reuse_caused(s, P, now, &Provenance::none(), o));
+                    act(|o| n.rfd_reuse_caused(s, P, at(now), &Provenance::none(), o));
                 }
                 let between = suppressed(&n);
                 reuses += before - between;
                 if g.next_below(3) == 0 {
-                    act(|o| n.receive(slot as u32, Update::withdraw(P), now, o));
+                    act(|o| n.receive(slot as u32, Update::withdraw(P), at(now), o));
                     mirror[slot] = None;
                 } else {
                     // One to three hops: the incumbent's own route both
                     // improves and worsens along the trace.
                     let mut path = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
                     path.truncate(1 + g.next_below(3) as usize);
-                    act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), now, o));
+                    act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), at(now), o));
                     mirror[slot] = Some(AsPath::from(path));
                 }
                 suppressions += suppressed(&n) - between;

@@ -2,9 +2,12 @@
 //! a strict total order; the MRAI output queue never lies to the
 //! neighbor.
 
+use bgpscale_bgp::config::MraiScope;
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
-use bgpscale_bgp::mrai::{OutQueue, Submit};
+use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
+use bgpscale_bgp::node::NodeCostCounters;
 use bgpscale_bgp::{AsPath, MraiMode, Prefix, Provenance, Update, UpdateKind};
+use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
 
@@ -16,20 +19,90 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
     ])
 }
 
-/// `OutQueue::flush` into a scratch send list, as a node's expiry handler
-/// drives it: the updates that went on the wire, each tagged `slot`.
-fn flush(q: &mut OutQueue, slot: u32) -> Vec<Update> {
-    let mut sends = Vec::new();
-    let rearm = q.flush(None, slot, &mut sends);
-    assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
-    assert_eq!(rearm, q.timer_armed());
-    sends
-        .into_iter()
-        .map(|(tag, update)| {
-            assert_eq!(tag, slot, "flushed updates carry the queue's slot");
-            update
-        })
-        .collect()
+/// One per-interface queue with the simulator's half of the timer
+/// contract around it: a clock, keys reserved one MRAI ahead at every
+/// arm, and the one expiry event the queue may have asked for.
+struct Driven {
+    q: OutQueue,
+    now: EventKey,
+    expiry: Option<EventKey>,
+    costs: NodeCostCounters,
+}
+
+const SLOT: u32 = 5;
+const MRAI: SimDuration = SimDuration::from_secs(30);
+
+impl Driven {
+    fn new() -> Driven {
+        Driven {
+            q: OutQueue::new(),
+            now: EventKey::ZERO,
+            expiry: None,
+            costs: NodeCostCounters::default(),
+        }
+    }
+
+    /// A key one MRAI ahead, ranked after every key handed out so far.
+    fn reserve(&self) -> EventKey {
+        EventKey {
+            time: self.now.time + MRAI,
+            seq: self.now.seq + 1,
+        }
+    }
+
+    fn arm(&mut self) {
+        let key = self.reserve();
+        if self.q.arm_at(None, key) {
+            assert_eq!(self.expiry.replace(key), None, "one expiry per window");
+        }
+    }
+
+    fn submit(&mut self, prefix: Prefix, intent: Option<&AsPath>, mode: MraiMode, rel: Relationship) -> Submit {
+        let step = Step {
+            mode,
+            scope: MraiScope::PerInterface,
+            now: self.now,
+        };
+        let submit = self.q.submit(prefix, intent, &step, &Provenance::root(7), rel, &mut self.costs);
+        match &submit {
+            Submit::SendNow { arm_timer: true, .. } => self.arm(),
+            Submit::Queued { expire_at: Some(key) } => {
+                assert!(*key > self.now, "an expiry in the past");
+                assert_eq!(self.expiry.replace(*key), None, "one expiry per window");
+            }
+            _ => {}
+        }
+        assert_eq!(usize::from(self.expiry.is_some()), self.q.scheduled_expiries());
+        assert!(self.expiry.is_some() || self.q.pending_len() == 0, "an update waits for no event");
+        submit
+    }
+
+    /// Lets the running window close: the expiry event pops if one was
+    /// asked for (flushing into the returned updates and re-arming iff
+    /// something was sent), else the timer just runs out.
+    fn close_window(&mut self) -> Vec<Update> {
+        let Some(key) = self.expiry.take() else {
+            assert_eq!(self.q.pending_len(), 0, "updates wait with no expiry scheduled");
+            self.now = self.reserve();
+            assert!(!self.q.timer_armed(self.now));
+            return Vec::new();
+        };
+        self.now = key;
+        let mut sends = Vec::new();
+        let rearm = self.q.flush(None, SLOT, key, &mut sends, &mut self.costs);
+        assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
+        if rearm {
+            self.arm();
+        }
+        assert_eq!(rearm, self.q.timer_armed(self.now));
+        sends
+            .into_iter()
+            .map(|(tag, update)| {
+                assert_eq!(tag, SLOT, "flushed updates carry the queue's slot");
+                update
+            })
+            .collect()
+    }
 }
 
 fn path_strategy() -> impl Strategy<Value = AsPath> {
@@ -98,7 +171,7 @@ proptest! {
             1..60,
         ),
     ) {
-        let mut q = OutQueue::new();
+        let mut d = Driven::new();
         // The neighbor's view, replayed from transmissions.
         let mut neighbor: std::collections::BTreeMap<Prefix, AsPath> = Default::default();
         // The latest intent per prefix.
@@ -118,29 +191,29 @@ proptest! {
         for (prefix, path_id, flush_after) in script {
             let path: Option<AsPath> = path_id.map(|k| AsPath::from(vec![AsId(100 + k), AsId(999)]));
             intent.insert(prefix, path.clone());
-            match q.submit(prefix, path.as_ref(), mode, &Provenance::root(7), rel) {
+            match d.submit(prefix, path.as_ref(), mode, rel) {
                 Submit::SendNow { update, .. } => {
                     prop_assert_eq!(update.provenance.rel(), Some(rel), "sent over this edge");
                     apply(&mut neighbor, update)?
                 }
-                Submit::Queued | Submit::Suppressed => {}
+                Submit::Queued { .. } | Submit::Suppressed => {}
             }
-            if flush_after && q.timer_armed() {
-                for u in flush(&mut q, 5) {
+            if flush_after && d.q.timer_armed(d.now) {
+                for u in d.close_window() {
                     prop_assert_eq!(u.provenance.rel(), Some(rel), "flushed over this edge");
                     apply(&mut neighbor, u)?;
                 }
             }
             // Invariant: the neighbor state always equals the Adj-RIB-out.
             for p in [Prefix(0), Prefix(1), Prefix(2)] {
-                prop_assert_eq!(neighbor.get(&p), q.advertised(p),
+                prop_assert_eq!(neighbor.get(&p), d.q.advertised(p),
                     "Adj-RIB-out diverged from the neighbor's actual state");
             }
         }
 
         // Drain all timers.
-        while q.timer_armed() {
-            for u in flush(&mut q, 5) {
+        while d.q.timer_armed(d.now) {
+            for u in d.close_window() {
                 apply(&mut neighbor, u)?;
             }
         }
@@ -158,12 +231,12 @@ proptest! {
         mode in prop::sample::select(vec![MraiMode::NoWrate, MraiMode::Wrate]),
         path in path_strategy(),
     ) {
-        let mut q = OutQueue::new();
+        let mut d = Driven::new();
         let rel = Relationship::Customer;
-        let first = q.submit(Prefix(0), Some(&path), mode, &Provenance::none(), rel);
+        let first = d.submit(Prefix(0), Some(&path), mode, rel);
         let sent_now = matches!(first, Submit::SendNow { .. });
         prop_assert!(sent_now);
-        let second = q.submit(Prefix(0), Some(&path), mode, &Provenance::none(), rel);
+        let second = d.submit(Prefix(0), Some(&path), mode, rel);
         prop_assert_eq!(second, Submit::Suppressed);
     }
 }

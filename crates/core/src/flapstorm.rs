@@ -18,8 +18,12 @@ use crate::sim::{EventBudgetExceeded, Simulator};
 pub struct FlapStormConfig {
     /// Number of withdraw + re-announce cycles.
     pub flaps: usize,
-    /// Time between consecutive flap actions (a withdrawal and the
-    /// following re-announcement are one period apart).
+    /// Time the network gets to work on one flap action before the next
+    /// (a withdrawal and the following re-announcement are one period
+    /// apart). Each period runs from the clock [`Simulator::run_until`]
+    /// left — the last event processed or MRAI timer run out within the
+    /// previous period — not from the previous deadline, so the cadence
+    /// is a little faster than `period` whenever a period ends quietly.
     pub period: SimDuration,
 }
 

@@ -20,9 +20,23 @@
 //! (`EventQueue::schedule_in_order`), the two timer-like kinds in its heap;
 //! the pop sequence is the one `(time, seq)` total order either way.
 //!
+//! MRAI timers are **lazy**. Every arm draws its jitter and reserves the
+//! `(time, seq)` key its expiry pops at (`EventQueue::reserve`), and the
+//! session's output queue keeps that key: the timer is armed while the key
+//! is after the key of the event being processed. An `MraiExpire` event
+//! is scheduled under the key (`EventQueue::schedule_reserved`) only once
+//! an update waits behind the timer — most timers run out with nothing
+//! queued, and those cost the loop no push, sift, pop or dispatch. Every
+//! other event keeps the key, and so the place in the pop order, it would
+//! have had with an expiry event per arm, and the RNG is drawn at the
+//! same points: the run is that run minus the expiries that would have
+//! flushed nothing.
+//!
 //! The simulation **quiesces** when the event queue empties: every RIB is
-//! stable and every MRAI timer idle. All randomness (service times,
-//! jitter) comes from one seeded stream, so runs are exactly repeatable.
+//! stable, and the clock then moves to the latest key any timer reserved
+//! (the *MRAI horizon*), so every MRAI timer is idle when the next phase
+//! starts. All randomness (service times, jitter) comes from one seeded
+//! stream, so runs are exactly repeatable.
 
 use std::sync::Arc;
 
@@ -32,7 +46,7 @@ use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, SimDuration, SimTime};
+use bgpscale_simkernel::{EventKey, EventQueue, SimDuration, SimTime};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
@@ -52,10 +66,11 @@ enum SimEvent {
     Deliver { to: AsId, slot: u32 },
     /// `node`'s processor finishes the message at the head of its queue.
     ProcDone { node: AsId },
-    /// An MRAI timer for `node`'s neighbor session `slot` expires:
-    /// the session timer when `prefix` is `None` (per-interface scope),
-    /// a per-prefix timer otherwise. `epoch` invalidates expiries that
-    /// were scheduled before a session reset disarmed the queue.
+    /// An MRAI timer for `node`'s neighbor session `slot` expires with
+    /// an update waiting behind it: the session timer when `prefix` is
+    /// `None` (per-interface scope), a per-prefix timer otherwise.
+    /// `epoch` invalidates expiries of timers armed before a session
+    /// reset disarmed the queue.
     MraiExpire {
         node: AsId,
         slot: u32,
@@ -185,15 +200,19 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// sequentially per simulator, so they double as indices into the
     /// observer's root table.
     next_root: u32,
-    /// MRAI timers currently armed across all nodes (occupancy telemetry).
-    /// Each armed timer corresponds to one outstanding valid expiry event.
-    armed_timers: u64,
+    /// Valid MRAI expiry events scheduled and not yet popped, across all
+    /// nodes (occupancy telemetry): the armed timers that an update waits
+    /// behind.
+    expiries_scheduled: u64,
+    /// The latest key ever reserved for an MRAI expiry, scheduled or not:
+    /// where [`Simulator::run_to_quiescence`] leaves the clock.
+    mrai_horizon: EventKey,
     /// Cost-model tally: messages actually delivered (after in-flight loss
     /// filtering). Monotone.
     deliveries: u64,
     /// Cost-model tally: MRAI timers armed over the run. Monotone.
     mrai_armed_total: u64,
-    /// Cost-model tally: MRAI expiries that fired while still valid
+    /// Cost-model tally: MRAI expiry events that popped while still valid
     /// (stale-epoch expiries excluded). Monotone.
     mrai_fired: u64,
 }
@@ -316,7 +335,8 @@ impl SimTemplate {
             down_links: Default::default(),
             messages_dropped: 0,
             next_root: 0,
-            armed_timers: 0,
+            expiries_scheduled: 0,
+            mrai_horizon: EventKey::ZERO,
             deliveries: 0,
             mrai_armed_total: 0,
             mrai_fired: 0,
@@ -461,19 +481,34 @@ impl<O: SimObserver> Simulator<O> {
         // One root cause covers both directions of the failure: churn on
         // either side is attributed to the same L-event.
         let cause = self.new_root(RootCauseKind::SessionDown, a);
+        let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
             let epoch_ix = self.session_ix(x, slot);
-            self.mrai_epoch[epoch_ix] += 1;
-            // `session_down` force-resets the output queue, silently
-            // disarming its timers; account for them before they vanish so
-            // the occupancy gauge stays exact.
-            let disarmed = u64::from(self.nodes[x.index()].armed_timer_count(slot));
-            if disarmed > 0 {
-                self.armed_timers -= disarmed;
-                self.obs.on_timer_occupancy(self.armed_timers, self.queue.now());
+            // `session_down` force-resets the output queue, forgetting its
+            // timers. The clock must still pass the key of each armed one:
+            // those no event stands for get theirs now, stale on arrival
+            // like the ones already scheduled.
+            let epoch = self.mrai_epoch[epoch_ix];
+            for (prefix, key) in self.nodes[x.index()].silent_timers(slot, now) {
+                let stale = SimEvent::MraiExpire {
+                    node: x,
+                    slot,
+                    epoch,
+                    prefix,
+                };
+                self.queue.schedule_reserved(key, stale);
             }
-            self.nodes[x.index()].session_down_caused(slot, &cause, &mut self.actions);
+            self.mrai_epoch[epoch_ix] += 1;
+            // The valid expiries just went stale; account for them so the
+            // occupancy gauge stays exact.
+            let disarmed = u64::from(self.nodes[x.index()].scheduled_expiries(slot));
+            if disarmed > 0 {
+                self.expiries_scheduled -= disarmed;
+                self.obs
+                    .on_timer_occupancy(self.expiries_scheduled, self.queue.now());
+            }
+            self.nodes[x.index()].session_down_caused(slot, &cause, now, &mut self.actions);
             self.apply_actions(x);
         }
     }
@@ -489,9 +524,10 @@ impl<O: SimObserver> Simulator<O> {
             "link {a}–{b} is not down"
         );
         let cause = self.new_root(RootCauseKind::SessionUp, a);
+        let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
-            self.nodes[x.index()].session_up_caused(slot, &cause, &mut self.actions);
+            self.nodes[x.index()].session_up_caused(slot, &cause, now, &mut self.actions);
             self.apply_actions(x);
         }
     }
@@ -500,7 +536,8 @@ impl<O: SimObserver> Simulator<O> {
     // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn originate(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::Originate, origin);
-        self.nodes[origin.index()].originate_caused(prefix, &cause, &mut self.actions);
+        let now = self.queue.last_key();
+        self.nodes[origin.index()].originate_caused(prefix, &cause, now, &mut self.actions);
         self.apply_actions(origin);
     }
 
@@ -508,13 +545,16 @@ impl<O: SimObserver> Simulator<O> {
     // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn withdraw(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::WithdrawOrigin, origin);
-        self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause, &mut self.actions);
+        let now = self.queue.last_key();
+        self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause, now, &mut self.actions);
         self.apply_actions(origin);
     }
 
     /// Processes events up to and including `deadline`, then stops (the
     /// queue may still hold later events). Used by timed workloads (flap
-    /// storms) that inject actions mid-convergence.
+    /// storms) that inject actions mid-convergence. The clock is left at
+    /// the last event processed or at the latest MRAI timer to run out by
+    /// `deadline`, whichever is later — not at `deadline` itself.
     ///
     /// # Errors
     /// [`EventBudgetExceeded`] if the event budget is exhausted first.
@@ -529,6 +569,12 @@ impl<O: SimObserver> Simulator<O> {
             if self.queue.popped() - start > self.event_limit {
                 return Err(self.budget_exceeded(start));
             }
+        }
+        // Timers nothing waited behind ran out without an event; the clock
+        // passes the latest of them as if its expiry had popped.
+        let lapsed = self.nodes.iter().filter_map(|n| n.latest_timer_key_by(deadline));
+        if let Some(key) = lapsed.max() {
+            self.queue.advance_to(key);
         }
         Ok(())
     }
@@ -559,8 +605,9 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// Runs until the event queue is empty: all RIBs stable, all timers
-    /// idle. Returns the time of the last routing activity.
+    /// Runs until the event queue is empty, then moves the clock to the
+    /// MRAI horizon: all RIBs stable, all timers idle. Returns the time of
+    /// the last routing activity.
     ///
     /// # Errors
     /// [`EventBudgetExceeded`] if the configured event budget is exhausted
@@ -573,6 +620,7 @@ impl<O: SimObserver> Simulator<O> {
                 return Err(self.budget_exceeded(start));
             }
         }
+        self.queue.advance_to(self.mrai_horizon);
         self.obs
             .on_quiescence(self.last_activity, self.queue.popped());
         Ok(self.last_activity)
@@ -591,9 +639,10 @@ impl<O: SimObserver> Simulator<O> {
             "reset_routing while {} events are pending",
             self.queue.len()
         );
+        let now = self.queue.last_key();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             debug_assert!(self.inbox[i].is_empty() && !self.busy[i]);
-            node.reset_routing();
+            node.reset_routing(now);
         }
     }
 
@@ -633,7 +682,8 @@ impl<O: SimObserver> Simulator<O> {
         self.down_links.clear();
         self.messages_dropped = 0;
         self.next_root = 0;
-        self.armed_timers = 0;
+        self.expiries_scheduled = 0;
+        self.mrai_horizon = EventKey::ZERO;
     }
 
     // det::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a Deliver with an empty wire or a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
@@ -686,7 +736,8 @@ impl<O: SimObserver> Simulator<O> {
                 let (slot, update) = self.inbox[node.index()]
                     .pop_front()
                     .expect("ProcDone with empty input queue");
-                self.nodes[node.index()].receive(slot, update, now, &mut self.actions);
+                let key = self.queue.last_key();
+                self.nodes[node.index()].receive(slot, update, key, &mut self.actions);
                 self.obs.on_decision_run(node, now);
                 self.apply_actions(node);
                 if self.inbox[node.index()].is_empty() {
@@ -706,35 +757,37 @@ impl<O: SimObserver> Simulator<O> {
                 if epoch != self.mrai_epoch[self.session_ix(node, slot)] {
                     return; // stale expiry from before a session reset
                 }
-                // A valid expiry consumes one armed timer; a rearm in the
-                // resulting actions re-adds it in `apply_actions`.
-                self.armed_timers -= 1;
+                self.expiries_scheduled -= 1;
                 self.mrai_fired += 1;
-                self.obs.on_timer_occupancy(self.armed_timers, now);
-                self.nodes[node.index()].mrai_flush(slot, prefix, &mut self.actions);
+                self.obs.on_timer_occupancy(self.expiries_scheduled, now);
+                let key = self.queue.last_key();
+                self.nodes[node.index()].mrai_flush(slot, prefix, key, &mut self.actions);
                 self.obs
                     .on_mrai_flush(node, self.actions.sends.len() as u32, now);
                 self.apply_actions(node);
             }
             SimEvent::RfdReuse { node, slot, prefix } => {
                 let cause = self.new_root(RootCauseKind::RfdReuse, node);
+                let key = self.queue.last_key();
                 self.nodes[node.index()]
-                    .rfd_reuse_caused(slot, prefix, now, &cause, &mut self.actions);
+                    .rfd_reuse_caused(slot, prefix, key, &cause, &mut self.actions);
                 self.apply_actions(node);
             }
         }
     }
 
-    /// Schedules the transmissions and timer arms the protocol step just
-    /// run at `node` wrote into `self.actions`, leaving the buffer empty
-    /// for the next step.
+    /// Schedules the transmissions and expiry events, and reserves the
+    /// keys of the timer arms, that the protocol step just run at `node`
+    /// wrote into `self.actions`, leaving the buffer empty for the next
+    /// step.
     // det::allow(panic-surface, reason = "node ids and session slots index vecs sized at construction (nodes, mrai_epoch, per-session rows)")
     fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
         // Out of `self` while the loops below draw from the RNG and push
         // onto the queue; handed back drained, capacity intact.
         let mut actions = std::mem::take(&mut self.actions);
-        let armed_delta = (actions.arm_timers.len() + actions.arm_prefix_timers.len()) as u64;
+        self.mrai_armed_total += (actions.arm_timers.len() + actions.arm_prefix_timers.len()) as u64;
+        let scheduled_before = self.expiries_scheduled;
         if !actions.sends.is_empty() {
             let arrival = now + self.cfg.link_delay;
             // The wire pairs the k-th `Deliver` to pop with the k-th
@@ -754,31 +807,29 @@ impl<O: SimObserver> Simulator<O> {
                     .schedule_in_order(arrival, SimEvent::Deliver { to, slot });
             }
         }
-        for slot in actions.arm_timers.drain(..) {
+        // An arm draws its jitter and reserves the key its expiry pops
+        // at, event or no event.
+        let session_timers = actions.arm_timers.drain(..).map(|slot| (slot, None));
+        let prefix_timers = actions.arm_prefix_timers.drain(..);
+        for (slot, prefix) in session_timers.chain(prefix_timers.map(|(slot, p)| (slot, Some(p)))) {
             let delay = self.draw_mrai_interval();
-            let epoch = self.mrai_epoch[self.session_ix(node, slot)];
-            self.queue.schedule(
-                now + delay,
-                SimEvent::MraiExpire {
-                    node,
-                    slot,
-                    epoch,
-                    prefix: None,
-                },
-            );
+            let key = self.queue.reserve(now + delay);
+            self.mrai_horizon = self.mrai_horizon.max(key);
+            if self.nodes[node.index()].timer_armed_at(slot, prefix, key) {
+                actions.expiries.push((slot, prefix, key));
+            }
         }
-        for (slot, prefix) in actions.arm_prefix_timers.drain(..) {
-            let delay = self.draw_mrai_interval();
+        // The event follows once an update waits behind the timer.
+        for (slot, prefix, key) in actions.expiries.drain(..) {
             let epoch = self.mrai_epoch[self.session_ix(node, slot)];
-            self.queue.schedule(
-                now + delay,
-                SimEvent::MraiExpire {
-                    node,
-                    slot,
-                    epoch,
-                    prefix: Some(prefix),
-                },
-            );
+            let expiry = SimEvent::MraiExpire {
+                node,
+                slot,
+                epoch,
+                prefix,
+            };
+            self.queue.schedule_reserved(key, expiry);
+            self.expiries_scheduled += 1;
         }
         for (slot, prefix, at) in actions.rfd_wakeups.drain(..) {
             debug_assert!(at >= now, "reuse time in the past");
@@ -786,10 +837,8 @@ impl<O: SimObserver> Simulator<O> {
                 .schedule(at.max(now), SimEvent::RfdReuse { node, slot, prefix });
         }
         self.actions = actions;
-        if armed_delta > 0 {
-            self.armed_timers += armed_delta;
-            self.mrai_armed_total += armed_delta;
-            self.obs.on_timer_occupancy(self.armed_timers, now);
+        if self.expiries_scheduled > scheduled_before {
+            self.obs.on_timer_occupancy(self.expiries_scheduled, now);
         }
     }
 
@@ -1039,10 +1088,16 @@ mod tests {
         let delta = end_a.since(&mid_a);
         assert!(delta.deliveries > 0, "withdrawals were delivered");
         assert_eq!(end_a.since(&delta), mid_a);
-        // Conservation at quiescence: every push was popped.
+        // Conservation at quiescence: every push was popped — a timer
+        // that ran out unscheduled was neither.
         assert_eq!(end_a.queue_pushes, end_a.queue_pops);
         assert!(end_a.decision_runs > 0);
-        assert!(end_a.mrai_armed >= end_a.mrai_fired);
+        // `mrai_armed` counts arms, `mrai_fired` the expiry events that
+        // popped: on a chain every node announces once per session and
+        // nothing ever waits behind a timer.
+        assert_eq!(mid_a.mrai_armed, 5, "one arm per hop of the announcement");
+        assert_eq!(end_a.mrai_fired, 0);
+        assert_eq!(end_a.queue_pushes, 2 * end_a.deliveries, "a Deliver and a ProcDone per message");
     }
 
     #[test]
@@ -1076,7 +1131,11 @@ mod tests {
         let mut sim = template.instantiate(17);
         let empty = sim.cost_counts().arena_bytes_reserved;
         assert!(empty > 0, "the session slab alone reserves bytes");
+        // Two prefixes from one stub: the second waits behind the timer
+        // the first armed, so an expiry event sits in the heap while the
+        // first's processing completions come and go.
         sim.originate(ids[4], P);
+        sim.originate(ids[4], Prefix(1));
         sim.run_to_quiescence().unwrap();
         let routed = sim.cost_counts();
         assert!(
@@ -1086,6 +1145,7 @@ mod tests {
         );
         // The heap's sift moves flow through to OpCounts; the reserved
         // `queue_cascades` class reads 0.
+        assert!(routed.mrai_fired > 0, "updates waited behind timers");
         assert!(routed.queue_decreases > 0, "expected sift moves");
         assert_eq!(routed.queue_cascades, 0);
     }
@@ -1161,11 +1221,14 @@ mod tests {
         }
     }
 
-    /// `on_mrai_flush` fires on every valid expiry, also on the ones
-    /// that find nothing queued; metrics.json's `mrai.flushes` and the
-    /// flush histogram's zero bin are built on that.
+    /// `on_mrai_flush` fires once per valid expiry event, and an expiry
+    /// event exists only where an update waited behind the timer: the
+    /// timers that run out with nothing queued fire no hook.
+    /// metrics.json's `mrai.flushes` and the flush histogram are built on
+    /// that; its zero bin holds the flushes whose every waiting update had
+    /// become a no-op by the time the timer expired.
     #[test]
-    fn flush_hook_fires_on_every_valid_expiry() {
+    fn flush_hook_fires_only_where_an_update_waited() {
         let g = generate(GrowthScenario::Baseline, 200, 42);
         let origin = g.nodes_of_type(NodeType::C)[0];
         let template = SimTemplate::new(Arc::new(g), BgpConfig::wrate());
@@ -1174,12 +1237,99 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         sim.withdraw(origin, P);
         sim.run_to_quiescence().unwrap();
-        let fired = sim.cost_counts().mrai_fired;
+        let costs = sim.cost_counts();
         let seen = sim.observer();
-        assert!(fired > 0);
-        assert_eq!(seen.flushes, fired, "one hook per valid expiry");
-        assert!(seen.empty > 0, "some expiries flush nothing and still fire the hook");
-        assert!(seen.sent > 0, "and some release queued updates");
+        assert!(costs.mrai_fired > 0);
+        assert_eq!(seen.flushes, costs.mrai_fired, "one hook per valid expiry");
+        assert!(
+            costs.mrai_fired < costs.mrai_armed,
+            "most timers run out unscheduled: {} fired of {} armed",
+            costs.mrai_fired,
+            costs.mrai_armed
+        );
+        assert!(seen.sent > 0, "the expiries release queued updates");
+        assert!(seen.empty < seen.flushes, "a flush that sends nothing is the exception");
+    }
+
+    /// Routing is over within seconds; the timers armed on the way run
+    /// out half a minute later, with no event to carry the clock there.
+    /// Quiescence leaves it at the latest key reserved all the same, so
+    /// the next phase starts with every timer idle.
+    #[test]
+    fn quiescence_leaves_the_clock_at_the_mrai_horizon() {
+        let (g, ids) = chain_graph();
+        let mut sim = Simulator::new(g, BgpConfig::default(), 22);
+        sim.originate(ids[4], P);
+        let converged = sim.run_to_quiescence().unwrap();
+        let horizon = sim.mrai_horizon;
+        assert_eq!(sim.queue.last_key(), horizon);
+        assert_eq!(sim.now(), horizon.time);
+        assert!(horizon.time >= converged + SimDuration::from_secs(22));
+        assert_eq!(sim.cost_counts().mrai_fired, 0, "no expiry event got it there");
+        let now = sim.queue.last_key();
+        for &id in &ids {
+            let node = sim.node(id);
+            assert!((0..node.sessions().len() as u32).all(|slot| !node.timer_armed(slot, now)));
+        }
+        // So a withdrawal right away is a fresh window everywhere, and
+        // `reset_routing` accepts the state.
+        sim.withdraw(ids[4], P);
+        sim.run_to_quiescence().unwrap();
+        assert!(sim.mrai_horizon == horizon, "NO-WRATE withdrawals arm nothing");
+        sim.reset_routing();
+    }
+
+    /// `run_until` stops between events; the timers due by the deadline
+    /// have run out by then, event or not, and the clock says so.
+    #[test]
+    fn run_until_passes_lapsed_timers() {
+        let (g, ids) = chain_graph();
+        let mut sim = Simulator::new(g, BgpConfig::default(), 23);
+        sim.originate(ids[4], P);
+        sim.run_until(SimTime::from_secs(10)).unwrap();
+        assert!(sim.now() < SimTime::from_secs(5), "the last event, not the deadline");
+        assert!(sim.queue.is_empty(), "converged; only unscheduled timers remain");
+        let origin_timer = sim.node(ids[4]).latest_timer_key_by(SimTime::MAX).unwrap();
+        let armed = |sim: &Simulator| sim.node(ids[4]).timer_armed(0, sim.queue.last_key());
+        assert!(armed(&sim));
+
+        // A deadline between the first timer to run out and the last.
+        sim.run_until(origin_timer.time).unwrap();
+        assert_eq!(sim.now(), origin_timer.time);
+        assert!(!armed(&sim), "the origin's timer has run out");
+        assert!(sim.queue.last_key() < sim.mrai_horizon, "later ones have not");
+
+        sim.run_until(SimTime::from_secs(3_600)).unwrap();
+        assert_eq!(sim.queue.last_key(), sim.mrai_horizon);
+        assert_eq!(sim.events_processed(), sim.cost_counts().queue_pops);
+    }
+
+    /// A session reset forgets the queue's timers, but the clock must
+    /// still pass the key of one that was armed with no event scheduled:
+    /// `fail_link` schedules it, stale. Without jitter the last timer
+    /// armed holds the latest key, and that is M3's towards its stub.
+    #[test]
+    fn a_timer_forgotten_by_a_session_reset_still_carries_the_clock_past_its_key() {
+        let (g, ids) = chain_graph();
+        let cfg = BgpConfig {
+            mrai_jitter: (1.0, 1.0),
+            ..BgpConfig::default()
+        };
+        let mut sim = Simulator::new(g, cfg, 24);
+        sim.originate(ids[4], P);
+        sim.run_until(SimTime::from_secs(5)).unwrap();
+        let (m3, c5) = (ids[3], ids[5]);
+        let forgotten = sim.node(m3).latest_timer_key_by(SimTime::MAX).unwrap();
+        assert_eq!(forgotten, sim.mrai_horizon, "the last hop armed last");
+        assert_eq!(sim.expiries_scheduled, 0);
+
+        sim.fail_link(m3, c5);
+        assert_eq!(sim.node(m3).latest_timer_key_by(SimTime::MAX), Some(EventKey::ZERO));
+        assert_eq!(sim.queue.len(), 1, "the forgotten timer's expiry, stale");
+        assert_eq!(sim.expiries_scheduled, 0, "which no gauge counts");
+        sim.run_until(SimTime::from_secs(60)).unwrap();
+        assert_eq!(sim.queue.last_key(), forgotten);
+        assert_eq!(sim.cost_counts().mrai_fired, 0, "a stale expiry flushes nothing");
     }
 
     #[test]

@@ -417,7 +417,7 @@ fn workspace_is_clean() {
         .count();
     assert_eq!(
         (a.allows.len(), line_allows),
-        (50, 8),
+        (52, 8),
         "audited-allow count moved"
     );
 }

@@ -123,16 +123,22 @@ pub trait SimObserver {
     #[inline]
     fn on_root_cause(&mut self, _id: u32, _kind: RootCauseKind, _node: AsId, _now: SimTime) {}
 
-    /// The number of armed MRAI timers changed to `armed` (fires on every
-    /// arm, expiry, and session teardown that alters the level).
+    /// The number of MRAI expiry events scheduled and not yet popped
+    /// changed to `armed`: the armed timers an update waits behind. A
+    /// timer nothing queues behind runs out without an event and never
+    /// shows here. Fires whenever a step schedules expiries, on every
+    /// valid expiry, and on a session teardown that alters the level.
     #[inline]
     fn on_timer_occupancy(&mut self, _armed: u64, _now: SimTime) {}
 
-    /// A valid MRAI timer expiry at `node` flushed `sent` queued updates.
-    /// Fires on **every** valid expiry, so `sent` is 0 when nothing was
-    /// queued (most expiries; `Recorder` counts them in `mrai.flushes`
-    /// and the flush histogram's zero bin). Only stale expiries — armed
-    /// before a session reset bumped the epoch — do not fire this hook.
+    /// A valid MRAI expiry event at `node` flushed `sent` queued updates.
+    /// An expiry event exists only where an update waited behind the
+    /// timer, so this fires once per window that queued something —
+    /// never for a timer that ran out idle. `sent` is 0 when every
+    /// waiting update had become a no-op by then (`Recorder` counts those
+    /// in `mrai.flushes` and the flush histogram's zero bin). Stale
+    /// expiries — of timers armed before a session reset bumped the
+    /// epoch — do not fire this hook.
     #[inline]
     fn on_mrai_flush(&mut self, _node: AsId, _sent: u32, _now: SimTime) {}
 

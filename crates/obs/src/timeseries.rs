@@ -75,7 +75,8 @@ pub struct TsBin {
     pub announces: u64,
     /// Withdrawals delivered in the bin.
     pub withdraws: u64,
-    /// Peak armed MRAI timers observed during the bin.
+    /// Peak of the MRAI expiry events scheduled and not yet popped (the
+    /// armed timers with an update waiting) observed during the bin.
     pub mrai_armed_peak: u64,
     /// Peak receiver in-queue depth observed during the bin.
     pub inbox_peak: u64,
@@ -375,7 +376,7 @@ impl TimeSeriesRecorder {
         }
     }
 
-    /// Records an armed-MRAI-timer level change.
+    /// Records a change of the scheduled-MRAI-expiry level.
     pub fn record_timer_occupancy(&mut self, armed: u64, t_us: u64) {
         self.current_armed = armed;
         let bin = self.bin_mut(t_us);

@@ -51,7 +51,7 @@ pub mod wallclock; // det::allow(wall-clock, reason = "declares the one sanction
 
 pub use alloc::AllocSnapshot;
 pub use pool::{effective_jobs, run_indexed};
-pub use queue::{EventQueue, QueueOpCounts};
+pub use queue::{EventKey, EventQueue, QueueOpCounts};
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;
 pub use time::{SimDuration, SimTime};

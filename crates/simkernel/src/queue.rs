@@ -30,6 +30,15 @@
 //! into the heap like any `schedule`, and the pop sequence is the same
 //! total order either way.
 //!
+//! A place in that order can also be held without an event in it:
+//! [`EventQueue::reserve`] takes the [`EventKey`] a `schedule` at the
+//! same moment would have been given, and
+//! [`EventQueue::schedule_reserved`] puts an event there later — or
+//! never, for a timer nobody turned out to wait for. Every other event
+//! pops exactly where it would have popped had the reserved one been
+//! scheduled at once; [`EventQueue::last_key`] tells a caller whether a
+//! key it holds has been passed.
+//!
 //! The heap is implemented directly on a `Vec` (instead of wrapping
 //! `std::collections::BinaryHeap`) so the comparison and sift-move counts
 //! are under our control rather than at the mercy of the standard
@@ -39,19 +48,35 @@ use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// One scheduled entry: ordered by `(time, seq)`.
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+/// A place in the pop order: events pop in ascending `(time, seq)`, the
+/// sequence number being the order in which keys were handed out.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct EventKey {
+    /// When the event pops.
+    pub time: SimTime,
+    /// Its rank among the keys of that instant.
+    pub seq: u64,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
+impl EventKey {
+    /// Before every key a queue hands out: [`EventQueue::last_key`] of a
+    /// queue nothing has popped from.
+    pub const ZERO: EventKey = EventKey {
+        time: SimTime::ZERO,
+        seq: 0,
+    };
+    /// After every key a queue hands out.
+    pub const NEVER: EventKey = EventKey {
+        time: SimTime::MAX,
+        seq: u64::MAX,
+    };
+}
+
+/// One scheduled entry: ordered by its key.
+#[derive(Debug)]
+struct Entry<E> {
+    key: EventKey,
+    event: E,
 }
 
 /// Exact counts of the queue's operations. All fields are monotone
@@ -94,9 +119,10 @@ pub struct EventQueue<E> {
     /// time that is not before the last entry's).
     lane: VecDeque<Entry<E>>,
     next_seq: u64,
-    /// Time of the most recently popped event; new events may not be
-    /// scheduled before it.
-    now: SimTime,
+    /// Key of the most recently popped event (or the key the clock was
+    /// [advanced](EventQueue::advance_to) to); new events may not be
+    /// scheduled before its time.
+    last: EventKey,
     popped: u64,
     ops: QueueOpCounts,
 }
@@ -120,7 +146,7 @@ impl<E> EventQueue<E> {
             heap: Vec::with_capacity(cap),
             lane: VecDeque::with_capacity(cap),
             next_seq: 0,
-            now: SimTime::ZERO,
+            last: EventKey::ZERO,
             popped: 0,
             ops: QueueOpCounts::ZERO,
         }
@@ -128,7 +154,13 @@ impl<E> EventQueue<E> {
 
     /// The time of the most recently popped event (the simulation clock).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.last.time
+    }
+
+    /// The key of the most recently popped event: every key at or before
+    /// it has had its turn, every key after it has not.
+    pub fn last_key(&self) -> EventKey {
+        self.last
     }
 
     /// Number of pending events (heap and lane).
@@ -160,8 +192,56 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the current clock — the model would
     /// be violating causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let entry = self.stamp(time, event);
-        self.push_heap(entry);
+        let key = self.reserve(time);
+        self.push_heap(key, event);
+    }
+
+    /// Takes the key [`EventQueue::schedule`] would give an event at
+    /// `time` right now, without scheduling one. Costs nothing and counts
+    /// as nothing; the key is good for one
+    /// [`EventQueue::schedule_reserved`], or for none.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the current clock, like
+    /// [`EventQueue::schedule`].
+    #[inline]
+    pub fn reserve(&mut self, time: SimTime) -> EventKey {
+        assert!(
+            time >= self.last.time,
+            "event scheduled in the past: {time:?} < now {:?}",
+            self.last.time
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        EventKey { time, seq }
+    }
+
+    /// Schedules `event` under a key taken earlier with
+    /// [`EventQueue::reserve`]: it pops where a `schedule` at reservation
+    /// time would have put it.
+    ///
+    /// # Panics
+    /// Panics if the clock has already passed `key`.
+    pub fn schedule_reserved(&mut self, key: EventKey, event: E) {
+        assert!(
+            key >= self.last,
+            "event scheduled in the past: {key:?} < last popped {:?}",
+            self.last
+        );
+        debug_assert!(key.seq < self.next_seq, "{key:?} was never reserved");
+        self.push_heap(key, event);
+    }
+
+    /// Moves the clock forward to `key` without popping anything, as if
+    /// an event with that key had just popped — the turn of a reserved key
+    /// that was never scheduled. A `key` the clock has already passed
+    /// changes nothing. No pending event may precede `key`.
+    pub fn advance_to(&mut self, key: EventKey) {
+        debug_assert!(
+            self.peek_key().is_none_or(|next| next > key),
+            "advance to {key:?} over a pending event"
+        );
+        self.last = self.last.max(key);
     }
 
     /// Schedules `event` at absolute time `time`, for a caller whose
@@ -175,32 +255,19 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the current clock, like
     /// [`EventQueue::schedule`].
     pub fn schedule_in_order(&mut self, time: SimTime, event: E) {
-        let entry = self.stamp(time, event);
-        if self.lane.back().is_some_and(|last| time < last.time) {
-            self.push_heap(entry);
+        let key = self.reserve(time);
+        if self.lane.back().is_some_and(|last| time < last.key.time) {
+            self.push_heap(key, event);
         } else {
-            self.lane.push_back(entry);
+            self.ops.pushes += 1;
+            self.lane.push_back(Entry { key, event });
         }
     }
 
-    /// Checks causality, takes the next sequence number and counts the
-    /// push: the part of scheduling both entry points share.
     #[inline]
-    fn stamp(&mut self, time: SimTime, event: E) -> Entry<E> {
-        assert!(
-            time >= self.now,
-            "event scheduled in the past: {time:?} < now {:?}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn push_heap(&mut self, key: EventKey, event: E) {
         self.ops.pushes += 1;
-        Entry { time, seq, event }
-    }
-
-    #[inline]
-    fn push_heap(&mut self, entry: Entry<E>) {
-        self.heap.push(entry);
+        self.heap.push(Entry { key, event });
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -213,7 +280,7 @@ impl<E> EventQueue<E> {
             (None, Some(_)) => true,
             (Some(root), Some(front)) => {
                 self.ops.comparisons += 1;
-                front.key() < root.key()
+                front.key < root.key
             }
         };
         let entry = if from_lane {
@@ -227,18 +294,23 @@ impl<E> EventQueue<E> {
             }
             entry
         };
-        debug_assert!(entry.time >= self.now, "queue returned a past event");
-        self.now = entry.time;
+        debug_assert!(entry.key >= self.last, "queue returned a past event");
+        self.last = entry.key;
         self.popped += 1;
         self.ops.pops += 1;
-        Some((entry.time, entry.event))
+        Some((entry.key.time, entry.event))
     }
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
+        self.peek_key().map(|key| key.time)
+    }
+
+    /// The key of the next event without popping it.
+    fn peek_key(&self) -> Option<EventKey> {
         match (self.heap.first(), self.lane.front()) {
-            (Some(root), Some(front)) => Some(root.time.min(front.time)),
-            (root, front) => root.or(front).map(|e| e.time),
+            (Some(root), Some(front)) => Some(root.key.min(front.key)),
+            (root, front) => root.or(front).map(|e| e.key),
         }
     }
 
@@ -250,7 +322,7 @@ impl<E> EventQueue<E> {
         self.heap
             .iter()
             .chain(&self.lane)
-            .map(|e| (e.time, &e.event))
+            .map(|e| (e.key.time, &e.event))
     }
 
     /// Removes all pending events and resets the clock and the `popped`
@@ -260,7 +332,7 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.heap.clear();
         self.lane.clear();
-        self.now = SimTime::ZERO;
+        self.last = EventKey::ZERO;
         self.popped = 0;
     }
 
@@ -270,7 +342,7 @@ impl<E> EventQueue<E> {
         while idx > 0 {
             let parent = (idx - 1) / 2;
             self.ops.comparisons += 1;
-            if self.heap[idx].key() < self.heap[parent].key() {
+            if self.heap[idx].key < self.heap[parent].key {
                 self.heap.swap(idx, parent);
                 self.ops.decreases += 1;
                 idx = parent;
@@ -290,13 +362,13 @@ impl<E> EventQueue<E> {
             let mut smallest = idx;
             if left < len {
                 self.ops.comparisons += 1;
-                if self.heap[left].key() < self.heap[smallest].key() {
+                if self.heap[left].key < self.heap[smallest].key {
                     smallest = left;
                 }
             }
             if right < len {
                 self.ops.comparisons += 1;
-                if self.heap[right].key() < self.heap[smallest].key() {
+                if self.heap[right].key < self.heap[smallest].key {
                     smallest = right;
                 }
             }
@@ -569,6 +641,59 @@ mod tests {
         assert_eq!(q.lane.capacity(), cap, "reset is for reusing allocations");
         q.schedule_in_order(SimTime::ZERO, 0); // the lane's tail is forgotten too
         assert_eq!(q.lane.len(), 1);
+    }
+
+    #[test]
+    fn a_reserved_key_holds_its_place_among_simultaneous_events() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(30);
+        q.schedule(t, "before");
+        let key = q.reserve(t);
+        q.schedule(t, "after");
+        assert_eq!(q.op_counts().pushes, 2, "a reservation is not a push");
+        assert_eq!(q.len(), 2);
+        q.schedule_reserved(key, "reserved");
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(popped, vec!["before", "reserved", "after"]);
+        assert_eq!((q.op_counts().pushes, q.op_counts().pops), (3, 3));
+    }
+
+    #[test]
+    fn last_key_tells_which_reserved_keys_have_had_their_turn() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.last_key(), EventKey::ZERO);
+        let t = SimTime::from_secs(30);
+        let never_scheduled = q.reserve(t);
+        q.schedule(t, ());
+        let later = q.reserve(SimTime::from_secs(31));
+        assert!(never_scheduled > q.last_key() && later > q.last_key());
+        q.pop();
+        assert!(never_scheduled < q.last_key(), "passed without ever being scheduled");
+        assert!(later > q.last_key());
+        assert!(later < EventKey::NEVER);
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_like_a_pop_and_never_backwards() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let key = q.reserve(SimTime::from_secs(30));
+        q.advance_to(key);
+        assert_eq!((q.now(), q.last_key()), (SimTime::from_secs(30), key));
+        assert_eq!((q.popped(), q.op_counts()), (0, QueueOpCounts::ZERO));
+        q.advance_to(EventKey::ZERO);
+        assert_eq!(q.last_key(), key, "a passed key changes nothing");
+        q.reset();
+        assert_eq!(q.last_key(), EventKey::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_under_a_key_the_clock_has_passed_panics() {
+        let mut q = EventQueue::new();
+        let key = q.reserve(SimTime::from_secs(1));
+        q.schedule(SimTime::from_secs(2), ());
+        q.pop();
+        q.schedule_reserved(key, ());
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
+    /// The end of time: later than every instant a simulation reaches.
+    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Constructs an instant from raw microseconds.
     pub const fn from_micros(us: u64) -> Self {

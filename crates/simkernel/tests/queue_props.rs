@@ -2,7 +2,7 @@
 //! against a sorted oracle, and conservation of the op counters.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, QueueOpCounts, SimDuration, SimTime};
+use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -243,6 +243,84 @@ proptest! {
             "lane entries were sifted: {ops:?} with {heap_pushes} heap pushes"
         );
         prop_assert!(ops.decreases <= ops.comparisons);
+    }
+
+    /// A key reserved now and scheduled under later pops where a
+    /// `schedule` at reservation time would have put the event; a key
+    /// never scheduled under leaves every other event where it was. Two
+    /// queues run one script: `eager` schedules every timer at once,
+    /// `lazy` reserves its key and puts the event there at some later
+    /// step, or (one timer in two) never — then the clock is moved past
+    /// the key by hand where `eager` pops the event.
+    #[test]
+    fn reserve_then_schedule_under_the_key_pops_where_schedule_would_have(
+        seed in any::<u64>(),
+        script in steps(1..250),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let (mut eager, mut lazy) = (EventQueue::new(), EventQueue::new());
+        // Per timer id: its key, and whether `lazy` still owes the event.
+        let mut timers: Vec<(EventKey, Option<bool>)> = Vec::new();
+        let mut never_scheduled = 0u64;
+        let pop_both = |eager: &mut EventQueue<u64>,
+                            lazy: &mut EventQueue<u64>,
+                            timers: &mut Vec<(EventKey, Option<bool>)>| {
+            // What `eager` is about to pop may be a timer `lazy` has not
+            // scheduled yet: settle every one due by then.
+            let due = eager.peek_time();
+            for (id, (key, owed)) in timers.iter_mut().enumerate() {
+                if *owed == Some(true) && due.is_some_and(|t| key.time <= t) {
+                    lazy.schedule_reserved(*key, id as u64);
+                    *owed = None;
+                }
+            }
+            let Some((time, id)) = eager.pop() else {
+                assert_eq!(lazy.pop(), None);
+                return false;
+            };
+            match timers.get(id as usize) {
+                Some(&(key, Some(false))) => lazy.advance_to(key),
+                _ => assert_eq!(lazy.pop(), Some((time, id)), "lazy pops out of eager's order"),
+            }
+            assert_eq!(lazy.last_key(), eager.last_key());
+            true
+        };
+        for &step in &script {
+            match step {
+                Step::Pop => {
+                    pop_both(&mut eager, &mut lazy, &mut timers);
+                }
+                Step::InOrder => {
+                    // A message: both sides alike, ids past the timers'.
+                    let time = eager.now() + SimDuration::from_millis(2);
+                    eager.schedule_in_order(time, u64::MAX);
+                    lazy.schedule_in_order(time, u64::MAX);
+                }
+                Step::Schedule => {
+                    let time = eager.now() + mrai_like_delay(&mut g);
+                    let id = timers.len() as u64;
+                    eager.schedule(time, id);
+                    let key = lazy.reserve(time);
+                    let scheduled_later = g.next_below(2) == 0;
+                    never_scheduled += u64::from(!scheduled_later);
+                    timers.push((key, Some(scheduled_later)));
+                }
+            }
+            // Now and then an owed event is put under its key.
+            if let Some((id, (key, owed))) = timers
+                .iter_mut()
+                .enumerate()
+                .find(|(_, (_, owed))| *owed == Some(true) && g.next_below(3) == 0)
+            {
+                lazy.schedule_reserved(*key, id as u64);
+                *owed = None;
+            }
+        }
+        while pop_both(&mut eager, &mut lazy, &mut timers) {}
+        prop_assert!(lazy.is_empty());
+        prop_assert_eq!(lazy.now(), eager.now());
+        let (e, l) = (eager.op_counts(), lazy.op_counts());
+        prop_assert_eq!((l.pushes, l.pops), (e.pushes - never_scheduled, e.pops - never_scheduled));
     }
 
     /// Reuse across `reset`: a queue that is reset — after a full drain

@@ -12,8 +12,10 @@
 #   - `repro fig4 --tiny` standard output at `--jobs` 1, 2 and 8.
 # This is the check for a change that moves op counts on purpose, when
 # `scripts/ab-bench.sh` can only print "fingerprints: DIFFER": figures,
-# metrics and time series carry no op count, so they must not move. It
-# writes nothing into either checkout but target/.
+# metrics and time series carry no op count, so they must not move. For
+# a metrics file that did move it names the keys that differ (the file
+# has one key per line), for any other output the first differing byte.
+# It writes nothing into either checkout but target/.
 #
 #   scripts/science-diff.sh ../parent .
 #   scripts/science-diff.sh . .              # what CI runs
@@ -23,7 +25,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 2 ] || ! [ -d "$1" ] || ! [ -d "$2" ]; then
-    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 names=(parent change)
@@ -46,7 +48,7 @@ bad=0
 # Exit code 1 is an answer (`all --tiny` fails scale-dependent claims), so
 # it is compared, not refused.
 compare() {
-    local out=$1 side code codes=()
+    local out=$1 side code keys codes=()
     shift
     for side in 0 1; do
         code=0
@@ -67,7 +69,18 @@ compare() {
     elif cmp -s "$tmp/parent/$out" "$tmp/change/$out"; then
         echo "same    $out ($(wc -c <"$tmp/change/$out") bytes, exit ${codes[0]})"
     else
-        echo "DIFFER  $out: $(cmp "$tmp/parent/$out" "$tmp/change/$out" 2>&1 || true)"
+        case $out in
+        metrics-*.json)
+            # One key per line: name every key whose line differs, so a
+            # purposeful move can be held against the list it announced.
+            keys=$(comm -3 <(sort "$tmp/parent/$out") <(sort "$tmp/change/$out") \
+                | cut -d'"' -f2 | sort -u | paste -sd' ' -)
+            echo "DIFFER  $out: keys $keys"
+            ;;
+        *)
+            echo "DIFFER  $out: $(cmp "$tmp/parent/$out" "$tmp/change/$out" 2>&1 || true)"
+            ;;
+        esac
         bad=1
     fi
 }
