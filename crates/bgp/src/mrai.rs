@@ -276,7 +276,7 @@ impl OutQueue {
         let Some(prefix) = which else {
             return &mut self.timer;
         };
-        let at = match self.prefix_timers.binary_search_by_key(&prefix, |e| e.0) {
+        let at = match PrefixMap::search(&self.prefix_timers, prefix) {
             Ok(at) => at,
             Err(at) => {
                 self.prefix_timers.insert(at, (prefix, Timer::IDLE));
@@ -291,9 +291,7 @@ impl OutQueue {
     pub fn is_armed(&self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
         match governing(scope, prefix) {
             None => self.timer.armed(now),
-            Some(prefix) => self
-                .prefix_timers
-                .binary_search_by_key(&prefix, |e| e.0)
+            Some(prefix) => PrefixMap::search(&self.prefix_timers, prefix)
                 .ok()
                 .and_then(|at| self.prefix_timers.get(at))
                 .is_some_and(|(_, timer)| timer.armed(now)),
@@ -302,7 +300,7 @@ impl OutQueue {
 
     /// True while any MRAI timer of this queue is armed at `now`.
     pub fn timer_armed(&self, now: EventKey) -> bool {
-        self.armed_count(now) > 0
+        self.timers().any(|(_, t)| t.armed(now))
     }
 
     /// Number of timers armed at `now` (0 or 1 for the per-interface
@@ -331,13 +329,12 @@ impl OutQueue {
     }
 
     /// The latest key reserved for a timer of this queue that is not
-    /// after `deadline`, if any: where the clock stands once every timer
-    /// due by then has run out, scheduled or not.
-    pub fn latest_key_by(&self, deadline: SimTime) -> Option<EventKey> {
-        self.timers()
-            .map(|(_, t)| t.until)
-            .filter(|key| key.time <= deadline)
-            .max()
+    /// after `deadline` ([`EventKey::ZERO`] if there is none): where the
+    /// clock stands once every timer due by then has run out, scheduled
+    /// or not.
+    pub fn latest_key_by(&self, deadline: SimTime) -> EventKey {
+        let due = self.timers().map(|(_, t)| t.until).filter(|key| key.time <= deadline);
+        due.max().unwrap_or(EventKey::ZERO)
     }
 
     /// Number of queued (pending) updates.
@@ -985,7 +982,7 @@ mod tests {
         for (earlier_seq, parks) in [(true, true), (false, false)] {
             let mut d = Driven::per_interface();
             d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-            let until = d.q.latest_key_by(SimTime::MAX).expect("the armed timer's key");
+            let until = d.q.latest_key_by(SimTime::MAX);
             assert_eq!(until.time, SimTime::ZERO + MRAI);
             // An event of the expiry's own instant, scheduled before or
             // after the timer was armed.
@@ -1200,11 +1197,11 @@ mod tests {
         d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
         d.submit(Q, Some(&path(&[3])), MraiMode::NoWrate); // queues: Q's expiry is scheduled
         let silent: Vec<_> = d.q.silent_timers(d.now).collect();
-        let p_key = d.q.latest_key_by(SimTime::from_secs(30)).expect("P's timer");
+        let p_key = d.q.latest_key_by(SimTime::from_secs(30));
         assert_eq!(silent, vec![(Some(P), p_key)]);
         assert_eq!(p_key.time, SimTime::from_secs(30));
-        assert_eq!(d.q.latest_key_by(SimTime::from_secs(31)).map(|k| k.time), Some(SimTime::from_secs(31)));
-        assert_eq!(d.q.latest_key_by(SimTime::from_secs(29)), Some(EventKey::ZERO), "only the unused session timer");
+        assert_eq!(d.q.latest_key_by(SimTime::from_secs(31)).time, SimTime::from_secs(31));
+        assert_eq!(d.q.latest_key_by(SimTime::from_secs(29)), EventKey::ZERO, "none due yet");
         d.q.force_reset();
         assert_eq!(d.q.silent_timers(d.now).count(), 0);
         assert_eq!((d.q.armed_count(d.now), d.q.scheduled_expiries()), (0, 0));

@@ -362,11 +362,9 @@ impl BgpNode {
 
     /// The latest key reserved for any MRAI timer of this speaker that is
     /// not after `deadline` (see [`OutQueue::latest_key_by`]).
-    pub fn latest_timer_key_by(&self, deadline: SimTime) -> Option<EventKey> {
-        self.out
-            .iter()
-            .filter_map(|q| q.latest_key_by(deadline))
-            .max()
+    pub fn latest_timer_key_by(&self, deadline: SimTime) -> EventKey {
+        let due = self.out.iter().map(|q| q.latest_key_by(deadline));
+        due.max().unwrap_or(EventKey::ZERO)
     }
 
     /// Starts originating `prefix`, in the step of the event keyed `now`.

@@ -572,10 +572,8 @@ impl<O: SimObserver> Simulator<O> {
         }
         // Timers nothing waited behind ran out without an event; the clock
         // passes the latest of them as if its expiry had popped.
-        let lapsed = self.nodes.iter().filter_map(|n| n.latest_timer_key_by(deadline));
-        if let Some(key) = lapsed.max() {
-            self.queue.advance_to(key);
-        }
+        let lapsed = self.nodes.iter().map(|n| n.latest_timer_key_by(deadline));
+        self.queue.advance_to(lapsed.max().unwrap_or(EventKey::ZERO));
         Ok(())
     }
 
@@ -1289,7 +1287,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10)).unwrap();
         assert!(sim.now() < SimTime::from_secs(5), "the last event, not the deadline");
         assert!(sim.queue.is_empty(), "converged; only unscheduled timers remain");
-        let origin_timer = sim.node(ids[4]).latest_timer_key_by(SimTime::MAX).unwrap();
+        let origin_timer = sim.node(ids[4]).latest_timer_key_by(SimTime::MAX);
         let armed = |sim: &Simulator| sim.node(ids[4]).timer_armed(0, sim.queue.last_key());
         assert!(armed(&sim));
 
@@ -1319,12 +1317,12 @@ mod tests {
         sim.originate(ids[4], P);
         sim.run_until(SimTime::from_secs(5)).unwrap();
         let (m3, c5) = (ids[3], ids[5]);
-        let forgotten = sim.node(m3).latest_timer_key_by(SimTime::MAX).unwrap();
+        let forgotten = sim.node(m3).latest_timer_key_by(SimTime::MAX);
         assert_eq!(forgotten, sim.mrai_horizon, "the last hop armed last");
         assert_eq!(sim.expiries_scheduled, 0);
 
         sim.fail_link(m3, c5);
-        assert_eq!(sim.node(m3).latest_timer_key_by(SimTime::MAX), Some(EventKey::ZERO));
+        assert_eq!(sim.node(m3).latest_timer_key_by(SimTime::MAX), EventKey::ZERO);
         assert_eq!(sim.queue.len(), 1, "the forgotten timer's expiry, stale");
         assert_eq!(sim.expiries_scheduled, 0, "which no gauge counts");
         sim.run_until(SimTime::from_secs(60)).unwrap();

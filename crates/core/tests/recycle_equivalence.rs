@@ -156,14 +156,8 @@ fn recycle_after_a_blown_event_budget() {
         );
         // An armed timer is a key in its session's queue, not an event
         // (one is scheduled only once an update waits behind it).
-        let armed = |id: &AsId| {
-            let latest = sim.node(*id).latest_timer_key_by(SimTime::MAX);
-            latest.is_some_and(|key| key.time > sim.now())
-        };
-        assert!(
-            template.graph().node_ids().any(|id| armed(&id)),
-            "MRAI timers are armed"
-        );
+        let armed = |id: AsId| sim.node(id).latest_timer_key_by(SimTime::MAX).time > sim.now();
+        assert!(template.graph().node_ids().any(armed), "MRAI timers are armed");
         assert!(
             err.snapshot.busiest_inbox.is_some(),
             "input is still queued"
