@@ -5,10 +5,12 @@
 //! every node in the network. We then average over all nodes of a given
 //! type, and report this average."*
 //!
-//! [`run_experiment`] generates the topology, runs `events` C-events from
-//! distinct C-type originators, folds each event's churn counters into the
-//! m/q/e factor accumulator, and reports per-type means plus the raw
-//! per-event series needed for confidence intervals.
+//! [`run_cell`] is that procedure, written once: it generates the topology,
+//! runs `events` C-events from distinct C-type originators, folds each
+//! event's churn counters into the m/q/e factor accumulator, and reports
+//! per-type means plus the raw per-event series needed for confidence
+//! intervals, with the exact op counts and, on request, the telemetry.
+//! [`run_experiment`] is the front door for the [`ChurnReport`] alone.
 //!
 //! ## Determinism under parallelism
 //!
@@ -20,19 +22,25 @@
 //! stamps one simulator out of the template for its first event and
 //! [recycles](Simulator::recycle) it in place for every later one: only
 //! buffers survive, and `tests/recycle_equivalence.rs` pins the recycled
-//! state to the instantiated one. [`run_experiment_jobs`] therefore fans
-//! events out across a worker pool and folds the per-event measurements
-//! back **in event-index order**, so the report is bit-for-bit identical
-//! for any job count (f64 accumulation order never changes). `jobs = 1`
-//! is the one-worker case of the identical per-event code.
+//! state to the instantiated one. [`run_cell`] therefore fans events out
+//! across a worker pool and folds the per-event measurements back **in
+//! event-index order**, so what it returns is bit-for-bit identical for
+//! any job count (f64 accumulation order never changes). `jobs = 1` is the
+//! one-worker case of the identical per-event code.
+//!
+//! That includes failure. A C-event that exhausts its event budget is a
+//! model bug (Gao–Rexford BGP always converges); it comes back as a
+//! [`CellError`] with the simulator's snapshot, not as an unwind, and
+//! always that of the **lowest** failing event index.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_obs::costmodel::{CostModel, PhaseCosts};
 use bgpscale_obs::{
-    MetricsRegistry, Recorder, RecorderOptions, SimObserver, TimeSeries, TimeSeriesSpec,
-    TraceRecord,
+    MetricsRegistry, NoopObserver, Recorder, RecorderOptions, SimObserver, TimeSeries,
+    TimeSeriesSpec, TraceRecord,
 };
 use bgpscale_simkernel::pool::run_indexed_with;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
@@ -40,7 +48,7 @@ use bgpscale_topology::{generate, AsId, GrowthScenario, NodeType, Relationship};
 
 use crate::cevent::run_c_event;
 use crate::factors::{node_factors, type_index, FactorAccumulator, FactorMeans};
-use crate::sim::{SimTemplate, Simulator};
+use crate::sim::{EventBudgetExceeded, SimTemplate, Simulator};
 
 /// Everything needed to reproduce one experiment cell.
 #[derive(Clone, Debug)]
@@ -57,9 +65,9 @@ pub struct ExperimentConfig {
     /// Protocol configuration (MRAI mode etc.).
     pub bgp: BgpConfig,
     /// Per-phase simulator event budget override; `None` keeps the
-    /// simulator's (huge) default. Small budgets exercise the structured
-    /// failure path: the harness panics with the budget snapshot, which
-    /// `repro profile` catches and renders.
+    /// simulator's (huge) default. Small budgets exercise the failure
+    /// path: [`run_cell`] returns a [`CellError`] with the budget snapshot,
+    /// which `repro profile` renders.
     pub event_limit: Option<u64>,
     /// Reserved: always `None`, selects nothing. The timing wheel it
     /// tuned is gone; the name survives only because `benchmark/`'s
@@ -82,7 +90,7 @@ pub struct TypeChurn {
     pub per_event_u: Vec<f64>,
 }
 
-/// The result of [`run_experiment`].
+/// The churn of one experiment cell ([`run_cell`], [`run_experiment`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnReport {
     /// The configuration that produced this report.
@@ -159,19 +167,23 @@ fn ready_sim<'a, O: SimObserver>(
 /// Runs C-event `k` from `origin` on `sim` — pristine, seeded for event
 /// `k` (see [`ready_sim`]) — and measures it. A pure function of the
 /// event index given such a simulator: the property the parallel fan-out
-/// relies on.
+/// relies on. Errs, naming event `k`, if a phase exhausts its event budget.
 fn measure_event<O: SimObserver>(
     cfg: &ExperimentConfig,
     sim: &mut Simulator<O>,
     node_types: &[NodeType],
     origin: AsId,
     k: usize,
-) -> EventMeasurement {
+) -> Result<EventMeasurement, CellError> {
     if let Some(limit) = cfg.event_limit {
         sim.set_event_limit(limit);
     }
-    let outcome = run_c_event(sim, origin, Prefix(k as u32))
-        .unwrap_or_else(|e| panic!("{} n={} event {k}: {e}", cfg.scenario, cfg.n));
+    let outcome = run_c_event(sim, origin, Prefix(k as u32)).map_err(|cause| CellError {
+        scenario: cfg.scenario,
+        n: cfg.n,
+        event: k,
+        cause,
+    })?;
 
     let mut acc = FactorAccumulator::new();
     let mut event_u_sum = [0.0f64; 4];
@@ -193,78 +205,18 @@ fn measure_event<O: SimObserver>(
             event_u[t] = Some(event_u_sum[t] / event_u_cnt[t] as f64);
         }
     }
-    EventMeasurement {
+    Ok(EventMeasurement {
         acc,
         event_u,
         total_updates: outcome.total_updates as f64,
         down_s: outcome.down_convergence.as_secs_f64(),
         up_s: outcome.up_convergence.as_secs_f64(),
         phase_costs: outcome.phase_costs,
-    }
+    })
 }
 
-/// Runs the full averaged C-event experiment for one configuration.
-///
-/// Deterministic: equal configs produce equal reports. Equivalent to
-/// [`run_experiment_jobs`] with `jobs = 1`.
-///
-/// # Panics
-/// Panics if the topology contains no C nodes (every paper scenario has
-/// them) or if a phase exceeds the simulator's event budget.
-pub fn run_experiment(cfg: &ExperimentConfig) -> ChurnReport {
-    run_experiment_jobs(cfg, 1)
-}
-
-/// Runs the experiment with up to `jobs` C-events in flight at once.
-///
-/// The report is **bit-for-bit identical for every `jobs` value**
-/// (including 1): the topology is generated once, event `k` always runs
-/// on a pristine simulator seeded `hash64_pair(sim_seed, k)` — whichever
-/// worker's recycled simulator that is — and per-event measurements are
-/// folded in event-index order regardless of which worker finishes first.
-/// `jobs = 1` executes a plain sequential loop — no threads are spawned.
-///
-/// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_jobs(cfg: &ExperimentConfig, jobs: usize) -> ChurnReport {
-    run_experiment_with_cost(cfg, jobs).0
-}
-
-/// [`run_experiment_jobs`] plus the per-event [`CostModel`]: exact
-/// operation counts attributed to each C-event's warm-up/DOWN/UP phases.
-///
-/// The counts are integer-only and computed per event as differences of
-/// the simulator's monotone tallies, then pushed into the model **in
-/// event-index order**, so
-/// `CostModel::to_json()` is byte-identical for every `jobs` value —
-/// the same contract the churn report and the telemetry artifacts obey.
-///
-/// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_with_cost(cfg: &ExperimentConfig, jobs: usize) -> (ChurnReport, CostModel) {
-    let setup = ExperimentSetup::build(cfg);
-    let measurements: Vec<EventMeasurement> = {
-        let _span = bgpscale_obs::span!("run_events");
-        run_indexed_with(
-            jobs,
-            setup.c_nodes.len(),
-            || None,
-            |worker, k| {
-                let seed = hash64_pair(setup.sim_seed, k as u64);
-                let sim = ready_sim(worker, &setup.template, seed, bgpscale_obs::NoopObserver);
-                measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k)
-            },
-        )
-    };
-    let mut cost = CostModel::new();
-    for m in &measurements {
-        cost.push_event(m.phase_costs);
-    }
-    (fold_measurements(cfg, &setup, &measurements), cost)
-}
-
-/// What telemetry [`run_experiment_observed_with`] should collect beyond
-/// the always-on metric counters.
+/// What telemetry [`run_cell`] should collect beyond the always-on metric
+/// counters when it observes a cell.
 #[derive(Clone, Debug, Default)]
 pub struct ObserveOptions {
     /// Keep 1-in-`n` trace records when `Some(n)` (`Some(1)` keeps all).
@@ -274,12 +226,15 @@ pub struct ObserveOptions {
     pub timeseries_bin_us: Option<u64>,
 }
 
-/// The churn report plus the deterministic telemetry of the run.
-#[derive(Clone, Debug)]
+/// Everything [`run_cell`] returns: the churn report, the exact op counts
+/// and the deterministic telemetry of the run.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObservedReport {
-    /// The usual churn report (bit-identical to the unobserved run).
+    /// The churn report (bit-identical whether or not the cell was
+    /// observed).
     pub report: ChurnReport,
-    /// Merged metrics of all C-events, folded in event-index order.
+    /// Merged metrics of all C-events, folded in event-index order (empty
+    /// for an unobserved cell).
     pub metrics: MetricsRegistry,
     /// Trace records of all C-events, concatenated in event-index order
     /// (empty unless a trace sample rate was requested).
@@ -295,86 +250,208 @@ pub struct ObservedReport {
     pub cost: CostModel,
 }
 
-/// Runs the experiment with a [`Recorder`] attached to every C-event's
-/// simulator, merging per-event metrics and whatever else `opts` asks for
-/// — 1-in-`n` sampled trace records, the simulated-time series — in
-/// event-index order.
+/// Why a cell has no report: C-event `event` never quiesced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CellError {
+    /// The cell's growth scenario.
+    pub scenario: GrowthScenario,
+    /// The cell's network size.
+    pub n: usize,
+    /// Index of the failing C-event: the lowest one that failed.
+    pub event: usize,
+    /// The simulator's diagnosis, with its state snapshot.
+    pub cause: EventBudgetExceeded,
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} n={} event {}: {}", self.scenario, self.n, self.event, self.cause)
+    }
+}
+
+impl std::error::Error for CellError {}
+
+/// Runs one experiment cell — the full averaged C-event experiment for
+/// one configuration — with up to `jobs` C-events in flight at once.
 ///
-/// All collected telemetry is integer-only and a pure function of the
-/// simulated trajectories, so — like the report itself —
-/// `metrics.to_json()`, the trace stream and the time series' JSON are
-/// **byte-identical for every `jobs` value**.
+/// With `observe`, a [`Recorder`] rides every C-event's simulator, and the
+/// per-event metrics (plus an `experiment.events` count) and whatever the
+/// options ask for — 1-in-`n` sampled trace records, the simulated-time
+/// series — are merged in event-index order. Without it the event loop is
+/// the [`NoopObserver`] monomorphisation and the telemetry comes back
+/// empty. The report and the cost model are the same either way.
+///
+/// Everything returned is **bit-for-bit identical for every `jobs` value**
+/// (including 1): event `k` always runs on a pristine simulator seeded
+/// `hash64_pair(sim_seed, k)` — whichever worker's recycled simulator that
+/// is — and measurements, op counts and telemetry (the latter two
+/// integer-only) are folded in event-index order whichever worker finishes
+/// first. So `cost.to_json()`, `metrics.to_json()`, the trace stream and
+/// the time series' JSON are byte-identical across job counts.
+///
+/// # Errors
+/// The [`CellError`] of the lowest C-event index that exhausts its event
+/// budget, whatever `jobs` is.
 ///
 /// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_observed_with(
+/// Panics if the topology contains no C nodes (every paper scenario has
+/// them).
+pub fn run_cell(
     cfg: &ExperimentConfig,
     jobs: usize,
-    opts: &ObserveOptions,
-) -> ObservedReport {
+    observe: Option<&ObserveOptions>,
+) -> Result<ObservedReport, CellError> {
     let setup = ExperimentSetup::build(cfg);
-    // One shared spec: every event's recorder bins against the same node
-    //-type table (Arc-shared, never copied per event).
-    let spec = opts.timeseries_bin_us.map(|bin_us| TimeSeriesSpec {
-        bin_us,
-        node_types: Arc::from(setup.node_types.as_slice()),
-    });
-    let observed: Vec<(EventMeasurement, Recorder)> = {
+    let mut metrics = MetricsRegistry::new();
+    let mut trace = Vec::new();
+    let mut timeseries: Option<TimeSeries> = None;
+    let (report, cost) = match observe {
+        None => run_events(cfg, jobs, &setup, |_| NoopObserver, |_| {}),
+        Some(opts) => {
+            let recorder_opts = RecorderOptions {
+                trace_sample: opts.trace_sample,
+                // One shared spec: every event's recorder bins against the
+                // same node-type table (Arc-shared, never copied per event).
+                timeseries: opts.timeseries_bin_us.map(|bin_us| TimeSeriesSpec {
+                    bin_us,
+                    node_types: Arc::from(setup.node_types.as_slice()),
+                }),
+            };
+            let recorder_for = |k| Recorder::with_options(k as u32, recorder_opts.clone());
+            run_events(cfg, jobs, &setup, recorder_for, |recorder| {
+                metrics.merge(&recorder.registry());
+                metrics.inc("experiment.events", 1);
+                let (records, ts) = recorder.into_parts();
+                trace.extend(records);
+                if let Some(ts) = ts {
+                    match timeseries.as_mut() {
+                        None => timeseries = Some(ts),
+                        Some(total) => total.merge(&ts),
+                    }
+                }
+            })
+        }
+    }?;
+    Ok(ObservedReport { report, metrics, trace, timeseries, cost })
+}
+
+/// The per-event loop and its fold, for any observer: event `k` runs with
+/// `observer_for(k)` attached, and `absorb` receives the observers back in
+/// event-index order. That order also fixes the f64 accumulation order,
+/// which is what makes the report bit-stable across job counts.
+fn run_events<O: SimObserver + Default + Send>(
+    cfg: &ExperimentConfig,
+    jobs: usize,
+    setup: &ExperimentSetup,
+    observer_for: impl Fn(usize) -> O + Sync,
+    mut absorb: impl FnMut(O),
+) -> Result<(ChurnReport, CostModel), CellError> {
+    // Lowest event index known to have failed. Events above it are skipped
+    // (`None`): the cell's error lies at or below it. The lowest failing
+    // event is never skipped, so the race decides only how much work is
+    // saved, not which error is reported.
+    let failed = AtomicUsize::new(usize::MAX);
+    let outcomes: Vec<Option<Result<(EventMeasurement, O), CellError>>> = {
         let _span = bgpscale_obs::span!("run_events");
         run_indexed_with(
             jobs,
             setup.c_nodes.len(),
             || None,
             |worker, k| {
+                if failed.load(Ordering::Relaxed) < k {
+                    return None;
+                }
                 let seed = hash64_pair(setup.sim_seed, k as u64);
-                let recorder = Recorder::with_options(
-                    k as u32,
-                    RecorderOptions {
-                        trace_sample: opts.trace_sample,
-                        timeseries: spec.clone(),
-                    },
-                );
-                let sim = ready_sim(worker, &setup.template, seed, recorder);
-                let m = measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k);
-                // The event's telemetry leaves with its recorder; the idle
+                let sim = ready_sim(worker, &setup.template, seed, observer_for(k));
+                let measured = measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k);
+                if measured.is_err() {
+                    failed.fetch_min(k, Ordering::Relaxed);
+                }
+                // The event's telemetry leaves with its observer; the idle
                 // simulator keeps an empty one until its next event.
-                (m, sim.replace_observer(Recorder::new(k as u32)))
+                Some(measured.map(|m| (m, sim.replace_observer(O::default()))))
             },
         )
     };
 
-    let _span = bgpscale_obs::span!("fold_telemetry");
-    let mut metrics = MetricsRegistry::new();
-    let mut trace = Vec::new();
-    let mut timeseries: Option<TimeSeries> = None;
+    let _span = bgpscale_obs::span!("fold_measurements");
     let mut cost = CostModel::new();
-    let mut measurements = Vec::with_capacity(observed.len());
-    for (m, recorder) in observed {
-        metrics.merge(&recorder.registry());
-        let (records, ts) = recorder.into_parts();
-        trace.extend(records);
-        if let Some(ts) = ts {
-            match timeseries.as_mut() {
-                None => timeseries = Some(ts),
-                Some(total) => total.merge(&ts),
+    let mut acc = FactorAccumulator::new();
+    let mut per_event_u: [Vec<f64>; 4] = Default::default();
+    let mut total_updates_sum = 0.0;
+    let mut down_sum = 0.0;
+    let mut up_sum = 0.0;
+    for outcome in outcomes.into_iter().flatten() {
+        let (m, observer) = outcome?;
+        absorb(observer);
+        cost.push_event(m.phase_costs);
+        acc.merge(&m.acc);
+        for (series, u) in per_event_u.iter_mut().zip(&m.event_u) {
+            if let Some(u) = u {
+                series.push(*u);
             }
         }
-        cost.push_event(m.phase_costs);
-        measurements.push(m);
+        total_updates_sum += m.total_updates;
+        down_sum += m.down_s;
+        up_sum += m.up_s;
     }
-    metrics.inc("experiment.events", measurements.len() as u64);
-    let report = fold_measurements(cfg, &setup, &measurements);
-    ObservedReport {
-        report,
-        metrics,
-        trace,
-        timeseries,
-        cost,
+
+    let events = setup.c_nodes.len();
+    let mut types: [TypeChurn; 4] = Default::default();
+    for (t, ty) in [NodeType::T, NodeType::M, NodeType::Cp, NodeType::C]
+        .into_iter()
+        .enumerate()
+    {
+        types[t] = TypeChurn {
+            node_count: setup.node_counts[t],
+            u_total: acc.mean_total(ty),
+            factors: [
+                acc.means(ty, Relationship::Customer),
+                acc.means(ty, Relationship::Peer),
+                acc.means(ty, Relationship::Provider),
+            ],
+            per_event_u: std::mem::take(&mut per_event_u[t]),
+        };
     }
+    let report = ChurnReport {
+        scenario: cfg.scenario,
+        n: cfg.n,
+        events,
+        types,
+        mean_total_updates: total_updates_sum / events as f64,
+        mean_down_convergence_s: down_sum / events as f64,
+        mean_up_convergence_s: up_sum / events as f64,
+    };
+    Ok((report, cost))
 }
 
-/// The per-cell state both experiment flavors share: generated topology,
-/// chosen originators, and the pristine simulator template.
+/// [`run_cell`] on one worker, unobserved, for the [`ChurnReport`] alone.
+/// Deterministic: equal configs produce equal reports.
+///
+/// # Panics
+/// As [`run_cell`], and with the [`CellError`]'s text where that errs.
+pub fn run_experiment(cfg: &ExperimentConfig) -> ChurnReport {
+    run_cell(cfg, 1, None).unwrap_or_else(|e| panic!("{e}")).report
+}
+
+/// The report and [`CostModel`] of an unobserved [`run_cell`], panicking
+/// as [`run_experiment`] does. Kept for `benchmark/`, which pins the name.
+pub fn run_experiment_with_cost(cfg: &ExperimentConfig, jobs: usize) -> (ChurnReport, CostModel) {
+    run_cell(cfg, jobs, None).map_or_else(|e| panic!("{e}"), |o| (o.report, o.cost))
+}
+
+/// An observed [`run_cell`], panicking as [`run_experiment`] does. Kept
+/// for `benchmark/`, which pins the name.
+pub fn run_experiment_observed_with(
+    cfg: &ExperimentConfig,
+    jobs: usize,
+    opts: &ObserveOptions,
+) -> ObservedReport {
+    run_cell(cfg, jobs, Some(opts)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The per-cell state every event shares: generated topology, chosen
+/// originators, and the pristine simulator template.
 struct ExperimentSetup {
     node_counts: [usize; 4],
     node_types: Vec<NodeType>,
@@ -425,69 +502,12 @@ impl ExperimentSetup {
     }
 }
 
-/// Folds per-event measurements into the report. Event-index order fixes
-/// the f64 accumulation order, which is what makes the report bit-stable
-/// across job counts.
-fn fold_measurements(
-    cfg: &ExperimentConfig,
-    setup: &ExperimentSetup,
-    measurements: &[EventMeasurement],
-) -> ChurnReport {
-    let _span = bgpscale_obs::span!("fold_measurements");
-    let node_counts = setup.node_counts;
-    let c_nodes = &setup.c_nodes;
-    let mut acc = FactorAccumulator::new();
-    let mut per_event_u: [Vec<f64>; 4] = Default::default();
-    let mut total_updates_sum = 0.0;
-    let mut down_sum = 0.0;
-    let mut up_sum = 0.0;
-    for m in measurements {
-        acc.merge(&m.acc);
-        for (series, u) in per_event_u.iter_mut().zip(&m.event_u) {
-            if let Some(u) = u {
-                series.push(*u);
-            }
-        }
-        total_updates_sum += m.total_updates;
-        down_sum += m.down_s;
-        up_sum += m.up_s;
-    }
-
-    let events = c_nodes.len();
-    let mut types: [TypeChurn; 4] = Default::default();
-    for (t, ty) in [NodeType::T, NodeType::M, NodeType::Cp, NodeType::C]
-        .into_iter()
-        .enumerate()
-    {
-        types[t] = TypeChurn {
-            node_count: node_counts[t],
-            u_total: acc.mean_total(ty),
-            factors: [
-                acc.means(ty, Relationship::Customer),
-                acc.means(ty, Relationship::Peer),
-                acc.means(ty, Relationship::Provider),
-            ],
-            per_event_u: std::mem::take(&mut per_event_u[t]),
-        };
-    }
-
-    ChurnReport {
-        scenario: cfg.scenario,
-        n: cfg.n,
-        events,
-        types,
-        mean_total_updates: total_updates_sum / events as f64,
-        mean_down_convergence_s: down_sum / events as f64,
-        mean_up_convergence_s: up_sum / events as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick(scenario: GrowthScenario, n: usize, events: usize, seed: u64) -> ChurnReport {
-        run_experiment(&ExperimentConfig {
+    fn cell(scenario: GrowthScenario, n: usize, events: usize, seed: u64) -> ExperimentConfig {
+        ExperimentConfig {
             scenario,
             n,
             events,
@@ -495,7 +515,16 @@ mod tests {
             bgp: BgpConfig::default(),
             event_limit: None,
             wheel_slot_bits: None,
-        })
+        }
+    }
+
+    fn quick(scenario: GrowthScenario, n: usize, events: usize, seed: u64) -> ChurnReport {
+        run_experiment(&cell(scenario, n, events, seed))
+    }
+
+    /// The cell of the jobs = 1 / 4 / 8 byte-identity tests.
+    fn det_cell() -> ExperimentConfig {
+        cell(GrowthScenario::Baseline, 200, 6, 0xDE7)
     }
 
     /// Metrics plus an optional 1-in-`n` trace, no time series.
@@ -518,18 +547,10 @@ mod tests {
     /// bit-identical report, down to the raw per-event series.
     #[test]
     fn parallel_jobs_are_bit_identical_to_sequential() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 6,
-            seed: 0xDE7,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
-        let sequential = run_experiment_jobs(&cfg, 1);
+        let cfg = det_cell();
+        let sequential = run_cell(&cfg, 1, None).unwrap().report;
         for jobs in [4, 8] {
-            let parallel = run_experiment_jobs(&cfg, jobs);
+            let parallel = run_cell(&cfg, jobs, None).unwrap().report;
             assert_eq!(sequential, parallel, "jobs={jobs} diverged from sequential");
             for t in 0..4 {
                 assert_eq!(
@@ -544,16 +565,9 @@ mod tests {
     /// and the trace stream are byte-identical for jobs = 1, 4, 8.
     #[test]
     fn observed_metrics_and_trace_are_byte_identical_across_jobs() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 6,
-            seed: 0xDE7,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
-        let base = run_experiment_observed_with(&cfg, 1, &traced(Some(5)));
+        let cfg = det_cell();
+        let opts = traced(Some(5));
+        let base = run_cell(&cfg, 1, Some(&opts)).unwrap();
         let base_json = base.metrics.to_json();
         let base_trace: String = base
             .trace
@@ -563,7 +577,7 @@ mod tests {
         assert!(base.metrics.counter("events.total") > 0);
         assert!(!base.trace.is_empty(), "sampled trace should have records");
         for jobs in [4, 8] {
-            let other = run_experiment_observed_with(&cfg, jobs, &traced(Some(5)));
+            let other = run_cell(&cfg, jobs, Some(&opts)).unwrap();
             assert_eq!(
                 base_json,
                 other.metrics.to_json(),
@@ -579,24 +593,16 @@ mod tests {
         }
     }
 
-    /// Satellite of the provenance PR: `timeseries.json` and the
-    /// provenance counters are byte-identical for jobs = 1, 4, 8.
+    /// `timeseries.json` and the provenance counters are byte-identical
+    /// for jobs = 1, 4, 8.
     #[test]
     fn timeseries_and_provenance_are_byte_identical_across_jobs() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 6,
-            seed: 0xDE7,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
+        let cfg = det_cell();
         let opts = ObserveOptions {
             trace_sample: None,
             timeseries_bin_us: Some(100_000),
         };
-        let base = run_experiment_observed_with(&cfg, 1, &opts);
+        let base = run_cell(&cfg, 1, Some(&opts)).unwrap();
         let base_ts = base.timeseries.as_ref().expect("time series requested");
         let base_ts_json = base_ts.to_json();
         assert_eq!(base_ts.events, cfg.events as u32);
@@ -619,7 +625,7 @@ mod tests {
             ]
         };
         for jobs in [4, 8] {
-            let other = run_experiment_observed_with(&cfg, jobs, &opts);
+            let other = run_cell(&cfg, jobs, Some(&opts)).unwrap();
             assert_eq!(
                 base_ts_json,
                 other.timeseries.as_ref().unwrap().to_json(),
@@ -634,62 +640,45 @@ mod tests {
         }
     }
 
-    /// Tentpole of the cost-model PR: `costmodel.json` is byte-identical
-    /// for jobs = 1, 4, 8, and the observed and plain flavors agree.
+    /// `costmodel.json` is byte-identical for jobs = 1, 4, 8, and the
+    /// observed and unobserved cell agree on it.
     #[test]
     fn costmodel_is_byte_identical_across_jobs() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 6,
-            seed: 0xDE7,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
-        let (base_report, base_cost) = run_experiment_with_cost(&cfg, 1);
-        let base_json = base_cost.to_json();
-        assert_eq!(base_cost.events(), cfg.events);
-        assert!(base_cost.total().grand_total() > 0, "counters must see work");
+        let cfg = det_cell();
+        let base = run_cell(&cfg, 1, None).unwrap();
+        let base_json = base.cost.to_json();
+        assert_eq!(base.cost.events(), cfg.events);
+        assert!(base.cost.total().grand_total() > 0, "counters must see work");
         // Measured phases do real per-class work.
-        let totals = base_cost.phase_totals();
+        let totals = base.cost.phase_totals();
         for phase in &totals {
             assert!(phase.deliveries > 0);
             assert!(phase.decision_runs > 0);
             assert!(phase.queue_pushes > 0);
         }
         for jobs in [4, 8] {
-            let (report, cost) = run_experiment_with_cost(&cfg, jobs);
-            assert_eq!(base_json, cost.to_json(), "costmodel.json diverged at jobs={jobs}");
-            assert_eq!(base_report, report, "report diverged at jobs={jobs}");
+            let other = run_cell(&cfg, jobs, None).unwrap();
+            assert_eq!(base_json, other.cost.to_json(), "costmodel.json diverged at jobs={jobs}");
+            assert_eq!(base, other, "unobserved cell diverged at jobs={jobs}");
         }
-        // The observed flavor collects the identical model.
-        let observed = run_experiment_observed_with(&cfg, 4, &traced(None));
+        // The observed cell collects the identical model.
+        let observed = run_cell(&cfg, 4, Some(&traced(None))).unwrap();
         assert_eq!(base_json, observed.cost.to_json(), "observed cost diverged");
+        // The wrapper `benchmark/` pins returns the cell's own values.
+        assert_eq!(run_experiment_with_cost(&cfg, 4), (base.report, base.cost));
     }
 
     /// Provenance-enabled runs leave the churn report unchanged: stamps
     /// are telemetry riding along the messages, never protocol input.
     #[test]
     fn timeseries_recording_leaves_the_report_unchanged() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 4,
-            seed: 21,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
+        let cfg = cell(GrowthScenario::Baseline, 200, 4, 21);
+        let plain = run_experiment(&cfg);
+        let opts = ObserveOptions {
+            trace_sample: Some(7),
+            timeseries_bin_us: Some(50_000),
         };
-        let plain = run_experiment_jobs(&cfg, 1);
-        let observed = run_experiment_observed_with(
-            &cfg,
-            2,
-            &ObserveOptions {
-                trace_sample: Some(7),
-                timeseries_bin_us: Some(50_000),
-            },
-        );
+        let observed = run_cell(&cfg, 2, Some(&opts)).unwrap();
         assert_eq!(plain, observed.report);
         let ts = observed.timeseries.expect("time series requested");
         // The time series and the churn counters watched the same world:
@@ -703,33 +692,97 @@ mod tests {
         assert!(!ts.convergence_durations_us().is_empty());
     }
 
-    /// Attaching a recorder must not perturb the simulation itself.
+    /// Attaching a recorder must not perturb the simulation itself, and
+    /// not attaching one must collect nothing.
     #[test]
     fn observed_report_matches_unobserved_report() {
-        let cfg = ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 200,
-            events: 4,
-            seed: 21,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
-        let plain = run_experiment_jobs(&cfg, 1);
-        let observed = run_experiment_observed_with(&cfg, 1, &traced(None));
-        assert_eq!(plain, observed.report);
+        let cfg = cell(GrowthScenario::Baseline, 200, 4, 21);
+        let plain = run_cell(&cfg, 1, None).unwrap();
+        let observed = run_cell(&cfg, 1, Some(&traced(None))).unwrap();
+        assert_eq!(plain.report, observed.report);
+        assert_eq!(plain.cost, observed.cost);
+        assert!(plain.metrics.is_empty() && plain.trace.is_empty() && plain.timeseries.is_none());
         assert!(observed.trace.is_empty(), "no trace requested");
         // The recorder saw the same world the churn counters did: every
         // delivered update is one unit of churn, summed over DOWN+UP.
-        let events = plain.events as f64;
-        let mean_from_metrics =
-            observed.metrics.counter("events.deliver") as f64 / events;
+        let events = plain.report.events as f64;
+        let mean_from_metrics = observed.metrics.counter("events.deliver") as f64 / events;
         assert!(
-            mean_from_metrics >= plain.mean_total_updates,
+            mean_from_metrics >= plain.report.mean_total_updates,
             "deliveries ({mean_from_metrics}) must cover counted churn ({})",
-            plain.mean_total_updates
+            plain.report.mean_total_updates
         );
-        assert_eq!(observed.metrics.counter("experiment.events"), plain.events as u64);
+        assert_eq!(observed.metrics.counter("experiment.events"), plain.report.events as u64);
+        // The wrappers return the cell's own values.
+        assert_eq!(run_experiment_observed_with(&cfg, 1, &traced(None)), observed);
+        assert_eq!(run_experiment(&cfg), plain.report);
+    }
+
+    /// A budget every event blows: the error is event 0's, snapshot and
+    /// all, whichever worker ran it and observed or not.
+    #[test]
+    fn blown_budget_is_the_same_error_at_every_job_count() {
+        let cfg = ExperimentConfig {
+            event_limit: Some(3),
+            ..det_cell()
+        };
+        let base = run_cell(&cfg, 1, None).unwrap_err();
+        assert_eq!((base.scenario, base.n, base.event), (cfg.scenario, cfg.n, 0));
+        assert_eq!((base.cause.budget, base.cause.processed), (3, 4));
+        assert!(
+            base.cause.snapshot.pending_by_kind.iter().sum::<u64>() > 0,
+            "snapshot must show what was pending: {base}"
+        );
+        for jobs in [4, 8] {
+            assert_eq!(base, run_cell(&cfg, jobs, None).unwrap_err(), "jobs={jobs}");
+        }
+        assert_eq!(base, run_cell(&cfg, 4, Some(&traced(Some(1)))).unwrap_err());
+    }
+
+    /// A budget only a later event blows: the error names that event at
+    /// every job count, although the events below it all pass and a worker
+    /// may reach a failing event above it first.
+    #[test]
+    fn first_failing_event_is_reported_at_every_job_count() {
+        let passing_cfg = cell(GrowthScenario::Baseline, 200, 6, 2);
+        let passing = run_cell(&passing_cfg, 1, None).unwrap();
+        // The budget is per phase: an event fails iff its busiest phase
+        // pops more events than the budget.
+        let peaks: Vec<u64> = passing
+            .cost
+            .per_event()
+            .iter()
+            .map(|phases| phases.iter().map(|p| p.queue_pops).max().unwrap())
+            .collect();
+        // The last event busier than every event before it, and a budget
+        // those earlier events just fit in.
+        let (late, budget) = (1..peaks.len())
+            .rev()
+            .map(|k| (k, *peaks[..k].iter().max().unwrap()))
+            .find(|&(k, earlier)| peaks[k] > earlier)
+            .expect("some event after the first is the busiest so far");
+        assert!(late >= 2, "want passing events below the failing one: {peaks:?}");
+        let cfg = ExperimentConfig {
+            event_limit: Some(budget),
+            ..passing_cfg
+        };
+        let base = run_cell(&cfg, 1, None).unwrap_err();
+        assert_eq!(base.event, late, "peaks {peaks:?}, budget {budget}");
+        assert_eq!(base.cause.processed, budget + 1);
+        for jobs in [2, 4, 8] {
+            assert_eq!(base, run_cell(&cfg, jobs, None).unwrap_err(), "jobs={jobs}");
+        }
+    }
+
+    /// The front door keeps the panic its callers know, with the error's
+    /// text.
+    #[test]
+    #[should_panic(expected = "BASELINE n=200 event 0: simulation did not quiesce")]
+    fn run_experiment_panics_with_the_cell_error() {
+        run_experiment(&ExperimentConfig {
+            event_limit: Some(3),
+            ..det_cell()
+        });
     }
 
     #[test]

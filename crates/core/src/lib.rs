@@ -27,8 +27,11 @@
 //! * [`factors`] — the m/q/e decomposition of the paper's Eq. 1:
 //!   `U(X) = Σ_y m_{y,X} · q_{y,X} · e_{y,X}` over neighbor classes
 //!   y ∈ {customer, peer, provider}.
-//! * [`harness`] — [`harness::run_experiment`]: average over many C-events
-//!   from distinct originators, producing a [`harness::ChurnReport`].
+//! * [`harness`] — [`harness::run_cell`]: average over many C-events from
+//!   distinct originators, producing a [`harness::ChurnReport`] with its
+//!   op counts and telemetry, or a typed [`harness::CellError`] when an
+//!   event never quiesces; [`harness::run_experiment`] is the front door
+//!   for the report alone.
 //!
 //! ## Example
 //!
@@ -60,7 +63,7 @@ pub mod levent;
 pub mod sim;
 
 pub use harness::{
-    run_experiment, run_experiment_jobs, run_experiment_observed_with, run_experiment_with_cost,
+    run_cell, run_experiment, run_experiment_observed_with, run_experiment_with_cost, CellError,
     ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
-pub use sim::{BudgetSnapshot, SimTemplate, Simulator};
+pub use sim::{BudgetSnapshot, EventBudgetExceeded, SimTemplate, Simulator};

@@ -114,7 +114,10 @@ pub struct BudgetSnapshot {
 /// Error returned when a run exceeds its event budget.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventBudgetExceeded {
-    /// Number of events processed before giving up.
+    /// The budget the run was given ([`Simulator::set_event_limit`]).
+    pub budget: u64,
+    /// Number of events processed before giving up: the run stops at the
+    /// first event past the budget, so this is `budget + 1`.
     pub processed: u64,
     /// Where the simulation stood when it gave up.
     pub snapshot: BudgetSnapshot,
@@ -125,8 +128,9 @@ impl std::fmt::Display for EventBudgetExceeded {
         let s = &self.snapshot;
         write!(
             f,
-            "simulation did not quiesce within {} events (model bug?): \
-             t={}us, {} pending (deliver {}, proc_done {}, mrai_expire {}, rfd_reuse {})",
+            "simulation did not quiesce within its budget of {} events ({} processed); \
+             model bug? t={}us, {} pending (deliver {}, proc_done {}, mrai_expire {}, rfd_reuse {})",
+            self.budget,
             self.processed,
             s.sim_time_us,
             s.queue_depth,
@@ -351,13 +355,7 @@ impl Simulator {
     /// # Panics
     /// Panics if `cfg` fails validation.
     pub fn new(graph: AsGraph, cfg: BgpConfig, seed: u64) -> Simulator {
-        Simulator::new_shared(Arc::new(graph), cfg, seed)
-    }
-
-    /// Like [`Simulator::new`], but shares an existing `Arc`-held topology
-    /// instead of taking ownership — the form parallel workers use.
-    pub fn new_shared(graph: Arc<AsGraph>, cfg: BgpConfig, seed: u64) -> Simulator {
-        SimTemplate::new(graph, cfg).instantiate(seed)
+        SimTemplate::new(Arc::new(graph), cfg).instantiate(seed)
     }
 }
 
@@ -593,6 +591,7 @@ impl<O: SimObserver> Simulator<O> {
             .max_by_key(|(i, q)| (q.len(), std::cmp::Reverse(*i)))
             .map(|(i, q)| (AsId(i as u32), q.len()));
         EventBudgetExceeded {
+            budget: self.event_limit,
             processed: self.queue.popped() - start,
             snapshot: BudgetSnapshot {
                 sim_time_us: self.queue.now().as_micros(),
@@ -1155,8 +1154,10 @@ mod tests {
         sim.set_event_limit(3);
         sim.originate(ids[4], P);
         let err = sim.run_to_quiescence().unwrap_err();
-        assert!(err.processed > 3);
-        assert!(err.to_string().contains("did not quiesce"));
+        assert_eq!((err.budget, err.processed), (3, 4));
+        let text = err.to_string();
+        assert!(text.contains("did not quiesce"));
+        assert!(text.contains("within its budget of 3 events (4 processed)"), "{text}");
     }
 
     /// The snapshot of a run abandoned mid-convergence covers the heap,

@@ -330,8 +330,6 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
     let out = match profile::run_profile(&cfg) {
         Ok(out) => out,
         Err(diagnosis) => {
-            // Satellite fix: a blown event budget renders the harness's
-            // budget snapshot instead of crashing the process.
             eprintln!("profile FAILED: {diagnosis}");
             return Ok(false);
         }

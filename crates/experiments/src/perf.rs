@@ -36,7 +36,7 @@
 
 use std::path::Path;
 
-use bgpscale_core::{run_experiment_with_cost, ExperimentConfig};
+use bgpscale_core::{run_cell, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{
     append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
@@ -90,9 +90,13 @@ impl PerfConfig {
 }
 
 /// Runs the cell and returns its measured cost model and wall time.
+/// Panics with the [`bgpscale_core::CellError`]'s text if the cell fails:
+/// it runs on the simulator's default event budget, so that is a model bug.
 pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
     let started = Stopwatch::start();
-    let (_report, cost) = run_experiment_with_cost(&cfg.cell(), cfg.jobs.max(1));
+    let cost = run_cell(&cfg.cell(), cfg.jobs.max(1), None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .cost;
     let wall_s = started.elapsed_secs_f64();
     let mut ops = cost.total();
     if let Some(seed) = cfg.perturb {
@@ -117,8 +121,8 @@ pub fn perturb_ops(ops: &mut OpCounts, seed: u64) -> (&'static str, u64) {
 
 /// The content hash of one JSON artifact, as a record's `artifacts`
 /// block stores it.
-pub fn artifact_hash(json: &str) -> Option<u64> {
-    Some(hash64_bytes(json.as_bytes()))
+pub fn artifact_hash(json: &str) -> u64 {
+    hash64_bytes(json.as_bytes())
 }
 
 /// The ledger record of one measured cell: the deterministic tier from
@@ -158,7 +162,7 @@ pub fn cell_record(
 /// [`cell_record`] of one `repro perf` measurement.
 pub fn perf_record(cfg: &PerfConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
     let artifacts = ArtifactHashes {
-        costmodel: artifact_hash(&m.cost.to_json()),
+        costmodel: Some(artifact_hash(&m.cost.to_json())),
         ..ArtifactHashes::default()
     };
     cell_record(RunKind::Perf, &cfg.cell(), cfg.jobs, m.ops, artifacts, m.wall_s, git_rev)

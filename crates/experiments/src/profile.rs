@@ -11,9 +11,7 @@
 //! recorded nothing or when the simulators processed zero events —
 //! catching "the harness silently did no work" regressions.
 
-use bgpscale_core::{
-    run_experiment_observed_with, ExperimentConfig, ObserveOptions, ObservedReport,
-};
+use bgpscale_core::{run_cell, CellError, ExperimentConfig, ObserveOptions, ObservedReport};
 use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind};
 use bgpscale_obs::span::{self, SpanStats};
 use bgpscale_simkernel::Stopwatch;
@@ -37,9 +35,9 @@ pub struct ProfileConfig {
     /// Keep 1-in-`n` trace records when `Some(n)`.
     pub trace_sample: Option<u64>,
     /// Per-phase simulator event budget override. Small budgets force the
-    /// structured failure path: [`run_profile`] returns `Err` carrying the
-    /// harness's budget snapshot (queue depth, pending events by kind,
-    /// busiest inbox) instead of crashing the process.
+    /// failure path: [`run_profile`] returns the harness's [`CellError`]
+    /// with its budget snapshot (queue depth, pending events by kind,
+    /// busiest inbox).
     pub event_limit: Option<u64>,
 }
 
@@ -69,14 +67,12 @@ pub struct ProfileOutput {
     pub wall_s: f64,
 }
 
-/// The phase spans every profiled run must record. `fold_telemetry` is
-/// part of the observed path, so it belongs here too.
-pub const EXPECTED_SPANS: [&str; 5] = [
+/// The phase spans every profiled run must record.
+pub const EXPECTED_SPANS: [&str; 4] = [
     "generate_topology",
     "build_template",
     "run_events",
     "fold_measurements",
-    "fold_telemetry",
 ];
 
 /// Runs one observed cell under a fresh span profile.
@@ -85,43 +81,25 @@ pub const EXPECTED_SPANS: [&str; 5] = [
 /// exactly this run — don't interleave with other span-recording work.
 ///
 /// # Errors
-/// When the harness aborts (an event budget ran out), the error string is
-/// the harness's own diagnosis — including the [`bgpscale_core::BudgetSnapshot`]
-/// rendering with queue depth, pending events by kind, and the busiest
-/// inbox — so the `profile` subcommand can print *why* the cell failed
-/// instead of crashing.
-pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
+/// The harness's [`CellError`] when a C-event exhausts its event budget.
+/// Its `Display` is the whole diagnosis — cell, event index and the
+/// [`bgpscale_core::BudgetSnapshot`] rendering with queue depth, pending
+/// events by kind, and the busiest inbox — which the `profile` subcommand
+/// prints as *why* the cell failed.
+pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, CellError> {
     span::reset();
     let watch = Stopwatch::start();
-    let experiment = cfg.cell();
     let jobs = bgpscale_simkernel::pool::effective_jobs(cfg.jobs).max(1);
-    // The harness panics on budget exhaustion (a model bug in normal
-    // operation); for the interactive profile tool a caught panic with
-    // the snapshot rendered beats a crash. Silence the default hook for
-    // the guarded region so the snapshot is printed once, by us, instead
-    // of as a raw panic message with a backtrace.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let opts = ObserveOptions {
-            trace_sample: cfg.trace_sample,
-            timeseries_bin_us: None,
-        };
-        run_experiment_observed_with(&experiment, jobs, &opts)
-    }));
-    std::panic::set_hook(prev_hook);
-    match caught {
-        Ok(observed) => Ok(ProfileOutput {
-            observed,
-            spans: span::snapshot(),
-            wall_s: watch.elapsed_secs_f64(),
-        }),
-        Err(payload) => Err(payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_else(|| "experiment cell panicked".to_string())),
-    }
+    let opts = ObserveOptions {
+        trace_sample: cfg.trace_sample,
+        timeseries_bin_us: None,
+    };
+    let observed = run_cell(&cfg.cell(), jobs, Some(&opts))?;
+    Ok(ProfileOutput {
+        observed,
+        spans: span::snapshot(),
+        wall_s: watch.elapsed_secs_f64(),
+    })
 }
 
 /// [`cell_record`] of one profiled cell, with content hashes of every
@@ -129,9 +107,9 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, String> {
 pub fn profile_record(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &str) -> LedgerRecord {
     let observed = &out.observed;
     let artifacts = ArtifactHashes {
-        metrics: artifact_hash(&observed.metrics.to_json()),
-        timeseries: observed.timeseries.as_ref().and_then(|ts| artifact_hash(&ts.to_json())),
-        costmodel: artifact_hash(&observed.cost.to_json()),
+        metrics: Some(artifact_hash(&observed.metrics.to_json())),
+        timeseries: observed.timeseries.as_ref().map(|ts| artifact_hash(&ts.to_json())),
+        costmodel: Some(artifact_hash(&observed.cost.to_json())),
     };
     let ops = observed.cost.total();
     cell_record(RunKind::Profile, &cfg.cell(), cfg.jobs, ops, artifacts, out.wall_s, git_rev)
@@ -312,22 +290,27 @@ mod tests {
         assert_ne!(pr.fingerprint(), wr.fingerprint());
     }
 
-    /// Satellite fix: a blown event budget must surface the harness's
-    /// budget snapshot (queue depth, pending-by-kind, busiest inbox) as a
-    /// structured error instead of crashing the profile subcommand.
+    /// A blown event budget surfaces the harness's typed error, budget
+    /// snapshot included, from a worker thread as from the calling one.
     #[test]
     fn budget_failure_surfaces_the_snapshot() {
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let mut cfg = tiny_cfg();
-        // jobs=1 keeps the panic on the calling thread so catch_unwind
-        // sees the harness's String payload directly.
-        cfg.event_limit = Some(3);
+        let cfg = ProfileConfig {
+            jobs: 2,
+            event_limit: Some(3),
+            ..tiny_cfg()
+        };
         let err = run_profile(&cfg).unwrap_err();
-        assert!(err.contains("did not quiesce"), "diagnosis missing: {err}");
-        assert!(err.contains("pending"), "snapshot not rendered: {err}");
+        assert_eq!((err.scenario, err.n, err.event), (cfg.scenario, cfg.n, 0));
+        assert_eq!((err.cause.budget, err.cause.processed), (3, 4));
+        assert!(err.cause.snapshot.queue_depth > 0, "nothing pending: {err:?}");
+        // What `repro profile` prints after `profile FAILED: `.
+        let text = err.to_string();
+        assert!(text.starts_with("BASELINE n=150 event 0: "), "{text}");
+        assert!(text.contains("did not quiesce"), "diagnosis missing: {text}");
         assert!(
-            err.contains("deliver") && err.contains("proc_done"),
-            "pending-by-kind not rendered: {err}"
+            text.contains("pending (deliver") && text.contains("proc_done"),
+            "pending-by-kind not rendered: {text}"
         );
     }
 }

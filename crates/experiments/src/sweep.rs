@@ -7,8 +7,8 @@
 //! ## Parallelism and determinism
 //!
 //! With `jobs > 1` ([`Sweeper::set_jobs`]), a sweep splits its worker
-//! budget two ways: each cell's C-events fan out via
-//! [`bgpscale_core::run_experiment_jobs`], and when that leaves workers
+//! budget two ways: each cell's C-events fan out inside
+//! [`bgpscale_core::run_cell`], and when that leaves workers
 //! idle (more jobs than events per cell), multiple *uncached* cells run
 //! concurrently. Neither axis affects results: every cell's report is a
 //! pure function of `(scenario, n, mode, events, seed)`, and completed
@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, MraiMode};
 use bgpscale_core::{
-    run_experiment_observed_with, run_experiment_with_cost, ChurnReport, ExperimentConfig,
-    ObserveOptions, ObservedReport,
+    run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
 use bgpscale_obs::{log, CostModel, MetricsRegistry, TimeSeries, TraceRecord};
 use bgpscale_simkernel::pool::run_indexed;
@@ -138,25 +137,6 @@ impl Heartbeat {
     }
 }
 
-/// Runs one cell with `jobs` workers. An unobserved cell goes through
-/// `run_experiment_with_cost` (the `NoopObserver` path) and carries empty
-/// telemetry.
-fn run_cell(cfg: &ExperimentConfig, jobs: usize, telemetry: Option<&ObserveOptions>) -> ObservedReport {
-    match telemetry {
-        Some(opts) => run_experiment_observed_with(cfg, jobs, opts),
-        None => {
-            let (report, cost) = run_experiment_with_cost(cfg, jobs);
-            ObservedReport {
-                report,
-                metrics: MetricsRegistry::new(),
-                trace: Vec::new(),
-                timeseries: None,
-                cost,
-            }
-        }
-    }
-}
-
 /// The simulated-time series of one experiment cell, labeled with the cell
 /// coordinates so WRATE and NO-WRATE runs stay comparable side by side.
 #[derive(Clone, Debug)]
@@ -265,13 +245,16 @@ impl Sweeper {
 
     /// Folds one computed cell into the caches and the accumulated
     /// telemetry (empty for an unobserved cell), then ticks `hb`. Always on
-    /// the owning thread, in the order cells are handed in.
+    /// the owning thread, in the order cells are handed in. Panics with
+    /// the [`CellError`]'s text if the cell failed: no sweep sets an event
+    /// budget, so that is a model bug, and a figure needs all its cells.
     fn fold_cell(
         &mut self,
         cfg: &ExperimentConfig,
-        observed: ObservedReport,
+        computed: Result<ObservedReport, CellError>,
         hb: &mut Heartbeat,
     ) -> Arc<ChurnReport> {
+        let observed = computed.unwrap_or_else(|e| panic!("{e}"));
         let key = CellKey {
             scenario: cfg.scenario,
             n: cfg.n,

@@ -37,8 +37,10 @@ pub struct RecorderOptions {
     pub timeseries: Option<TimeSeriesSpec>,
 }
 
-/// The metrics/trace observer. Create one per simulator instance.
-#[derive(Clone, Debug)]
+/// The metrics/trace observer. Create one per simulator instance. The
+/// default is an empty metrics-only recorder: what an idle simulator holds
+/// between events.
+#[derive(Clone, Debug, Default)]
 pub struct Recorder {
     events_by_kind: [u64; 4],
     msgs_by_rel: [u64; 3],
@@ -107,35 +109,12 @@ impl Recorder {
     /// A recorder with the full option set.
     pub fn with_options(event: u32, opts: RecorderOptions) -> Recorder {
         Recorder {
-            events_by_kind: [0; 4],
-            msgs_by_rel: [0; 3],
-            announces: 0,
-            withdraws: 0,
-            mrai_flushes: 0,
-            mrai_flushed_updates: 0,
-            decision_runs: 0,
-            quiescences: 0,
-            last_quiescence_us: 0,
-            final_events_processed: 0,
-            path_len_hist: [0; 7],
-            path_len_sum: 0,
-            path_len_max: 0,
-            flush_hist: [0; 6],
-            prov_stamped: 0,
-            prov_unstamped: 0,
-            prov_coalesced: 0,
-            prov_depth_hist: [0; 8],
-            prov_depth_sum: 0,
-            prov_depth_max: 0,
-            prov_to_rel: [0; 3],
-            roots_by_kind: [0; 5],
-            inbox_peak: 0,
-            armed_peak: 0,
             trace: opts.trace_sample.map(|n| TraceBuffer::new(event, n)),
             timeseries: opts
                 .timeseries
                 .as_ref()
                 .map(|spec| TimeSeriesRecorder::new(event, spec)),
+            ..Recorder::default()
         }
     }
 

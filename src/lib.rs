@@ -21,7 +21,11 @@
 //!   treatments (WRATE / NO-WRATE).
 //! * [`core`] — the network simulator and churn-analysis framework:
 //!   C-events, per-relation update accounting, and the m/q/e factor
-//!   decomposition of the paper's Eq. 1.
+//!   decomposition of the paper's Eq. 1. One experiment cell is one call
+//!   of [`core::run_cell`]: the churn report, exact op counts and (when
+//!   observed) telemetry, identical for any worker count, or a typed
+//!   [`core::CellError`] when a C-event never quiesces.
+//!   [`core::run_experiment`] is the front door for the report alone.
 //! * [`stats`] — Mann–Kendall trend test, Sen's slope, OLS regression,
 //!   normal distribution functions, power-law fitting.
 //! * [`experiments`] — drivers that regenerate every table and figure of
