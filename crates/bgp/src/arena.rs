@@ -22,13 +22,21 @@
 //!
 //! [`SessionSlab`] is the AS-id ↔ slot translation table, built **once**
 //! from the topology and shared by every node (and the simulator's timer
-//! epochs) through an `Arc`: per-node session state costs zero
-//! allocations at instantiation time.
+//! epochs and churn counters) through an `Arc`: per-node session state
+//! costs zero allocations at instantiation time.
+//!
+//! ## Memory layout
 //!
 //! [`PrefixTable`] stores per-prefix state as parallel columns keyed by a
 //! sorted prefix row index, with the Adj-RIB-in laid out **prefix-major**
 //! (`row * slots + slot`) so the decision process scans one contiguous
-//! stripe. Iterating rows yields prefixes in sorted order — the same
+//! stripe. An Adj-RIB-in cell is twelve bytes in two columns: the route,
+//! a four-byte [`PathId`] into the simulator's path arena
+//! ([`crate::path`]), and its eight-byte preference key
+//! ([`crate::decision::rank_key`]) — short enough because the slab keeps,
+//! per session, the rank that stands in for the next hop's hash and id
+//! ([`SessionSlab::rank`]). The Loc-RIB's best path is a `PathId` too: no
+//! column of the table owns heap memory beyond its own buffer. Iterating rows yields prefixes in sorted order — the same
 //! deterministic order the `BTreeMap` gave, which whole-table operations
 //! (session resets, session-up replays) rely on for bit-identical
 //! artifacts.
@@ -41,10 +49,12 @@
 
 use std::sync::Arc;
 
+use bgpscale_simkernel::rng::hash64;
 use bgpscale_topology::AsId;
 
-use crate::message::{AsPath, Prefix};
+use crate::message::Prefix;
 use crate::node::Session;
+use crate::path::PathId;
 use crate::rfd::DampState;
 
 /// Sentinel slot index meaning "the route is self-originated".
@@ -89,6 +99,12 @@ pub struct SessionSlab {
     /// in a slab built from a topology; empty otherwise (a standalone
     /// node's one-node slab).
     mirror: Vec<u32>,
+    /// Per session (indexed like `sessions`): the slot's rank among its
+    /// node's sessions in ascending `(hash64(peer), peer)` order — the
+    /// decision process's tie-break between next hops, worked out once
+    /// here so that a route's preference key can carry four bytes of rank
+    /// instead of twelve of hash and id ([`crate::decision::rank_key`]).
+    rank: Vec<u32>,
 }
 
 impl SessionSlab {
@@ -108,7 +124,10 @@ impl SessionSlab {
             lookup: Vec::with_capacity(total),
             offsets: Vec::with_capacity(node_count + 1),
             mirror: Vec::new(),
+            rank: vec![0; total],
         };
+        // Scratch for one node's slots in tie-break order.
+        let mut by_tie_break: Vec<u32> = Vec::new();
         slab.offsets.push(0);
         for (i, sess) in sessions_of.iter().enumerate() {
             let id = id_of(i);
@@ -122,6 +141,15 @@ impl SessionSlab {
             node_lookup.sort_unstable_by_key(|&(peer, _)| peer);
             for pair in node_lookup.windows(2) {
                 assert_ne!(pair[0].0, pair[1].0, "duplicate session {id}–{}", pair[0].0);
+            }
+            by_tie_break.clear();
+            by_tie_break.extend(0..sess.len() as u32);
+            by_tie_break.sort_unstable_by_key(|&slot| {
+                let peer = sess[slot as usize].peer.0;
+                (hash64(u64::from(peer)), peer)
+            });
+            for (rank, &slot) in by_tie_break.iter().enumerate() {
+                slab.rank[base + slot as usize] = rank as u32;
             }
             slab.offsets
                 .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
@@ -218,6 +246,14 @@ impl SessionSlab {
         (self.sessions[session].peer, self.mirror[session])
     }
 
+    /// The rank of node `node`'s session `slot` in the decision process's
+    /// tie-break order among that node's sessions: 0 for the next hop that
+    /// wins every tie (smallest hashed id, then smallest id).
+    // det::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract; rank has one entry per session")
+    pub fn rank(&self, node: u32, slot: u32) -> u32 {
+        self.rank[(self.offsets[node as usize] + slot) as usize]
+    }
+
     /// Index of node `node`'s slot 0 in the global session id space —
     /// the base for flat per-session side tables (the simulator's MRAI
     /// epoch array indexes `first_session(node) + slot`).
@@ -253,16 +289,19 @@ pub struct PrefixTable {
     best_slot: Vec<u32>,
     /// The best AS path as received (empty for self-originated routes
     /// and for [`NO_BEST`] rows).
-    best_path: Vec<AsPath>,
-    /// Cached packed preference key per Adj-RIB-in cell (same indexing
-    /// as `rib_in`; meaningful only while the cell holds a route), written
+    best_path: Vec<PathId>,
+    /// Cached preference key per Adj-RIB-in cell (same indexing as
+    /// `rib_in`; meaningful only while the cell holds a route), written
     /// with the route by [`PrefixTable::set_rib_in`]. Lets the decision
     /// process compare candidates by one integer compare instead of
     /// re-deriving the full preference tuple from the path.
-    rib_key: Vec<u128>,
+    rib_key: Vec<u64>,
     /// Adj-RIB-in, prefix-major: `rib_in[row * slots + slot]`.
-    rib_in: Vec<Option<AsPath>>,
+    rib_in: Vec<Option<PathId>>,
 }
+
+// An Adj-RIB-in cell is its key and its path id, in two columns.
+const _: () = assert!(std::mem::size_of::<u64>() + std::mem::size_of::<Option<PathId>>() <= 16);
 
 impl PrefixTable {
     /// Creates an empty table for a node with `slots` sessions.
@@ -302,11 +341,9 @@ impl PrefixTable {
                 self.prefixes.insert(row, prefix);
                 self.originated.insert(row, false);
                 self.best_slot.insert(row, NO_BEST);
-                self.best_path.insert(row, AsPath::new());
-                self.rib_in.splice(
-                    row * slots..row * slots,
-                    std::iter::repeat_with(|| None).take(slots),
-                );
+                self.best_path.insert(row, PathId::EMPTY);
+                self.rib_in
+                    .splice(row * slots..row * slots, std::iter::repeat_n(None, slots));
                 self.rib_key
                     .splice(row * slots..row * slots, std::iter::repeat_n(0, slots));
                 row
@@ -321,22 +358,22 @@ impl PrefixTable {
 
     /// The Adj-RIB-in stripe of `row`: one cell per slot.
     // det::allow(panic-surface, reason = "row is a live row index, and rib_in holds exactly len()*slots cells by construction")
-    pub fn rib_in(&self, row: usize) -> &[Option<AsPath>] {
+    pub fn rib_in(&self, row: usize) -> &[Option<PathId>] {
         let slots = self.slots as usize;
         &self.rib_in[row * slots..(row + 1) * slots]
     }
 
     /// One Adj-RIB-in cell.
     // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
-    pub fn rib_in_cell(&self, row: usize, slot: u32) -> &Option<AsPath> {
-        &self.rib_in[row * self.slots as usize + slot as usize]
+    pub fn rib_in_cell(&self, row: usize, slot: u32) -> Option<PathId> {
+        self.rib_in[row * self.slots as usize + slot as usize]
     }
 
-    /// Overwrites one Adj-RIB-in cell: the route with its packed
-    /// preference key ([`crate::decision::packed_key`]), or `None` for a
-    /// withdrawal (the stale key stays behind, unread).
+    /// Overwrites one Adj-RIB-in cell: the route with its preference key
+    /// ([`crate::decision::rank_key`]), or `None` for a withdrawal (the
+    /// stale key stays behind, unread).
     // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
-    pub fn set_rib_in(&mut self, row: usize, slot: u32, route: Option<(AsPath, u128)>) {
+    pub fn set_rib_in(&mut self, row: usize, slot: u32, route: Option<(PathId, u64)>) {
         let cell = row * self.slots as usize + slot as usize;
         self.rib_in[cell] = match route {
             Some((path, key)) => {
@@ -351,7 +388,7 @@ impl PrefixTable {
     /// [`PrefixTable::rib_in`]; a key means something only while its cell
     /// holds a route.
     // det::allow(panic-surface, reason = "row is a live row index, and rib_key holds exactly len()*slots cells by construction")
-    pub(crate) fn rib_keys(&self, row: usize) -> &[u128] {
+    pub(crate) fn rib_keys(&self, row: usize) -> &[u64] {
         let slots = self.slots as usize;
         &self.rib_key[row * slots..(row + 1) * slots]
     }
@@ -371,20 +408,20 @@ impl PrefixTable {
     /// The Loc-RIB best for `row`: `None` if unreachable, else
     /// `(slot-or-SELF_SLOT, path as received)`.
     // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
-    pub fn best(&self, row: usize) -> Option<(u32, &AsPath)> {
+    pub fn best(&self, row: usize) -> Option<(u32, PathId)> {
         match self.best_slot[row] {
             NO_BEST => None,
-            slot => Some((slot, &self.best_path[row])),
+            slot => Some((slot, self.best_path[row])),
         }
     }
 
     /// Replaces the Loc-RIB best for `row`.
     // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
-    pub fn set_best(&mut self, row: usize, best: Option<(u32, AsPath)>) {
+    pub fn set_best(&mut self, row: usize, best: Option<(u32, PathId)>) {
         match best {
             None => {
                 self.best_slot[row] = NO_BEST;
-                self.best_path[row] = AsPath::new();
+                self.best_path[row] = PathId::EMPTY;
             }
             Some((slot, path)) => {
                 debug_assert_ne!(slot, NO_BEST);
@@ -554,6 +591,28 @@ mod tests {
         assert!(one_way.mirror.is_empty());
     }
 
+    /// The rank column orders each node's slots as the decision process
+    /// breaks ties between next hops: by hashed id, then id.
+    #[test]
+    fn slab_ranks_each_nodes_slots_in_tie_break_order() {
+        let peers = [9u32, 3, 7, 65_000, 1];
+        let slab = SessionSlab::build(
+            2,
+            |i| AsId(100 + i as u32),
+            &[
+                peers.iter().map(|&p| session(p, Relationship::Peer)).collect(),
+                vec![session(3, Relationship::Customer)],
+            ],
+        );
+        let mut by_tie_break: Vec<u32> = (0..peers.len() as u32).collect();
+        by_tie_break.sort_by_key(|&slot| (hash64(u64::from(peers[slot as usize])), peers[slot as usize]));
+        for (rank, &slot) in by_tie_break.iter().enumerate() {
+            assert_eq!(slab.rank(0, slot), rank as u32);
+        }
+        assert_ne!(by_tie_break, vec![4, 1, 2, 0, 3], "the hash, not the id, leads the order");
+        assert_eq!(slab.rank(1, 0), 0, "ranks are per node");
+    }
+
     #[test]
     fn slab_lookup_is_sorted_independently_of_slot_order() {
         // Slots keep declaration order; the lookup stripe sorts by peer.
@@ -597,16 +656,17 @@ mod tests {
 
         let r3 = t.row(Prefix(3)).unwrap();
         let r9 = t.row(Prefix(9)).unwrap();
-        t.set_rib_in(r3, 1, Some((AsPath::from(vec![AsId(7)]), 42)));
+        let route = crate::PathArena::new().intern(&[AsId(7)]);
+        t.set_rib_in(r3, 1, Some((route, 42)));
         t.set_originated(r9, true);
-        t.set_best(r9, Some((SELF_SLOT, AsPath::new())));
+        t.set_best(r9, Some((SELF_SLOT, PathId::EMPTY)));
 
         assert!(t.rib_in(r3)[0].is_none());
         assert!(t.rib_in(r3)[1].is_some());
         assert!(t.rib_in(r9).iter().all(Option::is_none), "rows are isolated");
         assert!(t.originated(r9) && !t.originated(r3));
         assert_eq!(t.best(r3), None);
-        assert_eq!(t.best(r9), Some((SELF_SLOT, &AsPath::new())));
+        assert_eq!(t.best(r9), Some((SELF_SLOT, PathId::EMPTY)));
 
         // Inserting a middle row shifts the stripes coherently.
         let r5 = t.row_or_insert(Prefix(5));
@@ -615,7 +675,7 @@ mod tests {
         let r3 = t.row(Prefix(3)).unwrap();
         assert!(t.rib_in(r3)[1].is_some(), "row 3's stripe survived the shift");
         let r9 = t.row(Prefix(9)).unwrap();
-        assert_eq!(t.best(r9), Some((SELF_SLOT, &AsPath::new())));
+        assert_eq!(t.best(r9), Some((SELF_SLOT, PathId::EMPTY)));
 
         t.clear();
         assert!(t.is_empty());

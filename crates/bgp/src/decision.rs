@@ -20,9 +20,8 @@ use crate::policy::{local_pref, RouteSource};
 
 /// One candidate route in the decision process.
 ///
-/// Borrows the hops as a plain slice so that callers can pass either an
-/// interned [`crate::message::AsPath`] (via deref) or a raw `Vec<AsId>`
-/// without converting.
+/// Borrows the hops as a plain slice: this is the slow reference form,
+/// for tests and oracles; the node itself compares cached [`rank_key`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Candidate<'a> {
     /// The neighbor the route was learned from (the next hop).
@@ -46,24 +45,26 @@ pub fn preference_key(c: &Candidate<'_>) -> (u8, i64, std::cmp::Reverse<u64>, st
     )
 }
 
-/// [`preference_key`] packed into a single integer, larger-wins, for the
-/// arena's cached-key column: field-by-field lexicographic order over
-/// fixed-width fields is exactly integer order on the packed word.
+/// [`preference_key`] as one `u64`, larger-wins, for the arena's
+/// cached-key column: field-by-field lexicographic order over fixed-width
+/// fields is exactly integer order on the packed word.
 ///
 /// Layout, most significant first: LOCAL_PREF (8 bits) | inverted path
 /// length (24 bits — paths are bounded by the AS count, far below 2^24)
-/// | inverted next-hop hash (64 bits) | inverted next-hop id (32 bits).
-/// Inversion (`MAX - x` / `!x`) turns each "smaller wins" field into
-/// "larger wins" without reordering equal values, so
-/// `packed_key(a) > packed_key(b)  ⇔  preference_key(a) > preference_key(b)`
-/// and keys for distinct neighbors are always distinct.
-pub fn packed_key(c: &Candidate<'_>) -> u128 {
-    debug_assert!((c.path.len() as u64) < (1 << 24), "AS path length overflows the key layout");
-    let pref = local_pref(RouteSource::Learned(c.rel)) as u128;
-    let inv_len = (0x00FF_FFFF - c.path.len() as u32) as u128;
-    let inv_hash = !hash64(c.neighbor.0 as u64) as u128;
-    let inv_id = !c.neighbor.0 as u128;
-    (pref << 120) | (inv_len << 96) | (inv_hash << 32) | inv_id
+/// | inverted tie-break rank (32 bits). The last two fields of
+/// [`preference_key`] — the next hop's hash, then its id — depend only on
+/// the session the route came over, so the key carries the session's
+/// `rank` in its node's ascending `(hash, id)` order instead
+/// ([`crate::SessionSlab::rank`], computed once per topology). Inversion
+/// (`MAX - x` / `!x`) turns each "smaller wins" field into "larger wins",
+/// so for two routes held by one node
+/// `rank_key(a) > rank_key(b)  ⇔  preference_key(a) > preference_key(b)`,
+/// and keys of distinct sessions are always distinct.
+pub fn rank_key(rel: Relationship, path_len: usize, rank: u32) -> u64 {
+    debug_assert!((path_len as u64) < (1 << 24), "AS path length overflows the key layout");
+    let pref = u64::from(local_pref(RouteSource::Learned(rel)));
+    let inv_len = u64::from(0x00FF_FFFF - path_len as u32);
+    (pref << 56) | (inv_len << 32) | u64::from(!rank)
 }
 
 /// Selects the best route among `candidates`, returning the index of the
@@ -157,28 +158,31 @@ mod tests {
     }
 
     #[test]
-    fn packed_key_orders_exactly_like_preference_key() {
-        // A grid of candidates crossing every field of the key: both
-        // relations, several path lengths, and neighbor ids chosen to
-        // exercise the hash and raw-id tiebreaks.
+    fn rank_key_orders_exactly_like_preference_key() {
+        // A grid of candidates crossing every field of the key: every
+        // relation, several path lengths, and neighbor ids chosen to
+        // exercise the hash and raw-id tiebreaks, ranked as the session
+        // slab ranks a node's sessions.
         let paths: Vec<Vec<AsId>> = (1..=5)
             .map(|l| (1..=l).map(AsId).collect())
             .collect();
         let rels = [Relationship::Customer, Relationship::Peer, Relationship::Provider];
+        let mut neighbors = [1u32, 2, 7, 100, 65000];
+        neighbors.sort_unstable_by_key(|&id| (hash64(u64::from(id)), id));
         let mut cands = Vec::new();
         for rel in rels {
             for path in &paths {
-                for id in [1u32, 2, 7, 100, 65000] {
-                    cands.push(cand(id, rel, path));
+                for (rank, &id) in neighbors.iter().enumerate() {
+                    cands.push((cand(id, rel, path), rank as u32));
                 }
             }
         }
-        for a in &cands {
-            for b in &cands {
+        for (a, rank_a) in &cands {
+            for (b, rank_b) in &cands {
                 assert_eq!(
-                    packed_key(a).cmp(&packed_key(b)),
+                    rank_key(a.rel, a.path.len(), *rank_a).cmp(&rank_key(b.rel, b.path.len(), *rank_b)),
                     preference_key(a).cmp(&preference_key(b)),
-                    "packed order diverges for {a:?} vs {b:?}"
+                    "rank-key order diverges for {a:?} vs {b:?}"
                 );
             }
         }

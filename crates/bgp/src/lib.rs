@@ -9,6 +9,8 @@
 //!
 //! * [`message`] — UPDATE messages ([`Update`]): announcements carrying an
 //!   AS path, and explicit withdrawals.
+//! * [`path`] — AS paths, hash-consed into four-byte [`PathId`]s by the
+//!   [`PathArena`] a simulator lends to its nodes.
 //! * [`policy`] — Gao–Rexford "no-valley / prefer-customer" export rules
 //!   and sender-side loop detection.
 //! * [`decision`] — the best-route selection process: LOCAL_PREF by
@@ -37,11 +39,13 @@ pub mod decision;
 pub mod message;
 pub mod mrai;
 pub mod node;
+pub mod path;
 pub mod policy;
 pub mod rfd;
 
 pub use arena::{DampTable, PrefixTable, SessionSlab};
-pub use bgpscale_obs::{Provenance, RootCauseKind};
+pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets};
 pub use config::{BgpConfig, MraiMode, MraiScope, ServiceTimeModel};
-pub use message::{AsPath, Prefix, Update, UpdateKind};
+pub use message::{Prefix, Update, UpdateKind};
 pub use node::{BgpNode, NodeCostCounters};
+pub use path::{PathArena, PathId};

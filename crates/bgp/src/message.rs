@@ -6,11 +6,10 @@
 //! one unit of churn, exactly as in the paper's measurements.
 
 use std::fmt;
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
 
 use bgpscale_obs::Provenance;
-use bgpscale_topology::AsId;
+
+use crate::path::{PathArena, PathId};
 
 /// A routable destination. The paper studies single-prefix events, so a
 /// prefix is an opaque identifier; library users announcing real address
@@ -30,100 +29,12 @@ impl fmt::Display for Prefix {
     }
 }
 
-/// An AS path: the sequence of ASes a route has traversed, **nearest AS
-/// first, origin last**. A node prepends its own id when exporting.
-///
-/// Interned behind an `Arc<[AsId]>`: once built, a path is immutable and
-/// [`Clone`] is a reference-count bump. This matters on the per-update hot
-/// path — a single best-route change fans the same export path out to every
-/// neighbor queue, and each RIB install, Adj-RIB-out entry, and wire
-/// message shares one allocation instead of copying the hop list.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct AsPath(Arc<[AsId]>);
-
-impl AsPath {
-    /// The empty path (self-originated routes). Allocation-free: all empty
-    /// paths share one static backing buffer.
-    pub fn new() -> AsPath {
-        static EMPTY: OnceLock<Arc<[AsId]>> = OnceLock::new();
-        AsPath(EMPTY.get_or_init(|| Arc::from([])).clone())
-    }
-
-    /// Builds the export path `head · tail` (ourselves prepended to the
-    /// best path) in a single pass and a single allocation: the chained
-    /// iterator reports its exact length, so `Arc<[_]>` is sized once and
-    /// filled in place, with no intermediate `Vec`.
-    pub fn prepended(head: AsId, tail: &[AsId]) -> AsPath {
-        AsPath(std::iter::once(head).chain(tail.iter().copied()).collect())
-    }
-
-    /// The hops as a slice (also available through [`Deref`]).
-    pub fn as_slice(&self) -> &[AsId] {
-        &self.0
-    }
-
-    /// True if both paths share one backing allocation (interned clones of
-    /// the same build). Used by tests to pin the Adj-RIB-out interning
-    /// invariant: exporting one best route to k neighbors must be k
-    /// refcount bumps of a single `prepended` allocation, never k copies.
-    pub fn ptr_eq(a: &AsPath, b: &AsPath) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl Default for AsPath {
-    fn default() -> Self {
-        AsPath::new()
-    }
-}
-
-impl Deref for AsPath {
-    type Target = [AsId];
-
-    fn deref(&self) -> &[AsId] {
-        &self.0
-    }
-}
-
-impl From<Vec<AsId>> for AsPath {
-    fn from(hops: Vec<AsId>) -> AsPath {
-        AsPath(hops.into())
-    }
-}
-
-impl From<&[AsId]> for AsPath {
-    fn from(hops: &[AsId]) -> AsPath {
-        AsPath(hops.into())
-    }
-}
-
-impl FromIterator<AsId> for AsPath {
-    fn from_iter<I: IntoIterator<Item = AsId>>(iter: I) -> AsPath {
-        AsPath(iter.into_iter().collect())
-    }
-}
-
-impl<'a> IntoIterator for &'a AsPath {
-    type Item = &'a AsId;
-    type IntoIter = std::slice::Iter<'a, AsId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl fmt::Debug for AsPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.0.iter()).finish()
-    }
-}
-
 /// The payload of an UPDATE message.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UpdateKind {
     /// The sender announces reachability with the given AS path (the
     /// sender itself is the first path element).
-    Announce(AsPath),
+    Announce(PathId),
     /// The sender explicitly withdraws its previously announced route.
     Withdraw,
 }
@@ -140,28 +51,36 @@ impl UpdateKind {
     }
 
     /// The announced path, if any.
-    pub fn path(&self) -> Option<&AsPath> {
+    pub fn path(&self) -> Option<PathId> {
         match self {
-            UpdateKind::Announce(p) => Some(p),
+            UpdateKind::Announce(p) => Some(*p),
             UpdateKind::Withdraw => None,
         }
     }
 }
 
 /// One UPDATE message concerning one prefix.
-#[derive(Clone, Debug)]
+///
+/// ## Memory layout
+///
+/// Twenty bytes, `Copy`, and nothing behind a pointer: the path is a
+/// [`PathId`] into the simulator's [`PathArena`] and the stamp carries its
+/// root cause inline. Sending a message, queueing it at the receiver and
+/// dropping it touch no allocator and no reference count.
+#[derive(Clone, Copy, Debug)]
 pub struct Update {
     /// The prefix the message is about.
     pub prefix: Prefix,
     /// Announcement or withdrawal.
     pub kind: UpdateKind,
-    /// Causal attribution stamp (telemetry metadata, see below). Cheap to
-    /// clone: the root set is interned behind an `Arc`.
+    /// Causal attribution stamp (telemetry metadata, see below).
     pub provenance: Provenance,
 }
 
-/// Equality covers the wire content only (`prefix` + `kind`). The
-/// provenance stamp is telemetry metadata — two updates that would be
+const _: () = assert!(std::mem::size_of::<Update>() <= 24);
+
+/// Equality covers the wire content only (`prefix` + `kind`; two paths of
+/// one arena are equal exactly when their ids are). The provenance stamp is telemetry metadata — two updates that would be
 /// byte-identical on the wire compare equal regardless of which root
 /// cause produced them, so structural assertions in tests and the MRAI
 /// no-op suppression logic are unaffected by stamping.
@@ -174,15 +93,13 @@ impl PartialEq for Update {
 impl Eq for Update {}
 
 impl Update {
-    /// Convenience constructor for an announcement. Accepts anything
-    /// convertible to an [`AsPath`] (a `Vec<AsId>`, a slice, or an
-    /// already-interned path, which is reused without copying). The
+    /// Convenience constructor for an announcement of `path`. The
     /// update starts unstamped; use [`Update::stamped`] to attach
     /// provenance.
-    pub fn announce(prefix: Prefix, path: impl Into<AsPath>) -> Update {
+    pub fn announce(prefix: Prefix, path: PathId) -> Update {
         Update {
             prefix,
-            kind: UpdateKind::Announce(path.into()),
+            kind: UpdateKind::Announce(path),
             provenance: Provenance::none(),
         }
     }
@@ -203,23 +120,24 @@ impl Update {
     }
 }
 
-impl fmt::Display for Update {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
-            UpdateKind::Announce(path) => {
-                write!(f, "ANNOUNCE {} via ", self.prefix)?;
-                let mut first = true;
-                for hop in path {
-                    if !first {
-                        write!(f, " ")?;
+impl Update {
+    /// The message in words (`ANNOUNCE P7 via AS1 AS9`), its path resolved
+    /// through `paths`, the arena the id was minted by.
+    pub fn display<'a>(&'a self, paths: &'a PathArena) -> impl fmt::Display + 'a {
+        struct Shown<'a>(&'a Update, &'a PathArena);
+        impl fmt::Display for Shown<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let Shown(update, paths) = self;
+                match update.kind {
+                    UpdateKind::Announce(path) => {
+                        write!(f, "ANNOUNCE {} via", update.prefix)?;
+                        paths.hops(path).try_for_each(|hop| write!(f, " {hop}"))
                     }
-                    write!(f, "{hop}")?;
-                    first = false;
+                    UpdateKind::Withdraw => write!(f, "WITHDRAW {}", update.prefix),
                 }
-                Ok(())
             }
-            UpdateKind::Withdraw => write!(f, "WITHDRAW {}", self.prefix),
         }
+        Shown(self, paths)
     }
 }
 
@@ -229,56 +147,36 @@ mod tests {
 
     #[test]
     fn constructors_set_kind() {
-        let a = Update::announce(Prefix(1), vec![AsId(2), AsId(3)]);
+        let mut paths = PathArena::new();
+        let route = paths.of(&[2, 3]);
+        let a = Update::announce(Prefix(1), route);
         assert!(a.kind.is_announce());
         assert!(!a.kind.is_withdraw());
-        assert_eq!(a.kind.path(), Some(&AsPath::from(vec![AsId(2), AsId(3)])));
+        assert_eq!(a.kind.path(), Some(route));
         let w = Update::withdraw(Prefix(1));
         assert!(w.kind.is_withdraw());
         assert_eq!(w.kind.path(), None);
     }
 
     #[test]
-    fn path_clone_shares_the_backing_buffer() {
-        let a = AsPath::from(vec![AsId(1), AsId(2)]);
-        let b = a.clone();
-        assert!(std::sync::Arc::ptr_eq(&a.0, &b.0), "clone must not copy hops");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_paths_share_one_static_buffer() {
-        let a = AsPath::new();
-        let b = AsPath::default();
-        assert!(std::sync::Arc::ptr_eq(&a.0, &b.0));
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn prepended_builds_the_export_path() {
-        let tail = AsPath::from(vec![AsId(5), AsId(9)]);
-        let export = AsPath::prepended(AsId(1), &tail);
-        assert_eq!(export.as_slice(), &[AsId(1), AsId(5), AsId(9)]);
-        assert_eq!(AsPath::prepended(AsId(3), &[]).as_slice(), &[AsId(3)]);
-    }
-
-    #[test]
     fn display_formats_both_kinds() {
-        let a = Update::announce(Prefix(7), vec![AsId(1), AsId(9)]);
-        assert_eq!(a.to_string(), "ANNOUNCE P7 via AS1 AS9");
+        let mut paths = PathArena::new();
+        let a = Update::announce(Prefix(7), paths.of(&[1, 9]));
+        assert_eq!(a.display(&paths).to_string(), "ANNOUNCE P7 via AS1 AS9");
         let w = Update::withdraw(Prefix(7));
-        assert_eq!(w.to_string(), "WITHDRAW P7");
+        assert_eq!(w.display(&paths).to_string(), "WITHDRAW P7");
     }
 
     #[test]
     fn updates_compare_structurally() {
+        let mut paths = PathArena::new();
         assert_eq!(
-            Update::announce(Prefix(1), vec![AsId(2)]),
-            Update::announce(Prefix(1), vec![AsId(2)])
+            Update::announce(Prefix(1), paths.of(&[2])),
+            Update::announce(Prefix(1), paths.of(&[2]))
         );
         assert_ne!(
-            Update::announce(Prefix(1), vec![AsId(2)]),
-            Update::announce(Prefix(1), vec![AsId(3)])
+            Update::announce(Prefix(1), paths.of(&[2])),
+            Update::announce(Prefix(1), paths.of(&[3]))
         );
         assert_ne!(Update::withdraw(Prefix(1)), Update::withdraw(Prefix(2)));
     }
@@ -289,7 +187,6 @@ mod tests {
         let stamped = Update::withdraw(Prefix(1)).stamped(Provenance::root(9));
         assert_eq!(plain, stamped, "provenance is telemetry, not wire content");
         assert!(!plain.provenance.is_stamped());
-        assert_eq!(stamped.provenance.roots(), &[9]);
-        assert_eq!(stamped.clone().provenance.roots(), &[9]);
+        assert_eq!(stamped.provenance.roots(&Default::default()), &[9]);
     }
 }

@@ -49,11 +49,12 @@ use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
 use crate::config::{MraiMode, MraiScope};
-use crate::message::{AsPath, Prefix, Update, UpdateKind};
+use crate::message::{Prefix, Update, UpdateKind};
 use crate::node::NodeCostCounters;
+use crate::path::{PathArena, PathId};
 
 /// What a protocol step tells every queue it touches: the node's MRAI
-/// settings and the key of the event being processed.
+/// settings, the key of the event being processed, and what caused it.
 #[derive(Clone, Copy, Debug)]
 pub struct Step {
     /// Withdrawal treatment.
@@ -63,6 +64,10 @@ pub struct Step {
     /// The key of the event this step handles
     /// (`EventQueue::last_key`): a timer whose key is after it is armed.
     pub now: EventKey,
+    /// The provenance of whatever triggered the step's exports
+    /// ([`Provenance::none`] when attribution is not wanted — it never
+    /// changes what is sent, queued, or suppressed).
+    pub cause: Provenance,
 }
 
 /// Result of submitting an update to an [`OutQueue`].
@@ -91,109 +96,79 @@ pub enum Submit {
     Suppressed,
 }
 
-/// A map from prefix to `V`, iterated in prefix order, with inline room
-/// for one entry. A session of a C-event experiment only ever carries the
-/// event's one prefix, so its Adj-RIB-out and pending update live inside
-/// the [`OutQueue`] itself: no heap block per session, and nothing for a
-/// recycled simulator to accumulate. A second prefix spills to a sorted
-/// `Vec` with binary-search access, which keeps the flush order of the
-/// `BTreeMap` this once was.
-#[derive(Clone, Debug, Default)]
-enum PrefixMap<V> {
-    #[default]
-    Empty,
-    One(Prefix, V),
-    /// Sorted by prefix, at most one entry per prefix. Stays spilled when
-    /// removals shrink it, so a multi-prefix session keeps its buffer.
-    Many(Vec<(Prefix, V)>),
+/// An update waiting for a timer, with the stamp it will carry.
+type Pending = (UpdateKind, Provenance);
+
+/// Binary search of entries sorted by prefix.
+fn search<V>(entries: &[(Prefix, V)], prefix: Prefix) -> Result<usize, usize> {
+    entries.binary_search_by_key(&prefix, |e| e.0)
 }
 
-impl<V> PrefixMap<V> {
-    fn len(&self) -> usize {
-        match self {
-            PrefixMap::Empty => 0,
-            PrefixMap::One(..) => 1,
-            PrefixMap::Many(entries) => entries.len(),
-        }
-    }
+/// The value `prefix` has among entries sorted by prefix.
+fn find<V>(entries: &[(Prefix, V)], prefix: Prefix) -> Option<&V> {
+    let at = search(entries, prefix).ok()?;
+    entries.get(at).map(|e| &e.1)
+}
 
-    /// Binary search of a spilled map's entries.
-    fn search(entries: &[(Prefix, V)], prefix: Prefix) -> Result<usize, usize> {
-        entries.binary_search_by_key(&prefix, |e| e.0)
-    }
+/// One of a session's maps from prefix to `V`, where it lives right now:
+/// in the queue's inline room for one entry, or — once the session has
+/// carried a second prefix — in a `Vec` of the queue's [`Multi`], sorted
+/// by prefix, at most one entry per prefix.
+enum PrefixMap<'a, V> {
+    One(&'a mut Option<(Prefix, V)>),
+    Many(&'a mut Vec<(Prefix, V)>),
+}
 
-    fn get(&self, prefix: Prefix) -> Option<&V> {
+impl<'a, V> PrefixMap<'a, V> {
+    fn get_mut(self, prefix: Prefix) -> Option<&'a mut V> {
         match self {
-            PrefixMap::Empty => None,
-            PrefixMap::One(p, v) => (*p == prefix).then_some(v),
-            PrefixMap::Many(entries) => Self::search(entries, prefix)
-                .ok()
-                .and_then(|i| entries.get(i))
-                .map(|e| &e.1),
-        }
-    }
-
-    fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
-        match self {
-            PrefixMap::Empty => None,
-            PrefixMap::One(p, v) => (*p == prefix).then_some(v),
-            PrefixMap::Many(entries) => Self::search(entries, prefix)
+            PrefixMap::One(one) => one.as_mut().filter(|e| e.0 == prefix).map(|e| &mut e.1),
+            PrefixMap::Many(entries) => search(entries, prefix)
                 .ok()
                 .and_then(|i| entries.get_mut(i))
                 .map(|e| &mut e.1),
         }
     }
 
-    /// Sets the entry for `prefix`, replacing any previous value.
-    fn insert(&mut self, prefix: Prefix, value: V) {
-        if let Some(held) = self.get_mut(prefix) {
-            *held = value;
-            return;
-        }
-        *self = match std::mem::take(self) {
-            PrefixMap::Empty => PrefixMap::One(prefix, value),
-            PrefixMap::One(p, v) => PrefixMap::Many(if p < prefix {
-                vec![(p, v), (prefix, value)]
-            } else {
-                vec![(prefix, value), (p, v)]
-            }),
-            PrefixMap::Many(mut entries) => {
-                let at = entries.partition_point(|e| e.0 < prefix);
-                entries.insert(at, (prefix, value));
-                PrefixMap::Many(entries)
-            }
-        };
-    }
-
-    fn remove(&mut self, prefix: Prefix) -> Option<V> {
+    /// Sets the entry for `prefix`, replacing any previous value. Hands
+    /// the value back if the inline room is taken by another prefix: the
+    /// queue must spill first.
+    fn insert(self, prefix: Prefix, value: V) -> Result<(), V> {
         match self {
-            PrefixMap::Many(entries) => Self::search(entries, prefix)
-                .ok()
-                .map(|i| entries.remove(i).1),
-            PrefixMap::One(p, _) if *p == prefix => match std::mem::take(self) {
-                PrefixMap::One(_, v) => Some(v),
-                _ => None,
+            PrefixMap::One(one) => match one {
+                Some((held, _)) if *held != prefix => return Err(value),
+                _ => *one = Some((prefix, value)),
             },
-            _ => None,
-        }
-    }
-
-    /// Empties the map into `f`, in prefix order. A spilled map keeps
-    /// its buffer.
-    fn drain_into(&mut self, mut f: impl FnMut(Prefix, V)) {
-        match self {
-            PrefixMap::Many(entries) => entries.drain(..).for_each(|(p, v)| f(p, v)),
-            _ => {
-                if let PrefixMap::One(p, v) = std::mem::take(self) {
-                    f(p, v);
+            PrefixMap::Many(entries) => match search(entries, prefix) {
+                Ok(at) => {
+                    if let Some(entry) = entries.get_mut(at) {
+                        entry.1 = value;
+                    }
                 }
-            }
+                Err(at) => entries.insert(at, (prefix, value)),
+            },
         }
+        Ok(())
     }
 
-    /// Drops every entry and any spilled buffer.
-    fn clear(&mut self) {
-        *self = PrefixMap::Empty;
+    fn remove(self, prefix: Prefix) -> Option<V> {
+        match self {
+            PrefixMap::One(one) => one.take_if(|e| e.0 == prefix).map(|e| e.1),
+            PrefixMap::Many(entries) => search(entries, prefix).ok().map(|i| entries.remove(i).1),
+        }
+    }
+}
+
+/// The read-only face of [`PrefixMap`]: the inline entry, or — once
+/// spilled — the sorted entries.
+fn lookup<'a, V>(
+    one: &'a Option<(Prefix, V)>,
+    many: Option<&'a Vec<(Prefix, V)>>,
+    prefix: Prefix,
+) -> Option<&'a V> {
+    match many {
+        None => one.as_ref().filter(|e| e.0 == prefix).map(|e| &e.1),
+        Some(entries) => find(entries, prefix),
     }
 }
 
@@ -221,30 +196,56 @@ impl Timer {
     }
 }
 
-/// One neighbor session's rate-limited output queue plus Adj-RIB-out.
-#[derive(Clone, Debug)]
-pub struct OutQueue {
-    /// The session timer (per-interface scope).
-    timer: Timer,
+/// Everything a session holds once one prefix and one timer are not
+/// enough: the state of a multi-prefix session (`ext_tablesize`, table
+/// replays) or of the per-prefix MRAI scope.
+#[derive(Clone, Debug, Default)]
+struct Multi {
     /// Per-prefix scope: the timer of every prefix armed since the last
     /// reset, sorted by prefix. A lapsed entry stays and is overwritten by
     /// its prefix's next arm.
     prefix_timers: Vec<(Prefix, Timer)>,
+    /// The pending updates of every prefix, sorted by prefix.
+    pending: Vec<(Prefix, Pending)>,
+    /// The Adj-RIB-out of every prefix, sorted by prefix.
+    sent: Vec<(Prefix, PathId)>,
+}
+
+/// One neighbor session's rate-limited output queue plus Adj-RIB-out.
+///
+/// ## Memory layout
+///
+/// One cache line. A session of a C-event experiment only ever carries
+/// the event's one prefix under the one session timer, so that much lives
+/// inline: the timer's reserved key, one Adj-RIB-out entry (prefix and
+/// [`PathId`]) and one pending update (prefix, kind, twelve-byte stamp).
+/// There is one queue per session of the topology and every export visits
+/// all of a node's queues, so its size is the stride of the hottest scan
+/// in the simulator. A session that carries a second prefix, or arms a
+/// per-prefix timer, *spills*: all its per-prefix state moves behind the
+/// one `multi` pointer, into `Vec`s sorted by prefix (which keep the
+/// flush order of the `BTreeMap` this once was), and stays there — buffers
+/// kept across resets — for the life of the queue.
+#[derive(Clone, Debug)]
+pub struct OutQueue {
+    /// The session timer (per-interface scope).
+    timer: Timer,
+    /// Adj-RIB-out: the path last actually sent, per prefix. Absent means
+    /// the neighbor holds no route from us (withdrawn or never
+    /// announced). `None` while the queue is spilled.
+    sent: Option<(Prefix, PathId)>,
     /// Updates waiting for a timer; at most one per prefix, each with the
     /// provenance it will carry when flushed. When a newer update
     /// replaces a queued one, the stamps coalesce (root sets union) so
-    /// attribution survives rate-limiting.
-    pending: PrefixMap<(UpdateKind, Provenance)>,
-    /// Adj-RIB-out: the path last actually sent, per prefix. Absent means
-    /// the neighbor holds no route from us (withdrawn or never
-    /// announced). Entries share the export path's `Arc` with the node's
-    /// Loc-RIB — an Adj-RIB-out write is a refcount bump.
-    sent: PrefixMap<AsPath>,
+    /// attribution survives rate-limiting. `None` while the queue is
+    /// spilled.
+    pending: Option<(Prefix, Pending)>,
+    /// Where both maps and the per-prefix timers live once spilled.
+    multi: Option<Box<Multi>>,
 }
 
-// One per session of the topology: the lazy timer's key took the room of
-// the per-queue tallies that now live in `NodeCostCounters`.
-const _: () = assert!(std::mem::size_of::<OutQueue>() <= 128);
+// One per session of the topology, and one cache line.
+const _: () = assert!(std::mem::size_of::<OutQueue>() <= 64);
 
 impl Default for OutQueue {
     fn default() -> Self {
@@ -257,17 +258,61 @@ impl OutQueue {
     pub fn new() -> Self {
         OutQueue {
             timer: Timer::IDLE,
-            prefix_timers: Vec::new(),
-            pending: PrefixMap::Empty,
-            sent: PrefixMap::Empty,
+            sent: None,
+            pending: None,
+            multi: None,
         }
+    }
+
+    /// Moves the inline entries behind the `multi` pointer (if they are
+    /// not there yet), making room for any number of prefixes.
+    fn spill(&mut self) -> &mut Multi {
+        self.multi.get_or_insert_with(|| {
+            Box::new(Multi {
+                prefix_timers: Vec::new(),
+                pending: self.pending.take().into_iter().collect(),
+                sent: self.sent.take().into_iter().collect(),
+            })
+        })
+    }
+
+    fn sent_map(&mut self) -> PrefixMap<'_, PathId> {
+        match &mut self.multi {
+            Some(multi) => PrefixMap::Many(&mut multi.sent),
+            None => PrefixMap::One(&mut self.sent),
+        }
+    }
+
+    fn pending_map(&mut self) -> PrefixMap<'_, Pending> {
+        match &mut self.multi {
+            Some(multi) => PrefixMap::Many(&mut multi.pending),
+            None => PrefixMap::One(&mut self.pending),
+        }
+    }
+
+    fn set_sent(&mut self, prefix: Prefix, path: PathId) {
+        if self.sent_map().insert(prefix, path).is_err() {
+            self.spill();
+            let _ = self.sent_map().insert(prefix, path);
+        }
+    }
+
+    fn set_pending(&mut self, prefix: Prefix, update: Pending) {
+        if let Err(update) = self.pending_map().insert(prefix, update) {
+            self.spill();
+            let _ = self.pending_map().insert(prefix, update);
+        }
+    }
+
+    fn pending(&self, prefix: Prefix) -> Option<&Pending> {
+        lookup(&self.pending, self.multi.as_ref().map(|m| &m.pending), prefix)
     }
 
     /// Every timer of this queue with the prefix it governs (`None`: the
     /// session timer).
     fn timers(&self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + '_ {
-        std::iter::once((None, self.timer))
-            .chain(self.prefix_timers.iter().map(|&(p, t)| (Some(p), t)))
+        let prefix_timers = self.multi.iter().flat_map(|m| &m.prefix_timers);
+        std::iter::once((None, self.timer)).chain(prefix_timers.map(|&(p, t)| (Some(p), t)))
     }
 
     /// The timer `which` names, created idle if it is a prefix's first.
@@ -276,14 +321,15 @@ impl OutQueue {
         let Some(prefix) = which else {
             return &mut self.timer;
         };
-        let at = match PrefixMap::search(&self.prefix_timers, prefix) {
+        let prefix_timers = &mut self.spill().prefix_timers;
+        let at = match search(prefix_timers, prefix) {
             Ok(at) => at,
             Err(at) => {
-                self.prefix_timers.insert(at, (prefix, Timer::IDLE));
+                prefix_timers.insert(at, (prefix, Timer::IDLE));
                 at
             }
         };
-        &mut self.prefix_timers[at].1
+        &mut prefix_timers[at].1
     }
 
     /// True while the MRAI timer governing `prefix` under `scope` is
@@ -291,10 +337,11 @@ impl OutQueue {
     pub fn is_armed(&self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
         match governing(scope, prefix) {
             None => self.timer.armed(now),
-            Some(prefix) => PrefixMap::search(&self.prefix_timers, prefix)
-                .ok()
-                .and_then(|at| self.prefix_timers.get(at))
-                .is_some_and(|(_, timer)| timer.armed(now)),
+            Some(prefix) => self
+                .multi
+                .as_ref()
+                .and_then(|multi| find(&multi.prefix_timers, prefix))
+                .is_some_and(|timer| timer.armed(now)),
         }
     }
 
@@ -339,21 +386,24 @@ impl OutQueue {
 
     /// Number of queued (pending) updates.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        match &self.multi {
+            Some(multi) => multi.pending.len(),
+            None => usize::from(self.pending.is_some()),
+        }
     }
 
     /// The path the neighbor currently holds from us for `prefix`
     /// (Adj-RIB-out), ignoring anything still queued.
-    pub fn advertised(&self, prefix: Prefix) -> Option<&AsPath> {
-        self.sent.get(prefix)
+    pub fn advertised(&self, prefix: Prefix) -> Option<PathId> {
+        lookup(&self.sent, self.multi.as_ref().map(|m| &m.sent), prefix).copied()
     }
 
     /// What the neighbor will believe once the queue drains: the queued
     /// intent if any, else the Adj-RIB-out.
-    pub fn intent(&self, prefix: Prefix) -> Option<&AsPath> {
-        match self.pending.get(prefix) {
+    pub fn intent(&self, prefix: Prefix) -> Option<PathId> {
+        match self.pending(prefix) {
             Some((kind, _)) => kind.path(),
-            None => self.sent.get(prefix),
+            None => self.advertised(prefix),
         }
     }
 
@@ -367,15 +417,16 @@ impl OutQueue {
         kind: UpdateKind,
         mut stamp: Provenance,
         scope: MraiScope,
+        paths: &mut PathArena,
         costs: &mut NodeCostCounters,
     ) -> Submit {
-        match self.pending.get_mut(prefix) {
+        match self.pending_map().get_mut(prefix) {
             Some(queued) => {
-                stamp.coalesce_with(&queued.1);
+                stamp.coalesce_with(&queued.1, paths.root_sets_mut());
                 costs.mrai_coalesced += 1;
                 *queued = (kind, stamp);
             }
-            None => self.pending.insert(prefix, (kind, stamp)),
+            None => self.set_pending(prefix, (kind, stamp)),
         }
         let timer = self.timer_mut(governing(scope, prefix));
         // A timer armed earlier in this step has no key yet; `arm_at`
@@ -388,29 +439,28 @@ impl OutQueue {
     }
 
     /// Submits a new intent for `prefix`: `Some(path)` to announce, `None`
-    /// to withdraw. `cause` is the provenance of whatever triggered the
-    /// export and `rel` the relation of this session's edge; the resulting
-    /// update carries `cause.with_rel(rel)` (pass [`Provenance::none`]
-    /// when attribution is not wanted — it never changes what is sent,
-    /// queued, or suppressed). The path and the stamp are cloned only when
-    /// the update is stored or sent. Adj-RIB-out writes and coalesced
-    /// updates are tallied into `costs`. Returns what the caller must do.
+    /// to withdraw. `rel` is the relation of this session's edge; the
+    /// resulting update carries `step.cause.with_rel(rel)`. `paths` is the
+    /// arena `intent` lives in, whose root-set table a coalesced stamp is
+    /// interned in. Adj-RIB-out writes and coalesced updates are tallied
+    /// into `costs`. Returns what the caller must do.
     pub fn submit(
         &mut self,
         prefix: Prefix,
-        intent: Option<&AsPath>,
+        intent: Option<PathId>,
         step: &Step,
-        cause: &Provenance,
         rel: Relationship,
+        paths: &mut PathArena,
         costs: &mut NodeCostCounters,
     ) -> Submit {
         // Drop no-ops against the eventual neighbor state.
         if self.intent(prefix) == intent {
             return Submit::Suppressed;
         }
+        let stamp = step.cause.with_rel(rel);
         match intent {
-            None => self.submit_withdraw(prefix, step, cause, rel, costs),
-            Some(path) => self.submit_announce(prefix, path, step, cause, rel, costs),
+            None => self.submit_withdraw(prefix, step, stamp, paths, costs),
+            Some(path) => self.submit_announce(prefix, path, step, stamp, paths, costs),
         }
     }
 
@@ -418,14 +468,14 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         step: &Step,
-        cause: &Provenance,
-        rel: Relationship,
+        stamp: Provenance,
+        paths: &mut PathArena,
         costs: &mut NodeCostCounters,
     ) -> Submit {
         // A queued announcement that never went out is invalidated: if the
         // neighbor holds nothing, removing it finishes the job silently.
-        self.pending.remove(prefix);
-        if self.sent.get(prefix).is_none() {
+        self.pending_map().remove(prefix);
+        if self.advertised(prefix).is_none() {
             return Submit::Suppressed;
         }
         // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and do
@@ -433,15 +483,15 @@ impl OutQueue {
         // announcements.
         let rate_limited = step.mode == MraiMode::Wrate;
         if rate_limited && self.is_armed(prefix, step.scope, step.now) {
-            return self.park(prefix, UpdateKind::Withdraw, cause.with_rel(rel), step.scope, costs);
+            return self.park(prefix, UpdateKind::Withdraw, stamp, step.scope, paths, costs);
         }
-        self.sent.remove(prefix);
+        self.sent_map().remove(prefix);
         costs.rib_out_writes += 1;
         if rate_limited {
             self.arm_timer(governing(step.scope, prefix));
         }
         Submit::SendNow {
-            update: Update::withdraw(prefix).stamped(cause.with_rel(rel)),
+            update: Update::withdraw(prefix).stamped(stamp),
             arm_timer: rate_limited,
         }
     }
@@ -449,25 +499,24 @@ impl OutQueue {
     fn submit_announce(
         &mut self,
         prefix: Prefix,
-        path: &AsPath,
+        path: PathId,
         step: &Step,
-        cause: &Provenance,
-        rel: Relationship,
+        stamp: Provenance,
+        paths: &mut PathArena,
         costs: &mut NodeCostCounters,
     ) -> Submit {
         if self.is_armed(prefix, step.scope, step.now) {
-            let kind = UpdateKind::Announce(path.clone());
-            self.park(prefix, kind, cause.with_rel(rel), step.scope, costs)
+            self.park(prefix, UpdateKind::Announce(path), stamp, step.scope, paths, costs)
         } else {
             debug_assert!(
-                self.pending.get(prefix).is_none(),
+                self.pending(prefix).is_none(),
                 "pending update with an idle timer"
             );
-            self.sent.insert(prefix, path.clone());
+            self.set_sent(prefix, path);
             costs.rib_out_writes += 1;
             self.arm_timer(governing(step.scope, prefix));
             Submit::SendNow {
-                update: Update::announce(prefix, path.clone()).stamped(cause.with_rel(rel)),
+                update: Update::announce(prefix, path).stamped(stamp),
                 arm_timer: true,
             }
         }
@@ -480,8 +529,8 @@ impl OutQueue {
     /// caller must then schedule the expiry event at `key` right away.
     pub fn arm_at(&mut self, which: Option<Prefix>, key: EventKey) -> bool {
         let waiting = match which {
-            None => self.pending.len() > 0,
-            Some(prefix) => self.pending.get(prefix).is_some(),
+            None => self.pending_len() > 0,
+            Some(prefix) => self.pending(prefix).is_some(),
         };
         let timer = self.timer_mut(which);
         debug_assert!(timer.until == EventKey::NEVER, "a key for a timer nothing armed");
@@ -514,18 +563,27 @@ impl OutQueue {
     ) -> bool {
         let before = sends.len();
         match trigger {
-            None => {
-                // Taken out so `emit` can write the Adj-RIB-out while the
-                // drain runs, and put back emptied: a spilled map keeps
-                // its buffer for the next window.
-                let mut pending = std::mem::take(&mut self.pending);
-                pending.drain_into(|prefix, (kind, stamp)| {
-                    sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
-                });
-                self.pending = pending;
-            }
+            None => match &mut self.multi {
+                None => {
+                    if let Some((prefix, (kind, stamp))) = self.pending.take() {
+                        sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
+                    }
+                }
+                Some(multi) => {
+                    // Taken out so `emit` can write the Adj-RIB-out while
+                    // the drain runs, in prefix order, and put back
+                    // emptied: the buffer serves the next window.
+                    let mut pending = std::mem::take(&mut multi.pending);
+                    for (prefix, (kind, stamp)) in pending.drain(..) {
+                        sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
+                    }
+                    if let Some(multi) = &mut self.multi {
+                        multi.pending = pending;
+                    }
+                }
+            },
             Some(prefix) => {
-                if let Some((kind, stamp)) = self.pending.remove(prefix) {
+                if let Some((kind, stamp)) = self.pending_map().remove(prefix) {
                     sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
                 }
             }
@@ -557,15 +615,15 @@ impl OutQueue {
     ) -> Option<Update> {
         match kind {
             UpdateKind::Announce(path) => {
-                if self.sent.get(prefix) == Some(&path) {
+                if self.advertised(prefix) == Some(path) {
                     return None; // neighbor already has it
                 }
-                self.sent.insert(prefix, path.clone());
+                self.set_sent(prefix, path);
                 costs.rib_out_writes += 1;
                 Some(Update::announce(prefix, path).stamped(stamp))
             }
             UpdateKind::Withdraw => {
-                self.sent.remove(prefix)?;
+                self.sent_map().remove(prefix)?;
                 costs.rib_out_writes += 1;
                 Some(Update::withdraw(prefix).stamped(stamp))
             }
@@ -595,18 +653,18 @@ impl OutQueue {
     pub fn send_unlimited(
         &mut self,
         prefix: Prefix,
-        path: AsPath,
-        cause: &Provenance,
+        path: PathId,
+        cause: Provenance,
         now: EventKey,
         costs: &mut NodeCostCounters,
     ) -> Option<Update> {
         assert!(!self.timer_armed(now), "initial exchange on a rate-limited session");
-        if self.sent.get(prefix) == Some(&path) {
+        if self.advertised(prefix) == Some(path) {
             return None;
         }
-        self.sent.insert(prefix, path.clone());
+        self.set_sent(prefix, path);
         costs.rib_out_writes += 1;
-        Some(Update::announce(prefix, path).stamped(cause.clone()))
+        Some(Update::announce(prefix, path).stamped(cause))
     }
 
     /// Arms a timer (a send does it itself; the caller does after an
@@ -624,11 +682,16 @@ impl OutQueue {
     /// neighbor has discarded everything we sent and any queued updates
     /// are moot). The caller must ignore or invalidate any scheduled
     /// expiry event for this queue (the simulator uses an epoch counter).
+    /// A spilled queue stays spilled and keeps its buffers.
     pub fn force_reset(&mut self) {
         self.timer = Timer::IDLE;
-        self.prefix_timers.clear();
-        self.pending.clear();
-        self.sent.clear();
+        self.sent = None;
+        self.pending = None;
+        if let Some(multi) = &mut self.multi {
+            multi.prefix_timers.clear();
+            multi.pending.clear();
+            multi.sent.clear();
+        }
     }
 }
 
@@ -645,14 +708,9 @@ pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
 mod tests {
     use super::*;
     use bgpscale_simkernel::SimDuration;
-    use bgpscale_topology::AsId;
 
     const P: Prefix = Prefix(1);
     const Q: Prefix = Prefix(2);
-
-    fn path(ids: &[u32]) -> AsPath {
-        ids.iter().map(|&i| AsId(i)).collect()
-    }
 
     fn none() -> Provenance {
         Provenance::none()
@@ -664,10 +722,12 @@ mod tests {
     const MRAI: SimDuration = SimDuration::from_secs(30);
 
     /// A queue with the caller's side of the contract around it, as the
-    /// simulator keeps it: a clock, a sequence counter to reserve keys
-    /// from, the expiry events asked for, and the node's tallies.
+    /// simulator keeps it: the path arena, a clock, a sequence counter to
+    /// reserve keys from, the expiry events asked for, and the node's
+    /// tallies.
     struct Driven {
         q: OutQueue,
+        paths: PathArena,
         scope: MraiScope,
         now: EventKey,
         next_seq: u64,
@@ -679,6 +739,7 @@ mod tests {
         fn new(scope: MraiScope) -> Driven {
             Driven {
                 q: OutQueue::new(),
+                paths: PathArena::new(),
                 scope,
                 now: EventKey::ZERO,
                 next_seq: 1,
@@ -712,19 +773,26 @@ mod tests {
             }
         }
 
+        /// The id of the path with these hops.
+        fn path(&mut self, hops: &[u32]) -> PathId {
+            self.paths.of(hops)
+        }
+
         fn submit_caused(
             &mut self,
             prefix: Prefix,
-            intent: Option<&AsPath>,
+            intent: Option<&[u32]>,
             mode: MraiMode,
-            cause: &Provenance,
+            cause: Provenance,
         ) -> Submit {
             let step = Step {
                 mode,
                 scope: self.scope,
                 now: self.now,
+                cause,
             };
-            let submit = self.q.submit(prefix, intent, &step, cause, REL, &mut self.costs);
+            let intent = intent.map(|hops| self.path(hops));
+            let submit = self.q.submit(prefix, intent, &step, REL, &mut self.paths, &mut self.costs);
             match &submit {
                 Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.scope, prefix)),
                 Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
@@ -733,8 +801,8 @@ mod tests {
             submit
         }
 
-        fn submit(&mut self, prefix: Prefix, intent: Option<&AsPath>, mode: MraiMode) -> Submit {
-            self.submit_caused(prefix, intent, mode, &none())
+        fn submit(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode) -> Submit {
+            self.submit_caused(prefix, intent, mode, none())
         }
 
         /// Pops the earliest expiry event asked for and flushes the timer
@@ -765,83 +833,91 @@ mod tests {
         matches!(submit, Submit::Queued { .. })
     }
 
+    /// The queue's two maps across the inline-to-spilled boundary: one
+    /// prefix lives inline, a second moves everything behind `multi`,
+    /// sorted, and there it stays.
     #[test]
-    fn prefix_map_stays_sorted_across_the_inline_to_spilled_boundary() {
-        let mut m: PrefixMap<u32> = PrefixMap::default();
-        assert_eq!((m.len(), m.get(P)), (0, None));
-        m.insert(Q, 20);
-        m.insert(Q, 21); // replace in the inline slot
-        assert!(matches!(m, PrefixMap::One(..)));
-        assert_eq!((m.len(), m.get(Q), m.get(P)), (1, Some(&21), None));
-        assert_eq!(m.remove(P), None);
-        m.insert(Prefix(0), 0); // spills, smaller key first
-        m.insert(P, 10);
-        m.insert(P, 11);
-        *m.get_mut(Q).unwrap() += 1;
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.remove(Prefix(0)), Some(0));
-        let mut seen = Vec::new();
-        m.drain_into(|p, v| seen.push((p, v)));
-        assert_eq!(seen, vec![(P, 11), (Q, 22)], "drained in prefix order");
-        assert_eq!(m.len(), 0);
-        assert!(matches!(m, PrefixMap::Many(_)), "a spilled map keeps its buffer");
-        m.clear();
-        assert!(matches!(m, PrefixMap::Empty));
-        // The inline entry drains and removes too.
-        m.insert(P, 1);
-        assert_eq!(m.remove(P), Some(1));
-        m.insert(P, 2);
-        m.drain_into(|p, v| seen.push((p, v)));
-        assert_eq!(seen.last(), Some(&(P, 2)));
-        assert!(matches!(m, PrefixMap::Empty));
+    fn the_maps_stay_sorted_across_the_inline_to_spilled_boundary() {
+        let mut q = OutQueue::new();
+        let mut paths = PathArena::new();
+        let route: Vec<PathId> = (0..4).map(|i| paths.of(&[i])).collect();
+        let waiting = |i: usize| (UpdateKind::Announce(route[i]), none());
+        assert_eq!((q.advertised(P), q.pending_len()), (None, 0));
+        q.set_sent(Q, route[0]);
+        q.set_sent(Q, route[1]); // replace in the inline room
+        assert_eq!((q.advertised(Q), q.advertised(P)), (Some(route[1]), None));
+        assert_eq!(q.sent_map().remove(P), None);
+        // The inline room, emptied, takes another prefix.
+        assert_eq!(q.sent_map().remove(Q), Some(route[1]));
+        q.set_sent(P, route[2]);
+        q.set_pending(Q, waiting(3));
+        assert!(q.multi.is_none(), "one prefix per map is no reason to spill");
+        assert_eq!((q.intent(P), q.intent(Q), q.pending_len()), (Some(route[2]), Some(route[3]), 1));
+
+        q.set_sent(Prefix(0), route[0]); // spills, smaller key first
+        assert!(q.sent.is_none() && q.pending.is_none());
+        q.set_pending(Prefix(0), waiting(1));
+        q.set_pending(Prefix(0), waiting(0));
+        q.pending_map().get_mut(Q).expect("moved with the rest").0 = UpdateKind::Withdraw;
+        let multi = q.multi.as_ref().expect("spilled");
+        assert_eq!(multi.sent, vec![(Prefix(0), route[0]), (P, route[2])]);
+        assert_eq!(multi.pending, vec![(Prefix(0), waiting(0)), (Q, (UpdateKind::Withdraw, none()))]);
+        assert_eq!((q.advertised(P), q.intent(Q), q.pending_len()), (Some(route[2]), None, 2));
+        assert_eq!(q.pending_map().remove(Prefix(0)), Some(waiting(0)));
+        assert_eq!(q.pending_map().remove(Prefix(0)), None);
+
+        q.force_reset();
+        let multi = q.multi.as_ref().expect("a spilled queue stays spilled");
+        assert!(multi.sent.is_empty() && multi.pending.is_empty() && multi.sent.capacity() >= 2);
+        assert_eq!((q.advertised(P), q.pending_len()), (None, 0));
     }
 
     #[test]
     fn first_announcement_sends_and_arms() {
         let mut d = Driven::per_interface();
-        let r = d.submit(P, Some(&path(&[1, 2])), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&[1, 2]), MraiMode::NoWrate);
         assert_eq!(
             r,
             Submit::SendNow {
-                update: Update::announce(P, path(&[1, 2])),
+                update: Update::announce(P, d.path(&[1, 2])),
                 arm_timer: true
             }
         );
         assert!(d.armed());
-        assert_eq!(d.q.advertised(P), Some(&path(&[1, 2])));
+        assert_eq!(d.q.advertised(P), Some(d.path(&[1, 2])));
         assert!(d.expiries.is_empty(), "nothing waits: no expiry event");
     }
 
     #[test]
     fn second_announcement_queues_behind_timer() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        let r = d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&[1, 3]), MraiMode::NoWrate);
         assert!(queued(&r));
         assert_eq!(d.q.pending_len(), 1);
         // Adj-RIB-out still shows the transmitted route; intent shows the
         // queued one.
-        assert_eq!(d.q.advertised(P), Some(&path(&[1])));
-        assert_eq!(d.q.intent(P), Some(&path(&[1, 3])));
+        assert_eq!(d.q.advertised(P), Some(d.path(&[1])));
+        assert_eq!(d.q.intent(P), Some(d.path(&[1, 3])));
     }
 
     #[test]
     fn newer_update_replaces_queued_one() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate);
-        d.submit(P, Some(&path(&[1, 4])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        d.submit(P, Some(&[1, 3]), MraiMode::NoWrate);
+        d.submit(P, Some(&[1, 4]), MraiMode::NoWrate);
         assert_eq!(d.q.pending_len(), 1, "replaced, not accumulated");
         let (sent, rearm) = d.expire(None);
-        assert_eq!(sent, vec![Update::announce(P, path(&[1, 4]))]);
+        assert_eq!(sent, vec![Update::announce(P, d.path(&[1, 4]))]);
         assert!(rearm);
     }
 
     #[test]
     fn duplicate_announcement_is_suppressed() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        let r = d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&[1]), MraiMode::NoWrate);
         assert_eq!(r, Submit::Suppressed);
         assert_eq!(d.q.pending_len(), 0);
     }
@@ -851,9 +927,9 @@ mod tests {
         // Send A; queue B; queue A again (flap back). At expiry the
         // neighbor already holds A → nothing goes out, timer idles.
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        d.submit(P, Some(&[2]), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty());
         assert!(!rearm);
@@ -863,7 +939,7 @@ mod tests {
     #[test]
     fn no_wrate_withdrawal_bypasses_timer() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         assert!(d.armed());
         let r = d.submit(P, None, MraiMode::NoWrate);
         assert_eq!(
@@ -885,8 +961,8 @@ mod tests {
         // withdrawal is needed at all. The expiry asked for when Q queued
         // still pops, and finds nothing.
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        d.submit(Q, Some(&[2]), MraiMode::NoWrate);
         let r = d.submit(Q, None, MraiMode::NoWrate);
         assert_eq!(r, Submit::Suppressed);
         let (sent, rearm) = d.expire(None);
@@ -897,7 +973,7 @@ mod tests {
     #[test]
     fn wrate_withdrawal_queues_behind_timer() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.submit(P, Some(&[1]), MraiMode::Wrate);
         let r = d.submit(P, None, MraiMode::Wrate);
         assert!(queued(&r));
         let (sent, rearm) = d.expire(None);
@@ -908,7 +984,7 @@ mod tests {
     #[test]
     fn wrate_withdrawal_sends_immediately_when_idle_and_arms() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.submit(P, Some(&[1]), MraiMode::Wrate);
         d.advance(MRAI); // the timer runs out
         let r = d.submit(P, None, MraiMode::Wrate);
         assert_eq!(
@@ -933,28 +1009,28 @@ mod tests {
         // queued withdraw is replaced by Announce(A), which the flush then
         // suppresses against the Adj-RIB-out.
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.submit(P, Some(&[1]), MraiMode::Wrate);
         d.submit(P, None, MraiMode::Wrate);
-        let r = d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        let r = d.submit(P, Some(&[1]), MraiMode::Wrate);
         assert!(queued(&r));
         let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty());
         assert!(!rearm);
-        assert_eq!(d.q.advertised(P), Some(&path(&[1])));
+        assert_eq!(d.q.advertised(P), Some(d.path(&[1])));
     }
 
     #[test]
     fn multiple_prefixes_flush_together_in_prefix_order() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate); // sends, arms
-        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate); // queues
-        d.submit(Prefix(0), Some(&path(&[3])), MraiMode::NoWrate); // queues
+        d.submit(P, Some(&[1]), MraiMode::NoWrate); // sends, arms
+        d.submit(Q, Some(&[2]), MraiMode::NoWrate); // queues
+        d.submit(Prefix(0), Some(&[3]), MraiMode::NoWrate); // queues
         let (sent, rearm) = d.expire(None);
         assert_eq!(
             sent,
             vec![
-                Update::announce(Prefix(0), path(&[3])),
-                Update::announce(Q, path(&[2])),
+                Update::announce(Prefix(0), d.path(&[3])),
+                Update::announce(Q, d.path(&[2])),
             ]
         );
         assert!(rearm);
@@ -965,12 +1041,12 @@ mod tests {
     #[test]
     fn a_timer_lapses_with_no_flush_call_and_the_next_announce_sends() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         assert!(d.armed());
         d.advance(MRAI);
         assert!(!d.armed());
         assert!(d.expiries.is_empty(), "no expiry was ever asked for");
-        let r = d.submit(P, Some(&path(&[9])), MraiMode::NoWrate);
+        let r = d.submit(P, Some(&[9]), MraiMode::NoWrate);
         assert!(sent_now(&r));
         assert!(d.armed(), "and arms the next window");
     }
@@ -981,7 +1057,7 @@ mod tests {
     fn a_submit_just_before_the_stored_key_parks_and_just_after_it_sends() {
         for (earlier_seq, parks) in [(true, true), (false, false)] {
             let mut d = Driven::per_interface();
-            d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+            d.submit(P, Some(&[1]), MraiMode::NoWrate);
             let until = d.q.latest_key_by(SimTime::MAX);
             assert_eq!(until.time, SimTime::ZERO + MRAI);
             // An event of the expiry's own instant, scheduled before or
@@ -990,11 +1066,11 @@ mod tests {
                 time: until.time,
                 seq: if earlier_seq { until.seq - 1 } else { until.seq + 1 },
             };
-            let r = d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
+            let r = d.submit(P, Some(&[2]), MraiMode::NoWrate);
             if parks {
                 assert_eq!(r, Submit::Queued { expire_at: Some(until) });
                 let (sent, _) = d.expire(None);
-                assert_eq!(sent, vec![Update::announce(P, path(&[2]))]);
+                assert_eq!(sent, vec![Update::announce(P, d.path(&[2]))]);
                 assert_eq!(d.now, until, "flushed at the stored key");
             } else {
                 assert!(sent_now(&r));
@@ -1005,26 +1081,26 @@ mod tests {
     #[test]
     fn parking_asks_for_exactly_one_expiry_per_window() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        let first = d.submit(P, Some(&path(&[2])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        let first = d.submit(P, Some(&[2]), MraiMode::NoWrate);
         let Submit::Queued { expire_at: Some(key) } = first else {
             panic!("the first update to wait asks for the expiry, got {first:?}");
         };
         assert_eq!(d.q.scheduled_expiries(), 1);
         // More updates in the window, and a NO-WRATE withdrawal that
         // empties the queue again, ask for nothing.
-        assert_eq!(d.submit(Q, Some(&path(&[3])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
-        assert_eq!(d.submit(P, Some(&path(&[4])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(Q, Some(&[3]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(P, Some(&[4]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
         d.submit(P, None, MraiMode::NoWrate);
         d.submit(Q, None, MraiMode::NoWrate);
         assert_eq!(d.q.pending_len(), 0);
-        assert_eq!(d.submit(P, Some(&path(&[5])), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(P, Some(&[5]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
         assert_eq!(d.expiries, vec![key]);
         // The flush re-arms; the next window asks again, at its own key.
         let (_, rearm) = d.expire(None);
         assert!(rearm);
         assert_eq!(d.q.scheduled_expiries(), 0);
-        let again = d.submit(P, Some(&path(&[6])), MraiMode::NoWrate);
+        let again = d.submit(P, Some(&[6]), MraiMode::NoWrate);
         assert!(matches!(again, Submit::Queued { expire_at: Some(k) } if k > key));
     }
 
@@ -1034,14 +1110,17 @@ mod tests {
     #[test]
     fn an_update_queued_before_the_key_arrives_gets_its_expiry_from_arm_at() {
         let mut q = OutQueue::new();
+        let mut paths = PathArena::new();
         let mut costs = NodeCostCounters::default();
         let step = Step {
             mode: MraiMode::NoWrate,
             scope: MraiScope::PerInterface,
             now: EventKey::ZERO,
+            cause: none(),
         };
-        assert!(sent_now(&q.submit(P, Some(&path(&[1])), &step, &none(), REL, &mut costs)));
-        let second = q.submit(Q, Some(&path(&[2])), &step, &none(), REL, &mut costs);
+        let (one, two) = (paths.of(&[1]), paths.of(&[2]));
+        assert!(sent_now(&q.submit(P, Some(one), &step, REL, &mut paths, &mut costs)));
+        let second = q.submit(Q, Some(two), &step, REL, &mut paths, &mut costs);
         assert_eq!(second, Submit::Queued { expire_at: None });
         let key = EventKey {
             time: SimTime::from_secs(25),
@@ -1051,13 +1130,13 @@ mod tests {
         assert_eq!(q.scheduled_expiries(), 1);
         let mut sends = Vec::new();
         assert!(q.flush(None, SLOT, key, &mut sends, &mut costs));
-        assert_eq!(sends, vec![(SLOT, Update::announce(Q, path(&[2])))]);
+        assert_eq!(sends, vec![(SLOT, Update::announce(Q, two))]);
     }
 
     #[test]
     fn reset_clears_state_once_the_timer_has_run_out() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.advance(MRAI);
         d.q.reset(d.now);
         assert_eq!(d.q.advertised(P), None);
@@ -1068,13 +1147,13 @@ mod tests {
     fn per_prefix_scope_does_not_couple_prefixes() {
         // Under PerPrefix, announcing P must not rate-limit Q.
         let mut d = Driven::new(MraiScope::PerPrefix);
-        assert!(sent_now(&d.submit(P, Some(&path(&[1])), MraiMode::NoWrate)));
+        assert!(sent_now(&d.submit(P, Some(&[1]), MraiMode::NoWrate)));
         assert!(
-            sent_now(&d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate)),
+            sent_now(&d.submit(Q, Some(&[2]), MraiMode::NoWrate)),
             "a different prefix must not queue behind P's timer"
         );
         // But a second update for P itself queues.
-        assert!(queued(&d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate)));
+        assert!(queued(&d.submit(P, Some(&[1, 3]), MraiMode::NoWrate)));
         let armed = |d: &Driven, prefix| d.q.is_armed(prefix, MraiScope::PerPrefix, d.now);
         assert!(armed(&d, P));
         assert!(armed(&d, Q));
@@ -1084,19 +1163,19 @@ mod tests {
     #[test]
     fn per_prefix_flush_only_touches_its_prefix() {
         let mut d = Driven::new(MraiScope::PerPrefix);
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
-        d.submit(P, Some(&path(&[1, 3])), MraiMode::NoWrate); // queued
-        d.submit(Q, Some(&path(&[2, 4])), MraiMode::NoWrate); // queued
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
+        d.submit(Q, Some(&[2]), MraiMode::NoWrate);
+        d.submit(P, Some(&[1, 3]), MraiMode::NoWrate); // queued
+        d.submit(Q, Some(&[2, 4]), MraiMode::NoWrate); // queued
         assert_eq!(d.q.scheduled_expiries(), 2, "one expiry per prefix timer");
         let (sent, rearm) = d.expire(Some(P));
-        assert_eq!(sent, vec![Update::announce(P, path(&[1, 3]))]);
+        assert_eq!(sent, vec![Update::announce(P, d.path(&[1, 3]))]);
         assert!(rearm);
         // Q's pending update is untouched.
         assert_eq!(d.q.pending_len(), 1);
-        assert_eq!(d.q.intent(Q), Some(&path(&[2, 4])));
+        assert_eq!(d.q.intent(Q), Some(d.path(&[2, 4])));
         let (sent_q, _) = d.expire(Some(Q));
-        assert_eq!(sent_q, vec![Update::announce(Q, path(&[2, 4]))]);
+        assert_eq!(sent_q, vec![Update::announce(Q, d.path(&[2, 4]))]);
     }
 
     /// A prefix's timer entry outlives its window and is the one its next
@@ -1105,26 +1184,27 @@ mod tests {
     fn per_prefix_entries_whose_key_has_passed_are_reused_not_accumulated() {
         let mut d = Driven::new(MraiScope::PerPrefix);
         for round in 0..5 {
-            d.submit(P, Some(&path(&[1, round])), MraiMode::NoWrate);
+            d.submit(P, Some(&[1, round]), MraiMode::NoWrate);
             assert_eq!(d.q.armed_count(d.now), 1);
             d.advance(MRAI);
             assert!(!d.q.is_armed(P, MraiScope::PerPrefix, d.now));
         }
-        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
-        assert_eq!(d.q.prefix_timers.len(), 2, "one entry per prefix, not per arm");
+        d.submit(Q, Some(&[2]), MraiMode::NoWrate);
+        let prefix_timers = |d: &Driven| d.q.multi.as_ref().map_or(0, |m| m.prefix_timers.len());
+        assert_eq!(prefix_timers(&d), 2, "one entry per prefix, not per arm");
         assert!(d.expiries.is_empty());
         d.advance(MRAI);
         d.q.reset(d.now);
-        assert!(d.q.prefix_timers.is_empty(), "a reset drops the run-out entries");
+        assert_eq!(prefix_timers(&d), 0, "a reset drops the run-out entries");
     }
 
     #[test]
     fn per_prefix_wrate_withdrawal_queues_only_its_prefix() {
         let mut d = Driven::new(MraiScope::PerPrefix);
-        d.submit(P, Some(&path(&[1])), MraiMode::Wrate);
+        d.submit(P, Some(&[1]), MraiMode::Wrate);
         assert!(queued(&d.submit(P, None, MraiMode::Wrate)));
         // A prefix whose timer has run out withdraws at once.
-        d.submit(Q, Some(&path(&[2])), MraiMode::Wrate);
+        d.submit(Q, Some(&[2]), MraiMode::Wrate);
         d.advance(MRAI + MRAI);
         let r = d.submit(Q, None, MraiMode::Wrate);
         assert!(matches!(r, Submit::SendNow { arm_timer: true, .. }));
@@ -1134,7 +1214,7 @@ mod tests {
     #[should_panic(expected = "armed MRAI timer")]
     fn reset_rejects_armed_timer() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.q.reset(d.now);
     }
 
@@ -1145,16 +1225,16 @@ mod tests {
         // message must answer for roots 2 and 3 — the displaced intents —
         // with the depth of the newest one.
         let mut d = Driven::per_interface();
-        let first = d.submit_caused(P, Some(&path(&[1])), MraiMode::NoWrate, &Provenance::root(1));
+        let first = d.submit_caused(P, Some(&[1]), MraiMode::NoWrate, Provenance::root(1));
         match first {
-            Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(), &[1]),
+            Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(d.paths.root_sets()), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
-        d.submit_caused(P, Some(&path(&[2])), MraiMode::NoWrate, &Provenance::root(2));
-        d.submit_caused(P, Some(&path(&[3])), MraiMode::NoWrate, &Provenance::root(3).child());
+        d.submit_caused(P, Some(&[2]), MraiMode::NoWrate, Provenance::root(2));
+        d.submit_caused(P, Some(&[3]), MraiMode::NoWrate, Provenance::root(3).child());
         let (sent, _) = d.expire(None);
         assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].provenance.roots(), &[2, 3], "displaced root kept");
+        assert_eq!(sent[0].provenance.roots(d.paths.root_sets()), &[2, 3], "displaced root kept");
         assert_eq!(sent[0].provenance.depth(), 1, "newest intent's depth");
         assert_eq!(sent[0].provenance.rel(), Some(REL), "stamped with the session's edge");
     }
@@ -1162,9 +1242,9 @@ mod tests {
     #[test]
     fn cost_counters_tally_rib_writes_and_coalescing() {
         let mut d = Driven::per_interface();
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate); // sends: 1 write
-        d.submit(P, Some(&path(&[2])), MraiMode::NoWrate); // queues
-        d.submit(P, Some(&path(&[3])), MraiMode::NoWrate); // displaces: coalesce
+        d.submit(P, Some(&[1]), MraiMode::NoWrate); // sends: 1 write
+        d.submit(P, Some(&[2]), MraiMode::NoWrate); // queues
+        d.submit(P, Some(&[3]), MraiMode::NoWrate); // displaces: coalesce
         assert_eq!(d.costs.rib_out_writes, 1);
         assert_eq!(d.costs.mrai_coalesced, 1);
         let (sent, _) = d.expire(None); // emits the announce: 1 more write
@@ -1179,11 +1259,11 @@ mod tests {
     fn armed_count_matches_scope() {
         let mut d = Driven::per_interface();
         assert_eq!(d.q.armed_count(d.now), 0);
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         assert_eq!(d.q.armed_count(d.now), 1);
         let mut pp = Driven::new(MraiScope::PerPrefix);
-        pp.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
-        pp.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
+        pp.submit(P, Some(&[1]), MraiMode::NoWrate);
+        pp.submit(Q, Some(&[2]), MraiMode::NoWrate);
         assert_eq!(pp.q.armed_count(pp.now), 2);
     }
 
@@ -1192,10 +1272,10 @@ mod tests {
     #[test]
     fn silent_timers_and_latest_key_see_every_timer() {
         let mut d = Driven::new(MraiScope::PerPrefix);
-        d.submit(P, Some(&path(&[1])), MraiMode::NoWrate);
+        d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.advance(SimDuration::from_secs(1));
-        d.submit(Q, Some(&path(&[2])), MraiMode::NoWrate);
-        d.submit(Q, Some(&path(&[3])), MraiMode::NoWrate); // queues: Q's expiry is scheduled
+        d.submit(Q, Some(&[2]), MraiMode::NoWrate);
+        d.submit(Q, Some(&[3]), MraiMode::NoWrate); // queues: Q's expiry is scheduled
         let silent: Vec<_> = d.q.silent_timers(d.now).collect();
         let p_key = d.q.latest_key_by(SimTime::from_secs(30));
         assert_eq!(silent, vec![(Some(P), p_key)]);

@@ -13,7 +13,9 @@
 //! Every entry point ([`BgpNode::originate_caused`], [`BgpNode::receive`],
 //! [`BgpNode::mrai_flush`], …) appends to an `&mut Actions` the caller
 //! owns — the simulator keeps one, drains it after every step and hands
-//! it back, so a protocol step allocates no buffers.
+//! it back, so a protocol step allocates no buffers. The entry points
+//! that touch routes are lent the caller's [`PathArena`] the same way: a
+//! node holds AS paths as [`PathId`]s of that arena and never owns one.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -29,6 +31,12 @@
 //! [`DampTable`]. A standalone node built with [`BgpNode::new`] owns a
 //! private one-node slab; the simulator builds one topology-wide slab and
 //! hands every node a clone of the `Arc` via [`BgpNode::from_slab`].
+//!
+//! A route is a four-byte [`PathId`] wherever the node keeps one: an
+//! Adj-RIB-in cell is that id beside an eight-byte preference key
+//! ([`crate::decision::rank_key`]), the Loc-RIB and each session's
+//! Adj-RIB-out hold the id alone, and every session's [`OutQueue`] is one
+//! cache line. The hops themselves live once, in the caller's arena.
 
 use std::sync::Arc;
 
@@ -38,9 +46,10 @@ use bgpscale_topology::{AsId, Relationship};
 
 use crate::arena::{DampTable, PrefixTable, SessionSlab, SELF_SLOT};
 use crate::config::{MraiMode, MraiScope};
-use crate::decision::{packed_key, Candidate};
-use crate::message::{AsPath, Prefix, Update, UpdateKind};
+use crate::decision::rank_key;
+use crate::message::{Prefix, Update, UpdateKind};
 use crate::mrai::{governing, OutQueue, Step, Submit};
+use crate::path::{PathArena, PathId};
 use crate::policy::{export_allowed, would_loop, RouteSource};
 use crate::rfd::{FlapKind, RfdConfig};
 
@@ -172,9 +181,9 @@ pub struct NodeCostCounters {
     pub decision_runs: u64,
     /// Candidate-route preference comparisons inside the decision process.
     pub route_comparisons: u64,
-    /// AS-path reuses by refcount bump (`clone` of a built export path).
+    /// Sessions that took a built export path (its id, four bytes).
     pub path_intern_hits: u64,
-    /// Fresh AS-path allocations (`prepended` builds a new array).
+    /// Export paths built: one [`PathArena::prepend`], a lookup-or-insert.
     pub path_intern_misses: u64,
     /// Adj-RIB-out mutations across all output queues.
     pub rib_out_writes: u64,
@@ -310,8 +319,9 @@ impl BgpNode {
 
     /// The best route for `prefix`: `None` if unreachable, otherwise the
     /// next-hop neighbor (`None` when self-originated) and the AS path as
-    /// learned (the next hop is its first element).
-    pub fn best_route(&self, prefix: Prefix) -> Option<(Option<AsId>, &AsPath)> {
+    /// learned (the next hop is its first element), an id of the arena the
+    /// node's entry points were lent.
+    pub fn best_route(&self, prefix: Prefix) -> Option<(Option<AsId>, PathId)> {
         let row = self.table.row(prefix)?;
         let (slot, path) = self.table.best(row)?;
         if slot == SELF_SLOT {
@@ -322,8 +332,8 @@ impl BgpNode {
     }
 
     /// The path we last transmitted to `slot` for `prefix` (Adj-RIB-out).
-    pub fn advertised(&self, slot: u32, prefix: Prefix) -> Option<&AsPath> {
-        self.out[slot as usize].advertised(prefix)
+    pub fn advertised(&self, slot: u32, prefix: Prefix) -> Option<PathId> {
+        self.out.get(slot as usize)?.advertised(prefix)
     }
 
     /// True while an MRAI timer of `slot` is armed at `now`.
@@ -374,13 +384,14 @@ impl BgpNode {
     pub fn originate_caused(
         &mut self,
         prefix: Prefix,
-        cause: &Provenance,
+        cause: Provenance,
         now: EventKey,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, true);
-        self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
+        self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
@@ -388,27 +399,35 @@ impl BgpNode {
     pub fn withdraw_origin_caused(
         &mut self,
         prefix: Prefix,
-        cause: &Provenance,
+        cause: Provenance,
         now: EventKey,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, false);
-        self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
+        self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
     }
 
     /// Processes one UPDATE that arrived over session `slot`, in the step
-    /// of the event keyed `now`, appending the resulting transmissions, timer arms and
-    /// damping wake-ups to `out`. The simulator resolves the slot once,
-    /// when the message is delivered, and queues it with the message.
+    /// of the event keyed `now`, appending the resulting transmissions,
+    /// timer arms and damping wake-ups to `out`. The simulator resolves
+    /// the slot once, when the message is delivered, and queues it with
+    /// the message. An announced path is an id of `paths`.
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    pub fn receive(&mut self, slot: u32, update: Update, now: EventKey, out: &mut Actions) {
+    pub fn receive(
+        &mut self,
+        slot: u32,
+        update: Update,
+        now: EventKey,
+        paths: &mut PathArena,
+        out: &mut Actions,
+    ) {
         let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
-        // the root cause than the message itself. Computed before the match
-        // below consumes the update.
+        // the root cause than the message itself.
         let cause = update.provenance.child();
         let row = self.table.row_or_insert(prefix);
 
@@ -417,8 +436,8 @@ impl BgpNode {
         // previously announced — treat it as a withdrawal. Unreachable
         // while senders filter, but load-bearing when sender-side
         // detection is ablated off.
-        let incoming: Option<AsPath> = match update.kind {
-            UpdateKind::Announce(path) if !path.contains(&self.id) => Some(path),
+        let incoming: Option<PathId> = match update.kind {
+            UpdateKind::Announce(path) if !paths.contains(path, self.id) => Some(path),
             _ => None,
         };
 
@@ -427,9 +446,9 @@ impl BgpNode {
         // re-advertisements and path changes are flaps (RFC 2439).
         if let Some(cfg) = &self.rfd {
             let prev = self.table.rib_in_cell(row, slot);
-            let flap = match (prev, &incoming) {
+            let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
-                (Some(old), Some(new)) if *old != *new => Some(FlapKind::AttributeChange),
+                (Some(old), Some(new)) if old != new => Some(FlapKind::AttributeChange),
                 (None, Some(_)) if self.damp.get(slot, prefix).is_some() => {
                     Some(FlapKind::Readvertisement)
                 }
@@ -445,13 +464,10 @@ impl BgpNode {
             }
         }
 
-        let route = incoming.map(|path| {
-            let key = self.route_key(slot, &path);
-            (path, key)
-        });
+        let route = incoming.map(|path| (path, self.route_key(slot, paths.len(path))));
         self.table.set_rib_in(row, slot, route);
 
-        self.reevaluate(row, prefix, &cause, Reeval::SlotChanged(slot), now, out);
+        self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, paths, out);
     }
 
     /// Handles a Route Flap Damping reuse wake-up for `(slot, prefix)`:
@@ -465,7 +481,8 @@ impl BgpNode {
         slot: u32,
         prefix: Prefix,
         now: EventKey,
-        cause: &Provenance,
+        cause: Provenance,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         let Some(cfg) = &self.rfd else { return };
@@ -477,7 +494,7 @@ impl BgpNode {
         }
         // Eligibility changed, so the incumbent may now lose: full run.
         if let Some(row) = self.table.row(prefix) {
-            self.reevaluate(row, prefix, cause, Reeval::Full, now, out);
+            self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
         }
     }
 
@@ -503,8 +520,9 @@ impl BgpNode {
     pub fn session_down_caused(
         &mut self,
         slot: u32,
-        cause: &Provenance,
+        cause: Provenance,
         now: EventKey,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
@@ -520,7 +538,7 @@ impl BgpNode {
             .collect();
         for (row, prefix) in affected {
             self.table.set_rib_in(row, slot, None);
-            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, out);
+            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, paths, out);
         }
     }
 
@@ -534,8 +552,9 @@ impl BgpNode {
     pub fn session_up_caused(
         &mut self,
         slot: u32,
-        cause: &Provenance,
+        cause: Provenance,
         now: EventKey,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
@@ -547,10 +566,10 @@ impl BgpNode {
         let stamp = cause.with_rel(session.rel);
         // Iterating rows walks prefixes in sorted order — the same
         // deterministic replay order the BTreeMap-backed table produced.
-        let snapshot: Vec<(Prefix, u32, AsPath)> = self
+        let snapshot: Vec<(Prefix, u32, PathId)> = self
             .table
             .iter_rows()
-            .filter_map(|(row, p)| self.table.best(row).map(|(s, path)| (p, s, path.clone())))
+            .filter_map(|(row, p)| self.table.best(row).map(|(s, path)| (p, s, path)))
             .collect();
         for (prefix, best_slot, path) in snapshot {
             let source = if best_slot == SELF_SLOT {
@@ -559,17 +578,17 @@ impl BgpNode {
                 RouteSource::Learned(self.sessions()[best_slot as usize].rel)
             };
             if !export_allowed(source, session.rel)
-                || (self.sender_loop_check && would_loop(&path, session.peer))
+                || (self.sender_loop_check && paths.contains(path, session.peer))
             {
                 continue;
             }
-            let export_path = AsPath::prepended(self.id, &path);
+            let export_path = paths.prepend(self.id, path);
             self.costs.path_intern_misses += 1;
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
             let queue = &mut self.out[slot as usize];
             if let Some(update) =
-                queue.send_unlimited(prefix, export_path, &stamp, now, &mut self.costs)
+                queue.send_unlimited(prefix, export_path, stamp, now, &mut self.costs)
             {
                 out.sends.push((slot, update));
             }
@@ -645,16 +664,12 @@ impl BgpNode {
         self.active.fill(true);
     }
 
-    /// The packed preference key of `path` as a route learned over
-    /// session `slot` — what the Adj-RIB-in caches beside the route.
+    /// The preference key of a path of `path_len` hops as a route learned
+    /// over session `slot` — what the Adj-RIB-in caches beside the route.
     // det::allow(panic-surface, reason = "slot is one of this node's session slots, which index the slab stripe by construction")
-    fn route_key(&self, slot: u32, path: &AsPath) -> u128 {
-        let session = self.sessions()[slot as usize];
-        packed_key(&Candidate {
-            neighbor: session.peer,
-            rel: session.rel,
-            path: path.as_slice(),
-        })
+    fn route_key(&self, slot: u32, path_len: usize) -> u64 {
+        let rel = self.sessions()[slot as usize].rel;
+        rank_key(rel, path_len, self.slab.rank(self.slab_idx, slot))
     }
 
     /// The decision process proper (§2: LOCAL_PREF, shortest AS path,
@@ -662,7 +677,7 @@ impl BgpNode {
     /// holding the row's best eligible learned route. Counts every key
     /// comparison into `route_comparisons`.
     // det::allow(panic-surface, reason = "row is a live row index whose rib_in/rib_key stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
-    fn decide(&mut self, row: usize, prefix: Prefix, hint: Reeval) -> Option<u32> {
+    fn decide(&mut self, row: usize, prefix: Prefix, hint: Reeval, paths: &PathArena) -> Option<u32> {
         let routes = self.table.rib_in(row);
         let keys = self.table.rib_keys(row);
         // With damping off the incumbent is still the best of every slot
@@ -684,7 +699,7 @@ impl BgpNode {
             }
             if announced {
                 self.costs.route_comparisons += 1;
-                if keys[s as usize] >= self.route_key(s, old_path) {
+                if keys[s as usize] >= self.route_key(s, paths.len(old_path)) {
                     return Some(s);
                 }
             }
@@ -718,37 +733,33 @@ impl BgpNode {
     /// MRAI coalescing downstream.
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
+    #[allow(clippy::too_many_arguments)]
     // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
     fn reevaluate(
         &mut self,
         row: usize,
         prefix: Prefix,
-        cause: &Provenance,
+        cause: Provenance,
         hint: Reeval,
         now: EventKey,
+        paths: &mut PathArena,
         out: &mut Actions,
     ) {
         self.costs.decision_runs += 1;
 
-        let new_best: Option<(u32, AsPath)> = if self.table.originated(row) {
-            Some((SELF_SLOT, AsPath::new()))
+        let new_best: Option<(u32, PathId)> = if self.table.originated(row) {
+            Some((SELF_SLOT, PathId::EMPTY))
         } else {
-            self.decide(row, prefix, hint).map(|slot| {
+            self.decide(row, prefix, hint, paths).map(|slot| {
                 let path = self
                     .table
                     .rib_in_cell(row, slot)
-                    .clone()
                     .expect("the winning slot holds a route");
                 (slot, path)
             })
         };
 
-        let unchanged = match (self.table.best(row), &new_best) {
-            (None, None) => true,
-            (Some((s, p)), Some((ns, np))) => s == *ns && p == np,
-            _ => false,
-        };
-        if unchanged {
+        if self.table.best(row) == new_best {
             return;
         }
         self.table.set_best(row, new_best);
@@ -757,34 +768,36 @@ impl BgpNode {
         // detection (the best path necessarily contains the neighbor it
         // was learned from, so this also prevents echoing a route back to
         // its sender) decide, per live session, between the export path
-        // and a withdrawal. Each queue gets the path and the cause by
-        // reference and clones them only if it stores or sends the
-        // update; most submissions are suppressed as no-ops.
+        // and a withdrawal. Most submissions are suppressed as no-ops.
         let sessions = self.slab.sessions(self.slab_idx);
         let step = Step {
             mode: self.mode,
             scope: self.scope,
             now,
+            cause,
         };
         // The exported path: ourselves prepended to the best path. Built
-        // once; every queue that keeps it shares it by refcount.
-        let export = self.table.best(row).map(|(best_slot, best_path)| {
+        // once — one lookup-or-insert — and every queue that keeps it
+        // keeps its id. The best path's hops are walked once, into a flat
+        // list every neighbor is tested against.
+        let export = new_best.map(|(best_slot, best_path)| {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
                 RouteSource::Learned(sessions[best_slot as usize].rel)
             };
             self.costs.path_intern_misses += 1;
-            (source, best_path, AsPath::prepended(self.id, best_path))
+            (source, paths.prepend(self.id, best_path))
         });
+        let best_hops = paths.take_hops(new_best.map_or(PathId::EMPTY, |(_, path)| path));
         for (slot, session) in sessions.iter().enumerate() {
             if !self.active[slot] {
                 continue;
             }
-            let intent = match &export {
-                Some((source, best_path, export_path))
-                    if export_allowed(*source, session.rel)
-                        && !(self.sender_loop_check && would_loop(best_path, session.peer)) =>
+            let intent = match export {
+                Some((source, export_path))
+                    if export_allowed(source, session.rel)
+                        && !(self.sender_loop_check && would_loop(&best_hops, session.peer)) =>
                 {
                     self.costs.path_intern_hits += 1;
                     Some(export_path)
@@ -792,9 +805,10 @@ impl BgpNode {
                 _ => None,
             };
             let submit =
-                self.out[slot].submit(prefix, intent, &step, cause, session.rel, &mut self.costs);
+                self.out[slot].submit(prefix, intent, &step, session.rel, paths, &mut self.costs);
             out.absorb(slot as u32, prefix, submit, self.scope);
         }
+        paths.give_hops(best_hops);
     }
 }
 
@@ -832,6 +846,11 @@ mod tests {
         let mut out = Actions::default();
         f(&mut out);
         out
+    }
+
+    /// An announcement of `prefix` over that path.
+    fn ann(paths: &mut PathArena, prefix: Prefix, hops: &[u32]) -> Update {
+        Update::announce(prefix, paths.of(hops))
     }
 
     fn sends_to(actions: &Actions) -> Vec<u32> {
@@ -876,58 +895,63 @@ mod tests {
 
     #[test]
     fn origination_announces_to_everyone() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.originate_caused(P, &Provenance::none(), T0, o));
+        let a = act(|o| n.originate_caused(P, Provenance::none(), T0, &mut paths, o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert_eq!(a.arm_timers, vec![0, 1, 2]);
         for (_, u) in &a.sends {
-            assert_eq!(u.kind.path(), Some(&AsPath::from(vec![AsId(0)])), "path is just the origin");
+            assert_eq!(u.kind.path(), Some(paths.of(&[0])), "path is just the origin");
         }
-        assert_eq!(n.best_route(P), Some((None, &AsPath::new())));
+        assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
     }
 
     #[test]
     fn customer_route_exports_to_everyone_else() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         // Export to peer and provider (customer route), but not back to the
         // customer (loop detection: AS1 is on the path).
         assert_eq!(sends_to(&a), vec![1, 2]);
         let (_, u) = &a.sends[0];
-        assert_eq!(u.kind.path(), Some(&AsPath::from(vec![AsId(0), AsId(1), AsId(9)])));
+        assert_eq!(u.kind.path(), Some(paths.of(&[0, 1, 9])));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn provider_route_exports_only_to_customers() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         assert_eq!(sends_to(&a), vec![0], "only the customer hears about it");
     }
 
     #[test]
     fn peer_route_exports_only_to_customers() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(1, ann(&mut paths, P, &[2, 9]), T0, &mut paths, o));
         assert_eq!(sends_to(&a), vec![0]);
     }
 
     #[test]
     fn better_route_triggers_reexport_with_new_path() {
+        let mut paths = PathArena::new();
         let mut n = node();
         // Provider route first: exported to customer only.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         // Customer route arrives: better (prefer-customer). Peers and
         // providers hear the new path immediately (their timers are idle).
         // The customer itself cannot be given its own route back (loop
         // detection) — instead the stale provider route we advertised to it
         // is withdrawn, immediately under NO-WRATE.
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(7), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 7, 9]), T0, &mut paths, o));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert!(a.sends[0].1.kind.is_withdraw(), "stale route to customer revoked");
         assert_eq!(
             a.sends[1].1,
-            Update::announce(P, vec![AsId(0), AsId(1), AsId(7), AsId(9)])
+            ann(&mut paths, P, &[0, 1, 7, 9])
         );
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // Slot 0's timer (armed by the earlier provider-route export) has
@@ -937,26 +961,28 @@ mod tests {
 
     #[test]
     fn worse_route_does_not_displace_best() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         // A provider route arrives; best (customer) unchanged → no exports.
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn withdrawal_falls_back_to_alternate_route() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         // Customer withdraws; best falls back to the provider route, which
         // may only be exported to customers. Slot 0's timer is idle (the
         // customer was never sent anything — loop detection), so the new
         // announcement goes out at once; slots 1 and 2, which previously
         // got the customer route, receive withdrawals immediately
         // (NO-WRATE).
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
         let withdraws: Vec<u32> = a
             .sends
             .iter()
@@ -978,9 +1004,10 @@ mod tests {
 
     #[test]
     fn total_loss_withdraws_from_everyone_reached() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
         // No alternate: withdraw goes to the peers/providers that heard
         // the announcement. The customer never got it (loop), so no
         // withdrawal there.
@@ -994,16 +1021,17 @@ mod tests {
 
     #[test]
     fn wrate_queues_withdrawals_behind_timer() {
+        let mut paths = PathArena::new();
         let mut n = BgpNode::new(
             AsId(0),
             vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
             MraiMode::Wrate,
         );
-        let first = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let first = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert!(settle(&mut n, &first, T0).is_empty());
         // Announcement armed slot 1's timer; the withdrawal must queue,
         // and asks for the expiry at the timer's key.
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, o));
+        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
         assert!(a.sends.is_empty(), "WRATE withdrawal must wait for MRAI");
         let [(1, None, key)] = a.expiries[..] else {
             panic!("one expiry for slot 1's session timer, got {:?}", a.expiries);
@@ -1017,13 +1045,14 @@ mod tests {
 
     #[test]
     fn flap_within_mrai_window_is_absorbed() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let first = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let first = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         settle(&mut n, &first, T0);
         // Withdraw + identical re-announce before any timer expires.
-        let w = act(|o| n.receive(0, Update::withdraw(P), T0, o));
+        let w = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
         assert_eq!(w.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
-        let r = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let r = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         // Timers on slots 1,2 are armed, so the re-announcements queue.
         assert!(r.sends.is_empty());
         let [(1, None, key), (2, None, _)] = r.expiries[..] else {
@@ -1036,17 +1065,19 @@ mod tests {
 
     #[test]
     fn self_origination_beats_any_learned_route() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
-        act(|o| n.originate_caused(P, &Provenance::none(), T0, o));
-        assert_eq!(n.best_route(P), Some((None, &AsPath::new())));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        act(|o| n.originate_caused(P, Provenance::none(), T0, &mut paths, o));
+        assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
         // Withdrawing the origin falls back to the learned route.
-        act(|o| n.withdraw_origin_caused(P, &Provenance::none(), T0, o));
+        act(|o| n.withdraw_origin_caused(P, Provenance::none(), T0, &mut paths, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn decision_prefers_shorter_path_among_customers() {
+        let mut paths = PathArena::new();
         let mut n = BgpNode::new(
             AsId(0),
             vec![
@@ -1055,23 +1086,25 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), T0, o));
-        act(|o| n.receive(1, Update::announce(P, vec![AsId(2), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 8, 9]), T0, &mut paths, o));
+        act(|o| n.receive(1, ann(&mut paths, P, &[2, 9]), T0, &mut paths, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(2)));
     }
 
     #[test]
     fn looping_announcement_is_ignored() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(0), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 0, 9]), T0, &mut paths, o));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P), None);
     }
 
     #[test]
     fn reset_routing_clears_ribs_but_keeps_sessions() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         // Slots 1 and 2 were armed (the customer route was exported to the
         // peer and provider) and run out with nothing behind them.
         settle(&mut n, &a, T0);
@@ -1084,8 +1117,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn update_on_an_unknown_slot_panics() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(3, Update::withdraw(P), T0, o));
+        act(|o| n.receive(3, Update::withdraw(P), T0, &mut paths, o));
     }
 
     #[test]
@@ -1100,12 +1134,13 @@ mod tests {
 
     #[test]
     fn session_down_invalidates_learned_routes_and_notifies_others() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
-        let a = act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
+        let a = act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
         assert!(!n.session_active(0));
         assert_eq!(n.best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
@@ -1115,25 +1150,27 @@ mod tests {
 
     #[test]
     fn down_session_receives_no_exports() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
+        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
         // A new best route arrives from the provider; normally the
         // customer (slot 0) would hear it, but the session is down.
-        let a = act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
         assert_eq!(n.advertised(0, P), None);
     }
 
     #[test]
     fn session_up_replays_the_table() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
-        act(|o| n.originate_caused(Prefix(7), &Provenance::none(), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        act(|o| n.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, o));
         // Drop and restore the customer session: on restore it must learn
         // both the provider-learned route and the originated prefix
         // (customers receive everything).
-        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
-        let a = act(|o| n.session_up_caused(0, &Provenance::none(), T0, o));
+        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
+        let a = act(|o| n.session_up_caused(0, Provenance::none(), T0, &mut paths, o));
         assert!(n.session_active(0));
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
@@ -1145,21 +1182,23 @@ mod tests {
 
     #[test]
     fn session_up_respects_export_policy() {
+        let mut paths = PathArena::new();
         // A provider-learned route must not be replayed to a peer session
         // that comes back up.
         let mut n = node();
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
-        act(|o| n.session_down_caused(1, &Provenance::none(), T0, o)); // peer
-        let a = act(|o| n.session_up_caused(1, &Provenance::none(), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        act(|o| n.session_down_caused(1, Provenance::none(), T0, &mut paths, o)); // peer
+        let a = act(|o| n.session_up_caused(1, Provenance::none(), T0, &mut paths, o));
         assert!(a.sends.is_empty(), "provider route leaked to peer on replay");
     }
 
     #[test]
     fn session_down_clears_output_queue_state() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert!(n.advertised(1, P).is_some());
-        act(|o| n.session_down_caused(1, &Provenance::none(), T0, o));
+        act(|o| n.session_down_caused(1, Provenance::none(), T0, &mut paths, o));
         assert_eq!(n.advertised(1, P), None);
         assert!(!n.timer_armed(1, T0));
     }
@@ -1167,31 +1206,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "already down")]
     fn double_session_down_panics() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
-        act(|o| n.session_down_caused(0, &Provenance::none(), T0, o));
+        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
+        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
     }
 
     #[test]
     fn rfd_suppresses_flapping_route_and_falls_back() {
+        let mut paths = PathArena::new();
         use crate::rfd::RfdConfig;
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
         // A stable alternate via the provider.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         // The customer route flaps: announce, withdraw, announce, withdraw…
         let mut t = SimTime::from_secs(1);
         for _ in 0..3 {
-            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
+            act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
             t += SimDuration::from_secs(1);
-            act(|o| n.receive(0, Update::withdraw(P), at(t), o));
+            act(|o| n.receive(0, Update::withdraw(P), at(t), &mut paths, o));
             t += SimDuration::from_secs(1);
         }
         // Withdrawal(1000) ×3 + readvert(1000) ×2 ≫ suppress threshold.
         assert!(n.is_suppressed(0, P));
         // A further announcement installs the route but the decision
         // sticks with the stable provider route.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
         assert_eq!(
             n.best_route(P).unwrap().0,
             Some(AsId(3)),
@@ -1201,18 +1242,19 @@ mod tests {
 
     #[test]
     fn rfd_reuse_restores_eligibility() {
+        let mut paths = PathArena::new();
         use crate::rfd::RfdConfig;
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         let mut t = SimTime::from_secs(1);
         let mut wake = None;
         let mut expiries = Vec::new();
         for _ in 0..4 {
-            let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
+            let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
             expiries.extend(settle(&mut n, &a, at(t)));
             t += SimDuration::from_secs(1);
-            let a = act(|o| n.receive(0, Update::withdraw(P), at(t), o));
+            let a = act(|o| n.receive(0, Update::withdraw(P), at(t), &mut paths, o));
             expiries.extend(settle(&mut n, &a, at(t)));
             if let Some(&(_, _, reuse_at)) = a.rfd_wakeups.last() {
                 wake = Some(reuse_at);
@@ -1220,11 +1262,11 @@ mod tests {
             t += SimDuration::from_secs(1);
         }
         // Final state: suppressed, route re-announced and stored.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), at(t), o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
         assert!(n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
-        let early = act(|o| n.rfd_reuse_caused(0, P, at(t + SimDuration::from_secs(60)), &Provenance::none(), o));
+        let early = act(|o| n.rfd_reuse_caused(0, P, at(t + SimDuration::from_secs(60)), Provenance::none(), &mut paths, o));
         assert!(early.is_empty());
         assert!(n.is_suppressed(0, P));
         // The MRAI windows of the flapping close, flushing what queued
@@ -1239,7 +1281,7 @@ mod tests {
         // again, and with every timer run out the re-selection is
         // announced at once.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
-        let a = act(|o| n.rfd_reuse_caused(0, P, at(wake), &Provenance::none(), o));
+        let a = act(|o| n.rfd_reuse_caused(0, P, at(wake), Provenance::none(), &mut paths, o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         assert!(
@@ -1250,36 +1292,39 @@ mod tests {
 
     #[test]
     fn rfd_initial_advertisement_is_free() {
+        let mut paths = PathArena::new();
         use crate::rfd::RfdConfig;
         let mut n = node();
         n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert!(!n.is_suppressed(0, P));
         // Stable routes never accumulate penalty: identical re-announce
         // is a no-op, not a flap.
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn rfd_disabled_means_no_suppression_ever() {
+        let mut paths = PathArena::new();
         let mut n = node();
         for _ in 0..20 {
-            act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
-            act(|o| n.receive(0, Update::withdraw(P), T0, o));
+            act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+            act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
         }
         assert!(!n.is_suppressed(0, P));
     }
 
     #[test]
     fn cost_counters_attribute_decision_and_path_work() {
+        let mut paths = PathArena::new();
         let mut n = node();
         let before = n.cost_counters();
         assert_eq!(before, NodeCostCounters::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
-        let a = act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         settle(&mut n, &a, T0);
         let c = n.cost_counters();
         assert_eq!(c.decision_runs, 1);
@@ -1288,7 +1333,7 @@ mod tests {
         assert_eq!(c.rib_out_writes, 2, "announced to peer and provider");
         // A competing provider route triggers exactly one comparison:
         // the incremental decision challenges the incumbent head-to-head.
-        act(|o| n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, o));
+        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
         let c2 = n.cost_counters();
         assert_eq!(c2.decision_runs, 2);
         assert_eq!(c2.route_comparisons, 1);
@@ -1299,11 +1344,12 @@ mod tests {
 
     #[test]
     fn advertised_tracks_what_was_sent() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         assert_eq!(
             n.advertised(1, P),
-            Some(&AsPath::from(vec![AsId(0), AsId(1), AsId(9)]))
+            Some(paths.of(&[0, 1, 9]))
         );
         assert_eq!(n.advertised(0, P), None, "never sent back to learner");
         assert!(n.timer_armed(1, T0));
@@ -1311,10 +1357,11 @@ mod tests {
     }
 
     /// The Adj-RIB-out interning invariant: one best-route change builds
-    /// the export path once, and every neighbor's Adj-RIB-out entry holds
-    /// a refcount bump of that single allocation.
+    /// the export path once — one new arena cell — and every neighbor's
+    /// Adj-RIB-out entry holds that cell's id.
     #[test]
-    fn export_to_many_neighbors_shares_one_path_allocation() {
+    fn export_to_many_neighbors_shares_one_path_id() {
+        let mut paths = PathArena::new();
         let mut n = BgpNode::new(
             AsId(0),
             vec![
@@ -1325,15 +1372,12 @@ mod tests {
             ],
             MraiMode::NoWrate,
         );
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
-        let exported: Vec<&AsPath> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
-        assert_eq!(exported.len(), 3, "customer route reaches the other three");
-        for path in &exported[1..] {
-            assert!(
-                AsPath::ptr_eq(exported[0], path),
-                "Adj-RIB-out entries must share the export path's allocation"
-            );
-        }
+        let learned = ann(&mut paths, P, &[1, 9]);
+        let held = paths.paths();
+        act(|o| n.receive(0, learned, T0, &mut paths, o));
+        assert_eq!(paths.paths(), held + 1, "the export path is built once");
+        let exported: Vec<PathId> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
+        assert_eq!(exported, vec![paths.of(&[0, 1, 9]); 3], "customer route reaches the other three");
     }
 
     /// The sends, session-timer arms and expiry requests of `a`,
@@ -1348,6 +1392,7 @@ mod tests {
     /// — exactly what they produce on an empty one.
     #[test]
     fn entry_points_append_to_a_shared_buffer_what_they_produce_on_an_empty_one() {
+        let mut paths = PathArena::new();
         let (mut by_value, mut in_place) = (node(), node());
         let mut buf = Actions::default();
         let mut want = Actions::default();
@@ -1356,36 +1401,36 @@ mod tests {
             want.arm_timers.extend(a.arm_timers);
             want.expiries.extend(a.expiries);
         };
-        let customer = Update::announce(P, vec![AsId(1), AsId(9)]);
-        let provider = Update::announce(P, vec![AsId(3), AsId(9)]);
+        let customer = ann(&mut paths, P, &[1, 9]);
+        let provider = ann(&mut paths, P, &[3, 9]);
 
-        push(act(|o| by_value.receive(2, provider.clone(), T0, o)));
-        in_place.receive(2, provider, T0, &mut buf);
-        push(act(|o| by_value.receive(0, customer.clone(), T0, o)));
-        in_place.receive(0, customer, T0, &mut buf);
+        push(act(|o| by_value.receive(2, provider, T0, &mut paths, o)));
+        in_place.receive(2, provider, T0, &mut paths, &mut buf);
+        push(act(|o| by_value.receive(0, customer, T0, &mut paths, o)));
+        in_place.receive(0, customer, T0, &mut paths, &mut buf);
         // Both get the key of slot 1's timer; a longer customer path then
         // waits behind it and is flushed at that key.
         let key = EventKey {
             time: T0.time + MRAI,
             seq: 1,
         };
-        let longer = Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]);
+        let longer = ann(&mut paths, P, &[1, 8, 9]);
         for n in [&mut by_value, &mut in_place] {
             assert!(!n.timer_armed_at(1, None, key));
             n.timer_armed_at(2, None, key);
         }
-        push(act(|o| by_value.receive(0, longer.clone(), T0, o)));
-        in_place.receive(0, longer, T0, &mut buf);
+        push(act(|o| by_value.receive(0, longer, T0, &mut paths, o)));
+        in_place.receive(0, longer, T0, &mut paths, &mut buf);
         push(act(|o| by_value.mrai_flush(1, None, key, o)));
         in_place.mrai_flush(1, None, key, &mut buf);
-        push(act(|o| by_value.originate_caused(Prefix(7), &Provenance::none(), T0, o)));
-        in_place.originate_caused(Prefix(7), &Provenance::none(), T0, &mut buf);
-        push(act(|o| by_value.session_down_caused(0, &Provenance::none(), T0, o)));
-        in_place.session_down_caused(0, &Provenance::none(), T0, &mut buf);
-        push(act(|o| by_value.session_up_caused(0, &Provenance::none(), T0, o)));
-        in_place.session_up_caused(0, &Provenance::none(), T0, &mut buf);
-        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), &Provenance::none(), T0, o)));
-        in_place.withdraw_origin_caused(Prefix(7), &Provenance::none(), T0, &mut buf);
+        push(act(|o| by_value.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, o)));
+        in_place.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, &mut buf);
+        push(act(|o| by_value.session_down_caused(0, Provenance::none(), T0, &mut paths, o)));
+        in_place.session_down_caused(0, Provenance::none(), T0, &mut paths, &mut buf);
+        push(act(|o| by_value.session_up_caused(0, Provenance::none(), T0, &mut paths, o)));
+        in_place.session_up_caused(0, Provenance::none(), T0, &mut paths, &mut buf);
+        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), Provenance::none(), T0, &mut paths, o)));
+        in_place.withdraw_origin_caused(Prefix(7), Provenance::none(), T0, &mut paths, &mut buf);
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
         assert_eq!(flat(&buf), flat(&want));
@@ -1397,26 +1442,27 @@ mod tests {
     /// newly built one does, with its cost tallies still running.
     #[test]
     fn recycle_restores_the_constructed_state_from_any_state() {
-        let script = |n: &mut BgpNode| {
+        let mut paths = PathArena::new();
+        let script = |n: &mut BgpNode, paths: &mut PathArena| {
             let mut all = Actions::default();
-            n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, &mut all);
+            n.receive(0, ann(paths, P, &[1, 9]), T0, paths, &mut all);
             assert!(settle(n, &all, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
-            n.receive(2, Update::announce(P, vec![AsId(3), AsId(9)]), T0, &mut all);
+            n.receive(2, ann(paths, P, &[3, 9]), T0, paths, &mut all);
             // A longer customer path waits behind both timers.
-            n.receive(0, Update::announce(P, vec![AsId(1), AsId(8), AsId(9)]), T0, &mut all);
+            n.receive(0, ann(paths, P, &[1, 8, 9]), T0, paths, &mut all);
             let (slot, which, key) = all.expiries[0];
             n.mrai_flush(slot, which, key, &mut all);
-            n.receive(0, Update::withdraw(P), T0, &mut all);
-            let best = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
+            n.receive(0, Update::withdraw(P), T0, paths, &mut all);
+            let best = n.best_route(P);
             (flat(&all), best)
         };
         let mut fresh = node();
-        let want = script(&mut fresh);
+        let want = script(&mut fresh, &mut paths);
 
         let mut used = node();
-        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(8)]), T0, &mut Actions::default());
-        used.receive(0, Update::announce(Prefix(4), vec![AsId(1), AsId(7), AsId(8)]), T0, &mut Actions::default());
-        act(|o| used.session_down_caused(2, &Provenance::none(), T0, o));
+        used.receive(0, ann(&mut paths, Prefix(4), &[1, 8]), T0, &mut paths, &mut Actions::default());
+        used.receive(0, ann(&mut paths, Prefix(4), &[1, 7, 8]), T0, &mut paths, &mut Actions::default());
+        act(|o| used.session_down_caused(2, Provenance::none(), T0, &mut paths, o));
         assert!(used.timer_armed(1, T0), "recycled mid-window, timers armed");
         let spent = used.cost_counters();
         used.recycle();
@@ -1426,7 +1472,7 @@ mod tests {
         assert_eq!(used.arena_bytes(), 0);
         assert_eq!(used.cost_counters(), spent, "tallies are monotone, not reset");
 
-        assert_eq!(script(&mut used), want);
+        assert_eq!(script(&mut used, &mut paths), want);
         let mut delta = used.cost_counters();
         delta.decision_runs -= spent.decision_runs;
         delta.route_comparisons -= spent.route_comparisons;
@@ -1439,6 +1485,7 @@ mod tests {
 
     #[test]
     fn nodes_share_one_session_slab() {
+        let mut paths = PathArena::new();
         let slab = SessionSlab::build(
             2,
             |i| AsId(i as u32),
@@ -1453,7 +1500,7 @@ mod tests {
         assert_eq!(a.slot_of(AsId(1)), Some(0));
         assert_eq!(b.slot_of(AsId(0)), Some(0));
         assert_eq!(a.sessions().len(), 1);
-        let acts = act(|o| a.originate_caused(P, &Provenance::none(), T0, o));
+        let acts = act(|o| a.originate_caused(P, Provenance::none(), T0, &mut paths, o));
         assert_eq!(sends_to(&acts), vec![0]);
         assert!(a.arena_bytes() > 0, "prefix rows are accounted");
         assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
@@ -1462,8 +1509,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot change damping with live routing state")]
     fn damping_cannot_change_once_routes_exist() {
+        let mut paths = PathArena::new();
         let mut n = node();
-        act(|o| n.receive(0, Update::announce(P, vec![AsId(1), AsId(9)]), T0, o));
+        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
         n.set_rfd(Some(RfdConfig::default()));
     }
 
@@ -1473,17 +1521,23 @@ mod tests {
     /// session slot.
     #[test]
     fn decision_costs_one_comparison_or_a_rescan_of_the_routes_held() {
+        let mut paths = PathArena::new();
         let sessions = (1..=64)
             .map(|peer| session(peer, if peer == 1 { Relationship::Customer } else { Relationship::Provider }))
             .collect();
         let mut n = BgpNode::new(AsId(0), sessions, MraiMode::NoWrate);
         let route = |slot: u32, len: u32| {
             let hops = std::iter::once(AsId(slot + 1)).chain((1..len).map(|i| AsId(100 + i)));
-            Update::announce(P, hops.collect::<Vec<_>>())
+            Some(hops.collect::<Vec<_>>())
         };
-        let mut cost = |slot: u32, update: Update| {
+        // `None` withdraws.
+        let mut cost = |slot: u32, hops: Option<Vec<AsId>>| {
+            let update = match hops {
+                Some(hops) => Update::announce(P, paths.intern(&hops)),
+                None => Update::withdraw(P),
+            };
             let before = n.cost_counters().route_comparisons;
-            act(|o| n.receive(slot, update, T0, o));
+            act(|o| n.receive(slot, update, T0, &mut paths, o));
             n.cost_counters().route_comparisons - before
         };
         assert_eq!(cost(0, route(0, 3)), 0, "the first route has no rival");
@@ -1491,25 +1545,29 @@ mod tests {
             assert_eq!(cost(loser, route(loser, 2)), 1, "a loser meets the incumbent only");
         }
         assert_eq!(cost(0, route(0, 2)), 1, "an improving incumbent meets its old key only");
-        assert_eq!(cost(40, Update::withdraw(P)), 0, "a withdrawn loser meets nobody");
+        assert_eq!(cost(40, None), 0, "a withdrawn loser meets nobody");
         assert_eq!(cost(40, route(40, 2)), 1);
         assert_eq!(cost(0, route(0, 4)), 1 + 3, "a worsened incumbent: its old key, then a rescan of 4 routes");
-        assert_eq!(cost(0, Update::withdraw(P)), 2, "a rescan of the 3 routes left, not of 64 slots");
+        assert_eq!(cost(0, None), 2, "a rescan of the 3 routes left, not of 64 slots");
         assert_eq!(n.cost_counters().decision_runs, 9);
     }
 
     /// The decision process must be observationally identical to a
-    /// brute-force rescan under the full `preference_key` (not the packed
-    /// key the node caches): drive one node through a long seeded
+    /// brute-force rescan under the full `preference_key` (not the `u64`
+    /// rank key the node caches): drive one node through a long seeded
     /// announce/withdraw trace while mirroring the Adj-RIB-in in the
-    /// test, and after every step recompute the best route from scratch
-    /// and compare. The second pass runs the same trace with damping on,
+    /// test — as plain hop lists, outside the arena — and after every
+    /// step recompute the best route from scratch and compare. The cached
+    /// keys are held to the same reference: every pair of routes the node
+    /// holds must be ordered by its keys exactly as `preference_key`
+    /// orders them. The second pass runs the same trace with damping on,
     /// the clock advancing and every reuse wake-up offered: the mirror
     /// then skips the slots the node reports suppressed.
     #[test]
     fn incremental_decision_matches_a_brute_force_mirror() {
-        use crate::decision::preference_key;
+        use crate::decision::{preference_key, Candidate};
         use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
+        let mut paths = PathArena::new();
         let sessions = vec![
             session(1, Relationship::Customer),
             session(2, Relationship::Customer),
@@ -1520,43 +1578,51 @@ mod tests {
         for damped in [false, true] {
             let mut n = BgpNode::new(AsId(0), sessions.clone(), MraiMode::NoWrate);
             n.set_rfd(damped.then(RfdConfig::default));
-            let mut mirror: Vec<Option<AsPath>> = vec![None; sessions.len()];
+            let mut mirror: Vec<Option<Vec<AsId>>> = vec![None; sessions.len()];
             let mut g = Xoshiro256StarStar::new(0xA11_0CA7);
             let mut now = SimTime::ZERO;
             let suppressed = |n: &BgpNode| (0..5).filter(|&s| n.is_suppressed(s, P)).count();
-            let (mut suppressions, mut reuses) = (0, 0);
+            let (mut suppressions, mut reuses, mut pairs) = (0, 0, 0);
             for _ in 0..400 {
                 now += SimDuration::from_secs(120);
                 let slot = g.next_below(5) as usize;
                 let peer = sessions[slot].peer;
                 let before = suppressed(&n);
                 for s in 0..5 {
-                    act(|o| n.rfd_reuse_caused(s, P, at(now), &Provenance::none(), o));
+                    act(|o| n.rfd_reuse_caused(s, P, at(now), Provenance::none(), &mut paths, o));
                 }
                 let between = suppressed(&n);
                 reuses += before - between;
                 if g.next_below(3) == 0 {
-                    act(|o| n.receive(slot as u32, Update::withdraw(P), at(now), o));
+                    act(|o| n.receive(slot as u32, Update::withdraw(P), at(now), &mut paths, o));
                     mirror[slot] = None;
                 } else {
                     // One to three hops: the incumbent's own route both
                     // improves and worsens along the trace.
-                    let mut path = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
-                    path.truncate(1 + g.next_below(3) as usize);
-                    act(|o| n.receive(slot as u32, Update::announce(P, path.clone()), at(now), o));
-                    mirror[slot] = Some(AsPath::from(path));
+                    let mut hops = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
+                    hops.truncate(1 + g.next_below(3) as usize);
+                    let update = Update::announce(P, paths.intern(&hops));
+                    act(|o| n.receive(slot as u32, update, at(now), &mut paths, o));
+                    mirror[slot] = Some(hops);
                 }
                 suppressions += suppressed(&n) - between;
-                let key = |i: usize, path: &AsPath| {
+                let key = |i: usize, path: &[AsId]| {
                     preference_key(&Candidate {
                         neighbor: sessions[i].peer,
                         rel: sessions[i].rel,
-                        path: path.as_slice(),
+                        path,
                     })
                 };
-                let mut want: Option<(usize, &AsPath)> = None;
-                for (i, entry) in mirror.iter().enumerate() {
-                    let Some(path) = entry else { continue };
+                let held = || mirror.iter().enumerate().filter_map(|(i, e)| Some((i, e.as_deref()?)));
+                let cached = n.table.rib_keys(n.table.row(P).expect("the prefix has a row"));
+                for (i, a) in held() {
+                    for (j, b) in held() {
+                        assert_eq!(cached[i].cmp(&cached[j]), key(i, a).cmp(&key(j, b)), "slots {i} and {j}");
+                        pairs += 1;
+                    }
+                }
+                let mut want: Option<(usize, &[AsId])> = None;
+                for (i, path) in held() {
                     if n.is_suppressed(i as u32, P) {
                         continue;
                     }
@@ -1564,10 +1630,11 @@ mod tests {
                         want = Some((i, path));
                     }
                 }
-                let got = n.best_route(P).map(|(nh, p)| (nh, p.clone()));
-                let want = want.map(|(s, p)| (Some(sessions[s].peer), p.clone()));
+                let got = n.best_route(P).map(|(nh, p)| (nh, paths.to_vec(p)));
+                let want = want.map(|(s, p)| (Some(sessions[s].peer), p.to_vec()));
                 assert_eq!(got, want, "decision diverged from the brute-force rescan (damped: {damped})");
             }
+            assert!(pairs > 2_000, "the trace must hold several routes at once ({pairs} pairs)");
             if damped {
                 assert!(
                     suppressions > 10 && reuses > 10,

@@ -1,39 +1,84 @@
-//! Pins `AsPath::prepended` to one heap allocation per call.
+//! Pins the export path's cost to a lookup: re-exporting a path the
+//! arena already holds allocates nothing, and every session that takes
+//! one export holds one id.
 //!
-//! The export path is built once per best-route change — 26k times per
-//! n=5000 C-event — so a second allocation (a `Vec` copied into the
-//! `Arc<[AsId]>`) is paid on the hot path. This file holds a single test
-//! because the counters of simkernel's counting allocator are
-//! process-global: a second test running on another thread would be
-//! counted too.
+//! A best-route change builds its export path once — 26k times per
+//! n=5000 C-event — and fans it out to every neighbor. With paths
+//! hash-consed in the [`PathArena`] that is one `prepend` (a cell the
+//! first time, a probe ever after) and a four-byte id per session: the
+//! steady state of a flapping route touches no allocator at all. This
+//! file holds a single test because the counters of simkernel's counting
+//! allocator are process-global: a second test running on another thread
+//! would be counted too.
 
-use std::hint::black_box;
-
-use bgpscale_bgp::AsPath;
+use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::{BgpNode, MraiMode, PathArena, PathId, Prefix, Update};
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
-use bgpscale_topology::AsId;
+use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
+use bgpscale_topology::{AsId, Relationship};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+const P: Prefix = Prefix(0);
+const NEIGHBORS: u32 = 8;
+
 #[test]
-fn prepended_allocates_exactly_once() {
-    const CALLS: u64 = 1000;
-    let tail: Vec<AsId> = (1..6).map(AsId).collect();
-    let mut built = Vec::with_capacity(CALLS as usize);
+fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
+    const ROUNDS: u64 = 1000;
+    // AS0 with a customer AS1 on slot 0 and seven providers behind it: a
+    // customer route is exported to all seven.
+    let sessions = (1..=NEIGHBORS)
+        .map(|peer| Session {
+            peer: AsId(peer),
+            rel: if peer == 1 { Relationship::Customer } else { Relationship::Provider },
+        })
+        .collect();
+    let mut node = BgpNode::new(AsId(0), sessions, MraiMode::NoWrate);
+    let mut paths = PathArena::new();
+    let mut out = Actions::default();
+    let learned = [
+        paths.intern(&[AsId(1), AsId(90)]),
+        paths.intern(&[AsId(1), AsId(80), AsId(90)]),
+    ];
+
+    // The customer's route flaps between the two paths, one step a minute:
+    // every MRAI timer has run out by the next step, so each change is
+    // exported to all seven providers at once.
+    let mut flap = |round: u64, paths: &mut PathArena| {
+        let now = EventKey {
+            time: SimTime::from_secs(60 * round),
+            seq: 0,
+        };
+        let route = learned[(round % 2) as usize];
+        node.receive(0, Update::announce(P, route), now, paths, &mut out);
+        assert_eq!(out.sends.len(), NEIGHBORS as usize - 1);
+        for slot in out.arm_timers.drain(..) {
+            let expiry = EventKey {
+                time: now.time + SimDuration::from_secs(30),
+                seq: 1,
+            };
+            assert!(!node.timer_armed_at(slot, None, expiry), "nothing waits");
+        }
+        out.sends.clear();
+        let export: PathId = paths.prepend(AsId(0), route);
+        assert!(
+            (1..NEIGHBORS).all(|slot| node.advertised(slot, P) == Some(export)),
+            "every session holds the one id of the export path"
+        );
+    };
+
+    // Both export paths enter the arena and every buffer reaches its size.
+    flap(0, &mut paths);
+    flap(1, &mut paths);
+    let held = paths.paths();
     let before = snapshot().expect("the counting allocator is installed");
-    for i in 0..CALLS {
-        built.push(AsPath::prepended(AsId(i as u32 + 100), black_box(&tail)));
+    for round in 2..2 + ROUNDS {
+        flap(round, &mut paths);
     }
-    let after = snapshot().expect("the counting allocator is installed");
-    let made = after.delta_since(&before);
-    assert_eq!(
-        made.allocs, CALLS,
-        "one exact-size Arc<[AsId]> per export path"
-    );
-    assert_eq!(built[7].as_slice()[0], AsId(107));
-    assert_eq!(&built[7].as_slice()[1..], tail.as_slice());
-    // Arc header (two counters) plus six 4-byte hops, nothing else.
-    let exact = 2 * std::mem::size_of::<usize>() + 6 * std::mem::size_of::<AsId>();
-    assert_eq!(made.bytes_allocated, CALLS * exact as u64);
+    let made = snapshot()
+        .expect("the counting allocator is installed")
+        .delta_since(&before);
+    assert_eq!(paths.paths(), held, "a path built before is found, not stored again");
+    assert_eq!(made.allocs, 0, "{ROUNDS} best-route changes, each exported seven times");
 }

@@ -1,12 +1,12 @@
 //! Property-based tests for the protocol machine: the decision process is
-//! a strict total order; the MRAI output queue never lies to the
-//! neighbor.
+//! a strict total order; the path arena is a faithful, hash-consed store
+//! of hop lists; the MRAI output queue never lies to the neighbor.
 
 use bgpscale_bgp::config::MraiScope;
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
 use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
 use bgpscale_bgp::node::NodeCostCounters;
-use bgpscale_bgp::{AsPath, MraiMode, Prefix, Provenance, Update, UpdateKind};
+use bgpscale_bgp::{MraiMode, PathArena, PathId, Prefix, Provenance, Update, UpdateKind};
 use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
@@ -24,6 +24,7 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
 /// arm, and the one expiry event the queue may have asked for.
 struct Driven {
     q: OutQueue,
+    paths: PathArena,
     now: EventKey,
     expiry: Option<EventKey>,
     costs: NodeCostCounters,
@@ -36,6 +37,7 @@ impl Driven {
     fn new() -> Driven {
         Driven {
             q: OutQueue::new(),
+            paths: PathArena::new(),
             now: EventKey::ZERO,
             expiry: None,
             costs: NodeCostCounters::default(),
@@ -57,13 +59,14 @@ impl Driven {
         }
     }
 
-    fn submit(&mut self, prefix: Prefix, intent: Option<&AsPath>, mode: MraiMode, rel: Relationship) -> Submit {
+    fn submit(&mut self, prefix: Prefix, intent: Option<PathId>, mode: MraiMode, rel: Relationship) -> Submit {
         let step = Step {
             mode,
             scope: MraiScope::PerInterface,
             now: self.now,
+            cause: Provenance::root(7),
         };
-        let submit = self.q.submit(prefix, intent, &step, &Provenance::root(7), rel, &mut self.costs);
+        let submit = self.q.submit(prefix, intent, &step, rel, &mut self.paths, &mut self.costs);
         match &submit {
             Submit::SendNow { arm_timer: true, .. } => self.arm(),
             Submit::Queued { expire_at: Some(key) } => {
@@ -105,8 +108,8 @@ impl Driven {
     }
 }
 
-fn path_strategy() -> impl Strategy<Value = AsPath> {
-    prop::collection::vec((0u32..1000).prop_map(AsId), 1..8).prop_map(AsPath::from)
+fn path_strategy() -> impl Strategy<Value = Vec<AsId>> {
+    prop::collection::vec((0u32..1000).prop_map(AsId), 1..8)
 }
 
 proptest! {
@@ -156,6 +159,49 @@ proptest! {
         prop_assert_eq!(select_best(&cands), Some(0));
     }
 
+    /// The arena stores exactly the hop lists it was given, once each:
+    /// `intern` round-trips nearest-first; equal hops mean equal ids
+    /// however the path was built (`intern`, or `prepend` hop by hop from
+    /// the origin) and distinct hops distinct ids; `len` and `contains`
+    /// agree with the slice; and `clear` restarts the ids, so a recycled
+    /// run hands out the ids of a fresh one.
+    #[test]
+    fn arena_is_a_hash_consed_store_of_hop_lists(
+        // A small AS alphabet, so lists share tails and repeat outright.
+        lists in prop::collection::vec(prop::collection::vec((0u32..6).prop_map(AsId), 0..6), 1..40),
+        probe in (0u32..8).prop_map(AsId),
+    ) {
+        let mut arena = PathArena::new();
+        let ids: Vec<PathId> = lists.iter().map(|hops| arena.intern(hops)).collect();
+        for (hops, &id) in lists.iter().zip(&ids) {
+            prop_assert_eq!(&arena.to_vec(id), hops, "round trip, nearest first");
+            prop_assert_eq!(arena.len(id), hops.len());
+            prop_assert_eq!(arena.contains(id, probe), hops.contains(&probe));
+            prop_assert_eq!(id == PathId::EMPTY, hops.is_empty());
+            let stepwise = hops.iter().rev().fold(PathId::EMPTY, |tail, &head| arena.prepend(head, tail));
+            prop_assert_eq!(stepwise, id, "built by prepends, found by lookup");
+        }
+        for (a, id_a) in lists.iter().zip(&ids) {
+            for (b, id_b) in lists.iter().zip(&ids) {
+                prop_assert_eq!(a == b, id_a == id_b, "equal hops <=> equal ids: {:?} vs {:?}", a, b);
+            }
+        }
+        // One cell per distinct non-empty suffix, plus the empty path.
+        let suffixes: std::collections::BTreeSet<&[AsId]> = lists
+            .iter()
+            .flat_map(|hops| (0..hops.len()).map(move |from| &hops[from..]))
+            .collect();
+        prop_assert_eq!(arena.paths(), suffixes.len() + 1);
+
+        arena.clear();
+        prop_assert_eq!(arena.paths(), 1);
+        let again: Vec<PathId> = lists.iter().map(|hops| arena.intern(hops)).collect();
+        prop_assert_eq!(&again, &ids, "a cleared arena hands out a new arena's ids");
+        let mut fresh = PathArena::new();
+        let on_fresh: Vec<PathId> = lists.iter().map(|hops| fresh.intern(hops)).collect();
+        prop_assert_eq!(again, on_fresh);
+    }
+
     /// MRAI queue soundness: after any sequence of submissions and
     /// flushes, replaying every transmitted update against a model of the
     /// neighbor's state reproduces the queue's Adj-RIB-out, and once all
@@ -173,11 +219,11 @@ proptest! {
     ) {
         let mut d = Driven::new();
         // The neighbor's view, replayed from transmissions.
-        let mut neighbor: std::collections::BTreeMap<Prefix, AsPath> = Default::default();
+        let mut neighbor: std::collections::BTreeMap<Prefix, PathId> = Default::default();
         // The latest intent per prefix.
-        let mut intent: std::collections::BTreeMap<Prefix, Option<AsPath>> = Default::default();
+        let mut intent: std::collections::BTreeMap<Prefix, Option<PathId>> = Default::default();
 
-        let apply = |neighbor: &mut std::collections::BTreeMap<Prefix, AsPath>, u: Update| {
+        let apply = |neighbor: &mut std::collections::BTreeMap<Prefix, PathId>, u: Update| {
             match u.kind {
                 UpdateKind::Announce(p) => { neighbor.insert(u.prefix, p); }
                 UpdateKind::Withdraw => {
@@ -189,9 +235,9 @@ proptest! {
         };
 
         for (prefix, path_id, flush_after) in script {
-            let path: Option<AsPath> = path_id.map(|k| AsPath::from(vec![AsId(100 + k), AsId(999)]));
-            intent.insert(prefix, path.clone());
-            match d.submit(prefix, path.as_ref(), mode, rel) {
+            let path: Option<PathId> = path_id.map(|k| d.paths.intern(&[AsId(100 + k), AsId(999)]));
+            intent.insert(prefix, path);
+            match d.submit(prefix, path, mode, rel) {
                 Submit::SendNow { update, .. } => {
                     prop_assert_eq!(update.provenance.rel(), Some(rel), "sent over this edge");
                     apply(&mut neighbor, update)?
@@ -206,7 +252,7 @@ proptest! {
             }
             // Invariant: the neighbor state always equals the Adj-RIB-out.
             for p in [Prefix(0), Prefix(1), Prefix(2)] {
-                prop_assert_eq!(neighbor.get(&p), d.q.advertised(p),
+                prop_assert_eq!(neighbor.get(&p).copied(), d.q.advertised(p),
                     "Adj-RIB-out diverged from the neighbor's actual state");
             }
         }
@@ -219,8 +265,8 @@ proptest! {
         }
         // Final neighbor state must equal the final intents.
         for p in [Prefix(0), Prefix(1), Prefix(2)] {
-            let want = intent.get(&p).cloned().flatten();
-            prop_assert_eq!(neighbor.get(&p).cloned(), want,
+            let want = intent.get(&p).copied().flatten();
+            prop_assert_eq!(neighbor.get(&p).copied(), want,
                 "after drain, neighbor state != last intent for {:?}", p);
         }
     }
@@ -233,10 +279,14 @@ proptest! {
     ) {
         let mut d = Driven::new();
         let rel = Relationship::Customer;
-        let first = d.submit(Prefix(0), Some(&path), mode, rel);
+        let path = d.paths.intern(&path);
+        let first = d.submit(Prefix(0), Some(path), mode, rel);
         let sent_now = matches!(first, Submit::SendNow { .. });
         prop_assert!(sent_now);
-        let second = d.submit(Prefix(0), Some(&path), mode, rel);
+        // Built again, hop by hop: the same id, the same intent.
+        let hops = d.paths.to_vec(path);
+        let rebuilt = d.paths.intern(&hops);
+        let second = d.submit(Prefix(0), Some(rebuilt), mode, rel);
         prop_assert_eq!(second, Submit::Suppressed);
     }
 }

@@ -7,8 +7,11 @@
 //! in the input queue), matching "the number of routing updates received
 //! by nodes" (§2).
 
+use std::sync::Arc;
+
+use bgpscale_bgp::SessionSlab;
 use bgpscale_simkernel::{SimDuration, SimTime};
-use bgpscale_topology::{AsGraph, AsId};
+use bgpscale_topology::AsId;
 
 /// A binned time series of network-wide update arrivals, for burstiness
 /// analysis (the paper's intro observes peak rates up to ~1000× daily
@@ -69,9 +72,13 @@ impl Timeline {
 #[derive(Clone, Debug)]
 pub struct ChurnCollector {
     enabled: bool,
-    /// `per_edge[node][slot]` = updates received by `node` from the
-    /// neighbor at `slot` while enabled.
-    per_edge: Vec<Vec<u32>>,
+    /// The session id space the counters are laid out in.
+    slab: Arc<SessionSlab>,
+    /// One counter per session, in the slab's global session id space:
+    /// `per_edge[slab.first_session(node) + slot]` = updates received by
+    /// `node` from the neighbor at `slot` while enabled. One allocation
+    /// for the whole topology, and a delivery touches one word of it.
+    per_edge: Vec<u32>,
     /// Withdrawals among those (announcements = total − withdrawals).
     withdrawals: u64,
     total: u64,
@@ -80,14 +87,13 @@ pub struct ChurnCollector {
 }
 
 impl ChurnCollector {
-    /// Creates a disabled collector sized for `graph`.
-    pub fn new(graph: &AsGraph) -> ChurnCollector {
+    /// Creates a disabled collector with one counter per session of
+    /// `slab`, whose node `i` must be `AsId(i)`.
+    pub fn new(slab: Arc<SessionSlab>) -> ChurnCollector {
         ChurnCollector {
             enabled: false,
-            per_edge: graph
-                .node_ids()
-                .map(|id| vec![0u32; graph.degree(id)])
-                .collect(),
+            per_edge: vec![0; slab.total_sessions()],
+            slab,
             withdrawals: 0,
             total: 0,
             timeline: None,
@@ -106,10 +112,10 @@ impl ChurnCollector {
 
     /// Records one delivered update (called by the simulator).
     #[inline]
-    // det::allow(panic-surface, reason = "per_edge is sized one row per node and one slot per neighbor at construction, and the simulator only passes slot_of-minted slots")
+    // det::allow(panic-surface, reason = "per_edge holds one counter per session of the slab, and the simulator only passes slab-minted (node, slot) pairs")
     pub fn record(&mut self, to: AsId, slot: u32, is_withdrawal: bool, now: SimTime) {
         if self.enabled {
-            self.per_edge[to.index()][slot as usize] += 1;
+            self.per_edge[(self.slab.first_session(to.0) + slot) as usize] += 1;
             self.total += 1;
             self.withdrawals += u64::from(is_withdrawal);
             if let Some(tl) = &mut self.timeline {
@@ -151,19 +157,18 @@ impl ChurnCollector {
 
     /// Per-neighbor-slot counts for `node`, in session order.
     pub fn node_counts(&self, node: AsId) -> &[u32] {
-        &self.per_edge[node.index()]
+        let first = self.slab.first_session(node.0) as usize;
+        &self.per_edge[first..first + self.slab.degree(node.0) as usize]
     }
 
     /// Total updates received by `node`.
     pub fn node_total(&self, node: AsId) -> u64 {
-        self.per_edge[node.index()].iter().map(|&c| c as u64).sum()
+        self.node_counts(node).iter().map(|&c| c as u64).sum()
     }
 
     /// Zeroes all counters (does not change the enabled flag).
     pub fn reset(&mut self) {
-        for row in &mut self.per_edge {
-            row.fill(0);
-        }
+        self.per_edge.fill(0);
         self.total = 0;
         self.withdrawals = 0;
         if let Some(tl) = &mut self.timeline {
@@ -175,23 +180,26 @@ impl ChurnCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpscale_topology::{NodeType, RegionSet};
+    use bgpscale_bgp::node::Session;
+    use bgpscale_topology::Relationship;
 
-    fn tiny_graph() -> AsGraph {
-        let mut g = AsGraph::new();
-        let r = RegionSet::all(1);
-        let t = g.add_node(NodeType::T, r);
-        let c1 = g.add_node(NodeType::C, r);
-        let c2 = g.add_node(NodeType::C, r);
-        g.add_transit_link(c1, t);
-        g.add_transit_link(c2, t);
-        g
+    /// A collector over T0 with two customers, C1 and C2.
+    fn tiny() -> ChurnCollector {
+        let session = |peer, rel| Session {
+            peer: AsId(peer),
+            rel,
+        };
+        let sessions = [
+            vec![session(1, Relationship::Customer), session(2, Relationship::Customer)],
+            vec![session(0, Relationship::Provider)],
+            vec![session(0, Relationship::Provider)],
+        ];
+        ChurnCollector::new(SessionSlab::build(3, |i| AsId(i as u32), &sessions))
     }
 
     #[test]
     fn disabled_collector_ignores_records() {
-        let g = tiny_graph();
-        let mut c = ChurnCollector::new(&g);
+        let mut c = tiny();
         c.record(AsId(0), 0, false, SimTime::ZERO);
         assert_eq!(c.total(), 0);
         assert_eq!(c.node_total(AsId(0)), 0);
@@ -199,8 +207,7 @@ mod tests {
 
     #[test]
     fn enabled_collector_attributes_per_slot() {
-        let g = tiny_graph();
-        let mut c = ChurnCollector::new(&g);
+        let mut c = tiny();
         c.set_enabled(true);
         c.record(AsId(0), 0, false, SimTime::ZERO);
         c.record(AsId(0), 0, true, SimTime::ZERO);
@@ -215,8 +222,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_enabled() {
-        let g = tiny_graph();
-        let mut c = ChurnCollector::new(&g);
+        let mut c = tiny();
         c.set_enabled(true);
         c.record(AsId(1), 0, false, SimTime::ZERO);
         c.reset();
@@ -227,8 +233,7 @@ mod tests {
 
     #[test]
     fn timeline_bins_arrivals() {
-        let g = tiny_graph();
-        let mut c = ChurnCollector::new(&g);
+        let mut c = tiny();
         c.set_enabled(true);
         c.start_timeline(SimTime::ZERO, SimDuration::from_secs(1));
         // Two in the first second, one at t = 2.5 s.
@@ -250,8 +255,7 @@ mod tests {
 
     #[test]
     fn rows_match_node_degrees() {
-        let g = tiny_graph();
-        let c = ChurnCollector::new(&g);
+        let c = tiny();
         assert_eq!(c.node_counts(AsId(0)).len(), 2);
         assert_eq!(c.node_counts(AsId(1)).len(), 1);
     }

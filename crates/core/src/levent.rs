@@ -151,12 +151,12 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         let before: Vec<_> = ids
             .iter()
-            .map(|&id| sim.node(id).best_route(Prefix(0)).map(|(n, p)| (n, p.clone())))
+            .map(|&id| sim.node(id).best_route(Prefix(0)))
             .collect();
         run_l_event(&mut sim, ids[4], ids[2], Prefix(0)).unwrap();
         let after: Vec<_> = ids
             .iter()
-            .map(|&id| sim.node(id).best_route(Prefix(0)).map(|(n, p)| (n, p.clone())))
+            .map(|&id| sim.node(id).best_route(Prefix(0)))
             .collect();
         assert_eq!(before, after, "restore must return to the same fixpoint");
     }

@@ -9,6 +9,9 @@
 //!   names only the receiver and its session slot: the `Update` itself
 //!   rides the simulator's `wire` FIFO, because every message takes the
 //!   same constant link delay and so arrives in the order it was sent.
+//!   A delivery reads the session off the simulator's own slab and the
+//!   receiver's input queue; the receiving `BgpNode` is not touched until
+//!   its `ProcDone`.
 //! * **ProcDone** — the processor finishes one message (service time drawn
 //!   uniformly from `[0, proc_delay_max]`), the protocol machine runs, and
 //!   resulting transmissions are scheduled after the link delay.
@@ -37,11 +40,18 @@
 //! (the *MRAI horizon*), so every MRAI timer is idle when the next phase
 //! starts. All randomness (service times, jitter) comes from one seeded
 //! stream, so runs are exactly repeatable.
+//!
+//! AS paths live in one [`PathArena`] per simulator, lent to every node
+//! entry point beside the `Actions` buffer: nodes, output queues, the
+//! wire and the input queues all hold four-byte [`PathId`]s of it, and an
+//! `Update` is twenty bytes that nothing points out of. An id lives until
+//! [`Simulator::recycle`] clears the arena; read one back through
+//! [`Simulator::paths`].
 
 use std::sync::Arc;
 
 use bgpscale_bgp::node::Actions;
-use bgpscale_bgp::{BgpConfig, BgpNode, Prefix, SessionSlab, Update};
+use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, Prefix, SessionSlab, Update};
 use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
@@ -57,8 +67,8 @@ use crate::churn::ChurnCollector;
 const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
 /// Simulator events. Small on purpose: the heap sifts whole entries, so
-/// the 48-byte `Update` of a `Deliver` travels on `Simulator::wire`
-/// instead of in the event.
+/// the 20-byte `Update` of a `Deliver` travels on `Simulator::wire`
+/// instead of doubling the event.
 #[derive(Clone, Debug)]
 enum SimEvent {
     /// The `Update` at the front of the wire reaches `to`'s input queue
@@ -165,6 +175,9 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// flat per-session side tables like `mrai_epoch` index into.
     slab: Arc<SessionSlab>,
     nodes: Vec<BgpNode>,
+    /// Every AS path of the run, hash-consed; lent to each protocol step.
+    /// Cleared, buffers kept, by [`Simulator::recycle`].
+    paths: PathArena,
     /// The buffer every protocol step writes its transmissions and timer
     /// arms into; [`Simulator::apply_actions`] drains it after each step,
     /// so its lists are empty between steps and keep their capacity.
@@ -229,35 +242,35 @@ fn link_key(a: AsId, b: AsId) -> (AsId, AsId) {
     }
 }
 
-/// A pristine simulator blueprint: topology, protocol configuration, and
-/// clean per-node state, all built once.
+/// A simulator blueprint: topology, protocol configuration, and the
+/// session slab built from them, all shared.
 ///
 /// The experiment harness runs up to 100 independent C-events over the
 /// *same* topology, each from pristine state with its own derived seed.
-/// Rebuilding the node array from the graph repeats the session/adjacency
-/// construction work; a template does it once and
-/// [`SimTemplate::instantiate`] stamps out simulators by cloning the clean
-/// nodes (pristine RIBs are empty, and the session slab — one contiguous
-/// [`SessionSlab`] covering every node's adjacency — is shared behind a
-/// single `Arc` by the template and every node of every instantiation).
-/// The harness instantiates once per worker and then
-/// [recycles](Simulator::recycle) that simulator from event to event.
-/// Templates are `Send + Sync`, so one template can feed every worker of
-/// a parallel fan-out.
+/// Rebuilding the session arena from the graph repeats the adjacency
+/// walk and the sorts; a template does it once, and
+/// [`SimTemplate::instantiate`] builds each simulator's nodes straight
+/// off the slab — one contiguous [`SessionSlab`] covering every node's
+/// adjacency, shared behind a single `Arc` by the template and every node
+/// of every instantiation. The template itself holds no node: a pristine
+/// node is nothing but its slab stripe and empty tables, so there is
+/// nothing to copy it from. The harness instantiates once per worker and
+/// then [recycles](Simulator::recycle) that simulator from event to
+/// event. Templates are `Send + Sync`, so one template can feed every
+/// worker of a parallel fan-out.
 #[derive(Clone)]
 pub struct SimTemplate {
     graph: Arc<AsGraph>,
     cfg: BgpConfig,
     slab: Arc<SessionSlab>,
-    nodes: Vec<BgpNode>,
 }
 
 impl SimTemplate {
     /// Builds the blueprint. Neighbor sessions take the adjacency order of
     /// the graph, which keeps everything deterministic: the whole
     /// topology's sessions land in one arena (`SessionSlab::build`), and
-    /// each node holds a slab handle plus its index instead of a private
-    /// session table.
+    /// each node of an instantiation holds a slab handle plus its index
+    /// instead of a private session table.
     ///
     /// # Panics
     /// Panics if `cfg` fails validation.
@@ -279,23 +292,7 @@ impl SimTemplate {
             })
             .collect();
         let slab = SessionSlab::build(ids.len(), |i| ids[i], &sessions_of);
-        let nodes: Vec<BgpNode> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let mut node = BgpNode::from_slab(id, Arc::clone(&slab), i as u32, cfg.mrai_mode);
-                node.set_mrai_scope(cfg.mrai_scope);
-                node.set_sender_side_loop_detection(cfg.sender_side_loop_detection);
-                node.set_rfd(cfg.rfd.clone());
-                node
-            })
-            .collect();
-        SimTemplate {
-            graph,
-            cfg,
-            slab,
-            nodes,
-        }
+        SimTemplate { graph, cfg, slab }
     }
 
     /// The topology this template simulates.
@@ -317,14 +314,28 @@ impl SimTemplate {
     /// telemetry hooks from the event loop.
     pub fn instantiate_observed<O: SimObserver>(&self, seed: u64, obs: O) -> Simulator<O> {
         let n = self.graph.len();
-        let churn = ChurnCollector::new(&self.graph);
+        let cfg = &self.cfg;
+        let nodes: Vec<BgpNode> = self
+            .graph
+            .node_ids()
+            .enumerate()
+            .map(|(i, id)| {
+                let mut node = BgpNode::from_slab(id, Arc::clone(&self.slab), i as u32, cfg.mrai_mode);
+                node.set_mrai_scope(cfg.mrai_scope);
+                node.set_sender_side_loop_detection(cfg.sender_side_loop_detection);
+                node.set_rfd(cfg.rfd.clone());
+                node
+            })
+            .collect();
+        let churn = ChurnCollector::new(Arc::clone(&self.slab));
         let mrai_epoch = vec![0u32; self.slab.total_sessions()];
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
             cfg: self.cfg.clone(),
             slab: Arc::clone(&self.slab),
-            nodes: self.nodes.clone(),
+            nodes,
+            paths: PathArena::new(),
             actions: Actions::default(),
             inbox: vec![std::collections::VecDeque::new(); n],
             busy: vec![false; n],
@@ -396,6 +407,13 @@ impl<O: SimObserver> Simulator<O> {
     /// Read access to a node's protocol state.
     pub fn node(&self, id: AsId) -> &BgpNode {
         &self.nodes[id.index()]
+    }
+
+    /// The arena the AS paths of this run live in: resolves the `PathId`s
+    /// that [`BgpNode::best_route`] and [`BgpNode::advertised`] return.
+    /// Ids go stale when the simulator is [recycled](Simulator::recycle).
+    pub fn paths(&self) -> &PathArena {
+        &self.paths
     }
 
     /// The churn collector (counter read access).
@@ -506,7 +524,7 @@ impl<O: SimObserver> Simulator<O> {
                 self.obs
                     .on_timer_occupancy(self.expiries_scheduled, self.queue.now());
             }
-            self.nodes[x.index()].session_down_caused(slot, &cause, now, &mut self.actions);
+            self.nodes[x.index()].session_down_caused(slot, cause, now, &mut self.paths, &mut self.actions);
             self.apply_actions(x);
         }
     }
@@ -525,7 +543,7 @@ impl<O: SimObserver> Simulator<O> {
         let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
-            self.nodes[x.index()].session_up_caused(slot, &cause, now, &mut self.actions);
+            self.nodes[x.index()].session_up_caused(slot, cause, now, &mut self.paths, &mut self.actions);
             self.apply_actions(x);
         }
     }
@@ -535,7 +553,7 @@ impl<O: SimObserver> Simulator<O> {
     pub fn originate(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::Originate, origin);
         let now = self.queue.last_key();
-        self.nodes[origin.index()].originate_caused(prefix, &cause, now, &mut self.actions);
+        self.nodes[origin.index()].originate_caused(prefix, cause, now, &mut self.paths, &mut self.actions);
         self.apply_actions(origin);
     }
 
@@ -544,7 +562,7 @@ impl<O: SimObserver> Simulator<O> {
     pub fn withdraw(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::WithdrawOrigin, origin);
         let now = self.queue.last_key();
-        self.nodes[origin.index()].withdraw_origin_caused(prefix, &cause, now, &mut self.actions);
+        self.nodes[origin.index()].withdraw_origin_caused(prefix, cause, now, &mut self.paths, &mut self.actions);
         self.apply_actions(origin);
     }
 
@@ -647,8 +665,9 @@ impl<O: SimObserver> Simulator<O> {
     /// state of `template.instantiate(seed)`: clock at zero, event queue,
     /// wire and input queues empty, processors idle, RNG reseeded, root-cause
     /// ids from 0, churn counters zeroed and disabled, the default event
-    /// limit, every link up, and every node as constructed (see
-    /// [`BgpNode::recycle`]). Pending events, busy processors, armed
+    /// limit, every link up, the path arena holding the empty path only
+    /// (so the run hands out the `PathId`s a fresh one would), and every
+    /// node as constructed (see [`BgpNode::recycle`]). Pending events, busy processors, armed
     /// timers and failed links — the remains of a run that blew its event
     /// budget, or of an L-event never restored — are simply discarded.
     ///
@@ -669,6 +688,7 @@ impl<O: SimObserver> Simulator<O> {
         for node in &mut self.nodes {
             node.recycle();
         }
+        self.paths.clear();
         self.rng = Xoshiro256StarStar::new(seed);
         self.churn.take_timeline();
         self.churn.reset();
@@ -692,7 +712,7 @@ impl<O: SimObserver> Simulator<O> {
                     .wire
                     .pop_front()
                     .expect("Deliver with nothing on the wire");
-                let session = self.nodes[to.index()].sessions()[slot as usize];
+                let session = self.slab.sessions(to.0)[slot as usize];
                 let from = session.peer;
                 if self.down_links.contains(&link_key(from, to)) {
                     // The link failed while the message was in flight.
@@ -715,8 +735,9 @@ impl<O: SimObserver> Simulator<O> {
                         UpdateClass::Announce
                     },
                     update.prefix.0,
-                    update.kind.path().map(|p| p.len() as u32),
+                    || update.kind.path().map(|p| self.paths.len(p) as u32),
                     &update.provenance,
+                    self.paths.root_sets(),
                     inbox_depth,
                     now,
                 );
@@ -734,7 +755,7 @@ impl<O: SimObserver> Simulator<O> {
                     .pop_front()
                     .expect("ProcDone with empty input queue");
                 let key = self.queue.last_key();
-                self.nodes[node.index()].receive(slot, update, key, &mut self.actions);
+                self.nodes[node.index()].receive(slot, update, key, &mut self.paths, &mut self.actions);
                 self.obs.on_decision_run(node, now);
                 self.apply_actions(node);
                 if self.inbox[node.index()].is_empty() {
@@ -767,7 +788,7 @@ impl<O: SimObserver> Simulator<O> {
                 let cause = self.new_root(RootCauseKind::RfdReuse, node);
                 let key = self.queue.last_key();
                 self.nodes[node.index()]
-                    .rfd_reuse_caused(slot, prefix, key, &cause, &mut self.actions);
+                    .rfd_reuse_caused(slot, prefix, key, cause, &mut self.paths, &mut self.actions);
                 self.apply_actions(node);
             }
         }
@@ -945,8 +966,8 @@ mod tests {
         // C5's route: up M3, up T1, peer T0, down M2, down C4 = 5 hops.
         let (next, path) = sim.node(ids[5]).best_route(P).unwrap();
         assert_eq!(next, Some(ids[3]));
-        assert_eq!(path.len(), 5);
-        assert_eq!(*path.last().unwrap(), ids[4], "path ends at the origin");
+        assert_eq!(sim.paths().len(path), 5);
+        assert_eq!(sim.paths().hops(path).last(), Some(ids[4]), "path ends at the origin");
     }
 
     #[test]
@@ -975,7 +996,7 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         let before: Vec<_> = ids
             .iter()
-            .map(|&id| sim.node(id).best_route(P).map(|(n, p)| (n, p.clone())))
+            .map(|&id| sim.node(id).best_route(P))
             .collect();
         sim.withdraw(ids[4], P);
         sim.run_to_quiescence().unwrap();
@@ -983,7 +1004,7 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         let after: Vec<_> = ids
             .iter()
-            .map(|&id| sim.node(id).best_route(P).map(|(n, p)| (n, p.clone())))
+            .map(|&id| sim.node(id).best_route(P))
             .collect();
         assert_eq!(before, after, "routing must return to the same fixpoint");
     }
@@ -1387,7 +1408,7 @@ mod tests {
                 // Walk the path and verify it is valley-free: shapes are
                 // up* (peer)? down*.
                 let mut full = vec![id];
-                full.extend_from_slice(path);
+                full.extend(sim.paths().hops(path));
                 let mut state = 0; // 0 = climbing, 1 = peered, 2 = descending
                 for w in full.windows(2) {
                     // Path direction is from `id` toward origin; traffic

@@ -64,8 +64,8 @@ impl Fnv {
                     None => self.u64(u64::MAX),
                     Some((next_hop, path)) => {
                         self.u64(next_hop.map_or(u64::MAX - 1, |nh| u64::from(nh.0)));
-                        self.u64(path.len() as u64);
-                        for hop in path.iter() {
+                        self.u64(sim.paths().len(path) as u64);
+                        for hop in sim.paths().hops(path) {
                             self.u64(u64::from(hop.0));
                         }
                     }

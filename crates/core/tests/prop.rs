@@ -40,10 +40,10 @@ proptest! {
                 prop_assert!(false, "{} has no route after convergence", id);
                 unreachable!();
             };
-            prop_assert_eq!(*path.last().unwrap_or(&id), origin, "path does not end at origin");
             // Valley-free walk: up* (peer)? down*.
             let mut full = vec![id];
-            full.extend_from_slice(path);
+            full.extend(sim.paths().hops(path));
+            prop_assert_eq!(full.last(), Some(&origin), "path does not end at origin");
             let mut state = 0u8;
             for w in full.windows(2) {
                 let rel = g.relationship(w[0], w[1]).expect("path uses real links");
@@ -87,7 +87,7 @@ proptest! {
             routes.push(
                 sim.graph()
                     .node_ids()
-                    .map(|id| sim.node(id).best_route(Prefix(0)).map(|(nh, p)| (nh, p.clone())))
+                    .map(|id| sim.node(id).best_route(Prefix(0)).map(|(nh, p)| (nh, sim.paths().to_vec(p))))
                     .collect::<Vec<_>>(),
             );
         }

@@ -98,7 +98,7 @@ fn non_default_loop_detection_and_service_model_reach_the_default_fixpoint() {
             .node_ids()
             .map(|id| {
                 let (next_hop, path) = sim.node(id).best_route(Prefix(0)).expect("routed after UP");
-                (id, next_hop, path.clone())
+                (id, next_hop, sim.paths().to_vec(path))
             })
             .collect();
         routes
@@ -198,7 +198,7 @@ fn per_prefix_and_per_interface_agree_on_fixpoint_with_many_prefixes() {
             .flat_map(|id| {
                 (0..origins.len() as u32).map(move |p| (id, Prefix(p)))
             })
-            .map(|(id, p)| sim.node(id).best_route(p).map(|(nh, path)| (nh, path.clone())))
+            .map(|(id, p)| sim.node(id).best_route(p).map(|(nh, path)| (nh, sim.paths().to_vec(path))))
             .collect();
         fixpoints.push(state);
     }

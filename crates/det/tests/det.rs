@@ -417,7 +417,7 @@ fn workspace_is_clean() {
         .count();
     assert_eq!(
         (a.allows.len(), line_allows),
-        (52, 8),
+        (58, 8),
         "audited-allow count moved"
     );
 }

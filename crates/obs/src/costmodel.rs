@@ -109,9 +109,14 @@ op_classes! {
     route_comparisons: Work,
     /// Adj-RIB-out mutations (inserts and successful removes).
     rib_out_writes: Work,
-    /// AS-path reuses via refcount bump (`Arc` clone — intern hit).
+    /// Sessions that took a built export path: one per neighbor the path
+    /// is offered to (its four-byte id; once an `Arc` clone). The program
+    /// point has not moved since schema 1.
     path_intern_hits: Avoided,
-    /// Fresh AS-path allocations (`prepended` — intern miss).
+    /// Export paths built: one per best-route change that leaves a route
+    /// (one lookup-or-insert in the path arena; once an `Arc<[AsId]>`
+    /// allocation). Counts builds, not new arena cells — same program
+    /// point as ever.
     path_intern_misses: Work,
     /// BGP update messages delivered to a node (after loss filtering).
     deliveries: Work,

@@ -16,7 +16,7 @@
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::provenance::{Provenance, RootCauseKind};
+use crate::provenance::{Provenance, RootCauseKind, RootSets};
 
 /// The kind of a simulator event, mirrored from `core::sim`'s private
 /// event enum so observers can count per kind without a dependency cycle.
@@ -96,11 +96,13 @@ pub trait SimObserver {
 
     /// An UPDATE was delivered from `from` to `to` (and joined `to`'s
     /// input queue). `rel` is the relationship of the *sender* as seen
-    /// from the receiver; `path_len` is the AS-path length of an
-    /// announcement (`None` for withdrawals). `provenance` is the
-    /// message's causal stamp (borrowed — the noop path never clones it)
-    /// and `inbox_depth` is the receiver's in-queue depth *including*
-    /// this message.
+    /// from the receiver; `path_len` yields the AS-path length of an
+    /// announcement (`None` for withdrawals) — a closure, because the
+    /// length is a read of the simulator's path arena that an observer
+    /// with no use for it must not pay for. `provenance` is the
+    /// message's causal stamp, `root_sets` the table a coalesced stamp's
+    /// roots resolve against ([`Provenance::roots`]), and `inbox_depth`
+    /// the receiver's in-queue depth *including* this message.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn on_message(
@@ -110,8 +112,9 @@ pub trait SimObserver {
         _rel: Relationship,
         _class: UpdateClass,
         _prefix: u32,
-        _path_len: Option<u32>,
+        _path_len: impl FnOnce() -> Option<u32>,
         _provenance: &Provenance,
+        _root_sets: &RootSets,
         _inbox_depth: u32,
         _now: SimTime,
     ) {
@@ -182,8 +185,9 @@ mod tests {
             Relationship::Customer,
             UpdateClass::Announce,
             0,
-            Some(3),
+            || Some(3),
             &Provenance::none(),
+            &RootSets::new(),
             1,
             SimTime::ZERO,
         );

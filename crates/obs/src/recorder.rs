@@ -18,7 +18,7 @@ use bgpscale_topology::{AsId, Relationship};
 
 use crate::metrics::MetricsRegistry;
 use crate::observer::{EventKind, SimObserver, UpdateClass};
-use crate::provenance::{Provenance, RootCauseKind};
+use crate::provenance::{Provenance, RootCauseKind, RootSets};
 use crate::timeseries::{depth_bucket, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
 use crate::trace::{TraceBuffer, TraceRecord};
 
@@ -222,11 +222,13 @@ impl SimObserver for Recorder {
         rel: Relationship,
         class: UpdateClass,
         prefix: u32,
-        path_len: Option<u32>,
+        path_len: impl FnOnce() -> Option<u32>,
         provenance: &Provenance,
+        root_sets: &RootSets,
         inbox_depth: u32,
         now: SimTime,
     ) {
+        let path_len = path_len();
         self.msgs_by_rel[rel_index(rel)] += 1;
         match class {
             UpdateClass::Announce => {
@@ -245,7 +247,7 @@ impl SimObserver for Recorder {
             self.prov_depth_hist[depth_bucket(depth)] += 1;
             self.prov_depth_sum += depth;
             self.prov_depth_max = self.prov_depth_max.max(depth);
-            if provenance.roots().len() > 1 {
+            if provenance.roots(root_sets).len() > 1 {
                 self.prov_coalesced += 1;
             }
             if let Some(stamp_rel) = provenance.rel() {
@@ -255,10 +257,10 @@ impl SimObserver for Recorder {
             self.prov_unstamped += 1;
         }
         if let Some(ts) = &mut self.timeseries {
-            ts.record_message(to, rel, class, provenance, inbox_depth, now.as_micros());
+            ts.record_message(to, rel, class, provenance, root_sets, inbox_depth, now.as_micros());
         }
         if let Some(t) = &mut self.trace {
-            let root = provenance.primary_root();
+            let root = provenance.primary_root(root_sets);
             let depth = provenance.is_stamped().then(|| provenance.depth());
             t.offer(|event| TraceRecord {
                 event,
@@ -354,8 +356,9 @@ mod tests {
             Relationship::Customer,
             UpdateClass::Announce,
             0,
-            Some(4),
+            || Some(4),
             &Provenance::root(0).with_rel(Relationship::Provider),
+            &RootSets::new(),
             2,
             SimTime::from_millis(5),
         );
@@ -365,8 +368,9 @@ mod tests {
             Relationship::Provider,
             UpdateClass::Withdraw,
             0,
-            None,
+            || None,
             &Provenance::none(),
+            &RootSets::new(),
             1,
             SimTime::from_millis(6),
         );
@@ -412,8 +416,9 @@ mod tests {
             Relationship::Peer,
             UpdateClass::Announce,
             7,
-            Some(2),
+            || Some(2),
             &Provenance::root(4).child(),
+            &RootSets::new(),
             1,
             SimTime::from_micros(10),
         );
@@ -460,8 +465,9 @@ mod tests {
             Relationship::Provider,
             UpdateClass::Announce,
             0,
-            Some(1),
+            || Some(1),
             &Provenance::root(0),
+            &RootSets::new(),
             1,
             SimTime::from_micros(500),
         );

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bgpscale_topology::{AsId, NodeType, Relationship};
 
 use crate::observer::UpdateClass;
-use crate::provenance::{Provenance, RootCauseKind};
+use crate::provenance::{Provenance, RootCauseKind, RootSets};
 
 /// Causal-depth histogram bucket upper bounds (inclusive); the 8th bucket
 /// is the overflow for depths past 32.
@@ -331,6 +331,7 @@ impl TimeSeriesRecorder {
     }
 
     /// Records a delivered update.
+    #[allow(clippy::too_many_arguments)]
     // det::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers; depth_hist buckets clamp to the last bin")
     pub fn record_message(
         &mut self,
@@ -338,6 +339,7 @@ impl TimeSeriesRecorder {
         rel: Relationship,
         class: UpdateClass,
         provenance: &Provenance,
+        root_sets: &RootSets,
         inbox_depth: u32,
         t_us: u64,
     ) {
@@ -362,10 +364,10 @@ impl TimeSeriesRecorder {
             let depth = u64::from(provenance.depth());
             self.series.depth_hist[depth_bucket(depth)] += 1;
             self.series.depth_max = self.series.depth_max.max(depth);
-            if provenance.roots().len() > 1 {
+            if provenance.roots(root_sets).len() > 1 {
                 self.series.coalesced += 1;
             }
-            for &root in provenance.roots() {
+            for &root in provenance.roots(root_sets) {
                 if let Some(r) = self.series.roots.get_mut(root as usize) {
                     r.updates += 1;
                     r.last_update_us = r.last_update_us.max(t_us);
@@ -402,11 +404,16 @@ mod tests {
     }
 
     fn deliver(rec: &mut TimeSeriesRecorder, to: u32, p: &Provenance, t: u64) {
+        deliver_with(rec, to, p, &RootSets::new(), t);
+    }
+
+    fn deliver_with(rec: &mut TimeSeriesRecorder, to: u32, p: &Provenance, sets: &RootSets, t: u64) {
         rec.record_message(
             AsId(to),
             Relationship::Customer,
             UpdateClass::Announce,
             p,
+            sets,
             1,
             t,
         );
@@ -417,8 +424,8 @@ mod tests {
         let mut rec = TimeSeriesRecorder::new(0, &spec(10));
         let p = Provenance::root(0).with_rel(Relationship::Peer);
         rec.record_root(0, RootCauseKind::Originate, AsId(1), 0);
-        rec.record_message(AsId(0), Relationship::Peer, UpdateClass::Announce, &p, 2, 5);
-        rec.record_message(AsId(2), Relationship::Customer, UpdateClass::Withdraw, &p, 1, 15);
+        rec.record_message(AsId(0), Relationship::Peer, UpdateClass::Announce, &p, &RootSets::new(), 2, 5);
+        rec.record_message(AsId(2), Relationship::Customer, UpdateClass::Withdraw, &p, &RootSets::new(), 1, 15);
         let ts = rec.finish();
         assert_eq!(ts.bins.len(), 2);
         assert_eq!(ts.bins[0].by_rel, [0, 1, 0]);
@@ -456,9 +463,10 @@ mod tests {
         let mut rec = TimeSeriesRecorder::new(0, &spec(100));
         rec.record_root(0, RootCauseKind::Originate, AsId(0), 0);
         rec.record_root(1, RootCauseKind::WithdrawOrigin, AsId(0), 10);
+        let mut sets = RootSets::new();
         let mut p = Provenance::root(1);
-        p.coalesce_with(&Provenance::root(0));
-        deliver(&mut rec, 1, &p, 40);
+        p.coalesce_with(&Provenance::root(0), &mut sets);
+        deliver_with(&mut rec, 1, &p, &sets, 40);
         let ts = rec.finish();
         assert_eq!(ts.coalesced, 1);
         assert_eq!(ts.roots[0].updates, 1);

@@ -96,10 +96,10 @@ fn simulator_and_oracle_agree_on_reachability() {
             .best_route(Prefix(0))
             .unwrap_or_else(|| panic!("{id} unreachable"));
         let lower_bound = oracle[id.index()].expect("oracle agrees reachable");
+        let hops = sim.paths().len(path);
         assert!(
-            path.len() as u32 >= lower_bound,
-            "{id}: BGP path {} hops < valley-free minimum {lower_bound}",
-            path.len()
+            hops as u32 >= lower_bound,
+            "{id}: BGP path {hops} hops < valley-free minimum {lower_bound}"
         );
     }
 }
