@@ -67,15 +67,15 @@ pub(crate) const NO_BEST: u32 = u32::MAX - 1;
 /// estimate (see [`PrefixTable::arena_bytes`]). These are *fixed model
 /// constants*, deliberately not `size_of` (which could drift between
 /// toolchains and break bit-identical op counts), and they follow the
-/// columns that exist: a slot cell models an `Option<AsPath>` as
-/// pointer, length and discriminant word plus its cached 16-byte
-/// preference key, a row models the prefix/originated/best-slot/best-path
-/// columns. The model is part of every pinned op-count baseline (it feeds
-/// `arena_bytes_reserved`), so it moves only in a diff that adds or
-/// deletes a per-prefix column; the slab's mirror column is not charged
-/// at all.
-const BYTES_PER_RIB_CELL: u64 = 40;
-const BYTES_PER_ROW: u64 = 64;
+/// columns that exist: a slot cell models its four-byte path id plus its
+/// cached eight-byte preference key, a row models the prefix, originated,
+/// best-slot and best-path columns (thirteen bytes, charged as sixteen).
+/// The model is part of every pinned op-count baseline (it feeds
+/// `arena_bytes_reserved`), so it moves only in a diff that adds, deletes
+/// or re-types a per-prefix column; the slab's mirror and rank columns
+/// are not charged at all.
+const BYTES_PER_RIB_CELL: u64 = 12;
+const BYTES_PER_ROW: u64 = 16;
 const BYTES_PER_SESSION: u64 = 16;
 const BYTES_PER_DAMP_ENTRY: u64 = 40;
 

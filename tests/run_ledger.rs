@@ -184,7 +184,7 @@ fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
 }
 
 /// The checked-in ledger renders: `repro trend` is a read-only dashboard
-/// over exactly this file, so its six revisions and ten fingerprints
+/// over exactly this file, so its seven revisions and ten fingerprints
 /// must fold, and the page must name every revision and carry the
 /// exponent table with each class's kind.
 #[test]
@@ -193,7 +193,7 @@ fn checked_in_ledger_renders_as_a_dashboard() {
     let history = read_ledger(std::path::Path::new(path)).unwrap();
     let report = trend::analyze(&history);
     assert_eq!(report.records, history.len());
-    assert_eq!((report.revs.len(), report.fingerprints), (6, 10));
+    assert_eq!((report.revs.len(), report.fingerprints), (7, 10));
     let html = trend::render_html(&history, &report);
     for rev in &report.revs {
         assert!(html.contains(&rev[..10]), "trend.html does not name rev {rev}");
