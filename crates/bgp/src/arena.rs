@@ -21,8 +21,8 @@
 //!   structure-of-arrays columns addressed by row.
 //!
 //! [`SessionSlab`] is the AS-id ↔ slot translation table, built **once**
-//! from the topology and shared by every node (and the simulator's timer
-//! epochs and churn counters) through an `Arc`: per-node session state
+//! from the topology and shared by every node (and the simulator's churn
+//! counters) through an `Arc`: per-node session state
 //! costs zero allocations at instantiation time.
 //!
 //! ## Memory layout
@@ -108,33 +108,34 @@ pub struct SessionSlab {
 }
 
 impl SessionSlab {
-    /// Builds the slab from per-node session lists (indexed by node).
+    /// Builds the slab from every node's AS id and sessions, nodes in
+    /// index order (node `i`'s id is normally `AsId(i)`), sessions in slot
+    /// order.
     ///
     /// # Panics
-    /// Panics if any node has a session with itself or a duplicate peer
-    /// (`ids[i]` is node `i`'s AS id — normally `AsId(i)`).
-    pub fn build<F>(node_count: usize, id_of: F, sessions_of: &[Vec<Session>]) -> Arc<SessionSlab>
+    /// Panics if any node has a session with itself or a duplicate peer.
+    pub fn build<I, S>(nodes: I) -> Arc<SessionSlab>
     where
-        F: Fn(usize) -> AsId,
+        I: IntoIterator<Item = (AsId, S)>,
+        S: IntoIterator<Item = Session>,
     {
-        assert_eq!(node_count, sessions_of.len());
-        let total: usize = sessions_of.iter().map(|s| s.len()).sum();
         let mut slab = SessionSlab {
-            sessions: Vec::with_capacity(total),
-            lookup: Vec::with_capacity(total),
-            offsets: Vec::with_capacity(node_count + 1),
+            sessions: Vec::new(),
+            lookup: Vec::new(),
+            offsets: vec![0],
             mirror: Vec::new(),
-            rank: vec![0; total],
+            rank: Vec::new(),
         };
         // Scratch for one node's slots in tie-break order.
         let mut by_tie_break: Vec<u32> = Vec::new();
-        slab.offsets.push(0);
-        for (i, sess) in sessions_of.iter().enumerate() {
-            let id = id_of(i);
+        let mut ids_are_indices = true;
+        for (i, (id, sess)) in nodes.into_iter().enumerate() {
+            ids_are_indices &= id == AsId(i as u32);
             let base = slab.sessions.len();
+            slab.sessions.extend(sess);
+            let sess = &slab.sessions[base..];
             for (slot, s) in sess.iter().enumerate() {
                 assert_ne!(s.peer, id, "session with self at {id}");
-                slab.sessions.push(*s);
                 slab.lookup.push((s.peer, slot as u32));
             }
             let node_lookup = &mut slab.lookup[base..];
@@ -148,13 +149,19 @@ impl SessionSlab {
                 let peer = sess[slot as usize].peer.0;
                 (hash64(u64::from(peer)), peer)
             });
+            slab.rank.resize(base + sess.len(), 0);
             for (rank, &slot) in by_tie_break.iter().enumerate() {
                 slab.rank[base + slot as usize] = rank as u32;
             }
             slab.offsets
                 .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
         }
-        if (0..node_count).all(|i| id_of(i) == AsId(i as u32)) {
+        // The columns live as long as the topology: no growth slack.
+        slab.sessions.shrink_to_fit();
+        slab.lookup.shrink_to_fit();
+        slab.rank.shrink_to_fit();
+        slab.offsets.shrink_to_fit();
+        if ids_are_indices {
             slab.mirror = slab.mirror_slots().unwrap_or_default();
         }
         Arc::new(slab)
@@ -191,7 +198,7 @@ impl SessionSlab {
 
     /// Builds a one-node slab (unit tests and standalone nodes).
     pub fn for_single(id: AsId, sessions: Vec<Session>) -> Arc<SessionSlab> {
-        Self::build(1, |_| id, std::slice::from_ref(&sessions))
+        Self::build([(id, sessions)])
     }
 
     /// Number of nodes in the slab.
@@ -255,8 +262,8 @@ impl SessionSlab {
     }
 
     /// Index of node `node`'s slot 0 in the global session id space —
-    /// the base for flat per-session side tables (the simulator's MRAI
-    /// epoch array indexes `first_session(node) + slot`).
+    /// the base for flat per-session side tables (the churn collector's
+    /// counters index `first_session(node) + slot`).
     // det::allow(panic-surface, reason = "node <= len() is the caller contract and offsets has len()+1 entries by construction")
     pub fn first_session(&self, node: u32) -> u32 {
         self.offsets[node as usize]
@@ -539,12 +546,17 @@ mod tests {
         }
     }
 
+    /// The slab of nodes `AsId(first)`, `AsId(first + 1)`, … with these
+    /// sessions.
+    fn slab_from(first: u32, sessions_of: Vec<Vec<Session>>) -> Arc<SessionSlab> {
+        SessionSlab::build((first..).map(AsId).zip(sessions_of))
+    }
+
     #[test]
     fn slab_translates_ids_to_slots_per_node() {
-        let slab = SessionSlab::build(
-            3,
-            |i| AsId(i as u32),
-            &[
+        let slab = slab_from(
+            0,
+            vec![
                 vec![session(1, Relationship::Peer), session(2, Relationship::Customer)],
                 vec![session(0, Relationship::Peer)],
                 vec![session(0, Relationship::Provider)],
@@ -563,10 +575,9 @@ mod tests {
 
     #[test]
     fn slab_mirror_column_addresses_the_receivers_slot() {
-        let slab = SessionSlab::build(
-            4,
-            |i| AsId(i as u32),
-            &[
+        let slab = slab_from(
+            0,
+            vec![
                 vec![session(3, Relationship::Customer), session(1, Relationship::Peer)],
                 vec![session(2, Relationship::Customer), session(0, Relationship::Peer)],
                 vec![session(3, Relationship::Peer), session(1, Relationship::Provider)],
@@ -583,11 +594,7 @@ mod tests {
         }
         // Open slabs — a standalone node, a one-way session — have none.
         assert!(SessionSlab::for_single(AsId(0), vec![session(1, Relationship::Peer)]).mirror.is_empty());
-        let one_way = SessionSlab::build(
-            2,
-            |i| AsId(i as u32),
-            &[vec![session(1, Relationship::Peer)], vec![]],
-        );
+        let one_way = slab_from(0, vec![vec![session(1, Relationship::Peer)], vec![]]);
         assert!(one_way.mirror.is_empty());
     }
 
@@ -596,10 +603,9 @@ mod tests {
     #[test]
     fn slab_ranks_each_nodes_slots_in_tie_break_order() {
         let peers = [9u32, 3, 7, 65_000, 1];
-        let slab = SessionSlab::build(
-            2,
-            |i| AsId(100 + i as u32),
-            &[
+        let slab = slab_from(
+            100,
+            vec![
                 peers.iter().map(|&p| session(p, Relationship::Peer)).collect(),
                 vec![session(3, Relationship::Customer)],
             ],

@@ -31,6 +31,13 @@
 //! happens at the instant, and at the rank among simultaneous events, at
 //! which an eagerly scheduled expiry would have fired.
 //!
+//! The stored key is also what makes an expiry event *valid*: it is the
+//! one its timer waits for iff the timer still has an expiry scheduled
+//! and the event pops at exactly the stored key
+//! ([`OutQueue::expiry_due`]). Keys never repeat, so an event left over
+//! from before a session reset ([`OutQueue::force_reset`]) matches no
+//! timer armed since, and the caller keeps no epoch to tell them apart.
+//!
 //! Withdrawals depend on the [`MraiMode`]:
 //!
 //! * **NO-WRATE** (RFC 1771): withdrawals bypass the queue entirely — sent
@@ -48,19 +55,24 @@ use bgpscale_obs::Provenance;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
-use crate::config::{MraiMode, MraiScope};
+use crate::config::{BgpConfig, MraiMode, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
-use crate::node::NodeCostCounters;
+use crate::node::{Actions, NodeCostCounters};
 use crate::path::{PathArena, PathId};
 
-/// What a protocol step tells every queue it touches: the node's MRAI
-/// settings, the key of the event being processed, and what caused it.
-#[derive(Clone, Copy, Debug)]
-pub struct Step {
-    /// Withdrawal treatment.
-    pub mode: MraiMode,
-    /// Timer granularity.
-    pub scope: MraiScope,
+/// Everything the caller lends a node for one protocol step — the
+/// handling of one event — and through the node every queue the step
+/// touches. A node and its queues hold routes; the configuration, the
+/// clock, the arena the routes' paths live in, the buffer the step's
+/// transmissions go to and the tallies of its work are the caller's, one
+/// of each for the whole network.
+#[derive(Debug)]
+pub struct Step<'a> {
+    /// The protocol configuration. One configuration governs a node for
+    /// as long as it holds routes: a route chosen under one damping
+    /// regime, or a timer armed under one scope, means nothing under
+    /// another.
+    pub cfg: &'a BgpConfig,
     /// The key of the event this step handles
     /// (`EventQueue::last_key`): a timer whose key is after it is armed.
     pub now: EventKey,
@@ -68,6 +80,13 @@ pub struct Step {
     /// ([`Provenance::none`] when attribution is not wanted — it never
     /// changes what is sent, queued, or suppressed).
     pub cause: Provenance,
+    /// The arena every [`PathId`] the node holds or is handed lives in.
+    pub paths: &'a mut PathArena,
+    /// Where the step's transmissions and timer requests are appended;
+    /// never cleared by the node.
+    pub out: &'a mut Actions,
+    /// Where the step's work is tallied.
+    pub costs: &'a mut NodeCostCounters,
 }
 
 /// Result of submitting an update to an [`OutQueue`].
@@ -332,17 +351,27 @@ impl OutQueue {
         &mut prefix_timers[at].1
     }
 
+    /// The timer `which` names, if it exists: a prefix that was never
+    /// armed since the last reset has none.
+    fn timer(&self, which: Option<Prefix>) -> Option<&Timer> {
+        match which {
+            None => Some(&self.timer),
+            Some(prefix) => find(&self.multi.as_ref()?.prefix_timers, prefix),
+        }
+    }
+
     /// True while the MRAI timer governing `prefix` under `scope` is
     /// armed at `now`.
     pub fn is_armed(&self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
-        match governing(scope, prefix) {
-            None => self.timer.armed(now),
-            Some(prefix) => self
-                .multi
-                .as_ref()
-                .and_then(|multi| find(&multi.prefix_timers, prefix))
-                .is_some_and(|timer| timer.armed(now)),
-        }
+        self.timer(governing(scope, prefix)).is_some_and(|timer| timer.armed(now))
+    }
+
+    /// True if the expiry event popping at `key` is the one the timer
+    /// `which` names (`None`: the session timer) asked for and still
+    /// waits for. Keys are unique, so an event scheduled before a
+    /// [`OutQueue::force_reset`] matches no timer armed after it.
+    pub fn expiry_due(&self, which: Option<Prefix>, key: EventKey) -> bool {
+        self.timer(which).is_some_and(|timer| timer.expiry_scheduled && timer.until == key)
     }
 
     /// True while any MRAI timer of this queue is armed at `now`.
@@ -416,19 +445,17 @@ impl OutQueue {
         prefix: Prefix,
         kind: UpdateKind,
         mut stamp: Provenance,
-        scope: MraiScope,
-        paths: &mut PathArena,
-        costs: &mut NodeCostCounters,
+        step: &mut Step,
     ) -> Submit {
         match self.pending_map().get_mut(prefix) {
             Some(queued) => {
-                stamp.coalesce_with(&queued.1, paths.root_sets_mut());
-                costs.mrai_coalesced += 1;
+                stamp.coalesce_with(&queued.1, step.paths.root_sets_mut());
+                step.costs.mrai_coalesced += 1;
                 *queued = (kind, stamp);
             }
             None => self.set_pending(prefix, (kind, stamp)),
         }
-        let timer = self.timer_mut(governing(scope, prefix));
+        let timer = self.timer_mut(governing(step.cfg.mrai_scope, prefix));
         // A timer armed earlier in this step has no key yet; `arm_at`
         // delivers it and finds this update waiting.
         let ask = !timer.expiry_scheduled && timer.until != EventKey::NEVER;
@@ -440,18 +467,16 @@ impl OutQueue {
 
     /// Submits a new intent for `prefix`: `Some(path)` to announce, `None`
     /// to withdraw. `rel` is the relation of this session's edge; the
-    /// resulting update carries `step.cause.with_rel(rel)`. `paths` is the
-    /// arena `intent` lives in, whose root-set table a coalesced stamp is
+    /// resulting update carries `step.cause.with_rel(rel)`. `intent` is an
+    /// id of `step.paths`, whose root-set table a coalesced stamp is
     /// interned in. Adj-RIB-out writes and coalesced updates are tallied
-    /// into `costs`. Returns what the caller must do.
+    /// into `step.costs`. Returns what the caller must do.
     pub fn submit(
         &mut self,
         prefix: Prefix,
         intent: Option<PathId>,
-        step: &Step,
         rel: Relationship,
-        paths: &mut PathArena,
-        costs: &mut NodeCostCounters,
+        step: &mut Step,
     ) -> Submit {
         // Drop no-ops against the eventual neighbor state.
         if self.intent(prefix) == intent {
@@ -459,19 +484,12 @@ impl OutQueue {
         }
         let stamp = step.cause.with_rel(rel);
         match intent {
-            None => self.submit_withdraw(prefix, step, stamp, paths, costs),
-            Some(path) => self.submit_announce(prefix, path, step, stamp, paths, costs),
+            None => self.submit_withdraw(prefix, stamp, step),
+            Some(path) => self.submit_announce(prefix, path, stamp, step),
         }
     }
 
-    fn submit_withdraw(
-        &mut self,
-        prefix: Prefix,
-        step: &Step,
-        stamp: Provenance,
-        paths: &mut PathArena,
-        costs: &mut NodeCostCounters,
-    ) -> Submit {
+    fn submit_withdraw(&mut self, prefix: Prefix, stamp: Provenance, step: &mut Step) -> Submit {
         // A queued announcement that never went out is invalidated: if the
         // neighbor holds nothing, removing it finishes the job silently.
         self.pending_map().remove(prefix);
@@ -481,14 +499,15 @@ impl OutQueue {
         // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and do
         // not arm the timer. RFC 4271 (WRATE): they queue like
         // announcements.
-        let rate_limited = step.mode == MraiMode::Wrate;
-        if rate_limited && self.is_armed(prefix, step.scope, step.now) {
-            return self.park(prefix, UpdateKind::Withdraw, stamp, step.scope, paths, costs);
+        let scope = step.cfg.mrai_scope;
+        let rate_limited = step.cfg.mrai_mode == MraiMode::Wrate;
+        if rate_limited && self.is_armed(prefix, scope, step.now) {
+            return self.park(prefix, UpdateKind::Withdraw, stamp, step);
         }
         self.sent_map().remove(prefix);
-        costs.rib_out_writes += 1;
+        step.costs.rib_out_writes += 1;
         if rate_limited {
-            self.arm_timer(governing(step.scope, prefix));
+            self.arm_timer(governing(scope, prefix));
         }
         Submit::SendNow {
             update: Update::withdraw(prefix).stamped(stamp),
@@ -500,21 +519,20 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         path: PathId,
-        step: &Step,
         stamp: Provenance,
-        paths: &mut PathArena,
-        costs: &mut NodeCostCounters,
+        step: &mut Step,
     ) -> Submit {
-        if self.is_armed(prefix, step.scope, step.now) {
-            self.park(prefix, UpdateKind::Announce(path), stamp, step.scope, paths, costs)
+        let scope = step.cfg.mrai_scope;
+        if self.is_armed(prefix, scope, step.now) {
+            self.park(prefix, UpdateKind::Announce(path), stamp, step)
         } else {
             debug_assert!(
                 self.pending(prefix).is_none(),
                 "pending update with an idle timer"
             );
             self.set_sent(prefix, path);
-            costs.rib_out_writes += 1;
-            self.arm_timer(governing(step.scope, prefix));
+            step.costs.rib_out_writes += 1;
+            self.arm_timer(governing(scope, prefix));
             Submit::SendNow {
                 update: Update::announce(prefix, path).stamped(stamp),
                 arm_timer: true,
@@ -543,30 +561,24 @@ impl OutQueue {
 
     /// Handles the expiry event of the timer `trigger` names (`None`: the
     /// per-interface session timer, `Some(prefix)`: a per-prefix timer),
-    /// popping at `now`: drains the pending updates that timer governs
-    /// (skipping any that have become no-ops against the Adj-RIB-out),
-    /// pushes the ones that go on the wire now onto `sends` tagged with
-    /// `slot` (this queue's session slot at its node), and returns
-    /// whether the timer re-arms. When it does the caller must reserve
-    /// the next expiry's key and hand it over with [`OutQueue::arm_at`].
+    /// popping at `step.now`: drains the pending updates that timer
+    /// governs (skipping any that have become no-ops against the
+    /// Adj-RIB-out), pushes the ones that go on the wire now onto
+    /// `step.out.sends` tagged with `slot` (this queue's session slot at
+    /// its node), and returns whether the timer re-arms. When it does the
+    /// caller must reserve the next expiry's key and hand it over with
+    /// [`OutQueue::arm_at`].
     ///
     /// # Panics
-    /// Panics (in debug builds) unless the timer's expiry was asked for
-    /// and `now` is its key.
-    pub fn flush(
-        &mut self,
-        trigger: Option<Prefix>,
-        slot: u32,
-        now: EventKey,
-        sends: &mut Vec<(u32, Update)>,
-        costs: &mut NodeCostCounters,
-    ) -> bool {
-        let before = sends.len();
+    /// Panics (in debug builds) unless [`OutQueue::expiry_due`] holds of
+    /// `trigger` and `step.now`.
+    pub fn flush(&mut self, trigger: Option<Prefix>, slot: u32, step: &mut Step) -> bool {
+        let before = step.out.sends.len();
         match trigger {
             None => match &mut self.multi {
                 None => {
                     if let Some((prefix, (kind, stamp))) = self.pending.take() {
-                        sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
+                        self.emit(prefix, kind, stamp, slot, step);
                     }
                 }
                 Some(multi) => {
@@ -575,7 +587,7 @@ impl OutQueue {
                     // emptied: the buffer serves the next window.
                     let mut pending = std::mem::take(&mut multi.pending);
                     for (prefix, (kind, stamp)) in pending.drain(..) {
-                        sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
+                        self.emit(prefix, kind, stamp, slot, step);
                     }
                     if let Some(multi) = &mut self.multi {
                         multi.pending = pending;
@@ -584,15 +596,16 @@ impl OutQueue {
             },
             Some(prefix) => {
                 if let Some((kind, stamp)) = self.pending_map().remove(prefix) {
-                    sends.extend(self.emit(prefix, kind, stamp, costs).map(|u| (slot, u)));
+                    self.emit(prefix, kind, stamp, slot, step);
                 }
             }
         }
-        let rearm = sends.len() > before;
+        let rearm = step.out.sends.len() > before;
         let timer = self.timer_mut(trigger);
         debug_assert!(
-            timer.expiry_scheduled && timer.until == now,
-            "flush at {now:?} of a timer expiring at {:?}",
+            timer.expiry_scheduled && timer.until == step.now,
+            "flush at {:?} of a timer expiring at {:?}",
+            step.now,
             timer.until
         );
         timer.expiry_scheduled = false;
@@ -603,31 +616,35 @@ impl OutQueue {
         rearm
     }
 
-    /// Emits one pending update unless it is a no-op against the
-    /// Adj-RIB-out, updating the Adj-RIB-out on emission. The stored
-    /// (possibly coalesced) stamp rides out on the message.
+    /// Puts one pending update on `step.out.sends`, tagged with `slot`,
+    /// unless it is a no-op against the Adj-RIB-out, which it updates on
+    /// emission. The stored (possibly coalesced) stamp rides out on the
+    /// message.
     fn emit(
         &mut self,
         prefix: Prefix,
         kind: UpdateKind,
         stamp: Provenance,
-        costs: &mut NodeCostCounters,
-    ) -> Option<Update> {
-        match kind {
+        slot: u32,
+        step: &mut Step,
+    ) {
+        let update = match kind {
             UpdateKind::Announce(path) => {
                 if self.advertised(prefix) == Some(path) {
-                    return None; // neighbor already has it
+                    return; // neighbor already has it
                 }
                 self.set_sent(prefix, path);
-                costs.rib_out_writes += 1;
-                Some(Update::announce(prefix, path).stamped(stamp))
+                Update::announce(prefix, path)
             }
             UpdateKind::Withdraw => {
-                self.sent_map().remove(prefix)?;
-                costs.rib_out_writes += 1;
-                Some(Update::withdraw(prefix).stamped(stamp))
+                if self.sent_map().remove(prefix).is_none() {
+                    return;
+                }
+                Update::withdraw(prefix)
             }
-        }
+        };
+        step.costs.rib_out_writes += 1;
+        step.out.sends.push((slot, update.stamped(stamp)));
     }
 
     /// Clears all routing state (Adj-RIB-out, pending updates, run-out
@@ -644,27 +661,28 @@ impl OutQueue {
     /// Transmits `path` immediately, bypassing the rate limiter — used
     /// only for the initial full-table exchange of a freshly established
     /// session, which real BGP does not MRAI-limit (the timer governs
-    /// *subsequent* advertisements). Returns the message to send, or
+    /// *subsequent* advertisements). Returns the message to send, stamped
+    /// like a [`OutQueue::submit`] over an edge of relation `rel`, or
     /// `None` if the neighbor already holds an identical route. The
     /// caller arms the timer once afterwards via [`OutQueue::arm_timer`].
     ///
     /// # Panics
-    /// Panics if a timer is armed at `now` (a fresh session starts idle).
+    /// Panics if a timer is armed at `step.now` (a fresh session starts
+    /// idle).
     pub fn send_unlimited(
         &mut self,
         prefix: Prefix,
         path: PathId,
-        cause: Provenance,
-        now: EventKey,
-        costs: &mut NodeCostCounters,
+        rel: Relationship,
+        step: &mut Step,
     ) -> Option<Update> {
-        assert!(!self.timer_armed(now), "initial exchange on a rate-limited session");
+        assert!(!self.timer_armed(step.now), "initial exchange on a rate-limited session");
         if self.advertised(prefix) == Some(path) {
             return None;
         }
         self.set_sent(prefix, path);
-        costs.rib_out_writes += 1;
-        Some(Update::announce(prefix, path).stamped(cause))
+        step.costs.rib_out_writes += 1;
+        Some(Update::announce(prefix, path).stamped(step.cause.with_rel(rel)))
     }
 
     /// Arms a timer (a send does it itself; the caller does after an
@@ -680,8 +698,8 @@ impl OutQueue {
     /// Clears all state unconditionally, disarming every timer — used on a
     /// **session reset** (the TCP session to the neighbor dropped, so the
     /// neighbor has discarded everything we sent and any queued updates
-    /// are moot). The caller must ignore or invalidate any scheduled
-    /// expiry event for this queue (the simulator uses an epoch counter).
+    /// are moot). An expiry event scheduled for this queue is stale from
+    /// here on: [`OutQueue::expiry_due`] is false of it.
     /// A spilled queue stays spilled and keeps its buffers.
     pub fn force_reset(&mut self) {
         self.timer = Timer::IDLE;
@@ -704,6 +722,47 @@ pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
     }
 }
 
+/// The caller's side of a [`Step`] for this crate's unit tests: owns what
+/// a simulator would own and lends it the same way.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Lender {
+    pub cfg: BgpConfig,
+    pub paths: PathArena,
+    pub costs: NodeCostCounters,
+    pub out: Actions,
+}
+
+#[cfg(test)]
+impl Lender {
+    pub fn new(cfg: BgpConfig) -> Lender {
+        Lender {
+            cfg,
+            ..Lender::default()
+        }
+    }
+
+    /// The step of the event keyed `now`; what it produces stays in
+    /// `self.out`.
+    pub fn step(&mut self, now: EventKey, cause: Provenance) -> Step<'_> {
+        Step {
+            cfg: &self.cfg,
+            now,
+            cause,
+            paths: &mut self.paths,
+            out: &mut self.out,
+            costs: &mut self.costs,
+        }
+    }
+
+    /// Runs `f` in an unattributed step at `now` and returns what it
+    /// produced.
+    pub fn act(&mut self, now: EventKey, f: impl FnOnce(&mut Step)) -> Actions {
+        f(&mut self.step(now, Provenance::none()));
+        std::mem::take(&mut self.out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,29 +781,27 @@ mod tests {
     const MRAI: SimDuration = SimDuration::from_secs(30);
 
     /// A queue with the caller's side of the contract around it, as the
-    /// simulator keeps it: the path arena, a clock, a sequence counter to
-    /// reserve keys from, the expiry events asked for, and the node's
-    /// tallies.
+    /// simulator keeps it: what a step is lent, a clock, a sequence
+    /// counter to reserve keys from and the expiry events asked for.
     struct Driven {
         q: OutQueue,
-        paths: PathArena,
-        scope: MraiScope,
+        lent: Lender,
         now: EventKey,
         next_seq: u64,
         expiries: Vec<EventKey>,
-        costs: NodeCostCounters,
     }
 
     impl Driven {
-        fn new(scope: MraiScope) -> Driven {
+        fn new(mrai_scope: MraiScope) -> Driven {
             Driven {
                 q: OutQueue::new(),
-                paths: PathArena::new(),
-                scope,
+                lent: Lender::new(BgpConfig {
+                    mrai_scope,
+                    ..BgpConfig::default()
+                }),
                 now: EventKey::ZERO,
                 next_seq: 1,
                 expiries: Vec::new(),
-                costs: NodeCostCounters::default(),
             }
         }
 
@@ -775,7 +832,7 @@ mod tests {
 
         /// The id of the path with these hops.
         fn path(&mut self, hops: &[u32]) -> PathId {
-            self.paths.of(hops)
+            self.lent.paths.of(hops)
         }
 
         fn submit_caused(
@@ -785,16 +842,11 @@ mod tests {
             mode: MraiMode,
             cause: Provenance,
         ) -> Submit {
-            let step = Step {
-                mode,
-                scope: self.scope,
-                now: self.now,
-                cause,
-            };
+            self.lent.cfg.mrai_mode = mode;
             let intent = intent.map(|hops| self.path(hops));
-            let submit = self.q.submit(prefix, intent, &step, REL, &mut self.paths, &mut self.costs);
+            let submit = self.q.submit(prefix, intent, REL, &mut self.lent.step(self.now, cause));
             match &submit {
-                Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.scope, prefix)),
+                Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.lent.cfg.mrai_scope, prefix)),
                 Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
                 _ => {}
             }
@@ -811,11 +863,11 @@ mod tests {
         fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
-            let mut sends = Vec::new();
-            let rearm = self.q.flush(trigger, SLOT, self.now, &mut sends, &mut self.costs);
+            let rearm = self.q.flush(trigger, SLOT, &mut self.lent.step(self.now, none()));
             if rearm {
                 self.arm_at(trigger);
             }
+            let sends = std::mem::take(&mut self.lent.out.sends);
             assert!(sends.iter().all(|(slot, _)| *slot == SLOT));
             (sends.into_iter().map(|(_, u)| u).collect(), rearm)
         }
@@ -1110,17 +1162,11 @@ mod tests {
     #[test]
     fn an_update_queued_before_the_key_arrives_gets_its_expiry_from_arm_at() {
         let mut q = OutQueue::new();
-        let mut paths = PathArena::new();
-        let mut costs = NodeCostCounters::default();
-        let step = Step {
-            mode: MraiMode::NoWrate,
-            scope: MraiScope::PerInterface,
-            now: EventKey::ZERO,
-            cause: none(),
-        };
-        let (one, two) = (paths.of(&[1]), paths.of(&[2]));
-        assert!(sent_now(&q.submit(P, Some(one), &step, REL, &mut paths, &mut costs)));
-        let second = q.submit(Q, Some(two), &step, REL, &mut paths, &mut costs);
+        let mut lent = Lender::default();
+        let (one, two) = (lent.paths.of(&[1]), lent.paths.of(&[2]));
+        let mut step = lent.step(EventKey::ZERO, none());
+        assert!(sent_now(&q.submit(P, Some(one), REL, &mut step)));
+        let second = q.submit(Q, Some(two), REL, &mut step);
         assert_eq!(second, Submit::Queued { expire_at: None });
         let key = EventKey {
             time: SimTime::from_secs(25),
@@ -1128,9 +1174,57 @@ mod tests {
         };
         assert!(q.arm_at(None, key), "an update waits: schedule the expiry now");
         assert_eq!(q.scheduled_expiries(), 1);
-        let mut sends = Vec::new();
-        assert!(q.flush(None, SLOT, key, &mut sends, &mut costs));
-        assert_eq!(sends, vec![(SLOT, Update::announce(Q, two))]);
+        assert!(q.flush(None, SLOT, &mut lent.step(key, none())));
+        assert_eq!(lent.out.sends, vec![(SLOT, Update::announce(Q, two))]);
+    }
+
+    /// An expiry event is due exactly from the ask to the flush, at the
+    /// asked key and for the asked timer only — which is what lets the
+    /// event loop tell a stale event from a live one without counting
+    /// session resets.
+    #[test]
+    fn an_expiry_is_due_from_the_ask_to_the_flush_at_its_own_key_only() {
+        for scope in [MraiScope::PerInterface, MraiScope::PerPrefix] {
+            let mut d = Driven::new(scope);
+            let which = governing(scope, P);
+            let anywhere = EventKey {
+                time: SimTime::ZERO + MRAI,
+                seq: 2,
+            };
+            assert!(!d.q.expiry_due(which, anywhere), "an idle timer waits for nothing");
+            d.submit(P, Some(&[1]), MraiMode::NoWrate);
+            let until = d.q.latest_key_by(SimTime::MAX);
+            assert!(d.armed() && !d.q.expiry_due(which, until), "armed, but no event was asked for");
+
+            assert_eq!(d.submit(P, Some(&[2]), MraiMode::NoWrate), Submit::Queued { expire_at: Some(until) });
+            assert!(d.q.expiry_due(which, until));
+            for seq in [until.seq - 1, until.seq + 1] {
+                assert!(!d.q.expiry_due(which, EventKey { seq, ..until }), "one seq off is another event");
+            }
+            let other = if which.is_none() { Some(P) } else { None };
+            assert!(!d.q.expiry_due(other, until), "the other scope's timer was never armed");
+            assert!(!d.q.expiry_due(Some(Q), until));
+
+            let (sent, rearm) = d.expire(which);
+            assert!(sent.len() == 1 && rearm);
+            assert!(!d.q.expiry_due(which, until), "flushed: the event is spent");
+            let next = d.q.latest_key_by(SimTime::MAX);
+            assert!(next > until && !d.q.expiry_due(which, next), "re-armed, nothing waiting yet");
+
+            // A session reset forgets an asked-for expiry, and a timer
+            // armed after it gets a key of its own.
+            d.submit(P, Some(&[3]), MraiMode::NoWrate);
+            assert!(d.q.expiry_due(which, next));
+            d.q.force_reset();
+            assert!(!d.q.expiry_due(which, next), "stale after the reset");
+            d.expiries.clear();
+            d.submit(P, Some(&[4]), MraiMode::NoWrate);
+            d.submit(P, Some(&[5]), MraiMode::NoWrate);
+            let [fresh] = d.expiries[..] else {
+                panic!("the new window asked once, got {:?}", d.expiries);
+            };
+            assert!(d.q.expiry_due(which, fresh) && !d.q.expiry_due(which, next));
+        }
     }
 
     #[test]
@@ -1227,14 +1321,14 @@ mod tests {
         let mut d = Driven::per_interface();
         let first = d.submit_caused(P, Some(&[1]), MraiMode::NoWrate, Provenance::root(1));
         match first {
-            Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(d.paths.root_sets()), &[1]),
+            Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(d.lent.paths.root_sets()), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
         d.submit_caused(P, Some(&[2]), MraiMode::NoWrate, Provenance::root(2));
         d.submit_caused(P, Some(&[3]), MraiMode::NoWrate, Provenance::root(3).child());
         let (sent, _) = d.expire(None);
         assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].provenance.roots(d.paths.root_sets()), &[2, 3], "displaced root kept");
+        assert_eq!(sent[0].provenance.roots(d.lent.paths.root_sets()), &[2, 3], "displaced root kept");
         assert_eq!(sent[0].provenance.depth(), 1, "newest intent's depth");
         assert_eq!(sent[0].provenance.rel(), Some(REL), "stamped with the session's edge");
     }
@@ -1245,14 +1339,14 @@ mod tests {
         d.submit(P, Some(&[1]), MraiMode::NoWrate); // sends: 1 write
         d.submit(P, Some(&[2]), MraiMode::NoWrate); // queues
         d.submit(P, Some(&[3]), MraiMode::NoWrate); // displaces: coalesce
-        assert_eq!(d.costs.rib_out_writes, 1);
-        assert_eq!(d.costs.mrai_coalesced, 1);
+        assert_eq!(d.lent.costs.rib_out_writes, 1);
+        assert_eq!(d.lent.costs.mrai_coalesced, 1);
         let (sent, _) = d.expire(None); // emits the announce: 1 more write
         assert_eq!(sent.len(), 1);
-        assert_eq!(d.costs.rib_out_writes, 2);
+        assert_eq!(d.lent.costs.rib_out_writes, 2);
         // A withdrawal that reaches the wire is a write too.
         d.submit(P, None, MraiMode::NoWrate);
-        assert_eq!(d.costs.rib_out_writes, 3);
+        assert_eq!(d.lent.costs.rib_out_writes, 3);
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! The per-AS BGP speaker: the node model of the paper's Fig. 2.
 //!
-//! A [`BgpNode`] holds, per neighbor session, an Adj-RIB-in slot and an
-//! MRAI-limited output queue ([`crate::mrai::OutQueue`]); per prefix, the
-//! selected best route (Loc-RIB). It is a **pure protocol machine**: every
-//! entry point reports the transmissions and timer requests it produced as
-//! plain data ([`Actions`]), and the caller (the event-driven simulator in
-//! `bgpscale-core`, or a unit test) decides when those happen. The node
-//! keeps no clock: every entry point is told the [`EventKey`] of the event
-//! it handles, which is all an MRAI timer needs to know whether it is
-//! still armed (see [`crate::mrai`]).
-//!
-//! Every entry point ([`BgpNode::originate_caused`], [`BgpNode::receive`],
-//! [`BgpNode::mrai_flush`], …) appends to an `&mut Actions` the caller
-//! owns — the simulator keeps one, drains it after every step and hands
-//! it back, so a protocol step allocates no buffers. The entry points
-//! that touch routes are lent the caller's [`PathArena`] the same way: a
-//! node holds AS paths as [`PathId`]s of that arena and never owns one.
+//! A [`BgpNode`] holds routes and nothing else: per neighbor session, an
+//! Adj-RIB-in slot and an MRAI-limited output queue
+//! ([`crate::mrai::OutQueue`]); per prefix, the selected best route
+//! (Loc-RIB); session liveness and damping history. It is a **pure
+//! protocol machine**: every entry point is `node.method(<what happened>,
+//! &mut step)`, and the [`Step`] the caller lends it (the event-driven
+//! simulator in `bgpscale-core`, or a unit test) carries everything that
+//! is not a route — the one protocol configuration of the network, the
+//! [`EventKey`] of the event being handled (the node keeps no clock; the
+//! key is all an MRAI timer needs to know whether it is still armed, see
+//! [`crate::mrai`]), the cause to stamp on exports, the [`PathArena`] the
+//! node's [`PathId`]s are ids of, the work tallies, and the [`Actions`]
+//! buffer the step's transmissions and timer requests are appended to as
+//! plain data. The caller decides when those happen; the simulator keeps
+//! one buffer, drains it after every step and lends it again, so a
+//! protocol step allocates nothing.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -40,18 +40,17 @@
 
 use std::sync::Arc;
 
-use bgpscale_obs::Provenance;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 
 use crate::arena::{DampTable, PrefixTable, SessionSlab, SELF_SLOT};
-use crate::config::{MraiMode, MraiScope};
+use crate::config::MraiScope;
 use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
 use crate::mrai::{governing, OutQueue, Step, Submit};
-use crate::path::{PathArena, PathId};
+use crate::path::PathId;
 use crate::policy::{export_allowed, would_loop, RouteSource};
-use crate::rfd::{FlapKind, RfdConfig};
+use crate::rfd::FlapKind;
 
 /// One configured neighbor session.
 #[derive(Clone, Copy, Debug)]
@@ -65,23 +64,23 @@ pub struct Session {
 /// The transmissions and timer requests produced by one protocol step.
 ///
 /// `sends` are messages to put on the wire immediately (the simulator adds
-/// link latency); for every slot in `arm_timers` the caller must reserve
-/// the key of an expiry one jittered MRAI interval away and hand it to
-/// [`BgpNode::timer_armed_at`] — no event yet; for every entry of
-/// `expiries` it must schedule the expiry event at the given key and call
-/// [`BgpNode::mrai_flush`] when it pops.
+/// link latency); for every entry of `arms`, in order, the caller must
+/// reserve the key of an expiry one jittered MRAI interval away and hand
+/// it to [`BgpNode::timer_armed_at`] — no event yet; for every entry of
+/// `expiries` it must schedule the expiry event at the given key and,
+/// when it pops and [`BgpNode::expiry_due`] still holds of it, call
+/// [`BgpNode::mrai_flush`].
 ///
-/// Entry points that take an `&mut Actions` append to it and never clear
-/// it: the caller drains the lists once it has acted on them.
+/// A step appends to the `Actions` it is lent and never clears them: the
+/// caller drains the lists once it has acted on them.
 #[derive(Clone, Debug, Default)]
 pub struct Actions {
     /// `(neighbor slot, message)` pairs to transmit now.
     pub sends: Vec<(u32, Update)>,
-    /// Slots whose MRAI timer must be armed now.
-    pub arm_timers: Vec<u32>,
-    /// Per-prefix MRAI timers to arm now (only populated under
-    /// [`MraiScope::PerPrefix`]); the caller reserves one key per entry.
-    pub arm_prefix_timers: Vec<(u32, Prefix)>,
+    /// MRAI timers to arm now: `(slot, None)` is the session timer,
+    /// `(slot, Some(prefix))` a per-prefix timer (the scope is the
+    /// network's, so one step lists one kind).
+    pub arms: Vec<(u32, Option<Prefix>)>,
     /// Expiry events to schedule: an update now waits behind the timer of
     /// `(slot, prefix or the session timer)`, armed in an earlier step
     /// under the given key.
@@ -95,8 +94,7 @@ impl Actions {
     /// True if nothing needs to happen.
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty()
-            && self.arm_timers.is_empty()
-            && self.arm_prefix_timers.is_empty()
+            && self.arms.is_empty()
             && self.expiries.is_empty()
             && self.rfd_wakeups.is_empty()
     }
@@ -107,10 +105,7 @@ impl Actions {
         match submit {
             Submit::SendNow { update, arm_timer } => {
                 if arm_timer {
-                    match scope {
-                        MraiScope::PerInterface => self.arm_timers.push(slot),
-                        MraiScope::PerPrefix => self.arm_prefix_timers.push((slot, prefix)),
-                    }
+                    self.arms.push((slot, governing(scope, prefix)));
                 }
                 self.sends.push((slot, update));
             }
@@ -146,12 +141,6 @@ pub struct BgpNode {
     slab: Arc<SessionSlab>,
     /// This node's index into the slab's id spaces.
     slab_idx: u32,
-    mode: MraiMode,
-    /// MRAI timer granularity, the same for every session.
-    scope: MraiScope,
-    /// Sender-side loop detection (§4.1). On by default; turning it off
-    /// moves the check to the receiver without moving the fixpoint.
-    sender_loop_check: bool,
     /// Per-prefix SoA state: Adj-RIB-in columns, origination flags and the
     /// Loc-RIB best, addressed by sorted prefix row.
     table: PrefixTable,
@@ -159,22 +148,21 @@ pub struct BgpNode {
     /// Per-slot session liveness. A down session receives no exports and
     /// contributes no routes; see [`BgpNode::session_down_caused`].
     active: Vec<bool>,
-    /// Route Flap Damping configuration; `None` disables damping (the
-    /// paper's configuration).
-    rfd: Option<RfdConfig>,
     /// Damping state per (slot, prefix); entries exist only for routes
-    /// with flap history.
+    /// with flap history (none while [`crate::BgpConfig::rfd`] is off).
     damp: DampTable,
-    /// Cost-model tallies (see [`NodeCostCounters`]); monotone over the
-    /// node's lifetime, surviving [`BgpNode::reset_routing`] so
-    /// phase-boundary snapshots can be diffed.
-    costs: NodeCostCounters,
 }
 
-/// Monotone operation tallies for one BGP speaker, feeding the
-/// workspace-wide deterministic cost model (`obs::costmodel`). The node
-/// tallies its decision and path handling itself and lends the struct to
-/// its output queues for their Adj-RIB-out writes and MRAI coalescing.
+// One per AS of the topology: routes only — no configuration, no tallies.
+const _: () = assert!(std::mem::size_of::<BgpNode>() <= 256);
+
+/// Monotone operation tallies of the BGP speakers of one network,
+/// feeding the workspace-wide deterministic cost model
+/// (`obs::costmodel`). The caller owns the one struct and lends it with
+/// every [`Step`]: a node tallies its decision and path handling into it,
+/// its output queues their Adj-RIB-out writes and MRAI coalescing. Never
+/// reset by routing-state clears, so phase-boundary snapshots can be
+/// diffed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeCostCounters {
     /// Decision-process runs (one per `reevaluate` of a prefix).
@@ -197,16 +185,16 @@ impl BgpNode {
     ///
     /// # Panics
     /// Panics if a neighbor appears twice or equals `id`.
-    pub fn new(id: AsId, sessions: Vec<Session>, mode: MraiMode) -> Self {
+    pub fn new(id: AsId, sessions: Vec<Session>) -> Self {
         let slab = SessionSlab::for_single(id, sessions);
-        Self::from_slab(id, slab, 0, mode)
+        Self::from_slab(id, slab, 0)
     }
 
     /// Creates a speaker reading its sessions from stripe `slab_idx` of a
     /// shared [`SessionSlab`]. This is the simulator's constructor: one
     /// slab is built per topology and every node holds an `Arc` clone, so
     /// instantiating a node allocates no per-session lookup state.
-    pub fn from_slab(id: AsId, slab: Arc<SessionSlab>, slab_idx: u32, mode: MraiMode) -> Self {
+    pub fn from_slab(id: AsId, slab: Arc<SessionSlab>, slab_idx: u32) -> Self {
         let degree = slab.degree(slab_idx);
         BgpNode {
             id,
@@ -215,74 +203,13 @@ impl BgpNode {
             active: vec![true; degree as usize],
             slab,
             slab_idx,
-            mode,
-            scope: MraiScope::PerInterface,
-            sender_loop_check: true,
-            rfd: None,
             damp: DampTable::new(),
-            costs: NodeCostCounters::default(),
         }
-    }
-
-    /// Cost-model tallies for this speaker and its output queues.
-    /// Monotone — never reset by routing-state clears.
-    pub fn cost_counters(&self) -> NodeCostCounters {
-        self.costs
-    }
-
-    /// Enables Route Flap Damping with the given parameters, or disables
-    /// it with `None` (the default; also the paper's configuration).
-    ///
-    /// Must be called before any routing state exists: with damping off
-    /// the decision process trusts the incumbent best route, and a route
-    /// chosen under one eligibility regime is not the best under another.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`RfdConfig::check`], or if the
-    /// node already holds routing state.
-    pub fn set_rfd(&mut self, rfd: Option<RfdConfig>) {
-        if let Some(cfg) = &rfd {
-            cfg.check().unwrap_or_else(|e| panic!("invalid RFD config: {e}"));
-        }
-        assert!(
-            self.table.is_empty(),
-            "{}: cannot change damping with live routing state",
-            self.id
-        );
-        self.rfd = rfd;
     }
 
     /// True if the route from `slot` for `prefix` is currently damped.
     pub fn is_suppressed(&self, slot: u32, prefix: Prefix) -> bool {
         self.damp.get(slot, prefix).is_some_and(|s| s.suppressed)
-    }
-
-    /// Switches the MRAI timer granularity (default:
-    /// [`MraiScope::PerInterface`], the paper's model). Must be called
-    /// before any routing state exists.
-    ///
-    /// # Panics
-    /// Panics if the node already holds routing state.
-    pub fn set_mrai_scope(&mut self, scope: MraiScope) {
-        assert!(
-            self.table.is_empty(),
-            "{}: cannot change MRAI scope with live routing state",
-            self.id
-        );
-        self.scope = scope;
-    }
-
-    /// The MRAI timer granularity of this speaker.
-    pub fn mrai_scope(&self) -> MraiScope {
-        self.scope
-    }
-
-    /// Enables or disables sender-side loop detection (default: enabled).
-    /// With it disabled, routes are exported even to neighbors on their
-    /// own AS path; the receiver discards them (treating the looping
-    /// announcement as a withdrawal, per RFC 4271's eligibility rule).
-    pub fn set_sender_side_loop_detection(&mut self, enabled: bool) {
-        self.sender_loop_check = enabled;
     }
 
     /// This node's AS id.
@@ -312,11 +239,6 @@ impl BgpNode {
         self.slab.slot_of(self.slab_idx, peer)
     }
 
-    /// The MRAI withdrawal mode this speaker runs.
-    pub fn mode(&self) -> MraiMode {
-        self.mode
-    }
-
     /// The best route for `prefix`: `None` if unreachable, otherwise the
     /// next-hop neighbor (`None` when self-originated) and the AS path as
     /// learned (the next hop is its first element), an id of the arena the
@@ -342,14 +264,20 @@ impl BgpNode {
         self.out[slot as usize].timer_armed(now)
     }
 
-    /// Delivers the key reserved for the expiry of a timer this step
-    /// listed in [`Actions::arm_timers`] (`which` is `None`) or
-    /// [`Actions::arm_prefix_timers`] (`Some(prefix)`). Returns true if
-    /// an update already waits behind the timer: the caller must then
+    /// Delivers the key reserved for the expiry of the timer `(slot,
+    /// which)` this step listed in [`Actions::arms`]. Returns true if an
+    /// update already waits behind the timer: the caller must then
     /// schedule the expiry event at `key` right away.
     // det::allow(panic-surface, reason = "slot is a session index this node's own step put into Actions; out holds one queue per session by construction")
     pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
         self.out[slot as usize].arm_at(which, key)
+    }
+
+    /// True if the expiry event of `(slot, which)` popping at `key` is
+    /// still the one that timer waits for (see [`OutQueue::expiry_due`]):
+    /// false of every event scheduled before a session reset.
+    pub fn expiry_due(&self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
+        self.out.get(slot as usize).is_some_and(|queue| queue.expiry_due(which, key))
     }
 
     /// Number of expiry events scheduled for `slot`'s output queue and not
@@ -377,58 +305,36 @@ impl BgpNode {
         due.max().unwrap_or(EventKey::ZERO)
     }
 
-    /// Starts originating `prefix`, in the step of the event keyed `now`.
-    /// `cause` stamps the resulting exports, which are appended to `out`;
-    /// pass [`Provenance::none`] when there is nothing to attribute —
-    /// stamping never changes routing behavior.
-    pub fn originate_caused(
-        &mut self,
-        prefix: Prefix,
-        cause: Provenance,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
+    /// Starts originating `prefix`. `step.cause` stamps the resulting
+    /// exports, which are appended to `step.out`.
+    pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, true);
-        self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
+        self.reevaluate(row, prefix, Reeval::Full, step);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
-    /// the resulting exports with `cause` and appending them to `out`.
-    pub fn withdraw_origin_caused(
-        &mut self,
-        prefix: Prefix,
-        cause: Provenance,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
+    /// the resulting exports with `step.cause`.
+    pub fn withdraw_origin_caused(&mut self, prefix: Prefix, step: &mut Step) {
         let row = self.table.row_or_insert(prefix);
         self.table.set_originated(row, false);
-        self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
+        self.reevaluate(row, prefix, Reeval::Full, step);
     }
 
-    /// Processes one UPDATE that arrived over session `slot`, in the step
-    /// of the event keyed `now`, appending the resulting transmissions,
-    /// timer arms and damping wake-ups to `out`. The simulator resolves
-    /// the slot once, when the message is delivered, and queues it with
-    /// the message. An announced path is an id of `paths`.
+    /// Processes one UPDATE that arrived over session `slot`, appending
+    /// the resulting transmissions, timer arms and damping wake-ups to
+    /// `step.out`. The simulator resolves the slot once, when the message
+    /// is delivered, and queues it with the message. An announced path is
+    /// an id of `step.paths`. The cause of the step is the message: this
+    /// sets `step.cause` to its stamp, one hop further on.
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    pub fn receive(
-        &mut self,
-        slot: u32,
-        update: Update,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
+    pub fn receive(&mut self, slot: u32, update: Update, step: &mut Step) {
         let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself.
-        let cause = update.provenance.child();
+        step.cause = update.provenance.child();
         let row = self.table.row_or_insert(prefix);
 
         // Receiver-side loop detection: a path containing our own AS is
@@ -437,14 +343,14 @@ impl BgpNode {
         // while senders filter, but load-bearing when sender-side
         // detection is ablated off.
         let incoming: Option<PathId> = match update.kind {
-            UpdateKind::Announce(path) if !paths.contains(path, self.id) => Some(path),
+            UpdateKind::Announce(path) if !step.paths.contains(path, self.id) => Some(path),
             _ => None,
         };
 
         // Route Flap Damping: charge the figure of merit before
         // installing. Initial advertisements are free; withdrawals,
         // re-advertisements and path changes are flaps (RFC 2439).
-        if let Some(cfg) = &self.rfd {
+        if let Some(cfg) = &step.cfg.rfd {
             let prev = self.table.rib_in_cell(row, slot);
             let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
@@ -456,18 +362,18 @@ impl BgpNode {
             };
             if let Some(kind) = flap {
                 let state = self.damp.get_or_insert(slot, prefix);
-                if state.charge(kind, now.time, cfg) {
+                if state.charge(kind, step.now.time, cfg) {
                     if let Some(at) = state.reuse_time(cfg) {
-                        out.rfd_wakeups.push((slot, prefix, at));
+                        step.out.rfd_wakeups.push((slot, prefix, at));
                     }
                 }
             }
         }
 
-        let route = incoming.map(|path| (path, self.route_key(slot, paths.len(path))));
+        let route = incoming.map(|path| (path, self.route_key(slot, step.paths.len(path))));
         self.table.set_rib_in(row, slot, route);
 
-        self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, paths, out);
+        self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
     }
 
     /// Handles a Route Flap Damping reuse wake-up for `(slot, prefix)`:
@@ -475,26 +381,17 @@ impl BgpNode {
     /// damped route becomes eligible again and the decision process
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
-    /// Exports are stamped with `cause` and appended to `out`.
-    pub fn rfd_reuse_caused(
-        &mut self,
-        slot: u32,
-        prefix: Prefix,
-        now: EventKey,
-        cause: Provenance,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
-        let Some(cfg) = &self.rfd else { return };
+    pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step) {
+        let Some(cfg) = &step.cfg.rfd else { return };
         let Some(state) = self.damp.get_mut(slot, prefix) else {
             return;
         };
-        if !state.maybe_reuse(now.time, cfg) {
+        if !state.maybe_reuse(step.now.time, cfg) {
             return;
         }
         // Eligibility changed, so the incumbent may now lose: full run.
         if let Some(row) = self.table.row(prefix) {
-            self.reevaluate(row, prefix, cause, Reeval::Full, now, paths, out);
+            self.reevaluate(row, prefix, Reeval::Full, step);
         }
     }
 
@@ -510,21 +407,15 @@ impl BgpNode {
     /// BGP session drop implicitly withdraws the whole Adj-RIB-in), the
     /// output queue is cleared (the neighbor has likewise discarded our
     /// routes), and the decision process re-runs for every affected
-    /// prefix; the actions appended to `out` notify the *other* neighbors.
+    /// prefix; the actions appended to `step.out` notify the *other*
+    /// neighbors.
     ///
-    /// The caller must invalidate any scheduled MRAI expiry for this slot
-    /// (the simulator tracks a per-slot epoch).
+    /// An MRAI expiry event scheduled for this slot is stale from here
+    /// on: [`BgpNode::expiry_due`] is false of it.
     ///
     /// # Panics
     /// Panics if the session is already down.
-    pub fn session_down_caused(
-        &mut self,
-        slot: u32,
-        cause: Provenance,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
+    pub fn session_down_caused(&mut self, slot: u32, step: &mut Step) {
         assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
         self.active[slot as usize] = false;
         self.out[slot as usize].force_reset();
@@ -538,7 +429,7 @@ impl BgpNode {
             .collect();
         for (row, prefix) in affected {
             self.table.set_rib_in(row, slot, None);
-            self.reevaluate(row, prefix, cause, Reeval::SlotChanged(slot), now, paths, out);
+            self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
         }
     }
 
@@ -549,21 +440,13 @@ impl BgpNode {
     ///
     /// # Panics
     /// Panics if the session is already up.
-    pub fn session_up_caused(
-        &mut self,
-        slot: u32,
-        cause: Provenance,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
+    pub fn session_up_caused(&mut self, slot: u32, step: &mut Step) {
         assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
         self.active[slot as usize] = true;
-        debug_assert!(!self.out[slot as usize].timer_armed(now));
+        debug_assert!(!self.out[slot as usize].timer_armed(step.now));
         // The replay is whatever this call appends past `first`.
-        let first = out.sends.len();
+        let first = step.out.sends.len();
         let session = self.sessions()[slot as usize];
-        let stamp = cause.with_rel(session.rel);
         // Iterating rows walks prefixes in sorted order — the same
         // deterministic replay order the BTreeMap-backed table produced.
         let snapshot: Vec<(Prefix, u32, PathId)> = self
@@ -578,58 +461,45 @@ impl BgpNode {
                 RouteSource::Learned(self.sessions()[best_slot as usize].rel)
             };
             if !export_allowed(source, session.rel)
-                || (self.sender_loop_check && paths.contains(path, session.peer))
+                || (step.cfg.sender_side_loop_detection && step.paths.contains(path, session.peer))
             {
                 continue;
             }
-            let export_path = paths.prepend(self.id, path);
-            self.costs.path_intern_misses += 1;
+            let export_path = step.paths.prepend(self.id, path);
+            step.costs.path_intern_misses += 1;
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
             let queue = &mut self.out[slot as usize];
-            if let Some(update) =
-                queue.send_unlimited(prefix, export_path, stamp, now, &mut self.costs)
-            {
-                out.sends.push((slot, update));
+            if let Some(update) = queue.send_unlimited(prefix, export_path, session.rel, step) {
+                step.out.sends.push((slot, update));
             }
         }
-        if out.sends.len() > first {
-            match self.scope {
-                MraiScope::PerInterface => {
-                    self.out[slot as usize].arm_timer(None);
-                    out.arm_timers.push(slot);
-                }
-                MraiScope::PerPrefix => {
-                    for (_, update) in &out.sends[first..] {
-                        self.out[slot as usize].arm_timer(Some(update.prefix));
-                        out.arm_prefix_timers.push((slot, update.prefix));
-                    }
-                }
-            }
+        // One arm for the session, or one per prefix replayed.
+        let scope = step.cfg.mrai_scope;
+        let replayed = &step.out.sends[first..];
+        let timers = match scope {
+            MraiScope::PerInterface => replayed.len().min(1),
+            MraiScope::PerPrefix => replayed.len(),
+        };
+        for (_, update) in &replayed[..timers] {
+            let which = governing(scope, update.prefix);
+            self.out[slot as usize].arm_timer(which);
+            step.out.arms.push((slot, which));
         }
     }
 
-    /// Handles the MRAI expiry event of `slot` popping at `now`, the key
-    /// it was asked for at ([`Actions::expiries`]) — the session timer
-    /// when `trigger` is `None`, the per-prefix timer of `Some(prefix)`
-    /// (only under [`MraiScope::PerPrefix`]) — appending the flushed
-    /// transmissions to `out`, plus one timer arm iff something was sent:
-    /// the caller re-arms exactly the timers `out` lists.
+    /// Handles the MRAI expiry event of `slot` popping at `step.now`, the
+    /// key it was asked for at ([`Actions::expiries`]) and still due
+    /// ([`BgpNode::expiry_due`]) — the session timer when `trigger` is
+    /// `None`, the per-prefix timer of `Some(prefix)` (only under
+    /// [`MraiScope::PerPrefix`]) — appending the flushed transmissions to
+    /// `step.out`, plus one timer arm iff something was sent: the caller
+    /// re-arms exactly the timers `step.out` lists.
     // det::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
-    pub fn mrai_flush(
-        &mut self,
-        slot: u32,
-        trigger: Option<Prefix>,
-        now: EventKey,
-        out: &mut Actions,
-    ) {
-        debug_assert_eq!(trigger.is_some(), self.scope == MraiScope::PerPrefix);
-        let queue = &mut self.out[slot as usize];
-        if queue.flush(trigger, slot, now, &mut out.sends, &mut self.costs) {
-            match trigger {
-                None => out.arm_timers.push(slot),
-                Some(prefix) => out.arm_prefix_timers.push((slot, prefix)),
-            }
+    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step) {
+        debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
+        if self.out[slot as usize].flush(trigger, slot, step) {
+            step.out.arms.push((slot, trigger));
         }
     }
 
@@ -649,10 +519,8 @@ impl BgpNode {
 
     /// Returns the speaker to the state it was constructed in, from any
     /// state: RIBs, damping history, Adj-RIB-outs and queued updates
-    /// cleared, every MRAI timer disarmed, every session up.
-    /// Configuration (mode, scope, loop detection, damping parameters)
-    /// and the monotone cost tallies are kept, and so are the table's
-    /// column buffers. Unlike [`BgpNode::reset_routing`] this does not
+    /// cleared, every MRAI timer disarmed, every session up. The table's
+    /// column buffers are kept. Unlike [`BgpNode::reset_routing`] this does not
     /// require quiescence: the caller discards its scheduled expiry events
     /// along with everything else.
     pub fn recycle(&mut self) {
@@ -677,7 +545,7 @@ impl BgpNode {
     /// holding the row's best eligible learned route. Counts every key
     /// comparison into `route_comparisons`.
     // det::allow(panic-surface, reason = "row is a live row index whose rib_in/rib_key stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
-    fn decide(&mut self, row: usize, prefix: Prefix, hint: Reeval, paths: &PathArena) -> Option<u32> {
+    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) -> Option<u32> {
         let routes = self.table.rib_in(row);
         let keys = self.table.rib_keys(row);
         // With damping off the incumbent is still the best of every slot
@@ -686,20 +554,20 @@ impl BgpNode {
         // originate the prefix never get here, so the incumbent is a
         // learned route.)
         if let (Reeval::SlotChanged(s), None, Some((incumbent, old_path))) =
-            (hint, &self.rfd, self.table.best(row))
+            (hint, &step.cfg.rfd, self.table.best(row))
         {
             let announced = routes[s as usize].is_some();
             if s != incumbent {
                 if !announced {
                     return Some(incumbent);
                 }
-                self.costs.route_comparisons += 1;
+                step.costs.route_comparisons += 1;
                 let wins = keys[s as usize] > keys[incumbent as usize];
                 return Some(if wins { s } else { incumbent });
             }
             if announced {
-                self.costs.route_comparisons += 1;
-                if keys[s as usize] >= self.route_key(s, paths.len(old_path)) {
+                step.costs.route_comparisons += 1;
+                if keys[s as usize] >= self.route_key(s, step.paths.len(old_path)) {
                     return Some(s);
                 }
             }
@@ -715,7 +583,7 @@ impl BgpNode {
             let better = match winner {
                 None => true,
                 Some(w) => {
-                    self.costs.route_comparisons += 1;
+                    step.costs.route_comparisons += 1;
                     keys[slot] > keys[w as usize]
                 }
             };
@@ -728,29 +596,19 @@ impl BgpNode {
 
     /// Re-runs the decision process for row `row` (holding `prefix`); on a
     /// best-route change, runs the export filters and submits new intents
-    /// to every output queue. Each submission is stamped with `cause` plus
-    /// the sending edge's Gao–Rexford relation, so attribution survives
-    /// MRAI coalescing downstream.
+    /// to every output queue. Each submission is stamped with `step.cause`
+    /// plus the sending edge's Gao–Rexford relation, so attribution
+    /// survives MRAI coalescing downstream.
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
-    #[allow(clippy::too_many_arguments)]
     // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
-    fn reevaluate(
-        &mut self,
-        row: usize,
-        prefix: Prefix,
-        cause: Provenance,
-        hint: Reeval,
-        now: EventKey,
-        paths: &mut PathArena,
-        out: &mut Actions,
-    ) {
-        self.costs.decision_runs += 1;
+    fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) {
+        step.costs.decision_runs += 1;
 
         let new_best: Option<(u32, PathId)> = if self.table.originated(row) {
             Some((SELF_SLOT, PathId::EMPTY))
         } else {
-            self.decide(row, prefix, hint, paths).map(|slot| {
+            self.decide(row, prefix, hint, step).map(|slot| {
                 let path = self
                     .table
                     .rib_in_cell(row, slot)
@@ -770,12 +628,6 @@ impl BgpNode {
         // its sender) decide, per live session, between the export path
         // and a withdrawal. Most submissions are suppressed as no-ops.
         let sessions = self.slab.sessions(self.slab_idx);
-        let step = Step {
-            mode: self.mode,
-            scope: self.scope,
-            now,
-            cause,
-        };
         // The exported path: ourselves prepended to the best path. Built
         // once — one lookup-or-insert — and every queue that keeps it
         // keeps its id. The best path's hops are walked once, into a flat
@@ -786,10 +638,11 @@ impl BgpNode {
             } else {
                 RouteSource::Learned(sessions[best_slot as usize].rel)
             };
-            self.costs.path_intern_misses += 1;
-            (source, paths.prepend(self.id, best_path))
+            step.costs.path_intern_misses += 1;
+            (source, step.paths.prepend(self.id, best_path))
         });
-        let best_hops = paths.take_hops(new_best.map_or(PathId::EMPTY, |(_, path)| path));
+        let best_hops = step.paths.take_hops(new_best.map_or(PathId::EMPTY, |(_, path)| path));
+        let loop_check = step.cfg.sender_side_loop_detection;
         for (slot, session) in sessions.iter().enumerate() {
             if !self.active[slot] {
                 continue;
@@ -797,24 +650,28 @@ impl BgpNode {
             let intent = match export {
                 Some((source, export_path))
                     if export_allowed(source, session.rel)
-                        && !(self.sender_loop_check && would_loop(&best_hops, session.peer)) =>
+                        && !(loop_check && would_loop(&best_hops, session.peer)) =>
                 {
-                    self.costs.path_intern_hits += 1;
+                    step.costs.path_intern_hits += 1;
                     Some(export_path)
                 }
                 _ => None,
             };
-            let submit =
-                self.out[slot].submit(prefix, intent, &step, session.rel, paths, &mut self.costs);
-            out.absorb(slot as u32, prefix, submit, self.scope);
+            let submit = self.out[slot].submit(prefix, intent, session.rel, step);
+            step.out.absorb(slot as u32, prefix, submit, step.cfg.mrai_scope);
         }
-        paths.give_hops(best_hops);
+        step.paths.give_hops(best_hops);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BgpConfig;
+    use crate::mrai::Lender;
+    use bgpscale_obs::Provenance;
+    use crate::path::PathArena;
+    use crate::rfd::RfdConfig;
     use bgpscale_simkernel::SimDuration;
 
     const P: Prefix = Prefix(1);
@@ -835,17 +692,15 @@ mod tests {
                 session(2, Relationship::Peer),
                 session(3, Relationship::Provider),
             ],
-            MraiMode::NoWrate,
         )
     }
 
-    /// Runs one in-place entry point on an empty buffer and returns what it
-    /// appended: the tests' by-value view of the in-place API. In `node()`
-    /// AS1, AS2 and AS3 sit on slots 0, 1 and 2.
-    fn act(f: impl FnOnce(&mut Actions)) -> Actions {
-        let mut out = Actions::default();
-        f(&mut out);
-        out
+    /// What the steps of a test under damping are lent.
+    fn damped() -> Lender {
+        Lender::new(BgpConfig {
+            rfd: Some(RfdConfig::default()),
+            ..BgpConfig::default()
+        })
     }
 
     /// An announcement of `prefix` over that path.
@@ -855,6 +710,15 @@ mod tests {
 
     fn sends_to(actions: &Actions) -> Vec<u32> {
         actions.sends.iter().map(|(s, _)| *s).collect()
+    }
+
+    /// The slots whose session timer `actions` arms.
+    fn arms_of(actions: &Actions) -> Vec<u32> {
+        let session_timer = |&(slot, which): &(u32, Option<Prefix>)| {
+            assert_eq!(which, None, "a per-prefix arm under the per-interface scope");
+            slot
+        };
+        actions.arms.iter().map(session_timer).collect()
     }
 
     /// The key of the step every test starts in.
@@ -871,9 +735,8 @@ mod tests {
     /// `a` arms and hands it to the node. Returns the expiry events to
     /// schedule — those `a` lists and those `timer_armed_at` asks for.
     fn settle(n: &mut BgpNode, a: &Actions, now: EventKey) -> Vec<(u32, Option<Prefix>, EventKey)> {
-        assert!(a.arm_prefix_timers.is_empty());
         let mut expiries = a.expiries.clone();
-        for (i, &slot) in a.arm_timers.iter().enumerate() {
+        for (i, slot) in arms_of(a).into_iter().enumerate() {
             let key = EventKey {
                 time: now.time + MRAI,
                 seq: now.seq + 1 + i as u64,
@@ -895,63 +758,63 @@ mod tests {
 
     #[test]
     fn origination_announces_to_everyone() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.originate_caused(P, Provenance::none(), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.originate_caused(P, s));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
-        assert_eq!(a.arm_timers, vec![0, 1, 2]);
+        assert_eq!(arms_of(&a), vec![0, 1, 2]);
         for (_, u) in &a.sends {
-            assert_eq!(u.kind.path(), Some(paths.of(&[0])), "path is just the origin");
+            assert_eq!(u.kind.path(), Some(w.paths.of(&[0])), "path is just the origin");
         }
         assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
     }
 
     #[test]
     fn customer_route_exports_to_everyone_else() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Export to peer and provider (customer route), but not back to the
         // customer (loop detection: AS1 is on the path).
         assert_eq!(sends_to(&a), vec![1, 2]);
         let (_, u) = &a.sends[0];
-        assert_eq!(u.kind.path(), Some(paths.of(&[0, 1, 9])));
+        assert_eq!(u.kind.path(), Some(w.paths.of(&[0, 1, 9])));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn provider_route_exports_only_to_customers() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert_eq!(sends_to(&a), vec![0], "only the customer hears about it");
     }
 
     #[test]
     fn peer_route_exports_only_to_customers() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.receive(1, ann(&mut paths, P, &[2, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(1, ann(s.paths, P, &[2, 9]), s));
         assert_eq!(sends_to(&a), vec![0]);
     }
 
     #[test]
     fn better_route_triggers_reexport_with_new_path() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
         // Provider route first: exported to customer only.
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // Customer route arrives: better (prefer-customer). Peers and
         // providers hear the new path immediately (their timers are idle).
         // The customer itself cannot be given its own route back (loop
         // detection) — instead the stale provider route we advertised to it
         // is withdrawn, immediately under NO-WRATE.
-        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 7, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 7, 9]), s));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert!(a.sends[0].1.kind.is_withdraw(), "stale route to customer revoked");
         assert_eq!(
             a.sends[1].1,
-            ann(&mut paths, P, &[0, 1, 7, 9])
+            ann(&mut w.paths, P, &[0, 1, 7, 9])
         );
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // Slot 0's timer (armed by the earlier provider-route export) has
@@ -961,28 +824,28 @@ mod tests {
 
     #[test]
     fn worse_route_does_not_displace_best() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // A provider route arrives; best (customer) unchanged → no exports.
-        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn withdrawal_falls_back_to_alternate_route() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // Customer withdraws; best falls back to the provider route, which
         // may only be exported to customers. Slot 0's timer is idle (the
         // customer was never sent anything — loop detection), so the new
         // announcement goes out at once; slots 1 and 2, which previously
         // got the customer route, receive withdrawals immediately
         // (NO-WRATE).
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         let withdraws: Vec<u32> = a
             .sends
             .iter()
@@ -997,17 +860,17 @@ mod tests {
             .map(|(s, _)| *s)
             .collect();
         assert_eq!(announces, vec![0], "customer hears the fallback route");
-        assert_eq!(a.arm_timers, vec![0], "only the announcement arms a timer");
+        assert_eq!(arms_of(&a), vec![0], "only the announcement arms a timer");
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         assert!(a.expiries.is_empty(), "nothing waits behind slot 0's new timer");
     }
 
     #[test]
     fn total_loss_withdraws_from_everyone_reached() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
+        let a = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         // No alternate: withdraw goes to the peers/providers that heard
         // the announcement. The customer never got it (loop), so no
         // withdrawal there.
@@ -1016,95 +879,93 @@ mod tests {
         assert!(a.sends.iter().all(|(_, u)| u.kind.is_withdraw()));
         assert_eq!(n.best_route(P), None);
         // NO-WRATE: withdrawals did not arm timers.
-        assert!(a.arm_timers.is_empty());
+        assert!(a.arms.is_empty());
     }
 
     #[test]
     fn wrate_queues_withdrawals_behind_timer() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::new(BgpConfig::wrate());
         let mut n = BgpNode::new(
             AsId(0),
             vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
-            MraiMode::Wrate,
         );
-        let first = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(settle(&mut n, &first, T0).is_empty());
         // Announcement armed slot 1's timer; the withdrawal must queue,
         // and asks for the expiry at the timer's key.
-        let a = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         assert!(a.sends.is_empty(), "WRATE withdrawal must wait for MRAI");
         let [(1, None, key)] = a.expiries[..] else {
             panic!("one expiry for slot 1's session timer, got {:?}", a.expiries);
         };
         assert_eq!(key.time, T0.time + MRAI);
-        let f = act(|o| n.mrai_flush(1, None, key, o));
+        let f = w.act(key, |s| n.mrai_flush(1, None, s));
         assert_eq!(f.sends.len(), 1);
         assert!(f.sends[0].1.kind.is_withdraw());
-        assert_eq!(f.arm_timers, vec![1], "withdrawal re-arms under WRATE");
+        assert_eq!(arms_of(&f), vec![1], "withdrawal re-arms under WRATE");
     }
 
     #[test]
     fn flap_within_mrai_window_is_absorbed() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let first = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         settle(&mut n, &first, T0);
         // Withdraw + identical re-announce before any timer expires.
-        let w = act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
-        assert_eq!(w.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
-        let r = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let down = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
+        assert_eq!(down.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
+        let r = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Timers on slots 1,2 are armed, so the re-announcements queue.
         assert!(r.sends.is_empty());
         let [(1, None, key), (2, None, _)] = r.expiries[..] else {
             panic!("one expiry per waiting session, got {:?}", r.expiries);
         };
-        let f1 = act(|o| n.mrai_flush(1, None, key, o));
+        let f1 = w.act(key, |s| n.mrai_flush(1, None, s));
         assert_eq!(f1.sends.len(), 1);
         assert!(f1.sends[0].1.kind.is_announce());
     }
 
     #[test]
     fn self_origination_beats_any_learned_route() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
-        act(|o| n.originate_caused(P, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
+        w.act(T0, |s| n.originate_caused(P, s));
         assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
         // Withdrawing the origin falls back to the learned route.
-        act(|o| n.withdraw_origin_caused(P, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.withdraw_origin_caused(P, s));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn decision_prefers_shorter_path_among_customers() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = BgpNode::new(
             AsId(0),
             vec![
                 session(1, Relationship::Customer),
                 session(2, Relationship::Customer),
             ],
-            MraiMode::NoWrate,
         );
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 8, 9]), T0, &mut paths, o));
-        act(|o| n.receive(1, ann(&mut paths, P, &[2, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 8, 9]), s));
+        w.act(T0, |s| n.receive(1, ann(s.paths, P, &[2, 9]), s));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(2)));
     }
 
     #[test]
     fn looping_announcement_is_ignored() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 0, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 0, 9]), s));
         assert!(a.is_empty());
         assert_eq!(n.best_route(P), None);
     }
 
     #[test]
     fn reset_routing_clears_ribs_but_keeps_sessions() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Slots 1 and 2 were armed (the customer route was exported to the
         // peer and provider) and run out with nothing behind them.
         settle(&mut n, &a, T0);
@@ -1117,9 +978,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn update_on_an_unknown_slot_panics() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(3, Update::withdraw(P), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(3, Update::withdraw(P), s));
     }
 
     #[test]
@@ -1128,19 +989,18 @@ mod tests {
         BgpNode::new(
             AsId(0),
             vec![session(1, Relationship::Peer), session(1, Relationship::Customer)],
-            MraiMode::NoWrate,
         );
     }
 
     #[test]
     fn session_down_invalidates_learned_routes_and_notifies_others() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
-        let a = act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.session_down_caused(0, s));
         assert!(!n.session_active(0));
         assert_eq!(n.best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
@@ -1150,55 +1010,55 @@ mod tests {
 
     #[test]
     fn down_session_receives_no_exports() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.session_down_caused(0, s));
         // A new best route arrives from the provider; normally the
         // customer (slot 0) would hear it, but the session is down.
-        let a = act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
         assert_eq!(n.advertised(0, P), None);
     }
 
     #[test]
     fn session_up_replays_the_table() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
-        act(|o| n.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
+        w.act(T0, |s| n.originate_caused(Prefix(7), s));
         // Drop and restore the customer session: on restore it must learn
         // both the provider-learned route and the originated prefix
         // (customers receive everything).
-        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
-        let a = act(|o| n.session_up_caused(0, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.session_down_caused(0, s));
+        let a = w.act(T0, |s| n.session_up_caused(0, s));
         assert!(n.session_active(0));
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
         assert_eq!(prefixes, vec![P, Prefix(7)]);
         assert!(a.sends.iter().all(|(s, u)| *s == 0 && u.kind.is_announce()));
         // The full-table replay arms the MRAI timer once.
-        assert_eq!(a.arm_timers, vec![0]);
+        assert_eq!(arms_of(&a), vec![0]);
     }
 
     #[test]
     fn session_up_respects_export_policy() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         // A provider-learned route must not be replayed to a peer session
         // that comes back up.
         let mut n = node();
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
-        act(|o| n.session_down_caused(1, Provenance::none(), T0, &mut paths, o)); // peer
-        let a = act(|o| n.session_up_caused(1, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
+        w.act(T0, |s| n.session_down_caused(1, s)); // peer
+        let a = w.act(T0, |s| n.session_up_caused(1, s));
         assert!(a.sends.is_empty(), "provider route leaked to peer on replay");
     }
 
     #[test]
     fn session_down_clears_output_queue_state() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(n.advertised(1, P).is_some());
-        act(|o| n.session_down_caused(1, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.session_down_caused(1, s));
         assert_eq!(n.advertised(1, P), None);
         assert!(!n.timer_armed(1, T0));
     }
@@ -1206,33 +1066,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "already down")]
     fn double_session_down_panics() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
-        act(|o| n.session_down_caused(0, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| n.session_down_caused(0, s));
+        w.act(T0, |s| n.session_down_caused(0, s));
     }
 
     #[test]
     fn rfd_suppresses_flapping_route_and_falls_back() {
-        let mut paths = PathArena::new();
-        use crate::rfd::RfdConfig;
+        let mut w = damped();
         let mut n = node();
-        n.set_rfd(Some(RfdConfig::default()));
         // A stable alternate via the provider.
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // The customer route flaps: announce, withdraw, announce, withdraw…
         let mut t = SimTime::from_secs(1);
         for _ in 0..3 {
-            act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
+            w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
             t += SimDuration::from_secs(1);
-            act(|o| n.receive(0, Update::withdraw(P), at(t), &mut paths, o));
+            w.act(at(t), |s| n.receive(0, Update::withdraw(P), s));
             t += SimDuration::from_secs(1);
         }
         // Withdrawal(1000) ×3 + readvert(1000) ×2 ≫ suppress threshold.
         assert!(n.is_suppressed(0, P));
         // A further announcement installs the route but the decision
         // sticks with the stable provider route.
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
+        w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(
             n.best_route(P).unwrap().0,
             Some(AsId(3)),
@@ -1242,19 +1100,17 @@ mod tests {
 
     #[test]
     fn rfd_reuse_restores_eligibility() {
-        let mut paths = PathArena::new();
-        use crate::rfd::RfdConfig;
+        let mut w = damped();
         let mut n = node();
-        n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         let mut t = SimTime::from_secs(1);
         let mut wake = None;
         let mut expiries = Vec::new();
         for _ in 0..4 {
-            let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
+            let a = w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
             expiries.extend(settle(&mut n, &a, at(t)));
             t += SimDuration::from_secs(1);
-            let a = act(|o| n.receive(0, Update::withdraw(P), at(t), &mut paths, o));
+            let a = w.act(at(t), |s| n.receive(0, Update::withdraw(P), s));
             expiries.extend(settle(&mut n, &a, at(t)));
             if let Some(&(_, _, reuse_at)) = a.rfd_wakeups.last() {
                 wake = Some(reuse_at);
@@ -1262,11 +1118,11 @@ mod tests {
             t += SimDuration::from_secs(1);
         }
         // Final state: suppressed, route re-announced and stored.
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), at(t), &mut paths, o));
+        w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
-        let early = act(|o| n.rfd_reuse_caused(0, P, at(t + SimDuration::from_secs(60)), Provenance::none(), &mut paths, o));
+        let early = w.act(at(t + SimDuration::from_secs(60)), |s| n.rfd_reuse_caused(0, P, s));
         assert!(early.is_empty());
         assert!(n.is_suppressed(0, P));
         // The MRAI windows of the flapping close, flushing what queued
@@ -1274,14 +1130,14 @@ mod tests {
         assert!(!expiries.is_empty(), "the flapping queued updates");
         while !expiries.is_empty() {
             let (slot, which, key) = expiries.remove(0);
-            let f = act(|o| n.mrai_flush(slot, which, key, o));
+            let f = w.act(key, |s| n.mrai_flush(slot, which, s));
             expiries.extend(settle(&mut n, &f, key));
         }
         // Well past the scheduled reuse time the customer route wins
         // again, and with every timer run out the re-selection is
         // announced at once.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
-        let a = act(|o| n.rfd_reuse_caused(0, P, at(wake), Provenance::none(), &mut paths, o));
+        let a = w.act(at(wake), |s| n.rfd_reuse_caused(0, P, s));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
         assert!(
@@ -1292,64 +1148,57 @@ mod tests {
 
     #[test]
     fn rfd_initial_advertisement_is_free() {
-        let mut paths = PathArena::new();
-        use crate::rfd::RfdConfig;
+        let mut w = damped();
         let mut n = node();
-        n.set_rfd(Some(RfdConfig::default()));
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(!n.is_suppressed(0, P));
         // Stable routes never accumulate penalty: identical re-announce
         // is a no-op, not a flap.
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(!n.is_suppressed(0, P));
         assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn rfd_disabled_means_no_suppression_ever() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
         for _ in 0..20 {
-            act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
-            act(|o| n.receive(0, Update::withdraw(P), T0, &mut paths, o));
+            w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
+            w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         }
         assert!(!n.is_suppressed(0, P));
     }
 
     #[test]
     fn cost_counters_attribute_decision_and_path_work() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        let before = n.cost_counters();
-        assert_eq!(before, NodeCostCounters::default());
+        assert_eq!(w.costs, NodeCostCounters::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
-        let a = act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         settle(&mut n, &a, T0);
-        let c = n.cost_counters();
+        let c = w.costs;
         assert_eq!(c.decision_runs, 1);
         assert_eq!(c.path_intern_misses, 1);
         assert_eq!(c.path_intern_hits, 2);
         assert_eq!(c.rib_out_writes, 2, "announced to peer and provider");
         // A competing provider route triggers exactly one comparison:
         // the incremental decision challenges the incumbent head-to-head.
-        act(|o| n.receive(2, ann(&mut paths, P, &[3, 9]), T0, &mut paths, o));
-        let c2 = n.cost_counters();
-        assert_eq!(c2.decision_runs, 2);
-        assert_eq!(c2.route_comparisons, 1);
-        // Counters survive a routing reset (monotone).
-        n.reset_routing(after_mrai(T0));
-        assert_eq!(n.cost_counters().decision_runs, 2);
+        w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
+        assert_eq!(w.costs.decision_runs, 2);
+        assert_eq!(w.costs.route_comparisons, 1);
     }
 
     #[test]
     fn advertised_tracks_what_was_sent() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(
             n.advertised(1, P),
-            Some(paths.of(&[0, 1, 9]))
+            Some(w.paths.of(&[0, 1, 9]))
         );
         assert_eq!(n.advertised(0, P), None, "never sent back to learner");
         assert!(n.timer_armed(1, T0));
@@ -1361,7 +1210,7 @@ mod tests {
     /// Adj-RIB-out entry holds that cell's id.
     #[test]
     fn export_to_many_neighbors_shares_one_path_id() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let mut n = BgpNode::new(
             AsId(0),
             vec![
@@ -1370,149 +1219,124 @@ mod tests {
                 session(3, Relationship::Provider),
                 session(4, Relationship::Peer),
             ],
-            MraiMode::NoWrate,
         );
-        let learned = ann(&mut paths, P, &[1, 9]);
-        let held = paths.paths();
-        act(|o| n.receive(0, learned, T0, &mut paths, o));
-        assert_eq!(paths.paths(), held + 1, "the export path is built once");
+        let learned = ann(&mut w.paths, P, &[1, 9]);
+        let held = w.paths.paths();
+        w.act(T0, |s| n.receive(0, learned, s));
+        assert_eq!(w.paths.paths(), held + 1, "the export path is built once");
         let exported: Vec<PathId> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
-        assert_eq!(exported, vec![paths.of(&[0, 1, 9]); 3], "customer route reaches the other three");
+        assert_eq!(exported, vec![w.paths.of(&[0, 1, 9]); 3], "customer route reaches the other three");
     }
 
     /// The sends, session-timer arms and expiry requests of `a`,
     /// comparable.
     #[allow(clippy::type_complexity)]
     fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<Prefix>, EventKey)>) {
-        assert!(a.arm_prefix_timers.is_empty() && a.rfd_wakeups.is_empty());
-        (a.sends.clone(), a.arm_timers.clone(), a.expiries.clone())
+        assert!(a.rfd_wakeups.is_empty());
+        (a.sends.clone(), arms_of(a), a.expiries.clone())
     }
 
-    /// The entry points append to the caller's buffer — never clearing it
-    /// — exactly what they produce on an empty one.
+    /// The entry points append to the buffer they are lent — never
+    /// clearing it — exactly what they produce on an empty one.
     #[test]
     fn entry_points_append_to_a_shared_buffer_what_they_produce_on_an_empty_one() {
-        let mut paths = PathArena::new();
-        let (mut by_value, mut in_place) = (node(), node());
-        let mut buf = Actions::default();
-        let mut want = Actions::default();
-        let mut push = |a: Actions| {
-            want.sends.extend(a.sends);
-            want.arm_timers.extend(a.arm_timers);
-            want.expiries.extend(a.expiries);
-        };
-        let customer = ann(&mut paths, P, &[1, 9]);
-        let provider = ann(&mut paths, P, &[3, 9]);
-
-        push(act(|o| by_value.receive(2, provider, T0, &mut paths, o)));
-        in_place.receive(2, provider, T0, &mut paths, &mut buf);
-        push(act(|o| by_value.receive(0, customer, T0, &mut paths, o)));
-        in_place.receive(0, customer, T0, &mut paths, &mut buf);
-        // Both get the key of slot 1's timer; a longer customer path then
-        // waits behind it and is flushed at that key.
+        let mut w = Lender::default();
+        let customer = ann(&mut w.paths, P, &[1, 9]);
+        let provider = ann(&mut w.paths, P, &[3, 9]);
+        let longer = ann(&mut w.paths, P, &[1, 8, 9]);
+        // The key of slot 1's timer: the longer customer path waits behind
+        // it and is flushed at that key.
         let key = EventKey {
             time: T0.time + MRAI,
             seq: 1,
         };
-        let longer = ann(&mut paths, P, &[1, 8, 9]);
-        for n in [&mut by_value, &mut in_place] {
-            assert!(!n.timer_armed_at(1, None, key));
-            n.timer_armed_at(2, None, key);
+        type Entry = Box<dyn Fn(&mut BgpNode, &mut Step)>;
+        let script: Vec<(EventKey, Entry)> = vec![
+            (T0, Box::new(move |n, s| n.receive(2, provider, s))),
+            (T0, Box::new(move |n, s| n.receive(0, customer, s))),
+            (T0, Box::new(move |n, _| {
+                assert!(!n.timer_armed_at(1, None, key));
+                n.timer_armed_at(2, None, key);
+            })),
+            (T0, Box::new(move |n, s| n.receive(0, longer, s))),
+            (key, Box::new(|n, s| n.mrai_flush(1, None, s))),
+            (T0, Box::new(|n, s| n.originate_caused(Prefix(7), s))),
+            (T0, Box::new(|n, s| n.session_down_caused(0, s))),
+            (T0, Box::new(|n, s| n.session_up_caused(0, s))),
+            (T0, Box::new(|n, s| n.withdraw_origin_caused(Prefix(7), s))),
+        ];
+
+        let (mut by_value, mut in_place) = (node(), node());
+        let mut want = Actions::default();
+        for (now, entry) in &script {
+            let a = w.act(*now, |s| entry(&mut by_value, s));
+            want.sends.extend(a.sends);
+            want.arms.extend(a.arms);
+            want.expiries.extend(a.expiries);
         }
-        push(act(|o| by_value.receive(0, longer, T0, &mut paths, o)));
-        in_place.receive(0, longer, T0, &mut paths, &mut buf);
-        push(act(|o| by_value.mrai_flush(1, None, key, o)));
-        in_place.mrai_flush(1, None, key, &mut buf);
-        push(act(|o| by_value.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, o)));
-        in_place.originate_caused(Prefix(7), Provenance::none(), T0, &mut paths, &mut buf);
-        push(act(|o| by_value.session_down_caused(0, Provenance::none(), T0, &mut paths, o)));
-        in_place.session_down_caused(0, Provenance::none(), T0, &mut paths, &mut buf);
-        push(act(|o| by_value.session_up_caused(0, Provenance::none(), T0, &mut paths, o)));
-        in_place.session_up_caused(0, Provenance::none(), T0, &mut paths, &mut buf);
-        push(act(|o| by_value.withdraw_origin_caused(Prefix(7), Provenance::none(), T0, &mut paths, o)));
-        in_place.withdraw_origin_caused(Prefix(7), Provenance::none(), T0, &mut paths, &mut buf);
+        let by_value_costs = std::mem::take(&mut w.costs);
+        for (now, entry) in &script {
+            entry(&mut in_place, &mut w.step(*now, Provenance::none()));
+        }
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
-        assert_eq!(flat(&buf), flat(&want));
-        assert_eq!(by_value.cost_counters(), in_place.cost_counters());
+        assert_eq!(flat(&w.out), flat(&want));
+        assert_eq!(w.costs, by_value_costs);
     }
 
     /// `recycle` from a state with armed timers, a queued update and a
     /// session down leaves a node that replays a script exactly as a
-    /// newly built one does, with its cost tallies still running.
+    /// newly built one does, at the same cost.
     #[test]
     fn recycle_restores_the_constructed_state_from_any_state() {
-        let mut paths = PathArena::new();
-        let script = |n: &mut BgpNode, paths: &mut PathArena| {
-            let mut all = Actions::default();
-            n.receive(0, ann(paths, P, &[1, 9]), T0, paths, &mut all);
-            assert!(settle(n, &all, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
-            n.receive(2, ann(paths, P, &[3, 9]), T0, paths, &mut all);
+        let mut w = Lender::default();
+        let none = Provenance::none();
+        let script = |n: &mut BgpNode, w: &mut Lender| {
+            n.receive(0, ann(&mut w.paths, P, &[1, 9]), &mut w.step(T0, none));
+            assert!(settle(n, &w.out, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
+            n.receive(2, ann(&mut w.paths, P, &[3, 9]), &mut w.step(T0, none));
             // A longer customer path waits behind both timers.
-            n.receive(0, ann(paths, P, &[1, 8, 9]), T0, paths, &mut all);
-            let (slot, which, key) = all.expiries[0];
-            n.mrai_flush(slot, which, key, &mut all);
-            n.receive(0, Update::withdraw(P), T0, paths, &mut all);
-            let best = n.best_route(P);
-            (flat(&all), best)
+            n.receive(0, ann(&mut w.paths, P, &[1, 8, 9]), &mut w.step(T0, none));
+            let (slot, which, key) = w.out.expiries[0];
+            n.mrai_flush(slot, which, &mut w.step(key, none));
+            n.receive(0, Update::withdraw(P), &mut w.step(T0, none));
+            (flat(&std::mem::take(&mut w.out)), n.best_route(P), std::mem::take(&mut w.costs))
         };
         let mut fresh = node();
-        let want = script(&mut fresh, &mut paths);
+        let want = script(&mut fresh, &mut w);
 
         let mut used = node();
-        used.receive(0, ann(&mut paths, Prefix(4), &[1, 8]), T0, &mut paths, &mut Actions::default());
-        used.receive(0, ann(&mut paths, Prefix(4), &[1, 7, 8]), T0, &mut paths, &mut Actions::default());
-        act(|o| used.session_down_caused(2, Provenance::none(), T0, &mut paths, o));
+        w.act(T0, |s| used.receive(0, ann(s.paths, Prefix(4), &[1, 8]), s));
+        w.act(T0, |s| used.receive(0, ann(s.paths, Prefix(4), &[1, 7, 8]), s));
+        w.act(T0, |s| used.session_down_caused(2, s));
         assert!(used.timer_armed(1, T0), "recycled mid-window, timers armed");
-        let spent = used.cost_counters();
         used.recycle();
         assert_eq!(used.best_route(Prefix(4)), None);
         assert!((0..3).all(|s| used.session_active(s) && !used.timer_armed(s, T0)));
         assert!((0..3).all(|s| used.advertised(s, Prefix(4)).is_none()));
         assert_eq!(used.arena_bytes(), 0);
-        assert_eq!(used.cost_counters(), spent, "tallies are monotone, not reset");
 
-        assert_eq!(script(&mut used, &mut paths), want);
-        let mut delta = used.cost_counters();
-        delta.decision_runs -= spent.decision_runs;
-        delta.route_comparisons -= spent.route_comparisons;
-        delta.path_intern_hits -= spent.path_intern_hits;
-        delta.path_intern_misses -= spent.path_intern_misses;
-        delta.rib_out_writes -= spent.rib_out_writes;
-        delta.mrai_coalesced -= spent.mrai_coalesced;
-        assert_eq!(delta, fresh.cost_counters(), "same work after recycling");
+        w.costs = NodeCostCounters::default();
+        assert_eq!(script(&mut used, &mut w), want, "same routes, same work after recycling");
     }
 
     #[test]
     fn nodes_share_one_session_slab() {
-        let mut paths = PathArena::new();
-        let slab = SessionSlab::build(
-            2,
-            |i| AsId(i as u32),
-            &[
-                vec![session(1, Relationship::Peer)],
-                vec![session(0, Relationship::Peer)],
-            ],
-        );
-        let mut a = BgpNode::from_slab(AsId(0), slab.clone(), 0, MraiMode::NoWrate);
-        let b = BgpNode::from_slab(AsId(1), slab.clone(), 1, MraiMode::NoWrate);
+        let mut w = Lender::default();
+        let slab = SessionSlab::build([
+            (AsId(0), [session(1, Relationship::Peer)]),
+            (AsId(1), [session(0, Relationship::Peer)]),
+        ]);
+        let mut a = BgpNode::from_slab(AsId(0), slab.clone(), 0);
+        let b = BgpNode::from_slab(AsId(1), slab.clone(), 1);
         assert!(Arc::ptr_eq(a.slab(), b.slab()), "one slab serves every node");
         assert_eq!(a.slot_of(AsId(1)), Some(0));
         assert_eq!(b.slot_of(AsId(0)), Some(0));
         assert_eq!(a.sessions().len(), 1);
-        let acts = act(|o| a.originate_caused(P, Provenance::none(), T0, &mut paths, o));
+        let acts = w.act(T0, |s| a.originate_caused(P, s));
         assert_eq!(sends_to(&acts), vec![0]);
         assert!(a.arena_bytes() > 0, "prefix rows are accounted");
         assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot change damping with live routing state")]
-    fn damping_cannot_change_once_routes_exist() {
-        let mut paths = PathArena::new();
-        let mut n = node();
-        act(|o| n.receive(0, ann(&mut paths, P, &[1, 9]), T0, &mut paths, o));
-        n.set_rfd(Some(RfdConfig::default()));
     }
 
     /// The cost shape of the decision process in exact
@@ -1521,11 +1345,11 @@ mod tests {
     /// session slot.
     #[test]
     fn decision_costs_one_comparison_or_a_rescan_of_the_routes_held() {
-        let mut paths = PathArena::new();
+        let mut w = Lender::default();
         let sessions = (1..=64)
             .map(|peer| session(peer, if peer == 1 { Relationship::Customer } else { Relationship::Provider }))
             .collect();
-        let mut n = BgpNode::new(AsId(0), sessions, MraiMode::NoWrate);
+        let mut n = BgpNode::new(AsId(0), sessions);
         let route = |slot: u32, len: u32| {
             let hops = std::iter::once(AsId(slot + 1)).chain((1..len).map(|i| AsId(100 + i)));
             Some(hops.collect::<Vec<_>>())
@@ -1533,12 +1357,12 @@ mod tests {
         // `None` withdraws.
         let mut cost = |slot: u32, hops: Option<Vec<AsId>>| {
             let update = match hops {
-                Some(hops) => Update::announce(P, paths.intern(&hops)),
+                Some(hops) => Update::announce(P, w.paths.intern(&hops)),
                 None => Update::withdraw(P),
             };
-            let before = n.cost_counters().route_comparisons;
-            act(|o| n.receive(slot, update, T0, &mut paths, o));
-            n.cost_counters().route_comparisons - before
+            let before = w.costs.route_comparisons;
+            w.act(T0, |s| n.receive(slot, update, s));
+            w.costs.route_comparisons - before
         };
         assert_eq!(cost(0, route(0, 3)), 0, "the first route has no rival");
         for loser in [20, 40, 63] {
@@ -1549,7 +1373,7 @@ mod tests {
         assert_eq!(cost(40, route(40, 2)), 1);
         assert_eq!(cost(0, route(0, 4)), 1 + 3, "a worsened incumbent: its old key, then a rescan of 4 routes");
         assert_eq!(cost(0, None), 2, "a rescan of the 3 routes left, not of 64 slots");
-        assert_eq!(n.cost_counters().decision_runs, 9);
+        assert_eq!(w.costs.decision_runs, 9);
     }
 
     /// The decision process must be observationally identical to a
@@ -1567,7 +1391,6 @@ mod tests {
     fn incremental_decision_matches_a_brute_force_mirror() {
         use crate::decision::{preference_key, Candidate};
         use bgpscale_simkernel::{Rng, Xoshiro256StarStar};
-        let mut paths = PathArena::new();
         let sessions = vec![
             session(1, Relationship::Customer),
             session(2, Relationship::Customer),
@@ -1576,8 +1399,8 @@ mod tests {
             session(5, Relationship::Provider),
         ];
         for damped in [false, true] {
-            let mut n = BgpNode::new(AsId(0), sessions.clone(), MraiMode::NoWrate);
-            n.set_rfd(damped.then(RfdConfig::default));
+            let mut w = if damped { self::damped() } else { Lender::default() };
+            let mut n = BgpNode::new(AsId(0), sessions.clone());
             let mut mirror: Vec<Option<Vec<AsId>>> = vec![None; sessions.len()];
             let mut g = Xoshiro256StarStar::new(0xA11_0CA7);
             let mut now = SimTime::ZERO;
@@ -1589,20 +1412,20 @@ mod tests {
                 let peer = sessions[slot].peer;
                 let before = suppressed(&n);
                 for s in 0..5 {
-                    act(|o| n.rfd_reuse_caused(s, P, at(now), Provenance::none(), &mut paths, o));
+                    w.act(at(now), |step| n.rfd_reuse_caused(s, P, step));
                 }
                 let between = suppressed(&n);
                 reuses += before - between;
                 if g.next_below(3) == 0 {
-                    act(|o| n.receive(slot as u32, Update::withdraw(P), at(now), &mut paths, o));
+                    w.act(at(now), |s| n.receive(slot as u32, Update::withdraw(P), s));
                     mirror[slot] = None;
                 } else {
                     // One to three hops: the incumbent's own route both
                     // improves and worsens along the trace.
                     let mut hops = vec![peer, AsId(6 + g.next_below(4) as u32), AsId(9)];
                     hops.truncate(1 + g.next_below(3) as usize);
-                    let update = Update::announce(P, paths.intern(&hops));
-                    act(|o| n.receive(slot as u32, update, at(now), &mut paths, o));
+                    let update = Update::announce(P, w.paths.intern(&hops));
+                    w.act(at(now), |s| n.receive(slot as u32, update, s));
                     mirror[slot] = Some(hops);
                 }
                 suppressions += suppressed(&n) - between;
@@ -1630,7 +1453,7 @@ mod tests {
                         want = Some((i, path));
                     }
                 }
-                let got = n.best_route(P).map(|(nh, p)| (nh, paths.to_vec(p)));
+                let got = n.best_route(P).map(|(nh, p)| (nh, w.paths.to_vec(p)));
                 let want = want.map(|(s, p)| (Some(sessions[s].peer), p.to_vec()));
                 assert_eq!(got, want, "decision diverged from the brute-force rescan (damped: {damped})");
             }

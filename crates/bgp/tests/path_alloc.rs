@@ -11,8 +11,9 @@
 //! allocator are process-global: a second test running on another thread
 //! would be counted too.
 
-use bgpscale_bgp::node::{Actions, Session};
-use bgpscale_bgp::{BgpNode, MraiMode, PathArena, PathId, Prefix, Update};
+use bgpscale_bgp::mrai::Step;
+use bgpscale_bgp::node::{Actions, NodeCostCounters, Session};
+use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, Provenance, Update};
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
 use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
 use bgpscale_topology::{AsId, Relationship};
@@ -34,9 +35,11 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
             rel: if peer == 1 { Relationship::Customer } else { Relationship::Provider },
         })
         .collect();
-    let mut node = BgpNode::new(AsId(0), sessions, MraiMode::NoWrate);
+    let mut node = BgpNode::new(AsId(0), sessions);
+    let cfg = BgpConfig::no_wrate();
     let mut paths = PathArena::new();
     let mut out = Actions::default();
+    let mut costs = NodeCostCounters::default();
     let learned = [
         paths.intern(&[AsId(1), AsId(90)]),
         paths.intern(&[AsId(1), AsId(80), AsId(90)]),
@@ -51,14 +54,22 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
             seq: 0,
         };
         let route = learned[(round % 2) as usize];
-        node.receive(0, Update::announce(P, route), now, paths, &mut out);
+        let mut step = Step {
+            cfg: &cfg,
+            now,
+            cause: Provenance::none(),
+            paths,
+            out: &mut out,
+            costs: &mut costs,
+        };
+        node.receive(0, Update::announce(P, route), &mut step);
         assert_eq!(out.sends.len(), NEIGHBORS as usize - 1);
-        for slot in out.arm_timers.drain(..) {
+        for (slot, which) in out.arms.drain(..) {
             let expiry = EventKey {
                 time: now.time + SimDuration::from_secs(30),
                 seq: 1,
             };
-            assert!(!node.timer_armed_at(slot, None, expiry), "nothing waits");
+            assert!(!node.timer_armed_at(slot, which, expiry), "nothing waits");
         }
         out.sends.clear();
         let export: PathId = paths.prepend(AsId(0), route);

@@ -2,11 +2,10 @@
 //! a strict total order; the path arena is a faithful, hash-consed store
 //! of hop lists; the MRAI output queue never lies to the neighbor.
 
-use bgpscale_bgp::config::MraiScope;
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
 use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
-use bgpscale_bgp::node::NodeCostCounters;
-use bgpscale_bgp::{MraiMode, PathArena, PathId, Prefix, Provenance, Update, UpdateKind};
+use bgpscale_bgp::node::{Actions, NodeCostCounters};
+use bgpscale_bgp::{BgpConfig, MraiMode, PathArena, PathId, Prefix, Provenance, Update, UpdateKind};
 use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
@@ -20,11 +19,14 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
 }
 
 /// One per-interface queue with the simulator's half of the timer
-/// contract around it: a clock, keys reserved one MRAI ahead at every
-/// arm, and the one expiry event the queue may have asked for.
+/// contract around it: what a step is lent, a clock, keys reserved one
+/// MRAI ahead at every arm, and the one expiry event the queue may have
+/// asked for.
 struct Driven {
     q: OutQueue,
+    cfg: BgpConfig,
     paths: PathArena,
+    out: Actions,
     now: EventKey,
     expiry: Option<EventKey>,
     costs: NodeCostCounters,
@@ -37,7 +39,9 @@ impl Driven {
     fn new() -> Driven {
         Driven {
             q: OutQueue::new(),
+            cfg: BgpConfig::default(),
             paths: PathArena::new(),
+            out: Actions::default(),
             now: EventKey::ZERO,
             expiry: None,
             costs: NodeCostCounters::default(),
@@ -59,14 +63,23 @@ impl Driven {
         }
     }
 
-    fn submit(&mut self, prefix: Prefix, intent: Option<PathId>, mode: MraiMode, rel: Relationship) -> Submit {
+    /// The step of the event keyed `self.now`.
+    fn step(&mut self) -> (&mut OutQueue, Step<'_>) {
         let step = Step {
-            mode,
-            scope: MraiScope::PerInterface,
+            cfg: &self.cfg,
             now: self.now,
             cause: Provenance::root(7),
+            paths: &mut self.paths,
+            out: &mut self.out,
+            costs: &mut self.costs,
         };
-        let submit = self.q.submit(prefix, intent, &step, rel, &mut self.paths, &mut self.costs);
+        (&mut self.q, step)
+    }
+
+    fn submit(&mut self, prefix: Prefix, intent: Option<PathId>, mode: MraiMode, rel: Relationship) -> Submit {
+        self.cfg.mrai_mode = mode;
+        let (q, mut step) = self.step();
+        let submit = q.submit(prefix, intent, rel, &mut step);
         match &submit {
             Submit::SendNow { arm_timer: true, .. } => self.arm(),
             Submit::Queued { expire_at: Some(key) } => {
@@ -91,8 +104,9 @@ impl Driven {
             return Vec::new();
         };
         self.now = key;
-        let mut sends = Vec::new();
-        let rearm = self.q.flush(None, SLOT, key, &mut sends, &mut self.costs);
+        let (q, mut step) = self.step();
+        let rearm = q.flush(None, SLOT, &mut step);
+        let sends = std::mem::take(&mut self.out.sends);
         assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
         if rearm {
             self.arm();

@@ -194,7 +194,7 @@ mod tests {
             vec![session(0, Relationship::Provider)],
             vec![session(0, Relationship::Provider)],
         ];
-        ChurnCollector::new(SessionSlab::build(3, |i| AsId(i as u32), &sessions))
+        ChurnCollector::new(SessionSlab::build((0..).map(AsId).zip(sessions)))
     }
 
     #[test]

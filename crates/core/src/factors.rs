@@ -18,11 +18,7 @@ use crate::sim::Simulator;
 /// Index of a relationship in factor arrays: customer = 0, peer = 1,
 /// provider = 2 (the paper's `c`, `p`, `d` subscripts).
 pub fn rel_index(rel: Relationship) -> usize {
-    match rel {
-        Relationship::Customer => 0,
-        Relationship::Peer => 1,
-        Relationship::Provider => 2,
-    }
+    rel.index()
 }
 
 /// Per-node raw factor measurements for one C-event.
@@ -122,12 +118,7 @@ pub struct FactorAccumulator {
 
 /// Index of a node type in aggregate arrays: T=0, M=1, CP=2, C=3.
 pub fn type_index(ty: NodeType) -> usize {
-    match ty {
-        NodeType::T => 0,
-        NodeType::M => 1,
-        NodeType::Cp => 2,
-        NodeType::C => 3,
-    }
+    ty.index()
 }
 
 impl Default for FactorAccumulator {

@@ -17,7 +17,16 @@
 //!   resulting transmissions are scheduled after the link delay.
 //! * **MraiExpire** — a neighbor session's MRAI timer fires; queued
 //!   updates flush and the timer re-arms (jittered) iff something was
-//!   sent.
+//!   sent. An expiry is valid iff the timer still waits for exactly this
+//!   event — its stored key is the event's unique `(time, seq)` — so one
+//!   scheduled before a session reset is dropped by comparison: there is
+//!   no epoch counter.
+//!
+//! A node is routes; everything else a protocol step needs — the one
+//! configuration, the key of the event, the cause to stamp, the path
+//! arena, the `Actions` buffer, the cost tallies — is the simulator's, one
+//! of each for the whole network, lent as a [`Step`] for the length of
+//! the step.
 //!
 //! `Deliver`s are scheduled on the event queue's in-order lane
 //! (`EventQueue::schedule_in_order`), the two timer-like kinds in its heap;
@@ -41,17 +50,17 @@
 //! starts. All randomness (service times, jitter) comes from one seeded
 //! stream, so runs are exactly repeatable.
 //!
-//! AS paths live in one [`PathArena`] per simulator, lent to every node
-//! entry point beside the `Actions` buffer: nodes, output queues, the
-//! wire and the input queues all hold four-byte [`PathId`]s of it, and an
-//! `Update` is twenty bytes that nothing points out of. An id lives until
-//! [`Simulator::recycle`] clears the arena; read one back through
-//! [`Simulator::paths`].
+//! AS paths live in one [`PathArena`] per simulator, lent with every
+//! step: nodes, output queues, the wire and the input queues all hold
+//! four-byte [`PathId`]s of it, and an `Update` is twenty bytes that
+//! nothing points out of. An id lives until [`Simulator::recycle`] clears
+//! the arena; read one back through [`Simulator::paths`].
 
 use std::sync::Arc;
 
-use bgpscale_bgp::node::Actions;
-use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, Prefix, SessionSlab, Update};
+use bgpscale_bgp::mrai::Step;
+use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::{BgpConfig, BgpNode, NodeCostCounters, PathArena, Prefix, SessionSlab, Update};
 use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
@@ -78,13 +87,11 @@ enum SimEvent {
     ProcDone { node: AsId },
     /// An MRAI timer for `node`'s neighbor session `slot` expires with
     /// an update waiting behind it: the session timer when `prefix` is
-    /// `None` (per-interface scope), a per-prefix timer otherwise.
-    /// `epoch` invalidates expiries of timers armed before a session
-    /// reset disarmed the queue.
+    /// `None` (per-interface scope), a per-prefix timer otherwise. Stale
+    /// unless that timer still waits for the event popping at this key.
     MraiExpire {
         node: AsId,
         slot: u32,
-        epoch: u32,
         prefix: Option<Prefix>,
     },
     /// A Route-Flap-Damping reuse wake-up for `(node, slot, prefix)`.
@@ -171,8 +178,7 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     graph: Arc<AsGraph>,
     cfg: BgpConfig,
     /// The session slab shared by every node (and by the template that
-    /// stamped this simulator out). Owns the global session id space that
-    /// flat per-session side tables like `mrai_epoch` index into.
+    /// stamped this simulator out).
     slab: Arc<SessionSlab>,
     nodes: Vec<BgpNode>,
     /// Every AS path of the run, hash-consed; lent to each protocol step.
@@ -182,11 +188,14 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// arms into; [`Simulator::apply_actions`] drains it after each step,
     /// so its lists are empty between steps and keep their capacity.
     actions: Actions,
+    /// The decision, path and RIB work of every node, tallied by the
+    /// steps it is lent to. Monotone: phase costs only ever diff it.
+    costs: NodeCostCounters,
     /// Per-node FIFO input queue: (the session slot the message arrived
-    /// over, message), as the `Deliver` event carried them.
+    /// over, message), as the `Deliver` event carried them. A node's
+    /// processor is busy — a `ProcDone` is scheduled for it — exactly
+    /// while its queue is non-empty.
     inbox: Vec<std::collections::VecDeque<(u32, Update)>>,
-    /// Per-node processor-busy flag.
-    busy: Vec<bool>,
     queue: EventQueue<SimEvent>,
     /// The `Update`s in flight, in the order their `Deliver` events were
     /// scheduled — which is the order those events pop, because every
@@ -203,12 +212,6 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// activity, excluding trailing no-op timer expiries).
     last_activity: SimTime,
     event_limit: u64,
-    /// Per-(node, slot) MRAI epoch; bumped by session resets so stale
-    /// expiry events can be recognized and dropped. One flat `u32` per
-    /// session in the slab's global session id space, indexed by
-    /// [`Simulator::session_ix`] — a single allocation instead of one
-    /// `Vec` per node.
-    mrai_epoch: Vec<u32>,
     /// Links currently failed, stored as `(min, max)` endpoint pairs.
     down_links: std::collections::BTreeSet<(AsId, AsId)>,
     /// Messages lost because their link failed while they were in flight.
@@ -230,7 +233,7 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// Cost-model tally: MRAI timers armed over the run. Monotone.
     mrai_armed_total: u64,
     /// Cost-model tally: MRAI expiry events that popped while still valid
-    /// (stale-epoch expiries excluded). Monotone.
+    /// (stale ones excluded). Monotone.
     mrai_fired: u64,
 }
 
@@ -277,21 +280,14 @@ impl SimTemplate {
     pub fn new(graph: Arc<AsGraph>, cfg: BgpConfig) -> SimTemplate {
         cfg.check()
             .unwrap_or_else(|e| panic!("invalid BGP config: {e}"));
-        let ids: Vec<AsId> = graph.node_ids().collect();
-        let sessions_of: Vec<Vec<bgpscale_bgp::node::Session>> = ids
-            .iter()
-            .map(|&id| {
-                graph
-                    .neighbors(id)
-                    .iter()
-                    .map(|nb| bgpscale_bgp::node::Session {
-                        peer: nb.id,
-                        rel: nb.rel,
-                    })
-                    .collect()
-            })
-            .collect();
-        let slab = SessionSlab::build(ids.len(), |i| ids[i], &sessions_of);
+        let sessions_of = |id| {
+            let session = |nb: &bgpscale_topology::Neighbor| Session {
+                peer: nb.id,
+                rel: nb.rel,
+            };
+            (id, graph.neighbors(id).iter().map(session))
+        };
+        let slab = SessionSlab::build(graph.node_ids().map(sessions_of));
         SimTemplate { graph, cfg, slab }
     }
 
@@ -314,21 +310,13 @@ impl SimTemplate {
     /// telemetry hooks from the event loop.
     pub fn instantiate_observed<O: SimObserver>(&self, seed: u64, obs: O) -> Simulator<O> {
         let n = self.graph.len();
-        let cfg = &self.cfg;
         let nodes: Vec<BgpNode> = self
             .graph
             .node_ids()
             .enumerate()
-            .map(|(i, id)| {
-                let mut node = BgpNode::from_slab(id, Arc::clone(&self.slab), i as u32, cfg.mrai_mode);
-                node.set_mrai_scope(cfg.mrai_scope);
-                node.set_sender_side_loop_detection(cfg.sender_side_loop_detection);
-                node.set_rfd(cfg.rfd.clone());
-                node
-            })
+            .map(|(i, id)| BgpNode::from_slab(id, Arc::clone(&self.slab), i as u32))
             .collect();
         let churn = ChurnCollector::new(Arc::clone(&self.slab));
-        let mrai_epoch = vec![0u32; self.slab.total_sessions()];
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
@@ -337,8 +325,8 @@ impl SimTemplate {
             nodes,
             paths: PathArena::new(),
             actions: Actions::default(),
+            costs: NodeCostCounters::default(),
             inbox: vec![std::collections::VecDeque::new(); n],
-            busy: vec![false; n],
             queue: EventQueue::with_capacity(1024),
             wire: std::collections::VecDeque::new(),
             wire_tail_at: SimTime::ZERO,
@@ -346,7 +334,6 @@ impl SimTemplate {
             churn,
             last_activity: SimTime::ZERO,
             event_limit: DEFAULT_EVENT_LIMIT,
-            mrai_epoch,
             down_links: Default::default(),
             messages_dropped: 0,
             next_root: 0,
@@ -454,14 +441,6 @@ impl<O: SimObserver> Simulator<O> {
         self.messages_dropped
     }
 
-    /// Flat index of `(node, slot)` in the slab's global session id
-    /// space — the row of `mrai_epoch` for that session. Node index and
-    /// slab index coincide by construction ([`SimTemplate::new`] builds
-    /// the slab from `graph.node_ids()` in order).
-    fn session_ix(&self, node: AsId, slot: u32) -> usize {
-        (self.slab.first_session(node.index() as u32) + slot) as usize
-    }
-
     /// True if the `a`–`b` link is currently failed.
     pub fn link_down(&self, a: AsId, b: AsId) -> bool {
         self.down_links.contains(&link_key(a, b))
@@ -476,6 +455,28 @@ impl<O: SimObserver> Simulator<O> {
         self.next_root += 1;
         self.obs.on_root_cause(id, kind, node, self.queue.now());
         Provenance::root(id)
+    }
+
+    /// Runs one protocol step at `node`, caused by `cause`, in the event
+    /// being processed: lends the node everything it does not hold. What
+    /// the step produces waits in `self.actions` for
+    /// [`Simulator::apply_actions`].
+    // det::allow(panic-surface, reason = "node is a graph node id and nodes is sized one entry per graph node at construction")
+    fn lend_step(
+        &mut self,
+        node: AsId,
+        cause: Provenance,
+        entry: impl FnOnce(&mut BgpNode, &mut Step),
+    ) {
+        let mut step = Step {
+            cfg: &self.cfg,
+            now: self.queue.last_key(),
+            cause,
+            paths: &mut self.paths,
+            out: &mut self.actions,
+            costs: &mut self.costs,
+        };
+        entry(&mut self.nodes[node.index()], &mut step);
     }
 
     /// Fails the `a`–`b` link (an "L-event"): both BGP sessions drop,
@@ -500,31 +501,23 @@ impl<O: SimObserver> Simulator<O> {
         let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
-            let epoch_ix = self.session_ix(x, slot);
             // `session_down` force-resets the output queue, forgetting its
             // timers. The clock must still pass the key of each armed one:
             // those no event stands for get theirs now, stale on arrival
             // like the ones already scheduled.
-            let epoch = self.mrai_epoch[epoch_ix];
             for (prefix, key) in self.nodes[x.index()].silent_timers(slot, now) {
-                let stale = SimEvent::MraiExpire {
-                    node: x,
-                    slot,
-                    epoch,
-                    prefix,
-                };
-                self.queue.schedule_reserved(key, stale);
+                self.queue
+                    .schedule_reserved(key, SimEvent::MraiExpire { node: x, slot, prefix });
             }
-            self.mrai_epoch[epoch_ix] += 1;
-            // The valid expiries just went stale; account for them so the
-            // occupancy gauge stays exact.
+            // The valid expiries are about to go stale; account for them
+            // so the occupancy gauge stays exact.
             let disarmed = u64::from(self.nodes[x.index()].scheduled_expiries(slot));
             if disarmed > 0 {
                 self.expiries_scheduled -= disarmed;
                 self.obs
                     .on_timer_occupancy(self.expiries_scheduled, self.queue.now());
             }
-            self.nodes[x.index()].session_down_caused(slot, cause, now, &mut self.paths, &mut self.actions);
+            self.lend_step(x, cause, |node, step| node.session_down_caused(slot, step));
             self.apply_actions(x);
         }
     }
@@ -540,29 +533,24 @@ impl<O: SimObserver> Simulator<O> {
             "link {a}–{b} is not down"
         );
         let cause = self.new_root(RootCauseKind::SessionUp, a);
-        let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
-            self.nodes[x.index()].session_up_caused(slot, cause, now, &mut self.paths, &mut self.actions);
+            self.lend_step(x, cause, |node, step| node.session_up_caused(slot, step));
             self.apply_actions(x);
         }
     }
 
     /// Node `origin` starts originating `prefix` (the "UP" action).
-    // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn originate(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::Originate, origin);
-        let now = self.queue.last_key();
-        self.nodes[origin.index()].originate_caused(prefix, cause, now, &mut self.paths, &mut self.actions);
+        self.lend_step(origin, cause, |node, step| node.originate_caused(prefix, step));
         self.apply_actions(origin);
     }
 
     /// Node `origin` stops originating `prefix` (the "DOWN" action).
-    // det::allow(panic-surface, reason = "origin is a graph node id and nodes is sized one entry per graph node at construction")
     pub fn withdraw(&mut self, origin: AsId, prefix: Prefix) {
         let cause = self.new_root(RootCauseKind::WithdrawOrigin, origin);
-        let now = self.queue.last_key();
-        self.nodes[origin.index()].withdraw_origin_caused(prefix, cause, now, &mut self.paths, &mut self.actions);
+        self.lend_step(origin, cause, |node, step| node.withdraw_origin_caused(prefix, step));
         self.apply_actions(origin);
     }
 
@@ -655,8 +643,8 @@ impl<O: SimObserver> Simulator<O> {
             self.queue.len()
         );
         let now = self.queue.last_key();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            debug_assert!(self.inbox[i].is_empty() && !self.busy[i]);
+        debug_assert!(self.inbox.iter().all(|inbox| inbox.is_empty()));
+        for node in &mut self.nodes {
             node.reset_routing(now);
         }
     }
@@ -684,7 +672,6 @@ impl<O: SimObserver> Simulator<O> {
         for inbox in &mut self.inbox {
             inbox.clear();
         }
-        self.busy.fill(false);
         for node in &mut self.nodes {
             node.recycle();
         }
@@ -695,7 +682,6 @@ impl<O: SimObserver> Simulator<O> {
         self.churn.set_enabled(false);
         self.last_activity = SimTime::ZERO;
         self.event_limit = DEFAULT_EVENT_LIMIT;
-        self.mrai_epoch.fill(0);
         self.down_links.clear();
         self.messages_dropped = 0;
         self.next_root = 0;
@@ -742,8 +728,8 @@ impl<O: SimObserver> Simulator<O> {
                     now,
                 );
                 self.inbox[to.index()].push_back((slot, update));
-                if !self.busy[to.index()] {
-                    self.busy[to.index()] = true;
+                // The first message to wait starts the processor.
+                if inbox_depth == 1 {
                     let service = self.draw_service_time();
                     self.queue
                         .schedule(now + service, SimEvent::ProcDone { node: to });
@@ -754,41 +740,32 @@ impl<O: SimObserver> Simulator<O> {
                 let (slot, update) = self.inbox[node.index()]
                     .pop_front()
                     .expect("ProcDone with empty input queue");
-                let key = self.queue.last_key();
-                self.nodes[node.index()].receive(slot, update, key, &mut self.paths, &mut self.actions);
+                // `receive` takes the step's cause from the message.
+                self.lend_step(node, Provenance::none(), |n, step| n.receive(slot, update, step));
                 self.obs.on_decision_run(node, now);
                 self.apply_actions(node);
-                if self.inbox[node.index()].is_empty() {
-                    self.busy[node.index()] = false;
-                } else {
+                if !self.inbox[node.index()].is_empty() {
                     let service = self.draw_service_time();
                     self.queue
                         .schedule(now + service, SimEvent::ProcDone { node });
                 }
             }
-            SimEvent::MraiExpire {
-                node,
-                slot,
-                epoch,
-                prefix,
-            } => {
-                if epoch != self.mrai_epoch[self.session_ix(node, slot)] {
+            SimEvent::MraiExpire { node, slot, prefix } => {
+                if !self.nodes[node.index()].expiry_due(slot, prefix, self.queue.last_key()) {
                     return; // stale expiry from before a session reset
                 }
                 self.expiries_scheduled -= 1;
                 self.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
-                let key = self.queue.last_key();
-                self.nodes[node.index()].mrai_flush(slot, prefix, key, &mut self.actions);
+                let no_cause = Provenance::none(); // a flush sends stamps stored earlier
+                self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, prefix, step));
                 self.obs
                     .on_mrai_flush(node, self.actions.sends.len() as u32, now);
                 self.apply_actions(node);
             }
             SimEvent::RfdReuse { node, slot, prefix } => {
                 let cause = self.new_root(RootCauseKind::RfdReuse, node);
-                let key = self.queue.last_key();
-                self.nodes[node.index()]
-                    .rfd_reuse_caused(slot, prefix, key, cause, &mut self.paths, &mut self.actions);
+                self.lend_step(node, cause, |n, step| n.rfd_reuse_caused(slot, prefix, step));
                 self.apply_actions(node);
             }
         }
@@ -798,13 +775,13 @@ impl<O: SimObserver> Simulator<O> {
     /// keys of the timer arms, that the protocol step just run at `node`
     /// wrote into `self.actions`, leaving the buffer empty for the next
     /// step.
-    // det::allow(panic-surface, reason = "node ids and session slots index vecs sized at construction (nodes, mrai_epoch, per-session rows)")
+    // det::allow(panic-surface, reason = "node is a graph node id and nodes is sized one entry per graph node at construction")
     fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
         // Out of `self` while the loops below draw from the RNG and push
         // onto the queue; handed back drained, capacity intact.
         let mut actions = std::mem::take(&mut self.actions);
-        self.mrai_armed_total += (actions.arm_timers.len() + actions.arm_prefix_timers.len()) as u64;
+        self.mrai_armed_total += actions.arms.len() as u64;
         let scheduled_before = self.expiries_scheduled;
         if !actions.sends.is_empty() {
             let arrival = now + self.cfg.link_delay;
@@ -827,9 +804,7 @@ impl<O: SimObserver> Simulator<O> {
         }
         // An arm draws its jitter and reserves the key its expiry pops
         // at, event or no event.
-        let session_timers = actions.arm_timers.drain(..).map(|slot| (slot, None));
-        let prefix_timers = actions.arm_prefix_timers.drain(..);
-        for (slot, prefix) in session_timers.chain(prefix_timers.map(|(slot, p)| (slot, Some(p)))) {
+        for (slot, prefix) in actions.arms.drain(..) {
             let delay = self.draw_mrai_interval();
             let key = self.queue.reserve(now + delay);
             self.mrai_horizon = self.mrai_horizon.max(key);
@@ -839,14 +814,8 @@ impl<O: SimObserver> Simulator<O> {
         }
         // The event follows once an update waits behind the timer.
         for (slot, prefix, key) in actions.expiries.drain(..) {
-            let epoch = self.mrai_epoch[self.session_ix(node, slot)];
-            let expiry = SimEvent::MraiExpire {
-                node,
-                slot,
-                epoch,
-                prefix,
-            };
-            self.queue.schedule_reserved(key, expiry);
+            self.queue
+                .schedule_reserved(key, SimEvent::MraiExpire { node, slot, prefix });
             self.expiries_scheduled += 1;
         }
         for (slot, prefix, at) in actions.rfd_wakeups.drain(..) {
@@ -860,8 +829,8 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// The current cost-model snapshot: event-queue op tallies plus every
-    /// node's decision/path/RIB counters plus the simulator's own
+    /// The current cost-model snapshot: event-queue op tallies plus the
+    /// nodes' decision/path/RIB counters plus the simulator's own
     /// delivery and MRAI counters, folded into one [`OpCounts`]. All
     /// constituents are monotone within a C-event — `arena_bytes_reserved`
     /// is a footprint gauge, but arenas only grow until the inter-event
@@ -878,19 +847,18 @@ impl<O: SimObserver> Simulator<O> {
             deliveries: self.deliveries,
             mrai_armed: self.mrai_armed_total,
             mrai_fired: self.mrai_fired,
+            decision_runs: self.costs.decision_runs,
+            route_comparisons: self.costs.route_comparisons,
+            rib_out_writes: self.costs.rib_out_writes,
+            path_intern_hits: self.costs.path_intern_hits,
+            path_intern_misses: self.costs.path_intern_misses,
+            mrai_coalesced: self.costs.mrai_coalesced,
             // The slab is immutable and shared; count it once, not per
             // node. Per-node tables are added below.
             arena_bytes_reserved: self.slab.arena_bytes(),
             ..OpCounts::default()
         };
         for node in &self.nodes {
-            let n = node.cost_counters();
-            c.decision_runs += n.decision_runs;
-            c.route_comparisons += n.route_comparisons;
-            c.rib_out_writes += n.rib_out_writes;
-            c.path_intern_hits += n.path_intern_hits;
-            c.path_intern_misses += n.path_intern_misses;
-            c.mrai_coalesced += n.mrai_coalesced;
             c.arena_bytes_reserved += node.arena_bytes();
         }
         c
@@ -1135,8 +1103,7 @@ mod tests {
                 );
             }
         }
-        // The flat epoch table spans the global session id space and the
-        // stamped-out simulator still converges.
+        // The stamped-out simulator converges.
         a.originate(ids[4], P);
         a.run_to_quiescence().unwrap();
         assert!(a.node(ids[0]).best_route(P).is_some());
@@ -1350,6 +1317,52 @@ mod tests {
         sim.run_until(SimTime::from_secs(60)).unwrap();
         assert_eq!(sim.queue.last_key(), forgotten);
         assert_eq!(sim.cost_counts().mrai_fired, 0, "a stale expiry flushes nothing");
+    }
+
+    /// The expiry events a link failure leaves behind — one scheduled
+    /// because an update waited, one scheduled by `fail_link` for a timer
+    /// armed silently — are stale for good: the sessions come back, arm
+    /// new timers, an update waits behind one of them, and the old events
+    /// still pop as no-ops while the new one flushes.
+    #[test]
+    fn expiries_from_before_a_link_failure_stay_stale_after_the_link_is_back() {
+        let mut g = AsGraph::new();
+        let t = g.add_node(NodeType::T, RegionSet::all(1));
+        let c = g.add_node(NodeType::C, RegionSet::all(1));
+        g.add_transit_link(c, t);
+        let cfg = BgpConfig {
+            mrai_jitter: (1.0, 1.0),
+            ..BgpConfig::default()
+        };
+        let template = SimTemplate::new(Arc::new(g), cfg);
+        let mut sim = template.instantiate_observed(25, FlushCounter::default());
+        let pending_expiries = |sim: &Simulator<FlushCounter>| {
+            let expiries = sim.queue.iter_pending().filter(|(_, e)| e.kind() == EventKind::MraiExpire);
+            expiries.count()
+        };
+        // T's timer towards C is armed with nothing behind it; C's towards
+        // T has a second prefix waiting.
+        sim.originate(t, Prefix(9));
+        sim.originate(c, P);
+        sim.originate(c, Prefix(1));
+        sim.run_until(SimTime::from_secs(5)).unwrap();
+        assert_eq!((sim.expiries_scheduled, pending_expiries(&sim), sim.queue.len()), (1, 1, 1));
+        assert_eq!(sim.node(t).best_route(Prefix(1)), None, "still waiting at C");
+
+        sim.fail_link(c, t);
+        assert_eq!((sim.expiries_scheduled, pending_expiries(&sim)), (0, 2), "both stale, neither counted");
+        sim.restore_link(c, t);
+        sim.originate(c, Prefix(2));
+        assert_eq!((sim.expiries_scheduled, pending_expiries(&sim)), (1, 3), "the new window's expiry");
+        let new_timer = sim.node(c).latest_timer_key_by(SimTime::MAX);
+
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.expiries_scheduled, 0);
+        assert_eq!(sim.cost_counts().mrai_fired, 1, "only the new expiry was valid");
+        let seen = sim.observer();
+        assert_eq!((seen.flushes, seen.sent), (1, 1), "and it alone flushed, the one update waiting");
+        assert!(sim.node(t).best_route(Prefix(2)).is_some());
+        assert!(sim.queue.last_key() > new_timer, "the flush re-armed C's timer");
     }
 
     #[test]

@@ -417,7 +417,7 @@ fn workspace_is_clean() {
         .count();
     assert_eq!(
         (a.allows.len(), line_allows),
-        (58, 8),
+        (57, 8),
         "audited-allow count moved"
     );
 }

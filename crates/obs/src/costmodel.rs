@@ -122,7 +122,8 @@ op_classes! {
     deliveries: Work,
     /// MRAI timers armed.
     mrai_armed: Work,
-    /// MRAI timers that fired while still valid (epoch check passed).
+    /// MRAI expiry events that popped while their timer still waited for
+    /// them (not made stale by a session reset).
     mrai_fired: Work,
     /// Pending updates displaced by a newer update for the same prefix
     /// while an MRAI timer was running (rate-limiting coalescing).

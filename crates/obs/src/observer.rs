@@ -140,8 +140,8 @@ pub trait SimObserver {
     /// never for a timer that ran out idle. `sent` is 0 when every
     /// waiting update had become a no-op by then (`Recorder` counts those
     /// in `mrai.flushes` and the flush histogram's zero bin). Stale
-    /// expiries — of timers armed before a session reset bumped the
-    /// epoch — do not fire this hook.
+    /// expiries — of timers a session reset has since forgotten — do not
+    /// fire this hook.
     #[inline]
     fn on_mrai_flush(&mut self, _node: AsId, _sent: u32, _now: SimTime) {}
 

@@ -73,14 +73,6 @@ pub struct Recorder {
     timeseries: Option<TimeSeriesRecorder>,
 }
 
-fn rel_index(rel: Relationship) -> usize {
-    match rel {
-        Relationship::Customer => 0,
-        Relationship::Peer => 1,
-        Relationship::Provider => 2,
-    }
-}
-
 fn bucket(bounds: &[u64], value: u64) -> usize {
     bounds
         .iter()
@@ -214,7 +206,7 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // det::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; rel_index enumerates the variants")
+    // det::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; Relationship::index enumerates the variants")
     fn on_message(
         &mut self,
         _from: AsId,
@@ -229,7 +221,7 @@ impl SimObserver for Recorder {
         now: SimTime,
     ) {
         let path_len = path_len();
-        self.msgs_by_rel[rel_index(rel)] += 1;
+        self.msgs_by_rel[rel.index()] += 1;
         match class {
             UpdateClass::Announce => {
                 self.announces += 1;
@@ -251,7 +243,7 @@ impl SimObserver for Recorder {
                 self.prov_coalesced += 1;
             }
             if let Some(stamp_rel) = provenance.rel() {
-                self.prov_to_rel[rel_index(stamp_rel)] += 1;
+                self.prov_to_rel[stamp_rel.index()] += 1;
             }
         } else {
             self.prov_unstamped += 1;

@@ -30,23 +30,6 @@ pub const DEPTH_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 /// so a pathological run cannot balloon the artifact.
 pub const MAX_BINS: usize = 100_000;
 
-fn rel_index(rel: Relationship) -> usize {
-    match rel {
-        Relationship::Customer => 0,
-        Relationship::Peer => 1,
-        Relationship::Provider => 2,
-    }
-}
-
-fn type_index(ty: NodeType) -> usize {
-    match ty {
-        NodeType::T => 0,
-        NodeType::M => 1,
-        NodeType::Cp => 2,
-        NodeType::C => 3,
-    }
-}
-
 /// Bucket index in a `DEPTH_BOUNDS` histogram for a causal depth.
 pub fn depth_bucket(depth: u64) -> usize {
     DEPTH_BOUNDS
@@ -350,8 +333,8 @@ impl TimeSeriesRecorder {
             .copied()
             .unwrap_or(NodeType::C);
         let bin = self.bin_mut(t_us);
-        bin.by_rel[rel_index(rel)] += 1;
-        bin.by_type[type_index(ty)] += 1;
+        bin.by_rel[rel.index()] += 1;
+        bin.by_type[ty.index()] += 1;
         match class {
             UpdateClass::Announce => bin.announces += 1,
             UpdateClass::Withdraw => bin.withdraws += 1,

@@ -16,38 +16,26 @@
 //!   from one unit to the next, never values a result depends on.
 //! * The returned `Vec` is always index-ordered, so any fold the caller
 //!   performs over it is independent of which worker finished first.
-//! * `jobs <= 1` (or building without the `parallel` feature) takes a plain
-//!   sequential loop — the exact same code path a single worker would take,
-//!   with no thread machinery at all.
+//! * `jobs <= 1` takes a plain sequential loop — the exact same code path
+//!   a single worker would take, with no thread machinery at all.
 
 // The one sanctioned home for thread spawning (mirrored by clippy.toml's
 // disallowed-methods and det.toml's thread-spawn exemption).
 #![allow(clippy::disallowed_methods)]
 
-#[cfg(feature = "parallel")]
 use std::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
 /// Resolves a `--jobs`-style request into a concrete worker count:
 /// `0` means "use the machine" (`std::thread::available_parallelism`),
-/// anything else is taken as-is. Without the `parallel` feature this
-/// always returns 1.
+/// anything else is taken as-is.
 pub fn effective_jobs(requested: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        if requested == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            requested
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = requested;
-        1
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
     }
 }
 
@@ -91,7 +79,6 @@ where
     run_threaded(jobs.min(count), count, init, f)
 }
 
-#[cfg(feature = "parallel")]
 fn run_threaded<S, T, I, F>(workers: usize, count: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -130,17 +117,6 @@ where
                 .expect("every index was claimed by a worker")
         })
         .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_threaded<S, T, I, F>(_workers: usize, count: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let mut state = init();
-    (0..count).map(|i| f(&mut state, i)).collect()
 }
 
 #[cfg(test)]
@@ -199,11 +175,9 @@ mod tests {
     #[test]
     fn effective_jobs_resolves_zero() {
         assert!(effective_jobs(0) >= 1);
-        #[cfg(feature = "parallel")]
         assert_eq!(effective_jobs(5), 5);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {

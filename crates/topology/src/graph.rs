@@ -42,14 +42,6 @@ pub struct AsGraph {
     peer_links: usize,
 }
 
-fn rel_slot(rel: Relationship) -> usize {
-    match rel {
-        Relationship::Customer => 0,
-        Relationship::Peer => 1,
-        Relationship::Provider => 2,
-    }
-}
-
 impl AsGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
@@ -150,7 +142,7 @@ impl AsGraph {
         node.neighbors
             .iter()
             .filter(move |n| n.rel == rel)
-            .take(node.rel_counts[rel_slot(rel)] as usize)
+            .take(node.rel_counts[rel.index()] as usize)
             .map(|n| n.id)
     }
 
@@ -176,7 +168,7 @@ impl AsGraph {
 
     /// Number of neighbors of `id` with relationship `rel` (O(1)).
     pub fn degree_with_rel(&self, id: AsId, rel: Relationship) -> usize {
-        self.nodes[id.index()].rel_counts[rel_slot(rel)] as usize
+        self.nodes[id.index()].rel_counts[rel.index()] as usize
     }
 
     /// Transit degree: customers + providers (excludes peering links).
@@ -229,7 +221,7 @@ impl AsGraph {
     fn push_neighbor(&mut self, at: AsId, id: AsId, rel: Relationship) {
         let node = &mut self.nodes[at.index()];
         node.neighbors.push(Neighbor { id, rel });
-        node.rel_counts[rel_slot(rel)] += 1;
+        node.rel_counts[rel.index()] += 1;
     }
 
     /// Adds a transit link: `customer` buys transit from `provider`.

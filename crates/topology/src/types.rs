@@ -48,6 +48,12 @@ impl NodeType {
     /// All node types, in hierarchy order.
     pub const ALL: [NodeType; 4] = [NodeType::T, NodeType::M, NodeType::Cp, NodeType::C];
 
+    /// This type's position in [`NodeType::ALL`] (T=0, M=1, CP=2, C=3):
+    /// the index of its cell in every per-type array of the workspace.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for the transit classes (T and M) that carry other ASes'
     /// traffic and therefore maintain full routing tables.
     pub fn is_transit(self) -> bool {
@@ -109,6 +115,13 @@ impl Relationship {
         Relationship::Peer,
         Relationship::Provider,
     ];
+
+    /// This relationship's position in [`Relationship::ALL`] (customer = 0,
+    /// peer = 1, provider = 2 — the paper's `c`, `p`, `d` subscripts): the
+    /// index of its cell in every per-relation array of the workspace.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 
     /// Short label used in reports ("cust", "peer", "prov").
     pub fn label(self) -> &'static str {
@@ -234,6 +247,12 @@ mod tests {
         assert!(NodeType::Cp.is_stub());
         assert!(NodeType::C.is_stub());
         assert_eq!(NodeType::Cp.label(), "CP");
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        assert!(NodeType::ALL.iter().enumerate().all(|(i, ty)| ty.index() == i));
+        assert!(Relationship::ALL.iter().enumerate().all(|(i, rel)| rel.index() == i));
     }
 
     #[test]

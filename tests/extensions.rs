@@ -40,7 +40,7 @@ fn mrai_scope_is_selectable_from_config() {
         let (mut sim, origin) = setup(200, 2, cfg);
         let outcome = run_c_event(&mut sim, origin, Prefix(0)).unwrap();
         assert!(outcome.total_updates > 0, "{scope:?}");
-        assert_eq!(sim.node(origin).mrai_scope(), scope);
+        assert_eq!(sim.config().mrai_scope, scope);
     }
 }
 
