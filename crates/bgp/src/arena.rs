@@ -1,4 +1,5 @@
-//! Dense, `u32`-indexed arena storage for per-node BGP state.
+//! Dense, `u32`-indexed arena storage for the BGP state of a whole
+//! network.
 //!
 //! The first-generation [`crate::node::BgpNode`] kept three pointer-heavy
 //! maps per node — `slot_of: BTreeMap<AsId, u32>`, `prefixes:
@@ -6,53 +7,70 @@
 //! DampState>` — which at Internet scale (50k–70k ASes) means millions of
 //! scattered tree nodes, cache-hostile walks on every update, and a large
 //! constant allocation overhead per simulated C-event. This module
-//! replaces them with three flat structures sharing one id-space
-//! discipline:
+//! replaces them with flat columns shared by every node, in four id
+//! spaces:
 //!
 //! * **AS id** (`AsId`) — the global, topology-wide node index. Only ever
 //!   translated at the edge of a node (who sent me this update?), and in
 //!   the simulator not even there: the sender reads the receiver's slot
 //!   off the slab ([`SessionSlab::far_end`]).
-//! * **slot** (`u32`) — a node-local session index, `0..degree`. All hot
-//!   per-neighbor state (Adj-RIB-in columns, output queues, liveness) is
-//!   slot-indexed.
-//! * **prefix row** (`usize`) — a node-local index into the sorted prefix
-//!   column of the [`PrefixTable`]; all per-prefix state lives in
-//!   structure-of-arrays columns addressed by row.
+//! * **slot** (`u32`) — a node-local session index, `0..degree`: what a
+//!   node's protocol code and its [`crate::node::Actions`] speak.
+//! * **global session id** (`usize`) — `first_session(node) + slot`, the
+//!   index of a session among all sessions of the topology. Node `i`'s
+//!   sessions are the contiguous [`SessionSlab::stripe`] of this space,
+//!   and every per-session column is indexed by it.
+//! * **prefix row** (`usize`) — a network-wide index, handed out in the
+//!   order prefixes are first touched by any node and never moved.
 //!
-//! [`SessionSlab`] is the AS-id ↔ slot translation table, built **once**
-//! from the topology and shared by every node (and the simulator's churn
-//! counters) through an `Arc`: per-node session state
-//! costs zero allocations at instantiation time.
+//! [`SessionSlab`] is the AS-id ↔ slot ↔ global-session translation table,
+//! built **once** from the topology and shared through an `Arc`.
+//! [`RouteSlab`] holds every route of the network in columns indexed by
+//! those ids, so a simulator's routing state is a fixed handful of heap
+//! blocks however many nodes it has.
 //!
 //! ## Memory layout
 //!
-//! [`PrefixTable`] stores per-prefix state as parallel columns keyed by a
-//! sorted prefix row index, with the Adj-RIB-in laid out **prefix-major**
-//! (`row * slots + slot`) so the decision process scans one contiguous
-//! stripe. An Adj-RIB-in cell is twelve bytes in two columns: the route,
-//! a four-byte [`PathId`] into the simulator's path arena
-//! ([`crate::path`]), and its eight-byte preference key
-//! ([`crate::decision::rank_key`]) — short enough because the slab keeps,
-//! per session, the rank that stands in for the next hop's hash and id
-//! ([`SessionSlab::rank`]). The Loc-RIB's best path is a `PathId` too: no
-//! column of the table owns heap memory beyond its own buffer. Iterating rows yields prefixes in sorted order — the same
-//! deterministic order the `BTreeMap` gave, which whole-table operations
-//! (session resets, session-up replays) rely on for bit-identical
-//! artifacts.
+//! [`RouteSlab`] keeps three kinds of column:
+//!
+//! * **per session** (global session id): the [`OutQueue`] — MRAI timer,
+//!   Adj-RIB-out and pending updates, one cache line — and liveness;
+//! * **per (row, node)**: the Loc-RIB entry — best slot, best path, and
+//!   whether the node originates the prefix — at `row * nodes + node`;
+//! * **per (row, session)**: the Adj-RIB-in, laid out row-major
+//!   (`row * sessions + global session id`) so that one node's cells for
+//!   one prefix are one contiguous stripe for the decision process to
+//!   scan. An Adj-RIB-in cell is twelve bytes in two columns: the route,
+//!   a four-byte [`PathId`] into the simulator's path arena
+//!   ([`crate::path`]), and its eight-byte preference key
+//!   ([`crate::decision::rank_key`]) — short enough because the slab
+//!   keeps, per session, the rank that stands in for the next hop's hash
+//!   and id ([`SessionSlab::rank`]).
+//!
+//! A row is appended for every prefix of the network, and a sorted
+//! `(prefix, row)` index walks the rows in prefix order — the same
+//! deterministic order the per-node `BTreeMap` gave, which whole-table
+//! operations (session resets, session-up replays) rely on for
+//! bit-identical artifacts. One prefix or four hundred (`ext_tablesize`),
+//! the same columns serve. A node that never touched a row holds it
+//! *unheld*: it has no route there, replays nothing, and the byte model
+//! charges it nothing.
 //!
 //! Damping state ([`DampTable`]) stays sparse — entries exist only for
 //! routes with flap history, and the paper's configuration disables RFD
-//! entirely — so it is a flat sorted `Vec` with binary-search access
-//! rather than a dense row×slot matrix, and it allocates nothing until
-//! the first flap is charged.
+//! entirely — so it is one flat sorted `Vec` keyed by (global session,
+//! prefix) with binary-search access rather than a dense row × session
+//! matrix, and it allocates nothing until the first flap is charged.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bgpscale_simkernel::rng::hash64;
+use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::AsId;
 
 use crate::message::Prefix;
+use crate::mrai::OutQueue;
 use crate::node::Session;
 use crate::path::PathId;
 use crate::rfd::DampState;
@@ -60,16 +78,21 @@ use crate::rfd::DampState;
 /// Sentinel slot index meaning "the route is self-originated".
 pub const SELF_SLOT: u32 = u32::MAX;
 
-/// Sentinel slot index meaning "no best route" in the best-slot column.
+/// Sentinel slot index meaning "no best route" in a Loc-RIB entry.
 pub(crate) const NO_BEST: u32 = u32::MAX - 1;
 
+/// Sentinel slot index of a Loc-RIB entry whose node never touched the
+/// row's prefix: no route, and not the node's row in the byte model.
+const UNHELD: u32 = u32::MAX - 2;
+
 /// Documented per-element byte costs for the deterministic arena-size
-/// estimate (see [`PrefixTable::arena_bytes`]). These are *fixed model
+/// estimate (see [`RouteSlab::arena_bytes`]). These are *fixed model
 /// constants*, deliberately not `size_of` (which could drift between
 /// toolchains and break bit-identical op counts), and they follow the
 /// columns that exist: a slot cell models its four-byte path id plus its
 /// cached eight-byte preference key, a row models the prefix, originated,
 /// best-slot and best-path columns (thirteen bytes, charged as sixteen).
+/// Both are charged per node that holds the row, for its own sessions.
 /// The model is part of every pinned op-count baseline (it feeds
 /// `arena_bytes_reserved`), so it moves only in a diff that adds, deletes
 /// or re-types a per-prefix column; the slab's mirror and rank columns
@@ -90,7 +113,7 @@ pub struct SessionSlab {
     /// dense replacement for the per-node `BTreeMap<AsId, u32>`.
     lookup: Vec<(AsId, u32)>,
     /// Per node: offset into both columns (length = next offset). The
-    /// extra trailing entry makes `range(i)` branch-free.
+    /// extra trailing entry makes `stripe(i)` branch-free.
     offsets: Vec<u32>,
     /// Per session (indexed like `sessions`): the slot the session's own
     /// node holds at the peer, i.e. the receiver-side slot of a message
@@ -180,7 +203,7 @@ impl SessionSlab {
         let mut cursor: Vec<usize> = self.offsets[..n].iter().map(|&o| o as usize).collect();
         for i in 0..n {
             let first = self.offsets[i] as usize;
-            for &(peer, slot) in &self.lookup[self.range(i as u32)] {
+            for &(peer, slot) in &self.lookup[self.stripe(i as u32)] {
                 let j = peer.index();
                 if j >= n || cursor[j] >= self.offsets[j + 1] as usize {
                     return None;
@@ -211,29 +234,31 @@ impl SessionSlab {
         self.len() == 0
     }
 
+    /// Node `node`'s sessions in the global session id space:
+    /// `first_session(node)..first_session(node + 1)`, slot `s` at
+    /// `first_session(node) + s`.
     // det::allow(panic-surface, reason = "node < len() is the caller contract; offsets has len()+1 entries by construction so node and node+1 are in bounds")
-    fn range(&self, node: u32) -> std::ops::Range<usize> {
+    pub fn stripe(&self, node: u32) -> Range<usize> {
         let lo = self.offsets[node as usize] as usize;
         let hi = self.offsets[node as usize + 1] as usize;
         lo..hi
     }
 
     /// Node `node`'s sessions, in slot order.
-    // det::allow(panic-surface, reason = "range() returns offsets bounded by sessions.len() (the final offsets entry) by construction")
+    // det::allow(panic-surface, reason = "stripe() returns offsets bounded by sessions.len() (the final offsets entry) by construction")
     pub fn sessions(&self, node: u32) -> &[Session] {
-        &self.sessions[self.range(node)]
+        &self.sessions[self.stripe(node)]
     }
 
     /// Node `node`'s degree (session count).
     pub fn degree(&self, node: u32) -> u32 {
-        let r = self.range(node);
-        (r.end - r.start) as u32
+        self.stripe(node).len() as u32
     }
 
     /// The slot of `peer` on node `node`, if it is a neighbor — a binary
     /// search over the node's sorted lookup stripe.
     pub fn slot_of(&self, node: u32, peer: AsId) -> Option<u32> {
-        let stripe = &self.lookup[self.range(node)];
+        let stripe = &self.lookup[self.stripe(node)];
         stripe
             .binary_search_by_key(&peer, |&(p, _)| p)
             .ok()
@@ -282,189 +307,280 @@ impl SessionSlab {
     }
 }
 
-/// Structure-of-arrays per-prefix state for one node: parallel columns
-/// addressed by a sorted prefix row index, plus a prefix-major
-/// Adj-RIB-in matrix.
-#[derive(Clone, Debug)]
-pub struct PrefixTable {
-    slots: u32,
-    /// Sorted prefix column: the row index.
-    prefixes: Vec<Prefix>,
-    /// True while this node originates the row's prefix.
-    originated: Vec<bool>,
-    /// Loc-RIB best: a slot, [`SELF_SLOT`], or [`NO_BEST`].
-    best_slot: Vec<u32>,
+/// One node's Loc-RIB entry for one prefix row.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LocRib {
+    /// A slot, [`SELF_SLOT`], [`NO_BEST`], or [`UNHELD`].
+    slot: u32,
     /// The best AS path as received (empty for self-originated routes
-    /// and for [`NO_BEST`] rows).
-    best_path: Vec<PathId>,
-    /// Cached preference key per Adj-RIB-in cell (same indexing as
-    /// `rib_in`; meaningful only while the cell holds a route), written
-    /// with the route by [`PrefixTable::set_rib_in`]. Lets the decision
-    /// process compare candidates by one integer compare instead of
-    /// re-deriving the full preference tuple from the path.
+    /// and when there is no best).
+    path: PathId,
+    /// True while the node originates the row's prefix.
+    pub(crate) originated: bool,
+}
+
+impl LocRib {
+    const UNHELD: LocRib = LocRib {
+        slot: UNHELD,
+        path: PathId::EMPTY,
+        originated: false,
+    };
+
+    /// The best route: `None` if unreachable, else `(slot-or-SELF_SLOT,
+    /// path as received)`.
+    pub(crate) fn best(&self) -> Option<(u32, PathId)> {
+        match self.slot {
+            NO_BEST | UNHELD => None,
+            slot => Some((slot, self.path)),
+        }
+    }
+
+    /// Replaces the best route.
+    pub(crate) fn set_best(&mut self, best: Option<(u32, PathId)>) {
+        (self.slot, self.path) = match best {
+            None => (NO_BEST, PathId::EMPTY),
+            Some((slot, path)) => {
+                debug_assert!(slot != NO_BEST && slot != UNHELD);
+                (slot, path)
+            }
+        };
+    }
+}
+
+/// Every route of a network: the Adj-RIBs-in, Loc-RIBs, output queues
+/// (Adj-RIBs-out and MRAI timers), session liveness and damping history
+/// of all its nodes, in simulator-wide columns (see the module docs).
+///
+/// Built once per simulator from its [`SessionSlab`] — two allocations,
+/// however many nodes — and cleared, buffers kept, between runs. A node's
+/// protocol code reads and writes its share through a
+/// [`crate::BgpNode`] view.
+#[derive(Clone, Debug)]
+pub struct RouteSlab {
+    /// Nodes and sessions of the slab the columns were sized for.
+    nodes: usize,
+    sessions: usize,
+    /// Per session: the rate-limited output queue and Adj-RIB-out.
+    pub(crate) out: Vec<OutQueue>,
+    /// Per session: liveness. A down session receives no exports and
+    /// contributes no routes; see [`crate::BgpNode::session_down_caused`].
+    pub(crate) active: Vec<bool>,
+    /// `(prefix, row)` for every row, sorted by prefix.
+    by_prefix: Vec<(Prefix, u32)>,
+    /// Per (row, node): the Loc-RIB entry, at `row * nodes + node`.
+    loc: Vec<LocRib>,
+    /// Per (row, session): the cached preference key of the Adj-RIB-in
+    /// cell (meaningful only while the cell holds a route), written with
+    /// the route by [`RouteSlab::set_rib_in`]. Lets the decision process
+    /// compare candidates by one integer compare instead of re-deriving
+    /// the full preference tuple from the path.
     rib_key: Vec<u64>,
-    /// Adj-RIB-in, prefix-major: `rib_in[row * slots + slot]`.
+    /// Per (row, session): the Adj-RIB-in, at `row * sessions + session`.
     rib_in: Vec<Option<PathId>>,
+    /// Damping state per (global session, prefix); entries exist only for
+    /// routes with flap history (none while [`crate::BgpConfig::rfd`] is
+    /// off).
+    pub(crate) damp: DampTable,
+    /// The byte model's tallies: (node, row) pairs held, and the sessions
+    /// of their nodes (one Adj-RIB-in cell each).
+    held_rows: u64,
+    held_cells: u64,
 }
 
 // An Adj-RIB-in cell is its key and its path id, in two columns.
 const _: () = assert!(std::mem::size_of::<u64>() + std::mem::size_of::<Option<PathId>>() <= 16);
 
-impl PrefixTable {
-    /// Creates an empty table for a node with `slots` sessions.
-    pub fn new(slots: u32) -> Self {
-        PrefixTable {
-            slots,
-            prefixes: Vec::new(),
-            originated: Vec::new(),
-            best_slot: Vec::new(),
-            best_path: Vec::new(),
+impl RouteSlab {
+    /// Empty route columns for the nodes and sessions of `slab`: every
+    /// session up with an idle queue, no prefix rows.
+    pub fn new(slab: &SessionSlab) -> RouteSlab {
+        let sessions = slab.total_sessions();
+        RouteSlab {
+            nodes: slab.len(),
+            sessions,
+            out: vec![OutQueue::new(); sessions],
+            active: vec![true; sessions],
+            by_prefix: Vec::new(),
+            loc: Vec::new(),
             rib_key: Vec::new(),
             rib_in: Vec::new(),
+            damp: DampTable::new(),
+            held_rows: 0,
+            held_cells: 0,
         }
     }
 
     /// Number of prefix rows.
-    pub fn len(&self) -> usize {
-        self.prefixes.len()
+    pub fn rows(&self) -> usize {
+        self.by_prefix.len()
     }
 
-    /// True if no prefix has any state.
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
-    }
-
-    /// The row of `prefix`, if present.
+    /// The row of `prefix`, if any node touched it.
     pub fn row(&self, prefix: Prefix) -> Option<usize> {
-        self.prefixes.binary_search(&prefix).ok()
+        let at = self.by_prefix.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+        self.by_prefix.get(at).map(|&(_, row)| row as usize)
     }
 
-    /// The row of `prefix`, inserting an empty row if absent.
-    pub fn row_or_insert(&mut self, prefix: Prefix) -> usize {
-        match self.prefixes.binary_search(&prefix) {
-            Ok(row) => row,
-            Err(row) => {
-                let slots = self.slots as usize;
-                self.prefixes.insert(row, prefix);
-                self.originated.insert(row, false);
-                self.best_slot.insert(row, NO_BEST);
-                self.best_path.insert(row, PathId::EMPTY);
-                self.rib_in
-                    .splice(row * slots..row * slots, std::iter::repeat_n(None, slots));
-                self.rib_key
-                    .splice(row * slots..row * slots, std::iter::repeat_n(0, slots));
+    /// Every `(row, prefix)` in sorted prefix order.
+    pub fn rows_by_prefix(&self) -> impl Iterator<Item = (usize, Prefix)> + '_ {
+        self.by_prefix.iter().map(|&(prefix, row)| (row as usize, prefix))
+    }
+
+    /// The row of `prefix` for node `node` of `degree` sessions, appending
+    /// an empty row if no node touched the prefix before, and making the
+    /// row the node's — held, and charged to it in the byte model — if it
+    /// was not.
+    pub(crate) fn touch(&mut self, prefix: Prefix, node: u32, degree: u32) -> usize {
+        let row = match self.row(prefix) {
+            Some(row) => row,
+            None => {
+                let row = self.rows();
+                let at = self.by_prefix.partition_point(|&(p, _)| p < prefix);
+                self.by_prefix.insert(at, (prefix, row as u32));
+                self.loc.extend(std::iter::repeat_n(LocRib::UNHELD, self.nodes));
+                self.rib_key.extend(std::iter::repeat_n(0, self.sessions));
+                self.rib_in.extend(std::iter::repeat_n(None, self.sessions));
                 row
             }
+        };
+        let loc = self.loc_mut(row, node);
+        if loc.slot == UNHELD {
+            loc.slot = NO_BEST;
+            self.held_rows += 1;
+            self.held_cells += u64::from(degree);
         }
+        row
     }
 
-    /// The prefix at `row`.
-    pub fn prefix_at(&self, row: usize) -> Prefix {
-        self.prefixes[row]
+    /// Node `node`'s Loc-RIB entry for `row`.
+    // det::allow(panic-surface, reason = "row is a live row index and node < nodes is the caller contract; loc holds nodes entries per row")
+    pub(crate) fn loc(&self, row: usize, node: u32) -> &LocRib {
+        &self.loc[row * self.nodes + node as usize]
     }
 
-    /// The Adj-RIB-in stripe of `row`: one cell per slot.
-    // det::allow(panic-surface, reason = "row is a live row index, and rib_in holds exactly len()*slots cells by construction")
-    pub fn rib_in(&self, row: usize) -> &[Option<PathId>] {
-        let slots = self.slots as usize;
-        &self.rib_in[row * slots..(row + 1) * slots]
+    /// Node `node`'s Loc-RIB entry for `row`, writable.
+    // det::allow(panic-surface, reason = "row is a live row index and node < nodes is the caller contract; loc holds nodes entries per row")
+    pub(crate) fn loc_mut(&mut self, row: usize, node: u32) -> &mut LocRib {
+        &mut self.loc[row * self.nodes + node as usize]
     }
 
-    /// One Adj-RIB-in cell.
-    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
-    pub fn rib_in_cell(&self, row: usize, slot: u32) -> Option<PathId> {
-        self.rib_in[row * self.slots as usize + slot as usize]
+    /// The Adj-RIB-in cells of `row` for the sessions of `stripe` — one
+    /// node's stripe of the row.
+    fn cells(&self, row: usize, stripe: &Range<usize>) -> Range<usize> {
+        let base = row * self.sessions;
+        base + stripe.start..base + stripe.end
     }
 
-    /// Overwrites one Adj-RIB-in cell: the route with its preference key
-    /// ([`crate::decision::rank_key`]), or `None` for a withdrawal (the
-    /// stale key stays behind, unread).
-    // det::allow(panic-surface, reason = "row is a live row index and slot < slots is the session-slot contract; the cell index is inside the row's stripe")
-    pub fn set_rib_in(&mut self, row: usize, slot: u32, route: Option<(PathId, u64)>) {
-        let cell = row * self.slots as usize + slot as usize;
-        self.rib_in[cell] = match route {
+    /// The Adj-RIB-in of the node owning `stripe` for `row`: one route
+    /// and one cached preference key per slot. A key means something only
+    /// while its cell holds a route.
+    // det::allow(panic-surface, reason = "row is a live row index and stripe a node's stripe of the slab the columns were sized for: its cells lie inside the row")
+    pub(crate) fn adj_rib_in(
+        &self,
+        row: usize,
+        stripe: &Range<usize>,
+    ) -> (&[Option<PathId>], &[u64]) {
+        let cells = self.cells(row, stripe);
+        (&self.rib_in[cells.clone()], &self.rib_key[cells])
+    }
+
+    /// One Adj-RIB-in cell of the node owning `stripe`.
+    pub(crate) fn rib_in_cell(&self, row: usize, stripe: &Range<usize>, slot: u32) -> Option<PathId> {
+        self.adj_rib_in(row, stripe).0.get(slot as usize).copied().flatten()
+    }
+
+    /// Overwrites one Adj-RIB-in cell of the node owning `stripe`: the
+    /// route with its preference key ([`crate::decision::rank_key`]), or
+    /// `None` for a withdrawal (the stale key stays behind, unread).
+    ///
+    /// # Panics
+    /// Panics if `slot` is not one of the node's sessions.
+    // det::allow(panic-surface, reason = "row is a live row index and stripe a node's stripe, so its cells lie inside the row; a slot outside the stripe is a caller bug the index must catch")
+    pub(crate) fn set_rib_in(
+        &mut self,
+        row: usize,
+        stripe: &Range<usize>,
+        slot: u32,
+        route: Option<(PathId, u64)>,
+    ) {
+        let cells = self.cells(row, stripe);
+        let cell = &mut self.rib_in[cells.clone()][slot as usize];
+        *cell = match route {
             Some((path, key)) => {
-                self.rib_key[cell] = key;
+                self.rib_key[cells][slot as usize] = key;
                 Some(path)
             }
             None => None,
         };
     }
 
-    /// The cached preference keys of `row`, one per slot like
-    /// [`PrefixTable::rib_in`]; a key means something only while its cell
-    /// holds a route.
-    // det::allow(panic-surface, reason = "row is a live row index, and rib_key holds exactly len()*slots cells by construction")
-    pub(crate) fn rib_keys(&self, row: usize) -> &[u64] {
-        let slots = self.slots as usize;
-        &self.rib_key[row * slots..(row + 1) * slots]
+    /// True if the route of global session `session` for `prefix` is
+    /// currently damped.
+    pub(crate) fn suppressed(&self, session: u32, prefix: Prefix) -> bool {
+        self.damp.get(session, prefix).is_some_and(|s| s.suppressed)
     }
 
-    /// True while the node originates the row's prefix.
-    // det::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
-    pub fn originated(&self, row: usize) -> bool {
-        self.originated[row]
+    /// The latest key reserved for any MRAI timer of the network that is
+    /// not after `deadline` (see [`OutQueue::latest_key_by`]): one pass
+    /// over the queue column.
+    pub fn latest_timer_key_by(&self, deadline: SimTime) -> EventKey {
+        let due = self.out.iter().map(|q| q.latest_key_by(deadline));
+        due.max().unwrap_or(EventKey::ZERO)
     }
 
-    /// Marks/unmarks the row's prefix as self-originated.
-    // det::allow(panic-surface, reason = "row is a live row index; the originated column parallels the prefix column")
-    pub fn set_originated(&mut self, row: usize, on: bool) {
-        self.originated[row] = on;
-    }
-
-    /// The Loc-RIB best for `row`: `None` if unreachable, else
-    /// `(slot-or-SELF_SLOT, path as received)`.
-    // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
-    pub fn best(&self, row: usize) -> Option<(u32, PathId)> {
-        match self.best_slot[row] {
-            NO_BEST => None,
-            slot => Some((slot, self.best_path[row])),
+    /// Clears all routing state (RIBs, damping history, output queues),
+    /// keeping session liveness and every buffer. Used between C-events.
+    ///
+    /// # Panics
+    /// Panics if any MRAI timer is still armed at `now` (see
+    /// [`OutQueue::reset`]).
+    pub fn reset_routing(&mut self, now: EventKey) {
+        for q in &mut self.out {
+            q.reset(now);
         }
+        self.clear_rows();
     }
 
-    /// Replaces the Loc-RIB best for `row`.
-    // det::allow(panic-surface, reason = "row is a live row index; best columns parallel the prefix column")
-    pub fn set_best(&mut self, row: usize, best: Option<(u32, PathId)>) {
-        match best {
-            None => {
-                self.best_slot[row] = NO_BEST;
-                self.best_path[row] = PathId::EMPTY;
-            }
-            Some((slot, path)) => {
-                debug_assert_ne!(slot, NO_BEST);
-                self.best_slot[row] = slot;
-                self.best_path[row] = path;
-            }
+    /// Returns every route to the state [`RouteSlab::new`] built, from
+    /// any state: RIBs, damping history, Adj-RIB-outs and queued updates
+    /// cleared, every MRAI timer disarmed, every session up. Every buffer
+    /// is kept. Unlike [`RouteSlab::reset_routing`] this does not require
+    /// quiescence: the caller discards its scheduled expiry events along
+    /// with everything else.
+    pub fn recycle(&mut self) {
+        for q in &mut self.out {
+            q.force_reset();
         }
+        self.active.fill(true);
+        self.clear_rows();
     }
 
-    /// Iterates `(row, prefix)` in sorted prefix order — the same
-    /// deterministic order the former `BTreeMap` iteration gave.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, Prefix)> + '_ {
-        self.prefixes.iter().copied().enumerate()
-    }
-
-    /// Drops all rows (columns keep their allocations).
-    pub fn clear(&mut self) {
-        self.prefixes.clear();
-        self.originated.clear();
-        self.best_slot.clear();
-        self.best_path.clear();
+    fn clear_rows(&mut self) {
+        self.by_prefix.clear();
+        self.loc.clear();
         self.rib_key.clear();
         self.rib_in.clear();
+        self.damp.clear();
+        self.held_rows = 0;
+        self.held_cells = 0;
     }
 
-    /// Deterministic estimate of the table's resident bytes (model
-    /// constants, not `size_of`; see module docs).
+    /// Deterministic estimate of the network's route-resident bytes
+    /// (model constants, not `size_of`; see `BYTES_PER_ROW`): each
+    /// node's held rows with a cell per session of the node, plus the
+    /// damping entries. The shared session slab is counted by its owner.
     pub fn arena_bytes(&self) -> u64 {
-        self.prefixes.len() as u64 * (BYTES_PER_ROW + self.slots as u64 * BYTES_PER_RIB_CELL)
+        self.held_rows * BYTES_PER_ROW
+            + self.held_cells * BYTES_PER_RIB_CELL
+            + self.damp.arena_bytes()
     }
 }
 
-/// Sparse per-(slot, prefix) damping state: a flat sorted vector with
-/// binary-search access. Iteration and retention run in (slot, prefix)
-/// order, matching the former `BTreeMap<(u32, Prefix), DampState>`.
-/// Allocates nothing until the first flap is charged.
+/// Sparse per-(session, prefix) damping state: a flat sorted vector with
+/// binary-search access, keyed by global session id. Iteration and
+/// retention run in (session, prefix) order — for one node, the
+/// (slot, prefix) order of the former `BTreeMap<(u32, Prefix),
+/// DampState>`. Allocates nothing until the first flap is charged.
 #[derive(Clone, Debug, Default)]
 pub struct DampTable {
     entries: Vec<((u32, Prefix), DampState)>,
@@ -481,46 +597,43 @@ impl DampTable {
         self.entries.is_empty()
     }
 
-    /// Number of (slot, prefix) pairs with flap history.
+    /// Number of (session, prefix) pairs with flap history.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// The damping state for `(slot, prefix)`, if any.
-    // det::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
-    pub fn get(&self, slot: u32, prefix: Prefix) -> Option<&DampState> {
-        self.entries
-            .binary_search_by_key(&(slot, prefix), |&(k, _)| k)
-            .ok()
-            .map(|i| &self.entries[i].1)
+    fn search(&self, session: u32, prefix: Prefix) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&(session, prefix), |&(k, _)| k)
     }
 
-    /// Mutable damping state for `(slot, prefix)`, if any.
-    // det::allow(panic-surface, reason = "binary_search's Ok index is inside entries by contract")
-    pub fn get_mut(&mut self, slot: u32, prefix: Prefix) -> Option<&mut DampState> {
-        self.entries
-            .binary_search_by_key(&(slot, prefix), |&(k, _)| k)
-            .ok()
-            .map(|i| &mut self.entries[i].1)
+    /// The damping state for `(session, prefix)`, if any.
+    pub fn get(&self, session: u32, prefix: Prefix) -> Option<&DampState> {
+        let at = self.search(session, prefix).ok()?;
+        self.entries.get(at).map(|e| &e.1)
     }
 
-    /// The damping state for `(slot, prefix)`, default-inserting.
+    /// Mutable damping state for `(session, prefix)`, if any.
+    pub fn get_mut(&mut self, session: u32, prefix: Prefix) -> Option<&mut DampState> {
+        let at = self.search(session, prefix).ok()?;
+        self.entries.get_mut(at).map(|e| &mut e.1)
+    }
+
+    /// The damping state for `(session, prefix)`, default-inserting.
     // det::allow(panic-surface, reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at")
-    pub fn get_or_insert(&mut self, slot: u32, prefix: Prefix) -> &mut DampState {
-        let key = (slot, prefix);
-        let i = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+    pub fn get_or_insert(&mut self, session: u32, prefix: Prefix) -> &mut DampState {
+        let i = match self.search(session, prefix) {
             Ok(i) => i,
             Err(i) => {
-                self.entries.insert(i, (key, DampState::default()));
+                self.entries.insert(i, ((session, prefix), DampState::default()));
                 i
             }
         };
         &mut self.entries[i].1
     }
 
-    /// Drops every entry for `slot` (session reset).
-    pub fn clear_slot(&mut self, slot: u32) {
-        self.entries.retain(|&((s, _), _)| s != slot);
+    /// Drops every entry for `session` (session reset).
+    pub fn clear_session(&mut self, session: u32) {
+        self.entries.retain(|&((s, _), _)| s != session);
     }
 
     /// Drops everything.
@@ -537,6 +650,8 @@ impl DampTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrai::Lender;
+    use crate::node::BgpNode;
     use bgpscale_topology::Relationship;
 
     fn session(peer: u32, rel: Relationship) -> Session {
@@ -565,6 +680,7 @@ mod tests {
         assert_eq!(slab.len(), 3);
         assert_eq!(slab.total_sessions(), 4);
         assert_eq!(slab.degree(0), 2);
+        assert_eq!(slab.stripe(1), 2..3, "node 1's sessions follow node 0's two");
         assert_eq!(slab.slot_of(0, AsId(1)), Some(0));
         assert_eq!(slab.slot_of(0, AsId(2)), Some(1));
         assert_eq!(slab.slot_of(0, AsId(3)), None);
@@ -651,51 +767,88 @@ mod tests {
         SessionSlab::for_single(AsId(5), vec![session(5, Relationship::Peer)]);
     }
 
+    /// Rows are network-wide and appended on a prefix's first touch by
+    /// any node. Two nodes of different degree — AS0 with a customer AS1
+    /// and a peer AS2, AS1 with its provider AS0 only, AS2 with its peer
+    /// AS0 only — touch prefixes 9, 3 and 5 in turn.
     #[test]
-    fn prefix_table_rows_stay_sorted_and_isolated() {
-        let mut t = PrefixTable::new(2);
-        let r9 = t.row_or_insert(Prefix(9));
-        let r3 = t.row_or_insert(Prefix(3));
-        assert_eq!((r9, r3), (0, 0), "later smaller prefix shifts the row");
-        let rows: Vec<Prefix> = t.iter_rows().map(|(_, p)| p).collect();
-        assert_eq!(rows, vec![Prefix(3), Prefix(9)]);
+    fn network_rows_stay_sorted_and_isolated_per_node() {
+        let slab = slab_from(
+            0,
+            vec![
+                vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
+                vec![session(0, Relationship::Provider)],
+                vec![session(0, Relationship::Peer)],
+            ],
+        );
+        let mut routes = RouteSlab::new(&slab);
+        let mut w = Lender::default();
+        let route = w.paths.intern(&[AsId(7)]);
+        let t0 = EventKey::ZERO;
+        // One step at node `id`, its timers given keys half a minute on.
+        type Entry<'e> = &'e dyn Fn(&mut BgpNode, &mut crate::mrai::Step);
+        let mut act = |routes: &mut RouteSlab, id: u32, entry: Entry| {
+            let mut node = BgpNode::new(AsId(id), &slab, routes);
+            let a = w.act(t0, |s| entry(&mut node, s));
+            for (i, &(slot, which)) in a.arms.iter().enumerate() {
+                let key = EventKey {
+                    time: SimTime::from_secs(30),
+                    seq: i as u64,
+                };
+                node.timer_armed_at(slot, which, key);
+            }
+            a
+        };
+        let (p3, p5, p9) = (Prefix(3), Prefix(5), Prefix(9));
+        // AS1 learns 9 from AS0; AS0 learns 3 from its peer AS2.
+        act(&mut routes, 1, &|n, s| n.receive(0, crate::Update::announce(p9, route), s));
+        act(&mut routes, 0, &|n, s| n.receive(1, crate::Update::announce(p3, route), s));
+        assert_eq!((routes.row(p9), routes.row(p3)), (Some(0), Some(1)), "rows in first-touch order");
+        let walk: Vec<Prefix> = routes.rows_by_prefix().map(|(_, p)| p).collect();
+        assert_eq!(walk, vec![p3, p9], "the walk ascends");
+        // Held: AS1 row 9 (one cell), AS0 row 3 (two cells).
+        let held = 2 * BYTES_PER_ROW + 3 * BYTES_PER_RIB_CELL;
+        assert_eq!(routes.arena_bytes(), held, "only the nodes that touched a row are charged");
 
-        let r3 = t.row(Prefix(3)).unwrap();
-        let r9 = t.row(Prefix(9)).unwrap();
-        let route = crate::PathArena::new().intern(&[AsId(7)]);
-        t.set_rib_in(r3, 1, Some((route, 42)));
-        t.set_originated(r9, true);
-        t.set_best(r9, Some((SELF_SLOT, PathId::EMPTY)));
+        // AS0 originates 5, which lands in a new last row but sorts
+        // between the others; the earlier rows' cells are untouched.
+        act(&mut routes, 0, &|n, s| n.originate_caused(p5, s));
+        assert_eq!(routes.row(p5), Some(2));
+        let walk: Vec<Prefix> = routes.rows_by_prefix().map(|(_, p)| p).collect();
+        assert_eq!(walk, vec![p3, p5, p9]);
+        let as0_stripe = slab.stripe(0);
+        let as1_stripe = slab.stripe(1);
+        assert_eq!(routes.adj_rib_in(1, &as0_stripe).0, &[None, Some(route)], "AS0's row-3 cells survived");
+        assert_eq!(routes.adj_rib_in(0, &as1_stripe).0, &[Some(route)], "AS1's row-9 cell survived");
+        assert_eq!(routes.adj_rib_in(0, &as0_stripe).0, &[None, None], "rows are isolated per node");
+        assert_eq!(routes.adj_rib_in(1, &as1_stripe).0, &[None]);
+        let view = |routes: &RouteSlab, id: u32, p| {
+            crate::NodeView::new(AsId(id), &slab, routes).best_route(p)
+        };
+        assert_eq!(view(&routes, 0, p5), Some((None, PathId::EMPTY)));
+        assert_eq!(view(&routes, 0, p3).map(|r| r.0), Some(Some(AsId(2))));
+        assert_eq!(view(&routes, 1, p9).map(|r| r.0), Some(Some(AsId(0))));
+        // AS2 never heard of any prefix: no route, and a session that
+        // comes back up replays nothing.
+        for p in [p3, p5, p9] {
+            assert_eq!(view(&routes, 2, p), None);
+        }
+        act(&mut routes, 2, &|n, s| n.session_down_caused(0, s));
+        let replay = act(&mut routes, 2, &|n, s| n.session_up_caused(0, s));
+        assert!(replay.sends.is_empty() && replay.arms.is_empty(), "AS2 replays nothing: {replay:?}");
+        assert_eq!(routes.arena_bytes(), held + BYTES_PER_ROW + 2 * BYTES_PER_RIB_CELL);
 
-        assert!(t.rib_in(r3)[0].is_none());
-        assert!(t.rib_in(r3)[1].is_some());
-        assert!(t.rib_in(r9).iter().all(Option::is_none), "rows are isolated");
-        assert!(t.originated(r9) && !t.originated(r3));
-        assert_eq!(t.best(r3), None);
-        assert_eq!(t.best(r9), Some((SELF_SLOT, PathId::EMPTY)));
-
-        // Inserting a middle row shifts the stripes coherently.
-        let r5 = t.row_or_insert(Prefix(5));
-        assert_eq!(r5, 1);
-        assert!(t.rib_in(r5).iter().all(Option::is_none));
-        let r3 = t.row(Prefix(3)).unwrap();
-        assert!(t.rib_in(r3)[1].is_some(), "row 3's stripe survived the shift");
-        let r9 = t.row(Prefix(9)).unwrap();
-        assert_eq!(t.best(r9), Some((SELF_SLOT, PathId::EMPTY)));
-
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.row(Prefix(3)), None);
-    }
-
-    #[test]
-    fn prefix_table_arena_bytes_scale_with_rows_and_slots() {
-        let mut t = PrefixTable::new(8);
-        assert_eq!(t.arena_bytes(), 0);
-        t.row_or_insert(Prefix(1));
-        let one = t.arena_bytes();
-        t.row_or_insert(Prefix(2));
-        assert_eq!(t.arena_bytes(), 2 * one, "bytes are a pure row count model");
+        // Both clears leave no row, and no byte charged.
+        let mut recycled = routes.clone();
+        recycled.recycle();
+        assert_eq!((recycled.rows(), recycled.row(p3), recycled.arena_bytes()), (0, None, 0));
+        let mut reset = routes;
+        reset.reset_routing(EventKey {
+            time: SimTime::from_secs(3600),
+            seq: 0,
+        });
+        assert_eq!((reset.rows(), reset.row(p9), reset.arena_bytes()), (0, None, 0));
+        assert_eq!(crate::NodeView::new(AsId(0), &slab, &reset).best_route(p5), None);
     }
 
     #[test]
@@ -710,7 +863,7 @@ mod tests {
         assert!(d.get(2, Prefix(5)).is_none());
         d.get_mut(0, Prefix(9)).unwrap().suppressed = true;
         assert!(d.get(0, Prefix(9)).unwrap().suppressed);
-        d.clear_slot(1);
+        d.clear_session(1);
         assert_eq!(d.len(), 1);
         assert!(d.get(1, Prefix(2)).is_none());
         assert!(d.get(0, Prefix(9)).is_some());

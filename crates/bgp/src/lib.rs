@@ -20,11 +20,15 @@
 //!   the RFC 1771 flavor (**NO-WRATE**: withdrawals bypass the timer) and
 //!   the RFC 4271 flavor (**WRATE**: withdrawals are rate-limited like any
 //!   other update).
-//! * [`node`] — [`BgpNode`]: Adj-RIB-in per neighbor, Loc-RIB, decision
-//!   process, export filters, and one MRAI output queue per neighbor.
-//!   Processing a message returns the resulting sends and timer requests as
-//!   plain data ([`node::Actions`]); the simulator decides when they
-//!   happen.
+//! * [`arena`] — [`SessionSlab`], every node's sessions in one global
+//!   session id space, and [`RouteSlab`], every route of the network —
+//!   Adj-RIBs-in, Loc-RIBs, output queues, damping history — in
+//!   simulator-wide columns indexed by it.
+//! * [`node`] — [`BgpNode`], the view of one node's routes a protocol
+//!   step runs on: decision process, export filters, and one MRAI output
+//!   queue per neighbor. Processing a message returns the resulting sends
+//!   and timer requests as plain data ([`node::Actions`]); the simulator
+//!   decides when they happen.
 //! * [`config`] — [`BgpConfig`]: timer values, jitter range, processing and
 //!   propagation delays, and the WRATE switch.
 //! * [`rfd`] — optional Route Flap Damping (RFC 2439), the paper's
@@ -43,9 +47,9 @@ pub mod path;
 pub mod policy;
 pub mod rfd;
 
-pub use arena::{DampTable, PrefixTable, SessionSlab};
+pub use arena::{DampTable, RouteSlab, SessionSlab};
 pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets};
 pub use config::{BgpConfig, MraiMode, MraiScope, ServiceTimeModel};
 pub use message::{Prefix, Update, UpdateKind};
-pub use node::{BgpNode, NodeCostCounters};
+pub use node::{BgpNode, NodeCostCounters, NodeView};
 pub use path::{PathArena, PathId};

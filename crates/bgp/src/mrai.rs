@@ -1,10 +1,11 @@
 //! The per-interface MRAI output queue.
 //!
-//! Each neighbor session has one [`OutQueue`] implementing the rate
-//! limiting of §2: *"two route announcements from an AS to the same
-//! neighbor must be separated in time by at least one MRAI timer
-//! interval"*, implemented per interface as router vendors do (not per
-//! prefix as RFC 4271 suggests).
+//! Each neighbor session has one [`OutQueue`] — an element of the
+//! network's per-session queue column ([`crate::RouteSlab`]) —
+//! implementing the rate limiting of §2: *"two route announcements from
+//! an AS to the same neighbor must be separated in time by at least one
+//! MRAI timer interval"*, implemented per interface as router vendors do
+//! (not per prefix as RFC 4271 suggests).
 //!
 //! State machine per queue:
 //!
@@ -238,9 +239,12 @@ struct Multi {
 /// the event's one prefix under the one session timer, so that much lives
 /// inline: the timer's reserved key, one Adj-RIB-out entry (prefix and
 /// [`PathId`]) and one pending update (prefix, kind, twelve-byte stamp).
-/// There is one queue per session of the topology and every export visits
-/// all of a node's queues, so its size is the stride of the hottest scan
-/// in the simulator. A session that carries a second prefix, or arms a
+/// There is one queue per session of the topology — element
+/// `first_session(node) + slot` of the per-session `out` column of the
+/// network's [`crate::RouteSlab`], so a node's queues are one contiguous
+/// stripe — and every export visits all of a node's queues, so its size
+/// is the stride of the hottest scan in the simulator. A session that
+/// carries a second prefix, or arms a
 /// per-prefix timer, *spills*: all its per-prefix state moves behind the
 /// one `multi` pointer, into `Vec`s sorted by prefix (which keep the
 /// flush order of the `BTreeMap` this once was), and stays there — buffers

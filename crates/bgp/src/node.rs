@@ -1,21 +1,28 @@
 //! The per-AS BGP speaker: the node model of the paper's Fig. 2.
 //!
-//! A [`BgpNode`] holds routes and nothing else: per neighbor session, an
+//! A node holds routes and nothing else: per neighbor session, an
 //! Adj-RIB-in slot and an MRAI-limited output queue
 //! ([`crate::mrai::OutQueue`]); per prefix, the selected best route
-//! (Loc-RIB); session liveness and damping history. It is a **pure
-//! protocol machine**: every entry point is `node.method(<what happened>,
-//! &mut step)`, and the [`Step`] the caller lends it (the event-driven
-//! simulator in `bgpscale-core`, or a unit test) carries everything that
-//! is not a route — the one protocol configuration of the network, the
-//! [`EventKey`] of the event being handled (the node keeps no clock; the
-//! key is all an MRAI timer needs to know whether it is still armed, see
-//! [`crate::mrai`]), the cause to stamp on exports, the [`PathArena`] the
-//! node's [`PathId`]s are ids of, the work tallies, and the [`Actions`]
-//! buffer the step's transmissions and timer requests are appended to as
-//! plain data. The caller decides when those happen; the simulator keeps
-//! one buffer, drains it after every step and lends it again, so a
-//! protocol step allocates nothing.
+//! (Loc-RIB); session liveness and damping history. None of it lives in a
+//! per-node object: every route of the network sits in the columns of one
+//! [`RouteSlab`], and a [`BgpNode`] is the view of one node's share that
+//! the caller builds for one protocol step — the node's AS id, the
+//! [`SessionSlab`] that maps its slots to global session ids, and the
+//! slab's columns, borrowed mutably. [`NodeView`] is the same view
+//! borrowed shared: `Copy`, and what a simulator hands out for reading.
+//!
+//! The node is a **pure protocol machine**: every entry point is
+//! `node.method(<what happened>, &mut step)`, and the [`Step`] the caller
+//! lends it (the event-driven simulator in `bgpscale-core`, or a unit
+//! test) carries everything that is not a route — the one protocol
+//! configuration of the network, the [`EventKey`] of the event being
+//! handled (the node keeps no clock; the key is all an MRAI timer needs to
+//! know whether it is still armed, see [`crate::mrai`]), the cause to
+//! stamp on exports, the [`PathArena`] the node's [`PathId`]s are ids of,
+//! the work tallies, and the [`Actions`] buffer the step's transmissions
+//! and timer requests are appended to as plain data. The caller decides
+//! when those happen; the simulator keeps one buffer, drains it after
+//! every step and lends it again, so a protocol step allocates nothing.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -24,26 +31,32 @@
 //!
 //! ## Memory layout
 //!
-//! All per-node state is arena-backed (see [`crate::arena`]): sessions
-//! and the AS-id → slot lookup live in a [`SessionSlab`] shared by every
-//! node of a topology through an `Arc`; per-prefix state lives in the
-//! structure-of-arrays [`PrefixTable`]; damping history in the flat
-//! [`DampTable`]. A standalone node built with [`BgpNode::new`] owns a
-//! private one-node slab; the simulator builds one topology-wide slab and
-//! hands every node a clone of the `Arc` via [`BgpNode::from_slab`].
+//! A view is an AS id, two references and a range: nothing is allocated
+//! to build one.
+//! Node `i`'s sessions are the stripe `first_session(i)..first_session(i
+//! + 1)` of the global session id space ([`SessionSlab::stripe`]); its
+//! output queues, liveness flags and, per prefix row, its Adj-RIB-in
+//! cells are that stripe of the slab's per-session columns, and its
+//! Loc-RIB is entry `i` of each row (see [`crate::arena`]).
 //!
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
 //! ([`crate::decision::rank_key`]), the Loc-RIB and each session's
 //! Adj-RIB-out hold the id alone, and every session's [`OutQueue`] is one
 //! cache line. The hops themselves live once, in the caller's arena.
+//!
+//! A test that drives one node owns what a simulator would: a one-node
+//! [`SessionSlab::for_single`], its [`RouteSlab`], and the things a
+//! [`Step`] lends; it builds the view with [`BgpNode::new`] and reads
+//! through [`BgpNode::view`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::arena::{DampTable, PrefixTable, SessionSlab, SELF_SLOT};
+use crate::arena::{RouteSlab, SessionSlab, SELF_SLOT};
 use crate::config::MraiScope;
 use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
@@ -68,7 +81,7 @@ pub struct Session {
 /// reserve the key of an expiry one jittered MRAI interval away and hand
 /// it to [`BgpNode::timer_armed_at`] — no event yet; for every entry of
 /// `expiries` it must schedule the expiry event at the given key and,
-/// when it pops and [`BgpNode::expiry_due`] still holds of it, call
+/// when it pops and [`NodeView::expiry_due`] still holds of it, call
 /// [`BgpNode::mrai_flush`].
 ///
 /// A step appends to the `Actions` it is lent and never clears them: the
@@ -133,28 +146,27 @@ enum Reeval {
     SlotChanged(u32),
 }
 
-/// A BGP speaker for one AS.
-#[derive(Clone, Debug)]
-pub struct BgpNode {
+/// A BGP speaker for one AS, for one protocol step: the view of its
+/// routes in a network's [`RouteSlab`] (see the module docs).
+#[derive(Debug)]
+pub struct BgpNode<'a> {
     id: AsId,
-    /// The topology-wide session arena; this node reads its own stripe.
-    slab: Arc<SessionSlab>,
-    /// This node's index into the slab's id spaces.
-    slab_idx: u32,
-    /// Per-prefix SoA state: Adj-RIB-in columns, origination flags and the
-    /// Loc-RIB best, addressed by sorted prefix row.
-    table: PrefixTable,
-    out: Vec<OutQueue>,
-    /// Per-slot session liveness. A down session receives no exports and
-    /// contributes no routes; see [`BgpNode::session_down_caused`].
-    active: Vec<bool>,
-    /// Damping state per (slot, prefix); entries exist only for routes
-    /// with flap history (none while [`crate::BgpConfig::rfd`] is off).
-    damp: DampTable,
+    /// The topology-wide session arena; node `id` reads its own stripe.
+    slab: &'a Arc<SessionSlab>,
+    /// This node's sessions in the global session id space.
+    stripe: Range<usize>,
+    /// Every route of the network; this node writes its own share.
+    routes: &'a mut RouteSlab,
 }
 
-// One per AS of the topology: routes only — no configuration, no tallies.
-const _: () = assert!(std::mem::size_of::<BgpNode>() <= 256);
+/// A read-only view of one node's routes in a network's [`RouteSlab`]:
+/// what [`BgpNode::view`] and a simulator's `node(id)` hand out.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a> {
+    id: AsId,
+    slab: &'a Arc<SessionSlab>,
+    routes: &'a RouteSlab,
+}
 
 /// Monotone operation tallies of the BGP speakers of one network,
 /// feeding the workspace-wide deterministic cost model
@@ -179,145 +191,169 @@ pub struct NodeCostCounters {
     pub mrai_coalesced: u64,
 }
 
-impl BgpNode {
-    /// Creates a standalone speaker with the given neighbor sessions,
-    /// backed by a private one-node [`SessionSlab`].
-    ///
-    /// # Panics
-    /// Panics if a neighbor appears twice or equals `id`.
-    pub fn new(id: AsId, sessions: Vec<Session>) -> Self {
-        let slab = SessionSlab::for_single(id, sessions);
-        Self::from_slab(id, slab, 0)
-    }
-
-    /// Creates a speaker reading its sessions from stripe `slab_idx` of a
-    /// shared [`SessionSlab`]. This is the simulator's constructor: one
-    /// slab is built per topology and every node holds an `Arc` clone, so
-    /// instantiating a node allocates no per-session lookup state.
-    pub fn from_slab(id: AsId, slab: Arc<SessionSlab>, slab_idx: u32) -> Self {
-        let degree = slab.degree(slab_idx);
-        BgpNode {
-            id,
-            table: PrefixTable::new(degree),
-            out: (0..degree).map(|_| OutQueue::new()).collect(),
-            active: vec![true; degree as usize],
-            slab,
-            slab_idx,
-            damp: DampTable::new(),
-        }
-    }
-
-    /// True if the route from `slot` for `prefix` is currently damped.
-    pub fn is_suppressed(&self, slot: u32, prefix: Prefix) -> bool {
-        self.damp.get(slot, prefix).is_some_and(|s| s.suppressed)
-    }
-
-    /// This node's AS id.
-    pub fn id(&self) -> AsId {
-        self.id
+impl<'a> NodeView<'a> {
+    /// The view of node `id` — stripe `id` of `slab` — in `routes`, the
+    /// route columns built for `slab`.
+    pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a RouteSlab) -> NodeView<'a> {
+        NodeView { id, slab, routes }
     }
 
     /// The configured sessions, in slot order.
-    pub fn sessions(&self) -> &[Session] {
-        self.slab.sessions(self.slab_idx)
+    pub fn sessions(self) -> &'a [Session] {
+        self.slab.sessions(self.id.0)
     }
 
     /// The shared session slab this node reads its stripe from.
-    pub fn slab(&self) -> &Arc<SessionSlab> {
-        &self.slab
-    }
-
-    /// Deterministic estimate of this node's arena-resident bytes (prefix
-    /// table plus damping table; the shared session slab is counted once
-    /// by its owner, not per node).
-    pub fn arena_bytes(&self) -> u64 {
-        self.table.arena_bytes() + self.damp.arena_bytes()
+    pub fn slab(self) -> &'a Arc<SessionSlab> {
+        self.slab
     }
 
     /// The slot of neighbor `peer`, if it is one.
-    pub fn slot_of(&self, peer: AsId) -> Option<u32> {
-        self.slab.slot_of(self.slab_idx, peer)
+    pub fn slot_of(self, peer: AsId) -> Option<u32> {
+        self.slab.slot_of(self.id.0, peer)
+    }
+
+    /// The global session id of `slot`, if it is one of this node's.
+    fn session(self, slot: u32) -> Option<usize> {
+        let stripe = self.slab.stripe(self.id.0);
+        let session = stripe.start + slot as usize;
+        stripe.contains(&session).then_some(session)
+    }
+
+    /// The output queue of `slot`, if it is one of this node's.
+    fn queue(self, slot: u32) -> Option<&'a OutQueue> {
+        self.routes.out.get(self.session(slot)?)
     }
 
     /// The best route for `prefix`: `None` if unreachable, otherwise the
     /// next-hop neighbor (`None` when self-originated) and the AS path as
     /// learned (the next hop is its first element), an id of the arena the
     /// node's entry points were lent.
-    pub fn best_route(&self, prefix: Prefix) -> Option<(Option<AsId>, PathId)> {
-        let row = self.table.row(prefix)?;
-        let (slot, path) = self.table.best(row)?;
+    pub fn best_route(self, prefix: Prefix) -> Option<(Option<AsId>, PathId)> {
+        let row = self.routes.row(prefix)?;
+        let (slot, path) = self.routes.loc(row, self.id.0).best()?;
         if slot == SELF_SLOT {
             Some((None, path))
         } else {
-            Some((Some(self.sessions()[slot as usize].peer), path))
+            Some((Some(self.sessions().get(slot as usize)?.peer), path))
         }
     }
 
     /// The path we last transmitted to `slot` for `prefix` (Adj-RIB-out).
-    pub fn advertised(&self, slot: u32, prefix: Prefix) -> Option<PathId> {
-        self.out.get(slot as usize)?.advertised(prefix)
+    pub fn advertised(self, slot: u32, prefix: Prefix) -> Option<PathId> {
+        self.queue(slot)?.advertised(prefix)
     }
 
     /// True while an MRAI timer of `slot` is armed at `now`.
-    // det::allow(panic-surface, reason = "slot is a session index minted by this node's own slab lookup; out holds one queue per session by construction")
-    pub fn timer_armed(&self, slot: u32, now: EventKey) -> bool {
-        self.out[slot as usize].timer_armed(now)
-    }
-
-    /// Delivers the key reserved for the expiry of the timer `(slot,
-    /// which)` this step listed in [`Actions::arms`]. Returns true if an
-    /// update already waits behind the timer: the caller must then
-    /// schedule the expiry event at `key` right away.
-    // det::allow(panic-surface, reason = "slot is a session index this node's own step put into Actions; out holds one queue per session by construction")
-    pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        self.out[slot as usize].arm_at(which, key)
+    pub fn timer_armed(self, slot: u32, now: EventKey) -> bool {
+        self.queue(slot).is_some_and(|queue| queue.timer_armed(now))
     }
 
     /// True if the expiry event of `(slot, which)` popping at `key` is
     /// still the one that timer waits for (see [`OutQueue::expiry_due`]):
     /// false of every event scheduled before a session reset.
-    pub fn expiry_due(&self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        self.out.get(slot as usize).is_some_and(|queue| queue.expiry_due(which, key))
+    pub fn expiry_due(self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
+        self.queue(slot).is_some_and(|queue| queue.expiry_due(which, key))
     }
 
     /// Number of expiry events scheduled for `slot`'s output queue and not
     /// yet popped. The simulator uses this to keep its timer-occupancy
     /// accounting exact across session resets.
-    pub fn scheduled_expiries(&self, slot: u32) -> u32 {
-        self.out[slot as usize].scheduled_expiries() as u32
+    pub fn scheduled_expiries(self, slot: u32) -> u32 {
+        self.queue(slot).map_or(0, |queue| queue.scheduled_expiries() as u32)
     }
 
     /// The timers of `slot` armed at `now` with no expiry event
     /// scheduled, each with its reserved key (see
     /// [`OutQueue::silent_timers`]).
     pub fn silent_timers(
-        &self,
+        self,
         slot: u32,
         now: EventKey,
-    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + '_ {
-        self.out[slot as usize].silent_timers(now)
+    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + 'a {
+        self.queue(slot).into_iter().flat_map(move |queue| queue.silent_timers(now))
     }
 
     /// The latest key reserved for any MRAI timer of this speaker that is
     /// not after `deadline` (see [`OutQueue::latest_key_by`]).
-    pub fn latest_timer_key_by(&self, deadline: SimTime) -> EventKey {
-        let due = self.out.iter().map(|q| q.latest_key_by(deadline));
+    pub fn latest_timer_key_by(self, deadline: SimTime) -> EventKey {
+        let queues = self.routes.out.get(self.slab.stripe(self.id.0)).unwrap_or_default();
+        let due = queues.iter().map(|q| q.latest_key_by(deadline));
         due.max().unwrap_or(EventKey::ZERO)
+    }
+
+    /// True if the route from `slot` for `prefix` is currently damped.
+    pub fn is_suppressed(self, slot: u32, prefix: Prefix) -> bool {
+        self.session(slot).is_some_and(|session| self.routes.suppressed(session as u32, prefix))
+    }
+
+    /// True while the session at `slot` is established.
+    pub fn session_active(self, slot: u32) -> bool {
+        self.session(slot).is_some_and(|session| self.routes.active.get(session) == Some(&true))
+    }
+}
+
+impl<'a> BgpNode<'a> {
+    /// The speaker `id` — stripe `id` of `slab` — writing its routes into
+    /// `routes`, the route columns built for `slab`. The simulator builds
+    /// one per protocol step; building one allocates nothing.
+    pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a mut RouteSlab) -> BgpNode<'a> {
+        let stripe = slab.stripe(id.0);
+        debug_assert!(stripe.end <= routes.out.len(), "route columns of another slab");
+        BgpNode {
+            id,
+            slab,
+            stripe,
+            routes,
+        }
+    }
+
+    /// The read-only view of this speaker.
+    pub fn view(&self) -> NodeView<'_> {
+        NodeView::new(self.id, self.slab, self.routes)
+    }
+
+    /// The global session id of `slot`: the key of its damping history.
+    fn session(&self, slot: u32) -> u32 {
+        self.stripe.start as u32 + slot
+    }
+
+    /// The output queue of `slot`.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not one of this node's sessions.
+    // det::allow(panic-surface, reason = "slot is one of this node's session slots, from its own stripe, Actions or timer bookkeeping, so it indexes the node's stripe of the queue column; any other slot is a caller bug the index must catch")
+    fn queue_mut(&mut self, slot: u32) -> &mut OutQueue {
+        &mut self.routes.out[self.stripe.clone()][slot as usize]
+    }
+
+    /// The row of `prefix`, made this node's if it was not.
+    fn touch(&mut self, prefix: Prefix) -> usize {
+        let degree = self.stripe.len() as u32;
+        self.routes.touch(prefix, self.id.0, degree)
+    }
+
+    /// Delivers the key reserved for the expiry of the timer `(slot,
+    /// which)` this step listed in [`Actions::arms`]. Returns true if an
+    /// update already waits behind the timer: the caller must then
+    /// schedule the expiry event at `key` right away.
+    pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
+        self.queue_mut(slot).arm_at(which, key)
     }
 
     /// Starts originating `prefix`. `step.cause` stamps the resulting
     /// exports, which are appended to `step.out`.
     pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step) {
-        let row = self.table.row_or_insert(prefix);
-        self.table.set_originated(row, true);
+        let row = self.touch(prefix);
+        self.routes.loc_mut(row, self.id.0).originated = true;
         self.reevaluate(row, prefix, Reeval::Full, step);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
     /// the resulting exports with `step.cause`.
     pub fn withdraw_origin_caused(&mut self, prefix: Prefix, step: &mut Step) {
-        let row = self.table.row_or_insert(prefix);
-        self.table.set_originated(row, false);
+        let row = self.touch(prefix);
+        self.routes.loc_mut(row, self.id.0).originated = false;
         self.reevaluate(row, prefix, Reeval::Full, step);
     }
 
@@ -335,7 +371,7 @@ impl BgpNode {
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself.
         step.cause = update.provenance.child();
-        let row = self.table.row_or_insert(prefix);
+        let row = self.touch(prefix);
 
         // Receiver-side loop detection: a path containing our own AS is
         // ineligible (RFC 4271) and supersedes whatever the neighbor
@@ -351,17 +387,18 @@ impl BgpNode {
         // installing. Initial advertisements are free; withdrawals,
         // re-advertisements and path changes are flaps (RFC 2439).
         if let Some(cfg) = &step.cfg.rfd {
-            let prev = self.table.rib_in_cell(row, slot);
+            let session = self.session(slot);
+            let prev = self.routes.rib_in_cell(row, &self.stripe, slot);
             let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
                 (Some(old), Some(new)) if old != new => Some(FlapKind::AttributeChange),
-                (None, Some(_)) if self.damp.get(slot, prefix).is_some() => {
+                (None, Some(_)) if self.routes.damp.get(session, prefix).is_some() => {
                     Some(FlapKind::Readvertisement)
                 }
                 _ => None,
             };
             if let Some(kind) = flap {
-                let state = self.damp.get_or_insert(slot, prefix);
+                let state = self.routes.damp.get_or_insert(session, prefix);
                 if state.charge(kind, step.now.time, cfg) {
                     if let Some(at) = state.reuse_time(cfg) {
                         step.out.rfd_wakeups.push((slot, prefix, at));
@@ -371,7 +408,7 @@ impl BgpNode {
         }
 
         let route = incoming.map(|path| (path, self.route_key(slot, step.paths.len(path))));
-        self.table.set_rib_in(row, slot, route);
+        self.routes.set_rib_in(row, &self.stripe, slot, route);
 
         self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
     }
@@ -383,21 +420,17 @@ impl BgpNode {
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
     pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step) {
         let Some(cfg) = &step.cfg.rfd else { return };
-        let Some(state) = self.damp.get_mut(slot, prefix) else {
+        let session = self.session(slot);
+        let Some(state) = self.routes.damp.get_mut(session, prefix) else {
             return;
         };
         if !state.maybe_reuse(step.now.time, cfg) {
             return;
         }
         // Eligibility changed, so the incumbent may now lose: full run.
-        if let Some(row) = self.table.row(prefix) {
+        if let Some(row) = self.routes.row(prefix) {
             self.reevaluate(row, prefix, Reeval::Full, step);
         }
-    }
-
-    /// True while the session at `slot` is established.
-    pub fn session_active(&self, slot: u32) -> bool {
-        self.active[slot as usize]
     }
 
     /// Tears down the session at `slot` (link failure / session reset —
@@ -411,24 +444,25 @@ impl BgpNode {
     /// neighbors.
     ///
     /// An MRAI expiry event scheduled for this slot is stale from here
-    /// on: [`BgpNode::expiry_due`] is false of it.
+    /// on: [`NodeView::expiry_due`] is false of it.
     ///
     /// # Panics
     /// Panics if the session is already down.
     pub fn session_down_caused(&mut self, slot: u32, step: &mut Step) {
-        assert!(self.active[slot as usize], "{}: session {slot} already down", self.id);
-        self.active[slot as usize] = false;
-        self.out[slot as usize].force_reset();
-        self.damp.clear_slot(slot);
-        // Rows are only ever appended by row_or_insert, never removed, so
-        // the indices collected here stay valid across the reevaluations.
+        let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
+        assert!(*active, "{}: session {slot} already down", self.id);
+        *active = false;
+        self.queue_mut(slot).force_reset();
+        self.routes.damp.clear_session(self.session(slot));
+        // Rows are only ever appended, never removed, so the indices
+        // collected here stay valid across the reevaluations.
         let affected: Vec<(usize, Prefix)> = self
-            .table
-            .iter_rows()
-            .filter(|&(row, _)| self.table.rib_in_cell(row, slot).is_some())
+            .routes
+            .rows_by_prefix()
+            .filter(|&(row, _)| self.routes.rib_in_cell(row, &self.stripe, slot).is_some())
             .collect();
         for (row, prefix) in affected {
-            self.table.set_rib_in(row, slot, None);
+            self.routes.set_rib_in(row, &self.stripe, slot, None);
             self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
         }
     }
@@ -441,27 +475,30 @@ impl BgpNode {
     /// # Panics
     /// Panics if the session is already up.
     pub fn session_up_caused(&mut self, slot: u32, step: &mut Step) {
-        assert!(!self.active[slot as usize], "{}: session {slot} already up", self.id);
-        self.active[slot as usize] = true;
-        debug_assert!(!self.out[slot as usize].timer_armed(step.now));
+        let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
+        assert!(!*active, "{}: session {slot} already up", self.id);
+        *active = true;
+        debug_assert!(!self.view().timer_armed(slot, step.now));
         // The replay is whatever this call appends past `first`.
         let first = step.out.sends.len();
-        let session = self.sessions()[slot as usize];
-        // Iterating rows walks prefixes in sorted order — the same
-        // deterministic replay order the BTreeMap-backed table produced.
+        let sessions = self.slab.sessions(self.id.0);
+        let neighbor = sessions[slot as usize];
+        // The rows walk in sorted prefix order — the same deterministic
+        // replay order the BTreeMap-backed table produced; a row this node
+        // never touched has no best route and replays nothing.
         let snapshot: Vec<(Prefix, u32, PathId)> = self
-            .table
-            .iter_rows()
-            .filter_map(|(row, p)| self.table.best(row).map(|(s, path)| (p, s, path)))
+            .routes
+            .rows_by_prefix()
+            .filter_map(|(row, p)| self.routes.loc(row, self.id.0).best().map(|(s, path)| (p, s, path)))
             .collect();
         for (prefix, best_slot, path) in snapshot {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
-                RouteSource::Learned(self.sessions()[best_slot as usize].rel)
+                RouteSource::Learned(sessions[best_slot as usize].rel)
             };
-            if !export_allowed(source, session.rel)
-                || (step.cfg.sender_side_loop_detection && step.paths.contains(path, session.peer))
+            if !export_allowed(source, neighbor.rel)
+                || (step.cfg.sender_side_loop_detection && step.paths.contains(path, neighbor.peer))
             {
                 continue;
             }
@@ -469,8 +506,8 @@ impl BgpNode {
             step.costs.path_intern_misses += 1;
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
-            let queue = &mut self.out[slot as usize];
-            if let Some(update) = queue.send_unlimited(prefix, export_path, session.rel, step) {
+            let queue = self.queue_mut(slot);
+            if let Some(update) = queue.send_unlimited(prefix, export_path, neighbor.rel, step) {
                 step.out.sends.push((slot, update));
             }
         }
@@ -483,78 +520,47 @@ impl BgpNode {
         };
         for (_, update) in &replayed[..timers] {
             let which = governing(scope, update.prefix);
-            self.out[slot as usize].arm_timer(which);
+            self.queue_mut(slot).arm_timer(which);
             step.out.arms.push((slot, which));
         }
     }
 
     /// Handles the MRAI expiry event of `slot` popping at `step.now`, the
     /// key it was asked for at ([`Actions::expiries`]) and still due
-    /// ([`BgpNode::expiry_due`]) — the session timer when `trigger` is
+    /// ([`NodeView::expiry_due`]) — the session timer when `trigger` is
     /// `None`, the per-prefix timer of `Some(prefix)` (only under
     /// [`MraiScope::PerPrefix`]) — appending the flushed transmissions to
     /// `step.out`, plus one timer arm iff something was sent: the caller
     /// re-arms exactly the timers `step.out` lists.
-    // det::allow(panic-surface, reason = "slot comes from this node's own armed-timer bookkeeping; out holds one queue per session by construction")
     pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
-        if self.out[slot as usize].flush(trigger, slot, step) {
+        if self.queue_mut(slot).flush(trigger, slot, step) {
             step.out.arms.push((slot, trigger));
         }
-    }
-
-    /// Clears all routing state (RIBs, output queues), keeping the session
-    /// configuration. Used between C-events.
-    ///
-    /// # Panics
-    /// Panics if any MRAI timer is still armed at `now` (see
-    /// [`crate::mrai::OutQueue::reset`]).
-    pub fn reset_routing(&mut self, now: EventKey) {
-        self.table.clear();
-        self.damp.clear();
-        for q in &mut self.out {
-            q.reset(now);
-        }
-    }
-
-    /// Returns the speaker to the state it was constructed in, from any
-    /// state: RIBs, damping history, Adj-RIB-outs and queued updates
-    /// cleared, every MRAI timer disarmed, every session up. The table's
-    /// column buffers are kept. Unlike [`BgpNode::reset_routing`] this does not
-    /// require quiescence: the caller discards its scheduled expiry events
-    /// along with everything else.
-    pub fn recycle(&mut self) {
-        self.table.clear();
-        self.damp.clear();
-        for q in &mut self.out {
-            q.force_reset();
-        }
-        self.active.fill(true);
     }
 
     /// The preference key of a path of `path_len` hops as a route learned
     /// over session `slot` — what the Adj-RIB-in caches beside the route.
     // det::allow(panic-surface, reason = "slot is one of this node's session slots, which index the slab stripe by construction")
     fn route_key(&self, slot: u32, path_len: usize) -> u64 {
-        let rel = self.sessions()[slot as usize].rel;
-        rank_key(rel, path_len, self.slab.rank(self.slab_idx, slot))
+        let rel = self.slab.sessions(self.id.0)[slot as usize].rel;
+        rank_key(rel, path_len, self.slab.rank(self.id.0, slot))
     }
 
     /// The decision process proper (§2: LOCAL_PREF, shortest AS path,
     /// hashed tie-break — all folded into the cached `rib_key`): the slot
     /// holding the row's best eligible learned route. Counts every key
     /// comparison into `route_comparisons`.
-    // det::allow(panic-surface, reason = "row is a live row index whose rib_in/rib_key stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
+    // det::allow(panic-surface, reason = "row is a live row index whose Adj-RIB-in stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
     fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) -> Option<u32> {
-        let routes = self.table.rib_in(row);
-        let keys = self.table.rib_keys(row);
+        let (routes, keys) = self.routes.adj_rib_in(row, &self.stripe);
         // With damping off the incumbent is still the best of every slot
         // but `s`, so it only has to face the route at `s`; if `s` is its
         // own slot, it stands as long as it did not get worse. (Rows that
         // originate the prefix never get here, so the incumbent is a
         // learned route.)
         if let (Reeval::SlotChanged(s), None, Some((incumbent, old_path))) =
-            (hint, &step.cfg.rfd, self.table.best(row))
+            (hint, &step.cfg.rfd, self.routes.loc(row, self.id.0).best())
         {
             let announced = routes[s as usize].is_some();
             if s != incumbent {
@@ -577,7 +583,7 @@ impl BgpNode {
         // damping is off.
         let mut winner: Option<u32> = None;
         for (slot, route) in routes.iter().enumerate() {
-            if route.is_none() || self.is_suppressed(slot as u32, prefix) {
+            if route.is_none() || self.routes.suppressed(self.session(slot as u32), prefix) {
                 continue;
             }
             let better = match winner {
@@ -601,33 +607,34 @@ impl BgpNode {
     /// survives MRAI coalescing downstream.
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
-    // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the slab stripe, and rib_in/out/active are sized to the node's degree at construction")
+    // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the node's stripe, which indexes the queue and liveness columns")
     fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) {
         step.costs.decision_runs += 1;
 
-        let new_best: Option<(u32, PathId)> = if self.table.originated(row) {
+        let held = *self.routes.loc(row, self.id.0);
+        let new_best: Option<(u32, PathId)> = if held.originated {
             Some((SELF_SLOT, PathId::EMPTY))
         } else {
             self.decide(row, prefix, hint, step).map(|slot| {
                 let path = self
-                    .table
-                    .rib_in_cell(row, slot)
+                    .routes
+                    .rib_in_cell(row, &self.stripe, slot)
                     .expect("the winning slot holds a route");
                 (slot, path)
             })
         };
 
-        if self.table.best(row) == new_best {
+        if held.best() == new_best {
             return;
         }
-        self.table.set_best(row, new_best);
+        self.routes.loc_mut(row, self.id.0).set_best(new_best);
 
         // Export phase: the Gao–Rexford filter plus sender-side loop
         // detection (the best path necessarily contains the neighbor it
         // was learned from, so this also prevents echoing a route back to
         // its sender) decide, per live session, between the export path
         // and a withdrawal. Most submissions are suppressed as no-ops.
-        let sessions = self.slab.sessions(self.slab_idx);
+        let sessions = self.slab.sessions(self.id.0);
         // The exported path: ourselves prepended to the best path. Built
         // once — one lookup-or-insert — and every queue that keeps it
         // keeps its id. The best path's hops are walked once, into a flat
@@ -643,8 +650,10 @@ impl BgpNode {
         });
         let best_hops = step.paths.take_hops(new_best.map_or(PathId::EMPTY, |(_, path)| path));
         let loop_check = step.cfg.sender_side_loop_detection;
+        let queues = &mut self.routes.out[self.stripe.clone()];
+        let active = &self.routes.active[self.stripe.clone()];
         for (slot, session) in sessions.iter().enumerate() {
-            if !self.active[slot] {
+            if !active[slot] {
                 continue;
             }
             let intent = match export {
@@ -657,7 +666,7 @@ impl BgpNode {
                 }
                 _ => None,
             };
-            let submit = self.out[slot].submit(prefix, intent, session.rel, step);
+            let submit = queues[slot].submit(prefix, intent, session.rel, step);
             step.out.absorb(slot as u32, prefix, submit, step.cfg.mrai_scope);
         }
         step.paths.give_hops(best_hops);
@@ -683,16 +692,36 @@ mod tests {
         }
     }
 
+    /// What a test of one node owns in place of a simulator: the node's
+    /// one-node slab and the route columns built for it.
+    struct Net {
+        slab: Arc<SessionSlab>,
+        routes: RouteSlab,
+    }
+
+    impl Net {
+        /// Node AS0 with these sessions.
+        fn new(sessions: Vec<Session>) -> Net {
+            let slab = SessionSlab::for_single(AsId(0), sessions);
+            Net {
+                routes: RouteSlab::new(&slab),
+                slab,
+            }
+        }
+
+        /// The view a protocol step of AS0 is run on.
+        fn node(&mut self) -> BgpNode<'_> {
+            BgpNode::new(AsId(0), &self.slab, &mut self.routes)
+        }
+    }
+
     /// A node AS0 with a customer AS1, a peer AS2, and a provider AS3.
-    fn node() -> BgpNode {
-        BgpNode::new(
-            AsId(0),
-            vec![
-                session(1, Relationship::Customer),
-                session(2, Relationship::Peer),
-                session(3, Relationship::Provider),
-            ],
-        )
+    fn node() -> Net {
+        Net::new(vec![
+            session(1, Relationship::Customer),
+            session(2, Relationship::Peer),
+            session(3, Relationship::Provider),
+        ])
     }
 
     /// What the steps of a test under damping are lent.
@@ -759,33 +788,36 @@ mod tests {
     #[test]
     fn origination_announces_to_everyone() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.originate_caused(P, s));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
         assert_eq!(arms_of(&a), vec![0, 1, 2]);
         for (_, u) in &a.sends {
             assert_eq!(u.kind.path(), Some(w.paths.of(&[0])), "path is just the origin");
         }
-        assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
+        assert_eq!(n.view().best_route(P), Some((None, PathId::EMPTY)));
     }
 
     #[test]
     fn customer_route_exports_to_everyone_else() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Export to peer and provider (customer route), but not back to the
         // customer (loop detection: AS1 is on the path).
         assert_eq!(sends_to(&a), vec![1, 2]);
         let (_, u) = &a.sends[0];
         assert_eq!(u.kind.path(), Some(w.paths.of(&[0, 1, 9])));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn provider_route_exports_only_to_customers() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert_eq!(sends_to(&a), vec![0], "only the customer hears about it");
     }
@@ -793,7 +825,8 @@ mod tests {
     #[test]
     fn peer_route_exports_only_to_customers() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.receive(1, ann(s.paths, P, &[2, 9]), s));
         assert_eq!(sends_to(&a), vec![0]);
     }
@@ -801,7 +834,8 @@ mod tests {
     #[test]
     fn better_route_triggers_reexport_with_new_path() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         // Provider route first: exported to customer only.
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // Customer route arrives: better (prefer-customer). Peers and
@@ -816,7 +850,7 @@ mod tests {
             a.sends[1].1,
             ann(&mut w.paths, P, &[0, 1, 7, 9])
         );
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
         // Slot 0's timer (armed by the earlier provider-route export) has
         // nothing waiting behind it: no expiry event is asked for.
         assert!(a.expiries.is_empty());
@@ -825,18 +859,20 @@ mod tests {
     #[test]
     fn worse_route_does_not_displace_best() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // A provider route arrives; best (customer) unchanged → no exports.
         let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert!(a.is_empty());
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn withdrawal_falls_back_to_alternate_route() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // Customer withdraws; best falls back to the provider route, which
@@ -861,14 +897,15 @@ mod tests {
             .collect();
         assert_eq!(announces, vec![0], "customer hears the fallback route");
         assert_eq!(arms_of(&a), vec![0], "only the announcement arms a timer");
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
         assert!(a.expiries.is_empty(), "nothing waits behind slot 0's new timer");
     }
 
     #[test]
     fn total_loss_withdraws_from_everyone_reached() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         let a = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         // No alternate: withdraw goes to the peers/providers that heard
@@ -877,7 +914,7 @@ mod tests {
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
         assert_eq!(withdraws, vec![1, 2]);
         assert!(a.sends.iter().all(|(_, u)| u.kind.is_withdraw()));
-        assert_eq!(n.best_route(P), None);
+        assert_eq!(n.view().best_route(P), None);
         // NO-WRATE: withdrawals did not arm timers.
         assert!(a.arms.is_empty());
     }
@@ -885,10 +922,8 @@ mod tests {
     #[test]
     fn wrate_queues_withdrawals_behind_timer() {
         let mut w = Lender::new(BgpConfig::wrate());
-        let mut n = BgpNode::new(
-            AsId(0),
-            vec![session(1, Relationship::Customer), session(2, Relationship::Peer)],
-        );
+        let mut net = Net::new(vec![session(1, Relationship::Customer), session(2, Relationship::Peer)]);
+        let mut n = net.node();
         let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert!(settle(&mut n, &first, T0).is_empty());
         // Announcement armed slot 1's timer; the withdrawal must queue,
@@ -908,7 +943,8 @@ mod tests {
     #[test]
     fn flap_within_mrai_window_is_absorbed() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         settle(&mut n, &first, T0);
         // Withdraw + identical re-announce before any timer expires.
@@ -928,81 +964,82 @@ mod tests {
     #[test]
     fn self_origination_beats_any_learned_route() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         w.act(T0, |s| n.originate_caused(P, s));
-        assert_eq!(n.best_route(P), Some((None, PathId::EMPTY)));
+        assert_eq!(n.view().best_route(P), Some((None, PathId::EMPTY)));
         // Withdrawing the origin falls back to the learned route.
         w.act(T0, |s| n.withdraw_origin_caused(P, s));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn decision_prefers_shorter_path_among_customers() {
         let mut w = Lender::default();
-        let mut n = BgpNode::new(
-            AsId(0),
-            vec![
+        let mut net = Net::new(vec![
                 session(1, Relationship::Customer),
                 session(2, Relationship::Customer),
-            ],
-        );
+            ]);
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 8, 9]), s));
         w.act(T0, |s| n.receive(1, ann(s.paths, P, &[2, 9]), s));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(2)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(2)));
     }
 
     #[test]
     fn looping_announcement_is_ignored() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 0, 9]), s));
         assert!(a.is_empty());
-        assert_eq!(n.best_route(P), None);
+        assert_eq!(n.view().best_route(P), None);
     }
 
     #[test]
     fn reset_routing_clears_ribs_but_keeps_sessions() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Slots 1 and 2 were armed (the customer route was exported to the
         // peer and provider) and run out with nothing behind them.
         settle(&mut n, &a, T0);
-        n.reset_routing(after_mrai(T0));
-        assert_eq!(n.best_route(P), None);
-        assert_eq!(n.sessions().len(), 3);
-        assert_eq!(n.advertised(1, P), None);
+        net.routes.reset_routing(after_mrai(T0));
+        let n = net.node();
+        assert_eq!(n.view().best_route(P), None);
+        assert_eq!(n.view().sessions().len(), 3);
+        assert_eq!(n.view().advertised(1, P), None);
     }
 
     #[test]
     #[should_panic]
     fn update_on_an_unknown_slot_panics() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(3, Update::withdraw(P), s));
     }
 
     #[test]
     #[should_panic(expected = "duplicate session")]
     fn duplicate_sessions_rejected() {
-        BgpNode::new(
-            AsId(0),
-            vec![session(1, Relationship::Peer), session(1, Relationship::Customer)],
-        );
+        Net::new(vec![session(1, Relationship::Peer), session(1, Relationship::Customer)]);
     }
 
     #[test]
     fn session_down_invalidates_learned_routes_and_notifies_others() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
         let a = w.act(T0, |s| n.session_down_caused(0, s));
-        assert!(!n.session_active(0));
-        assert_eq!(n.best_route(P), None);
+        assert!(!n.view().session_active(0));
+        assert_eq!(n.view().best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
         assert_eq!(withdraws, vec![1, 2]);
         assert!(a.sends.iter().all(|(_, u)| u.kind.is_withdraw()));
@@ -1011,19 +1048,21 @@ mod tests {
     #[test]
     fn down_session_receives_no_exports() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.session_down_caused(0, s));
         // A new best route arrives from the provider; normally the
         // customer (slot 0) would hear it, but the session is down.
         let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
-        assert_eq!(n.advertised(0, P), None);
+        assert_eq!(n.view().advertised(0, P), None);
     }
 
     #[test]
     fn session_up_replays_the_table() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         w.act(T0, |s| n.originate_caused(Prefix(7), s));
         // Drop and restore the customer session: on restore it must learn
@@ -1031,7 +1070,7 @@ mod tests {
         // (customers receive everything).
         w.act(T0, |s| n.session_down_caused(0, s));
         let a = w.act(T0, |s| n.session_up_caused(0, s));
-        assert!(n.session_active(0));
+        assert!(n.view().session_active(0));
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
         assert_eq!(prefixes, vec![P, Prefix(7)]);
@@ -1045,7 +1084,8 @@ mod tests {
         let mut w = Lender::default();
         // A provider-learned route must not be replayed to a peer session
         // that comes back up.
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         w.act(T0, |s| n.session_down_caused(1, s)); // peer
         let a = w.act(T0, |s| n.session_up_caused(1, s));
@@ -1055,19 +1095,21 @@ mod tests {
     #[test]
     fn session_down_clears_output_queue_state() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(n.advertised(1, P).is_some());
+        assert!(n.view().advertised(1, P).is_some());
         w.act(T0, |s| n.session_down_caused(1, s));
-        assert_eq!(n.advertised(1, P), None);
-        assert!(!n.timer_armed(1, T0));
+        assert_eq!(n.view().advertised(1, P), None);
+        assert!(!n.view().timer_armed(1, T0));
     }
 
     #[test]
     #[should_panic(expected = "already down")]
     fn double_session_down_panics() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.session_down_caused(0, s));
         w.act(T0, |s| n.session_down_caused(0, s));
     }
@@ -1075,7 +1117,8 @@ mod tests {
     #[test]
     fn rfd_suppresses_flapping_route_and_falls_back() {
         let mut w = damped();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         // A stable alternate via the provider.
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         // The customer route flaps: announce, withdraw, announce, withdraw…
@@ -1087,12 +1130,12 @@ mod tests {
             t += SimDuration::from_secs(1);
         }
         // Withdrawal(1000) ×3 + readvert(1000) ×2 ≫ suppress threshold.
-        assert!(n.is_suppressed(0, P));
+        assert!(n.view().is_suppressed(0, P));
         // A further announcement installs the route but the decision
         // sticks with the stable provider route.
         w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(
-            n.best_route(P).unwrap().0,
+            n.view().best_route(P).unwrap().0,
             Some(AsId(3)),
             "damped customer route must not win despite higher local-pref"
         );
@@ -1101,7 +1144,8 @@ mod tests {
     #[test]
     fn rfd_reuse_restores_eligibility() {
         let mut w = damped();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         let mut t = SimTime::from_secs(1);
         let mut wake = None;
@@ -1119,12 +1163,12 @@ mod tests {
         }
         // Final state: suppressed, route re-announced and stored.
         w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(n.is_suppressed(0, P));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(3)));
+        assert!(n.view().is_suppressed(0, P));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
         let early = w.act(at(t + SimDuration::from_secs(60)), |s| n.rfd_reuse_caused(0, P, s));
         assert!(early.is_empty());
-        assert!(n.is_suppressed(0, P));
+        assert!(n.view().is_suppressed(0, P));
         // The MRAI windows of the flapping close, flushing what queued
         // behind them.
         assert!(!expiries.is_empty(), "the flapping queued updates");
@@ -1138,8 +1182,8 @@ mod tests {
         // announced at once.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
         let a = w.act(at(wake), |s| n.rfd_reuse_caused(0, P, s));
-        assert!(!n.is_suppressed(0, P));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert!(!n.view().is_suppressed(0, P));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
         assert!(
             a.sends.iter().any(|(_, u)| u.kind.is_announce()),
             "re-selection must announce the change"
@@ -1149,31 +1193,34 @@ mod tests {
     #[test]
     fn rfd_initial_advertisement_is_free() {
         let mut w = damped();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(!n.is_suppressed(0, P));
+        assert!(!n.view().is_suppressed(0, P));
         // Stable routes never accumulate penalty: identical re-announce
         // is a no-op, not a flap.
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(!n.is_suppressed(0, P));
-        assert_eq!(n.best_route(P).unwrap().0, Some(AsId(1)));
+        assert!(!n.view().is_suppressed(0, P));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
     }
 
     #[test]
     fn rfd_disabled_means_no_suppression_ever() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         for _ in 0..20 {
             w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
             w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         }
-        assert!(!n.is_suppressed(0, P));
+        assert!(!n.view().is_suppressed(0, P));
     }
 
     #[test]
     fn cost_counters_attribute_decision_and_path_work() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         assert_eq!(w.costs, NodeCostCounters::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
@@ -1194,15 +1241,16 @@ mod tests {
     #[test]
     fn advertised_tracks_what_was_sent() {
         let mut w = Lender::default();
-        let mut n = node();
+        let mut net = node();
+        let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(
-            n.advertised(1, P),
+            n.view().advertised(1, P),
             Some(w.paths.of(&[0, 1, 9]))
         );
-        assert_eq!(n.advertised(0, P), None, "never sent back to learner");
-        assert!(n.timer_armed(1, T0));
-        assert!(!n.timer_armed(0, T0));
+        assert_eq!(n.view().advertised(0, P), None, "never sent back to learner");
+        assert!(n.view().timer_armed(1, T0));
+        assert!(!n.view().timer_armed(0, T0));
     }
 
     /// The Adj-RIB-out interning invariant: one best-route change builds
@@ -1211,20 +1259,18 @@ mod tests {
     #[test]
     fn export_to_many_neighbors_shares_one_path_id() {
         let mut w = Lender::default();
-        let mut n = BgpNode::new(
-            AsId(0),
-            vec![
+        let mut net = Net::new(vec![
                 session(1, Relationship::Customer),
                 session(2, Relationship::Peer),
                 session(3, Relationship::Provider),
                 session(4, Relationship::Peer),
-            ],
-        );
+            ]);
+        let mut n = net.node();
         let learned = ann(&mut w.paths, P, &[1, 9]);
         let held = w.paths.paths();
         w.act(T0, |s| n.receive(0, learned, s));
         assert_eq!(w.paths.paths(), held + 1, "the export path is built once");
-        let exported: Vec<PathId> = (1..4).filter_map(|s| n.advertised(s, P)).collect();
+        let exported: Vec<PathId> = (1..4).filter_map(|s| n.view().advertised(s, P)).collect();
         assert_eq!(exported, vec![w.paths.of(&[0, 1, 9]); 3], "customer route reaches the other three");
     }
 
@@ -1269,14 +1315,14 @@ mod tests {
         let (mut by_value, mut in_place) = (node(), node());
         let mut want = Actions::default();
         for (now, entry) in &script {
-            let a = w.act(*now, |s| entry(&mut by_value, s));
+            let a = w.act(*now, |s| entry(&mut by_value.node(), s));
             want.sends.extend(a.sends);
             want.arms.extend(a.arms);
             want.expiries.extend(a.expiries);
         }
         let by_value_costs = std::mem::take(&mut w.costs);
         for (now, entry) in &script {
-            entry(&mut in_place, &mut w.step(*now, Provenance::none()));
+            entry(&mut in_place.node(), &mut w.step(*now, Provenance::none()));
         }
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
@@ -1300,43 +1346,25 @@ mod tests {
             let (slot, which, key) = w.out.expiries[0];
             n.mrai_flush(slot, which, &mut w.step(key, none));
             n.receive(0, Update::withdraw(P), &mut w.step(T0, none));
-            (flat(&std::mem::take(&mut w.out)), n.best_route(P), std::mem::take(&mut w.costs))
+            (flat(&std::mem::take(&mut w.out)), n.view().best_route(P), std::mem::take(&mut w.costs))
         };
-        let mut fresh = node();
-        let want = script(&mut fresh, &mut w);
+        let want = script(&mut node().node(), &mut w);
 
         let mut used = node();
-        w.act(T0, |s| used.receive(0, ann(s.paths, Prefix(4), &[1, 8]), s));
-        w.act(T0, |s| used.receive(0, ann(s.paths, Prefix(4), &[1, 7, 8]), s));
-        w.act(T0, |s| used.session_down_caused(2, s));
-        assert!(used.timer_armed(1, T0), "recycled mid-window, timers armed");
-        used.recycle();
-        assert_eq!(used.best_route(Prefix(4)), None);
-        assert!((0..3).all(|s| used.session_active(s) && !used.timer_armed(s, T0)));
-        assert!((0..3).all(|s| used.advertised(s, Prefix(4)).is_none()));
-        assert_eq!(used.arena_bytes(), 0);
+        let mut n = used.node();
+        w.act(T0, |s| n.receive(0, ann(s.paths, Prefix(4), &[1, 8]), s));
+        w.act(T0, |s| n.receive(0, ann(s.paths, Prefix(4), &[1, 7, 8]), s));
+        w.act(T0, |s| n.session_down_caused(2, s));
+        assert!(n.view().timer_armed(1, T0), "recycled mid-window, timers armed");
+        used.routes.recycle();
+        let n = used.node();
+        assert_eq!(n.view().best_route(Prefix(4)), None);
+        assert!((0..3).all(|s| n.view().session_active(s) && !n.view().timer_armed(s, T0)));
+        assert!((0..3).all(|s| n.view().advertised(s, Prefix(4)).is_none()));
+        assert_eq!(used.routes.arena_bytes(), 0);
 
         w.costs = NodeCostCounters::default();
-        assert_eq!(script(&mut used, &mut w), want, "same routes, same work after recycling");
-    }
-
-    #[test]
-    fn nodes_share_one_session_slab() {
-        let mut w = Lender::default();
-        let slab = SessionSlab::build([
-            (AsId(0), [session(1, Relationship::Peer)]),
-            (AsId(1), [session(0, Relationship::Peer)]),
-        ]);
-        let mut a = BgpNode::from_slab(AsId(0), slab.clone(), 0);
-        let b = BgpNode::from_slab(AsId(1), slab.clone(), 1);
-        assert!(Arc::ptr_eq(a.slab(), b.slab()), "one slab serves every node");
-        assert_eq!(a.slot_of(AsId(1)), Some(0));
-        assert_eq!(b.slot_of(AsId(0)), Some(0));
-        assert_eq!(a.sessions().len(), 1);
-        let acts = w.act(T0, |s| a.originate_caused(P, s));
-        assert_eq!(sends_to(&acts), vec![0]);
-        assert!(a.arena_bytes() > 0, "prefix rows are accounted");
-        assert_eq!(b.arena_bytes(), 0, "untouched node holds no prefix state");
+        assert_eq!(script(&mut used.node(), &mut w), want, "same routes, same work after recycling");
     }
 
     /// The cost shape of the decision process in exact
@@ -1349,7 +1377,8 @@ mod tests {
         let sessions = (1..=64)
             .map(|peer| session(peer, if peer == 1 { Relationship::Customer } else { Relationship::Provider }))
             .collect();
-        let mut n = BgpNode::new(AsId(0), sessions);
+        let mut net = Net::new(sessions);
+        let mut n = net.node();
         let route = |slot: u32, len: u32| {
             let hops = std::iter::once(AsId(slot + 1)).chain((1..len).map(|i| AsId(100 + i)));
             Some(hops.collect::<Vec<_>>())
@@ -1400,11 +1429,12 @@ mod tests {
         ];
         for damped in [false, true] {
             let mut w = if damped { self::damped() } else { Lender::default() };
-            let mut n = BgpNode::new(AsId(0), sessions.clone());
+            let mut net = Net::new(sessions.clone());
+            let mut n = net.node();
             let mut mirror: Vec<Option<Vec<AsId>>> = vec![None; sessions.len()];
             let mut g = Xoshiro256StarStar::new(0xA11_0CA7);
             let mut now = SimTime::ZERO;
-            let suppressed = |n: &BgpNode| (0..5).filter(|&s| n.is_suppressed(s, P)).count();
+            let suppressed = |n: &BgpNode| (0..5).filter(|&s| n.view().is_suppressed(s, P)).count();
             let (mut suppressions, mut reuses, mut pairs) = (0, 0, 0);
             for _ in 0..400 {
                 now += SimDuration::from_secs(120);
@@ -1437,7 +1467,8 @@ mod tests {
                     })
                 };
                 let held = || mirror.iter().enumerate().filter_map(|(i, e)| Some((i, e.as_deref()?)));
-                let cached = n.table.rib_keys(n.table.row(P).expect("the prefix has a row"));
+                let row = n.routes.row(P).expect("the prefix has a row");
+                let (_, cached) = n.routes.adj_rib_in(row, &n.stripe);
                 for (i, a) in held() {
                     for (j, b) in held() {
                         assert_eq!(cached[i].cmp(&cached[j]), key(i, a).cmp(&key(j, b)), "slots {i} and {j}");
@@ -1446,14 +1477,14 @@ mod tests {
                 }
                 let mut want: Option<(usize, &[AsId])> = None;
                 for (i, path) in held() {
-                    if n.is_suppressed(i as u32, P) {
+                    if n.view().is_suppressed(i as u32, P) {
                         continue;
                     }
                     if want.is_none_or(|(w, wp)| key(i, path) > key(w, wp)) {
                         want = Some((i, path));
                     }
                 }
-                let got = n.best_route(P).map(|(nh, p)| (nh, w.paths.to_vec(p)));
+                let got = n.view().best_route(P).map(|(nh, p)| (nh, w.paths.to_vec(p)));
                 let want = want.map(|(s, p)| (Some(sessions[s].peer), p.to_vec()));
                 assert_eq!(got, want, "decision diverged from the brute-force rescan (damped: {damped})");
             }

@@ -13,7 +13,9 @@
 
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, NodeCostCounters, Session};
-use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, Provenance, Update};
+use bgpscale_bgp::{
+    BgpConfig, BgpNode, PathArena, PathId, Prefix, Provenance, RouteSlab, SessionSlab, Update,
+};
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
 use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
 use bgpscale_topology::{AsId, Relationship};
@@ -35,7 +37,10 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
             rel: if peer == 1 { Relationship::Customer } else { Relationship::Provider },
         })
         .collect();
-    let mut node = BgpNode::new(AsId(0), sessions);
+    // What a simulator would own: the node's slab and the route columns.
+    let slab = SessionSlab::for_single(AsId(0), sessions);
+    let mut routes = RouteSlab::new(&slab);
+    let mut node = BgpNode::new(AsId(0), &slab, &mut routes);
     let cfg = BgpConfig::no_wrate();
     let mut paths = PathArena::new();
     let mut out = Actions::default();
@@ -74,7 +79,7 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
         out.sends.clear();
         let export: PathId = paths.prepend(AsId(0), route);
         assert!(
-            (1..NEIGHBORS).all(|slot| node.advertised(slot, P) == Some(export)),
+            (1..NEIGHBORS).all(|slot| node.view().advertised(slot, P) == Some(export)),
             "every session holds the one id of the export path"
         );
     };

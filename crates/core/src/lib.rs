@@ -4,9 +4,10 @@
 //! framework of the CoNEXT 2008 paper *"On the scalability of BGP: the
 //! roles of topology growth and update rate-limiting"*.
 //!
-//! This crate wires the substrates together: it places one
-//! [`bgpscale_bgp::BgpNode`] per AS of a [`bgpscale_topology::AsGraph`],
-//! drives them with the deterministic event kernel from
+//! This crate wires the substrates together: it runs one BGP speaker per
+//! AS of a [`bgpscale_topology::AsGraph`] — a [`bgpscale_bgp::BgpNode`]
+//! view of the simulator's route columns per protocol step — drives them
+//! with the deterministic event kernel from
 //! `bgpscale-simkernel`, and measures **churn** — the number of UPDATE
 //! messages each AS receives — during the paper's canonical routing event:
 //!
@@ -15,7 +16,8 @@
 //!
 //! Modules:
 //!
-//! * [`sim`] — [`Simulator`]: per-node FIFO input queue, single processor
+//! * [`sim`] — [`Simulator`]: per-node FIFO input queue (one pool for
+//!   all nodes), single processor
 //!   with U(0, 100 ms) service time, link delivery, MRAI expiry events.
 //! * [`churn`] — [`churn::ChurnCollector`]: per-(receiver, neighbor)
 //!   update counters, toggled on around the measured phases.
@@ -59,6 +61,7 @@ pub mod churn;
 pub mod factors;
 pub mod flapstorm;
 pub mod harness;
+mod inbox;
 pub mod levent;
 pub mod sim;
 

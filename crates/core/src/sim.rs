@@ -1,8 +1,8 @@
 //! The event-driven network simulator.
 //!
-//! One [`bgpscale_bgp::BgpNode`] per AS, connected according to an
-//! [`AsGraph`], driven by the deterministic event queue of
-//! `bgpscale-simkernel`. Three event kinds exist (the paper's Fig. 2):
+//! One BGP speaker per AS, connected according to an [`AsGraph`], driven
+//! by the deterministic event queue of `bgpscale-simkernel`. Three event
+//! kinds exist (the paper's Fig. 2):
 //!
 //! * **Deliver** — a message arrives at a node and joins its FIFO input
 //!   queue; if the node's processor is idle, service begins. The event
@@ -10,7 +10,7 @@
 //!   rides the simulator's `wire` FIFO, because every message takes the
 //!   same constant link delay and so arrives in the order it was sent.
 //!   A delivery reads the session off the simulator's own slab and the
-//!   receiver's input queue; the receiving `BgpNode` is not touched until
+//!   receiver's input queue; the receiver's routes are not touched until
 //!   its `ProcDone`.
 //! * **ProcDone** — the processor finishes one message (service time drawn
 //!   uniformly from `[0, proc_delay_max]`), the protocol machine runs, and
@@ -55,12 +55,31 @@
 //! four-byte [`PathId`]s of it, and an `Update` is twenty bytes that
 //! nothing points out of. An id lives until [`Simulator::recycle`] clears
 //! the arena; read one back through [`Simulator::paths`].
+//!
+//! ## Memory layout
+//!
+//! The simulator holds no per-node object. Every route of every node —
+//! Adj-RIBs-in, Loc-RIBs, output queues with their MRAI timers, session
+//! liveness, damping history — lives in the columns of one
+//! [`RouteSlab`], indexed by the [`SessionSlab`]'s global session id
+//! (`first_session(node) + slot`) and by network-wide prefix rows, and a
+//! protocol step sees its node's share through a [`BgpNode`] view built
+//! for the step (`Simulator::lend_step`); [`Simulator::node`] hands out
+//! the read-only [`NodeView`]. Every node's input queue is a chain in one
+//! pooled FIFO (`crate::inbox`): entries carry the index of the next,
+//! each node keeps a head, a tail and a length. So instantiating a
+//! simulator is a fixed handful of allocations whatever the size of the
+//! topology, [`Simulator::recycle`] and [`Simulator::reset_routing`] are
+//! a few fills, and a cost snapshot reads the route columns' byte tally
+//! instead of visiting every node.
 
 use std::sync::Arc;
 
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
-use bgpscale_bgp::{BgpConfig, BgpNode, NodeCostCounters, PathArena, Prefix, SessionSlab, Update};
+use bgpscale_bgp::{
+    BgpConfig, BgpNode, NodeCostCounters, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
+};
 use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
@@ -69,6 +88,7 @@ use bgpscale_simkernel::{EventKey, EventQueue, SimDuration, SimTime};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
+use crate::inbox::InboxPool;
 
 /// Hard ceiling on events processed in one [`Simulator::run_to_quiescence`]
 /// call; BGP with Gao–Rexford policies always converges, so hitting this
@@ -180,7 +200,10 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// The session slab shared by every node (and by the template that
     /// stamped this simulator out).
     slab: Arc<SessionSlab>,
-    nodes: Vec<BgpNode>,
+    /// Every route of every node, in columns indexed by the slab's global
+    /// session ids and network-wide prefix rows; a protocol step sees its
+    /// node's share through a `BgpNode` view.
+    routes: RouteSlab,
     /// Every AS path of the run, hash-consed; lent to each protocol step.
     /// Cleared, buffers kept, by [`Simulator::recycle`].
     paths: PathArena,
@@ -191,11 +214,11 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// The decision, path and RIB work of every node, tallied by the
     /// steps it is lent to. Monotone: phase costs only ever diff it.
     costs: NodeCostCounters,
-    /// Per-node FIFO input queue: (the session slot the message arrived
-    /// over, message), as the `Deliver` event carried them. A node's
-    /// processor is busy — a `ProcDone` is scheduled for it — exactly
-    /// while its queue is non-empty.
-    inbox: Vec<std::collections::VecDeque<(u32, Update)>>,
+    /// Every node's FIFO input queue, in one pool: (the session slot the
+    /// message arrived over, message), as the `Deliver` event carried
+    /// them. A node's processor is busy — a `ProcDone` is scheduled for
+    /// it — exactly while its queue is non-empty.
+    inbox: InboxPool,
     queue: EventQueue<SimEvent>,
     /// The `Update`s in flight, in the order their `Deliver` events were
     /// scheduled — which is the order those events pop, because every
@@ -309,24 +332,17 @@ impl SimTemplate {
     /// Like [`SimTemplate::instantiate`], but attaches `obs` to receive
     /// telemetry hooks from the event loop.
     pub fn instantiate_observed<O: SimObserver>(&self, seed: u64, obs: O) -> Simulator<O> {
-        let n = self.graph.len();
-        let nodes: Vec<BgpNode> = self
-            .graph
-            .node_ids()
-            .enumerate()
-            .map(|(i, id)| BgpNode::from_slab(id, Arc::clone(&self.slab), i as u32))
-            .collect();
         let churn = ChurnCollector::new(Arc::clone(&self.slab));
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
             cfg: self.cfg.clone(),
             slab: Arc::clone(&self.slab),
-            nodes,
+            routes: RouteSlab::new(&self.slab),
             paths: PathArena::new(),
             actions: Actions::default(),
             costs: NodeCostCounters::default(),
-            inbox: vec![std::collections::VecDeque::new(); n],
+            inbox: InboxPool::new(self.graph.len()),
             queue: EventQueue::with_capacity(1024),
             wire: std::collections::VecDeque::new(),
             wire_tail_at: SimTime::ZERO,
@@ -391,13 +407,14 @@ impl<O: SimObserver> Simulator<O> {
         &self.cfg
     }
 
-    /// Read access to a node's protocol state.
-    pub fn node(&self, id: AsId) -> &BgpNode {
-        &self.nodes[id.index()]
+    /// Read access to a node's protocol state: a view of its share of the
+    /// simulator's route columns.
+    pub fn node(&self, id: AsId) -> NodeView<'_> {
+        NodeView::new(id, &self.slab, &self.routes)
     }
 
     /// The arena the AS paths of this run live in: resolves the `PathId`s
-    /// that [`BgpNode::best_route`] and [`BgpNode::advertised`] return.
+    /// that [`NodeView::best_route`] and [`NodeView::advertised`] return.
     /// Ids go stale when the simulator is [recycled](Simulator::recycle).
     pub fn paths(&self) -> &PathArena {
         &self.paths
@@ -458,10 +475,9 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Runs one protocol step at `node`, caused by `cause`, in the event
-    /// being processed: lends the node everything it does not hold. What
-    /// the step produces waits in `self.actions` for
-    /// [`Simulator::apply_actions`].
-    // det::allow(panic-surface, reason = "node is a graph node id and nodes is sized one entry per graph node at construction")
+    /// being processed: builds the node's view of the route columns and
+    /// lends it everything else. What the step produces waits in
+    /// `self.actions` for [`Simulator::apply_actions`].
     fn lend_step(
         &mut self,
         node: AsId,
@@ -476,7 +492,7 @@ impl<O: SimObserver> Simulator<O> {
             out: &mut self.actions,
             costs: &mut self.costs,
         };
-        entry(&mut self.nodes[node.index()], &mut step);
+        entry(&mut BgpNode::new(node, &self.slab, &mut self.routes), &mut step);
     }
 
     /// Fails the `a`–`b` link (an "L-event"): both BGP sessions drop,
@@ -500,18 +516,19 @@ impl<O: SimObserver> Simulator<O> {
         let cause = self.new_root(RootCauseKind::SessionDown, a);
         let now = self.queue.last_key();
         for (x, y) in [(a, b), (b, a)] {
-            let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
+            let node = NodeView::new(x, &self.slab, &self.routes);
+            let slot = node.slot_of(y).expect("adjacent");
             // `session_down` force-resets the output queue, forgetting its
             // timers. The clock must still pass the key of each armed one:
             // those no event stands for get theirs now, stale on arrival
             // like the ones already scheduled.
-            for (prefix, key) in self.nodes[x.index()].silent_timers(slot, now) {
+            for (prefix, key) in node.silent_timers(slot, now) {
                 self.queue
                     .schedule_reserved(key, SimEvent::MraiExpire { node: x, slot, prefix });
             }
             // The valid expiries are about to go stale; account for them
             // so the occupancy gauge stays exact.
-            let disarmed = u64::from(self.nodes[x.index()].scheduled_expiries(slot));
+            let disarmed = u64::from(node.scheduled_expiries(slot));
             if disarmed > 0 {
                 self.expiries_scheduled -= disarmed;
                 self.obs
@@ -534,7 +551,7 @@ impl<O: SimObserver> Simulator<O> {
         );
         let cause = self.new_root(RootCauseKind::SessionUp, a);
         for (x, y) in [(a, b), (b, a)] {
-            let slot = self.nodes[x.index()].slot_of(y).expect("adjacent");
+            let slot = self.node(x).slot_of(y).expect("adjacent");
             self.lend_step(x, cause, |node, step| node.session_up_caused(slot, step));
             self.apply_actions(x);
         }
@@ -576,8 +593,7 @@ impl<O: SimObserver> Simulator<O> {
         }
         // Timers nothing waited behind ran out without an event; the clock
         // passes the latest of them as if its expiry had popped.
-        let lapsed = self.nodes.iter().map(|n| n.latest_timer_key_by(deadline));
-        self.queue.advance_to(lapsed.max().unwrap_or(EventKey::ZERO));
+        self.queue.advance_to(self.routes.latest_timer_key_by(deadline));
         Ok(())
     }
 
@@ -591,11 +607,8 @@ impl<O: SimObserver> Simulator<O> {
         }
         let busiest_inbox = self
             .inbox
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .max_by_key(|(i, q)| (q.len(), std::cmp::Reverse(*i)))
-            .map(|(i, q)| (AsId(i as u32), q.len()));
+            .busiest()
+            .map(|(i, len)| (AsId(i as u32), len as usize));
         EventBudgetExceeded {
             budget: self.event_limit,
             processed: self.queue.popped() - start,
@@ -642,11 +655,8 @@ impl<O: SimObserver> Simulator<O> {
             "reset_routing while {} events are pending",
             self.queue.len()
         );
-        let now = self.queue.last_key();
-        debug_assert!(self.inbox.iter().all(|inbox| inbox.is_empty()));
-        for node in &mut self.nodes {
-            node.reset_routing(now);
-        }
+        debug_assert!(self.inbox.is_empty());
+        self.routes.reset_routing(self.queue.last_key());
     }
 
     /// Restores, in place and from **any** state, exactly the observable
@@ -655,13 +665,14 @@ impl<O: SimObserver> Simulator<O> {
     /// ids from 0, churn counters zeroed and disabled, the default event
     /// limit, every link up, the path arena holding the empty path only
     /// (so the run hands out the `PathId`s a fresh one would), and every
-    /// node as constructed (see [`BgpNode::recycle`]). Pending events, busy processors, armed
-    /// timers and failed links — the remains of a run that blew its event
-    /// budget, or of an L-event never restored — are simply discarded.
+    /// route as constructed (see [`RouteSlab::recycle`]). Pending events,
+    /// busy processors, armed timers and failed links — the remains of a
+    /// run that blew its event budget, or of an L-event never restored —
+    /// are simply discarded.
     ///
     /// What is kept: the buffers (that is the point — the harness runs
-    /// every C-event of a worker on one simulator instead of cloning and
-    /// dropping 5000 nodes per event), the attached observer (swap it
+    /// every C-event of a worker on one simulator instead of building its
+    /// route columns per event), the attached observer (swap it
     /// with [`Simulator::replace_observer`]), and the monotone cost
     /// tallies behind [`Simulator::cost_counts`], which phase costs only
     /// ever diff.
@@ -669,12 +680,8 @@ impl<O: SimObserver> Simulator<O> {
         self.queue.reset();
         self.wire.clear();
         self.wire_tail_at = SimTime::ZERO;
-        for inbox in &mut self.inbox {
-            inbox.clear();
-        }
-        for node in &mut self.nodes {
-            node.recycle();
-        }
+        self.inbox.clear();
+        self.routes.recycle();
         self.paths.clear();
         self.rng = Xoshiro256StarStar::new(seed);
         self.churn.take_timeline();
@@ -689,7 +696,7 @@ impl<O: SimObserver> Simulator<O> {
         self.mrai_horizon = EventKey::ZERO;
     }
 
-    // det::allow(panic-surface, reason = "node ids index per-node vecs sized at construction; a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a Deliver with an empty wire or a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
+    // det::allow(panic-surface, reason = "a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a Deliver with an empty wire or a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {
@@ -710,7 +717,7 @@ impl<O: SimObserver> Simulator<O> {
                 self.churn.record(to, slot, update.kind.is_withdraw(), now);
                 // Depth the arriving message will reach once enqueued —
                 // the receiver-side backlog signal.
-                let inbox_depth = self.inbox[to.index()].len() as u32 + 1;
+                let inbox_depth = self.inbox.len(to.index()) + 1;
                 self.obs.on_message(
                     from,
                     to,
@@ -727,7 +734,7 @@ impl<O: SimObserver> Simulator<O> {
                     inbox_depth,
                     now,
                 );
-                self.inbox[to.index()].push_back((slot, update));
+                self.inbox.push(to.index(), slot, update);
                 // The first message to wait starts the processor.
                 if inbox_depth == 1 {
                     let service = self.draw_service_time();
@@ -737,21 +744,22 @@ impl<O: SimObserver> Simulator<O> {
             }
             SimEvent::ProcDone { node } => {
                 self.last_activity = now;
-                let (slot, update) = self.inbox[node.index()]
-                    .pop_front()
+                let (slot, update) = self
+                    .inbox
+                    .pop(node.index())
                     .expect("ProcDone with empty input queue");
                 // `receive` takes the step's cause from the message.
                 self.lend_step(node, Provenance::none(), |n, step| n.receive(slot, update, step));
                 self.obs.on_decision_run(node, now);
                 self.apply_actions(node);
-                if !self.inbox[node.index()].is_empty() {
+                if self.inbox.len(node.index()) > 0 {
                     let service = self.draw_service_time();
                     self.queue
                         .schedule(now + service, SimEvent::ProcDone { node });
                 }
             }
             SimEvent::MraiExpire { node, slot, prefix } => {
-                if !self.nodes[node.index()].expiry_due(slot, prefix, self.queue.last_key()) {
+                if !self.node(node).expiry_due(slot, prefix, self.queue.last_key()) {
                     return; // stale expiry from before a session reset
                 }
                 self.expiries_scheduled -= 1;
@@ -775,7 +783,6 @@ impl<O: SimObserver> Simulator<O> {
     /// keys of the timer arms, that the protocol step just run at `node`
     /// wrote into `self.actions`, leaving the buffer empty for the next
     /// step.
-    // det::allow(panic-surface, reason = "node is a graph node id and nodes is sized one entry per graph node at construction")
     fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
         // Out of `self` while the loops below draw from the RNG and push
@@ -808,7 +815,7 @@ impl<O: SimObserver> Simulator<O> {
             let delay = self.draw_mrai_interval();
             let key = self.queue.reserve(now + delay);
             self.mrai_horizon = self.mrai_horizon.max(key);
-            if self.nodes[node.index()].timer_armed_at(slot, prefix, key) {
+            if BgpNode::new(node, &self.slab, &mut self.routes).timer_armed_at(slot, prefix, key) {
                 actions.expiries.push((slot, prefix, key));
             }
         }
@@ -839,7 +846,7 @@ impl<O: SimObserver> Simulator<O> {
     /// [`bgpscale_obs::costmodel`]).
     pub fn cost_counts(&self) -> OpCounts {
         let q = self.queue.op_counts();
-        let mut c = OpCounts {
+        OpCounts {
             queue_pushes: q.pushes,
             queue_pops: q.pops,
             queue_decreases: q.decreases,
@@ -854,14 +861,10 @@ impl<O: SimObserver> Simulator<O> {
             path_intern_misses: self.costs.path_intern_misses,
             mrai_coalesced: self.costs.mrai_coalesced,
             // The slab is immutable and shared; count it once, not per
-            // node. Per-node tables are added below.
-            arena_bytes_reserved: self.slab.arena_bytes(),
+            // node. The route columns keep their own tally.
+            arena_bytes_reserved: self.slab.arena_bytes() + self.routes.arena_bytes(),
             ..OpCounts::default()
-        };
-        for node in &self.nodes {
-            c.arena_bytes_reserved += node.arena_bytes();
         }
-        c
     }
 
     fn draw_service_time(&mut self) -> SimDuration {
