@@ -28,19 +28,18 @@
 //!   profile        run one observed cell and print a phase profile
 //!                  (see --scenario, --cell-n, --check)
 //!   report         run one cell under NO-WRATE *and* WRATE with the
-//!                  simulated-time series recorder and write a
-//!                  self-contained HTML churn-provenance report plus a
-//!                  timeseries.json artifact (see --bin-us, --report-out,
+//!                  simulated-time series recorder, print the churn-
+//!                  provenance panels as text tables and write a
+//!                  timeseries.json artifact (see --bin-us,
 //!                  --timeseries-out, --check)
 //!   trend          read-only dashboard over the run ledger (`perf
 //!                  --bless` and every profile run append one record per
-//!                  cell to results/ledger/runs.jsonl): per-revision
-//!                  series, scaling-exponent refits with each class's
-//!                  kind (work / avoided / gauge), wall-side context, as
-//!                  a terminal summary and a self-contained trend.html.
-//!                  It judges nothing (exit 0; 2 on an empty or damaged
-//!                  ledger) — the regression gate is `repro perf --check`.
-//!                    --trend-out <file>  HTML path (default trend.html)
+//!                  cell to results/ledger/runs.jsonl), printed as text:
+//!                  per-revision cells, scaling-exponent refits with each
+//!                  class's kind (work / avoided / gauge), wall-side
+//!                  context. It judges nothing (exit 0; 2 on an empty or
+//!                  damaged ledger) — the regression gate is
+//!                  `repro perf --check`.
 //!
 //! options:
 //!   --tiny | --quick | --full  scale preset; --seed/--events/--sizes
@@ -74,7 +73,6 @@
 //!                  and exits non-zero instead of crashing
 //!   --bin-us <n>   (report only) time-series bin width in simulated
 //!                  microseconds (default 100000 = 100 ms)
-//!   --report-out <file>     (report only) HTML path (default report.html)
 //!   --timeseries-out <file> (report only) JSON path (default timeseries.json)
 //!   --check        (profile) exit non-zero if any expected phase span
 //!                  recorded nothing or no events were processed;
@@ -103,7 +101,7 @@ use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use bgpscale_experiments::{figures, htmlreport, perf, profile, trend};
+use bgpscale_experiments::{churnreport, figures, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
 use bgpscale_experiments::{EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord};
@@ -119,9 +117,9 @@ fn usage(problem: &str) -> ! {
          [--jobs N] \
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
-         [--report-out FILE] [--timeseries-out FILE] [--check] \
+         [--timeseries-out FILE] [--check] \
          [--bless] [--perturb SEED] [--costmodel-out FILE] \
-         [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE]\n\
+         [--ledger FILE] [--no-ledger] [--ledger-rev REV]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
          (same convention as det --check)"
     );
@@ -152,8 +150,6 @@ struct Options {
     event_limit: Option<u64>,
     /// `report`: time-series bin width in simulated microseconds.
     bin_us: u64,
-    /// `report`: where to write the HTML page.
-    report_out: PathBuf,
     /// `report`: where to write the raw time series.
     timeseries_out: PathBuf,
     /// `profile`/`report`: fail the process if the check fails (`perf`
@@ -169,8 +165,6 @@ struct Options {
     ledger: Option<PathBuf>,
     /// Revision string to record instead of `git rev-parse HEAD`.
     ledger_rev: Option<String>,
-    /// `trend`: where to write the HTML dashboard.
-    trend_out: PathBuf,
 }
 
 /// The value of `flag`: the next argument, parsed as a `T`.
@@ -195,7 +189,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         cell_n: None,
         event_limit: None,
         bin_us: 100_000,
-        report_out: PathBuf::from("report.html"),
         timeseries_out: PathBuf::from("timeseries.json"),
         check: false,
         bless: false,
@@ -203,7 +196,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         costmodel_out: None,
         ledger: Some(PathBuf::from("results/ledger/runs.jsonl")),
         ledger_rev: None,
-        trend_out: PathBuf::from("trend.html"),
     };
     let (mut seed, mut events, mut sizes) = (None, None, None);
     while let Some(arg) = args.next() {
@@ -232,7 +224,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--cell-n" => o.cell_n = Some(value(&mut args, flag)?),
             "--event-limit" => o.event_limit = Some(value(&mut args, flag)?),
             "--bin-us" => o.bin_us = value::<NonZeroU64>(&mut args, flag)?.get(),
-            "--report-out" => o.report_out = value(&mut args, flag)?,
             "--timeseries-out" => o.timeseries_out = value(&mut args, flag)?,
             "--check" => o.check = true,
             "--bless" => o.bless = true,
@@ -247,7 +238,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 }
                 o.ledger_rev = Some(rev);
             }
-            "--trend-out" => o.trend_out = value(&mut args, flag)?,
             "--window" | "--band" | "--exp-band" => return Err(TREND_IS_NOT_A_GATE.to_string()),
             _ => return Err(format!("unknown option {flag}")),
         }
@@ -353,10 +343,10 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
 }
 
 /// `repro report`: run one cell under both MRAI modes with the time-series
-/// recorder, write the self-contained HTML page and the raw
-/// `timeseries.json`, and optionally gate on [`htmlreport::check`].
+/// recorder, print the panels, write the raw `timeseries.json`, and
+/// optionally gate on [`churnreport::check`].
 fn run_report_target(opts: &Options) -> std::io::Result<bool> {
-    let cfg = htmlreport::ReportConfig {
+    let cfg = churnreport::ReportConfig {
         scenario: opts.profile_scenario,
         n: opts.cell_n.unwrap_or_else(|| opts.cfg.sizes.first().copied().unwrap_or(300)),
         events: opts.cfg.events,
@@ -372,13 +362,12 @@ fn run_report_target(opts: &Options) -> std::io::Result<bool> {
         cfg.events,
         cfg.bin_us
     );
-    let out = htmlreport::run_report(&cfg);
-    std::fs::write(&opts.report_out, &out.html)?;
-    log!(Info, "wrote HTML report to {}", opts.report_out.display());
+    let out = churnreport::run_report(&cfg);
+    print!("{}", churnreport::render_text(&cfg, &out));
     std::fs::write(&opts.timeseries_out, &out.timeseries_json)?;
     log!(Info, "wrote time series to {}", opts.timeseries_out.display());
     if opts.check {
-        if let Err(reason) = htmlreport::check(&out) {
+        if let Err(reason) = churnreport::check(&out) {
             eprintln!("report check FAILED: {reason}");
             return Ok(false);
         }
@@ -432,9 +421,8 @@ fn append_ledger(opts: &Options, records: &[LedgerRecord]) {
     }
 }
 
-/// `repro trend`: fold the ledger into the terminal summary and the
-/// `trend.html` dashboard. Read-only and verdict-free. Returns the
-/// process exit code.
+/// `repro trend`: fold the ledger and print the dashboard. Read-only and
+/// verdict-free. Returns the process exit code.
 fn run_trend_target(opts: &Options) -> i32 {
     let Some(path) = &opts.ledger else {
         eprintln!("trend: --no-ledger leaves nothing to analyze");
@@ -452,12 +440,7 @@ fn run_trend_target(opts: &Options) -> i32 {
         return EXIT_USAGE;
     }
     let report = trend::analyze(&records);
-    print!("{}", trend::render_text(&report));
-    if let Err(e) = std::fs::write(&opts.trend_out, trend::render_html(&records, &report)) {
-        eprintln!("trend: writing {} failed: {e}", opts.trend_out.display());
-        return EXIT_FAIL;
-    }
-    log!(Info, "trend: wrote {}", opts.trend_out.display());
+    print!("{}", trend::render_text(&records, &report));
     EXIT_OK
 }
 
@@ -658,6 +641,8 @@ mod tests {
             "profile --scenario NOPE",
             "profile --ledger-rev",
             "fig4 --frobnicate",
+            "report --report-out x",
+            "trend --trend-out x",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be a usage error");
         }
@@ -675,7 +660,7 @@ mod tests {
             let problem = parse(line).err().unwrap_or_else(|| panic!("`{line}` must not parse"));
             assert!(problem.contains("repro perf --check"), "{line}: {problem}");
         }
-        assert!(parse("trend --trend-out t.html").is_ok());
+        assert!(parse("trend --ledger runs.jsonl").is_ok());
         assert!(parse("profile --check").is_ok(), "--check still gates profile/report");
     }
 }

@@ -40,8 +40,8 @@
 #![forbid(unsafe_code)]
 
 pub mod churn_trace;
+pub mod churnreport;
 pub mod figures;
-pub mod htmlreport;
 pub mod perf;
 pub mod profile;
 pub mod report;

@@ -65,6 +65,9 @@ pub struct ProfileOutput {
     pub spans: Vec<(&'static str, SpanStats)>,
     /// Total wall time of the profiled run in seconds.
     pub wall_s: f64,
+    /// The worker count the run used: [`ProfileConfig::jobs`] with 0
+    /// resolved to the hardware threads.
+    pub jobs: usize,
 }
 
 /// The phase spans every profiled run must record.
@@ -99,6 +102,7 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, CellError> {
         observed,
         spans: span::snapshot(),
         wall_s: watch.elapsed_secs_f64(),
+        jobs,
     })
 }
 
@@ -112,7 +116,7 @@ pub fn profile_record(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &str) -
         costmodel: Some(artifact_hash(&observed.cost.to_json())),
     };
     let ops = observed.cost.total();
-    cell_record(RunKind::Profile, &cfg.cell(), cfg.jobs, ops, artifacts, out.wall_s, git_rev)
+    cell_record(RunKind::Profile, &cfg.cell(), out.jobs, ops, artifacts, out.wall_s, git_rev)
 }
 
 /// The CI gate: every expected span recorded at least one call, and the
@@ -288,6 +292,22 @@ mod tests {
         let wr = cell_record(RunKind::Perf, &wrate, 1, pr.ops, pr.artifacts, 0.0, "r1");
         assert_eq!((pr.mode.as_str(), wr.mode.as_str()), ("NO-WRATE", "WRATE"));
         assert_ne!(pr.fingerprint(), wr.fingerprint());
+    }
+
+    /// `jobs: 0` asks for every hardware thread; the ledger's wall tier
+    /// records how many that was, never the request.
+    #[test]
+    fn a_default_jobs_profile_records_the_effective_worker_count() {
+        let _guard = PROFILE_LOCK.lock().unwrap();
+        let cfg = ProfileConfig {
+            jobs: 0,
+            trace_sample: None,
+            ..tiny_cfg()
+        };
+        let out = run_profile(&cfg).unwrap();
+        let record = profile_record(&cfg, &out, "r1");
+        assert!(record.wall.jobs >= 1, "recorded {} workers", record.wall.jobs);
+        assert_eq!(record.wall.jobs, bgpscale_simkernel::pool::effective_jobs(0).max(1) as u64);
     }
 
     /// A blown event budget surfaces the harness's typed error, budget

@@ -23,6 +23,17 @@ impl Table {
         }
     }
 
+    /// A table with `rows` already pushed (see [`Table::push_row`]).
+    pub fn with_rows(
+        title: impl Into<String>,
+        headers: &[&str],
+        rows: impl IntoIterator<Item = Vec<String>>,
+    ) -> Table {
+        let mut t = Table::new(title, headers);
+        rows.into_iter().for_each(|row| t.push_row(row));
+        t
+    }
+
     /// Appends a row.
     ///
     /// # Panics

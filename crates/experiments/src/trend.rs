@@ -14,20 +14,20 @@
 //!   calls it on a fresh mini sweep. Every fitted class carries its
 //!   [`ClassKind`], so a benefit counter's exponent (`mrai_coalesced`,
 //!   `path_intern_hits`) is never read as a cost.
-//! * **[`render_html`]** writes the self-contained `trend.html` with
-//!   `obs::render`: updates-per-event and events/sec vs n across
-//!   revisions — the repo's own Fig. 1 analog, except the x-axis growth
-//!   is the *codebase*, not the topology. **[`render_text`]** is the
-//!   terminal summary.
+//! * **[`render_text`]** prints it: updates and ops per event and
+//!   events/sec vs n across revisions — the repo's own Fig. 1 analog,
+//!   except the x-axis growth is the *codebase*, not the topology — then
+//!   the refits and the wall-side context.
 //!
 //! Everything here runs outside the deterministic tier (it reads wall
-//! fields and renders floats); the determinism contract is enforced
+//! fields and prints floats); the determinism contract is enforced
 //! upstream, where the record's `det` block is produced.
 
 use bgpscale_obs::costmodel::{ClassKind, OpCounts};
 use bgpscale_obs::ledger::LedgerRecord;
-use bgpscale_obs::render::{self, LineSeries};
 use bgpscale_stats::regression::fit_linear;
+
+use crate::report::Table;
 
 /// A fitted per-op-class scaling law `ops_per_event ∝ n^exponent`.
 #[derive(Clone, Debug)]
@@ -180,190 +180,80 @@ pub fn analyze(records: &[LedgerRecord]) -> TrendReport {
     }
 }
 
+/// A revision's first ten characters (whole characters: a revision given
+/// with `--ledger-rev` may be any string).
 fn short_rev(rev: &str) -> &str {
-    if rev.len() > 10 { &rev[..10] } else { rev }
+    rev.char_indices().nth(10).map_or(rev, |(end, _)| &rev[..end])
 }
 
-fn fmt_cpct(cpct: Option<i64>) -> String {
-    cpct.map_or("—".to_string(), |c| format!("{:.2}", c as f64 / 100.0))
-}
-
-/// Renders the self-contained `trend.html` dashboard: events/sec and
-/// updates-per-event vs n, one line per revision, for the config group
-/// with the most history; plus the full per-rev cell table, the exponent
-/// refits with each class's kind, and the wall-side context.
-pub fn render_html(records: &[LedgerRecord], report: &TrendReport) -> String {
-    use std::fmt::Write as _;
-
-    let mut body = String::new();
-    let _ = write!(
-        body,
-        "<h1>bgpscale run ledger — scaling trends</h1>\
-         <p>{} records · {} revisions · {} config fingerprints · read-only: \
-         the regression gate is <code>repro perf --check</code>, and a \
-         re-blessed baseline shows here as a step between revisions</p>",
+/// Renders the dashboard as text: the history's shape; per revision and
+/// n, events/sec and updates and ops per event for the config group with
+/// the most history; the exponent refits with each class's kind; and the
+/// wall-side context (peak RSS and observer overheads where recorded).
+pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
+    let mut s = format!(
+        "trend: {} records, {} revisions, {} config fingerprints (read-only: the regression \
+         gate is `repro perf --check`; a re-blessed baseline shows as a step between revisions)\n",
         report.records,
         report.revs.len(),
         report.fingerprints
     );
-
-    // The config group with the most history drives the charts.
+    let mut tables = Vec::new();
     if let Some((key, entries)) = groups(records).iter().max_by_key(|(_, v)| v.len()) {
-        // Per revision, ascending n: [n, events/s, updates/event, ops/event].
-        let per_rev: Vec<(&str, Vec<[f64; 4]>)> = report
-            .revs
-            .iter()
-            .map(|rev| {
-                let pts = cells_at(entries, rev)
-                    .iter()
-                    .map(|r| {
-                        let per_event = |v: u64| v as f64 / r.events.max(1) as f64;
-                        [
-                            r.n as f64,
-                            r.events as f64 / (r.wall.wall_us.max(1) as f64 / 1e6),
-                            per_event(r.ops.deliveries),
-                            per_event(r.ops.grand_total()),
-                        ]
-                    })
-                    .collect();
-                (short_rev(rev), pts)
-            })
-            .filter(|(_, pts): &(_, Vec<_>)| !pts.is_empty())
-            .collect();
-
-        let _ = write!(
-            body,
-            "<h2>Scaling across revisions — {}</h2>",
-            render::html_escape(&group_label(key))
-        );
-        for (title, column, note) in [
-            (
-                "updates per event vs n",
-                2usize,
-                "deterministic: update deliveries per C-event (the Fig. 1 quantity)",
-            ),
-            (
-                "events/sec vs n",
-                1usize,
-                "wall-side: C-events per second of wall time (machine-dependent)",
-            ),
-            (
-                "total ops per event vs n",
-                3usize,
-                "deterministic: work op classes summed (no gauge, no avoided work), per C-event",
-            ),
-        ] {
-            let points: Vec<Vec<(f64, f64)>> = per_rev
-                .iter()
-                .map(|(_, pts)| pts.iter().map(|p| (p[0], p[column])).collect())
-                .collect();
-            let series: Vec<LineSeries<'_>> = per_rev
-                .iter()
-                .zip(&points)
-                .map(|((rev, _), points)| LineSeries { label: rev, points })
-                .collect();
-            let _ = write!(
-                body,
-                "<div class=\"panel\"><p>{}</p>{}<p>{}</p></div>",
-                render::html_escape(title),
-                render::svg_lines(&series, 320, 160),
-                render::html_escape(note)
-            );
-        }
-
-        body.push_str("<h2>Cells</h2>");
-        let rows: Vec<Vec<String>> = per_rev
-            .iter()
-            .flat_map(|(rev, pts)| {
-                pts.iter().map(move |&[n, eps, upd, ops]| {
-                    vec![
-                        rev.to_string(),
-                        format!("{n:.0}"),
-                        format!("{eps:.1}"),
-                        format!("{upd:.1}"),
-                        format!("{ops:.1}"),
-                    ]
-                })
-            })
-            .collect();
-        body.push_str(&render::html_table(
-            &["rev", "n", "events/s", "updates/event", "ops/event"],
-            &rows,
-        ));
-    }
-
-    if !report.exponent_fits.is_empty() {
-        body.push_str("<h2>Scaling-exponent refits</h2>");
-        let rows: Vec<Vec<String>> = report
-            .exponent_fits
-            .iter()
-            .map(|f| {
-                vec![
-                    f.group.clone(),
-                    short_rev(&f.rev).to_string(),
-                    f.fit.class.to_string(),
-                    kind_label(f.fit.kind).to_string(),
-                    format!("{:.3}", f.fit.exponent),
-                    format!("{:.3}", f.fit.r_squared),
-                ]
-            })
-            .collect();
-        body.push_str(&render::html_table(
-            &["config", "rev", "op class", "kind", "n-exponent", "r²"],
-            &rows,
-        ));
-    }
-
-    // Wall-side context table: RSS and overheads where recorded.
-    let rss_rows: Vec<Vec<String>> = records
-        .iter()
-        .filter(|r| r.wall.peak_rss_bytes.is_some() || r.wall.metrics_overhead_cpct.is_some())
-        .map(|r| {
+        let cells = report.revs.iter().flat_map(|rev| cells_at(entries, rev)).map(|r| {
+            let per_event = |v: u64| format!("{:.1}", v as f64 / r.events.max(1) as f64);
             vec![
                 short_rev(&r.git_rev).to_string(),
-                r.kind.to_string(),
                 r.n.to_string(),
-                r.wall
-                    .peak_rss_bytes
-                    .map_or("—".to_string(), |b| format!("{:.1}", b as f64 / (1 << 20) as f64)),
-                fmt_cpct(r.wall.metrics_overhead_cpct),
-                fmt_cpct(r.wall.trace_overhead_cpct),
+                format!("{:.1}", r.events as f64 / (r.wall.wall_us.max(1) as f64 / 1e6)),
+                per_event(r.ops.deliveries),
+                per_event(r.ops.grand_total()),
             ]
-        })
-        .collect();
-    if !rss_rows.is_empty() {
-        body.push_str("<h2>Wall-side context</h2>");
-        body.push_str(&render::html_table(
-            &["rev", "kind", "n", "peak RSS (MiB)", "metrics ovh %", "trace ovh %"],
-            &rss_rows,
+        });
+        tables.push(Table::with_rows(
+            format!("cells of {} (events/s is wall-side)", group_label(key)),
+            &["rev", "n", "events/s", "updates/event", "ops/event"],
+            cells,
         ));
     }
-
-    render::html_page("bgpscale trend dashboard", &body)
-}
-
-/// Renders the terminal summary.
-pub fn render_text(report: &TrendReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "trend: {} records, {} revisions, {} config fingerprints",
-        report.records,
-        report.revs.len(),
-        report.fingerprints
-    );
-    for f in &report.exponent_fits {
-        let _ = writeln!(
-            s,
-            "  exponent {} @ {}: {:<20} {:<7} {:+.3} (r²={:.3})",
-            f.group,
-            short_rev(&f.rev),
-            f.fit.class,
-            kind_label(f.fit.kind),
-            f.fit.exponent,
-            f.fit.r_squared
-        );
+    let fits = report.exponent_fits.iter().map(|f| {
+        vec![
+            f.group.clone(),
+            short_rev(&f.rev).to_string(),
+            f.fit.class.to_string(),
+            kind_label(f.fit.kind).to_string(),
+            format!("{:+.3}", f.fit.exponent),
+            format!("{:.3}", f.fit.r_squared),
+        ]
+    });
+    tables.push(Table::with_rows(
+        "scaling-exponent refits",
+        &["config", "rev", "op class", "kind", "n-exponent", "r²"],
+        fits,
+    ));
+    let cpct = |c: Option<i64>| c.map_or("—".to_string(), |c| format!("{:.2}", c as f64 / 100.0));
+    let mib = |b: u64| format!("{:.1}", b as f64 / (1 << 20) as f64);
+    let measured = records
+        .iter()
+        .filter(|r| r.wall.peak_rss_bytes.is_some() || r.wall.metrics_overhead_cpct.is_some());
+    let wall = measured.map(|r| {
+        vec![
+            short_rev(&r.git_rev).to_string(),
+            r.kind.to_string(),
+            r.n.to_string(),
+            r.wall.peak_rss_bytes.map_or("—".to_string(), mib),
+            cpct(r.wall.metrics_overhead_cpct),
+            cpct(r.wall.trace_overhead_cpct),
+        ]
+    });
+    tables.push(Table::with_rows(
+        "wall-side context",
+        &["rev", "kind", "n", "peak RSS (MiB)", "metrics ovh %", "trace ovh %"],
+        wall,
+    ));
+    for t in tables.iter().filter(|t| !t.rows.is_empty()) {
+        s.push('\n');
+        s.push_str(&t.render());
     }
     s
 }
@@ -441,22 +331,38 @@ mod tests {
     }
 
     #[test]
-    fn dashboard_renders_both_chart_axes_across_revs() {
+    fn dashboard_prints_cells_refits_and_wall_context_across_revs() {
         let records: Vec<LedgerRecord> = ["r1", "r2"]
             .iter()
             .flat_map(|rev| [rec(100, rev, 100 * 100), rec(400, rev, 100 * 400)])
             .collect();
         let report = analyze(&records);
-        let html = render_html(&records, &report);
-        assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("updates per event vs n"));
-        assert!(html.contains("events/sec vs n"));
-        assert!(html.contains(">r1</text>") && html.contains(">r2</text>"));
-        assert!(html.contains("Scaling-exponent refits"));
-        assert!(html.contains("<td>mrai_coalesced</td><td>avoided</td>"), "kind column");
-        assert!(!html.contains("Regressions"), "the dashboard judges nothing");
-        let text = render_text(&report);
-        assert!(text.contains("2 revisions"));
-        assert!(text.contains("avoided"));
+        let text = render_text(&records, &report);
+        assert!(text.starts_with("trend: 4 records, 2 revisions, 2 config fingerprints"));
+        let titles = ["## cells of BASELINE/NO-WRATE", "## scaling-exponent refits", "## wall-side context"];
+        for title in titles {
+            assert!(text.contains(title), "missing {title:?}:\n{text}");
+        }
+        let has_row = |cells: &[&str]| text.lines().any(|l| l.split_whitespace().eq(cells.iter().copied()));
+        // One cell row per (rev, n): 10 events in 0.1 s at n = 100 is
+        // 100 events/s, and 10⁴ of each class over the 10 events is 10³
+        // per event, 12 work classes of them.
+        assert!(has_row(&["r1", "100", "100.0", "1000.0", "12000.0"]), "{text}");
+        let kind_of = |class: &str| {
+            text.lines().find(|l| l.contains(class)).map(|l| l.contains("avoided"))
+        };
+        assert_eq!(kind_of(" mrai_coalesced "), Some(true), "kind column:\n{text}");
+        assert_eq!(kind_of(" deliveries "), Some(false));
+        assert!(has_row(&["r2", "bench", "400", "1.0", "—", "—"]), "{text}");
+        assert!(!text.contains("Regressions"), "the dashboard judges nothing");
+    }
+
+    #[test]
+    fn short_rev_cuts_whole_characters() {
+        assert_eq!(short_rev("0123456789abcdef"), "0123456789");
+        assert_eq!(short_rev("r1"), "r1");
+        // Byte 10 falls inside the fifth 'é': a byte slice there panics.
+        assert_eq!(short_rev("aéééééé"), "aéééééé");
+        assert_eq!(short_rev("aéééééééééééé"), "aééééééééé");
     }
 }

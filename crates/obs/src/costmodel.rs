@@ -27,7 +27,7 @@
 //! `arena_bytes_reserved`: a deterministic byte count from the fixed
 //! arena byte model, not an allocator measurement.
 
-use std::fmt::Write as _;
+use crate::json::{Layout, Value};
 
 /// Number of convergence phases attributed per C-event.
 pub const PHASES: usize = 3;
@@ -162,14 +162,9 @@ impl OpCounts {
         kinded.filter(|(_, class)| class.1 == ClassKind::Work).map(|((_, value), _)| value).sum()
     }
 
-    /// Writes this bundle as a single-line JSON object.
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (name, value)) in self.fields().iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{name}\": {value}");
-        }
-        out.push('}');
+    /// Every class as one inline object.
+    fn to_value(self) -> Value {
+        Value::obj(Layout::Inline, self.fields().map(|(name, value)| (name, value.into())))
     }
 }
 
@@ -239,39 +234,25 @@ impl CostModel {
     /// equal models produce byte-identical files regardless of how many
     /// workers computed them.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {},", crate::SCHEMA_VERSION);
-        let _ = writeln!(s, "  \"events\": {},", self.per_event.len());
-        s.push_str("  \"phases\": [");
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(s, "{sep}\"{name}\"");
-        }
-        s.push_str("],\n  \"total\": ");
-        self.total().write_json(&mut s);
-        s.push_str(",\n  \"phase_totals\": [");
-        for (i, phase) in self.phase_totals().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    ");
-            phase.write_json(&mut s);
-        }
-        s.push_str("\n  ],\n  \"per_event\": [");
-        for (i, phases) in self.per_event.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    {{ \"event\": {i}, \"phases\": [");
-            for (j, phase) in phases.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                s.push_str(sep);
-                phase.write_json(&mut s);
-            }
-            s.push_str("] }");
-        }
-        if !self.per_event.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        let phases = |layout, phases: &PhaseCosts| {
+            Value::arr(layout, phases.map(OpCounts::to_value))
+        };
+        let per_event = self.per_event.iter().enumerate().map(|(i, event)| {
+            let event = [("event", i.into()), ("phases", phases(Layout::Inline, event))];
+            Value::obj(Layout::Padded, event)
+        });
+        let doc = Value::obj(
+            Layout::Lines,
+            [
+                ("schema_version", crate::SCHEMA_VERSION.into()),
+                ("events", self.per_event.len().into()),
+                ("phases", Value::arr(Layout::Inline, PHASE_NAMES)),
+                ("total", self.total().to_value()),
+                ("phase_totals", phases(Layout::Lines, &self.phase_totals())),
+                ("per_event", Value::arr(Layout::Lines, per_event)),
+            ],
+        );
+        doc.to_json() + "\n"
     }
 }
 

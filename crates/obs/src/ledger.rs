@@ -55,12 +55,12 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::Path;
 
 use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
 
 use crate::costmodel::OpCounts;
+use crate::json::{self, Layout, Value};
 use crate::SCHEMA_VERSION;
 
 /// Which subcommand produced a record.
@@ -179,43 +179,35 @@ impl LedgerRecord {
     /// The canonical deterministic block. Everything here is a pure
     /// function of `(config, seed, code)`; byte-identical across `--jobs`.
     pub fn det_json(&self) -> String {
-        self.det_json_with(OpCounts::FIELD_COUNT)
+        self.det_value(OpCounts::FIELD_COUNT).to_json()
     }
 
-    /// [`LedgerRecord::det_json`] truncated to the first `field_count` op
-    /// classes — the serialization an older schema wrote. Op classes are
-    /// only ever appended, so every historical `ops` block is a prefix of
-    /// the current one.
-    fn det_json_with(&self, field_count: usize) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"kind\":\"{}\",\"git_rev\":\"{}\",\"fingerprint\":\"{:016x}\",\
-             \"scenario\":\"{}\",\"n\":{},\"mode\":\"{}\",\"seed\":{},\"events\":{},",
-            self.kind,
-            self.git_rev,
-            self.fingerprint(),
-            self.scenario,
-            self.n,
-            self.mode,
-            self.seed,
-            self.events
-        );
-        s.push_str("\"ops\":{");
-        for (i, (name, value)) in self.ops.fields().iter().take(field_count).enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\"{name}\":{value}");
-        }
-        s.push_str("},\"artifacts\":{");
-        let _ = write!(
-            s,
-            "\"metrics\":{},\"timeseries\":{},\"costmodel\":{}",
-            opt_hex(self.artifacts.metrics),
-            opt_hex(self.artifacts.timeseries),
-            opt_hex(self.artifacts.costmodel)
-        );
-        s.push_str("}}");
-        s
+    /// The deterministic block with the first `field_count` op classes —
+    /// what an older schema wrote. Op classes are only ever appended, so
+    /// every historical `ops` block is a prefix of the current one.
+    fn det_value(&self, field_count: usize) -> Value {
+        let ops = self.ops.fields().into_iter().take(field_count);
+        let ops = ops.map(|(name, v)| (name, v.into()));
+        let a = &self.artifacts;
+        let artifacts = [
+            ("metrics", a.metrics),
+            ("timeseries", a.timeseries),
+            ("costmodel", a.costmodel),
+        ]
+        .map(|(key, hash)| (key, hash.map(hex).into()));
+        let det = [
+            ("kind", self.kind.name().into()),
+            ("git_rev", self.git_rev.as_str().into()),
+            ("fingerprint", hex(self.fingerprint()).into()),
+            ("scenario", self.scenario.as_str().into()),
+            ("n", self.n.into()),
+            ("mode", self.mode.as_str().into()),
+            ("seed", self.seed.into()),
+            ("events", self.events.into()),
+            ("ops", Value::obj(Layout::Compact, ops)),
+            ("artifacts", Value::obj(Layout::Compact, artifacts)),
+        ];
+        Value::obj(Layout::Compact, det)
     }
 
     /// Content hash of the deterministic block — the dedup key component
@@ -236,26 +228,23 @@ impl LedgerRecord {
     /// `det_hash` on the wire covers the det block *as that schema wrote
     /// it*, so the hash is recomputed over the truncated field set.
     fn to_line_with(&self, schema: u32, field_count: usize) -> String {
-        let det = self.det_json_with(field_count);
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"schema_version\":{},\"det\":{},\"det_hash\":\"{:016x}\",\"wall\":{{",
-            schema,
-            det,
-            hash64_bytes(det.as_bytes())
-        );
-        let _ = write!(
-            s,
-            "\"wall_us\":{},\"jobs\":{},\"peak_rss_bytes\":{},\
-             \"metrics_overhead_cpct\":{},\"trace_overhead_cpct\":{}}}}}",
-            self.wall.wall_us,
-            self.wall.jobs,
-            opt_u64(self.wall.peak_rss_bytes),
-            opt_i64(self.wall.metrics_overhead_cpct),
-            opt_i64(self.wall.trace_overhead_cpct)
-        );
-        s
+        let det = self.det_value(field_count);
+        let det_hash = hash64_bytes(det.to_json().as_bytes());
+        let w = &self.wall;
+        let wall = [
+            ("wall_us", w.wall_us.into()),
+            ("jobs", w.jobs.into()),
+            ("peak_rss_bytes", w.peak_rss_bytes.into()),
+            ("metrics_overhead_cpct", w.metrics_overhead_cpct.into()),
+            ("trace_overhead_cpct", w.trace_overhead_cpct.into()),
+        ];
+        let line = [
+            ("schema_version", schema.into()),
+            ("det", det),
+            ("det_hash", hex(det_hash).into()),
+            ("wall", Value::obj(Layout::Compact, wall)),
+        ];
+        Value::obj(Layout::Compact, line).to_json()
     }
 }
 
@@ -268,25 +257,9 @@ pub fn config_fingerprint(scenario: &str, n: u64, mode: &str, seed: u64, events:
     hash64_pair(h, events)
 }
 
-fn opt_hex(v: Option<u64>) -> String {
-    match v {
-        Some(v) => format!("\"{v:016x}\""),
-        None => "null".to_string(),
-    }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn opt_i64(v: Option<i64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
+/// A hash as the ledger writes it: sixteen lowercase hex digits.
+fn hex(hash: u64) -> String {
+    format!("{hash:016x}")
 }
 
 /// What went wrong while reading or appending the ledger.
@@ -317,71 +290,51 @@ impl fmt::Display for LedgerError {
     }
 }
 
-/// Extracts `"key":<unsigned integer>` from a compact JSON line.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":<signed integer or null>`.
-fn json_opt_i64(doc: &str, key: &str) -> Option<Option<i64>> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    if rest.starts_with("null") {
-        return Some(None);
+/// `Some(None)` for `null`, `Some(Some(v))` for an integer that fits `T`,
+/// `None` for anything else.
+fn nullable<T: TryFrom<i128>>(value: &Value) -> Option<Option<T>> {
+    match value {
+        Value::Null => Some(None),
+        v => v.integer().map(Some),
     }
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok().map(Some)
-}
-
-/// Extracts `"key":<unsigned integer or null>`.
-fn json_opt_u64(doc: &str, key: &str) -> Option<Option<u64>> {
-    match json_opt_i64(doc, key)? {
-        None => Some(None),
-        Some(v) if v >= 0 => Some(Some(v as u64)),
-        Some(_) => None,
-    }
-}
-
-/// Extracts `"key":"<string>"`.
-fn json_str<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let at = doc.find(&needle)? + needle.len();
-    doc[at..].split('"').next()
-}
-
-/// Extracts `"key":"<16 hex digits>"` or `"key":null`.
-fn json_opt_hex(doc: &str, key: &str) -> Option<Option<u64>> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    if rest.starts_with("null") {
-        return Some(None);
-    }
-    let hex = rest.strip_prefix('"')?.split('"').next()?;
-    u64::from_str_radix(hex, 16).ok().map(Some)
 }
 
 /// Parses one canonical ledger line back into a record.
 ///
 /// # Errors
 /// [`LedgerError::Schema`] on a foreign schema version;
-/// [`LedgerError::Corrupt`] when a field is missing/malformed or when the
-/// parsed record does not re-serialize to the exact input bytes (which
-/// catches truncation and any in-place edit, including a det/wall value
-/// flip that individual field parses would miss).
+/// [`LedgerError::Corrupt`] when the line is not JSON, a field is
+/// missing/malformed, or the parsed record does not re-serialize to the
+/// exact input bytes (which catches truncation and any in-place edit,
+/// including a det/wall value flip that individual field parses would
+/// miss).
 pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerError> {
-    let corrupt = |reason: &str| LedgerError::Corrupt {
-        line: line_no,
-        reason: reason.to_string(),
+    let corrupt = |reason: String| LedgerError::Corrupt { line: line_no, reason };
+    let doc = json::parse(line).map_err(corrupt)?;
+    // Each reader takes the member's path from the line's root. Values are
+    // only checked for their JSON type here: whether they are the ones the
+    // writer would have written is the round trip's job, below.
+    let at = |path: &[&str]| {
+        let found = path.iter().try_fold(&doc, |v, key| v.member(key));
+        found.ok_or_else(|| corrupt(format!("missing {}", path.join("."))))
     };
-    let schema = json_u64(line, "schema_version").ok_or_else(|| corrupt("missing schema_version"))?;
+    let bad = |path: &[&str]| corrupt(format!("malformed {}", path.join(".")));
+    let int = |path: &[&str]| at(path)?.integer::<u64>().ok_or_else(|| bad(path));
+    let text = |key: &str| {
+        let value = at(&["det", key])?;
+        value.string().map(str::to_string).ok_or_else(|| bad(&[key]))
+    };
+    let bytes = |key: &str| nullable::<u64>(at(&["wall", key])?).ok_or_else(|| bad(&[key]));
+    let cpct = |key: &str| nullable::<i64>(at(&["wall", key])?).ok_or_else(|| bad(&[key]));
+    let hash = |key: &str| match at(&["det", "artifacts", key])? {
+        Value::Null => Ok(None),
+        v => v
+            .string()
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .map(Some)
+            .ok_or_else(|| bad(&[key])),
+    };
+    let schema = int(&["schema_version"])?;
     // The ledger is append-only history: every schema this file was ever
     // written in stays readable. Op classes are append-only, so an older
     // line simply populates a prefix of today's OpCounts (the rest is 0).
@@ -396,54 +349,33 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
             })
         }
     };
-    let kind = json_str(line, "kind")
-        .and_then(RunKind::from_name)
-        .ok_or_else(|| corrupt("missing or unknown kind"))?;
-    let git_rev = json_str(line, "git_rev")
-        .ok_or_else(|| corrupt("missing git_rev"))?
-        .to_string();
-    let scenario = json_str(line, "scenario")
-        .ok_or_else(|| corrupt("missing scenario"))?
-        .to_string();
-    let mode = json_str(line, "mode")
-        .ok_or_else(|| corrupt("missing mode"))?
-        .to_string();
-    let n = json_u64(line, "n").ok_or_else(|| corrupt("missing n"))?;
-    let seed = json_u64(line, "seed").ok_or_else(|| corrupt("missing seed"))?;
-    let events = json_u64(line, "events").ok_or_else(|| corrupt("missing events"))?;
+    let kind = RunKind::from_name(&text("kind")?).ok_or_else(|| bad(&["det", "kind"]))?;
     let mut fields = OpCounts::default().fields();
     for (name, value) in fields.iter_mut().take(field_count) {
-        *value = json_u64(line, name).ok_or_else(|| corrupt(&format!("missing op class {name}")))?;
+        *value = int(&["det", "ops", name])?;
     }
-    let ops = OpCounts::from_fields(&fields);
-    let artifacts = ArtifactHashes {
-        metrics: json_opt_hex(line, "metrics").ok_or_else(|| corrupt("bad metrics hash"))?,
-        timeseries: json_opt_hex(line, "timeseries")
-            .ok_or_else(|| corrupt("bad timeseries hash"))?,
-        costmodel: json_opt_hex(line, "costmodel").ok_or_else(|| corrupt("bad costmodel hash"))?,
-    };
-    let wall = WallSide {
-        wall_us: json_u64(line, "wall_us").ok_or_else(|| corrupt("missing wall_us"))?,
-        jobs: json_u64(line, "jobs").ok_or_else(|| corrupt("missing jobs"))?,
-        peak_rss_bytes: json_opt_u64(line, "peak_rss_bytes")
-            .ok_or_else(|| corrupt("bad peak_rss_bytes"))?,
-        metrics_overhead_cpct: json_opt_i64(line, "metrics_overhead_cpct")
-            .ok_or_else(|| corrupt("bad metrics_overhead_cpct"))?,
-        trace_overhead_cpct: json_opt_i64(line, "trace_overhead_cpct")
-            .ok_or_else(|| corrupt("bad trace_overhead_cpct"))?,
-    };
     let record = LedgerRecord {
         schema: schema as u32,
         kind,
-        git_rev,
-        scenario,
-        n,
-        mode,
-        seed,
-        events,
-        ops,
-        artifacts,
-        wall,
+        git_rev: text("git_rev")?,
+        scenario: text("scenario")?,
+        n: int(&["det", "n"])?,
+        mode: text("mode")?,
+        seed: int(&["det", "seed"])?,
+        events: int(&["det", "events"])?,
+        ops: OpCounts::from_fields(&fields),
+        artifacts: ArtifactHashes {
+            metrics: hash("metrics")?,
+            timeseries: hash("timeseries")?,
+            costmodel: hash("costmodel")?,
+        },
+        wall: WallSide {
+            wall_us: int(&["wall", "wall_us"])?,
+            jobs: int(&["wall", "jobs"])?,
+            peak_rss_bytes: bytes("peak_rss_bytes")?,
+            metrics_overhead_cpct: cpct("metrics_overhead_cpct")?,
+            trace_overhead_cpct: cpct("trace_overhead_cpct")?,
+        },
     };
     // Canonical round-trip: a healthy line re-serializes byte-for-byte
     // *in its own schema's layout* (this also re-derives and thereby
@@ -451,7 +383,7 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
     // corruption or truncation.
     if record.to_line_with(schema as u32, field_count) != line {
         return Err(corrupt(
-            "record does not round-trip canonically (truncated or edited line)",
+            "record does not round-trip canonically (truncated or edited line)".to_string(),
         ));
     }
     Ok(record)

@@ -2,9 +2,10 @@
 //!
 //! Deterministic simulation telemetry for the `bgpscale` workspace:
 //! observer hooks, a metrics registry, structured event tracing, churn
-//! provenance stamps, simulated-time series, wall-clock span profiling,
-//! leveled logging, and dependency-free HTML/SVG report rendering — with
-//! **zero external dependencies**.
+//! provenance stamps, simulated-time series, the run ledger, wall-clock
+//! span profiling and leveled logging — with **zero external
+//! dependencies**. Every JSON artifact is written and read by one module,
+//! [`json`].
 //!
 //! The crate draws a hard line between two kinds of observability:
 //!
@@ -39,13 +40,13 @@
 #![forbid(unsafe_code)]
 
 pub mod costmodel;
+pub mod json;
 pub mod ledger;
 pub mod logging;
 pub mod metrics;
 pub mod observer;
 pub mod provenance;
 pub mod recorder;
-pub mod render;
 pub mod span;
 pub mod timeseries;
 pub mod trace;

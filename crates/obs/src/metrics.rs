@@ -18,7 +18,8 @@
 //! `--jobs` level (regression-tested in `bgpscale-core`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use crate::json::{Layout, Value};
 
 /// A gauge: last-set value and the peak ever set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -267,60 +268,35 @@ impl MetricsRegistry {
     /// key order, integer values only, fixed indentation. Stamped with the
     /// workspace-wide [`crate::SCHEMA_VERSION`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema_version\": {},\n  \"counters\": {{",
-            crate::SCHEMA_VERSION
-        );
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    \"{k}\": {v}");
-        }
-        if !self.counters.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n  \"gauges\": {");
-        for (i, (k, g)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}\n    \"{k}\": {{ \"value\": {}, \"max\": {} }}",
-                g.value, g.max
-            );
-        }
-        if !self.gauges.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}\n    \"{k}\": {{ \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [",
-                h.count, h.sum, h.max
-            );
-            for (j, (&bound, &count)) in h
-                .bounds
-                .iter()
-                .chain(std::iter::once(&u64::MAX))
+        let counters = self.counters.iter().map(|(k, &v)| (k.as_str(), v.into()));
+        let gauges = self.gauges.iter().map(|(k, g)| {
+            let gauge = [("value", g.value.into()), ("max", g.max.into())];
+            (k.as_str(), Value::obj(Layout::Padded, gauge))
+        });
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            // The overflow bucket's bound is "inf".
+            let bounds = h.bounds.iter().map(|&b| Value::from(b)).chain(["inf".into()]);
+            let buckets = bounds
                 .zip(&h.counts)
-                .enumerate()
-            {
-                let sep = if j == 0 { "" } else { ", " };
-                if bound == u64::MAX {
-                    let _ = write!(s, "{sep}[\"inf\", {count}]");
-                } else {
-                    let _ = write!(s, "{sep}[{bound}, {count}]");
-                }
-            }
-            s.push_str("] }");
-        }
-        if !self.histograms.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
-        s
+                .map(|(bound, &count)| Value::arr(Layout::Inline, [bound, count.into()]));
+            let histogram = [
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("max", h.max.into()),
+                ("buckets", Value::arr(Layout::Inline, buckets)),
+            ];
+            (k.as_str(), Value::obj(Layout::Padded, histogram))
+        });
+        let doc = Value::obj(
+            Layout::Lines,
+            [
+                ("schema_version", crate::SCHEMA_VERSION.into()),
+                ("counters", Value::obj(Layout::Lines, counters)),
+                ("gauges", Value::obj(Layout::Lines, gauges)),
+                ("histograms", Value::obj(Layout::Lines, histograms)),
+            ],
+        );
+        doc.to_json() + "\n"
     }
 }
 

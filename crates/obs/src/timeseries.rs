@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use bgpscale_topology::{AsId, NodeType, Relationship};
 
+use crate::json::{Layout, Value};
 use crate::observer::UpdateClass;
 use crate::provenance::{Provenance, RootCauseKind, RootSets};
 
@@ -202,63 +203,48 @@ impl TimeSeries {
     /// Renders the series as deterministic JSON: integer-only, fixed key
     /// order, no whitespace variance — byte-identical for equal series.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
+        self.to_value().to_json()
+    }
 
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"bin_us\":{},\"events\":{},\"stamped\":{},\"unstamped\":{},\"coalesced\":{},",
-            self.bin_us, self.events, self.stamped, self.unstamped, self.coalesced
-        );
-        let _ = write!(s, "\"depth_max\":{},\"depth_hist\":[", self.depth_max);
-        for (i, c) in self.depth_hist.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{c}");
-        }
-        s.push_str("],\"bins\":[");
-        for (i, b) in self.bins.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"by_rel\":[{},{},{}],\"by_type\":[{},{},{},{}],\
-                 \"announces\":{},\"withdraws\":{},\"mrai_armed_peak\":{},\"inbox_peak\":{}}}",
-                b.by_rel[0],
-                b.by_rel[1],
-                b.by_rel[2],
-                b.by_type[0],
-                b.by_type[1],
-                b.by_type[2],
-                b.by_type[3],
-                b.announces,
-                b.withdraws,
-                b.mrai_armed_peak,
-                b.inbox_peak
-            );
-        }
-        s.push_str("],\"roots\":[");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"event\":{},\"root\":{},\"kind\":\"{}\",\"node\":{},\
-                 \"start_us\":{},\"last_update_us\":{},\"updates\":{}}}",
-                r.event,
-                r.root,
-                r.kind.name(),
-                r.node,
-                r.start_us,
-                r.last_update_us,
-                r.updates
-            );
-        }
-        s.push_str("]}");
-        s
+    /// The series as one compact object (also the `series` of each cell in
+    /// `repro report`'s `timeseries.json`).
+    pub fn to_value(&self) -> Value {
+        let ints = |values: &[u64]| Value::arr(Layout::Compact, values.iter().copied());
+        let bins = self.bins.iter().map(|b| {
+            let bin = [
+                ("by_rel", ints(&b.by_rel)),
+                ("by_type", ints(&b.by_type)),
+                ("announces", b.announces.into()),
+                ("withdraws", b.withdraws.into()),
+                ("mrai_armed_peak", b.mrai_armed_peak.into()),
+                ("inbox_peak", b.inbox_peak.into()),
+            ];
+            Value::obj(Layout::Compact, bin)
+        });
+        let roots = self.roots.iter().map(|r| {
+            let root = [
+                ("event", r.event.into()),
+                ("root", r.root.into()),
+                ("kind", r.kind.name().into()),
+                ("node", r.node.into()),
+                ("start_us", r.start_us.into()),
+                ("last_update_us", r.last_update_us.into()),
+                ("updates", r.updates.into()),
+            ];
+            Value::obj(Layout::Compact, root)
+        });
+        let series = [
+            ("bin_us", self.bin_us.into()),
+            ("events", self.events.into()),
+            ("stamped", self.stamped.into()),
+            ("unstamped", self.unstamped.into()),
+            ("coalesced", self.coalesced.into()),
+            ("depth_max", self.depth_max.into()),
+            ("depth_hist", ints(&self.depth_hist)),
+            ("bins", Value::arr(Layout::Compact, bins)),
+            ("roots", Value::arr(Layout::Compact, roots)),
+        ];
+        Value::obj(Layout::Compact, series)
     }
 }
 

@@ -12,6 +12,7 @@
 
 use std::io::{self, Write};
 
+use crate::json::{Layout, Value};
 use crate::observer::EventKind;
 
 /// One traced simulator event.
@@ -38,27 +39,20 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = format!(
-            "{{\"event\":{},\"t_us\":{},\"node\":{},\"kind\":\"{}\"",
-            self.event,
-            self.t_us,
-            self.node,
-            self.kind.name()
-        );
-        if let Some(p) = self.prefix {
-            s.push_str(&format!(",\"prefix\":{p}"));
-        }
-        if let Some(l) = self.path_len {
-            s.push_str(&format!(",\"path_len\":{l}"));
-        }
-        if let Some(r) = self.root {
-            s.push_str(&format!(",\"root\":{r}"));
-        }
-        if let Some(d) = self.depth {
-            s.push_str(&format!(",\"depth\":{d}"));
-        }
-        s.push('}');
-        s
+        let required = [
+            ("event", self.event.into()),
+            ("t_us", self.t_us.into()),
+            ("node", self.node.into()),
+            ("kind", self.kind.name().into()),
+        ];
+        let optional = [
+            ("prefix", self.prefix),
+            ("path_len", self.path_len),
+            ("root", self.root),
+            ("depth", self.depth),
+        ];
+        let present = optional.into_iter().filter_map(|(key, v)| Some((key, v?.into())));
+        Value::obj(Layout::Compact, required.into_iter().chain(present)).to_json()
     }
 }
 
@@ -134,10 +128,8 @@ impl<W: Write> TraceWriter<W> {
     /// every written file to carry its schema version. The header does
     /// not count toward [`TraceWriter::written`].
     pub fn write_header(&mut self) -> io::Result<()> {
-        self.out.write_all(
-            format!("{{\"schema_version\":{},\"kind\":\"trace\"}}\n", crate::SCHEMA_VERSION)
-                .as_bytes(),
-        )
+        let header = [("schema_version", crate::SCHEMA_VERSION.into()), ("kind", "trace".into())];
+        self.out.write_all((Value::obj(Layout::Compact, header).to_json() + "\n").as_bytes())
     }
 
     /// Writes one record as a line.

@@ -91,7 +91,7 @@ for cell in BASELINE:500 DENSE-CORE:500 BASELINE:2000; do
     at=(--tiny --scenario "$scenario" --cell-n "$n" --events 3 --seed 7 --no-ledger)
     compare "metrics-$scenario-$n.json" profile "${at[@]}" --metrics-out "metrics-$scenario-$n.json"
     compare "timeseries-$scenario-$n.json" report "${at[@]}" \
-        --timeseries-out "timeseries-$scenario-$n.json" --report-out report.html
+        --timeseries-out "timeseries-$scenario-$n.json"
 done
 for jobs in 1 2 8; do
     compare "fig4-tiny-jobs$jobs.txt" fig4 --tiny --jobs "$jobs"

@@ -3,7 +3,8 @@
 //! is byte-identical for any worker count, history dedupes on content, a
 //! damaged ledger is rejected loudly instead of silently analyzed, the
 //! ledger is the perf gate's only baseline store — blessed into, never
-//! written by a check — and the checked-in history renders as a dashboard.
+//! written by a check — any revision string round-trips, and the
+//! checked-in history renders as a dashboard.
 
 use bgpscale_experiments::perf::{self, measure, perf_record, PerfConfig};
 use bgpscale_experiments::trend;
@@ -185,7 +186,7 @@ fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
 
 /// The checked-in ledger renders: `repro trend` is a read-only dashboard
 /// over exactly this file, so its seven revisions and ten fingerprints
-/// must fold, and the page must name every revision and carry the
+/// must fold, and the text must name every revision and carry the
 /// exponent table with each class's kind.
 #[test]
 fn checked_in_ledger_renders_as_a_dashboard() {
@@ -194,10 +195,33 @@ fn checked_in_ledger_renders_as_a_dashboard() {
     let report = trend::analyze(&history);
     assert_eq!(report.records, history.len());
     assert_eq!((report.revs.len(), report.fingerprints), (7, 10));
-    let html = trend::render_html(&history, &report);
+    let text = trend::render_text(&history, &report);
+    let shape = format!("trend: {} records, 7 revisions, 10 config fingerprints", history.len());
+    assert!(text.starts_with(&shape), "{text}");
     for rev in &report.revs {
-        assert!(html.contains(&rev[..10]), "trend.html does not name rev {rev}");
+        assert!(text.contains(&rev[..10]), "the dashboard does not name rev {rev}");
     }
-    assert!(html.contains("Scaling-exponent refits"));
-    assert!(html.contains("<td>mrai_coalesced</td><td>avoided</td>"), "kind column");
+    assert!(text.contains("## scaling-exponent refits"));
+    assert!(
+        text.lines().any(|l| l.contains(" mrai_coalesced ") && l.contains(" avoided ")),
+        "kind column"
+    );
+}
+
+/// A revision string is data, not markup: a quote and a backslash are
+/// escaped on the way in and unescaped on the way out, and the ledger
+/// stays appendable after it.
+#[test]
+fn a_quoted_revision_round_trips_and_the_ledger_stays_appendable() {
+    let path = temp_path("quoted_rev");
+    let _ = std::fs::remove_file(&path);
+    let cfg = cell_cfg(1);
+    let m = measure(&cfg);
+    let quoted = perf_record(&cfg, &m, "a\"b\\c");
+    assert_eq!(append_records(&path, std::slice::from_ref(&quoted)).unwrap().appended, 1);
+    assert_eq!(read_ledger(&path).unwrap(), vec![quoted.clone()]);
+    let next = perf_record(&cfg, &m, "revB");
+    assert_eq!(append_records(&path, std::slice::from_ref(&next)).unwrap().appended, 1);
+    assert_eq!(read_ledger(&path).unwrap(), vec![quoted, next]);
+    std::fs::remove_file(&path).unwrap();
 }

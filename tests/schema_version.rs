@@ -8,7 +8,7 @@
 //! writer that forgets the stamp (or stamps a different number) fails
 //! here before it can ship an unversioned artifact.
 
-use bgpscale_experiments::htmlreport::{run_report, ReportConfig};
+use bgpscale_experiments::churnreport::{run_report, ReportConfig};
 use bgpscale_experiments::perf::{measure, PerfConfig};
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
