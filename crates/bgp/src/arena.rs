@@ -34,7 +34,8 @@
 //! [`RouteSlab`] keeps three kinds of column:
 //!
 //! * **per session** (global session id): the [`OutQueue`] — MRAI timer,
-//!   Adj-RIB-out and pending updates, one cache line — and liveness;
+//!   Adj-RIB-out and pending updates, forty-eight bytes unobserved — and
+//!   liveness;
 //! * **per (row, node)**: the Loc-RIB entry — best slot, best path, and
 //!   whether the node originates the prefix — at `row * nodes + node`;
 //! * **per (row, session)**: the Adj-RIB-in, laid out row-major
@@ -65,6 +66,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use bgpscale_obs::Stamp;
 use bgpscale_simkernel::rng::hash64;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::AsId;
@@ -354,14 +356,15 @@ impl LocRib {
 /// Built once per simulator from its [`SessionSlab`] — two allocations,
 /// however many nodes — and cleared, buffers kept, between runs. A node's
 /// protocol code reads and writes its share through a
-/// [`crate::BgpNode`] view.
+/// [`crate::BgpNode`] view. `S` is the stamp queued updates carry (see
+/// [`crate::Update`]).
 #[derive(Clone, Debug)]
-pub struct RouteSlab {
+pub struct RouteSlab<S = ()> {
     /// Nodes and sessions of the slab the columns were sized for.
     nodes: usize,
     sessions: usize,
     /// Per session: the rate-limited output queue and Adj-RIB-out.
-    pub(crate) out: Vec<OutQueue>,
+    pub(crate) out: Vec<OutQueue<S>>,
     /// Per session: liveness. A down session receives no exports and
     /// contributes no routes; see [`crate::BgpNode::session_down_caused`].
     pub(crate) active: Vec<bool>,
@@ -390,10 +393,10 @@ pub struct RouteSlab {
 // An Adj-RIB-in cell is its key and its path id, in two columns.
 const _: () = assert!(std::mem::size_of::<u64>() + std::mem::size_of::<Option<PathId>>() <= 16);
 
-impl RouteSlab {
+impl<S: Stamp> RouteSlab<S> {
     /// Empty route columns for the nodes and sessions of `slab`: every
     /// session up with an idle queue, no prefix rows.
-    pub fn new(slab: &SessionSlab) -> RouteSlab {
+    pub fn new(slab: &SessionSlab) -> RouteSlab<S> {
         let sessions = slab.total_sessions();
         RouteSlab {
             nodes: slab.len(),

@@ -48,7 +48,7 @@ pub mod policy;
 pub mod rfd;
 
 pub use arena::{DampTable, RouteSlab, SessionSlab};
-pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets};
+pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use config::{BgpConfig, MraiMode, MraiScope, ServiceTimeModel};
 pub use message::{Prefix, Update, UpdateKind};
 pub use node::{BgpNode, NodeCostCounters, NodeView};

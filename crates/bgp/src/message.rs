@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use bgpscale_obs::Provenance;
-
 use crate::path::{PathArena, PathId};
 
 /// A routable destination. The paper studies single-prefix events, so a
@@ -63,69 +61,78 @@ impl UpdateKind {
 ///
 /// ## Memory layout
 ///
-/// Twenty bytes, `Copy`, and nothing behind a pointer: the path is a
-/// [`PathId`] into the simulator's [`PathArena`] and the stamp carries its
-/// root cause inline. Sending a message, queueing it at the receiver and
-/// dropping it touch no allocator and no reference count.
+/// `Copy`, and nothing behind a pointer: the path is a [`PathId`] into the
+/// simulator's [`PathArena`], and the stamp `S` is what the simulator's
+/// observer reads (`bgpscale_obs::SimObserver::Stamp`). Unobserved, `S` is
+/// `()` and a message is eight bytes: its prefix and a kind that the
+/// path id's niche keeps at four. Under a `Recorder` it carries a
+/// twelve-byte [`bgpscale_obs::Provenance`] that holds its root cause
+/// inline. Sending a message, queueing it at the receiver and dropping it
+/// touch no allocator and no reference count either way.
 #[derive(Clone, Copy, Debug)]
-pub struct Update {
+pub struct Update<S = ()> {
     /// The prefix the message is about.
     pub prefix: Prefix,
     /// Announcement or withdrawal.
     pub kind: UpdateKind,
     /// Causal attribution stamp (telemetry metadata, see below).
-    pub provenance: Provenance,
+    pub stamp: S,
 }
 
-const _: () = assert!(std::mem::size_of::<Update>() <= 24);
+// The message of an unobserved run: what the wire and every input queue
+// hold.
+const _: () = assert!(std::mem::size_of::<Update>() == 8);
 
 /// Equality covers the wire content only (`prefix` + `kind`; two paths of
-/// one arena are equal exactly when their ids are). The provenance stamp is telemetry metadata — two updates that would be
-/// byte-identical on the wire compare equal regardless of which root
-/// cause produced them, so structural assertions in tests and the MRAI
-/// no-op suppression logic are unaffected by stamping.
-impl PartialEq for Update {
-    fn eq(&self, other: &Update) -> bool {
+/// one arena are equal exactly when their ids are). The stamp is
+/// telemetry metadata — two updates that would be byte-identical on the
+/// wire compare equal regardless of which root cause produced them, so
+/// structural assertions in tests and the MRAI no-op suppression logic
+/// are unaffected by stamping.
+impl<S> PartialEq for Update<S> {
+    fn eq(&self, other: &Update<S>) -> bool {
         self.prefix == other.prefix && self.kind == other.kind
     }
 }
 
-impl Eq for Update {}
+impl<S> Eq for Update<S> {}
 
 impl Update {
-    /// Convenience constructor for an announcement of `path`. The
-    /// update starts unstamped; use [`Update::stamped`] to attach
-    /// provenance.
+    /// An announcement of `path`, carrying no stamp; attach one with
+    /// [`Update::stamped`].
     pub fn announce(prefix: Prefix, path: PathId) -> Update {
         Update {
             prefix,
             kind: UpdateKind::Announce(path),
-            provenance: Provenance::none(),
+            stamp: (),
         }
     }
 
-    /// Convenience constructor for a withdrawal (unstamped).
+    /// A withdrawal, carrying no stamp.
     pub fn withdraw(prefix: Prefix) -> Update {
         Update {
             prefix,
             kind: UpdateKind::Withdraw,
-            provenance: Provenance::none(),
+            stamp: (),
         }
     }
 
-    /// Attaches a provenance stamp (builder style).
-    pub fn stamped(mut self, provenance: Provenance) -> Update {
-        self.provenance = provenance;
-        self
+    /// The same message carrying `stamp`.
+    pub fn stamped<S>(self, stamp: S) -> Update<S> {
+        Update {
+            prefix: self.prefix,
+            kind: self.kind,
+            stamp,
+        }
     }
 }
 
-impl Update {
+impl<S> Update<S> {
     /// The message in words (`ANNOUNCE P7 via AS1 AS9`), its path resolved
     /// through `paths`, the arena the id was minted by.
     pub fn display<'a>(&'a self, paths: &'a PathArena) -> impl fmt::Display + 'a {
-        struct Shown<'a>(&'a Update, &'a PathArena);
-        impl fmt::Display for Shown<'_> {
+        struct Shown<'a, S>(&'a Update<S>, &'a PathArena);
+        impl<S> fmt::Display for Shown<'_, S> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 let Shown(update, paths) = self;
                 match update.kind {
@@ -183,10 +190,11 @@ mod tests {
 
     #[test]
     fn equality_ignores_the_provenance_stamp() {
-        let plain = Update::withdraw(Prefix(1));
+        use bgpscale_obs::{Provenance, Stamp};
+        let plain = Update::withdraw(Prefix(1)).stamped(Provenance::none());
         let stamped = Update::withdraw(Prefix(1)).stamped(Provenance::root(9));
         assert_eq!(plain, stamped, "provenance is telemetry, not wire content");
-        assert!(!plain.provenance.is_stamped());
-        assert_eq!(stamped.provenance.roots(&Default::default()), &[9]);
+        assert!(!plain.stamp.is_stamped());
+        assert_eq!(stamped.stamp.roots(&Default::default()), &[9]);
     }
 }

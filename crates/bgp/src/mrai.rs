@@ -52,7 +52,7 @@
 //! matches real BGP implementations and keeps the paper's update counts
 //! honest.
 
-use bgpscale_obs::Provenance;
+use bgpscale_obs::Stamp;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
@@ -66,9 +66,10 @@ use crate::path::{PathArena, PathId};
 /// touches. A node and its queues hold routes; the configuration, the
 /// clock, the arena the routes' paths live in, the buffer the step's
 /// transmissions go to and the tallies of its work are the caller's, one
-/// of each for the whole network.
+/// of each for the whole network. `S` is the stamp the step's messages
+/// carry (see [`crate::Update`]).
 #[derive(Debug)]
-pub struct Step<'a> {
+pub struct Step<'a, S = ()> {
     /// The protocol configuration. One configuration governs a node for
     /// as long as it holds routes: a route chosen under one damping
     /// regime, or a timer armed under one scope, means nothing under
@@ -77,28 +78,28 @@ pub struct Step<'a> {
     /// The key of the event this step handles
     /// (`EventQueue::last_key`): a timer whose key is after it is armed.
     pub now: EventKey,
-    /// The provenance of whatever triggered the step's exports
-    /// ([`Provenance::none`] when attribution is not wanted — it never
-    /// changes what is sent, queued, or suppressed).
-    pub cause: Provenance,
+    /// The stamp of whatever triggered the step's exports (`()` when
+    /// nobody reads stamps — a stamp never changes what is sent, queued,
+    /// or suppressed).
+    pub cause: S,
     /// The arena every [`PathId`] the node holds or is handed lives in.
     pub paths: &'a mut PathArena,
     /// Where the step's transmissions and timer requests are appended;
     /// never cleared by the node.
-    pub out: &'a mut Actions,
+    pub out: &'a mut Actions<S>,
     /// Where the step's work is tallied.
     pub costs: &'a mut NodeCostCounters,
 }
 
 /// Result of submitting an update to an [`OutQueue`].
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Submit {
+pub enum Submit<S = ()> {
     /// Send the update on the wire now. If `arm_timer` is true the caller
     /// must reserve the key of a (jittered) MRAI expiry for this queue and
     /// hand it over with [`OutQueue::arm_at`] before the step ends.
     SendNow {
         /// The message to transmit.
-        update: Update,
+        update: Update<S>,
         /// Whether this transmission arms the MRAI timer.
         arm_timer: bool,
     },
@@ -117,7 +118,7 @@ pub enum Submit {
 }
 
 /// An update waiting for a timer, with the stamp it will carry.
-type Pending = (UpdateKind, Provenance);
+type Pending<S> = (UpdateKind, S);
 
 /// Binary search of entries sorted by prefix.
 fn search<V>(entries: &[(Prefix, V)], prefix: Prefix) -> Result<usize, usize> {
@@ -192,7 +193,8 @@ fn lookup<'a, V>(
     }
 }
 
-/// One MRAI timer.
+/// One MRAI timer. A per-prefix timer is one of these; the session timer
+/// keeps the same two fields in its [`OutQueue`] itself (see there).
 #[derive(Clone, Copy, Debug)]
 struct Timer {
     /// The key this timer's expiry pops at, reserved when the timer was
@@ -216,17 +218,20 @@ impl Timer {
     }
 }
 
+/// The two fields of one timer, writable wherever the timer lives.
+type TimerMut<'a> = (&'a mut EventKey, &'a mut bool);
+
 /// Everything a session holds once one prefix and one timer are not
 /// enough: the state of a multi-prefix session (`ext_tablesize`, table
 /// replays) or of the per-prefix MRAI scope.
 #[derive(Clone, Debug, Default)]
-struct Multi {
+struct Multi<S = ()> {
     /// Per-prefix scope: the timer of every prefix armed since the last
     /// reset, sorted by prefix. A lapsed entry stays and is overwritten by
     /// its prefix's next arm.
     prefix_timers: Vec<(Prefix, Timer)>,
     /// The pending updates of every prefix, sorted by prefix.
-    pending: Vec<(Prefix, Pending)>,
+    pending: Vec<(Prefix, Pending<S>)>,
     /// The Adj-RIB-out of every prefix, sorted by prefix.
     sent: Vec<(Prefix, PathId)>,
 }
@@ -235,10 +240,14 @@ struct Multi {
 ///
 /// ## Memory layout
 ///
-/// One cache line. A session of a C-event experiment only ever carries
-/// the event's one prefix under the one session timer, so that much lives
-/// inline: the timer's reserved key, one Adj-RIB-out entry (prefix and
-/// [`PathId`]) and one pending update (prefix, kind, twelve-byte stamp).
+/// Forty-eight bytes in an unobserved run. A session of a C-event
+/// experiment only ever carries the event's one prefix under the one
+/// session timer, so that much lives inline: the timer's reserved key and
+/// its expiry flag, one Adj-RIB-out entry (prefix and [`PathId`]) and one
+/// pending update (prefix, kind, and the stamp `S` it will carry: nothing
+/// unobserved, a twelve-byte `Provenance` under a `Recorder`, which makes
+/// the queue 56 bytes). The session timer's two fields sit in the queue
+/// itself, not in a `Timer`, whose padding would cost eight bytes more.
 /// There is one queue per session of the topology — element
 /// `first_session(node) + slot` of the per-session `out` column of the
 /// network's [`crate::RouteSlab`], so a node's queues are one contiguous
@@ -250,37 +259,45 @@ struct Multi {
 /// flush order of the `BTreeMap` this once was), and stays there — buffers
 /// kept across resets — for the life of the queue.
 #[derive(Clone, Debug)]
-pub struct OutQueue {
-    /// The session timer (per-interface scope).
-    timer: Timer,
+pub struct OutQueue<S = ()> {
+    /// The key the session timer's expiry pops at, reserved when the
+    /// timer was armed (see [`Timer`]).
+    until: EventKey,
+    /// True while an expiry event is scheduled at `until` and has not
+    /// popped.
+    expiry_scheduled: bool,
     /// Adj-RIB-out: the path last actually sent, per prefix. Absent means
     /// the neighbor holds no route from us (withdrawn or never
     /// announced). `None` while the queue is spilled.
     sent: Option<(Prefix, PathId)>,
     /// Updates waiting for a timer; at most one per prefix, each with the
-    /// provenance it will carry when flushed. When a newer update
-    /// replaces a queued one, the stamps coalesce (root sets union) so
-    /// attribution survives rate-limiting. `None` while the queue is
-    /// spilled.
-    pending: Option<(Prefix, Pending)>,
+    /// stamp it will carry when flushed. When a newer update replaces a
+    /// queued one, the stamps coalesce (root sets union) so attribution
+    /// survives rate-limiting. `None` while the queue is spilled.
+    pending: Option<(Prefix, Pending<S>)>,
     /// Where both maps and the per-prefix timers live once spilled.
-    multi: Option<Box<Multi>>,
+    multi: Option<Box<Multi<S>>>,
 }
 
-// One per session of the topology, and one cache line.
-const _: () = assert!(std::mem::size_of::<OutQueue>() <= 64);
+// One per session of the topology: the stride of the export scan.
+const _: () = assert!(std::mem::size_of::<OutQueue>() <= 48);
 
-impl Default for OutQueue {
+impl<S: Stamp> Default for OutQueue<S> {
     fn default() -> Self {
         OutQueue::new()
     }
 }
 
-impl OutQueue {
+impl<S: Stamp> OutQueue<S> {
     /// Creates an idle queue.
     pub fn new() -> Self {
+        let Timer {
+            until,
+            expiry_scheduled,
+        } = Timer::IDLE;
         OutQueue {
-            timer: Timer::IDLE,
+            until,
+            expiry_scheduled,
             sent: None,
             pending: None,
             multi: None,
@@ -289,7 +306,7 @@ impl OutQueue {
 
     /// Moves the inline entries behind the `multi` pointer (if they are
     /// not there yet), making room for any number of prefixes.
-    fn spill(&mut self) -> &mut Multi {
+    fn spill(&mut self) -> &mut Multi<S> {
         self.multi.get_or_insert_with(|| {
             Box::new(Multi {
                 prefix_timers: Vec::new(),
@@ -306,7 +323,7 @@ impl OutQueue {
         }
     }
 
-    fn pending_map(&mut self) -> PrefixMap<'_, Pending> {
+    fn pending_map(&mut self) -> PrefixMap<'_, Pending<S>> {
         match &mut self.multi {
             Some(multi) => PrefixMap::Many(&mut multi.pending),
             None => PrefixMap::One(&mut self.pending),
@@ -320,29 +337,38 @@ impl OutQueue {
         }
     }
 
-    fn set_pending(&mut self, prefix: Prefix, update: Pending) {
+    fn set_pending(&mut self, prefix: Prefix, update: Pending<S>) {
         if let Err(update) = self.pending_map().insert(prefix, update) {
             self.spill();
             let _ = self.pending_map().insert(prefix, update);
         }
     }
 
-    fn pending(&self, prefix: Prefix) -> Option<&Pending> {
+    fn pending(&self, prefix: Prefix) -> Option<&Pending<S>> {
         lookup(&self.pending, self.multi.as_ref().map(|m| &m.pending), prefix)
+    }
+
+    /// The session timer, read out of its two fields.
+    fn session_timer(&self) -> Timer {
+        Timer {
+            until: self.until,
+            expiry_scheduled: self.expiry_scheduled,
+        }
     }
 
     /// Every timer of this queue with the prefix it governs (`None`: the
     /// session timer).
     fn timers(&self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + '_ {
         let prefix_timers = self.multi.iter().flat_map(|m| &m.prefix_timers);
-        std::iter::once((None, self.timer)).chain(prefix_timers.map(|&(p, t)| (Some(p), t)))
+        std::iter::once((None, self.session_timer()))
+            .chain(prefix_timers.map(|&(p, t)| (Some(p), t)))
     }
 
     /// The timer `which` names, created idle if it is a prefix's first.
     // det::allow(panic-surface, reason = "at is the index binary_search found the prefix at, or the one its timer was just inserted at")
-    fn timer_mut(&mut self, which: Option<Prefix>) -> &mut Timer {
+    fn timer_mut(&mut self, which: Option<Prefix>) -> TimerMut<'_> {
         let Some(prefix) = which else {
-            return &mut self.timer;
+            return (&mut self.until, &mut self.expiry_scheduled);
         };
         let prefix_timers = &mut self.spill().prefix_timers;
         let at = match search(prefix_timers, prefix) {
@@ -352,15 +378,16 @@ impl OutQueue {
                 at
             }
         };
-        &mut prefix_timers[at].1
+        let timer = &mut prefix_timers[at].1;
+        (&mut timer.until, &mut timer.expiry_scheduled)
     }
 
     /// The timer `which` names, if it exists: a prefix that was never
     /// armed since the last reset has none.
-    fn timer(&self, which: Option<Prefix>) -> Option<&Timer> {
+    fn timer(&self, which: Option<Prefix>) -> Option<Timer> {
         match which {
-            None => Some(&self.timer),
-            Some(prefix) => find(&self.multi.as_ref()?.prefix_timers, prefix),
+            None => Some(self.session_timer()),
+            Some(prefix) => find(&self.multi.as_ref()?.prefix_timers, prefix).copied(),
         }
     }
 
@@ -448,9 +475,9 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         kind: UpdateKind,
-        mut stamp: Provenance,
-        step: &mut Step,
-    ) -> Submit {
+        mut stamp: S,
+        step: &mut Step<S>,
+    ) -> Submit<S> {
         match self.pending_map().get_mut(prefix) {
             Some(queued) => {
                 stamp.coalesce_with(&queued.1, step.paths.root_sets_mut());
@@ -459,13 +486,13 @@ impl OutQueue {
             }
             None => self.set_pending(prefix, (kind, stamp)),
         }
-        let timer = self.timer_mut(governing(step.cfg.mrai_scope, prefix));
+        let (until, expiry_scheduled) = self.timer_mut(governing(step.cfg.mrai_scope, prefix));
         // A timer armed earlier in this step has no key yet; `arm_at`
         // delivers it and finds this update waiting.
-        let ask = !timer.expiry_scheduled && timer.until != EventKey::NEVER;
-        timer.expiry_scheduled |= ask;
+        let ask = !*expiry_scheduled && *until != EventKey::NEVER;
+        *expiry_scheduled |= ask;
         Submit::Queued {
-            expire_at: ask.then_some(timer.until),
+            expire_at: ask.then_some(*until),
         }
     }
 
@@ -480,8 +507,8 @@ impl OutQueue {
         prefix: Prefix,
         intent: Option<PathId>,
         rel: Relationship,
-        step: &mut Step,
-    ) -> Submit {
+        step: &mut Step<S>,
+    ) -> Submit<S> {
         // Drop no-ops against the eventual neighbor state.
         if self.intent(prefix) == intent {
             return Submit::Suppressed;
@@ -493,7 +520,7 @@ impl OutQueue {
         }
     }
 
-    fn submit_withdraw(&mut self, prefix: Prefix, stamp: Provenance, step: &mut Step) -> Submit {
+    fn submit_withdraw(&mut self, prefix: Prefix, stamp: S, step: &mut Step<S>) -> Submit<S> {
         // A queued announcement that never went out is invalidated: if the
         // neighbor holds nothing, removing it finishes the job silently.
         self.pending_map().remove(prefix);
@@ -523,9 +550,9 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         path: PathId,
-        stamp: Provenance,
-        step: &mut Step,
-    ) -> Submit {
+        stamp: S,
+        step: &mut Step<S>,
+    ) -> Submit<S> {
         let scope = step.cfg.mrai_scope;
         if self.is_armed(prefix, scope, step.now) {
             self.park(prefix, UpdateKind::Announce(path), stamp, step)
@@ -554,12 +581,9 @@ impl OutQueue {
             None => self.pending_len() > 0,
             Some(prefix) => self.pending(prefix).is_some(),
         };
-        let timer = self.timer_mut(which);
-        debug_assert!(timer.until == EventKey::NEVER, "a key for a timer nothing armed");
-        *timer = Timer {
-            until: key,
-            expiry_scheduled: waiting,
-        };
+        let (until, expiry_scheduled) = self.timer_mut(which);
+        debug_assert!(*until == EventKey::NEVER, "a key for a timer nothing armed");
+        (*until, *expiry_scheduled) = (key, waiting);
         waiting
     }
 
@@ -576,7 +600,7 @@ impl OutQueue {
     /// # Panics
     /// Panics (in debug builds) unless [`OutQueue::expiry_due`] holds of
     /// `trigger` and `step.now`.
-    pub fn flush(&mut self, trigger: Option<Prefix>, slot: u32, step: &mut Step) -> bool {
+    pub fn flush(&mut self, trigger: Option<Prefix>, slot: u32, step: &mut Step<S>) -> bool {
         let before = step.out.sends.len();
         match trigger {
             None => match &mut self.multi {
@@ -605,17 +629,17 @@ impl OutQueue {
             }
         }
         let rearm = step.out.sends.len() > before;
-        let timer = self.timer_mut(trigger);
+        let (until, expiry_scheduled) = self.timer_mut(trigger);
         debug_assert!(
-            timer.expiry_scheduled && timer.until == step.now,
+            *expiry_scheduled && *until == step.now,
             "flush at {:?} of a timer expiring at {:?}",
             step.now,
-            timer.until
+            until
         );
-        timer.expiry_scheduled = false;
+        *expiry_scheduled = false;
         // Otherwise the timer has run out: its key is `now`.
         if rearm {
-            timer.until = EventKey::NEVER;
+            *until = EventKey::NEVER;
         }
         rearm
     }
@@ -628,9 +652,9 @@ impl OutQueue {
         &mut self,
         prefix: Prefix,
         kind: UpdateKind,
-        stamp: Provenance,
+        stamp: S,
         slot: u32,
-        step: &mut Step,
+        step: &mut Step<S>,
     ) {
         let update = match kind {
             UpdateKind::Announce(path) => {
@@ -678,8 +702,8 @@ impl OutQueue {
         prefix: Prefix,
         path: PathId,
         rel: Relationship,
-        step: &mut Step,
-    ) -> Option<Update> {
+        step: &mut Step<S>,
+    ) -> Option<Update<S>> {
         assert!(!self.timer_armed(step.now), "initial exchange on a rate-limited session");
         if self.advertised(prefix) == Some(path) {
             return None;
@@ -694,9 +718,9 @@ impl OutQueue {
     /// `which` is `None`, a per-prefix timer otherwise. The caller must
     /// reserve the expiry's key and hand it over with [`OutQueue::arm_at`].
     pub fn arm_timer(&mut self, which: Option<Prefix>) {
-        let timer = self.timer_mut(which);
-        debug_assert!(!timer.expiry_scheduled, "arming over a scheduled expiry");
-        timer.until = EventKey::NEVER;
+        let (until, expiry_scheduled) = self.timer_mut(which);
+        debug_assert!(!*expiry_scheduled, "arming over a scheduled expiry");
+        *until = EventKey::NEVER;
     }
 
     /// Clears all state unconditionally, disarming every timer — used on a
@@ -706,7 +730,10 @@ impl OutQueue {
     /// here on: [`OutQueue::expiry_due`] is false of it.
     /// A spilled queue stays spilled and keeps its buffers.
     pub fn force_reset(&mut self) {
-        self.timer = Timer::IDLE;
+        Timer {
+            until: self.until,
+            expiry_scheduled: self.expiry_scheduled,
+        } = Timer::IDLE;
         self.sent = None;
         self.pending = None;
         if let Some(multi) = &mut self.multi {
@@ -729,26 +756,34 @@ pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
 /// The caller's side of a [`Step`] for this crate's unit tests: owns what
 /// a simulator would own and lends it the same way.
 #[cfg(test)]
-#[derive(Default)]
-pub(crate) struct Lender {
+pub(crate) struct Lender<S = ()> {
     pub cfg: BgpConfig,
     pub paths: PathArena,
     pub costs: NodeCostCounters,
-    pub out: Actions,
+    pub out: Actions<S>,
 }
 
 #[cfg(test)]
-impl Lender {
-    pub fn new(cfg: BgpConfig) -> Lender {
+impl Default for Lender {
+    fn default() -> Lender {
+        Lender::new(BgpConfig::default())
+    }
+}
+
+#[cfg(test)]
+impl<S: Stamp> Lender<S> {
+    pub fn new(cfg: BgpConfig) -> Lender<S> {
         Lender {
             cfg,
-            ..Lender::default()
+            paths: PathArena::new(),
+            costs: NodeCostCounters::default(),
+            out: Actions::default(),
         }
     }
 
     /// The step of the event keyed `now`; what it produces stays in
     /// `self.out`.
-    pub fn step(&mut self, now: EventKey, cause: Provenance) -> Step<'_> {
+    pub fn step(&mut self, now: EventKey, cause: S) -> Step<'_, S> {
         Step {
             cfg: &self.cfg,
             now,
@@ -759,10 +794,10 @@ impl Lender {
         }
     }
 
-    /// Runs `f` in an unattributed step at `now` and returns what it
-    /// produced.
-    pub fn act(&mut self, now: EventKey, f: impl FnOnce(&mut Step)) -> Actions {
-        f(&mut self.step(now, Provenance::none()));
+    /// Runs `f` in a step at `now` that no cause stamps, and returns what
+    /// it produced.
+    pub fn act(&mut self, now: EventKey, f: impl FnOnce(&mut Step<S>)) -> Actions<S> {
+        f(&mut self.step(now, S::default()));
         std::mem::take(&mut self.out)
     }
 }
@@ -775,10 +810,6 @@ mod tests {
     const P: Prefix = Prefix(1);
     const Q: Prefix = Prefix(2);
 
-    fn none() -> Provenance {
-        Provenance::none()
-    }
-
     /// Every queue under test is slot 3 of its node, over a peer edge.
     const SLOT: u32 = 3;
     const REL: Relationship = Relationship::Peer;
@@ -787,9 +818,9 @@ mod tests {
     /// A queue with the caller's side of the contract around it, as the
     /// simulator keeps it: what a step is lent, a clock, a sequence
     /// counter to reserve keys from and the expiry events asked for.
-    struct Driven {
-        q: OutQueue,
-        lent: Lender,
+    struct Driven<S = ()> {
+        q: OutQueue<S>,
+        lent: Lender<S>,
         now: EventKey,
         next_seq: u64,
         expiries: Vec<EventKey>,
@@ -797,6 +828,17 @@ mod tests {
 
     impl Driven {
         fn new(mrai_scope: MraiScope) -> Driven {
+            Driven::stamped(mrai_scope)
+        }
+
+        fn per_interface() -> Driven {
+            Driven::new(MraiScope::PerInterface)
+        }
+    }
+
+    impl<S: Stamp> Driven<S> {
+        /// A queue whose updates carry stamps of type `S`.
+        fn stamped(mrai_scope: MraiScope) -> Driven<S> {
             Driven {
                 q: OutQueue::new(),
                 lent: Lender::new(BgpConfig {
@@ -807,10 +849,6 @@ mod tests {
                 next_seq: 1,
                 expiries: Vec::new(),
             }
-        }
-
-        fn per_interface() -> Driven {
-            Driven::new(MraiScope::PerInterface)
         }
 
         /// The key of an event scheduled now to pop `after` from now.
@@ -844,8 +882,8 @@ mod tests {
             prefix: Prefix,
             intent: Option<&[u32]>,
             mode: MraiMode,
-            cause: Provenance,
-        ) -> Submit {
+            cause: S,
+        ) -> Submit<S> {
             self.lent.cfg.mrai_mode = mode;
             let intent = intent.map(|hops| self.path(hops));
             let submit = self.q.submit(prefix, intent, REL, &mut self.lent.step(self.now, cause));
@@ -857,17 +895,17 @@ mod tests {
             submit
         }
 
-        fn submit(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode) -> Submit {
-            self.submit_caused(prefix, intent, mode, none())
+        fn submit(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode) -> Submit<S> {
+            self.submit_caused(prefix, intent, mode, S::default())
         }
 
         /// Pops the earliest expiry event asked for and flushes the timer
         /// `trigger` names at its key: the flushed updates (each tagged
         /// with the queue's slot) and the re-arm flag.
-        fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update>, bool) {
+        fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update<S>>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
-            let rearm = self.q.flush(trigger, SLOT, &mut self.lent.step(self.now, none()));
+            let rearm = self.q.flush(trigger, SLOT, &mut self.lent.step(self.now, S::default()));
             if rearm {
                 self.arm_at(trigger);
             }
@@ -897,7 +935,7 @@ mod tests {
         let mut q = OutQueue::new();
         let mut paths = PathArena::new();
         let route: Vec<PathId> = (0..4).map(|i| paths.of(&[i])).collect();
-        let waiting = |i: usize| (UpdateKind::Announce(route[i]), none());
+        let waiting = |i: usize| (UpdateKind::Announce(route[i]), ());
         assert_eq!((q.advertised(P), q.pending_len()), (None, 0));
         q.set_sent(Q, route[0]);
         q.set_sent(Q, route[1]); // replace in the inline room
@@ -917,7 +955,7 @@ mod tests {
         q.pending_map().get_mut(Q).expect("moved with the rest").0 = UpdateKind::Withdraw;
         let multi = q.multi.as_ref().expect("spilled");
         assert_eq!(multi.sent, vec![(Prefix(0), route[0]), (P, route[2])]);
-        assert_eq!(multi.pending, vec![(Prefix(0), waiting(0)), (Q, (UpdateKind::Withdraw, none()))]);
+        assert_eq!(multi.pending, vec![(Prefix(0), waiting(0)), (Q, (UpdateKind::Withdraw, ()))]);
         assert_eq!((q.advertised(P), q.intent(Q), q.pending_len()), (Some(route[2]), None, 2));
         assert_eq!(q.pending_map().remove(Prefix(0)), Some(waiting(0)));
         assert_eq!(q.pending_map().remove(Prefix(0)), None);
@@ -1168,7 +1206,7 @@ mod tests {
         let mut q = OutQueue::new();
         let mut lent = Lender::default();
         let (one, two) = (lent.paths.of(&[1]), lent.paths.of(&[2]));
-        let mut step = lent.step(EventKey::ZERO, none());
+        let mut step = lent.step(EventKey::ZERO, ());
         assert!(sent_now(&q.submit(P, Some(one), REL, &mut step)));
         let second = q.submit(Q, Some(two), REL, &mut step);
         assert_eq!(second, Submit::Queued { expire_at: None });
@@ -1178,7 +1216,7 @@ mod tests {
         };
         assert!(q.arm_at(None, key), "an update waits: schedule the expiry now");
         assert_eq!(q.scheduled_expiries(), 1);
-        assert!(q.flush(None, SLOT, &mut lent.step(key, none())));
+        assert!(q.flush(None, SLOT, &mut lent.step(key, ())));
         assert_eq!(lent.out.sends, vec![(SLOT, Update::announce(Q, two))]);
     }
 
@@ -1318,23 +1356,24 @@ mod tests {
 
     #[test]
     fn coalesced_flush_carries_the_union_of_contributing_roots() {
+        use bgpscale_obs::Provenance;
         // Root 1 sends the first announcement (arming the timer), then
         // roots 2 and 3 each replace the queued update. The flushed
         // message must answer for roots 2 and 3 — the displaced intents —
         // with the depth of the newest one.
-        let mut d = Driven::per_interface();
+        let mut d = Driven::<Provenance>::stamped(MraiScope::PerInterface);
         let first = d.submit_caused(P, Some(&[1]), MraiMode::NoWrate, Provenance::root(1));
         match first {
-            Submit::SendNow { update, .. } => assert_eq!(update.provenance.roots(d.lent.paths.root_sets()), &[1]),
+            Submit::SendNow { update, .. } => assert_eq!(update.stamp.roots(d.lent.paths.root_sets()), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
         d.submit_caused(P, Some(&[2]), MraiMode::NoWrate, Provenance::root(2));
         d.submit_caused(P, Some(&[3]), MraiMode::NoWrate, Provenance::root(3).child());
         let (sent, _) = d.expire(None);
         assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].provenance.roots(d.lent.paths.root_sets()), &[2, 3], "displaced root kept");
-        assert_eq!(sent[0].provenance.depth(), 1, "newest intent's depth");
-        assert_eq!(sent[0].provenance.rel(), Some(REL), "stamped with the session's edge");
+        assert_eq!(sent[0].stamp.roots(d.lent.paths.root_sets()), &[2, 3], "displaced root kept");
+        assert_eq!(sent[0].stamp.depth(), 1, "newest intent's depth");
+        assert_eq!(sent[0].stamp.rel(), Some(REL), "stamped with the session's edge");
     }
 
     #[test]

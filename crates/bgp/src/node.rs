@@ -18,7 +18,9 @@
 //! configuration of the network, the [`EventKey`] of the event being
 //! handled (the node keeps no clock; the key is all an MRAI timer needs to
 //! know whether it is still armed, see [`crate::mrai`]), the cause to
-//! stamp on exports, the [`PathArena`] the node's [`PathId`]s are ids of,
+//! stamp on exports (of the stamp type `S` every view, step and message
+//! is generic over: `()` unless the simulator is observed, see
+//! [`crate::Update`]), the [`PathArena`] the node's [`PathId`]s are ids of,
 //! the work tallies, and the [`Actions`] buffer the step's transmissions
 //! and timer requests are appended to as plain data. The caller decides
 //! when those happen; the simulator keeps one buffer, drains it after
@@ -42,8 +44,9 @@
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
 //! ([`crate::decision::rank_key`]), the Loc-RIB and each session's
-//! Adj-RIB-out hold the id alone, and every session's [`OutQueue`] is one
-//! cache line. The hops themselves live once, in the caller's arena.
+//! Adj-RIB-out hold the id alone, and every session's [`OutQueue`] is
+//! forty-eight bytes (fifty-six under a `Recorder`). The hops themselves
+//! live once, in the caller's arena.
 //!
 //! A test that drives one node owns what a simulator would: a one-node
 //! [`SessionSlab::for_single`], its [`RouteSlab`], and the things a
@@ -53,6 +56,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use bgpscale_obs::Stamp;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 
@@ -87,9 +91,9 @@ pub struct Session {
 /// A step appends to the `Actions` it is lent and never clears them: the
 /// caller drains the lists once it has acted on them.
 #[derive(Clone, Debug, Default)]
-pub struct Actions {
+pub struct Actions<S = ()> {
     /// `(neighbor slot, message)` pairs to transmit now.
-    pub sends: Vec<(u32, Update)>,
+    pub sends: Vec<(u32, Update<S>)>,
     /// MRAI timers to arm now: `(slot, None)` is the session timer,
     /// `(slot, Some(prefix))` a per-prefix timer (the scope is the
     /// network's, so one step lists one kind).
@@ -103,7 +107,7 @@ pub struct Actions {
     pub rfd_wakeups: Vec<(u32, Prefix, SimTime)>,
 }
 
-impl Actions {
+impl<S> Actions<S> {
     /// True if nothing needs to happen.
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty()
@@ -114,7 +118,7 @@ impl Actions {
 
     /// Records what `submit`, the answer of `slot`'s queue to an intent
     /// for `prefix`, obliges the caller to do.
-    fn absorb(&mut self, slot: u32, prefix: Prefix, submit: Submit, scope: MraiScope) {
+    fn absorb(&mut self, slot: u32, prefix: Prefix, submit: Submit<S>, scope: MraiScope) {
         match submit {
             Submit::SendNow { update, arm_timer } => {
                 if arm_timer {
@@ -149,23 +153,23 @@ enum Reeval {
 /// A BGP speaker for one AS, for one protocol step: the view of its
 /// routes in a network's [`RouteSlab`] (see the module docs).
 #[derive(Debug)]
-pub struct BgpNode<'a> {
+pub struct BgpNode<'a, S = ()> {
     id: AsId,
     /// The topology-wide session arena; node `id` reads its own stripe.
     slab: &'a Arc<SessionSlab>,
     /// This node's sessions in the global session id space.
     stripe: Range<usize>,
     /// Every route of the network; this node writes its own share.
-    routes: &'a mut RouteSlab,
+    routes: &'a mut RouteSlab<S>,
 }
 
 /// A read-only view of one node's routes in a network's [`RouteSlab`]:
 /// what [`BgpNode::view`] and a simulator's `node(id)` hand out.
 #[derive(Clone, Copy, Debug)]
-pub struct NodeView<'a> {
+pub struct NodeView<'a, S = ()> {
     id: AsId,
     slab: &'a Arc<SessionSlab>,
-    routes: &'a RouteSlab,
+    routes: &'a RouteSlab<S>,
 }
 
 /// Monotone operation tallies of the BGP speakers of one network,
@@ -191,10 +195,10 @@ pub struct NodeCostCounters {
     pub mrai_coalesced: u64,
 }
 
-impl<'a> NodeView<'a> {
+impl<'a, S: Stamp> NodeView<'a, S> {
     /// The view of node `id` — stripe `id` of `slab` — in `routes`, the
     /// route columns built for `slab`.
-    pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a RouteSlab) -> NodeView<'a> {
+    pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a RouteSlab<S>) -> NodeView<'a, S> {
         NodeView { id, slab, routes }
     }
 
@@ -221,7 +225,7 @@ impl<'a> NodeView<'a> {
     }
 
     /// The output queue of `slot`, if it is one of this node's.
-    fn queue(self, slot: u32) -> Option<&'a OutQueue> {
+    fn queue(self, slot: u32) -> Option<&'a OutQueue<S>> {
         self.routes.out.get(self.session(slot)?)
     }
 
@@ -293,11 +297,15 @@ impl<'a> NodeView<'a> {
     }
 }
 
-impl<'a> BgpNode<'a> {
+impl<'a, S: Stamp> BgpNode<'a, S> {
     /// The speaker `id` — stripe `id` of `slab` — writing its routes into
     /// `routes`, the route columns built for `slab`. The simulator builds
     /// one per protocol step; building one allocates nothing.
-    pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a mut RouteSlab) -> BgpNode<'a> {
+    pub fn new(
+        id: AsId,
+        slab: &'a Arc<SessionSlab>,
+        routes: &'a mut RouteSlab<S>,
+    ) -> BgpNode<'a, S> {
         let stripe = slab.stripe(id.0);
         debug_assert!(stripe.end <= routes.out.len(), "route columns of another slab");
         BgpNode {
@@ -309,7 +317,7 @@ impl<'a> BgpNode<'a> {
     }
 
     /// The read-only view of this speaker.
-    pub fn view(&self) -> NodeView<'_> {
+    pub fn view(&self) -> NodeView<'_, S> {
         NodeView::new(self.id, self.slab, self.routes)
     }
 
@@ -323,7 +331,7 @@ impl<'a> BgpNode<'a> {
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
     // det::allow(panic-surface, reason = "slot is one of this node's session slots, from its own stripe, Actions or timer bookkeeping, so it indexes the node's stripe of the queue column; any other slot is a caller bug the index must catch")
-    fn queue_mut(&mut self, slot: u32) -> &mut OutQueue {
+    fn queue_mut(&mut self, slot: u32) -> &mut OutQueue<S> {
         &mut self.routes.out[self.stripe.clone()][slot as usize]
     }
 
@@ -343,7 +351,7 @@ impl<'a> BgpNode<'a> {
 
     /// Starts originating `prefix`. `step.cause` stamps the resulting
     /// exports, which are appended to `step.out`.
-    pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step) {
+    pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step<S>) {
         let row = self.touch(prefix);
         self.routes.loc_mut(row, self.id.0).originated = true;
         self.reevaluate(row, prefix, Reeval::Full, step);
@@ -351,7 +359,7 @@ impl<'a> BgpNode<'a> {
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
     /// the resulting exports with `step.cause`.
-    pub fn withdraw_origin_caused(&mut self, prefix: Prefix, step: &mut Step) {
+    pub fn withdraw_origin_caused(&mut self, prefix: Prefix, step: &mut Step<S>) {
         let row = self.touch(prefix);
         self.routes.loc_mut(row, self.id.0).originated = false;
         self.reevaluate(row, prefix, Reeval::Full, step);
@@ -366,11 +374,11 @@ impl<'a> BgpNode<'a> {
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    pub fn receive(&mut self, slot: u32, update: Update, step: &mut Step) {
+    pub fn receive(&mut self, slot: u32, update: Update<S>, step: &mut Step<S>) {
         let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself.
-        step.cause = update.provenance.child();
+        step.cause = update.stamp.child();
         let row = self.touch(prefix);
 
         // Receiver-side loop detection: a path containing our own AS is
@@ -418,7 +426,7 @@ impl<'a> BgpNode<'a> {
     /// damped route becomes eligible again and the decision process
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
-    pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step) {
+    pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step<S>) {
         let Some(cfg) = &step.cfg.rfd else { return };
         let session = self.session(slot);
         let Some(state) = self.routes.damp.get_mut(session, prefix) else {
@@ -448,7 +456,7 @@ impl<'a> BgpNode<'a> {
     ///
     /// # Panics
     /// Panics if the session is already down.
-    pub fn session_down_caused(&mut self, slot: u32, step: &mut Step) {
+    pub fn session_down_caused(&mut self, slot: u32, step: &mut Step<S>) {
         let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
         assert!(*active, "{}: session {slot} already down", self.id);
         *active = false;
@@ -474,7 +482,7 @@ impl<'a> BgpNode<'a> {
     ///
     /// # Panics
     /// Panics if the session is already up.
-    pub fn session_up_caused(&mut self, slot: u32, step: &mut Step) {
+    pub fn session_up_caused(&mut self, slot: u32, step: &mut Step<S>) {
         let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
         assert!(!*active, "{}: session {slot} already up", self.id);
         *active = true;
@@ -532,7 +540,7 @@ impl<'a> BgpNode<'a> {
     /// [`MraiScope::PerPrefix`]) — appending the flushed transmissions to
     /// `step.out`, plus one timer arm iff something was sent: the caller
     /// re-arms exactly the timers `step.out` lists.
-    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step) {
+    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step<S>) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
         if self.queue_mut(slot).flush(trigger, slot, step) {
             step.out.arms.push((slot, trigger));
@@ -552,7 +560,7 @@ impl<'a> BgpNode<'a> {
     /// holding the row's best eligible learned route. Counts every key
     /// comparison into `route_comparisons`.
     // det::allow(panic-surface, reason = "row is a live row index whose Adj-RIB-in stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
-    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) -> Option<u32> {
+    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) -> Option<u32> {
         let (routes, keys) = self.routes.adj_rib_in(row, &self.stripe);
         // With damping off the incumbent is still the best of every slot
         // but `s`, so it only has to face the route at `s`; if `s` is its
@@ -608,7 +616,7 @@ impl<'a> BgpNode<'a> {
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
     // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the node's stripe, which indexes the queue and liveness columns")
-    fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step) {
+    fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) {
         step.costs.decision_runs += 1;
 
         let held = *self.routes.loc(row, self.id.0);
@@ -678,7 +686,6 @@ mod tests {
     use super::*;
     use crate::config::BgpConfig;
     use crate::mrai::Lender;
-    use bgpscale_obs::Provenance;
     use crate::path::PathArena;
     use crate::rfd::RfdConfig;
     use bgpscale_simkernel::SimDuration;
@@ -1322,7 +1329,7 @@ mod tests {
         }
         let by_value_costs = std::mem::take(&mut w.costs);
         for (now, entry) in &script {
-            entry(&mut in_place.node(), &mut w.step(*now, Provenance::none()));
+            entry(&mut in_place.node(), &mut w.step(*now, ()));
         }
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
@@ -1336,16 +1343,15 @@ mod tests {
     #[test]
     fn recycle_restores_the_constructed_state_from_any_state() {
         let mut w = Lender::default();
-        let none = Provenance::none();
         let script = |n: &mut BgpNode, w: &mut Lender| {
-            n.receive(0, ann(&mut w.paths, P, &[1, 9]), &mut w.step(T0, none));
+            n.receive(0, ann(&mut w.paths, P, &[1, 9]), &mut w.step(T0, ()));
             assert!(settle(n, &w.out, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
-            n.receive(2, ann(&mut w.paths, P, &[3, 9]), &mut w.step(T0, none));
+            n.receive(2, ann(&mut w.paths, P, &[3, 9]), &mut w.step(T0, ()));
             // A longer customer path waits behind both timers.
-            n.receive(0, ann(&mut w.paths, P, &[1, 8, 9]), &mut w.step(T0, none));
+            n.receive(0, ann(&mut w.paths, P, &[1, 8, 9]), &mut w.step(T0, ()));
             let (slot, which, key) = w.out.expiries[0];
-            n.mrai_flush(slot, which, &mut w.step(key, none));
-            n.receive(0, Update::withdraw(P), &mut w.step(T0, none));
+            n.mrai_flush(slot, which, &mut w.step(key, ()));
+            n.receive(0, Update::withdraw(P), &mut w.step(T0, ()));
             (flat(&std::mem::take(&mut w.out)), n.view().best_route(P), std::mem::take(&mut w.costs))
         };
         let want = script(&mut node().node(), &mut w);

@@ -129,7 +129,8 @@ impl PathArena {
         &self.root_sets
     }
 
-    /// The table [`bgpscale_obs::Provenance::coalesce_with`] interns into.
+    /// The table [`bgpscale_obs::Stamp::coalesce_with`] interns into (only
+    /// an observed run's `Provenance` stamps intern anything).
     pub fn root_sets_mut(&mut self) -> &mut RootSets {
         &mut self.root_sets
     }

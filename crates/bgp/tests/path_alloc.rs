@@ -13,9 +13,7 @@
 
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, NodeCostCounters, Session};
-use bgpscale_bgp::{
-    BgpConfig, BgpNode, PathArena, PathId, Prefix, Provenance, RouteSlab, SessionSlab, Update,
-};
+use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, RouteSlab, SessionSlab, Update};
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
 use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
 use bgpscale_topology::{AsId, Relationship};
@@ -62,7 +60,7 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
         let mut step = Step {
             cfg: &cfg,
             now,
-            cause: Provenance::none(),
+            cause: (),
             paths,
             out: &mut out,
             costs: &mut costs,

@@ -5,7 +5,7 @@
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
 use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
 use bgpscale_bgp::node::{Actions, NodeCostCounters};
-use bgpscale_bgp::{BgpConfig, MraiMode, PathArena, PathId, Prefix, Provenance, Update, UpdateKind};
+use bgpscale_bgp::{BgpConfig, MraiMode, PathArena, PathId, Prefix, Provenance, Stamp, Update, UpdateKind};
 use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
@@ -21,12 +21,13 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
 /// One per-interface queue with the simulator's half of the timer
 /// contract around it: what a step is lent, a clock, keys reserved one
 /// MRAI ahead at every arm, and the one expiry event the queue may have
-/// asked for.
+/// asked for. Its updates carry provenance stamps, so every send can be
+/// checked for the edge it went out on.
 struct Driven {
-    q: OutQueue,
+    q: OutQueue<Provenance>,
     cfg: BgpConfig,
     paths: PathArena,
-    out: Actions,
+    out: Actions<Provenance>,
     now: EventKey,
     expiry: Option<EventKey>,
     costs: NodeCostCounters,
@@ -64,7 +65,7 @@ impl Driven {
     }
 
     /// The step of the event keyed `self.now`.
-    fn step(&mut self) -> (&mut OutQueue, Step<'_>) {
+    fn step(&mut self) -> (&mut OutQueue<Provenance>, Step<'_, Provenance>) {
         let step = Step {
             cfg: &self.cfg,
             now: self.now,
@@ -76,7 +77,13 @@ impl Driven {
         (&mut self.q, step)
     }
 
-    fn submit(&mut self, prefix: Prefix, intent: Option<PathId>, mode: MraiMode, rel: Relationship) -> Submit {
+    fn submit(
+        &mut self,
+        prefix: Prefix,
+        intent: Option<PathId>,
+        mode: MraiMode,
+        rel: Relationship,
+    ) -> Submit<Provenance> {
         self.cfg.mrai_mode = mode;
         let (q, mut step) = self.step();
         let submit = q.submit(prefix, intent, rel, &mut step);
@@ -96,7 +103,7 @@ impl Driven {
     /// Lets the running window close: the expiry event pops if one was
     /// asked for (flushing into the returned updates and re-arming iff
     /// something was sent), else the timer just runs out.
-    fn close_window(&mut self) -> Vec<Update> {
+    fn close_window(&mut self) -> Vec<Update<Provenance>> {
         let Some(key) = self.expiry.take() else {
             assert_eq!(self.q.pending_len(), 0, "updates wait with no expiry scheduled");
             self.now = self.reserve();
@@ -237,7 +244,7 @@ proptest! {
         // The latest intent per prefix.
         let mut intent: std::collections::BTreeMap<Prefix, Option<PathId>> = Default::default();
 
-        let apply = |neighbor: &mut std::collections::BTreeMap<Prefix, PathId>, u: Update| {
+        let apply = |neighbor: &mut std::collections::BTreeMap<Prefix, PathId>, u: Update<Provenance>| {
             match u.kind {
                 UpdateKind::Announce(p) => { neighbor.insert(u.prefix, p); }
                 UpdateKind::Withdraw => {
@@ -253,14 +260,14 @@ proptest! {
             intent.insert(prefix, path);
             match d.submit(prefix, path, mode, rel) {
                 Submit::SendNow { update, .. } => {
-                    prop_assert_eq!(update.provenance.rel(), Some(rel), "sent over this edge");
+                    prop_assert_eq!(update.stamp.rel(), Some(rel), "sent over this edge");
                     apply(&mut neighbor, update)?
                 }
                 Submit::Queued { .. } | Submit::Suppressed => {}
             }
             if flush_after && d.q.timer_armed(d.now) {
                 for u in d.close_window() {
-                    prop_assert_eq!(u.provenance.rel(), Some(rel), "flushed over this edge");
+                    prop_assert_eq!(u.stamp.rel(), Some(rel), "flushed over this edge");
                     apply(&mut neighbor, u)?;
                 }
             }

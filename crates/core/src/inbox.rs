@@ -7,7 +7,8 @@
 //! list and is the next one pushed, so the pool grows to the most
 //! messages ever queued at once, network-wide — not to a buffer per node
 //! — and a simulator's input queues are two heap blocks however many
-//! nodes it has.
+//! nodes it has. An entry is sixteen bytes in an unobserved run, whose
+//! messages carry no stamp; twenty-eight under a `Recorder`.
 
 use bgpscale_bgp::Update;
 
@@ -17,11 +18,13 @@ const NIL: u32 = u32::MAX;
 /// One queued message: the session slot it arrived over, the message,
 /// and the next entry of its queue (or of the free list).
 #[derive(Clone, Copy, Debug)]
-struct Entry {
+struct Entry<S> {
     slot: u32,
-    update: Update,
+    update: Update<S>,
     next: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry<()>>() == 16);
 
 /// One node's queue: its first and last entries and its length.
 #[derive(Clone, Copy, Debug)]
@@ -39,19 +42,20 @@ impl Fifo {
     };
 }
 
-/// The FIFO input queues of `n` nodes in one pool of entries.
+/// The FIFO input queues of `n` nodes in one pool of entries, whose
+/// messages carry stamps of type `S`.
 #[derive(Clone, Debug)]
-pub(crate) struct InboxPool {
-    entries: Vec<Entry>,
+pub(crate) struct InboxPool<S = ()> {
+    entries: Vec<Entry<S>>,
     /// The first free entry; free entries chain through `next`.
     free: u32,
     /// Per node.
     queues: Vec<Fifo>,
 }
 
-impl InboxPool {
+impl<S: Copy> InboxPool<S> {
     /// Empty queues for `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> InboxPool {
+    pub(crate) fn new(nodes: usize) -> InboxPool<S> {
         InboxPool {
             entries: Vec::new(),
             free: NIL,
@@ -67,7 +71,7 @@ impl InboxPool {
     /// Appends the message `update`, arrived over `slot`, to `node`'s
     /// queue.
     // det::allow(panic-surface, reason = "node is a graph node id and queues holds one queue per graph node by construction")
-    pub(crate) fn push(&mut self, node: usize, slot: u32, update: Update) {
+    pub(crate) fn push(&mut self, node: usize, slot: u32, update: Update<S>) {
         let entry = Entry {
             slot,
             update,
@@ -96,7 +100,7 @@ impl InboxPool {
 
     /// Takes the message at the front of `node`'s queue, with the slot it
     /// arrived over; `None` if the queue is empty.
-    pub(crate) fn pop(&mut self, node: usize) -> Option<(u32, Update)> {
+    pub(crate) fn pop(&mut self, node: usize) -> Option<(u32, Update<S>)> {
         let queue = self.queues.get_mut(node)?;
         let at = queue.head;
         let entry = self.entries.get_mut(at as usize)?;

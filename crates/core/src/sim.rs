@@ -28,6 +28,13 @@
 //! of each for the whole network, lent as a [`Step`] for the length of
 //! the step.
 //!
+//! What a cause is depends on who watches: the observer's
+//! [`SimObserver::Stamp`]. The default [`NoopObserver`] takes `()`, so an
+//! unobserved simulator moves messages, queued updates and input-queue
+//! entries with no stamp in them and never builds, coalesces or interns
+//! one; a `Recorder` takes [`bgpscale_obs::Provenance`]. Root-cause ids are
+//! handed out and reported to the observer either way.
+//!
 //! `Deliver`s are scheduled on the event queue's in-order lane
 //! (`EventQueue::schedule_in_order`), the two timer-like kinds in its heap;
 //! the pop sequence is the one `(time, seq)` total order either way.
@@ -52,9 +59,10 @@
 //!
 //! AS paths live in one [`PathArena`] per simulator, lent with every
 //! step: nodes, output queues, the wire and the input queues all hold
-//! four-byte [`PathId`]s of it, and an `Update` is twenty bytes that
-//! nothing points out of. An id lives until [`Simulator::recycle`] clears
-//! the arena; read one back through [`Simulator::paths`].
+//! four-byte [`PathId`]s of it, and an unobserved `Update` is eight bytes
+//! that nothing points out of (twenty with a `Provenance` stamp). An id
+//! lives until [`Simulator::recycle`] clears the arena; read one back
+//! through [`Simulator::paths`].
 //!
 //! ## Memory layout
 //!
@@ -81,7 +89,7 @@ use bgpscale_bgp::{
     BgpConfig, BgpNode, NodeCostCounters, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
 };
 use bgpscale_obs::{
-    EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
+    EventKind, NoopObserver, OpCounts, RootCauseKind, SimObserver, Stamp, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 use bgpscale_simkernel::{EventKey, EventQueue, SimDuration, SimTime};
@@ -96,8 +104,8 @@ use crate::inbox::InboxPool;
 const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
 /// Simulator events. Small on purpose: the heap sifts whole entries, so
-/// the 20-byte `Update` of a `Deliver` travels on `Simulator::wire`
-/// instead of doubling the event.
+/// the `Update` of a `Deliver` travels on `Simulator::wire` instead of
+/// growing the event.
 #[derive(Clone, Debug)]
 enum SimEvent {
     /// The `Update` at the front of the wire reaches `to`'s input queue
@@ -203,14 +211,14 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// Every route of every node, in columns indexed by the slab's global
     /// session ids and network-wide prefix rows; a protocol step sees its
     /// node's share through a `BgpNode` view.
-    routes: RouteSlab,
+    routes: RouteSlab<O::Stamp>,
     /// Every AS path of the run, hash-consed; lent to each protocol step.
     /// Cleared, buffers kept, by [`Simulator::recycle`].
     paths: PathArena,
     /// The buffer every protocol step writes its transmissions and timer
     /// arms into; [`Simulator::apply_actions`] drains it after each step,
     /// so its lists are empty between steps and keep their capacity.
-    actions: Actions,
+    actions: Actions<O::Stamp>,
     /// The decision, path and RIB work of every node, tallied by the
     /// steps it is lent to. Monotone: phase costs only ever diff it.
     costs: NodeCostCounters,
@@ -218,14 +226,14 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// message arrived over, message), as the `Deliver` event carried
     /// them. A node's processor is busy — a `ProcDone` is scheduled for
     /// it — exactly while its queue is non-empty.
-    inbox: InboxPool,
+    inbox: InboxPool<O::Stamp>,
     queue: EventQueue<SimEvent>,
     /// The `Update`s in flight, in the order their `Deliver` events were
     /// scheduled — which is the order those events pop, because every
     /// `Deliver` is scheduled one constant `cfg.link_delay` after a
     /// monotone clock ([`Simulator::apply_actions`] asserts it). The
     /// k-th `Deliver` to pop takes the k-th `Update` pushed.
-    wire: std::collections::VecDeque<Update>,
+    wire: std::collections::VecDeque<Update<O::Stamp>>,
     /// Arrival time of the newest `Update` on the wire: no later
     /// `Deliver` may be scheduled before it.
     wire_tail_at: SimTime,
@@ -239,9 +247,9 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     down_links: std::collections::BTreeSet<(AsId, AsId)>,
     /// Messages lost because their link failed while they were in flight.
     messages_dropped: u64,
-    /// Next root-cause id for provenance stamps. Ids are allocated
-    /// sequentially per simulator, so they double as indices into the
-    /// observer's root table.
+    /// Next root-cause id. Ids are allocated sequentially per simulator,
+    /// stamp or no stamp, so they double as indices into the observer's
+    /// root table.
     next_root: u32,
     /// Valid MRAI expiry events scheduled and not yet popped, across all
     /// nodes (occupancy telemetry): the armed timers that an update waits
@@ -409,7 +417,7 @@ impl<O: SimObserver> Simulator<O> {
 
     /// Read access to a node's protocol state: a view of its share of the
     /// simulator's route columns.
-    pub fn node(&self, id: AsId) -> NodeView<'_> {
+    pub fn node(&self, id: AsId) -> NodeView<'_, O::Stamp> {
         NodeView::new(id, &self.slab, &self.routes)
     }
 
@@ -464,14 +472,14 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// Allocates a fresh root-cause id for a workload action at `node`,
-    /// notifies the observer, and returns the depth-0 provenance stamp
-    /// every update caused by the action will carry (or derive from via
-    /// [`Provenance::child`]).
-    fn new_root(&mut self, kind: RootCauseKind, node: AsId) -> Provenance {
+    /// notifies the observer, and returns the depth-0 stamp every update
+    /// caused by the action will carry (or derive from via
+    /// [`Stamp::child`]).
+    fn new_root(&mut self, kind: RootCauseKind, node: AsId) -> O::Stamp {
         let id = self.next_root;
         self.next_root += 1;
         self.obs.on_root_cause(id, kind, node, self.queue.now());
-        Provenance::root(id)
+        O::Stamp::root(id)
     }
 
     /// Runs one protocol step at `node`, caused by `cause`, in the event
@@ -481,8 +489,8 @@ impl<O: SimObserver> Simulator<O> {
     fn lend_step(
         &mut self,
         node: AsId,
-        cause: Provenance,
-        entry: impl FnOnce(&mut BgpNode, &mut Step),
+        cause: O::Stamp,
+        entry: impl FnOnce(&mut BgpNode<O::Stamp>, &mut Step<O::Stamp>),
     ) {
         let mut step = Step {
             cfg: &self.cfg,
@@ -729,7 +737,7 @@ impl<O: SimObserver> Simulator<O> {
                     },
                     update.prefix.0,
                     || update.kind.path().map(|p| self.paths.len(p) as u32),
-                    &update.provenance,
+                    &update.stamp,
                     self.paths.root_sets(),
                     inbox_depth,
                     now,
@@ -749,7 +757,7 @@ impl<O: SimObserver> Simulator<O> {
                     .pop(node.index())
                     .expect("ProcDone with empty input queue");
                 // `receive` takes the step's cause from the message.
-                self.lend_step(node, Provenance::none(), |n, step| n.receive(slot, update, step));
+                self.lend_step(node, O::Stamp::default(), |n, step| n.receive(slot, update, step));
                 self.obs.on_decision_run(node, now);
                 self.apply_actions(node);
                 if self.inbox.len(node.index()) > 0 {
@@ -765,7 +773,7 @@ impl<O: SimObserver> Simulator<O> {
                 self.expiries_scheduled -= 1;
                 self.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
-                let no_cause = Provenance::none(); // a flush sends stamps stored earlier
+                let no_cause = O::Stamp::default(); // a flush sends stamps stored earlier
                 self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, prefix, step));
                 self.obs
                     .on_mrai_flush(node, self.actions.sends.len() as u32, now);
@@ -1204,6 +1212,8 @@ mod tests {
     }
 
     impl SimObserver for FlushCounter {
+        type Stamp = ();
+
         fn on_mrai_flush(&mut self, _node: AsId, sent: u32, _now: SimTime) {
             self.flushes += 1;
             self.empty += u64::from(sent == 0);

@@ -76,7 +76,7 @@ pub use ledger::{
 pub use logging::Level;
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use observer::{EventKind, NoopObserver, SimObserver, UpdateClass};
-pub use provenance::{Provenance, RootCauseKind, RootSets};
+pub use provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use recorder::{Recorder, RecorderOptions};
 pub use span::SpanStats;
 pub use timeseries::{RootRecord, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, TsBin};

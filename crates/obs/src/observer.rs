@@ -8,6 +8,10 @@
 //! tracing is off (`benchmark/`'s `observed_5k` workload measures what a
 //! live observer costs instead: `obs.recorder_ns_per_delivery`).
 //!
+//! The observer also chooses what every UPDATE of the run carries beside
+//! its wire content ([`SimObserver::Stamp`]): the [`NoopObserver`] takes
+//! `()`, so an unobserved run moves no provenance at all.
+//!
 //! Observers are plain mutable state owned by one simulator instance; the
 //! parallel experiment harness gives every C-event its own observer and
 //! merges the results **in event-index order**, which is what keeps
@@ -16,7 +20,7 @@
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::provenance::{Provenance, RootCauseKind, RootSets};
+use crate::provenance::{RootCauseKind, RootSets, Stamp};
 
 /// The kind of a simulator event, mirrored from `core::sim`'s private
 /// event enum so observers can count per kind without a dependency cycle.
@@ -81,7 +85,8 @@ impl UpdateClass {
     }
 }
 
-/// Hook points called from the simulator's event loop.
+/// Hook points called from the simulator's event loop, and the stamp the
+/// observed simulator's messages carry.
 ///
 /// Every method has an empty default body, so an observer implements only
 /// what it needs. Implementations must be deterministic functions of the
@@ -90,6 +95,13 @@ impl UpdateClass {
 /// `--jobs` guarantee (spans are the sanctioned wall-clock escape hatch;
 /// they never enter deterministic artifacts).
 pub trait SimObserver {
+    /// What every UPDATE, queued update and protocol step of the observed
+    /// simulator carries as its cause: [`crate::Provenance`] for an observer
+    /// that reads [`SimObserver::on_message`]'s stamp, `()` for one that
+    /// does not — then messages are eight bytes and no stamp is ever
+    /// built, coalesced or interned.
+    type Stamp: Stamp;
+
     /// An event was popped from the queue and is about to be dispatched.
     #[inline]
     fn on_event(&mut self, _kind: EventKind, _now: SimTime) {}
@@ -99,10 +111,13 @@ pub trait SimObserver {
     /// from the receiver; `path_len` yields the AS-path length of an
     /// announcement (`None` for withdrawals) — a closure, because the
     /// length is a read of the simulator's path arena that an observer
-    /// with no use for it must not pay for. `provenance` is the
-    /// message's causal stamp, `root_sets` the table a coalesced stamp's
-    /// roots resolve against ([`Provenance::roots`]), and `inbox_depth`
-    /// the receiver's in-queue depth *including* this message.
+    /// with no use for it must not pay for. `stamp` is the message's
+    /// causal stamp, of the observer's own [`SimObserver::Stamp`] type
+    /// ([`Stamp::provenance`] reads any of them as a
+    /// [`crate::Provenance`]), `root_sets` the table a coalesced stamp's
+    /// roots resolve against ([`crate::Provenance::roots`]), and
+    /// `inbox_depth` the receiver's in-queue depth *including* this
+    /// message.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn on_message(
@@ -113,7 +128,7 @@ pub trait SimObserver {
         _class: UpdateClass,
         _prefix: u32,
         _path_len: impl FnOnce() -> Option<u32>,
-        _provenance: &Provenance,
+        _stamp: &Self::Stamp,
         _root_sets: &RootSets,
         _inbox_depth: u32,
         _now: SimTime,
@@ -155,11 +170,14 @@ pub trait SimObserver {
     fn on_quiescence(&mut self, _now: SimTime, _events_processed: u64) {}
 }
 
-/// The default observer: every hook is a no-op that compiles to nothing.
+/// The default observer: every hook is a no-op that compiles to nothing,
+/// and messages carry no stamp.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
-impl SimObserver for NoopObserver {}
+impl SimObserver for NoopObserver {
+    type Stamp = ();
+}
 
 #[cfg(test)]
 mod tests {
@@ -186,7 +204,7 @@ mod tests {
             UpdateClass::Announce,
             0,
             || Some(3),
-            &Provenance::none(),
+            &(),
             &RootSets::new(),
             1,
             SimTime::ZERO,

@@ -20,6 +20,15 @@
 //! without. Root ids are allocated sequentially by the simulator, so the
 //! stamp stream is a pure function of the simulated trajectory and all
 //! derived artifacts stay byte-identical across `--jobs` levels.
+//!
+//! A message carries a stamp only where someone reads it. What an UPDATE
+//! carries is a [`Stamp`], and the simulator's observer chooses which
+//! ([`crate::SimObserver::Stamp`]): a [`Provenance`] for the
+//! [`crate::Recorder`], `()` for the [`crate::NoopObserver`] of every
+//! unobserved run, where it takes no byte of a message and every stamp
+//! operation compiles to nothing.
+
+use std::fmt;
 
 use bgpscale_topology::Relationship;
 
@@ -89,6 +98,9 @@ pub struct RootSets {
     ends: Vec<u32>,
     /// The set ids ordered by their contents: the lookup index.
     by_content: Vec<u32>,
+    /// Where a coalesce merges two root lists before interning the union;
+    /// kept so that a coalesce into a known set allocates nothing.
+    scratch: Vec<u32>,
 }
 
 impl RootSets {
@@ -148,16 +160,16 @@ enum Arity {
     Many,
 }
 
-/// The provenance stamp carried by every UPDATE message.
+/// The provenance stamp carried by every UPDATE of an observed run.
 ///
 /// Twelve bytes and `Copy`: a single root cause — every stamp of a
 /// C-event — is stored inline, so stamping a message, queueing it and
 /// handing it on touch no heap and no reference count. Only a stamp that
-/// [`Provenance::coalesce_with`] folded a second cause into refers to a
+/// [`Stamp::coalesce_with`] folded a second cause into refers to a
 /// [`RootSets`] table, which [`Provenance::roots`] resolves it against.
 ///
 /// The root set is always sorted and duplicate-free, an invariant every
-/// constructor and [`Provenance::coalesce_with`] maintain.
+/// constructor and [`Stamp::coalesce_with`] maintain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Provenance {
     roots: u32,
@@ -169,24 +181,13 @@ pub struct Provenance {
 const _: () = assert!(std::mem::size_of::<Provenance>() <= 16);
 
 impl Provenance {
-    /// The unstamped provenance (no root cause attached). Used by direct
-    /// `BgpNode` entry points outside a simulator, so unit tests of the
-    /// protocol machine need not invent causes.
+    /// The unstamped provenance (no root cause attached): what an
+    /// observer is shown for a message that carries no stamp.
     pub const fn none() -> Provenance {
         Provenance {
             roots: 0,
             depth: 0,
             arity: Arity::None,
-            rel: None,
-        }
-    }
-
-    /// A fresh stamp for root-cause event `id`, at causal depth 0.
-    pub const fn root(id: u32) -> Provenance {
-        Provenance {
-            roots: id,
-            depth: 0,
-            arity: Arity::One,
             rel: None,
         }
     }
@@ -224,25 +225,43 @@ impl Provenance {
     pub fn rel(&self) -> Option<Relationship> {
         self.rel
     }
+}
+
+/// The sorted, duplicate-free union of `a` and `b`, each sorted and
+/// duplicate-free, written over `out`.
+fn merge_roots(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut a, mut b) = (a, b);
+    while let (Some((&x, a_rest)), Some((&y, b_rest))) = (a.split_first(), b.split_first()) {
+        out.push(x.min(y));
+        if x <= y {
+            a = a_rest;
+        }
+        if y <= x {
+            b = b_rest;
+        }
+    }
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+}
+
+/// What an UPDATE carries beside its wire content: the simulator's
+/// observer picks the type ([`crate::SimObserver::Stamp`]). [`Provenance`]
+/// carries the causal attribution; `()` carries nothing, and each method
+/// below is then a no-op the optimizer erases. The simulator calls the same
+/// methods at the same points either way, so the run is one run whichever
+/// stamp rides on it.
+pub trait Stamp: Copy + Default + fmt::Debug {
+    /// A fresh stamp for root-cause event `id`, at causal depth 0.
+    fn root(id: u32) -> Self;
 
     /// The stamp for an export *triggered by* a message carrying this
     /// stamp: same roots, depth + 1, relation cleared (each edge stamps
     /// its own).
-    pub fn child(&self) -> Provenance {
-        Provenance {
-            depth: self.depth.saturating_add(1),
-            rel: None,
-            ..*self
-        }
-    }
+    fn child(&self) -> Self;
 
     /// A copy of this stamp with the sending edge's relation recorded.
-    pub fn with_rel(&self, rel: Relationship) -> Provenance {
-        Provenance {
-            rel: Some(rel),
-            ..*self
-        }
-    }
+    fn with_rel(&self, rel: Relationship) -> Self;
 
     /// Folds the stamp of a *displaced* queued update into this one: the
     /// root sets union (MRAI coalescing must not lose attribution — the
@@ -251,24 +270,75 @@ impl Provenance {
     /// is what keeps WRATE and NO-WRATE runs comparable: rate-limiting
     /// changes how many messages carry a root, never which roots are
     /// accounted for. A union of two or more roots is interned in `sets`.
-    pub fn coalesce_with(&mut self, displaced: &Provenance, sets: &mut RootSets) {
+    fn coalesce_with(&mut self, displaced: &Self, sets: &mut RootSets);
+
+    /// The stamp as an observer reads it: [`Provenance::none`] for a
+    /// message that carries none.
+    fn provenance(&self) -> Provenance;
+}
+
+impl Stamp for () {
+    #[inline]
+    fn root(_id: u32) {}
+
+    #[inline]
+    fn child(&self) {}
+
+    #[inline]
+    fn with_rel(&self, _rel: Relationship) {}
+
+    #[inline]
+    fn coalesce_with(&mut self, _displaced: &(), _sets: &mut RootSets) {}
+
+    #[inline]
+    fn provenance(&self) -> Provenance {
+        Provenance::none()
+    }
+}
+
+impl Stamp for Provenance {
+    fn root(id: u32) -> Provenance {
+        Provenance {
+            roots: id,
+            depth: 0,
+            arity: Arity::One,
+            rel: None,
+        }
+    }
+
+    fn child(&self) -> Provenance {
+        Provenance {
+            depth: self.depth.saturating_add(1),
+            rel: None,
+            ..*self
+        }
+    }
+
+    fn with_rel(&self, rel: Relationship) -> Provenance {
+        Provenance {
+            rel: Some(rel),
+            ..*self
+        }
+    }
+
+    fn coalesce_with(&mut self, displaced: &Provenance, sets: &mut RootSets) {
         let same = (self.arity, self.roots) == (displaced.arity, displaced.roots);
         if !displaced.is_stamped() || same {
             return;
         }
-        // Off the C-event path: only distinct causes meet here.
-        let mut union: Vec<u32> = self
-            .roots(sets)
-            .iter()
-            .chain(displaced.roots(sets))
-            .copied()
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        (self.arity, self.roots) = match union[..] {
+        // Off the C-event path: only distinct causes meet here. The union
+        // is merged into the table's scratch list, lent out meanwhile.
+        let mut merged = std::mem::take(&mut sets.scratch);
+        merge_roots(self.roots(sets), displaced.roots(sets), &mut merged);
+        (self.arity, self.roots) = match *merged.as_slice() {
             [only] => (Arity::One, only),
-            _ => (Arity::Many, sets.intern(&union)),
+            _ => (Arity::Many, sets.intern(&merged)),
         };
+        sets.scratch = merged;
+    }
+
+    fn provenance(&self) -> Provenance {
+        *self
     }
 }
 
@@ -281,6 +351,7 @@ impl Default for Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn none_is_unstamped() {
@@ -359,6 +430,50 @@ mod tests {
         let mut again = Provenance::root(4);
         again.coalesce_with(&Provenance::root(9), &mut sets);
         assert_eq!(again, b);
+    }
+
+    /// What the simulator does to a stamp of any type: root it, hand it
+    /// on, send it over an edge, coalesce another root into it.
+    fn handed_on<S: Stamp>(sets: &mut RootSets) -> Provenance {
+        let mut stamp = S::root(3).child().with_rel(Relationship::Customer);
+        stamp.coalesce_with(&S::root(5), sets);
+        stamp.provenance()
+    }
+
+    /// The stamp of an unobserved run: whatever happens to it, an observer
+    /// reads no cause and no set is interned.
+    #[test]
+    fn the_unit_stamp_reads_unstamped_and_interns_nothing() {
+        let mut sets = RootSets::new();
+        assert_eq!(handed_on::<()>(&mut sets), Provenance::none());
+        assert!(sets.is_empty());
+        let observed = handed_on::<Provenance>(&mut sets);
+        assert_eq!(observed.roots(&sets), &[3, 5]);
+        assert_eq!(
+            (observed.depth(), observed.rel()),
+            (1, Some(Relationship::Customer))
+        );
+    }
+
+    proptest! {
+        /// The merge of two sorted, duplicate-free root lists is the sort
+        /// and dedup of their concatenation, whatever `out` held before.
+        #[test]
+        fn merging_roots_is_sorting_and_deduplicating_the_concatenation(
+            a in prop::collection::vec(0u32..40, 0..12),
+            b in prop::collection::vec(0u32..40, 0..12),
+            stale in prop::collection::vec(0u32..40, 0..4),
+        ) {
+            let normal = |mut v: Vec<u32>| {
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            let (a, b) = (normal(a), normal(b));
+            let mut out = stale;
+            merge_roots(&a, &b, &mut out);
+            prop_assert_eq!(out, normal([a, b].concat()));
+        }
     }
 
     #[test]

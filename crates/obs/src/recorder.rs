@@ -18,7 +18,7 @@ use bgpscale_topology::{AsId, Relationship};
 
 use crate::metrics::MetricsRegistry;
 use crate::observer::{EventKind, SimObserver, UpdateClass};
-use crate::provenance::{Provenance, RootCauseKind, RootSets};
+use crate::provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 use crate::timeseries::{depth_bucket, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
 use crate::trace::{TraceBuffer, TraceRecord};
 
@@ -199,6 +199,8 @@ fn inject_histogram(r: &mut MetricsRegistry, name: &str, bounds: &[u64], counts:
 }
 
 impl SimObserver for Recorder {
+    type Stamp = Provenance;
+
     #[inline]
     // det::allow(panic-surface, reason = "events_by_kind is a fixed array indexed by EventKind::index, which enumerates the variants")
     fn on_event(&mut self, kind: EventKind, _now: SimTime) {
@@ -215,11 +217,14 @@ impl SimObserver for Recorder {
         class: UpdateClass,
         prefix: u32,
         path_len: impl FnOnce() -> Option<u32>,
-        provenance: &Provenance,
+        stamp: &Self::Stamp,
         root_sets: &RootSets,
         inbox_depth: u32,
         now: SimTime,
     ) {
+        // Read through the `Stamp` trait, as any observer's stamp is: the
+        // recorder counts what it is given, stamped or not.
+        let provenance = &stamp.provenance();
         let path_len = path_len();
         self.msgs_by_rel[rel.index()] += 1;
         match class {

@@ -364,6 +364,7 @@ impl TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::Stamp;
 
     fn spec(bin_us: u64) -> TimeSeriesSpec {
         TimeSeriesSpec {
