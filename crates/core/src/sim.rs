@@ -36,8 +36,12 @@
 //! handed out and reported to the observer either way.
 //!
 //! `Deliver`s are scheduled on the event queue's in-order lane
-//! (`EventQueue::schedule_in_order`), the two timer-like kinds in its heap;
-//! the pop sequence is the one `(time, seq)` total order either way.
+//! (`EventQueue::schedule_in_order`), `ProcDone`s and the two timer-like
+//! kinds in its radix heap; the pop sequence is the one `(time, seq)`
+//! total order either way. The radix heap files the thousands of MRAI
+//! expiries 22.5–30 s out in high buckets that the near `ProcDone`s pop
+//! past without touching, and [`Simulator::run_until`] pops with
+//! `EventQueue::pop_by(deadline)`, one call per event.
 //!
 //! MRAI timers are **lazy**. Every arm draws its jitter and reserves the
 //! `(time, seq)` key its expiry pops at (`EventQueue::reserve`), and the
@@ -45,7 +49,7 @@
 //! is after the key of the event being processed. An `MraiExpire` event
 //! is scheduled under the key (`EventQueue::schedule_reserved`) only once
 //! an update waits behind the timer — most timers run out with nothing
-//! queued, and those cost the loop no push, sift, pop or dispatch. Every
+//! queued, and those cost the loop no push, pop or dispatch. Every
 //! other event keeps the key, and so the place in the pop order, it would
 //! have had with an expiry event per arm, and the RNG is drawn at the
 //! same points: the run is that run minus the expiries that would have
@@ -103,10 +107,11 @@ use crate::inbox::InboxPool;
 /// indicates a model bug rather than a slow run.
 const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
-/// Simulator events. Small on purpose: the heap sifts whole entries, so
-/// the `Update` of a `Deliver` travels on `Simulator::wire` instead of
-/// growing the event.
-#[derive(Clone, Debug)]
+/// Simulator events. Small on purpose: every pending event sits in a slot
+/// of the event queue's pool, so the `Update` of a `Deliver` travels on
+/// `Simulator::wire` instead of growing the event. `Copy`, so a pop hands
+/// the event out and leaves its slot for the next push.
+#[derive(Clone, Copy, Debug)]
 enum SimEvent {
     /// The `Update` at the front of the wire reaches `to`'s input queue
     /// over `to`'s session `slot` (the sender is that session's peer).
@@ -126,7 +131,8 @@ enum SimEvent {
     RfdReuse { node: AsId, slot: u32, prefix: Prefix },
 }
 
-const _: () = assert!(std::mem::size_of::<SimEvent>() <= 24);
+// With its 16-byte key, an entry of the event queue's pool is 32 bytes.
+const _: () = assert!(std::mem::size_of::<SimEvent>() <= 16);
 
 impl SimEvent {
     fn kind(&self) -> EventKind {
@@ -589,11 +595,7 @@ impl<O: SimObserver> Simulator<O> {
     /// [`EventBudgetExceeded`] if the event budget is exhausted first.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), EventBudgetExceeded> {
         let start = self.queue.popped();
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (time, event) = self.queue.pop().expect("peeked");
+        while let Some((time, event)) = self.queue.pop_by(deadline) {
             self.dispatch(time, event);
             if self.queue.popped() - start > self.event_limit {
                 return Err(self.budget_exceeded(start));
@@ -1127,11 +1129,14 @@ mod tests {
         let mut sim = template.instantiate(17);
         let empty = sim.cost_counts().arena_bytes_reserved;
         assert!(empty > 0, "the session slab alone reserves bytes");
-        // Two prefixes from one stub: the second waits behind the timer
-        // the first armed, so an expiry event sits in the heap while the
-        // first's processing completions come and go.
+        // Two prefixes from each of two stubs: each second prefix waits
+        // behind the timer its first armed, so expiry events 22.5–30 s out
+        // share buckets of the radix heap while the processing completions
+        // come and go, and a pop re-buckets the rest of its bucket.
         sim.originate(ids[4], P);
         sim.originate(ids[4], Prefix(1));
+        sim.originate(ids[5], Prefix(2));
+        sim.originate(ids[5], Prefix(3));
         sim.run_to_quiescence().unwrap();
         let routed = sim.cost_counts();
         assert!(
@@ -1139,10 +1144,12 @@ mod tests {
             "prefix rows grew the arenas: {} !> {empty}",
             routed.arena_bytes_reserved
         );
-        // The heap's sift moves flow through to OpCounts; the reserved
+        // The radix heap's re-bucketed entries and the comparisons that
+        // keep its buckets' minima flow through to OpCounts; the reserved
         // `queue_cascades` class reads 0.
         assert!(routed.mrai_fired > 0, "updates waited behind timers");
-        assert!(routed.queue_decreases > 0, "expected sift moves");
+        assert!(routed.queue_decreases > 0, "expected re-bucketed entries");
+        assert!(routed.queue_comparisons > 0, "expected comparisons against a bucket's minimum");
         assert_eq!(routed.queue_cascades, 0);
     }
 

@@ -10,6 +10,14 @@
 //! the outcome with its per-phase op counts, the m/q/e raw factors of
 //! every node, the clock, and — through an attached `Recorder` — the
 //! serialized metrics and the trace stream.
+//!
+//! The op counts are also held class by class, queue classes included,
+//! and so are the keys the event's MRAI timers reserved, sequence numbers
+//! included: the event queue's work depends on the bits of the keys it
+//! hands out, so a recycled queue must restart its sequence numbers to
+//! hand out a new one's keys and pay what a new one does — which is what
+//! keeps `costmodel.json` byte-identical across `--jobs` levels, where
+//! workers recycle different numbers of times.
 
 use std::sync::Arc;
 
@@ -18,9 +26,9 @@ use bgpscale_core::cevent::{run_c_event, CEventOutcome};
 use bgpscale_core::factors::{node_factors, NodeFactors};
 use bgpscale_core::harness::{run_experiment_with_cost, ExperimentConfig};
 use bgpscale_core::{SimTemplate, Simulator};
-use bgpscale_obs::Recorder;
+use bgpscale_obs::{OpCounts, Recorder, PHASE_NAMES};
 use bgpscale_simkernel::rng::hash64_pair;
-use bgpscale_simkernel::SimTime;
+use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{generate, AsGraph, AsId, GrowthScenario, NodeType};
 
 const N: usize = 300;
@@ -31,6 +39,8 @@ const EVENTS: usize = 3;
 struct Observed {
     outcome: CEventOutcome,
     factors: Vec<NodeFactors>,
+    /// Every node's latest MRAI timer key, `(time, seq)`.
+    timer_keys: Vec<EventKey>,
     end: SimTime,
     events_processed: u64,
     metrics_json: String,
@@ -56,10 +66,16 @@ fn observe(sim: &mut Simulator<Recorder>, origin: AsId, k: usize) -> Observed {
         .node_ids()
         .map(|id| node_factors(sim, id))
         .collect();
+    let timer_keys = sim
+        .graph()
+        .node_ids()
+        .map(|id| sim.node(id).latest_timer_key_by(SimTime::MAX))
+        .collect();
     let recorder = sim.replace_observer(Recorder::new(0));
     Observed {
         outcome,
         factors,
+        timer_keys,
         end: sim.now(),
         events_processed: sim.events_processed(),
         metrics_json: recorder.registry().to_json(),
@@ -79,6 +95,42 @@ fn origins(graph: &AsGraph, count: usize) -> Vec<AsId> {
     (0..count)
         .map(|i| c_nodes[i * (c_nodes.len() - 1) / (count - 1)])
         .collect()
+}
+
+/// `got` reserved `want`'s timer keys, every class of every phase's op
+/// counts equals `want`'s, and the event queue did work the comparison
+/// can see.
+fn assert_same_keys_and_op_counts(got: &Observed, want: &Observed, what: &str) {
+    assert_eq!(
+        got.timer_keys, want.timer_keys,
+        "{what}: recycled and instantiated timer keys differ"
+    );
+    let phases = got
+        .outcome
+        .phase_costs
+        .iter()
+        .zip(&want.outcome.phase_costs);
+    for (phase, (got, want)) in PHASE_NAMES.iter().zip(phases) {
+        assert_eq!(got.fields().len(), OpCounts::FIELD_COUNT);
+        for ((class, got), (_, want)) in got.fields().into_iter().zip(want.fields()) {
+            assert_eq!(
+                got, want,
+                "{what}: {phase} {class}: recycled {got} != instantiated {want}"
+            );
+        }
+    }
+    let total = got
+        .outcome
+        .phase_costs
+        .iter()
+        .fold(OpCounts::default(), |mut sum, phase| {
+            sum.add(phase);
+            sum
+        });
+    assert!(
+        total.queue_comparisons > 0 && total.queue_decreases > 0,
+        "{what}: {total:?}"
+    );
 }
 
 fn template(scenario: GrowthScenario, cfg: BgpConfig, seed: u64) -> SimTemplate {
@@ -119,6 +171,11 @@ fn recycled_and_instantiated_simulators_are_indistinguishable() {
                 assert!(
                     !got.trace_lines.is_empty(),
                     "the sampled trace must see traffic"
+                );
+                assert_same_keys_and_op_counts(
+                    &got,
+                    &want,
+                    &format!("{scenario} {mode:?} event {k}"),
                 );
                 assert_eq!(
                     got, want,
@@ -166,10 +223,12 @@ fn recycle_after_a_blown_event_budget() {
         let seed = 0xB10B;
         sim.recycle(seed);
         sim.replace_observer(recorder(1));
-        assert_eq!(
+        let (got, want) = (
             observe(&mut sim, origins[1], 1),
-            on_fresh(&template, seed, origins[1], 1)
+            on_fresh(&template, seed, origins[1], 1),
         );
+        assert_same_keys_and_op_counts(&got, &want, "after a blown budget");
+        assert_eq!(got, want);
     }
 }
 
@@ -199,10 +258,12 @@ fn recycle_after_a_link_failure_without_restore() {
     assert_eq!(sim.messages_dropped(), 0);
     // The event runs from the stub whose link had failed: both of its
     // sessions must carry routes again.
-    assert_eq!(
+    let (got, want) = (
         observe(&mut sim, origins[0], 1),
-        on_fresh(&template, seed, origins[0], 1)
+        on_fresh(&template, seed, origins[0], 1),
     );
+    assert_same_keys_and_op_counts(&got, &want, "after a link failure");
+    assert_eq!(got, want);
 }
 
 /// Through the harness: one worker recycles its simulator five times,

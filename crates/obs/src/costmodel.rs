@@ -2,7 +2,7 @@
 //! counts attributed per C-event and per convergence phase.
 //!
 //! The simulation is bit-identical for any `--jobs` level, which makes
-//! every *operation count* — heap sifts, decision-process runs, route
+//! every *operation count* — queue re-bucketings, decision-process runs, route
 //! comparisons, MRAI timer arms — an exact, machine-independent quantity.
 //! This module collects those counts into a [`CostModel`] whose JSON
 //! serialization (`costmodel.json`) is byte-identical across worker
@@ -11,8 +11,8 @@
 //!
 //! Three layers feed the model:
 //!
-//! * `simkernel::queue` counts event-queue pushes, pops, sift moves
-//!   and `(time, seq)` comparisons;
+//! * `simkernel::queue` counts event-queue pushes, pops, re-bucketed
+//!   entries and `(time, seq)` comparisons;
 //! * `bgpscale-bgp` counts decision-process runs, route comparisons,
 //!   Adj-RIB-out writes and AS-path intern hits vs misses;
 //! * `bgpscale-core` counts message deliveries and MRAI arm/fire/coalesce
@@ -98,10 +98,14 @@ op_classes! {
     queue_pushes: Work,
     /// Events popped off the future-event list.
     queue_pops: Work,
-    /// Element moves during the binary heap's sift-up/sift-down (the
+    /// Entries the radix heap re-buckets: on each pop from it, the rest
+    /// of the popped minimum's bucket moves to lower buckets (the
     /// "decrease"-class restructuring work of the priority queue).
     queue_decreases: Work,
-    /// `(time, seq)` key comparisons made by the heap's sifts.
+    /// `(time, seq)` key comparisons: those of the radix heap's min scans
+    /// (one per entry after the first of the bucket scanned, one per push
+    /// into the minimum's own bucket), plus one per pop that merges the
+    /// radix minimum with the in-order lane's front.
     queue_comparisons: Work,
     /// BGP decision-process runs (one per `reevaluate` of a prefix).
     decision_runs: Work,
@@ -129,7 +133,7 @@ op_classes! {
     /// while an MRAI timer was running (rate-limiting coalescing).
     mrai_coalesced: Avoided,
     /// Reserved: reads 0. Counted the re-files of the timing wheel that
-    /// schemas 1–2 ran on; the heap has no such operation. The class
+    /// schemas 1–2 ran on; the radix heap has no such operation. The class
     /// keeps its slot because ledger history and `benchmark/` name it.
     queue_cascades: Work,
     /// Bytes reserved by the node arenas (session slab + prefix-major

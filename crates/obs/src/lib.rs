@@ -66,6 +66,10 @@ pub mod trace;
 /// sift moves and key comparisons (up ~80× on what schema 2 counted)
 /// and `queue_cascades` reads 0. The layout is unchanged; the bump only
 /// keeps baselines and trends from comparing across the two meanings.
+/// The queue has changed under v3 since, without a bump, the perf
+/// baselines re-blessed once each time: the in-order lane, then the radix
+/// heap, under which the two classes count re-bucketed entries and the
+/// comparisons of its min scans and lane merges.
 pub const SCHEMA_VERSION: u32 = 3;
 
 pub use costmodel::{ClassKind, CostModel, OpCounts, PhaseCosts, PHASES, PHASE_NAMES};

@@ -13,8 +13,9 @@
 //! * **A deterministic event queue** ([`EventQueue`]) keyed by
 //!   `(time, sequence number)` so that events scheduled for the same
 //!   instant are delivered in scheduling order, making every run a pure
-//!   function of its inputs. It is a binary min-heap with hand-rolled,
-//!   counted sifts ([`QueueOpCounts`]), plus an in-order lane — a FIFO
+//!   function of its inputs. It is a monotone radix heap over one pool
+//!   of entries, its work counted exactly ([`QueueOpCounts`]), plus an
+//!   in-order lane — a FIFO
 //!   for events whose times are already sorted when scheduled
 //!   ([`EventQueue::schedule_in_order`]) — merged on pop into the same
 //!   `(time, sequence number)` order.

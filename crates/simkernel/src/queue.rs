@@ -1,15 +1,15 @@
 //! A deterministic discrete-event queue with exact operation counting.
 //!
-//! [`EventQueue`] is a hand-rolled **binary min-heap** (array layout,
-//! `(time, seq)` keys) with an **in-order lane** beside it: a FIFO for
-//! events whose times are already sorted when they are scheduled
+//! [`EventQueue`] is a hand-rolled **monotone radix heap** (`(time, seq)`
+//! keys) with an **in-order lane** beside it: a FIFO for events whose
+//! times are already sorted when they are scheduled
 //! ([`EventQueue::schedule_in_order`] — a simulator's messages after one
 //! constant link delay on a monotone clock). An in-order push is an
-//! append and its pop a `pop_front`; nothing is sifted. Both structures
+//! append and its pop a `pop_front`; nothing is bucketed. Both structures
 //! are live in every queue and share one sequence counter, and `pop`
-//! returns the `(time, seq)`-smaller of heap root and lane front, so the
-//! three guarantees the simulator depends on hold whichever entry point
-//! scheduled an event:
+//! returns the `(time, seq)`-smaller of the radix minimum and the lane
+//! front, so the three guarantees the simulator depends on hold whichever
+//! entry point scheduled an event:
 //!
 //! 1. **Monotonic delivery** — events pop in non-decreasing time order, and
 //!    scheduling an event in the past (before the last popped time) is a
@@ -19,16 +19,35 @@
 //!    increasing sequence number. The pop sequence is the total order over
 //!    `(time, seq)`, so a run is a pure function of its inputs.
 //! 3. **Exact operation counts** — every push, pop, key comparison and
-//!    sift move is tallied in [`QueueOpCounts`]. Because delivery order is
-//!    a total order over `(time, seq)`, these counts are a pure function
-//!    of the schedule/pop trace: bit-identical across worker counts and
-//!    machines, and therefore usable as CI perf-regression gates (see
-//!    `obs::costmodel`).
+//!    re-bucketed entry is tallied in [`QueueOpCounts`]. Because delivery
+//!    order is a total order over `(time, seq)`, these counts are a pure
+//!    function of the schedule/pop trace: bit-identical across worker
+//!    counts and machines, and therefore usable as CI perf-regression
+//!    gates (see `obs::costmodel`).
+//!
+//! The radix part files an entry under the `u128` key `time << 64 | seq`,
+//! whose integer order *is* the `(time, seq)` order, in the bucket named
+//! by the bit length of `key ^ reference`, where the reference is the key
+//! the radix part popped last. Every pending key is at or after the
+//! reference, so every key of a lower bucket is smaller than every key of
+//! a higher one, and each bucket caches its minimum as entries are filed
+//! into it: the radix part's minimum is the cached minimum of its lowest
+//! non-empty bucket, found without reading an entry. A pop takes it,
+//! makes it the reference and re-files the rest of its bucket, each
+//! entry into a strictly lower one. An entry therefore moves at most once
+//! per bit of the key, however many pops pass over it — a timer 30 s out
+//! sits still while the messages of those 30 s come and go. A lane pop
+//! (and [`EventQueue::advance_to`]) leaves the reference where it is:
+//! entries already filed against it would otherwise sit in the wrong
+//! bucket. All entries live in one pool, each bucket a chain threaded
+//! through a column of links beside it and freed slots on a free chain,
+//! so the pool is as long as the most entries ever pending in the radix
+//! part at once.
 //!
 //! The lane is an optimisation the caller cannot get wrong: a
 //! `schedule_in_order` whose time is before the lane's last entry goes
-//! into the heap like any `schedule`, and the pop sequence is the same
-//! total order either way.
+//! into the radix part like any `schedule`, and the pop sequence is the
+//! same total order either way.
 //!
 //! A place in that order can also be held without an event in it:
 //! [`EventQueue::reserve`] takes the [`EventKey`] a `schedule` at the
@@ -38,11 +57,6 @@
 //! pops exactly where it would have popped had the reserved one been
 //! scheduled at once; [`EventQueue::last_key`] tells a caller whether a
 //! key it holds has been passed.
-//!
-//! The heap is implemented directly on a `Vec` (instead of wrapping
-//! `std::collections::BinaryHeap`) so the comparison and sift-move counts
-//! are under our control rather than at the mercy of the standard
-//! library's internal heapify strategy changing between toolchains.
 
 use std::collections::VecDeque;
 
@@ -72,8 +86,33 @@ impl EventKey {
     };
 }
 
-/// One scheduled entry: ordered by its key.
-#[derive(Debug)]
+/// `key` as one integer whose order is the `(time, seq)` order: the time
+/// in the high half, the sequence number in the low half.
+#[inline]
+fn radix_key(key: EventKey) -> u128 {
+    (u128::from(key.time.as_micros()) << 64) | u128::from(key.seq)
+}
+
+/// The inverse of [`radix_key`].
+#[inline]
+fn event_key(key: u128) -> EventKey {
+    EventKey {
+        time: SimTime::from_micros((key >> 64) as u64),
+        seq: key as u64,
+    }
+}
+
+/// No slot: the end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// Buckets of the radix part: bucket `b > 0` holds the keys whose highest
+/// bit that differs from the reference is bit `b - 1`, bucket 0 a key
+/// equal to it.
+const BUCKETS: usize = 129;
+
+/// One entry of the radix part's pool or of the lane. The radix part
+/// turns the key into its radix key where it compares or files it.
+#[derive(Clone, Copy, Debug)]
 struct Entry<E> {
     key: EventKey,
     event: E,
@@ -81,18 +120,20 @@ struct Entry<E> {
 
 /// Exact counts of the queue's operations. All fields are monotone
 /// `u64` tallies over the queue's lifetime (they survive [`EventQueue::reset`],
-/// like the sequence counter, so phase-boundary snapshots can be diffed).
+/// so phase-boundary snapshots can be diffed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueOpCounts {
     /// Events scheduled (insertions).
     pub pushes: u64,
     /// Events popped (removals).
     pub pops: u64,
-    /// Element moves: sift-up/sift-down swaps — the "decrease-key"-class
-    /// restructuring work of the priority queue.
+    /// Entries re-bucketed: moved from the popped minimum's bucket to a
+    /// lower one — the restructuring work of the priority queue.
     pub decreases: u64,
-    /// `(time, seq)` key comparisons: those made by the sifts, plus one
-    /// per pop that finds both the heap and the in-order lane non-empty.
+    /// `(time, seq)` key comparisons: one per entry filed into a bucket
+    /// that already has a minimum (pushed or re-bucketed), against that
+    /// minimum, plus one per pop that finds both the radix part and the
+    /// in-order lane non-empty.
     pub comparisons: u64,
 }
 
@@ -110,10 +151,30 @@ impl QueueOpCounts {
 
 /// A future-event list keyed by simulated time.
 ///
-/// `E` is the caller's event payload; the queue is agnostic to it.
+/// `E` is the caller's event payload; the queue is agnostic to it. It is
+/// `Copy` so that a popped slot hands its event out and stays in the pool.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: Vec<Entry<E>>,
+    /// Every slot the radix part has used: its entries and its free slots.
+    pool: Vec<Entry<E>>,
+    /// The next slot of the chain each slot is on: its bucket's, or the
+    /// free chain. Beside the pool, not in it: with a 16-byte event an
+    /// entry is 32 bytes, and a link inside it would pad it to 40.
+    links: Vec<u32>,
+    /// The first slot of each bucket's chain.
+    heads: [u32; BUCKETS],
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    occupied: [u64; 3],
+    /// The first slot of the free chain.
+    free: u32,
+    /// Entries in the radix part.
+    radix_len: usize,
+    /// The key the radix part popped last (0 before the first): every
+    /// entry is filed by its highest bit that differs from this one.
+    reference: u128,
+    /// Each non-empty bucket's minimum key and its slot (stale in an
+    /// empty bucket).
+    mins: [(u128, u32); BUCKETS],
     /// The in-order lane: entries in `(time, seq)` order front to back,
     /// by construction ([`EventQueue::schedule_in_order`] appends only a
     /// time that is not before the last entry's).
@@ -127,23 +188,30 @@ pub struct EventQueue<E> {
     ops: QueueOpCounts,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `cap` pending events in the
-    /// heap and as many in the in-order lane.
+    /// radix part and as many in the in-order lane.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
+            pool: Vec::with_capacity(cap),
+            links: Vec::with_capacity(cap),
+            heads: [NIL; BUCKETS],
+            occupied: [0; 3],
+            free: NIL,
+            radix_len: 0,
+            reference: 0,
+            mins: [(0, NIL); BUCKETS],
             lane: VecDeque::with_capacity(cap),
             next_seq: 0,
             last: EventKey::ZERO,
@@ -163,14 +231,21 @@ impl<E> EventQueue<E> {
         self.last
     }
 
-    /// Number of pending events (heap and lane).
+    /// Number of pending events (radix part and lane).
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.radix_len + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.radix_len == 0 && self.lane.is_empty()
+    }
+
+    /// Slots in the radix part's pool: the most events that were ever
+    /// pending in it at once since the queue was created or last
+    /// [reset](EventQueue::reset).
+    pub fn pool_len(&self) -> usize {
+        self.pool.len()
     }
 
     /// Total number of events popped so far (a cheap progress metric and
@@ -193,7 +268,7 @@ impl<E> EventQueue<E> {
     /// be violating causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let key = self.reserve(time);
-        self.push_heap(key, event);
+        self.push_radix(key, event);
     }
 
     /// Takes the key [`EventQueue::schedule`] would give an event at
@@ -229,13 +304,14 @@ impl<E> EventQueue<E> {
             self.last
         );
         debug_assert!(key.seq < self.next_seq, "{key:?} was never reserved");
-        self.push_heap(key, event);
+        self.push_radix(key, event);
     }
 
     /// Moves the clock forward to `key` without popping anything, as if
     /// an event with that key had just popped — the turn of a reserved key
     /// that was never scheduled. A `key` the clock has already passed
-    /// changes nothing. No pending event may precede `key`.
+    /// changes nothing. No pending event may precede `key`. The radix
+    /// part's reference stays where it is, as on a lane pop.
     pub fn advance_to(&mut self, key: EventKey) {
         debug_assert!(
             self.peek_key().is_none_or(|next| next > key),
@@ -249,7 +325,8 @@ impl<E> EventQueue<E> {
     /// added to the clock): the entry is appended to the in-order lane —
     /// no comparison, no move — and pops exactly where
     /// [`EventQueue::schedule`] would have put it. A `time` before the
-    /// lane's last entry is not an error; that entry goes into the heap.
+    /// lane's last entry is not an error; that entry goes into the radix
+    /// part.
     ///
     /// # Panics
     /// Panics if `time` is earlier than the current clock, like
@@ -257,48 +334,47 @@ impl<E> EventQueue<E> {
     pub fn schedule_in_order(&mut self, time: SimTime, event: E) {
         let key = self.reserve(time);
         if self.lane.back().is_some_and(|last| time < last.key.time) {
-            self.push_heap(key, event);
+            self.push_radix(key, event);
         } else {
             self.ops.pushes += 1;
             self.lane.push_back(Entry { key, event });
         }
     }
 
-    #[inline]
-    fn push_heap(&mut self, key: EventKey, event: E) {
-        self.ops.pushes += 1;
-        self.heap.push(Entry { key, event });
-        self.sift_up(self.heap.len() - 1);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     /// Returns `None` when the simulation has quiesced.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let from_lane = match (self.heap.first(), self.lane.front()) {
+        self.pop_by(SimTime::MAX)
+    }
+
+    /// Pops the earliest event if its time is at or before `deadline`,
+    /// advancing the clock to its timestamp; `None` if no pending event
+    /// is due by then. A `None` counts nothing, so a run of `pop_by`
+    /// calls costs exactly what a `peek_time` before each `pop` would.
+    pub fn pop_by(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let radix = self.radix_min().map(|(min, _)| min);
+        let front = self.lane.front().map(|entry| radix_key(entry.key));
+        let (from_lane, next) = match (radix, front) {
             (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(root), Some(front)) => {
-                self.ops.comparisons += 1;
-                front.key < root.key
-            }
+            (Some(min), None) => (false, min),
+            (None, Some(front)) => (true, front),
+            (Some(min), Some(front)) => (front < min, front.min(min)),
         };
-        let entry = if from_lane {
-            self.lane.pop_front()?
+        if event_key(next).time > deadline {
+            return None;
+        }
+        self.ops.comparisons += u64::from(radix.is_some() && front.is_some());
+        let (key, event) = if from_lane {
+            let entry = self.lane.pop_front()?;
+            (entry.key, entry.event)
         } else {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            let entry = self.heap.pop()?;
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-            entry
+            self.pop_radix()?
         };
-        debug_assert!(entry.key >= self.last, "queue returned a past event");
-        self.last = entry.key;
+        debug_assert!(key >= self.last, "queue returned a past event");
+        self.last = key;
         self.popped += 1;
         self.ops.pops += 1;
-        Some((entry.key.time, entry.event))
+        Some((key.time, event))
     }
 
     /// The timestamp of the next event without popping it.
@@ -306,79 +382,161 @@ impl<E> EventQueue<E> {
         self.peek_key().map(|key| key.time)
     }
 
-    /// The key of the next event without popping it.
+    /// The key of the next event without popping it: the cached radix
+    /// minimum or the lane's front, whichever is earlier.
     fn peek_key(&self) -> Option<EventKey> {
-        match (self.heap.first(), self.lane.front()) {
-            (Some(root), Some(front)) => Some(root.key.min(front.key)),
-            (root, front) => root.or(front).map(|e| e.key),
-        }
+        let radix = self.radix_min().map(|(min, _)| min);
+        let front = self.lane.front().map(|entry| radix_key(entry.key));
+        radix.into_iter().chain(front).min().map(event_key)
     }
 
-    /// Iterates over the pending events in **unspecified order** (heap
-    /// storage order, then the lane — not delivery order). Intended for
+    /// Iterates over the pending events in **unspecified order** (bucket
+    /// by bucket, then the lane — not delivery order). Intended for
     /// diagnostics — counting pending events per kind for an error
     /// snapshot — where only order-insensitive aggregation is sound.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap
+        self.heads
             .iter()
+            .flat_map(move |&head| {
+                std::iter::successors(Some(head), move |&at| self.links.get(at as usize).copied())
+                    .map_while(move |at| self.pool.get(at as usize))
+            })
             .chain(&self.lane)
-            .map(|e| (e.key.time, &e.event))
+            .map(|entry| (entry.key.time, &entry.event))
     }
 
-    /// Removes all pending events and resets the clock and the `popped`
-    /// counter. (Sequence numbering and [`QueueOpCounts`] are *not* reset
-    /// mid-run; a fresh queue should be used for a fresh run — this is for
-    /// reusing allocations.)
+    /// Removes all pending events and restores the clock, the `popped`
+    /// counter and the sequence numbering of a new queue, so that the
+    /// queue hands out a new queue's keys and pays a new queue's
+    /// [`QueueOpCounts`] for the same trace (the radix part's work depends
+    /// on the bits of the keys). Keeps the storage and the tallies, which
+    /// stay monotone.
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.pool.clear();
+        self.links.clear();
+        self.heads = [NIL; BUCKETS];
+        self.occupied = [0; 3];
+        self.free = NIL;
+        self.radix_len = 0;
+        self.reference = 0;
         self.lane.clear();
+        self.next_seq = 0;
         self.last = EventKey::ZERO;
         self.popped = 0;
     }
 
-    /// Restores the heap invariant upward from `idx` after a push.
-    // det::allow(panic-surface, reason = "binary-heap index arithmetic: idx starts in bounds and parent = (idx - 1) / 2 < idx")
-    fn sift_up(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            self.ops.comparisons += 1;
-            if self.heap[idx].key < self.heap[parent].key {
-                self.heap.swap(idx, parent);
-                self.ops.decreases += 1;
-                idx = parent;
-            } else {
-                break;
-            }
-        }
+    /// The bucket `key` belongs in: the bit length of `key ^ reference`.
+    #[inline]
+    fn bucket_of(&self, key: u128) -> usize {
+        (u128::BITS - (key ^ self.reference).leading_zeros()) as usize
     }
 
-    /// Restores the heap invariant downward from `idx` after a pop.
-    // det::allow(panic-surface, reason = "binary-heap index arithmetic: children are indexed only after a `< len` check")
-    fn sift_down(&mut self, mut idx: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * idx + 1;
-            let right = left + 1;
-            let mut smallest = idx;
-            if left < len {
-                self.ops.comparisons += 1;
-                if self.heap[left].key < self.heap[smallest].key {
-                    smallest = left;
-                }
+    /// Files `event` under `key` in the radix part, in a free slot if
+    /// there is one.
+    fn push_radix(&mut self, key: EventKey, event: E) {
+        self.ops.pushes += 1;
+        let filled = Entry { key, event };
+        let at = match (
+            self.links.get(self.free as usize),
+            self.pool.get_mut(self.free as usize),
+        ) {
+            (Some(&next), Some(slot)) => {
+                *slot = filled;
+                std::mem::replace(&mut self.free, next)
             }
-            if right < len {
-                self.ops.comparisons += 1;
-                if self.heap[right].key < self.heap[smallest].key {
-                    smallest = right;
-                }
+            _ => {
+                assert!(
+                    self.pool.len() < NIL as usize,
+                    "more than u32::MAX - 1 pending events"
+                );
+                self.pool.push(filled);
+                self.links.push(NIL);
+                (self.pool.len() - 1) as u32
             }
-            if smallest == idx {
-                break;
+        };
+        self.radix_len += 1;
+        self.file(at, radix_key(key));
+    }
+
+    /// The radix part's minimum key and its slot: the minimum of its
+    /// lowest non-empty bucket.
+    #[inline]
+    fn radix_min(&self) -> Option<(u128, u32)> {
+        self.lowest_bucket()
+            .and_then(|bucket| self.mins.get(bucket).copied())
+    }
+
+    /// The lowest non-empty bucket.
+    #[inline]
+    fn lowest_bucket(&self) -> Option<usize> {
+        self.occupied
+            .iter()
+            .enumerate()
+            .find(|(_, word)| **word != 0)
+            .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// Pops the radix part's minimum: it becomes the reference, the rest
+    /// of its bucket is re-filed one or more buckets lower, and its slot
+    /// goes on the free chain.
+    fn pop_radix(&mut self) -> Option<(EventKey, E)> {
+        let bucket = self.lowest_bucket()?;
+        let &(key, at) = self.mins.get(bucket)?;
+        self.reference = key;
+        let mut next = self.unlink_bucket(bucket);
+        while let (Some(&link), Some(entry)) =
+            (self.links.get(next as usize), self.pool.get(next as usize))
+        {
+            let (moved, moved_key) = (next, radix_key(entry.key));
+            next = link;
+            if moved != at {
+                self.ops.decreases += 1;
+                self.file(moved, moved_key);
             }
-            self.heap.swap(idx, smallest);
-            self.ops.decreases += 1;
-            idx = smallest;
         }
+        let popped = self.pool.get(at as usize)?;
+        let popped = (popped.key, popped.event);
+        *self.links.get_mut(at as usize)? = std::mem::replace(&mut self.free, at);
+        self.radix_len -= 1;
+        Some(popped)
+    }
+
+    /// Puts slot `at`, holding `key`, at the front of its bucket's chain
+    /// and keeps the bucket's minimum: one comparison unless the bucket
+    /// was empty.
+    #[inline]
+    fn file(&mut self, at: u32, key: u128) {
+        let bucket = self.bucket_of(key);
+        let (Some(head), Some(link), Some(min), Some(word)) = (
+            self.heads.get_mut(bucket),
+            self.links.get_mut(at as usize),
+            self.mins.get_mut(bucket),
+            self.occupied.get_mut(bucket / 64),
+        ) else {
+            return;
+        };
+        let bit = 1 << (bucket % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            *min = (key, at);
+        } else {
+            self.ops.comparisons += 1;
+            if key < min.0 {
+                *min = (key, at);
+            }
+        }
+        *link = std::mem::replace(head, at);
+    }
+
+    /// Empties `bucket`, handing back the first slot of its old chain.
+    #[inline]
+    fn unlink_bucket(&mut self, bucket: usize) -> u32 {
+        if let Some(word) = self.occupied.get_mut(bucket / 64) {
+            *word &= !(1 << (bucket % 64));
+        }
+        self.heads
+            .get_mut(bucket)
+            .map_or(NIL, |head| std::mem::replace(head, NIL))
     }
 }
 
@@ -462,6 +620,16 @@ mod tests {
     }
 
     #[test]
+    fn reset_restarts_the_sequence_numbers() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let first = q.reserve(SimTime::from_secs(1));
+        q.schedule(SimTime::from_secs(1), ());
+        q.pop();
+        q.reset();
+        assert_eq!(q.reserve(SimTime::from_secs(1)), first, "a reset queue hands out a new queue's keys");
+    }
+
+    #[test]
     fn iter_pending_sees_every_event_once() {
         let mut q = EventQueue::new();
         for i in 0..5u64 {
@@ -530,27 +698,60 @@ mod tests {
     }
 
     #[test]
-    fn sift_work_is_counted() {
+    fn rebucketing_work_is_counted() {
         let mut q = EventQueue::new();
         for i in 0..50u64 {
             q.schedule(SimTime::from_micros(100 - i), i);
         }
         while q.pop().is_some() {}
         let ops = q.op_counts();
-        assert!(ops.decreases > 0, "descending pushes sift up");
-        assert!(ops.comparisons >= ops.decreases, "every move was paid for by a comparison");
+        assert!(ops.decreases > 0, "the first pop re-files what shares its bucket");
+        assert!(ops.comparisons > 0, "the minimum is found by scanning");
+    }
+
+    #[test]
+    fn a_far_entry_is_not_moved_by_near_pops() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(30), u64::MAX);
+        q.pop(); // the reference is now 30 s
+        q.schedule(SimTime::from_secs(60), u64::MAX);
+        let far = q.op_counts();
+        // A near event at a time per pop: its bucket is below the far
+        // timer's, so it is the minimum without a comparison, and it pops
+        // alone from its bucket.
+        for i in 0..1_000u64 {
+            q.schedule(SimTime::from_secs(30) + SimDuration::from_micros(1 + i), i);
+            assert_eq!(q.pop(), Some((SimTime::from_secs(30) + SimDuration::from_micros(1 + i), i)));
+        }
+        let near = q.op_counts();
+        assert_eq!(near.decreases - far.decreases, 0, "the far entry never moved");
+        assert_eq!(near.comparisons - far.comparisons, 0, "nothing was compared");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(60), u64::MAX)));
     }
 
     #[test]
     fn with_capacity_reserves_and_reset_keeps_the_storage() {
         let mut q: EventQueue<u64> = EventQueue::with_capacity(64);
-        assert!(q.heap.capacity() >= 64);
+        assert!(q.pool.capacity() >= 64);
         for i in 0..64 {
             q.schedule(SimTime::from_micros(i), i);
         }
-        let cap = q.heap.capacity();
+        let cap = q.pool.capacity();
         q.reset();
-        assert_eq!(q.heap.capacity(), cap, "reset is for reusing allocations");
+        assert_eq!(q.pool.capacity(), cap, "reset is for reusing allocations");
+        assert_eq!(q.pool_len(), 0);
+    }
+
+    #[test]
+    fn popped_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for round in 0..100u64 {
+            for i in 0..8 {
+                q.schedule(q.now() + SimDuration::from_millis(1 + i), round);
+            }
+            while q.pop().is_some() {}
+        }
+        assert_eq!(q.pool_len(), 8, "the pool is as long as the most entries pending at once");
     }
 
     #[test]
@@ -564,11 +765,12 @@ mod tests {
         }
         let ops = q.op_counts();
         assert_eq!((ops.pushes, ops.pops), (100, 100));
-        assert_eq!((ops.comparisons, ops.decreases), (0, 0), "the heap never held an entry");
+        assert_eq!((ops.comparisons, ops.decreases), (0, 0), "the radix part never held an entry");
+        assert_eq!(q.pool_len(), 0);
     }
 
     #[test]
-    fn lane_and_heap_merge_in_time_then_schedule_order() {
+    fn lane_and_radix_merge_in_time_then_schedule_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis;
         q.schedule(t(30), "timer");
@@ -580,17 +782,18 @@ mod tests {
         let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(popped, vec!["msg a", "proc", "msg b", "timer", "msg c"]);
         // One comparison per pop that saw both structures non-empty (the
-        // first four); a heap of at most two entries sifts nothing down.
+        // first four); "proc" went into a lower bucket than "timer" and
+        // each popped alone from its bucket, so no scan compared a key.
         assert_eq!(q.op_counts().comparisons - before, 4);
     }
 
     #[test]
-    fn an_out_of_order_lane_push_falls_into_the_heap() {
+    fn an_out_of_order_lane_push_falls_into_the_radix_part() {
         let mut q = EventQueue::new();
         q.schedule_in_order(SimTime::from_millis(20), 0);
         q.schedule_in_order(SimTime::from_millis(10), 1); // before the lane's tail
         q.schedule_in_order(SimTime::from_millis(20), 2);
-        assert_eq!((q.lane.len(), q.heap.len()), (2, 1));
+        assert_eq!((q.lane.len(), q.radix_len), (2, 1));
         assert_eq!(q.pop(), Some((SimTime::from_millis(10), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(20), 0)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(20), 2)));
@@ -611,13 +814,30 @@ mod tests {
         pending.sort_unstable();
         assert_eq!(pending, vec![0, 1, 2]);
         q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)), "the heap's root is earlier");
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)), "the radix minimum is earlier");
         q.pop();
         assert_eq!((q.len(), q.peek_time()), (1, Some(SimTime::from_millis(50))), "lane only");
         assert!(!q.is_empty());
         q.reset();
         assert!(q.is_empty());
         assert_eq!((q.len(), q.peek_time()), (0, None));
+    }
+
+    #[test]
+    fn pop_by_stops_at_the_deadline_and_counts_nothing_there() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), "timer");
+        q.schedule_in_order(SimTime::from_millis(10), "msg");
+        q.schedule_in_order(SimTime::from_millis(40), "late msg");
+        let deadline = SimTime::from_millis(30);
+        assert_eq!(q.pop_by(deadline), Some((SimTime::from_millis(10), "msg")));
+        assert_eq!(q.pop_by(deadline), Some((SimTime::from_millis(30), "timer")));
+        let before = q.op_counts();
+        assert_eq!(q.pop_by(deadline), None);
+        assert_eq!(q.op_counts(), before, "a pop_by that pops nothing costs nothing");
+        assert_eq!((q.len(), q.now()), (1, deadline));
+        assert_eq!(q.pop_by(SimTime::from_millis(40)), Some((SimTime::from_millis(40), "late msg")));
+        assert_eq!(q.pop_by(SimTime::MAX), None);
     }
 
     #[test]

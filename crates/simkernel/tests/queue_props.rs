@@ -1,5 +1,6 @@
 //! Property-based tests for the counting event queue: delivery order
-//! against a sorted oracle, and conservation of the op counters.
+//! against a sorted oracle, conservation of the op counters, and the
+//! radix heap's bounds on work and storage.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
@@ -32,16 +33,18 @@ fn steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
 /// push a burst of one to three same-time events `delay(g)` after
 /// `now`, onto the heap or the in-order lane as the step says; then
 /// drain, or with `drain == false` stop at a `run_until`-style deadline
-/// with events left pending. Returns the number of events scheduled.
+/// (popping with `pop_by`) with events left pending. Returns the number
+/// of events scheduled and the most that were pending at once.
 fn drive_against_oracle(
     q: &mut EventQueue<u64>,
     g: &mut Xoshiro256StarStar,
     script: &[Step],
     delay: impl Fn(&mut Xoshiro256StarStar) -> SimDuration,
     drain: bool,
-) -> u64 {
+) -> (u64, usize) {
     let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
     let mut scheduled = 0u64;
+    let mut peak = 0;
     for &step in script {
         if let Step::Pop = step {
             assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
@@ -58,13 +61,15 @@ fn drive_against_oracle(
         }
         assert_eq!(q.len(), oracle.len());
         assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
+        peak = peak.max(q.len());
     }
-    let deadline = q.now() + SimDuration::from_secs(1);
-    while q.peek_time().is_some_and(|t| drain || t <= deadline) {
-        assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
+    let deadline = if drain { SimTime::MAX } else { q.now() + SimDuration::from_secs(1) };
+    while let Some(popped) = q.pop_by(deadline) {
+        assert_eq!(Some(popped), oracle.pop_first(), "pop disagrees with the sorted oracle");
     }
+    assert!(oracle.first().is_none_or(|&(time, _)| time > deadline), "pop_by stopped early");
     assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
-    scheduled
+    (scheduled, peak)
 }
 
 /// The simulator's steady-state mix: near deliveries (µs–100 ms) and,
@@ -125,8 +130,8 @@ proptest! {
         }
     }
 
-    /// Comparison and sift-move counts are deterministic: replaying the
-    /// same seeded workload yields identical tallies.
+    /// Comparison and re-bucketing counts are deterministic: replaying
+    /// the same seeded workload yields identical tallies.
     #[test]
     fn op_counters_replay_identically(seed in any::<u64>(), n in 1usize..400) {
         let run = |seed: u64, n: usize| {
@@ -144,10 +149,15 @@ proptest! {
         prop_assert_eq!(run(seed, n), run(seed, n));
     }
 
-    /// The sift work is real but bounded: a heap of n elements does at
-    /// most ~2·n·log2(n)+n comparisons over a full push/pop cycle.
+    /// The radix heap's bound: an entry only ever moves to a strictly
+    /// lower bucket, and its bucket is named by the highest bit in which
+    /// its key differs from the reference — a bit of the time when the
+    /// times differ, of the sequence number when they are equal. So with
+    /// times below 2^14 µs and fewer than 2^9 keys, an entry visits at
+    /// most 14 + 9 buckets and moves at most 22 times, and each filing
+    /// (push or move) costs at most one comparison.
     #[test]
-    fn comparison_count_is_loglinear(times in prop::collection::vec(0u64..10_000, 2..500)) {
+    fn rebucketing_is_bounded_by_the_key_bits(times in prop::collection::vec(0u64..10_000, 2..500)) {
         let mut q = EventQueue::new();
         for &t in &times {
             q.schedule(SimTime::from_micros(t), ());
@@ -155,14 +165,11 @@ proptest! {
         while q.pop().is_some() {}
         let ops = q.op_counts();
         let n = times.len() as u64;
-        let log2n = 64 - n.leading_zeros() as u64;
-        let bound = 4 * n * (log2n + 1);
+        prop_assert!(ops.decreases <= 22 * n, "{} moves of {n} entries", ops.decreases);
         prop_assert!(
-            ops.comparisons <= bound,
-            "comparisons {} exceed 4·n·(log2(n)+1) = {bound} for n = {n}",
-            ops.comparisons
+            ops.comparisons <= ops.pushes + ops.decreases,
+            "more than one comparison per filing: {ops:?}"
         );
-        prop_assert!(ops.decreases <= ops.comparisons, "every sift move was paid for by a comparison");
     }
 
     /// Dense same-time collisions on an interleaved trace: a four-tick
@@ -177,7 +184,7 @@ proptest! {
         let mut g = Xoshiro256StarStar::new(seed);
         let mut q = EventQueue::new();
         let horizon = |g: &mut Xoshiro256StarStar| SimDuration::from_micros(g.next_below(4));
-        let scheduled = drive_against_oracle(&mut q, &mut g, &script, horizon, true);
+        let (scheduled, _) = drive_against_oracle(&mut q, &mut g, &script, horizon, true);
         prop_assert_eq!(q.op_counts().pushes, scheduled);
         prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
     }
@@ -185,7 +192,9 @@ proptest! {
     /// Far timers (30 s ahead of a µs-scale clock) among near deliveries
     /// pop in oracle order too. A far time pushed in order parks the
     /// lane's tail 30 s out, so the near in-order pushes behind it are
-    /// the out-of-order ones that land in the heap.
+    /// the out-of-order ones that land in the radix heap. After the drain
+    /// the pool is no longer than the most events ever pending at once:
+    /// popped slots are reused, never left behind.
     #[test]
     fn mrai_like_mix_matches_sorted_oracle(
         seed in any::<u64>(),
@@ -193,16 +202,18 @@ proptest! {
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
         let mut q = EventQueue::new();
-        let scheduled = drive_against_oracle(&mut q, &mut g, &script, mrai_like_delay, true);
+        let (scheduled, peak) = drive_against_oracle(&mut q, &mut g, &script, mrai_like_delay, true);
         prop_assert_eq!(q.op_counts().pushes, scheduled);
         prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
+        prop_assert!(q.pool_len() <= peak, "pool {} > peak pending {peak}", q.pool_len());
     }
 
     /// The simulator's use of the lane: every in-order push is one
     /// constant delay after the clock, so none of them is ever out of
-    /// order, while the heap takes the jittered rest. Oracle order, and
-    /// the lane's entries are never sifted: the comparisons fit the
-    /// log-linear bound of the heap's share alone, plus one per pop.
+    /// order, while the radix heap takes the jittered rest. Oracle order,
+    /// and the lane's entries never enter the radix heap: its pool is no
+    /// longer than the pushes it took, and the comparisons are at most one
+    /// per filing there plus one per pop.
     #[test]
     fn constant_delay_lane_beside_a_jittered_heap_matches_sorted_oracle(
         seed in any::<u64>(),
@@ -237,12 +248,11 @@ proptest! {
         prop_assert!(oracle.is_empty());
         let ops = q.op_counts();
         prop_assert_eq!((ops.pushes, ops.pops), (scheduled, scheduled));
-        let log2h = 64 - heap_pushes.leading_zeros() as u64;
+        prop_assert!(q.pool_len() as u64 <= heap_pushes, "lane entries were filed in the radix heap");
         prop_assert!(
-            ops.comparisons <= 4 * heap_pushes * (log2h + 1) + ops.pops,
-            "lane entries were sifted: {ops:?} with {heap_pushes} heap pushes"
+            ops.comparisons <= heap_pushes + ops.decreases + ops.pops,
+            "{ops:?} with {heap_pushes} radix pushes"
         );
-        prop_assert!(ops.decreases <= ops.comparisons);
     }
 
     /// A key reserved now and scheduled under later pops where a
@@ -324,9 +334,10 @@ proptest! {
     }
 
     /// Reuse across `reset`: a queue that is reset — after a full drain
-    /// or with far timers still pending — pops like a fresh one, each
-    /// round costs it exactly the ops a fresh queue pays (sequence
-    /// numbers keep growing; only their order matters), and the
+    /// or with far timers still pending — pops like a fresh one, hands out
+    /// a fresh one's keys, and each round costs it exactly the ops a fresh
+    /// queue pays (the radix heap's work depends on the bits of the keys,
+    /// so the sequence numbers restart); its pool starts over, and the
     /// tallies stay monotone across the reset.
     #[test]
     fn reset_then_reuse_pops_like_a_fresh_queue(
@@ -341,6 +352,8 @@ proptest! {
             drive_against_oracle(&mut reused, &mut g, script, mrai_like_delay, *drain);
             let mut fresh = EventQueue::new();
             drive_against_oracle(&mut fresh, &mut replay, script, mrai_like_delay, *drain);
+            prop_assert_eq!(reused.last_key(), fresh.last_key(), "the same keys were handed out");
+            prop_assert_eq!(reused.pool_len(), fresh.pool_len());
             let after = reused.op_counts();
             let paid = QueueOpCounts {
                 pushes: after.pushes - before.pushes,
@@ -353,7 +366,130 @@ proptest! {
             prop_assert!(reused.is_empty());
             prop_assert_eq!(reused.now(), SimTime::ZERO);
             prop_assert_eq!(reused.popped(), 0);
+            prop_assert_eq!(reused.pool_len(), 0);
             prop_assert_eq!(reused.op_counts(), after, "reset keeps the tallies");
         }
+    }
+
+    /// The simulator's timers against an oracle of keys: a timer reserves
+    /// its key 22.5–30 s ahead and is scheduled under it later or never,
+    /// beside messages on the lane and processing completions 1–100 ms
+    /// ahead. The oracle holds `(key, id)` with the key a `schedule` at
+    /// the same moment gets — the queue hands sequence numbers out in
+    /// call order, one per `reserve`, `schedule` and `schedule_in_order`
+    /// — so every pop must also leave `last_key` at the oracle's key.
+    #[test]
+    fn reserved_timers_beside_lane_and_near_events_match_a_key_oracle(
+        seed in any::<u64>(),
+        script in prop::collection::vec(0u64..5, 1..300),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut q = EventQueue::new();
+        let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
+        let mut reserved: Vec<EventKey> = Vec::new();
+        let mut seq = 0u64;
+        let mut next_key = |time: SimTime| {
+            seq += 1;
+            EventKey { time, seq: seq - 1 }
+        };
+        for (id, &step) in script.iter().enumerate() {
+            let id = id as u64;
+            match step {
+                0 | 1 => {
+                    let want = oracle.pop_first();
+                    prop_assert_eq!(q.pop(), want.map(|(key, id)| (key.time, id)));
+                    if let Some((key, _)) = want {
+                        prop_assert_eq!(q.last_key(), key);
+                    }
+                }
+                2 => {
+                    let time = q.now() + SimDuration::from_millis(2);
+                    q.schedule_in_order(time, id);
+                    oracle.insert((next_key(time), id));
+                }
+                3 => {
+                    let time = q.now() + SimDuration::from_micros(1 + g.next_below(100_000));
+                    q.schedule(time, id);
+                    oracle.insert((next_key(time), id));
+                }
+                _ => {
+                    let time = q.now() + SimDuration::from_micros(22_500_000 + g.next_below(7_500_000));
+                    let key = q.reserve(time);
+                    prop_assert_eq!(key, next_key(time));
+                    reserved.push(key);
+                }
+            }
+            // Now and then a reserved timer gets its event, if its turn
+            // has not passed; one in four is dropped unscheduled.
+            if !reserved.is_empty() && g.next_below(3) == 0 {
+                let key = reserved.swap_remove(g.next_below(reserved.len() as u64) as usize);
+                if key > q.last_key() && g.next_below(4) != 0 {
+                    q.schedule_reserved(key, id);
+                    oracle.insert((key, id));
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            prop_assert_eq!(q.peek_time(), oracle.first().map(|(key, _)| key.time));
+        }
+        while let Some((key, id)) = oracle.pop_first() {
+            prop_assert_eq!(q.pop(), Some((key.time, id)));
+            prop_assert_eq!(q.last_key(), key);
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
+    /// `advance_to(k)` then `schedule_reserved(k)`: the turn of a key that
+    /// was passed over without an event is taken back by one scheduled
+    /// under it at once. Events before `k` pop first (from the lane, the
+    /// radix heap, or both, so the radix reference is left anywhere before
+    /// `k`); then the clock advances to `k`, events at and after `k.time`
+    /// are scheduled, and the event under `k` pops first — it holds the
+    /// smallest sequence number of its instant — followed by the rest in
+    /// oracle order.
+    #[test]
+    fn advance_to_then_schedule_reserved_at_the_same_key(
+        seed in any::<u64>(),
+        before in prop::collection::vec(any::<bool>(), 0..40),
+        after in prop::collection::vec((any::<bool>(), 0u64..3), 0..40),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut q = EventQueue::new();
+        let k = q.reserve(SimTime::from_micros(30_000_000 + g.next_below(1_000)));
+        let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut lane_tail = SimTime::ZERO;
+        for (id, &in_order) in before.iter().enumerate() {
+            let time = SimTime::from_micros(g.next_below(k.time.as_micros()));
+            if in_order && time >= lane_tail {
+                q.schedule_in_order(time, id as u64);
+                lane_tail = time;
+            } else {
+                q.schedule(time, id as u64);
+            }
+            oracle.insert((time, id as u64));
+        }
+        while let Some(popped) = q.pop() {
+            prop_assert_eq!(Some(popped), oracle.pop_first());
+        }
+        q.advance_to(k);
+        prop_assert_eq!(q.last_key(), k);
+        let base = before.len() as u64;
+        for (i, &(in_order, offset)) in after.iter().enumerate() {
+            // Offsets 0–2 µs from `k.time`: many events share its instant.
+            let time = k.time + SimDuration::from_micros(offset);
+            let id = base + i as u64;
+            if in_order {
+                q.schedule_in_order(time, id);
+            } else {
+                q.schedule(time, id);
+            }
+            oracle.insert((time, id));
+        }
+        q.schedule_reserved(k, u64::MAX);
+        prop_assert_eq!(q.pop(), Some((k.time, u64::MAX)));
+        prop_assert_eq!(q.last_key(), k);
+        while let Some(popped) = q.pop() {
+            prop_assert_eq!(Some(popped), oracle.pop_first());
+        }
+        prop_assert!(oracle.is_empty());
     }
 }
