@@ -20,7 +20,7 @@
 //! know whether it is still armed, see [`crate::mrai`]), the cause to
 //! stamp on exports (of the stamp type `S` every view, step and message
 //! is generic over: `()` unless the simulator is observed, see
-//! [`crate::Update`]), the [`PathArena`] the node's [`PathId`]s are ids of,
+//! [`crate::Update`]), the [`PathArena`](crate::PathArena) the node's [`PathId`]s are ids of,
 //! the work tallies, and the [`Actions`] buffer the step's transmissions
 //! and timer requests are appended to as plain data. The caller decides
 //! when those happen; the simulator keeps one buffer, drains it after
@@ -30,6 +30,15 @@
 //! → re-run the decision process → if the best route changed, run the
 //! export filter for every neighbor and submit the new intent (announce /
 //! withdraw / nothing) to that neighbor's output queue.
+//!
+//! The export filter is the Gao–Rexford rule first, then the sender-side
+//! loop check: is the neighbor on the best path
+//! ([`crate::path::PathArena::contains`], a hop-mask test that walks the
+//! path only on a mask hit)? The export path (this AS prepended to the
+//! best path) is built by the first session that passes both, and every
+//! later one takes the same id; a change no session takes — a stub's
+//! provider route — builds nothing. The receiver checks an announced
+//! path for its own AS the same way.
 //!
 //! ## Memory layout
 //!
@@ -66,7 +75,7 @@ use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
 use crate::mrai::{governing, OutQueue, Step, Submit};
 use crate::path::PathId;
-use crate::policy::{export_allowed, would_loop, RouteSource};
+use crate::policy::{export_allowed, RouteSource};
 use crate::rfd::FlapKind;
 
 /// One configured neighbor session.
@@ -187,7 +196,10 @@ pub struct NodeCostCounters {
     pub route_comparisons: u64,
     /// Sessions that took a built export path (its id, four bytes).
     pub path_intern_hits: u64,
-    /// Export paths built: one [`PathArena::prepend`], a lookup-or-insert.
+    /// Export paths built: one
+    /// [`PathArena::prepend`](crate::PathArena::prepend), a
+    /// lookup-or-insert, per best-route change that at least one session
+    /// takes (and per route a restored session's table replay sends).
     pub path_intern_misses: u64,
     /// Adj-RIB-out mutations across all output queues.
     pub rib_out_writes: u64,
@@ -643,41 +655,42 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // its sender) decide, per live session, between the export path
         // and a withdrawal. Most submissions are suppressed as no-ops.
         let sessions = self.slab.sessions(self.id.0);
-        // The exported path: ourselves prepended to the best path. Built
-        // once — one lookup-or-insert — and every queue that keeps it
-        // keeps its id. The best path's hops are walked once, into a flat
-        // list every neighbor is tested against.
-        let export = new_best.map(|(best_slot, best_path)| {
+        let best = new_best.map(|(best_slot, best_path)| {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
                 RouteSource::Learned(sessions[best_slot as usize].rel)
             };
-            step.costs.path_intern_misses += 1;
-            (source, step.paths.prepend(self.id, best_path))
+            (source, best_path)
         });
-        let best_hops = step.paths.take_hops(new_best.map_or(PathId::EMPTY, |(_, path)| path));
         let loop_check = step.cfg.sender_side_loop_detection;
+        // The exported path, ourselves prepended to the best path: built
+        // by the first session that takes it — one lookup-or-insert — and
+        // the same id for every later taker. A stub's provider route is
+        // taken by no one and builds nothing.
+        let mut export: Option<PathId> = None;
         let queues = &mut self.routes.out[self.stripe.clone()];
         let active = &self.routes.active[self.stripe.clone()];
         for (slot, session) in sessions.iter().enumerate() {
             if !active[slot] {
                 continue;
             }
-            let intent = match export {
-                Some((source, export_path))
+            let intent = match best {
+                Some((source, best_path))
                     if export_allowed(source, session.rel)
-                        && !(loop_check && would_loop(&best_hops, session.peer)) =>
+                        && !(loop_check && step.paths.contains(best_path, session.peer)) =>
                 {
                     step.costs.path_intern_hits += 1;
-                    Some(export_path)
+                    Some(*export.get_or_insert_with(|| {
+                        step.costs.path_intern_misses += 1;
+                        step.paths.prepend(self.id, best_path)
+                    }))
                 }
                 _ => None,
             };
             let submit = queues[slot].submit(prefix, intent, session.rel, step);
             step.out.absorb(slot as u32, prefix, submit, step.cfg.mrai_scope);
         }
-        step.paths.give_hops(best_hops);
     }
 }
 
@@ -1260,6 +1273,15 @@ mod tests {
         assert!(!n.view().timer_armed(0, T0));
     }
 
+    /// Delivers `update` over `slot` and returns the step's sends with
+    /// what it built: the `path_intern_misses` it counted and the cells it
+    /// added to the arena.
+    fn builds(n: &mut BgpNode, w: &mut Lender, slot: u32, update: Update) -> (Actions, u64, usize) {
+        let (misses, cells) = (w.costs.path_intern_misses, w.paths.paths());
+        let a = w.act(T0, |s| n.receive(slot, update, s));
+        (a, w.costs.path_intern_misses - misses, w.paths.paths() - cells)
+    }
+
     /// The Adj-RIB-out interning invariant: one best-route change builds
     /// the export path once — one new arena cell — and every neighbor's
     /// Adj-RIB-out entry holds that cell's id.
@@ -1274,11 +1296,48 @@ mod tests {
             ]);
         let mut n = net.node();
         let learned = ann(&mut w.paths, P, &[1, 9]);
-        let held = w.paths.paths();
-        w.act(T0, |s| n.receive(0, learned, s));
-        assert_eq!(w.paths.paths(), held + 1, "the export path is built once");
+        let hits = w.costs.path_intern_hits;
+        let (a, misses, cells) = builds(&mut n, &mut w, 0, learned);
+        assert_eq!((misses, cells), (1, 1), "the export path is built once");
+        assert_eq!(w.costs.path_intern_hits - hits, 3, "and taken three times");
+        let export = w.paths.of(&[0, 1, 9]);
+        assert!(a.sends.iter().all(|(_, u)| u.kind.path() == Some(export)));
         let exported: Vec<PathId> = (1..4).filter_map(|s| n.view().advertised(s, P)).collect();
-        assert_eq!(exported, vec![w.paths.of(&[0, 1, 9]); 3], "customer route reaches the other three");
+        assert_eq!(exported, vec![export; 3], "customer route reaches the other three");
+    }
+
+    /// A stub's provider route goes to no one (peer- and provider-learned
+    /// routes go to customers only), so changing it builds no path.
+    #[test]
+    fn a_provider_only_stub_builds_no_export_path() {
+        let mut w = Lender::default();
+        let mut net = Net::new(vec![session(3, Relationship::Provider), session(4, Relationship::Provider)]);
+        let mut n = net.node();
+        for (slot, hops) in [(0, &[3, 9][..]), (1, &[4, 9]), (0, &[3, 5, 9])] {
+            let update = ann(&mut w.paths, P, hops);
+            let (a, misses, cells) = builds(&mut n, &mut w, slot, update);
+            assert!(a.is_empty());
+            assert_eq!((misses, cells), (0, 0), "best route via {hops:?} built a path");
+        }
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(4)));
+        assert_eq!(w.costs.path_intern_hits, 0);
+    }
+
+    /// A change whose only session the export filter allows is on the best
+    /// path is taken by no one: the loop check runs first, nothing is
+    /// built.
+    #[test]
+    fn a_change_only_its_own_path_could_take_builds_nothing() {
+        let mut w = Lender::default();
+        let mut net = node();
+        let mut n = net.node();
+        // A provider route through our customer AS1: only customers may
+        // hear it, and the one customer is on it.
+        let update = ann(&mut w.paths, P, &[3, 1, 9]);
+        let (a, misses, cells) = builds(&mut n, &mut w, 2, update);
+        assert!(a.is_empty(), "nothing to send: {:?}", a.sends);
+        assert_eq!((misses, cells), (0, 0));
+        assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
     }
 
     /// The sends, session-timer arms and expiry requests of `a`,

@@ -2,18 +2,29 @@
 //!
 //! An AS path is immutable once built and is only ever extended at the
 //! front: a node exports its best path with its own id prepended. The
-//! [`PathArena`] stores every path as one cell `(head, tail, len)` — the
-//! nearest AS, the id of the rest of the path, the hop count — and hands
-//! out a [`PathId`], four bytes and `Copy`, that stands for the path
-//! everywhere a route is held: the Adj-RIB-in cell, the Loc-RIB, the
-//! Adj-RIB-out, a queued update, an [`crate::Update`] on the wire.
+//! [`PathArena`] stores every path as one sixteen-byte cell `(head, tail,
+//! len, mask)` — the nearest AS, the id of the rest of the path, the hop
+//! count, and a 32-bit hop mask — and hands out a [`PathId`], four bytes
+//! and `Copy`, that stands for the path everywhere a route is held: the
+//! Adj-RIB-in cell, the Loc-RIB, the Adj-RIB-out, a queued update, an
+//! [`crate::Update`] on the wire.
 //!
 //! The arena is **hash-consed**: [`PathArena::prepend`] looks the pair
 //! `(head, tail)` up before it stores it, so equal paths get equal ids
 //! however they were built, and path equality — no-op suppression against
 //! the Adj-RIB-out, Route Flap Damping's attribute-change test, `Update`
-//! equality — is id equality. An export is one lookup-or-insert; nothing
-//! is allocated per path and nothing is reference-counted.
+//! equality — is id equality. An export path is one lookup-or-insert,
+//! made only once a session takes it; nothing is allocated per path and
+//! nothing is reference-counted.
+//!
+//! ## The loop check reads one cell
+//!
+//! A cell's mask has bit `asn % 32` set for every hop on its path (the
+//! tail's mask plus the head's bit, set in `prepend`). So
+//! [`PathArena::contains`] answers "not on the path" — the common answer
+//! of both loop checks, the sender's per allowed session and the
+//! receiver's per announcement — from the cell [`PathArena::len`] reads,
+//! and walks the hops only when the AS's bit is set.
 //!
 //! ## Ids are deterministic, and live for one run
 //!
@@ -72,6 +83,16 @@ struct Cell {
     head: AsId,
     tail: PathId,
     len: u32,
+    /// Bit `asn % 32` of every hop on the path ([`hop_bit`]): the tail's
+    /// mask with the head's bit set. A clear bit proves an AS absent.
+    mask: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 16);
+
+/// The bit `asn` sets in the mask of every path it is on.
+fn hop_bit(asn: AsId) -> u32 {
+    1 << (asn.0 % 32)
 }
 
 /// The table starts at, and never shrinks below, this many slots.
@@ -91,9 +112,6 @@ pub struct PathArena {
     /// vacant slot (the empty path is never looked up). A power of two
     /// long, and at most half full.
     slots: Vec<u32>,
-    /// The hops of one path, laid out flat for a step that tests many
-    /// neighbors against it ([`PathArena::take_hops`]).
-    hops: Vec<AsId>,
     root_sets: RootSets,
 }
 
@@ -110,11 +128,11 @@ impl PathArena {
             head: AsId(0),
             tail: PathId::EMPTY,
             len: 0,
+            mask: 0,
         };
         PathArena {
             cells: vec![empty],
             slots: vec![0; MIN_SLOTS],
-            hops: Vec::new(),
             root_sets: RootSets::new(),
         }
     }
@@ -159,8 +177,14 @@ impl PathArena {
             at = (at + 1) & mask;
         }
         let index = u32::try_from(self.cells.len()).expect("path count fits u32");
-        let len = self.cells[tail.index() as usize].len + 1;
-        self.cells.push(Cell { head, tail, len });
+        let rest = self.cells[tail.index() as usize];
+        let mask = rest.mask | hop_bit(head);
+        self.cells.push(Cell {
+            head,
+            tail,
+            len: rest.len + 1,
+            mask,
+        });
         self.slots[at] = index;
         if self.cells.len() * 2 > self.slots.len() {
             self.grow();
@@ -219,26 +243,11 @@ impl PathArena {
         self.hops(id).collect()
     }
 
-    /// True if `asn` is on the path: the loop check, a walk of at most
-    /// [`PathArena::len`] cells.
+    /// True if `asn` is on the path: the loop check. The path's cell
+    /// answers "no" from its hop mask; only a mask hit walks the hops, at
+    /// most [`PathArena::len`] cells.
     pub fn contains(&self, id: PathId, asn: AsId) -> bool {
-        self.hops(id).any(|hop| hop == asn)
-    }
-
-    /// Lends out the arena's hop buffer filled with the hops of `id`, for
-    /// a step that tests every neighbor against one path: the path is
-    /// walked once, and each test scans a flat list. Hand the buffer back
-    /// with [`PathArena::give_hops`], or the next call allocates anew.
-    pub(crate) fn take_hops(&mut self, id: PathId) -> Vec<AsId> {
-        let mut hops = std::mem::take(&mut self.hops);
-        hops.clear();
-        hops.extend(self.hops(id));
-        hops
-    }
-
-    /// Takes back the buffer [`PathArena::take_hops`] lent out.
-    pub(crate) fn give_hops(&mut self, hops: Vec<AsId>) {
-        self.hops = hops;
+        self.path_cell(id).mask & hop_bit(asn) != 0 && self.hops(id).any(|hop| hop == asn)
     }
 }
 
@@ -311,17 +320,5 @@ mod tests {
         assert_eq!(arena.slots.len(), slots, "the table keeps its size");
         let again: Vec<PathId> = (0..500).map(|i| arena.intern(&ids(&[i, 7]))).collect();
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn the_hop_buffer_is_lent_and_returned() {
-        let mut arena = PathArena::new();
-        let path = arena.intern(&ids(&[3, 2, 1]));
-        let hops = arena.take_hops(path);
-        assert_eq!(hops, ids(&[3, 2, 1]));
-        let capacity = hops.capacity();
-        arena.give_hops(hops);
-        let hops = arena.take_hops(PathId::EMPTY);
-        assert!(hops.is_empty() && hops.capacity() == capacity);
     }
 }

@@ -1,14 +1,21 @@
-//! Routing policies: Gao–Rexford export rules, local preference, and
-//! sender-side loop detection.
+//! Routing policies: Gao–Rexford export rules and local preference.
 //!
 //! The paper's configuration (§2): *"Routes learned from customers are
 //! announced to all neighbors, while routes learned from peers or providers
 //! are only announced to customers. A node prefers a route learned from a
 //! customer over a route learned from a peer, over a route learned from a
 //! provider."*
+//!
+//! Sender-side loop detection lives in the export loop of
+//! [`crate::BgpNode`], after [`export_allowed`]: a node never exports a
+//! route to a neighbor already on its AS path — the neighbor would
+//! discard it anyway, and the paper's update accounting assumes such
+//! sends are suppressed ("N will always send an update to its customers,
+//! unless its preferred path to Z goes through the customer itself",
+//! §4.1). The test is [`crate::PathArena::contains`], which reads the
+//! path's hop mask.
 
-use bgpscale_topology::{AsId, Relationship};
-
+use bgpscale_topology::Relationship;
 
 /// Where a node's best route for a prefix comes from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,15 +52,6 @@ pub fn export_allowed(source: RouteSource, to: Relationship) -> bool {
             to == Relationship::Customer
         }
     }
-}
-
-/// Sender-side loop detection: never export a route to a neighbor that
-/// already appears on its AS path — the neighbor would discard it anyway,
-/// and the paper's update accounting assumes such sends are suppressed
-/// ("N will always send an update to its customers, unless its preferred
-/// path to Z goes through the customer itself", §4.1).
-pub fn would_loop(path: &[AsId], neighbor: AsId) -> bool {
-    path.contains(&neighbor)
 }
 
 #[cfg(test)]
@@ -107,13 +105,5 @@ mod tests {
             assert!(!export_allowed(src, Relationship::Peer));
             assert!(!export_allowed(src, Relationship::Provider));
         }
-    }
-
-    #[test]
-    fn loop_detection_checks_membership() {
-        let path = vec![AsId(3), AsId(7), AsId(1)];
-        assert!(would_loop(&path, AsId(7)));
-        assert!(!would_loop(&path, AsId(2)));
-        assert!(!would_loop(&[], AsId(2)));
     }
 }

@@ -133,6 +133,13 @@ fn path_strategy() -> impl Strategy<Value = Vec<AsId>> {
     prop::collection::vec((0u32..1000).prop_map(AsId), 1..8)
 }
 
+/// AS ids most of which collide mod 32, the hop mask's bit index.
+const MASK_ALIASES: [u32; 8] = [5, 37, 69, 101, 6, 38, 0, 32];
+
+fn mask_alias_strategy() -> impl Strategy<Value = AsId> {
+    prop::sample::select(MASK_ALIASES.to_vec()).prop_map(AsId)
+}
+
 proptest! {
     /// The decision order is total and antisymmetric over distinct
     /// neighbors: keys never tie, so `select_best` has a unique winner
@@ -221,6 +228,27 @@ proptest! {
         let mut fresh = PathArena::new();
         let on_fresh: Vec<PathId> = lists.iter().map(|hops| fresh.intern(hops)).collect();
         prop_assert_eq!(again, on_fresh);
+    }
+
+    /// The hop mask never changes an answer: `contains` on an interned
+    /// path agrees with a scan of its hops for every AS, drawn from an
+    /// alphabet whose members mostly share their bit `asn % 32` (5, 37,
+    /// 69 and 101 set one bit, 6 and 38 another), so most probes hit the
+    /// mask and are settled by the walk. Lists may be empty.
+    #[test]
+    fn contains_agrees_with_the_hop_list(
+        lists in prop::collection::vec(prop::collection::vec(mask_alias_strategy(), 0..7), 1..20),
+    ) {
+        let mut arena = PathArena::new();
+        for hops in &lists {
+            let id = arena.intern(hops);
+            for probe in MASK_ALIASES.map(AsId) {
+                prop_assert_eq!(arena.contains(id, probe), hops.contains(&probe), "{:?} in {:?}", probe, hops);
+            }
+        }
+        for probe in MASK_ALIASES.map(AsId) {
+            prop_assert!(!arena.contains(PathId::EMPTY, probe));
+        }
     }
 
     /// MRAI queue soundness: after any sequence of submissions and

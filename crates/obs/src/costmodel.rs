@@ -117,10 +117,12 @@ op_classes! {
     /// is offered to (its four-byte id; once an `Arc` clone). The program
     /// point has not moved since schema 1.
     path_intern_hits: Avoided,
-    /// Export paths built: one per best-route change that leaves a route
-    /// (one lookup-or-insert in the path arena; once an `Arc<[AsId]>`
-    /// allocation). Counts builds, not new arena cells — same program
-    /// point as ever.
+    /// Export paths built: one per best-route change that at least one
+    /// session takes, built by the first taker (one lookup-or-insert in
+    /// the path arena; once an `Arc<[AsId]>` allocation), plus one per
+    /// route a restored session's table replay sends. Counts builds, not
+    /// new arena cells. Until the perf baselines' v3 re-bless it counted
+    /// one build per best-route change that left a route, taken or not.
     path_intern_misses: Work,
     /// BGP update messages delivered to a node (after loss filtering).
     deliveries: Work,

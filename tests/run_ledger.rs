@@ -185,7 +185,7 @@ fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
 }
 
 /// The checked-in ledger renders: `repro trend` is a read-only dashboard
-/// over exactly this file, so its eight revisions and ten fingerprints
+/// over exactly this file, so its nine revisions and ten fingerprints
 /// must fold, and the text must name every revision and carry the
 /// exponent table with each class's kind.
 #[test]
@@ -194,9 +194,9 @@ fn checked_in_ledger_renders_as_a_dashboard() {
     let history = read_ledger(std::path::Path::new(path)).unwrap();
     let report = trend::analyze(&history);
     assert_eq!(report.records, history.len());
-    assert_eq!((report.revs.len(), report.fingerprints), (8, 10));
+    assert_eq!((report.revs.len(), report.fingerprints), (9, 10));
     let text = trend::render_text(&history, &report);
-    let shape = format!("trend: {} records, 8 revisions, 10 config fingerprints", history.len());
+    let shape = format!("trend: {} records, 9 revisions, 10 config fingerprints", history.len());
     assert!(text.starts_with(&shape), "{text}");
     for rev in &report.revs {
         assert!(text.contains(&rev[..10]), "the dashboard does not name rev {rev}");
