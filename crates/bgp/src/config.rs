@@ -4,6 +4,15 @@ use bgpscale_simkernel::SimDuration;
 
 use crate::rfd::RfdConfig;
 
+/// The Minimum Route Advertisement Interval (§2 of the paper: 30 s,
+/// applied per neighbor interface as vendors implement it). Each arm
+/// scales it by a factor drawn from [`BgpConfig::mrai_jitter`].
+pub const MRAI: SimDuration = SimDuration::from_secs(30);
+
+/// Upper bound of the per-message processing time (§2 of the paper:
+/// 100 ms). Service times are uniform over `(0, PROC_DELAY_MAX]`.
+pub const PROC_DELAY_MAX: SimDuration = SimDuration::from_millis(100);
+
 /// How the MRAI timer treats explicit withdrawals (§2 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum MraiMode {
@@ -58,24 +67,13 @@ impl MraiScope {
     }
 }
 
-/// How per-message processing (service) times are drawn.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ServiceTimeModel {
-    /// Uniform over `(0, proc_delay_max]` — the paper's model.
-    Uniform,
-    /// Constant at `proc_delay_max / 2` (same mean as `Uniform`); an
-    /// ablation knob for studying the role of service-time randomness.
-    Constant,
-}
-
-/// All protocol timing knobs, with defaults matching §2 of the paper.
+/// The protocol knobs an experiment varies, with defaults matching §2 of
+/// the paper. What no experiment varies is a constant: [`MRAI`] and
+/// [`PROC_DELAY_MAX`].
 #[derive(Clone, Debug)]
 pub struct BgpConfig {
-    /// The Minimum Route Advertisement Interval, applied per neighbor
-    /// interface (as vendors implement it, not per prefix). Default 30 s.
-    pub mrai: SimDuration,
-    /// Jitter range applied to each timer arming, as fractions of `mrai`;
-    /// the BGP-4 standard specifies `[0.75, 1.0]`.
+    /// Jitter range applied to each timer arming, as fractions of
+    /// [`MRAI`]; the BGP-4 standard specifies `[0.75, 1.0]`.
     pub mrai_jitter: (f64, f64),
     /// Withdrawal treatment; default [`MraiMode::NoWrate`] (the paper's
     /// configuration for everything except §6).
@@ -83,21 +81,10 @@ pub struct BgpConfig {
     /// Timer granularity; default [`MraiScope::PerInterface`] (the
     /// paper's model, matching vendor practice).
     pub mrai_scope: MraiScope,
-    /// Upper bound of the per-message processing time. The paper uses
-    /// 100 ms.
-    pub proc_delay_max: SimDuration,
-    /// How service times are drawn from `proc_delay_max` (ablation knob;
-    /// the paper uses [`ServiceTimeModel::Uniform`]).
-    pub service_model: ServiceTimeModel,
     /// Constant link propagation delay. The paper models only queueing and
     /// processing delay; 2 ms is negligible against both the 100 ms
     /// processing bound and the 30 s MRAI, and merely breaks simultaneity.
     pub link_delay: SimDuration,
-    /// Sender-side loop detection (§4.1): suppress exporting a route to a
-    /// neighbor already on its AS path. Disabling it (ablation) makes the
-    /// sender transmit and the receiver discard, inflating churn without
-    /// changing routing outcomes.
-    pub sender_side_loop_detection: bool,
     /// Route Flap Damping (RFC 2439); `None` (the default and the paper's
     /// configuration) disables it. See [`crate::rfd`].
     pub rfd: Option<RfdConfig>,
@@ -106,14 +93,10 @@ pub struct BgpConfig {
 impl Default for BgpConfig {
     fn default() -> Self {
         BgpConfig {
-            mrai: SimDuration::from_secs(30),
             mrai_jitter: (0.75, 1.0),
             mrai_mode: MraiMode::NoWrate,
             mrai_scope: MraiScope::PerInterface,
-            proc_delay_max: SimDuration::from_millis(100),
-            service_model: ServiceTimeModel::Uniform,
             link_delay: SimDuration::from_millis(2),
-            sender_side_loop_detection: true,
             rfd: None,
         }
     }
@@ -142,9 +125,6 @@ impl BgpConfig {
         if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi && hi <= 1.0) {
             return Err(format!("mrai_jitter ({lo}, {hi}) must satisfy 0 < lo <= hi <= 1"));
         }
-        if self.proc_delay_max.is_zero() {
-            return Err("proc_delay_max must be positive (FIFO service time)".into());
-        }
         if let Some(rfd) = &self.rfd {
             rfd.check().map_err(|e| format!("rfd: {e}"))?;
         }
@@ -159,9 +139,9 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let c = BgpConfig::default();
-        assert_eq!(c.mrai, SimDuration::from_secs(30));
+        assert_eq!(MRAI, SimDuration::from_secs(30));
         assert_eq!(c.mrai_mode, MraiMode::NoWrate);
-        assert_eq!(c.proc_delay_max, SimDuration::from_millis(100));
+        assert_eq!(PROC_DELAY_MAX, SimDuration::from_millis(100));
         assert_eq!(c.mrai_jitter, (0.75, 1.0));
         c.check().unwrap();
     }
@@ -170,7 +150,7 @@ mod tests {
     fn wrate_constructor_flips_only_the_mode() {
         let c = BgpConfig::wrate();
         assert_eq!(c.mrai_mode, MraiMode::Wrate);
-        assert_eq!(c.mrai, BgpConfig::default().mrai);
+        assert_eq!(c.mrai_jitter, BgpConfig::default().mrai_jitter);
         assert!(c.mrai_mode.rate_limits_withdrawals());
         assert!(!MraiMode::NoWrate.rate_limits_withdrawals());
     }
@@ -198,15 +178,6 @@ mod tests {
         c.mrai_jitter = (0.9, 0.5);
         assert!(c.check().is_err());
         c.mrai_jitter = (0.5, 1.5);
-        assert!(c.check().is_err());
-    }
-
-    #[test]
-    fn check_rejects_zero_processing_time() {
-        let c = BgpConfig {
-            proc_delay_max: SimDuration::ZERO,
-            ..Default::default()
-        };
         assert!(c.check().is_err());
     }
 }

@@ -49,7 +49,7 @@ pub mod rfd;
 
 pub use arena::{DampTable, RouteSlab, SessionSlab};
 pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets, Stamp};
-pub use config::{BgpConfig, MraiMode, MraiScope, ServiceTimeModel};
+pub use config::{BgpConfig, MraiMode, MraiScope};
 pub use message::{Prefix, Update, UpdateKind};
 pub use node::{BgpNode, NodeCostCounters, NodeView};
 pub use path::{PathArena, PathId};

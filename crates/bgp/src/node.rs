@@ -395,9 +395,9 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
 
         // Receiver-side loop detection: a path containing our own AS is
         // ineligible (RFC 4271) and supersedes whatever the neighbor
-        // previously announced — treat it as a withdrawal. Unreachable
-        // while senders filter, but load-bearing when sender-side
-        // detection is ablated off.
+        // previously announced — treat it as a withdrawal. Senders filter
+        // such paths already, so this is the guard behind them, not a
+        // path the simulation takes.
         let incoming: Option<PathId> = match update.kind {
             UpdateKind::Announce(path) if !step.paths.contains(path, self.id) => Some(path),
             _ => None,
@@ -517,9 +517,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             } else {
                 RouteSource::Learned(sessions[best_slot as usize].rel)
             };
-            if !export_allowed(source, neighbor.rel)
-                || (step.cfg.sender_side_loop_detection && step.paths.contains(path, neighbor.peer))
-            {
+            if !export_allowed(source, neighbor.rel) || step.paths.contains(path, neighbor.peer) {
                 continue;
             }
             let export_path = step.paths.prepend(self.id, path);
@@ -663,7 +661,6 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             };
             (source, best_path)
         });
-        let loop_check = step.cfg.sender_side_loop_detection;
         // The exported path, ourselves prepended to the best path: built
         // by the first session that takes it — one lookup-or-insert — and
         // the same id for every later taker. A stub's provider route is
@@ -678,7 +675,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             let intent = match best {
                 Some((source, best_path))
                     if export_allowed(source, session.rel)
-                        && !(loop_check && step.paths.contains(best_path, session.peer)) =>
+                        && !step.paths.contains(best_path, session.peer) =>
                 {
                     step.costs.path_intern_hits += 1;
                     Some(*export.get_or_insert_with(|| {

@@ -50,6 +50,16 @@ use crate::cevent::run_c_event;
 use crate::factors::{node_factors, type_index, FactorAccumulator, FactorMeans};
 use crate::sim::{EventBudgetExceeded, SimTemplate, Simulator};
 
+/// The stream of a cell's master seed its topology is generated from:
+/// `hash64_pair(seed, TOPO_STREAM)`. Every figure that builds a cell's
+/// topology or simulators by hand takes the same streams.
+pub const TOPO_STREAM: u64 = 0x7090;
+/// The stream of a cell's master seed its simulators are seeded from;
+/// event `k` runs on `hash64_pair(hash64_pair(seed, SIM_STREAM), k)`.
+pub const SIM_STREAM: u64 = 0x51B;
+/// The stream of a cell's master seed that picks its C-event originators.
+pub const PICK_STREAM: u64 = 0x0121;
+
 /// Everything needed to reproduce one experiment cell.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
@@ -462,9 +472,9 @@ struct ExperimentSetup {
 
 impl ExperimentSetup {
     fn build(cfg: &ExperimentConfig) -> ExperimentSetup {
-        let topo_seed = hash64_pair(cfg.seed, 0x7090);
-        let sim_seed = hash64_pair(cfg.seed, 0x51B);
-        let pick_seed = hash64_pair(cfg.seed, 0x0121);
+        let topo_seed = hash64_pair(cfg.seed, TOPO_STREAM);
+        let sim_seed = hash64_pair(cfg.seed, SIM_STREAM);
+        let pick_seed = hash64_pair(cfg.seed, PICK_STREAM);
 
         let graph = {
             let _span = bgpscale_obs::span!("generate_topology");

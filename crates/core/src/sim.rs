@@ -5,16 +5,18 @@
 //! kinds exist (the paper's Fig. 2):
 //!
 //! * **Deliver** — a message arrives at a node and joins its FIFO input
-//!   queue; if the node's processor is idle, service begins. The event
-//!   names only the receiver and its session slot: the `Update` itself
-//!   rides the simulator's `wire` FIFO, because every message takes the
-//!   same constant link delay and so arrives in the order it was sent.
+//!   queue; if the node's processor is idle, service begins. A message in
+//!   flight is not an event of the queue: it rides the simulator's
+//!   `wire`, one FIFO of `InFlight` entries — the key its arrival pops
+//!   at, reserved from the queue when it was sent, the receiver, its
+//!   session slot and the `Update` — which is sorted by key because every
+//!   message takes the same constant link delay after a monotone clock.
 //!   A delivery reads the session off the simulator's own slab and the
 //!   receiver's input queue; the receiver's routes are not touched until
 //!   its `ProcDone`.
 //! * **ProcDone** — the processor finishes one message (service time drawn
-//!   uniformly from `[0, proc_delay_max]`), the protocol machine runs, and
-//!   resulting transmissions are scheduled after the link delay.
+//!   uniformly from `(0, PROC_DELAY_MAX]`), the protocol machine runs, and
+//!   resulting transmissions go on the wire after the link delay.
 //! * **MraiExpire** — a neighbor session's MRAI timer fires; queued
 //!   updates flush and the timer re-arms (jittered) iff something was
 //!   sent. An expiry is valid iff the timer still waits for exactly this
@@ -35,13 +37,17 @@
 //! one; a `Recorder` takes [`bgpscale_obs::Provenance`]. Root-cause ids are
 //! handed out and reported to the observer either way.
 //!
-//! `Deliver`s are scheduled on the event queue's in-order lane
-//! (`EventQueue::schedule_in_order`), `ProcDone`s and the two timer-like
-//! kinds in its radix heap; the pop sequence is the one `(time, seq)`
-//! total order either way. The radix heap files the thousands of MRAI
-//! expiries 22.5–30 s out in high buckets that the near `ProcDone`s pop
-//! past without touching, and [`Simulator::run_until`] pops with
-//! `EventQueue::pop_by(deadline)`, one call per event.
+//! One event loop serves [`Simulator::run_until`] and
+//! [`Simulator::run_to_quiescence`]: each turn it takes the earlier of the
+//! event queue's minimum and the wire's front — the queue's with
+//! `EventQueue::pop_by` bounded by the front's key, the front's by passing
+//! its key to `EventQueue::advance_to`, which moves the clock and leaves
+//! the radix heap's reference alone. So the pop sequence is the one
+//! `(time, seq)` total order over every event and message, and the wire's
+//! pushes, pops and merge comparisons are counted in the queue's op
+//! classes. `ProcDone`s and the two timer-like kinds go into the queue's
+//! radix heap, which files the thousands of MRAI expiries 22.5–30 s out in
+//! high buckets that the near `ProcDone`s pop past without touching.
 //!
 //! MRAI timers are **lazy**. Every arm draws its jitter and reserves the
 //! `(time, seq)` key its expiry pops at (`EventQueue::reserve`), and the
@@ -55,8 +61,8 @@
 //! same points: the run is that run minus the expiries that would have
 //! flushed nothing.
 //!
-//! The simulation **quiesces** when the event queue empties: every RIB is
-//! stable, and the clock then moves to the latest key any timer reserved
+//! The simulation **quiesces** when the event queue and the wire are
+//! empty: every RIB is stable, and the clock then moves to the latest key any timer reserved
 //! (the *MRAI horizon*), so every MRAI timer is idle when the next phase
 //! starts. All randomness (service times, jitter) comes from one seeded
 //! stream, so runs are exactly repeatable.
@@ -89,6 +95,7 @@ use std::sync::Arc;
 
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::config::{MRAI, PROC_DELAY_MAX};
 use bgpscale_bgp::{
     BgpConfig, BgpNode, NodeCostCounters, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
 };
@@ -96,7 +103,7 @@ use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, RootCauseKind, SimObserver, Stamp, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventKey, EventQueue, SimDuration, SimTime};
+use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
@@ -107,15 +114,12 @@ use crate::inbox::InboxPool;
 /// indicates a model bug rather than a slow run.
 const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
-/// Simulator events. Small on purpose: every pending event sits in a slot
-/// of the event queue's pool, so the `Update` of a `Deliver` travels on
-/// `Simulator::wire` instead of growing the event. `Copy`, so a pop hands
-/// the event out and leaves its slot for the next push.
+/// Events of the queue. Small on purpose: every pending event sits in a
+/// slot of the event queue's pool. `Copy`, so a pop hands the event out
+/// and leaves its slot for the next push. Messages in flight are not
+/// among them: they ride `Simulator::wire`.
 #[derive(Clone, Copy, Debug)]
 enum SimEvent {
-    /// The `Update` at the front of the wire reaches `to`'s input queue
-    /// over `to`'s session `slot` (the sender is that session's peer).
-    Deliver { to: AsId, slot: u32 },
     /// `node`'s processor finishes the message at the head of its queue.
     ProcDone { node: AsId },
     /// An MRAI timer for `node`'s neighbor session `slot` expires with
@@ -137,13 +141,26 @@ const _: () = assert!(std::mem::size_of::<SimEvent>() <= 16);
 impl SimEvent {
     fn kind(&self) -> EventKind {
         match self {
-            SimEvent::Deliver { .. } => EventKind::Deliver,
             SimEvent::ProcDone { .. } => EventKind::ProcDone,
             SimEvent::MraiExpire { .. } => EventKind::MraiExpire,
             SimEvent::RfdReuse { .. } => EventKind::RfdReuse,
         }
     }
 }
+
+/// A message in flight: `update` reaches `to`'s input queue over `to`'s
+/// session `slot` (the sender is that session's peer) when `key` has its
+/// turn.
+#[derive(Debug)]
+struct InFlight<S> {
+    key: EventKey,
+    to: AsId,
+    slot: u32,
+    update: Update<S>,
+}
+
+// One entry per message, as big as an entry of the event queue's pool.
+const _: () = assert!(std::mem::size_of::<InFlight<()>>() == 32);
 
 /// A diagnostic snapshot of simulator state at the moment a run exceeded
 /// its event budget. Built only on the failure path (never in the event
@@ -152,7 +169,7 @@ impl SimEvent {
 pub struct BudgetSnapshot {
     /// Simulated time when the budget ran out, in microseconds.
     pub sim_time_us: u64,
-    /// Events still pending in the queue.
+    /// Events still pending: the queue's and the messages on the wire.
     pub queue_depth: u64,
     /// Pending events per kind, indexed by [`EventKind::index`]
     /// (deliver, proc_done, mrai_expire, rfd_reuse).
@@ -229,23 +246,27 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// steps it is lent to. Monotone: phase costs only ever diff it.
     costs: NodeCostCounters,
     /// Every node's FIFO input queue, in one pool: (the session slot the
-    /// message arrived over, message), as the `Deliver` event carried
-    /// them. A node's processor is busy — a `ProcDone` is scheduled for
-    /// it — exactly while its queue is non-empty.
+    /// message arrived over, message), as the wire carried them. A node's
+    /// processor is busy — a `ProcDone` is scheduled for it — exactly
+    /// while its queue is non-empty.
     inbox: InboxPool<O::Stamp>,
     queue: EventQueue<SimEvent>,
-    /// The `Update`s in flight, in the order their `Deliver` events were
-    /// scheduled — which is the order those events pop, because every
-    /// `Deliver` is scheduled one constant `cfg.link_delay` after a
-    /// monotone clock ([`Simulator::apply_actions`] asserts it). The
-    /// k-th `Deliver` to pop takes the k-th `Update` pushed.
-    wire: std::collections::VecDeque<Update<O::Stamp>>,
-    /// Arrival time of the newest `Update` on the wire: no later
-    /// `Deliver` may be scheduled before it.
-    wire_tail_at: SimTime,
+    /// The messages in flight, each under a key reserved from the queue
+    /// when it was sent: in key order, because every message arrives one
+    /// constant `cfg.link_delay` after a monotone clock
+    /// ([`Simulator::apply_actions`] asserts it).
+    wire: std::collections::VecDeque<InFlight<O::Stamp>>,
+    /// The wire's share of the queue's op classes: its pushes, its pops
+    /// and the comparisons of its front with the queue's minimum.
+    /// Monotone.
+    wire_ops: QueueOpCounts,
+    /// Messages taken off the wire since the simulator was built or
+    /// recycled: [`Simulator::events_processed`] counts them beside the
+    /// queue's pops.
+    wire_popped: u64,
     rng: Xoshiro256StarStar,
     churn: ChurnCollector,
-    /// Time of the most recent Deliver or ProcDone (i.e. of actual routing
+    /// Time of the most recent delivery or ProcDone (i.e. of actual routing
     /// activity, excluding trailing no-op timer expiries).
     last_activity: SimTime,
     event_limit: u64,
@@ -359,7 +380,8 @@ impl SimTemplate {
             inbox: InboxPool::new(self.graph.len()),
             queue: EventQueue::with_capacity(1024),
             wire: std::collections::VecDeque::new(),
-            wire_tail_at: SimTime::ZERO,
+            wire_ops: QueueOpCounts::ZERO,
+            wire_popped: 0,
             rng: Xoshiro256StarStar::new(seed),
             churn,
             last_activity: SimTime::ZERO,
@@ -456,9 +478,9 @@ impl<O: SimObserver> Simulator<O> {
         self.last_activity
     }
 
-    /// Total events processed so far.
+    /// Total events processed so far, deliveries included.
     pub fn events_processed(&self) -> u64 {
-        self.queue.popped()
+        self.queue.popped() + self.wire_popped
     }
 
     /// Overrides the per-run event budget (tests use small budgets to
@@ -594,26 +616,51 @@ impl<O: SimObserver> Simulator<O> {
     /// # Errors
     /// [`EventBudgetExceeded`] if the event budget is exhausted first.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), EventBudgetExceeded> {
-        let start = self.queue.popped();
-        while let Some((time, event)) = self.queue.pop_by(deadline) {
-            self.dispatch(time, event);
-            if self.queue.popped() - start > self.event_limit {
-                return Err(self.budget_exceeded(start));
-            }
-        }
+        self.event_loop(EventKey {
+            time: deadline,
+            seq: u64::MAX,
+        })?;
         // Timers nothing waited behind ran out without an event; the clock
         // passes the latest of them as if its expiry had popped.
         self.queue.advance_to(self.routes.latest_timer_key_by(deadline));
         Ok(())
     }
 
+    /// The event loop: while the earlier of the queue's minimum and the
+    /// wire's front is at or before `bound`, takes it and runs it.
+    fn event_loop(&mut self, bound: EventKey) -> Result<(), EventBudgetExceeded> {
+        let start = self.events_processed();
+        loop {
+            let front = self.wire.front().map(|msg| msg.key).filter(|&key| key <= bound);
+            if let Some((time, event)) = self.queue.pop_by(front.unwrap_or(bound)) {
+                self.wire_ops.comparisons += u64::from(!self.wire.is_empty());
+                self.dispatch(time, event);
+            } else {
+                // The front is next, if it is due: its turn is the clock's.
+                let Some(msg) = front.and_then(|_| self.wire.pop_front()) else {
+                    return Ok(());
+                };
+                self.wire_ops.comparisons += u64::from(!self.queue.is_empty());
+                self.wire_ops.pops += 1;
+                self.wire_popped += 1;
+                self.queue.advance_to(msg.key);
+                self.deliver(msg);
+            }
+            if self.events_processed() - start > self.event_limit {
+                return Err(self.budget_exceeded(start));
+            }
+        }
+    }
+
     /// Builds the budget-exhaustion error with a state snapshot — called
     /// only on the failure path, so the scans here cost nothing normally.
-    // det::allow(panic-surface, reason = "pending_by_kind is a fixed [_; 4] indexed by the four EventKind variants")
     fn budget_exceeded(&self, start: u64) -> EventBudgetExceeded {
         let mut pending_by_kind = [0u64; 4];
-        for (_, event) in self.queue.iter_pending() {
-            pending_by_kind[event.kind().index()] += 1;
+        let queued = self.queue.iter_pending().map(|(_, event)| event.kind());
+        for kind in queued.chain(self.wire.iter().map(|_| EventKind::Deliver)) {
+            if let Some(pending) = pending_by_kind.get_mut(kind.index()) {
+                *pending += 1;
+            }
         }
         let busiest_inbox = self
             .inbox
@@ -621,34 +668,28 @@ impl<O: SimObserver> Simulator<O> {
             .map(|(i, len)| (AsId(i as u32), len as usize));
         EventBudgetExceeded {
             budget: self.event_limit,
-            processed: self.queue.popped() - start,
+            processed: self.events_processed() - start,
             snapshot: BudgetSnapshot {
                 sim_time_us: self.queue.now().as_micros(),
-                queue_depth: self.queue.len() as u64,
+                queue_depth: (self.queue.len() + self.wire.len()) as u64,
                 pending_by_kind,
                 busiest_inbox,
             },
         }
     }
 
-    /// Runs until the event queue is empty, then moves the clock to the
-    /// MRAI horizon: all RIBs stable, all timers idle. Returns the time of
-    /// the last routing activity.
+    /// Runs until the event queue and the wire are empty, then moves the
+    /// clock to the MRAI horizon: all RIBs stable, all timers idle.
+    /// Returns the time of the last routing activity.
     ///
     /// # Errors
     /// [`EventBudgetExceeded`] if the configured event budget is exhausted
     /// first.
     pub fn run_to_quiescence(&mut self) -> Result<SimTime, EventBudgetExceeded> {
-        let start = self.queue.popped();
-        while let Some((time, event)) = self.queue.pop() {
-            self.dispatch(time, event);
-            if self.queue.popped() - start > self.event_limit {
-                return Err(self.budget_exceeded(start));
-            }
-        }
+        self.event_loop(EventKey::NEVER)?;
         self.queue.advance_to(self.mrai_horizon);
         self.obs
-            .on_quiescence(self.last_activity, self.queue.popped());
+            .on_quiescence(self.last_activity, self.events_processed());
         Ok(self.last_activity)
     }
 
@@ -661,9 +702,9 @@ impl<O: SimObserver> Simulator<O> {
     /// quiescence.
     pub fn reset_routing(&mut self) {
         assert!(
-            self.queue.is_empty(),
+            self.queue.is_empty() && self.wire.is_empty(),
             "reset_routing while {} events are pending",
-            self.queue.len()
+            self.queue.len() + self.wire.len()
         );
         debug_assert!(self.inbox.is_empty());
         self.routes.reset_routing(self.queue.last_key());
@@ -689,7 +730,7 @@ impl<O: SimObserver> Simulator<O> {
     pub fn recycle(&mut self, seed: u64) {
         self.queue.reset();
         self.wire.clear();
-        self.wire_tail_at = SimTime::ZERO;
+        self.wire_popped = 0;
         self.inbox.clear();
         self.routes.recycle();
         self.paths.clear();
@@ -706,52 +747,54 @@ impl<O: SimObserver> Simulator<O> {
         self.mrai_horizon = EventKey::ZERO;
     }
 
-    // det::allow(panic-surface, reason = "a Deliver's slot is minted by SessionSlab::far_end for that receiver, and a Deliver with an empty wire or a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
+    /// `msg` arrives, its key just had its turn.
+    // det::allow(panic-surface, reason = "a message's slot is minted by SessionSlab::far_end for its receiver")
+    fn deliver(&mut self, msg: InFlight<O::Stamp>) {
+        let InFlight { key, to, slot, update } = msg;
+        let now = key.time;
+        self.obs.on_event(EventKind::Deliver, now);
+        let session = self.slab.sessions(to.0)[slot as usize];
+        let from = session.peer;
+        if self.down_links.contains(&link_key(from, to)) {
+            // The link failed while the message was in flight.
+            self.messages_dropped += 1;
+            return;
+        }
+        self.last_activity = now;
+        self.deliveries += 1;
+        self.churn.record(to, slot, update.kind.is_withdraw(), now);
+        // Depth the arriving message will reach once enqueued — the
+        // receiver-side backlog signal.
+        let inbox_depth = self.inbox.len(to.index()) + 1;
+        self.obs.on_message(
+            from,
+            to,
+            session.rel,
+            if update.kind.is_withdraw() {
+                UpdateClass::Withdraw
+            } else {
+                UpdateClass::Announce
+            },
+            update.prefix.0,
+            || update.kind.path().map(|p| self.paths.len(p) as u32),
+            &update.stamp,
+            self.paths.root_sets(),
+            inbox_depth,
+            now,
+        );
+        self.inbox.push(to.index(), slot, update);
+        // The first message to wait starts the processor.
+        if inbox_depth == 1 {
+            let service = self.draw_service_time();
+            self.queue
+                .schedule(now + service, SimEvent::ProcDone { node: to });
+        }
+    }
+
+    // det::allow(panic-surface, reason = "a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {
-            SimEvent::Deliver { to, slot } => {
-                let update = self
-                    .wire
-                    .pop_front()
-                    .expect("Deliver with nothing on the wire");
-                let session = self.slab.sessions(to.0)[slot as usize];
-                let from = session.peer;
-                if self.down_links.contains(&link_key(from, to)) {
-                    // The link failed while the message was in flight.
-                    self.messages_dropped += 1;
-                    return;
-                }
-                self.last_activity = now;
-                self.deliveries += 1;
-                self.churn.record(to, slot, update.kind.is_withdraw(), now);
-                // Depth the arriving message will reach once enqueued —
-                // the receiver-side backlog signal.
-                let inbox_depth = self.inbox.len(to.index()) + 1;
-                self.obs.on_message(
-                    from,
-                    to,
-                    session.rel,
-                    if update.kind.is_withdraw() {
-                        UpdateClass::Withdraw
-                    } else {
-                        UpdateClass::Announce
-                    },
-                    update.prefix.0,
-                    || update.kind.path().map(|p| self.paths.len(p) as u32),
-                    &update.stamp,
-                    self.paths.root_sets(),
-                    inbox_depth,
-                    now,
-                );
-                self.inbox.push(to.index(), slot, update);
-                // The first message to wait starts the processor.
-                if inbox_depth == 1 {
-                    let service = self.draw_service_time();
-                    self.queue
-                        .schedule(now + service, SimEvent::ProcDone { node: to });
-                }
-            }
             SimEvent::ProcDone { node } => {
                 self.last_activity = now;
                 let (slot, update) = self
@@ -789,10 +832,10 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// Schedules the transmissions and expiry events, and reserves the
-    /// keys of the timer arms, that the protocol step just run at `node`
-    /// wrote into `self.actions`, leaving the buffer empty for the next
-    /// step.
+    /// Puts the transmissions on the wire, schedules the expiry events
+    /// and reserves the keys of the timer arms that the protocol step just
+    /// run at `node` wrote into `self.actions`, leaving the buffer empty
+    /// for the next step.
     fn apply_actions(&mut self, node: AsId) {
         let now = self.queue.now();
         // Out of `self` while the loops below draw from the RNG and push
@@ -802,21 +845,22 @@ impl<O: SimObserver> Simulator<O> {
         let scheduled_before = self.expiries_scheduled;
         if !actions.sends.is_empty() {
             let arrival = now + self.cfg.link_delay;
-            // The wire pairs the k-th `Deliver` to pop with the k-th
-            // `Update` pushed, which is only right while `Deliver`s pop in
-            // schedule order — true for one constant link delay, and what
-            // a per-link delay would have to give up the wire for.
-            assert!(
-                arrival >= self.wire_tail_at,
-                "Deliver at {arrival:?} scheduled before the wire's tail {:?}",
-                self.wire_tail_at
-            );
-            self.wire_tail_at = arrival;
+            // The event loop takes the wire's front as its next message,
+            // which is only right while the wire is in key order — true
+            // for one constant link delay, and what a per-link delay would
+            // have to give up the wire for.
+            if let Some(tail) = self.wire.back() {
+                assert!(
+                    arrival >= tail.key.time,
+                    "a message arriving at {arrival:?} scheduled before the wire's tail {:?}",
+                    tail.key.time
+                );
+            }
             for (slot, update) in actions.sends.drain(..) {
                 let (to, slot) = self.slab.far_end(node.index() as u32, slot);
-                self.wire.push_back(update);
-                self.queue
-                    .schedule_in_order(arrival, SimEvent::Deliver { to, slot });
+                let key = self.queue.reserve(arrival);
+                self.wire.push_back(InFlight { key, to, slot, update });
+                self.wire_ops.pushes += 1;
             }
         }
         // An arm draws its jitter and reserves the key its expiry pops
@@ -846,7 +890,8 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// The current cost-model snapshot: event-queue op tallies plus the
+    /// The current cost-model snapshot: event-queue op tallies (the
+    /// wire's included) plus the
     /// nodes' decision/path/RIB counters plus the simulator's own
     /// delivery and MRAI counters, folded into one [`OpCounts`]. All
     /// constituents are monotone within a C-event — `arena_bytes_reserved`
@@ -855,12 +900,12 @@ impl<O: SimObserver> Simulator<O> {
     /// to attribute work to the interval between them (see
     /// [`bgpscale_obs::costmodel`]).
     pub fn cost_counts(&self) -> OpCounts {
-        let q = self.queue.op_counts();
+        let (q, wire) = (self.queue.op_counts(), self.wire_ops);
         OpCounts {
-            queue_pushes: q.pushes,
-            queue_pops: q.pops,
+            queue_pushes: q.pushes + wire.pushes,
+            queue_pops: q.pops + wire.pops,
             queue_decreases: q.decreases,
-            queue_comparisons: q.comparisons,
+            queue_comparisons: q.comparisons + wire.comparisons,
             deliveries: self.deliveries,
             mrai_armed: self.mrai_armed_total,
             mrai_fired: self.mrai_fired,
@@ -877,25 +922,16 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
+    /// Uniform over `(0, PROC_DELAY_MAX]`; never zero, so that
+    /// processing strictly follows arrival.
     fn draw_service_time(&mut self) -> SimDuration {
-        let us = self.cfg.proc_delay_max.as_micros();
-        match self.cfg.service_model {
-            // Uniform over (0, proc_delay_max]; never exactly zero so
-            // that processing strictly follows arrival.
-            bgpscale_bgp::config::ServiceTimeModel::Uniform => {
-                SimDuration::from_micros(1 + self.rng.next_below(us.max(1)))
-            }
-            // Same mean as Uniform, no randomness.
-            bgpscale_bgp::config::ServiceTimeModel::Constant => {
-                SimDuration::from_micros((us / 2).max(1))
-            }
-        }
+        SimDuration::from_micros(1 + self.rng.next_below(PROC_DELAY_MAX.as_micros()))
     }
 
     fn draw_mrai_interval(&mut self) -> SimDuration {
         let (lo, hi) = self.cfg.mrai_jitter;
         let factor = if lo >= hi { lo } else { self.rng.next_f64_range(lo, hi) };
-        self.cfg.mrai.mul_f64(factor)
+        MRAI.mul_f64(factor)
     }
 }
 
@@ -1166,10 +1202,10 @@ mod tests {
         assert!(text.contains("within its budget of 3 events (4 processed)"), "{text}");
     }
 
-    /// The snapshot of a run abandoned mid-convergence covers the heap,
-    /// the in-order lane and the wire, and `recycle` clears all three.
+    /// The snapshot of a run abandoned mid-convergence covers the event
+    /// queue and the wire, and `recycle` clears both.
     #[test]
-    fn budget_snapshot_covers_the_lane_and_the_wire() {
+    fn budget_snapshot_covers_the_queue_and_the_wire() {
         let g = generate(GrowthScenario::Baseline, 200, 42);
         let origin = g.nodes_of_type(NodeType::C)[0];
         let template = SimTemplate::new(Arc::new(g), BgpConfig::no_wrate());
@@ -1179,7 +1215,7 @@ mod tests {
         let snap = sim.run_to_quiescence().unwrap_err().snapshot;
         let deliver = EventKind::Deliver.index();
         assert_eq!(snap.pending_by_kind.iter().sum::<u64>(), snap.queue_depth);
-        assert_eq!(snap.queue_depth, sim.queue.len() as u64);
+        assert_eq!(snap.queue_depth, (sim.queue.len() + sim.wire.len()) as u64);
         assert!(snap.pending_by_kind[deliver] > 0, "messages are in flight");
         assert!(snap.pending_by_kind[EventKind::MraiExpire.index()] > 0, "timers are armed");
         assert_eq!(snap.pending_by_kind[deliver], sim.wire.len() as u64);
@@ -1188,7 +1224,7 @@ mod tests {
         let wire_capacity = sim.wire.capacity();
         sim.recycle(16);
         assert!(sim.queue.is_empty() && sim.wire.is_empty());
-        assert_eq!(sim.wire_tail_at, SimTime::ZERO);
+        assert_eq!(sim.events_processed(), 0, "the wire's pops are forgotten too");
         assert_eq!(sim.wire.capacity(), wire_capacity, "recycle keeps buffers");
         // That the recycled simulator then equals a fresh one is
         // `recycle_equivalence.rs`'s blown-budget case; here, only that
@@ -1198,11 +1234,12 @@ mod tests {
         assert!(sim.wire.is_empty(), "quiescence leaves nothing on the wire");
     }
 
-    /// A `Deliver` scheduled to arrive before one already on the wire
-    /// would be handed that one's `Update`; `apply_actions` refuses.
+    /// A message sent to arrive before one already on the wire would break
+    /// the wire's key order, and the event loop would deliver it late;
+    /// `apply_actions` refuses.
     #[test]
     #[should_panic(expected = "scheduled before the wire's tail")]
-    fn a_deliver_out_of_schedule_order_fails_loudly() {
+    fn a_message_sent_out_of_wire_order_fails_loudly() {
         let (g, ids) = chain_graph();
         let mut sim = Simulator::new(g, BgpConfig::default(), 18);
         sim.originate(ids[4], P);

@@ -25,6 +25,11 @@ use bgpscale_topology::{generate, GrowthScenario, NodeType};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations of `instantiate` at any n. The event queue's pool and link
+/// column are two of them; the wire, an empty `VecDeque` until the first
+/// message is sent, is none.
+const INSTANTIATE_ALLOCS: u64 = 8;
+
 /// How many more allocations a first event at n = 4000 may make than one
 /// at n = 1000: room for a few more doublings of the buffers that grow
 /// with an event's traffic (event queue, wire, inbox pool, path arena).
@@ -53,6 +58,7 @@ fn instantiating_and_the_first_event_allocate_independently_of_n() {
         "n = 1000: instantiate {}, first event {}; n = 4000: instantiate {}, first event {}",
         small.0, small.1, large.0, large.1
     );
+    assert_eq!(small.0, INSTANTIATE_ALLOCS, "instantiate allocates a fixed handful of times");
     assert_eq!(
         large.0, small.0,
         "instantiate allocates {} times at n = 1000 but {} at n = 4000: something is allocated per node",

@@ -14,6 +14,7 @@
 
 use bgpscale_bgp::{BgpConfig, MraiMode, Prefix};
 use bgpscale_core::cevent::run_c_event;
+use bgpscale_core::harness::TOPO_STREAM;
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::hash64_pair;
 use bgpscale_simkernel::SimDuration;
@@ -31,7 +32,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         "Extension: per-second update rate during one C-event (largest sweep size)",
     );
 
-    let topo_seed = hash64_pair(cfg.seed, 0x7090);
+    let topo_seed = hash64_pair(cfg.seed, TOPO_STREAM);
     let graph = generate(GrowthScenario::Baseline, n, topo_seed);
     let origin = graph
         .node_ids()

@@ -20,6 +20,7 @@
 //! roughly flat.
 
 use bgpscale_bgp::{BgpConfig, MraiScope, Prefix};
+use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
 use bgpscale_topology::{generate, GrowthScenario, NodeType};
@@ -33,7 +34,7 @@ const LEVELS: [usize; 3] = [1, 8, 32];
 
 /// Runs `k` simultaneous C-events and returns total updates delivered.
 fn concurrent_churn(sw_seed: u64, n: usize, k: usize, scope: MraiScope) -> f64 {
-    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(sw_seed, 0x7090));
+    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(sw_seed, TOPO_STREAM));
     let mut pick = Xoshiro256StarStar::new(hash64_pair(sw_seed, 0xE5));
     let mut origins = graph.nodes_of_type(NodeType::C);
     pick.shuffle(&mut origins);
@@ -43,7 +44,7 @@ fn concurrent_churn(sw_seed: u64, n: usize, k: usize, scope: MraiScope) -> f64 {
         mrai_scope: scope,
         ..BgpConfig::default()
     };
-    let mut sim = Simulator::new(graph, bgp, hash64_pair(sw_seed, 0x51B));
+    let mut sim = Simulator::new(graph, bgp, hash64_pair(sw_seed, SIM_STREAM));
     // Warm-up: all k prefixes announced and converged.
     for (i, &o) in origins.iter().enumerate() {
         sim.originate(o, Prefix(i as u32));

@@ -14,6 +14,7 @@
 //! tables.
 
 use bgpscale_bgp::{BgpConfig, Prefix};
+use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::levent::run_l_event;
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
@@ -39,14 +40,14 @@ pub fn run(sw: &mut Sweeper) -> Figure {
     let mut fail_below_c = true;
     let mut total_near_c = true;
     for &n in &cfg.sizes.clone() {
-        let topo_seed = hash64_pair(cfg.seed, 0x7090);
+        let topo_seed = hash64_pair(cfg.seed, TOPO_STREAM);
         let graph = generate(GrowthScenario::Baseline, n, topo_seed);
         let mut pick = Xoshiro256StarStar::new(hash64_pair(cfg.seed, 0xE1));
         let mut c_nodes = graph.nodes_of_type(NodeType::C);
         pick.shuffle(&mut c_nodes);
         c_nodes.truncate(cfg.events.max(1));
 
-        let mut sim = Simulator::new(graph, BgpConfig::default(), hash64_pair(cfg.seed, 0x51B));
+        let mut sim = Simulator::new(graph, BgpConfig::default(), hash64_pair(cfg.seed, SIM_STREAM));
         let mut fail_sum = 0.0;
         let mut restore_sum = 0.0;
         let mut healed = 0usize;

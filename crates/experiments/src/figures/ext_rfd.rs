@@ -14,6 +14,7 @@
 use bgpscale_bgp::rfd::RfdConfig;
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_core::flapstorm::{run_flap_storm, FlapStormConfig};
+use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
 use bgpscale_topology::{generate, GrowthScenario, NodeType};
@@ -39,7 +40,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
     let mut always_suppresses = true;
     let mut always_recovers = true;
     for &n in &cfg.sizes.clone() {
-        let topo_seed = hash64_pair(cfg.seed, 0x7090);
+        let topo_seed = hash64_pair(cfg.seed, TOPO_STREAM);
         let graph = generate(GrowthScenario::Baseline, n, topo_seed);
         let mut pick = Xoshiro256StarStar::new(hash64_pair(cfg.seed, 0xE3));
         let mut c_nodes = graph.nodes_of_type(NodeType::C);
@@ -57,7 +58,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
                 ..BgpConfig::default()
             };
             let mut sim =
-                Simulator::new(graph.clone(), bgp, hash64_pair(cfg.seed, 0x51B ^ mode as u64));
+                Simulator::new(graph.clone(), bgp, hash64_pair(cfg.seed, SIM_STREAM ^ mode as u64));
             for (k, &origin) in c_nodes.iter().enumerate() {
                 let outcome =
                     run_flap_storm(&mut sim, origin, Prefix(k as u32), &storm_cfg)

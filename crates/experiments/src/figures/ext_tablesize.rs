@@ -16,6 +16,7 @@
 
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_core::cevent::run_c_event;
+use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
 use bgpscale_topology::{generate, GrowthScenario, NodeType};
@@ -38,7 +39,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         "Extension: per-event churn vs resident routing-table size",
     );
 
-    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(cfg.seed, 0x7090));
+    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(cfg.seed, TOPO_STREAM));
     let mut pick = Xoshiro256StarStar::new(hash64_pair(cfg.seed, 0xE6));
     let mut stubs = graph.nodes_of_type(NodeType::C);
     pick.shuffle(&mut stubs);
@@ -56,7 +57,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
     );
     let mut per_event = Vec::new();
     for k in resident {
-        let mut sim = Simulator::new(graph.clone(), BgpConfig::default(), hash64_pair(cfg.seed, 0x51B));
+        let mut sim = Simulator::new(graph.clone(), BgpConfig::default(), hash64_pair(cfg.seed, SIM_STREAM));
         // Fill the RIBs with k unrelated, stable prefixes.
         for (i, &owner) in stubs.iter().take(k).enumerate() {
             sim.originate(owner, Prefix(i as u32));

@@ -4,6 +4,7 @@
 //! measures what the generator actually produced (population mix,
 //! multihoming/peering degrees, and the four stable properties).
 
+use bgpscale_core::harness::TOPO_STREAM;
 use bgpscale_simkernel::rng::hash64_pair;
 use bgpscale_topology::metrics::TopologySummary;
 use bgpscale_topology::{generate, validate::validate, GrowthScenario, TopologyParams};
@@ -54,7 +55,7 @@ pub fn run(cfg: &RunConfig) -> Figure {
     let mut path_lengths = Vec::new();
     let mut all_valid = true;
     for &n in &cfg.sizes {
-        let g = generate(GrowthScenario::Baseline, n, hash64_pair(cfg.seed, 0x7090));
+        let g = generate(GrowthScenario::Baseline, n, hash64_pair(cfg.seed, TOPO_STREAM));
         all_valid &= validate(&g).is_ok();
         let s = TopologySummary::compute(&g, cfg.seed);
         clusterings.push(s.clustering);

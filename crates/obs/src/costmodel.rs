@@ -12,7 +12,8 @@
 //! Three layers feed the model:
 //!
 //! * `simkernel::queue` counts event-queue pushes, pops, re-bucketed
-//!   entries and `(time, seq)` comparisons;
+//!   entries and `(time, seq)` comparisons, and `bgpscale-core` adds its
+//!   wire's (the messages in flight, kept beside the queue);
 //! * `bgpscale-bgp` counts decision-process runs, route comparisons,
 //!   Adj-RIB-out writes and AS-path intern hits vs misses;
 //! * `bgpscale-core` counts message deliveries and MRAI arm/fire/coalesce
@@ -94,18 +95,21 @@ macro_rules! op_classes {
 }
 
 op_classes! {
-    /// Events pushed onto the simulator's future-event list.
+    /// Events pushed onto the simulator's future-event list, the messages
+    /// put on its wire included.
     queue_pushes: Work,
-    /// Events popped off the future-event list.
+    /// Events popped off the future-event list, the messages taken off
+    /// the wire included.
     queue_pops: Work,
     /// Entries the radix heap re-buckets: on each pop from it, the rest
     /// of the popped minimum's bucket moves to lower buckets (the
     /// "decrease"-class restructuring work of the priority queue).
     queue_decreases: Work,
-    /// `(time, seq)` key comparisons: those of the radix heap's min scans
-    /// (one per entry after the first of the bucket scanned, one per push
-    /// into the minimum's own bucket), plus one per pop that merges the
-    /// radix minimum with the in-order lane's front.
+    /// `(time, seq)` key comparisons: one per entry filed into a bucket of
+    /// the radix heap that already has a minimum (pushed or re-bucketed),
+    /// plus one per pop that finds both the heap and the simulator's wire
+    /// non-empty and takes the earlier of its minimum and the wire's
+    /// front.
     queue_comparisons: Work,
     /// BGP decision-process runs (one per `reevaluate` of a prefix).
     decision_runs: Work,

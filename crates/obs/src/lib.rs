@@ -69,7 +69,8 @@ pub mod trace;
 /// The queue has changed under v3 since, without a bump, the perf
 /// baselines re-blessed once each time: the in-order lane, then the radix
 /// heap, under which the two classes count re-bucketed entries and the
-/// comparisons of its min scans and lane merges. `path_intern_misses`
+/// comparisons that keep its buckets' minima and merge it with the
+/// messages in flight. `path_intern_misses`
 /// moved under v3 once, also re-blessed without a bump: it counts an
 /// export path built only when a session takes it.
 pub const SCHEMA_VERSION: u32 = 3;

@@ -22,8 +22,9 @@ use bgpscale_topology::{AsId, Relationship};
 
 use crate::provenance::{RootCauseKind, RootSets, Stamp};
 
-/// The kind of a simulator event, mirrored from `core::sim`'s private
-/// event enum so observers can count per kind without a dependency cycle.
+/// The kind of a simulator event — a delivery off `core::sim`'s wire or
+/// one of its private queue events — so observers can count per kind
+/// without a dependency cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A message arrived at a node's input queue.
@@ -102,7 +103,8 @@ pub trait SimObserver {
     /// built, coalesced or interned.
     type Stamp: Stamp;
 
-    /// An event was popped from the queue and is about to be dispatched.
+    /// An event was taken off the queue, or a message off the wire, and is
+    /// about to be handled.
     #[inline]
     fn on_event(&mut self, _kind: EventKind, _now: SimTime) {}
 
@@ -164,7 +166,7 @@ pub trait SimObserver {
     #[inline]
     fn on_decision_run(&mut self, _node: AsId, _now: SimTime) {}
 
-    /// The event queue drained: the network quiesced at `now` after
+    /// The event queue and the wire drained: the network quiesced at `now` after
     /// `events_processed` events total.
     #[inline]
     fn on_quiescence(&mut self, _now: SimTime, _events_processed: u64) {}

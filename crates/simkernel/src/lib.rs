@@ -14,11 +14,12 @@
 //!   `(time, sequence number)` so that events scheduled for the same
 //!   instant are delivered in scheduling order, making every run a pure
 //!   function of its inputs. It is a monotone radix heap over one pool
-//!   of entries, its work counted exactly ([`QueueOpCounts`]), plus an
-//!   in-order lane — a FIFO
-//!   for events whose times are already sorted when scheduled
-//!   ([`EventQueue::schedule_in_order`]) — merged on pop into the same
-//!   `(time, sequence number)` order.
+//!   of entries, its work counted exactly ([`QueueOpCounts`]). A key can
+//!   be reserved without an event ([`EventQueue::reserve`]), so a caller
+//!   may keep events of its own beside the heap — a FIFO of messages that
+//!   all take one constant delay — and merge them into the same
+//!   `(time, sequence number)` order ([`EventQueue::pop_by`],
+//!   [`EventQueue::advance_to`]).
 //! * **Seeded PRNG streams** ([`rng::SplitMix64`], [`rng::Xoshiro256StarStar`])
 //!   implemented locally so that results are bit-for-bit reproducible
 //!   independent of external crate version churn.

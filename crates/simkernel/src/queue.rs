@@ -1,15 +1,8 @@
 //! A deterministic discrete-event queue with exact operation counting.
 //!
-//! [`EventQueue`] is a hand-rolled **monotone radix heap** (`(time, seq)`
-//! keys) with an **in-order lane** beside it: a FIFO for events whose
-//! times are already sorted when they are scheduled
-//! ([`EventQueue::schedule_in_order`] — a simulator's messages after one
-//! constant link delay on a monotone clock). An in-order push is an
-//! append and its pop a `pop_front`; nothing is bucketed. Both structures
-//! are live in every queue and share one sequence counter, and `pop`
-//! returns the `(time, seq)`-smaller of the radix minimum and the lane
-//! front, so the three guarantees the simulator depends on hold whichever
-//! entry point scheduled an event:
+//! [`EventQueue`] is a hand-rolled **monotone radix heap** over
+//! `(time, seq)` keys. It makes three guarantees the simulator depends
+//! on:
 //!
 //! 1. **Monotonic delivery** — events pop in non-decreasing time order, and
 //!    scheduling an event in the past (before the last popped time) is a
@@ -25,29 +18,21 @@
 //!    counts and machines, and therefore usable as CI perf-regression
 //!    gates (see `obs::costmodel`).
 //!
-//! The radix part files an entry under the `u128` key `time << 64 | seq`,
-//! whose integer order *is* the `(time, seq)` order, in the bucket named
-//! by the bit length of `key ^ reference`, where the reference is the key
-//! the radix part popped last. Every pending key is at or after the
-//! reference, so every key of a lower bucket is smaller than every key of
-//! a higher one, and each bucket caches its minimum as entries are filed
-//! into it: the radix part's minimum is the cached minimum of its lowest
-//! non-empty bucket, found without reading an entry. A pop takes it,
-//! makes it the reference and re-files the rest of its bucket, each
-//! entry into a strictly lower one. An entry therefore moves at most once
-//! per bit of the key, however many pops pass over it — a timer 30 s out
-//! sits still while the messages of those 30 s come and go. A lane pop
-//! (and [`EventQueue::advance_to`]) leaves the reference where it is:
-//! entries already filed against it would otherwise sit in the wrong
-//! bucket. All entries live in one pool, each bucket a chain threaded
-//! through a column of links beside it and freed slots on a free chain,
-//! so the pool is as long as the most entries ever pending in the radix
-//! part at once.
-//!
-//! The lane is an optimisation the caller cannot get wrong: a
-//! `schedule_in_order` whose time is before the lane's last entry goes
-//! into the radix part like any `schedule`, and the pop sequence is the
-//! same total order either way.
+//! The heap files an entry under the `u128` key `time << 64 | seq`, whose
+//! integer order *is* the `(time, seq)` order, in the bucket named by the
+//! bit length of `key ^ reference`, where the reference is the key the
+//! heap popped last. Every pending key is at or after the reference, so
+//! every key of a lower bucket is smaller than every key of a higher one,
+//! and each bucket caches its minimum as entries are filed into it: the
+//! minimum is the cached minimum of the lowest non-empty bucket, found
+//! without reading an entry. A pop takes it, makes it the reference and
+//! re-files the rest of its bucket, each entry into a strictly lower one.
+//! An entry therefore moves at most once per bit of the key, however many
+//! pops pass over it — a timer 30 s out sits still while the messages of
+//! those 30 s come and go. All entries live in one pool, each bucket a
+//! chain threaded through a column of links beside it and freed slots on
+//! a free chain, so the pool is as long as the most entries ever pending
+//! at once.
 //!
 //! A place in that order can also be held without an event in it:
 //! [`EventQueue::reserve`] takes the [`EventKey`] a `schedule` at the
@@ -56,9 +41,13 @@
 //! never, for a timer nobody turned out to wait for. Every other event
 //! pops exactly where it would have popped had the reserved one been
 //! scheduled at once; [`EventQueue::last_key`] tells a caller whether a
-//! key it holds has been passed.
-
-use std::collections::VecDeque;
+//! key it holds has been passed. A caller may also keep events of its own
+//! outside the heap under reserved keys — a FIFO of messages that all
+//! take one constant delay is sorted by construction — and merge it with
+//! the heap: pop the heap with [`EventQueue::pop_by`] bounded by its own
+//! front, and take its front's turn with [`EventQueue::advance_to`],
+//! which moves the clock and leaves the reference where it is (entries
+//! already filed against it would otherwise sit in the wrong bucket).
 
 use crate::time::SimTime;
 
@@ -105,13 +94,13 @@ fn event_key(key: u128) -> EventKey {
 /// No slot: the end of a chain.
 const NIL: u32 = u32::MAX;
 
-/// Buckets of the radix part: bucket `b > 0` holds the keys whose highest
-/// bit that differs from the reference is bit `b - 1`, bucket 0 a key
-/// equal to it.
+/// Buckets of the heap: bucket `b > 0` holds the keys whose highest bit
+/// that differs from the reference is bit `b - 1`, bucket 0 a key equal
+/// to it.
 const BUCKETS: usize = 129;
 
-/// One entry of the radix part's pool or of the lane. The radix part
-/// turns the key into its radix key where it compares or files it.
+/// One entry of the pool. The heap turns the key into its radix key where
+/// it compares or files it.
 #[derive(Clone, Copy, Debug)]
 struct Entry<E> {
     key: EventKey,
@@ -132,8 +121,7 @@ pub struct QueueOpCounts {
     pub decreases: u64,
     /// `(time, seq)` key comparisons: one per entry filed into a bucket
     /// that already has a minimum (pushed or re-bucketed), against that
-    /// minimum, plus one per pop that finds both the radix part and the
-    /// in-order lane non-empty.
+    /// minimum.
     pub comparisons: u64,
 }
 
@@ -155,7 +143,7 @@ impl QueueOpCounts {
 /// `Copy` so that a popped slot hands its event out and stays in the pool.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Every slot the radix part has used: its entries and its free slots.
+    /// Every slot the heap has used: its entries and its free slots.
     pool: Vec<Entry<E>>,
     /// The next slot of the chain each slot is on: its bucket's, or the
     /// free chain. Beside the pool, not in it: with a 16-byte event an
@@ -167,18 +155,14 @@ pub struct EventQueue<E> {
     occupied: [u64; 3],
     /// The first slot of the free chain.
     free: u32,
-    /// Entries in the radix part.
-    radix_len: usize,
-    /// The key the radix part popped last (0 before the first): every
-    /// entry is filed by its highest bit that differs from this one.
+    /// Pending entries.
+    len: usize,
+    /// The key the heap popped last (0 before the first): every entry is
+    /// filed by its highest bit that differs from this one.
     reference: u128,
     /// Each non-empty bucket's minimum key and its slot (stale in an
     /// empty bucket).
     mins: [(u128, u32); BUCKETS],
-    /// The in-order lane: entries in `(time, seq)` order front to back,
-    /// by construction ([`EventQueue::schedule_in_order`] appends only a
-    /// time that is not before the last entry's).
-    lane: VecDeque<Entry<E>>,
     next_seq: u64,
     /// Key of the most recently popped event (or the key the clock was
     /// [advanced](EventQueue::advance_to) to); new events may not be
@@ -200,8 +184,7 @@ impl<E: Copy> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `cap` pending events in the
-    /// radix part and as many in the in-order lane.
+    /// Creates an empty queue with room for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             pool: Vec::with_capacity(cap),
@@ -209,10 +192,9 @@ impl<E: Copy> EventQueue<E> {
             heads: [NIL; BUCKETS],
             occupied: [0; 3],
             free: NIL,
-            radix_len: 0,
+            len: 0,
             reference: 0,
             mins: [(0, NIL); BUCKETS],
-            lane: VecDeque::with_capacity(cap),
             next_seq: 0,
             last: EventKey::ZERO,
             popped: 0,
@@ -231,19 +213,18 @@ impl<E: Copy> EventQueue<E> {
         self.last
     }
 
-    /// Number of pending events (radix part and lane).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.radix_len + self.lane.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.radix_len == 0 && self.lane.is_empty()
+        self.len == 0
     }
 
-    /// Slots in the radix part's pool: the most events that were ever
-    /// pending in it at once since the queue was created or last
-    /// [reset](EventQueue::reset).
+    /// Slots in the pool: the most events that were ever pending at once
+    /// since the queue was created or last [reset](EventQueue::reset).
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
@@ -268,7 +249,7 @@ impl<E: Copy> EventQueue<E> {
     /// be violating causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let key = self.reserve(time);
-        self.push_radix(key, event);
+        self.push(key, event);
     }
 
     /// Takes the key [`EventQueue::schedule`] would give an event at
@@ -304,14 +285,15 @@ impl<E: Copy> EventQueue<E> {
             self.last
         );
         debug_assert!(key.seq < self.next_seq, "{key:?} was never reserved");
-        self.push_radix(key, event);
+        self.push(key, event);
     }
 
     /// Moves the clock forward to `key` without popping anything, as if
     /// an event with that key had just popped — the turn of a reserved key
-    /// that was never scheduled. A `key` the clock has already passed
-    /// changes nothing. No pending event may precede `key`. The radix
-    /// part's reference stays where it is, as on a lane pop.
+    /// that was never scheduled, or of an event the caller keeps outside
+    /// the heap. A `key` the clock has already passed changes nothing. No
+    /// pending event may precede `key`. The heap's reference stays where
+    /// it is.
     pub fn advance_to(&mut self, key: EventKey) {
         debug_assert!(
             self.peek_key().is_none_or(|next| next > key),
@@ -320,56 +302,39 @@ impl<E: Copy> EventQueue<E> {
         self.last = self.last.max(key);
     }
 
-    /// Schedules `event` at absolute time `time`, for a caller whose
-    /// `time`s never decrease from one call to the next (a constant delay
-    /// added to the clock): the entry is appended to the in-order lane —
-    /// no comparison, no move — and pops exactly where
-    /// [`EventQueue::schedule`] would have put it. A `time` before the
-    /// lane's last entry is not an error; that entry goes into the radix
-    /// part.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the current clock, like
-    /// [`EventQueue::schedule`].
-    pub fn schedule_in_order(&mut self, time: SimTime, event: E) {
-        let key = self.reserve(time);
-        if self.lane.back().is_some_and(|last| time < last.key.time) {
-            self.push_radix(key, event);
-        } else {
-            self.ops.pushes += 1;
-            self.lane.push_back(Entry { key, event });
-        }
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     /// Returns `None` when the simulation has quiesced.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_by(SimTime::MAX)
+        self.pop_by(EventKey::NEVER)
     }
 
-    /// Pops the earliest event if its time is at or before `deadline`,
-    /// advancing the clock to its timestamp; `None` if no pending event
-    /// is due by then. A `None` counts nothing, so a run of `pop_by`
-    /// calls costs exactly what a `peek_time` before each `pop` would.
-    pub fn pop_by(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let radix = self.radix_min().map(|(min, _)| min);
-        let front = self.lane.front().map(|entry| radix_key(entry.key));
-        let (from_lane, next) = match (radix, front) {
-            (None, None) => return None,
-            (Some(min), None) => (false, min),
-            (None, Some(front)) => (true, front),
-            (Some(min), Some(front)) => (front < min, front.min(min)),
-        };
-        if event_key(next).time > deadline {
+    /// Pops the earliest event if its key is at or before `bound`,
+    /// advancing the clock to it; `None` if no pending event is due by
+    /// then. A `None` counts nothing, so a run of `pop_by` calls costs
+    /// exactly what a `peek_time` before each `pop` would. The minimum
+    /// becomes the reference, the rest of its bucket is re-filed one or
+    /// more buckets lower, and its slot goes on the free chain.
+    pub fn pop_by(&mut self, bound: EventKey) -> Option<(SimTime, E)> {
+        let bucket = self.lowest_bucket()?;
+        let &(min, at) = self.mins.get(bucket)?;
+        if min > radix_key(bound) {
             return None;
         }
-        self.ops.comparisons += u64::from(radix.is_some() && front.is_some());
-        let (key, event) = if from_lane {
-            let entry = self.lane.pop_front()?;
-            (entry.key, entry.event)
-        } else {
-            self.pop_radix()?
-        };
+        self.reference = min;
+        let mut next = self.unlink_bucket(bucket);
+        while let (Some(&link), Some(entry)) =
+            (self.links.get(next as usize), self.pool.get(next as usize))
+        {
+            let (moved, moved_key) = (next, radix_key(entry.key));
+            next = link;
+            if moved != at {
+                self.ops.decreases += 1;
+                self.file(moved, moved_key);
+            }
+        }
+        let &Entry { key, event } = self.pool.get(at as usize)?;
+        *self.links.get_mut(at as usize)? = std::mem::replace(&mut self.free, at);
+        self.len -= 1;
         debug_assert!(key >= self.last, "queue returned a past event");
         self.last = key;
         self.popped += 1;
@@ -382,18 +347,18 @@ impl<E: Copy> EventQueue<E> {
         self.peek_key().map(|key| key.time)
     }
 
-    /// The key of the next event without popping it: the cached radix
-    /// minimum or the lane's front, whichever is earlier.
+    /// The key of the next event without popping it: the cached minimum
+    /// of the lowest non-empty bucket.
     fn peek_key(&self) -> Option<EventKey> {
-        let radix = self.radix_min().map(|(min, _)| min);
-        let front = self.lane.front().map(|entry| radix_key(entry.key));
-        radix.into_iter().chain(front).min().map(event_key)
+        self.lowest_bucket()
+            .and_then(|bucket| self.mins.get(bucket))
+            .map(|&(min, _)| event_key(min))
     }
 
     /// Iterates over the pending events in **unspecified order** (bucket
-    /// by bucket, then the lane — not delivery order). Intended for
-    /// diagnostics — counting pending events per kind for an error
-    /// snapshot — where only order-insensitive aggregation is sound.
+    /// by bucket — not delivery order). Intended for diagnostics —
+    /// counting pending events per kind for an error snapshot — where only
+    /// order-insensitive aggregation is sound.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.heads
             .iter()
@@ -401,15 +366,14 @@ impl<E: Copy> EventQueue<E> {
                 std::iter::successors(Some(head), move |&at| self.links.get(at as usize).copied())
                     .map_while(move |at| self.pool.get(at as usize))
             })
-            .chain(&self.lane)
             .map(|entry| (entry.key.time, &entry.event))
     }
 
     /// Removes all pending events and restores the clock, the `popped`
     /// counter and the sequence numbering of a new queue, so that the
     /// queue hands out a new queue's keys and pays a new queue's
-    /// [`QueueOpCounts`] for the same trace (the radix part's work depends
-    /// on the bits of the keys). Keeps the storage and the tallies, which
+    /// [`QueueOpCounts`] for the same trace (the heap's work depends on
+    /// the bits of the keys). Keeps the storage and the tallies, which
     /// stay monotone.
     pub fn reset(&mut self) {
         self.pool.clear();
@@ -417,9 +381,8 @@ impl<E: Copy> EventQueue<E> {
         self.heads = [NIL; BUCKETS];
         self.occupied = [0; 3];
         self.free = NIL;
-        self.radix_len = 0;
+        self.len = 0;
         self.reference = 0;
-        self.lane.clear();
         self.next_seq = 0;
         self.last = EventKey::ZERO;
         self.popped = 0;
@@ -431,9 +394,8 @@ impl<E: Copy> EventQueue<E> {
         (u128::BITS - (key ^ self.reference).leading_zeros()) as usize
     }
 
-    /// Files `event` under `key` in the radix part, in a free slot if
-    /// there is one.
-    fn push_radix(&mut self, key: EventKey, event: E) {
+    /// Files `event` under `key`, in a free slot if there is one.
+    fn push(&mut self, key: EventKey, event: E) {
         self.ops.pushes += 1;
         let filled = Entry { key, event };
         let at = match (
@@ -454,16 +416,8 @@ impl<E: Copy> EventQueue<E> {
                 (self.pool.len() - 1) as u32
             }
         };
-        self.radix_len += 1;
+        self.len += 1;
         self.file(at, radix_key(key));
-    }
-
-    /// The radix part's minimum key and its slot: the minimum of its
-    /// lowest non-empty bucket.
-    #[inline]
-    fn radix_min(&self) -> Option<(u128, u32)> {
-        self.lowest_bucket()
-            .and_then(|bucket| self.mins.get(bucket).copied())
     }
 
     /// The lowest non-empty bucket.
@@ -474,31 +428,6 @@ impl<E: Copy> EventQueue<E> {
             .enumerate()
             .find(|(_, word)| **word != 0)
             .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
-    }
-
-    /// Pops the radix part's minimum: it becomes the reference, the rest
-    /// of its bucket is re-filed one or more buckets lower, and its slot
-    /// goes on the free chain.
-    fn pop_radix(&mut self) -> Option<(EventKey, E)> {
-        let bucket = self.lowest_bucket()?;
-        let &(key, at) = self.mins.get(bucket)?;
-        self.reference = key;
-        let mut next = self.unlink_bucket(bucket);
-        while let (Some(&link), Some(entry)) =
-            (self.links.get(next as usize), self.pool.get(next as usize))
-        {
-            let (moved, moved_key) = (next, radix_key(entry.key));
-            next = link;
-            if moved != at {
-                self.ops.decreases += 1;
-                self.file(moved, moved_key);
-            }
-        }
-        let popped = self.pool.get(at as usize)?;
-        let popped = (popped.key, popped.event);
-        *self.links.get_mut(at as usize)? = std::mem::replace(&mut self.free, at);
-        self.radix_len -= 1;
-        Some(popped)
     }
 
     /// Puts slot `at`, holding `key`, at the front of its bucket's chain
@@ -755,112 +684,21 @@ mod tests {
     }
 
     #[test]
-    fn in_order_pushes_cost_no_comparisons_and_no_moves() {
+    fn pop_by_stops_at_the_bound_and_counts_nothing_there() {
         let mut q = EventQueue::new();
-        for i in 0..100u64 {
-            q.schedule_in_order(SimTime::from_micros(i / 3), i);
-        }
-        for i in 0..100u64 {
-            assert_eq!(q.pop(), Some((SimTime::from_micros(i / 3), i)));
-        }
-        let ops = q.op_counts();
-        assert_eq!((ops.pushes, ops.pops), (100, 100));
-        assert_eq!((ops.comparisons, ops.decreases), (0, 0), "the radix part never held an entry");
-        assert_eq!(q.pool_len(), 0);
-    }
-
-    #[test]
-    fn lane_and_radix_merge_in_time_then_schedule_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis;
-        q.schedule(t(30), "timer");
-        q.schedule_in_order(t(10), "msg a");
-        q.schedule(t(10), "proc");
-        q.schedule_in_order(t(10), "msg b");
-        q.schedule_in_order(t(40), "msg c");
-        let before = q.op_counts().comparisons;
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(popped, vec!["msg a", "proc", "msg b", "timer", "msg c"]);
-        // One comparison per pop that saw both structures non-empty (the
-        // first four); "proc" went into a lower bucket than "timer" and
-        // each popped alone from its bucket, so no scan compared a key.
-        assert_eq!(q.op_counts().comparisons - before, 4);
-    }
-
-    #[test]
-    fn an_out_of_order_lane_push_falls_into_the_radix_part() {
-        let mut q = EventQueue::new();
-        q.schedule_in_order(SimTime::from_millis(20), 0);
-        q.schedule_in_order(SimTime::from_millis(10), 1); // before the lane's tail
-        q.schedule_in_order(SimTime::from_millis(20), 2);
-        assert_eq!((q.lane.len(), q.radix_len), (2, 1));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), 1)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 0)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_len_and_iter_pending_see_both_structures() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(30), 0u64);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)));
-        q.schedule_in_order(SimTime::from_millis(10), 1);
-        q.schedule_in_order(SimTime::from_millis(50), 2);
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)), "the lane's front is earlier");
-        let mut pending: Vec<u64> = q.iter_pending().map(|(_, &e)| e).collect();
-        pending.sort_unstable();
-        assert_eq!(pending, vec![0, 1, 2]);
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(30)), "the radix minimum is earlier");
-        q.pop();
-        assert_eq!((q.len(), q.peek_time()), (1, Some(SimTime::from_millis(50))), "lane only");
-        assert!(!q.is_empty());
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!((q.len(), q.peek_time()), (0, None));
-    }
-
-    #[test]
-    fn pop_by_stops_at_the_deadline_and_counts_nothing_there() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(30), "timer");
-        q.schedule_in_order(SimTime::from_millis(10), "msg");
-        q.schedule_in_order(SimTime::from_millis(40), "late msg");
-        let deadline = SimTime::from_millis(30);
-        assert_eq!(q.pop_by(deadline), Some((SimTime::from_millis(10), "msg")));
-        assert_eq!(q.pop_by(deadline), Some((SimTime::from_millis(30), "timer")));
+        q.schedule(SimTime::from_millis(10), "msg");
+        let bound = q.reserve(SimTime::from_millis(30));
+        q.schedule(SimTime::from_millis(30), "after the bound");
+        q.schedule(SimTime::from_millis(20), "timer");
+        assert_eq!(q.pop_by(bound), Some((SimTime::from_millis(10), "msg")));
+        assert_eq!(q.pop_by(bound), Some((SimTime::from_millis(20), "timer")));
         let before = q.op_counts();
-        assert_eq!(q.pop_by(deadline), None);
+        assert_eq!(q.pop_by(bound), None, "a later key of the bound's own instant");
         assert_eq!(q.op_counts(), before, "a pop_by that pops nothing costs nothing");
-        assert_eq!((q.len(), q.now()), (1, deadline));
-        assert_eq!(q.pop_by(SimTime::from_millis(40)), Some((SimTime::from_millis(40), "late msg")));
-        assert_eq!(q.pop_by(SimTime::MAX), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn scheduling_in_the_past_panics_on_the_lane_too() {
-        let mut q = EventQueue::new();
-        q.schedule_in_order(SimTime::from_secs(5), ());
-        q.pop();
-        q.schedule_in_order(SimTime::from_secs(4), ());
-    }
-
-    #[test]
-    fn reset_keeps_the_lane_storage() {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(64);
-        assert!(q.lane.capacity() >= 64);
-        for i in 0..500 {
-            q.schedule_in_order(SimTime::from_micros(i), i);
-        }
-        let cap = q.lane.capacity();
-        q.reset();
-        assert_eq!(q.lane.capacity(), cap, "reset is for reusing allocations");
-        q.schedule_in_order(SimTime::ZERO, 0); // the lane's tail is forgotten too
-        assert_eq!(q.lane.len(), 1);
+        assert_eq!((q.len(), q.now()), (1, SimTime::from_millis(20)));
+        let end_of_30ms = EventKey { time: SimTime::from_millis(30), seq: u64::MAX };
+        assert_eq!(q.pop_by(end_of_30ms), Some((SimTime::from_millis(30), "after the bound")));
+        assert_eq!(q.pop_by(EventKey::NEVER), None);
     }
 
     #[test]

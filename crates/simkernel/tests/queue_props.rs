@@ -1,42 +1,125 @@
 //! Property-based tests for the counting event queue: delivery order
 //! against a sorted oracle, conservation of the op counters, and the
-//! radix heap's bounds on work and storage.
+//! radix heap's bounds on work and storage — for the queue alone and
+//! merged with a FIFO of messages kept beside it, as the simulator keeps
+//! its wire.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
-/// One step of a script: pop, or push a burst through one of the
-/// queue's two entry points.
+/// The one delay every message takes.
+const LINK: SimDuration = SimDuration::from_millis(2);
+
+/// One step of a script: pop, or push a burst.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Pop,
-    /// `EventQueue::schedule`.
+    /// `EventQueue::schedule`, at a time the test draws.
     Schedule,
-    /// `EventQueue::schedule_in_order`, at a time drawn like any other —
-    /// so often *before* the lane's last entry, where the push must fall
-    /// into the heap.
-    InOrder,
+    /// A message one constant delay from now, on the FIFO beside the
+    /// queue.
+    Message,
 }
 
 /// Scripts that pop half the time and split the pushes evenly.
 fn steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
-        prop::sample::select(vec![Step::Pop, Step::Pop, Step::Schedule, Step::InOrder]),
+        prop::sample::select(vec![Step::Pop, Step::Pop, Step::Schedule, Step::Message]),
         len,
     )
 }
 
+/// The contract `core::sim` runs on: the queue beside a FIFO of events
+/// whose keys come from `reserve` in FIFO order. A pop takes the earlier
+/// of the FIFO's front and the queue's minimum — the queue's with
+/// `pop_by` bounded by the front, the front's by taking its turn with
+/// `advance_to` — and the FIFO's pushes, pops and merge comparisons (one
+/// per pop that finds both sides non-empty) are counted beside the
+/// queue's, as the simulator counts its wire's.
+struct Merged {
+    q: EventQueue<u64>,
+    fifo: VecDeque<(EventKey, u64)>,
+    /// The FIFO's share of the tallies (it re-buckets nothing).
+    ops: QueueOpCounts,
+}
+
+impl Merged {
+    fn new() -> Merged {
+        Merged { q: EventQueue::new(), fifo: VecDeque::new(), ops: QueueOpCounts::ZERO }
+    }
+
+    /// Puts `id` on the FIFO at `time`, which is not before its back.
+    fn send(&mut self, time: SimTime, id: u64) {
+        let key = self.q.reserve(time);
+        assert!(self.fifo.back().is_none_or(|&(back, _)| back.time <= time), "FIFO out of order");
+        self.fifo.push_back((key, id));
+        self.ops.pushes += 1;
+    }
+
+    /// Pops the earlier of the FIFO's front and the queue's minimum if its
+    /// key is at or before `bound`.
+    fn pop_by(&mut self, bound: EventKey) -> Option<(SimTime, u64)> {
+        let front = self.fifo.front().copied();
+        let queue_bound = front.map_or(bound, |(key, _)| key.min(bound));
+        if let Some(popped) = self.q.pop_by(queue_bound) {
+            self.ops.comparisons += u64::from(front.is_some());
+            return Some(popped);
+        }
+        let (key, id) = front.filter(|&(key, _)| key <= bound)?;
+        self.fifo.pop_front();
+        self.ops.comparisons += u64::from(!self.q.is_empty());
+        self.ops.pops += 1;
+        self.q.advance_to(key);
+        Some((key.time, id))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_by(EventKey::NEVER)
+    }
+
+    fn len(&self) -> usize {
+        self.q.len() + self.fifo.len()
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        let front = self.fifo.front().map(|(key, _)| key.time);
+        self.q.peek_time().into_iter().chain(front).min()
+    }
+
+    /// The queue's tallies plus the FIFO's.
+    fn op_counts(&self) -> QueueOpCounts {
+        let (q, f) = (self.q.op_counts(), self.ops);
+        QueueOpCounts {
+            pushes: q.pushes + f.pushes,
+            pops: q.pops + f.pops,
+            decreases: q.decreases,
+            comparisons: q.comparisons + f.comparisons,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.q.reset();
+        self.fifo.clear();
+    }
+}
+
+/// The last key of `time`: `pop_by` with it is a `run_until`-style
+/// deadline.
+fn end_of(time: SimTime) -> EventKey {
+    EventKey { time, seq: u64::MAX }
+}
+
 /// The sorted-oracle property on an interleaved trace: per `script`
 /// step either pop (it must be the oracle's `(time, seq)` minimum) or
-/// push a burst of one to three same-time events `delay(g)` after
-/// `now`, onto the heap or the in-order lane as the step says; then
-/// drain, or with `drain == false` stop at a `run_until`-style deadline
-/// (popping with `pop_by`) with events left pending. Returns the number
-/// of events scheduled and the most that were pending at once.
+/// push a burst of one to three same-time events — into the queue
+/// `delay(g)` after `now`, or onto the FIFO one link delay after it, as
+/// the step says; then drain, or with `drain == false` stop at a
+/// `run_until`-style deadline with events left pending. Returns the
+/// number of events scheduled and the most that were pending at once.
 fn drive_against_oracle(
-    q: &mut EventQueue<u64>,
+    m: &mut Merged,
     g: &mut Xoshiro256StarStar,
     script: &[Step],
     delay: impl Fn(&mut Xoshiro256StarStar) -> SimDuration,
@@ -47,28 +130,29 @@ fn drive_against_oracle(
     let mut peak = 0;
     for &step in script {
         if let Step::Pop = step {
-            assert_eq!(q.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
+            assert_eq!(m.pop(), oracle.pop_first(), "pop disagrees with the sorted oracle");
         } else {
-            let time = q.now() + delay(g);
+            let now = m.q.now();
+            let time = if let Step::Message = step { now + LINK } else { now + delay(g) };
             for _ in 0..1 + g.next_below(3) {
                 match step {
-                    Step::InOrder => q.schedule_in_order(time, scheduled),
-                    _ => q.schedule(time, scheduled),
+                    Step::Message => m.send(time, scheduled),
+                    _ => m.q.schedule(time, scheduled),
                 }
                 oracle.insert((time, scheduled));
                 scheduled += 1;
             }
         }
-        assert_eq!(q.len(), oracle.len());
-        assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
-        peak = peak.max(q.len());
+        assert_eq!(m.len(), oracle.len());
+        assert_eq!(m.peek_time(), oracle.first().map(|&(time, _)| time));
+        peak = peak.max(m.len());
     }
-    let deadline = if drain { SimTime::MAX } else { q.now() + SimDuration::from_secs(1) };
-    while let Some(popped) = q.pop_by(deadline) {
+    let deadline = if drain { SimTime::MAX } else { m.q.now() + SimDuration::from_secs(1) };
+    while let Some(popped) = m.pop_by(end_of(deadline)) {
         assert_eq!(Some(popped), oracle.pop_first(), "pop disagrees with the sorted oracle");
     }
     assert!(oracle.first().is_none_or(|&(time, _)| time > deadline), "pop_by stopped early");
-    assert_eq!(q.peek_time(), oracle.first().map(|&(time, _)| time));
+    assert_eq!(m.peek_time(), oracle.first().map(|&(time, _)| time));
     (scheduled, peak)
 }
 
@@ -175,84 +259,78 @@ proptest! {
     /// Dense same-time collisions on an interleaved trace: a four-tick
     /// horizon makes most events share a timestamp, so agreement with
     /// the oracle here is agreement of the FIFO tie-break — within the
-    /// heap, within the lane, and between the two.
+    /// heap, within the FIFO, and between the two.
     #[test]
     fn interleaved_same_time_collisions_match_sorted_oracle(
         seed in any::<u64>(),
         script in steps(1..200),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut q = EventQueue::new();
+        let mut m = Merged::new();
         let horizon = |g: &mut Xoshiro256StarStar| SimDuration::from_micros(g.next_below(4));
-        let (scheduled, _) = drive_against_oracle(&mut q, &mut g, &script, horizon, true);
-        prop_assert_eq!(q.op_counts().pushes, scheduled);
-        prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
+        let (scheduled, _) = drive_against_oracle(&mut m, &mut g, &script, horizon, true);
+        prop_assert_eq!(m.op_counts().pushes, scheduled);
+        prop_assert_eq!(m.op_counts().pops, scheduled, "the drain empties the queue");
     }
 
-    /// Far timers (30 s ahead of a µs-scale clock) among near deliveries
-    /// pop in oracle order too. A far time pushed in order parks the
-    /// lane's tail 30 s out, so the near in-order pushes behind it are
-    /// the out-of-order ones that land in the radix heap. After the drain
-    /// the pool is no longer than the most events ever pending at once:
-    /// popped slots are reused, never left behind.
+    /// Far timers (30 s ahead of a µs-scale clock) among near events and
+    /// messages pop in oracle order too. After the drain the pool is no
+    /// longer than the most events ever pending at once: popped slots are
+    /// reused, never left behind.
     #[test]
     fn mrai_like_mix_matches_sorted_oracle(
         seed in any::<u64>(),
         script in steps(1..250),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut q = EventQueue::new();
-        let (scheduled, peak) = drive_against_oracle(&mut q, &mut g, &script, mrai_like_delay, true);
-        prop_assert_eq!(q.op_counts().pushes, scheduled);
-        prop_assert_eq!(q.op_counts().pops, scheduled, "the drain empties the queue");
-        prop_assert!(q.pool_len() <= peak, "pool {} > peak pending {peak}", q.pool_len());
+        let mut m = Merged::new();
+        let (scheduled, peak) = drive_against_oracle(&mut m, &mut g, &script, mrai_like_delay, true);
+        prop_assert_eq!(m.op_counts().pushes, scheduled);
+        prop_assert_eq!(m.op_counts().pops, scheduled, "the drain empties the queue");
+        prop_assert!(m.q.pool_len() <= peak, "pool {} > peak pending {peak}", m.q.pool_len());
     }
 
-    /// The simulator's use of the lane: every in-order push is one
-    /// constant delay after the clock, so none of them is ever out of
-    /// order, while the radix heap takes the jittered rest. Oracle order,
-    /// and the lane's entries never enter the radix heap: its pool is no
-    /// longer than the pushes it took, and the comparisons are at most one
-    /// per filing there plus one per pop.
+    /// The simulator's wire: every message is one constant delay after
+    /// the clock, on a FIFO beside the queue, while the radix heap takes
+    /// the jittered rest. Oracle order, the messages never enter the
+    /// heap (its pool is no longer than the pushes it took), and the
+    /// comparisons are at most one per filing in the heap plus one per
+    /// merged pop.
     #[test]
-    fn constant_delay_lane_beside_a_jittered_heap_matches_sorted_oracle(
+    fn constant_delay_fifo_beside_a_jittered_heap_matches_sorted_oracle(
         seed in any::<u64>(),
         script in steps(1..250),
     ) {
-        let link = SimDuration::from_millis(2);
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut q = EventQueue::new();
-        let mut heap_pushes = 0u64;
+        let mut m = Merged::new();
         let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
         let mut scheduled = 0u64;
         for &step in &script {
+            let now = m.q.now();
             match step {
-                Step::Pop => prop_assert_eq!(q.pop(), oracle.pop_first()),
-                Step::InOrder => {
-                    q.schedule_in_order(q.now() + link, scheduled);
-                    oracle.insert((q.now() + link, scheduled));
+                Step::Pop => prop_assert_eq!(m.pop(), oracle.pop_first()),
+                Step::Message => {
+                    m.send(now + LINK, scheduled);
+                    oracle.insert((now + LINK, scheduled));
                     scheduled += 1;
                 }
                 Step::Schedule => {
-                    let time = q.now() + mrai_like_delay(&mut g);
-                    q.schedule(time, scheduled);
-                    heap_pushes += 1;
+                    let time = now + mrai_like_delay(&mut g);
+                    m.q.schedule(time, scheduled);
                     oracle.insert((time, scheduled));
                     scheduled += 1;
                 }
             }
         }
-        while let Some(popped) = q.pop() {
+        while let Some(popped) = m.pop() {
             prop_assert_eq!(Some(popped), oracle.pop_first());
         }
         prop_assert!(oracle.is_empty());
-        let ops = q.op_counts();
+        let (ops, heap) = (m.op_counts(), m.q.op_counts());
         prop_assert_eq!((ops.pushes, ops.pops), (scheduled, scheduled));
-        prop_assert!(q.pool_len() as u64 <= heap_pushes, "lane entries were filed in the radix heap");
-        prop_assert!(
-            ops.comparisons <= heap_pushes + ops.decreases + ops.pops,
-            "{ops:?} with {heap_pushes} radix pushes"
-        );
+        prop_assert!(m.q.pool_len() as u64 <= heap.pushes, "messages were filed in the radix heap");
+        prop_assert!(heap.comparisons <= heap.pushes + heap.decreases, "{heap:?}");
+        prop_assert!(m.ops.comparisons <= ops.pops, "{:?} merging {ops:?}", m.ops);
     }
 
     /// A key reserved now and scheduled under later pops where a
@@ -300,11 +378,11 @@ proptest! {
                 Step::Pop => {
                     pop_both(&mut eager, &mut lazy, &mut timers);
                 }
-                Step::InOrder => {
+                Step::Message => {
                     // A message: both sides alike, ids past the timers'.
-                    let time = eager.now() + SimDuration::from_millis(2);
-                    eager.schedule_in_order(time, u64::MAX);
-                    lazy.schedule_in_order(time, u64::MAX);
+                    let time = eager.now() + LINK;
+                    eager.schedule(time, u64::MAX);
+                    lazy.schedule(time, u64::MAX);
                 }
                 Step::Schedule => {
                     let time = eager.now() + mrai_like_delay(&mut g);
@@ -345,15 +423,15 @@ proptest! {
         rounds in prop::collection::vec((steps(1..120), any::<bool>()), 2..5),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut reused = EventQueue::new();
+        let mut reused = Merged::new();
         for (script, drain) in &rounds {
             let before = reused.op_counts();
             let mut replay = g.clone();
             drive_against_oracle(&mut reused, &mut g, script, mrai_like_delay, *drain);
-            let mut fresh = EventQueue::new();
+            let mut fresh = Merged::new();
             drive_against_oracle(&mut fresh, &mut replay, script, mrai_like_delay, *drain);
-            prop_assert_eq!(reused.last_key(), fresh.last_key(), "the same keys were handed out");
-            prop_assert_eq!(reused.pool_len(), fresh.pool_len());
+            prop_assert_eq!(reused.q.last_key(), fresh.q.last_key(), "the same keys were handed out");
+            prop_assert_eq!(reused.q.pool_len(), fresh.q.pool_len());
             let after = reused.op_counts();
             let paid = QueueOpCounts {
                 pushes: after.pushes - before.pushes,
@@ -363,28 +441,28 @@ proptest! {
             };
             prop_assert_eq!(paid, fresh.op_counts(), "a reused queue's round costs what a new queue's does");
             reused.reset();
-            prop_assert!(reused.is_empty());
-            prop_assert_eq!(reused.now(), SimTime::ZERO);
-            prop_assert_eq!(reused.popped(), 0);
-            prop_assert_eq!(reused.pool_len(), 0);
+            prop_assert_eq!(reused.len(), 0);
+            prop_assert_eq!(reused.q.now(), SimTime::ZERO);
+            prop_assert_eq!(reused.q.popped(), 0);
+            prop_assert_eq!(reused.q.pool_len(), 0);
             prop_assert_eq!(reused.op_counts(), after, "reset keeps the tallies");
         }
     }
 
     /// The simulator's timers against an oracle of keys: a timer reserves
     /// its key 22.5–30 s ahead and is scheduled under it later or never,
-    /// beside messages on the lane and processing completions 1–100 ms
+    /// beside messages on the FIFO and processing completions 1–100 ms
     /// ahead. The oracle holds `(key, id)` with the key a `schedule` at
     /// the same moment gets — the queue hands sequence numbers out in
-    /// call order, one per `reserve`, `schedule` and `schedule_in_order`
-    /// — so every pop must also leave `last_key` at the oracle's key.
+    /// call order, one per `reserve` (a message's too) and `schedule` —
+    /// so every pop must also leave `last_key` at the oracle's key.
     #[test]
-    fn reserved_timers_beside_lane_and_near_events_match_a_key_oracle(
+    fn reserved_timers_beside_a_fifo_and_near_events_match_a_key_oracle(
         seed in any::<u64>(),
         script in prop::collection::vec(0u64..5, 1..300),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut q = EventQueue::new();
+        let mut m = Merged::new();
         let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
         let mut reserved: Vec<EventKey> = Vec::new();
         let mut seq = 0u64;
@@ -397,24 +475,24 @@ proptest! {
             match step {
                 0 | 1 => {
                     let want = oracle.pop_first();
-                    prop_assert_eq!(q.pop(), want.map(|(key, id)| (key.time, id)));
+                    prop_assert_eq!(m.pop(), want.map(|(key, id)| (key.time, id)));
                     if let Some((key, _)) = want {
-                        prop_assert_eq!(q.last_key(), key);
+                        prop_assert_eq!(m.q.last_key(), key);
                     }
                 }
                 2 => {
-                    let time = q.now() + SimDuration::from_millis(2);
-                    q.schedule_in_order(time, id);
+                    let time = m.q.now() + LINK;
+                    m.send(time, id);
                     oracle.insert((next_key(time), id));
                 }
                 3 => {
-                    let time = q.now() + SimDuration::from_micros(1 + g.next_below(100_000));
-                    q.schedule(time, id);
+                    let time = m.q.now() + SimDuration::from_micros(1 + g.next_below(100_000));
+                    m.q.schedule(time, id);
                     oracle.insert((next_key(time), id));
                 }
                 _ => {
-                    let time = q.now() + SimDuration::from_micros(22_500_000 + g.next_below(7_500_000));
-                    let key = q.reserve(time);
+                    let time = m.q.now() + SimDuration::from_micros(22_500_000 + g.next_below(7_500_000));
+                    let key = m.q.reserve(time);
                     prop_assert_eq!(key, next_key(time));
                     reserved.push(key);
                 }
@@ -423,24 +501,24 @@ proptest! {
             // has not passed; one in four is dropped unscheduled.
             if !reserved.is_empty() && g.next_below(3) == 0 {
                 let key = reserved.swap_remove(g.next_below(reserved.len() as u64) as usize);
-                if key > q.last_key() && g.next_below(4) != 0 {
-                    q.schedule_reserved(key, id);
+                if key > m.q.last_key() && g.next_below(4) != 0 {
+                    m.q.schedule_reserved(key, id);
                     oracle.insert((key, id));
                 }
             }
-            prop_assert_eq!(q.len(), oracle.len());
-            prop_assert_eq!(q.peek_time(), oracle.first().map(|(key, _)| key.time));
+            prop_assert_eq!(m.len(), oracle.len());
+            prop_assert_eq!(m.peek_time(), oracle.first().map(|(key, _)| key.time));
         }
         while let Some((key, id)) = oracle.pop_first() {
-            prop_assert_eq!(q.pop(), Some((key.time, id)));
-            prop_assert_eq!(q.last_key(), key);
+            prop_assert_eq!(m.pop(), Some((key.time, id)));
+            prop_assert_eq!(m.q.last_key(), key);
         }
-        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(m.pop(), None);
     }
 
     /// `advance_to(k)` then `schedule_reserved(k)`: the turn of a key that
     /// was passed over without an event is taken back by one scheduled
-    /// under it at once. Events before `k` pop first (from the lane, the
+    /// under it at once. Events before `k` pop first (from the FIFO, the
     /// radix heap, or both, so the radix reference is left anywhere before
     /// `k`); then the clock advances to `k`, events at and after `k.time`
     /// are scheduled, and the event under `k` pops first — it holds the
@@ -453,41 +531,39 @@ proptest! {
         after in prop::collection::vec((any::<bool>(), 0u64..3), 0..40),
     ) {
         let mut g = Xoshiro256StarStar::new(seed);
-        let mut q = EventQueue::new();
-        let k = q.reserve(SimTime::from_micros(30_000_000 + g.next_below(1_000)));
+        let mut m = Merged::new();
+        let k = m.q.reserve(SimTime::from_micros(30_000_000 + g.next_below(1_000)));
         let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
-        let mut lane_tail = SimTime::ZERO;
-        for (id, &in_order) in before.iter().enumerate() {
-            let time = SimTime::from_micros(g.next_below(k.time.as_micros()));
-            if in_order && time >= lane_tail {
-                q.schedule_in_order(time, id as u64);
-                lane_tail = time;
+        // A message goes on the FIFO where that keeps it sorted.
+        let send_or_schedule = |m: &mut Merged, message: bool, time: SimTime, id: u64| {
+            if message && m.fifo.back().is_none_or(|(back, _)| back.time <= time) {
+                m.send(time, id);
             } else {
-                q.schedule(time, id as u64);
+                m.q.schedule(time, id);
             }
+        };
+        for (id, &message) in before.iter().enumerate() {
+            let time = SimTime::from_micros(g.next_below(k.time.as_micros()));
+            send_or_schedule(&mut m, message, time, id as u64);
             oracle.insert((time, id as u64));
         }
-        while let Some(popped) = q.pop() {
+        while let Some(popped) = m.pop() {
             prop_assert_eq!(Some(popped), oracle.pop_first());
         }
-        q.advance_to(k);
-        prop_assert_eq!(q.last_key(), k);
+        m.q.advance_to(k);
+        prop_assert_eq!(m.q.last_key(), k);
         let base = before.len() as u64;
-        for (i, &(in_order, offset)) in after.iter().enumerate() {
+        for (i, &(message, offset)) in after.iter().enumerate() {
             // Offsets 0–2 µs from `k.time`: many events share its instant.
             let time = k.time + SimDuration::from_micros(offset);
             let id = base + i as u64;
-            if in_order {
-                q.schedule_in_order(time, id);
-            } else {
-                q.schedule(time, id);
-            }
+            send_or_schedule(&mut m, message, time, id);
             oracle.insert((time, id));
         }
-        q.schedule_reserved(k, u64::MAX);
-        prop_assert_eq!(q.pop(), Some((k.time, u64::MAX)));
-        prop_assert_eq!(q.last_key(), k);
-        while let Some(popped) = q.pop() {
+        m.q.schedule_reserved(k, u64::MAX);
+        prop_assert_eq!(m.pop(), Some((k.time, u64::MAX)));
+        prop_assert_eq!(m.q.last_key(), k);
+        while let Some(popped) = m.pop() {
             prop_assert_eq!(Some(popped), oracle.pop_first());
         }
         prop_assert!(oracle.is_empty());
