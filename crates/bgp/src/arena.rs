@@ -63,6 +63,9 @@
 //! prefix) with binary-search access rather than a dense row × session
 //! matrix, and it allocates nothing until the first flap is charged.
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use std::ops::Range;
 use std::sync::Arc;
 

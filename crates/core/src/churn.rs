@@ -7,6 +7,9 @@
 //! in the input queue), matching "the number of routing updates received
 //! by nodes" (§2).
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use std::sync::Arc;
 
 use bgpscale_bgp::SessionSlab;
@@ -58,13 +61,17 @@ impl Timeline {
     }
 
     /// Peak-to-mean ratio over non-empty time (0 if nothing recorded).
-    pub fn peak_to_mean(&self) -> f64 { // det::allow(float-accum, reason = "display-only ratio derived from exact integer bins; not part of the serialized report")
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display-only ratio of exact integer bins, one division each, never serialized"
+    )]
+    pub fn peak_to_mean(&self) -> f64 {
         let total: u64 = self.counts.iter().map(|&c| c as u64).sum();
         if total == 0 || self.counts.is_empty() {
             return 0.0;
         }
-        let mean = total as f64 / self.counts.len() as f64; // det::allow(float-accum, reason = "single division of exact integers at render time")
-        self.peak() as f64 / mean // det::allow(float-accum, reason = "single division of exact integers at render time")
+        let mean = total as f64 / self.counts.len() as f64;
+        self.peak() as f64 / mean
     }
 }
 

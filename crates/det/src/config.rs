@@ -6,99 +6,34 @@
 //! allowed. Unknown sections or keys are **errors** (exit 2), so a typo
 //! can never silently disable a rule.
 //!
-//! ```toml
-//! [scan]
-//! include = ["crates", "src", "examples", "tests"]
-//! exclude = ["crates/vendor", "target"]
-//!
-//! [deterministic]
-//! # The tier map, written once: the line rules fire in these paths and
-//! # their `pub fn`s are the entry points of the det-closure pass.
-//! paths = ["crates/simkernel/src", "crates/core/src"]
-//!
-//! [integer-only]
-//! paths = ["crates/obs/src/metrics.rs"]
-//!
-//! [exempt]
-//! # The sanctioned worker-pool module (single lines use an audited
-//! # `// det::allow(rule, reason = "...")` comment instead).
-//! thread-spawn = ["crates/simkernel/src/pool.rs"]
-//!
-//! [wall-side]
-//! # Sanctioned wall-side modules: the deterministic closure must not
-//! # reach these except through an audited crossing, and their files are
-//! # the ones the `wall-clock` line rule waves through.
-//! modules = ["simkernel::wallclock", "simkernel::rss"]
-//!
-//! [hot-paths]
-//! # Roots of the panic-surface pass, matched by qualified-name suffix.
-//! roots = ["core::cevent::run_c_event"]
-//!
-//! [artifact]
-//! stamp = "SCHEMA_VERSION"
-//! # Each entry is an alternation: one alternative must be mentioned in
-//! # the closure of every artifact-writing binary's main.
-//! exit-constants = ["EXIT_OK", "EXIT_VIOLATIONS|EXIT_FAIL", "EXIT_USAGE"]
-//!
-//! [resolve]
-//! # Method names resolved to *no* workspace impl on purpose (too
-//! # ambiguous to attribute); each entry should carry a comment saying
-//! # why.
-//! opaque-methods = []
-//!
-//! [clippy]
-//! # Paths that must stay banned (appear quoted) in <root>/clippy.toml.
-//! required = ["std::collections::HashMap"]
-//! ```
+//! The sections are `[scan]`, `[deterministic]`, `[wall-side]`,
+//! `[hot-paths]`, `[artifact]` and `[resolve]`, with one key per
+//! [`Config`] field; the checked-in `det.toml` at the workspace root is
+//! the annotated example.
 
 use std::path::Path;
 
-use crate::Rule;
-
 /// Parsed `det.toml`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Config {
-    /// Directories (relative to the root) to walk for `.rs` files.
+    /// Directories (relative to the root) to walk; `["."]` if unset.
     pub include: Vec<String>,
     /// Path prefixes to skip entirely.
     pub exclude: Vec<String>,
     /// Path prefixes holding deterministic-tier code.
     pub deterministic: Vec<String>,
-    /// Files (or prefixes) whose counters must stay integral.
-    pub integer_only: Vec<String>,
-    /// Path prefixes of the sanctioned `thread-spawn` modules.
-    pub thread_spawn_exempt: Vec<String>,
     /// Module paths (`crate::module`) of sanctioned wall-side code.
     pub wall_side: Vec<String>,
     /// Qualified-name suffixes of the panic-surface roots.
     pub hot_roots: Vec<String>,
-    /// The identifier every artifact writer must flow through.
+    /// The identifier every artifact writer must flow through
+    /// (`SCHEMA_VERSION` if unset).
     pub stamp: String,
     /// Exit-convention constants; each entry is a `|`-separated
     /// alternation.
     pub exit_constants: Vec<String>,
     /// Method names deliberately left unresolved by the call graph.
     pub opaque_methods: Vec<String>,
-    /// Paths that must appear (as quoted strings) in `clippy.toml`.
-    pub clippy_required: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            include: vec![".".to_string()],
-            exclude: Vec::new(),
-            deterministic: Vec::new(),
-            integer_only: Vec::new(),
-            thread_spawn_exempt: Vec::new(),
-            wall_side: Vec::new(),
-            hot_roots: Vec::new(),
-            stamp: "SCHEMA_VERSION".to_string(),
-            exit_constants: Vec::new(),
-            opaque_methods: Vec::new(),
-            clippy_required: Vec::new(),
-        }
-    }
 }
 
 impl Config {
@@ -111,7 +46,11 @@ impl Config {
 
     /// Parses config text.
     pub fn parse(text: &str) -> Result<Config, String> {
-        let mut cfg = Config::default();
+        let mut cfg = Config {
+            include: vec![".".to_string()],
+            stamp: "SCHEMA_VERSION".to_string(),
+            ..Config::default()
+        };
         let mut section = String::new();
         let mut lines = text.lines().enumerate();
         while let Some((idx, raw)) = lines.next() {
@@ -126,8 +65,8 @@ impl Config {
                     .ok_or_else(|| format!("line {lineno}: unterminated section header"))?;
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "scan" | "deterministic" | "integer-only" | "exempt" | "wall-side"
-                    | "hot-paths" | "artifact" | "resolve" | "clippy" => {}
+                    "scan" | "deterministic" | "wall-side" | "hot-paths" | "artifact"
+                    | "resolve" => {}
                     other => return Err(format!("line {lineno}: unknown section [{other}]")),
                 }
                 continue;
@@ -171,13 +110,10 @@ impl Config {
             ("scan", "include") => &mut self.include,
             ("scan", "exclude") => &mut self.exclude,
             ("deterministic", "paths") => &mut self.deterministic,
-            ("integer-only", "paths") => &mut self.integer_only,
-            ("exempt", "thread-spawn") => &mut self.thread_spawn_exempt,
             ("wall-side", "modules") => &mut self.wall_side,
             ("hot-paths", "roots") => &mut self.hot_roots,
             ("artifact", "exit-constants") => &mut self.exit_constants,
             ("resolve", "opaque-methods") => &mut self.opaque_methods,
-            ("clippy", "required") => &mut self.clippy_required,
             ("", _) => return Err(format!("key `{key}` outside any section")),
             (s, k) => return Err(format!("unknown key `{k}` in section [{s}]")),
         };
@@ -200,26 +136,9 @@ impl Config {
         Config::path_matches(rel, &self.deterministic)
     }
 
-    /// True if the file must stay integer-only.
-    pub fn is_integer_only(&self, rel: &str) -> bool {
-        Config::path_matches(rel, &self.integer_only)
-    }
-
     /// True if the path is excluded from scanning altogether.
     pub fn is_excluded(&self, rel: &str) -> bool {
         Config::path_matches(rel, &self.exclude)
-    }
-
-    /// True if the file is a sanctioned module for the line rule `rule`:
-    /// the `[exempt] thread-spawn` files, and — derived, never listed —
-    /// the files of the `[wall-side]` modules for `wall-clock`. Those
-    /// modules are fenced by the det-closure pass instead.
-    pub fn is_exempt(&self, rel: &str, rule: Rule) -> bool {
-        match rule {
-            Rule::ThreadSpawn => Config::path_matches(rel, &self.thread_spawn_exempt),
-            Rule::WallClock => self.is_wall_side(&crate::items::path_to_module(rel)),
-            _ => false,
-        }
     }
 
     /// True if a function (or module) with this qualified name lives in a
@@ -254,7 +173,7 @@ impl Config {
 }
 
 /// Drops a `#` comment that is not inside a quoted string.
-pub fn strip_toml_comment(line: &str) -> &str {
+fn strip_toml_comment(line: &str) -> &str {
     let mut in_string = false;
     for (i, c) in line.char_indices() {
         match c {
@@ -305,12 +224,6 @@ exclude = [
 [deterministic]
 paths = ["crates/core/src", "crates/simkernel/src"]
 
-[integer-only]
-paths = ["crates/obs/src/metrics.rs"]
-
-[exempt]
-thread-spawn = ["crates/simkernel/src/pool.rs"]
-
 [wall-side]
 modules = ["simkernel::wallclock"]
 
@@ -323,9 +236,6 @@ exit-constants = ["EXIT_OK", "EXIT_VIOLATIONS|EXIT_FAIL"]
 
 [resolve]
 opaque-methods = ["drop"]
-
-[clippy]
-required = ["std::collections::HashMap"]
 "#;
 
     #[test]
@@ -335,9 +245,6 @@ required = ["std::collections::HashMap"]
         assert_eq!(cfg.exclude, ["crates/vendor", "target"]);
         assert!(cfg.is_deterministic("crates/core/src/sim.rs"));
         assert!(!cfg.is_deterministic("crates/core/tests/prop.rs"));
-        assert!(cfg.is_integer_only("crates/obs/src/metrics.rs"));
-        assert!(cfg.is_exempt("crates/simkernel/src/pool.rs", Rule::ThreadSpawn));
-        assert!(!cfg.is_exempt("crates/simkernel/src/pool.rs", Rule::WallClock));
         assert!(cfg.is_wall_side("simkernel::wallclock::Stopwatch::start"));
         assert!(!cfg.is_wall_side("simkernel::wallclock_adjacent::f"));
         assert!(cfg.is_hot_root("core::cevent::run_c_event"));
@@ -349,18 +256,6 @@ required = ["std::collections::HashMap"]
             ["EXIT_FAIL", "EXIT_OK", "EXIT_VIOLATIONS"]
         );
         assert_eq!(cfg.opaque_methods, ["drop"]);
-        assert_eq!(cfg.clippy_required, ["std::collections::HashMap"]);
-    }
-
-    #[test]
-    fn wall_clock_exemption_is_derived_from_wall_side_modules() {
-        let cfg = Config::parse(SAMPLE).unwrap();
-        assert!(cfg.is_exempt("crates/simkernel/src/wallclock.rs", Rule::WallClock));
-        assert!(cfg.is_exempt("crates/simkernel/src/wallclock/unix.rs", Rule::WallClock));
-        assert!(!cfg.is_exempt("crates/simkernel/src/wallclock2.rs", Rule::WallClock));
-        assert!(!cfg.is_exempt("crates/simkernel/src/rss.rs", Rule::WallClock));
-        // Only `wall-clock` is waved through there; the other rules stay armed.
-        assert!(!cfg.is_exempt("crates/simkernel/src/wallclock.rs", Rule::EnvRead));
     }
 
     #[test]
@@ -369,10 +264,16 @@ required = ["std::collections::HashMap"]
         assert!(Config::parse("[scan]\nincl = [\"x\"]").is_err());
         assert!(Config::parse("[artifact]\nstamp = unquoted").is_err());
         assert!(Config::parse("include = [\"before any section\"]").is_err());
-        // The retired sections and the retired per-rule exemption list.
-        assert!(Config::parse("[rules]\nwall-clock = true").is_err());
-        assert!(Config::parse("[coherence]\nclippy-config = \"clippy.toml\"").is_err());
-        assert!(Config::parse("[exempt]\nwall-clock = [\"x\"]").is_err());
+        // The retired sections: the token-level bans live in clippy.toml.
+        for retired in [
+            "[rules]",
+            "[coherence]",
+            "[exempt]",
+            "[integer-only]",
+            "[clippy]",
+        ] {
+            assert!(Config::parse(&format!("{retired}\npaths = [\"x\"]")).is_err());
+        }
     }
 
     #[test]

@@ -2,13 +2,9 @@
 //!
 //! Each immediate subdirectory of the fixtures root holding a `det.toml`
 //! is one **case**: a miniature workspace with its own config. Expected
-//! findings are marked in-band, rustc-style —
-//!
-//! * `//~ rule-id` trailing a line in a scanned `.rs` file,
-//! * `#~ rule-id` trailing a line in the case's `det.toml` or
-//!   `clippy.toml` (coherence findings anchor in config files),
-//!
-//! and a marker may list several space-separated rule ids. The self-test
+//! findings are marked in-band, rustc-style, by a `//~ rule-id` trailing
+//! the anchor line in a scanned `.rs` file; a marker may list several
+//! space-separated rule ids. The self-test
 //! runs the full analyzer over each case and demands **exact (file, line,
 //! rule) set equality in both directions**: a rule that fails to fire
 //! where marked is a missed detection (a span drift counts), a finding
@@ -17,7 +13,7 @@
 //! audited allows that must produce nothing.
 //!
 //! Fixtures are never compiled; they are analyzer input only, which lets
-//! them seed hazards (`thread_rng`, stray `Instant::now`) without
+//! them seed hazards (`getrandom`, stray `Instant::now`) without
 //! dragging those patterns anywhere near the build.
 
 use std::collections::BTreeSet;
@@ -91,12 +87,10 @@ pub fn run(fixroot: &Path) -> Result<Report, String> {
             .map(|d| (d.file.clone(), d.line, d.rule))
             .collect();
         let mut expected = BTreeSet::new();
-        let marked = analysis.files.iter().map(String::as_str);
-        for rel in marked.chain(["det.toml", "clippy.toml"]) {
-            // Only the config files may be absent.
-            if let Ok(text) = std::fs::read_to_string(dir.join(rel)) {
-                collect_markers(rel, &text, &mut expected)?;
-            }
+        for rel in &analysis.files {
+            let text = std::fs::read_to_string(dir.join(rel))
+                .map_err(|e| format!("cannot read {rel}: {e}"))?;
+            collect_markers(rel, &text, &mut expected)?;
         }
         report.cases.push(CaseResult {
             name: dir
@@ -112,14 +106,13 @@ pub fn run(fixroot: &Path) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Extracts the `//~ rule [rule…]` (`#~` in `.toml`) markers of one file.
+/// Extracts the `//~ rule [rule…]` markers of one file.
 fn collect_markers(rel: &str, text: &str, out: &mut BTreeSet<Anchor>) -> Result<(), String> {
-    let marker = if rel.ends_with(".toml") { "#~" } else { "//~" };
     for (idx, line) in text.lines().enumerate() {
-        let Some(pos) = line.find(marker) else {
+        let Some((_, ids)) = line.split_once("//~") else {
             continue;
         };
-        for id in line[pos + marker.len()..].split_whitespace() {
+        for id in ids.split_whitespace() {
             let rule = Rule::from_id(id).ok_or_else(|| {
                 format!("{rel}:{}: unknown rule `{id}` in fixture marker", idx + 1)
             })?;

@@ -104,6 +104,13 @@ impl Graph {
             }
             crate_ids.insert(&n.crate_id);
         }
+        let ix = Index {
+            nodes: &nodes,
+            by_qname: &by_qname,
+            by_name,
+            by_suffix,
+            crate_ids,
+        };
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
         let opaque: BTreeSet<&str> = cfg.opaque_methods.iter().map(String::as_str).collect();
@@ -114,58 +121,27 @@ impl Graph {
                 .map(|u| (u.alias.as_str(), u.path.as_slice()))
                 .collect();
             for item in &f.fns {
-                let Some(&ni) = by_qname.get(&item.qname) else {
+                // The node of *this* declaration, even on a qname collision.
+                let key = (&item.qname, &f.rel, item.line);
+                let Ok(ni) =
+                    nodes.binary_search_by(|n| (&n.item.qname, &n.file, n.item.line).cmp(&key))
+                else {
                     continue;
-                };
-                // Collided qname: make sure we attach to *this* item's node.
-                let ni = if nodes[ni].item.line == item.line && nodes[ni].file == f.rel {
-                    ni
-                } else {
-                    match nodes
-                        .iter()
-                        .position(|n| n.file == f.rel && n.item.line == item.line)
-                    {
-                        Some(i) => i,
-                        None => continue,
-                    }
                 };
                 for call in &item.calls {
                     let mut targets: Vec<EdgeTarget> = Vec::new();
                     match &call.kind {
                         CallKind::Macro(_) => continue,
-                        CallKind::Method(name) => {
-                            if opaque.contains(name.as_str()) {
-                                targets.push(EdgeTarget::Opaque(name.clone()));
-                            } else {
-                                match by_method.get(name.as_str()) {
-                                    Some(cands) => {
-                                        targets.extend(cands.iter().map(|&c| EdgeTarget::Node(c)))
-                                    }
-                                    None => targets.push(EdgeTarget::Opaque(name.clone())),
-                                }
+                        CallKind::Method(name) => match by_method.get(name.as_str()) {
+                            Some(cands) if !opaque.contains(name.as_str()) => {
+                                targets.extend(cands.iter().map(|&c| EdgeTarget::Node(c)))
                             }
-                        }
-                        CallKind::Path(segs) => {
-                            resolve_path(
-                                segs,
-                                f,
-                                item,
-                                &uses,
-                                &by_qname,
-                                &by_name,
-                                &by_suffix,
-                                &crate_ids,
-                                &nodes,
-                                &mut targets,
-                            );
-                        }
+                            _ => targets.push(EdgeTarget::Opaque(name.clone())),
+                        },
+                        CallKind::Path(segs) => ix.resolve_path(segs, f, item, &uses, &mut targets),
                     }
-                    for t in targets {
-                        edges[ni].push(Edge {
-                            line: call.line,
-                            target: t,
-                        });
-                    }
+                    let line = call.line;
+                    edges[ni].extend(targets.into_iter().map(|target| Edge { line, target }));
                 }
             }
         }
@@ -186,112 +162,94 @@ impl Graph {
     }
 }
 
-/// Resolves one qualified or bare path call into edge targets.
-#[allow(clippy::too_many_arguments)]
-fn resolve_path(
-    segs: &[String],
-    f: &FileItems,
-    item: &FnItem,
-    uses: &BTreeMap<&str, &[String]>,
-    by_qname: &BTreeMap<String, usize>,
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    by_suffix: &BTreeMap<String, Vec<usize>>,
-    crate_ids: &BTreeSet<&str>,
-    nodes: &[Node],
-    out: &mut Vec<EdgeTarget>,
-) {
-    // Expand a leading import alias, then crate-relative prefixes.
-    let mut path: Vec<String> = segs.to_vec();
-    if let Some(&target) = uses.get(path[0].as_str()) {
-        let mut p: Vec<String> = target.to_vec();
-        p.extend(path.into_iter().skip(1));
-        path = p;
-    }
-    if path[0] == "Self" {
-        let mut p = vec![f.crate_id.clone()];
-        p.extend(f.modules.iter().cloned());
-        if let Some(owner) = &item.owner {
-            p.push(owner.clone());
+/// The name indexes call resolution looks up, over the sorted nodes.
+struct Index<'a> {
+    nodes: &'a [Node],
+    by_qname: &'a BTreeMap<String, usize>,
+    by_name: BTreeMap<&'a str, Vec<usize>>,
+    by_suffix: BTreeMap<String, Vec<usize>>,
+    crate_ids: BTreeSet<&'a str>,
+}
+
+impl Index<'_> {
+    /// Resolves one qualified or bare path call into edge targets.
+    fn resolve_path(
+        &self,
+        segs: &[String],
+        f: &FileItems,
+        item: &FnItem,
+        uses: &BTreeMap<&str, &[String]>,
+        out: &mut Vec<EdgeTarget>,
+    ) {
+        // Expand a leading import alias, then crate-relative prefixes.
+        let module: Vec<String> = std::iter::once(&f.crate_id)
+            .chain(&f.modules)
+            .cloned()
+            .collect();
+        let mut path: Vec<String> = match uses.get(segs[0].as_str()) {
+            Some(&target) => target.iter().chain(&segs[1..]).cloned().collect(),
+            None => segs.to_vec(),
+        };
+        if path[0] == "Self" {
+            path = module
+                .iter()
+                .chain(&item.owner)
+                .chain(&path[1..])
+                .cloned()
+                .collect();
         }
-        p.extend(path.into_iter().skip(1));
-        path = p;
-    }
-    let path = crate::items::normalize_prefix(path, &f.crate_id, &f.modules);
-    let joined = path.join("::");
+        let path = crate::items::normalize_prefix(path, &f.crate_id, &f.modules);
+        let joined = path.join("::");
 
-    // 1. Exact qualified name.
-    if let Some(&i) = by_qname.get(&joined) {
-        out.push(EdgeTarget::Node(i));
-        return;
-    }
-
-    let name = path.last().expect("nonempty path").clone();
-    if path.len() == 1 {
-        // 2. Bare name: same module, owner type, glob imports.
-        let mut full = vec![f.crate_id.clone()];
-        full.extend(f.modules.iter().cloned());
-        full.push(name.clone());
-        if let Some(&i) = by_qname.get(&full.join("::")) {
+        // 1. Exact qualified name.
+        if let Some(&i) = self.by_qname.get(&joined) {
             out.push(EdgeTarget::Node(i));
             return;
         }
-        if let Some(owner) = &item.owner {
-            let mut full = vec![f.crate_id.clone()];
-            full.extend(f.modules.iter().cloned());
-            full.push(owner.clone());
-            full.push(name.clone());
-            if let Some(&i) = by_qname.get(&full.join("::")) {
-                out.push(EdgeTarget::Node(i));
+
+        let name = path.last().expect("nonempty path");
+        let found = if path.len() == 1 {
+            // 2. Bare name: same module, owner type, glob imports.
+            let here = module.join("::");
+            let scopes = std::iter::once(here.clone())
+                .chain(item.owner.iter().map(|o| format!("{here}::{o}")))
+                .chain(f.globs.iter().map(|g| g.join("::")));
+            if let Some(i) = scopes
+                .filter_map(|s| self.by_qname.get(&format!("{s}::{name}")))
+                .next()
+            {
+                out.push(EdgeTarget::Node(*i));
                 return;
             }
+            // 4. Same-crate free function of that name, anywhere.
+            self.named_in(name, &f.crate_id, true)
+        } else if let Some(cands) = self
+            .by_suffix
+            .get(&format!("{}::{name}", path[path.len() - 2]))
+        {
+            // 3. `Type::name` suffix match (types travel under bare names).
+            cands.clone()
+        } else if self.crate_ids.contains(path[0].as_str()) {
+            // 5. Crate-qualified name match (`simkernel::hash64` where the
+            // fn is re-exported from a submodule).
+            self.named_in(name, &path[0], false)
+        } else {
+            Vec::new()
+        };
+        if found.is_empty() {
+            out.push(EdgeTarget::External(joined));
+        } else {
+            out.extend(found.into_iter().map(EdgeTarget::Node));
         }
-        for g in &f.globs {
-            let mut full = g.clone();
-            full.push(name.clone());
-            if let Some(&i) = by_qname.get(&full.join("::")) {
-                out.push(EdgeTarget::Node(i));
-                return;
-            }
-        }
-        // 4. Same-crate free function of that name, anywhere.
-        if let Some(cands) = by_name.get(name.as_str()) {
-            let same: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&c| nodes[c].crate_id == f.crate_id && nodes[c].item.owner.is_none())
-                .collect();
-            if !same.is_empty() {
-                out.extend(same.into_iter().map(EdgeTarget::Node));
-                return;
-            }
-        }
-        out.push(EdgeTarget::External(joined));
-        return;
     }
 
-    // 3. `Type::name` suffix match (types travel under bare names).
-    let suffix = format!("{}::{name}", path[path.len() - 2]);
-    if let Some(cands) = by_suffix.get(&suffix) {
-        out.extend(cands.iter().map(|&c| EdgeTarget::Node(c)));
-        return;
+    /// The workspace fns called `name` in crate `krate`, only free ones
+    /// if `free_only`.
+    fn named_in(&self, name: &str, krate: &str, free_only: bool) -> Vec<usize> {
+        let keep = |n: &Node| n.crate_id == krate && !(free_only && n.item.owner.is_some());
+        let cands = self.by_name.get(name).into_iter().flatten();
+        cands.copied().filter(|&c| keep(&self.nodes[c])).collect()
     }
-
-    // 5. Crate-qualified name match (`simkernel::hash64` where the fn
-    // is re-exported from a submodule).
-    if crate_ids.contains(path[0].as_str()) {
-        if let Some(cands) = by_name.get(name.as_str()) {
-            let same: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&c| nodes[c].crate_id == path[0])
-                .collect();
-            if !same.is_empty() {
-                out.extend(same.into_iter().map(EdgeTarget::Node));
-                return;
-            }
-        }
-    }
-    out.push(EdgeTarget::External(joined));
 }
 
 #[cfg(test)]

@@ -25,7 +25,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::lex::Token;
 use crate::source::SourceFile;
 
 /// Method names whose call panics on `None`/`Err`.
@@ -175,15 +174,6 @@ pub fn module_of(rel: &str) -> (String, Vec<String>) {
         modules.pop();
     }
     (crate_id, modules)
-}
-
-/// Maps a source path to its module path: `crates/obs/src/span.rs` →
-/// `obs::span`.
-pub fn path_to_module(rel: &str) -> String {
-    let (crate_id, mods) = module_of(rel);
-    let mut parts = vec![crate_id];
-    parts.extend(mods);
-    parts.join("::")
 }
 
 /// True when `needle` occurs in `hay` as a whole identifier.
@@ -336,7 +326,7 @@ fn innermost_owner(scopes: &[Scope]) -> Option<&str> {
 #[allow(clippy::too_many_arguments)]
 fn scan_tokens(
     out: &mut FileItems,
-    toks: &[Token],
+    toks: &[String],
     lineno: usize,
     needles: &Needles,
     scopes: &mut Vec<Scope>,
@@ -346,7 +336,7 @@ fn scan_tokens(
 ) {
     let mut i = 0;
     while i < toks.len() {
-        let t = toks[i].text.as_str();
+        let t = toks[i].as_str();
 
         // Inside a macro_rules! body: only track braces to find its end.
         if matches!(scopes.last().map(|s| &s.kind), Some(ScopeKind::Macro)) {
@@ -411,7 +401,7 @@ fn scan_tokens(
                 };
                 *pending_head = Some(Head::new(kind, t, lineno, has_pub_before(toks, i)));
             }
-            "macro_rules" if toks.get(i + 1).map(|n| n.text.as_str()) == Some("!") => {
+            "macro_rules" if toks.get(i + 1).map(|n| n.as_str()) == Some("!") => {
                 *pending_head = Some(Head::new(HeadKind::Macro, t, lineno, false));
                 i += 1; // consume the `!` as part of the head
             }
@@ -422,7 +412,7 @@ fn scan_tokens(
             }
             "[" => {
                 let indexing = i > 0
-                    && match toks[i - 1].text.as_str() {
+                    && match toks[i - 1].as_str() {
                         ")" | "]" => true,
                         // Identifier or tuple-field receiver (`w.0[1]`).
                         prev => {
@@ -440,7 +430,7 @@ fn scan_tokens(
                 }
             }
             ident if is_ident(ident) => {
-                let next = toks.get(i + 1).map(|n| n.text.as_str());
+                let next = toks.get(i + 1).map(|n| n.as_str());
                 if needles.exits.iter().any(|e| e == ident) {
                     if let Some(fi) = innermost_fn(scopes) {
                         out.fns[fi].mentions.insert(ident.to_string());
@@ -503,12 +493,12 @@ fn feed_head(head: &mut Head, t: &str) -> HeadEnd {
 }
 
 /// Scans backwards on the current line for a `pub` qualifier.
-fn has_pub_before(toks: &[Token], i: usize) -> bool {
+fn has_pub_before(toks: &[String], i: usize) -> bool {
     const SKIP: [&str; 10] = [
         "(", ")", "crate", "super", "self", "in", "const", "unsafe", "extern", "async",
     ];
     for t in toks[..i].iter().rev() {
-        let t = t.text.as_str();
+        let t = t.as_str();
         if t == "pub" {
             return true;
         }
@@ -637,43 +627,43 @@ fn impl_owner(toks: &[String]) -> String {
 
 /// Records a path or method call ending at the identifier `i` (which is
 /// followed by `(`), attaching panic/writer facts as warranted.
-fn record_call(out: &mut FileItems, toks: &[Token], i: usize, lineno: usize, scopes: &[Scope]) {
+fn record_call(out: &mut FileItems, toks: &[String], i: usize, lineno: usize, scopes: &[Scope]) {
     let Some(fi) = innermost_fn(scopes) else {
         return;
     };
     // Walk the `::`-separated path backwards, skipping turbofish groups.
-    let mut segs = vec![toks[i].text.clone()];
+    let mut segs = vec![toks[i].clone()];
     let mut j = i;
     loop {
-        if j < 2 || toks[j - 1].text != "::" {
+        if j < 2 || toks[j - 1] != "::" {
             break;
         }
         let mut k = j - 2;
-        if toks[k].text == ">" {
+        if toks[k] == ">" {
             // `Type::<T>::name`: skip back over the generic group.
             let mut depth = 1i32;
             let mut m = k;
             while m > 0 && depth > 0 {
                 m -= 1;
-                match toks[m].text.as_str() {
+                match toks[m].as_str() {
                     ">" => depth += 1,
                     "<" => depth -= 1,
                     _ => {}
                 }
             }
-            if m < 2 || depth != 0 || toks[m - 1].text != "::" {
+            if m < 2 || depth != 0 || toks[m - 1] != "::" {
                 break;
             }
             k = m - 2;
         }
-        if is_ident(&toks[k].text) {
-            segs.insert(0, toks[k].text.clone());
+        if is_ident(&toks[k]) {
+            segs.insert(0, toks[k].clone());
             j = k;
         } else {
             break;
         }
     }
-    let is_method = j > 0 && toks[j - 1].text == ".";
+    let is_method = j > 0 && toks[j - 1] == ".";
     let name = segs.last().expect("nonempty path").clone();
 
     if PANIC_METHODS.contains(&name.as_str()) {
@@ -865,16 +855,6 @@ mod tests {
             module_of("det/entry.rs"),
             ("det".to_string(), vec!["entry".to_string()])
         );
-    }
-
-    #[test]
-    fn path_to_module_matches_workspace_layout() {
-        assert_eq!(
-            path_to_module("crates/simkernel/src/wallclock.rs"),
-            "simkernel::wallclock"
-        );
-        assert_eq!(path_to_module("crates/obs/src/span.rs"), "obs::span");
-        assert_eq!(path_to_module("util/sanctioned.rs"), "util::sanctioned");
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Line-oriented Rust lexing: comment/string stripping and tokenizing.
 //!
-//! Every file is lexed **once** (by [`crate::source`]); the line rules
-//! and the call-graph passes both read the same stripped lines, so they
-//! can never disagree about what is code and what is comment or literal.
+//! Every file is lexed **once** (by [`crate::source`]); item extraction
+//! and the allow ledger read the same stripped lines, so they can never
+//! disagree about what is code and what is comment or literal.
 //!
 //! The scanner works line by line but keeps cross-line state (nested block
-//! comments, multi-line plain and raw strings), so a rule token inside a
-//! doc comment, a string literal, or an HTML template never fires — and
-//! code after a literal's closing quote is never mistaken for one. Stripped
-//! characters are replaced with spaces, which preserves column positions
-//! for diagnostics.
+//! comments, multi-line plain and raw strings), so a call named inside a
+//! doc comment, a string literal, or an HTML template never becomes an
+//! edge — and code after a literal's closing quote is never mistaken for
+//! one. Stripped characters are replaced with spaces, which keeps every
+//! column where it was.
 //!
 //! This is deliberately *not* a full Rust lexer — it is the smallest
-//! state machine that is sound for the hazard patterns we match: exact
-//! identifiers and `::` paths. The classic pitfalls are covered:
+//! state machine that is sound for what the extractor reads: identifiers
+//! and `::` paths. The classic pitfalls are covered:
 //! `'"'` char literals, lifetimes (`&'a str`), nested `/* /* */ */`
 //! comments, and `"..."` / `r#"..."#` strings spanning lines.
 
@@ -47,10 +47,6 @@ pub struct Line {
 }
 
 impl Lexer {
-    pub fn new() -> Lexer {
-        Lexer::default()
-    }
-
     /// Strips one line, updating cross-line state.
     pub fn strip_line(&mut self, line: &str) -> Line {
         let chars: Vec<char> = line.chars().collect();
@@ -60,6 +56,8 @@ impl Lexer {
         let mut i = 0;
         if self.in_string {
             i = self.skip_string_body(&chars, 0, &mut out);
+        } else if let Some(hashes) = self.raw_string {
+            i = self.skip_raw_body(&chars, 0, hashes, &mut out);
         }
         while i < chars.len() {
             let c = chars[i];
@@ -73,19 +71,6 @@ impl Lexer {
                     self.block_comment += 1;
                     out.push_str("  ");
                     i += 2;
-                } else {
-                    out.push(' ');
-                    i += 1;
-                }
-                continue;
-            }
-            if let Some(hashes) = self.raw_string {
-                if c == '"' && chars[i + 1..].iter().take_while(|&&h| h == '#').count() >= hashes {
-                    for _ in 0..=hashes {
-                        out.push(' ');
-                    }
-                    i += 1 + hashes;
-                    self.raw_string = None;
                 } else {
                     out.push(' ');
                     i += 1;
@@ -108,8 +93,7 @@ impl Lexer {
                     i = self.skip_string_body(&chars, i + 1, &mut out);
                 }
                 'r' | 'b' if Self::starts_raw_or_byte_string(&chars, i) => {
-                    // Keep the prefix letters as spaces too; literals carry
-                    // no tokens we match.
+                    // The prefix letters become spaces too.
                     i = self.skip_prefixed_string(&chars, i, &mut out);
                 }
                 '\'' => {
@@ -132,25 +116,14 @@ impl Lexer {
     /// *and* is not the tail of a longer identifier (`attr"` is not valid
     /// Rust anyway, but `for r in…` must not trip this).
     fn starts_raw_or_byte_string(chars: &[char], i: usize) -> bool {
-        if i > 0 {
-            let prev = chars[i - 1];
-            if prev.is_alphanumeric() || prev == '_' {
-                return false;
-            }
-        }
-        let mut j = i;
-        if chars.get(j) == Some(&'b') {
-            j += 1;
-        }
+        let ident_tail = i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_');
+        let mut j = i + usize::from(chars[i] == 'b');
         let raw = chars.get(j) == Some(&'r');
         if raw {
-            j += 1;
-            while chars.get(j) == Some(&'#') {
-                j += 1;
-            }
+            j += 1 + chars[j + 1..].iter().take_while(|&&c| c == '#').count();
         }
         // `b"…"` (j == i+1, no r) or `r…"`/`br…"`.
-        chars.get(j) == Some(&'"') && (raw || j == i + 1)
+        !ident_tail && chars.get(j) == Some(&'"') && (raw || j == i + 1)
     }
 
     /// Consumes the body of a plain `"…"` string from `i` (just past the
@@ -169,9 +142,7 @@ impl Lexer {
                 }
                 _ => 1,
             };
-            for _ in 0..step {
-                out.push(' ');
-            }
+            out.extend(std::iter::repeat_n(' ', step));
             i += step;
             if !self.in_string {
                 break;
@@ -180,51 +151,50 @@ impl Lexer {
         i
     }
 
-    /// Consumes a raw or byte string starting at the `r`/`b` prefix. If a
-    /// raw string does not close on this line, records the open delimiter
-    /// in `self.raw_string`.
-    fn skip_prefixed_string(&mut self, chars: &[char], mut i: usize, out: &mut String) -> usize {
-        let mut raw = false;
-        if chars.get(i) == Some(&'b') {
-            out.push(' ');
-            i += 1;
+    /// Consumes a raw or byte string starting at the `r`/`b` prefix.
+    fn skip_prefixed_string(&mut self, chars: &[char], i: usize, out: &mut String) -> usize {
+        // The prefix is `b`, `r` or `br`, then the hashes, then the quote.
+        let quote = (i..chars.len())
+            .find(|&j| chars[j] == '"')
+            .unwrap_or(chars.len());
+        let prefix = &chars[i..quote];
+        out.extend(std::iter::repeat_n(' ', quote + 1 - i));
+        if prefix.contains(&'r') {
+            let hashes = prefix.iter().filter(|&&c| c == '#').count();
+            self.skip_raw_body(chars, quote + 1, hashes, out)
+        } else {
+            self.skip_string_body(chars, quote + 1, out)
         }
-        if chars.get(i) == Some(&'r') {
-            raw = true;
-            out.push(' ');
-            i += 1;
-        }
-        let mut hashes = 0;
-        while chars.get(i) == Some(&'#') {
-            hashes += 1;
-            out.push(' ');
-            i += 1;
-        }
-        debug_assert_eq!(chars.get(i), Some(&'"'));
-        out.push(' ');
-        i += 1;
-        if !raw {
-            return self.skip_string_body(chars, i, out);
-        }
-        while i < chars.len() {
-            if chars[i] == '"' && chars[i + 1..].iter().take_while(|&&h| h == '#').count() >= hashes
-            {
-                for _ in 0..=hashes {
-                    out.push(' ');
-                }
-                return i + 1 + hashes;
-            }
-            out.push(' ');
-            i += 1;
-        }
+    }
+
+    /// Consumes a raw string body from `i` through its closing `"` and
+    /// `hashes` hashes, pushing spaces. A body that does not close on
+    /// this line stays open in `self.raw_string`.
+    fn skip_raw_body(
+        &mut self,
+        chars: &[char],
+        mut i: usize,
+        hashes: usize,
+        out: &mut String,
+    ) -> usize {
         self.raw_string = Some(hashes);
+        while i < chars.len() {
+            let closes = chars[i] == '"'
+                && chars[i + 1..].iter().take_while(|&&h| h == '#').count() >= hashes;
+            let step = if closes { 1 + hashes } else { 1 };
+            out.extend(std::iter::repeat_n(' ', step));
+            i += step;
+            if closes {
+                self.raw_string = None;
+                break;
+            }
+        }
         i
     }
 
     /// Disambiguates a `'` at `i`: a char literal (`'x'`, `'\n'`, `'"'`)
     /// is stripped; a lifetime tick (`&'a str`) is replaced by a space and
-    /// the following identifier lexes normally (lifetimes never collide
-    /// with our patterns — none is a bare hazard identifier).
+    /// the following identifier lexes normally.
     fn skip_char_or_lifetime(chars: &[char], i: usize, out: &mut String) -> usize {
         if chars.get(i + 1) == Some(&'\\') {
             // Escaped char literal: strip to the closing quote.
@@ -233,9 +203,7 @@ impl Lexer {
                 j += 1;
             }
             let end = (j + 1).min(chars.len());
-            for _ in i..end {
-                out.push(' ');
-            }
+            out.extend(std::iter::repeat_n(' ', end - i));
             return end;
         }
         if chars.get(i + 2) == Some(&'\'') && chars.get(i + 1).is_some() {
@@ -247,16 +215,9 @@ impl Lexer {
     }
 }
 
-/// One token of stripped code: its 0-based char column and text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
-    pub col: usize,
-    pub text: String,
-}
-
 /// Tokenizes stripped code: identifiers, numbers, `::`, and single
 /// punctuation characters. Whitespace separates.
-pub fn tokenize(code: &str) -> Vec<Token> {
+pub fn tokenize(code: &str) -> Vec<String> {
     let chars: Vec<char> = code.chars().collect();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -269,10 +230,7 @@ pub fn tokenize(code: &str) -> Vec<Token> {
             while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                 i += 1;
             }
-            tokens.push(Token {
-                col: start,
-                text: chars[start..i].iter().collect(),
-            });
+            tokens.push(chars[start..i].iter().collect());
         } else if c.is_ascii_digit() {
             // A numeric literal, including any type suffix (`1.0f64`):
             // one token, so suffixes never masquerade as type identifiers.
@@ -282,21 +240,12 @@ pub fn tokenize(code: &str) -> Vec<Token> {
             {
                 i += 1;
             }
-            tokens.push(Token {
-                col: start,
-                text: chars[start..i].iter().collect(),
-            });
+            tokens.push(chars[start..i].iter().collect());
         } else if c == ':' && chars.get(i + 1) == Some(&':') {
-            tokens.push(Token {
-                col: i,
-                text: "::".to_string(),
-            });
+            tokens.push("::".to_string());
             i += 2;
         } else {
-            tokens.push(Token {
-                col: i,
-                text: c.to_string(),
-            });
+            tokens.push(c.to_string());
             i += 1;
         }
     }
@@ -346,13 +295,13 @@ mod tests {
     use super::*;
 
     fn strip(src: &str) -> Vec<String> {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         src.lines().map(|l| lx.strip_line(l).code).collect()
     }
 
     #[test]
     fn line_comments_are_stripped_and_captured() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line("let x = 1; // HashMap here");
         assert_eq!(line.code, "let x = 1; ");
         assert_eq!(line.comment.as_deref(), Some(" HashMap here"));
@@ -360,7 +309,7 @@ mod tests {
 
     #[test]
     fn strings_are_stripped_column_preserving() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line(r#"let s = "Instant::now"; let y = 2;"#);
         assert!(!line.code.contains("Instant"));
         assert_eq!(
@@ -372,7 +321,7 @@ mod tests {
 
     #[test]
     fn escaped_quote_in_string_does_not_end_it() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line(r#"let s = "a\"HashMap"; ok()"#);
         assert!(!line.code.contains("HashMap"));
         assert!(line.code.contains("ok()"));
@@ -402,7 +351,7 @@ mod tests {
         assert!(!out[2].contains("SystemTime"));
         assert!(out[2].contains(", tail())"));
         // `//` inside a continued literal is not a comment.
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         lx.strip_line("let u = \"see \\");
         let line = lx.strip_line("    http://x\"; g()");
         assert_eq!(line.comment, None);
@@ -418,7 +367,7 @@ mod tests {
 
     #[test]
     fn char_literal_with_quote_and_lifetimes() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line(r#"if c == '"' { f::<&'a str>(HashMap) }"#);
         // The '"' char literal must not open a string that swallows the rest.
         assert!(line.code.contains("HashMap"));
@@ -428,7 +377,7 @@ mod tests {
 
     #[test]
     fn r_identifier_is_not_a_raw_string() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line(r#"for r in rows { use_it(r, "x") }"#);
         assert!(line.code.contains("for r in rows"));
     }
@@ -436,16 +385,15 @@ mod tests {
     #[test]
     fn tokenizer_yields_idents_and_paths() {
         let toks = tokenize("std::thread::spawn(f)");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks.iter().map(String::as_str).collect();
         assert_eq!(texts, ["std", "::", "thread", "::", "spawn", "(", "f", ")"]);
-        assert_eq!(toks[2].col, 5);
     }
 
     #[test]
     fn allow_directive_parses_and_rejects() {
         assert_eq!(
-            parse_allow(" det::allow(wall-clock, reason = \"bench only\")"),
-            Some(Ok((Rule::WallClock, "bench only".to_string())))
+            parse_allow(" det::allow(det-closure, reason = \"bench only\")"),
+            Some(Ok((Rule::DetClosure, "bench only".to_string())))
         );
         let graph =
             parse_allow(" det::allow(panic-surface, reason = \"in bounds by construction\")");
@@ -453,25 +401,30 @@ mod tests {
         // The retired per-tool prefixes are not directives at all.
         for old in ["detlint", "detflow"] {
             assert_eq!(
-                parse_allow(&format!(" {old}::allow(wall-clock, reason = \"y\")")),
+                parse_allow(&format!(" {old}::allow(det-closure, reason = \"y\")")),
                 None
             );
         }
-        // Malformed: missing reason, unknown rule, empty reason.
-        assert_eq!(parse_allow(" det::allow(env-read)"), Some(Err(())));
+        // Malformed: missing reason, unknown rule, empty reason, and a
+        // token-level rule that is clippy's now.
+        assert_eq!(parse_allow(" det::allow(det-closure)"), Some(Err(())));
         assert_eq!(
             parse_allow(" det::allow(no-such-rule, reason = \"x\")"),
             Some(Err(()))
         );
         assert_eq!(
-            parse_allow(" det::allow(env-read, reason = \" \")"),
+            parse_allow(" det::allow(det-closure, reason = \" \")"),
+            Some(Err(()))
+        );
+        assert_eq!(
+            parse_allow(" det::allow(wall-clock, reason = \"x\")"),
             Some(Err(()))
         );
     }
 
     #[test]
     fn comment_col_points_at_the_slashes() {
-        let mut lx = Lexer::new();
+        let mut lx = Lexer::default();
         let line = lx.strip_line("let x = 1; // trailing");
         assert_eq!(line.comment_col, Some(11));
         let none = lx.strip_line("let y = 2;");
@@ -481,7 +434,7 @@ mod tests {
     #[test]
     fn numeric_suffixes_do_not_split() {
         let toks = tokenize("let x = 1.0f64 + y_f64;");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks.iter().map(String::as_str).collect();
         assert!(texts.contains(&"1.0f64"));
         assert!(texts.contains(&"y_f64"));
         assert!(!texts.contains(&"f64"));

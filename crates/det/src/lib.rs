@@ -8,55 +8,36 @@
 //! the Fig. 1 trends) are trustworthy because the harness promises
 //! byte-identical `ChurnReport` / `metrics.json` / `timeseries.json` for
 //! *any* `--jobs` value. Runtime regression tests sample that contract at
-//! jobs = 1/4/8; `det` enforces it **statically**, rejecting hazard
-//! patterns before they ever reach a run.
+//! jobs = 1/4/8; the static checks reject hazards before they reach a run.
 //!
-//! **Line rules** answer "does this *line*, in a deterministic file, hold
-//! a hazard token?":
-//!
-//! | rule | rejects | in |
-//! |------|---------|----|
-//! | `wall-clock` | `Instant`, `SystemTime`, `Stopwatch`, `wallclock` | deterministic crates |
-//! | `thread-spawn` | `thread::spawn` / `thread::scope` / `thread::Builder` outside `simkernel::pool` | deterministic crates |
-//! | `unordered-collection` | `HashMap` / `HashSet` (unspecified iteration order) | deterministic crates |
-//! | `unseeded-random` | `thread_rng`, `from_entropy`, `RandomState`, `OsRng`, `rand::random`, `getrandom` | deterministic crates |
-//! | `env-read` | `env::var` / `env::var_os` / `env::vars` | deterministic crates |
-//! | `float-accum` | `f32` / `f64` | integer-only counter files |
-//!
-//! That leaves a blind spot the size of a function call: a deterministic
-//! crate can call a helper in a *non*-deterministic crate that reads the
-//! wall clock, and no line in the deterministic tier ever holds a banned
-//! token. The **graph rules** close it by extracting a conservative
-//! item/call graph of the same lexed files and running reachability
-//! passes over it:
-//!
-//! | rule | guarantees |
-//! |------|------------|
-//! | `det-closure` | no call path from a deterministic-tier `pub fn` reaches a wall-side module (`simkernel::wallclock`/`rss`/`alloc`, `obs::span`) or external wall/env API, except through an audited crossing |
-//! | `panic-surface` | every function reachable from the hot-path roots (`run_c_event`, `BgpNode::receive`/`mrai_flush`, the event-queue push/pop) is free of `unwrap`/`expect`/`panic!`/slice-indexing, or carries an audited invariant |
-//! | `artifact-contract` | every file-writing function flows through the `SCHEMA_VERSION` stamp, and every artifact-writing binary uses the shared 0/1/2 exit constants |
-//! | `config-coherence` | every `[clippy] required` path is banned in `clippy.toml` |
-//!
-//! plus `stale-allow` / `bad-allow` hygiene for the one audited
-//! suppression syntax every rule shares, which the tool counts and
+//! Hazards a token can name are clippy's: `clippy.toml` bans unordered
+//! collections, `RandomState`, host-clock reads, ad-hoc threads and env
+//! reads in every crate and target, and the integer-only counter files
+//! deny float arithmetic. That leaves a blind spot the size of a function
+//! call: a deterministic crate can call the sanctioned `Stopwatch`, or a
+//! helper in another crate that reads the wall clock, and no banned token
+//! is ever written there. det closes it by extracting a conservative
+//! item/call graph of the workspace and running the reachability passes
+//! of [`passes`] over it — `det-closure`, `panic-surface` and
+//! `artifact-contract` — plus `stale-allow` / `bad-allow` hygiene for the
+//! audited suppression syntax they share, which the tool counts and
 //! reports:
 //!
 //! ```text
-//! std::env::var("BGPSCALE_LOG") // det::allow(env-read, reason = "log level, never enters artifacts")
+//! std::env::var("BGPSCALE_LOG") // det::allow(det-closure, reason = "log level, never enters artifacts")
 //! ```
 //!
 //! One pass does it all ([`analyze`]): one walk, one lex per file
-//! ([`source`], [`lex`]), the line rules on every file ([`rules`]), item
-//! extraction and the call graph on the files outside `tests`/`benches`/
-//! `examples` directories ([`items`], [`graph`]), the passes
-//! ([`passes`]), one allow ledger, one [`Finding`] type with one human
-//! and one JSON rendering ([`report`]).
+//! ([`source`], [`lex`]), item extraction and the call graph on the files
+//! outside `tests`/`benches`/`examples` directories ([`items`],
+//! [`graph`]), the passes ([`passes`]), one allow ledger, one [`Finding`]
+//! type with one human and one JSON rendering ([`report`]).
 //!
 //! Lexing is line-oriented but state-tracking: block comments (nested),
 //! multi-line string literals (plain and raw), char-literal/lifetime
 //! disambiguation, and `#[cfg(test)]` module skipping are all handled so
-//! that rule tokens in comments, strings, and unit tests never produce
-//! false positives. The extractor is scope-tracking, not parsing, with
+//! that calls named in comments, strings, and unit tests never become
+//! edges. The extractor is scope-tracking, not parsing, with
 //! deliberate over-approximation (ambiguous method calls fan out to every
 //! workspace impl of that name; `macro_rules!` bodies are opaque;
 //! unresolved calls stay as external edges). A spurious edge costs an
@@ -71,6 +52,8 @@
 //! `docs/ARCHITECTURE.md` § "Static determinism guarantees".
 
 #![forbid(unsafe_code)]
+// Graph indices and line numbers only: no float anywhere in the analyzer.
+#![deny(clippy::float_arithmetic)]
 
 use std::path::Path;
 
@@ -90,8 +73,10 @@ pub use rules::Rule;
 
 /// Schema version stamped into `det --json` reports, per the workspace
 /// artifact contract (which the artifact-contract pass enforces on this
-/// very binary). 2: the merged line-rule + graph-rule report.
-pub const SCHEMA_VERSION: u32 = 2;
+/// very binary). 2: the merged line-rule + graph-rule report. 3: the line
+/// rules moved to clippy, so findings lose `column` and `snippet` and the
+/// summary loses `integer_only_files`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Exit code: the analysis found no violations.
 pub const EXIT_OK: i32 = 0;
@@ -101,17 +86,12 @@ pub const EXIT_VIOLATIONS: i32 = 1;
 pub const EXIT_USAGE: i32 = 2;
 
 /// Analyzes the tree under `root` as `cfg` describes it: lexes every
-/// file once, runs the line rules on all of them and the graph passes on
-/// the call graph of the non-test files, reconciles `clippy.toml`, and
-/// closes the allow ledger.
+/// file once, runs the graph passes on the call graph of the non-test
+/// files, and closes the allow ledger.
 pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     let sources = source::load_tree(root, cfg)?;
     let mut ledger = source::Ledger::new(&sources);
     let mut findings = Vec::new();
-
-    for file in &sources {
-        rules::check_lines(file, cfg, &mut ledger, &mut findings);
-    }
 
     let needles = items::Needles {
         stamp: cfg.stamp.clone(),
@@ -124,15 +104,12 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
         .collect();
     let graph = graph::Graph::build(&parsed, cfg);
     let stats = passes::run_graph_passes(cfg, &graph, &mut ledger, &mut findings);
-    passes::check_clippy(root, cfg, &mut findings);
 
     let allows = ledger.finish(&mut findings);
     report::sort_findings(&mut findings);
     let tier = |f: &&source::SourceFile| cfg.is_deterministic(&f.rel);
-    let integer_only = |f: &&source::SourceFile| cfg.is_integer_only(&f.rel);
     Ok(Analysis {
         deterministic_files: sources.iter().filter(tier).count(),
-        integer_only_files: sources.iter().filter(integer_only).count(),
         graph_files: parsed.len(),
         functions: graph.nodes.len(),
         edges: graph.edge_count(),

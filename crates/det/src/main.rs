@@ -1,32 +1,8 @@
-//! `det` — the workspace determinism analyzer CLI.
-//!
-//! ```text
-//! det [--check] [--fixtures] [--json] [--json-out FILE]
-//!     [--root DIR] [--config FILE] [--list-rules] [--quiet]
-//!
-//! modes:
-//!   --check       analyze the workspace under det.toml (the default)
-//!   --fixtures    self-test: run every seeded fixture case and assert the
-//!                 findings equal the `//~`/`#~` markers exactly, in both
-//!                 directions (missed detection OR false positive fails)
-//!   --list-rules  print the rule table and exit
-//!
-//! options:
-//!   --root DIR    workspace root (default: the current directory; for
-//!                 --fixtures: crates/det/tests/fixtures under it)
-//!   --config FILE analyzer configuration (default: <root>/det.toml)
-//!   --json        print the machine-readable report to stdout
-//!   --json-out F  additionally write the JSON report to F (CI artifact)
-//!   --quiet       suppress the scan summary and audited-allow listing
-//!
-//! exit codes (the workspace-wide convention, shared with
-//! `repro profile --check` and `repro report --check`):
-//!   0  clean — no violations
-//!   1  violations found (or fixture self-test failures)
-//!   2  usage error, unreadable root, or invalid det.toml
-//! ```
+//! `det` — the workspace determinism analyzer CLI; [`HELP`] is its usage.
 
 #![forbid(unsafe_code)]
+// Graph indices and line numbers only: no float anywhere in the analyzer.
+#![deny(clippy::float_arithmetic)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -50,15 +26,37 @@ enum Mode {
     ListRules,
 }
 
+/// Printed by `--help` and after every usage error.
+const HELP: &str = "\
+usage: det [--check|--fixtures|--list-rules] [--root DIR] [--config FILE]
+           [--json] [--json-out FILE] [--quiet]
+
+modes:
+  --check       analyze the workspace under det.toml (the default)
+  --fixtures    self-test: run every seeded fixture case and assert the
+                findings equal the `//~` markers exactly, in both
+                directions (missed detection OR false positive fails)
+  --list-rules  print det's rules (the token-level bans are clippy's,
+                in clippy.toml) and exit
+
+options:
+  --root DIR    workspace root (default: the current directory; for
+                --fixtures: crates/det/tests/fixtures under it)
+  --config FILE analyzer configuration (default: <root>/det.toml)
+  --json        print the machine-readable report to stdout
+  --json-out F  additionally write the JSON report to F (CI artifact)
+  --quiet       suppress the scan summary and audited-allow listing
+
+exit codes (shared with `repro profile --check` and `repro report --check`):
+  0  clean: no violations
+  1  violations found (or fixture self-test failures)
+  2  usage error, unreadable root, or invalid det.toml";
+
 fn usage(msg: &str) -> ExitCode {
     if !msg.is_empty() {
         eprintln!("det: {msg}");
     }
-    eprintln!(
-        "usage: det [--check|--fixtures|--list-rules] [--root DIR] [--config FILE] \
-         [--json] [--json-out FILE] [--quiet]\n\
-         exit codes: 0 = clean, 1 = violations, 2 = usage/config error"
-    );
+    eprintln!("{HELP}");
     ExitCode::from(EXIT_USAGE as u8)
 }
 
@@ -110,52 +108,43 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => return usage(&msg),
     };
-    match opts.mode {
-        Mode::ListRules => {
-            for rule in Rule::ALL {
-                println!("{:22} {}", rule.id(), rule.explanation());
-            }
-            ExitCode::from(EXIT_OK as u8)
+    if opts.mode == Mode::ListRules {
+        for rule in Rule::ALL {
+            println!("{:22} {}", rule.id(), rule.explanation());
         }
-        Mode::Fixtures => {
-            let root = opts
-                .root
-                .unwrap_or_else(|| PathBuf::from("crates/det/tests/fixtures"));
-            if !root.is_dir() {
-                return usage(&format!(
-                    "fixture root {} is not a directory",
-                    root.display()
-                ));
+        return ExitCode::from(EXIT_OK as u8);
+    }
+    let default_root = match opts.mode {
+        Mode::Fixtures => "crates/det/tests/fixtures",
+        _ => ".",
+    };
+    let root = opts.root.unwrap_or_else(|| PathBuf::from(default_root));
+    if !root.is_dir() {
+        return usage(&format!("root {} is not a directory", root.display()));
+    }
+    if opts.mode == Mode::Fixtures {
+        return match fixtures::run(&root) {
+            Ok(rep) => {
+                print!("{}", fixtures::render(&rep));
+                verdict(rep.ok())
             }
-            match fixtures::run(&root) {
-                Ok(rep) => {
-                    print!("{}", fixtures::render(&rep));
-                    verdict(rep.ok())
-                }
-                Err(msg) => usage(&msg),
-            }
-        }
-        Mode::Check => {
-            let root = opts.root.unwrap_or_else(|| PathBuf::from("."));
-            if !root.is_dir() {
-                return usage(&format!("root {} is not a directory", root.display()));
-            }
-            let config_path = opts.config.unwrap_or_else(|| root.join("det.toml"));
-            let analysis = match Config::load(&config_path).and_then(|cfg| analyze(&root, &cfg)) {
-                Ok(a) => a,
-                Err(msg) => return usage(&msg),
-            };
-            if let Some(path) = &opts.json_out {
-                if let Err(e) = std::fs::write(path, report::render_json(&analysis)) {
-                    return usage(&format!("writing {}: {e}", path.display()));
-                }
-            }
-            if opts.json {
-                print!("{}", report::render_json(&analysis));
-            } else {
-                print!("{}", report::render_human(&analysis, opts.quiet));
-            }
-            verdict(analysis.ok())
+            Err(msg) => usage(&msg),
+        };
+    }
+    let config_path = opts.config.unwrap_or_else(|| root.join("det.toml"));
+    let analysis = match Config::load(&config_path).and_then(|cfg| analyze(&root, &cfg)) {
+        Ok(a) => a,
+        Err(msg) => return usage(&msg),
+    };
+    if let Some(path) = &opts.json_out {
+        if let Err(e) = std::fs::write(path, report::render_json(&analysis)) {
+            return usage(&format!("writing {}: {e}", path.display()));
         }
     }
+    if opts.json {
+        print!("{}", report::render_json(&analysis));
+    } else {
+        print!("{}", report::render_human(&analysis, opts.quiet));
+    }
+    verdict(analysis.ok())
 }

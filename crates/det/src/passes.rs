@@ -1,4 +1,4 @@
-//! The graph passes and the one cross-file config check.
+//! The graph passes.
 //!
 //! * **det-closure** — BFS from every deterministic-tier `pub fn`; an
 //!   edge into a sanctioned wall-side module or an external wall/env
@@ -12,17 +12,13 @@
 //!   must have the schema stamp in its forward closure; every binary
 //!   `main` whose closure contains a writer must mention each exit-code
 //!   constant group in its closure.
-//! * **config-coherence** — every `[clippy] required` path must appear
-//!   quoted in `<root>/clippy.toml`, the one config that stays
-//!   hand-written beside `det.toml` because clippy reads it.
 //!
 //! Suppression is per-site through the shared [`Ledger`]: a
 //! `// det::allow(rule, reason = "...")` on the reported anchor line.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::Path;
 
-use crate::config::{strip_toml_comment, Config};
+use crate::config::Config;
 use crate::graph::{EdgeTarget, Graph};
 use crate::items::{PanicKind, PanicSite};
 use crate::report::Finding;
@@ -248,64 +244,18 @@ fn panic_summary(panics: &[PanicSite]) -> String {
     for p in panics {
         by_kind.entry(p.kind).or_default().insert(p.line);
     }
-    let mut parts = Vec::new();
-    for (kind, lines) in by_kind {
-        let shown: Vec<String> = lines.iter().take(6).map(|l| l.to_string()).collect();
-        let more = if lines.len() > 6 {
-            format!(" (+{} more)", lines.len() - 6)
-        } else {
-            String::new()
-        };
-        parts.push(format!(
-            "{} at line {}{}",
-            kind.label(),
-            shown.join("/"),
-            more
-        ));
-    }
+    let parts: Vec<String> = by_kind
+        .iter()
+        .map(|(kind, lines)| {
+            let shown: Vec<String> = lines.iter().take(6).map(usize::to_string).collect();
+            let more = match lines.len().saturating_sub(6) {
+                0 => String::new(),
+                n => format!(" (+{n} more)"),
+            };
+            format!("{} at line {}{more}", kind.label(), shown.join("/"))
+        })
+        .collect();
     parts.join(", ")
-}
-
-/// The config-coherence check: every `[clippy] required` path is banned
-/// in `<root>/clippy.toml` (matched as quoted strings, so the check is
-/// robust to clippy.toml's table-vs-array spellings). Everything else
-/// the three old configs had to agree on is now written once.
-pub fn check_clippy(root: &Path, cfg: &Config, findings: &mut Vec<Finding>) {
-    if cfg.clippy_required.is_empty() {
-        return;
-    }
-    let mut drift = |message: String| {
-        findings.push(Finding::at(
-            Rule::ConfigCoherence,
-            "clippy.toml".to_string(),
-            1,
-            message,
-        ));
-    };
-    match std::fs::read_to_string(root.join("clippy.toml")) {
-        Err(_) => drift("`clippy.toml` is missing but det.toml requires bans of it".to_string()),
-        Ok(text) => {
-            let quoted = quoted_strings(&text);
-            for req in cfg.clippy_required.iter().filter(|r| !quoted.contains(*r)) {
-                drift(format!("required clippy ban `{req}` is not present"));
-            }
-        }
-    }
-}
-
-/// All `"…"` string contents in a TOML file, comments stripped.
-fn quoted_strings(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for raw in text.lines() {
-        let mut rest = strip_toml_comment(raw);
-        while let Some(start) = rest.find('"') {
-            let tail = &rest[start + 1..];
-            let Some(len) = tail.find('"') else { break };
-            out.insert(tail[..len].to_string());
-            rest = &tail[len + 1..];
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -318,16 +268,10 @@ mod tests {
         assert!(external_is_wall("Instant::now"));
         assert!(external_is_wall("std::env::var"));
         assert!(external_is_wall("env::vars"));
+        assert!(external_is_wall("getrandom"));
         assert!(!external_is_wall("std::fs::write"));
         assert!(!external_is_wall("serde::var"));
         assert!(!external_is_wall("environment::var"));
-    }
-
-    #[test]
-    fn quoted_strings_ignore_comments() {
-        let got = quoted_strings("a = [\"x\", \"y\"] # \"z\"\n# \"w\"\n");
-        assert!(got.contains("x") && got.contains("y"));
-        assert!(!got.contains("z") && !got.contains("w"));
     }
 
     #[test]

@@ -15,46 +15,34 @@ pub struct Finding {
     pub rule: Rule,
     /// Path relative to the scan root, `/`-separated.
     pub file: String,
-    /// 1-based anchor line (offending line, call site, fn declaration, or
-    /// config line).
+    /// 1-based anchor line (call site, fn declaration, or allow comment).
     pub line: usize,
-    /// 1-based character column of the offending token for line-rule
-    /// findings; 0 when the anchor is the whole line.
-    pub column: usize,
     pub message: String,
-    /// The offending source line, trimmed (line-rule findings only).
-    pub snippet: String,
     /// Qualified-name chain from an entry point / hot root to the
     /// finding, when the pass walked one. Empty otherwise.
     pub witness: Vec<String>,
 }
 
 impl Finding {
-    /// A finding anchored at a whole line, without snippet or witness.
+    /// A finding anchored at a line, without a witness.
     pub fn at(rule: Rule, file: String, line: usize, message: String) -> Finding {
         Finding {
             rule,
             file,
             line,
-            column: 0,
             message,
-            snippet: String::new(),
             witness: Vec::new(),
         }
     }
 
-    /// `file:line[:col]: [rule] message` — the `file:line` prefix makes
+    /// `file:line: [rule] message` — the `file:line` prefix makes
     /// terminals and editors link straight to the span — followed by the
-    /// snippet and the witness path when present.
+    /// witness path when present.
     pub fn render(&self) -> String {
-        let mut s = format!("{}:{}", self.file, self.line);
-        if self.column > 0 {
-            s.push_str(&format!(":{}", self.column));
-        }
-        s.push_str(&format!(": [{}] {}", self.rule, self.message));
-        if !self.snippet.is_empty() {
-            s.push_str(&format!("\n    {}", self.snippet));
-        }
+        let mut s = format!(
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        );
         if !self.witness.is_empty() {
             s.push_str(&format!("\n    via {}", self.witness.join(" -> ")));
         }
@@ -63,12 +51,9 @@ impl Finding {
 }
 
 /// Sorts findings into reporting order and keeps one per (file, line,
-/// rule) — the leftmost: `use std::time::{Instant, SystemTime}` style
-/// lines would otherwise repeat the same message.
+/// rule), the anchor an allow covers.
 pub fn sort_findings(findings: &mut Vec<Finding>) {
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.rule, a.column).cmp(&(&b.file, b.line, b.rule, b.column))
-    });
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
 }
 
@@ -89,8 +74,6 @@ pub struct Analysis {
     pub files: Vec<String>,
     /// How many files sit in the deterministic tier.
     pub deterministic_files: usize,
-    /// How many files are integer-only.
-    pub integer_only_files: usize,
     /// How many files feed the call graph.
     pub graph_files: usize,
     /// Function nodes in the graph.
@@ -152,7 +135,6 @@ pub fn render_json(a: &Analysis) -> String {
     for (key, n) in [
         ("files_scanned", a.files.len()),
         ("deterministic_files", a.deterministic_files),
-        ("integer_only_files", a.integer_only_files),
         ("graph_files", a.graph_files),
         ("functions", a.functions),
         ("edges", a.edges),
@@ -168,14 +150,11 @@ pub fn render_json(a: &Analysis) -> String {
         .map(|d| {
             let witness: Vec<String> = d.witness.iter().map(|w| json_str(w)).collect();
             format!(
-                "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \"message\": {}, \
-                 \"snippet\": {}, \"witness\": [{}]}}",
+                "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"witness\": [{}]}}",
                 json_str(d.rule.id()),
                 json_str(&d.file),
                 d.line,
-                d.column,
                 json_str(&d.message),
-                json_str(&d.snippet),
                 witness.join(", ")
             )
         })
@@ -205,11 +184,10 @@ pub fn render_human(a: &Analysis, quiet: bool) -> String {
     let mut out = String::new();
     if !quiet {
         out.push_str(&format!(
-            "det: {} files scanned ({} deterministic, {} integer-only, {} in the call graph); \
+            "det: {} files scanned ({} deterministic, {} in the call graph); \
              {} functions, {} edges; {} entry points, {} hot roots, {} writers\n",
             a.files.len(),
             a.deterministic_files,
-            a.integer_only_files,
             a.graph_files,
             a.functions,
             a.edges,
@@ -251,15 +229,12 @@ mod tests {
             edges: 1,
             entry_points: 1,
             findings: vec![
-                Finding {
-                    rule: Rule::WallClock,
-                    file: "a.rs".to_string(),
-                    line: 2,
-                    column: 13,
-                    message: Rule::WallClock.explanation().to_string(),
-                    snippet: "let t = Instant::now();".to_string(),
-                    witness: Vec::new(),
-                },
+                Finding::at(
+                    Rule::StaleAllow,
+                    "a.rs".to_string(),
+                    2,
+                    Rule::StaleAllow.explanation().to_string(),
+                ),
                 Finding {
                     witness: vec!["a::f".to_string(), "b::g".to_string()],
                     ..Finding::at(
@@ -296,7 +271,7 @@ mod tests {
         assert!(j.contains("\"ok\": false"));
         assert!(j.contains("reaches \\\"wall\\\""));
         assert!(j.contains("\"witness\": [\"a::f\", \"b::g\"]"));
-        assert!(j.contains("\"column\": 13"));
+        assert!(j.contains("\"rule\": \"stale-allow\", \"file\": \"a.rs\", \"line\": 2, "));
         assert_eq!(j.matches('"').count() % 2, 0);
         let empty = render_json(&Analysis::default());
         assert!(
@@ -308,8 +283,10 @@ mod tests {
     #[test]
     fn human_report_links_spans_and_states_the_verdict() {
         let h = render_human(&sample(), false);
-        assert!(h.contains("a.rs:2:13: [wall-clock] wall-clock read"), "{h}");
-        assert!(h.contains("\n    let t = Instant::now();\n"), "{h}");
+        assert!(
+            h.contains("a.rs:2: [stale-allow] this det::allow suppressed nothing"),
+            "{h}"
+        );
         assert!(
             h.contains("a.rs:3: [det-closure] reaches \"wall\"\n    via a::f -> b::g"),
             "{h}"

@@ -7,7 +7,7 @@
 //!    blocks by brace tracking (unit tests are exercised by `cargo test`,
 //!    not replayed — hazards there cannot break artifacts);
 //! 2. keeps every remaining code line as tokens plus its raw text — the
-//!    input of both the line rules and item extraction;
+//!    input of item extraction;
 //! 3. collects `// det::allow(rule, reason = "...")` directives: a
 //!    trailing comment covers its own line, a comment-only line covers
 //!    the next code line.
@@ -18,13 +18,13 @@
 use std::path::Path;
 
 use crate::config::Config;
-use crate::lex::{parse_allow, tokenize, Lexer, Token};
+use crate::lex::{parse_allow, tokenize, Lexer};
 use crate::report::{AllowRecord, Finding};
 use crate::Rule;
 
-/// Directory names whose files run the line rules but stay out of the
-/// call graph: test, bench and example trees are exercised by cargo, not
-/// replayed, and would flood the graph with fixture items.
+/// Directory names whose files are scanned for allows but stay out of
+/// the call graph: test, bench and example trees are exercised by cargo,
+/// not replayed, and would flood the graph with fixture items.
 const OFF_GRAPH_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
 /// One retained (non-test, non-blank) code line.
@@ -33,7 +33,7 @@ pub struct CodeLine {
     /// 1-based line number.
     pub line: usize,
     /// Tokens of the stripped code.
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<String>,
     /// The original line.
     pub raw: String,
     /// 0-based char column where a trailing `//` comment starts, if any.
@@ -71,7 +71,7 @@ impl SourceFile {
             rel: rel.to_string(),
             ..SourceFile::default()
         };
-        let mut lexer = Lexer::new();
+        let mut lexer = Lexer::default();
         // Allows waiting for the code line they cover.
         let mut carried: Vec<Allow> = Vec::new();
         let mut depth: usize = 0;
@@ -293,13 +293,35 @@ pub fn h() {}
     }
 
     #[test]
+    fn the_ledger_counts_used_allows_and_reports_the_rest() {
+        let src = "\
+pub fn f() {} // det::allow(panic-surface, reason = \"trailing\")
+// det::allow(det-closure, reason = \"preceding\")
+pub fn g() {}
+pub fn h() {} // det::allow(det-closure, reason = \"wrong rule\")
+// det::allow(panic-surface, reason = \"no code line follows\")
+";
+        let file = SourceFile::lex("a/x.rs", src);
+        let mut ledger = Ledger::new(std::slice::from_ref(&file));
+        assert!(ledger.covered("a/x.rs", 1, Rule::PanicSurface));
+        assert!(ledger.covered("a/x.rs", 3, Rule::DetClosure));
+        assert!(!ledger.covered("a/x.rs", 4, Rule::PanicSurface));
+        let mut findings = Vec::new();
+        let used = ledger.finish(&mut findings);
+        let used: Vec<(usize, &str)> = used.iter().map(|a| (a.line, a.reason.as_str())).collect();
+        assert_eq!(used, [(1, "trailing"), (2, "preceding")]);
+        let stale: Vec<(Rule, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(stale, [(Rule::StaleAllow, 4), (Rule::StaleAllow, 5)]);
+    }
+
+    #[test]
     fn cfg_test_blocks_and_blank_lines_are_dropped() {
         let src = "\
 pub fn real() {}
 
 #[cfg(test)]
 mod tests {
-    // det::allow(wall-clock, reason = \"never parsed: inside a test block\")
+    // det::allow(det-closure, reason = \"never parsed: inside a test block\")
     fn fake() {}
 }
 pub fn after() {}

@@ -1,7 +1,7 @@
-//! Deterministic-tier entry points. No banned token appears anywhere in
-//! this file — the wall-clock reads live two hops away, behind a plain
-//! function call into another crate — so the line rules have
-//! nothing to flag here. Only the call-graph closure can see it.
+//! Deterministic-tier entry points. No wall-clock call is written in
+//! this file — the reads live two hops away, behind a plain function
+//! call into another crate — so no token-level ban sees them here. Only
+//! the call-graph closure can.
 
 pub fn simulate(seed: u64) -> u64 {
     util::helper::ticks(seed)

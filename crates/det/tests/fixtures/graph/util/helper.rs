@@ -1,6 +1,6 @@
 //! Mid-tier helpers: scanned, but in neither the deterministic tier nor
 //! a sanctioned wall-side module. The crossings below are exactly what a
-//! line rule cannot attribute to the deterministic tier; det-closure
+//! token-level ban cannot attribute to the deterministic tier; det-closure
 //! anchors them here via the call graph, with a witness path.
 
 pub fn ticks(seed: u64) -> u64 {

@@ -9,3 +9,13 @@ pub fn now_us() -> u64 {
         .unwrap_or_default();
     d.as_secs()
 }
+
+/// The sanctioned wall-clock wrapper, re-exported at the crate root like
+/// `bgpscale_simkernel::Stopwatch`.
+pub struct Stopwatch(std::time::Instant);
+
+impl Stopwatch {
+    pub fn start() -> Stopwatch {
+        Stopwatch(std::time::Instant::now())
+    }
+}

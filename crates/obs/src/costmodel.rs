@@ -28,6 +28,9 @@
 //! `arena_bytes_reserved`: a deterministic byte count from the fixed
 //! arena byte model, not an allocator measurement.
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use crate::json::{Layout, Value};
 
 /// Number of convergence phases attributed per C-event.

@@ -10,6 +10,9 @@
 //! re-serializes what it read, so anything the writer would not have
 //! written fails there.
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use std::fmt::Write as _;
 
 /// How a container separates and indents its members.

@@ -25,8 +25,8 @@
 //!   observer-overhead numbers. Machine- and scheduling-dependent by
 //!   definition; they never participate in hashing or dedup. All wall
 //!   fields are stored in integer units (microseconds, bytes,
-//!   centi-percent) because this file sits in det.toml's
-//!   `[integer-only]` tier.
+//!   centi-percent) because this file denies float arithmetic
+//!   (`clippy::float_arithmetic`).
 //!
 //! The **config fingerprint** hashes `(scenario, n, mode, seed, events)`
 //! via the simkernel hash chain ([`hash64_bytes`] / [`hash64_pair`]).
@@ -52,6 +52,9 @@
 //! v1 `ops` block is a prefix of today's and parses with the new classes
 //! at zero; v2 and v3 share a layout and differ only in what the queue
 //! classes count. New lines are always written in the current schema.
+
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -117,9 +120,8 @@ pub struct ArtifactHashes {
 }
 
 /// Wall-side measurements of one run. Integer units only: microseconds,
-/// bytes, and centi-percent (1 cpct = 0.01%), so this file satisfies the
-/// det.toml `[integer-only]` tier while still carrying signed overhead
-/// readings. Never hashed, never deduplicated on, never deterministic.
+/// bytes, and centi-percent (1 cpct = 0.01%), so this file stays free of
+/// float arithmetic while still carrying signed overhead readings. Never hashed, never deduplicated on, never deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallSide {
     /// Wall time of the cell in microseconds.

@@ -39,11 +39,15 @@ impl Level {
 }
 
 /// The process-wide maximum level, from `BGPSCALE_LOG` (default `info`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts"
+)]
 pub fn max_level() -> Level {
     static LEVEL: OnceLock<Level> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         // det::allow(det-closure, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
-        std::env::var("BGPSCALE_LOG") // det::allow(env-read, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
+        std::env::var("BGPSCALE_LOG")
             .ok()
             .and_then(|v| Level::parse(&v))
             .unwrap_or(Level::Info)

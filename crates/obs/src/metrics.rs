@@ -17,6 +17,9 @@
 //! `FactorAccumulator` — which makes `metrics.json` bit-identical for any
 //! `--jobs` level (regression-tested in `bgpscale-core`).
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use std::collections::BTreeMap;
 
 use crate::json::{Layout, Value};
@@ -112,11 +115,15 @@ impl Histogram {
 
     /// Mean sample as a display convenience (not part of the
     /// deterministic serialization, which stays integer-only).
-    pub fn mean(&self) -> f64 { // det::allow(float-accum, reason = "display-only ratio of two exact integer counters; never accumulated or serialized")
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display-only ratio of two exact integer counters, never accumulated or serialized"
+    )]
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64 // det::allow(float-accum, reason = "single division of exact integers at render time")
+            self.sum as f64 / self.count as f64
         }
     }
 
@@ -315,7 +322,7 @@ mod tests {
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 5_225); // 0+1+2+10+11+100+101+5000
         assert_eq!(h.max(), 5_000);
-        assert!((h.mean() - h.sum() as f64 / 8.0).abs() < 1e-12);
+        assert_eq!(h.mean(), 653.125); // 5_225 / 8, exact in binary
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! series. Merging per-event registries in event-index order therefore
 //! reproduces identical bytes for any `--jobs` level.
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, Relationship};
 

@@ -15,6 +15,9 @@
 //! * per-event series are [`TimeSeries::merge`]d in event-index order, so
 //!   `timeseries.json` is byte-identical for any `--jobs` level.
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use std::sync::Arc;
 
 use bgpscale_topology::{AsId, NodeType, Relationship};

@@ -49,7 +49,7 @@ pub mod queue;
 pub mod rng;
 pub mod rss;
 pub mod time;
-pub mod wallclock; // det::allow(wall-clock, reason = "declares the one sanctioned wall-clock module; the module itself is a det.toml [wall-side] module")
+pub mod wallclock;
 
 pub use alloc::AllocSnapshot;
 pub use pool::{effective_jobs, run_indexed};
@@ -57,4 +57,4 @@ pub use queue::{EventKey, EventQueue, QueueOpCounts};
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;
 pub use time::{SimDuration, SimTime};
-pub use wallclock::Stopwatch; // det::allow(wall-clock, reason = "re-export of the sanctioned Stopwatch so callers need no extra path")
+pub use wallclock::Stopwatch;

@@ -19,9 +19,10 @@
 //! * `jobs <= 1` takes a plain sequential loop — the exact same code path
 //!   a single worker would take, with no thread machinery at all.
 
-// The one sanctioned home for thread spawning (mirrored by clippy.toml's
-// disallowed-methods and det.toml's thread-spawn exemption).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned home for thread spawning (clippy.toml names it)"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

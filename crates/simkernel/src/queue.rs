@@ -49,6 +49,9 @@
 //! which moves the clock and leaves the reference where it is (entries
 //! already filed against it would otherwise sit in the wrong bucket).
 
+// Integer-only: a float sum is order-sensitive, so merges would not be exact.
+#![deny(clippy::float_arithmetic)]
+
 use crate::time::SimTime;
 
 /// A place in the pop order: events pop in ascending `(time, seq)`, the

@@ -7,9 +7,10 @@
 //! (`bgpscale-obs`) and the bench harness build on it, and nothing here
 //! may feed back into simulation results.
 
-// The one sanctioned home for host-clock reads (mirrored by clippy.toml's
-// disallowed-methods and det.toml's `[wall-side]` modules).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned home for host-clock reads (clippy.toml names it; det.toml fences it as a [wall-side] module)"
+)]
 
 use std::time::Instant;
 
