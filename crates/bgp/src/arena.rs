@@ -16,14 +16,14 @@
 //!   off the slab ([`SessionSlab::far_end`]).
 //! * **slot** (`u32`) — a node-local session index, `0..degree`: what a
 //!   node's protocol code and its [`crate::node::Actions`] speak.
-//! * **global session id** (`usize`) — `first_session(node) + slot`, the
-//!   index of a session among all sessions of the topology. Node `i`'s
-//!   sessions are the contiguous [`SessionSlab::stripe`] of this space,
-//!   and every per-session column is indexed by it.
+//! * **global session id** (`u32`) — the index of a session among all
+//!   sessions of the topology. Node `i`'s sessions are the contiguous
+//!   [`Stripe`] `SessionSlab::stripe(i)` of this space, the one place a
+//!   slot becomes such an id and a per-session column is indexed.
 //! * **prefix row** (`usize`) — a network-wide index, handed out in the
 //!   order prefixes are first touched by any node and never moved.
 //!
-//! [`SessionSlab`] is the AS-id ↔ slot ↔ global-session translation table,
+//! [`SessionSlab`] is the AS-id ↔ slot ↔ [`Stripe`] translation table,
 //! built **once** from the topology and shared through an `Arc`.
 //! [`RouteSlab`] holds every route of the network in columns indexed by
 //! those ids, so a simulator's routing state is a fixed handful of heap
@@ -67,6 +67,7 @@
 #![deny(clippy::float_arithmetic)]
 
 use std::ops::Range;
+use std::slice::SliceIndex;
 use std::sync::Arc;
 
 use bgpscale_obs::Stamp;
@@ -159,30 +160,29 @@ impl SessionSlab {
         let mut ids_are_indices = true;
         for (i, (id, sess)) in nodes.into_iter().enumerate() {
             ids_are_indices &= id == AsId(i as u32);
-            let base = slab.sessions.len();
             slab.sessions.extend(sess);
-            let sess = &slab.sessions[base..];
-            for (slot, s) in sess.iter().enumerate() {
+            slab.offsets
+                .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
+            let stripe = slab.stripe(i as u32);
+            for (slot, s) in (0..).zip(stripe.of(&slab.sessions)) {
                 assert_ne!(s.peer, id, "session with self at {id}");
-                slab.lookup.push((s.peer, slot as u32));
+                slab.lookup.push((s.peer, slot));
             }
-            let node_lookup = &mut slab.lookup[base..];
+            let node_lookup = stripe.of_mut(&mut slab.lookup);
             node_lookup.sort_unstable_by_key(|&(peer, _)| peer);
             for pair in node_lookup.windows(2) {
                 assert_ne!(pair[0].0, pair[1].0, "duplicate session {id}–{}", pair[0].0);
             }
             by_tie_break.clear();
-            by_tie_break.extend(0..sess.len() as u32);
+            by_tie_break.extend(0..stripe.degree);
             by_tie_break.sort_unstable_by_key(|&slot| {
-                let peer = sess[slot as usize].peer.0;
+                let peer = stripe.at(&slab.sessions, slot).peer.0;
                 (hash64(u64::from(peer)), peer)
             });
-            slab.rank.resize(base + sess.len(), 0);
-            for (rank, &slot) in by_tie_break.iter().enumerate() {
-                slab.rank[base + slot as usize] = rank as u32;
+            slab.rank.resize(slab.sessions.len(), 0);
+            for (rank, &slot) in (0..).zip(&by_tie_break) {
+                *stripe.at_mut(&mut slab.rank, slot) = rank;
             }
-            slab.offsets
-                .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
         }
         // The columns live as long as the topology: no growth slack.
         slab.sessions.shrink_to_fit();
@@ -204,21 +204,22 @@ impl SessionSlab {
     fn mirror_slots(&self) -> Option<Vec<u32>> {
         let n = self.len();
         let mut mirror = vec![0u32; self.sessions.len()];
-        // The next unmatched entry of each node's lookup stripe.
-        let mut cursor: Vec<usize> = self.offsets[..n].iter().map(|&o| o as usize).collect();
-        for i in 0..n {
-            let first = self.offsets[i] as usize;
-            for &(peer, slot) in &self.lookup[self.stripe(i as u32)] {
-                let j = peer.index();
-                if j >= n || cursor[j] >= self.offsets[j + 1] as usize {
+        // Per node, the next unmatched entry of its lookup stripe.
+        let mut cursor = vec![0u32; n];
+        for i in 0..n as u32 {
+            let stripe = self.stripe(i);
+            for &(peer, slot) in stripe.of(&self.lookup) {
+                let next = cursor.get_mut(peer.index())?;
+                let at_peer = self.stripe(peer.0);
+                if *next >= at_peer.degree {
                     return None;
                 }
-                let (back, peer_slot) = self.lookup[cursor[j]];
-                if back != AsId(i as u32) {
+                let (back, peer_slot) = *at_peer.at(&self.lookup, *next);
+                if back != AsId(i) {
                     return None;
                 }
-                cursor[j] += 1;
-                mirror[first + slot as usize] = peer_slot;
+                *next += 1;
+                *stripe.at_mut(&mut mirror, slot) = peer_slot;
             }
         }
         Some(mirror)
@@ -239,64 +240,53 @@ impl SessionSlab {
         self.len() == 0
     }
 
-    /// Node `node`'s sessions in the global session id space:
-    /// `first_session(node)..first_session(node + 1)`, slot `s` at
-    /// `first_session(node) + s`.
-    // det::allow(panic-surface, reason = "node < len() is the caller contract; offsets has len()+1 entries by construction so node and node+1 are in bounds")
-    pub fn stripe(&self, node: u32) -> Range<usize> {
-        let lo = self.offsets[node as usize] as usize;
-        let hi = self.offsets[node as usize + 1] as usize;
-        lo..hi
+    /// Node `node`'s sessions in the global session id space: the one
+    /// maker of a [`Stripe`]. Panics if `node` is not one of the slab's.
+    #[inline]
+    // det::allow(panic-surface, reason = "the stripe contract is checked here: node < len() is the caller's, and offsets has len() + 1 entries, so node and node + 1 index it")
+    pub fn stripe(&self, node: u32) -> Stripe {
+        let (base, end) = (self.offsets[node as usize], self.offsets[node as usize + 1]);
+        Stripe { base, degree: end - base }
     }
 
     /// Node `node`'s sessions, in slot order.
-    // det::allow(panic-surface, reason = "stripe() returns offsets bounded by sessions.len() (the final offsets entry) by construction")
     pub fn sessions(&self, node: u32) -> &[Session] {
-        &self.sessions[self.stripe(node)]
-    }
-
-    /// Node `node`'s degree (session count).
-    pub fn degree(&self, node: u32) -> u32 {
-        self.stripe(node).len() as u32
+        self.stripe(node).of(&self.sessions)
     }
 
     /// The slot of `peer` on node `node`, if it is a neighbor — a binary
     /// search over the node's sorted lookup stripe.
     pub fn slot_of(&self, node: u32, peer: AsId) -> Option<u32> {
-        let stripe = &self.lookup[self.stripe(node)];
-        stripe
+        let lookup = self.stripe(node).of(&self.lookup);
+        lookup
             .binary_search_by_key(&peer, |&(p, _)| p)
             .ok()
-            .map(|i| stripe[i].1)
+            .map(|i| lookup[i].1)
     }
 
-    /// The far end of node `node`'s session `slot`: the peer, and the slot
-    /// `node` holds at that peer — where a message sent over the session
-    /// arrives. Lets the sender address the receiver's slot directly, so
-    /// no delivery has to search for it.
+    /// Session `slot` of the node owning `stripe`.
+    #[inline]
+    pub fn session(&self, stripe: Stripe, slot: u32) -> Session {
+        *stripe.at(&self.sessions, slot)
+    }
+
+    /// The far end of session `slot` of the node owning `stripe`: the
+    /// peer, and the slot the node holds at that peer — where a message
+    /// sent over the session arrives. Lets the sender address the
+    /// receiver's slot directly, so no delivery has to search for it.
     ///
     /// # Panics
     /// Panics on a slab that is not closed (see the `mirror` column).
-    // det::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract, and the simulator's slab is built from a topology, whose adjacency is symmetric: the mirror column is filled")
-    pub fn far_end(&self, node: u32, slot: u32) -> (AsId, u32) {
-        let session = (self.offsets[node as usize] + slot) as usize;
-        (self.sessions[session].peer, self.mirror[session])
+    pub fn far_end(&self, stripe: Stripe, slot: u32) -> (AsId, u32) {
+        (stripe.at(&self.sessions, slot).peer, *stripe.at(&self.mirror, slot))
     }
 
-    /// The rank of node `node`'s session `slot` in the decision process's
-    /// tie-break order among that node's sessions: 0 for the next hop that
-    /// wins every tie (smallest hashed id, then smallest id).
-    // det::allow(panic-surface, reason = "node < len() and slot < degree(node) are the caller contract; rank has one entry per session")
-    pub fn rank(&self, node: u32, slot: u32) -> u32 {
-        self.rank[(self.offsets[node as usize] + slot) as usize]
-    }
-
-    /// Index of node `node`'s slot 0 in the global session id space —
-    /// the base for flat per-session side tables (the churn collector's
-    /// counters index `first_session(node) + slot`).
-    // det::allow(panic-surface, reason = "node <= len() is the caller contract and offsets has len()+1 entries by construction")
-    pub fn first_session(&self, node: u32) -> u32 {
-        self.offsets[node as usize]
+    /// The rank of session `slot` of the node owning `stripe` in the
+    /// decision process's tie-break order among that node's sessions: 0
+    /// for the next hop that wins every tie (smallest hashed id, then
+    /// smallest id).
+    pub fn rank(&self, stripe: Stripe, slot: u32) -> u32 {
+        *stripe.at(&self.rank, slot)
     }
 
     /// Total sessions across all nodes.
@@ -309,6 +299,66 @@ impl SessionSlab {
     pub fn arena_bytes(&self) -> u64 {
         self.sessions.len() as u64 * BYTES_PER_SESSION * 2 // sessions + lookup
             + self.offsets.len() as u64 * 4
+    }
+}
+
+/// One node's sessions in the global session id space: ids `base..base +
+/// degree`, slot `s` at `base + s`. Only [`SessionSlab::stripe`] makes one,
+/// after checking the node, so a stripe lies inside every per-session
+/// column sized for the slab. It is the one place a slot becomes a global
+/// session id and a per-session column is cut; a slot at or past the
+/// degree is a caller bug and panics here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stripe {
+    base: u32,
+    degree: u32,
+}
+
+impl Stripe {
+    /// The global session id of `slot`.
+    #[inline]
+    pub fn id(self, slot: u32) -> u32 {
+        assert!(slot < self.degree, "slot {slot} of a node of degree {}", self.degree);
+        self.base + slot
+    }
+
+    /// The node's share of `column`, a per-session column.
+    pub fn of<T>(self, column: &[T]) -> &[T] {
+        self.cut(column, 0, ..)
+    }
+
+    /// The node's share of `column`, writable.
+    pub fn of_mut<T>(self, column: &mut [T]) -> &mut [T] {
+        self.cut_mut(column, 0, ..)
+    }
+
+    /// The entry of `slot` in `column`, a per-session column.
+    pub fn at<T>(self, column: &[T], slot: u32) -> &T {
+        self.cut(column, 0, slot as usize)
+    }
+
+    /// The entry of `slot` in `column`, writable.
+    pub fn at_mut<T>(self, column: &mut [T], slot: u32) -> &mut T {
+        self.cut_mut(column, 0, slot as usize)
+    }
+
+    /// The node's cells in the row at `row_start` of a row-major per-session column.
+    #[inline]
+    fn cells(self, row_start: usize) -> Range<usize> {
+        let start = row_start + self.base as usize;
+        start..start + self.degree as usize
+    }
+
+    /// `slots` (one slot, or a range of them) of the node's cells in that row.
+    // det::allow(panic-surface, reason = "the stripe contract: SessionSlab::stripe checked the node, so its cells lie inside every row of a column sized for the slab; row_start is the start of a row that touch/row returned; a slot past the degree is a caller bug the index must catch")
+    fn cut<T, I: SliceIndex<[T]>>(self, column: &[T], row_start: usize, slots: I) -> &I::Output {
+        &column[self.cells(row_start)][slots]
+    }
+
+    /// [`Stripe::cut`], writable.
+    // det::allow(panic-surface, reason = "the stripe contract: SessionSlab::stripe checked the node, so its cells lie inside every row of a column sized for the slab; row_start is the start of a row that touch/row returned; a slot past the degree is a caller bug the index must catch")
+    fn cut_mut<T, I: SliceIndex<[T]>>(self, column: &mut [T], row_start: usize, slots: I) -> &mut I::Output {
+        &mut column[self.cells(row_start)][slots]
     }
 }
 
@@ -432,11 +482,11 @@ impl<S: Stamp> RouteSlab<S> {
         self.by_prefix.iter().map(|&(prefix, row)| (row as usize, prefix))
     }
 
-    /// The row of `prefix` for node `node` of `degree` sessions, appending
-    /// an empty row if no node touched the prefix before, and making the
-    /// row the node's — held, and charged to it in the byte model — if it
-    /// was not.
-    pub(crate) fn touch(&mut self, prefix: Prefix, node: u32, degree: u32) -> usize {
+    /// The row of `prefix` for node `node`, whose sessions are `stripe`,
+    /// appending an empty row if no node touched the prefix before, and
+    /// making the row the node's — held, and charged to it in the byte
+    /// model — if it was not.
+    pub(crate) fn touch(&mut self, prefix: Prefix, node: u32, stripe: Stripe) -> usize {
         let row = match self.row(prefix) {
             Some(row) => row,
             None => {
@@ -453,46 +503,39 @@ impl<S: Stamp> RouteSlab<S> {
         if loc.slot == UNHELD {
             loc.slot = NO_BEST;
             self.held_rows += 1;
-            self.held_cells += u64::from(degree);
+            self.held_cells += u64::from(stripe.degree);
         }
         row
     }
 
     /// Node `node`'s Loc-RIB entry for `row`.
-    // det::allow(panic-surface, reason = "row is a live row index and node < nodes is the caller contract; loc holds nodes entries per row")
+    // det::allow(panic-surface, reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row")
     pub(crate) fn loc(&self, row: usize, node: u32) -> &LocRib {
         &self.loc[row * self.nodes + node as usize]
     }
 
     /// Node `node`'s Loc-RIB entry for `row`, writable.
-    // det::allow(panic-surface, reason = "row is a live row index and node < nodes is the caller contract; loc holds nodes entries per row")
+    // det::allow(panic-surface, reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row")
     pub(crate) fn loc_mut(&mut self, row: usize, node: u32) -> &mut LocRib {
         &mut self.loc[row * self.nodes + node as usize]
-    }
-
-    /// The Adj-RIB-in cells of `row` for the sessions of `stripe` — one
-    /// node's stripe of the row.
-    fn cells(&self, row: usize, stripe: &Range<usize>) -> Range<usize> {
-        let base = row * self.sessions;
-        base + stripe.start..base + stripe.end
     }
 
     /// The Adj-RIB-in of the node owning `stripe` for `row`: one route
     /// and one cached preference key per slot. A key means something only
     /// while its cell holds a route.
-    // det::allow(panic-surface, reason = "row is a live row index and stripe a node's stripe of the slab the columns were sized for: its cells lie inside the row")
-    pub(crate) fn adj_rib_in(
-        &self,
-        row: usize,
-        stripe: &Range<usize>,
-    ) -> (&[Option<PathId>], &[u64]) {
-        let cells = self.cells(row, stripe);
-        (&self.rib_in[cells.clone()], &self.rib_key[cells])
+    pub(crate) fn adj_rib_in(&self, row: usize, stripe: Stripe) -> (&[Option<PathId>], &[u64]) {
+        let start = row * self.sessions;
+        (stripe.cut(&self.rib_in, start, ..), stripe.cut(&self.rib_key, start, ..))
     }
 
     /// One Adj-RIB-in cell of the node owning `stripe`.
-    pub(crate) fn rib_in_cell(&self, row: usize, stripe: &Range<usize>, slot: u32) -> Option<PathId> {
-        self.adj_rib_in(row, stripe).0.get(slot as usize).copied().flatten()
+    pub(crate) fn rib_in_cell(&self, row: usize, stripe: Stripe, slot: u32) -> Option<PathId> {
+        *stripe.cut(&self.rib_in, row * self.sessions, slot as usize)
+    }
+
+    /// The preference key cached beside that cell, while it holds a route.
+    pub(crate) fn rib_in_key(&self, row: usize, stripe: Stripe, slot: u32) -> u64 {
+        *stripe.cut(&self.rib_key, row * self.sessions, slot as usize)
     }
 
     /// Overwrites one Adj-RIB-in cell of the node owning `stripe`: the
@@ -501,23 +544,12 @@ impl<S: Stamp> RouteSlab<S> {
     ///
     /// # Panics
     /// Panics if `slot` is not one of the node's sessions.
-    // det::allow(panic-surface, reason = "row is a live row index and stripe a node's stripe, so its cells lie inside the row; a slot outside the stripe is a caller bug the index must catch")
-    pub(crate) fn set_rib_in(
-        &mut self,
-        row: usize,
-        stripe: &Range<usize>,
-        slot: u32,
-        route: Option<(PathId, u64)>,
-    ) {
-        let cells = self.cells(row, stripe);
-        let cell = &mut self.rib_in[cells.clone()][slot as usize];
-        *cell = match route {
-            Some((path, key)) => {
-                self.rib_key[cells][slot as usize] = key;
-                Some(path)
-            }
-            None => None,
-        };
+    pub(crate) fn set_rib_in(&mut self, row: usize, stripe: Stripe, slot: u32, route: Option<(PathId, u64)>) {
+        let start = row * self.sessions;
+        *stripe.cut_mut(&mut self.rib_in, start, slot as usize) = route.map(|(path, _)| path);
+        if let Some((_, key)) = route {
+            *stripe.cut_mut(&mut self.rib_key, start, slot as usize) = key;
+        }
     }
 
     /// True if the route of global session `session` for `prefix` is
@@ -685,8 +717,8 @@ mod tests {
         );
         assert_eq!(slab.len(), 3);
         assert_eq!(slab.total_sessions(), 4);
-        assert_eq!(slab.degree(0), 2);
-        assert_eq!(slab.stripe(1), 2..3, "node 1's sessions follow node 0's two");
+        assert_eq!(slab.stripe(0).degree, 2);
+        assert_eq!(slab.stripe(1), Stripe { base: 2, degree: 1 }, "node 1's sessions follow node 0's two");
         assert_eq!(slab.slot_of(0, AsId(1)), Some(0));
         assert_eq!(slab.slot_of(0, AsId(2)), Some(1));
         assert_eq!(slab.slot_of(0, AsId(3)), None);
@@ -707,17 +739,65 @@ mod tests {
             ],
         );
         for node in 0..4u32 {
-            for slot in 0..slab.degree(node) {
-                let (peer, at_peer) = slab.far_end(node, slot);
+            for slot in 0..slab.stripe(node).degree {
+                let (peer, at_peer) = slab.far_end(slab.stripe(node), slot);
                 assert_eq!(peer, slab.sessions(node)[slot as usize].peer);
                 assert_eq!(slab.slot_of(peer.0, AsId(node)), Some(at_peer));
-                assert_eq!(slab.far_end(peer.0, at_peer), (AsId(node), slot), "mirror of the mirror");
+                assert_eq!(slab.far_end(slab.stripe(peer.0), at_peer), (AsId(node), slot), "mirror of the mirror");
             }
         }
         // Open slabs — a standalone node, a one-way session — have none.
         assert!(SessionSlab::for_single(AsId(0), vec![session(1, Relationship::Peer)]).mirror.is_empty());
         let one_way = slab_from(0, vec![vec![session(1, Relationship::Peer)], vec![]]);
         assert!(one_way.mirror.is_empty());
+    }
+
+    /// On a generated topology the stripes of nodes `0..len` are
+    /// contiguous and disjoint and cover the whole session id space, and
+    /// every session's far end lies inside its peer's stripe.
+    #[test]
+    fn slab_stripes_tile_the_session_space() {
+        let g = bgpscale_topology::generate(bgpscale_topology::GrowthScenario::Baseline, 500, 7);
+        let slab = SessionSlab::build(g.node_ids().map(|id| {
+            let sessions = g.neighbors(id).iter().map(|nb| Session {
+                peer: nb.id,
+                rel: nb.rel,
+            });
+            (id, sessions)
+        }));
+        assert_eq!(slab.len(), 500);
+        let mut next = 0;
+        for node in 0..slab.len() as u32 {
+            let stripe = slab.stripe(node);
+            assert_eq!(stripe.base, next, "node {node}'s stripe starts where the last one ended");
+            for slot in 0..stripe.degree {
+                assert_eq!(stripe.id(slot), next + slot);
+                let (peer, at_peer) = slab.far_end(stripe, slot);
+                let there = slab.stripe(peer.0);
+                assert!(at_peer < there.degree, "{node}:{slot} lands outside {peer}'s stripe");
+                assert_eq!(slab.far_end(there, at_peer), (AsId(node), slot));
+            }
+            next += stripe.degree;
+        }
+        assert_eq!(next as usize, slab.total_sessions(), "the stripes cover every session");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_stripe_past_the_last_node_panics() {
+        let slab = slab_from(0, vec![vec![session(1, Relationship::Peer)], vec![session(0, Relationship::Peer)]]);
+        slab.stripe(slab.len() as u32);
+    }
+
+    /// Slot `degree` of node 0 would be node 1's first session: the
+    /// stripe, not the column's length, must refuse it.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_slot_at_the_degree_panics() {
+        let slab = slab_from(0, vec![vec![session(1, Relationship::Peer)], vec![session(0, Relationship::Peer)]]);
+        let column = vec![0u8; slab.total_sessions()];
+        let stripe = slab.stripe(0);
+        stripe.at(&column, stripe.degree);
     }
 
     /// The rank column orders each node's slots as the decision process
@@ -735,10 +815,10 @@ mod tests {
         let mut by_tie_break: Vec<u32> = (0..peers.len() as u32).collect();
         by_tie_break.sort_by_key(|&slot| (hash64(u64::from(peers[slot as usize])), peers[slot as usize]));
         for (rank, &slot) in by_tie_break.iter().enumerate() {
-            assert_eq!(slab.rank(0, slot), rank as u32);
+            assert_eq!(slab.rank(slab.stripe(0), slot), rank as u32);
         }
         assert_ne!(by_tie_break, vec![4, 1, 2, 0, 3], "the hash, not the id, leads the order");
-        assert_eq!(slab.rank(1, 0), 0, "ranks are per node");
+        assert_eq!(slab.rank(slab.stripe(1), 0), 0, "ranks are per node");
     }
 
     #[test]
@@ -824,10 +904,10 @@ mod tests {
         assert_eq!(walk, vec![p3, p5, p9]);
         let as0_stripe = slab.stripe(0);
         let as1_stripe = slab.stripe(1);
-        assert_eq!(routes.adj_rib_in(1, &as0_stripe).0, &[None, Some(route)], "AS0's row-3 cells survived");
-        assert_eq!(routes.adj_rib_in(0, &as1_stripe).0, &[Some(route)], "AS1's row-9 cell survived");
-        assert_eq!(routes.adj_rib_in(0, &as0_stripe).0, &[None, None], "rows are isolated per node");
-        assert_eq!(routes.adj_rib_in(1, &as1_stripe).0, &[None]);
+        assert_eq!(routes.adj_rib_in(1, as0_stripe).0, &[None, Some(route)], "AS0's row-3 cells survived");
+        assert_eq!(routes.adj_rib_in(0, as1_stripe).0, &[Some(route)], "AS1's row-9 cell survived");
+        assert_eq!(routes.adj_rib_in(0, as0_stripe).0, &[None, None], "rows are isolated per node");
+        assert_eq!(routes.adj_rib_in(1, as1_stripe).0, &[None]);
         let view = |routes: &RouteSlab, id: u32, p| {
             crate::NodeView::new(AsId(id), &slab, routes).best_route(p)
         };

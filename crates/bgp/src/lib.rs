@@ -21,7 +21,8 @@
 //!   the RFC 4271 flavor (**WRATE**: withdrawals are rate-limited like any
 //!   other update).
 //! * [`arena`] — [`SessionSlab`], every node's sessions in one global
-//!   session id space, and [`RouteSlab`], every route of the network —
+//!   session id space, cut per node by a checked [`Stripe`], and
+//!   [`RouteSlab`], every route of the network —
 //!   Adj-RIBs-in, Loc-RIBs, output queues, damping history — in
 //!   simulator-wide columns indexed by it.
 //! * [`node`] — [`BgpNode`], the view of one node's routes a protocol
@@ -47,7 +48,7 @@ pub mod path;
 pub mod policy;
 pub mod rfd;
 
-pub use arena::{DampTable, RouteSlab, SessionSlab};
+pub use arena::{DampTable, RouteSlab, SessionSlab, Stripe};
 pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use config::{BgpConfig, MraiMode, MraiScope};
 pub use message::{Prefix, Update, UpdateKind};

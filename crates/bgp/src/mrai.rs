@@ -248,10 +248,9 @@ struct Multi<S = ()> {
 /// unobserved, a twelve-byte `Provenance` under a `Recorder`, which makes
 /// the queue 56 bytes). The session timer's two fields sit in the queue
 /// itself, not in a `Timer`, whose padding would cost eight bytes more.
-/// There is one queue per session of the topology — element
-/// `first_session(node) + slot` of the per-session `out` column of the
-/// network's [`crate::RouteSlab`], so a node's queues are one contiguous
-/// stripe — and every export visits all of a node's queues, so its size
+/// There is one queue per session of the topology — a node's queues are
+/// its [`crate::arena::Stripe`] of the per-session `out` column of the
+/// network's [`crate::RouteSlab`] — and every export visits all of a node's queues, so its size
 /// is the stride of the hottest scan in the simulator. A session that
 /// carries a second prefix, or arms a
 /// per-prefix timer, *spills*: all its per-prefix state moves behind the

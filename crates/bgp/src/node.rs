@@ -42,13 +42,13 @@
 //!
 //! ## Memory layout
 //!
-//! A view is an AS id, two references and a range: nothing is allocated
-//! to build one.
-//! Node `i`'s sessions are the stripe `first_session(i)..first_session(i
-//! + 1)` of the global session id space ([`SessionSlab::stripe`]); its
-//! output queues, liveness flags and, per prefix row, its Adj-RIB-in
-//! cells are that stripe of the slab's per-session columns, and its
-//! Loc-RIB is entry `i` of each row (see [`crate::arena`]).
+//! A view is an AS id, two references and a [`Stripe`]: nothing is
+//! allocated to build one. Node `i`'s sessions are the stripe
+//! `SessionSlab::stripe(i)` of the global session id space, made and
+//! checked once when the view is built; its output queues, liveness flags
+//! and, per prefix row, its Adj-RIB-in cells are that stripe of the
+//! slab's per-session columns, cut by the stripe alone, and its Loc-RIB is
+//! entry `i` of each row (see [`crate::arena`]).
 //!
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
@@ -62,14 +62,13 @@
 //! [`Step`] lends; it builds the view with [`BgpNode::new`] and reads
 //! through [`BgpNode::view`].
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use bgpscale_obs::Stamp;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::arena::{RouteSlab, SessionSlab, SELF_SLOT};
+use crate::arena::{RouteSlab, SessionSlab, Stripe, SELF_SLOT};
 use crate::config::MraiScope;
 use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
@@ -167,7 +166,7 @@ pub struct BgpNode<'a, S = ()> {
     /// The topology-wide session arena; node `id` reads its own stripe.
     slab: &'a Arc<SessionSlab>,
     /// This node's sessions in the global session id space.
-    stripe: Range<usize>,
+    stripe: Stripe,
     /// Every route of the network; this node writes its own share.
     routes: &'a mut RouteSlab<S>,
 }
@@ -178,6 +177,7 @@ pub struct BgpNode<'a, S = ()> {
 pub struct NodeView<'a, S = ()> {
     id: AsId,
     slab: &'a Arc<SessionSlab>,
+    stripe: Stripe,
     routes: &'a RouteSlab<S>,
 }
 
@@ -209,9 +209,11 @@ pub struct NodeCostCounters {
 
 impl<'a, S: Stamp> NodeView<'a, S> {
     /// The view of node `id` — stripe `id` of `slab` — in `routes`, the
-    /// route columns built for `slab`.
+    /// route columns built for `slab`. Panics if `id` is not one of the
+    /// slab's nodes.
     pub fn new(id: AsId, slab: &'a Arc<SessionSlab>, routes: &'a RouteSlab<S>) -> NodeView<'a, S> {
-        NodeView { id, slab, routes }
+        let stripe = slab.stripe(id.0);
+        NodeView { id, slab, stripe, routes }
     }
 
     /// The configured sessions, in slot order.
@@ -229,16 +231,9 @@ impl<'a, S: Stamp> NodeView<'a, S> {
         self.slab.slot_of(self.id.0, peer)
     }
 
-    /// The global session id of `slot`, if it is one of this node's.
-    fn session(self, slot: u32) -> Option<usize> {
-        let stripe = self.slab.stripe(self.id.0);
-        let session = stripe.start + slot as usize;
-        stripe.contains(&session).then_some(session)
-    }
-
-    /// The output queue of `slot`, if it is one of this node's.
-    fn queue(self, slot: u32) -> Option<&'a OutQueue<S>> {
-        self.routes.out.get(self.session(slot)?)
+    /// The output queue of `slot`.
+    fn queue(self, slot: u32) -> &'a OutQueue<S> {
+        self.stripe.at(&self.routes.out, slot)
     }
 
     /// The best route for `prefix`: `None` if unreachable, otherwise the
@@ -251,32 +246,32 @@ impl<'a, S: Stamp> NodeView<'a, S> {
         if slot == SELF_SLOT {
             Some((None, path))
         } else {
-            Some((Some(self.sessions().get(slot as usize)?.peer), path))
+            Some((Some(self.slab.session(self.stripe, slot).peer), path))
         }
     }
 
     /// The path we last transmitted to `slot` for `prefix` (Adj-RIB-out).
     pub fn advertised(self, slot: u32, prefix: Prefix) -> Option<PathId> {
-        self.queue(slot)?.advertised(prefix)
+        self.queue(slot).advertised(prefix)
     }
 
     /// True while an MRAI timer of `slot` is armed at `now`.
     pub fn timer_armed(self, slot: u32, now: EventKey) -> bool {
-        self.queue(slot).is_some_and(|queue| queue.timer_armed(now))
+        self.queue(slot).timer_armed(now)
     }
 
     /// True if the expiry event of `(slot, which)` popping at `key` is
     /// still the one that timer waits for (see [`OutQueue::expiry_due`]):
     /// false of every event scheduled before a session reset.
     pub fn expiry_due(self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        self.queue(slot).is_some_and(|queue| queue.expiry_due(which, key))
+        self.queue(slot).expiry_due(which, key)
     }
 
     /// Number of expiry events scheduled for `slot`'s output queue and not
     /// yet popped. The simulator uses this to keep its timer-occupancy
     /// accounting exact across session resets.
     pub fn scheduled_expiries(self, slot: u32) -> u32 {
-        self.queue(slot).map_or(0, |queue| queue.scheduled_expiries() as u32)
+        self.queue(slot).scheduled_expiries() as u32
     }
 
     /// The timers of `slot` armed at `now` with no expiry event
@@ -287,25 +282,24 @@ impl<'a, S: Stamp> NodeView<'a, S> {
         slot: u32,
         now: EventKey,
     ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + 'a {
-        self.queue(slot).into_iter().flat_map(move |queue| queue.silent_timers(now))
+        self.queue(slot).silent_timers(now)
     }
 
     /// The latest key reserved for any MRAI timer of this speaker that is
     /// not after `deadline` (see [`OutQueue::latest_key_by`]).
     pub fn latest_timer_key_by(self, deadline: SimTime) -> EventKey {
-        let queues = self.routes.out.get(self.slab.stripe(self.id.0)).unwrap_or_default();
-        let due = queues.iter().map(|q| q.latest_key_by(deadline));
+        let due = self.stripe.of(&self.routes.out).iter().map(|q| q.latest_key_by(deadline));
         due.max().unwrap_or(EventKey::ZERO)
     }
 
     /// True if the route from `slot` for `prefix` is currently damped.
     pub fn is_suppressed(self, slot: u32, prefix: Prefix) -> bool {
-        self.session(slot).is_some_and(|session| self.routes.suppressed(session as u32, prefix))
+        self.routes.suppressed(self.stripe.id(slot), prefix)
     }
 
     /// True while the session at `slot` is established.
     pub fn session_active(self, slot: u32) -> bool {
-        self.session(slot).is_some_and(|session| self.routes.active.get(session) == Some(&true))
+        *self.stripe.at(&self.routes.active, slot)
     }
 }
 
@@ -319,13 +313,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         routes: &'a mut RouteSlab<S>,
     ) -> BgpNode<'a, S> {
         let stripe = slab.stripe(id.0);
-        debug_assert!(stripe.end <= routes.out.len(), "route columns of another slab");
-        BgpNode {
-            id,
-            slab,
-            stripe,
-            routes,
-        }
+        BgpNode { id, slab, stripe, routes }
     }
 
     /// The read-only view of this speaker.
@@ -333,24 +321,17 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         NodeView::new(self.id, self.slab, self.routes)
     }
 
-    /// The global session id of `slot`: the key of its damping history.
-    fn session(&self, slot: u32) -> u32 {
-        self.stripe.start as u32 + slot
-    }
-
     /// The output queue of `slot`.
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    // det::allow(panic-surface, reason = "slot is one of this node's session slots, from its own stripe, Actions or timer bookkeeping, so it indexes the node's stripe of the queue column; any other slot is a caller bug the index must catch")
     fn queue_mut(&mut self, slot: u32) -> &mut OutQueue<S> {
-        &mut self.routes.out[self.stripe.clone()][slot as usize]
+        self.stripe.at_mut(&mut self.routes.out, slot)
     }
 
     /// The row of `prefix`, made this node's if it was not.
     fn touch(&mut self, prefix: Prefix) -> usize {
-        let degree = self.stripe.len() as u32;
-        self.routes.touch(prefix, self.id.0, degree)
+        self.routes.touch(prefix, self.id.0, self.stripe)
     }
 
     /// Delivers the key reserved for the expiry of the timer `(slot,
@@ -407,8 +388,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // installing. Initial advertisements are free; withdrawals,
         // re-advertisements and path changes are flaps (RFC 2439).
         if let Some(cfg) = &step.cfg.rfd {
-            let session = self.session(slot);
-            let prev = self.routes.rib_in_cell(row, &self.stripe, slot);
+            let session = self.stripe.id(slot);
+            let prev = self.routes.rib_in_cell(row, self.stripe, slot);
             let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
                 (Some(old), Some(new)) if old != new => Some(FlapKind::AttributeChange),
@@ -428,7 +409,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         }
 
         let route = incoming.map(|path| (path, self.route_key(slot, step.paths.len(path))));
-        self.routes.set_rib_in(row, &self.stripe, slot, route);
+        self.routes.set_rib_in(row, self.stripe, slot, route);
 
         self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
     }
@@ -440,8 +421,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
     pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step<S>) {
         let Some(cfg) = &step.cfg.rfd else { return };
-        let session = self.session(slot);
-        let Some(state) = self.routes.damp.get_mut(session, prefix) else {
+        let Some(state) = self.routes.damp.get_mut(self.stripe.id(slot), prefix) else {
             return;
         };
         if !state.maybe_reuse(step.now.time, cfg) {
@@ -469,20 +449,20 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already down.
     pub fn session_down_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
+        let active = self.stripe.at_mut(&mut self.routes.active, slot);
         assert!(*active, "{}: session {slot} already down", self.id);
         *active = false;
         self.queue_mut(slot).force_reset();
-        self.routes.damp.clear_session(self.session(slot));
+        self.routes.damp.clear_session(self.stripe.id(slot));
         // Rows are only ever appended, never removed, so the indices
         // collected here stay valid across the reevaluations.
         let affected: Vec<(usize, Prefix)> = self
             .routes
             .rows_by_prefix()
-            .filter(|&(row, _)| self.routes.rib_in_cell(row, &self.stripe, slot).is_some())
+            .filter(|&(row, _)| self.routes.rib_in_cell(row, self.stripe, slot).is_some())
             .collect();
         for (row, prefix) in affected {
-            self.routes.set_rib_in(row, &self.stripe, slot, None);
+            self.routes.set_rib_in(row, self.stripe, slot, None);
             self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
         }
     }
@@ -495,14 +475,13 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already up.
     pub fn session_up_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = &mut self.routes.active[self.stripe.clone()][slot as usize];
+        let active = self.stripe.at_mut(&mut self.routes.active, slot);
         assert!(!*active, "{}: session {slot} already up", self.id);
         *active = true;
         debug_assert!(!self.view().timer_armed(slot, step.now));
         // The replay is whatever this call appends past `first`.
         let first = step.out.sends.len();
-        let sessions = self.slab.sessions(self.id.0);
-        let neighbor = sessions[slot as usize];
+        let neighbor = self.slab.session(self.stripe, slot);
         // The rows walk in sorted prefix order — the same deterministic
         // replay order the BTreeMap-backed table produced; a row this node
         // never touched has no best route and replays nothing.
@@ -515,7 +494,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
-                RouteSource::Learned(sessions[best_slot as usize].rel)
+                RouteSource::Learned(self.slab.session(self.stripe, best_slot).rel)
             };
             if !export_allowed(source, neighbor.rel) || step.paths.contains(path, neighbor.peer) {
                 continue;
@@ -559,63 +538,62 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
 
     /// The preference key of a path of `path_len` hops as a route learned
     /// over session `slot` — what the Adj-RIB-in caches beside the route.
-    // det::allow(panic-surface, reason = "slot is one of this node's session slots, which index the slab stripe by construction")
     fn route_key(&self, slot: u32, path_len: usize) -> u64 {
-        let rel = self.slab.sessions(self.id.0)[slot as usize].rel;
-        rank_key(rel, path_len, self.slab.rank(self.id.0, slot))
+        let rel = self.slab.session(self.stripe, slot).rel;
+        rank_key(rel, path_len, self.slab.rank(self.stripe, slot))
     }
 
     /// The decision process proper (§2: LOCAL_PREF, shortest AS path,
-    /// hashed tie-break — all folded into the cached `rib_key`): the slot
-    /// holding the row's best eligible learned route. Counts every key
-    /// comparison into `route_comparisons`.
-    // det::allow(panic-surface, reason = "row is a live row index whose Adj-RIB-in stripes are one cell per session slot; the changed slot and a learned incumbent are such slots")
-    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) -> Option<u32> {
-        let (routes, keys) = self.routes.adj_rib_in(row, &self.stripe);
+    /// hashed tie-break — all folded into the cached `rib_key`): the row's
+    /// best eligible learned route and the slot holding it. Counts every
+    /// key comparison into `route_comparisons`.
+    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) -> Option<(u32, PathId)> {
         // With damping off the incumbent is still the best of every slot
         // but `s`, so it only has to face the route at `s`; if `s` is its
         // own slot, it stands as long as it did not get worse. (Rows that
-        // originate the prefix never get here, so the incumbent is a
-        // learned route.)
+        // originate the prefix never get here: the incumbent is a learned
+        // route, and its unchanged cell still holds `old_path`.)
         if let (Reeval::SlotChanged(s), None, Some((incumbent, old_path))) =
             (hint, &step.cfg.rfd, self.routes.loc(row, self.id.0).best())
         {
-            let announced = routes[s as usize].is_some();
+            let announced = self.routes.rib_in_cell(row, self.stripe, s);
+            let key = |slot| self.routes.rib_in_key(row, self.stripe, slot);
             if s != incumbent {
-                if !announced {
-                    return Some(incumbent);
-                }
+                let Some(path) = announced else {
+                    return Some((incumbent, old_path));
+                };
                 step.costs.route_comparisons += 1;
-                let wins = keys[s as usize] > keys[incumbent as usize];
-                return Some(if wins { s } else { incumbent });
+                return Some(if key(s) > key(incumbent) { (s, path) } else { (incumbent, old_path) });
             }
-            if announced {
+            if let Some(path) = announced {
                 step.costs.route_comparisons += 1;
-                if keys[s as usize] >= self.route_key(s, step.paths.len(old_path)) {
-                    return Some(s);
+                if key(s) >= self.route_key(s, step.paths.len(old_path)) {
+                    return Some((s, path));
                 }
             }
         }
         // Everything else rescans the row: suppressed routes are stored
         // but ineligible (RFC 2439), and the damping table is empty while
         // damping is off.
-        let mut winner: Option<u32> = None;
-        for (slot, route) in routes.iter().enumerate() {
-            if route.is_none() || self.routes.suppressed(self.session(slot as u32), prefix) {
+        let (routes, keys) = self.routes.adj_rib_in(row, self.stripe);
+        let mut winner: Option<(u32, PathId, u64)> = None;
+        for (slot, (&route, &key)) in (0..).zip(routes.iter().zip(keys)) {
+            let Some(path) = route else { continue };
+            if self.routes.suppressed(self.stripe.id(slot), prefix) {
                 continue;
             }
             let better = match winner {
                 None => true,
-                Some(w) => {
+                Some((_, _, best)) => {
                     step.costs.route_comparisons += 1;
-                    keys[slot] > keys[w as usize]
+                    key > best
                 }
             };
             if better {
-                winner = Some(slot as u32);
+                winner = Some((slot, path, key));
             }
         }
-        winner
+        winner.map(|(slot, path, _)| (slot, path))
     }
 
     /// Re-runs the decision process for row `row` (holding `prefix`); on a
@@ -625,7 +603,6 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// survives MRAI coalescing downstream.
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
-    // det::allow(panic-surface, reason = "every caller resolves the prefix to a live row before delegating here; slot indices enumerate the node's stripe, which indexes the queue and liveness columns")
     fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) {
         step.costs.decision_runs += 1;
 
@@ -633,13 +610,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         let new_best: Option<(u32, PathId)> = if held.originated {
             Some((SELF_SLOT, PathId::EMPTY))
         } else {
-            self.decide(row, prefix, hint, step).map(|slot| {
-                let path = self
-                    .routes
-                    .rib_in_cell(row, &self.stripe, slot)
-                    .expect("the winning slot holds a route");
-                (slot, path)
-            })
+            self.decide(row, prefix, hint, step)
         };
 
         if held.best() == new_best {
@@ -652,12 +623,11 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // was learned from, so this also prevents echoing a route back to
         // its sender) decide, per live session, between the export path
         // and a withdrawal. Most submissions are suppressed as no-ops.
-        let sessions = self.slab.sessions(self.id.0);
         let best = new_best.map(|(best_slot, best_path)| {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
-                RouteSource::Learned(sessions[best_slot as usize].rel)
+                RouteSource::Learned(self.slab.session(self.stripe, best_slot).rel)
             };
             (source, best_path)
         });
@@ -666,10 +636,11 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // the same id for every later taker. A stub's provider route is
         // taken by no one and builds nothing.
         let mut export: Option<PathId> = None;
-        let queues = &mut self.routes.out[self.stripe.clone()];
-        let active = &self.routes.active[self.stripe.clone()];
-        for (slot, session) in sessions.iter().enumerate() {
-            if !active[slot] {
+        let sessions = self.slab.sessions(self.id.0);
+        let queues = self.stripe.of_mut(&mut self.routes.out);
+        let active = self.stripe.of(&self.routes.active);
+        for (slot, ((session, queue), &up)) in (0..).zip(sessions.iter().zip(queues).zip(active)) {
+            if !up {
                 continue;
             }
             let intent = match best {
@@ -685,8 +656,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
                 }
                 _ => None,
             };
-            let submit = queues[slot].submit(prefix, intent, session.rel, step);
-            step.out.absorb(slot as u32, prefix, submit, step.cfg.mrai_scope);
+            let submit = queue.submit(prefix, intent, session.rel, step);
+            step.out.absorb(slot, prefix, submit, step.cfg.mrai_scope);
         }
     }
 }
@@ -1530,7 +1501,7 @@ mod tests {
                 };
                 let held = || mirror.iter().enumerate().filter_map(|(i, e)| Some((i, e.as_deref()?)));
                 let row = n.routes.row(P).expect("the prefix has a row");
-                let (_, cached) = n.routes.adj_rib_in(row, &n.stripe);
+                let (_, cached) = n.routes.adj_rib_in(row, n.stripe);
                 for (i, a) in held() {
                     for (j, b) in held() {
                         assert_eq!(cached[i].cmp(&cached[j]), key(i, a).cmp(&key(j, b)), "slots {i} and {j}");

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use bgpscale_bgp::SessionSlab;
+use bgpscale_bgp::{SessionSlab, Stripe};
 use bgpscale_simkernel::{SimDuration, SimTime};
 use bgpscale_topology::AsId;
 
@@ -82,9 +82,9 @@ pub struct ChurnCollector {
     /// The session id space the counters are laid out in.
     slab: Arc<SessionSlab>,
     /// One counter per session, in the slab's global session id space:
-    /// `per_edge[slab.first_session(node) + slot]` = updates received by
-    /// `node` from the neighbor at `slot` while enabled. One allocation
-    /// for the whole topology, and a delivery touches one word of it.
+    /// the entry of `slot` in `node`'s stripe = updates received by `node`
+    /// from the neighbor at `slot` while enabled. One allocation for the
+    /// whole topology, and a delivery touches one word of it.
     per_edge: Vec<u32>,
     /// Withdrawals among those (announcements = total − withdrawals).
     withdrawals: u64,
@@ -117,12 +117,11 @@ impl ChurnCollector {
         self.enabled
     }
 
-    /// Records one delivered update (called by the simulator).
+    /// Records one delivered update over the receiver's session `slot`.
     #[inline]
-    // det::allow(panic-surface, reason = "per_edge holds one counter per session of the slab, and the simulator only passes slab-minted (node, slot) pairs")
-    pub fn record(&mut self, to: AsId, slot: u32, is_withdrawal: bool, now: SimTime) {
+    pub fn record(&mut self, to: Stripe, slot: u32, is_withdrawal: bool, now: SimTime) {
         if self.enabled {
-            self.per_edge[(self.slab.first_session(to.0) + slot) as usize] += 1;
+            *to.at_mut(&mut self.per_edge, slot) += 1;
             self.total += 1;
             self.withdrawals += u64::from(is_withdrawal);
             if let Some(tl) = &mut self.timeline {
@@ -164,8 +163,7 @@ impl ChurnCollector {
 
     /// Per-neighbor-slot counts for `node`, in session order.
     pub fn node_counts(&self, node: AsId) -> &[u32] {
-        let first = self.slab.first_session(node.0) as usize;
-        &self.per_edge[first..first + self.slab.degree(node.0) as usize]
+        self.slab.stripe(node.0).of(&self.per_edge)
     }
 
     /// Total updates received by `node`.
@@ -207,7 +205,7 @@ mod tests {
     #[test]
     fn disabled_collector_ignores_records() {
         let mut c = tiny();
-        c.record(AsId(0), 0, false, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 0, false, SimTime::ZERO);
         assert_eq!(c.total(), 0);
         assert_eq!(c.node_total(AsId(0)), 0);
     }
@@ -216,9 +214,9 @@ mod tests {
     fn enabled_collector_attributes_per_slot() {
         let mut c = tiny();
         c.set_enabled(true);
-        c.record(AsId(0), 0, false, SimTime::ZERO);
-        c.record(AsId(0), 0, true, SimTime::ZERO);
-        c.record(AsId(0), 1, false, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 0, false, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 0, true, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 1, false, SimTime::ZERO);
         assert_eq!(c.total(), 3);
         assert_eq!(c.withdrawals(), 1);
         assert_eq!(c.announcements(), 2);
@@ -231,7 +229,7 @@ mod tests {
     fn reset_zeroes_but_keeps_enabled() {
         let mut c = tiny();
         c.set_enabled(true);
-        c.record(AsId(1), 0, false, SimTime::ZERO);
+        c.record(c.slab.stripe(1), 0, false, SimTime::ZERO);
         c.reset();
         assert_eq!(c.total(), 0);
         assert_eq!(c.node_counts(AsId(1)), &[0]);
@@ -244,9 +242,9 @@ mod tests {
         c.set_enabled(true);
         c.start_timeline(SimTime::ZERO, SimDuration::from_secs(1));
         // Two in the first second, one at t = 2.5 s.
-        c.record(AsId(0), 0, false, SimTime::from_millis(100));
-        c.record(AsId(0), 0, false, SimTime::from_millis(900));
-        c.record(AsId(0), 1, false, SimTime::from_millis(2_500));
+        c.record(c.slab.stripe(0), 0, false, SimTime::from_millis(100));
+        c.record(c.slab.stripe(0), 0, false, SimTime::from_millis(900));
+        c.record(c.slab.stripe(0), 1, false, SimTime::from_millis(2_500));
         let tl = c.timeline().unwrap();
         assert_eq!(tl.counts(), &[2, 0, 1]);
         assert_eq!(tl.peak(), 2);

@@ -15,12 +15,6 @@ use bgpscale_topology::{AsId, NodeType, Relationship};
 
 use crate::sim::Simulator;
 
-/// Index of a relationship in factor arrays: customer = 0, peer = 1,
-/// provider = 2 (the paper's `c`, `p`, `d` subscripts).
-pub fn rel_index(rel: Relationship) -> usize {
-    rel.index()
-}
-
 /// Per-node raw factor measurements for one C-event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeFactors {
@@ -39,16 +33,16 @@ impl NodeFactors {
     }
 
     /// `q` for one class, `None` when the node has no such neighbors.
-    // det::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
+    // det::allow(panic-surface, reason = "Relationship::index maps the three variants onto fixed [_; 3] arrays")
     pub fn q(&self, rel: Relationship) -> Option<f64> {
-        let i = rel_index(rel);
+        let i = rel.index();
         (self.m[i] > 0).then(|| self.active[i] as f64 / self.m[i] as f64)
     }
 
     /// `e` for one class, `None` when no neighbor of the class was active.
-    // det::allow(panic-surface, reason = "rel_index maps the three Relationship variants onto fixed [_; 3] arrays")
+    // det::allow(panic-surface, reason = "Relationship::index maps the three variants onto fixed [_; 3] arrays")
     pub fn e(&self, rel: Relationship) -> Option<f64> {
-        let i = rel_index(rel);
+        let i = rel.index();
         (self.active[i] > 0).then(|| self.updates[i] as f64 / self.active[i] as f64)
     }
 
@@ -58,7 +52,7 @@ impl NodeFactors {
         let mut sum = 0.0;
         for rel in Relationship::ALL {
             if let (Some(q), Some(e)) = (self.q(rel), self.e(rel)) {
-                sum += self.m[rel_index(rel)] as f64 * q * e;
+                sum += self.m[rel.index()] as f64 * q * e;
             }
         }
         (sum - self.total_updates() as f64).abs() < 1e-6
@@ -73,7 +67,7 @@ pub fn node_factors<O: bgpscale_obs::SimObserver>(sim: &Simulator<O>, node: AsId
     debug_assert_eq!(counts.len(), sessions.len());
     let mut f = NodeFactors::default();
     for (session, &count) in sessions.iter().zip(counts) {
-        let i = rel_index(session.rel);
+        let i = session.rel.index();
         f.m[i] += 1;
         if count > 0 {
             f.active[i] += 1;
@@ -116,7 +110,9 @@ pub struct FactorAccumulator {
     samples: [u64; 4],
 }
 
-/// Index of a node type in aggregate arrays: T=0, M=1, CP=2, C=3.
+/// Index of a node type in aggregate arrays: T=0, M=1, CP=2, C=3 —
+/// [`NodeType::index`], kept under this name because the benchmark
+/// imports it.
 pub fn type_index(ty: NodeType) -> usize {
     ty.index()
 }
@@ -146,13 +142,13 @@ impl FactorAccumulator {
     /// Folds in one node's factors for one event. The event originator
     /// itself should be excluded by the caller (it *causes* the event
     /// rather than observing it).
-    // det::allow(panic-surface, reason = "type_index and rel_index map enum variants onto fixed [_; 4] / [_; 3] accumulator arrays")
+    // det::allow(panic-surface, reason = "type_index and Relationship::index map enum variants onto fixed [_; 4] / [_; 3] accumulator arrays")
     pub fn add(&mut self, ty: NodeType, f: &NodeFactors) {
         let t = type_index(ty);
         self.samples[t] += 1;
         self.u_total_sum[t] += f.total_updates() as f64;
         for rel in Relationship::ALL {
-            let r = rel_index(rel);
+            let r = rel.index();
             self.m_sum[t][r] += f.m[r] as f64;
             self.m_cnt[t][r] += 1;
             if let Some(q) = f.q(rel) {
@@ -210,7 +206,7 @@ impl FactorAccumulator {
     /// The factor means for `(type, relationship)`.
     pub fn means(&self, ty: NodeType, rel: Relationship) -> FactorMeans {
         let t = type_index(ty);
-        let r = rel_index(rel);
+        let r = rel.index();
         let div = |sum: f64, cnt: u64| if cnt == 0 { 0.0 } else { sum / cnt as f64 };
         FactorMeans {
             m: div(self.m_sum[t][r], self.m_cnt[t][r]),
@@ -227,9 +223,9 @@ mod tests {
 
     #[test]
     fn rel_and_type_indices_are_stable() {
-        assert_eq!(rel_index(Relationship::Customer), 0);
-        assert_eq!(rel_index(Relationship::Peer), 1);
-        assert_eq!(rel_index(Relationship::Provider), 2);
+        assert_eq!(Relationship::Customer.index(), 0);
+        assert_eq!(Relationship::Peer.index(), 1);
+        assert_eq!(Relationship::Provider.index(), 2);
         assert_eq!(type_index(NodeType::T), 0);
         assert_eq!(type_index(NodeType::C), 3);
     }

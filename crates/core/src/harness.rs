@@ -129,12 +129,12 @@ impl ChurnReport {
     /// Convenience: `U_y(X)` — mean updates a node of type `ty` receives
     /// from neighbors of class `rel` per C-event (e.g. `Uc(T)`).
     pub fn u(&self, ty: NodeType, rel: Relationship) -> f64 {
-        self.by_type(ty).factors[crate::factors::rel_index(rel)].u
+        self.by_type(ty).factors[rel.index()].u
     }
 
     /// Convenience: the factor means for `(type, relationship)`.
     pub fn factor(&self, ty: NodeType, rel: Relationship) -> FactorMeans {
-        self.by_type(ty).factors[crate::factors::rel_index(rel)]
+        self.by_type(ty).factors[rel.index()]
     }
 }
 

@@ -79,16 +79,17 @@
 //! The simulator holds no per-node object. Every route of every node —
 //! Adj-RIBs-in, Loc-RIBs, output queues with their MRAI timers, session
 //! liveness, damping history — lives in the columns of one
-//! [`RouteSlab`], indexed by the [`SessionSlab`]'s global session id
-//! (`first_session(node) + slot`) and by network-wide prefix rows, and a
-//! protocol step sees its node's share through a [`BgpNode`] view built
-//! for the step (`Simulator::lend_step`); [`Simulator::node`] hands out
-//! the read-only [`NodeView`]. Every node's input queue is a chain in one
-//! pooled FIFO (`crate::inbox`): entries carry the index of the next,
-//! each node keeps a head, a tail and a length. So instantiating a
-//! simulator is a fixed handful of allocations whatever the size of the
-//! topology, [`Simulator::recycle`] and [`Simulator::reset_routing`] are
-//! a few fills, and a cost snapshot reads the route columns' byte tally
+//! [`RouteSlab`], indexed by the [`SessionSlab`]'s global session id (a
+//! node's `Stripe` turns its slots into them) and by network-wide
+//! prefix rows, and a protocol step sees its node's share through a
+//! [`BgpNode`] view built for the step (`Simulator::lend_step`);
+//! [`Simulator::node`] hands out the read-only [`NodeView`]. Every
+//! node's input queue is a chain in one pooled FIFO (`crate::inbox`):
+//! entries carry the index of the next, each node keeps a head, a tail
+//! and a length. So instantiating a simulator is a fixed handful of
+//! allocations whatever the size of the topology,
+//! [`Simulator::recycle`] and [`Simulator::reset_routing`] are a few
+//! fills, and a cost snapshot reads the route columns' byte tally
 //! instead of visiting every node.
 
 use std::sync::Arc;
@@ -748,12 +749,12 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     /// `msg` arrives, its key just had its turn.
-    // det::allow(panic-surface, reason = "a message's slot is minted by SessionSlab::far_end for its receiver")
     fn deliver(&mut self, msg: InFlight<O::Stamp>) {
         let InFlight { key, to, slot, update } = msg;
         let now = key.time;
         self.obs.on_event(EventKind::Deliver, now);
-        let session = self.slab.sessions(to.0)[slot as usize];
+        let stripe = self.slab.stripe(to.0);
+        let session = self.slab.session(stripe, slot);
         let from = session.peer;
         if self.down_links.contains(&link_key(from, to)) {
             // The link failed while the message was in flight.
@@ -762,7 +763,7 @@ impl<O: SimObserver> Simulator<O> {
         }
         self.last_activity = now;
         self.deliveries += 1;
-        self.churn.record(to, slot, update.kind.is_withdraw(), now);
+        self.churn.record(stripe, slot, update.kind.is_withdraw(), now);
         // Depth the arriving message will reach once enqueued — the
         // receiver-side backlog signal.
         let inbox_depth = self.inbox.len(to.index()) + 1;
@@ -856,8 +857,9 @@ impl<O: SimObserver> Simulator<O> {
                     tail.key.time
                 );
             }
+            let stripe = self.slab.stripe(node.0);
             for (slot, update) in actions.sends.drain(..) {
-                let (to, slot) = self.slab.far_end(node.index() as u32, slot);
+                let (to, slot) = self.slab.far_end(stripe, slot);
                 let key = self.queue.reserve(arrival);
                 self.wire.push_back(InFlight { key, to, slot, update });
                 self.wire_ops.pushes += 1;

@@ -75,13 +75,12 @@ impl TsBin {
         self.announces + self.withdraws
     }
 
-    // det::allow(panic-surface, reason = "by_rel and by_type are fixed [_; 3] / [_; 4] arrays walked with literal bounds")
     fn add(&mut self, other: &TsBin) {
-        for i in 0..3 {
-            self.by_rel[i] += other.by_rel[i];
+        for (sum, n) in self.by_rel.iter_mut().zip(other.by_rel) {
+            *sum += n;
         }
-        for i in 0..4 {
-            self.by_type[i] += other.by_type[i];
+        for (sum, n) in self.by_type.iter_mut().zip(other.by_type) {
+            *sum += n;
         }
         self.announces += other.announces;
         self.withdraws += other.withdraws;
