@@ -155,8 +155,8 @@ impl SessionSlab {
             mirror: Vec::new(),
             rank: Vec::new(),
         };
-        // Scratch for one node's slots in tie-break order.
-        let mut by_tie_break: Vec<u32> = Vec::new();
+        // Scratch for one node's `(hash, peer, slot)` in tie-break order.
+        let mut by_tie_break: Vec<(u64, u32, u32)> = Vec::new();
         let mut ids_are_indices = true;
         for (i, (id, sess)) in nodes.into_iter().enumerate() {
             ids_are_indices &= id == AsId(i as u32);
@@ -164,24 +164,22 @@ impl SessionSlab {
             slab.offsets
                 .push(u32::try_from(slab.sessions.len()).expect("session count fits u32"));
             let stripe = slab.stripe(i as u32);
-            for (slot, s) in (0..).zip(stripe.of(&slab.sessions)) {
+            let sessions = stripe.share(&slab.sessions);
+            for (slot, s) in (0..).zip(sessions) {
                 assert_ne!(s.peer, id, "session with self at {id}");
                 slab.lookup.push((s.peer, slot));
             }
-            let node_lookup = stripe.of_mut(&mut slab.lookup);
+            let node_lookup = stripe.share_mut(&mut slab.lookup);
             node_lookup.sort_unstable_by_key(|&(peer, _)| peer);
             for pair in node_lookup.windows(2) {
                 assert_ne!(pair[0].0, pair[1].0, "duplicate session {id}–{}", pair[0].0);
             }
             by_tie_break.clear();
-            by_tie_break.extend(0..stripe.degree);
-            by_tie_break.sort_unstable_by_key(|&slot| {
-                let peer = stripe.at(&slab.sessions, slot).peer.0;
-                (hash64(u64::from(peer)), peer)
-            });
+            by_tie_break.extend((0..).zip(sessions).map(|(slot, s)| (hash64(u64::from(s.peer.0)), s.peer.0, slot)));
+            by_tie_break.sort_unstable();
             slab.rank.resize(slab.sessions.len(), 0);
-            for (rank, &slot) in (0..).zip(&by_tie_break) {
-                *stripe.at_mut(&mut slab.rank, slot) = rank;
+            for (rank, &(_, _, slot)) in (0..).zip(&by_tie_break) {
+                *stripe.entry_mut(&mut slab.rank, slot) = rank;
             }
         }
         // The columns live as long as the topology: no growth slack.
@@ -208,18 +206,14 @@ impl SessionSlab {
         let mut cursor = vec![0u32; n];
         for i in 0..n as u32 {
             let stripe = self.stripe(i);
-            for &(peer, slot) in stripe.of(&self.lookup) {
+            for &(peer, slot) in stripe.share(&self.lookup) {
                 let next = cursor.get_mut(peer.index())?;
-                let at_peer = self.stripe(peer.0);
-                if *next >= at_peer.degree {
-                    return None;
-                }
-                let (back, peer_slot) = *at_peer.at(&self.lookup, *next);
+                let (back, peer_slot) = *self.stripe(peer.0).share(&self.lookup).get(*next as usize)?;
                 if back != AsId(i) {
                     return None;
                 }
                 *next += 1;
-                *stripe.at_mut(&mut mirror, slot) = peer_slot;
+                *stripe.entry_mut(&mut mirror, slot) = peer_slot;
             }
         }
         Some(mirror)
@@ -249,15 +243,15 @@ impl SessionSlab {
         Stripe { base, degree: end - base }
     }
 
-    /// Node `node`'s sessions, in slot order.
-    pub fn sessions(&self, node: u32) -> &[Session] {
-        self.stripe(node).of(&self.sessions)
+    /// The sessions of the node owning `stripe`, in slot order.
+    pub fn sessions(&self, stripe: Stripe) -> &[Session] {
+        stripe.share(&self.sessions)
     }
 
-    /// The slot of `peer` on node `node`, if it is a neighbor — a binary
-    /// search over the node's sorted lookup stripe.
-    pub fn slot_of(&self, node: u32, peer: AsId) -> Option<u32> {
-        let lookup = self.stripe(node).of(&self.lookup);
+    /// The slot of `peer` on the node owning `stripe`, if it is a
+    /// neighbor — a binary search over the node's sorted lookup stripe.
+    pub fn slot_of(&self, stripe: Stripe, peer: AsId) -> Option<u32> {
+        let lookup = stripe.share(&self.lookup);
         lookup
             .binary_search_by_key(&peer, |&(p, _)| p)
             .ok()
@@ -267,7 +261,7 @@ impl SessionSlab {
     /// Session `slot` of the node owning `stripe`.
     #[inline]
     pub fn session(&self, stripe: Stripe, slot: u32) -> Session {
-        *stripe.at(&self.sessions, slot)
+        *stripe.entry(&self.sessions, slot)
     }
 
     /// The far end of session `slot` of the node owning `stripe`: the
@@ -278,7 +272,7 @@ impl SessionSlab {
     /// # Panics
     /// Panics on a slab that is not closed (see the `mirror` column).
     pub fn far_end(&self, stripe: Stripe, slot: u32) -> (AsId, u32) {
-        (stripe.at(&self.sessions, slot).peer, *stripe.at(&self.mirror, slot))
+        (stripe.entry(&self.sessions, slot).peer, *stripe.entry(&self.mirror, slot))
     }
 
     /// The rank of session `slot` of the node owning `stripe` in the
@@ -286,7 +280,7 @@ impl SessionSlab {
     /// for the next hop that wins every tie (smallest hashed id, then
     /// smallest id).
     pub fn rank(&self, stripe: Stripe, slot: u32) -> u32 {
-        *stripe.at(&self.rank, slot)
+        *stripe.entry(&self.rank, slot)
     }
 
     /// Total sessions across all nodes.
@@ -323,23 +317,23 @@ impl Stripe {
     }
 
     /// The node's share of `column`, a per-session column.
-    pub fn of<T>(self, column: &[T]) -> &[T] {
-        self.cut(column, 0, ..)
+    pub fn share<T>(self, column: &[T]) -> &[T] {
+        Stripe::cut(column, self.cells(0))
     }
 
     /// The node's share of `column`, writable.
-    pub fn of_mut<T>(self, column: &mut [T]) -> &mut [T] {
-        self.cut_mut(column, 0, ..)
+    pub fn share_mut<T>(self, column: &mut [T]) -> &mut [T] {
+        Stripe::cut_mut(column, self.cells(0))
     }
 
     /// The entry of `slot` in `column`, a per-session column.
-    pub fn at<T>(self, column: &[T], slot: u32) -> &T {
-        self.cut(column, 0, slot as usize)
+    pub fn entry<T>(self, column: &[T], slot: u32) -> &T {
+        Stripe::cut(column, self.slot_cell(0, slot))
     }
 
     /// The entry of `slot` in `column`, writable.
-    pub fn at_mut<T>(self, column: &mut [T], slot: u32) -> &mut T {
-        self.cut_mut(column, 0, slot as usize)
+    pub fn entry_mut<T>(self, column: &mut [T], slot: u32) -> &mut T {
+        Stripe::cut_mut(column, self.slot_cell(0, slot))
     }
 
     /// The node's cells in the row at `row_start` of a row-major per-session column.
@@ -349,16 +343,22 @@ impl Stripe {
         start..start + self.degree as usize
     }
 
-    /// `slots` (one slot, or a range of them) of the node's cells in that row.
-    // det::allow(panic-surface, reason = "the stripe contract: SessionSlab::stripe checked the node, so its cells lie inside every row of a column sized for the slab; row_start is the start of a row that touch/row returned; a slot past the degree is a caller bug the index must catch")
-    fn cut<T, I: SliceIndex<[T]>>(self, column: &[T], row_start: usize, slots: I) -> &I::Output {
-        &column[self.cells(row_start)][slots]
+    /// The cell of `slot` in that row.
+    #[inline]
+    fn slot_cell(self, row_start: usize, slot: u32) -> usize {
+        row_start + self.id(slot) as usize
+    }
+
+    /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
+    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
+        &column[at]
     }
 
     /// [`Stripe::cut`], writable.
-    // det::allow(panic-surface, reason = "the stripe contract: SessionSlab::stripe checked the node, so its cells lie inside every row of a column sized for the slab; row_start is the start of a row that touch/row returned; a slot past the degree is a caller bug the index must catch")
-    fn cut_mut<T, I: SliceIndex<[T]>>(self, column: &mut [T], row_start: usize, slots: I) -> &mut I::Output {
-        &mut column[self.cells(row_start)][slots]
+    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
+        &mut column[at]
     }
 }
 
@@ -524,18 +524,16 @@ impl<S: Stamp> RouteSlab<S> {
     /// and one cached preference key per slot. A key means something only
     /// while its cell holds a route.
     pub(crate) fn adj_rib_in(&self, row: usize, stripe: Stripe) -> (&[Option<PathId>], &[u64]) {
-        let start = row * self.sessions;
-        (stripe.cut(&self.rib_in, start, ..), stripe.cut(&self.rib_key, start, ..))
+        let cells = stripe.cells(row * self.sessions);
+        (Stripe::cut(&self.rib_in, cells.clone()), Stripe::cut(&self.rib_key, cells))
     }
 
-    /// One Adj-RIB-in cell of the node owning `stripe`.
-    pub(crate) fn rib_in_cell(&self, row: usize, stripe: Stripe, slot: u32) -> Option<PathId> {
-        *stripe.cut(&self.rib_in, row * self.sessions, slot as usize)
-    }
-
-    /// The preference key cached beside that cell, while it holds a route.
-    pub(crate) fn rib_in_key(&self, row: usize, stripe: Stripe, slot: u32) -> u64 {
-        *stripe.cut(&self.rib_key, row * self.sessions, slot as usize)
+    /// One Adj-RIB-in cell of the node owning `stripe`: the route, and
+    /// the preference key cached beside it (meaningful only while the
+    /// cell holds a route).
+    pub(crate) fn rib_in(&self, row: usize, stripe: Stripe, slot: u32) -> (Option<PathId>, u64) {
+        let cell = stripe.slot_cell(row * self.sessions, slot);
+        (*Stripe::cut(&self.rib_in, cell), *Stripe::cut(&self.rib_key, cell))
     }
 
     /// Overwrites one Adj-RIB-in cell of the node owning `stripe`: the
@@ -545,10 +543,10 @@ impl<S: Stamp> RouteSlab<S> {
     /// # Panics
     /// Panics if `slot` is not one of the node's sessions.
     pub(crate) fn set_rib_in(&mut self, row: usize, stripe: Stripe, slot: u32, route: Option<(PathId, u64)>) {
-        let start = row * self.sessions;
-        *stripe.cut_mut(&mut self.rib_in, start, slot as usize) = route.map(|(path, _)| path);
+        let cell = stripe.slot_cell(row * self.sessions, slot);
+        *Stripe::cut_mut(&mut self.rib_in, cell) = route.map(|(path, _)| path);
         if let Some((_, key)) = route {
-            *stripe.cut_mut(&mut self.rib_key, start, slot as usize) = key;
+            *Stripe::cut_mut(&mut self.rib_key, cell) = key;
         }
     }
 
@@ -719,11 +717,11 @@ mod tests {
         assert_eq!(slab.total_sessions(), 4);
         assert_eq!(slab.stripe(0).degree, 2);
         assert_eq!(slab.stripe(1), Stripe { base: 2, degree: 1 }, "node 1's sessions follow node 0's two");
-        assert_eq!(slab.slot_of(0, AsId(1)), Some(0));
-        assert_eq!(slab.slot_of(0, AsId(2)), Some(1));
-        assert_eq!(slab.slot_of(0, AsId(3)), None);
-        assert_eq!(slab.slot_of(1, AsId(0)), Some(0));
-        assert_eq!(slab.sessions(2)[0].peer, AsId(0));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(1)), Some(0));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(2)), Some(1));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(3)), None);
+        assert_eq!(slab.slot_of(slab.stripe(1), AsId(0)), Some(0));
+        assert_eq!(slab.sessions(slab.stripe(2))[0].peer, AsId(0));
         assert!(slab.arena_bytes() > 0);
     }
 
@@ -741,8 +739,8 @@ mod tests {
         for node in 0..4u32 {
             for slot in 0..slab.stripe(node).degree {
                 let (peer, at_peer) = slab.far_end(slab.stripe(node), slot);
-                assert_eq!(peer, slab.sessions(node)[slot as usize].peer);
-                assert_eq!(slab.slot_of(peer.0, AsId(node)), Some(at_peer));
+                assert_eq!(peer, slab.sessions(slab.stripe(node))[slot as usize].peer);
+                assert_eq!(slab.slot_of(slab.stripe(peer.0), AsId(node)), Some(at_peer));
                 assert_eq!(slab.far_end(slab.stripe(peer.0), at_peer), (AsId(node), slot), "mirror of the mirror");
             }
         }
@@ -792,12 +790,12 @@ mod tests {
     /// Slot `degree` of node 0 would be node 1's first session: the
     /// stripe, not the column's length, must refuse it.
     #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "slot 1 of a node of degree 1")]
     fn a_slot_at_the_degree_panics() {
         let slab = slab_from(0, vec![vec![session(1, Relationship::Peer)], vec![session(0, Relationship::Peer)]]);
         let column = vec![0u8; slab.total_sessions()];
         let stripe = slab.stripe(0);
-        stripe.at(&column, stripe.degree);
+        stripe.entry(&column, stripe.degree);
     }
 
     /// The rank column orders each node's slots as the decision process
@@ -832,10 +830,10 @@ mod tests {
                 session(7, Relationship::Provider),
             ],
         );
-        assert_eq!(slab.slot_of(0, AsId(9)), Some(0));
-        assert_eq!(slab.slot_of(0, AsId(3)), Some(1));
-        assert_eq!(slab.slot_of(0, AsId(7)), Some(2));
-        assert_eq!(slab.sessions(0)[1].peer, AsId(3));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(9)), Some(0));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(3)), Some(1));
+        assert_eq!(slab.slot_of(slab.stripe(0), AsId(7)), Some(2));
+        assert_eq!(slab.sessions(slab.stripe(0))[1].peer, AsId(3));
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// The configured sessions, in slot order.
     pub fn sessions(self) -> &'a [Session] {
-        self.slab.sessions(self.id.0)
+        self.slab.sessions(self.stripe)
     }
 
     /// The shared session slab this node reads its stripe from.
@@ -228,12 +228,12 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// The slot of neighbor `peer`, if it is one.
     pub fn slot_of(self, peer: AsId) -> Option<u32> {
-        self.slab.slot_of(self.id.0, peer)
+        self.slab.slot_of(self.stripe, peer)
     }
 
     /// The output queue of `slot`.
     fn queue(self, slot: u32) -> &'a OutQueue<S> {
-        self.stripe.at(&self.routes.out, slot)
+        self.stripe.entry(&self.routes.out, slot)
     }
 
     /// The best route for `prefix`: `None` if unreachable, otherwise the
@@ -288,7 +288,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
     /// The latest key reserved for any MRAI timer of this speaker that is
     /// not after `deadline` (see [`OutQueue::latest_key_by`]).
     pub fn latest_timer_key_by(self, deadline: SimTime) -> EventKey {
-        let due = self.stripe.of(&self.routes.out).iter().map(|q| q.latest_key_by(deadline));
+        let due = self.stripe.share(&self.routes.out).iter().map(|q| q.latest_key_by(deadline));
         due.max().unwrap_or(EventKey::ZERO)
     }
 
@@ -299,7 +299,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// True while the session at `slot` is established.
     pub fn session_active(self, slot: u32) -> bool {
-        *self.stripe.at(&self.routes.active, slot)
+        *self.stripe.entry(&self.routes.active, slot)
     }
 }
 
@@ -313,12 +313,13 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         routes: &'a mut RouteSlab<S>,
     ) -> BgpNode<'a, S> {
         let stripe = slab.stripe(id.0);
+        debug_assert_eq!(routes.out.len(), slab.total_sessions(), "route columns of another slab");
         BgpNode { id, slab, stripe, routes }
     }
 
     /// The read-only view of this speaker.
     pub fn view(&self) -> NodeView<'_, S> {
-        NodeView::new(self.id, self.slab, self.routes)
+        NodeView { id: self.id, slab: self.slab, stripe: self.stripe, routes: self.routes }
     }
 
     /// The output queue of `slot`.
@@ -326,7 +327,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
     fn queue_mut(&mut self, slot: u32) -> &mut OutQueue<S> {
-        self.stripe.at_mut(&mut self.routes.out, slot)
+        self.stripe.entry_mut(&mut self.routes.out, slot)
     }
 
     /// The row of `prefix`, made this node's if it was not.
@@ -389,7 +390,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // re-advertisements and path changes are flaps (RFC 2439).
         if let Some(cfg) = &step.cfg.rfd {
             let session = self.stripe.id(slot);
-            let prev = self.routes.rib_in_cell(row, self.stripe, slot);
+            let (prev, _) = self.routes.rib_in(row, self.stripe, slot);
             let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
                 (Some(old), Some(new)) if old != new => Some(FlapKind::AttributeChange),
@@ -449,7 +450,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already down.
     pub fn session_down_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = self.stripe.at_mut(&mut self.routes.active, slot);
+        let active = self.stripe.entry_mut(&mut self.routes.active, slot);
         assert!(*active, "{}: session {slot} already down", self.id);
         *active = false;
         self.queue_mut(slot).force_reset();
@@ -459,7 +460,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         let affected: Vec<(usize, Prefix)> = self
             .routes
             .rows_by_prefix()
-            .filter(|&(row, _)| self.routes.rib_in_cell(row, self.stripe, slot).is_some())
+            .filter(|&(row, _)| self.routes.rib_in(row, self.stripe, slot).0.is_some())
             .collect();
         for (row, prefix) in affected {
             self.routes.set_rib_in(row, self.stripe, slot, None);
@@ -475,7 +476,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already up.
     pub fn session_up_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = self.stripe.at_mut(&mut self.routes.active, slot);
+        let active = self.stripe.entry_mut(&mut self.routes.active, slot);
         assert!(!*active, "{}: session {slot} already up", self.id);
         *active = true;
         debug_assert!(!self.view().timer_armed(slot, step.now));
@@ -556,18 +557,18 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         if let (Reeval::SlotChanged(s), None, Some((incumbent, old_path))) =
             (hint, &step.cfg.rfd, self.routes.loc(row, self.id.0).best())
         {
-            let announced = self.routes.rib_in_cell(row, self.stripe, s);
-            let key = |slot| self.routes.rib_in_key(row, self.stripe, slot);
+            let (announced, key) = self.routes.rib_in(row, self.stripe, s);
             if s != incumbent {
                 let Some(path) = announced else {
                     return Some((incumbent, old_path));
                 };
                 step.costs.route_comparisons += 1;
-                return Some(if key(s) > key(incumbent) { (s, path) } else { (incumbent, old_path) });
+                let (_, held) = self.routes.rib_in(row, self.stripe, incumbent);
+                return Some(if key > held { (s, path) } else { (incumbent, old_path) });
             }
             if let Some(path) = announced {
                 step.costs.route_comparisons += 1;
-                if key(s) >= self.route_key(s, step.paths.len(old_path)) {
+                if key >= self.route_key(s, step.paths.len(old_path)) {
                     return Some((s, path));
                 }
             }
@@ -636,9 +637,9 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // the same id for every later taker. A stub's provider route is
         // taken by no one and builds nothing.
         let mut export: Option<PathId> = None;
-        let sessions = self.slab.sessions(self.id.0);
-        let queues = self.stripe.of_mut(&mut self.routes.out);
-        let active = self.stripe.of(&self.routes.active);
+        let sessions = self.slab.sessions(self.stripe);
+        let queues = self.stripe.share_mut(&mut self.routes.out);
+        let active = self.stripe.share(&self.routes.active);
         for (slot, ((session, queue), &up)) in (0..).zip(sessions.iter().zip(queues).zip(active)) {
             if !up {
                 continue;

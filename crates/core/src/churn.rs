@@ -121,7 +121,7 @@ impl ChurnCollector {
     #[inline]
     pub fn record(&mut self, to: Stripe, slot: u32, is_withdrawal: bool, now: SimTime) {
         if self.enabled {
-            *to.at_mut(&mut self.per_edge, slot) += 1;
+            *to.entry_mut(&mut self.per_edge, slot) += 1;
             self.total += 1;
             self.withdrawals += u64::from(is_withdrawal);
             if let Some(tl) = &mut self.timeline {
@@ -163,7 +163,7 @@ impl ChurnCollector {
 
     /// Per-neighbor-slot counts for `node`, in session order.
     pub fn node_counts(&self, node: AsId) -> &[u32] {
-        self.slab.stripe(node.0).of(&self.per_edge)
+        self.slab.stripe(node.0).share(&self.per_edge)
     }
 
     /// Total updates received by `node`.

@@ -22,10 +22,8 @@
 //!    crate.
 //!
 //! Method calls resolve by name across **all** scanned crates (the
-//! receiver type is unknown) to every function of that name that takes a
-//! `self` receiver — an associated `fn of(xs: &[f64])` is never the
-//! target of `x.of(..)`; names listed in `[resolve] opaque-methods` are
-//! exempted from this and stay opaque.
+//! receiver type is unknown); names listed in `[resolve]
+//! opaque-methods` are exempted from this and stay opaque.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -98,9 +96,7 @@ impl Graph {
             by_qname.entry(n.item.qname.clone()).or_insert(i);
             by_name.entry(&n.item.name).or_default().push(i);
             if let Some(owner) = &n.item.owner {
-                if n.item.takes_self {
-                    by_method.entry(&n.item.name).or_default().push(i);
-                }
+                by_method.entry(&n.item.name).or_default().push(i);
                 by_suffix
                     .entry(format!("{owner}::{}", n.item.name))
                     .or_default()
@@ -346,16 +342,6 @@ mod tests {
         ]);
         let got = edge_qnames(&g, "c::use::go");
         assert_eq!(got, ["a::q::Q::push", "b::r::R::push"]);
-    }
-
-    #[test]
-    fn method_calls_skip_associated_fns_without_a_receiver() {
-        let g = build(&[
-            ("a/s.rs", "pub struct S;\nimpl S { pub fn of(xs: &[u64]) -> S { S } }\n"),
-            ("b/t.rs", "pub struct T;\nimpl T { pub fn of(self, xs: &[u64]) {} }\n"),
-            ("c/use.rs", "pub fn go(t: T) { t.of(&[]) }\n"),
-        ]);
-        assert_eq!(edge_qnames(&g, "c::use::go"), ["b::t::T::of"]);
     }
 
     #[test]

@@ -96,8 +96,6 @@ pub struct FnItem {
     pub name: String,
     /// The `impl`/`trait` type this is a method of, if any.
     pub owner: Option<String>,
-    /// Declares a `self` receiver, so a `.name(..)` call can reach it.
-    pub takes_self: bool,
     /// 1-based line of the declaration (the line holding `fn`).
     pub line: usize,
     /// Declared `pub` (any visibility restriction counts).
@@ -562,7 +560,6 @@ fn push_fn(out: &mut FileItems, head: &Head, scopes: &[Scope]) -> usize {
         qname,
         name,
         owner,
-        takes_self: takes_self(&head.toks),
         line: head.line,
         is_pub: head.is_pub,
         is_main,
@@ -573,25 +570,6 @@ fn push_fn(out: &mut FileItems, head: &Head, scopes: &[Scope]) -> usize {
         mentions: BTreeSet::new(),
     });
     out.fns.len() - 1
-}
-
-/// True if a `fn` head's parameter list — the first `(` outside its
-/// generic group — opens with a receiver: `self`, `&self`, `&'a mut
-/// self`, `mut self` or `self: …`.
-fn takes_self(toks: &[String]) -> bool {
-    let mut angle = 0;
-    for (k, t) in toks.iter().enumerate() {
-        match t.as_str() {
-            "<" => angle += 1,
-            ">" if k > 0 && toks[k - 1] != "-" => angle -= 1,
-            "(" if angle == 0 => {
-                let mut first = toks[k + 1..].iter().take_while(|t| !matches!(t.as_str(), "," | ")" | ":"));
-                return first.any(|t| t == "self");
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 /// First identifier following `kw` in a head's tokens.
@@ -853,20 +831,6 @@ mod tests {
 
     fn qnames(items: &FileItems) -> Vec<&str> {
         items.fns.iter().map(|f| f.qname.as_str()).collect()
-    }
-
-    #[test]
-    fn receivers_are_told_from_associated_fns() {
-        let items = parse(
-            "a/r.rs",
-            "pub struct R;\nimpl R {\n\
-             pub fn of(xs: &[u64]) -> R { R }\n\
-             pub fn at<T, F: Fn(u32) -> u32>(&'a mut self, f: F) {}\n\
-             pub fn by(self: Box<Self>) {}\n\
-             pub fn to(mut self) {}\n}\n",
-        );
-        let got: Vec<(&str, bool)> = items.fns.iter().map(|f| (f.name.as_str(), f.takes_self)).collect();
-        assert_eq!(got, [("of", false), ("at", true), ("by", true), ("to", true)]);
     }
 
     #[test]
