@@ -6,12 +6,21 @@ use crate::rfd::RfdConfig;
 
 /// The Minimum Route Advertisement Interval (§2 of the paper: 30 s,
 /// applied per neighbor interface as vendors implement it). Each arm
-/// scales it by a factor drawn from [`BgpConfig::mrai_jitter`].
+/// scales it by a factor drawn from [`MRAI_JITTER`].
 pub const MRAI: SimDuration = SimDuration::from_secs(30);
+
+/// The range each timer arming draws its [`MRAI`] factor from, uniformly:
+/// the BGP-4 standard's `[0.75, 1.0]`.
+pub const MRAI_JITTER: (f64, f64) = (0.75, 1.0);
 
 /// Upper bound of the per-message processing time (§2 of the paper:
 /// 100 ms). Service times are uniform over `(0, PROC_DELAY_MAX]`.
 pub const PROC_DELAY_MAX: SimDuration = SimDuration::from_millis(100);
+
+/// Constant link propagation delay. The paper models only queueing and
+/// processing delay; 2 ms is negligible against both the 100 ms
+/// processing bound and the 30 s MRAI, and merely breaks simultaneity.
+pub const LINK_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// How the MRAI timer treats explicit withdrawals (§2 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -68,23 +77,16 @@ impl MraiScope {
 }
 
 /// The protocol knobs an experiment varies, with defaults matching §2 of
-/// the paper. What no experiment varies is a constant: [`MRAI`] and
-/// [`PROC_DELAY_MAX`].
+/// the paper. What no experiment varies is a constant: [`MRAI`],
+/// [`MRAI_JITTER`], [`PROC_DELAY_MAX`] and [`LINK_DELAY`].
 #[derive(Clone, Debug)]
 pub struct BgpConfig {
-    /// Jitter range applied to each timer arming, as fractions of
-    /// [`MRAI`]; the BGP-4 standard specifies `[0.75, 1.0]`.
-    pub mrai_jitter: (f64, f64),
     /// Withdrawal treatment; default [`MraiMode::NoWrate`] (the paper's
     /// configuration for everything except §6).
     pub mrai_mode: MraiMode,
     /// Timer granularity; default [`MraiScope::PerInterface`] (the
     /// paper's model, matching vendor practice).
     pub mrai_scope: MraiScope,
-    /// Constant link propagation delay. The paper models only queueing and
-    /// processing delay; 2 ms is negligible against both the 100 ms
-    /// processing bound and the 30 s MRAI, and merely breaks simultaneity.
-    pub link_delay: SimDuration,
     /// Route Flap Damping (RFC 2439); `None` (the default and the paper's
     /// configuration) disables it. See [`crate::rfd`].
     pub rfd: Option<RfdConfig>,
@@ -93,10 +95,8 @@ pub struct BgpConfig {
 impl Default for BgpConfig {
     fn default() -> Self {
         BgpConfig {
-            mrai_jitter: (0.75, 1.0),
             mrai_mode: MraiMode::NoWrate,
             mrai_scope: MraiScope::PerInterface,
-            link_delay: SimDuration::from_millis(2),
             rfd: None,
         }
     }
@@ -116,15 +116,12 @@ impl BgpConfig {
         }
     }
 
-    /// Validates ranges; the simulator calls this once at startup.
+    /// Validates the RFD parameters; the simulator calls this once at
+    /// startup.
     ///
     /// # Errors
-    /// Returns a description of the first invalid field.
+    /// Returns a description of the invalid RFD parameter.
     pub fn check(&self) -> Result<(), String> {
-        let (lo, hi) = self.mrai_jitter;
-        if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi && hi <= 1.0) {
-            return Err(format!("mrai_jitter ({lo}, {hi}) must satisfy 0 < lo <= hi <= 1"));
-        }
         if let Some(rfd) = &self.rfd {
             rfd.check().map_err(|e| format!("rfd: {e}"))?;
         }
@@ -142,7 +139,8 @@ mod tests {
         assert_eq!(MRAI, SimDuration::from_secs(30));
         assert_eq!(c.mrai_mode, MraiMode::NoWrate);
         assert_eq!(PROC_DELAY_MAX, SimDuration::from_millis(100));
-        assert_eq!(c.mrai_jitter, (0.75, 1.0));
+        assert_eq!(MRAI_JITTER, (0.75, 1.0));
+        assert_eq!(LINK_DELAY, SimDuration::from_millis(2));
         c.check().unwrap();
     }
 
@@ -150,7 +148,7 @@ mod tests {
     fn wrate_constructor_flips_only_the_mode() {
         let c = BgpConfig::wrate();
         assert_eq!(c.mrai_mode, MraiMode::Wrate);
-        assert_eq!(c.mrai_jitter, BgpConfig::default().mrai_jitter);
+        assert_eq!(c.mrai_scope, BgpConfig::default().mrai_scope);
         assert!(c.mrai_mode.rate_limits_withdrawals());
         assert!(!MraiMode::NoWrate.rate_limits_withdrawals());
     }
@@ -166,18 +164,5 @@ mod tests {
     #[test]
     fn default_scope_is_the_papers() {
         assert_eq!(BgpConfig::default().mrai_scope, MraiScope::PerInterface);
-    }
-
-    #[test]
-    fn check_rejects_bad_jitter() {
-        let mut c = BgpConfig {
-            mrai_jitter: (0.0, 1.0),
-            ..Default::default()
-        };
-        assert!(c.check().is_err());
-        c.mrai_jitter = (0.9, 0.5);
-        assert!(c.check().is_err());
-        c.mrai_jitter = (0.5, 1.5);
-        assert!(c.check().is_err());
     }
 }

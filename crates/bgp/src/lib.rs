@@ -30,8 +30,9 @@
 //!   queue per neighbor. Processing a message returns the resulting sends
 //!   and timer requests as plain data ([`node::Actions`]); the simulator
 //!   decides when they happen.
-//! * [`config`] — [`BgpConfig`]: timer values, jitter range, processing and
-//!   propagation delays, and the WRATE switch.
+//! * [`config`] — [`BgpConfig`]: the WRATE switch, the MRAI scope and
+//!   optional damping; the timer value, its jitter range and the
+//!   processing and propagation delays are constants beside it.
 //! * [`rfd`] — optional Route Flap Damping (RFC 2439), the paper's
 //!   future-work mechanism: per-(session, prefix) penalties with
 //!   exponential decay, suppression and reuse.

@@ -39,7 +39,7 @@
 //! from before a session reset ([`OutQueue::force_reset`]) matches no
 //! timer armed since, and the caller keeps no epoch to tell them apart.
 //!
-//! Withdrawals depend on the [`MraiMode`]:
+//! Withdrawals depend on the [`MraiMode`](crate::MraiMode):
 //!
 //! * **NO-WRATE** (RFC 1771): withdrawals bypass the queue entirely — sent
 //!   at once, never arming the timer — and invalidate any queued
@@ -56,7 +56,7 @@ use bgpscale_obs::Stamp;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
-use crate::config::{BgpConfig, MraiMode, MraiScope};
+use crate::config::{BgpConfig, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
 use crate::node::{Actions, NodeCostCounters};
 use crate::path::{PathArena, PathId};
@@ -530,7 +530,7 @@ impl<S: Stamp> OutQueue<S> {
         // not arm the timer. RFC 4271 (WRATE): they queue like
         // announcements.
         let scope = step.cfg.mrai_scope;
-        let rate_limited = step.cfg.mrai_mode == MraiMode::Wrate;
+        let rate_limited = step.cfg.mrai_mode.rate_limits_withdrawals();
         if rate_limited && self.is_armed(prefix, scope, step.now) {
             return self.park(prefix, UpdateKind::Withdraw, stamp, step);
         }
@@ -804,6 +804,7 @@ impl<S: Stamp> Lender<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MraiMode;
     use bgpscale_simkernel::SimDuration;
 
     const P: Prefix = Prefix(1);

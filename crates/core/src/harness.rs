@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_obs::costmodel::{CostModel, PhaseCosts};
+use bgpscale_obs::span::SpanGuard;
 use bgpscale_obs::{
     MetricsRegistry, NoopObserver, Recorder, RecorderOptions, SimObserver, TimeSeries,
     TimeSeriesSpec, TraceRecord,
@@ -79,11 +80,31 @@ pub struct ExperimentConfig {
     /// path: [`run_cell`] returns a [`CellError`] with the budget snapshot,
     /// which `repro profile` renders.
     pub event_limit: Option<u64>,
-    /// Reserved: always `None`, selects nothing. The timing wheel it
-    /// tuned is gone; the name survives only because `benchmark/`'s
-    /// struct literal (frozen to ordinary PRs) still writes it, and the
-    /// type makes `Some(_)` unwritable. The next `benchmark` PR drops it.
+    /// Reserved: always `None` (the type makes `Some(_)` unwritable). Only
+    /// [`ExperimentConfig::new`] and `benchmark/`'s struct literal, frozen
+    /// to ordinary PRs, write it; the next `benchmark` PR drops it.
     pub wheel_slot_bits: Option<std::convert::Infallible>,
+}
+
+impl ExperimentConfig {
+    /// The cell `(scenario, n, events, seed)` under `bgp`, on the default event budget.
+    pub fn new(
+        scenario: GrowthScenario,
+        n: usize,
+        events: usize,
+        seed: u64,
+        bgp: BgpConfig,
+    ) -> ExperimentConfig {
+        ExperimentConfig {
+            scenario,
+            n,
+            events,
+            seed,
+            bgp,
+            event_limit: None,
+            wheel_slot_bits: None,
+        }
+    }
 }
 
 /// Churn summary for one node type.
@@ -209,12 +230,9 @@ fn measure_event<O: SimObserver>(
         event_u_sum[t] += f.total_updates() as f64;
         event_u_cnt[t] += 1;
     }
-    let mut event_u = [None; 4];
-    for t in 0..4 {
-        if event_u_cnt[t] > 0 {
-            event_u[t] = Some(event_u_sum[t] / event_u_cnt[t] as f64);
-        }
-    }
+    let event_u = std::array::from_fn(|t| {
+        (event_u_cnt[t] > 0).then(|| event_u_sum[t] / event_u_cnt[t] as f64)
+    });
     Ok(EventMeasurement {
         acc,
         event_u,
@@ -362,7 +380,7 @@ fn run_events<O: SimObserver + Default + Send>(
     // saved, not which error is reported.
     let failed = AtomicUsize::new(usize::MAX);
     let outcomes: Vec<Option<Result<(EventMeasurement, O), CellError>>> = {
-        let _span = bgpscale_obs::span!("run_events");
+        let _span = phase("run_events");
         run_indexed_with(
             jobs,
             setup.c_nodes.len(),
@@ -384,7 +402,7 @@ fn run_events<O: SimObserver + Default + Send>(
         )
     };
 
-    let _span = bgpscale_obs::span!("fold_measurements");
+    let _span = phase("fold_measurements");
     let mut cost = CostModel::new();
     let mut acc = FactorAccumulator::new();
     let mut per_event_u: [Vec<f64>; 4] = Default::default();
@@ -408,18 +426,11 @@ fn run_events<O: SimObserver + Default + Send>(
 
     let events = setup.c_nodes.len();
     let mut types: [TypeChurn; 4] = Default::default();
-    for (t, ty) in [NodeType::T, NodeType::M, NodeType::Cp, NodeType::C]
-        .into_iter()
-        .enumerate()
-    {
+    for (t, ty) in NodeType::ALL.into_iter().enumerate() {
         types[t] = TypeChurn {
             node_count: setup.node_counts[t],
             u_total: acc.mean_total(ty),
-            factors: [
-                acc.means(ty, Relationship::Customer),
-                acc.means(ty, Relationship::Peer),
-                acc.means(ty, Relationship::Provider),
-            ],
+            factors: Relationship::ALL.map(|rel| acc.means(ty, rel)),
             per_event_u: std::mem::take(&mut per_event_u[t]),
         };
     }
@@ -460,6 +471,13 @@ pub fn run_experiment_observed_with(
     run_cell(cfg, jobs, Some(opts)).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Opens the wall-clock span `name` of `repro profile`'s phase table; it
+/// records when dropped. The one place the harness crosses into wall time.
+fn phase(name: &'static str) -> SpanGuard {
+    // det::allow(det-closure, reason = "phase timings go to the wall-side span profile only; never into the report, the cost model or any artifact")
+    SpanGuard::enter(name)
+}
+
 /// The per-cell state every event shares: generated topology, chosen
 /// originators, and the pristine simulator template.
 struct ExperimentSetup {
@@ -477,15 +495,10 @@ impl ExperimentSetup {
         let pick_seed = hash64_pair(cfg.seed, PICK_STREAM);
 
         let graph = {
-            let _span = bgpscale_obs::span!("generate_topology");
+            let _span = phase("generate_topology");
             Arc::new(generate(cfg.scenario, cfg.n, topo_seed))
         };
-        let node_counts: [usize; 4] = [
-            graph.count_of_type(NodeType::T),
-            graph.count_of_type(NodeType::M),
-            graph.count_of_type(NodeType::Cp),
-            graph.count_of_type(NodeType::C),
-        ];
+        let node_counts = NodeType::ALL.map(|ty| graph.count_of_type(ty));
         let node_types: Vec<NodeType> = graph.node_ids().map(|id| graph.node_type(id)).collect();
 
         // Choose distinct C-type originators.
@@ -498,7 +511,7 @@ impl ExperimentSetup {
         // Build the clean simulator blueprint once; every worker stamps
         // its simulator out of it.
         let template = {
-            let _span = bgpscale_obs::span!("build_template");
+            let _span = phase("build_template");
             SimTemplate::new(Arc::clone(&graph), cfg.bgp.clone())
         };
 
@@ -517,15 +530,7 @@ mod tests {
     use super::*;
 
     fn cell(scenario: GrowthScenario, n: usize, events: usize, seed: u64) -> ExperimentConfig {
-        ExperimentConfig {
-            scenario,
-            n,
-            events,
-            seed,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        }
+        ExperimentConfig::new(scenario, n, events, seed, BgpConfig::default())
     }
 
     fn quick(scenario: GrowthScenario, n: usize, events: usize, seed: u64) -> ChurnReport {

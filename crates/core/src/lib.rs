@@ -41,15 +41,8 @@
 //! use bgpscale_core::harness::{run_experiment, ExperimentConfig};
 //! use bgpscale_topology::{GrowthScenario, NodeType};
 //!
-//! let report = run_experiment(&ExperimentConfig {
-//!     scenario: GrowthScenario::Baseline,
-//!     n: 300,
-//!     events: 3,
-//!     seed: 7,
-//!     bgp: Default::default(),
-//!     event_limit: None,
-//!     wheel_slot_bits: None,
-//! });
+//! let cell = ExperimentConfig::new(GrowthScenario::Baseline, 300, 3, 7, Default::default());
+//! let report = run_experiment(&cell);
 //! // Tier-1 nodes hear about every C-event at least twice (DOWN + UP).
 //! assert!(report.by_type(NodeType::T).u_total >= 2.0);
 //! ```

@@ -96,7 +96,7 @@ use std::sync::Arc;
 
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
-use bgpscale_bgp::config::{MRAI, PROC_DELAY_MAX};
+use bgpscale_bgp::config::{LINK_DELAY, MRAI, MRAI_JITTER, PROC_DELAY_MAX};
 use bgpscale_bgp::{
     BgpConfig, BgpNode, NodeCostCounters, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
 };
@@ -254,7 +254,7 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     queue: EventQueue<SimEvent>,
     /// The messages in flight, each under a key reserved from the queue
     /// when it was sent: in key order, because every message arrives one
-    /// constant `cfg.link_delay` after a monotone clock
+    /// constant [`LINK_DELAY`] after a monotone clock
     /// ([`Simulator::apply_actions`] asserts it).
     wire: std::collections::VecDeque<InFlight<O::Stamp>>,
     /// The wire's share of the queue's op classes: its pushes, its pops
@@ -414,11 +414,6 @@ impl<O: SimObserver> Simulator<O> {
     /// Read access to the attached observer.
     pub fn observer(&self) -> &O {
         &self.obs
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
     }
 
     /// Consumes the simulator, returning the observer with everything it
@@ -845,7 +840,7 @@ impl<O: SimObserver> Simulator<O> {
         self.mrai_armed_total += actions.arms.len() as u64;
         let scheduled_before = self.expiries_scheduled;
         if !actions.sends.is_empty() {
-            let arrival = now + self.cfg.link_delay;
+            let arrival = now + LINK_DELAY;
             // The event loop takes the wire's front as its next message,
             // which is only right while the wire is in key order — true
             // for one constant link delay, and what a per-link delay would
@@ -931,9 +926,8 @@ impl<O: SimObserver> Simulator<O> {
     }
 
     fn draw_mrai_interval(&mut self) -> SimDuration {
-        let (lo, hi) = self.cfg.mrai_jitter;
-        let factor = if lo >= hi { lo } else { self.rng.next_f64_range(lo, hi) };
-        MRAI.mul_f64(factor)
+        let (lo, hi) = MRAI_JITTER;
+        MRAI.mul_f64(self.rng.next_f64_range(lo, hi))
     }
 }
 
@@ -1236,20 +1230,6 @@ mod tests {
         assert!(sim.wire.is_empty(), "quiescence leaves nothing on the wire");
     }
 
-    /// A message sent to arrive before one already on the wire would break
-    /// the wire's key order, and the event loop would deliver it late;
-    /// `apply_actions` refuses.
-    #[test]
-    #[should_panic(expected = "scheduled before the wire's tail")]
-    fn a_message_sent_out_of_wire_order_fails_loudly() {
-        let (g, ids) = chain_graph();
-        let mut sim = Simulator::new(g, BgpConfig::default(), 18);
-        sim.originate(ids[4], P);
-        // What a shorter delay on some other link would amount to.
-        sim.cfg.link_delay = SimDuration::ZERO;
-        sim.originate(ids[5], Prefix(1));
-    }
-
     #[derive(Default)]
     struct FlushCounter {
         flushes: u64,
@@ -1295,6 +1275,20 @@ mod tests {
         );
         assert!(seen.sent > 0, "the expiries release queued updates");
         assert!(seen.empty < seen.flushes, "a flush that sends nothing is the exception");
+    }
+
+    /// Every arm scales the 30 s MRAI by a factor drawn from the
+    /// standard's [0.75, 1]: each interval lies in [22.5 s, 30 s], and
+    /// the draws differ.
+    #[test]
+    fn mrai_intervals_are_jittered_within_the_standard_range() {
+        let (g, _) = chain_graph();
+        let mut sim = Simulator::new(g, BgpConfig::default(), 26);
+        let draws: Vec<SimDuration> = (0..10_000).map(|_| sim.draw_mrai_interval()).collect();
+        let (lo, hi) = (draws.iter().min().unwrap(), draws.iter().max().unwrap());
+        let range = SimDuration::from_millis(22_500)..=SimDuration::from_secs(30);
+        assert!(range.contains(lo) && range.contains(hi), "drawn {lo:?} ..= {hi:?}");
+        assert!(lo < hi, "every draw was {lo:?}");
     }
 
     /// Routing is over within seconds; the timers armed on the way run
@@ -1352,29 +1346,30 @@ mod tests {
 
     /// A session reset forgets the queue's timers, but the clock must
     /// still pass the key of one that was armed with no event scheduled:
-    /// `fail_link` schedules it, stale. Without jitter the last timer
-    /// armed holds the latest key, and that is M3's towards its stub.
+    /// `fail_link` schedules it, stale. M3's timer towards its stub is
+    /// such a one; a deadline at its key shows the stale event carried
+    /// the clock there, for no timer still armed holds that key.
     #[test]
     fn a_timer_forgotten_by_a_session_reset_still_carries_the_clock_past_its_key() {
         let (g, ids) = chain_graph();
-        let cfg = BgpConfig {
-            mrai_jitter: (1.0, 1.0),
-            ..BgpConfig::default()
-        };
-        let mut sim = Simulator::new(g, cfg, 24);
+        let mut sim = Simulator::new(g, BgpConfig::default(), 24);
         sim.originate(ids[4], P);
         sim.run_until(SimTime::from_secs(5)).unwrap();
         let (m3, c5) = (ids[3], ids[5]);
         let forgotten = sim.node(m3).latest_timer_key_by(SimTime::MAX);
-        assert_eq!(forgotten, sim.mrai_horizon, "the last hop armed last");
+        assert!(forgotten.time > SimTime::from_secs(5), "M3 armed a timer towards C5");
         assert_eq!(sim.expiries_scheduled, 0);
 
         sim.fail_link(m3, c5);
         assert_eq!(sim.node(m3).latest_timer_key_by(SimTime::MAX), EventKey::ZERO);
         assert_eq!(sim.queue.len(), 1, "the forgotten timer's expiry, stale");
         assert_eq!(sim.expiries_scheduled, 0, "which no gauge counts");
-        sim.run_until(SimTime::from_secs(60)).unwrap();
+        let held = sim.routes.latest_timer_key_by(forgotten.time);
+        assert!(held < forgotten, "no armed timer holds the forgotten key");
+        sim.run_until(forgotten.time).unwrap();
         assert_eq!(sim.queue.last_key(), forgotten);
+        sim.run_until(SimTime::from_secs(60)).unwrap();
+        assert_eq!(sim.queue.last_key(), sim.mrai_horizon);
         assert_eq!(sim.cost_counts().mrai_fired, 0, "a stale expiry flushes nothing");
     }
 
@@ -1389,11 +1384,7 @@ mod tests {
         let t = g.add_node(NodeType::T, RegionSet::all(1));
         let c = g.add_node(NodeType::C, RegionSet::all(1));
         g.add_transit_link(c, t);
-        let cfg = BgpConfig {
-            mrai_jitter: (1.0, 1.0),
-            ..BgpConfig::default()
-        };
-        let template = SimTemplate::new(Arc::new(g), cfg);
+        let template = SimTemplate::new(Arc::new(g), BgpConfig::default());
         let mut sim = template.instantiate_observed(25, FlushCounter::default());
         let pending_expiries = |sim: &Simulator<FlushCounter>| {
             let expiries = sim.queue.iter_pending().filter(|(_, e)| e.kind() == EventKind::MraiExpire);

@@ -118,15 +118,7 @@ fn origins(graph: &AsGraph, count: usize) -> Vec<AsId> {
 /// recycled simulator), then one C-event driven phase by phase.
 fn cell_hash(scenario: GrowthScenario, bgp: &BgpConfig, n: usize, seed: u64) -> u64 {
     let mut h = Fnv::new();
-    h.report(&run_experiment(&ExperimentConfig {
-        scenario,
-        n,
-        events: 2,
-        seed,
-        bgp: bgp.clone(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    }));
+    h.report(&run_experiment(&ExperimentConfig::new(scenario, n, 2, seed, bgp.clone())));
 
     let graph = generate(scenario, n, seed);
     let origin = origins(&graph, 2)[1];

@@ -64,15 +64,7 @@ fn modes() -> [BgpConfig; 2] {
 const SCENARIOS: [GrowthScenario; 2] = [GrowthScenario::Baseline, GrowthScenario::DenseCore];
 
 fn cell_artifacts(scenario: GrowthScenario, bgp: BgpConfig) -> [u64; 3] {
-    let cfg = ExperimentConfig {
-        scenario,
-        n: N,
-        events: EVENTS,
-        seed: SEED,
-        bgp,
-        event_limit: None,
-        wheel_slot_bits: None,
-    };
+    let cfg = ExperimentConfig::new(scenario, N, EVENTS, SEED, bgp);
     let opts = ObserveOptions {
         trace_sample: Some(TRACE_SAMPLE),
         timeseries_bin_us: Some(BIN_US),

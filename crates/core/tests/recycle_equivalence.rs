@@ -275,15 +275,7 @@ fn run_experiment_is_bit_identical_for_jobs_1_4_8() {
         (GrowthScenario::Baseline, BgpConfig::no_wrate()),
         (GrowthScenario::DenseCore, BgpConfig::wrate()),
     ] {
-        let cfg = ExperimentConfig {
-            scenario,
-            n: N,
-            events: 6,
-            seed: 0x0DD5,
-            bgp,
-            event_limit: None,
-            wheel_slot_bits: None,
-        };
+        let cfg = ExperimentConfig::new(scenario, N, 6, 0x0DD5, bgp);
         let (report, cost) = run_experiment_with_cost(&cfg, 1);
         for jobs in [4, 8] {
             let (other, other_cost) = run_experiment_with_cost(&cfg, jobs);

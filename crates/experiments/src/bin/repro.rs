@@ -26,7 +26,7 @@
 //!                                     counter first (CI mutation gate)
 //!                    --costmodel-out <file> also write costmodel.json
 //!   profile        run one observed cell and print a phase profile
-//!                  (see --scenario, --cell-n, --check)
+//!                  (see --scenario, --check)
 //!   report         run one cell under NO-WRATE *and* WRATE with the
 //!                  simulated-time series recorder, print the churn-
 //!                  provenance panels as text tables and write a
@@ -65,8 +65,9 @@
 //!   --trace-out <file>    write sampled per-event JSONL trace records
 //!   --trace-sample <n>    keep 1 in n trace records (default 1 = all;
 //!                  only meaningful with --trace-out)
-//!   --scenario <s> (profile/report) growth scenario (default BASELINE)
-//!   --cell-n <n>   (profile/report) network size (default: first sweep size)
+//!   --scenario <s> (perf/profile/report) growth scenario (default
+//!                  BASELINE); perf runs it at every sweep size, profile
+//!                  and report at the first
 //!   --event-limit <n>  (profile only) per-phase simulator event budget;
 //!                  a blown budget prints the harness's budget snapshot
 //!                  (queue depth, pending events by kind, busiest inbox)
@@ -101,6 +102,8 @@ use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+use bgpscale_bgp::BgpConfig;
+use bgpscale_core::ExperimentConfig;
 use bgpscale_experiments::{churnreport, figures, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
 use bgpscale_experiments::{EXIT_FAIL, EXIT_OK, EXIT_USAGE};
@@ -116,7 +119,7 @@ fn usage(problem: &str) -> ! {
          [--tiny|--quick|--full] [--seed N] [--events K] [--sizes a,b,c] [--csv DIR] \
          [--jobs N] \
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
-         [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
+         [--scenario S] [--event-limit N] [--bin-us N] \
          [--timeseries-out FILE] [--check] \
          [--bless] [--perturb SEED] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV]\n\
@@ -142,10 +145,8 @@ struct Options {
     trace_out: Option<PathBuf>,
     /// Keep 1 in N trace records (1 = all).
     trace_sample: u64,
-    /// `profile`/`report`: the cell's growth scenario.
-    profile_scenario: GrowthScenario,
-    /// `profile`/`report`: the cell's network size (default: first sweep size).
-    cell_n: Option<usize>,
+    /// `perf`/`profile`/`report`: the cells' growth scenario.
+    scenario: GrowthScenario,
     /// `profile`: per-phase simulator event budget override.
     event_limit: Option<u64>,
     /// `report`: time-series bin width in simulated microseconds.
@@ -185,8 +186,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         metrics_out: None,
         trace_out: None,
         trace_sample: 1,
-        profile_scenario: GrowthScenario::Baseline,
-        cell_n: None,
+        scenario: GrowthScenario::Baseline,
         event_limit: None,
         bin_us: 100_000,
         timeseries_out: PathBuf::from("timeseries.json"),
@@ -218,10 +218,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--trace-sample" => o.trace_sample = value::<NonZeroU64>(&mut args, flag)?.get(),
             "--scenario" => {
                 let name: String = value(&mut args, flag)?;
-                o.profile_scenario = GrowthScenario::from_name(&name)
+                o.scenario = GrowthScenario::from_name(&name)
                     .ok_or_else(|| format!("unknown scenario: {name}"))?;
             }
-            "--cell-n" => o.cell_n = Some(value(&mut args, flag)?),
             "--event-limit" => o.event_limit = Some(value(&mut args, flag)?),
             "--bin-us" => o.bin_us = value::<NonZeroU64>(&mut args, flag)?.get(),
             "--timeseries-out" => o.timeseries_out = value(&mut args, flag)?,
@@ -249,6 +248,19 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     o.cfg.events = events.unwrap_or(o.cfg.events);
     o.cfg.sizes = sizes.unwrap_or(o.cfg.sizes);
     Ok(o)
+}
+
+impl Options {
+    /// The cells of `perf`, `profile` and `report`: `--scenario` at every
+    /// sweep size, with the sweep's events and seed. `profile` and
+    /// `report` take the first.
+    fn cells(&self) -> Vec<ExperimentConfig> {
+        let RunConfig { sizes, events, seed } = &self.cfg;
+        sizes
+            .iter()
+            .map(|&n| ExperimentConfig::new(self.scenario, n, *events, *seed, BgpConfig::default()))
+            .collect()
+    }
 }
 
 fn run_target(target: &str, sw: &mut Sweeper) -> Option<Figure> {
@@ -308,30 +320,26 @@ fn write_trace(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
 /// `repro profile`: run one observed cell, print the phase profile, and
 /// optionally gate on [`profile::check`].
 fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
-    let cfg = profile::ProfileConfig {
-        scenario: opts.profile_scenario,
-        n: opts.cell_n.unwrap_or_else(|| opts.cfg.sizes.first().copied().unwrap_or(300)),
-        events: opts.cfg.events,
-        seed: opts.cfg.seed,
-        jobs: opts.jobs,
-        trace_sample: opts.trace_out.as_ref().map(|_| opts.trace_sample),
+    let cell = ExperimentConfig {
         event_limit: opts.event_limit,
+        ..opts.cells().remove(0)
     };
-    let out = match profile::run_profile(&cfg) {
+    let trace_sample = opts.trace_out.as_ref().map(|_| opts.trace_sample);
+    let out = match profile::run_profile(&cell, opts.jobs, trace_sample) {
         Ok(out) => out,
         Err(diagnosis) => {
             eprintln!("profile FAILED: {diagnosis}");
             return Ok(false);
         }
     };
-    print!("{}", profile::render(&cfg, &out));
+    print!("{}", profile::render(&cell, &out));
     if let Some(path) = &opts.metrics_out {
         write_metrics(path, &out.observed.metrics)?;
     }
     if let Some(path) = &opts.trace_out {
         write_trace(path, &out.observed.trace)?;
     }
-    append_ledger(opts, &[profile::profile_record(&cfg, &out, &ledger_rev(opts))]);
+    append_ledger(opts, &[profile::profile_record(&cell, &out, &ledger_rev(opts))]);
     if opts.check {
         if let Err(reason) = profile::check(&out) {
             eprintln!("profile check FAILED: {reason}");
@@ -346,24 +354,17 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
 /// recorder, print the panels, write the raw `timeseries.json`, and
 /// optionally gate on [`churnreport::check`].
 fn run_report_target(opts: &Options) -> std::io::Result<bool> {
-    let cfg = churnreport::ReportConfig {
-        scenario: opts.profile_scenario,
-        n: opts.cell_n.unwrap_or_else(|| opts.cfg.sizes.first().copied().unwrap_or(300)),
-        events: opts.cfg.events,
-        seed: opts.cfg.seed,
-        jobs: opts.jobs,
-        bin_us: opts.bin_us,
-    };
+    let cell = opts.cells().remove(0);
     log!(
         Info,
         "report: {} n={} events={} bin={}us …",
-        cfg.scenario,
-        cfg.n,
-        cfg.events,
-        cfg.bin_us
+        cell.scenario,
+        cell.n,
+        cell.events,
+        opts.bin_us
     );
-    let out = churnreport::run_report(&cfg);
-    print!("{}", churnreport::render_text(&cfg, &out));
+    let out = churnreport::run_report(&cell, opts.jobs, opts.bin_us);
+    print!("{}", churnreport::render_text(&cell, opts.bin_us, &out));
     std::fs::write(&opts.timeseries_out, &out.timeseries_json)?;
     log!(Info, "wrote time series to {}", opts.timeseries_out.display());
     if opts.check {
@@ -460,26 +461,15 @@ fn run_perf_target(opts: &Options) -> i32 {
         return EXIT_USAGE;
     }
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
-    let cells: Vec<perf::PerfConfig> = opts
-        .cfg
-        .sizes
-        .iter()
-        .map(|&n| perf::PerfConfig {
-            scenario: opts.profile_scenario,
-            n,
-            events: opts.cfg.events,
-            seed: opts.cfg.seed,
-            jobs,
-            perturb: opts.perturb,
-        })
-        .collect();
-    let outcomes = match perf::run(&cells, opts.bless, ledger, &ledger_rev(opts)) {
+    let cells = opts.cells();
+    let rev = ledger_rev(opts);
+    let outcomes = match perf::run(&cells, jobs, opts.perturb, opts.bless, ledger, &rev) {
         Ok(outcomes) => outcomes,
         Err(e) => return ledger_failure("perf", &e, ledger),
     };
     let mut exit = EXIT_OK;
-    for (cfg, (measurement, verdict)) in cells.iter().zip(&outcomes) {
-        let n = cfg.n;
+    for (cell, (measurement, verdict)) in cells.iter().zip(&outcomes) {
+        let n = cell.n;
         match verdict {
             Ok(()) => log!(Info, "perf: n={n} OK ({} total ops)", measurement.ops.grand_total()),
             Err(msgs) => {
@@ -555,14 +545,6 @@ fn main() {
         let sample = opts.trace_out.as_ref().map(|_| opts.trace_sample);
         sw.enable_telemetry(sample);
     }
-    sw.on_progress(move |scenario, n, mode| {
-        log!(
-            Info,
-            "[{:7.1}s] running {scenario} n={n} {} …",
-            started.elapsed_secs_f64(),
-            mode.label()
-        );
-    });
 
     let targets: Vec<&str> = if opts.target == "all" {
         ALL_TARGETS.to_vec()
@@ -638,6 +620,7 @@ mod tests {
             "fig4 --events",
             "fig4 --trace-sample 0",
             "report --bin-us 0",
+            "profile --cell-n 300",
             "profile --scenario NOPE",
             "profile --ledger-rev",
             "fig4 --frobnicate",

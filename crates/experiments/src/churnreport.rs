@@ -17,33 +17,15 @@
 use std::sync::Arc;
 
 use bgpscale_bgp::MraiMode;
-use bgpscale_core::ChurnReport;
+use bgpscale_core::{ChurnReport, ExperimentConfig};
 use bgpscale_obs::costmodel::PHASE_NAMES;
 use bgpscale_obs::json::{Layout, Value};
 use bgpscale_obs::timeseries::DEPTH_BOUNDS;
 use bgpscale_obs::{CostModel, OpCounts, TimeSeries, TsBin, SCHEMA_VERSION};
-use bgpscale_topology::GrowthScenario;
 
 use crate::report::Table;
 use crate::sweep::{CellSeries, RunConfig, Sweeper};
 use crate::trend::{fit_exponents, kind_label, ClassExponent};
-
-/// One reported cell pair (the same `(scenario, n)` under both modes).
-#[derive(Clone, Debug)]
-pub struct ReportConfig {
-    /// Growth scenario of the cell.
-    pub scenario: GrowthScenario,
-    /// Network size.
-    pub n: usize,
-    /// C-events per mode.
-    pub events: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker budget (0 = all hardware threads).
-    pub jobs: usize,
-    /// Time-series bin width in simulated microseconds.
-    pub bin_us: u64,
-}
 
 /// The result of [`run_report`].
 #[derive(Clone, Debug)]
@@ -75,25 +57,28 @@ fn mode_key(mode: MraiMode) -> &'static str {
     }
 }
 
-/// Runs the WRATE vs NO-WRATE pair through a [`Sweeper`] (time series
-/// enabled) and writes `timeseries.json`.
-pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
+/// Runs `cell`'s scenario, size, events and seed as a WRATE vs NO-WRATE
+/// pair through a [`Sweeper`] on up to `jobs` workers, with time series
+/// in bins of `bin_us` simulated microseconds, and builds
+/// `timeseries.json`. The pair takes each mode's default protocol
+/// configuration, so `cell.bgp` and `cell.event_limit` are not read.
+pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOutput {
     let mut sw = Sweeper::new(RunConfig {
-        sizes: vec![cfg.n],
-        events: cfg.events,
-        seed: cfg.seed,
+        sizes: vec![cell.n],
+        events: cell.events,
+        seed: cell.seed,
     });
-    sw.set_jobs(cfg.jobs);
-    sw.enable_timeseries(cfg.bin_us);
+    sw.set_jobs(jobs);
+    sw.enable_timeseries(bin_us);
     let reports: Vec<Arc<ChurnReport>> = MODES
         .into_iter()
-        .map(|mode| sw.report(cfg.scenario, cfg.n, mode))
+        .map(|mode| sw.report(cell.scenario, cell.n, mode))
         .collect();
     let cells = sw.take_series();
     let costs: Vec<Arc<CostModel>> = MODES
         .iter()
         .map(|&mode| {
-            sw.cost_model(cfg.scenario, cfg.n, mode)
+            sw.cost_model(cell.scenario, cell.n, mode)
                 .expect("report cells were just computed")
         })
         .collect();
@@ -101,7 +86,7 @@ pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
     // A NO-WRATE mini size sweep below the reported n feeds the scaling-
     // exponent fit; the reported cell itself is its largest point. Run
     // after take_series() so the extra cells' series stay out of the report.
-    let mut sweep_sizes: Vec<usize> = [cfg.n / 3, 2 * cfg.n / 3, cfg.n]
+    let mut sweep_sizes: Vec<usize> = [cell.n / 3, 2 * cell.n / 3, cell.n]
         .into_iter()
         .map(|s| s.max(120))
         .collect();
@@ -110,10 +95,10 @@ pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
     let cost_sweep: Vec<(usize, Arc<CostModel>)> = sweep_sizes
         .into_iter()
         .map(|s| {
-            sw.report(cfg.scenario, s, MraiMode::NoWrate);
+            sw.report(cell.scenario, s, MraiMode::NoWrate);
             (
                 s,
-                sw.cost_model(cfg.scenario, s, MraiMode::NoWrate)
+                sw.cost_model(cell.scenario, s, MraiMode::NoWrate)
                     .expect("sweep cell was just computed"),
             )
         })
@@ -123,9 +108,9 @@ pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
         .iter()
         .map(|(n, cost)| (*n as u64, cost.total()))
         .collect();
-    let cost_exponents = fit_exponents(&sweep_ops, cfg.events as u64);
+    let cost_exponents = fit_exponents(&sweep_ops, cell.events as u64);
 
-    let timeseries_json = timeseries_json(cfg, &cells);
+    let timeseries_json = timeseries_json(cell, bin_us, &cells);
     ReportOutput {
         cells,
         reports,
@@ -138,7 +123,7 @@ pub fn run_report(cfg: &ReportConfig) -> ReportOutput {
 
 /// The `timeseries.json` artifact: cell coordinates plus the raw series,
 /// integer-only and in fixed key order.
-fn timeseries_json(cfg: &ReportConfig, cells: &[CellSeries]) -> String {
+fn timeseries_json(cfg: &ExperimentConfig, bin_us: u64, cells: &[CellSeries]) -> String {
     let cells = cells.iter().map(|cell| {
         let cell = [("mode", mode_key(cell.mode).into()), ("series", cell.series.to_value())];
         Value::obj(Layout::Compact, cell)
@@ -149,7 +134,7 @@ fn timeseries_json(cfg: &ReportConfig, cells: &[CellSeries]) -> String {
         ("n", cfg.n.into()),
         ("events", cfg.events.into()),
         ("seed", cfg.seed.into()),
-        ("bin_us", cfg.bin_us.into()),
+        ("bin_us", bin_us.into()),
         ("cells", Value::arr(Layout::Compact, cells)),
     ];
     Value::obj(Layout::Compact, doc).to_json()
@@ -237,10 +222,11 @@ const OCCUPANCY_SERIES: [BinSeries; 2] = [
     ("deepest inbox", |b| b.inbox_peak),
 ];
 
-/// Renders every panel of the report as aligned text tables. The series
-/// panels have one row per quantity and one column per mode; a peak is
-/// the series' highest bin value and the first bin that reached it.
-pub fn render_text(cfg: &ReportConfig, out: &ReportOutput) -> String {
+/// Renders every panel of the report of `cell`, binned at `bin_us`, as
+/// aligned text tables. The series panels have one row per quantity and
+/// one column per mode; a peak is the series' highest bin value and the
+/// first bin that reached it.
+pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> String {
     let mut modes = vec![""];
     modes.extend(out.cells.iter().map(|c| c.mode.label()));
     let per_mode = |label: &str, value: &dyn Fn(usize, &TimeSeries) -> String| {
@@ -371,7 +357,7 @@ pub fn render_text(cfg: &ReportConfig, out: &ReportOutput) -> String {
             .into_iter()
             .filter(|(class, _)| swept.contains(class));
         std::iter::once(n.to_string())
-            .chain(per_event.map(|(_, v)| (v / cfg.events.max(1) as u64).to_string()))
+            .chain(per_event.map(|(_, v)| (v / cell.events.max(1) as u64).to_string()))
             .collect()
     });
     tables.push(Table::with_rows(
@@ -382,11 +368,11 @@ pub fn render_text(cfg: &ReportConfig, out: &ReportOutput) -> String {
 
     let mut s = format!(
         "churn provenance: {} n={} ({} events, seed {:#x}); bins of {} ms of simulated time\n",
-        cfg.scenario,
-        cfg.n,
-        cfg.events,
-        cfg.seed,
-        cfg.bin_us / 1_000
+        cell.scenario,
+        cell.n,
+        cell.events,
+        cell.seed,
+        bin_us / 1_000
     );
     for t in &tables {
         s.push('\n');
@@ -398,27 +384,23 @@ pub fn render_text(cfg: &ReportConfig, out: &ReportOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_topology::GrowthScenario;
 
-    fn tiny_cfg() -> ReportConfig {
-        ReportConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 150,
-            events: 2,
-            seed: 0xBEEF,
-            jobs: 1,
-            bin_us: 100_000,
-        }
+    const BIN_US: u64 = 100_000;
+
+    fn tiny_cell() -> ExperimentConfig {
+        ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 0xBEEF, Default::default())
     }
 
     #[test]
     fn report_runs_and_passes_check() {
-        let cfg = tiny_cfg();
-        let out = run_report(&cfg);
+        let cell = tiny_cell();
+        let out = run_report(&cell, 1, BIN_US);
         check(&out).expect("tiny report must pass its own gate");
         assert_eq!(out.cells.len(), 2);
         assert!(matches!(out.cells[0].mode, MraiMode::NoWrate));
         assert!(matches!(out.cells[1].mode, MraiMode::Wrate));
-        let text = render_text(&cfg, &out);
+        let text = render_text(&cell, BIN_US, &out);
         for needle in [
             "## headline",
             "NO-WRATE",
@@ -459,15 +441,15 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let cfg = tiny_cfg();
-        let (a, b) = (run_report(&cfg), run_report(&cfg));
-        assert_eq!(render_text(&cfg, &a), render_text(&cfg, &b));
+        let cell = tiny_cell();
+        let (a, b) = (run_report(&cell, 1, BIN_US), run_report(&cell, 1, BIN_US));
+        assert_eq!(render_text(&cell, BIN_US, &a), render_text(&cell, BIN_US, &b));
         assert_eq!(a.timeseries_json, b.timeseries_json);
     }
 
     #[test]
     fn check_flags_empty_panels() {
-        let mut out = run_report(&tiny_cfg());
+        let mut out = run_report(&tiny_cell(), 1, BIN_US);
         out.cells[1].series.bins.clear();
         let err = check(&out).unwrap_err();
         assert!(err.contains("WRATE"), "names the failing cell: {err}");

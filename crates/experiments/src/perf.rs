@@ -39,20 +39,6 @@ use bgpscale_obs::ledger::{
 use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
 use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
 use bgpscale_simkernel::Stopwatch;
-use bgpscale_topology::GrowthScenario;
-
-/// One perf cell to check or bless.
-#[derive(Clone, Debug)]
-pub struct PerfConfig {
-    pub scenario: GrowthScenario,
-    pub n: usize,
-    pub events: usize,
-    pub seed: u64,
-    pub jobs: usize,
-    /// When `Some(seed)`, deterministically perturb one measured op count
-    /// before comparison (the CI mutation gate).
-    pub perturb: Option<u64>,
-}
 
 /// The measured side of one cell.
 #[derive(Clone, Debug)]
@@ -61,38 +47,25 @@ pub struct PerfMeasurement {
     pub wall_s: f64,
     /// The full model, for `--costmodel-out` and the record's hash.
     pub cost: CostModel,
+    /// The worker count the cell ran on.
+    pub jobs: usize,
 }
 
-impl PerfConfig {
-    /// The experiment cell this config measures (default BGP config).
-    pub fn cell(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            scenario: self.scenario,
-            n: self.n,
-            events: self.events,
-            seed: self.seed,
-            bgp: Default::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        }
-    }
-}
-
-/// Runs the cell and returns its measured cost model and wall time.
-/// Panics with the [`bgpscale_core::CellError`]'s text if the cell fails:
-/// it runs on the simulator's default event budget, so that is a model bug.
-pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
+/// Runs `cell` on up to `jobs` workers and returns its measured cost
+/// model and wall time. Panics with the [`bgpscale_core::CellError`]'s
+/// text if the cell fails: on the simulator's default event budget, that
+/// is a model bug.
+pub fn measure(cell: &ExperimentConfig, jobs: usize) -> PerfMeasurement {
+    let jobs = jobs.max(1);
     let started = Stopwatch::start();
-    let cost = run_cell(&cfg.cell(), cfg.jobs.max(1), None)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .cost;
+    let cost = run_cell(cell, jobs, None).unwrap_or_else(|e| panic!("{e}")).cost;
     let wall_s = started.elapsed_secs_f64();
-    let mut ops = cost.total();
-    if let Some(seed) = cfg.perturb {
-        let (class, bump) = perturb_ops(&mut ops, seed);
-        log!(Info, "perf: perturbing {class} (×2 +{bump}, seed {seed})");
+    PerfMeasurement {
+        ops: cost.total(),
+        wall_s,
+        cost,
+        jobs,
     }
-    PerfMeasurement { ops, wall_s, cost }
 }
 
 /// Deterministically inflates one op class (`v → 2·v + bump`,
@@ -148,13 +121,13 @@ pub fn cell_record(
     }
 }
 
-/// [`cell_record`] of one `repro perf` measurement.
-pub fn perf_record(cfg: &PerfConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
+/// [`cell_record`] of one `repro perf` measurement of `cell`.
+pub fn perf_record(cell: &ExperimentConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
     let artifacts = ArtifactHashes {
         costmodel: Some(artifact_hash(&m.cost.to_json())),
         ..ArtifactHashes::default()
     };
-    cell_record(RunKind::Perf, &cfg.cell(), cfg.jobs, m.ops, artifacts, m.wall_s, git_rev)
+    cell_record(RunKind::Perf, cell, m.jobs, m.ops, artifacts, m.wall_s, git_rev)
 }
 
 /// The baseline of `cell` in `history` (append order, as `read_ledger`
@@ -214,17 +187,21 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
     }
 }
 
-/// One `repro perf` run: measures every cell, then checks each against
-/// its baseline in the ledger at `ledger` or, with `bless`, appends their
-/// records to it in one batch. A check reads the ledger and never writes
-/// it. Callers must not bless a `perturb`ed cell — a deliberately
-/// shifted count must never become a baseline.
+/// One `repro perf` run: measures every cell on up to `jobs` workers,
+/// then checks each against its baseline in the ledger at `ledger` or,
+/// with `bless`, appends their records to it in one batch. A check reads
+/// the ledger and never writes it. With `perturb = Some(seed)`, each
+/// cell's op counts are corrupted by [`perturb_ops`] before its check.
+/// Callers must not bless with `perturb` — a deliberately shifted count
+/// must never become a baseline.
 ///
 /// # Errors
 /// Any [`LedgerError`] from reading (a damaged ledger is refused before
 /// anything is measured) or appending.
 pub fn run(
-    cells: &[PerfConfig],
+    cells: &[ExperimentConfig],
+    jobs: usize,
+    perturb: Option<u64>,
     bless: bool,
     ledger: &Path,
     git_rev: &str,
@@ -232,18 +209,22 @@ pub fn run(
     let history = read_ledger(ledger)?;
     let mut outcomes = Vec::with_capacity(cells.len());
     let mut blessed = Vec::new();
-    for cfg in cells {
+    for cell in cells {
         log!(
             Info,
             "perf: {} n={} events={} seed={} ({}) …",
-            cfg.scenario,
-            cfg.n,
-            cfg.events,
-            cfg.seed,
+            cell.scenario,
+            cell.n,
+            cell.events,
+            cell.seed,
             if bless { "bless" } else { "check" }
         );
-        let m = measure(cfg);
-        let record = perf_record(cfg, &m, git_rev);
+        let mut m = measure(cell, jobs);
+        if let Some(seed) = perturb {
+            let (class, bump) = perturb_ops(&mut m.ops, seed);
+            log!(Info, "perf: perturbing {class} (×2 +{bump}, seed {seed})");
+        }
+        let record = perf_record(cell, &m, git_rev);
         let verdict = if bless {
             blessed.push(record);
             Ok(())
@@ -268,20 +249,14 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_topology::GrowthScenario;
 
-    fn tiny() -> PerfConfig {
-        PerfConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 150,
-            events: 2,
-            seed: 7,
-            jobs: 2,
-            perturb: None,
-        }
+    fn tiny() -> ExperimentConfig {
+        ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 7, Default::default())
     }
 
-    fn record(cfg: &PerfConfig, rev: &str) -> LedgerRecord {
-        perf_record(cfg, &measure(cfg), rev)
+    fn record(cell: &ExperimentConfig, rev: &str) -> LedgerRecord {
+        perf_record(cell, &measure(cell, 2), rev)
     }
 
     #[test]
@@ -298,7 +273,7 @@ mod tests {
         profile.ops.deliveries += 2;
         let mut old_schema = record(&cfg, "r4");
         old_schema.schema = 1;
-        let other_cell = record(&PerfConfig { n: 175, ..tiny() }, "r5");
+        let other_cell = record(&ExperimentConfig { n: 175, ..tiny() }, "r5");
         let history = [stale, blessed, profile, old_schema, other_cell];
         assert_eq!(baseline(&history, &cell).unwrap().git_rev, "r2");
         assert_eq!(check(&history, &cell), Ok(()));

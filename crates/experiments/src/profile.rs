@@ -15,46 +15,8 @@ use bgpscale_core::{run_cell, CellError, ExperimentConfig, ObserveOptions, Obser
 use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind};
 use bgpscale_obs::span::{self, SpanStats};
 use bgpscale_simkernel::Stopwatch;
-use bgpscale_topology::GrowthScenario;
 
 use crate::perf::{artifact_hash, cell_record};
-
-/// One profiled cell.
-#[derive(Clone, Debug)]
-pub struct ProfileConfig {
-    /// Growth scenario of the cell.
-    pub scenario: GrowthScenario,
-    /// Network size.
-    pub n: usize,
-    /// C-events to run.
-    pub events: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker budget (0 = all hardware threads).
-    pub jobs: usize,
-    /// Keep 1-in-`n` trace records when `Some(n)`.
-    pub trace_sample: Option<u64>,
-    /// Per-phase simulator event budget override. Small budgets force the
-    /// failure path: [`run_profile`] returns the harness's [`CellError`]
-    /// with its budget snapshot (queue depth, pending events by kind,
-    /// busiest inbox).
-    pub event_limit: Option<u64>,
-}
-
-impl ProfileConfig {
-    /// The experiment cell this config profiles (default BGP config).
-    pub fn cell(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            scenario: self.scenario,
-            n: self.n,
-            events: self.events,
-            seed: self.seed,
-            bgp: Default::default(),
-            event_limit: self.event_limit,
-            wheel_slot_bits: None,
-        }
-    }
-}
 
 /// The result of [`run_profile`].
 #[derive(Clone, Debug)]
@@ -65,7 +27,7 @@ pub struct ProfileOutput {
     pub spans: Vec<(&'static str, SpanStats)>,
     /// Total wall time of the profiled run in seconds.
     pub wall_s: f64,
-    /// The worker count the run used: [`ProfileConfig::jobs`] with 0
+    /// The worker count the run used: the `jobs` asked for, with 0
     /// resolved to the hardware threads.
     pub jobs: usize,
 }
@@ -78,26 +40,33 @@ pub const EXPECTED_SPANS: [&str; 4] = [
     "fold_measurements",
 ];
 
-/// Runs one observed cell under a fresh span profile.
+/// Runs `cell` observed, on up to `jobs` workers (0 = all hardware
+/// threads) and keeping 1-in-`n` trace records when `trace_sample` is
+/// `Some(n)`, under a fresh span profile.
 ///
 /// Resets the process-global span registry first so the profile covers
 /// exactly this run — don't interleave with other span-recording work.
 ///
 /// # Errors
-/// The harness's [`CellError`] when a C-event exhausts its event budget.
+/// The harness's [`CellError`] when a C-event exhausts its event budget
+/// (`cell.event_limit` forces that path).
 /// Its `Display` is the whole diagnosis — cell, event index and the
 /// [`bgpscale_core::BudgetSnapshot`] rendering with queue depth, pending
 /// events by kind, and the busiest inbox — which the `profile` subcommand
 /// prints as *why* the cell failed.
-pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, CellError> {
+pub fn run_profile(
+    cell: &ExperimentConfig,
+    jobs: usize,
+    trace_sample: Option<u64>,
+) -> Result<ProfileOutput, CellError> {
     span::reset();
     let watch = Stopwatch::start();
-    let jobs = bgpscale_simkernel::pool::effective_jobs(cfg.jobs).max(1);
+    let jobs = bgpscale_simkernel::pool::effective_jobs(jobs).max(1);
     let opts = ObserveOptions {
-        trace_sample: cfg.trace_sample,
+        trace_sample,
         timeseries_bin_us: None,
     };
-    let observed = run_cell(&cfg.cell(), jobs, Some(&opts))?;
+    let observed = run_cell(cell, jobs, Some(&opts))?;
     Ok(ProfileOutput {
         observed,
         spans: span::snapshot(),
@@ -106,9 +75,9 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileOutput, CellError> {
     })
 }
 
-/// [`cell_record`] of one profiled cell, with content hashes of every
+/// [`cell_record`] of profiled `cell`, with content hashes of every
 /// deterministic artifact the run produced.
-pub fn profile_record(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &str) -> LedgerRecord {
+pub fn profile_record(cell: &ExperimentConfig, out: &ProfileOutput, git_rev: &str) -> LedgerRecord {
     let observed = &out.observed;
     let artifacts = ArtifactHashes {
         metrics: Some(artifact_hash(&observed.metrics.to_json())),
@@ -116,7 +85,7 @@ pub fn profile_record(cfg: &ProfileConfig, out: &ProfileOutput, git_rev: &str) -
         costmodel: Some(artifact_hash(&observed.cost.to_json())),
     };
     let ops = observed.cost.total();
-    cell_record(RunKind::Profile, &cfg.cell(), out.jobs, ops, artifacts, out.wall_s, git_rev)
+    cell_record(RunKind::Profile, cell, out.jobs, ops, artifacts, out.wall_s, git_rev)
 }
 
 /// The CI gate: every expected span recorded at least one call, and the
@@ -145,9 +114,9 @@ pub fn check(out: &ProfileOutput) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the profile as terminal text: the span table, headline
-/// counters, and histogram summaries.
-pub fn render(cfg: &ProfileConfig, out: &ProfileOutput) -> String {
+/// Renders the profile of `cell` as terminal text: the span table,
+/// headline counters, and histogram summaries.
+pub fn render(cell: &ExperimentConfig, out: &ProfileOutput) -> String {
     use std::fmt::Write as _;
 
     let mut s = String::new();
@@ -156,7 +125,7 @@ pub fn render(cfg: &ProfileConfig, out: &ProfileOutput) -> String {
     let _ = writeln!(
         s,
         "profile: {} n={} events={} seed={:#x}",
-        cfg.scenario, cfg.n, r.events, cfg.seed
+        cell.scenario, cell.n, r.events, cell.seed
     );
     let _ = writeln!(s, "wall time: {:.3}s", out.wall_s);
     let _ = writeln!(s);
@@ -216,32 +185,25 @@ pub fn render(cfg: &ProfileConfig, out: &ProfileOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_topology::GrowthScenario;
 
     // `run_profile` resets the process-global span registry; serialize
     // these tests so one reset cannot wipe another run's spans mid-flight.
     static PROFILE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn tiny_cfg() -> ProfileConfig {
-        ProfileConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 150,
-            events: 2,
-            seed: 0xBEEF,
-            jobs: 1,
-            trace_sample: Some(10),
-            event_limit: None,
-        }
+    fn tiny_cell() -> ExperimentConfig {
+        ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 0xBEEF, Default::default())
     }
 
     #[test]
     fn profile_runs_and_passes_check() {
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let cfg = tiny_cfg();
-        let out = run_profile(&cfg).expect("tiny profile must complete");
+        let cell = tiny_cell();
+        let out = run_profile(&cell, 1, Some(10)).expect("tiny profile must complete");
         check(&out).expect("tiny profile must pass its own gate");
         assert!(out.wall_s > 0.0);
         assert!(out.observed.metrics.counter("events.total") > 0);
-        let text = render(&cfg, &out);
+        let text = render(&cell, &out);
         assert!(text.contains("run_events"), "span table rendered: {text}");
         assert!(text.contains("events.total"), "counters rendered");
         assert!(text.contains("histogram messages.path_len"), "histograms rendered");
@@ -250,32 +212,19 @@ mod tests {
     #[test]
     fn check_rejects_empty_output() {
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let cfg = tiny_cfg();
-        let mut out = run_profile(&cfg).expect("tiny profile must complete");
+        let mut out = run_profile(&tiny_cell(), 1, Some(10)).expect("tiny profile must complete");
         out.spans.retain(|(n, _)| *n != "run_events");
         assert!(check(&out).unwrap_err().contains("run_events"));
     }
 
     #[test]
     fn perf_and_profile_records_share_the_cell_fingerprint() {
-        use crate::perf::{measure, perf_record, PerfConfig};
+        use crate::perf::{measure, perf_record};
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let perf_cfg = PerfConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 150,
-            events: 2,
-            seed: 7,
-            jobs: 1,
-            perturb: None,
-        };
-        let pr = perf_record(&perf_cfg, &measure(&perf_cfg), "r1");
-        let prof_cfg = ProfileConfig {
-            seed: 7,
-            trace_sample: None,
-            ..tiny_cfg()
-        };
-        let out = run_profile(&prof_cfg).unwrap();
-        let fr = profile_record(&prof_cfg, &out, "r1");
+        let cell = ExperimentConfig { seed: 7, ..tiny_cell() };
+        let pr = perf_record(&cell, &measure(&cell, 1), "r1");
+        let out = run_profile(&cell, 1, None).unwrap();
+        let fr = profile_record(&cell, &out, "r1");
         // Same cell coordinates → same fingerprint and identical ops
         // (determinism); different kinds → distinct det hashes.
         assert_eq!(pr.fingerprint(), fr.fingerprint());
@@ -287,7 +236,7 @@ mod tests {
         // under WRATE is another fingerprint.
         let wrate = ExperimentConfig {
             bgp: bgpscale_bgp::BgpConfig::wrate(),
-            ..perf_cfg.cell()
+            ..cell
         };
         let wr = cell_record(RunKind::Perf, &wrate, 1, pr.ops, pr.artifacts, 0.0, "r1");
         assert_eq!((pr.mode.as_str(), wr.mode.as_str()), ("NO-WRATE", "WRATE"));
@@ -299,13 +248,9 @@ mod tests {
     #[test]
     fn a_default_jobs_profile_records_the_effective_worker_count() {
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let cfg = ProfileConfig {
-            jobs: 0,
-            trace_sample: None,
-            ..tiny_cfg()
-        };
-        let out = run_profile(&cfg).unwrap();
-        let record = profile_record(&cfg, &out, "r1");
+        let cell = tiny_cell();
+        let out = run_profile(&cell, 0, None).unwrap();
+        let record = profile_record(&cell, &out, "r1");
         assert!(record.wall.jobs >= 1, "recorded {} workers", record.wall.jobs);
         assert_eq!(record.wall.jobs, bgpscale_simkernel::pool::effective_jobs(0).max(1) as u64);
     }
@@ -315,13 +260,12 @@ mod tests {
     #[test]
     fn budget_failure_surfaces_the_snapshot() {
         let _guard = PROFILE_LOCK.lock().unwrap();
-        let cfg = ProfileConfig {
-            jobs: 2,
+        let cell = ExperimentConfig {
             event_limit: Some(3),
-            ..tiny_cfg()
+            ..tiny_cell()
         };
-        let err = run_profile(&cfg).unwrap_err();
-        assert_eq!((err.scenario, err.n, err.event), (cfg.scenario, cfg.n, 0));
+        let err = run_profile(&cell, 2, Some(10)).unwrap_err();
+        assert_eq!((err.scenario, err.n, err.event), (cell.scenario, cell.n, 0));
         assert_eq!((err.cause.budget, err.cause.processed), (3, 4));
         assert!(err.cause.snapshot.queue_depth > 0, "nothing pending: {err:?}");
         // What `repro profile` prints after `profile FAILED: `.

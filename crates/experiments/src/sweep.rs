@@ -70,19 +70,7 @@ impl RunConfig {
             seed: 0x2008_0612,
         }
     }
-
-    /// Replaces the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> RunConfig {
-        self.seed = seed;
-        self
-    }
 }
-
-/// Progress-observer callback type (invoked per uncached experiment cell).
-///
-/// `Sync` is required because parallel sweeps fire the callback from
-/// worker threads; `Arc` because several workers may hold it at once.
-type ProgressFn = Arc<dyn Fn(GrowthScenario, usize, MraiMode) + Send + Sync>;
 
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct CellKey {
@@ -91,8 +79,9 @@ struct CellKey {
     mode: MraiMode,
 }
 
-/// Wall-side progress of one [`Sweeper::sweep_mode`] call, ticked at fold
-/// time on the owning thread (see [`Sweeper::enable_heartbeat`]).
+/// Wall-side progress of one [`Sweeper::sweep_mode`] or
+/// [`Sweeper::report`] call, on the owning thread (see
+/// [`Sweeper::enable_heartbeat`]).
 struct Heartbeat {
     /// `None` when the heartbeat is off: every tick is then a no-op.
     watch: Option<Stopwatch>,
@@ -108,6 +97,20 @@ impl Heartbeat {
             total,
             done: 0,
             events: 0,
+        }
+    }
+
+    /// Logs that `cfg` starts computing: a cell run on its own, not one
+    /// of a parallel batch.
+    fn start(&self, cfg: &ExperimentConfig) {
+        if self.watch.is_some() {
+            log!(
+                Info,
+                "sweep: running {} n={} {} …",
+                cfg.scenario,
+                cfg.n,
+                cfg.bgp.mrai_mode.label()
+            );
         }
     }
 
@@ -158,8 +161,6 @@ pub struct Sweeper {
     /// Per-cell exact op-count models, cached alongside the reports
     /// (always collected — the counters are free-running integers).
     costs: BTreeMap<CellKey, Arc<CostModel>>,
-    /// Observer called before each uncached cell runs (progress logging).
-    progress: Option<ProgressFn>,
     /// Worker budget per sweep call; 1 = fully sequential.
     jobs: usize,
     /// What every uncached cell records; `None` = unobserved.
@@ -187,7 +188,6 @@ impl Sweeper {
             cfg,
             cache: BTreeMap::new(),
             costs: BTreeMap::new(),
-            progress: None,
             jobs: 1,
             telemetry: None,
             metrics: MetricsRegistry::new(),
@@ -198,12 +198,14 @@ impl Sweeper {
     }
 
     /// Turns on the wall-side sweep heartbeat: every [`Sweeper::sweep_mode`]
-    /// call logs one `obs::log!` info line per completed uncached cell —
-    /// cells-done/total within the call, the cell's simulator event count
-    /// and the call's running events/sec throughput, elapsed wall time,
-    /// and a simple ETA (`elapsed / done · remaining`). Pure stderr
-    /// chatter for long runs: the lines are emitted on the owning thread
-    /// at fold time and never enter any deterministic artifact.
+    /// and [`Sweeper::report`] call logs one `obs::log!` info line per
+    /// completed uncached cell — cells-done/total within the call, the
+    /// cell's simulator event count and the call's running events/sec
+    /// throughput, elapsed wall time, and a simple ETA (`elapsed / done ·
+    /// remaining`) — and one when a cell starts computing alone (the cells
+    /// of a parallel batch report only their fold). Pure stderr chatter
+    /// for long runs: the lines are emitted on the owning thread and never
+    /// enter any deterministic artifact.
     pub fn enable_heartbeat(&mut self) {
         self.heartbeat = true;
     }
@@ -309,21 +311,6 @@ impl Sweeper {
         self.jobs
     }
 
-    /// Installs a progress callback, invoked once per uncached cell just
-    /// before that cell starts computing.
-    ///
-    /// Ordering guarantee: with `jobs = 1` callbacks fire strictly in
-    /// computation order (ascending size within a sweep). With `jobs > 1`
-    /// they may fire from worker threads in any order and concurrently —
-    /// the callback must therefore be `Sync`. A cell served from the
-    /// cache never fires a callback.
-    pub fn on_progress(
-        &mut self,
-        f: impl Fn(GrowthScenario, usize, MraiMode) + Send + Sync + 'static,
-    ) {
-        self.progress = Some(Arc::new(f));
-    }
-
     /// The sweep configuration.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
@@ -340,15 +327,7 @@ impl Sweeper {
             MraiMode::NoWrate => BgpConfig::no_wrate(),
             MraiMode::Wrate => BgpConfig::wrate(),
         };
-        ExperimentConfig {
-            scenario,
-            n,
-            events: self.cfg.events,
-            seed: self.cfg.seed,
-            bgp,
-            event_limit: None,
-            wheel_slot_bits: None,
-        }
+        ExperimentConfig::new(scenario, n, self.cfg.events, self.cfg.seed, bgp)
     }
 
     /// Returns (computing and caching on first use) the churn report for
@@ -360,7 +339,7 @@ impl Sweeper {
         n: usize,
         mode: MraiMode,
     ) -> Arc<ChurnReport> {
-        self.cell(scenario, n, mode, &mut Heartbeat::new(false, 0))
+        self.cell(scenario, n, mode, &mut Heartbeat::new(self.heartbeat, 1))
     }
 
     /// [`Sweeper::report`], ticking `hb` when the cell had to be computed.
@@ -374,10 +353,8 @@ impl Sweeper {
         if let Some(hit) = self.cache.get(&CellKey { scenario, n, mode }) {
             return Arc::clone(hit);
         }
-        if let Some(cb) = &self.progress {
-            cb(scenario, n, mode);
-        }
         let cell_cfg = self.cell_config(scenario, n, mode);
+        hb.start(&cell_cfg);
         let observed = run_cell(&cell_cfg, self.jobs, self.telemetry.as_ref());
         self.fold_cell(&cell_cfg, observed, hb)
     }
@@ -416,9 +393,6 @@ impl Sweeper {
             // Workers hand their cells back to this thread, which folds
             // them in ascending-size (index) order.
             let computed = run_indexed(outer, uncached.len(), |i| {
-                if let Some(cb) = &self.progress {
-                    cb(scenario, uncached[i].n, mode);
-                }
                 run_cell(&uncached[i], inner, self.telemetry.as_ref())
             });
             for (cell_cfg, observed) in uncached.iter().zip(computed) {
@@ -472,25 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_fires_per_uncached_cell() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
-        let count = StdArc::new(AtomicUsize::new(0));
-        let c2 = StdArc::clone(&count);
-        let mut s = Sweeper::new(RunConfig {
-            sizes: vec![200],
-            events: 1,
-            seed: 2,
-        });
-        s.on_progress(move |_, _, _| {
-            c2.fetch_add(1, Ordering::SeqCst);
-        });
-        s.report(GrowthScenario::Baseline, 200, MraiMode::NoWrate);
-        s.report(GrowthScenario::Baseline, 200, MraiMode::NoWrate);
-        assert_eq!(count.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
         let cfg = RunConfig {
             sizes: vec![150, 200, 250],
@@ -506,26 +461,6 @@ mod tests {
             assert_eq!(**x, **y, "jobs=8 sweep diverged at n={}", x.n);
         }
         assert_eq!(seq.cached_cells(), par.cached_cells());
-    }
-
-    #[test]
-    fn progress_fires_once_per_cell_in_parallel_sweeps() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
-        let count = StdArc::new(AtomicUsize::new(0));
-        let c2 = StdArc::clone(&count);
-        let mut s = Sweeper::new(RunConfig {
-            sizes: vec![150, 200, 250],
-            events: 1,
-            seed: 5,
-        })
-        .with_jobs(4);
-        s.on_progress(move |_, _, _| {
-            c2.fetch_add(1, Ordering::SeqCst);
-        });
-        s.sweep(GrowthScenario::Baseline);
-        s.sweep(GrowthScenario::Baseline); // fully cached: no callbacks
-        assert_eq!(count.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -612,8 +547,8 @@ mod tests {
         assert_eq!(full.events, 100);
         let quick = RunConfig::quick();
         assert!(quick.sizes.len() >= 3, "quick needs enough points for trends");
-        let tiny = RunConfig::tiny().with_seed(9);
-        assert_eq!(tiny.seed, 9);
+        let tiny = RunConfig::tiny();
+        assert!(tiny.sizes.iter().all(|&n| n < 1_000), "tiny stays seconds-scale");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   trajectory: integer-only, merged in event-index order, serialized
 //!   with sorted keys. `metrics.json` and `trace.jsonl` are byte-identical
 //!   for any `--jobs` level (regression-tested in `bgpscale-core`).
-//! * **Wall-clock profiling** — [`span!`] scopes aggregate real elapsed
-//!   time into a process-global profile for `repro profile`. Wall time
-//!   never enters the deterministic artifacts.
+//! * **Wall-clock profiling** — [`span::SpanGuard`] scopes aggregate real
+//!   elapsed time into a process-global profile for `repro profile`. Wall
+//!   time never enters the deterministic artifacts.
 //!
 //! The simulator is generic over [`SimObserver`] with [`NoopObserver`] as
 //! the default: hooks are statically dispatched empty inline bodies, so

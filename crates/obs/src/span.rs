@@ -1,8 +1,9 @@
 //! Wall-clock span scopes aggregated into a per-phase profile.
 //!
-//! `span!("generate_topology")` returns an RAII guard; when it drops, the
-//! elapsed wall time is folded into a process-global registry keyed by
-//! span name. `repro profile` prints the resulting phase breakdown.
+//! `SpanGuard::enter("generate_topology")` returns an RAII guard; when it
+//! drops, the elapsed wall time is folded into a process-global registry
+//! keyed by span name. `repro profile` prints the resulting phase
+//! breakdown.
 //!
 //! Spans are **wall-clock** and therefore live outside the deterministic
 //! world: they never enter `metrics.json` or trace files, only the
@@ -65,22 +66,22 @@ pub fn snapshot() -> Vec<(&'static str, SpanStats)> {
         .collect()
 }
 
-/// The stats of one span, if it has been recorded.
-pub fn get(name: &str) -> Option<SpanStats> {
-    registry()
-        .lock()
-        .expect("span registry poisoned")
-        .get(name)
-        .copied()
-}
-
 /// Clears the global profile (call at the start of a profiled run so the
 /// report covers exactly that run).
 pub fn reset() {
     registry().lock().expect("span registry poisoned").clear();
 }
 
-/// RAII guard created by [`crate::span!`]; records on drop.
+/// An open span; records into the global profile when dropped:
+///
+/// ```
+/// use bgpscale_obs::span::{self, SpanGuard};
+/// {
+///     let _span = SpanGuard::enter("generate_topology");
+///     // ... phase work ...
+/// } // recorded here
+/// assert!(span::snapshot().iter().any(|(name, _)| *name == "generate_topology"));
+/// ```
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
@@ -88,7 +89,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Enters a named span (prefer the [`crate::span!`] macro).
+    /// Enters the span `name`.
     pub fn enter(name: &'static str) -> SpanGuard {
         SpanGuard {
             name,
@@ -103,23 +104,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a wall-clock span scope that records into the global profile
-/// when the returned guard drops:
-///
-/// ```
-/// {
-///     let _span = bgpscale_obs::span!("generate_topology");
-///     // ... phase work ...
-/// } // recorded here
-/// # assert!(bgpscale_obs::span::get("generate_topology").is_some());
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:literal) => {
-        $crate::span::SpanGuard::enter($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,11 +112,15 @@ mod tests {
     // parallel test execution they assert on distinct span names and on
     // monotone deltas rather than absolute registry contents.
 
+    fn get(name: &str) -> Option<SpanStats> {
+        snapshot().into_iter().find(|(n, _)| *n == name).map(|(_, stats)| stats)
+    }
+
     #[test]
     fn guard_records_on_drop() {
         let before = get("obs_test_guard").map_or(0, |s| s.calls);
         {
-            let _g = crate::span!("obs_test_guard");
+            let _g = SpanGuard::enter("obs_test_guard");
         }
         let after = get("obs_test_guard").expect("recorded");
         assert_eq!(after.calls, before + 1);

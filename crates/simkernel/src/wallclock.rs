@@ -51,14 +51,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// Times a closure, returning its result and the elapsed wall time in
-/// nanoseconds.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, u128) {
-    let sw = Stopwatch::start();
-    let out = f();
-    (out, sw.elapsed_ns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +61,5 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn time_it_returns_result_and_duration() {
-        let (value, ns) = time_it(|| (0..1000u64).sum::<u64>());
-        assert_eq!(value, 499_500);
-        // Duration is measured; zero is theoretically possible on coarse
-        // clocks, so only assert it is not absurd.
-        assert!(ns < 10_000_000_000);
     }
 }

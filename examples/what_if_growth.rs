@@ -30,15 +30,8 @@ fn main() {
     for n in sizes {
         print!("{n:>6}");
         for scenario in scenarios {
-            let report = run_experiment(&ExperimentConfig {
-                scenario,
-                n,
-                events,
-                seed,
-                bgp: BgpConfig::default(),
-                event_limit: None,
-                wheel_slot_bits: None,
-            });
+            let cfg = ExperimentConfig::new(scenario, n, events, seed, BgpConfig::default());
+            let report = run_experiment(&cfg);
             print!("  {:>14.2}", report.by_type(NodeType::T).u_total);
         }
         println!();

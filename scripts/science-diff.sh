@@ -88,7 +88,7 @@ compare() {
 compare all-tiny.txt all --tiny
 for cell in BASELINE:500 DENSE-CORE:500 BASELINE:2000; do
     scenario=${cell%:*} n=${cell#*:}
-    at=(--tiny --scenario "$scenario" --cell-n "$n" --events 3 --seed 7 --no-ledger)
+    at=(--tiny --scenario "$scenario" --sizes "$n" --events 3 --seed 7 --no-ledger)
     compare "metrics-$scenario-$n.json" profile "${at[@]}" --metrics-out "metrics-$scenario-$n.json"
     compare "timeseries-$scenario-$n.json" report "${at[@]}" \
         --timeseries-out "timeseries-$scenario-$n.json"

@@ -41,15 +41,8 @@
 //! let graph = generate(GrowthScenario::Baseline, 400, 42);
 //!
 //! // 2. Run 5 C-events and collect the churn report.
-//! let report = run_experiment(&ExperimentConfig {
-//!     scenario: GrowthScenario::Baseline,
-//!     n: 400,
-//!     events: 5,
-//!     seed: 42,
-//!     bgp: BgpConfig::default(),
-//!     event_limit: None,
-//!     wheel_slot_bits: None,
-//! });
+//! let cell = ExperimentConfig::new(GrowthScenario::Baseline, 400, 5, 42, BgpConfig::default());
+//! let report = run_experiment(&cell);
 //!
 //! // 3. Tier-1 networks hear more churn than customer stubs.
 //! assert!(report.by_type(NodeType::T).u_total > report.by_type(NodeType::C).u_total);

@@ -7,15 +7,7 @@ use bgpscale::topology::validate::validate;
 
 #[test]
 fn full_pipeline_baseline() {
-    let cfg = ExperimentConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 400,
-        events: 5,
-        seed: 1,
-        bgp: BgpConfig::default(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    };
+    let cfg = ExperimentConfig::new(GrowthScenario::Baseline, 400, 5, 1, BgpConfig::default());
     let report = run_experiment(&cfg);
     assert_eq!(report.n, 400);
     assert_eq!(report.events, 5);
@@ -32,15 +24,7 @@ fn full_pipeline_baseline() {
 
 #[test]
 fn experiment_is_reproducible_end_to_end() {
-    let cfg = ExperimentConfig {
-        scenario: GrowthScenario::DenseCore,
-        n: 300,
-        events: 4,
-        seed: 99,
-        bgp: BgpConfig::default(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    };
+    let cfg = ExperimentConfig::new(GrowthScenario::DenseCore, 300, 4, 99, BgpConfig::default());
     let a = run_experiment(&cfg);
     let b = run_experiment(&cfg);
     assert_eq!(a.mean_total_updates, b.mean_total_updates);
@@ -54,15 +38,8 @@ fn experiment_is_reproducible_end_to_end() {
 #[test]
 fn every_scenario_runs_end_to_end() {
     for scenario in GrowthScenario::ALL {
-        let report = run_experiment(&ExperimentConfig {
-            scenario,
-            n: 250,
-            events: 2,
-            seed: 5,
-            bgp: BgpConfig::default(),
-            event_limit: None,
-            wheel_slot_bits: None,
-        });
+        let cfg = ExperimentConfig::new(scenario, 250, 2, 5, BgpConfig::default());
+        let report = run_experiment(&cfg);
         assert!(
             report.mean_total_updates > 0.0,
             "{scenario} produced no churn"
@@ -109,15 +86,8 @@ fn wrate_increases_churn_at_moderate_scale() {
     // The §6 headline at a size where it is statistically robust.
     let mut totals = Vec::new();
     for bgp in [BgpConfig::no_wrate(), BgpConfig::wrate()] {
-        let report = run_experiment(&ExperimentConfig {
-            scenario: GrowthScenario::Baseline,
-            n: 600,
-            events: 8,
-            seed: 3,
-            bgp,
-            event_limit: None,
-            wheel_slot_bits: None,
-        });
+        let cfg = ExperimentConfig::new(GrowthScenario::Baseline, 600, 8, 3, bgp);
+        let report = run_experiment(&cfg);
         totals.push(report.mean_total_updates);
     }
     assert!(
@@ -130,15 +100,8 @@ fn wrate_increases_churn_at_moderate_scale() {
 
 #[test]
 fn tree_invariant_holds_through_the_facade() {
-    let report = run_experiment(&ExperimentConfig {
-        scenario: GrowthScenario::Tree,
-        n: 300,
-        events: 6,
-        seed: 8,
-        bgp: BgpConfig::default(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    });
+    let cfg = ExperimentConfig::new(GrowthScenario::Tree, 300, 6, 8, BgpConfig::default());
+    let report = run_experiment(&cfg);
     assert!(
         (report.by_type(NodeType::T).u_total - 2.0).abs() < 1e-9,
         "TREE: U(T) = {}",
@@ -148,15 +111,8 @@ fn tree_invariant_holds_through_the_facade() {
 
 #[test]
 fn convergence_time_reported_in_seconds() {
-    let report = run_experiment(&ExperimentConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 300,
-        events: 3,
-        seed: 21,
-        bgp: BgpConfig::default(),
-        event_limit: None,
-        wheel_slot_bits: None,
-    });
+    let cfg = ExperimentConfig::new(GrowthScenario::Baseline, 300, 3, 21, BgpConfig::default());
+    let report = run_experiment(&cfg);
     // NO-WRATE DOWN convergence: sub-minute; UP can take a few MRAI
     // rounds.
     assert!(report.mean_down_convergence_s > 0.0);

@@ -6,20 +6,14 @@
 //! written by a check — any revision string round-trips, and the
 //! checked-in history renders as a dashboard.
 
-use bgpscale_experiments::perf::{self, measure, perf_record, PerfConfig};
+use bgpscale_core::ExperimentConfig;
+use bgpscale_experiments::perf::{self, measure, perf_record};
 use bgpscale_experiments::trend;
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, RunKind};
 use bgpscale_topology::GrowthScenario;
 
-fn cell_cfg(jobs: usize) -> PerfConfig {
-    PerfConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 150,
-        events: 2,
-        seed: 7,
-        jobs,
-        perturb: None,
-    }
+fn cell() -> ExperimentConfig {
+    ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 7, Default::default())
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -34,10 +28,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 fn det_fields_are_byte_identical_across_jobs_1_4_8() {
     let records: Vec<_> = [1usize, 4, 8]
         .iter()
-        .map(|&jobs| {
-            let cfg = cell_cfg(jobs);
-            perf_record(&cfg, &measure(&cfg), "testrev")
-        })
+        .map(|&jobs| perf_record(&cell(), &measure(&cell(), jobs), "testrev"))
         .collect();
     let baseline = records[0].det_json();
     for (r, jobs) in records.iter().zip([1u64, 4, 8]) {
@@ -53,15 +44,15 @@ fn det_fields_are_byte_identical_across_jobs_1_4_8() {
 fn same_config_and_rev_dedupes_by_content_hash() {
     let path = temp_path("dedupe");
     let _ = std::fs::remove_file(&path);
-    let cfg = cell_cfg(1);
-    let m = measure(&cfg);
+    let cfg = cell();
+    let m = measure(&cfg, 1);
     let first = perf_record(&cfg, &m, "revA");
     let out = append_records(&path, std::slice::from_ref(&first)).unwrap();
     assert_eq!((out.appended, out.deduped), (1, 0));
 
     // Same cell, same rev, fresh measurement: different wall time, same
     // det content → deduped.
-    let rerun = perf_record(&cfg, &measure(&cfg), "revA");
+    let rerun = perf_record(&cfg, &measure(&cfg, 1), "revA");
     let out = append_records(&path, &[rerun]).unwrap();
     assert_eq!((out.appended, out.deduped), (0, 1));
 
@@ -89,8 +80,8 @@ fn same_config_and_rev_dedupes_by_content_hash() {
 fn truncated_trailing_line_is_rejected_as_corrupt() {
     let path = temp_path("truncate");
     let _ = std::fs::remove_file(&path);
-    let cfg = cell_cfg(1);
-    let m = measure(&cfg);
+    let cfg = cell();
+    let m = measure(&cfg, 1);
     append_records(&path, &[perf_record(&cfg, &m, "revA")]).unwrap();
     append_records(&path, &[perf_record(&cfg, &m, "revB")]).unwrap();
 
@@ -119,29 +110,25 @@ fn truncated_trailing_line_is_rejected_as_corrupt() {
 fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     let path = temp_path("perf_gate");
     let _ = std::fs::remove_file(&path);
-    let cell = cell_cfg(1);
+    let cell = cell();
 
-    let blessed = perf::run(std::slice::from_ref(&cell), true, &path, "revA").unwrap();
+    let blessed = perf::run(std::slice::from_ref(&cell), 1, None, true, &path, "revA").unwrap();
     assert_eq!(blessed.len(), 1);
     let ledger = std::fs::read(&path).unwrap();
     assert_eq!(read_ledger(&path).unwrap().len(), 1, "bless appends the record");
 
-    let verdicts = |cells: &[PerfConfig]| -> Vec<perf::Verdict> {
-        let outcomes = perf::run(cells, false, &path, "revB").unwrap();
+    let verdicts = |cells: &[ExperimentConfig], perturb| -> Vec<perf::Verdict> {
+        let outcomes = perf::run(cells, 1, perturb, false, &path, "revB").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), ledger, "a check wrote the ledger");
         outcomes.into_iter().map(|(_, verdict)| verdict).collect()
     };
-    assert_eq!(verdicts(std::slice::from_ref(&cell)), vec![Ok(())]);
+    assert_eq!(verdicts(std::slice::from_ref(&cell), None), vec![Ok(())]);
 
-    let perturbed = PerfConfig {
-        perturb: Some(1),
-        ..cell_cfg(1)
-    };
-    let unknown = PerfConfig {
+    let unknown = ExperimentConfig {
         n: 175,
-        ..cell_cfg(1)
+        ..cell.clone()
     };
-    let failed = verdicts(&[perturbed, unknown]);
+    let failed = verdicts(&[cell.clone(), unknown], Some(1));
     let drift = failed[0].as_ref().unwrap_err();
     assert!(drift.iter().any(|m| m.contains("op count drift")), "{drift:?}");
     let missing = failed[1].as_ref().unwrap_err();
@@ -152,7 +139,7 @@ fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     std::fs::write(&path, &ledger[..ledger.len() - 25]).unwrap();
     for bless in [false, true] {
         assert!(matches!(
-            perf::run(std::slice::from_ref(&cell), bless, &path, "revC"),
+            perf::run(std::slice::from_ref(&cell), 1, None, bless, &path, "revC"),
             Err(LedgerError::Corrupt { line: 1, .. })
         ));
     }
@@ -215,8 +202,8 @@ fn checked_in_ledger_renders_as_a_dashboard() {
 fn a_quoted_revision_round_trips_and_the_ledger_stays_appendable() {
     let path = temp_path("quoted_rev");
     let _ = std::fs::remove_file(&path);
-    let cfg = cell_cfg(1);
-    let m = measure(&cfg);
+    let cfg = cell();
+    let m = measure(&cfg, 1);
     let quoted = perf_record(&cfg, &m, "a\"b\\c");
     assert_eq!(append_records(&path, std::slice::from_ref(&quoted)).unwrap().appended, 1);
     assert_eq!(read_ledger(&path).unwrap(), vec![quoted.clone()]);

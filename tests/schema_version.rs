@@ -8,8 +8,9 @@
 //! writer that forgets the stamp (or stamps a different number) fails
 //! here before it can ship an unversioned artifact.
 
-use bgpscale_experiments::churnreport::{run_report, ReportConfig};
-use bgpscale_experiments::perf::{measure, PerfConfig};
+use bgpscale_core::ExperimentConfig;
+use bgpscale_experiments::churnreport::run_report;
+use bgpscale_experiments::perf::measure;
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
 
@@ -41,14 +42,8 @@ fn costmodel_json_is_stamped() {
 
 #[test]
 fn timeseries_json_is_stamped() {
-    let report = run_report(&ReportConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 150,
-        events: 2,
-        seed: 11,
-        jobs: 2,
-        bin_us: 100_000,
-    });
+    let cell = ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 11, Default::default());
+    let report = run_report(&cell, 2, 100_000);
     assert_stamped(&report.timeseries_json, "timeseries.json");
 }
 
@@ -62,15 +57,8 @@ fn trace_header_is_stamped() {
 
 #[test]
 fn ledger_line_is_stamped() {
-    let cfg = PerfConfig {
-        scenario: GrowthScenario::Baseline,
-        n: 150,
-        events: 2,
-        seed: 11,
-        jobs: 2,
-        perturb: None,
-    };
-    let m = measure(&cfg);
+    let cfg = ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 11, Default::default());
+    let m = measure(&cfg, 2);
     let record = bgpscale_experiments::perf::perf_record(&cfg, &m, "testrev");
     assert_stamped(&record.to_line(), "ledger line");
 }
