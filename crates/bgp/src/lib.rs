@@ -35,7 +35,8 @@
 //!   processing and propagation delays are constants beside it.
 //! * [`rfd`] — optional Route Flap Damping (RFC 2439), the paper's
 //!   future-work mechanism: per-(session, prefix) penalties with
-//!   exponential decay, suppression and reuse.
+//!   exponential decay, suppression and reuse, under the vendor
+//!   parameters, which are constants of the module.
 
 #![forbid(unsafe_code)]
 
@@ -53,5 +54,5 @@ pub use arena::{DampTable, RouteSlab, SessionSlab, Stripe};
 pub use bgpscale_obs::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use config::{BgpConfig, MraiMode, MraiScope};
 pub use message::{Prefix, Update, UpdateKind};
-pub use node::{BgpNode, NodeCostCounters, NodeView};
+pub use node::{BgpNode, NodeView};
 pub use path::{PathArena, PathId};

@@ -52,13 +52,13 @@
 //! matches real BGP implementations and keeps the paper's update counts
 //! honest.
 
-use bgpscale_obs::Stamp;
+use bgpscale_obs::{OpCounts, Stamp};
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
 use crate::config::{BgpConfig, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
-use crate::node::{Actions, NodeCostCounters};
+use crate::node::Actions;
 use crate::path::{PathArena, PathId};
 
 /// Everything the caller lends a node for one protocol step — the
@@ -87,8 +87,12 @@ pub struct Step<'a, S = ()> {
     /// Where the step's transmissions and timer requests are appended;
     /// never cleared by the node.
     pub out: &'a mut Actions<S>,
-    /// Where the step's work is tallied.
-    pub costs: &'a mut NodeCostCounters,
+    /// Where the step's work is tallied: its decision runs and route
+    /// comparisons, export paths built and taken, Adj-RIB-out writes and
+    /// MRAI coalescing. The caller's one table of the network's work
+    /// ([`OpCounts`]), never reset by routing-state clears, so
+    /// phase-boundary snapshots can be diffed.
+    pub costs: &'a mut OpCounts,
 }
 
 /// Result of submitting an update to an [`OutQueue`].
@@ -758,7 +762,7 @@ pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
 pub(crate) struct Lender<S = ()> {
     pub cfg: BgpConfig,
     pub paths: PathArena,
-    pub costs: NodeCostCounters,
+    pub costs: OpCounts,
     pub out: Actions<S>,
 }
 
@@ -775,7 +779,7 @@ impl<S: Stamp> Lender<S> {
         Lender {
             cfg,
             paths: PathArena::new(),
-            costs: NodeCostCounters::default(),
+            costs: OpCounts::default(),
             out: Actions::default(),
         }
     }

@@ -181,32 +181,6 @@ pub struct NodeView<'a, S = ()> {
     routes: &'a RouteSlab<S>,
 }
 
-/// Monotone operation tallies of the BGP speakers of one network,
-/// feeding the workspace-wide deterministic cost model
-/// (`obs::costmodel`). The caller owns the one struct and lends it with
-/// every [`Step`]: a node tallies its decision and path handling into it,
-/// its output queues their Adj-RIB-out writes and MRAI coalescing. Never
-/// reset by routing-state clears, so phase-boundary snapshots can be
-/// diffed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeCostCounters {
-    /// Decision-process runs (one per `reevaluate` of a prefix).
-    pub decision_runs: u64,
-    /// Candidate-route preference comparisons inside the decision process.
-    pub route_comparisons: u64,
-    /// Sessions that took a built export path (its id, four bytes).
-    pub path_intern_hits: u64,
-    /// Export paths built: one
-    /// [`PathArena::prepend`](crate::PathArena::prepend), a
-    /// lookup-or-insert, per best-route change that at least one session
-    /// takes (and per route a restored session's table replay sends).
-    pub path_intern_misses: u64,
-    /// Adj-RIB-out mutations across all output queues.
-    pub rib_out_writes: u64,
-    /// MRAI-coalesced pending updates across all output queues.
-    pub mrai_coalesced: u64,
-}
-
 impl<'a, S: Stamp> NodeView<'a, S> {
     /// The view of node `id` — stripe `id` of `slab` — in `routes`, the
     /// route columns built for `slab`. Panics if `id` is not one of the
@@ -388,7 +362,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // Route Flap Damping: charge the figure of merit before
         // installing. Initial advertisements are free; withdrawals,
         // re-advertisements and path changes are flaps (RFC 2439).
-        if let Some(cfg) = &step.cfg.rfd {
+        if step.cfg.rfd.is_some() {
             let session = self.stripe.id(slot);
             let (prev, _) = self.routes.rib_in(row, self.stripe, slot);
             let flap = match (prev, incoming) {
@@ -401,8 +375,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             };
             if let Some(kind) = flap {
                 let state = self.routes.damp.get_or_insert(session, prefix);
-                if state.charge(kind, step.now.time, cfg) {
-                    if let Some(at) = state.reuse_time(cfg) {
+                if state.charge(kind, step.now.time) {
+                    if let Some(at) = state.reuse_time() {
                         step.out.rfd_wakeups.push((slot, prefix, at));
                     }
                 }
@@ -421,11 +395,13 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
     pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step<S>) {
-        let Some(cfg) = &step.cfg.rfd else { return };
+        if step.cfg.rfd.is_none() {
+            return;
+        }
         let Some(state) = self.routes.damp.get_mut(self.stripe.id(slot), prefix) else {
             return;
         };
-        if !state.maybe_reuse(step.now.time, cfg) {
+        if !state.maybe_reuse(step.now.time) {
             return;
         }
         // Eligibility changed, so the incumbent may now lose: full run.
@@ -670,6 +646,7 @@ mod tests {
     use crate::mrai::Lender;
     use crate::path::PathArena;
     use crate::rfd::RfdConfig;
+    use bgpscale_obs::OpCounts;
     use bgpscale_simkernel::SimDuration;
 
     const P: Prefix = Prefix(1);
@@ -1210,7 +1187,7 @@ mod tests {
         let mut w = Lender::default();
         let mut net = node();
         let mut n = net.node();
-        assert_eq!(w.costs, NodeCostCounters::default());
+        assert_eq!(w.costs, OpCounts::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
         let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
@@ -1397,7 +1374,7 @@ mod tests {
         assert!((0..3).all(|s| n.view().advertised(s, Prefix(4)).is_none()));
         assert_eq!(used.routes.arena_bytes(), 0);
 
-        w.costs = NodeCostCounters::default();
+        w.costs = OpCounts::default();
         assert_eq!(script(&mut used.node(), &mut w), want, "same routes, same work after recycling");
     }
 

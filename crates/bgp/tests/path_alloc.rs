@@ -12,8 +12,9 @@
 //! would be counted too.
 
 use bgpscale_bgp::mrai::Step;
-use bgpscale_bgp::node::{Actions, NodeCostCounters, Session};
+use bgpscale_bgp::node::{Actions, Session};
 use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, RouteSlab, SessionSlab, Update};
+use bgpscale_obs::OpCounts;
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
 use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
 use bgpscale_topology::{AsId, Relationship};
@@ -42,7 +43,7 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
     let cfg = BgpConfig::no_wrate();
     let mut paths = PathArena::new();
     let mut out = Actions::default();
-    let mut costs = NodeCostCounters::default();
+    let mut costs = OpCounts::default();
     let learned = [
         paths.intern(&[AsId(1), AsId(90)]),
         paths.intern(&[AsId(1), AsId(80), AsId(90)]),

@@ -4,8 +4,9 @@
 
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
 use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
-use bgpscale_bgp::node::{Actions, NodeCostCounters};
+use bgpscale_bgp::node::Actions;
 use bgpscale_bgp::{BgpConfig, MraiMode, PathArena, PathId, Prefix, Provenance, Stamp, Update, UpdateKind};
+use bgpscale_obs::OpCounts;
 use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
@@ -30,7 +31,7 @@ struct Driven {
     out: Actions<Provenance>,
     now: EventKey,
     expiry: Option<EventKey>,
-    costs: NodeCostCounters,
+    costs: OpCounts,
 }
 
 const SLOT: u32 = 5;
@@ -45,7 +46,7 @@ impl Driven {
             out: Actions::default(),
             now: EventKey::ZERO,
             expiry: None,
-            costs: NodeCostCounters::default(),
+            costs: OpCounts::default(),
         }
     }
 

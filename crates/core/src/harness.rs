@@ -512,7 +512,7 @@ impl ExperimentSetup {
         // its simulator out of it.
         let template = {
             let _span = phase("build_template");
-            SimTemplate::new(Arc::clone(&graph), cfg.bgp.clone())
+            SimTemplate::new(Arc::clone(&graph), cfg.bgp)
         };
 
         ExperimentSetup {

@@ -98,13 +98,13 @@ use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
 use bgpscale_bgp::config::{LINK_DELAY, MRAI, MRAI_JITTER, PROC_DELAY_MAX};
 use bgpscale_bgp::{
-    BgpConfig, BgpNode, NodeCostCounters, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
+    BgpConfig, BgpNode, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
 };
 use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, RootCauseKind, SimObserver, Stamp, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
+use bgpscale_simkernel::{EventKey, EventQueue, SimDuration, SimTime};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
@@ -243,9 +243,13 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// arms into; [`Simulator::apply_actions`] drains it after each step,
     /// so its lists are empty between steps and keep their capacity.
     actions: Actions<O::Stamp>,
-    /// The decision, path and RIB work of every node, tallied by the
-    /// steps it is lent to. Monotone: phase costs only ever diff it.
-    costs: NodeCostCounters,
+    /// The one tally of the run's work outside the event queue: the
+    /// decision, path and RIB work of every node, tallied by the steps it
+    /// is lent to; the wire's share of the queue classes (its pushes, its
+    /// pops and the comparisons of its front with the queue's minimum);
+    /// deliveries, MRAI arms and valid expiries. Monotone: phase costs
+    /// only ever diff it.
+    ops: OpCounts,
     /// Every node's FIFO input queue, in one pool: (the session slot the
     /// message arrived over, message), as the wire carried them. A node's
     /// processor is busy — a `ProcDone` is scheduled for it — exactly
@@ -257,10 +261,6 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// constant [`LINK_DELAY`] after a monotone clock
     /// ([`Simulator::apply_actions`] asserts it).
     wire: std::collections::VecDeque<InFlight<O::Stamp>>,
-    /// The wire's share of the queue's op classes: its pushes, its pops
-    /// and the comparisons of its front with the queue's minimum.
-    /// Monotone.
-    wire_ops: QueueOpCounts,
     /// Messages taken off the wire since the simulator was built or
     /// recycled: [`Simulator::events_processed`] counts them beside the
     /// queue's pops.
@@ -286,14 +286,6 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// The latest key ever reserved for an MRAI expiry, scheduled or not:
     /// where [`Simulator::run_to_quiescence`] leaves the clock.
     mrai_horizon: EventKey,
-    /// Cost-model tally: messages actually delivered (after in-flight loss
-    /// filtering). Monotone.
-    deliveries: u64,
-    /// Cost-model tally: MRAI timers armed over the run. Monotone.
-    mrai_armed_total: u64,
-    /// Cost-model tally: MRAI expiry events that popped while still valid
-    /// (stale ones excluded). Monotone.
-    mrai_fired: u64,
 }
 
 fn link_key(a: AsId, b: AsId) -> (AsId, AsId) {
@@ -333,12 +325,7 @@ impl SimTemplate {
     /// topology's sessions land in one arena (`SessionSlab::build`), and
     /// each node of an instantiation holds a slab handle plus its index
     /// instead of a private session table.
-    ///
-    /// # Panics
-    /// Panics if `cfg` fails validation.
     pub fn new(graph: Arc<AsGraph>, cfg: BgpConfig) -> SimTemplate {
-        cfg.check()
-            .unwrap_or_else(|e| panic!("invalid BGP config: {e}"));
         let sessions_of = |id| {
             let session = |nb: &bgpscale_topology::Neighbor| Session {
                 peer: nb.id,
@@ -372,16 +359,15 @@ impl SimTemplate {
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
-            cfg: self.cfg.clone(),
+            cfg: self.cfg,
             slab: Arc::clone(&self.slab),
             routes: RouteSlab::new(&self.slab),
             paths: PathArena::new(),
             actions: Actions::default(),
-            costs: NodeCostCounters::default(),
+            ops: OpCounts::default(),
             inbox: InboxPool::new(self.graph.len()),
             queue: EventQueue::with_capacity(1024),
             wire: std::collections::VecDeque::new(),
-            wire_ops: QueueOpCounts::ZERO,
             wire_popped: 0,
             rng: Xoshiro256StarStar::new(seed),
             churn,
@@ -392,9 +378,6 @@ impl SimTemplate {
             next_root: 0,
             expiries_scheduled: 0,
             mrai_horizon: EventKey::ZERO,
-            deliveries: 0,
-            mrai_armed_total: 0,
-            mrai_fired: 0,
         }
     }
 }
@@ -402,9 +385,6 @@ impl SimTemplate {
 impl Simulator {
     /// Builds a simulator over `graph`. Neighbor sessions take the
     /// adjacency order of the graph, which keeps everything deterministic.
-    ///
-    /// # Panics
-    /// Panics if `cfg` fails validation.
     pub fn new(graph: AsGraph, cfg: BgpConfig, seed: u64) -> Simulator {
         SimTemplate::new(Arc::new(graph), cfg).instantiate(seed)
     }
@@ -522,7 +502,7 @@ impl<O: SimObserver> Simulator<O> {
             cause,
             paths: &mut self.paths,
             out: &mut self.actions,
-            costs: &mut self.costs,
+            costs: &mut self.ops,
         };
         entry(&mut BgpNode::new(node, &self.slab, &mut self.routes), &mut step);
     }
@@ -629,15 +609,15 @@ impl<O: SimObserver> Simulator<O> {
         loop {
             let front = self.wire.front().map(|msg| msg.key).filter(|&key| key <= bound);
             if let Some((time, event)) = self.queue.pop_by(front.unwrap_or(bound)) {
-                self.wire_ops.comparisons += u64::from(!self.wire.is_empty());
+                self.ops.queue_comparisons += u64::from(!self.wire.is_empty());
                 self.dispatch(time, event);
             } else {
                 // The front is next, if it is due: its turn is the clock's.
                 let Some(msg) = front.and_then(|_| self.wire.pop_front()) else {
                     return Ok(());
                 };
-                self.wire_ops.comparisons += u64::from(!self.queue.is_empty());
-                self.wire_ops.pops += 1;
+                self.ops.queue_comparisons += u64::from(!self.queue.is_empty());
+                self.ops.queue_pops += 1;
                 self.wire_popped += 1;
                 self.queue.advance_to(msg.key);
                 self.deliver(msg);
@@ -757,7 +737,7 @@ impl<O: SimObserver> Simulator<O> {
             return;
         }
         self.last_activity = now;
-        self.deliveries += 1;
+        self.ops.deliveries += 1;
         self.churn.record(stripe, slot, update.kind.is_withdraw(), now);
         // Depth the arriving message will reach once enqueued — the
         // receiver-side backlog signal.
@@ -812,7 +792,7 @@ impl<O: SimObserver> Simulator<O> {
                     return; // stale expiry from before a session reset
                 }
                 self.expiries_scheduled -= 1;
-                self.mrai_fired += 1;
+                self.ops.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
                 let no_cause = O::Stamp::default(); // a flush sends stamps stored earlier
                 self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, prefix, step));
@@ -837,7 +817,7 @@ impl<O: SimObserver> Simulator<O> {
         // Out of `self` while the loops below draw from the RNG and push
         // onto the queue; handed back drained, capacity intact.
         let mut actions = std::mem::take(&mut self.actions);
-        self.mrai_armed_total += actions.arms.len() as u64;
+        self.ops.mrai_armed += actions.arms.len() as u64;
         let scheduled_before = self.expiries_scheduled;
         if !actions.sends.is_empty() {
             let arrival = now + LINK_DELAY;
@@ -857,7 +837,7 @@ impl<O: SimObserver> Simulator<O> {
                 let (to, slot) = self.slab.far_end(stripe, slot);
                 let key = self.queue.reserve(arrival);
                 self.wire.push_back(InFlight { key, to, slot, update });
-                self.wire_ops.pushes += 1;
+                self.ops.queue_pushes += 1;
             }
         }
         // An arm draws its jitter and reserves the key its expiry pops
@@ -887,36 +867,27 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// The current cost-model snapshot: event-queue op tallies (the
-    /// wire's included) plus the
-    /// nodes' decision/path/RIB counters plus the simulator's own
-    /// delivery and MRAI counters, folded into one [`OpCounts`]. All
-    /// constituents are monotone within a C-event — `arena_bytes_reserved`
-    /// is a footprint gauge, but arenas only grow until the inter-event
-    /// [`Simulator::reset_routing`] — so two snapshots can be subtracted
-    /// to attribute work to the interval between them (see
-    /// [`bgpscale_obs::costmodel`]).
+    /// The current cost-model snapshot: the simulator's own tally plus
+    /// the event queue's op counts plus the arena footprint, in one
+    /// [`OpCounts`]. All constituents are monotone within a C-event —
+    /// `arena_bytes_reserved` is a footprint gauge, but arenas only grow
+    /// until the inter-event [`Simulator::reset_routing`] — so two
+    /// snapshots can be subtracted to attribute work to the interval
+    /// between them (see [`bgpscale_obs::costmodel`]).
     pub fn cost_counts(&self) -> OpCounts {
-        let (q, wire) = (self.queue.op_counts(), self.wire_ops);
-        OpCounts {
-            queue_pushes: q.pushes + wire.pushes,
-            queue_pops: q.pops + wire.pops,
+        let q = self.queue.op_counts();
+        let mut ops = OpCounts {
+            queue_pushes: q.pushes,
+            queue_pops: q.pops,
             queue_decreases: q.decreases,
-            queue_comparisons: q.comparisons + wire.comparisons,
-            deliveries: self.deliveries,
-            mrai_armed: self.mrai_armed_total,
-            mrai_fired: self.mrai_fired,
-            decision_runs: self.costs.decision_runs,
-            route_comparisons: self.costs.route_comparisons,
-            rib_out_writes: self.costs.rib_out_writes,
-            path_intern_hits: self.costs.path_intern_hits,
-            path_intern_misses: self.costs.path_intern_misses,
-            mrai_coalesced: self.costs.mrai_coalesced,
+            queue_comparisons: q.comparisons,
             // The slab is immutable and shared; count it once, not per
             // node. The route columns keep their own tally.
             arena_bytes_reserved: self.slab.arena_bytes() + self.routes.arena_bytes(),
             ..OpCounts::default()
-        }
+        };
+        ops.add(&self.ops);
+        ops
     }
 
     /// Uniform over `(0, PROC_DELAY_MAX]`; never zero, so that

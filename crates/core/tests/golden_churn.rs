@@ -118,11 +118,11 @@ fn origins(graph: &AsGraph, count: usize) -> Vec<AsId> {
 /// recycled simulator), then one C-event driven phase by phase.
 fn cell_hash(scenario: GrowthScenario, bgp: &BgpConfig, n: usize, seed: u64) -> u64 {
     let mut h = Fnv::new();
-    h.report(&run_experiment(&ExperimentConfig::new(scenario, n, 2, seed, bgp.clone())));
+    h.report(&run_experiment(&ExperimentConfig::new(scenario, n, 2, seed, *bgp)));
 
     let graph = generate(scenario, n, seed);
     let origin = origins(&graph, 2)[1];
-    let mut sim = Simulator::new(graph, bgp.clone(), seed ^ 0x601D);
+    let mut sim = Simulator::new(graph, *bgp, seed ^ 0x601D);
     sim.churn_mut().set_enabled(true);
     for phase in 0..3 {
         if phase == 1 {
@@ -456,7 +456,7 @@ const GOLDEN_WINDOWS: [[[u64; 3]; 2]; 2] = [
 fn l_events_reproduce_their_golden_outcomes() {
     for (mi, bgp) in modes().into_iter().enumerate() {
         for (ki, &seed) in SEEDS.iter().enumerate() {
-            let got = l_event_hash(bgp.clone(), seed);
+            let got = l_event_hash(bgp, seed);
             assert_eq!(
                 got, GOLDEN_L_EVENT[mi][ki],
                 "L-event {} seed={seed}: got {got:#018x}",
@@ -487,7 +487,7 @@ fn actions_inside_mrai_windows_reproduce_their_golden_clocks() {
     {
         for (mi, bgp) in modes().into_iter().enumerate() {
             for (ki, &seed) in SEEDS.iter().enumerate() {
-                let got = windows_hash(scope, bgp.clone(), seed);
+                let got = windows_hash(scope, bgp, seed);
                 assert_eq!(
                     got, GOLDEN_WINDOWS[si][mi][ki],
                     "windows {} {} seed={seed}: got {got:#018x}",
@@ -524,7 +524,7 @@ fn print_the_tables() {
     }
     println!("]\n=== golden_churn_levent.table\n[");
     for bgp in modes() {
-        let hashes = SEEDS.iter().map(|&s| l_event_hash(bgp.clone(), s));
+        let hashes = SEEDS.iter().map(|&s| l_event_hash(bgp, s));
         println!("    {},", row(hashes.collect()));
     }
     println!("]\n=== golden_churn_flapstorm.table\n[");
@@ -536,7 +536,7 @@ fn print_the_tables() {
     for scope in [MraiScope::PerInterface, MraiScope::PerPrefix] {
         println!("    [");
         for bgp in modes() {
-            let hashes = SEEDS.iter().map(|&s| windows_hash(scope, bgp.clone(), s));
+            let hashes = SEEDS.iter().map(|&s| windows_hash(scope, bgp, s));
             println!("        {},", row(hashes.collect()));
         }
         println!("    ],");

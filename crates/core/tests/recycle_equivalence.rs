@@ -26,7 +26,7 @@ use bgpscale_core::cevent::{run_c_event, CEventOutcome};
 use bgpscale_core::factors::{node_factors, NodeFactors};
 use bgpscale_core::harness::{run_experiment_with_cost, ExperimentConfig};
 use bgpscale_core::{SimTemplate, Simulator};
-use bgpscale_obs::{OpCounts, Recorder, PHASE_NAMES};
+use bgpscale_obs::{OpCounts, Recorder, RecorderOptions, PHASE_NAMES};
 use bgpscale_simkernel::rng::hash64_pair;
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::{generate, AsGraph, AsId, GrowthScenario, NodeType};
@@ -48,7 +48,11 @@ struct Observed {
 }
 
 fn recorder(k: usize) -> Recorder {
-    Recorder::with_trace(k as u32, Some(3))
+    let opts = RecorderOptions {
+        trace_sample: Some(3),
+        ..RecorderOptions::default()
+    };
+    Recorder::with_options(k as u32, opts)
 }
 
 /// Runs C-event `k` on `sim` (pristine, with `recorder(k)` attached) and
@@ -71,7 +75,7 @@ fn observe(sim: &mut Simulator<Recorder>, origin: AsId, k: usize) -> Observed {
         .node_ids()
         .map(|id| sim.node(id).latest_timer_key_by(SimTime::MAX))
         .collect();
-    let recorder = sim.replace_observer(Recorder::new(0));
+    let recorder = sim.replace_observer(Recorder::default());
     Observed {
         outcome,
         factors,
@@ -80,7 +84,8 @@ fn observe(sim: &mut Simulator<Recorder>, origin: AsId, k: usize) -> Observed {
         events_processed: sim.events_processed(),
         metrics_json: recorder.registry().to_json(),
         trace_lines: recorder
-            .into_trace()
+            .into_parts()
+            .0
             .iter()
             .map(|r| r.to_json_line())
             .collect(),

@@ -7,9 +7,8 @@
 //! can never silently disable a rule.
 //!
 //! The sections are `[scan]`, `[deterministic]`, `[wall-side]`,
-//! `[hot-paths]`, `[artifact]` and `[resolve]`, with one key per
-//! [`Config`] field; the checked-in `det.toml` at the workspace root is
-//! the annotated example.
+//! `[hot-paths]` and `[artifact]`, with one key per [`Config`] field; the
+//! checked-in `det.toml` at the workspace root is the annotated example.
 
 use std::path::Path;
 
@@ -26,14 +25,9 @@ pub struct Config {
     pub wall_side: Vec<String>,
     /// Qualified-name suffixes of the panic-surface roots.
     pub hot_roots: Vec<String>,
-    /// The identifier every artifact writer must flow through
-    /// (`SCHEMA_VERSION` if unset).
-    pub stamp: String,
     /// Exit-convention constants; each entry is a `|`-separated
     /// alternation.
     pub exit_constants: Vec<String>,
-    /// Method names deliberately left unresolved by the call graph.
-    pub opaque_methods: Vec<String>,
 }
 
 impl Config {
@@ -48,7 +42,6 @@ impl Config {
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config {
             include: vec![".".to_string()],
-            stamp: "SCHEMA_VERSION".to_string(),
             ..Config::default()
         };
         let mut section = String::new();
@@ -65,8 +58,7 @@ impl Config {
                     .ok_or_else(|| format!("line {lineno}: unterminated section header"))?;
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "scan" | "deterministic" | "wall-side" | "hot-paths" | "artifact"
-                    | "resolve" => {}
+                    "scan" | "deterministic" | "wall-side" | "hot-paths" | "artifact" => {}
                     other => return Err(format!("line {lineno}: unknown section [{other}]")),
                 }
                 continue;
@@ -95,25 +87,17 @@ impl Config {
         if cfg.include.is_empty() {
             return Err("`[scan] include` must not be empty".to_string());
         }
-        if cfg.stamp.is_empty() {
-            return Err("`[artifact] stamp` must not be empty".to_string());
-        }
         Ok(cfg)
     }
 
     fn apply(&mut self, section: &str, key: &str, value: &str) -> Result<(), String> {
         let slot = match (section, key) {
-            ("artifact", "stamp") => {
-                self.stamp = parse_quoted(value)?;
-                return Ok(());
-            }
             ("scan", "include") => &mut self.include,
             ("scan", "exclude") => &mut self.exclude,
             ("deterministic", "paths") => &mut self.deterministic,
             ("wall-side", "modules") => &mut self.wall_side,
             ("hot-paths", "roots") => &mut self.hot_roots,
             ("artifact", "exit-constants") => &mut self.exit_constants,
-            ("resolve", "opaque-methods") => &mut self.opaque_methods,
             ("", _) => return Err(format!("key `{key}` outside any section")),
             (s, k) => return Err(format!("unknown key `{k}` in section [{s}]")),
         };
@@ -231,11 +215,7 @@ modules = ["simkernel::wallclock"]
 roots = ["core::cevent::run_c_event", "EventQueue::push"]
 
 [artifact]
-stamp = "SCHEMA_VERSION"
 exit-constants = ["EXIT_OK", "EXIT_VIOLATIONS|EXIT_FAIL"]
-
-[resolve]
-opaque-methods = ["drop"]
 "#;
 
     #[test]
@@ -250,22 +230,24 @@ opaque-methods = ["drop"]
         assert!(cfg.is_hot_root("core::cevent::run_c_event"));
         assert!(cfg.is_hot_root("simkernel::queue::EventQueue::push"));
         assert!(!cfg.is_hot_root("simkernel::queue::EventQueue::push_back"));
-        assert_eq!(cfg.stamp, "SCHEMA_VERSION");
         assert_eq!(
             cfg.exit_alternatives(),
             ["EXIT_FAIL", "EXIT_OK", "EXIT_VIOLATIONS"]
         );
-        assert_eq!(cfg.opaque_methods, ["drop"]);
     }
 
     #[test]
     fn unknown_keys_and_sections_are_errors() {
         assert!(Config::parse("[scn]\ninclude = [\"x\"]").is_err());
         assert!(Config::parse("[scan]\nincl = [\"x\"]").is_err());
-        assert!(Config::parse("[artifact]\nstamp = unquoted").is_err());
+        assert!(Config::parse("[artifact]\nexit-constants = unquoted").is_err());
+        // The stamp is det's constant, not a key.
+        assert!(Config::parse("[artifact]\nstamp = \"SCHEMA_VERSION\"").is_err());
         assert!(Config::parse("include = [\"before any section\"]").is_err());
-        // The retired sections: the token-level bans live in clippy.toml.
+        // The retired sections: the token-level bans live in clippy.toml,
+        // and the call graph resolves every method name.
         for retired in [
+            "[resolve]",
             "[rules]",
             "[coherence]",
             "[exempt]",
@@ -274,11 +256,6 @@ opaque-methods = ["drop"]
         ] {
             assert!(Config::parse(&format!("{retired}\npaths = [\"x\"]")).is_err());
         }
-    }
-
-    #[test]
-    fn empty_stamp_is_rejected() {
-        assert!(Config::parse("[scan]\ninclude = [\"x\"]\n[artifact]\nstamp = \"\"").is_err());
     }
 
     #[test]

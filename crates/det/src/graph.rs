@@ -22,12 +22,10 @@
 //!    crate.
 //!
 //! Method calls resolve by name across **all** scanned crates (the
-//! receiver type is unknown); names listed in `[resolve]
-//! opaque-methods` are exempted from this and stay opaque.
+//! receiver type is unknown).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::Config;
 use crate::items::{CallKind, FileItems, FnItem};
 
 /// Where an edge points.
@@ -70,7 +68,7 @@ pub struct Graph {
 
 impl Graph {
     /// Builds the graph from parsed files.
-    pub fn build(files: &[FileItems], cfg: &Config) -> Graph {
+    pub fn build(files: &[FileItems]) -> Graph {
         let mut nodes: Vec<Node> = Vec::new();
         for f in files {
             for item in &f.fns {
@@ -113,7 +111,6 @@ impl Graph {
         };
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
-        let opaque: BTreeSet<&str> = cfg.opaque_methods.iter().map(String::as_str).collect();
         for f in files {
             let uses: BTreeMap<&str, &[String]> = f
                 .uses
@@ -133,9 +130,7 @@ impl Graph {
                     match &call.kind {
                         CallKind::Macro(_) => continue,
                         CallKind::Method(name) => match by_method.get(name.as_str()) {
-                            Some(cands) if !opaque.contains(name.as_str()) => {
-                                targets.extend(cands.iter().map(|&c| EdgeTarget::Node(c)))
-                            }
+                            Some(cands) => targets.extend(cands.iter().map(|&c| EdgeTarget::Node(c))),
                             _ => targets.push(EdgeTarget::Opaque(name.clone())),
                         },
                         CallKind::Path(segs) => ix.resolve_path(segs, f, item, &uses, &mut targets),
@@ -264,7 +259,7 @@ mod tests {
 
     fn build(files: &[(&str, &str)]) -> Graph {
         let parsed: Vec<FileItems> = files.iter().map(|(rel, src)| parse(rel, src)).collect();
-        Graph::build(&parsed, &Config::default())
+        Graph::build(&parsed)
     }
 
     fn edge_qnames(g: &Graph, from: &str) -> Vec<String> {
@@ -388,30 +383,6 @@ mod tests {
         let targets: Vec<&EdgeTarget> = g.edges[i].iter().map(|e| &e.target).collect();
         assert!(targets.contains(&&EdgeTarget::External("std::fs::read".to_string())));
         assert!(targets.contains(&&EdgeTarget::Opaque("frobnicate".to_string())));
-    }
-
-    #[test]
-    fn opaque_methods_config_suppresses_fan_out() {
-        let parsed = vec![
-            parse(
-                "a/q.rs",
-                "pub struct Q;\nimpl Q { pub fn push(&self) {} }\n",
-            ),
-            parse("c/u.rs", "pub fn go(v: &mut Vec<u64>) { v.push(1) }\n"),
-        ];
-        let cfg = Config {
-            opaque_methods: vec!["push".to_string()],
-            ..Config::default()
-        };
-        let g = Graph::build(&parsed, &cfg);
-        let &i = g.by_qname.get("c::u::go").expect("node");
-        assert_eq!(
-            g.edges[i],
-            [Edge {
-                line: 1,
-                target: EdgeTarget::Opaque("push".to_string())
-            }]
-        );
     }
 
     #[test]

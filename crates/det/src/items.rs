@@ -138,11 +138,10 @@ pub struct FileItems {
     pub globs: Vec<Vec<String>>,
 }
 
-/// The identifiers the parser watches for inside bodies.
+/// The identifiers the parser watches for inside bodies beside the
+/// schema stamp.
 #[derive(Clone, Debug, Default)]
 pub struct Needles {
-    /// The artifact schema stamp (e.g. `SCHEMA_VERSION`).
-    pub stamp: String,
     /// Exit-constant alternatives (e.g. `EXIT_OK`).
     pub exits: Vec<String>,
 }
@@ -176,11 +175,10 @@ pub fn module_of(rel: &str) -> (String, Vec<String>) {
     (crate_id, modules)
 }
 
-/// True when `needle` occurs in `hay` as a whole identifier.
-fn word_in(hay: &str, needle: &str) -> bool {
-    if needle.is_empty() {
-        return false;
-    }
+/// True when the schema stamp [`crate::ARTIFACT_STAMP`] occurs in `hay`
+/// as a whole identifier.
+fn mentions_stamp(hay: &str) -> bool {
+    let needle = crate::ARTIFACT_STAMP;
     let bytes = hay.as_bytes();
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {
@@ -297,9 +295,9 @@ pub fn extract(src: &SourceFile, needles: &Needles) -> FileItems {
             let mentioned = match line.comment_col {
                 Some(col) => {
                     let prefix: String = line.raw.chars().take(col).collect();
-                    word_in(&prefix, &needles.stamp)
+                    mentions_stamp(&prefix)
                 }
-                None => word_in(&line.raw, &needles.stamp),
+                None => mentions_stamp(&line.raw),
             };
             if mentioned {
                 out.fns[fi].mentions_stamp = true;
@@ -823,7 +821,6 @@ mod tests {
 
     fn parse(rel: &str, src: &str) -> FileItems {
         let needles = Needles {
-            stamp: "SCHEMA_VERSION".to_string(),
             exits: vec!["EXIT_OK".to_string(), "EXIT_USAGE".to_string()],
         };
         extract(&SourceFile::lex(rel, src), &needles)

@@ -78,6 +78,11 @@ pub use rules::Rule;
 /// summary loses `integer_only_files`.
 pub const SCHEMA_VERSION: u32 = 3;
 
+/// The identifier the artifact-contract pass requires in the call
+/// closure of every file-writing function: the workspace's schema
+/// stamp.
+pub const ARTIFACT_STAMP: &str = "SCHEMA_VERSION";
+
 /// Exit code: the analysis found no violations.
 pub const EXIT_OK: i32 = 0;
 /// Exit code: violations (or fixture self-test failures) were found.
@@ -94,7 +99,6 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     let mut findings = Vec::new();
 
     let needles = items::Needles {
-        stamp: cfg.stamp.clone(),
         exits: cfg.exit_alternatives(),
     };
     let parsed: Vec<items::FileItems> = sources
@@ -102,7 +106,7 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
         .filter(|f| f.in_graph())
         .map(|f| items::extract(f, &needles))
         .collect();
-    let graph = graph::Graph::build(&parsed, cfg);
+    let graph = graph::Graph::build(&parsed);
     let stats = passes::run_graph_passes(cfg, &graph, &mut ledger, &mut findings);
 
     let allows = ledger.finish(&mut findings);

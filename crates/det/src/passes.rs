@@ -198,7 +198,8 @@ pub fn run_graph_passes(
                 format!(
                     "`{}` writes a file but nothing in its call closure mentions \
                      the schema stamp `{}` — artifacts must be versioned",
-                    graph.nodes[w].item.qname, cfg.stamp
+                    graph.nodes[w].item.qname,
+                    crate::ARTIFACT_STAMP
                 ),
             );
         }

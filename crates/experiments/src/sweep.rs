@@ -300,12 +300,6 @@ impl Sweeper {
         self.jobs = bgpscale_simkernel::pool::effective_jobs(jobs).max(1);
     }
 
-    /// Builder-style [`Sweeper::set_jobs`].
-    pub fn with_jobs(mut self, jobs: usize) -> Sweeper {
-        self.set_jobs(jobs);
-        self
-    }
-
     /// The current worker budget.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -453,7 +447,8 @@ mod tests {
             seed: 4,
         };
         let mut seq = Sweeper::new(cfg.clone());
-        let mut par = Sweeper::new(cfg).with_jobs(8);
+        let mut par = Sweeper::new(cfg);
+        par.set_jobs(8);
         let a = seq.sweep(GrowthScenario::Baseline);
         let b = par.sweep(GrowthScenario::Baseline);
         assert_eq!(a.len(), b.len());
@@ -514,7 +509,8 @@ mod tests {
             seed: 7,
         };
         let mut seq = Sweeper::new(cfg.clone());
-        let mut par = Sweeper::new(cfg.clone()).with_jobs(8);
+        let mut par = Sweeper::new(cfg.clone());
+        par.set_jobs(8);
         let mut obs = Sweeper::new(cfg);
         obs.enable_telemetry(None);
         seq.sweep(GrowthScenario::Baseline);

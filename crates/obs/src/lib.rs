@@ -30,7 +30,7 @@
 //! use bgpscale_obs::{EventKind, Recorder, SimObserver};
 //! use bgpscale_simkernel::SimTime;
 //!
-//! let mut rec = Recorder::new(0);
+//! let mut rec = Recorder::default();
 //! rec.on_event(EventKind::Deliver, SimTime::from_millis(3));
 //! let registry = rec.registry();
 //! assert_eq!(registry.counter("events.deliver"), 1);

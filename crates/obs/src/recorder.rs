@@ -84,24 +84,9 @@ fn bucket(bounds: &[u64], value: u64) -> usize {
 }
 
 impl Recorder {
-    /// A metrics-only recorder for C-event `event`.
-    pub fn new(event: u32) -> Recorder {
-        Recorder::with_options(event, RecorderOptions::default())
-    }
-
-    /// A recorder that additionally keeps 1-in-`sample_every` trace
-    /// records (`Some(1)` keeps everything).
-    pub fn with_trace(event: u32, trace_sample: Option<u64>) -> Recorder {
-        Recorder::with_options(
-            event,
-            RecorderOptions {
-                trace_sample,
-                timeseries: None,
-            },
-        )
-    }
-
-    /// A recorder with the full option set.
+    /// A recorder for C-event `event` that also captures what `opts`
+    /// asks for; the event index stamps the trace records and the time
+    /// series. [`Recorder::default`] is the metrics-only recorder.
     pub fn with_options(event: u32, opts: RecorderOptions) -> Recorder {
         Recorder {
             trace: opts.trace_sample.map(|n| TraceBuffer::new(event, n)),
@@ -116,12 +101,6 @@ impl Recorder {
     /// Total events observed across all kinds.
     pub fn events_total(&self) -> u64 {
         self.events_by_kind.iter().sum()
-    }
-
-    /// Consumes the recorder, returning its trace records (empty when
-    /// tracing was off).
-    pub fn into_trace(self) -> Vec<TraceRecord> {
-        self.into_parts().0
     }
 
     /// Consumes the recorder, returning trace records and the one-event
@@ -346,7 +325,7 @@ mod tests {
 
     #[test]
     fn recorder_counts_hooks_into_registry() {
-        let mut rec = Recorder::new(0);
+        let mut rec = Recorder::default();
         rec.on_event(EventKind::Deliver, SimTime::ZERO);
         rec.on_event(EventKind::ProcDone, SimTime::ZERO);
         rec.on_event(EventKind::Deliver, SimTime::ZERO);
@@ -409,7 +388,11 @@ mod tests {
 
     #[test]
     fn trace_records_carry_event_index_kinds_and_provenance() {
-        let mut rec = Recorder::with_trace(9, Some(1));
+        let opts = RecorderOptions {
+            trace_sample: Some(1),
+            ..RecorderOptions::default()
+        };
+        let mut rec = Recorder::with_options(9, opts);
         rec.on_message(
             AsId(1),
             AsId(2),
@@ -424,7 +407,7 @@ mod tests {
         );
         rec.on_decision_run(AsId(2), SimTime::from_micros(20));
         rec.on_mrai_flush(AsId(3), 1, SimTime::from_micros(30));
-        let t = rec.into_trace();
+        let (t, _) = rec.into_parts();
         assert_eq!(t.len(), 3);
         assert!(t.iter().all(|r| r.event == 9));
         assert_eq!(t[0].kind, EventKind::Deliver);
@@ -438,7 +421,7 @@ mod tests {
 
     #[test]
     fn metrics_only_recorder_has_no_trace() {
-        let mut rec = Recorder::new(0);
+        let mut rec = Recorder::default();
         rec.on_decision_run(AsId(0), SimTime::ZERO);
         let (trace, series) = rec.into_parts();
         assert!(trace.is_empty());
