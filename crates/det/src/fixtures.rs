@@ -1,7 +1,7 @@
 //! `--fixtures`: the analyzer's self-test over seeded-bad trees.
 //!
-//! Each immediate subdirectory of the fixtures root holding a `det.toml`
-//! is one **case**: a miniature workspace with its own config. Expected
+//! Each of [`CASES`] is a subdirectory of the fixtures root: a miniature
+//! workspace with its own [`Config`]. Expected
 //! findings are marked in-band, rustc-style, by a `//~ rule-id` trailing
 //! the anchor line in a scanned `.rs` file; a marker may list several
 //! space-separated rule ids. The self-test
@@ -17,7 +17,7 @@
 //! dragging those patterns anywhere near the build.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::config::Config;
 use crate::Rule;
@@ -61,26 +61,51 @@ impl Report {
     }
 }
 
+/// The fixture cases: subdirectory name and tier map.
+pub const CASES: [(&str, Config); 2] = [
+    // The clean case: the same shapes as `graph/` but compliant — an
+    // audited wall-side crossing, an audited hot-path panic, a stamped
+    // writer, a binary on the shared exit convention, and hazard names in
+    // comments, strings and a test block. `wall/` is inside the
+    // deterministic tier here, so its `SystemTime` read also proves a
+    // wall-side module is fenced, never an entry point. Zero findings
+    // expected: any diagnostic in this case is a false positive and fails
+    // the self-test in the other direction.
+    (
+        "clean",
+        Config {
+            deterministic: &["det", "wall"],
+            ..GRAPH
+        },
+    ),
+    ("graph", GRAPH),
+];
+
+/// The seeded-bad graph case: at least one violation per graph pass,
+/// each marked with a trailing `//~ rule-id` on its exact anchor line.
+/// The det-closure crossings are the ones a token-level ban cannot
+/// attribute to the deterministic tier: wall-clock reads two calls away
+/// in `util/`, and the sanctioned `Stopwatch` of the wall-side module
+/// (`wall/`), which clippy allows. `det/direct.rs` adds the env and
+/// entropy reads det-closure knows by name.
+const GRAPH: Config = Config {
+    include: &["det", "util", "wall", "io"],
+    exclude: &[],
+    deterministic: &["det"],
+    wall_side: &["wall::clock"],
+    hot_roots: &["det::hot::step"],
+    exit_constants: &[&["EXIT_OK"], &["EXIT_FAIL"]],
+};
+
 /// Runs every fixture case under `fixroot`.
 pub fn run(fixroot: &Path) -> Result<Report, String> {
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(fixroot)
-        .and_then(|it| it.collect::<Result<Vec<_>, _>>())
-        .map_err(|e| format!("cannot read {}: {e}", fixroot.display()))?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.join("det.toml").is_file())
-        .collect();
-    dirs.sort();
-    if dirs.is_empty() {
-        return Err(format!(
-            "no fixture cases (subdirectories with a det.toml) under {}",
-            fixroot.display()
-        ));
-    }
     let mut report = Report::default();
-    for dir in dirs {
-        let cfg = Config::load(&dir.join("det.toml"))?;
-        let analysis = crate::analyze(&dir, &cfg)?;
+    for (name, cfg) in &CASES {
+        let dir = fixroot.join(name);
+        if !dir.is_dir() {
+            return Err(format!("fixture case {} is missing", dir.display()));
+        }
+        let analysis = crate::analyze(&dir, cfg)?;
         let got: BTreeSet<Anchor> = analysis
             .findings
             .iter()
@@ -93,11 +118,7 @@ pub fn run(fixroot: &Path) -> Result<Report, String> {
             collect_markers(rel, &text, &mut expected)?;
         }
         report.cases.push(CaseResult {
-            name: dir
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .to_string(),
+            name: name.to_string(),
             missed: expected.difference(&got).cloned().collect(),
             unexpected: got.difference(&expected).cloned().collect(),
             confirmed: expected.intersection(&got).count(),

@@ -140,10 +140,11 @@ pub struct FileItems {
 
 /// The identifiers the parser watches for inside bodies beside the
 /// schema stamp.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Needles {
-    /// Exit-constant alternatives (e.g. `EXIT_OK`).
-    pub exits: Vec<String>,
+    /// Exit-constant groups (e.g. `[["EXIT_OK"], ["EXIT_VIOLATIONS",
+    /// "EXIT_FAIL"]]`); every alternative is watched.
+    pub exits: &'static [&'static [&'static str]],
 }
 
 /// Maps a workspace-relative file path to `(crate_id, module_path)`.
@@ -429,7 +430,7 @@ fn scan_tokens(
             }
             ident if is_ident(ident) => {
                 let next = toks.get(i + 1).map(|n| n.as_str());
-                if needles.exits.iter().any(|e| e == ident) {
+                if needles.exits.iter().flat_map(|g| g.iter()).any(|e| *e == ident) {
                     if let Some(fi) = innermost_fn(scopes) {
                         out.fns[fi].mentions.insert(ident.to_string());
                     }
@@ -821,7 +822,7 @@ mod tests {
 
     fn parse(rel: &str, src: &str) -> FileItems {
         let needles = Needles {
-            exits: vec!["EXIT_OK".to_string(), "EXIT_USAGE".to_string()],
+            exits: &[&["EXIT_OK"], &["EXIT_USAGE"]],
         };
         extract(&SourceFile::lex(rel, src), &needles)
     }

@@ -1,8 +1,8 @@
 //! # bgpscale-det
 //!
 //! The workspace **determinism analyzer**: one zero-dependency static
-//! checker, reading one checked-in [`det.toml`](config), that guards the
-//! bit-identical-replay contract of the `bgpscale` simulator.
+//! checker, whose tier map is code ([`Config::WORKSPACE`]), that guards
+//! the bit-identical-replay contract of the `bgpscale` simulator.
 //!
 //! The paper's churn measurements (Eq. 1's `U(X) = Σ m·q·e` decomposition,
 //! the Fig. 1 trends) are trustworthy because the harness promises
@@ -46,7 +46,7 @@
 //!
 //! The binary (`cargo run -p bgpscale-det -- --check`) exits with the
 //! workspace-wide convention shared with `repro … --check`: `0` = clean,
-//! `1` = violations found, `2` = usage/config error; `--json` reports are
+//! `1` = violations found, `2` = usage error; `--json` reports are
 //! byte-deterministic, and `--fixtures` runs the seeded-bad self-test
 //! where **both** missed detections and false positives fail. See
 //! `docs/ARCHITECTURE.md` § "Static determinism guarantees".
@@ -87,7 +87,7 @@ pub const ARTIFACT_STAMP: &str = "SCHEMA_VERSION";
 pub const EXIT_OK: i32 = 0;
 /// Exit code: violations (or fixture self-test failures) were found.
 pub const EXIT_VIOLATIONS: i32 = 1;
-/// Exit code: bad command line, unreadable root, or invalid config.
+/// Exit code: bad command line or unreadable root.
 pub const EXIT_USAGE: i32 = 2;
 
 /// Analyzes the tree under `root` as `cfg` describes it: lexes every
@@ -99,7 +99,7 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     let mut findings = Vec::new();
 
     let needles = items::Needles {
-        exits: cfg.exit_alternatives(),
+        exits: cfg.exit_constants,
     };
     let parsed: Vec<items::FileItems> = sources
         .iter()

@@ -13,7 +13,6 @@ use bgpscale_det::{EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS};
 struct Options {
     mode: Mode,
     root: Option<PathBuf>,
-    config: Option<PathBuf>,
     json: bool,
     json_out: Option<PathBuf>,
     quiet: bool,
@@ -28,11 +27,11 @@ enum Mode {
 
 /// Printed by `--help` and after every usage error.
 const HELP: &str = "\
-usage: det [--check|--fixtures|--list-rules] [--root DIR] [--config FILE]
+usage: det [--check|--fixtures|--list-rules] [--root DIR]
            [--json] [--json-out FILE] [--quiet]
 
 modes:
-  --check       analyze the workspace under det.toml (the default)
+  --check       analyze the workspace under its tier map (the default)
   --fixtures    self-test: run every seeded fixture case and assert the
                 findings equal the `//~` markers exactly, in both
                 directions (missed detection OR false positive fails)
@@ -42,7 +41,6 @@ modes:
 options:
   --root DIR    workspace root (default: the current directory; for
                 --fixtures: crates/det/tests/fixtures under it)
-  --config FILE analyzer configuration (default: <root>/det.toml)
   --json        print the machine-readable report to stdout
   --json-out F  additionally write the JSON report to F (CI artifact)
   --quiet       suppress the scan summary and audited-allow listing
@@ -50,7 +48,7 @@ options:
 exit codes (shared with `repro profile --check` and `repro report --check`):
   0  clean: no violations
   1  violations found (or fixture self-test failures)
-  2  usage error, unreadable root, or invalid det.toml";
+  2  usage error or unreadable root";
 
 fn usage(msg: &str) -> ExitCode {
     if !msg.is_empty() {
@@ -76,7 +74,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         mode: Mode::Check,
         root: None,
-        config: None,
         json: false,
         json_out: None,
         quiet: false,
@@ -90,7 +87,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => opts.json = true,
             "--quiet" => opts.quiet = true,
             "--root" => opts.root = Some(path_arg(&mut args, "--root needs a directory")?),
-            "--config" => opts.config = Some(path_arg(&mut args, "--config needs a file")?),
             "--json-out" => opts.json_out = Some(path_arg(&mut args, "--json-out needs a file")?),
             "--help" | "-h" => {
                 // Asking for help is not a usage *error*.
@@ -131,8 +127,7 @@ fn main() -> ExitCode {
             Err(msg) => usage(&msg),
         };
     }
-    let config_path = opts.config.unwrap_or_else(|| root.join("det.toml"));
-    let analysis = match Config::load(&config_path).and_then(|cfg| analyze(&root, &cfg)) {
+    let analysis = match analyze(&root, &Config::WORKSPACE) {
         Ok(a) => a,
         Err(msg) => return usage(&msg),
     };

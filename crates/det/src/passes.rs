@@ -213,11 +213,11 @@ pub fn run_graph_passes(
             .iter()
             .flat_map(|&c| graph.nodes[c].item.mentions.iter().map(String::as_str))
             .collect();
-        let missing: Vec<&str> = cfg
+        let missing: Vec<String> = cfg
             .exit_constants
             .iter()
-            .map(String::as_str)
-            .filter(|group| !group.split('|').any(|alt| mentioned.contains(alt.trim())))
+            .filter(|group| !group.iter().any(|alt| mentioned.contains(alt)))
+            .map(|group| group.join("|"))
             .collect();
         if !missing.is_empty() {
             contract(

@@ -151,15 +151,15 @@ impl SourceFile {
     }
 }
 
-/// Walks `[scan] include` under `root` and lexes every `.rs` file found,
+/// Walks `cfg.include` under `root` and lexes every `.rs` file found,
 /// in sorted path order.
 pub fn load_tree(root: &Path, cfg: &Config) -> Result<Vec<SourceFile>, String> {
     let mut files = Vec::new();
-    for inc in &cfg.include {
+    for &inc in cfg.include {
         let path = root.join(inc);
         if path.is_file() {
             if inc.ends_with(".rs") && !cfg.is_excluded(inc) {
-                files.push(inc.clone());
+                files.push(inc.to_string());
             }
         } else if path.is_dir() {
             collect_rs_files(root, &path, cfg, &mut files)?;

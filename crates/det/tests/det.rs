@@ -1,9 +1,10 @@
 //! Integration tests for `bgpscale-det`: exact fixture anchors for the
 //! graph passes, det-closure witness paths from the deterministic entry
-//! point to the crossing, config strictness, JSON byte-determinism,
-//! end-to-end CLI exit codes, and — the gate that matters — the real
-//! workspace analyzing clean under the checked-in `det.toml`. That last test makes `cargo test -p bgpscale-det` a
-//! determinism gate in itself, not just an analyzer unit-test suite.
+//! point to the crossing, JSON byte-determinism, end-to-end CLI exit
+//! codes, and — the gate that matters — the real workspace analyzing
+//! clean under [`Config::WORKSPACE`]. That last test makes
+//! `cargo test -p bgpscale-det` a determinism gate in itself, not just an
+//! analyzer unit-test suite.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -21,13 +22,16 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
-fn analyze_root(root: &Path) -> Analysis {
-    let cfg = Config::load(&root.join("det.toml")).expect("det.toml");
-    analyze(root, &cfg).expect("analysis")
+fn analyze_root(root: &Path, cfg: &Config) -> Analysis {
+    analyze(root, cfg).expect("analysis")
 }
 
 fn analyze_case(name: &str) -> Analysis {
-    analyze_root(&fixtures_root().join(name))
+    let (_, cfg) = fixtures::CASES
+        .iter()
+        .find(|(case, _)| *case == name)
+        .expect("fixture case");
+    analyze_root(&fixtures_root().join(name), cfg)
 }
 
 /// `(file, line, rule)` triples, already in reporting order.
@@ -207,15 +211,17 @@ fn clean_case_has_zero_findings_and_counted_allows() {
 #[test]
 fn wall_clock_exemption_covers_exactly_the_wall_side_modules_files() {
     let read = "pub fn t() -> u64 { std::time::Instant::now().elapsed().as_secs() }\n";
+    let cfg = Config {
+        include: &["crates"],
+        exclude: &[],
+        deterministic: &["crates/k/src"],
+        wall_side: &["k::wallclock", "k::rss"],
+        hot_roots: &[],
+        exit_constants: &[],
+    };
     let tree = TempTree::new(
         "exempt",
         &[
-            (
-                "det.toml",
-                "[scan]\ninclude = [\"crates\"]\n\
-                 [deterministic]\npaths = [\"crates/k/src\"]\n\
-                 [wall-side]\nmodules = [\"k::wallclock\", \"k::rss\"]\n",
-            ),
             ("crates/k/src/wallclock.rs", read),
             ("crates/k/src/rss.rs", read),
             ("crates/k/src/rss/linux.rs", read),
@@ -226,7 +232,7 @@ fn wall_clock_exemption_covers_exactly_the_wall_side_modules_files() {
     // Wall-side modules are not det-closure entry points, so their files
     // are silent; every other file's pub fn crosses on its one line.
     assert_eq!(
-        findings(&analyze_root(&tree.0)),
+        findings(&analyze_root(&tree.0, &cfg)),
         anchors(&[
             ("crates/k/src/clock.rs", 1, Rule::DetClosure),
             ("crates/k/src/rss_probe.rs", 1, Rule::DetClosure),
@@ -256,12 +262,12 @@ fn json_report_is_renderable_and_lists_rules() {
 
 #[test]
 fn workspace_is_clean() {
-    // The gate that matters: the real workspace, under the checked-in
-    // det.toml, has zero violations.
-    let a = analyze_root(&workspace_root());
+    // The gate that matters: the real workspace, under its tier map, has
+    // zero violations.
+    let a = analyze_root(&workspace_root(), &Config::WORKSPACE);
     assert!(
         a.files.len() > 100 && a.deterministic_files > 50,
-        "scan looks hollow: {} files, {} deterministic — check det.toml paths",
+        "scan looks hollow: {} files, {} deterministic — check the tier paths",
         a.files.len(),
         a.deterministic_files
     );
@@ -278,7 +284,7 @@ fn workspace_is_clean() {
     );
     assert_eq!(
         a.hot_roots, 5,
-        "a [hot-paths] root no longer matches any function"
+        "a hot-path root no longer matches any function"
     );
     assert!(
         a.writers >= 5,
@@ -302,8 +308,8 @@ fn workspace_is_clean() {
 fn workspace_json_is_byte_deterministic() {
     let root = workspace_root();
     assert_eq!(
-        report::render_json(&analyze_root(&root)),
-        report::render_json(&analyze_root(&root))
+        report::render_json(&analyze_root(&root, &Config::WORKSPACE)),
+        report::render_json(&analyze_root(&root, &Config::WORKSPACE))
     );
     // And through the real binary: two --json runs, byte-equal.
     let (j1, j2) = (
@@ -318,23 +324,20 @@ fn workspace_json_is_byte_deterministic() {
 #[test]
 fn seeded_cross_function_reach_exits_one_end_to_end() {
     // The same check CI's second mutation gate performs, via the real
-    // binary: `entry.rs` (deterministic) calls `hatch.rs` (not), which
-    // calls `Instant::now`. It must exit with code 1 exactly, name only
-    // det-closure, and the --json report must be byte-identical across
-    // runs.
+    // binary, on a tree shaped like the workspace: `crates/core` (the
+    // deterministic tier) calls a helper in `crates/experiments` (not),
+    // which calls `Instant::now`. It must exit with code 1 exactly, name
+    // only det-closure, and the --json report must be byte-identical
+    // across runs.
     let tree = TempTree::new(
         "seeded-reach",
         &[
             (
-                "det.toml",
-                "[scan]\ninclude = [\"src\"]\n[deterministic]\npaths = [\"src/entry.rs\"]\n",
+                "crates/core/src/entry.rs",
+                "pub fn run(x: u64) -> u64 {\n    bgpscale_experiments::hatch::leak(x)\n}\n",
             ),
             (
-                "src/entry.rs",
-                "pub fn run(x: u64) -> u64 {\n    crate::hatch::leak(x)\n}\n",
-            ),
-            (
-                "src/hatch.rs",
+                "crates/experiments/src/hatch.rs",
                 "pub fn leak(x: u64) -> u64 {\n    \
                  std::time::Instant::now().elapsed().as_secs() ^ x\n}\n",
             ),
@@ -353,48 +356,15 @@ fn seeded_cross_function_reach_exits_one_end_to_end() {
     );
     let text = String::from_utf8(human.stdout).expect("utf8 report");
     assert!(
-        text.contains("src/hatch.rs:2: [det-closure]"),
+        text.contains("crates/experiments/src/hatch.rs:2: [det-closure]"),
         "missing the seeded crossing:\n{text}"
     );
     assert!(
-        text.contains("via bgpscale::entry::run -> bgpscale::hatch::leak"),
+        text.contains("via core::entry::run -> experiments::hatch::leak"),
         "missing the witness path:\n{text}"
     );
     assert_eq!(j1.status.code(), Some(1));
     assert_eq!(j1.stdout, j2.stdout, "--json must be byte-deterministic");
-}
-
-#[test]
-fn retired_sections_and_unknown_keys_exit_two() {
-    let base = "[scan]\ninclude = [\"src\"]\n";
-    for (tag, extra) in [
-        ("rules", "[rules]\nwall-clock = true\n"),
-        (
-            "coherence",
-            "[coherence]\nclippy-config = \"clippy.toml\"\n",
-        ),
-        ("exempt", "[exempt]\nthread-spawn = [\"src/pool.rs\"]\n"),
-        ("integer-only", "[integer-only]\npaths = [\"src/a.rs\"]\n"),
-        (
-            "clippy",
-            "[clippy]\nrequired = [\"std::collections::HashMap\"]\n",
-        ),
-        ("section", "[determinstic]\npaths = [\"src\"]\n"),
-        ("key", "[deterministic]\npath = [\"src\"]\n"),
-    ] {
-        let config = format!("{base}{extra}");
-        let tree = TempTree::new(
-            tag,
-            &[("det.toml", &config), ("src/a.rs", "pub fn a() {}\n")],
-        );
-        let out = det(&["--check"], &tree.0);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "`{extra}` must be a config error:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
 }
 
 #[test]
@@ -413,8 +383,10 @@ fn cli_exit_codes_cover_the_whole_convention() {
         "fixture self-test failed:\n{}",
         String::from_utf8_lossy(&fixtures.stdout)
     );
-    let usage = det(&["--no-such-flag"], &workspace_root());
-    assert_eq!(usage.status.code(), Some(2), "usage errors must exit 2");
+    for args in [&["--no-such-flag"][..], &["--config", "det.toml"]] {
+        let usage = det(args, &workspace_root());
+        assert_eq!(usage.status.code(), Some(2), "{args:?} must be a usage error");
+    }
     let rules = det(&["--list-rules"], &workspace_root());
     assert_eq!(rules.status.code(), Some(0));
     assert_eq!(String::from_utf8_lossy(&rules.stdout).lines().count(), 5);

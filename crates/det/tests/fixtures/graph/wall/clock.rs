@@ -1,5 +1,5 @@
 //! The sanctioned wall-side module of this case (declared under
-//! [wall-side] in det.toml). The closure pass flags edges INTO this
+//! wall_side in fixtures::CASES). The closure pass flags edges INTO this
 //! module; it never walks through it, so its internals carry no
 //! markers.
 

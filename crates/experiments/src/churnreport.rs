@@ -14,31 +14,38 @@
 //! the report would be empty — catching "provenance silently stopped
 //! flowing" regressions in CI.
 
-use std::sync::Arc;
-
-use bgpscale_bgp::MraiMode;
-use bgpscale_core::{ChurnReport, ExperimentConfig};
+use bgpscale_bgp::{BgpConfig, MraiMode};
+use bgpscale_core::{run_cell, ChurnReport, ExperimentConfig, ObserveOptions};
 use bgpscale_obs::costmodel::PHASE_NAMES;
 use bgpscale_obs::json::{Layout, Value};
 use bgpscale_obs::timeseries::DEPTH_BOUNDS;
 use bgpscale_obs::{CostModel, OpCounts, TimeSeries, TsBin, SCHEMA_VERSION};
+use bgpscale_simkernel::pool::effective_jobs;
 
 use crate::report::Table;
-use crate::sweep::{CellSeries, RunConfig, Sweeper};
 use crate::trend::{fit_exponents, kind_label, ClassExponent};
+
+/// One MRAI mode's cell of the report.
+#[derive(Clone, Debug)]
+pub struct ModeCell {
+    /// The cell's MRAI mode.
+    pub mode: MraiMode,
+    /// The per-event time series merged in event-index order.
+    pub series: TimeSeries,
+    /// The cell's churn report.
+    pub report: ChurnReport,
+    /// The cell's exact cost model.
+    pub cost: CostModel,
+}
 
 /// The result of [`run_report`].
 #[derive(Clone, Debug)]
 pub struct ReportOutput {
-    /// The two cells' time series, NO-WRATE first.
-    pub cells: Vec<CellSeries>,
-    /// The two cells' churn reports, same order.
-    pub reports: Vec<Arc<ChurnReport>>,
-    /// The two cells' exact cost models, same order.
-    pub costs: Vec<Arc<CostModel>>,
+    /// The two cells, NO-WRATE first.
+    pub cells: Vec<ModeCell>,
     /// Cost models of the NO-WRATE mini size sweep feeding the exponent
     /// fit, ascending n (last entry is the reported cell itself).
-    pub cost_sweep: Vec<(usize, Arc<CostModel>)>,
+    pub cost_sweep: Vec<(usize, CostModel)>,
     /// Fitted per-op-class scaling exponents; empty when the mini sweep
     /// collapsed to a single size (tiny n) — printed as "n/a", not an
     /// error.
@@ -58,52 +65,58 @@ fn mode_key(mode: MraiMode) -> &'static str {
 }
 
 /// Runs `cell`'s scenario, size, events and seed as a WRATE vs NO-WRATE
-/// pair through a [`Sweeper`] on up to `jobs` workers, with time series
-/// in bins of `bin_us` simulated microseconds, and builds
-/// `timeseries.json`. The pair takes each mode's default protocol
-/// configuration, so `cell.bgp` and `cell.event_limit` are not read.
+/// pair through [`run_cell`] on up to `jobs` workers (`0` = every
+/// hardware thread), with time series in bins of `bin_us` simulated
+/// microseconds, and builds `timeseries.json`. The pair takes each mode's
+/// default protocol configuration, so `cell.bgp` and `cell.event_limit`
+/// are not read.
 pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOutput {
-    let mut sw = Sweeper::new(RunConfig {
-        sizes: vec![cell.n],
-        events: cell.events,
-        seed: cell.seed,
-    });
-    sw.set_jobs(jobs);
-    sw.enable_timeseries(bin_us);
-    let reports: Vec<Arc<ChurnReport>> = MODES
+    let jobs = effective_jobs(jobs).max(1);
+    let at = |n: usize, mrai_mode: MraiMode| {
+        let bgp = BgpConfig { mrai_mode, ..BgpConfig::default() };
+        ExperimentConfig::new(cell.scenario, n, cell.events, cell.seed, bgp)
+    };
+    let observe = ObserveOptions {
+        trace_sample: None,
+        timeseries_bin_us: Some(bin_us),
+    };
+    let cells: Vec<ModeCell> = MODES
         .into_iter()
-        .map(|mode| sw.report(cell.scenario, cell.n, mode))
-        .collect();
-    let cells = sw.take_series();
-    let costs: Vec<Arc<CostModel>> = MODES
-        .iter()
-        .map(|&mode| {
-            sw.cost_model(cell.scenario, cell.n, mode)
-                .expect("report cells were just computed")
+        .map(|mode| {
+            let observed =
+                run_cell(&at(cell.n, mode), jobs, Some(&observe)).unwrap_or_else(|e| panic!("{e}"));
+            ModeCell {
+                mode,
+                series: observed.timeseries.expect("time series requested"),
+                report: observed.report,
+                cost: observed.cost,
+            }
         })
         .collect();
 
     // A NO-WRATE mini size sweep below the reported n feeds the scaling-
-    // exponent fit; the reported cell itself is its largest point. Run
-    // after take_series() so the extra cells' series stay out of the report.
+    // exponent fit; the reported cell itself is its largest point, and
+    // the other sizes run unobserved (the cost model is the same either
+    // way).
     let mut sweep_sizes: Vec<usize> = [cell.n / 3, 2 * cell.n / 3, cell.n]
         .into_iter()
         .map(|s| s.max(120))
         .collect();
     sweep_sizes.sort_unstable();
     sweep_sizes.dedup();
-    let cost_sweep: Vec<(usize, Arc<CostModel>)> = sweep_sizes
+    let cost_sweep: Vec<(usize, CostModel)> = sweep_sizes
         .into_iter()
         .map(|s| {
-            sw.report(cell.scenario, s, MraiMode::NoWrate);
-            (
-                s,
-                sw.cost_model(cell.scenario, s, MraiMode::NoWrate)
-                    .expect("sweep cell was just computed"),
-            )
+            let cost = if s == cell.n {
+                cells[0].cost.clone()
+            } else {
+                run_cell(&at(s, MraiMode::NoWrate), jobs, None)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .cost
+            };
+            (s, cost)
         })
         .collect();
-    let _ = sw.take_series(); // drop the mini sweep's series
     let sweep_ops: Vec<_> = cost_sweep
         .iter()
         .map(|(n, cost)| (*n as u64, cost.total()))
@@ -113,8 +126,6 @@ pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOu
     let timeseries_json = timeseries_json(cell, bin_us, &cells);
     ReportOutput {
         cells,
-        reports,
-        costs,
         cost_sweep,
         cost_exponents,
         timeseries_json,
@@ -123,7 +134,7 @@ pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOu
 
 /// The `timeseries.json` artifact: cell coordinates plus the raw series,
 /// integer-only and in fixed key order.
-fn timeseries_json(cfg: &ExperimentConfig, bin_us: u64, cells: &[CellSeries]) -> String {
+fn timeseries_json(cfg: &ExperimentConfig, bin_us: u64, cells: &[ModeCell]) -> String {
     let cells = cells.iter().map(|cell| {
         let cell = [("mode", mode_key(cell.mode).into()), ("series", cell.series.to_value())];
         Value::obj(Layout::Compact, cell)
@@ -180,20 +191,8 @@ pub fn check(out: &ReportOutput) -> Result<(), String> {
                 ts.unstamped
             ));
         }
-    }
-    if out.costs.len() != MODES.len() {
-        return Err(format!(
-            "expected {} cost models, got {}",
-            MODES.len(),
-            out.costs.len()
-        ));
-    }
-    for (cost, cell) in out.costs.iter().zip(&out.cells) {
-        if cost.is_empty() || cost.total().grand_total() == 0 {
-            return Err(format!(
-                "{}: cost-attribution panel is empty",
-                cell.mode.label()
-            ));
+        if cell.cost.is_empty() || cell.cost.total().grand_total() == 0 {
+            return Err(format!("{label}: cost-attribution panel is empty"));
         }
     }
     if out.cost_sweep.is_empty() {
@@ -265,7 +264,7 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
                 per_mode("coalesced", &|_, ts| ts.coalesced.to_string()),
                 per_mode("depth max", &|_, ts| ts.depth_max.to_string()),
                 per_mode("mean U per event", &|i, _| {
-                    format!("{:.1}", out.reports[i].mean_total_updates)
+                    format!("{:.1}", out.cells[i].report.mean_total_updates)
                 }),
             ],
         ),
@@ -303,9 +302,9 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
 
     let mut phases = vec!["op class"];
     phases.extend(PHASE_NAMES.into_iter().chain(["total"]));
-    for (cost, cell) in out.costs.iter().zip(&out.cells) {
-        let mut columns = cost.phase_totals().to_vec();
-        columns.push(cost.total());
+    for cell in &out.cells {
+        let mut columns = cell.cost.phase_totals().to_vec();
+        columns.push(cell.cost.total());
         let counts = |label: &str, value: &dyn Fn(&OpCounts) -> u64| {
             std::iter::once(label.to_string())
                 .chain(columns.iter().map(|c| value(c).to_string()))
@@ -384,6 +383,7 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_simkernel::rng::hash64_bytes;
     use bgpscale_topology::GrowthScenario;
 
     const BIN_US: u64 = 100_000;
@@ -433,8 +433,7 @@ mod tests {
         assert!(out.timeseries_json.contains("\"bins\":["));
         // The tiny cell still carries a cost model per mode, and the mini
         // sweep has at least two sizes (120 and 150) so exponents exist.
-        assert_eq!(out.costs.len(), 2);
-        assert!(out.costs.iter().all(|c| c.total().grand_total() > 0));
+        assert!(out.cells.iter().all(|c| c.cost.total().grand_total() > 0));
         assert!(!out.cost_sweep.is_empty());
         assert!(!out.cost_exponents.is_empty());
     }
@@ -445,6 +444,18 @@ mod tests {
         let (a, b) = (run_report(&cell, 1, BIN_US), run_report(&cell, 1, BIN_US));
         assert_eq!(render_text(&cell, BIN_US, &a), render_text(&cell, BIN_US, &b));
         assert_eq!(a.timeseries_json, b.timeseries_json);
+    }
+
+    #[test]
+    fn tiny_report_bytes_are_pinned() {
+        // Pinned before `run_report` moved off the `Sweeper`: the text
+        // report and `timeseries.json` of the tiny cell, byte for byte.
+        let cell = tiny_cell();
+        let out = run_report(&cell, 1, BIN_US);
+        let text = render_text(&cell, BIN_US, &out);
+        assert_eq!((hash64_bytes(text.as_bytes()), text.len()), (0x2bf5_554a_5ec7_2f77, 4629));
+        let json = &out.timeseries_json;
+        assert_eq!((hash64_bytes(json.as_bytes()), json.len()), (0x0ec2_9b4c_7be3_786a, 406_576));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod sweep;
 pub mod trend;
 
 pub use report::{Figure, Table};
-pub use sweep::{CellSeries, RunConfig, Sweeper};
+pub use sweep::{RunConfig, Sweeper};
 
 /// Exit code: targets ran and every requested check passed.
 ///

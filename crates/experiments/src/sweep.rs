@@ -25,7 +25,7 @@ use bgpscale_bgp::{BgpConfig, MraiMode};
 use bgpscale_core::{
     run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
-use bgpscale_obs::{log, CostModel, MetricsRegistry, TimeSeries, TraceRecord};
+use bgpscale_obs::{log, MetricsRegistry, TraceRecord};
 use bgpscale_simkernel::pool::run_indexed;
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
@@ -140,27 +140,10 @@ impl Heartbeat {
     }
 }
 
-/// The simulated-time series of one experiment cell, labeled with the cell
-/// coordinates so WRATE and NO-WRATE runs stay comparable side by side.
-#[derive(Clone, Debug)]
-pub struct CellSeries {
-    /// The cell's growth scenario.
-    pub scenario: GrowthScenario,
-    /// The cell's network size.
-    pub n: usize,
-    /// The cell's MRAI mode.
-    pub mode: MraiMode,
-    /// The per-event time series merged in event-index order.
-    pub series: TimeSeries,
-}
-
 /// Memoizing experiment runner shared by all figure drivers.
 pub struct Sweeper {
     cfg: RunConfig,
     cache: BTreeMap<CellKey, Arc<ChurnReport>>,
-    /// Per-cell exact op-count models, cached alongside the reports
-    /// (always collected — the counters are free-running integers).
-    costs: BTreeMap<CellKey, Arc<CostModel>>,
     /// Worker budget per sweep call; 1 = fully sequential.
     jobs: usize,
     /// What every uncached cell records; `None` = unobserved.
@@ -172,9 +155,6 @@ pub struct Sweeper {
     /// Concatenated trace records of every uncached cell, same ordering
     /// discipline as `metrics`.
     trace: Vec<TraceRecord>,
-    /// Per-cell time series (when [`Sweeper::enable_timeseries`] is on),
-    /// same ordering discipline as `metrics`.
-    series: Vec<CellSeries>,
     /// Emit a wall-side heartbeat line per completed sweep cell (see
     /// [`Sweeper::enable_heartbeat`]).
     heartbeat: bool,
@@ -187,12 +167,10 @@ impl Sweeper {
         Sweeper {
             cfg,
             cache: BTreeMap::new(),
-            costs: BTreeMap::new(),
             jobs: 1,
             telemetry: None,
             metrics: MetricsRegistry::new(),
             trace: Vec::new(),
-            series: Vec::new(),
             heartbeat: false,
         }
     }
@@ -217,15 +195,10 @@ impl Sweeper {
     /// accumulated telemetry with [`Sweeper::metrics`] /
     /// [`Sweeper::take_trace`].
     pub fn enable_telemetry(&mut self, trace_sample: Option<u64>) {
-        self.telemetry.get_or_insert_with(ObserveOptions::default).trace_sample = trace_sample;
-    }
-
-    /// Additionally records a simulated-time series (bin width `bin_us`
-    /// microseconds of simulated time) for every uncached cell computed
-    /// from now on. Implies telemetry. Collected series are labeled with
-    /// their cell coordinates; drain them with [`Sweeper::take_series`].
-    pub fn enable_timeseries(&mut self, bin_us: u64) {
-        self.telemetry.get_or_insert_with(ObserveOptions::default).timeseries_bin_us = Some(bin_us);
+        self.telemetry = Some(ObserveOptions {
+            trace_sample,
+            timeseries_bin_us: None,
+        });
     }
 
     /// The metrics merged across all telemetry-enabled cells so far.
@@ -239,13 +212,7 @@ impl Sweeper {
         std::mem::take(&mut self.trace)
     }
 
-    /// Drains the per-cell time series accumulated so far (cell
-    /// completion order).
-    pub fn take_series(&mut self) -> Vec<CellSeries> {
-        std::mem::take(&mut self.series)
-    }
-
-    /// Folds one computed cell into the caches and the accumulated
+    /// Folds one computed cell into the cache and the accumulated
     /// telemetry (empty for an unobserved cell), then ticks `hb`. Always on
     /// the owning thread, in the order cells are handed in. Panics with
     /// the [`CellError`]'s text if the cell failed: no sweep sets an event
@@ -264,33 +231,11 @@ impl Sweeper {
         };
         self.metrics.merge(&observed.metrics);
         self.trace.extend(observed.trace);
-        if let Some(series) = observed.timeseries {
-            self.series.push(CellSeries {
-                scenario: cfg.scenario,
-                n: cfg.n,
-                mode: cfg.bgp.mrai_mode,
-                series,
-            });
-        }
         // Simulator events the cell processed: one queue pop each.
         hb.tick(cfg, observed.cost.total().queue_pops);
-        self.costs.insert(key.clone(), Arc::new(observed.cost));
         let report = Arc::new(observed.report);
         self.cache.insert(key, Arc::clone(&report));
         report
-    }
-
-    /// The exact op-count model of a cell, if that cell has been computed
-    /// by this sweeper (cells served purely from the report cache of a
-    /// prior call still have one — costs are cached on first compute and
-    /// never evicted).
-    pub fn cost_model(
-        &self,
-        scenario: GrowthScenario,
-        n: usize,
-        mode: MraiMode,
-    ) -> Option<Arc<CostModel>> {
-        self.costs.get(&CellKey { scenario, n, mode }).map(Arc::clone)
     }
 
     /// Sets the worker budget: how many C-events / cells may be computed
@@ -317,9 +262,9 @@ impl Sweeper {
 
     /// The experiment configuration for one cell.
     fn cell_config(&self, scenario: GrowthScenario, n: usize, mode: MraiMode) -> ExperimentConfig {
-        let bgp = match mode {
-            MraiMode::NoWrate => BgpConfig::no_wrate(),
-            MraiMode::Wrate => BgpConfig::wrate(),
+        let bgp = BgpConfig {
+            mrai_mode: mode,
+            ..BgpConfig::default()
         };
         ExperimentConfig::new(scenario, n, self.cfg.events, self.cfg.seed, bgp)
     }
@@ -477,62 +422,6 @@ mod tests {
         assert_eq!(observed.metrics().counter("experiment.events"), 4);
         assert!(!observed.take_trace().is_empty());
         assert!(plain.metrics().is_empty(), "telemetry off collects nothing");
-    }
-
-    #[test]
-    fn timeseries_collection_labels_cells() {
-        let mut s = Sweeper::new(RunConfig {
-            sizes: vec![150],
-            events: 2,
-            seed: 6,
-        });
-        s.enable_timeseries(100_000);
-        s.report(GrowthScenario::Baseline, 150, MraiMode::NoWrate);
-        s.report(GrowthScenario::Baseline, 150, MraiMode::Wrate);
-        let series = s.take_series();
-        assert_eq!(series.len(), 2, "one labeled series per uncached cell");
-        assert!(matches!(series[0].mode, MraiMode::NoWrate));
-        assert!(matches!(series[1].mode, MraiMode::Wrate));
-        for cell in &series {
-            assert_eq!(cell.n, 150);
-            assert!(cell.series.total_updates() > 0, "cells must bin updates");
-            assert_eq!(cell.series.events, 2);
-        }
-        assert!(s.take_series().is_empty(), "take_series drains");
-    }
-
-    #[test]
-    fn cost_models_are_cached_and_jobs_independent() {
-        let cfg = RunConfig {
-            sizes: vec![150, 200],
-            events: 2,
-            seed: 7,
-        };
-        let mut seq = Sweeper::new(cfg.clone());
-        let mut par = Sweeper::new(cfg.clone());
-        par.set_jobs(8);
-        let mut obs = Sweeper::new(cfg);
-        obs.enable_telemetry(None);
-        seq.sweep(GrowthScenario::Baseline);
-        par.sweep(GrowthScenario::Baseline);
-        obs.sweep(GrowthScenario::Baseline);
-        for n in [150usize, 200] {
-            let a = seq
-                .cost_model(GrowthScenario::Baseline, n, MraiMode::NoWrate)
-                .expect("plain sweep collects costs");
-            let b = par
-                .cost_model(GrowthScenario::Baseline, n, MraiMode::NoWrate)
-                .expect("parallel sweep collects costs");
-            let c = obs
-                .cost_model(GrowthScenario::Baseline, n, MraiMode::NoWrate)
-                .expect("observed sweep collects costs");
-            assert_eq!(a.to_json(), b.to_json(), "cost diverged at n={n} under jobs=8");
-            assert_eq!(a.to_json(), c.to_json(), "cost diverged at n={n} under telemetry");
-            assert!(a.total().grand_total() > 0);
-        }
-        assert!(seq
-            .cost_model(GrowthScenario::Baseline, 999, MraiMode::NoWrate)
-            .is_none());
     }
 
     #[test]

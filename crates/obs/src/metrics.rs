@@ -24,6 +24,12 @@ use std::collections::BTreeMap;
 
 use crate::json::{Layout, Value};
 
+/// The bucket of `value` over inclusive upper `bounds`: the first bound
+/// at or above it, else `bounds.len()`, the overflow bucket.
+pub fn bucket(bounds: &[u64], value: u64) -> usize {
+    bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
+}
+
 /// A gauge: last-set value and the peak ever set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gauge {
@@ -87,12 +93,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += n;
+        self.counts[bucket(&self.bounds, value)] += n;
         self.count += n;
         self.sum += value * n;
         self.max = self.max.max(value);
@@ -310,6 +311,17 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_covers_overflow() {
+        let bounds = [0, 1, 2, 4, 8, 16, 32];
+        assert_eq!(bucket(&bounds, 0), 0);
+        assert_eq!(bucket(&bounds, 1), 1);
+        assert_eq!(bucket(&bounds, 3), 3);
+        assert_eq!(bucket(&bounds, 32), 6);
+        assert_eq!(bucket(&bounds, 33), 7, "past the top bound → overflow");
+        assert_eq!(bucket(&bounds, u64::MAX), 7);
+    }
 
     #[test]
     fn histogram_buckets_samples_at_edges() {

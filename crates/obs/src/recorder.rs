@@ -19,10 +19,10 @@
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{bucket, MetricsRegistry};
 use crate::observer::{EventKind, SimObserver, UpdateClass};
 use crate::provenance::{Provenance, RootCauseKind, RootSets, Stamp};
-use crate::timeseries::{depth_bucket, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
+use crate::timeseries::{TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
 use crate::trace::{TraceBuffer, TraceRecord};
 
 /// Bucket bounds for AS-path lengths (hops).
@@ -76,13 +76,6 @@ pub struct Recorder {
     timeseries: Option<TimeSeriesRecorder>,
 }
 
-fn bucket(bounds: &[u64], value: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&b| value <= b)
-        .unwrap_or(bounds.len())
-}
-
 impl Recorder {
     /// A recorder for C-event `event` that also captures what `opts`
     /// asks for; the event index stamps the trace records and the time
@@ -99,17 +92,23 @@ impl Recorder {
     }
 
     /// Total events observed across all kinds.
-    pub fn events_total(&self) -> u64 {
+    fn events_total(&self) -> u64 {
         self.events_by_kind.iter().sum()
     }
 
     /// Consumes the recorder, returning trace records and the one-event
-    /// time series (when enabled).
+    /// time series (when enabled). The series' provenance totals are the
+    /// recorder's own `provenance.*` tallies.
     pub fn into_parts(self) -> (Vec<TraceRecord>, Option<TimeSeries>) {
-        (
-            self.trace.map(TraceBuffer::into_records).unwrap_or_default(),
-            self.timeseries.map(TimeSeriesRecorder::finish),
-        )
+        let series = self.timeseries.map(|ts| TimeSeries {
+            stamped: self.prov_stamped,
+            unstamped: self.prov_unstamped,
+            coalesced: self.prov_coalesced,
+            depth_hist: self.prov_depth_hist,
+            depth_max: self.prov_depth_max,
+            ..ts.finish()
+        });
+        (self.trace.map(TraceBuffer::into_records).unwrap_or_default(), series)
     }
 
     /// Materializes the deterministic metrics registry.
@@ -223,7 +222,7 @@ impl SimObserver for Recorder {
         if provenance.is_stamped() {
             self.prov_stamped += 1;
             let depth = u64::from(provenance.depth());
-            self.prov_depth_hist[depth_bucket(depth)] += 1;
+            self.prov_depth_hist[bucket(&DEPTH_BOUNDS, depth)] += 1;
             self.prov_depth_sum += depth;
             self.prov_depth_max = self.prov_depth_max.max(depth);
             if provenance.roots(root_sets).len() > 1 {
@@ -460,5 +459,51 @@ mod tests {
         assert_eq!(series.total_updates(), 1);
         assert_eq!(series.roots.len(), 1);
         assert_eq!(series.roots[0].event, 3);
+    }
+
+    #[test]
+    fn series_provenance_totals_are_the_recorders_tallies() {
+        let spec = TimeSeriesSpec {
+            bin_us: 1_000,
+            node_types: Arc::from(vec![NodeType::T, NodeType::C]),
+        };
+        let opts = RecorderOptions {
+            trace_sample: None,
+            timeseries: Some(spec),
+        };
+        let mut rec = Recorder::with_options(0, opts);
+        rec.on_root_cause(0, RootCauseKind::Originate, AsId(0), SimTime::ZERO);
+        rec.on_root_cause(1, RootCauseKind::WithdrawOrigin, AsId(0), SimTime::ZERO);
+        let mut sets = RootSets::new();
+        let mut coalesced = Provenance::root(1);
+        coalesced.coalesce_with(&Provenance::root(0), &mut sets);
+        let stamps = [Provenance::root(0).child().child(), coalesced, Provenance::none()];
+        for (t, stamp) in stamps.iter().enumerate() {
+            rec.on_message(
+                AsId(0),
+                AsId(1),
+                Relationship::Customer,
+                UpdateClass::Withdraw,
+                0,
+                || None,
+                stamp,
+                &sets,
+                1,
+                SimTime::from_micros(t as u64),
+            );
+        }
+        let r = rec.registry();
+        let (_, series) = rec.into_parts();
+        let ts = series.expect("time series enabled");
+        assert_eq!((ts.stamped, ts.unstamped, ts.coalesced), (2, 1, 1));
+        assert_eq!(ts.stamped, r.counter("provenance.stamped"));
+        assert_eq!(ts.unstamped, r.counter("provenance.unstamped"));
+        assert_eq!(ts.coalesced, r.counter("provenance.coalesced"));
+        assert_eq!(ts.depth_max, 2);
+        assert_eq!(ts.depth_max, r.gauge("provenance.depth_max").unwrap().value);
+        assert_eq!(ts.depth_hist, [1, 0, 1, 0, 0, 0, 0, 0]);
+        let h = r.histogram("provenance.depth").unwrap();
+        assert_eq!(ts.depth_hist.as_slice(), h.bucket_counts());
+        assert_eq!(ts.roots.iter().map(|r| r.updates).collect::<Vec<_>>(), [2, 1]);
     }
 }

@@ -34,14 +34,6 @@ pub const DEPTH_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 /// so a pathological run cannot balloon the artifact.
 pub const MAX_BINS: usize = 100_000;
 
-/// Bucket index in a `DEPTH_BOUNDS` histogram for a causal depth.
-pub fn depth_bucket(depth: u64) -> usize {
-    DEPTH_BOUNDS
-        .iter()
-        .position(|&b| depth <= b)
-        .unwrap_or(DEPTH_BOUNDS.len())
-}
-
 /// Configuration for a per-event time-series recorder.
 #[derive(Clone, Debug)]
 pub struct TimeSeriesSpec {
@@ -301,9 +293,10 @@ impl TimeSeriesRecorder {
         });
     }
 
-    /// Records a delivered update.
+    /// Records a delivered update. The provenance totals of the series
+    /// (`stamped`, `depth_hist`, …) are the owning `Recorder`'s to fill.
     #[allow(clippy::too_many_arguments)]
-    // det::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers; depth_hist buckets clamp to the last bin")
+    // det::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers")
     pub fn record_message(
         &mut self,
         to: AsId,
@@ -330,22 +323,12 @@ impl TimeSeriesRecorder {
         bin.inbox_peak = bin.inbox_peak.max(u64::from(inbox_depth));
         bin.mrai_armed_peak = bin.mrai_armed_peak.max(armed);
 
-        if provenance.is_stamped() {
-            self.series.stamped += 1;
-            let depth = u64::from(provenance.depth());
-            self.series.depth_hist[depth_bucket(depth)] += 1;
-            self.series.depth_max = self.series.depth_max.max(depth);
-            if provenance.roots(root_sets).len() > 1 {
-                self.series.coalesced += 1;
+        // An unstamped update names no root.
+        for &root in provenance.roots(root_sets) {
+            if let Some(r) = self.series.roots.get_mut(root as usize) {
+                r.updates += 1;
+                r.last_update_us = r.last_update_us.max(t_us);
             }
-            for &root in provenance.roots(root_sets) {
-                if let Some(r) = self.series.roots.get_mut(root as usize) {
-                    r.updates += 1;
-                    r.last_update_us = r.last_update_us.max(t_us);
-                }
-            }
-        } else {
-            self.series.unstamped += 1;
         }
     }
 
@@ -424,10 +407,6 @@ mod tests {
         assert_eq!(r.updates, 2);
         assert_eq!(r.convergence_us(), 200);
         assert_eq!(ts.convergence_durations_us(), vec![200]);
-        assert_eq!(ts.stamped, 2);
-        assert_eq!(ts.depth_hist[depth_bucket(1)], 1);
-        assert_eq!(ts.depth_hist[depth_bucket(2)], 1);
-        assert_eq!(ts.depth_max, 2);
     }
 
     #[test]
@@ -440,7 +419,6 @@ mod tests {
         p.coalesce_with(&Provenance::root(0), &mut sets);
         deliver_with(&mut rec, 1, &p, &sets, 40);
         let ts = rec.finish();
-        assert_eq!(ts.coalesced, 1);
         assert_eq!(ts.roots[0].updates, 1);
         assert_eq!(ts.roots[1].updates, 1);
     }
@@ -453,7 +431,6 @@ mod tests {
         let ts = rec.finish();
         assert_eq!(ts.bins[0].mrai_armed_peak, 3);
         assert_eq!(ts.bins[2].mrai_armed_peak, 3, "level carries forward");
-        assert_eq!(ts.unstamped, 1);
     }
 
     #[test]
@@ -463,7 +440,10 @@ mod tests {
             rec.record_root(0, RootCauseKind::Originate, AsId(0), 0);
             rec.record_timer_occupancy(u64::from(event) + 1, t);
             deliver(&mut rec, 0, &Provenance::root(0), t);
-            rec.finish()
+            TimeSeries {
+                stamped: 1,
+                ..rec.finish()
+            }
         };
         let mut a = mk(0, 5);
         let b = mk(1, 15);
@@ -497,15 +477,5 @@ mod tests {
         assert!(json.starts_with("{\"bin_us\":10,\"events\":1,"));
         assert!(json.contains("\"kind\":\"session_down\""));
         assert!(!json.contains('.'), "integer-only artifact: {json}");
-    }
-
-    #[test]
-    fn depth_buckets_cover_overflow() {
-        assert_eq!(depth_bucket(0), 0);
-        assert_eq!(depth_bucket(1), 1);
-        assert_eq!(depth_bucket(3), 3);
-        assert_eq!(depth_bucket(32), 6);
-        assert_eq!(depth_bucket(33), 7, "past the top bound → overflow");
-        assert_eq!(depth_bucket(u64::MAX), 7);
     }
 }

@@ -9,7 +9,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the one sanctioned home for host-clock reads (clippy.toml names it; det.toml fences it as a [wall-side] module)"
+    reason = "the one sanctioned home for host-clock reads (clippy.toml names it; det's Config::WORKSPACE fences it as a wall-side module)"
 )]
 
 use std::time::Instant;

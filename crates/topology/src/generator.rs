@@ -433,7 +433,7 @@ mod tests {
     fn stubs_have_no_customers() {
         let g = baseline(1_000, 6);
         for id in g.node_ids() {
-            if g.node_type(id).is_stub() {
+            if matches!(g.node_type(id), NodeType::Cp | NodeType::C) {
                 assert_eq!(g.degree_with_rel(id, Relationship::Customer), 0, "{id}");
             }
         }
@@ -503,12 +503,12 @@ mod tests {
         // fallback only triggers when a region has no M candidate.
         let stub_t_links: usize = g
             .node_ids()
-            .filter(|&id| g.node_type(id).is_stub())
+            .filter(|&id| matches!(g.node_type(id), NodeType::Cp | NodeType::C))
             .map(|id| g.providers(id).filter(|&p| g.node_type(p) == NodeType::T).count())
             .sum();
         let stub_links: usize = g
             .node_ids()
-            .filter(|&id| g.node_type(id).is_stub())
+            .filter(|&id| matches!(g.node_type(id), NodeType::Cp | NodeType::C))
             .map(|id| g.multihoming_degree(id))
             .sum();
         assert!(

@@ -301,40 +301,6 @@ impl AsGraph {
         above.contains(&root)
     }
 
-    /// Size of the customer tree of `root` (number of ASes strictly below
-    /// it).
-    pub fn customer_tree_size(&self, root: AsId) -> usize {
-        self.customer_tree(root).len()
-    }
-
-    /// Exports the topology as a flat undirected edge list: one
-    /// `(endpoint, other, rel)` triple per physical link, where `rel` is
-    /// the relationship as seen from `endpoint` (always `Provider` for
-    /// transit links — i.e. listed from the customer side — and `Peer`
-    /// from the lower-id side for peering links).
-    ///
-    /// This is an interop convenience for downstream users who want to
-    /// feed the topology into an external graph toolbox; the simulator
-    /// itself operates on [`AsGraph`] directly.
-    pub fn edge_list(&self) -> Vec<(AsId, AsId, Relationship)> {
-        let mut edges = Vec::with_capacity(self.link_count());
-        for id in self.node_ids() {
-            for n in self.neighbors(id) {
-                // Each undirected link appears twice; list it from the
-                // customer (or lower-id peer) side only.
-                let add = match n.rel {
-                    Relationship::Provider => true,
-                    Relationship::Peer => id < n.id,
-                    Relationship::Customer => false,
-                };
-                if add {
-                    edges.push((id, n.id, n.rel));
-                }
-            }
-        }
-        edges
-    }
-
     /// Renders the topology in Graphviz DOT format. Transit links are drawn
     /// as directed `customer -> provider` edges; peering links are dashed
     /// and undirected. Intended for small instances (Fig. 3-style sketches).
@@ -466,7 +432,6 @@ mod tests {
         assert!(!g.in_customer_tree(ids[4], ids[0]));
         assert!(!g.in_customer_tree(ids[0], ids[0])); // not below itself
         assert!(!g.in_customer_tree(ids[0], ids[3])); // via peer only
-        assert_eq!(g.customer_tree_size(ids[0]), 3);
     }
 
     #[test]
@@ -528,29 +493,6 @@ mod tests {
         assert_eq!(g.nodes_of_type(NodeType::T), vec![ids[0], ids[1]]);
         assert_eq!(g.count_of_type(NodeType::M), 2);
         assert_eq!(g.count_of_type(NodeType::Cp), 0);
-    }
-
-    #[test]
-    fn edge_list_export_preserves_shape() {
-        let (g, _) = fixture();
-        let edges = g.edge_list();
-        // One entry per physical link, no duplicates in either direction.
-        assert_eq!(edges.len(), g.link_count());
-        let mut seen = std::collections::BTreeSet::new();
-        for &(a, b, rel) in &edges {
-            assert_ne!(rel, Relationship::Customer, "must list from customer side");
-            assert!(seen.insert((a.min(b), a.max(b))), "duplicate link {a}-{b}");
-        }
-        // The listed edges connect all 6 nodes (union-find by repeated relabel).
-        let mut label: Vec<usize> = (0..g.len()).collect();
-        for _ in 0..g.len() {
-            for &(a, b, _) in &edges {
-                let m = label[a.index()].min(label[b.index()]);
-                label[a.index()] = m;
-                label[b.index()] = m;
-            }
-        }
-        assert!(label.iter().all(|&l| l == 0), "edge list not connected");
     }
 
     #[test]

@@ -54,17 +54,6 @@ impl NodeType {
         self as usize
     }
 
-    /// True for the transit classes (T and M) that carry other ASes'
-    /// traffic and therefore maintain full routing tables.
-    pub fn is_transit(self) -> bool {
-        matches!(self, NodeType::T | NodeType::M)
-    }
-
-    /// True for the stub classes (CP and C).
-    pub fn is_stub(self) -> bool {
-        !self.is_transit()
-    }
-
     /// Short label used in reports ("T", "M", "CP", "C").
     pub fn label(self) -> &'static str {
         match self {
@@ -242,10 +231,6 @@ mod tests {
 
     #[test]
     fn node_type_classification() {
-        assert!(NodeType::T.is_transit());
-        assert!(NodeType::M.is_transit());
-        assert!(NodeType::Cp.is_stub());
-        assert!(NodeType::C.is_stub());
         assert_eq!(NodeType::Cp.label(), "CP");
     }
 
