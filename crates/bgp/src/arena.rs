@@ -33,20 +33,21 @@
 //!
 //! [`RouteSlab`] keeps three kinds of column:
 //!
-//! * **per session** (global session id): the [`OutQueue`] — MRAI timer,
-//!   Adj-RIB-out and pending updates, forty-eight bytes unobserved — and
-//!   liveness;
+//! * **per session** (global session id): the MRAI session timer, the
+//!   count of queued updates and liveness, twenty-four bytes
+//!   ([`crate::mrai`]);
 //! * **per (row, node)**: the Loc-RIB entry — best slot, best path, and
 //!   whether the node originates the prefix — at `row * nodes + node`;
-//! * **per (row, session)**: the Adj-RIB-in, laid out row-major
-//!   (`row * sessions + global session id`) so that one node's cells for
-//!   one prefix are one contiguous stripe for the decision process to
-//!   scan. An Adj-RIB-in cell is twelve bytes in two columns: the route,
-//!   a four-byte [`PathId`] into the simulator's path arena
+//! * **per (row, session)**: the Adj-RIB-in and the output cells, laid
+//!   out row-major (`row * sessions + global session id`) so that one
+//!   node's cells for one prefix are one contiguous stripe to scan. An
+//!   Adj-RIB-in cell is twelve bytes in two columns: the route, a
+//!   four-byte [`PathId`] into the simulator's path arena
 //!   ([`crate::path`]), and its eight-byte preference key
 //!   ([`crate::decision::rank_key`]) — short enough because the slab
 //!   keeps, per session, the rank that stands in for the next hop's hash
-//!   and id ([`SessionSlab::rank`]).
+//!   and id ([`SessionSlab::rank`]). An output cell is the Adj-RIB-out
+//!   and the queued update, eight bytes unobserved ([`crate::mrai`]).
 //!
 //! A row is appended for every prefix of the network, and a sorted
 //! `(prefix, row)` index walks the rows in prefix order — the same
@@ -76,7 +77,7 @@ use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::AsId;
 
 use crate::message::Prefix;
-use crate::mrai::OutQueue;
+use crate::mrai::{OutQueue, QueueView, RibOut, SessionState};
 use crate::node::Session;
 use crate::path::PathId;
 use crate::rfd::DampState;
@@ -102,24 +103,22 @@ const UNHELD: u32 = u32::MAX - 2;
 /// The model is part of every pinned op-count baseline (it feeds
 /// `arena_bytes_reserved`), so it moves only in a diff that adds, deletes
 /// or re-types a per-prefix column; the slab's mirror and rank columns
-/// are not charged at all.
+/// are not charged at all. They are now a fixed convention, not a model:
+/// the slab is charged for a peer-lookup column it no longer keeps and no
+/// output cell is charged; the schema bump of ROADMAP items 3–5 re-models.
 const BYTES_PER_RIB_CELL: u64 = 12;
 const BYTES_PER_ROW: u64 = 16;
 const BYTES_PER_SESSION: u64 = 16;
 const BYTES_PER_DAMP_ENTRY: u64 = 40;
 
-/// The topology-wide session arena: every node's sessions and its
-/// AS-id → slot lookup live in two shared concatenated columns, built
-/// once and shared by all nodes via `Arc`.
+/// The topology-wide session arena: every node's sessions in one
+/// concatenated column, built once and shared by all nodes via `Arc`.
 #[derive(Clone, Debug)]
 pub struct SessionSlab {
     /// All sessions, concatenated per node in slot order.
     sessions: Vec<Session>,
-    /// Per node, the `(peer, slot)` pairs sorted by peer AS id — the
-    /// dense replacement for the per-node `BTreeMap<AsId, u32>`.
-    lookup: Vec<(AsId, u32)>,
-    /// Per node: offset into both columns (length = next offset). The
-    /// extra trailing entry makes `stripe(i)` branch-free.
+    /// Per node: offset into the per-session columns (length = next
+    /// offset). The extra trailing entry makes `stripe(i)` branch-free.
     offsets: Vec<u32>,
     /// Per session (indexed like `sessions`): the slot the session's own
     /// node holds at the peer, i.e. the receiver-side slot of a message
@@ -150,11 +149,13 @@ impl SessionSlab {
     {
         let mut slab = SessionSlab {
             sessions: Vec::new(),
-            lookup: Vec::new(),
             offsets: vec![0],
             mirror: Vec::new(),
             rank: Vec::new(),
         };
+        // Per node, the `(peer, slot)` pairs sorted by peer AS id: what
+        // finds duplicates and mirrors, dropped once the slab is built.
+        let mut lookup: Vec<(AsId, u32)> = Vec::new();
         // Scratch for one node's `(hash, peer, slot)` in tie-break order.
         let mut by_tie_break: Vec<(u64, u32, u32)> = Vec::new();
         let mut ids_are_indices = true;
@@ -167,9 +168,9 @@ impl SessionSlab {
             let sessions = stripe.share(&slab.sessions);
             for (slot, s) in (0..).zip(sessions) {
                 assert_ne!(s.peer, id, "session with self at {id}");
-                slab.lookup.push((s.peer, slot));
+                lookup.push((s.peer, slot));
             }
-            let node_lookup = stripe.share_mut(&mut slab.lookup);
+            let node_lookup = stripe.share_mut(&mut lookup);
             node_lookup.sort_unstable_by_key(|&(peer, _)| peer);
             for pair in node_lookup.windows(2) {
                 assert_ne!(pair[0].0, pair[1].0, "duplicate session {id}–{}", pair[0].0);
@@ -184,31 +185,30 @@ impl SessionSlab {
         }
         // The columns live as long as the topology: no growth slack.
         slab.sessions.shrink_to_fit();
-        slab.lookup.shrink_to_fit();
         slab.rank.shrink_to_fit();
         slab.offsets.shrink_to_fit();
         if ids_are_indices {
-            slab.mirror = slab.mirror_slots().unwrap_or_default();
+            slab.mirror = slab.mirror_slots(&lookup).unwrap_or_default();
         }
         Arc::new(slab)
     }
 
     /// The mirror column of a slab whose node `i` is `AsId(i)`, or `None`
-    /// if some session has no mirror session. One pass over the lookup
-    /// stripes and no searching: node `i`'s peers come up in ascending
-    /// id order, and so — as `i` ascends — do the entries of each peer's
-    /// own sorted stripe, so a cursor per node always points at the
-    /// mirror of the session at hand.
-    fn mirror_slots(&self) -> Option<Vec<u32>> {
+    /// if some session has no mirror session. One pass over the stripes
+    /// of `lookup` (sorted by peer) and no searching: node `i`'s peers
+    /// come up in ascending id order, and so — as `i` ascends — do the
+    /// entries of each peer's own stripe, so a cursor per node always
+    /// points at the mirror of the session at hand.
+    fn mirror_slots(&self, lookup: &[(AsId, u32)]) -> Option<Vec<u32>> {
         let n = self.len();
         let mut mirror = vec![0u32; self.sessions.len()];
         // Per node, the next unmatched entry of its lookup stripe.
         let mut cursor = vec![0u32; n];
         for i in 0..n as u32 {
             let stripe = self.stripe(i);
-            for &(peer, slot) in stripe.share(&self.lookup) {
+            for &(peer, slot) in stripe.share(lookup) {
                 let next = cursor.get_mut(peer.index())?;
-                let (back, peer_slot) = *self.stripe(peer.0).share(&self.lookup).get(*next as usize)?;
+                let (back, peer_slot) = *self.stripe(peer.0).share(lookup).get(*next as usize)?;
                 if back != AsId(i) {
                     return None;
                 }
@@ -249,13 +249,10 @@ impl SessionSlab {
     }
 
     /// The slot of `peer` on the node owning `stripe`, if it is a
-    /// neighbor — a binary search over the node's sorted lookup stripe.
+    /// neighbor — a scan of the node's sessions, for the link failures
+    /// and restores that ask.
     pub fn slot_of(&self, stripe: Stripe, peer: AsId) -> Option<u32> {
-        let lookup = stripe.share(&self.lookup);
-        lookup
-            .binary_search_by_key(&peer, |&(p, _)| p)
-            .ok()
-            .map(|i| lookup[i].1)
+        (0..).zip(stripe.share(&self.sessions)).find(|(_, s)| s.peer == peer).map(|(slot, _)| slot)
     }
 
     /// Session `slot` of the node owning `stripe`.
@@ -289,9 +286,9 @@ impl SessionSlab {
     }
 
     /// Deterministic estimate of the slab's resident bytes (model
-    /// constants, not `size_of`; see module docs).
+    /// constants, not `size_of`; see `BYTES_PER_ROW`).
     pub fn arena_bytes(&self) -> u64 {
-        self.sessions.len() as u64 * BYTES_PER_SESSION * 2 // sessions + lookup
+        self.sessions.len() as u64 * BYTES_PER_SESSION * 2 // sessions + the lookup of the convention
             + self.offsets.len() as u64 * 4
     }
 }
@@ -345,19 +342,19 @@ impl Stripe {
 
     /// The cell of `slot` in that row.
     #[inline]
-    fn slot_cell(self, row_start: usize, slot: u32) -> usize {
+    pub(crate) fn slot_cell(self, row_start: usize, slot: u32) -> usize {
         row_start + self.id(slot) as usize
     }
 
     /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
     // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
-    fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
+    pub(crate) fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
         &column[at]
     }
 
     /// [`Stripe::cut`], writable.
     // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
-    fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
+    pub(crate) fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
         &mut column[at]
     }
 }
@@ -406,8 +403,9 @@ impl LocRib {
 /// (Adj-RIBs-out and MRAI timers), session liveness and damping history
 /// of all its nodes, in simulator-wide columns (see the module docs).
 ///
-/// Built once per simulator from its [`SessionSlab`] — two allocations,
-/// however many nodes — and cleared, buffers kept, between runs. A node's
+/// Built once per simulator from its [`SessionSlab`] — one allocation,
+/// however many nodes, until the first row — and cleared, buffers kept,
+/// between runs. A node's
 /// protocol code reads and writes its share through a
 /// [`crate::BgpNode`] view. `S` is the stamp queued updates carry (see
 /// [`crate::Update`]).
@@ -416,11 +414,12 @@ pub struct RouteSlab<S = ()> {
     /// Nodes and sessions of the slab the columns were sized for.
     nodes: usize,
     sessions: usize,
-    /// Per session: the rate-limited output queue and Adj-RIB-out.
-    pub(crate) out: Vec<OutQueue<S>>,
-    /// Per session: liveness. A down session receives no exports and
-    /// contributes no routes; see [`crate::BgpNode::session_down_caused`].
-    pub(crate) active: Vec<bool>,
+    /// Per session: the MRAI session timer, the count of queued updates
+    /// and liveness.
+    pub(crate) state: Vec<SessionState>,
+    /// Per (row, session): the Adj-RIB-out, queued updates and per-prefix
+    /// timers.
+    pub(crate) out: RibOut<S>,
     /// `(prefix, row)` for every row, sorted by prefix.
     by_prefix: Vec<(Prefix, u32)>,
     /// Per (row, node): the Loc-RIB entry, at `row * nodes + node`.
@@ -454,8 +453,8 @@ impl<S: Stamp> RouteSlab<S> {
         RouteSlab {
             nodes: slab.len(),
             sessions,
-            out: vec![OutQueue::new(); sessions],
-            active: vec![true; sessions],
+            state: vec![SessionState::UP; sessions],
+            out: RibOut::new(sessions),
             by_prefix: Vec::new(),
             loc: Vec::new(),
             rib_key: Vec::new(),
@@ -473,8 +472,7 @@ impl<S: Stamp> RouteSlab<S> {
 
     /// The row of `prefix`, if any node touched it.
     pub fn row(&self, prefix: Prefix) -> Option<usize> {
-        let at = self.by_prefix.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
-        self.by_prefix.get(at).map(|&(_, row)| row as usize)
+        row_in(&self.by_prefix, prefix)
     }
 
     /// Every `(row, prefix)` in sorted prefix order.
@@ -486,7 +484,7 @@ impl<S: Stamp> RouteSlab<S> {
     /// appending an empty row if no node touched the prefix before, and
     /// making the row the node's — held, and charged to it in the byte
     /// model — if it was not.
-    pub(crate) fn touch(&mut self, prefix: Prefix, node: u32, stripe: Stripe) -> usize {
+    pub fn touch(&mut self, prefix: Prefix, node: u32, stripe: Stripe) -> usize {
         let row = match self.row(prefix) {
             Some(row) => row,
             None => {
@@ -496,6 +494,7 @@ impl<S: Stamp> RouteSlab<S> {
                 self.loc.extend(std::iter::repeat_n(LocRib::UNHELD, self.nodes));
                 self.rib_key.extend(std::iter::repeat_n(0, self.sessions));
                 self.rib_in.extend(std::iter::repeat_n(None, self.sessions));
+                self.out.push_row();
                 row
             }
         };
@@ -550,17 +549,35 @@ impl<S: Stamp> RouteSlab<S> {
         }
     }
 
+    /// The output queue of session `slot` of the node owning `stripe`,
+    /// read-only.
+    pub fn queue(&self, stripe: Stripe, slot: u32) -> QueueView<'_, S> {
+        let state = stripe.entry(&self.state, slot);
+        QueueView { state, out: &self.out, by_prefix: &self.by_prefix, stripe, slot }
+    }
+
+    /// The output queue of session `slot` of the node owning `stripe`.
+    pub fn queue_mut(&mut self, stripe: Stripe, slot: u32) -> OutQueue<'_, S> {
+        let state = stripe.entry_mut(&mut self.state, slot);
+        OutQueue { state, out: &mut self.out, by_prefix: &self.by_prefix, stripe, slot }
+    }
+
     /// True if the route of global session `session` for `prefix` is
     /// currently damped.
     pub(crate) fn suppressed(&self, session: u32, prefix: Prefix) -> bool {
         self.damp.get(session, prefix).is_some_and(|s| s.suppressed)
     }
 
+    /// The key reserved for every MRAI timer of the network.
+    fn timer_keys(&self) -> impl Iterator<Item = EventKey> + '_ {
+        self.state.iter().map(|s| s.until).chain(self.out.timers.iter().map(|t| t.until))
+    }
+
     /// The latest key reserved for any MRAI timer of the network that is
-    /// not after `deadline` (see [`OutQueue::latest_key_by`]): one pass
-    /// over the queue column.
+    /// not after `deadline` (see [`QueueView::latest_key_by`]): one pass
+    /// over the timer columns.
     pub fn latest_timer_key_by(&self, deadline: SimTime) -> EventKey {
-        let due = self.out.iter().map(|q| q.latest_key_by(deadline));
+        let due = self.timer_keys().filter(|key| key.time <= deadline);
         due.max().unwrap_or(EventKey::ZERO)
     }
 
@@ -568,11 +585,12 @@ impl<S: Stamp> RouteSlab<S> {
     /// keeping session liveness and every buffer. Used between C-events.
     ///
     /// # Panics
-    /// Panics if any MRAI timer is still armed at `now` (see
-    /// [`OutQueue::reset`]).
+    /// Panics if any MRAI timer is still armed at `now` — a neighbor
+    /// would see the next announcement too early.
     pub fn reset_routing(&mut self, now: EventKey) {
-        for q in &mut self.out {
-            q.reset(now);
+        assert!(self.timer_keys().all(|key| key <= now), "reset with an armed MRAI timer");
+        for state in &mut self.state {
+            *state = state.idle();
         }
         self.clear_rows();
     }
@@ -584,10 +602,7 @@ impl<S: Stamp> RouteSlab<S> {
     /// quiescence: the caller discards its scheduled expiry events along
     /// with everything else.
     pub fn recycle(&mut self) {
-        for q in &mut self.out {
-            q.force_reset();
-        }
-        self.active.fill(true);
+        self.state.fill(SessionState::UP);
         self.clear_rows();
     }
 
@@ -596,6 +611,7 @@ impl<S: Stamp> RouteSlab<S> {
         self.loc.clear();
         self.rib_key.clear();
         self.rib_in.clear();
+        self.out.clear();
         self.damp.clear();
         self.held_rows = 0;
         self.held_cells = 0;
@@ -610,6 +626,12 @@ impl<S: Stamp> RouteSlab<S> {
             + self.held_cells * BYTES_PER_RIB_CELL
             + self.damp.arena_bytes()
     }
+}
+
+/// The row of `prefix` among `(prefix, row)` pairs sorted by prefix.
+pub(crate) fn row_in(by_prefix: &[(Prefix, u32)], prefix: Prefix) -> Option<usize> {
+    let at = by_prefix.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+    by_prefix.get(at).map(|&(_, row)| row as usize)
 }
 
 /// Sparse per-(session, prefix) damping state: a flat sorted vector with
@@ -820,8 +842,8 @@ mod tests {
     }
 
     #[test]
-    fn slab_lookup_is_sorted_independently_of_slot_order() {
-        // Slots keep declaration order; the lookup stripe sorts by peer.
+    fn slot_of_finds_each_peer_whatever_the_slot_order() {
+        // Slots keep declaration order, which is not peer order.
         let slab = SessionSlab::for_single(
             AsId(0),
             vec![

@@ -1,22 +1,20 @@
 //! The per-interface MRAI output queue.
 //!
-//! Each neighbor session has one [`OutQueue`] — an element of the
-//! network's per-session queue column ([`crate::RouteSlab`]) —
-//! implementing the rate limiting of §2: *"two route announcements from
-//! an AS to the same neighbor must be separated in time by at least one
-//! MRAI timer interval"*, implemented per interface as router vendors do
-//! (not per prefix as RFC 4271 suggests).
+//! Each neighbor session has one output queue ([`OutQueue`], read through
+//! [`QueueView`]) implementing the rate limiting of §2: *"two route
+//! announcements from an AS to the same neighbor must be separated in
+//! time by at least one MRAI timer interval"*, implemented per interface
+//! as router vendors do (not per prefix as RFC 4271 suggests).
 //!
 //! State machine per queue:
 //!
 //! * **Timer idle** → an announcement is sent immediately and arms the
-//!   timer. (Invariant: the pending map is empty whenever the timer is
-//!   idle.)
+//!   timer. (Invariant: nothing is pending whenever the timer is idle.)
 //! * **Timer armed** → updates are *queued*; a newer update for the same
 //!   prefix replaces the queued one ("if a queued update becomes invalid
 //!   by a new update, the former is removed from the output queue").
-//! * **Timer expiry** → all still-valid pending updates are flushed; the
-//!   timer re-arms iff something was sent.
+//! * **Timer expiry** → all still-valid pending updates are flushed, in
+//!   prefix order; the timer re-arms iff something was sent.
 //!
 //! ## Lazy timers
 //!
@@ -35,7 +33,7 @@
 //! The stored key is also what makes an expiry event *valid*: it is the
 //! one its timer waits for iff the timer still has an expiry scheduled
 //! and the event pops at exactly the stored key
-//! ([`OutQueue::expiry_due`]). Keys never repeat, so an event left over
+//! ([`QueueView::expiry_due`]). Keys never repeat, so an event left over
 //! from before a session reset ([`OutQueue::force_reset`]) matches no
 //! timer armed since, and the caller keeps no epoch to tell them apart.
 //!
@@ -46,16 +44,27 @@
 //!   announcement for the prefix.
 //! * **WRATE** (RFC 4271): withdrawals queue exactly like announcements.
 //!
-//! The queue also maintains the **Adj-RIB-out** (`sent`): the last update
+//! The queue also maintains the **Adj-RIB-out**: the last update
 //! actually transmitted per prefix. Flushes and submissions are suppressed
 //! when they would repeat what the neighbor already knows, which both
 //! matches real BGP implementations and keeps the paper's update counts
 //! honest.
+//!
+//! ## Memory layout
+//!
+//! A queue is split like the Adj-RIB-in ([`crate::arena`]): a 24-byte
+//! [`SessionState`] per session (session timer, pending count, liveness),
+//! and per (row, session) the cells of [`RibOut`] — Adj-RIB-out and
+//! queued update, four bytes each, plus the stamp `S` (nothing
+//! unobserved) and, once a per-prefix timer is armed, that timer. The row
+//! is the prefix, so no prefix is stored; a session-timer flush walks the
+//! rows in prefix order while the pending count is non-zero.
 
 use bgpscale_obs::{OpCounts, Stamp};
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
+use crate::arena::Stripe;
 use crate::config::{BgpConfig, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
 use crate::node::Actions;
@@ -121,91 +130,33 @@ pub enum Submit<S = ()> {
     Suppressed,
 }
 
-/// An update waiting for a timer, with the stamp it will carry.
-type Pending<S> = (UpdateKind, S);
+/// A queued update in the four bytes of an `Option<PathId>`: `None` when
+/// nothing waits, the empty path for a withdrawal, any other path for its
+/// announcement. An announcement to a neighbor carries the sender
+/// prepended, so it is never the empty path.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Queued(Option<PathId>);
 
-/// Binary search of entries sorted by prefix.
-fn search<V>(entries: &[(Prefix, V)], prefix: Prefix) -> Result<usize, usize> {
-    entries.binary_search_by_key(&prefix, |e| e.0)
-}
-
-/// The value `prefix` has among entries sorted by prefix.
-fn find<V>(entries: &[(Prefix, V)], prefix: Prefix) -> Option<&V> {
-    let at = search(entries, prefix).ok()?;
-    entries.get(at).map(|e| &e.1)
-}
-
-/// One of a session's maps from prefix to `V`, where it lives right now:
-/// in the queue's inline room for one entry, or — once the session has
-/// carried a second prefix — in a `Vec` of the queue's [`Multi`], sorted
-/// by prefix, at most one entry per prefix.
-enum PrefixMap<'a, V> {
-    One(&'a mut Option<(Prefix, V)>),
-    Many(&'a mut Vec<(Prefix, V)>),
-}
-
-impl<'a, V> PrefixMap<'a, V> {
-    fn get_mut(self, prefix: Prefix) -> Option<&'a mut V> {
-        match self {
-            PrefixMap::One(one) => one.as_mut().filter(|e| e.0 == prefix).map(|e| &mut e.1),
-            PrefixMap::Many(entries) => search(entries, prefix)
-                .ok()
-                .and_then(|i| entries.get_mut(i))
-                .map(|e| &mut e.1),
-        }
+impl Queued {
+    fn of(kind: UpdateKind) -> Queued {
+        debug_assert!(kind != UpdateKind::Announce(PathId::EMPTY), "an announcement of the empty path");
+        Queued(Some(kind.path().unwrap_or(PathId::EMPTY)))
     }
 
-    /// Sets the entry for `prefix`, replacing any previous value. Hands
-    /// the value back if the inline room is taken by another prefix: the
-    /// queue must spill first.
-    fn insert(self, prefix: Prefix, value: V) -> Result<(), V> {
-        match self {
-            PrefixMap::One(one) => match one {
-                Some((held, _)) if *held != prefix => return Err(value),
-                _ => *one = Some((prefix, value)),
-            },
-            PrefixMap::Many(entries) => match search(entries, prefix) {
-                Ok(at) => {
-                    if let Some(entry) = entries.get_mut(at) {
-                        entry.1 = value;
-                    }
-                }
-                Err(at) => entries.insert(at, (prefix, value)),
-            },
-        }
-        Ok(())
-    }
-
-    fn remove(self, prefix: Prefix) -> Option<V> {
-        match self {
-            PrefixMap::One(one) => one.take_if(|e| e.0 == prefix).map(|e| e.1),
-            PrefixMap::Many(entries) => search(entries, prefix).ok().map(|i| entries.remove(i).1),
-        }
-    }
-}
-
-/// The read-only face of [`PrefixMap`]: the inline entry, or — once
-/// spilled — the sorted entries.
-fn lookup<'a, V>(
-    one: &'a Option<(Prefix, V)>,
-    many: Option<&'a Vec<(Prefix, V)>>,
-    prefix: Prefix,
-) -> Option<&'a V> {
-    match many {
-        None => one.as_ref().filter(|e| e.0 == prefix).map(|e| &e.1),
-        Some(entries) => find(entries, prefix),
+    fn kind(self) -> Option<UpdateKind> {
+        self.0.map(|path| if path == PathId::EMPTY { UpdateKind::Withdraw } else { UpdateKind::Announce(path) })
     }
 }
 
 /// One MRAI timer. A per-prefix timer is one of these; the session timer
-/// keeps the same two fields in its [`OutQueue`] itself (see there).
+/// keeps the same two fields in its [`SessionState`] itself (see there).
 #[derive(Clone, Copy, Debug)]
-struct Timer {
+pub(crate) struct Timer {
     /// The key this timer's expiry pops at, reserved when the timer was
     /// armed; the timer is armed while it is after the current event's
     /// key. [`EventKey::NEVER`] from the send that arms the timer until
     /// [`OutQueue::arm_at`] delivers the key later in the same step.
-    until: EventKey,
+    pub(crate) until: EventKey,
     /// True while an expiry event is scheduled at `until` and has not
     /// popped: from the first update queued in the window to the flush.
     expiry_scheduled: bool,
@@ -225,203 +176,214 @@ impl Timer {
 /// The two fields of one timer, writable wherever the timer lives.
 type TimerMut<'a> = (&'a mut EventKey, &'a mut bool);
 
-/// Everything a session holds once one prefix and one timer are not
-/// enough: the state of a multi-prefix session (`ext_tablesize`, table
-/// replays) or of the per-prefix MRAI scope.
-#[derive(Clone, Debug, Default)]
-struct Multi<S = ()> {
-    /// Per-prefix scope: the timer of every prefix armed since the last
-    /// reset, sorted by prefix. A lapsed entry stays and is overwritten by
-    /// its prefix's next arm.
-    prefix_timers: Vec<(Prefix, Timer)>,
-    /// The pending updates of every prefix, sorted by prefix.
-    pending: Vec<(Prefix, Pending<S>)>,
-    /// The Adj-RIB-out of every prefix, sorted by prefix.
-    sent: Vec<(Prefix, PathId)>,
-}
-
-/// One neighbor session's rate-limited output queue plus Adj-RIB-out.
-///
-/// ## Memory layout
-///
-/// Forty-eight bytes in an unobserved run. A session of a C-event
-/// experiment only ever carries the event's one prefix under the one
-/// session timer, so that much lives inline: the timer's reserved key and
-/// its expiry flag, one Adj-RIB-out entry (prefix and [`PathId`]) and one
-/// pending update (prefix, kind, and the stamp `S` it will carry: nothing
-/// unobserved, a twelve-byte `Provenance` under a `Recorder`, which makes
-/// the queue 56 bytes). The session timer's two fields sit in the queue
-/// itself, not in a `Timer`, whose padding would cost eight bytes more.
-/// There is one queue per session of the topology — a node's queues are
-/// its [`crate::arena::Stripe`] of the per-session `out` column of the
-/// network's [`crate::RouteSlab`] — and every export visits all of a node's queues, so its size
-/// is the stride of the hottest scan in the simulator. A session that
-/// carries a second prefix, or arms a
-/// per-prefix timer, *spills*: all its per-prefix state moves behind the
-/// one `multi` pointer, into `Vec`s sorted by prefix (which keep the
-/// flush order of the `BTreeMap` this once was), and stays there — buffers
-/// kept across resets — for the life of the queue.
-#[derive(Clone, Debug)]
-pub struct OutQueue<S = ()> {
-    /// The key the session timer's expiry pops at, reserved when the
-    /// timer was armed (see [`Timer`]).
-    until: EventKey,
+/// What one session keeps of its output side however many prefixes it
+/// carries. The timer's two fields sit here, not in a [`Timer`], whose
+/// padding would cost eight bytes more.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SessionState {
+    /// The key the session timer's expiry pops at (see [`Timer`]).
+    pub(crate) until: EventKey,
+    /// The session's non-empty [`Queued`] cells, over every row.
+    pending: u32,
     /// True while an expiry event is scheduled at `until` and has not
     /// popped.
     expiry_scheduled: bool,
-    /// Adj-RIB-out: the path last actually sent, per prefix. Absent means
-    /// the neighbor holds no route from us (withdrawn or never
-    /// announced). `None` while the queue is spilled.
-    sent: Option<(Prefix, PathId)>,
-    /// Updates waiting for a timer; at most one per prefix, each with the
-    /// stamp it will carry when flushed. When a newer update replaces a
-    /// queued one, the stamps coalesce (root sets union) so attribution
-    /// survives rate-limiting. `None` while the queue is spilled.
-    pending: Option<(Prefix, Pending<S>)>,
-    /// Where both maps and the per-prefix timers live once spilled.
-    multi: Option<Box<Multi<S>>>,
+    /// True while the session is established: a down one receives no
+    /// exports ([`crate::BgpNode::session_down_caused`]).
+    pub(crate) up: bool,
 }
 
-// One per session of the topology: the stride of the export scan.
-const _: () = assert!(std::mem::size_of::<OutQueue>() <= 48);
+// One per session of the topology.
+const _: () = assert!(std::mem::size_of::<SessionState>() <= 24);
 
-impl<S: Stamp> Default for OutQueue<S> {
-    fn default() -> Self {
-        OutQueue::new()
-    }
-}
+impl SessionState {
+    /// An established session with an idle queue.
+    pub(crate) const UP: SessionState = SessionState {
+        until: EventKey::ZERO,
+        pending: 0,
+        expiry_scheduled: false,
+        up: true,
+    };
 
-impl<S: Stamp> OutQueue<S> {
-    /// Creates an idle queue.
-    pub fn new() -> Self {
-        let Timer {
-            until,
-            expiry_scheduled,
-        } = Timer::IDLE;
-        OutQueue {
-            until,
-            expiry_scheduled,
-            sent: None,
-            pending: None,
-            multi: None,
-        }
-    }
-
-    /// Moves the inline entries behind the `multi` pointer (if they are
-    /// not there yet), making room for any number of prefixes.
-    fn spill(&mut self) -> &mut Multi<S> {
-        self.multi.get_or_insert_with(|| {
-            Box::new(Multi {
-                prefix_timers: Vec::new(),
-                pending: self.pending.take().into_iter().collect(),
-                sent: self.sent.take().into_iter().collect(),
-            })
-        })
-    }
-
-    fn sent_map(&mut self) -> PrefixMap<'_, PathId> {
-        match &mut self.multi {
-            Some(multi) => PrefixMap::Many(&mut multi.sent),
-            None => PrefixMap::One(&mut self.sent),
-        }
-    }
-
-    fn pending_map(&mut self) -> PrefixMap<'_, Pending<S>> {
-        match &mut self.multi {
-            Some(multi) => PrefixMap::Many(&mut multi.pending),
-            None => PrefixMap::One(&mut self.pending),
-        }
-    }
-
-    fn set_sent(&mut self, prefix: Prefix, path: PathId) {
-        if self.sent_map().insert(prefix, path).is_err() {
-            self.spill();
-            let _ = self.sent_map().insert(prefix, path);
-        }
-    }
-
-    fn set_pending(&mut self, prefix: Prefix, update: Pending<S>) {
-        if let Err(update) = self.pending_map().insert(prefix, update) {
-            self.spill();
-            let _ = self.pending_map().insert(prefix, update);
-        }
-    }
-
-    fn pending(&self, prefix: Prefix) -> Option<&Pending<S>> {
-        lookup(&self.pending, self.multi.as_ref().map(|m| &m.pending), prefix)
-    }
-
-    /// The session timer, read out of its two fields.
-    fn session_timer(&self) -> Timer {
+    fn timer(&self) -> Timer {
         Timer {
             until: self.until,
             expiry_scheduled: self.expiry_scheduled,
         }
     }
 
-    /// Every timer of this queue with the prefix it governs (`None`: the
-    /// session timer).
-    fn timers(&self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + '_ {
-        let prefix_timers = self.multi.iter().flat_map(|m| &m.prefix_timers);
-        std::iter::once((None, self.session_timer()))
-            .chain(prefix_timers.map(|&(p, t)| (Some(p), t)))
+    /// This state with the queue emptied and the timer forgotten,
+    /// liveness kept.
+    pub(crate) fn idle(self) -> SessionState {
+        SessionState { up: self.up, ..SessionState::UP }
+    }
+}
+
+/// The output side of every (row, session) cell of a network: the columns
+/// of a [`crate::RouteSlab`] laid out like its Adj-RIB-in, at `row *
+/// sessions + global session id`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RibOut<S> {
+    /// Sessions per row: the stride of every column.
+    sessions: usize,
+    /// The Adj-RIB-out: the path last actually sent. `None` means the
+    /// neighbor holds no route from us (withdrawn or never announced).
+    sent: Vec<Option<PathId>>,
+    /// The update waiting for a timer, at most one per cell.
+    queued: Vec<Queued>,
+    /// The stamp a queued update will carry; a displaced update's stamp
+    /// is coalesced into it. Zero-sized, and never allocated, for `()`.
+    stamps: Vec<S>,
+    /// Per-prefix scope: each cell's timer. Empty until the first arm
+    /// since the rows were cleared, then as long as the other columns.
+    pub(crate) timers: Vec<Timer>,
+}
+
+// Per (row, session) unobserved: the Adj-RIB-out and the queued update.
+const _: () = assert!(
+    std::mem::size_of::<Option<PathId>>() + std::mem::size_of::<Queued>() + std::mem::size_of::<()>() <= 8
+);
+
+impl<S: Stamp> RibOut<S> {
+    /// No rows, for `sessions` sessions.
+    pub(crate) fn new(sessions: usize) -> RibOut<S> {
+        RibOut { sessions, ..RibOut::default() }
     }
 
-    /// The timer `which` names, created idle if it is a prefix's first.
-    // det::allow(panic-surface, reason = "at is the index binary_search found the prefix at, or the one its timer was just inserted at")
-    fn timer_mut(&mut self, which: Option<Prefix>) -> TimerMut<'_> {
-        let Some(prefix) = which else {
-            return (&mut self.until, &mut self.expiry_scheduled);
-        };
-        let prefix_timers = &mut self.spill().prefix_timers;
-        let at = match search(prefix_timers, prefix) {
-            Ok(at) => at,
-            Err(at) => {
-                prefix_timers.insert(at, (prefix, Timer::IDLE));
-                at
-            }
-        };
-        let timer = &mut prefix_timers[at].1;
-        (&mut timer.until, &mut timer.expiry_scheduled)
+    /// Appends a row of empty cells.
+    pub(crate) fn push_row(&mut self) {
+        self.sent.extend(std::iter::repeat_n(None, self.sessions));
+        self.queued.extend(std::iter::repeat_n(Queued::default(), self.sessions));
+        self.stamps.extend(std::iter::repeat_n(S::default(), self.sessions));
+        if !self.timers.is_empty() {
+            self.timers.extend(std::iter::repeat_n(Timer::IDLE, self.sessions));
+        }
     }
 
-    /// The timer `which` names, if it exists: a prefix that was never
-    /// armed since the last reset has none.
-    fn timer(&self, which: Option<Prefix>) -> Option<Timer> {
+    /// Drops every row, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.sent.clear();
+        self.queued.clear();
+        self.stamps.clear();
+        self.timers.clear();
+    }
+
+    /// The cell of session `slot` of the node owning `stripe` in `row`:
+    /// the one place an output cell is cut out of a row.
+    fn out_cell(&self, row: usize, stripe: Stripe, slot: u32) -> usize {
+        stripe.slot_cell(row * self.sessions, slot)
+    }
+
+    /// The per-prefix timer at cell `at`, allocating the column on the
+    /// first arm.
+    fn timer_mut(&mut self, at: usize) -> &mut Timer {
+        if self.timers.is_empty() {
+            self.timers.resize(self.sent.len(), Timer::IDLE);
+        }
+        Stripe::cut_mut(&mut self.timers, at)
+    }
+}
+
+/// The read-only face of one session's output queue: its
+/// [`SessionState`] and its cells of every row (see the module docs).
+/// Made by [`crate::RouteSlab::queue`].
+#[derive(Clone, Copy, Debug)]
+pub struct QueueView<'a, S = ()> {
+    pub(crate) state: &'a SessionState,
+    pub(crate) out: &'a RibOut<S>,
+    /// Every `(prefix, row)`, sorted by prefix.
+    pub(crate) by_prefix: &'a [(Prefix, u32)],
+    pub(crate) stripe: Stripe,
+    pub(crate) slot: u32,
+}
+
+impl<'a, S: Stamp> QueueView<'a, S> {
+    /// True while the session is established.
+    pub fn is_up(self) -> bool {
+        self.state.up
+    }
+
+    /// The row of `prefix`, if any node touched it.
+    fn row_of(self, prefix: Prefix) -> Option<usize> {
+        crate::arena::row_in(self.by_prefix, prefix)
+    }
+
+    fn out_cell(self, row: usize) -> usize {
+        self.out.out_cell(row, self.stripe, self.slot)
+    }
+
+    fn sent(self, at: usize) -> Option<PathId> {
+        *Stripe::cut(&self.out.sent, at)
+    }
+
+    fn queued(self, at: usize) -> Option<UpdateKind> {
+        Stripe::cut(&self.out.queued, at).kind()
+    }
+
+    /// What the neighbor will believe of cell `at` once the queue drains:
+    /// the queued intent if any, else the Adj-RIB-out.
+    fn intent_at(self, at: usize) -> Option<PathId> {
+        match self.queued(at) {
+            Some(kind) => kind.path(),
+            None => self.sent(at),
+        }
+    }
+
+    /// The timer `which` names: the session timer, or the per-prefix
+    /// timer of row `which` (idle if none was armed since the last reset).
+    fn timer(self, which: Option<usize>) -> Timer {
         match which {
-            None => Some(self.session_timer()),
-            Some(prefix) => find(&self.multi.as_ref()?.prefix_timers, prefix).copied(),
+            None => self.state.timer(),
+            Some(_) if self.out.timers.is_empty() => Timer::IDLE,
+            Some(row) => *Stripe::cut(&self.out.timers, self.out_cell(row)),
+        }
+    }
+
+    /// Every timer of this queue with the prefix it governs (`None`: the
+    /// session timer), per-prefix ones in prefix order.
+    fn timers(self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + 'a {
+        let rows = if self.out.timers.is_empty() { &[][..] } else { self.by_prefix };
+        let per_prefix = rows.iter().map(move |&(prefix, row)| (Some(prefix), self.timer(Some(row as usize))));
+        std::iter::once((None, self.state.timer())).chain(per_prefix)
+    }
+
+    /// The timer `which` names by prefix: idle for a prefix no row holds.
+    fn timer_of(self, which: Option<Prefix>) -> Timer {
+        match which {
+            None => self.state.timer(),
+            Some(prefix) => self.row_of(prefix).map_or(Timer::IDLE, |row| self.timer(Some(row))),
         }
     }
 
     /// True while the MRAI timer governing `prefix` under `scope` is
     /// armed at `now`.
-    pub fn is_armed(&self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
-        self.timer(governing(scope, prefix)).is_some_and(|timer| timer.armed(now))
+    pub fn is_armed(self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
+        self.timer_of(governing(scope, prefix)).armed(now)
     }
 
     /// True if the expiry event popping at `key` is the one the timer
     /// `which` names (`None`: the session timer) asked for and still
     /// waits for. Keys are unique, so an event scheduled before a
     /// [`OutQueue::force_reset`] matches no timer armed after it.
-    pub fn expiry_due(&self, which: Option<Prefix>, key: EventKey) -> bool {
-        self.timer(which).is_some_and(|timer| timer.expiry_scheduled && timer.until == key)
+    pub fn expiry_due(self, which: Option<Prefix>, key: EventKey) -> bool {
+        let timer = self.timer_of(which);
+        timer.expiry_scheduled && timer.until == key
     }
 
     /// True while any MRAI timer of this queue is armed at `now`.
-    pub fn timer_armed(&self, now: EventKey) -> bool {
+    pub fn timer_armed(self, now: EventKey) -> bool {
         self.timers().any(|(_, t)| t.armed(now))
     }
 
     /// Number of timers armed at `now` (0 or 1 for the per-interface
     /// scope; one per armed prefix otherwise).
-    pub fn armed_count(&self, now: EventKey) -> usize {
+    pub fn armed_count(self, now: EventKey) -> usize {
         self.timers().filter(|(_, t)| t.armed(now)).count()
     }
 
     /// Number of expiry events scheduled for this queue and not yet
     /// popped: the timers something is queued behind.
-    pub fn scheduled_expiries(&self) -> usize {
+    pub fn scheduled_expiries(self) -> usize {
         self.timers().filter(|(_, t)| t.expiry_scheduled).count()
     }
 
@@ -429,10 +391,7 @@ impl<S: Stamp> OutQueue<S> {
     /// each with the key reserved for it. A caller about to
     /// [`OutQueue::force_reset`] this queue uses them to keep the clock
     /// passing those keys.
-    pub fn silent_timers(
-        &self,
-        now: EventKey,
-    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + '_ {
+    pub fn silent_timers(self, now: EventKey) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + 'a {
         self.timers()
             .filter(move |(_, t)| t.armed(now) && !t.expiry_scheduled)
             .map(|(which, t)| (which, t.until))
@@ -442,54 +401,104 @@ impl<S: Stamp> OutQueue<S> {
     /// after `deadline` ([`EventKey::ZERO`] if there is none): where the
     /// clock stands once every timer due by then has run out, scheduled
     /// or not.
-    pub fn latest_key_by(&self, deadline: SimTime) -> EventKey {
+    pub fn latest_key_by(self, deadline: SimTime) -> EventKey {
         let due = self.timers().map(|(_, t)| t.until).filter(|key| key.time <= deadline);
         due.max().unwrap_or(EventKey::ZERO)
     }
 
     /// Number of queued (pending) updates.
-    pub fn pending_len(&self) -> usize {
-        match &self.multi {
-            Some(multi) => multi.pending.len(),
-            None => usize::from(self.pending.is_some()),
-        }
+    pub fn pending_len(self) -> usize {
+        self.state.pending as usize
     }
 
     /// The path the neighbor currently holds from us for `prefix`
     /// (Adj-RIB-out), ignoring anything still queued.
-    pub fn advertised(&self, prefix: Prefix) -> Option<PathId> {
-        lookup(&self.sent, self.multi.as_ref().map(|m| &m.sent), prefix).copied()
+    pub fn advertised(self, prefix: Prefix) -> Option<PathId> {
+        self.sent(self.out_cell(self.row_of(prefix)?))
     }
 
     /// What the neighbor will believe once the queue drains: the queued
     /// intent if any, else the Adj-RIB-out.
-    pub fn intent(&self, prefix: Prefix) -> Option<PathId> {
-        match self.pending(prefix) {
-            Some((kind, _)) => kind.path(),
-            None => self.advertised(prefix),
+    pub fn intent(self, prefix: Prefix) -> Option<PathId> {
+        self.intent_at(self.out_cell(self.row_of(prefix)?))
+    }
+
+    /// The update queued for `prefix`, if one waits.
+    pub fn queued_update(self, prefix: Prefix) -> Option<UpdateKind> {
+        self.queued(self.out_cell(self.row_of(prefix)?))
+    }
+}
+
+/// One session's output queue, writable: its [`SessionState`] and its
+/// cells of every row (see the module docs). Made by
+/// [`crate::RouteSlab::queue_mut`]; building one allocates nothing. Rows
+/// are addressed by index where the caller has one, with their prefix.
+#[derive(Debug)]
+pub struct OutQueue<'a, S = ()> {
+    pub(crate) state: &'a mut SessionState,
+    pub(crate) out: &'a mut RibOut<S>,
+    /// Every `(prefix, row)`, sorted by prefix: the order a flush walks.
+    pub(crate) by_prefix: &'a [(Prefix, u32)],
+    pub(crate) stripe: Stripe,
+    /// The session's slot at its node, which flushed updates are tagged
+    /// with.
+    pub(crate) slot: u32,
+}
+
+impl<S: Stamp> OutQueue<'_, S> {
+    /// The read-only face of this queue.
+    pub fn view(&self) -> QueueView<'_, S> {
+        let (state, out, by_prefix) = (&*self.state, &*self.out, self.by_prefix);
+        QueueView { state, out, by_prefix, stripe: self.stripe, slot: self.slot }
+    }
+
+    fn out_cell(&self, row: usize) -> usize {
+        self.out.out_cell(row, self.stripe, self.slot)
+    }
+
+    /// The row of the timer `which` names: `Some(None)` for the session
+    /// timer, `None` for a prefix no row holds (no timer governs it).
+    fn timer_row(&self, which: Option<Prefix>) -> Option<Option<usize>> {
+        match which {
+            None => Some(None),
+            Some(prefix) => self.view().row_of(prefix).map(Some),
         }
     }
 
-    /// Queues `kind` behind the armed timer governing `prefix`, folding
-    /// the stamp of any update it displaces into its own so no root loses
-    /// its attribution, and asks for the timer's expiry event if this is
-    /// the first update to wait for it.
-    fn park(
-        &mut self,
-        prefix: Prefix,
-        kind: UpdateKind,
-        mut stamp: S,
-        step: &mut Step<S>,
-    ) -> Submit<S> {
-        match self.pending_map().get_mut(prefix) {
-            Some(queued) => {
-                stamp.coalesce_with(&queued.1, step.paths.root_sets_mut());
-                step.costs.mrai_coalesced += 1;
-                *queued = (kind, stamp);
+    /// The timer `which` names (see [`QueueView::timer`]), writable.
+    fn timer_mut(&mut self, which: Option<usize>) -> TimerMut<'_> {
+        match which {
+            None => (&mut self.state.until, &mut self.state.expiry_scheduled),
+            Some(row) => {
+                let at = self.out_cell(row);
+                let timer = self.out.timer_mut(at);
+                (&mut timer.until, &mut timer.expiry_scheduled)
             }
-            None => self.set_pending(prefix, (kind, stamp)),
         }
-        let (until, expiry_scheduled) = self.timer_mut(governing(step.cfg.mrai_scope, prefix));
+    }
+
+    /// Empties cell `at`'s queued update, handing it back with its stamp.
+    fn take_queued(&mut self, at: usize) -> Option<(UpdateKind, S)> {
+        let kind = std::mem::take(Stripe::cut_mut(&mut self.out.queued, at)).kind()?;
+        self.state.pending -= 1;
+        Some((kind, *Stripe::cut(&self.out.stamps, at)))
+    }
+
+    /// Queues `kind` in cell `at` of `row` behind the armed timer
+    /// governing it, folding the stamp of any update it displaces into its
+    /// own so no root loses its attribution, and asks for the timer's
+    /// expiry event if this is the first update to wait for it.
+    fn park(&mut self, row: usize, at: usize, kind: UpdateKind, mut stamp: S, step: &mut Step<S>) -> Submit<S> {
+        let queued = Stripe::cut_mut(&mut self.out.queued, at);
+        let held = Stripe::cut_mut(&mut self.out.stamps, at);
+        if *queued == Queued::default() {
+            self.state.pending += 1;
+        } else {
+            stamp.coalesce_with(held, step.paths.root_sets_mut());
+            step.costs.mrai_coalesced += 1;
+        }
+        (*queued, *held) = (Queued::of(kind), stamp);
+        let (until, expiry_scheduled) = self.timer_mut(governing(step.cfg.mrai_scope, row));
         // A timer armed earlier in this step has no key yet; `arm_at`
         // delivers it and finds this update waiting.
         let ask = !*expiry_scheduled && *until != EventKey::NEVER;
@@ -499,78 +508,62 @@ impl<S: Stamp> OutQueue<S> {
         }
     }
 
-    /// Submits a new intent for `prefix`: `Some(path)` to announce, `None`
-    /// to withdraw. `rel` is the relation of this session's edge; the
-    /// resulting update carries `step.cause.with_rel(rel)`. `intent` is an
-    /// id of `step.paths`, whose root-set table a coalesced stamp is
-    /// interned in. Adj-RIB-out writes and coalesced updates are tallied
-    /// into `step.costs`. Returns what the caller must do.
+    /// Submits a new intent for `prefix`, the prefix of `row`: `Some(path)`
+    /// to announce, `None` to withdraw. `rel` is the relation of this
+    /// session's edge; the resulting update carries
+    /// `step.cause.with_rel(rel)`. `intent` is an id of `step.paths`,
+    /// whose root-set table a coalesced stamp is interned in. Adj-RIB-out
+    /// writes and coalesced updates are tallied into `step.costs`.
+    /// Returns what the caller must do.
     pub fn submit(
         &mut self,
+        row: usize,
         prefix: Prefix,
         intent: Option<PathId>,
         rel: Relationship,
         step: &mut Step<S>,
     ) -> Submit<S> {
+        let at = self.out_cell(row);
         // Drop no-ops against the eventual neighbor state.
-        if self.intent(prefix) == intent {
+        if self.view().intent_at(at) == intent {
             return Submit::Suppressed;
         }
         let stamp = step.cause.with_rel(rel);
-        match intent {
-            None => self.submit_withdraw(prefix, stamp, step),
-            Some(path) => self.submit_announce(prefix, path, stamp, step),
-        }
-    }
-
-    fn submit_withdraw(&mut self, prefix: Prefix, stamp: S, step: &mut Step<S>) -> Submit<S> {
-        // A queued announcement that never went out is invalidated: if the
-        // neighbor holds nothing, removing it finishes the job silently.
-        self.pending_map().remove(prefix);
-        if self.advertised(prefix).is_none() {
-            return Submit::Suppressed;
-        }
-        // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and do
-        // not arm the timer. RFC 4271 (WRATE): they queue like
-        // announcements.
         let scope = step.cfg.mrai_scope;
-        let rate_limited = step.cfg.mrai_mode.rate_limits_withdrawals();
-        if rate_limited && self.is_armed(prefix, scope, step.now) {
-            return self.park(prefix, UpdateKind::Withdraw, stamp, step);
-        }
-        self.sent_map().remove(prefix);
-        step.costs.rib_out_writes += 1;
-        if rate_limited {
-            self.arm_timer(governing(scope, prefix));
-        }
-        Submit::SendNow {
-            update: Update::withdraw(prefix).stamped(stamp),
-            arm_timer: rate_limited,
-        }
-    }
-
-    fn submit_announce(
-        &mut self,
-        prefix: Prefix,
-        path: PathId,
-        stamp: S,
-        step: &mut Step<S>,
-    ) -> Submit<S> {
-        let scope = step.cfg.mrai_scope;
-        if self.is_armed(prefix, scope, step.now) {
-            self.park(prefix, UpdateKind::Announce(path), stamp, step)
-        } else {
-            debug_assert!(
-                self.pending(prefix).is_none(),
-                "pending update with an idle timer"
-            );
-            self.set_sent(prefix, path);
-            step.costs.rib_out_writes += 1;
-            self.arm_timer(governing(scope, prefix));
-            Submit::SendNow {
-                update: Update::announce(prefix, path).stamped(stamp),
-                arm_timer: true,
+        let armed = self.view().timer(governing(scope, row)).armed(step.now);
+        let Some(path) = intent else {
+            // A queued announcement that never went out is invalidated: if
+            // the neighbor holds nothing, removing it finishes the job
+            // silently.
+            self.take_queued(at);
+            if self.view().sent(at).is_none() {
+                return Submit::Suppressed;
             }
+            // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and
+            // do not arm the timer. RFC 4271 (WRATE): they queue like
+            // announcements.
+            let rate_limited = step.cfg.mrai_mode.rate_limits_withdrawals();
+            if rate_limited && armed {
+                return self.park(row, at, UpdateKind::Withdraw, stamp, step);
+            }
+            self.write_sent(at, None, step);
+            if rate_limited {
+                self.arm_timer_at(governing(scope, row));
+            }
+            return Submit::SendNow {
+                update: Update::withdraw(prefix).stamped(stamp),
+                arm_timer: rate_limited,
+            };
+        };
+        if armed {
+            return self.park(row, at, UpdateKind::Announce(path), stamp, step);
+        }
+        debug_assert!(self.view().queued(at).is_none(), "pending update with an idle timer");
+        self.write_sent(at, Some(path), step);
+        self.arm_timer_at(governing(scope, row));
+        Submit::SendNow {
+            update: Update::announce(prefix, path).stamped(stamp),
+            arm_timer: true,
         }
     }
 
@@ -580,9 +573,12 @@ impl<S: Stamp> OutQueue<S> {
     /// if an update was queued behind the timer in the meantime: the
     /// caller must then schedule the expiry event at `key` right away.
     pub fn arm_at(&mut self, which: Option<Prefix>, key: EventKey) -> bool {
+        let Some(which) = self.timer_row(which) else {
+            return false;
+        };
         let waiting = match which {
-            None => self.pending_len() > 0,
-            Some(prefix) => self.pending(prefix).is_some(),
+            None => self.state.pending > 0,
+            Some(row) => self.view().queued(self.out_cell(row)).is_some(),
         };
         let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(*until == EventKey::NEVER, "a key for a timer nothing armed");
@@ -593,46 +589,34 @@ impl<S: Stamp> OutQueue<S> {
     /// Handles the expiry event of the timer `trigger` names (`None`: the
     /// per-interface session timer, `Some(prefix)`: a per-prefix timer),
     /// popping at `step.now`: drains the pending updates that timer
-    /// governs (skipping any that have become no-ops against the
-    /// Adj-RIB-out), pushes the ones that go on the wire now onto
-    /// `step.out.sends` tagged with `slot` (this queue's session slot at
-    /// its node), and returns whether the timer re-arms. When it does the
-    /// caller must reserve the next expiry's key and hand it over with
-    /// [`OutQueue::arm_at`].
+    /// governs, in prefix order (skipping any that have become no-ops
+    /// against the Adj-RIB-out), pushes the ones that go on the wire now
+    /// onto `step.out.sends` tagged with this queue's slot, and returns
+    /// whether the timer re-arms. When it does the caller must reserve the
+    /// next expiry's key and hand it over with [`OutQueue::arm_at`].
     ///
     /// # Panics
-    /// Panics (in debug builds) unless [`OutQueue::expiry_due`] holds of
+    /// Panics (in debug builds) unless [`QueueView::expiry_due`] holds of
     /// `trigger` and `step.now`.
-    pub fn flush(&mut self, trigger: Option<Prefix>, slot: u32, step: &mut Step<S>) -> bool {
+    pub fn flush(&mut self, trigger: Option<Prefix>, step: &mut Step<S>) -> bool {
+        let Some(which) = self.timer_row(trigger) else {
+            return false;
+        };
         let before = step.out.sends.len();
-        match trigger {
-            None => match &mut self.multi {
-                None => {
-                    if let Some((prefix, (kind, stamp))) = self.pending.take() {
-                        self.emit(prefix, kind, stamp, slot, step);
+        match which.zip(trigger) {
+            Some((row, prefix)) => self.emit(row, prefix, step),
+            None => {
+                let by_prefix = self.by_prefix;
+                for &(prefix, row) in by_prefix {
+                    if self.state.pending == 0 {
+                        break;
                     }
-                }
-                Some(multi) => {
-                    // Taken out so `emit` can write the Adj-RIB-out while
-                    // the drain runs, in prefix order, and put back
-                    // emptied: the buffer serves the next window.
-                    let mut pending = std::mem::take(&mut multi.pending);
-                    for (prefix, (kind, stamp)) in pending.drain(..) {
-                        self.emit(prefix, kind, stamp, slot, step);
-                    }
-                    if let Some(multi) = &mut self.multi {
-                        multi.pending = pending;
-                    }
-                }
-            },
-            Some(prefix) => {
-                if let Some((kind, stamp)) = self.pending_map().remove(prefix) {
-                    self.emit(prefix, kind, stamp, slot, step);
+                    self.emit(row as usize, prefix, step);
                 }
             }
         }
         let rearm = step.out.sends.len() > before;
-        let (until, expiry_scheduled) = self.timer_mut(trigger);
+        let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(
             *expiry_scheduled && *until == step.now,
             "flush at {:?} of a timer expiring at {:?}",
@@ -647,73 +631,49 @@ impl<S: Stamp> OutQueue<S> {
         rearm
     }
 
-    /// Puts one pending update on `step.out.sends`, tagged with `slot`,
-    /// unless it is a no-op against the Adj-RIB-out, which it updates on
-    /// emission. The stored (possibly coalesced) stamp rides out on the
-    /// message.
-    fn emit(
-        &mut self,
-        prefix: Prefix,
-        kind: UpdateKind,
-        stamp: S,
-        slot: u32,
-        step: &mut Step<S>,
-    ) {
-        let update = match kind {
-            UpdateKind::Announce(path) => {
-                if self.advertised(prefix) == Some(path) {
-                    return; // neighbor already has it
-                }
-                self.set_sent(prefix, path);
-                Update::announce(prefix, path)
+    /// Puts the update queued for `prefix`, the prefix of `row`, on
+    /// `step.out.sends`, unless nothing is queued there or it is a no-op
+    /// against the Adj-RIB-out, which it updates on emission. The stored
+    /// (possibly coalesced) stamp rides out on the message.
+    fn emit(&mut self, row: usize, prefix: Prefix, step: &mut Step<S>) {
+        let at = self.out_cell(row);
+        if let Some((kind, stamp)) = self.take_queued(at) {
+            if self.write_sent(at, kind.path(), step) {
+                step.out.sends.push((self.slot, Update { prefix, kind, stamp }));
             }
-            UpdateKind::Withdraw => {
-                if self.sent_map().remove(prefix).is_none() {
-                    return;
-                }
-                Update::withdraw(prefix)
-            }
-        };
+        }
+    }
+
+    /// Writes `path` into cell `at`'s Adj-RIB-out, tallied; false, and no
+    /// write, if the neighbor holds it already.
+    fn write_sent(&mut self, at: usize, path: Option<PathId>, step: &mut Step<S>) -> bool {
+        let sent = Stripe::cut_mut(&mut self.out.sent, at);
+        if *sent == path {
+            return false;
+        }
+        *sent = path;
         step.costs.rib_out_writes += 1;
-        step.out.sends.push((slot, update.stamped(stamp)));
+        true
     }
 
-    /// Clears all routing state (Adj-RIB-out, pending updates, run-out
-    /// timers).
-    ///
-    /// # Panics
-    /// Panics if a timer is still armed at `now` — the neighbor would see
-    /// the next announcement too early.
-    pub fn reset(&mut self, now: EventKey) {
-        assert!(!self.timer_armed(now), "reset with an armed MRAI timer");
-        self.force_reset();
-    }
-
-    /// Transmits `path` immediately, bypassing the rate limiter — used
-    /// only for the initial full-table exchange of a freshly established
-    /// session, which real BGP does not MRAI-limit (the timer governs
-    /// *subsequent* advertisements). Returns the message to send, stamped
-    /// like a [`OutQueue::submit`] over an edge of relation `rel`, or
-    /// `None` if the neighbor already holds an identical route. The
+    /// Transmits `path` for `prefix`, the prefix of `row`, immediately,
+    /// bypassing the rate limiter — used only for the initial full-table
+    /// exchange of a freshly established session, which real BGP does not
+    /// MRAI-limit (the timer governs *subsequent* advertisements). The
+    /// caller checks that no timer is armed. Returns the message to send,
+    /// stamped like a [`OutQueue::submit`] over an edge of relation `rel`,
+    /// or `None` if the neighbor already holds an identical route. The
     /// caller arms the timer once afterwards via [`OutQueue::arm_timer`].
-    ///
-    /// # Panics
-    /// Panics if a timer is armed at `step.now` (a fresh session starts
-    /// idle).
     pub fn send_unlimited(
         &mut self,
+        row: usize,
         prefix: Prefix,
         path: PathId,
         rel: Relationship,
         step: &mut Step<S>,
     ) -> Option<Update<S>> {
-        assert!(!self.timer_armed(step.now), "initial exchange on a rate-limited session");
-        if self.advertised(prefix) == Some(path) {
-            return None;
-        }
-        self.set_sent(prefix, path);
-        step.costs.rib_out_writes += 1;
-        Some(Update::announce(prefix, path).stamped(step.cause.with_rel(rel)))
+        let written = self.write_sent(self.out_cell(row), Some(path), step);
+        written.then(|| Update::announce(prefix, path).stamped(step.cause.with_rel(rel)))
     }
 
     /// Arms a timer (a send does it itself; the caller does after an
@@ -721,35 +681,40 @@ impl<S: Stamp> OutQueue<S> {
     /// `which` is `None`, a per-prefix timer otherwise. The caller must
     /// reserve the expiry's key and hand it over with [`OutQueue::arm_at`].
     pub fn arm_timer(&mut self, which: Option<Prefix>) {
+        if let Some(which) = self.timer_row(which) {
+            self.arm_timer_at(which);
+        }
+    }
+
+    fn arm_timer_at(&mut self, which: Option<usize>) {
         let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(!*expiry_scheduled, "arming over a scheduled expiry");
         *until = EventKey::NEVER;
     }
 
-    /// Clears all state unconditionally, disarming every timer — used on a
-    /// **session reset** (the TCP session to the neighbor dropped, so the
-    /// neighbor has discarded everything we sent and any queued updates
-    /// are moot). An expiry event scheduled for this queue is stale from
-    /// here on: [`OutQueue::expiry_due`] is false of it.
-    /// A spilled queue stays spilled and keeps its buffers.
+    /// Clears the session's Adj-RIB-out, queued updates and timers in
+    /// every row unconditionally — used on a **session reset** (the TCP
+    /// session to the neighbor dropped, so the neighbor has discarded
+    /// everything we sent and any queued updates are moot). An expiry
+    /// event scheduled for this queue is stale from here on:
+    /// [`QueueView::expiry_due`] is false of it. Liveness is kept.
     pub fn force_reset(&mut self) {
-        Timer {
-            until: self.until,
-            expiry_scheduled: self.expiry_scheduled,
-        } = Timer::IDLE;
-        self.sent = None;
-        self.pending = None;
-        if let Some(multi) = &mut self.multi {
-            multi.prefix_timers.clear();
-            multi.pending.clear();
-            multi.sent.clear();
+        *self.state = self.state.idle();
+        let by_prefix = self.by_prefix;
+        for &(_, row) in by_prefix {
+            let at = self.out_cell(row as usize);
+            *Stripe::cut_mut(&mut self.out.sent, at) = None;
+            *Stripe::cut_mut(&mut self.out.queued, at) = Queued::default();
+            if !self.out.timers.is_empty() {
+                *Stripe::cut_mut(&mut self.out.timers, at) = Timer::IDLE;
+            }
         }
     }
 }
 
-/// Which timer of a session governs `prefix` under `scope`: `None` is the
-/// session's one timer, `Some(prefix)` that prefix's own.
-pub(crate) fn governing(scope: MraiScope, prefix: Prefix) -> Option<Prefix> {
+/// Which timer of a session governs `prefix` (or its row) under `scope`:
+/// `None` is the session's one timer, `Some(prefix)` that prefix's own.
+pub(crate) fn governing<T>(scope: MraiScope, prefix: T) -> Option<T> {
     match scope {
         MraiScope::PerInterface => None,
         MraiScope::PerPrefix => Some(prefix),
@@ -809,7 +774,11 @@ impl<S: Stamp> Lender<S> {
 mod tests {
     use super::*;
     use crate::config::MraiMode;
+    use crate::node::Session;
+    use crate::{RouteSlab, SessionSlab};
     use bgpscale_simkernel::SimDuration;
+    use bgpscale_topology::AsId;
+    use std::sync::Arc;
 
     const P: Prefix = Prefix(1);
     const Q: Prefix = Prefix(2);
@@ -820,10 +789,12 @@ mod tests {
     const MRAI: SimDuration = SimDuration::from_secs(30);
 
     /// A queue with the caller's side of the contract around it, as the
-    /// simulator keeps it: what a step is lent, a clock, a sequence
-    /// counter to reserve keys from and the expiry events asked for.
+    /// simulator keeps it: the node's slab and route columns, what a step
+    /// is lent, a clock, a sequence counter to reserve keys from and the
+    /// expiry events asked for.
     struct Driven<S = ()> {
-        q: OutQueue<S>,
+        slab: Arc<SessionSlab>,
+        routes: RouteSlab<S>,
         lent: Lender<S>,
         now: EventKey,
         next_seq: u64,
@@ -841,10 +812,14 @@ mod tests {
     }
 
     impl<S: Stamp> Driven<S> {
-        /// A queue whose updates carry stamps of type `S`.
+        /// A queue whose updates carry stamps of type `S`: slot 3 of AS0,
+        /// whose sessions are peers AS1 to AS4.
         fn stamped(mrai_scope: MraiScope) -> Driven<S> {
+            let sessions = (1..=4).map(|peer| Session { peer: AsId(peer), rel: REL }).collect();
+            let slab = SessionSlab::for_single(AsId(0), sessions);
             Driven {
-                q: OutQueue::new(),
+                routes: RouteSlab::new(&slab),
+                slab,
                 lent: Lender::new(BgpConfig {
                     mrai_scope,
                     ..BgpConfig::default()
@@ -853,6 +828,21 @@ mod tests {
                 next_seq: 1,
                 expiries: Vec::new(),
             }
+        }
+
+        /// The queue under test, read-only.
+        fn q(&self) -> QueueView<'_, S> {
+            self.routes.queue(self.slab.stripe(0), SLOT)
+        }
+
+        /// The queue under test, writable.
+        fn q_mut(&mut self) -> OutQueue<'_, S> {
+            self.routes.queue_mut(self.slab.stripe(0), SLOT)
+        }
+
+        /// The row of `prefix`, appended on its first use.
+        fn row(&mut self, prefix: Prefix) -> usize {
+            self.routes.touch(prefix, 0, self.slab.stripe(0))
         }
 
         /// The key of an event scheduled now to pop `after` from now.
@@ -871,7 +861,7 @@ mod tests {
 
         fn arm_at(&mut self, which: Option<Prefix>) {
             let key = self.reserve(MRAI);
-            if self.q.arm_at(which, key) {
+            if self.q_mut().arm_at(which, key) {
                 self.expiries.push(key);
             }
         }
@@ -890,7 +880,9 @@ mod tests {
         ) -> Submit<S> {
             self.lent.cfg.mrai_mode = mode;
             let intent = intent.map(|hops| self.path(hops));
-            let submit = self.q.submit(prefix, intent, REL, &mut self.lent.step(self.now, cause));
+            let row = self.row(prefix);
+            let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
+            let submit = q.submit(row, prefix, intent, REL, &mut self.lent.step(self.now, cause));
             match &submit {
                 Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.lent.cfg.mrai_scope, prefix)),
                 Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
@@ -909,7 +901,8 @@ mod tests {
         fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update<S>>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
-            let rearm = self.q.flush(trigger, SLOT, &mut self.lent.step(self.now, S::default()));
+            let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
+            let rearm = q.flush(trigger, &mut self.lent.step(self.now, S::default()));
             if rearm {
                 self.arm_at(trigger);
             }
@@ -919,7 +912,7 @@ mod tests {
         }
 
         fn armed(&self) -> bool {
-            self.q.timer_armed(self.now)
+            self.q().timer_armed(self.now)
         }
     }
 
@@ -931,43 +924,37 @@ mod tests {
         matches!(submit, Submit::Queued { .. })
     }
 
-    /// The queue's two maps across the inline-to-spilled boundary: one
-    /// prefix lives inline, a second moves everything behind `multi`,
-    /// sorted, and there it stays.
+    /// A queued cell holds nothing, a withdrawal or an announcement in the
+    /// four bytes of an `Option<PathId>`.
     #[test]
-    fn the_maps_stay_sorted_across_the_inline_to_spilled_boundary() {
-        let mut q = OutQueue::new();
-        let mut paths = PathArena::new();
-        let route: Vec<PathId> = (0..4).map(|i| paths.of(&[i])).collect();
-        let waiting = |i: usize| (UpdateKind::Announce(route[i]), ());
-        assert_eq!((q.advertised(P), q.pending_len()), (None, 0));
-        q.set_sent(Q, route[0]);
-        q.set_sent(Q, route[1]); // replace in the inline room
-        assert_eq!((q.advertised(Q), q.advertised(P)), (Some(route[1]), None));
-        assert_eq!(q.sent_map().remove(P), None);
-        // The inline room, emptied, takes another prefix.
-        assert_eq!(q.sent_map().remove(Q), Some(route[1]));
-        q.set_sent(P, route[2]);
-        q.set_pending(Q, waiting(3));
-        assert!(q.multi.is_none(), "one prefix per map is no reason to spill");
-        assert_eq!((q.intent(P), q.intent(Q), q.pending_len()), (Some(route[2]), Some(route[3]), 1));
+    fn a_queued_cell_holds_either_kind_in_four_bytes() {
+        let path = PathArena::new().of(&[1]);
+        assert_eq!(std::mem::size_of::<Queued>(), 4);
+        assert_eq!(Queued::default().kind(), None);
+        assert_eq!(Queued::of(UpdateKind::Withdraw).kind(), Some(UpdateKind::Withdraw));
+        assert_eq!(Queued::of(UpdateKind::Announce(path)).kind(), Some(UpdateKind::Announce(path)));
+    }
 
-        q.set_sent(Prefix(0), route[0]); // spills, smaller key first
-        assert!(q.sent.is_none() && q.pending.is_none());
-        q.set_pending(Prefix(0), waiting(1));
-        q.set_pending(Prefix(0), waiting(0));
-        q.pending_map().get_mut(Q).expect("moved with the rest").0 = UpdateKind::Withdraw;
-        let multi = q.multi.as_ref().expect("spilled");
-        assert_eq!(multi.sent, vec![(Prefix(0), route[0]), (P, route[2])]);
-        assert_eq!(multi.pending, vec![(Prefix(0), waiting(0)), (Q, (UpdateKind::Withdraw, ()))]);
-        assert_eq!((q.advertised(P), q.intent(Q), q.pending_len()), (Some(route[2]), None, 2));
-        assert_eq!(q.pending_map().remove(Prefix(0)), Some(waiting(0)));
-        assert_eq!(q.pending_map().remove(Prefix(0)), None);
-
-        q.force_reset();
-        let multi = q.multi.as_ref().expect("a spilled queue stays spilled");
-        assert!(multi.sent.is_empty() && multi.pending.is_empty() && multi.sent.capacity() >= 2);
-        assert_eq!((q.advertised(P), q.pending_len()), (None, 0));
+    /// A session's cells are its own in every row: one prefix's
+    /// Adj-RIB-out and queued update never show in another's, nor in
+    /// another session's, and the pending count is the number of its
+    /// non-empty queued cells.
+    #[test]
+    fn each_prefix_and_session_has_its_own_cells() {
+        let mut d = Driven::per_interface();
+        d.submit(Q, Some(&[1]), MraiMode::NoWrate); // sends, arms
+        d.submit(P, Some(&[2]), MraiMode::NoWrate); // queues
+        d.submit(Prefix(0), Some(&[3]), MraiMode::NoWrate); // queues
+        let (one, two, three) = (d.path(&[1]), d.path(&[2]), d.path(&[3]));
+        assert_eq!(d.routes.rows(), 3);
+        assert_eq!((d.q().advertised(Q), d.q().advertised(P)), (Some(one), None));
+        assert_eq!((d.q().intent(P), d.q().intent(Prefix(0))), (Some(two), Some(three)));
+        assert_eq!(d.q().queued_update(P), Some(UpdateKind::Announce(two)));
+        assert_eq!(d.q().pending_len(), 2);
+        let other = d.routes.queue(d.slab.stripe(0), SLOT - 1);
+        assert!([P, Q, Prefix(0)].iter().all(|&p| other.intent(p).is_none()), "slot 2 shares no cell");
+        assert_eq!((other.pending_len(), d.q().advertised(Prefix(9))), (0, None));
+        assert!(d.routes.out.timers.is_empty(), "the per-interface scope arms no per-prefix timer");
     }
 
     #[test]
@@ -982,7 +969,7 @@ mod tests {
             }
         );
         assert!(d.armed());
-        assert_eq!(d.q.advertised(P), Some(d.path(&[1, 2])));
+        assert_eq!(d.q().advertised(P), Some(d.path(&[1, 2])));
         assert!(d.expiries.is_empty(), "nothing waits: no expiry event");
     }
 
@@ -992,11 +979,11 @@ mod tests {
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         let r = d.submit(P, Some(&[1, 3]), MraiMode::NoWrate);
         assert!(queued(&r));
-        assert_eq!(d.q.pending_len(), 1);
+        assert_eq!(d.q().pending_len(), 1);
         // Adj-RIB-out still shows the transmitted route; intent shows the
         // queued one.
-        assert_eq!(d.q.advertised(P), Some(d.path(&[1])));
-        assert_eq!(d.q.intent(P), Some(d.path(&[1, 3])));
+        assert_eq!(d.q().advertised(P), Some(d.path(&[1])));
+        assert_eq!(d.q().intent(P), Some(d.path(&[1, 3])));
     }
 
     #[test]
@@ -1005,7 +992,7 @@ mod tests {
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.submit(P, Some(&[1, 3]), MraiMode::NoWrate);
         d.submit(P, Some(&[1, 4]), MraiMode::NoWrate);
-        assert_eq!(d.q.pending_len(), 1, "replaced, not accumulated");
+        assert_eq!(d.q().pending_len(), 1, "replaced, not accumulated");
         let (sent, rearm) = d.expire(None);
         assert_eq!(sent, vec![Update::announce(P, d.path(&[1, 4]))]);
         assert!(rearm);
@@ -1017,7 +1004,7 @@ mod tests {
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         let r = d.submit(P, Some(&[1]), MraiMode::NoWrate);
         assert_eq!(r, Submit::Suppressed);
-        assert_eq!(d.q.pending_len(), 0);
+        assert_eq!(d.q().pending_len(), 0);
     }
 
     #[test]
@@ -1047,7 +1034,7 @@ mod tests {
                 arm_timer: false
             }
         );
-        assert_eq!(d.q.advertised(P), None);
+        assert_eq!(d.q().advertised(P), None);
         // Timer stays armed from the earlier announcement.
         assert!(d.armed());
     }
@@ -1114,7 +1101,7 @@ mod tests {
         let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty());
         assert!(!rearm);
-        assert_eq!(d.q.advertised(P), Some(d.path(&[1])));
+        assert_eq!(d.q().advertised(P), Some(d.path(&[1])));
     }
 
     #[test]
@@ -1156,7 +1143,7 @@ mod tests {
         for (earlier_seq, parks) in [(true, true), (false, false)] {
             let mut d = Driven::per_interface();
             d.submit(P, Some(&[1]), MraiMode::NoWrate);
-            let until = d.q.latest_key_by(SimTime::MAX);
+            let until = d.q().latest_key_by(SimTime::MAX);
             assert_eq!(until.time, SimTime::ZERO + MRAI);
             // An event of the expiry's own instant, scheduled before or
             // after the timer was armed.
@@ -1184,20 +1171,20 @@ mod tests {
         let Submit::Queued { expire_at: Some(key) } = first else {
             panic!("the first update to wait asks for the expiry, got {first:?}");
         };
-        assert_eq!(d.q.scheduled_expiries(), 1);
+        assert_eq!(d.q().scheduled_expiries(), 1);
         // More updates in the window, and a NO-WRATE withdrawal that
         // empties the queue again, ask for nothing.
         assert_eq!(d.submit(Q, Some(&[3]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
         assert_eq!(d.submit(P, Some(&[4]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
         d.submit(P, None, MraiMode::NoWrate);
         d.submit(Q, None, MraiMode::NoWrate);
-        assert_eq!(d.q.pending_len(), 0);
+        assert_eq!(d.q().pending_len(), 0);
         assert_eq!(d.submit(P, Some(&[5]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
         assert_eq!(d.expiries, vec![key]);
         // The flush re-arms; the next window asks again, at its own key.
         let (_, rearm) = d.expire(None);
         assert!(rearm);
-        assert_eq!(d.q.scheduled_expiries(), 0);
+        assert_eq!(d.q().scheduled_expiries(), 0);
         let again = d.submit(P, Some(&[6]), MraiMode::NoWrate);
         assert!(matches!(again, Submit::Queued { expire_at: Some(k) } if k > key));
     }
@@ -1207,21 +1194,22 @@ mod tests {
     /// `arm_at` then reports the waiting update.
     #[test]
     fn an_update_queued_before_the_key_arrives_gets_its_expiry_from_arm_at() {
-        let mut q = OutQueue::new();
-        let mut lent = Lender::default();
-        let (one, two) = (lent.paths.of(&[1]), lent.paths.of(&[2]));
-        let mut step = lent.step(EventKey::ZERO, ());
-        assert!(sent_now(&q.submit(P, Some(one), REL, &mut step)));
-        let second = q.submit(Q, Some(two), REL, &mut step);
+        let mut d = Driven::per_interface();
+        let (one, two) = (d.path(&[1]), d.path(&[2]));
+        let (p_row, q_row) = (d.row(P), d.row(Q));
+        let mut q = d.routes.queue_mut(d.slab.stripe(0), SLOT);
+        let mut step = d.lent.step(EventKey::ZERO, ());
+        assert!(sent_now(&q.submit(p_row, P, Some(one), REL, &mut step)));
+        let second = q.submit(q_row, Q, Some(two), REL, &mut step);
         assert_eq!(second, Submit::Queued { expire_at: None });
         let key = EventKey {
             time: SimTime::from_secs(25),
             seq: 7,
         };
         assert!(q.arm_at(None, key), "an update waits: schedule the expiry now");
-        assert_eq!(q.scheduled_expiries(), 1);
-        assert!(q.flush(None, SLOT, &mut lent.step(key, ())));
-        assert_eq!(lent.out.sends, vec![(SLOT, Update::announce(Q, two))]);
+        assert_eq!(q.view().scheduled_expiries(), 1);
+        assert!(q.flush(None, &mut d.lent.step(key, ())));
+        assert_eq!(d.lent.out.sends, vec![(SLOT, Update::announce(Q, two))]);
     }
 
     /// An expiry event is due exactly from the ask to the flush, at the
@@ -1237,39 +1225,39 @@ mod tests {
                 time: SimTime::ZERO + MRAI,
                 seq: 2,
             };
-            assert!(!d.q.expiry_due(which, anywhere), "an idle timer waits for nothing");
+            assert!(!d.q().expiry_due(which, anywhere), "an idle timer waits for nothing");
             d.submit(P, Some(&[1]), MraiMode::NoWrate);
-            let until = d.q.latest_key_by(SimTime::MAX);
-            assert!(d.armed() && !d.q.expiry_due(which, until), "armed, but no event was asked for");
+            let until = d.q().latest_key_by(SimTime::MAX);
+            assert!(d.armed() && !d.q().expiry_due(which, until), "armed, but no event was asked for");
 
             assert_eq!(d.submit(P, Some(&[2]), MraiMode::NoWrate), Submit::Queued { expire_at: Some(until) });
-            assert!(d.q.expiry_due(which, until));
+            assert!(d.q().expiry_due(which, until));
             for seq in [until.seq - 1, until.seq + 1] {
-                assert!(!d.q.expiry_due(which, EventKey { seq, ..until }), "one seq off is another event");
+                assert!(!d.q().expiry_due(which, EventKey { seq, ..until }), "one seq off is another event");
             }
             let other = if which.is_none() { Some(P) } else { None };
-            assert!(!d.q.expiry_due(other, until), "the other scope's timer was never armed");
-            assert!(!d.q.expiry_due(Some(Q), until));
+            assert!(!d.q().expiry_due(other, until), "the other scope's timer was never armed");
+            assert!(!d.q().expiry_due(Some(Q), until));
 
             let (sent, rearm) = d.expire(which);
             assert!(sent.len() == 1 && rearm);
-            assert!(!d.q.expiry_due(which, until), "flushed: the event is spent");
-            let next = d.q.latest_key_by(SimTime::MAX);
-            assert!(next > until && !d.q.expiry_due(which, next), "re-armed, nothing waiting yet");
+            assert!(!d.q().expiry_due(which, until), "flushed: the event is spent");
+            let next = d.q().latest_key_by(SimTime::MAX);
+            assert!(next > until && !d.q().expiry_due(which, next), "re-armed, nothing waiting yet");
 
             // A session reset forgets an asked-for expiry, and a timer
             // armed after it gets a key of its own.
             d.submit(P, Some(&[3]), MraiMode::NoWrate);
-            assert!(d.q.expiry_due(which, next));
-            d.q.force_reset();
-            assert!(!d.q.expiry_due(which, next), "stale after the reset");
+            assert!(d.q().expiry_due(which, next));
+            d.q_mut().force_reset();
+            assert!(!d.q().expiry_due(which, next), "stale after the reset");
             d.expiries.clear();
             d.submit(P, Some(&[4]), MraiMode::NoWrate);
             d.submit(P, Some(&[5]), MraiMode::NoWrate);
             let [fresh] = d.expiries[..] else {
                 panic!("the new window asked once, got {:?}", d.expiries);
             };
-            assert!(d.q.expiry_due(which, fresh) && !d.q.expiry_due(which, next));
+            assert!(d.q().expiry_due(which, fresh) && !d.q().expiry_due(which, next));
         }
     }
 
@@ -1278,9 +1266,9 @@ mod tests {
         let mut d = Driven::per_interface();
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.advance(MRAI);
-        d.q.reset(d.now);
-        assert_eq!(d.q.advertised(P), None);
-        assert_eq!(d.q.pending_len(), 0);
+        d.routes.reset_routing(d.now);
+        assert_eq!(d.q().advertised(P), None);
+        assert_eq!(d.q().pending_len(), 0);
     }
 
     #[test]
@@ -1294,7 +1282,7 @@ mod tests {
         );
         // But a second update for P itself queues.
         assert!(queued(&d.submit(P, Some(&[1, 3]), MraiMode::NoWrate)));
-        let armed = |d: &Driven, prefix| d.q.is_armed(prefix, MraiScope::PerPrefix, d.now);
+        let armed = |d: &Driven, prefix| d.q().is_armed(prefix, MraiScope::PerPrefix, d.now);
         assert!(armed(&d, P));
         assert!(armed(&d, Q));
         assert!(!armed(&d, Prefix(99)));
@@ -1307,35 +1295,40 @@ mod tests {
         d.submit(Q, Some(&[2]), MraiMode::NoWrate);
         d.submit(P, Some(&[1, 3]), MraiMode::NoWrate); // queued
         d.submit(Q, Some(&[2, 4]), MraiMode::NoWrate); // queued
-        assert_eq!(d.q.scheduled_expiries(), 2, "one expiry per prefix timer");
+        assert_eq!(d.q().scheduled_expiries(), 2, "one expiry per prefix timer");
         let (sent, rearm) = d.expire(Some(P));
         assert_eq!(sent, vec![Update::announce(P, d.path(&[1, 3]))]);
         assert!(rearm);
         // Q's pending update is untouched.
-        assert_eq!(d.q.pending_len(), 1);
-        assert_eq!(d.q.intent(Q), Some(d.path(&[2, 4])));
+        assert_eq!(d.q().pending_len(), 1);
+        assert_eq!(d.q().intent(Q), Some(d.path(&[2, 4])));
         let (sent_q, _) = d.expire(Some(Q));
         assert_eq!(sent_q, vec![Update::announce(Q, d.path(&[2, 4]))]);
     }
 
-    /// A prefix's timer entry outlives its window and is the one its next
-    /// arm writes: a session flapping one prefix holds one entry.
+    /// A prefix's timer is its cell of the timer column, which outlives
+    /// its window and is the one its next arm writes: a session flapping
+    /// one prefix holds one cell. The column is made on the first
+    /// per-prefix arm, grows with the rows, and a reset drops it.
     #[test]
-    fn per_prefix_entries_whose_key_has_passed_are_reused_not_accumulated() {
+    fn per_prefix_timers_are_cells_made_on_the_first_arm_and_reused() {
+        let timer_cells = |d: &Driven| d.routes.out.timers.len();
         let mut d = Driven::new(MraiScope::PerPrefix);
+        d.row(P);
+        assert_eq!(timer_cells(&d), 0, "nothing armed: no column");
         for round in 0..5 {
             d.submit(P, Some(&[1, round]), MraiMode::NoWrate);
-            assert_eq!(d.q.armed_count(d.now), 1);
+            assert_eq!(d.q().armed_count(d.now), 1);
             d.advance(MRAI);
-            assert!(!d.q.is_armed(P, MraiScope::PerPrefix, d.now));
+            assert!(!d.q().is_armed(P, MraiScope::PerPrefix, d.now));
         }
+        assert_eq!(timer_cells(&d), 4, "one row of cells, rewritten by every arm");
         d.submit(Q, Some(&[2]), MraiMode::NoWrate);
-        let prefix_timers = |d: &Driven| d.q.multi.as_ref().map_or(0, |m| m.prefix_timers.len());
-        assert_eq!(prefix_timers(&d), 2, "one entry per prefix, not per arm");
+        assert_eq!(timer_cells(&d), 8, "a new row brings its cells");
         assert!(d.expiries.is_empty());
         d.advance(MRAI);
-        d.q.reset(d.now);
-        assert_eq!(prefix_timers(&d), 0, "a reset drops the run-out entries");
+        d.routes.reset_routing(d.now);
+        assert_eq!(timer_cells(&d), 0, "a reset drops the column");
     }
 
     #[test]
@@ -1355,7 +1348,7 @@ mod tests {
     fn reset_rejects_armed_timer() {
         let mut d = Driven::per_interface();
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
-        d.q.reset(d.now);
+        d.routes.reset_routing(d.now);
     }
 
     #[test]
@@ -1399,13 +1392,13 @@ mod tests {
     #[test]
     fn armed_count_matches_scope() {
         let mut d = Driven::per_interface();
-        assert_eq!(d.q.armed_count(d.now), 0);
+        assert_eq!(d.q().armed_count(d.now), 0);
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
-        assert_eq!(d.q.armed_count(d.now), 1);
+        assert_eq!(d.q().armed_count(d.now), 1);
         let mut pp = Driven::new(MraiScope::PerPrefix);
         pp.submit(P, Some(&[1]), MraiMode::NoWrate);
         pp.submit(Q, Some(&[2]), MraiMode::NoWrate);
-        assert_eq!(pp.q.armed_count(pp.now), 2);
+        assert_eq!(pp.q().armed_count(pp.now), 2);
     }
 
     /// What a caller about to reset the session needs: the armed timers
@@ -1417,14 +1410,14 @@ mod tests {
         d.advance(SimDuration::from_secs(1));
         d.submit(Q, Some(&[2]), MraiMode::NoWrate);
         d.submit(Q, Some(&[3]), MraiMode::NoWrate); // queues: Q's expiry is scheduled
-        let silent: Vec<_> = d.q.silent_timers(d.now).collect();
-        let p_key = d.q.latest_key_by(SimTime::from_secs(30));
+        let silent: Vec<_> = d.q().silent_timers(d.now).collect();
+        let p_key = d.q().latest_key_by(SimTime::from_secs(30));
         assert_eq!(silent, vec![(Some(P), p_key)]);
         assert_eq!(p_key.time, SimTime::from_secs(30));
-        assert_eq!(d.q.latest_key_by(SimTime::from_secs(31)).time, SimTime::from_secs(31));
-        assert_eq!(d.q.latest_key_by(SimTime::from_secs(29)), EventKey::ZERO, "none due yet");
-        d.q.force_reset();
-        assert_eq!(d.q.silent_timers(d.now).count(), 0);
-        assert_eq!((d.q.armed_count(d.now), d.q.scheduled_expiries()), (0, 0));
+        assert_eq!(d.q().latest_key_by(SimTime::from_secs(31)).time, SimTime::from_secs(31));
+        assert_eq!(d.q().latest_key_by(SimTime::from_secs(29)), EventKey::ZERO, "none due yet");
+        d.q_mut().force_reset();
+        assert_eq!(d.q().silent_timers(d.now).count(), 0);
+        assert_eq!((d.q().armed_count(d.now), d.q().scheduled_expiries()), (0, 0));
     }
 }

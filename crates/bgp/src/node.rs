@@ -1,9 +1,9 @@
 //! The per-AS BGP speaker: the node model of the paper's Fig. 2.
 //!
 //! A node holds routes and nothing else: per neighbor session, an
-//! Adj-RIB-in slot and an MRAI-limited output queue
-//! ([`crate::mrai::OutQueue`]); per prefix, the selected best route
-//! (Loc-RIB); session liveness and damping history. None of it lives in a
+//! MRAI-limited output queue ([`crate::mrai::OutQueue`]) and, per prefix,
+//! an Adj-RIB-in and an Adj-RIB-out cell; per prefix, the selected best
+//! route (Loc-RIB); session liveness and damping history. None of it lives in a
 //! per-node object: every route of the network sits in the columns of one
 //! [`RouteSlab`], and a [`BgpNode`] is the view of one node's share that
 //! the caller builds for one protocol step — the node's AS id, the
@@ -45,17 +45,18 @@
 //! A view is an AS id, two references and a [`Stripe`]: nothing is
 //! allocated to build one. Node `i`'s sessions are the stripe
 //! `SessionSlab::stripe(i)` of the global session id space, made and
-//! checked once when the view is built; its output queues, liveness flags
-//! and, per prefix row, its Adj-RIB-in cells are that stripe of the
-//! slab's per-session columns, cut by the stripe alone, and its Loc-RIB is
-//! entry `i` of each row (see [`crate::arena`]).
+//! checked once when the view is built; its session timers and liveness
+//! flags and, per prefix row, its Adj-RIB-in and output cells are that
+//! stripe of the slab's per-session columns, cut by the stripe alone, and
+//! its Loc-RIB is entry `i` of each row (see [`crate::arena`]).
 //!
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
-//! ([`crate::decision::rank_key`]), the Loc-RIB and each session's
-//! Adj-RIB-out hold the id alone, and every session's [`OutQueue`] is
-//! forty-eight bytes (fifty-six under a `Recorder`). The hops themselves
-//! live once, in the caller's arena.
+//! ([`crate::decision::rank_key`]), and the Loc-RIB and each
+//! Adj-RIB-out cell hold the id alone. A session keeps 24 bytes whatever
+//! it carries, and eight more per prefix row unobserved (the Adj-RIB-out
+//! and the queued update; see [`crate::mrai`]). The hops themselves live
+//! once, in the caller's arena.
 //!
 //! A test that drives one node owns what a simulator would: a one-node
 //! [`SessionSlab::for_single`], its [`RouteSlab`], and the things a
@@ -72,7 +73,7 @@ use crate::arena::{RouteSlab, SessionSlab, Stripe, SELF_SLOT};
 use crate::config::MraiScope;
 use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
-use crate::mrai::{governing, OutQueue, Step, Submit};
+use crate::mrai::{governing, OutQueue, QueueView, Step, Submit};
 use crate::path::PathId;
 use crate::policy::{export_allowed, RouteSource};
 use crate::rfd::FlapKind;
@@ -206,8 +207,8 @@ impl<'a, S: Stamp> NodeView<'a, S> {
     }
 
     /// The output queue of `slot`.
-    fn queue(self, slot: u32) -> &'a OutQueue<S> {
-        self.stripe.entry(&self.routes.out, slot)
+    fn queue(self, slot: u32) -> QueueView<'a, S> {
+        self.routes.queue(self.stripe, slot)
     }
 
     /// The best route for `prefix`: `None` if unreachable, otherwise the
@@ -235,7 +236,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
     }
 
     /// True if the expiry event of `(slot, which)` popping at `key` is
-    /// still the one that timer waits for (see [`OutQueue::expiry_due`]):
+    /// still the one that timer waits for (see [`QueueView::expiry_due`]):
     /// false of every event scheduled before a session reset.
     pub fn expiry_due(self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
         self.queue(slot).expiry_due(which, key)
@@ -250,7 +251,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// The timers of `slot` armed at `now` with no expiry event
     /// scheduled, each with its reserved key (see
-    /// [`OutQueue::silent_timers`]).
+    /// [`QueueView::silent_timers`]).
     pub fn silent_timers(
         self,
         slot: u32,
@@ -260,9 +261,9 @@ impl<'a, S: Stamp> NodeView<'a, S> {
     }
 
     /// The latest key reserved for any MRAI timer of this speaker that is
-    /// not after `deadline` (see [`OutQueue::latest_key_by`]).
+    /// not after `deadline` (see [`QueueView::latest_key_by`]).
     pub fn latest_timer_key_by(self, deadline: SimTime) -> EventKey {
-        let due = self.stripe.share(&self.routes.out).iter().map(|q| q.latest_key_by(deadline));
+        let due = (0..self.sessions().len() as u32).map(|slot| self.queue(slot).latest_key_by(deadline));
         due.max().unwrap_or(EventKey::ZERO)
     }
 
@@ -273,7 +274,7 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// True while the session at `slot` is established.
     pub fn session_active(self, slot: u32) -> bool {
-        *self.stripe.entry(&self.routes.active, slot)
+        self.queue(slot).is_up()
     }
 }
 
@@ -287,7 +288,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         routes: &'a mut RouteSlab<S>,
     ) -> BgpNode<'a, S> {
         let stripe = slab.stripe(id.0);
-        debug_assert_eq!(routes.out.len(), slab.total_sessions(), "route columns of another slab");
+        debug_assert_eq!(routes.state.len(), slab.total_sessions(), "route columns of another slab");
         BgpNode { id, slab, stripe, routes }
     }
 
@@ -300,8 +301,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     ///
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
-    fn queue_mut(&mut self, slot: u32) -> &mut OutQueue<S> {
-        self.stripe.entry_mut(&mut self.routes.out, slot)
+    fn queue_mut(&mut self, slot: u32) -> OutQueue<'_, S> {
+        self.routes.queue_mut(self.stripe, slot)
     }
 
     /// The row of `prefix`, made this node's if it was not.
@@ -426,10 +427,10 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already down.
     pub fn session_down_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = self.stripe.entry_mut(&mut self.routes.active, slot);
-        assert!(*active, "{}: session {slot} already down", self.id);
-        *active = false;
-        self.queue_mut(slot).force_reset();
+        let mut queue = self.routes.queue_mut(self.stripe, slot);
+        assert!(queue.view().is_up(), "{}: session {slot} already down", self.id);
+        queue.state.up = false;
+        queue.force_reset();
         self.routes.damp.clear_session(self.stripe.id(slot));
         // Rows are only ever appended, never removed, so the indices
         // collected here stay valid across the reevaluations.
@@ -452,22 +453,24 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if the session is already up.
     pub fn session_up_caused(&mut self, slot: u32, step: &mut Step<S>) {
-        let active = self.stripe.entry_mut(&mut self.routes.active, slot);
-        assert!(!*active, "{}: session {slot} already up", self.id);
-        *active = true;
-        debug_assert!(!self.view().timer_armed(slot, step.now));
+        let queue = self.routes.queue_mut(self.stripe, slot);
+        assert!(!queue.view().is_up(), "{}: session {slot} already up", self.id);
+        // A fresh session starts idle: the timer governs only what
+        // follows the initial exchange.
+        assert!(!queue.view().timer_armed(step.now), "initial exchange on a rate-limited session");
+        queue.state.up = true;
         // The replay is whatever this call appends past `first`.
         let first = step.out.sends.len();
         let neighbor = self.slab.session(self.stripe, slot);
         // The rows walk in sorted prefix order — the same deterministic
         // replay order the BTreeMap-backed table produced; a row this node
         // never touched has no best route and replays nothing.
-        let snapshot: Vec<(Prefix, u32, PathId)> = self
+        let snapshot: Vec<(usize, Prefix, u32, PathId)> = self
             .routes
             .rows_by_prefix()
-            .filter_map(|(row, p)| self.routes.loc(row, self.id.0).best().map(|(s, path)| (p, s, path)))
+            .filter_map(|(row, p)| self.routes.loc(row, self.id.0).best().map(|(s, path)| (row, p, s, path)))
             .collect();
-        for (prefix, best_slot, path) in snapshot {
+        for (row, prefix, best_slot, path) in snapshot {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
@@ -480,8 +483,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             step.costs.path_intern_misses += 1;
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
-            let queue = self.queue_mut(slot);
-            if let Some(update) = queue.send_unlimited(prefix, export_path, neighbor.rel, step) {
+            let mut queue = self.queue_mut(slot);
+            if let Some(update) = queue.send_unlimited(row, prefix, export_path, neighbor.rel, step) {
                 step.out.sends.push((slot, update));
             }
         }
@@ -508,7 +511,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// re-arms exactly the timers `step.out` lists.
     pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step<S>) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
-        if self.queue_mut(slot).flush(trigger, slot, step) {
+        if self.queue_mut(slot).flush(trigger, step) {
             step.out.arms.push((slot, trigger));
         }
     }
@@ -613,11 +616,9 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // the same id for every later taker. A stub's provider route is
         // taken by no one and builds nothing.
         let mut export: Option<PathId> = None;
-        let sessions = self.slab.sessions(self.stripe);
-        let queues = self.stripe.share_mut(&mut self.routes.out);
-        let active = self.stripe.share(&self.routes.active);
-        for (slot, ((session, queue), &up)) in (0..).zip(sessions.iter().zip(queues).zip(active)) {
-            if !up {
+        for (slot, session) in (0..).zip(self.slab.sessions(self.stripe)) {
+            let mut queue = self.routes.queue_mut(self.stripe, slot);
+            if !queue.view().is_up() {
                 continue;
             }
             let intent = match best {
@@ -633,7 +634,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
                 }
                 _ => None,
             };
-            let submit = queue.submit(prefix, intent, session.rel, step);
+            let submit = queue.submit(row, prefix, intent, session.rel, step);
             step.out.absorb(slot, prefix, submit, step.cfg.mrai_scope);
         }
     }
@@ -1068,6 +1069,49 @@ mod tests {
         w.act(T0, |s| n.session_down_caused(1, s));
         assert_eq!(n.view().advertised(1, P), None);
         assert!(!n.view().timer_armed(1, T0));
+    }
+
+    /// A session that goes down forgets what it sent, what it queued and
+    /// every per-prefix timer, in every row; the other sessions' cells in
+    /// the same rows are untouched.
+    #[test]
+    fn session_down_clears_the_sessions_cells_in_every_row() {
+        let mut w = Lender::new(BgpConfig {
+            mrai_scope: MraiScope::PerPrefix,
+            ..BgpConfig::default()
+        });
+        let mut net = node();
+        let mut n = net.node();
+        let prefixes = [Prefix(4), Prefix(9), Prefix(2)];
+        // Customer routes, exported to the peer (slot 1) and the provider
+        // (slot 2), arm one timer per (slot, prefix).
+        for (i, &p) in prefixes.iter().enumerate() {
+            let a = w.act(T0, |s| n.receive(0, ann(s.paths, p, &[1, 9]), s));
+            for (j, &(slot, which)) in a.arms.iter().enumerate() {
+                assert_eq!(which, Some(p));
+                let key = at(T0.time + MRAI);
+                assert!(!n.timer_armed_at(slot, which, EventKey { seq: 1 + (2 * i + j) as u64, ..key }));
+            }
+        }
+        // Longer paths queue behind those timers.
+        for &p in &prefixes {
+            let a = w.act(T0, |s| n.receive(0, ann(s.paths, p, &[1, 7, 9]), s));
+            assert_eq!(a.expiries.len(), 2, "slots 1 and 2 wait for {p:?}");
+        }
+        for slot in [1, 2] {
+            let queue = n.view().queue(slot);
+            assert_eq!((queue.pending_len(), queue.scheduled_expiries()), (3, 3));
+        }
+
+        w.act(T0, |s| n.session_down_caused(1, s));
+        let (down, up) = (n.view().queue(1), n.view().queue(2));
+        for &p in &prefixes {
+            assert_eq!((down.advertised(p), down.queued_update(p)), (None, None), "{p:?}");
+            assert!(!down.is_armed(p, MraiScope::PerPrefix, T0), "{p:?}'s timer outlived the session");
+            assert!(up.advertised(p).is_some() && up.queued_update(p).is_some(), "slot 2 lost {p:?}");
+        }
+        assert_eq!((down.pending_len(), down.scheduled_expiries(), down.timer_armed(T0)), (0, 0, false));
+        assert_eq!((up.pending_len(), up.scheduled_expiries(), up.armed_count(T0)), (3, 3, 3));
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! of hop lists; the MRAI output queue never lies to the neighbor.
 
 use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
-use bgpscale_bgp::mrai::{OutQueue, Step, Submit};
-use bgpscale_bgp::node::Actions;
-use bgpscale_bgp::{BgpConfig, MraiMode, PathArena, PathId, Prefix, Provenance, Stamp, Update, UpdateKind};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use bgpscale_bgp::mrai::{OutQueue, QueueView, Step, Submit};
+use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::{
+    BgpConfig, MraiMode, MraiScope, PathArena, PathId, Prefix, Provenance, RouteSlab, SessionSlab, Stamp, Update,
+    UpdateKind,
+};
 use bgpscale_obs::OpCounts;
 use bgpscale_simkernel::{EventKey, SimDuration};
 use bgpscale_topology::{AsId, Relationship};
@@ -19,18 +25,23 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
     ])
 }
 
-/// One per-interface queue with the simulator's half of the timer
-/// contract around it: what a step is lent, a clock, keys reserved one
-/// MRAI ahead at every arm, and the one expiry event the queue may have
+/// One output queue — slot 5 of AS0, whose sessions are peers AS1 to
+/// AS8 — with the simulator's half of the timer contract around it: the
+/// node's slab and route columns, what a step is lent, a clock, keys
+/// reserved one MRAI ahead at every arm, and the expiry events the queue
 /// asked for. Its updates carry provenance stamps, so every send can be
 /// checked for the edge it went out on.
 struct Driven {
-    q: OutQueue<Provenance>,
+    slab: Arc<SessionSlab>,
+    routes: RouteSlab<Provenance>,
     cfg: BgpConfig,
     paths: PathArena,
     out: Actions<Provenance>,
     now: EventKey,
-    expiry: Option<EventKey>,
+    next_seq: u64,
+    /// The expiry events asked for and not yet popped, with the timer
+    /// each is for (`None`: the session timer).
+    expiries: Vec<(Option<Prefix>, EventKey)>,
     costs: OpCounts,
 }
 
@@ -38,35 +49,51 @@ const SLOT: u32 = 5;
 const MRAI: SimDuration = SimDuration::from_secs(30);
 
 impl Driven {
-    fn new() -> Driven {
+    fn new(mrai_scope: MraiScope) -> Driven {
+        let sessions = (1..=8).map(|peer| Session { peer: AsId(peer), rel: Relationship::Peer }).collect();
+        let slab = SessionSlab::for_single(AsId(0), sessions);
         Driven {
-            q: OutQueue::new(),
-            cfg: BgpConfig::default(),
+            routes: RouteSlab::new(&slab),
+            slab,
+            cfg: BgpConfig { mrai_scope, ..BgpConfig::default() },
             paths: PathArena::new(),
             out: Actions::default(),
             now: EventKey::ZERO,
-            expiry: None,
+            next_seq: 1,
+            expiries: Vec::new(),
             costs: OpCounts::default(),
         }
     }
 
+    /// The queue under test, read-only.
+    fn q(&self) -> QueueView<'_, Provenance> {
+        self.routes.queue(self.slab.stripe(0), SLOT)
+    }
+
     /// A key one MRAI ahead, ranked after every key handed out so far.
-    fn reserve(&self) -> EventKey {
+    fn reserve(&mut self) -> EventKey {
+        self.next_seq += 1;
         EventKey {
             time: self.now.time + MRAI,
-            seq: self.now.seq + 1,
+            seq: self.next_seq,
         }
     }
 
-    fn arm(&mut self) {
+    fn arm(&mut self, which: Option<Prefix>) {
         let key = self.reserve();
-        if self.q.arm_at(None, key) {
-            assert_eq!(self.expiry.replace(key), None, "one expiry per window");
+        if self.routes.queue_mut(self.slab.stripe(0), SLOT).arm_at(which, key) {
+            self.expect_expiry(which, key);
         }
     }
 
-    /// The step of the event keyed `self.now`.
-    fn step(&mut self) -> (&mut OutQueue<Provenance>, Step<'_, Provenance>) {
+    fn expect_expiry(&mut self, which: Option<Prefix>, key: EventKey) {
+        assert!(key > self.now, "an expiry in the past");
+        assert!(self.expiries.iter().all(|&(w, _)| w != which), "one expiry per window");
+        self.expiries.push((which, key));
+    }
+
+    /// The queue under test and the step of the event keyed `self.now`.
+    fn step(&mut self) -> (OutQueue<'_, Provenance>, Step<'_, Provenance>) {
         let step = Step {
             cfg: &self.cfg,
             now: self.now,
@@ -75,7 +102,7 @@ impl Driven {
             out: &mut self.out,
             costs: &mut self.costs,
         };
-        (&mut self.q, step)
+        (self.routes.queue_mut(self.slab.stripe(0), SLOT), step)
     }
 
     fn submit(
@@ -86,40 +113,42 @@ impl Driven {
         rel: Relationship,
     ) -> Submit<Provenance> {
         self.cfg.mrai_mode = mode;
-        let (q, mut step) = self.step();
-        let submit = q.submit(prefix, intent, rel, &mut step);
+        let row = self.routes.touch(prefix, 0, self.slab.stripe(0));
+        let (mut q, mut step) = self.step();
+        let submit = q.submit(row, prefix, intent, rel, &mut step);
+        let which = if self.cfg.mrai_scope == MraiScope::PerPrefix { Some(prefix) } else { None };
         match &submit {
-            Submit::SendNow { arm_timer: true, .. } => self.arm(),
-            Submit::Queued { expire_at: Some(key) } => {
-                assert!(*key > self.now, "an expiry in the past");
-                assert_eq!(self.expiry.replace(*key), None, "one expiry per window");
-            }
+            Submit::SendNow { arm_timer: true, .. } => self.arm(which),
+            Submit::Queued { expire_at: Some(key) } => self.expect_expiry(which, *key),
             _ => {}
         }
-        assert_eq!(usize::from(self.expiry.is_some()), self.q.scheduled_expiries());
-        assert!(self.expiry.is_some() || self.q.pending_len() == 0, "an update waits for no event");
+        assert_eq!(self.expiries.len(), self.q().scheduled_expiries());
+        assert!(!self.expiries.is_empty() || self.q().pending_len() == 0, "an update waits for no event");
         submit
     }
 
-    /// Lets the running window close: the expiry event pops if one was
-    /// asked for (flushing into the returned updates and re-arming iff
-    /// something was sent), else the timer just runs out.
+    /// Lets the next window close: the earliest expiry event pops if one
+    /// was asked for (flushing into the returned updates and re-arming iff
+    /// something was sent), else every timer just runs out.
     fn close_window(&mut self) -> Vec<Update<Provenance>> {
-        let Some(key) = self.expiry.take() else {
-            assert_eq!(self.q.pending_len(), 0, "updates wait with no expiry scheduled");
+        self.expiries.sort_by_key(|&(_, key)| key);
+        if self.expiries.is_empty() {
+            assert_eq!(self.q().pending_len(), 0, "updates wait with no expiry scheduled");
             self.now = self.reserve();
-            assert!(!self.q.timer_armed(self.now));
+            assert!(!self.q().timer_armed(self.now));
             return Vec::new();
-        };
+        }
+        let (which, key) = self.expiries.remove(0);
         self.now = key;
-        let (q, mut step) = self.step();
-        let rearm = q.flush(None, SLOT, &mut step);
+        assert!(self.q().expiry_due(which, key));
+        let (mut q, mut step) = self.step();
+        let rearm = q.flush(which, &mut step);
         let sends = std::mem::take(&mut self.out.sends);
         assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
         if rearm {
-            self.arm();
+            self.arm(which);
         }
-        assert_eq!(rearm, self.q.timer_armed(self.now));
+        assert!(!self.q().expiry_due(which, key), "flushed: the event is spent");
         sends
             .into_iter()
             .map(|(tag, update)| {
@@ -267,13 +296,13 @@ proptest! {
             1..60,
         ),
     ) {
-        let mut d = Driven::new();
+        let mut d = Driven::new(MraiScope::PerInterface);
         // The neighbor's view, replayed from transmissions.
-        let mut neighbor: std::collections::BTreeMap<Prefix, PathId> = Default::default();
+        let mut neighbor: BTreeMap<Prefix, PathId> = Default::default();
         // The latest intent per prefix.
-        let mut intent: std::collections::BTreeMap<Prefix, Option<PathId>> = Default::default();
+        let mut intent: BTreeMap<Prefix, Option<PathId>> = Default::default();
 
-        let apply = |neighbor: &mut std::collections::BTreeMap<Prefix, PathId>, u: Update<Provenance>| {
+        let apply = |neighbor: &mut BTreeMap<Prefix, PathId>, u: Update<Provenance>| {
             match u.kind {
                 UpdateKind::Announce(p) => { neighbor.insert(u.prefix, p); }
                 UpdateKind::Withdraw => {
@@ -294,7 +323,7 @@ proptest! {
                 }
                 Submit::Queued { .. } | Submit::Suppressed => {}
             }
-            if flush_after && d.q.timer_armed(d.now) {
+            if flush_after && d.q().timer_armed(d.now) {
                 for u in d.close_window() {
                     prop_assert_eq!(u.stamp.rel(), Some(rel), "flushed over this edge");
                     apply(&mut neighbor, u)?;
@@ -302,13 +331,13 @@ proptest! {
             }
             // Invariant: the neighbor state always equals the Adj-RIB-out.
             for p in [Prefix(0), Prefix(1), Prefix(2)] {
-                prop_assert_eq!(neighbor.get(&p).copied(), d.q.advertised(p),
+                prop_assert_eq!(neighbor.get(&p).copied(), d.q().advertised(p),
                     "Adj-RIB-out diverged from the neighbor's actual state");
             }
         }
 
         // Drain all timers.
-        while d.q.timer_armed(d.now) {
+        while d.q().timer_armed(d.now) {
             for u in d.close_window() {
                 apply(&mut neighbor, u)?;
             }
@@ -321,13 +350,95 @@ proptest! {
         }
     }
 
+    /// A session carrying 2–8 prefixes, under both modes and both
+    /// scopes: every flush emits in prefix order and sends no no-op, the
+    /// Adj-RIB-out is the last update sent for each prefix, and the
+    /// session's pending count is the number of its non-empty pending
+    /// cells — after every step, whatever order the prefixes' rows were
+    /// made in. Once every timer drains, the neighbor holds the last
+    /// intent for each prefix.
+    #[test]
+    fn a_multi_prefix_queue_flushes_in_prefix_order_and_keeps_its_counts(
+        mode in prop::sample::select(vec![MraiMode::NoWrate, MraiMode::Wrate]),
+        scope in prop::sample::select(vec![MraiScope::PerInterface, MraiScope::PerPrefix]),
+        prefixes in 2u32..9,
+        script in prop::collection::vec(
+            // (prefix index, intent: None = withdraw, Some(k) = announce
+            // path k, then 0: nothing, 1: close a window, 2: let 7 s pass)
+            (0u32..8, prop::option::of(0u32..4), 0u8..3),
+            1..80,
+        ),
+    ) {
+        let mut d = Driven::new(scope);
+        let rel = Relationship::Provider;
+        // Spread out, so the rows' first-touch order is not prefix order.
+        let all: Vec<Prefix> = (0..prefixes).map(|i| Prefix(1 + 5 * i)).collect();
+        let mut neighbor: BTreeMap<Prefix, PathId> = BTreeMap::new();
+        let mut intent: BTreeMap<Prefix, Option<PathId>> = BTreeMap::new();
+
+        let flushed = |neighbor: &mut BTreeMap<Prefix, PathId>, sends: Vec<Update<Provenance>>| {
+            for pair in sends.windows(2) {
+                prop_assert!(pair[0].prefix < pair[1].prefix, "a flush out of prefix order: {:?}", sends);
+            }
+            for u in sends {
+                prop_assert_eq!(u.stamp.rel(), Some(rel), "flushed over this edge");
+                match u.kind {
+                    UpdateKind::Announce(p) => {
+                        prop_assert!(neighbor.insert(u.prefix, p) != Some(p), "a flush re-announced {:?}", u.prefix);
+                    }
+                    UpdateKind::Withdraw => {
+                        prop_assert!(neighbor.remove(&u.prefix).is_some(), "a flush withdrew nothing");
+                    }
+                }
+            }
+            Ok(())
+        };
+
+        for (index, path, then) in script {
+            let prefix = all[(index % prefixes) as usize];
+            let path = path.map(|k| d.paths.intern(&[AsId(100 + k), AsId(999)]));
+            intent.insert(prefix, path);
+            if let Submit::SendNow { update, .. } = d.submit(prefix, path, mode, rel) {
+                match update.kind {
+                    UpdateKind::Announce(p) => { neighbor.insert(prefix, p); }
+                    UpdateKind::Withdraw => { neighbor.remove(&prefix); }
+                }
+            }
+            match then {
+                1 => flushed(&mut neighbor, d.close_window())?,
+                2 => {
+                    let later = EventKey { time: d.now.time + SimDuration::from_secs(7), seq: d.now.seq };
+                    while d.expiries.iter().any(|&(_, key)| key <= later) {
+                        flushed(&mut neighbor, d.close_window())?;
+                    }
+                    d.now = later.max(d.now);
+                }
+                _ => {}
+            }
+            let waiting = all.iter().filter(|&&p| d.q().queued_update(p).is_some()).count();
+            prop_assert_eq!(d.q().pending_len(), waiting, "the pending count is the non-empty cells");
+            for &p in &all {
+                prop_assert_eq!(d.q().advertised(p), neighbor.get(&p).copied(), "Adj-RIB-out != last update sent");
+            }
+        }
+
+        while d.q().timer_armed(d.now) || !d.expiries.is_empty() {
+            flushed(&mut neighbor, d.close_window())?;
+        }
+        prop_assert_eq!(d.q().pending_len(), 0);
+        for &p in &all {
+            let want = intent.get(&p).copied().flatten();
+            prop_assert_eq!(neighbor.get(&p).copied(), want, "after drain, neighbor state != last intent for {:?}", p);
+        }
+    }
+
     /// Duplicate submissions are always suppressed, never re-sent.
     #[test]
     fn duplicate_intent_suppressed(
         mode in prop::sample::select(vec![MraiMode::NoWrate, MraiMode::Wrate]),
         path in path_strategy(),
     ) {
-        let mut d = Driven::new();
+        let mut d = Driven::new(MraiScope::PerInterface);
         let rel = Relationship::Customer;
         let path = d.paths.intern(&path);
         let first = d.submit(Prefix(0), Some(path), mode, rel);

@@ -26,9 +26,10 @@ use bgpscale_topology::{generate, GrowthScenario, NodeType};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations of `instantiate` at any n. The event queue's pool and link
-/// column are two of them; the wire, an empty `VecDeque` until the first
-/// message is sent, is none.
-const INSTANTIATE_ALLOCS: u64 = 8;
+/// column are two of them, the route columns' one per-session column a
+/// third; the wire, an empty `VecDeque` until the first message is sent,
+/// is none, and so are the per-(row, session) columns until the first row.
+const INSTANTIATE_ALLOCS: u64 = 7;
 
 /// How many more allocations a first event at n = 4000 may make than one
 /// at n = 1000: room for a few more doublings of the buffers that grow

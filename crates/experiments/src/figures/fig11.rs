@@ -78,12 +78,10 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         qc[prefer_middle][last] > qc[baseline][last]
             && qc[baseline][last] > qc[prefer_top][last],
     );
-    // NOTE (recorded in EXPERIMENTS.md): the paper additionally reports
-    // PREFER-MIDDLE churn *growth* above BASELINE's. Under our reading of
-    // the §5.4 construction the one-T-provider cap makes mc,T grow only
-    // linearly in nM, which keeps PREFER-MIDDLE's U(T) below BASELINE at
-    // the sizes we sweep — the per-customer mechanism above reproduces;
-    // the overall ordering does not.
+    fig.known_divergence(
+        "buying transit from M nodes increases churn at T nodes: PREFER-MIDDLE > BASELINE",
+        u[prefer_middle][last] > u[baseline][last],
+    );
     fig
 }
 
@@ -100,7 +98,7 @@ mod tests {
         // The churn comparison needs sizes ≥ 1000 to separate from noise
         // (verified by `repro fig11 --quick`); the mechanism claims (mc,T
         // and qc,T movements) are robust even at toy sizes.
-        for c in &f.claims {
+        for c in f.claims.iter().filter(|c| !c.known_divergence) {
             if !c.statement.contains("decrease churn") {
                 assert!(c.holds, "tiny-scale claim failed: {} \n{}", c.statement, f.render());
             }

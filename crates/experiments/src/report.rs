@@ -124,6 +124,21 @@ pub struct Claim {
     pub statement: String,
     /// Whether this run reproduced it.
     pub holds: bool,
+    /// True for a claim this code is known not to reproduce (EXPERIMENTS.md
+    /// says why): when it does not hold it is a known divergence, counted
+    /// apart from PASS and FAIL.
+    pub known_divergence: bool,
+}
+
+impl Claim {
+    /// How the claim prints: `PASS`, `FAIL` or `KNOWN DIVERGENCE`.
+    pub fn verdict(&self) -> &'static str {
+        match (self.holds, self.known_divergence) {
+            (true, _) => "PASS",
+            (false, false) => "FAIL",
+            (false, true) => "KNOWN DIVERGENCE",
+        }
+    }
 }
 
 /// A fully regenerated table or figure.
@@ -155,6 +170,18 @@ impl Figure {
         self.claims.push(Claim {
             statement: statement.into(),
             holds,
+            known_divergence: false,
+        });
+    }
+
+    /// Records a claim of the paper this code is known not to reproduce:
+    /// it prints `KNOWN DIVERGENCE` rather than `FAIL` while it does not
+    /// hold, and `PASS` once it does.
+    pub fn known_divergence(&mut self, statement: impl Into<String>, holds: bool) {
+        self.claims.push(Claim {
+            statement: statement.into(),
+            holds,
+            known_divergence: true,
         });
     }
 
@@ -173,7 +200,7 @@ impl Figure {
         if !self.claims.is_empty() {
             let _ = writeln!(out, "Shape claims:");
             for c in &self.claims {
-                let _ = writeln!(out, "  [{}] {}", if c.holds { "PASS" } else { "FAIL" }, c.statement);
+                let _ = writeln!(out, "  [{}] {}", c.verdict(), c.statement);
             }
         }
         out
@@ -240,9 +267,13 @@ mod tests {
         let mut f = Figure::new("fig0", "demo figure");
         f.claim("grass is green", true);
         f.claim("water is dry", false);
+        f.known_divergence("the moon is cheese", false);
+        f.known_divergence("the sun is hot", true);
         let s = f.render();
         assert!(s.contains("[PASS] grass is green"));
         assert!(s.contains("[FAIL] water is dry"));
+        assert!(s.contains("[KNOWN DIVERGENCE] the moon is cheese"));
+        assert!(s.contains("[PASS] the sun is hot"), "a known divergence that holds passes");
         assert!(!f.all_claims_hold());
     }
 

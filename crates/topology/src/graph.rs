@@ -198,6 +198,13 @@ impl AsGraph {
             .map(|n| n.rel)
     }
 
+    /// Appends `nb` to `a`'s list alone: the corrupt adjacency the
+    /// validator must catch.
+    #[cfg(test)]
+    pub(crate) fn push_neighbor_unmirrored(&mut self, a: AsId, nb: Neighbor) {
+        self.nodes[a.index()].neighbors.push(nb);
+    }
+
     /// True if `a` and `b` are directly connected.
     pub fn has_link(&self, a: AsId, b: AsId) -> bool {
         // Scan the smaller adjacency.

@@ -5,7 +5,6 @@
 //! simulation runs (a corrupted topology would silently skew churn
 //! numbers).
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::graph::AsGraph;
@@ -76,26 +75,71 @@ pub fn validate(g: &AsGraph) -> Result<(), Vec<Violation>> {
     }
 }
 
+/// Each listed link must be listed once and mirrored. Linear in the links:
+/// the reverse relationship of every entry — what `g.relationship(b, a)`
+/// finds, `b`'s first entry naming `a` — comes from the transposed
+/// adjacency, built once, instead of a scan of `b`'s list per entry.
 fn check_adjacency_consistency(g: &AsGraph, out: &mut Vec<Violation>) {
+    let n = g.len();
+    // `named_by[b] == a + 1` once node `a`'s list has named `b`; `first`
+    // says, per entry in list order, whether it is its list's first
+    // naming its neighbor.
+    let mut named_by = vec![0u32; n];
+    let mut first = Vec::new();
+    // `incoming[start[b]..start[b + 1]]`: `(a, rel)` for every `a` whose
+    // list names `b`, from that list's first entry naming it.
+    let mut start = vec![0usize; n + 1];
+    for a in g.node_ids() {
+        for nb in g.neighbors(a) {
+            let is_first = named_by[nb.id.index()] != a.0 + 1;
+            named_by[nb.id.index()] = a.0 + 1;
+            first.push(is_first);
+            start[nb.id.index() + 1] += usize::from(is_first);
+        }
+    }
+    for b in 0..n {
+        start[b + 1] += start[b];
+    }
+    let mut fill = start.clone();
+    let mut incoming = vec![(AsId(0), Relationship::Peer); start[n]];
+    let mut entries = first.iter();
+    for a in g.node_ids() {
+        for (nb, &is_first) in g.neighbors(a).iter().zip(entries.by_ref()) {
+            if is_first {
+                incoming[fill[nb.id.index()]] = (a, nb.rel);
+                fill[nb.id.index()] += 1;
+            }
+        }
+    }
+
+    // Per node in turn, the relationship each lister has to it.
+    let mut back: Vec<Option<Relationship>> = vec![None; n];
+    let mut entries = first.iter();
     for id in g.node_ids() {
-        let mut seen: BTreeSet<AsId> = BTreeSet::new();
-        for n in g.neighbors(id) {
-            if !seen.insert(n.id) {
+        let listers = &incoming[start[id.index()]..start[id.index() + 1]];
+        for &(a, rel) in listers {
+            back[a.index()] = Some(rel);
+        }
+        for (nb, &is_first) in g.neighbors(id).iter().zip(entries.by_ref()) {
+            if !is_first {
                 out.push(Violation {
                     rule: Rule::DuplicateLink,
-                    detail: format!("{id} lists {} twice", n.id),
+                    detail: format!("{id} lists {} twice", nb.id),
                 });
             }
-            match g.relationship(n.id, id) {
-                Some(back) if back == n.rel.reverse() => {}
+            match back[nb.id.index()] {
+                Some(reverse) if reverse == nb.rel.reverse() => {}
                 other => out.push(Violation {
                     rule: Rule::AsymmetricLink,
                     detail: format!(
                         "{id} sees {} as {:?} but reverse is {other:?}",
-                        n.id, n.rel
+                        nb.id, nb.rel
                     ),
                 }),
             }
+        }
+        for &(a, _) in listers {
+            back[a.index()] = None;
         }
     }
 }
@@ -244,6 +288,7 @@ fn check_connectivity(g: &AsGraph, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Neighbor;
     use crate::types::RegionSet;
     use crate::{generate, GrowthScenario};
 
@@ -346,6 +391,62 @@ mod tests {
         g.add_peer_link(cp, t); // t peers with cp, which sits in t's tree
         let errs = validate(&g).unwrap_err();
         assert!(errs.iter().any(|v| v.rule == Rule::PeerInCustomerTree));
+    }
+
+    /// The adjacency check as it was, scanning the neighbor's list per
+    /// entry: the reference the linear one must match message for message.
+    fn adjacency_by_scans(g: &AsGraph) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for id in g.node_ids() {
+            let mut seen = std::collections::BTreeSet::new();
+            for n in g.neighbors(id) {
+                if !seen.insert(n.id) {
+                    out.push(Violation {
+                        rule: Rule::DuplicateLink,
+                        detail: format!("{id} lists {} twice", n.id),
+                    });
+                }
+                match g.relationship(n.id, id) {
+                    Some(back) if back == n.rel.reverse() => {}
+                    other => out.push(Violation {
+                        rule: Rule::AsymmetricLink,
+                        detail: format!("{id} sees {} as {:?} but reverse is {other:?}", n.id, n.rel),
+                    }),
+                }
+            }
+        }
+        out
+    }
+
+    /// A hub with 2,000 customers — the degree that made the check
+    /// quadratic — is consistent; corrupted, it reports exactly what the
+    /// scanning check reported, in the same order and the same words.
+    #[test]
+    fn adjacency_check_on_a_2000_spoke_hub_matches_the_scanning_check() {
+        let mut g = AsGraph::new();
+        let r = RegionSet::all(1);
+        let hub = g.add_node(NodeType::T, r);
+        let spokes: Vec<AsId> = (0..2000).map(|_| g.add_node(NodeType::C, r)).collect();
+        for &spoke in &spokes {
+            g.add_transit_link(spoke, hub);
+        }
+        let check = |g: &AsGraph| {
+            let mut out = Vec::new();
+            check_adjacency_consistency(g, &mut out);
+            out
+        };
+        assert_eq!(check(&g), vec![]);
+
+        let entry = |id: u32, rel| Neighbor { id: AsId(id), rel };
+        g.push_neighbor_unmirrored(hub, entry(spokes[5].0, Relationship::Customer)); // duplicate
+        g.push_neighbor_unmirrored(hub, entry(spokes[6].0, Relationship::Peer)); // duplicate, wrong way
+        g.push_neighbor_unmirrored(spokes[7], entry(spokes[9].0, Relationship::Peer)); // one-way
+        g.push_neighbor_unmirrored(spokes[8], entry(hub.0, Relationship::Peer)); // duplicate, disagrees
+        let found = check(&g);
+        assert_eq!(found, adjacency_by_scans(&g));
+        let rules: Vec<Rule> = found.iter().map(|v| v.rule).collect();
+        use Rule::{AsymmetricLink as Asym, DuplicateLink as Dup};
+        assert_eq!(rules, [Dup, Dup, Asym, Asym, Dup, Asym]);
     }
 
     #[test]
