@@ -347,13 +347,13 @@ impl Stripe {
     }
 
     /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
-    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
     pub(crate) fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
         &column[at]
     }
 
     /// [`Stripe::cut`], writable.
-    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned, or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
     pub(crate) fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
         &mut column[at]
     }

@@ -53,8 +53,8 @@
 //! ## Memory layout
 //!
 //! A queue is split like the Adj-RIB-in ([`crate::arena`]): a 24-byte
-//! [`SessionState`] per session (session timer, pending count, liveness),
-//! and per (row, session) the cells of [`RibOut`] — Adj-RIB-out and
+//! `SessionState` per session (session timer, pending count, liveness),
+//! and per (row, session) the cells of `RibOut` — Adj-RIB-out and
 //! queued update, four bytes each, plus the stamp `S` (nothing
 //! unobserved) and, once a per-prefix timer is armed, that timer. The row
 //! is the prefix, so no prefix is stored; a session-timer flush walks the
@@ -285,7 +285,7 @@ impl<S: Stamp> RibOut<S> {
 }
 
 /// The read-only face of one session's output queue: its
-/// [`SessionState`] and its cells of every row (see the module docs).
+/// `SessionState` and its cells of every row (see the module docs).
 /// Made by [`crate::RouteSlab::queue`].
 #[derive(Clone, Copy, Debug)]
 pub struct QueueView<'a, S = ()> {
@@ -429,10 +429,13 @@ impl<'a, S: Stamp> QueueView<'a, S> {
     }
 }
 
-/// One session's output queue, writable: its [`SessionState`] and its
+/// One session's output queue, writable: its `SessionState` and its
 /// cells of every row (see the module docs). Made by
 /// [`crate::RouteSlab::queue_mut`]; building one allocates nothing. Rows
-/// are addressed by index where the caller has one, with their prefix.
+/// are addressed by the index [`crate::RouteSlab::touch`] returned, and
+/// where an update names its prefix the prefix comes along too; the two
+/// are checked against each other in debug builds. A per-prefix timer is
+/// named by its row alone.
 #[derive(Debug)]
 pub struct OutQueue<'a, S = ()> {
     pub(crate) state: &'a mut SessionState,
@@ -456,13 +459,10 @@ impl<S: Stamp> OutQueue<'_, S> {
         self.out.out_cell(row, self.stripe, self.slot)
     }
 
-    /// The row of the timer `which` names: `Some(None)` for the session
-    /// timer, `None` for a prefix no row holds (no timer governs it).
-    fn timer_row(&self, which: Option<Prefix>) -> Option<Option<usize>> {
-        match which {
-            None => Some(None),
-            Some(prefix) => self.view().row_of(prefix).map(Some),
-        }
+    /// Checks the caller's side of the row contract: `row` is the row of
+    /// `prefix`, the one [`crate::RouteSlab::touch`] returned for it.
+    fn debug_assert_row(&self, row: usize, prefix: Prefix) {
+        debug_assert_eq!(crate::arena::row_in(self.by_prefix, prefix), Some(row), "row {row} is not {prefix:?}'s");
     }
 
     /// The timer `which` names (see [`QueueView::timer`]), writable.
@@ -523,6 +523,7 @@ impl<S: Stamp> OutQueue<'_, S> {
         rel: Relationship,
         step: &mut Step<S>,
     ) -> Submit<S> {
+        self.debug_assert_row(row, prefix);
         let at = self.out_cell(row);
         // Drop no-ops against the eventual neighbor state.
         if self.view().intent_at(at) == intent {
@@ -548,7 +549,7 @@ impl<S: Stamp> OutQueue<'_, S> {
             }
             self.write_sent(at, None, step);
             if rate_limited {
-                self.arm_timer_at(governing(scope, row));
+                self.arm_timer(governing(scope, row));
             }
             return Submit::SendNow {
                 update: Update::withdraw(prefix).stamped(stamp),
@@ -560,7 +561,7 @@ impl<S: Stamp> OutQueue<'_, S> {
         }
         debug_assert!(self.view().queued(at).is_none(), "pending update with an idle timer");
         self.write_sent(at, Some(path), step);
-        self.arm_timer_at(governing(scope, row));
+        self.arm_timer(governing(scope, row));
         Submit::SendNow {
             update: Update::announce(prefix, path).stamped(stamp),
             arm_timer: true,
@@ -568,14 +569,12 @@ impl<S: Stamp> OutQueue<'_, S> {
     }
 
     /// Delivers the key reserved for the expiry of the timer `which`
-    /// names (`None`: the session timer), which a send or
-    /// [`OutQueue::arm_timer`] armed earlier in this step. Returns true
-    /// if an update was queued behind the timer in the meantime: the
-    /// caller must then schedule the expiry event at `key` right away.
-    pub fn arm_at(&mut self, which: Option<Prefix>, key: EventKey) -> bool {
-        let Some(which) = self.timer_row(which) else {
-            return false;
-        };
+    /// names (`None`: the session timer, `Some(row)`: the per-prefix timer
+    /// of that row), which a send or [`OutQueue::arm_timer`] armed earlier
+    /// in this step. Returns true if an update was queued behind the timer
+    /// in the meantime: the caller must then schedule the expiry event at
+    /// `key` right away.
+    pub fn arm_at(&mut self, which: Option<usize>, key: EventKey) -> bool {
         let waiting = match which {
             None => self.state.pending > 0,
             Some(row) => self.view().queued(self.out_cell(row)).is_some(),
@@ -587,24 +586,25 @@ impl<S: Stamp> OutQueue<'_, S> {
     }
 
     /// Handles the expiry event of the timer `trigger` names (`None`: the
-    /// per-interface session timer, `Some(prefix)`: a per-prefix timer),
-    /// popping at `step.now`: drains the pending updates that timer
-    /// governs, in prefix order (skipping any that have become no-ops
-    /// against the Adj-RIB-out), pushes the ones that go on the wire now
-    /// onto `step.out.sends` tagged with this queue's slot, and returns
-    /// whether the timer re-arms. When it does the caller must reserve the
-    /// next expiry's key and hand it over with [`OutQueue::arm_at`].
+    /// per-interface session timer, `Some((row, prefix))`: the per-prefix
+    /// timer of `prefix`, the prefix of `row`), popping at `step.now`:
+    /// drains the pending updates that timer governs, in prefix order
+    /// (skipping any that have become no-ops against the Adj-RIB-out),
+    /// pushes the ones that go on the wire now onto `step.out.sends`
+    /// tagged with this queue's slot, and returns whether the timer
+    /// re-arms. When it does the caller must reserve the next expiry's key
+    /// and hand it over with [`OutQueue::arm_at`].
     ///
     /// # Panics
     /// Panics (in debug builds) unless [`QueueView::expiry_due`] holds of
-    /// `trigger` and `step.now`.
-    pub fn flush(&mut self, trigger: Option<Prefix>, step: &mut Step<S>) -> bool {
-        let Some(which) = self.timer_row(trigger) else {
-            return false;
-        };
+    /// the trigger's prefix and `step.now`.
+    pub fn flush(&mut self, trigger: Option<(usize, Prefix)>, step: &mut Step<S>) -> bool {
         let before = step.out.sends.len();
-        match which.zip(trigger) {
-            Some((row, prefix)) => self.emit(row, prefix, step),
+        match trigger {
+            Some((row, prefix)) => {
+                self.debug_assert_row(row, prefix);
+                self.emit(row, prefix, step);
+            }
             None => {
                 let by_prefix = self.by_prefix;
                 for &(prefix, row) in by_prefix {
@@ -616,7 +616,7 @@ impl<S: Stamp> OutQueue<'_, S> {
             }
         }
         let rearm = step.out.sends.len() > before;
-        let (until, expiry_scheduled) = self.timer_mut(which);
+        let (until, expiry_scheduled) = self.timer_mut(trigger.map(|(row, _)| row));
         debug_assert!(
             *expiry_scheduled && *until == step.now,
             "flush at {:?} of a timer expiring at {:?}",
@@ -672,21 +672,17 @@ impl<S: Stamp> OutQueue<'_, S> {
         rel: Relationship,
         step: &mut Step<S>,
     ) -> Option<Update<S>> {
+        self.debug_assert_row(row, prefix);
         let written = self.write_sent(self.out_cell(row), Some(path), step);
         written.then(|| Update::announce(prefix, path).stamped(step.cause.with_rel(rel)))
     }
 
     /// Arms a timer (a send does it itself; the caller does after an
     /// initial table exchange): the per-interface session timer when
-    /// `which` is `None`, a per-prefix timer otherwise. The caller must
-    /// reserve the expiry's key and hand it over with [`OutQueue::arm_at`].
-    pub fn arm_timer(&mut self, which: Option<Prefix>) {
-        if let Some(which) = self.timer_row(which) {
-            self.arm_timer_at(which);
-        }
-    }
-
-    fn arm_timer_at(&mut self, which: Option<usize>) {
+    /// `which` is `None`, the per-prefix timer of row `which` otherwise.
+    /// The caller must reserve the expiry's key and hand it over with
+    /// [`OutQueue::arm_at`].
+    pub fn arm_timer(&mut self, which: Option<usize>) {
         let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(!*expiry_scheduled, "arming over a scheduled expiry");
         *until = EventKey::NEVER;
@@ -861,6 +857,7 @@ mod tests {
 
         fn arm_at(&mut self, which: Option<Prefix>) {
             let key = self.reserve(MRAI);
+            let which = which.map(|prefix| self.row(prefix));
             if self.q_mut().arm_at(which, key) {
                 self.expiries.push(key);
             }
@@ -901,8 +898,9 @@ mod tests {
         fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update<S>>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
+            let trigger_row = trigger.map(|prefix| (self.row(prefix), prefix));
             let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
-            let rearm = q.flush(trigger, &mut self.lent.step(self.now, S::default()));
+            let rearm = q.flush(trigger_row, &mut self.lent.step(self.now, S::default()));
             if rearm {
                 self.arm_at(trigger);
             }

@@ -310,12 +310,20 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         self.routes.touch(prefix, self.id.0, self.stripe)
     }
 
+    /// The row of the timer `which` names: `None` for the session timer.
+    /// A per-prefix timer lives in its prefix's row, which the send that
+    /// armed it touched, so this finds the row and makes none.
+    fn timer_row(&mut self, which: Option<Prefix>) -> Option<usize> {
+        which.map(|prefix| self.touch(prefix))
+    }
+
     /// Delivers the key reserved for the expiry of the timer `(slot,
     /// which)` this step listed in [`Actions::arms`]. Returns true if an
     /// update already waits behind the timer: the caller must then
     /// schedule the expiry event at `key` right away.
     pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        self.queue_mut(slot).arm_at(which, key)
+        let row = self.timer_row(which);
+        self.queue_mut(slot).arm_at(row, key)
     }
 
     /// Starts originating `prefix`. `step.cause` stamps the resulting
@@ -497,7 +505,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         };
         for (_, update) in &replayed[..timers] {
             let which = governing(scope, update.prefix);
-            self.queue_mut(slot).arm_timer(which);
+            let row = self.timer_row(which);
+            self.queue_mut(slot).arm_timer(row);
             step.out.arms.push((slot, which));
         }
     }
@@ -511,7 +520,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// re-arms exactly the timers `step.out` lists.
     pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step<S>) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
-        if self.queue_mut(slot).flush(trigger, step) {
+        let trigger_row = self.timer_row(trigger).zip(trigger);
+        if self.queue_mut(slot).flush(trigger_row, step) {
             step.out.arms.push((slot, trigger));
         }
     }

@@ -79,9 +79,15 @@ impl Driven {
         }
     }
 
+    /// The row of the timer `which` names: `None` for the session timer.
+    fn timer_row(&self, which: Option<Prefix>) -> Option<usize> {
+        which.map(|prefix| self.routes.row(prefix).expect("a timer's prefix has a row"))
+    }
+
     fn arm(&mut self, which: Option<Prefix>) {
         let key = self.reserve();
-        if self.routes.queue_mut(self.slab.stripe(0), SLOT).arm_at(which, key) {
+        let row = self.timer_row(which);
+        if self.routes.queue_mut(self.slab.stripe(0), SLOT).arm_at(row, key) {
             self.expect_expiry(which, key);
         }
     }
@@ -141,13 +147,21 @@ impl Driven {
         let (which, key) = self.expiries.remove(0);
         self.now = key;
         assert!(self.q().expiry_due(which, key));
+        let trigger = self.timer_row(which).zip(which);
         let (mut q, mut step) = self.step();
-        let rearm = q.flush(which, &mut step);
+        let rearm = q.flush(trigger, &mut step);
         let sends = std::mem::take(&mut self.out.sends);
         assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
         if rearm {
             self.arm(which);
         }
+        // Under the per-interface scope no per-prefix timer exists, so
+        // `timer_armed` sees the session timer alone.
+        let armed = match which {
+            None => self.q().timer_armed(self.now),
+            Some(prefix) => self.q().is_armed(prefix, MraiScope::PerPrefix, self.now),
+        };
+        assert_eq!(rearm, armed, "the flushed timer stays armed iff the flush re-armed it");
         assert!(!self.q().expiry_due(which, key), "flushed: the event is spent");
         sends
             .into_iter()
