@@ -142,6 +142,10 @@ impl SessionSlab {
     ///
     /// # Panics
     /// Panics if any node has a session with itself or a duplicate peer.
+    #[expect(
+        clippy::expect_used,
+        reason = "a slab of more than u32::MAX sessions cannot be addressed, and is refused here"
+    )]
     pub fn build<I, S>(nodes: I) -> Arc<SessionSlab>
     where
         I: IntoIterator<Item = (AsId, S)>,
@@ -172,8 +176,8 @@ impl SessionSlab {
             }
             let node_lookup = stripe.share_mut(&mut lookup);
             node_lookup.sort_unstable_by_key(|&(peer, _)| peer);
-            for pair in node_lookup.windows(2) {
-                assert_ne!(pair[0].0, pair[1].0, "duplicate session {id}–{}", pair[0].0);
+            for (&(a, _), &(b, _)) in node_lookup.iter().zip(node_lookup.iter().skip(1)) {
+                assert_ne!(a, b, "duplicate session {id}–{a}");
             }
             by_tie_break.clear();
             by_tie_break.extend((0..).zip(sessions).map(|(slot, s)| (hash64(u64::from(s.peer.0)), s.peer.0, slot)));
@@ -237,7 +241,10 @@ impl SessionSlab {
     /// Node `node`'s sessions in the global session id space: the one
     /// maker of a [`Stripe`]. Panics if `node` is not one of the slab's.
     #[inline]
-    // det::allow(panic-surface, reason = "the stripe contract is checked here: node < len() is the caller's, and offsets has len() + 1 entries, so node and node + 1 index it")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the stripe contract is checked here: node < len() is the caller's, and offsets has len() + 1 entries, so node and node + 1 index it"
+    )]
     pub fn stripe(&self, node: u32) -> Stripe {
         let (base, end) = (self.offsets[node as usize], self.offsets[node as usize + 1]);
         Stripe { base, degree: end - base }
@@ -347,13 +354,19 @@ impl Stripe {
     }
 
     /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
-    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+    )]
     pub(crate) fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
         &column[at]
     }
 
     /// [`Stripe::cut`], writable.
-    // det::allow(panic-surface, reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+    )]
     pub(crate) fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
         &mut column[at]
     }
@@ -508,13 +521,19 @@ impl<S: Stamp> RouteSlab<S> {
     }
 
     /// Node `node`'s Loc-RIB entry for `row`.
-    // det::allow(panic-surface, reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row"
+    )]
     pub(crate) fn loc(&self, row: usize, node: u32) -> &LocRib {
         &self.loc[row * self.nodes + node as usize]
     }
 
     /// Node `node`'s Loc-RIB entry for `row`, writable.
-    // det::allow(panic-surface, reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row"
+    )]
     pub(crate) fn loc_mut(&mut self, row: usize, node: u32) -> &mut LocRib {
         &mut self.loc[row * self.nodes + node as usize]
     }
@@ -677,7 +696,10 @@ impl DampTable {
     }
 
     /// The damping state for `(session, prefix)`, default-inserting.
-    // det::allow(panic-surface, reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at"
+    )]
     pub fn get_or_insert(&mut self, session: u32, prefix: Prefix) -> &mut DampState {
         let i = match self.search(session, prefix) {
             Ok(i) => i,

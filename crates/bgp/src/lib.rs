@@ -39,6 +39,19 @@
 //!   parameters, which are constants of the module.
 
 #![forbid(unsafe_code)]
+// The panic surface: a panic in a deterministic crate aborts a cell, so
+// every index, unwrap, expect and panic! outside the tests is either
+// rewritten away or audited by an `#[expect(<lint>, reason = "...")]` on
+// its function.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 pub mod arena;
 pub mod config;

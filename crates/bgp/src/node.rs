@@ -498,12 +498,12 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         }
         // One arm for the session, or one per prefix replayed.
         let scope = step.cfg.mrai_scope;
-        let replayed = &step.out.sends[first..];
+        let replayed = step.out.sends.get(first..).unwrap_or_default();
         let timers = match scope {
             MraiScope::PerInterface => replayed.len().min(1),
             MraiScope::PerPrefix => replayed.len(),
         };
-        for (_, update) in &replayed[..timers] {
+        for (_, update) in replayed.iter().take(timers) {
             let which = governing(scope, update.prefix);
             let row = self.timer_row(which);
             self.queue_mut(slot).arm_timer(row);
@@ -1342,7 +1342,7 @@ mod tests {
 
     /// The sends, session-timer arms and expiry requests of `a`,
     /// comparable.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "a test's flat tuple view of Actions, compared whole")]
     fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<Prefix>, EventKey)>) {
         assert!(a.rfd_wakeups.is_empty());
         (a.sends.clone(), arms_of(a), a.expiries.clone())

@@ -164,7 +164,11 @@ impl PathArena {
 
     /// The path `head · tail`: the id it already has if some step built
     /// it before, a new cell otherwise. The one place paths are made.
-    // det::allow(panic-surface, reason = "slots is a power of two long and probed under its mask; a non-zero slot is the index of a pushed cell, and tail is an id this arena handed out since its last clear")
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "slots is a power of two long and probed under its mask; a non-zero slot is the index of a pushed cell, and tail is an id this arena handed out since its last clear; more than u32::MAX paths cannot be addressed"
+    )]
     pub fn prepend(&mut self, head: AsId, tail: PathId) -> PathId {
         let mask = self.slots.len() - 1;
         let mut at = home(head, tail) & mask;
@@ -193,7 +197,10 @@ impl PathArena {
     }
 
     /// Doubles the table and re-inserts every cell, in index order.
-    // det::allow(panic-surface, reason = "slots is a power of two long and probed under its mask")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slots is a power of two long and probed under its mask"
+    )]
     fn grow(&mut self) {
         let mask = self.slots.len() * 2 - 1;
         self.slots.clear();
@@ -215,7 +222,13 @@ impl PathArena {
             .fold(PathId::EMPTY, |tail, &head| self.prepend(head, tail))
     }
 
-    // det::allow(panic-surface, reason = "id is one this arena handed out since its last clear, which indexes a pushed cell")
+    #[expect(
+
+        clippy::indexing_slicing,
+
+        reason = "id is one this arena handed out since its last clear, which indexes a pushed cell"
+
+    )]
     fn path_cell(&self, id: PathId) -> Cell {
         self.cells[id.index() as usize]
     }

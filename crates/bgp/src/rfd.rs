@@ -47,12 +47,14 @@ const _: () = {
     assert!(REUSE_THRESHOLD < SUPPRESS_THRESHOLD, "REUSE_THRESHOLD must be below SUPPRESS_THRESHOLD");
     assert!(SUPPRESS_THRESHOLD <= MAX_PENALTY, "SUPPRESS_THRESHOLD must not exceed MAX_PENALTY");
     assert!(!HALF_LIFE.is_zero(), "HALF_LIFE must be positive");
-    let penalties = [WITHDRAW_PENALTY, READVERTISE_PENALTY, ATTRIBUTE_CHANGE_PENALTY];
-    let mut i = 0;
-    while i < penalties.len() {
-        assert!(penalties[i].is_finite() && penalties[i] >= 0.0, "penalties must be finite and non-negative");
-        i += 1;
-    }
+    let [withdraw, readvertise, attribute_change] =
+        [WITHDRAW_PENALTY, READVERTISE_PENALTY, ATTRIBUTE_CHANGE_PENALTY];
+    assert!(
+        withdraw.is_finite() && withdraw >= 0.0
+            && readvertise.is_finite() && readvertise >= 0.0
+            && attribute_change.is_finite() && attribute_change >= 0.0,
+        "penalties must be finite and non-negative"
+    );
 };
 
 /// Turns damping on in a [`crate::BgpConfig`]. It has no fields: the

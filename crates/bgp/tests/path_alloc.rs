@@ -11,6 +11,11 @@
 //! allocator are process-global: a second test running on another thread
 //! would be counted too.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the allocator counters are what this test reads"
+)]
+
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
 use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, RouteSlab, SessionSlab, Update};

@@ -36,13 +36,14 @@ impl Timeline {
         }
     }
 
-    // det::allow(panic-surface, reason = "counts is resized to idx + 1 on the line before the index")
     fn record(&mut self, now: SimTime) {
         let idx = (now.saturating_since(self.origin).as_micros() / self.bin.as_micros()) as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += 1;
+        }
     }
 
     /// The bin width.

@@ -11,7 +11,7 @@
 //! The paper uses the growth of these factors with n to explain *why*
 //! churn grows (Figs. 5–7, 11, 12).
 
-use bgpscale_topology::{AsId, NodeType, Relationship};
+use bgpscale_topology::{AsId, ByRel, ByType, NodeType, Relationship};
 
 use crate::sim::Simulator;
 
@@ -19,11 +19,11 @@ use crate::sim::Simulator;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeFactors {
     /// Neighbor count per relationship class.
-    pub m: [u32; 3],
+    pub m: ByRel<u32>,
     /// Neighbors per class that sent ≥ 1 update.
-    pub active: [u32; 3],
+    pub active: ByRel<u32>,
     /// Updates received per class.
-    pub updates: [u64; 3],
+    pub updates: ByRel<u64>,
 }
 
 impl NodeFactors {
@@ -33,17 +33,13 @@ impl NodeFactors {
     }
 
     /// `q` for one class, `None` when the node has no such neighbors.
-    // det::allow(panic-surface, reason = "Relationship::index maps the three variants onto fixed [_; 3] arrays")
     pub fn q(&self, rel: Relationship) -> Option<f64> {
-        let i = rel.index();
-        (self.m[i] > 0).then(|| self.active[i] as f64 / self.m[i] as f64)
+        (self.m[rel] > 0).then(|| self.active[rel] as f64 / self.m[rel] as f64)
     }
 
     /// `e` for one class, `None` when no neighbor of the class was active.
-    // det::allow(panic-surface, reason = "Relationship::index maps the three variants onto fixed [_; 3] arrays")
     pub fn e(&self, rel: Relationship) -> Option<f64> {
-        let i = rel.index();
-        (self.active[i] > 0).then(|| self.updates[i] as f64 / self.active[i] as f64)
+        (self.active[rel] > 0).then(|| self.updates[rel] as f64 / self.active[rel] as f64)
     }
 
     /// Verifies Eq. 1: `Σ_y m·q·e == U` (trivially true by construction;
@@ -52,7 +48,7 @@ impl NodeFactors {
         let mut sum = 0.0;
         for rel in Relationship::ALL {
             if let (Some(q), Some(e)) = (self.q(rel), self.e(rel)) {
-                sum += self.m[rel.index()] as f64 * q * e;
+                sum += self.m[rel] as f64 * q * e;
             }
         }
         (sum - self.total_updates() as f64).abs() < 1e-6
@@ -67,11 +63,11 @@ pub fn node_factors<O: bgpscale_obs::SimObserver>(sim: &Simulator<O>, node: AsId
     debug_assert_eq!(counts.len(), sessions.len());
     let mut f = NodeFactors::default();
     for (session, &count) in sessions.iter().zip(counts) {
-        let i = session.rel.index();
-        f.m[i] += 1;
+        let rel = session.rel;
+        f.m[rel] += 1;
         if count > 0 {
-            f.active[i] += 1;
-            f.updates[i] += count as u64;
+            f.active[rel] += 1;
+            f.updates[rel] += count as u64;
         }
     }
     f
@@ -94,20 +90,26 @@ pub struct FactorMeans {
     pub u: f64,
 }
 
+/// The sums behind one `(node type, relationship)` cell of
+/// [`FactorMeans`], each with its sample count.
+#[derive(Clone, Copy, Debug, Default)]
+struct FactorSums {
+    m_sum: f64,
+    m_cnt: u64,
+    q_sum: f64,
+    q_cnt: u64,
+    e_sum: f64,
+    e_cnt: u64,
+    u_sum: f64,
+}
+
 /// Accumulates per-node factors into per-type means across events.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FactorAccumulator {
-    /// Sums indexed `[node_type][rel]`.
-    m_sum: [[f64; 3]; 4],
-    m_cnt: [[u64; 3]; 4],
-    q_sum: [[f64; 3]; 4],
-    q_cnt: [[u64; 3]; 4],
-    e_sum: [[f64; 3]; 4],
-    e_cnt: [[u64; 3]; 4],
-    u_sum: [[f64; 3]; 4],
-    u_total_sum: [f64; 4],
+    sums: ByType<ByRel<FactorSums>>,
+    u_total_sum: ByType<f64>,
     /// Number of (node, event) samples per type.
-    samples: [u64; 4],
+    samples: ByType<u64>,
 }
 
 /// Index of a node type in aggregate arrays: T=0, M=1, CP=2, C=3 —
@@ -117,49 +119,31 @@ pub fn type_index(ty: NodeType) -> usize {
     ty.index()
 }
 
-impl Default for FactorAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FactorAccumulator {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        FactorAccumulator {
-            m_sum: Default::default(),
-            m_cnt: Default::default(),
-            q_sum: Default::default(),
-            q_cnt: Default::default(),
-            e_sum: Default::default(),
-            e_cnt: Default::default(),
-            u_sum: Default::default(),
-            u_total_sum: Default::default(),
-            samples: Default::default(),
-        }
+        Self::default()
     }
 
     /// Folds in one node's factors for one event. The event originator
     /// itself should be excluded by the caller (it *causes* the event
     /// rather than observing it).
-    // det::allow(panic-surface, reason = "type_index and Relationship::index map enum variants onto fixed [_; 4] / [_; 3] accumulator arrays")
     pub fn add(&mut self, ty: NodeType, f: &NodeFactors) {
-        let t = type_index(ty);
-        self.samples[t] += 1;
-        self.u_total_sum[t] += f.total_updates() as f64;
+        self.samples[ty] += 1;
+        self.u_total_sum[ty] += f.total_updates() as f64;
         for rel in Relationship::ALL {
-            let r = rel.index();
-            self.m_sum[t][r] += f.m[r] as f64;
-            self.m_cnt[t][r] += 1;
+            let cell = &mut self.sums[ty][rel];
+            cell.m_sum += f.m[rel] as f64;
+            cell.m_cnt += 1;
             if let Some(q) = f.q(rel) {
-                self.q_sum[t][r] += q;
-                self.q_cnt[t][r] += 1;
+                cell.q_sum += q;
+                cell.q_cnt += 1;
             }
             if let Some(e) = f.e(rel) {
-                self.e_sum[t][r] += e;
-                self.e_cnt[t][r] += 1;
+                cell.e_sum += e;
+                cell.e_cnt += 1;
             }
-            self.u_sum[t][r] += f.updates[r] as f64;
+            cell.u_sum += f.updates[rel] as f64;
         }
     }
 
@@ -173,46 +157,44 @@ impl FactorAccumulator {
     /// same samples only when each partial holds one event — which is
     /// exactly how the harness uses it.
     pub fn merge(&mut self, other: &FactorAccumulator) {
-        for t in 0..4 {
-            self.u_total_sum[t] += other.u_total_sum[t];
-            self.samples[t] += other.samples[t];
-            for r in 0..3 {
-                self.m_sum[t][r] += other.m_sum[t][r];
-                self.m_cnt[t][r] += other.m_cnt[t][r];
-                self.q_sum[t][r] += other.q_sum[t][r];
-                self.q_cnt[t][r] += other.q_cnt[t][r];
-                self.e_sum[t][r] += other.e_sum[t][r];
-                self.e_cnt[t][r] += other.e_cnt[t][r];
-                self.u_sum[t][r] += other.u_sum[t][r];
+        for ty in NodeType::ALL {
+            self.u_total_sum[ty] += other.u_total_sum[ty];
+            self.samples[ty] += other.samples[ty];
+            for (cell, o) in self.sums[ty].iter_mut().zip(other.sums[ty].iter()) {
+                cell.m_sum += o.m_sum;
+                cell.m_cnt += o.m_cnt;
+                cell.q_sum += o.q_sum;
+                cell.q_cnt += o.q_cnt;
+                cell.e_sum += o.e_sum;
+                cell.e_cnt += o.e_cnt;
+                cell.u_sum += o.u_sum;
             }
         }
     }
 
     /// Number of (node, event) samples folded for a type.
     pub fn samples(&self, ty: NodeType) -> u64 {
-        self.samples[type_index(ty)]
+        self.samples[ty]
     }
 
     /// Mean total updates `U(X)` for a type, or 0 with no samples.
     pub fn mean_total(&self, ty: NodeType) -> f64 {
-        let t = type_index(ty);
-        if self.samples[t] == 0 {
+        if self.samples[ty] == 0 {
             0.0
         } else {
-            self.u_total_sum[t] / self.samples[t] as f64
+            self.u_total_sum[ty] / self.samples[ty] as f64
         }
     }
 
     /// The factor means for `(type, relationship)`.
     pub fn means(&self, ty: NodeType, rel: Relationship) -> FactorMeans {
-        let t = type_index(ty);
-        let r = rel.index();
+        let cell = &self.sums[ty][rel];
         let div = |sum: f64, cnt: u64| if cnt == 0 { 0.0 } else { sum / cnt as f64 };
         FactorMeans {
-            m: div(self.m_sum[t][r], self.m_cnt[t][r]),
-            q: div(self.q_sum[t][r], self.q_cnt[t][r]),
-            e: div(self.e_sum[t][r], self.e_cnt[t][r]),
-            u: div(self.u_sum[t][r], self.samples[t]),
+            m: div(cell.m_sum, cell.m_cnt),
+            q: div(cell.q_sum, cell.q_cnt),
+            e: div(cell.e_sum, cell.e_cnt),
+            u: div(cell.u_sum, self.samples[ty]),
         }
     }
 }
@@ -220,6 +202,7 @@ impl FactorAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscale_topology::ByKey;
 
     #[test]
     fn rel_and_type_indices_are_stable() {
@@ -233,9 +216,9 @@ mod tests {
     #[test]
     fn node_factor_derivations() {
         let f = NodeFactors {
-            m: [4, 2, 1],
-            active: [2, 0, 1],
-            updates: [6, 0, 3],
+            m: ByKey([4, 2, 1]),
+            active: ByKey([2, 0, 1]),
+            updates: ByKey([6, 0, 3]),
         };
         assert_eq!(f.total_updates(), 9);
         assert_eq!(f.q(Relationship::Customer), Some(0.5));
@@ -260,17 +243,17 @@ mod tests {
         acc.add(
             NodeType::T,
             &NodeFactors {
-                m: [2, 0, 0],
-                active: [2, 0, 0],
-                updates: [4, 0, 0],
+                m: ByKey([2, 0, 0]),
+                active: ByKey([2, 0, 0]),
+                updates: ByKey([4, 0, 0]),
             },
         );
         acc.add(
             NodeType::T,
             &NodeFactors {
-                m: [4, 0, 0],
-                active: [1, 0, 0],
-                updates: [2, 0, 0],
+                m: ByKey([4, 0, 0]),
+                active: ByKey([1, 0, 0]),
+                updates: ByKey([2, 0, 0]),
             },
         );
         assert_eq!(acc.samples(NodeType::T), 2);
@@ -288,9 +271,9 @@ mod tests {
     #[test]
     fn merge_of_singleton_partials_equals_direct_adds() {
         let samples = [
-            NodeFactors { m: [2, 1, 0], active: [2, 0, 0], updates: [4, 0, 0] },
-            NodeFactors { m: [4, 0, 2], active: [1, 0, 2], updates: [2, 0, 6] },
-            NodeFactors { m: [1, 1, 1], active: [1, 1, 1], updates: [3, 1, 2] },
+            NodeFactors { m: ByKey([2, 1, 0]), active: ByKey([2, 0, 0]), updates: ByKey([4, 0, 0]) },
+            NodeFactors { m: ByKey([4, 0, 2]), active: ByKey([1, 0, 2]), updates: ByKey([2, 0, 6]) },
+            NodeFactors { m: ByKey([1, 1, 1]), active: ByKey([1, 1, 1]), updates: ByKey([3, 1, 2]) },
         ];
         let mut direct = FactorAccumulator::new();
         for f in &samples {

@@ -38,17 +38,16 @@ use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_obs::costmodel::{CostModel, PhaseCosts};
-use bgpscale_obs::span::SpanGuard;
 use bgpscale_obs::{
     MetricsRegistry, NoopObserver, Recorder, RecorderOptions, SimObserver, TimeSeries,
     TimeSeriesSpec, TraceRecord,
 };
 use bgpscale_simkernel::pool::run_indexed_with;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
-use bgpscale_topology::{generate, AsId, GrowthScenario, NodeType, Relationship};
+use bgpscale_topology::{generate, AsId, ByKey, ByType, GrowthScenario, NodeType, Relationship};
 
 use crate::cevent::run_c_event;
-use crate::factors::{node_factors, type_index, FactorAccumulator, FactorMeans};
+use crate::factors::{node_factors, FactorAccumulator, FactorMeans};
 use crate::sim::{EventBudgetExceeded, SimTemplate, Simulator};
 
 /// The stream of a cell's master seed its topology is generated from:
@@ -131,7 +130,7 @@ pub struct ChurnReport {
     /// Events actually run (may be fewer than requested if the topology
     /// has fewer C nodes).
     pub events: usize,
-    /// Per-type summaries indexed by [`type_index`].
+    /// Per-type summaries in [`NodeType::ALL`] order; [`ChurnReport::by_type`] reads one.
     pub types: [TypeChurn; 4],
     /// Mean network-wide updates per C-event.
     pub mean_total_updates: f64,
@@ -144,18 +143,18 @@ pub struct ChurnReport {
 impl ChurnReport {
     /// The summary for one node type.
     pub fn by_type(&self, ty: NodeType) -> &TypeChurn {
-        &self.types[type_index(ty)]
+        ByKey(self.types.each_ref())[ty]
     }
 
     /// Convenience: `U_y(X)` — mean updates a node of type `ty` receives
     /// from neighbors of class `rel` per C-event (e.g. `Uc(T)`).
     pub fn u(&self, ty: NodeType, rel: Relationship) -> f64 {
-        self.by_type(ty).factors[rel.index()].u
+        self.factor(ty, rel).u
     }
 
     /// Convenience: the factor means for `(type, relationship)`.
     pub fn factor(&self, ty: NodeType, rel: Relationship) -> FactorMeans {
-        self.by_type(ty).factors[rel.index()]
+        ByKey(self.by_type(ty).factors)[rel]
     }
 }
 
@@ -166,7 +165,7 @@ struct EventMeasurement {
     acc: FactorAccumulator,
     /// Per-type mean `U(X)` for this event, `None` when the topology has
     /// no observing node of the type.
-    event_u: [Option<f64>; 4],
+    event_u: ByType<Option<f64>>,
     total_updates: f64,
     down_s: f64,
     up_s: f64,
@@ -217,22 +216,21 @@ fn measure_event<O: SimObserver>(
     })?;
 
     let mut acc = FactorAccumulator::new();
-    let mut event_u_sum = [0.0f64; 4];
-    let mut event_u_cnt = [0u64; 4];
+    let mut event_u_sum = ByType::<f64>::default();
+    let mut event_u_cnt = ByType::<u64>::default();
     for (id, &ty) in node_types.iter().enumerate() {
         let node = AsId(id as u32);
         if node == origin {
             continue; // the originator causes the event, it does not observe it
         }
         let f = node_factors(sim, node);
-        let t = type_index(ty);
         acc.add(ty, &f);
-        event_u_sum[t] += f.total_updates() as f64;
-        event_u_cnt[t] += 1;
+        event_u_sum[ty] += f.total_updates() as f64;
+        event_u_cnt[ty] += 1;
     }
-    let event_u = std::array::from_fn(|t| {
-        (event_u_cnt[t] > 0).then(|| event_u_sum[t] / event_u_cnt[t] as f64)
-    });
+    let event_u = ByKey(NodeType::ALL.map(|ty| {
+        (event_u_cnt[ty] > 0).then(|| event_u_sum[ty] / event_u_cnt[ty] as f64)
+    }));
     Ok(EventMeasurement {
         acc,
         event_u,
@@ -317,6 +315,12 @@ impl std::error::Error for CellError {}
 /// first. So `cost.to_json()`, `metrics.to_json()`, the trace stream and
 /// the time series' JSON are byte-identical across job counts.
 ///
+/// `on_phase` is told each [`CellPhase`] as the cell enters it, in
+/// order; a phase ends where the next begins, the last where `run_cell`
+/// returns. It sees nothing the cell computes, so a caller may time the
+/// phases with the host clock (`repro profile` does) without that time
+/// reaching the report.
+///
 /// # Errors
 /// The [`CellError`] of the lowest C-event index that exhausts its event
 /// budget, whatever `jobs` is.
@@ -328,13 +332,15 @@ pub fn run_cell(
     cfg: &ExperimentConfig,
     jobs: usize,
     observe: Option<&ObserveOptions>,
+    mut on_phase: impl FnMut(CellPhase),
 ) -> Result<ObservedReport, CellError> {
-    let setup = ExperimentSetup::build(cfg);
+    let on_phase: &mut dyn FnMut(CellPhase) = &mut on_phase;
+    let setup = ExperimentSetup::build(cfg, on_phase);
     let mut metrics = MetricsRegistry::new();
     let mut trace = Vec::new();
     let mut timeseries: Option<TimeSeries> = None;
     let (report, cost) = match observe {
-        None => run_events(cfg, jobs, &setup, |_| NoopObserver, |_| {}),
+        None => run_events(cfg, jobs, &setup, on_phase, |_| NoopObserver, |_| {}),
         Some(opts) => {
             let recorder_opts = RecorderOptions {
                 trace_sample: opts.trace_sample,
@@ -346,7 +352,7 @@ pub fn run_cell(
                 }),
             };
             let recorder_for = |k| Recorder::with_options(k as u32, recorder_opts.clone());
-            run_events(cfg, jobs, &setup, recorder_for, |recorder| {
+            run_events(cfg, jobs, &setup, on_phase, recorder_for, |recorder| {
                 metrics.merge(&recorder.registry());
                 metrics.inc("experiment.events", 1);
                 let (records, ts) = recorder.into_parts();
@@ -371,6 +377,7 @@ fn run_events<O: SimObserver + Default + Send>(
     cfg: &ExperimentConfig,
     jobs: usize,
     setup: &ExperimentSetup,
+    on_phase: &mut dyn FnMut(CellPhase),
     observer_for: impl Fn(usize) -> O + Sync,
     mut absorb: impl FnMut(O),
 ) -> Result<(ChurnReport, CostModel), CellError> {
@@ -379,33 +386,33 @@ fn run_events<O: SimObserver + Default + Send>(
     // event is never skipped, so the race decides only how much work is
     // saved, not which error is reported.
     let failed = AtomicUsize::new(usize::MAX);
-    let outcomes: Vec<Option<Result<(EventMeasurement, O), CellError>>> = {
-        let _span = phase("run_events");
-        run_indexed_with(
-            jobs,
-            setup.c_nodes.len(),
-            || None,
-            |worker, k| {
-                if failed.load(Ordering::Relaxed) < k {
-                    return None;
-                }
-                let seed = hash64_pair(setup.sim_seed, k as u64);
-                let sim = ready_sim(worker, &setup.template, seed, observer_for(k));
-                let measured = measure_event(cfg, sim, &setup.node_types, setup.c_nodes[k], k);
-                if measured.is_err() {
-                    failed.fetch_min(k, Ordering::Relaxed);
-                }
-                // The event's telemetry leaves with its observer; the idle
-                // simulator keeps an empty one until its next event.
-                Some(measured.map(|m| (m, sim.replace_observer(O::default()))))
-            },
-        )
-    };
+    on_phase(CellPhase::RunEvents);
+    let outcomes: Vec<Option<Result<(EventMeasurement, O), CellError>>> = run_indexed_with(
+        jobs,
+        setup.c_nodes.len(),
+        || None,
+        |worker, k| {
+            if failed.load(Ordering::Relaxed) < k {
+                return None;
+            }
+            // The pool hands out 0..c_nodes.len(): every k has an origin.
+            let &origin = setup.c_nodes.get(k)?;
+            let seed = hash64_pair(setup.sim_seed, k as u64);
+            let sim = ready_sim(worker, &setup.template, seed, observer_for(k));
+            let measured = measure_event(cfg, sim, &setup.node_types, origin, k);
+            if measured.is_err() {
+                failed.fetch_min(k, Ordering::Relaxed);
+            }
+            // The event's telemetry leaves with its observer; the idle
+            // simulator keeps an empty one until its next event.
+            Some(measured.map(|m| (m, sim.replace_observer(O::default()))))
+        },
+    );
 
-    let _span = phase("fold_measurements");
+    on_phase(CellPhase::FoldMeasurements);
     let mut cost = CostModel::new();
     let mut acc = FactorAccumulator::new();
-    let mut per_event_u: [Vec<f64>; 4] = Default::default();
+    let mut per_event_u = ByType::<Vec<f64>>::default();
     let mut total_updates_sum = 0.0;
     let mut down_sum = 0.0;
     let mut up_sum = 0.0;
@@ -414,7 +421,7 @@ fn run_events<O: SimObserver + Default + Send>(
         absorb(observer);
         cost.push_event(m.phase_costs);
         acc.merge(&m.acc);
-        for (series, u) in per_event_u.iter_mut().zip(&m.event_u) {
+        for (series, u) in per_event_u.iter_mut().zip(m.event_u.iter()) {
             if let Some(u) = u {
                 series.push(*u);
             }
@@ -425,15 +432,12 @@ fn run_events<O: SimObserver + Default + Send>(
     }
 
     let events = setup.c_nodes.len();
-    let mut types: [TypeChurn; 4] = Default::default();
-    for (t, ty) in NodeType::ALL.into_iter().enumerate() {
-        types[t] = TypeChurn {
-            node_count: setup.node_counts[t],
-            u_total: acc.mean_total(ty),
-            factors: Relationship::ALL.map(|rel| acc.means(ty, rel)),
-            per_event_u: std::mem::take(&mut per_event_u[t]),
-        };
-    }
+    let types = NodeType::ALL.map(|ty| TypeChurn {
+        node_count: setup.node_counts[ty],
+        u_total: acc.mean_total(ty),
+        factors: Relationship::ALL.map(|rel| acc.means(ty, rel)),
+        per_event_u: std::mem::take(&mut per_event_u[ty]),
+    });
     let report = ChurnReport {
         scenario: cfg.scenario,
         n: cfg.n,
@@ -452,13 +456,14 @@ fn run_events<O: SimObserver + Default + Send>(
 /// # Panics
 /// As [`run_cell`], and with the [`CellError`]'s text where that errs.
 pub fn run_experiment(cfg: &ExperimentConfig) -> ChurnReport {
-    run_cell(cfg, 1, None).unwrap_or_else(|e| panic!("{e}")).report
+    or_panic(run_cell(cfg, 1, None, |_| {})).report
 }
 
 /// The report and [`CostModel`] of an unobserved [`run_cell`], panicking
 /// as [`run_experiment`] does. Kept for `benchmark/`, which pins the name.
 pub fn run_experiment_with_cost(cfg: &ExperimentConfig, jobs: usize) -> (ChurnReport, CostModel) {
-    run_cell(cfg, jobs, None).map_or_else(|e| panic!("{e}"), |o| (o.report, o.cost))
+    let observed = or_panic(run_cell(cfg, jobs, None, |_| {}));
+    (observed.report, observed.cost)
 }
 
 /// An observed [`run_cell`], panicking as [`run_experiment`] does. Kept
@@ -468,20 +473,45 @@ pub fn run_experiment_observed_with(
     jobs: usize,
     opts: &ObserveOptions,
 ) -> ObservedReport {
-    run_cell(cfg, jobs, Some(opts)).unwrap_or_else(|e| panic!("{e}"))
+    or_panic(run_cell(cfg, jobs, Some(opts), |_| {}))
 }
 
-/// Opens the wall-clock span `name` of `repro profile`'s phase table; it
-/// records when dropped. The one place the harness crosses into wall time.
-fn phase(name: &'static str) -> SpanGuard {
-    // det::allow(det-closure, reason = "phase timings go to the wall-side span profile only; never into the report, the cost model or any artifact")
-    SpanGuard::enter(name)
+/// What the three wrappers return for a cell that must not fail: a blown
+/// budget on the simulator's default one is a model bug.
+#[expect(clippy::panic, reason = "the wrappers document that they panic with the CellError's text")]
+fn or_panic<T>(result: Result<T, CellError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The phases of [`run_cell`], in the order it enters them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellPhase {
+    /// The cell's topology is generated.
+    GenerateTopology,
+    /// The originators are picked and the simulator template is built.
+    BuildTemplate,
+    /// The C-events run, fanned out over the workers.
+    RunEvents,
+    /// The events' measurements are folded, in event-index order.
+    FoldMeasurements,
+}
+
+impl CellPhase {
+    /// The phase's name in `repro profile`'s table.
+    pub fn name(self) -> &'static str {
+        match self {
+            CellPhase::GenerateTopology => "generate_topology",
+            CellPhase::BuildTemplate => "build_template",
+            CellPhase::RunEvents => "run_events",
+            CellPhase::FoldMeasurements => "fold_measurements",
+        }
+    }
 }
 
 /// The per-cell state every event shares: generated topology, chosen
 /// originators, and the pristine simulator template.
 struct ExperimentSetup {
-    node_counts: [usize; 4],
+    node_counts: ByType<usize>,
     node_types: Vec<NodeType>,
     c_nodes: Vec<AsId>,
     template: SimTemplate,
@@ -489,16 +519,15 @@ struct ExperimentSetup {
 }
 
 impl ExperimentSetup {
-    fn build(cfg: &ExperimentConfig) -> ExperimentSetup {
+    fn build(cfg: &ExperimentConfig, on_phase: &mut dyn FnMut(CellPhase)) -> ExperimentSetup {
         let topo_seed = hash64_pair(cfg.seed, TOPO_STREAM);
         let sim_seed = hash64_pair(cfg.seed, SIM_STREAM);
         let pick_seed = hash64_pair(cfg.seed, PICK_STREAM);
 
-        let graph = {
-            let _span = phase("generate_topology");
-            Arc::new(generate(cfg.scenario, cfg.n, topo_seed))
-        };
-        let node_counts = NodeType::ALL.map(|ty| graph.count_of_type(ty));
+        on_phase(CellPhase::GenerateTopology);
+        let graph = Arc::new(generate(cfg.scenario, cfg.n, topo_seed));
+        on_phase(CellPhase::BuildTemplate);
+        let node_counts = ByKey(NodeType::ALL.map(|ty| graph.count_of_type(ty)));
         let node_types: Vec<NodeType> = graph.node_ids().map(|id| graph.node_type(id)).collect();
 
         // Choose distinct C-type originators.
@@ -510,10 +539,7 @@ impl ExperimentSetup {
 
         // Build the clean simulator blueprint once; every worker stamps
         // its simulator out of it.
-        let template = {
-            let _span = phase("build_template");
-            SimTemplate::new(Arc::clone(&graph), cfg.bgp)
-        };
+        let template = SimTemplate::new(Arc::clone(&graph), cfg.bgp);
 
         ExperimentSetup {
             node_counts,
@@ -563,9 +589,9 @@ mod tests {
     #[test]
     fn parallel_jobs_are_bit_identical_to_sequential() {
         let cfg = det_cell();
-        let sequential = run_cell(&cfg, 1, None).unwrap().report;
+        let sequential = run_cell(&cfg, 1, None, |_| {}).unwrap().report;
         for jobs in [4, 8] {
-            let parallel = run_cell(&cfg, jobs, None).unwrap().report;
+            let parallel = run_cell(&cfg, jobs, None, |_| {}).unwrap().report;
             assert_eq!(sequential, parallel, "jobs={jobs} diverged from sequential");
             for t in 0..4 {
                 assert_eq!(
@@ -582,7 +608,7 @@ mod tests {
     fn observed_metrics_and_trace_are_byte_identical_across_jobs() {
         let cfg = det_cell();
         let opts = traced(Some(5));
-        let base = run_cell(&cfg, 1, Some(&opts)).unwrap();
+        let base = run_cell(&cfg, 1, Some(&opts), |_| {}).unwrap();
         let base_json = base.metrics.to_json();
         let base_trace: String = base
             .trace
@@ -592,7 +618,7 @@ mod tests {
         assert!(base.metrics.counter("events.total") > 0);
         assert!(!base.trace.is_empty(), "sampled trace should have records");
         for jobs in [4, 8] {
-            let other = run_cell(&cfg, jobs, Some(&opts)).unwrap();
+            let other = run_cell(&cfg, jobs, Some(&opts), |_| {}).unwrap();
             assert_eq!(
                 base_json,
                 other.metrics.to_json(),
@@ -617,7 +643,7 @@ mod tests {
             trace_sample: None,
             timeseries_bin_us: Some(100_000),
         };
-        let base = run_cell(&cfg, 1, Some(&opts)).unwrap();
+        let base = run_cell(&cfg, 1, Some(&opts), |_| {}).unwrap();
         let base_ts = base.timeseries.as_ref().expect("time series requested");
         let base_ts_json = base_ts.to_json();
         assert_eq!(base_ts.events, cfg.events as u32);
@@ -640,7 +666,7 @@ mod tests {
             ]
         };
         for jobs in [4, 8] {
-            let other = run_cell(&cfg, jobs, Some(&opts)).unwrap();
+            let other = run_cell(&cfg, jobs, Some(&opts), |_| {}).unwrap();
             assert_eq!(
                 base_ts_json,
                 other.timeseries.as_ref().unwrap().to_json(),
@@ -660,7 +686,7 @@ mod tests {
     #[test]
     fn costmodel_is_byte_identical_across_jobs() {
         let cfg = det_cell();
-        let base = run_cell(&cfg, 1, None).unwrap();
+        let base = run_cell(&cfg, 1, None, |_| {}).unwrap();
         let base_json = base.cost.to_json();
         assert_eq!(base.cost.events(), cfg.events);
         assert!(base.cost.total().grand_total() > 0, "counters must see work");
@@ -672,12 +698,12 @@ mod tests {
             assert!(phase.queue_pushes > 0);
         }
         for jobs in [4, 8] {
-            let other = run_cell(&cfg, jobs, None).unwrap();
+            let other = run_cell(&cfg, jobs, None, |_| {}).unwrap();
             assert_eq!(base_json, other.cost.to_json(), "costmodel.json diverged at jobs={jobs}");
             assert_eq!(base, other, "unobserved cell diverged at jobs={jobs}");
         }
         // The observed cell collects the identical model.
-        let observed = run_cell(&cfg, 4, Some(&traced(None))).unwrap();
+        let observed = run_cell(&cfg, 4, Some(&traced(None)), |_| {}).unwrap();
         assert_eq!(base_json, observed.cost.to_json(), "observed cost diverged");
         // The wrapper `benchmark/` pins returns the cell's own values.
         assert_eq!(run_experiment_with_cost(&cfg, 4), (base.report, base.cost));
@@ -693,7 +719,7 @@ mod tests {
             trace_sample: Some(7),
             timeseries_bin_us: Some(50_000),
         };
-        let observed = run_cell(&cfg, 2, Some(&opts)).unwrap();
+        let observed = run_cell(&cfg, 2, Some(&opts), |_| {}).unwrap();
         assert_eq!(plain, observed.report);
         let ts = observed.timeseries.expect("time series requested");
         // The time series and the churn counters watched the same world:
@@ -712,8 +738,8 @@ mod tests {
     #[test]
     fn observed_report_matches_unobserved_report() {
         let cfg = cell(GrowthScenario::Baseline, 200, 4, 21);
-        let plain = run_cell(&cfg, 1, None).unwrap();
-        let observed = run_cell(&cfg, 1, Some(&traced(None))).unwrap();
+        let plain = run_cell(&cfg, 1, None, |_| {}).unwrap();
+        let observed = run_cell(&cfg, 1, Some(&traced(None)), |_| {}).unwrap();
         assert_eq!(plain.report, observed.report);
         assert_eq!(plain.cost, observed.cost);
         assert!(plain.metrics.is_empty() && plain.trace.is_empty() && plain.timeseries.is_none());
@@ -741,7 +767,7 @@ mod tests {
             event_limit: Some(3),
             ..det_cell()
         };
-        let base = run_cell(&cfg, 1, None).unwrap_err();
+        let base = run_cell(&cfg, 1, None, |_| {}).unwrap_err();
         assert_eq!((base.scenario, base.n, base.event), (cfg.scenario, cfg.n, 0));
         assert_eq!((base.cause.budget, base.cause.processed), (3, 4));
         assert!(
@@ -749,9 +775,9 @@ mod tests {
             "snapshot must show what was pending: {base}"
         );
         for jobs in [4, 8] {
-            assert_eq!(base, run_cell(&cfg, jobs, None).unwrap_err(), "jobs={jobs}");
+            assert_eq!(base, run_cell(&cfg, jobs, None, |_| {}).unwrap_err(), "jobs={jobs}");
         }
-        assert_eq!(base, run_cell(&cfg, 4, Some(&traced(Some(1)))).unwrap_err());
+        assert_eq!(base, run_cell(&cfg, 4, Some(&traced(Some(1))), |_| {}).unwrap_err());
     }
 
     /// A budget only a later event blows: the error names that event at
@@ -760,7 +786,7 @@ mod tests {
     #[test]
     fn first_failing_event_is_reported_at_every_job_count() {
         let passing_cfg = cell(GrowthScenario::Baseline, 200, 6, 2);
-        let passing = run_cell(&passing_cfg, 1, None).unwrap();
+        let passing = run_cell(&passing_cfg, 1, None, |_| {}).unwrap();
         // The budget is per phase: an event fails iff its busiest phase
         // pops more events than the budget.
         let peaks: Vec<u64> = passing
@@ -781,11 +807,11 @@ mod tests {
             event_limit: Some(budget),
             ..passing_cfg
         };
-        let base = run_cell(&cfg, 1, None).unwrap_err();
+        let base = run_cell(&cfg, 1, None, |_| {}).unwrap_err();
         assert_eq!(base.event, late, "peaks {peaks:?}, budget {budget}");
         assert_eq!(base.cause.processed, budget + 1);
         for jobs in [2, 4, 8] {
-            assert_eq!(base, run_cell(&cfg, jobs, None).unwrap_err(), "jobs={jobs}");
+            assert_eq!(base, run_cell(&cfg, jobs, None, |_| {}).unwrap_err(), "jobs={jobs}");
         }
     }
 

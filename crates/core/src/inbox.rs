@@ -70,7 +70,10 @@ impl<S: Copy> InboxPool<S> {
 
     /// Appends the message `update`, arrived over `slot`, to `node`'s
     /// queue.
-    // det::allow(panic-surface, reason = "node is a graph node id and queues holds one queue per graph node by construction")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node is a graph node id and queues holds one queue per graph node by construction"
+    )]
     pub(crate) fn push(&mut self, node: usize, slot: u32, update: Update<S>) {
         let entry = Entry {
             slot,

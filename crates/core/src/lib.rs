@@ -48,6 +48,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The panic surface: a panic in a deterministic crate aborts a cell, so
+// every index, unwrap, expect and panic! outside the tests is either
+// rewritten away or audited by an `#[expect(<lint>, reason = "...")]` on
+// its function.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 pub mod cevent;
 pub mod churn;
@@ -60,6 +73,6 @@ pub mod sim;
 
 pub use harness::{
     run_cell, run_experiment, run_experiment_observed_with, run_experiment_with_cost, CellError,
-    ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
+    CellPhase, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
 pub use sim::{BudgetSnapshot, EventBudgetExceeded, SimTemplate, Simulator};

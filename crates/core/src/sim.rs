@@ -514,6 +514,10 @@ impl<O: SimObserver> Simulator<O> {
     ///
     /// # Panics
     /// Panics if `a`–`b` is not a topology link or is already down.
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert above checked that a–b is a link, and every link is a session at both ends"
+    )]
     pub fn fail_link(&mut self, a: AsId, b: AsId) {
         assert!(
             self.graph.has_link(a, b),
@@ -556,6 +560,10 @@ impl<O: SimObserver> Simulator<O> {
     ///
     /// # Panics
     /// Panics if the link is not currently down.
+    #[expect(
+        clippy::expect_used,
+        reason = "only fail_link puts a link down, after checking that it is one"
+    )]
     pub fn restore_link(&mut self, a: AsId, b: AsId) {
         assert!(
             self.down_links.remove(&link_key(a, b)),
@@ -767,7 +775,11 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    // det::allow(panic-surface, reason = "a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked")
+
+    #[expect(
+        clippy::expect_used,
+        reason = "a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked"
+    )]
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
         match event {

@@ -69,7 +69,7 @@ fn cell_artifacts(scenario: GrowthScenario, bgp: BgpConfig) -> [u64; 3] {
         trace_sample: Some(TRACE_SAMPLE),
         timeseries_bin_us: Some(BIN_US),
     };
-    let observed = run_cell(&cfg, 1, Some(&opts)).expect("the cell converges");
+    let observed = run_cell(&cfg, 1, Some(&opts), |_| {}).expect("the cell converges");
     assert!(observed.metrics.counter("provenance.stamped") > 0);
     artifacts(
         &observed.metrics,

@@ -19,6 +19,11 @@
 //! second test on another thread would be counted too. CI runs it with
 //! `--release`; it holds in debug builds as well.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the allocator counters are what this test reads"
+)]
+
 use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, Prefix};

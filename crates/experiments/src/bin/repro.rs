@@ -75,8 +75,8 @@
 //!   --bin-us <n>   (report only) time-series bin width in simulated
 //!                  microseconds (default 100000 = 100 ms)
 //!   --timeseries-out <file> (report only) JSON path (default timeseries.json)
-//!   --check        (profile) exit non-zero if any expected phase span
-//!                  recorded nothing or no events were processed;
+//!   --check        (profile) exit non-zero unless each expected phase
+//!                  ran exactly once and events were processed;
 //!                  (report) exit non-zero if any report panel is empty
 //!   --ledger <file>  the append-only run ledger: `perf` reads its
 //!                  baselines from it and `--bless` appends them,
@@ -89,7 +89,7 @@
 //! Set BGPSCALE_LOG=quiet|info|debug to control progress chatter on
 //! stderr (default info).
 //!
-//! exit codes (shared with `det --check`):
+//! exit codes:
 //!   0  success — targets ran and all requested checks passed
 //!   1  a run or a `--check` validation failed
 //!   2  usage / configuration error (unknown target or malformed option)
@@ -97,22 +97,23 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::Write as _;
 use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use bgpscale_bgp::BgpConfig;
 use bgpscale_core::ExperimentConfig;
 use bgpscale_experiments::{churnreport, figures, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
-use bgpscale_experiments::{EXIT_FAIL, EXIT_OK, EXIT_USAGE};
+use bgpscale_experiments::Exit;
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord};
-use bgpscale_obs::{log, TraceRecord, TraceWriter};
-use bgpscale_simkernel::Stopwatch;
+use bgpscale_experiments::log;
+use bgpscale_experiments::wall::Stopwatch;
+use bgpscale_obs::{artifact, TraceRecord, TraceWriter};
 use bgpscale_topology::GrowthScenario;
 
-fn usage(problem: &str) -> ! {
+fn usage(problem: &str) -> Exit {
     eprintln!(
         "repro: {problem}\n\
          usage: repro <table1|fig1|fig3|fig4|...|fig12|all|perf|profile|report|trend> \
@@ -123,10 +124,9 @@ fn usage(problem: &str) -> ! {
          [--timeseries-out FILE] [--check] \
          [--bless] [--perturb SEED] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV]\n\
-         exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
-         (same convention as det --check)"
+         exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error"
     );
-    std::process::exit(EXIT_USAGE);
+    Exit::Usage
 }
 
 /// What `repro trend` answers to a gate flag it used to take.
@@ -300,26 +300,25 @@ fn write_metrics(
     path: &Path,
     metrics: &bgpscale_obs::MetricsRegistry,
 ) -> std::io::Result<()> {
-    std::fs::write(path, metrics.to_json())?;
+    artifact::write(path, metrics.to_json().as_bytes())?;
     log!(Info, "wrote metrics to {}", path.display());
     Ok(())
 }
 
-/// Streams trace records as JSONL through a buffered [`TraceWriter`],
-/// stamped with a schema-version header line.
+/// Writes trace records as JSONL through a [`TraceWriter`], stamped with
+/// a schema-version header line.
 fn write_trace(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
+    let mut writer = TraceWriter::new(Vec::new());
     writer.write_header()?;
     writer.write_all(records)?;
-    writer.finish()?;
+    artifact::write(path, &writer.finish()?)?;
     log!(Info, "wrote {} trace records to {}", records.len(), path.display());
     Ok(())
 }
 
 /// `repro profile`: run one observed cell, print the phase profile, and
 /// optionally gate on [`profile::check`].
-fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
+fn run_profile_target(opts: &Options) -> std::io::Result<Exit> {
     let cell = ExperimentConfig {
         event_limit: opts.event_limit,
         ..opts.cells().remove(0)
@@ -329,7 +328,7 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
         Ok(out) => out,
         Err(diagnosis) => {
             eprintln!("profile FAILED: {diagnosis}");
-            return Ok(false);
+            return Ok(Exit::Fail);
         }
     };
     print!("{}", profile::render(&cell, &out));
@@ -339,21 +338,24 @@ fn run_profile_target(opts: &Options) -> std::io::Result<bool> {
     if let Some(path) = &opts.trace_out {
         write_trace(path, &out.observed.trace)?;
     }
-    append_ledger(opts, &[profile::profile_record(&cell, &out, &ledger_rev(opts))]);
+    let appended = append_ledger(opts, &[profile::profile_record(&cell, &out, &ledger_rev(opts))]);
+    if appended != Exit::Ok {
+        return Ok(appended);
+    }
     if opts.check {
         if let Err(reason) = profile::check(&out) {
             eprintln!("profile check FAILED: {reason}");
-            return Ok(false);
+            return Ok(Exit::Fail);
         }
         log!(Info, "profile check passed");
     }
-    Ok(true)
+    Ok(Exit::Ok)
 }
 
 /// `repro report`: run one cell under both MRAI modes with the time-series
 /// recorder, print the panels, write the raw `timeseries.json`, and
 /// optionally gate on [`churnreport::check`].
-fn run_report_target(opts: &Options) -> std::io::Result<bool> {
+fn run_report_target(opts: &Options) -> std::io::Result<Exit> {
     let cell = opts.cells().remove(0);
     log!(
         Info,
@@ -365,16 +367,16 @@ fn run_report_target(opts: &Options) -> std::io::Result<bool> {
     );
     let out = churnreport::run_report(&cell, opts.jobs, opts.bin_us);
     print!("{}", churnreport::render_text(&cell, opts.bin_us, &out));
-    std::fs::write(&opts.timeseries_out, &out.timeseries_json)?;
+    artifact::write(&opts.timeseries_out, out.timeseries_json.as_bytes())?;
     log!(Info, "wrote time series to {}", opts.timeseries_out.display());
     if opts.check {
         if let Err(reason) = churnreport::check(&out) {
             eprintln!("report check FAILED: {reason}");
-            return Ok(false);
+            return Ok(Exit::Fail);
         }
         log!(Info, "report check passed");
     }
-    Ok(true)
+    Ok(Exit::Ok)
 }
 
 /// The current git revision, or `"unknown"` outside a work tree.
@@ -396,38 +398,41 @@ fn ledger_rev(opts: &Options) -> String {
 /// Reports a ledger failure as `who`'s and returns its exit code: a
 /// filesystem failure is a run failure (1); a corrupt or schema-foreign
 /// ledger is a configuration problem (2).
-fn ledger_failure(who: &str, e: &LedgerError, path: &Path) -> i32 {
+fn ledger_failure(who: &str, e: &LedgerError, path: &Path) -> Exit {
     if matches!(e, LedgerError::Io(_)) {
         eprintln!("{who}: {e}");
-        EXIT_FAIL
+        Exit::Fail
     } else {
         eprintln!("{who}: {e} (inspect or move {} aside)", path.display());
-        EXIT_USAGE
+        Exit::Usage
     }
 }
 
 /// Appends this run's records to the ledger (a no-op under
-/// `--no-ledger`).
-fn append_ledger(opts: &Options, records: &[LedgerRecord]) {
-    let Some(path) = &opts.ledger else { return };
+/// `--no-ledger`); anything but [`Exit::Ok`] ends the run.
+fn append_ledger(opts: &Options, records: &[LedgerRecord]) -> Exit {
+    let Some(path) = &opts.ledger else { return Exit::Ok };
     match append_records(path, records) {
-        Ok(outcome) => log!(
-            Info,
-            "ledger: {} record(s) appended to {} ({} deduped)",
-            outcome.appended,
-            path.display(),
-            outcome.deduped
-        ),
-        Err(e) => std::process::exit(ledger_failure("ledger", &e, path)),
+        Ok(outcome) => {
+            log!(
+                Info,
+                "ledger: {} record(s) appended to {} ({} deduped)",
+                outcome.appended,
+                path.display(),
+                outcome.deduped
+            );
+            Exit::Ok
+        }
+        Err(e) => ledger_failure("ledger", &e, path),
     }
 }
 
 /// `repro trend`: fold the ledger and print the dashboard. Read-only and
-/// verdict-free. Returns the process exit code.
-fn run_trend_target(opts: &Options) -> i32 {
+/// verdict-free.
+fn run_trend_target(opts: &Options) -> Exit {
     let Some(path) = &opts.ledger else {
         eprintln!("trend: --no-ledger leaves nothing to analyze");
-        return EXIT_USAGE;
+        return Exit::Usage;
     };
     let records = match read_ledger(path) {
         Ok(records) => records,
@@ -438,27 +443,27 @@ fn run_trend_target(opts: &Options) -> i32 {
             "trend: ledger {} is empty — run `repro perf --bless` or `repro profile` first",
             path.display()
         );
-        return EXIT_USAGE;
+        return Exit::Usage;
     }
     let report = trend::analyze(&records);
     print!("{}", trend::render_text(&records, &report));
-    EXIT_OK
+    Exit::Ok
 }
 
 /// `repro perf`: check the exact op counts of every sweep size against
 /// the cell's ledger baseline, or `--bless` them as the new baselines
-/// (policy in [`perf::run`]). Returns the process exit code.
-fn run_perf_target(opts: &Options) -> i32 {
+/// (policy in [`perf::run`]).
+fn run_perf_target(opts: &Options) -> Exit {
     let Some(ledger) = &opts.ledger else {
         eprintln!("perf: --no-ledger leaves no baselines to check or bless");
-        return EXIT_USAGE;
+        return Exit::Usage;
     };
     if opts.bless && opts.perturb.is_some() {
         eprintln!(
             "perf: --bless refuses --perturb — a deliberately shifted count must \
              never become a baseline"
         );
-        return EXIT_USAGE;
+        return Exit::Usage;
     }
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
     let cells = opts.cells();
@@ -467,7 +472,7 @@ fn run_perf_target(opts: &Options) -> i32 {
         Ok(outcomes) => outcomes,
         Err(e) => return ledger_failure("perf", &e, ledger),
     };
-    let mut exit = EXIT_OK;
+    let mut exit = Exit::Ok;
     for (cell, (measurement, verdict)) in cells.iter().zip(&outcomes) {
         let n = cell.n;
         match verdict {
@@ -476,7 +481,7 @@ fn run_perf_target(opts: &Options) -> i32 {
                 for msg in msgs {
                     eprintln!("perf: n={n} FAILED: {msg}");
                 }
-                exit = EXIT_FAIL;
+                exit = Exit::Fail;
             }
         }
         if let Some(path) = &opts.costmodel_out {
@@ -489,9 +494,9 @@ fn run_perf_target(opts: &Options) -> i32 {
                 let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("json");
                 path.with_file_name(format!("{stem}_n{n}.{ext}"))
             };
-            if let Err(e) = std::fs::write(&path, measurement.cost.to_json()) {
+            if let Err(e) = artifact::write(&path, measurement.cost.to_json().as_bytes()) {
                 eprintln!("perf: writing {} failed: {e}", path.display());
-                return EXIT_FAIL;
+                return Exit::Fail;
             }
             log!(Info, "perf: wrote {}", path.display());
         }
@@ -499,43 +504,38 @@ fn run_perf_target(opts: &Options) -> i32 {
     exit
 }
 
+/// Writes `fig`'s tables as stamped CSV files into `dir`.
 fn write_csv(dir: &Path, fig: &Figure) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for (i, table) in fig.tables.iter().enumerate() {
-        let path = dir.join(format!("{}_{}.csv", fig.id, i));
-        let mut f = std::fs::File::create(path)?;
-        // Stamp the export like every other artifact; `#` keeps the file
-        // readable by gnuplot/pandas comment-skipping loaders.
-        f.write_all(
-            format!("# schema_version={}\n", bgpscale_obs::SCHEMA_VERSION).as_bytes(),
-        )?;
-        f.write_all(table.to_csv().as_bytes())?;
+    for (name, csv) in fig.csv_files() {
+        artifact::write(&dir.join(name), csv.as_bytes())?;
     }
     Ok(())
 }
 
-fn main() {
-    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| usage(&problem));
-    if opts.target == "perf" {
-        std::process::exit(run_perf_target(&opts));
+fn main() -> ExitCode {
+    match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => run(&opts),
+        Err(problem) => usage(&problem),
     }
-    if opts.target == "trend" {
-        std::process::exit(run_trend_target(&opts));
-    }
-    if opts.target == "profile" || opts.target == "report" {
-        let result = if opts.target == "profile" {
-            run_profile_target(&opts)
-        } else {
-            run_report_target(&opts)
-        };
-        match result {
-            Ok(true) => return,
-            Ok(false) => std::process::exit(EXIT_FAIL),
-            Err(e) => {
+    .into()
+}
+
+fn run(opts: &Options) -> Exit {
+    match opts.target.as_str() {
+        "perf" => return run_perf_target(opts),
+        "trend" => return run_trend_target(opts),
+        "profile" | "report" => {
+            let result = if opts.target == "profile" {
+                run_profile_target(opts)
+            } else {
+                run_report_target(opts)
+            };
+            return result.unwrap_or_else(|e| {
                 eprintln!("{} failed: {e}", opts.target);
-                std::process::exit(EXIT_FAIL);
-            }
+                Exit::Fail
+            });
         }
+        _ => {}
     }
     let started = Stopwatch::start();
     let mut sw = Sweeper::new(opts.cfg.clone());
@@ -555,7 +555,7 @@ fn main() {
     let (mut failed_claims, mut known_divergences) = (0usize, 0usize);
     for t in &targets {
         let Some(fig) = run_target(t, &mut sw) else {
-            usage(&format!("unknown target: {t}"));
+            return usage(&format!("unknown target: {t}"));
         };
         println!("{}", fig.render());
         for c in fig.claims.iter().filter(|c| !c.holds) {
@@ -574,25 +574,29 @@ fn main() {
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = write_metrics(path, sw.metrics()) {
             eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(EXIT_FAIL);
+            return Exit::Fail;
         }
     }
     if let Some(path) = &opts.trace_out {
         let trace = sw.take_trace();
         if let Err(e) = write_trace(path, &trace) {
             eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(EXIT_FAIL);
+            return Exit::Fail;
         }
     }
     log!(
         Info,
         "done in {:.1}s ({} experiment cells, {} failed claims, {} known divergences)",
-        started.elapsed().as_secs_f64(),
+        started.elapsed_secs_f64(),
         sw.cached_cells(),
         failed_claims,
         known_divergences
     );
-    std::process::exit(if failed_claims > 0 { EXIT_FAIL } else { EXIT_OK });
+    if failed_claims > 0 {
+        Exit::Fail
+    } else {
+        Exit::Ok
+    }
 }
 
 #[cfg(test)]

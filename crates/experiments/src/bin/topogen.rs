@@ -23,7 +23,10 @@
 
 #![forbid(unsafe_code)]
 
-use bgpscale_simkernel::Stopwatch;
+use std::process::ExitCode;
+
+use bgpscale_experiments::wall::Stopwatch;
+use bgpscale_experiments::Exit;
 use bgpscale_topology::generator::generate_with_stats;
 use bgpscale_topology::metrics::{
     degree_assortativity, degree_ccdf, TopologySummary,
@@ -31,7 +34,7 @@ use bgpscale_topology::metrics::{
 use bgpscale_topology::validate::validate;
 use bgpscale_topology::{GrowthScenario, NodeType, Relationship};
 
-fn usage() -> ! {
+fn usage() -> Exit {
     eprintln!(
         "usage: topogen <scenario> <n> [--seed S] [--format summary|dot|edges|ccdf]\n\
          scenarios: {}",
@@ -41,26 +44,31 @@ fn usage() -> ! {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    std::process::exit(2);
+    Exit::Usage
 }
 
-fn main() {
+fn main() -> ExitCode {
+    run().into()
+}
+
+fn run() -> Exit {
     let mut args = std::env::args().skip(1);
-    let scenario = args
-        .next()
-        .and_then(|s| GrowthScenario::from_name(&s))
-        .unwrap_or_else(|| usage());
-    let n: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage());
+    let Some(scenario) = args.next().and_then(|s| GrowthScenario::from_name(&s)) else {
+        return usage();
+    };
+    let Some(n) = args.next().and_then(|s| s.parse::<usize>().ok()) else {
+        return usage();
+    };
     let mut seed = 42u64;
     let mut format = "summary".to_string();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-            "--format" => format = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
+        match (arg.as_str(), args.next()) {
+            ("--seed", Some(v)) => match v.parse() {
+                Ok(v) => seed = v,
+                Err(_) => return usage(),
+            },
+            ("--format", Some(v)) => format = v,
+            _ => return usage(),
         }
     }
 
@@ -75,7 +83,7 @@ fn main() {
         for v in violations.iter().take(5) {
             eprintln!("  {v}");
         }
-        std::process::exit(1);
+        return Exit::Fail;
     }
 
     match format.as_str() {
@@ -125,12 +133,13 @@ fn main() {
                 println!("{d},{f}");
             }
         }
-        _ => usage(),
+        _ => return usage(),
     }
 
-    // Exit code sanity: a topology with no stubs would be useless for
-    // churn studies; flag it loudly (TRANSIT-CLIQUE etc. still have stubs).
+    // A topology with no stubs would be useless for churn studies; flag
+    // it loudly (TRANSIT-CLIQUE etc. still have stubs).
     if g.count_of_type(NodeType::C) == 0 {
-        bgpscale_obs::log!(Info, "warning: no C-type stubs in this instance");
+        bgpscale_experiments::log!(Info, "warning: no C-type stubs in this instance");
     }
+    Exit::Ok
 }

@@ -21,6 +21,7 @@ use bgpscale_obs::json::{Layout, Value};
 use bgpscale_obs::timeseries::DEPTH_BOUNDS;
 use bgpscale_obs::{CostModel, OpCounts, TimeSeries, TsBin, SCHEMA_VERSION};
 use bgpscale_simkernel::pool::effective_jobs;
+use bgpscale_topology::{NodeType, Relationship};
 
 use crate::report::Table;
 use crate::trend::{fit_exponents, kind_label, ClassExponent};
@@ -83,8 +84,8 @@ pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOu
     let cells: Vec<ModeCell> = MODES
         .into_iter()
         .map(|mode| {
-            let observed =
-                run_cell(&at(cell.n, mode), jobs, Some(&observe)).unwrap_or_else(|e| panic!("{e}"));
+            let observed = run_cell(&at(cell.n, mode), jobs, Some(&observe), |_| {})
+                .unwrap_or_else(|e| panic!("{e}"));
             ModeCell {
                 mode,
                 series: observed.timeseries.expect("time series requested"),
@@ -110,7 +111,7 @@ pub fn run_report(cell: &ExperimentConfig, jobs: usize, bin_us: u64) -> ReportOu
             let cost = if s == cell.n {
                 cells[0].cost.clone()
             } else {
-                run_cell(&at(s, MraiMode::NoWrate), jobs, None)
+                run_cell(&at(s, MraiMode::NoWrate), jobs, None, |_| {})
                     .unwrap_or_else(|e| panic!("{e}"))
                     .cost
             };
@@ -207,13 +208,13 @@ pub fn check(out: &ReportOutput) -> Result<(), String> {
 type BinSeries = (&'static str, fn(&TsBin) -> u64);
 
 const UPDATE_SERIES: [BinSeries; 7] = [
-    ("to customers", |b| b.by_rel[0]),
-    ("to peers", |b| b.by_rel[1]),
-    ("to providers", |b| b.by_rel[2]),
-    ("at T (tier-1)", |b| b.by_type[0]),
-    ("at M (mid)", |b| b.by_type[1]),
-    ("at CP (content)", |b| b.by_type[2]),
-    ("at C (stub)", |b| b.by_type[3]),
+    ("to customers", |b| b.by_rel[Relationship::Customer]),
+    ("to peers", |b| b.by_rel[Relationship::Peer]),
+    ("to providers", |b| b.by_rel[Relationship::Provider]),
+    ("at T (tier-1)", |b| b.by_type[NodeType::T]),
+    ("at M (mid)", |b| b.by_type[NodeType::M]),
+    ("at CP (content)", |b| b.by_type[NodeType::Cp]),
+    ("at C (stub)", |b| b.by_type[NodeType::C]),
 ];
 
 const OCCUPANCY_SERIES: [BinSeries; 2] = [

@@ -47,18 +47,26 @@ pub mod profile;
 pub mod report;
 pub mod sweep;
 pub mod trend;
+pub mod wall;
 
 pub use report::{Figure, Table};
 pub use sweep::{RunConfig, Sweeper};
 
-/// Exit code: targets ran and every requested check passed.
-///
-/// The 0/1/2 exit convention is shared workspace-wide (`det`,
-/// `repro`) and det's artifact-contract pass requires
-/// artifact-writing binaries to route their exits through these named
-/// constants rather than magic numbers.
-pub const EXIT_OK: i32 = 0;
-/// Exit code: a run or a `--check` validation failed.
-pub const EXIT_FAIL: i32 = 1;
-/// Exit code: usage / configuration error.
-pub const EXIT_USAGE: i32 = 2;
+/// How `repro` and `topogen` end: the workspace's 0/1/2 exit convention.
+/// Their `main` returns it as a [`std::process::ExitCode`];
+/// `std::process::exit` is banned in `clippy.toml`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exit {
+    /// Targets ran and every requested check passed.
+    Ok = 0,
+    /// A run or a `--check` validation failed.
+    Fail = 1,
+    /// Usage or configuration error.
+    Usage = 2,
+}
+
+impl From<Exit> for std::process::ExitCode {
+    fn from(exit: Exit) -> std::process::ExitCode {
+        std::process::ExitCode::from(exit as u8)
+    }
+}

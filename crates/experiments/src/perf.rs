@@ -18,9 +18,9 @@
 //! tier for context and never compared: speed is judged by
 //! `benchmark/run.sh`.
 //!
-//! Exit codes follow the repo-wide convention (`det --check`,
-//! `repro --check`): 0 = pass, 1 = check failed (drift, or no baseline
-//! for the cell), 2 = usage/config error (damaged ledger).
+//! Exit codes follow the repo-wide convention ([`crate::Exit`]): 0 =
+//! pass, 1 = check failed (drift, or no baseline for the cell), 2 =
+//! usage/config error (damaged ledger).
 //!
 //! `--perturb <seed>` corrupts one measured op count with
 //! [`perturb_ops`] before comparison — CI uses it as a mutation gate
@@ -36,9 +36,11 @@ use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{
     append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
 };
-use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
+use bgpscale_obs::{CostModel, SCHEMA_VERSION};
 use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
-use bgpscale_simkernel::Stopwatch;
+
+use crate::log;
+use crate::wall::Stopwatch;
 
 /// The measured side of one cell.
 #[derive(Clone, Debug)]
@@ -58,7 +60,7 @@ pub struct PerfMeasurement {
 pub fn measure(cell: &ExperimentConfig, jobs: usize) -> PerfMeasurement {
     let jobs = jobs.max(1);
     let started = Stopwatch::start();
-    let cost = run_cell(cell, jobs, None).unwrap_or_else(|e| panic!("{e}")).cost;
+    let cost = run_cell(cell, jobs, None, |_| {}).unwrap_or_else(|e| panic!("{e}")).cost;
     let wall_s = started.elapsed_secs_f64();
     PerfMeasurement {
         ops: cost.total(),
@@ -91,6 +93,10 @@ pub fn artifact_hash(json: &str) -> u64 {
 /// the cell's config, op counts and artifact hashes, the wall tier in
 /// integer units. `perf` records are what `--check` compares against the
 /// cell's baseline and what `--bless` appends.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "peak RSS goes to the wall tier, which no check compares"
+)]
 pub fn cell_record(
     kind: RunKind,
     cell: &ExperimentConfig,

@@ -1,30 +1,31 @@
 //! `repro profile` — one observed experiment cell with a phase profile.
 //!
 //! Runs a single `(scenario, n)` cell with a full metrics recorder
-//! attached, times each harness phase with wall-clock spans, and renders
-//! a human-readable breakdown: where the time goes, what the simulators
-//! did, and how the distributions look. The deterministic half of the
-//! output (the metrics registry and any trace records) can be written to
-//! files; the span timings are wall-clock and stay on the terminal.
+//! attached, times each phase of [`run_cell`] with the host clock through
+//! the phase hook it takes, and renders a human-readable breakdown: where
+//! the time goes, what the simulators did, and how the distributions look.
+//! The deterministic half of the output (the metrics registry and any
+//! trace records) can be written to files; the phase timings are
+//! wall-clock and stay on the terminal.
 //!
-//! The `check` gate is what CI runs: it fails when an expected phase span
-//! recorded nothing or when the simulators processed zero events —
-//! catching "the harness silently did no work" regressions.
+//! The `check` gate is what CI runs: it fails unless each expected phase
+//! was entered exactly once, or when the simulators processed zero events
+//! — catching "the harness silently did no work" regressions.
 
-use bgpscale_core::{run_cell, CellError, ExperimentConfig, ObserveOptions, ObservedReport};
+use bgpscale_core::{run_cell, CellError, CellPhase, ExperimentConfig, ObserveOptions, ObservedReport};
 use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind};
-use bgpscale_obs::span::{self, SpanStats};
-use bgpscale_simkernel::Stopwatch;
 
 use crate::perf::{artifact_hash, cell_record};
+use crate::wall::Stopwatch;
 
 /// The result of [`run_profile`].
 #[derive(Clone, Debug)]
 pub struct ProfileOutput {
     /// The observed run: report + metrics + trace.
     pub observed: ObservedReport,
-    /// Wall-clock span profile (name, stats), name-ordered.
-    pub spans: Vec<(&'static str, SpanStats)>,
+    /// Each phase the run entered, in order, with its wall time in
+    /// nanoseconds.
+    pub phases: Vec<(&'static str, u128)>,
     /// Total wall time of the profiled run in seconds.
     pub wall_s: f64,
     /// The worker count the run used: the `jobs` asked for, with 0
@@ -32,8 +33,8 @@ pub struct ProfileOutput {
     pub jobs: usize,
 }
 
-/// The phase spans every profiled run must record.
-pub const EXPECTED_SPANS: [&str; 4] = [
+/// The phases every profiled run must enter, each exactly once.
+pub const EXPECTED_PHASES: [&str; 4] = [
     "generate_topology",
     "build_template",
     "run_events",
@@ -42,10 +43,7 @@ pub const EXPECTED_SPANS: [&str; 4] = [
 
 /// Runs `cell` observed, on up to `jobs` workers (0 = all hardware
 /// threads) and keeping 1-in-`n` trace records when `trace_sample` is
-/// `Some(n)`, under a fresh span profile.
-///
-/// Resets the process-global span registry first so the profile covers
-/// exactly this run — don't interleave with other span-recording work.
+/// `Some(n)`, timing each phase [`run_cell`] reports.
 ///
 /// # Errors
 /// The harness's [`CellError`] when a C-event exhausts its event budget
@@ -59,18 +57,24 @@ pub fn run_profile(
     jobs: usize,
     trace_sample: Option<u64>,
 ) -> Result<ProfileOutput, CellError> {
-    span::reset();
     let watch = Stopwatch::start();
     let jobs = bgpscale_simkernel::pool::effective_jobs(jobs).max(1);
     let opts = ObserveOptions {
         trace_sample,
         timeseries_bin_us: None,
     };
-    let observed = run_cell(cell, jobs, Some(&opts))?;
+    // Each boundary closes the phase before it; the return closes the last.
+    let mut entered: Vec<(CellPhase, u128)> = Vec::new();
+    let observed = run_cell(cell, jobs, Some(&opts), |phase| {
+        entered.push((phase, watch.elapsed_ns()));
+    })?;
+    let end = watch.elapsed_ns();
+    let ends = entered.iter().skip(1).map(|&(_, at)| at).chain([end]);
+    let phases = entered.iter().zip(ends).map(|(&(phase, start), end)| (phase.name(), end - start));
     Ok(ProfileOutput {
         observed,
-        spans: span::snapshot(),
-        wall_s: watch.elapsed_secs_f64(),
+        phases: phases.collect(),
+        wall_s: end as f64 / 1e9,
         jobs,
     })
 }
@@ -88,19 +92,16 @@ pub fn profile_record(cell: &ExperimentConfig, out: &ProfileOutput, git_rev: &st
     cell_record(RunKind::Profile, cell, out.jobs, ops, artifacts, out.wall_s, git_rev)
 }
 
-/// The CI gate: every expected span recorded at least one call, and the
+/// The CI gate: each expected phase was entered exactly once, and the
 /// simulators actually processed events.
 ///
 /// # Errors
 /// A human-readable description of the first violated expectation.
 pub fn check(out: &ProfileOutput) -> Result<(), String> {
-    for name in EXPECTED_SPANS {
-        match out.spans.iter().find(|(n, _)| *n == name) {
-            None => return Err(format!("span \"{name}\" was never recorded")),
-            Some((_, stats)) if stats.calls == 0 => {
-                return Err(format!("span \"{name}\" recorded zero calls"))
-            }
-            Some(_) => {}
+    for name in EXPECTED_PHASES {
+        let entered = out.phases.iter().filter(|(n, _)| *n == name).count();
+        if entered != 1 {
+            return Err(format!("phase \"{name}\" was entered {entered} times, not once"));
         }
     }
     let events = out.observed.metrics.counter("events.total");
@@ -114,7 +115,7 @@ pub fn check(out: &ProfileOutput) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the profile of `cell` as terminal text: the span table,
+/// Renders the profile of `cell` as terminal text: the phase table,
 /// headline counters, and histogram summaries.
 pub fn render(cell: &ExperimentConfig, out: &ProfileOutput) -> String {
     use std::fmt::Write as _;
@@ -130,19 +131,10 @@ pub fn render(cell: &ExperimentConfig, out: &ProfileOutput) -> String {
     let _ = writeln!(s, "wall time: {:.3}s", out.wall_s);
     let _ = writeln!(s);
 
-    // Span table, largest total first (wall-clock, non-deterministic).
-    let mut spans = out.spans.clone();
-    spans.sort_by_key(|(_, st)| std::cmp::Reverse(st.total_ns));
-    let _ = writeln!(s, "{:<20} {:>8} {:>12} {:>12}", "phase", "calls", "total_s", "mean_s");
-    for (name, st) in &spans {
-        let _ = writeln!(
-            s,
-            "{:<20} {:>8} {:>12.6} {:>12.6}",
-            name,
-            st.calls,
-            st.total_secs(),
-            st.mean_secs()
-        );
+    // Phase table in run order (wall-clock, non-deterministic).
+    let _ = writeln!(s, "{:<20} {:>12}", "phase", "wall_s");
+    for &(name, ns) in &out.phases {
+        let _ = writeln!(s, "{:<20} {:>12.6}", name, ns as f64 / 1e9);
     }
     let _ = writeln!(s);
 
@@ -187,40 +179,41 @@ mod tests {
     use super::*;
     use bgpscale_topology::GrowthScenario;
 
-    // `run_profile` resets the process-global span registry; serialize
-    // these tests so one reset cannot wipe another run's spans mid-flight.
-    static PROFILE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn tiny_cell() -> ExperimentConfig {
         ExperimentConfig::new(GrowthScenario::Baseline, 150, 2, 0xBEEF, Default::default())
     }
 
     #[test]
     fn profile_runs_and_passes_check() {
-        let _guard = PROFILE_LOCK.lock().unwrap();
         let cell = tiny_cell();
         let out = run_profile(&cell, 1, Some(10)).expect("tiny profile must complete");
         check(&out).expect("tiny profile must pass its own gate");
         assert!(out.wall_s > 0.0);
         assert!(out.observed.metrics.counter("events.total") > 0);
         let text = render(&cell, &out);
-        assert!(text.contains("run_events"), "span table rendered: {text}");
+        assert!(text.contains("run_events"), "phase table rendered: {text}");
         assert!(text.contains("events.total"), "counters rendered");
         assert!(text.contains("histogram messages.path_len"), "histograms rendered");
     }
 
     #[test]
-    fn check_rejects_empty_output() {
-        let _guard = PROFILE_LOCK.lock().unwrap();
-        let mut out = run_profile(&tiny_cell(), 1, Some(10)).expect("tiny profile must complete");
-        out.spans.retain(|(n, _)| *n != "run_events");
-        assert!(check(&out).unwrap_err().contains("run_events"));
+    fn check_wants_each_phase_exactly_once() {
+        let out = run_profile(&tiny_cell(), 1, Some(10)).expect("tiny profile must complete");
+        let names: Vec<&str> = out.phases.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, EXPECTED_PHASES, "run_cell enters its phases once each, in order");
+
+        let mut missing = out.clone();
+        missing.phases.retain(|(n, _)| *n != "run_events");
+        assert!(check(&missing).unwrap_err().contains("\"run_events\" was entered 0 times"));
+
+        let mut twice = out;
+        twice.phases.push(("build_template", 1));
+        assert!(check(&twice).unwrap_err().contains("\"build_template\" was entered 2 times"));
     }
 
     #[test]
     fn perf_and_profile_records_share_the_cell_fingerprint() {
         use crate::perf::{measure, perf_record};
-        let _guard = PROFILE_LOCK.lock().unwrap();
         let cell = ExperimentConfig { seed: 7, ..tiny_cell() };
         let pr = perf_record(&cell, &measure(&cell, 1), "r1");
         let out = run_profile(&cell, 1, None).unwrap();
@@ -247,7 +240,6 @@ mod tests {
     /// records how many that was, never the request.
     #[test]
     fn a_default_jobs_profile_records_the_effective_worker_count() {
-        let _guard = PROFILE_LOCK.lock().unwrap();
         let cell = tiny_cell();
         let out = run_profile(&cell, 0, None).unwrap();
         let record = profile_record(&cell, &out, "r1");
@@ -259,7 +251,6 @@ mod tests {
     /// snapshot included, from a worker thread as from the calling one.
     #[test]
     fn budget_failure_surfaces_the_snapshot() {
-        let _guard = PROFILE_LOCK.lock().unwrap();
         let cell = ExperimentConfig {
             event_limit: Some(3),
             ..tiny_cell()

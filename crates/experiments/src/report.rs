@@ -185,6 +185,17 @@ impl Figure {
         });
     }
 
+    /// The `--csv` export: one `(file name, text)` per table, named
+    /// `<id>_<i>.csv`, each stamped like every other artifact. The `#`
+    /// keeps it readable by comment-skipping loaders (gnuplot, pandas).
+    pub fn csv_files(&self) -> Vec<(String, String)> {
+        let stamp = format!("# schema_version={}\n", bgpscale_obs::SCHEMA_VERSION);
+        (0..)
+            .zip(&self.tables)
+            .map(|(i, table)| (format!("{}_{i}.csv", self.id), stamp.clone() + &table.to_csv()))
+            .collect()
+    }
+
     /// True if every claim held.
     pub fn all_claims_hold(&self) -> bool {
         self.claims.iter().all(|c| c.holds)

@@ -25,10 +25,12 @@ use bgpscale_bgp::{BgpConfig, MraiMode};
 use bgpscale_core::{
     run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
-use bgpscale_obs::{log, MetricsRegistry, TraceRecord};
+use bgpscale_obs::{MetricsRegistry, TraceRecord};
 use bgpscale_simkernel::pool::run_indexed;
-use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
+
+use crate::log;
+use crate::wall::Stopwatch;
 
 /// Sweep-wide settings: the sizes to visit and the per-cell event count.
 #[derive(Clone, Debug)]
@@ -176,7 +178,7 @@ impl Sweeper {
     }
 
     /// Turns on the wall-side sweep heartbeat: every [`Sweeper::sweep_mode`]
-    /// and [`Sweeper::report`] call logs one `obs::log!` info line per
+    /// and [`Sweeper::report`] call logs one [`crate::log!`] info line per
     /// completed uncached cell — cells-done/total within the call, the
     /// cell's simulator event count and the call's running events/sec
     /// throughput, elapsed wall time, and a simple ETA (`elapsed / done ·
@@ -294,7 +296,7 @@ impl Sweeper {
         }
         let cell_cfg = self.cell_config(scenario, n, mode);
         hb.start(&cell_cfg);
-        let observed = run_cell(&cell_cfg, self.jobs, self.telemetry.as_ref());
+        let observed = run_cell(&cell_cfg, self.jobs, self.telemetry.as_ref(), |_| {});
         self.fold_cell(&cell_cfg, observed, hb)
     }
 
@@ -332,7 +334,7 @@ impl Sweeper {
             // Workers hand their cells back to this thread, which folds
             // them in ascending-size (index) order.
             let computed = run_indexed(outer, uncached.len(), |i| {
-                run_cell(&uncached[i], inner, self.telemetry.as_ref())
+                run_cell(&uncached[i], inner, self.telemetry.as_ref(), |_| {})
             });
             for (cell_cfg, observed) in uncached.iter().zip(computed) {
                 self.fold_cell(cell_cfg, observed, &mut hb);

@@ -1,7 +1,17 @@
-//! Leveled stderr logging controlled by `BGPSCALE_LOG`.
+//! The wall side of the workspace: the host clock and the log verbosity.
 //!
-//! The binaries (`repro`, `topogen`) route their progress and diagnostic
-//! chatter through [`crate::log!`] so scripted runs can silence stderr:
+//! A cell is a pure function of `(config, seed)` for any `--jobs`. What
+//! may not feed into one — elapsed host time, the `BGPSCALE_LOG`
+//! environment variable — lives here, in the one crate that depends on
+//! all six deterministic crates. None of them can call into this module:
+//! their dependency on `bgpscale-experiments` would be a cycle, which
+//! cargo refuses to build. `repro profile` times the harness's phases
+//! through the hook [`bgpscale_core::run_cell`] takes, not from inside it.
+//!
+//! * [`Stopwatch`] — elapsed host time, for progress lines, profiles and
+//!   the run ledger's wall tier.
+//! * [`crate::log!`] — leveled progress chatter on stderr, controlled by
+//!   `BGPSCALE_LOG`:
 //!
 //! ```text
 //! BGPSCALE_LOG=quiet  errors only (macro output fully suppressed)
@@ -13,7 +23,38 @@
 //! fall back to `info`. Hard errors (usage, failed writes) stay on plain
 //! `eprintln!` — they are the program's interface, not diagnostics.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one home of host-clock and environment reads; no deterministic crate can depend on this one"
+)]
+
 use std::sync::OnceLock;
+use std::time::Instant;
+
+/// A started wall-clock stopwatch.
+#[derive(Clone, Copy, Debug)]
+pub struct Stopwatch {
+    start: Instant,
+}
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Stopwatch {
+        Stopwatch {
+            start: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds elapsed since start.
+    pub fn elapsed_ns(&self) -> u128 {
+        self.start.elapsed().as_nanos()
+    }
+
+    /// Seconds elapsed since start.
+    pub fn elapsed_secs_f64(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+}
 
 /// Verbosity levels, ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,14 +80,9 @@ impl Level {
 }
 
 /// The process-wide maximum level, from `BGPSCALE_LOG` (default `info`).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts"
-)]
-pub fn max_level() -> Level {
+fn max_level() -> Level {
     static LEVEL: OnceLock<Level> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        // det::allow(det-closure, reason = "log verbosity only; gates stderr output, never simulated behavior or artifacts")
         std::env::var("BGPSCALE_LOG")
             .ok()
             .and_then(|v| Level::parse(&v))
@@ -63,13 +99,13 @@ pub fn enabled(level: Level) -> bool {
 /// Logs a line to stderr if the given level is enabled:
 ///
 /// ```
-/// bgpscale_obs::log!(Info, "running {} cells", 5);
-/// bgpscale_obs::log!(Debug, "cache state: {:?}", ());
+/// bgpscale_experiments::log!(Info, "running {} cells", 5);
+/// bgpscale_experiments::log!(Debug, "cache state: {:?}", ());
 /// ```
 #[macro_export]
 macro_rules! log {
     ($lvl:ident, $($arg:tt)*) => {
-        if $crate::logging::enabled($crate::logging::Level::$lvl) {
+        if $crate::wall::enabled($crate::wall::Level::$lvl) {
             eprintln!($($arg)*);
         }
     };
@@ -78,6 +114,14 @@ macro_rules! log {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stopwatch_measures_nonnegative_time() {
+        let sw = Stopwatch::start();
+        let a = sw.elapsed_ns();
+        let b = sw.elapsed_ns();
+        assert!(b >= a);
+    }
 
     #[test]
     fn level_parsing() {
@@ -94,14 +138,6 @@ mod tests {
     fn levels_are_ordered() {
         assert!(Level::Quiet < Level::Info);
         assert!(Level::Info < Level::Debug);
-    }
-
-    #[test]
-    fn quiet_disables_everything_by_construction() {
-        // `enabled` can't be tested against the env var here (OnceLock is
-        // process-global), but the quiet rule is pure: nothing is <= Quiet
-        // except Quiet itself, and Quiet short-circuits to false.
-        assert!(Level::Quiet <= Level::Quiet);
     }
 
     #[test]

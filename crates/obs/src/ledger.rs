@@ -469,19 +469,7 @@ pub fn append_records(path: &Path, records: &[LedgerRecord]) -> Result<AppendOut
     if outcome.appended == 0 {
         return Ok(outcome);
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| LedgerError::Io(format!("{}: {e}", parent.display())))?;
-        }
-    }
-    use std::io::Write as _;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| LedgerError::Io(format!("{}: {e}", path.display())))?;
-    file.write_all(block.as_bytes())
+    crate::artifact::append(path, block.as_bytes())
         .map_err(|e| LedgerError::Io(format!("{}: {e}", path.display())))?;
     Ok(outcome)
 }

@@ -2,21 +2,19 @@
 //!
 //! Deterministic simulation telemetry for the `bgpscale` workspace:
 //! observer hooks, a metrics registry, structured event tracing, churn
-//! provenance stamps, simulated-time series, the run ledger, wall-clock
-//! span profiling and leveled logging — with **zero external
-//! dependencies**. Every JSON artifact is written and read by one module,
-//! [`json`].
+//! provenance stamps, simulated-time series and the run ledger — with
+//! **zero external dependencies**. Every JSON artifact is rendered and
+//! parsed by one module, [`json`], and every file is written by one,
+//! [`artifact`], which refuses a document without the [`SCHEMA_VERSION`]
+//! stamp.
 //!
-//! The crate draws a hard line between two kinds of observability:
-//!
-//! * **Deterministic artifacts** — [`MetricsRegistry`] snapshots and
-//!   [`TraceRecord`] streams are pure functions of the simulated
-//!   trajectory: integer-only, merged in event-index order, serialized
-//!   with sorted keys. `metrics.json` and `trace.jsonl` are byte-identical
-//!   for any `--jobs` level (regression-tested in `bgpscale-core`).
-//! * **Wall-clock profiling** — [`span::SpanGuard`] scopes aggregate real
-//!   elapsed time into a process-global profile for `repro profile`. Wall
-//!   time never enters the deterministic artifacts.
+//! Everything here is deterministic: [`MetricsRegistry`] snapshots and
+//! [`TraceRecord`] streams are pure functions of the simulated trajectory:
+//! integer-only, merged in event-index order, serialized with sorted keys.
+//! `metrics.json` and `trace.jsonl` are byte-identical for any `--jobs`
+//! level (regression-tested in `bgpscale-core`). Wall time — the host
+//! clock, `repro profile`'s phase table, log verbosity — is
+//! `bgpscale-experiments`' `wall` module, which this crate cannot reach.
 //!
 //! The simulator is generic over [`SimObserver`] with [`NoopObserver`] as
 //! the default: hooks are statically dispatched empty inline bodies, so
@@ -38,16 +36,28 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The panic surface: a panic in a deterministic crate aborts a cell, so
+// every index, unwrap, expect and panic! outside the tests is either
+// rewritten away or audited by an `#[expect(<lint>, reason = "...")]` on
+// its function.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
+pub mod artifact;
 pub mod costmodel;
 pub mod json;
 pub mod ledger;
-pub mod logging;
 pub mod metrics;
 pub mod observer;
 pub mod provenance;
 pub mod recorder;
-pub mod span;
 pub mod timeseries;
 pub mod trace;
 
@@ -80,11 +90,9 @@ pub use ledger::{
     append_records, config_fingerprint, read_ledger, AppendOutcome, ArtifactHashes, LedgerError,
     LedgerRecord, RunKind, WallSide,
 };
-pub use logging::Level;
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use observer::{EventKind, NoopObserver, SimObserver, UpdateClass};
 pub use provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use recorder::{Recorder, RecorderOptions};
-pub use span::SpanStats;
 pub use timeseries::{RootRecord, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, TsBin};
 pub use trace::{TraceBuffer, TraceRecord, TraceWriter};

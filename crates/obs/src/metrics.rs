@@ -30,6 +30,16 @@ pub fn bucket(bounds: &[u64], value: u64) -> usize {
     bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
 }
 
+/// Adds `n` to the bucket of `value` among `counts`, which holds one
+/// count per bound plus the overflow bucket.
+#[inline]
+pub fn tally(counts: &mut [u64], bounds: &[u64], value: u64, n: u64) {
+    debug_assert_eq!(counts.len(), bounds.len() + 1, "one count per bound, plus overflow");
+    if let Some(count) = counts.get_mut(bucket(bounds, value)) {
+        *count += n;
+    }
+}
+
 /// A gauge: last-set value and the peak ever set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gauge {
@@ -66,7 +76,7 @@ impl Histogram {
     pub fn new(bounds: Vec<u64>) -> Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
+            bounds.is_sorted_by(|a, b| a < b),
             "histogram bounds must be strictly increasing"
         );
         let buckets = bounds.len() + 1;
@@ -93,7 +103,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket(&self.bounds, value)] += n;
+        tally(&mut self.counts, &self.bounds, value, n);
         self.count += n;
         self.sum += value * n;
         self.max = self.max.max(value);
@@ -176,14 +186,7 @@ impl MetricsRegistry {
 
     /// Adds `by` to counter `name` (creating it at 0).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counter_entry(name) += by;
-    }
-
-    fn counter_entry(&mut self, name: &str) -> &mut u64 {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_string(), 0);
-        }
-        self.counters.get_mut(name).expect("just inserted")
+        *self.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Reads counter `name` (0 when absent).
@@ -213,13 +216,9 @@ impl MetricsRegistry {
     /// [`Histogram::observe_n`]). Creates the histogram with `bounds` on
     /// first use even when `n == 0`, so a shape is always registered.
     pub fn observe_n(&mut self, name: &str, bounds: &[u64], value: u64, n: u64) {
-        if !self.histograms.contains_key(name) {
-            self.histograms
-                .insert(name.to_string(), Histogram::new(bounds.to_vec()));
-        }
         self.histograms
-            .get_mut(name)
-            .expect("just inserted")
+            .entry(name.to_string())
+            .or_insert_with(|| Histogram::new(bounds.to_vec()))
             .observe_n(value, n);
     }
 

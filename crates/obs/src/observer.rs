@@ -93,8 +93,7 @@ impl UpdateClass {
 /// what it needs. Implementations must be deterministic functions of the
 /// hook arguments if their output feeds `metrics.json` or a trace file —
 /// wall-clock time and global state would break the bit-identical-across-
-/// `--jobs` guarantee (spans are the sanctioned wall-clock escape hatch;
-/// they never enter deterministic artifacts).
+/// `--jobs` guarantee.
 pub trait SimObserver {
     /// What every UPDATE, queued update and protocol step of the observed
     /// simulator carries as its cause: [`crate::Provenance`] for an observer
@@ -121,7 +120,10 @@ pub trait SimObserver {
     /// `inbox_depth` the receiver's in-queue depth *including* this
     /// message.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one hook per delivery; bundling its arguments would build a struct on the unobserved path"
+    )]
     fn on_message(
         &mut self,
         _from: AsId,

@@ -126,7 +126,10 @@ impl RootSets {
         self.by_content.clear();
     }
 
-    // det::allow(panic-surface, reason = "id was returned by intern since the last clear, so ends[id] exists and bounds a range inside roots by construction")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id was returned by intern since the last clear, so ends[id] exists and bounds a range inside roots by construction"
+    )]
     fn get(&self, id: u32) -> &[u32] {
         let id = id as usize;
         let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
@@ -134,11 +137,11 @@ impl RootSets {
     }
 
     /// The id of `set` (sorted, duplicate-free), interning it if new.
-    // det::allow(panic-surface, reason = "binary_search's Ok index is inside by_content by contract")
     fn intern(&mut self, set: &[u32]) -> u32 {
-        match self.by_content.binary_search_by(|&id| self.get(id).cmp(set)) {
-            Ok(at) => self.by_content[at],
-            Err(at) => {
+        let at = self.by_content.partition_point(|&id| self.get(id) < set);
+        match self.by_content.get(at).filter(|&&id| self.get(id) == set) {
+            Some(&id) => id,
+            None => {
                 let id = self.ends.len() as u32;
                 self.roots.extend_from_slice(set);
                 self.ends.push(self.roots.len() as u32);

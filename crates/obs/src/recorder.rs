@@ -17,9 +17,9 @@
 #![deny(clippy::float_arithmetic)]
 
 use bgpscale_simkernel::SimTime;
-use bgpscale_topology::{AsId, Relationship};
+use bgpscale_topology::{AsId, ByRel, Relationship};
 
-use crate::metrics::{bucket, MetricsRegistry};
+use crate::metrics::{tally, MetricsRegistry};
 use crate::observer::{EventKind, SimObserver, UpdateClass};
 use crate::provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 use crate::timeseries::{TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
@@ -45,8 +45,8 @@ pub struct RecorderOptions {
 /// between events.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
-    events_by_kind: [u64; 4],
-    msgs_by_rel: [u64; 3],
+    events_by_kind: [u64; EventKind::ALL.len()],
+    msgs_by_rel: ByRel<u64>,
     announces: u64,
     withdraws: u64,
     mrai_flushes: u64,
@@ -68,8 +68,8 @@ pub struct Recorder {
     prov_depth_max: u64,
     /// Stamped deliveries by the *sending* edge's relation
     /// (to_customer / to_peer / to_provider).
-    prov_to_rel: [u64; 3],
-    roots_by_kind: [u64; 5],
+    prov_to_rel: ByRel<u64>,
+    roots_by_kind: [u64; RootCauseKind::ALL.len()],
     inbox_peak: u64,
     armed_peak: u64,
     trace: Option<TraceBuffer>,
@@ -114,16 +114,13 @@ impl Recorder {
     /// Materializes the deterministic metrics registry.
     pub fn registry(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        for kind in EventKind::ALL {
-            r.inc(
-                &format!("events.{}", kind.name()),
-                self.events_by_kind[kind.index()],
-            );
+        for (kind, &count) in EventKind::ALL.iter().zip(&self.events_by_kind) {
+            r.inc(&format!("events.{}", kind.name()), count);
         }
         r.inc("events.total", self.events_total());
-        r.inc("messages.from_customer", self.msgs_by_rel[0]);
-        r.inc("messages.from_peer", self.msgs_by_rel[1]);
-        r.inc("messages.from_provider", self.msgs_by_rel[2]);
+        r.inc("messages.from_customer", self.msgs_by_rel[Relationship::Customer]);
+        r.inc("messages.from_peer", self.msgs_by_rel[Relationship::Peer]);
+        r.inc("messages.from_provider", self.msgs_by_rel[Relationship::Provider]);
         r.inc("messages.announce", self.announces);
         r.inc("messages.withdraw", self.withdraws);
         r.inc("mrai.flushes", self.mrai_flushes);
@@ -139,14 +136,11 @@ impl Recorder {
         r.inc("provenance.coalesced", self.prov_coalesced);
         r.inc("provenance.depth_sum", self.prov_depth_sum);
         r.set_gauge("provenance.depth_max", self.prov_depth_max);
-        r.inc("provenance.to_customer", self.prov_to_rel[0]);
-        r.inc("provenance.to_peer", self.prov_to_rel[1]);
-        r.inc("provenance.to_provider", self.prov_to_rel[2]);
-        for kind in RootCauseKind::ALL {
-            r.inc(
-                &format!("provenance.roots.{}", kind.name()),
-                self.roots_by_kind[kind.index()],
-            );
+        r.inc("provenance.to_customer", self.prov_to_rel[Relationship::Customer]);
+        r.inc("provenance.to_peer", self.prov_to_rel[Relationship::Peer]);
+        r.inc("provenance.to_provider", self.prov_to_rel[Relationship::Provider]);
+        for (kind, &count) in RootCauseKind::ALL.iter().zip(&self.roots_by_kind) {
+            r.inc(&format!("provenance.roots.{}", kind.name()), count);
         }
         r.inc("provenance.roots", self.roots_by_kind.iter().sum());
         r.set_gauge("sim.inbox_depth_peak", self.inbox_peak);
@@ -169,12 +163,9 @@ impl Recorder {
 /// keeping the fast fixed-array accounting in the hot loop while still
 /// producing a standard mergeable histogram.
 fn inject_histogram(r: &mut MetricsRegistry, name: &str, bounds: &[u64], counts: &[u64]) {
+    let overflow = bounds.last().map_or(0, |&top| top + 1);
     for (i, &c) in counts.iter().enumerate() {
-        let representative = if i < bounds.len() {
-            bounds[i]
-        } else {
-            bounds[bounds.len() - 1] + 1
-        };
+        let representative = bounds.get(i).copied().unwrap_or(overflow);
         r.observe_n(name, bounds, representative, c);
     }
 }
@@ -183,13 +174,13 @@ impl SimObserver for Recorder {
     type Stamp = Provenance;
 
     #[inline]
-    // det::allow(panic-surface, reason = "events_by_kind is a fixed array indexed by EventKind::index, which enumerates the variants")
     fn on_event(&mut self, kind: EventKind, _now: SimTime) {
-        self.events_by_kind[kind.index()] += 1;
+        if let Some(count) = self.events_by_kind.get_mut(kind.index()) {
+            *count += 1;
+        }
     }
 
     #[inline]
-    // det::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; Relationship::index enumerates the variants")
     fn on_message(
         &mut self,
         _from: AsId,
@@ -207,12 +198,12 @@ impl SimObserver for Recorder {
         // recorder counts what it is given, stamped or not.
         let provenance = &stamp.provenance();
         let path_len = path_len();
-        self.msgs_by_rel[rel.index()] += 1;
+        self.msgs_by_rel[rel] += 1;
         match class {
             UpdateClass::Announce => {
                 self.announces += 1;
                 let len = u64::from(path_len.unwrap_or(0));
-                self.path_len_hist[bucket(&PATH_LEN_BOUNDS, len)] += 1;
+                tally(&mut self.path_len_hist, &PATH_LEN_BOUNDS, len, 1);
                 self.path_len_sum += len;
                 self.path_len_max = self.path_len_max.max(len);
             }
@@ -222,14 +213,14 @@ impl SimObserver for Recorder {
         if provenance.is_stamped() {
             self.prov_stamped += 1;
             let depth = u64::from(provenance.depth());
-            self.prov_depth_hist[bucket(&DEPTH_BOUNDS, depth)] += 1;
+            tally(&mut self.prov_depth_hist, &DEPTH_BOUNDS, depth, 1);
             self.prov_depth_sum += depth;
             self.prov_depth_max = self.prov_depth_max.max(depth);
             if provenance.roots(root_sets).len() > 1 {
                 self.prov_coalesced += 1;
             }
             if let Some(stamp_rel) = provenance.rel() {
-                self.prov_to_rel[stamp_rel.index()] += 1;
+                self.prov_to_rel[stamp_rel] += 1;
             }
         } else {
             self.prov_unstamped += 1;
@@ -254,9 +245,10 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // det::allow(panic-surface, reason = "roots_by_kind is a fixed array indexed by RootCauseKind::index, which enumerates the variants")
     fn on_root_cause(&mut self, id: u32, kind: RootCauseKind, node: AsId, now: SimTime) {
-        self.roots_by_kind[kind.index()] += 1;
+        if let Some(count) = self.roots_by_kind.get_mut(kind.index()) {
+            *count += 1;
+        }
         if let Some(ts) = &mut self.timeseries {
             ts.record_root(id, kind, node, now.as_micros());
         }
@@ -271,11 +263,10 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // det::allow(panic-surface, reason = "flush_hist is fixed-size and bucket clamps to the last bin")
     fn on_mrai_flush(&mut self, node: AsId, sent: u32, now: SimTime) {
         self.mrai_flushes += 1;
         self.mrai_flushed_updates += u64::from(sent);
-        self.flush_hist[bucket(&FLUSH_BOUNDS, u64::from(sent))] += 1;
+        tally(&mut self.flush_hist, &FLUSH_BOUNDS, u64::from(sent), 1);
         if let Some(t) = &mut self.trace {
             t.offer(|event| TraceRecord {
                 event,

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use bgpscale_topology::{AsId, NodeType, Relationship};
+use bgpscale_topology::{AsId, ByRel, ByType, NodeType, Relationship};
 
 use crate::json::{Layout, Value};
 use crate::observer::UpdateClass;
@@ -47,9 +47,9 @@ pub struct TimeSeriesSpec {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TsBin {
     /// Updates by the sending edge's relation (customer/peer/provider).
-    pub by_rel: [u64; 3],
+    pub by_rel: ByRel<u64>,
     /// Updates by receiving node type (T/M/Cp/C).
-    pub by_type: [u64; 4],
+    pub by_type: ByType<u64>,
     /// Announcements delivered in the bin.
     pub announces: u64,
     /// Withdrawals delivered in the bin.
@@ -68,10 +68,10 @@ impl TsBin {
     }
 
     fn add(&mut self, other: &TsBin) {
-        for (sum, n) in self.by_rel.iter_mut().zip(other.by_rel) {
+        for (sum, n) in self.by_rel.iter_mut().zip(other.by_rel.iter()) {
             *sum += n;
         }
-        for (sum, n) in self.by_type.iter_mut().zip(other.by_type) {
+        for (sum, n) in self.by_type.iter_mut().zip(other.by_type.iter()) {
             *sum += n;
         }
         self.announces += other.announces;
@@ -165,8 +165,8 @@ impl TimeSeries {
         for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
             mine.add(theirs);
         }
-        for i in 0..self.depth_hist.len() {
-            self.depth_hist[i] += other.depth_hist[i];
+        for (sum, n) in self.depth_hist.iter_mut().zip(other.depth_hist) {
+            *sum += n;
         }
         self.depth_max = self.depth_max.max(other.depth_max);
         self.stamped += other.stamped;
@@ -206,8 +206,8 @@ impl TimeSeries {
         let ints = |values: &[u64]| Value::arr(Layout::Compact, values.iter().copied());
         let bins = self.bins.iter().map(|b| {
             let bin = [
-                ("by_rel", ints(&b.by_rel)),
-                ("by_type", ints(&b.by_type)),
+                ("by_rel", ints(&b.by_rel.0)),
+                ("by_type", ints(&b.by_type.0)),
                 ("announces", b.announces.into()),
                 ("withdraws", b.withdraws.into()),
                 ("mrai_armed_peak", b.mrai_armed_peak.into()),
@@ -265,7 +265,10 @@ impl TimeSeriesRecorder {
         }
     }
 
-    // det::allow(panic-surface, reason = "idx is clamped to MAX_BINS - 1 and bins is resized to idx + 1 before the index")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx is clamped to MAX_BINS - 1 and bins is resized to idx + 1 before the index"
+    )]
     fn bin_mut(&mut self, t_us: u64) -> &mut TsBin {
         let idx = ((t_us / self.series.bin_us) as usize).min(MAX_BINS - 1);
         if self.series.bins.len() <= idx {
@@ -295,8 +298,10 @@ impl TimeSeriesRecorder {
 
     /// Records a delivered update. The provenance totals of the series
     /// (`stamped`, `depth_hist`, …) are the owning `Recorder`'s to fill.
-    #[allow(clippy::too_many_arguments)]
-    // det::allow(panic-surface, reason = "bin fields are fixed arrays indexed by variant-enumerating helpers")
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the Recorder forwards its on_message hook's arguments unbundled"
+    )]
     pub fn record_message(
         &mut self,
         to: AsId,
@@ -314,8 +319,8 @@ impl TimeSeriesRecorder {
             .copied()
             .unwrap_or(NodeType::C);
         let bin = self.bin_mut(t_us);
-        bin.by_rel[rel.index()] += 1;
-        bin.by_type[ty.index()] += 1;
+        bin.by_rel[rel] += 1;
+        bin.by_type[ty] += 1;
         match class {
             UpdateClass::Announce => bin.announces += 1,
             UpdateClass::Withdraw => bin.withdraws += 1,
@@ -383,10 +388,10 @@ mod tests {
         rec.record_message(AsId(2), Relationship::Customer, UpdateClass::Withdraw, &p, &RootSets::new(), 1, 15);
         let ts = rec.finish();
         assert_eq!(ts.bins.len(), 2);
-        assert_eq!(ts.bins[0].by_rel, [0, 1, 0]);
-        assert_eq!(ts.bins[0].by_type, [1, 0, 0, 0]);
-        assert_eq!(ts.bins[1].by_rel, [1, 0, 0]);
-        assert_eq!(ts.bins[1].by_type, [0, 0, 0, 1]);
+        assert_eq!(ts.bins[0].by_rel.0, [0, 1, 0]);
+        assert_eq!(ts.bins[0].by_type.0, [1, 0, 0, 0]);
+        assert_eq!(ts.bins[1].by_rel.0, [1, 0, 0]);
+        assert_eq!(ts.bins[1].by_type.0, [0, 0, 0, 1]);
         assert_eq!(ts.bins[0].announces, 1);
         assert_eq!(ts.bins[1].withdraws, 1);
         assert_eq!(ts.total_updates(), 2);

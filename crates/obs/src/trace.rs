@@ -123,10 +123,10 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Writes the schema-version header line. Call once, before any
-    /// records, when the sink is a persisted artifact: the workspace
-    /// artifact contract (det's artifact-contract pass) requires
-    /// every written file to carry its schema version. The header does
-    /// not count toward [`TraceWriter::written`].
+    /// records, when the sink is a persisted artifact: the one file
+    /// writer, [`crate::artifact::write`], refuses a file whose first
+    /// line lacks the schema version. The header does not count toward
+    /// [`TraceWriter::written`].
     pub fn write_header(&mut self) -> io::Result<()> {
         let header = [("schema_version", crate::SCHEMA_VERSION.into()), ("kind", "trace".into())];
         self.out.write_all((Value::obj(Layout::Compact, header).to_json() + "\n").as_bytes())

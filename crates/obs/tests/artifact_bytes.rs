@@ -10,6 +10,7 @@
 use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{parse_line, ArtifactHashes, LedgerRecord, RunKind, WallSide};
 use bgpscale_obs::provenance::RootCauseKind;
+use bgpscale_topology::ByKey;
 use bgpscale_obs::{
     CostModel, EventKind, MetricsRegistry, RootRecord, TimeSeries, TraceRecord, TraceWriter, TsBin,
 };
@@ -48,16 +49,16 @@ fn series() -> TimeSeries {
     ts.events = 2;
     ts.bins = vec![
         TsBin {
-            by_rel: [1, 2, 3],
-            by_type: [4, 5, 6, 7],
+            by_rel: ByKey([1, 2, 3]),
+            by_type: ByKey([4, 5, 6, 7]),
             announces: 15,
             withdraws: 7,
             mrai_armed_peak: 9,
             inbox_peak: 2,
         },
         TsBin {
-            by_rel: [0, 0, 8],
-            by_type: [0, 1, 0, 7],
+            by_rel: ByKey([0, 0, 8]),
+            by_type: ByKey([0, 1, 0, 7]),
             announces: 0,
             withdraws: 8,
             mrai_armed_peak: 0,

@@ -9,6 +9,11 @@
 //! the counters of simkernel's counting allocator are process-global: a
 //! second test running on another thread would be counted too.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the allocator counters are what this test reads"
+)]
+
 use bgpscale_obs::{Provenance, RootSets, Stamp};
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
 

@@ -33,13 +33,6 @@ impl AllocSnapshot {
     /// Allocation activity between `earlier` and `self` (call-count and
     /// byte deltas; `peak_bytes` is carried over as the later reading
     /// since a high-water mark cannot be meaningfully subtracted).
-    ///
-    /// Deliberately *not* named `since`: this module is wall-side, and
-    /// `since` is the deterministic tier's delta-method name
-    /// (`SimTime::since`, `OpCounts::since`). det's call graph
-    /// resolves ambiguous method names to every workspace impl, so a
-    /// shared name would make every deterministic `.since(..)` call
-    /// look like a wall-side crossing.
     pub fn delta_since(&self, earlier: &AllocSnapshot) -> AllocSnapshot {
         AllocSnapshot {
             allocs: self.allocs.saturating_sub(earlier.allocs),
@@ -105,7 +98,7 @@ mod counting {
         });
     }
 
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "GlobalAlloc is an unsafe trait; this impl is the workspace's one use of unsafe")]
     // SAFETY: every call forwards verbatim to `System`, which upholds the
     // GlobalAlloc contract; the bookkeeping uses only atomics.
     unsafe impl GlobalAlloc for CountingAlloc {

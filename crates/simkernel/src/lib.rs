@@ -42,6 +42,19 @@
 // other configuration keeps the crate-wide forbid.
 #![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
 #![cfg_attr(feature = "alloc-count", deny(unsafe_code))]
+// The panic surface: a panic in a deterministic crate aborts a cell, so
+// every index, unwrap, expect and panic! outside the tests is either
+// rewritten away or audited by an `#[expect(<lint>, reason = "...")]` on
+// its function.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 pub mod alloc;
 pub mod pool;
@@ -49,7 +62,6 @@ pub mod queue;
 pub mod rng;
 pub mod rss;
 pub mod time;
-pub mod wallclock;
 
 pub use alloc::AllocSnapshot;
 pub use pool::{effective_jobs, run_indexed};
@@ -57,4 +69,3 @@ pub use queue::{EventKey, EventQueue, QueueOpCounts};
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;
 pub use time::{SimDuration, SimTime};
-pub use wallclock::Stopwatch;

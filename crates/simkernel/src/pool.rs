@@ -80,6 +80,10 @@ where
     run_threaded(jobs.min(count), count, init, f)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "every index below count is claimed by a worker before the scope ends, and a worker's panic is resumed before the slots are read"
+)]
 fn run_threaded<S, T, I, F>(workers: usize, count: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -95,11 +99,9 @@ where
                     let mut state = init();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
+                        let Some(slot) = slots.get(i) else { break };
                         let value = f(&mut state, i);
-                        *slots[i].lock().expect("result slot poisoned") = Some(value);
+                        *slot.lock().expect("result slot poisoned") = Some(value);
                     }
                 })
             })

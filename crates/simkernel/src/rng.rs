@@ -177,6 +177,10 @@ pub trait Rng {
     ///
     /// # Panics
     /// Panics if `weights` is empty or the total weight is not positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert above makes the total positive, so some weight is"
+    )]
     fn choose_weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         assert!(

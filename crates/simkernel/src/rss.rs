@@ -1,8 +1,8 @@
 //! Peak resident-set-size sampling (wall-side telemetry only).
 //!
 //! Reads the process high-water RSS mark (`VmHWM`) from
-//! `/proc/self/status`. Like the wall-clock [`crate::Stopwatch`] and the
-//! optional allocation counters, peak RSS is **never** allowed into a
+//! `/proc/self/status`. Like the host clock and the optional allocation
+//! counters, peak RSS is **never** allowed into a
 //! deterministic artifact: it depends on the machine, the allocator and
 //! the worker count, so it is reported only by the benchmark
 //! (`peak_rss_mb`) and in the run ledger's `wall` tier (which carries a
@@ -49,6 +49,7 @@ mod tests {
 
     #[cfg(target_os = "linux")]
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the wall-side reading under test")]
     fn live_reading_is_positive_on_linux() {
         let rss = peak_rss_bytes().expect("linux exposes VmHWM");
         assert!(rss > 0);

@@ -53,7 +53,10 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`; a simulation clock never
     /// runs backwards, so this indicates a kernel bug.
-    // det::allow(panic-surface, reason = "a backwards clock is a kernel bug and panicking is the documented contract (# Panics above); saturating_since is the non-panicking form")
+    #[expect(
+        clippy::expect_used,
+        reason = "a backwards clock is a kernel bug and panicking is the documented contract; saturating_since is the non-panicking form"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -151,6 +154,10 @@ impl Add for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "a negative duration is a caller bug, as integer subtraction's overflow is"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

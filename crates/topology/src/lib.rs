@@ -55,4 +55,4 @@ pub use generator::generate;
 pub use graph::{AsGraph, Neighbor};
 pub use params::TopologyParams;
 pub use scenario::GrowthScenario;
-pub use types::{AsId, NodeType, RegionSet, Relationship};
+pub use types::{AsId, ByKey, ByRel, ByType, NodeType, RegionSet, Relationship};

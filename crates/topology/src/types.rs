@@ -128,6 +128,91 @@ impl fmt::Display for Relationship {
     }
 }
 
+/// A table with one cell per variant of a key enum, indexed by the key
+/// itself: [`ByType`] by [`NodeType`], [`ByRel`] by [`Relationship`]. Its
+/// `Index` is a `match` on the key, so no lookup can fall outside it. The
+/// cells are in the key's `ALL` order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ByKey<T, const N: usize>(pub [T; N]);
+
+/// One cell per [`NodeType`].
+pub type ByType<T> = ByKey<T, 4>;
+
+/// One cell per [`Relationship`].
+pub type ByRel<T> = ByKey<T, 3>;
+
+impl<T: Default, const N: usize> Default for ByKey<T, N> {
+    fn default() -> Self {
+        ByKey(std::array::from_fn(|_| T::default()))
+    }
+}
+
+impl<T, const N: usize> ByKey<T, N> {
+    /// The cells, in the key's `ALL` order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.0.iter()
+    }
+
+    /// The cells, writable, in the key's `ALL` order.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.0.iter_mut()
+    }
+}
+
+impl<T> std::ops::Index<NodeType> for ByType<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, ty: NodeType) -> &T {
+        let [t, m, cp, c] = &self.0;
+        match ty {
+            NodeType::T => t,
+            NodeType::M => m,
+            NodeType::Cp => cp,
+            NodeType::C => c,
+        }
+    }
+}
+
+impl<T> std::ops::IndexMut<NodeType> for ByType<T> {
+    #[inline]
+    fn index_mut(&mut self, ty: NodeType) -> &mut T {
+        let [t, m, cp, c] = &mut self.0;
+        match ty {
+            NodeType::T => t,
+            NodeType::M => m,
+            NodeType::Cp => cp,
+            NodeType::C => c,
+        }
+    }
+}
+
+impl<T> std::ops::Index<Relationship> for ByRel<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, rel: Relationship) -> &T {
+        let [customer, peer, provider] = &self.0;
+        match rel {
+            Relationship::Customer => customer,
+            Relationship::Peer => peer,
+            Relationship::Provider => provider,
+        }
+    }
+}
+
+impl<T> std::ops::IndexMut<Relationship> for ByRel<T> {
+    #[inline]
+    fn index_mut(&mut self, rel: Relationship) -> &mut T {
+        let [customer, peer, provider] = &mut self.0;
+        match rel {
+            Relationship::Customer => customer,
+            Relationship::Peer => peer,
+            Relationship::Provider => provider,
+        }
+    }
+}
+
 /// The set of geographic regions an AS is present in, as a bitset.
 ///
 /// The paper uses 5 regions; up to 16 are supported. Two ASes may only
@@ -238,6 +323,11 @@ mod tests {
     fn index_is_the_position_in_all() {
         assert!(NodeType::ALL.iter().enumerate().all(|(i, ty)| ty.index() == i));
         assert!(Relationship::ALL.iter().enumerate().all(|(i, rel)| rel.index() == i));
+        // A table's cells are in the key's ALL order.
+        let types = ByKey(NodeType::ALL);
+        assert!(NodeType::ALL.into_iter().all(|ty| types[ty] == ty));
+        let rels = ByKey(Relationship::ALL);
+        assert!(Relationship::ALL.into_iter().all(|rel| rels[rel] == rel));
     }
 
     #[test]

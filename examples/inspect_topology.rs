@@ -8,12 +8,14 @@
 //! cargo run --release --example inspect_topology -- 2000 7  # n, seed
 //! ```
 
+use std::process::ExitCode;
+
 use bgpscale::prelude::*;
 use bgpscale::stats::powerlaw::fit_power_law_auto;
 use bgpscale::topology::metrics::{degree_sequence, TopologySummary};
 use bgpscale::topology::validate::validate;
 
-fn main() {
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
@@ -26,7 +28,7 @@ fn main() {
             for v in violations.iter().take(10) {
                 println!("  {v}");
             }
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     }
 
@@ -60,4 +62,5 @@ fn main() {
         "  4. constant path length: {:.2} AS hops (valley-free)",
         summary.avg_path_length
     );
+    ExitCode::SUCCESS
 }

@@ -77,6 +77,7 @@ fn same_config_and_rev_dedupes_by_content_hash() {
 /// round-trip and surfaces as `Corrupt` with its line number — the CLI
 /// maps this to exit 2 rather than analyzing a damaged history.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test damages a ledger on purpose")]
 fn truncated_trailing_line_is_rejected_as_corrupt() {
     let path = temp_path("truncate");
     let _ = std::fs::remove_file(&path);
@@ -107,6 +108,7 @@ fn truncated_trailing_line_is_rejected_as_corrupt() {
 /// latter with the `--bless` hint), and no check — passing or failing —
 /// changes a byte of the ledger file.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test damages a ledger on purpose")]
 fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     let path = temp_path("perf_gate");
     let _ = std::fs::remove_file(&path);

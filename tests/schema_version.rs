@@ -3,24 +3,29 @@
 //! The constant lives in exactly one place — [`bgpscale_obs::SCHEMA_VERSION`] —
 //! and the writers embed it: `metrics.json` (`MetricsRegistry::to_json`),
 //! `costmodel.json` (`CostModel::to_json`), `timeseries.json` (the
-//! `repro report` wrapper), the trace header, and every run-ledger line
-//! (`LedgerRecord::to_line`) — which is also what a perf baseline is. A
-//! writer that forgets the stamp (or stamps a different number) fails
-//! here before it can ship an unversioned artifact.
+//! `repro report` wrapper), the trace header, every run-ledger line
+//! (`LedgerRecord::to_line`) — which is also what a perf baseline is — and
+//! the figure CSVs of `repro --csv` (`Figure::csv_files`). A writer that
+//! forgets the stamp (or stamps a different number) fails here before it
+//! can ship an unversioned artifact; `bgpscale_obs::artifact`, the one
+//! file writer, refuses it at run time as well.
 
 use bgpscale_core::ExperimentConfig;
 use bgpscale_experiments::churnreport::run_report;
+use bgpscale_experiments::figures;
 use bgpscale_experiments::perf::measure;
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
 
 /// `"schema_version": N` (or the compact `"schema_version":N`) appears in
-/// the document with the shared constant as its value.
+/// the document with the shared constant as its value, or — for a CSV,
+/// which has no keys — its first line is the comment `# schema_version=N`.
 fn assert_stamped(doc: &str, what: &str) {
     let spaced = format!("\"schema_version\": {SCHEMA_VERSION}");
     let compact = format!("\"schema_version\":{SCHEMA_VERSION}");
+    let comment = format!("# schema_version={SCHEMA_VERSION}");
     assert!(
-        doc.contains(&spaced) || doc.contains(&compact),
+        doc.contains(&spaced) || doc.contains(&compact) || doc.lines().next() == Some(&comment),
         "{what} is missing schema_version {SCHEMA_VERSION}: {}",
         &doc[..doc.len().min(200)]
     );
@@ -61,4 +66,15 @@ fn ledger_line_is_stamped() {
     let m = measure(&cfg, 2);
     let record = bgpscale_experiments::perf::perf_record(&cfg, &m, "testrev");
     assert_stamped(&record.to_line(), "ledger line");
+}
+
+#[test]
+fn figure_csvs_are_stamped() {
+    let fig = figures::fig3::run(11);
+    let files = fig.csv_files();
+    assert_eq!(files.len(), fig.tables.len());
+    for ((name, csv), table) in files.iter().zip(&fig.tables) {
+        assert_stamped(csv, name);
+        assert!(csv.ends_with(&table.to_csv()), "{name} is the stamp plus the table");
+    }
 }
