@@ -20,8 +20,12 @@
 //!   sessions of the topology. Node `i`'s sessions are the contiguous
 //!   [`Stripe`] `SessionSlab::stripe(i)` of this space, the one place a
 //!   slot becomes such an id and a per-session column is indexed.
-//! * **prefix row** (`usize`) — a network-wide index, handed out in the
-//!   order prefixes are first touched by any node and never moved.
+//! * **prefix row** (`u32`) — a network-wide index, handed out in the
+//!   order prefixes are first touched by any node and never moved. Below
+//!   a node's entry points a route cell, an MRAI timer and a damping
+//!   entry are named by their row alone: `PrefixRows` maps a prefix to
+//!   its row where a prefix comes in, and back only where an update is
+//!   built.
 //!
 //! [`SessionSlab`] is the AS-id ↔ slot ↔ [`Stripe`] translation table,
 //! built **once** from the topology and shared through an `Arc`.
@@ -50,10 +54,10 @@
 //!   and the queued update, eight bytes unobserved ([`crate::mrai`]).
 //!
 //! A row is appended for every prefix of the network, and a sorted
-//! `(prefix, row)` index walks the rows in prefix order — the same
-//! deterministic order the per-node `BTreeMap` gave, which whole-table
-//! operations (session resets, session-up replays) rely on for
-//! bit-identical artifacts. One prefix or four hundred (`ext_tablesize`),
+//! `(prefix, row)` index (`PrefixRows`) walks the rows in prefix order —
+//! the same deterministic order the per-node `BTreeMap` gave, which
+//! whole-table operations (session resets, session-up replays) rely on
+//! for bit-identical artifacts. One prefix or four hundred (`ext_tablesize`),
 //! the same columns serve. A node that never touched a row holds it
 //! *unheld*: it has no route there, replays nothing, and the byte model
 //! charges it nothing.
@@ -61,7 +65,7 @@
 //! Damping state ([`DampTable`]) stays sparse — entries exist only for
 //! routes with flap history, and the paper's configuration disables RFD
 //! entirely — so it is one flat sorted `Vec` keyed by (global session,
-//! prefix) with binary-search access rather than a dense row × session
+//! row) with binary-search access rather than a dense row × session
 //! matrix, and it allocates nothing until the first flap is charged.
 
 // Integer-only: a float sum is order-sensitive, so merges would not be exact.
@@ -356,7 +360,7 @@ impl Stripe {
     /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Actions or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
     )]
     pub(crate) fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
         &column[at]
@@ -365,7 +369,7 @@ impl Stripe {
     /// [`Stripe::cut`], writable.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue row argument included: submit, send_unlimited and flush debug-check it against the prefix it comes with), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Actions or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
     )]
     pub(crate) fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
         &mut column[at]
@@ -433,8 +437,8 @@ pub struct RouteSlab<S = ()> {
     /// Per (row, session): the Adj-RIB-out, queued updates and per-prefix
     /// timers.
     pub(crate) out: RibOut<S>,
-    /// `(prefix, row)` for every row, sorted by prefix.
-    by_prefix: Vec<(Prefix, u32)>,
+    /// Every row's prefix, both ways.
+    rows: PrefixRows,
     /// Per (row, node): the Loc-RIB entry, at `row * nodes + node`.
     loc: Vec<LocRib>,
     /// Per (row, session): the cached preference key of the Adj-RIB-in
@@ -445,7 +449,7 @@ pub struct RouteSlab<S = ()> {
     rib_key: Vec<u64>,
     /// Per (row, session): the Adj-RIB-in, at `row * sessions + session`.
     rib_in: Vec<Option<PathId>>,
-    /// Damping state per (global session, prefix); entries exist only for
+    /// Damping state per (global session, row); entries exist only for
     /// routes with flap history (none while [`crate::BgpConfig::rfd`] is
     /// off).
     pub(crate) damp: DampTable,
@@ -468,7 +472,7 @@ impl<S: Stamp> RouteSlab<S> {
             sessions,
             state: vec![SessionState::UP; sessions],
             out: RibOut::new(sessions),
-            by_prefix: Vec::new(),
+            rows: PrefixRows::default(),
             loc: Vec::new(),
             rib_key: Vec::new(),
             rib_in: Vec::new(),
@@ -480,30 +484,28 @@ impl<S: Stamp> RouteSlab<S> {
 
     /// Number of prefix rows.
     pub fn rows(&self) -> usize {
-        self.by_prefix.len()
+        self.rows.prefix.len()
     }
 
     /// The row of `prefix`, if any node touched it.
-    pub fn row(&self, prefix: Prefix) -> Option<usize> {
-        row_in(&self.by_prefix, prefix)
+    pub fn row(&self, prefix: Prefix) -> Option<u32> {
+        self.rows.row(prefix)
     }
 
-    /// Every `(row, prefix)` in sorted prefix order.
-    pub fn rows_by_prefix(&self) -> impl Iterator<Item = (usize, Prefix)> + '_ {
-        self.by_prefix.iter().map(|&(prefix, row)| (row as usize, prefix))
+    /// Every row in sorted prefix order.
+    pub fn rows_by_prefix(&self) -> impl Iterator<Item = u32> + '_ {
+        self.rows.by_prefix()
     }
 
     /// The row of `prefix` for node `node`, whose sessions are `stripe`,
     /// appending an empty row if no node touched the prefix before, and
     /// making the row the node's — held, and charged to it in the byte
     /// model — if it was not.
-    pub fn touch(&mut self, prefix: Prefix, node: u32, stripe: Stripe) -> usize {
+    pub fn touch(&mut self, prefix: Prefix, node: u32, stripe: Stripe) -> u32 {
         let row = match self.row(prefix) {
             Some(row) => row,
             None => {
-                let row = self.rows();
-                let at = self.by_prefix.partition_point(|&(p, _)| p < prefix);
-                self.by_prefix.insert(at, (prefix, row as u32));
+                let row = self.rows.push(prefix);
                 self.loc.extend(std::iter::repeat_n(LocRib::UNHELD, self.nodes));
                 self.rib_key.extend(std::iter::repeat_n(0, self.sessions));
                 self.rib_in.extend(std::iter::repeat_n(None, self.sessions));
@@ -525,8 +527,8 @@ impl<S: Stamp> RouteSlab<S> {
         clippy::indexing_slicing,
         reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row"
     )]
-    pub(crate) fn loc(&self, row: usize, node: u32) -> &LocRib {
-        &self.loc[row * self.nodes + node as usize]
+    pub(crate) fn loc(&self, row: u32, node: u32) -> &LocRib {
+        &self.loc[row as usize * self.nodes + node as usize]
     }
 
     /// Node `node`'s Loc-RIB entry for `row`, writable.
@@ -534,23 +536,23 @@ impl<S: Stamp> RouteSlab<S> {
         clippy::indexing_slicing,
         reason = "the row contract: a row index is one that touch/row returned, and node < nodes held when the caller's stripe was made; loc holds nodes entries per row"
     )]
-    pub(crate) fn loc_mut(&mut self, row: usize, node: u32) -> &mut LocRib {
-        &mut self.loc[row * self.nodes + node as usize]
+    pub(crate) fn loc_mut(&mut self, row: u32, node: u32) -> &mut LocRib {
+        &mut self.loc[row as usize * self.nodes + node as usize]
     }
 
     /// The Adj-RIB-in of the node owning `stripe` for `row`: one route
     /// and one cached preference key per slot. A key means something only
     /// while its cell holds a route.
-    pub(crate) fn adj_rib_in(&self, row: usize, stripe: Stripe) -> (&[Option<PathId>], &[u64]) {
-        let cells = stripe.cells(row * self.sessions);
+    pub(crate) fn adj_rib_in(&self, row: u32, stripe: Stripe) -> (&[Option<PathId>], &[u64]) {
+        let cells = stripe.cells(row as usize * self.sessions);
         (Stripe::cut(&self.rib_in, cells.clone()), Stripe::cut(&self.rib_key, cells))
     }
 
     /// One Adj-RIB-in cell of the node owning `stripe`: the route, and
     /// the preference key cached beside it (meaningful only while the
     /// cell holds a route).
-    pub(crate) fn rib_in(&self, row: usize, stripe: Stripe, slot: u32) -> (Option<PathId>, u64) {
-        let cell = stripe.slot_cell(row * self.sessions, slot);
+    pub(crate) fn rib_in(&self, row: u32, stripe: Stripe, slot: u32) -> (Option<PathId>, u64) {
+        let cell = stripe.slot_cell(row as usize * self.sessions, slot);
         (*Stripe::cut(&self.rib_in, cell), *Stripe::cut(&self.rib_key, cell))
     }
 
@@ -560,8 +562,8 @@ impl<S: Stamp> RouteSlab<S> {
     ///
     /// # Panics
     /// Panics if `slot` is not one of the node's sessions.
-    pub(crate) fn set_rib_in(&mut self, row: usize, stripe: Stripe, slot: u32, route: Option<(PathId, u64)>) {
-        let cell = stripe.slot_cell(row * self.sessions, slot);
+    pub(crate) fn set_rib_in(&mut self, row: u32, stripe: Stripe, slot: u32, route: Option<(PathId, u64)>) {
+        let cell = stripe.slot_cell(row as usize * self.sessions, slot);
         *Stripe::cut_mut(&mut self.rib_in, cell) = route.map(|(path, _)| path);
         if let Some((_, key)) = route {
             *Stripe::cut_mut(&mut self.rib_key, cell) = key;
@@ -572,19 +574,19 @@ impl<S: Stamp> RouteSlab<S> {
     /// read-only.
     pub fn queue(&self, stripe: Stripe, slot: u32) -> QueueView<'_, S> {
         let state = stripe.entry(&self.state, slot);
-        QueueView { state, out: &self.out, by_prefix: &self.by_prefix, stripe, slot }
+        QueueView { state, out: &self.out, rows: &self.rows, stripe, slot }
     }
 
     /// The output queue of session `slot` of the node owning `stripe`.
     pub fn queue_mut(&mut self, stripe: Stripe, slot: u32) -> OutQueue<'_, S> {
         let state = stripe.entry_mut(&mut self.state, slot);
-        OutQueue { state, out: &mut self.out, by_prefix: &self.by_prefix, stripe, slot }
+        OutQueue { state, out: &mut self.out, rows: &self.rows, stripe, slot }
     }
 
-    /// True if the route of global session `session` for `prefix` is
+    /// True if the route of global session `session` in `row` is
     /// currently damped.
-    pub(crate) fn suppressed(&self, session: u32, prefix: Prefix) -> bool {
-        self.damp.get(session, prefix).is_some_and(|s| s.suppressed)
+    pub(crate) fn suppressed(&self, session: u32, row: u32) -> bool {
+        self.damp.get(session, row).is_some_and(|s| s.suppressed)
     }
 
     /// The key reserved for every MRAI timer of the network.
@@ -626,7 +628,7 @@ impl<S: Stamp> RouteSlab<S> {
     }
 
     fn clear_rows(&mut self) {
-        self.by_prefix.clear();
+        self.rows.clear();
         self.loc.clear();
         self.rib_key.clear();
         self.rib_in.clear();
@@ -647,20 +649,60 @@ impl<S: Stamp> RouteSlab<S> {
     }
 }
 
-/// The row of `prefix` among `(prefix, row)` pairs sorted by prefix.
-pub(crate) fn row_in(by_prefix: &[(Prefix, u32)], prefix: Prefix) -> Option<usize> {
-    let at = by_prefix.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
-    by_prefix.get(at).map(|&(_, row)| row as usize)
+/// Every row's prefix, both ways: a row → prefix column, read only where
+/// an update is built, and the `(prefix, row)` pairs sorted by prefix,
+/// searched where a prefix comes in and walked wherever the rows must go
+/// in prefix order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PrefixRows {
+    /// Per row: its prefix.
+    prefix: Vec<Prefix>,
+    /// `(prefix, row)` for every row, sorted by prefix.
+    by_prefix: Vec<(Prefix, u32)>,
 }
 
-/// Sparse per-(session, prefix) damping state: a flat sorted vector with
-/// binary-search access, keyed by global session id. Iteration and
-/// retention run in (session, prefix) order — for one node, the
-/// (slot, prefix) order of the former `BTreeMap<(u32, Prefix),
-/// DampState>`. Allocates nothing until the first flap is charged.
+impl PrefixRows {
+    /// The row of `prefix`, if any node touched it.
+    pub(crate) fn row(&self, prefix: Prefix) -> Option<u32> {
+        let at = self.by_prefix.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+        self.by_prefix.get(at).map(|&(_, row)| row)
+    }
+
+    /// The prefix of `row`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the row contract: a row index is one that touch/row returned, and push gave it its prefix"
+    )]
+    pub(crate) fn prefix(&self, row: u32) -> Prefix {
+        self.prefix[row as usize]
+    }
+
+    /// Every row in sorted prefix order.
+    pub(crate) fn by_prefix(&self) -> impl Iterator<Item = u32> + '_ {
+        self.by_prefix.iter().map(|&(_, row)| row)
+    }
+
+    /// Appends the row of `prefix`, which has none, and returns it.
+    fn push(&mut self, prefix: Prefix) -> u32 {
+        let row = self.prefix.len() as u32;
+        let at = self.by_prefix.partition_point(|&(p, _)| p < prefix);
+        self.by_prefix.insert(at, (prefix, row));
+        self.prefix.push(prefix);
+        row
+    }
+
+    fn clear(&mut self) {
+        self.prefix.clear();
+        self.by_prefix.clear();
+    }
+}
+
+/// Sparse per-(session, row) damping state: a flat sorted vector with
+/// binary-search access, keyed by global session id and prefix row.
+/// Allocates nothing until the first flap is charged.
 #[derive(Clone, Debug, Default)]
 pub struct DampTable {
-    entries: Vec<((u32, Prefix), DampState)>,
+    entries: Vec<((u32, u32), DampState)>,
 }
 
 impl DampTable {
@@ -674,37 +716,37 @@ impl DampTable {
         self.entries.is_empty()
     }
 
-    /// Number of (session, prefix) pairs with flap history.
+    /// Number of (session, row) pairs with flap history.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn search(&self, session: u32, prefix: Prefix) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&(session, prefix), |&(k, _)| k)
+    fn search(&self, session: u32, row: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&(session, row), |&(k, _)| k)
     }
 
-    /// The damping state for `(session, prefix)`, if any.
-    pub fn get(&self, session: u32, prefix: Prefix) -> Option<&DampState> {
-        let at = self.search(session, prefix).ok()?;
+    /// The damping state for `(session, row)`, if any.
+    pub fn get(&self, session: u32, row: u32) -> Option<&DampState> {
+        let at = self.search(session, row).ok()?;
         self.entries.get(at).map(|e| &e.1)
     }
 
-    /// Mutable damping state for `(session, prefix)`, if any.
-    pub fn get_mut(&mut self, session: u32, prefix: Prefix) -> Option<&mut DampState> {
-        let at = self.search(session, prefix).ok()?;
+    /// Mutable damping state for `(session, row)`, if any.
+    pub fn get_mut(&mut self, session: u32, row: u32) -> Option<&mut DampState> {
+        let at = self.search(session, row).ok()?;
         self.entries.get_mut(at).map(|e| &mut e.1)
     }
 
-    /// The damping state for `(session, prefix)`, default-inserting.
+    /// The damping state for `(session, row)`, default-inserting.
     #[expect(
         clippy::indexing_slicing,
         reason = "on Ok the index is a hit inside entries; on Err it is the sorted insertion point just inserted at"
     )]
-    pub fn get_or_insert(&mut self, session: u32, prefix: Prefix) -> &mut DampState {
-        let i = match self.search(session, prefix) {
+    pub fn get_or_insert(&mut self, session: u32, row: u32) -> &mut DampState {
+        let i = match self.search(session, row) {
             Ok(i) => i,
             Err(i) => {
-                self.entries.insert(i, ((session, prefix), DampState::default()));
+                self.entries.insert(i, ((session, row), DampState::default()));
                 i
             }
         };
@@ -932,8 +974,8 @@ mod tests {
         act(&mut routes, 1, &|n, s| n.receive(0, crate::Update::announce(p9, route), s));
         act(&mut routes, 0, &|n, s| n.receive(1, crate::Update::announce(p3, route), s));
         assert_eq!((routes.row(p9), routes.row(p3)), (Some(0), Some(1)), "rows in first-touch order");
-        let walk: Vec<Prefix> = routes.rows_by_prefix().map(|(_, p)| p).collect();
-        assert_eq!(walk, vec![p3, p9], "the walk ascends");
+        let walk: Vec<u32> = routes.rows_by_prefix().collect();
+        assert_eq!(walk, vec![1, 0], "the walk ascends by prefix");
         // Held: AS1 row 9 (one cell), AS0 row 3 (two cells).
         let held = 2 * BYTES_PER_ROW + 3 * BYTES_PER_RIB_CELL;
         assert_eq!(routes.arena_bytes(), held, "only the nodes that touched a row are charged");
@@ -942,7 +984,7 @@ mod tests {
         // between the others; the earlier rows' cells are untouched.
         act(&mut routes, 0, &|n, s| n.originate_caused(p5, s));
         assert_eq!(routes.row(p5), Some(2));
-        let walk: Vec<Prefix> = routes.rows_by_prefix().map(|(_, p)| p).collect();
+        let walk: Vec<Prefix> = routes.rows_by_prefix().map(|row| routes.rows.prefix(row)).collect();
         assert_eq!(walk, vec![p3, p5, p9]);
         let as0_stripe = slab.stripe(0);
         let as1_stripe = slab.stripe(1);
@@ -983,18 +1025,18 @@ mod tests {
     fn damp_table_orders_like_the_old_btreemap() {
         let mut d = DampTable::new();
         assert!(d.is_empty());
-        d.get_or_insert(1, Prefix(5)).suppressed = true;
-        d.get_or_insert(0, Prefix(9)).suppressed = false;
-        d.get_or_insert(1, Prefix(2)).suppressed = true;
+        d.get_or_insert(1, 5).suppressed = true;
+        d.get_or_insert(0, 9).suppressed = false;
+        d.get_or_insert(1, 2).suppressed = true;
         assert_eq!(d.len(), 3);
-        assert!(d.get(1, Prefix(5)).unwrap().suppressed);
-        assert!(d.get(2, Prefix(5)).is_none());
-        d.get_mut(0, Prefix(9)).unwrap().suppressed = true;
-        assert!(d.get(0, Prefix(9)).unwrap().suppressed);
+        assert!(d.get(1, 5).unwrap().suppressed);
+        assert!(d.get(2, 5).is_none());
+        d.get_mut(0, 9).unwrap().suppressed = true;
+        assert!(d.get(0, 9).unwrap().suppressed);
         d.clear_session(1);
         assert_eq!(d.len(), 1);
-        assert!(d.get(1, Prefix(2)).is_none());
-        assert!(d.get(0, Prefix(9)).is_some());
+        assert!(d.get(1, 2).is_none());
+        assert!(d.get(0, 9).is_some());
         d.clear();
         assert!(d.is_empty());
     }

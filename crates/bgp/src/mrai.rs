@@ -56,15 +56,16 @@
 //! `SessionState` per session (session timer, pending count, liveness),
 //! and per (row, session) the cells of `RibOut` — Adj-RIB-out and
 //! queued update, four bytes each, plus the stamp `S` (nothing
-//! unobserved) and, once a per-prefix timer is armed, that timer. The row
-//! is the prefix, so no prefix is stored; a session-timer flush walks the
-//! rows in prefix order while the pending count is non-zero.
+//! unobserved) and, once a per-prefix timer is armed, that timer. A queue
+//! names a cell and a per-prefix timer by its row alone, and reads the
+//! row's prefix only where it builds an [`Update`]; a session-timer flush
+//! walks the rows in prefix order while the pending count is non-zero.
 
 use bgpscale_obs::{OpCounts, Stamp};
 use bgpscale_simkernel::{EventKey, SimTime};
 use bgpscale_topology::Relationship;
 
-use crate::arena::Stripe;
+use crate::arena::{PrefixRows, Stripe};
 use crate::config::{BgpConfig, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
 use crate::node::Actions;
@@ -270,7 +271,8 @@ impl<S: Stamp> RibOut<S> {
 
     /// The cell of session `slot` of the node owning `stripe` in `row`:
     /// the one place an output cell is cut out of a row.
-    fn out_cell(&self, row: usize, stripe: Stripe, slot: u32) -> usize {
+    fn out_cell(&self, row: u32, stripe: Stripe, slot: u32) -> usize {
+        let row = row as usize;
         stripe.slot_cell(row * self.sessions, slot)
     }
 
@@ -291,8 +293,7 @@ impl<S: Stamp> RibOut<S> {
 pub struct QueueView<'a, S = ()> {
     pub(crate) state: &'a SessionState,
     pub(crate) out: &'a RibOut<S>,
-    /// Every `(prefix, row)`, sorted by prefix.
-    pub(crate) by_prefix: &'a [(Prefix, u32)],
+    pub(crate) rows: &'a PrefixRows,
     pub(crate) stripe: Stripe,
     pub(crate) slot: u32,
 }
@@ -303,12 +304,7 @@ impl<'a, S: Stamp> QueueView<'a, S> {
         self.state.up
     }
 
-    /// The row of `prefix`, if any node touched it.
-    fn row_of(self, prefix: Prefix) -> Option<usize> {
-        crate::arena::row_in(self.by_prefix, prefix)
-    }
-
-    fn out_cell(self, row: usize) -> usize {
+    fn out_cell(self, row: u32) -> usize {
         self.out.out_cell(row, self.stripe, self.slot)
     }
 
@@ -331,7 +327,7 @@ impl<'a, S: Stamp> QueueView<'a, S> {
 
     /// The timer `which` names: the session timer, or the per-prefix
     /// timer of row `which` (idle if none was armed since the last reset).
-    fn timer(self, which: Option<usize>) -> Timer {
+    fn timer(self, which: Option<u32>) -> Timer {
         match which {
             None => self.state.timer(),
             Some(_) if self.out.timers.is_empty() => Timer::IDLE,
@@ -339,34 +335,30 @@ impl<'a, S: Stamp> QueueView<'a, S> {
         }
     }
 
-    /// Every timer of this queue with the prefix it governs (`None`: the
+    /// Every timer of this queue with the row it governs (`None`: the
     /// session timer), per-prefix ones in prefix order.
-    fn timers(self) -> impl Iterator<Item = (Option<Prefix>, Timer)> + 'a {
-        let rows = if self.out.timers.is_empty() { &[][..] } else { self.by_prefix };
-        let per_prefix = rows.iter().map(move |&(prefix, row)| (Some(prefix), self.timer(Some(row as usize))));
+    fn timers(self) -> impl Iterator<Item = (Option<u32>, Timer)> + 'a {
+        let rows = (!self.out.timers.is_empty()).then(|| self.rows.by_prefix()).into_iter().flatten();
+        let per_prefix = rows.map(move |row| (Some(row), self.timer(Some(row))));
         std::iter::once((None, self.state.timer())).chain(per_prefix)
     }
 
-    /// The timer `which` names by prefix: idle for a prefix no row holds.
-    fn timer_of(self, which: Option<Prefix>) -> Timer {
-        match which {
-            None => self.state.timer(),
-            Some(prefix) => self.row_of(prefix).map_or(Timer::IDLE, |row| self.timer(Some(row))),
+    /// True while the MRAI timer governing `prefix` under `scope` is
+    /// armed at `now`; a prefix no row holds has no timer of its own.
+    pub fn is_armed(self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
+        match governing(scope, prefix) {
+            None => self.state.timer().armed(now),
+            Some(prefix) => self.rows.row(prefix).is_some_and(|row| self.timer(Some(row)).armed(now)),
         }
     }
 
-    /// True while the MRAI timer governing `prefix` under `scope` is
-    /// armed at `now`.
-    pub fn is_armed(self, prefix: Prefix, scope: MraiScope, now: EventKey) -> bool {
-        self.timer_of(governing(scope, prefix)).armed(now)
-    }
-
     /// True if the expiry event popping at `key` is the one the timer
-    /// `which` names (`None`: the session timer) asked for and still
-    /// waits for. Keys are unique, so an event scheduled before a
-    /// [`OutQueue::force_reset`] matches no timer armed after it.
-    pub fn expiry_due(self, which: Option<Prefix>, key: EventKey) -> bool {
-        let timer = self.timer_of(which);
+    /// `which` names (`None`: the session timer, `Some(row)`: that row's)
+    /// asked for and still waits for. Keys are unique, so an event
+    /// scheduled before a [`OutQueue::force_reset`] matches no timer
+    /// armed after it.
+    pub fn expiry_due(self, which: Option<u32>, key: EventKey) -> bool {
+        let timer = self.timer(which);
         timer.expiry_scheduled && timer.until == key
     }
 
@@ -391,7 +383,7 @@ impl<'a, S: Stamp> QueueView<'a, S> {
     /// each with the key reserved for it. A caller about to
     /// [`OutQueue::force_reset`] this queue uses them to keep the clock
     /// passing those keys.
-    pub fn silent_timers(self, now: EventKey) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + 'a {
+    pub fn silent_timers(self, now: EventKey) -> impl Iterator<Item = (Option<u32>, EventKey)> + 'a {
         self.timers()
             .filter(move |(_, t)| t.armed(now) && !t.expiry_scheduled)
             .map(|(which, t)| (which, t.until))
@@ -414,34 +406,33 @@ impl<'a, S: Stamp> QueueView<'a, S> {
     /// The path the neighbor currently holds from us for `prefix`
     /// (Adj-RIB-out), ignoring anything still queued.
     pub fn advertised(self, prefix: Prefix) -> Option<PathId> {
-        self.sent(self.out_cell(self.row_of(prefix)?))
+        self.sent(self.out_cell(self.rows.row(prefix)?))
     }
 
     /// What the neighbor will believe once the queue drains: the queued
     /// intent if any, else the Adj-RIB-out.
     pub fn intent(self, prefix: Prefix) -> Option<PathId> {
-        self.intent_at(self.out_cell(self.row_of(prefix)?))
+        self.intent_at(self.out_cell(self.rows.row(prefix)?))
     }
 
     /// The update queued for `prefix`, if one waits.
     pub fn queued_update(self, prefix: Prefix) -> Option<UpdateKind> {
-        self.queued(self.out_cell(self.row_of(prefix)?))
+        self.queued(self.out_cell(self.rows.row(prefix)?))
     }
 }
 
 /// One session's output queue, writable: its `SessionState` and its
 /// cells of every row (see the module docs). Made by
-/// [`crate::RouteSlab::queue_mut`]; building one allocates nothing. Rows
-/// are addressed by the index [`crate::RouteSlab::touch`] returned, and
-/// where an update names its prefix the prefix comes along too; the two
-/// are checked against each other in debug builds. A per-prefix timer is
-/// named by its row alone.
+/// [`crate::RouteSlab::queue_mut`]; building one allocates nothing. A
+/// cell and a per-prefix timer are named by the row
+/// [`crate::RouteSlab::touch`] returned, alone.
 #[derive(Debug)]
 pub struct OutQueue<'a, S = ()> {
     pub(crate) state: &'a mut SessionState,
     pub(crate) out: &'a mut RibOut<S>,
-    /// Every `(prefix, row)`, sorted by prefix: the order a flush walks.
-    pub(crate) by_prefix: &'a [(Prefix, u32)],
+    /// Every row's prefix: what an update is built with, and the order a
+    /// flush walks.
+    pub(crate) rows: &'a PrefixRows,
     pub(crate) stripe: Stripe,
     /// The session's slot at its node, which flushed updates are tagged
     /// with.
@@ -451,22 +442,16 @@ pub struct OutQueue<'a, S = ()> {
 impl<S: Stamp> OutQueue<'_, S> {
     /// The read-only face of this queue.
     pub fn view(&self) -> QueueView<'_, S> {
-        let (state, out, by_prefix) = (&*self.state, &*self.out, self.by_prefix);
-        QueueView { state, out, by_prefix, stripe: self.stripe, slot: self.slot }
+        let (state, out, rows) = (&*self.state, &*self.out, self.rows);
+        QueueView { state, out, rows, stripe: self.stripe, slot: self.slot }
     }
 
-    fn out_cell(&self, row: usize) -> usize {
+    fn out_cell(&self, row: u32) -> usize {
         self.out.out_cell(row, self.stripe, self.slot)
     }
 
-    /// Checks the caller's side of the row contract: `row` is the row of
-    /// `prefix`, the one [`crate::RouteSlab::touch`] returned for it.
-    fn debug_assert_row(&self, row: usize, prefix: Prefix) {
-        debug_assert_eq!(crate::arena::row_in(self.by_prefix, prefix), Some(row), "row {row} is not {prefix:?}'s");
-    }
-
     /// The timer `which` names (see [`QueueView::timer`]), writable.
-    fn timer_mut(&mut self, which: Option<usize>) -> TimerMut<'_> {
+    fn timer_mut(&mut self, which: Option<u32>) -> TimerMut<'_> {
         match which {
             None => (&mut self.state.until, &mut self.state.expiry_scheduled),
             Some(row) => {
@@ -488,7 +473,7 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// governing it, folding the stamp of any update it displaces into its
     /// own so no root loses its attribution, and asks for the timer's
     /// expiry event if this is the first update to wait for it.
-    fn park(&mut self, row: usize, at: usize, kind: UpdateKind, mut stamp: S, step: &mut Step<S>) -> Submit<S> {
+    fn park(&mut self, row: u32, at: usize, kind: UpdateKind, mut stamp: S, step: &mut Step<S>) -> Submit<S> {
         let queued = Stripe::cut_mut(&mut self.out.queued, at);
         let held = Stripe::cut_mut(&mut self.out.stamps, at);
         if *queued == Queued::default() {
@@ -508,22 +493,14 @@ impl<S: Stamp> OutQueue<'_, S> {
         }
     }
 
-    /// Submits a new intent for `prefix`, the prefix of `row`: `Some(path)`
-    /// to announce, `None` to withdraw. `rel` is the relation of this
+    /// Submits a new intent for the prefix of `row`: `Some(path)` to
+    /// announce, `None` to withdraw. `rel` is the relation of this
     /// session's edge; the resulting update carries
     /// `step.cause.with_rel(rel)`. `intent` is an id of `step.paths`,
     /// whose root-set table a coalesced stamp is interned in. Adj-RIB-out
     /// writes and coalesced updates are tallied into `step.costs`.
     /// Returns what the caller must do.
-    pub fn submit(
-        &mut self,
-        row: usize,
-        prefix: Prefix,
-        intent: Option<PathId>,
-        rel: Relationship,
-        step: &mut Step<S>,
-    ) -> Submit<S> {
-        self.debug_assert_row(row, prefix);
+    pub fn submit(&mut self, row: u32, intent: Option<PathId>, rel: Relationship, step: &mut Step<S>) -> Submit<S> {
         let at = self.out_cell(row);
         // Drop no-ops against the eventual neighbor state.
         if self.view().intent_at(at) == intent {
@@ -552,7 +529,7 @@ impl<S: Stamp> OutQueue<'_, S> {
                 self.arm_timer(governing(scope, row));
             }
             return Submit::SendNow {
-                update: Update::withdraw(prefix).stamped(stamp),
+                update: Update::withdraw(self.rows.prefix(row)).stamped(stamp),
                 arm_timer: rate_limited,
             };
         };
@@ -563,7 +540,7 @@ impl<S: Stamp> OutQueue<'_, S> {
         self.write_sent(at, Some(path), step);
         self.arm_timer(governing(scope, row));
         Submit::SendNow {
-            update: Update::announce(prefix, path).stamped(stamp),
+            update: Update::announce(self.rows.prefix(row), path).stamped(stamp),
             arm_timer: true,
         }
     }
@@ -574,7 +551,7 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// in this step. Returns true if an update was queued behind the timer
     /// in the meantime: the caller must then schedule the expiry event at
     /// `key` right away.
-    pub fn arm_at(&mut self, which: Option<usize>, key: EventKey) -> bool {
+    pub fn arm_at(&mut self, which: Option<u32>, key: EventKey) -> bool {
         let waiting = match which {
             None => self.state.pending > 0,
             Some(row) => self.view().queued(self.out_cell(row)).is_some(),
@@ -586,8 +563,8 @@ impl<S: Stamp> OutQueue<'_, S> {
     }
 
     /// Handles the expiry event of the timer `trigger` names (`None`: the
-    /// per-interface session timer, `Some((row, prefix))`: the per-prefix
-    /// timer of `prefix`, the prefix of `row`), popping at `step.now`:
+    /// per-interface session timer, `Some(row)`: the per-prefix timer of
+    /// that row), popping at `step.now`:
     /// drains the pending updates that timer governs, in prefix order
     /// (skipping any that have become no-ops against the Adj-RIB-out),
     /// pushes the ones that go on the wire now onto `step.out.sends`
@@ -597,26 +574,23 @@ impl<S: Stamp> OutQueue<'_, S> {
     ///
     /// # Panics
     /// Panics (in debug builds) unless [`QueueView::expiry_due`] holds of
-    /// the trigger's prefix and `step.now`.
-    pub fn flush(&mut self, trigger: Option<(usize, Prefix)>, step: &mut Step<S>) -> bool {
+    /// the trigger and `step.now`.
+    pub fn flush(&mut self, trigger: Option<u32>, step: &mut Step<S>) -> bool {
         let before = step.out.sends.len();
         match trigger {
-            Some((row, prefix)) => {
-                self.debug_assert_row(row, prefix);
-                self.emit(row, prefix, step);
-            }
+            Some(row) => self.emit(row, step),
             None => {
-                let by_prefix = self.by_prefix;
-                for &(prefix, row) in by_prefix {
+                let rows = self.rows;
+                for row in rows.by_prefix() {
                     if self.state.pending == 0 {
                         break;
                     }
-                    self.emit(row as usize, prefix, step);
+                    self.emit(row, step);
                 }
             }
         }
         let rearm = step.out.sends.len() > before;
-        let (until, expiry_scheduled) = self.timer_mut(trigger.map(|(row, _)| row));
+        let (until, expiry_scheduled) = self.timer_mut(trigger);
         debug_assert!(
             *expiry_scheduled && *until == step.now,
             "flush at {:?} of a timer expiring at {:?}",
@@ -631,14 +605,15 @@ impl<S: Stamp> OutQueue<'_, S> {
         rearm
     }
 
-    /// Puts the update queued for `prefix`, the prefix of `row`, on
-    /// `step.out.sends`, unless nothing is queued there or it is a no-op
-    /// against the Adj-RIB-out, which it updates on emission. The stored
-    /// (possibly coalesced) stamp rides out on the message.
-    fn emit(&mut self, row: usize, prefix: Prefix, step: &mut Step<S>) {
+    /// Puts the update queued in `row` on `step.out.sends`, unless nothing
+    /// is queued there or it is a no-op against the Adj-RIB-out, which it
+    /// updates on emission. The stored (possibly coalesced) stamp rides out
+    /// on the message.
+    fn emit(&mut self, row: u32, step: &mut Step<S>) {
         let at = self.out_cell(row);
         if let Some((kind, stamp)) = self.take_queued(at) {
             if self.write_sent(at, kind.path(), step) {
+                let prefix = self.rows.prefix(row);
                 step.out.sends.push((self.slot, Update { prefix, kind, stamp }));
             }
         }
@@ -656,7 +631,7 @@ impl<S: Stamp> OutQueue<'_, S> {
         true
     }
 
-    /// Transmits `path` for `prefix`, the prefix of `row`, immediately,
+    /// Transmits `path` for the prefix of `row` immediately,
     /// bypassing the rate limiter — used only for the initial full-table
     /// exchange of a freshly established session, which real BGP does not
     /// MRAI-limit (the timer governs *subsequent* advertisements). The
@@ -664,17 +639,9 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// stamped like a [`OutQueue::submit`] over an edge of relation `rel`,
     /// or `None` if the neighbor already holds an identical route. The
     /// caller arms the timer once afterwards via [`OutQueue::arm_timer`].
-    pub fn send_unlimited(
-        &mut self,
-        row: usize,
-        prefix: Prefix,
-        path: PathId,
-        rel: Relationship,
-        step: &mut Step<S>,
-    ) -> Option<Update<S>> {
-        self.debug_assert_row(row, prefix);
+    pub fn send_unlimited(&mut self, row: u32, path: PathId, rel: Relationship, step: &mut Step<S>) -> Option<Update<S>> {
         let written = self.write_sent(self.out_cell(row), Some(path), step);
-        written.then(|| Update::announce(prefix, path).stamped(step.cause.with_rel(rel)))
+        written.then(|| Update::announce(self.rows.prefix(row), path).stamped(step.cause.with_rel(rel)))
     }
 
     /// Arms a timer (a send does it itself; the caller does after an
@@ -682,7 +649,7 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// `which` is `None`, the per-prefix timer of row `which` otherwise.
     /// The caller must reserve the expiry's key and hand it over with
     /// [`OutQueue::arm_at`].
-    pub fn arm_timer(&mut self, which: Option<usize>) {
+    pub fn arm_timer(&mut self, which: Option<u32>) {
         let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(!*expiry_scheduled, "arming over a scheduled expiry");
         *until = EventKey::NEVER;
@@ -696,9 +663,9 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// [`QueueView::expiry_due`] is false of it. Liveness is kept.
     pub fn force_reset(&mut self) {
         *self.state = self.state.idle();
-        let by_prefix = self.by_prefix;
-        for &(_, row) in by_prefix {
-            let at = self.out_cell(row as usize);
+        let rows = self.rows;
+        for row in rows.by_prefix() {
+            let at = self.out_cell(row);
             *Stripe::cut_mut(&mut self.out.sent, at) = None;
             *Stripe::cut_mut(&mut self.out.queued, at) = Queued::default();
             if !self.out.timers.is_empty() {
@@ -708,8 +675,9 @@ impl<S: Stamp> OutQueue<'_, S> {
     }
 }
 
-/// Which timer of a session governs `prefix` (or its row) under `scope`:
-/// `None` is the session's one timer, `Some(prefix)` that prefix's own.
+/// Which timer of a session governs a prefix (named by its row, or by
+/// itself where it comes in) under `scope`: `None` is the session's one
+/// timer, `Some(_)` the prefix's own.
 pub(crate) fn governing<T>(scope: MraiScope, prefix: T) -> Option<T> {
     match scope {
         MraiScope::PerInterface => None,
@@ -837,7 +805,7 @@ mod tests {
         }
 
         /// The row of `prefix`, appended on its first use.
-        fn row(&mut self, prefix: Prefix) -> usize {
+        fn row(&mut self, prefix: Prefix) -> u32 {
             self.routes.touch(prefix, 0, self.slab.stripe(0))
         }
 
@@ -879,7 +847,7 @@ mod tests {
             let intent = intent.map(|hops| self.path(hops));
             let row = self.row(prefix);
             let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
-            let submit = q.submit(row, prefix, intent, REL, &mut self.lent.step(self.now, cause));
+            let submit = q.submit(row, intent, REL, &mut self.lent.step(self.now, cause));
             match &submit {
                 Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.lent.cfg.mrai_scope, prefix)),
                 Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
@@ -898,7 +866,7 @@ mod tests {
         fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update<S>>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
-            let trigger_row = trigger.map(|prefix| (self.row(prefix), prefix));
+            let trigger_row = trigger.map(|prefix| self.row(prefix));
             let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
             let rearm = q.flush(trigger_row, &mut self.lent.step(self.now, S::default()));
             if rearm {
@@ -1197,8 +1165,8 @@ mod tests {
         let (p_row, q_row) = (d.row(P), d.row(Q));
         let mut q = d.routes.queue_mut(d.slab.stripe(0), SLOT);
         let mut step = d.lent.step(EventKey::ZERO, ());
-        assert!(sent_now(&q.submit(p_row, P, Some(one), REL, &mut step)));
-        let second = q.submit(q_row, Q, Some(two), REL, &mut step);
+        assert!(sent_now(&q.submit(p_row, Some(one), REL, &mut step)));
+        let second = q.submit(q_row, Some(two), REL, &mut step);
         assert_eq!(second, Submit::Queued { expire_at: None });
         let key = EventKey {
             time: SimTime::from_secs(25),
@@ -1218,7 +1186,8 @@ mod tests {
     fn an_expiry_is_due_from_the_ask_to_the_flush_at_its_own_key_only() {
         for scope in [MraiScope::PerInterface, MraiScope::PerPrefix] {
             let mut d = Driven::new(scope);
-            let which = governing(scope, P);
+            let (p_row, q_row) = (d.row(P), d.row(Q));
+            let which = governing(scope, p_row);
             let anywhere = EventKey {
                 time: SimTime::ZERO + MRAI,
                 seq: 2,
@@ -1233,11 +1202,11 @@ mod tests {
             for seq in [until.seq - 1, until.seq + 1] {
                 assert!(!d.q().expiry_due(which, EventKey { seq, ..until }), "one seq off is another event");
             }
-            let other = if which.is_none() { Some(P) } else { None };
+            let other = if which.is_none() { Some(p_row) } else { None };
             assert!(!d.q().expiry_due(other, until), "the other scope's timer was never armed");
-            assert!(!d.q().expiry_due(Some(Q), until));
+            assert!(!d.q().expiry_due(Some(q_row), until));
 
-            let (sent, rearm) = d.expire(which);
+            let (sent, rearm) = d.expire(governing(scope, P));
             assert!(sent.len() == 1 && rearm);
             assert!(!d.q().expiry_due(which, until), "flushed: the event is spent");
             let next = d.q().latest_key_by(SimTime::MAX);
@@ -1410,7 +1379,7 @@ mod tests {
         d.submit(Q, Some(&[3]), MraiMode::NoWrate); // queues: Q's expiry is scheduled
         let silent: Vec<_> = d.q().silent_timers(d.now).collect();
         let p_key = d.q().latest_key_by(SimTime::from_secs(30));
-        assert_eq!(silent, vec![(Some(P), p_key)]);
+        assert_eq!(silent, vec![(Some(d.row(P)), p_key)]);
         assert_eq!(p_key.time, SimTime::from_secs(30));
         assert_eq!(d.q().latest_key_by(SimTime::from_secs(31)).time, SimTime::from_secs(31));
         assert_eq!(d.q().latest_key_by(SimTime::from_secs(29)), EventKey::ZERO, "none due yet");

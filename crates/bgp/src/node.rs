@@ -50,6 +50,13 @@
 //! stripe of the slab's per-session columns, cut by the stripe alone, and
 //! its Loc-RIB is entry `i` of each row (see [`crate::arena`]).
 //!
+//! A prefix comes in at the entry points — an origination, a withdrawal
+//! of the origin, a received update — and is turned into its row there.
+//! Below them a route cell, an MRAI timer and a damping entry are named by
+//! the row alone, and so are the timers and wake-ups an [`Actions`] asks
+//! the caller for, which come back to [`BgpNode::timer_armed_at`],
+//! [`BgpNode::mrai_flush`] and [`BgpNode::rfd_reuse_caused`] as rows.
+//!
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
 //! ([`crate::decision::rank_key`]), and the Loc-RIB and each
@@ -94,8 +101,9 @@ pub struct Session {
 /// reserve the key of an expiry one jittered MRAI interval away and hand
 /// it to [`BgpNode::timer_armed_at`] — no event yet; for every entry of
 /// `expiries` it must schedule the expiry event at the given key and,
-/// when it pops and [`NodeView::expiry_due`] still holds of it, call
-/// [`BgpNode::mrai_flush`].
+/// when it pops and [`QueueView::expiry_due`] still holds of it, call
+/// [`BgpNode::mrai_flush`]. A per-prefix timer and a damped route are
+/// named by their prefix's row.
 ///
 /// A step appends to the `Actions` it is lent and never clears them: the
 /// caller drains the lists once it has acted on them.
@@ -104,16 +112,16 @@ pub struct Actions<S = ()> {
     /// `(neighbor slot, message)` pairs to transmit now.
     pub sends: Vec<(u32, Update<S>)>,
     /// MRAI timers to arm now: `(slot, None)` is the session timer,
-    /// `(slot, Some(prefix))` a per-prefix timer (the scope is the
-    /// network's, so one step lists one kind).
-    pub arms: Vec<(u32, Option<Prefix>)>,
+    /// `(slot, Some(row))` a per-prefix timer (the scope is the network's,
+    /// so one step lists one kind).
+    pub arms: Vec<(u32, Option<u32>)>,
     /// Expiry events to schedule: an update now waits behind the timer of
-    /// `(slot, prefix or the session timer)`, armed in an earlier step
-    /// under the given key.
-    pub expiries: Vec<(u32, Option<Prefix>, EventKey)>,
+    /// `(slot, row or the session timer)`, armed in an earlier step under
+    /// the given key.
+    pub expiries: Vec<(u32, Option<u32>, EventKey)>,
     /// Route-flap-damping reuse wake-ups to schedule: at the given time,
-    /// call [`BgpNode::rfd_reuse_caused`] for the (slot, prefix) pair.
-    pub rfd_wakeups: Vec<(u32, Prefix, SimTime)>,
+    /// call [`BgpNode::rfd_reuse_caused`] for the (slot, row) pair.
+    pub rfd_wakeups: Vec<(u32, u32, SimTime)>,
 }
 
 impl<S> Actions<S> {
@@ -126,18 +134,18 @@ impl<S> Actions<S> {
     }
 
     /// Records what `submit`, the answer of `slot`'s queue to an intent
-    /// for `prefix`, obliges the caller to do.
-    fn absorb(&mut self, slot: u32, prefix: Prefix, submit: Submit<S>, scope: MraiScope) {
+    /// in `row`, obliges the caller to do.
+    fn absorb(&mut self, slot: u32, row: u32, submit: Submit<S>, scope: MraiScope) {
         match submit {
             Submit::SendNow { update, arm_timer } => {
                 if arm_timer {
-                    self.arms.push((slot, governing(scope, prefix)));
+                    self.arms.push((slot, governing(scope, row)));
                 }
                 self.sends.push((slot, update));
             }
             Submit::Queued {
                 expire_at: Some(key),
-            } => self.expiries.push((slot, governing(scope, prefix), key)),
+            } => self.expiries.push((slot, governing(scope, row), key)),
             Submit::Queued { expire_at: None } | Submit::Suppressed => {}
         }
     }
@@ -206,8 +214,9 @@ impl<'a, S: Stamp> NodeView<'a, S> {
         self.slab.slot_of(self.stripe, peer)
     }
 
-    /// The output queue of `slot`.
-    fn queue(self, slot: u32) -> QueueView<'a, S> {
+    /// The output queue of `slot`, read-only: its Adj-RIB-out, queued
+    /// updates, timers and liveness.
+    pub fn queue(self, slot: u32) -> QueueView<'a, S> {
         self.routes.queue(self.stripe, slot)
     }
 
@@ -225,39 +234,11 @@ impl<'a, S: Stamp> NodeView<'a, S> {
         }
     }
 
-    /// The path we last transmitted to `slot` for `prefix` (Adj-RIB-out).
-    pub fn advertised(self, slot: u32, prefix: Prefix) -> Option<PathId> {
-        self.queue(slot).advertised(prefix)
-    }
-
-    /// True while an MRAI timer of `slot` is armed at `now`.
-    pub fn timer_armed(self, slot: u32, now: EventKey) -> bool {
-        self.queue(slot).timer_armed(now)
-    }
-
-    /// True if the expiry event of `(slot, which)` popping at `key` is
-    /// still the one that timer waits for (see [`QueueView::expiry_due`]):
-    /// false of every event scheduled before a session reset.
-    pub fn expiry_due(self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        self.queue(slot).expiry_due(which, key)
-    }
-
-    /// Number of expiry events scheduled for `slot`'s output queue and not
-    /// yet popped. The simulator uses this to keep its timer-occupancy
-    /// accounting exact across session resets.
-    pub fn scheduled_expiries(self, slot: u32) -> u32 {
-        self.queue(slot).scheduled_expiries() as u32
-    }
-
-    /// The timers of `slot` armed at `now` with no expiry event
-    /// scheduled, each with its reserved key (see
-    /// [`QueueView::silent_timers`]).
-    pub fn silent_timers(
-        self,
-        slot: u32,
-        now: EventKey,
-    ) -> impl Iterator<Item = (Option<Prefix>, EventKey)> + 'a {
-        self.queue(slot).silent_timers(now)
+    /// The route held for `prefix` in the Adj-RIB-in of `slot`: what the
+    /// neighbor last announced there, `None` once it withdrew, while the
+    /// session is down, or if the announced path carried this AS.
+    pub fn adj_rib_in(self, slot: u32, prefix: Prefix) -> Option<PathId> {
+        self.routes.rib_in(self.routes.row(prefix)?, self.stripe, slot).0
     }
 
     /// The latest key reserved for any MRAI timer of this speaker that is
@@ -269,12 +250,8 @@ impl<'a, S: Stamp> NodeView<'a, S> {
 
     /// True if the route from `slot` for `prefix` is currently damped.
     pub fn is_suppressed(self, slot: u32, prefix: Prefix) -> bool {
-        self.routes.suppressed(self.stripe.id(slot), prefix)
-    }
-
-    /// True while the session at `slot` is established.
-    pub fn session_active(self, slot: u32) -> bool {
-        self.queue(slot).is_up()
+        let row = self.routes.row(prefix);
+        row.is_some_and(|row| self.routes.suppressed(self.stripe.id(slot), row))
     }
 }
 
@@ -306,24 +283,16 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     }
 
     /// The row of `prefix`, made this node's if it was not.
-    fn touch(&mut self, prefix: Prefix) -> usize {
+    fn touch(&mut self, prefix: Prefix) -> u32 {
         self.routes.touch(prefix, self.id.0, self.stripe)
-    }
-
-    /// The row of the timer `which` names: `None` for the session timer.
-    /// A per-prefix timer lives in its prefix's row, which the send that
-    /// armed it touched, so this finds the row and makes none.
-    fn timer_row(&mut self, which: Option<Prefix>) -> Option<usize> {
-        which.map(|prefix| self.touch(prefix))
     }
 
     /// Delivers the key reserved for the expiry of the timer `(slot,
     /// which)` this step listed in [`Actions::arms`]. Returns true if an
     /// update already waits behind the timer: the caller must then
     /// schedule the expiry event at `key` right away.
-    pub fn timer_armed_at(&mut self, slot: u32, which: Option<Prefix>, key: EventKey) -> bool {
-        let row = self.timer_row(which);
-        self.queue_mut(slot).arm_at(row, key)
+    pub fn timer_armed_at(&mut self, slot: u32, which: Option<u32>, key: EventKey) -> bool {
+        self.queue_mut(slot).arm_at(which, key)
     }
 
     /// Starts originating `prefix`. `step.cause` stamps the resulting
@@ -331,7 +300,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step<S>) {
         let row = self.touch(prefix);
         self.routes.loc_mut(row, self.id.0).originated = true;
-        self.reevaluate(row, prefix, Reeval::Full, step);
+        self.reevaluate(row, Reeval::Full, step);
     }
 
     /// Stops originating `prefix` (the "DOWN" half of a C-event), stamping
@@ -339,7 +308,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     pub fn withdraw_origin_caused(&mut self, prefix: Prefix, step: &mut Step<S>) {
         let row = self.touch(prefix);
         self.routes.loc_mut(row, self.id.0).originated = false;
-        self.reevaluate(row, prefix, Reeval::Full, step);
+        self.reevaluate(row, Reeval::Full, step);
     }
 
     /// Processes one UPDATE that arrived over session `slot`, appending
@@ -352,11 +321,10 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// # Panics
     /// Panics if `slot` is not one of this node's sessions.
     pub fn receive(&mut self, slot: u32, update: Update<S>, step: &mut Step<S>) {
-        let prefix = update.prefix;
         // Exports triggered by this message are one causal hop further from
         // the root cause than the message itself.
         step.cause = update.stamp.child();
-        let row = self.touch(prefix);
+        let row = self.touch(update.prefix);
 
         // Receiver-side loop detection: a path containing our own AS is
         // ineligible (RFC 4271) and supersedes whatever the neighbor
@@ -377,16 +345,16 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             let flap = match (prev, incoming) {
                 (Some(_), None) => Some(FlapKind::Withdrawal),
                 (Some(old), Some(new)) if old != new => Some(FlapKind::AttributeChange),
-                (None, Some(_)) if self.routes.damp.get(session, prefix).is_some() => {
+                (None, Some(_)) if self.routes.damp.get(session, row).is_some() => {
                     Some(FlapKind::Readvertisement)
                 }
                 _ => None,
             };
             if let Some(kind) = flap {
-                let state = self.routes.damp.get_or_insert(session, prefix);
+                let state = self.routes.damp.get_or_insert(session, row);
                 if state.charge(kind, step.now.time) {
                     if let Some(at) = state.reuse_time() {
-                        step.out.rfd_wakeups.push((slot, prefix, at));
+                        step.out.rfd_wakeups.push((slot, row, at));
                     }
                 }
             }
@@ -395,27 +363,24 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         let route = incoming.map(|path| (path, self.route_key(slot, step.paths.len(path))));
         self.routes.set_rib_in(row, self.stripe, slot, route);
 
-        self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
+        self.reevaluate(row, Reeval::SlotChanged(slot), step);
     }
 
-    /// Handles a Route Flap Damping reuse wake-up for `(slot, prefix)`:
+    /// Handles a Route Flap Damping reuse wake-up for `(slot, row)`:
     /// if the decayed penalty has fallen below the reuse threshold, the
     /// damped route becomes eligible again and the decision process
     /// re-runs. Early wake-ups (obsoleted by later flaps that extended
     /// suppression) are no-ops — the later flap scheduled its own wake-up.
-    pub fn rfd_reuse_caused(&mut self, slot: u32, prefix: Prefix, step: &mut Step<S>) {
+    pub fn rfd_reuse_caused(&mut self, slot: u32, row: u32, step: &mut Step<S>) {
         if step.cfg.rfd.is_none() {
             return;
         }
-        let Some(state) = self.routes.damp.get_mut(self.stripe.id(slot), prefix) else {
+        let Some(state) = self.routes.damp.get_mut(self.stripe.id(slot), row) else {
             return;
         };
-        if !state.maybe_reuse(step.now.time) {
-            return;
-        }
-        // Eligibility changed, so the incumbent may now lose: full run.
-        if let Some(row) = self.routes.row(prefix) {
-            self.reevaluate(row, prefix, Reeval::Full, step);
+        if state.maybe_reuse(step.now.time) {
+            // Eligibility changed, so the incumbent may now lose: full run.
+            self.reevaluate(row, Reeval::Full, step);
         }
     }
 
@@ -430,7 +395,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// neighbors.
     ///
     /// An MRAI expiry event scheduled for this slot is stale from here
-    /// on: [`NodeView::expiry_due`] is false of it.
+    /// on: [`QueueView::expiry_due`] is false of it.
     ///
     /// # Panics
     /// Panics if the session is already down.
@@ -442,14 +407,14 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         self.routes.damp.clear_session(self.stripe.id(slot));
         // Rows are only ever appended, never removed, so the indices
         // collected here stay valid across the reevaluations.
-        let affected: Vec<(usize, Prefix)> = self
+        let affected: Vec<u32> = self
             .routes
             .rows_by_prefix()
-            .filter(|&(row, _)| self.routes.rib_in(row, self.stripe, slot).0.is_some())
+            .filter(|&row| self.routes.rib_in(row, self.stripe, slot).0.is_some())
             .collect();
-        for (row, prefix) in affected {
+        for row in affected {
             self.routes.set_rib_in(row, self.stripe, slot, None);
-            self.reevaluate(row, prefix, Reeval::SlotChanged(slot), step);
+            self.reevaluate(row, Reeval::SlotChanged(slot), step);
         }
     }
 
@@ -467,18 +432,18 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // follows the initial exchange.
         assert!(!queue.view().timer_armed(step.now), "initial exchange on a rate-limited session");
         queue.state.up = true;
-        // The replay is whatever this call appends past `first`.
-        let first = step.out.sends.len();
         let neighbor = self.slab.session(self.stripe, slot);
         // The rows walk in sorted prefix order — the same deterministic
         // replay order the BTreeMap-backed table produced; a row this node
         // never touched has no best route and replays nothing.
-        let snapshot: Vec<(usize, Prefix, u32, PathId)> = self
+        let snapshot: Vec<(u32, u32, PathId)> = self
             .routes
             .rows_by_prefix()
-            .filter_map(|(row, p)| self.routes.loc(row, self.id.0).best().map(|(s, path)| (row, p, s, path)))
+            .filter_map(|row| self.routes.loc(row, self.id.0).best().map(|(s, path)| (row, s, path)))
             .collect();
-        for (row, prefix, best_slot, path) in snapshot {
+        let scope = step.cfg.mrai_scope;
+        let mut replayed = false;
+        for (row, best_slot, path) in snapshot {
             let source = if best_slot == SELF_SLOT {
                 RouteSource::SelfOriginated
             } else {
@@ -492,36 +457,29 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
             let mut queue = self.queue_mut(slot);
-            if let Some(update) = queue.send_unlimited(row, prefix, export_path, neighbor.rel, step) {
+            if let Some(update) = queue.send_unlimited(row, export_path, neighbor.rel, step) {
                 step.out.sends.push((slot, update));
+                // One arm for the session, or one per prefix replayed.
+                let which = governing(scope, row);
+                if which.is_some() || !replayed {
+                    queue.arm_timer(which);
+                    step.out.arms.push((slot, which));
+                }
+                replayed = true;
             }
-        }
-        // One arm for the session, or one per prefix replayed.
-        let scope = step.cfg.mrai_scope;
-        let replayed = step.out.sends.get(first..).unwrap_or_default();
-        let timers = match scope {
-            MraiScope::PerInterface => replayed.len().min(1),
-            MraiScope::PerPrefix => replayed.len(),
-        };
-        for (_, update) in replayed.iter().take(timers) {
-            let which = governing(scope, update.prefix);
-            let row = self.timer_row(which);
-            self.queue_mut(slot).arm_timer(row);
-            step.out.arms.push((slot, which));
         }
     }
 
     /// Handles the MRAI expiry event of `slot` popping at `step.now`, the
     /// key it was asked for at ([`Actions::expiries`]) and still due
-    /// ([`NodeView::expiry_due`]) — the session timer when `trigger` is
-    /// `None`, the per-prefix timer of `Some(prefix)` (only under
+    /// ([`QueueView::expiry_due`]) — the session timer when `trigger` is
+    /// `None`, the per-prefix timer of `Some(row)` (only under
     /// [`MraiScope::PerPrefix`]) — appending the flushed transmissions to
     /// `step.out`, plus one timer arm iff something was sent: the caller
     /// re-arms exactly the timers `step.out` lists.
-    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<Prefix>, step: &mut Step<S>) {
+    pub fn mrai_flush(&mut self, slot: u32, trigger: Option<u32>, step: &mut Step<S>) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
-        let trigger_row = self.timer_row(trigger).zip(trigger);
-        if self.queue_mut(slot).flush(trigger_row, step) {
+        if self.queue_mut(slot).flush(trigger, step) {
             step.out.arms.push((slot, trigger));
         }
     }
@@ -537,7 +495,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// hashed tie-break — all folded into the cached `rib_key`): the row's
     /// best eligible learned route and the slot holding it. Counts every
     /// key comparison into `route_comparisons`.
-    fn decide(&self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) -> Option<(u32, PathId)> {
+    fn decide(&self, row: u32, hint: Reeval, step: &mut Step<S>) -> Option<(u32, PathId)> {
         // With damping off the incumbent is still the best of every slot
         // but `s`, so it only has to face the route at `s`; if `s` is its
         // own slot, it stands as long as it did not get worse. (Rows that
@@ -569,7 +527,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         let mut winner: Option<(u32, PathId, u64)> = None;
         for (slot, (&route, &key)) in (0..).zip(routes.iter().zip(keys)) {
             let Some(path) = route else { continue };
-            if self.routes.suppressed(self.stripe.id(slot), prefix) {
+            if self.routes.suppressed(self.stripe.id(slot), row) {
                 continue;
             }
             let better = match winner {
@@ -586,21 +544,21 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         winner.map(|(slot, path, _)| (slot, path))
     }
 
-    /// Re-runs the decision process for row `row` (holding `prefix`); on a
-    /// best-route change, runs the export filters and submits new intents
-    /// to every output queue. Each submission is stamped with `step.cause`
-    /// plus the sending edge's Gao–Rexford relation, so attribution
-    /// survives MRAI coalescing downstream.
+    /// Re-runs the decision process for row `row`; on a best-route change,
+    /// runs the export filters and submits new intents to every output
+    /// queue. Each submission is stamped with `step.cause` plus the sending
+    /// edge's Gao–Rexford relation, so attribution survives MRAI coalescing
+    /// downstream.
     ///
     /// `hint` says what changed since the last run (see [`Reeval`]).
-    fn reevaluate(&mut self, row: usize, prefix: Prefix, hint: Reeval, step: &mut Step<S>) {
+    fn reevaluate(&mut self, row: u32, hint: Reeval, step: &mut Step<S>) {
         step.costs.decision_runs += 1;
 
         let held = *self.routes.loc(row, self.id.0);
         let new_best: Option<(u32, PathId)> = if held.originated {
             Some((SELF_SLOT, PathId::EMPTY))
         } else {
-            self.decide(row, prefix, hint, step)
+            self.decide(row, hint, step)
         };
 
         if held.best() == new_best {
@@ -644,8 +602,8 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
                 }
                 _ => None,
             };
-            let submit = queue.submit(row, prefix, intent, session.rel, step);
-            step.out.absorb(slot, prefix, submit, step.cfg.mrai_scope);
+            let submit = queue.submit(row, intent, session.rel, step);
+            step.out.absorb(slot, row, submit, step.cfg.mrai_scope);
         }
     }
 }
@@ -720,7 +678,7 @@ mod tests {
 
     /// The slots whose session timer `actions` arms.
     fn arms_of(actions: &Actions) -> Vec<u32> {
-        let session_timer = |&(slot, which): &(u32, Option<Prefix>)| {
+        let session_timer = |&(slot, which): &(u32, Option<u32>)| {
             assert_eq!(which, None, "a per-prefix arm under the per-interface scope");
             slot
         };
@@ -740,7 +698,7 @@ mod tests {
     /// produced `a`: reserves a key one MRAI later for every session timer
     /// `a` arms and hands it to the node. Returns the expiry events to
     /// schedule — those `a` lists and those `timer_armed_at` asks for.
-    fn settle(n: &mut BgpNode, a: &Actions, now: EventKey) -> Vec<(u32, Option<Prefix>, EventKey)> {
+    fn settle(n: &mut BgpNode, a: &Actions, now: EventKey) -> Vec<(u32, Option<u32>, EventKey)> {
         let mut expiries = a.expiries.clone();
         for (i, slot) in arms_of(a).into_iter().enumerate() {
             let key = EventKey {
@@ -987,7 +945,7 @@ mod tests {
         let n = net.node();
         assert_eq!(n.view().best_route(P), None);
         assert_eq!(n.view().sessions().len(), 3);
-        assert_eq!(n.view().advertised(1, P), None);
+        assert_eq!(n.view().queue(1).advertised(P), None);
     }
 
     #[test]
@@ -1015,7 +973,7 @@ mod tests {
         // The customer session drops: its route is gone, and the peers/
         // providers that heard the customer route get withdrawals.
         let a = w.act(T0, |s| n.session_down_caused(0, s));
-        assert!(!n.view().session_active(0));
+        assert!(!n.view().queue(0).is_up());
         assert_eq!(n.view().best_route(P), None);
         let withdraws: Vec<u32> = a.sends.iter().map(|(s, _)| *s).collect();
         assert_eq!(withdraws, vec![1, 2]);
@@ -1032,7 +990,7 @@ mod tests {
         // customer (slot 0) would hear it, but the session is down.
         let a = w.act(T0, |s| n.receive(2, ann(s.paths, P, &[3, 9]), s));
         assert!(a.sends.iter().all(|(s, _)| *s != 0));
-        assert_eq!(n.view().advertised(0, P), None);
+        assert_eq!(n.view().queue(0).advertised(P), None);
     }
 
     #[test]
@@ -1047,7 +1005,7 @@ mod tests {
         // (customers receive everything).
         w.act(T0, |s| n.session_down_caused(0, s));
         let a = w.act(T0, |s| n.session_up_caused(0, s));
-        assert!(n.view().session_active(0));
+        assert!(n.view().queue(0).is_up());
         let mut prefixes: Vec<Prefix> = a.sends.iter().map(|(_, u)| u.prefix).collect();
         prefixes.sort();
         assert_eq!(prefixes, vec![P, Prefix(7)]);
@@ -1075,10 +1033,10 @@ mod tests {
         let mut net = node();
         let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(n.view().advertised(1, P).is_some());
+        assert!(n.view().queue(1).advertised(P).is_some());
         w.act(T0, |s| n.session_down_caused(1, s));
-        assert_eq!(n.view().advertised(1, P), None);
-        assert!(!n.view().timer_armed(1, T0));
+        assert_eq!(n.view().queue(1).advertised(P), None);
+        assert!(!n.view().queue(1).timer_armed(T0));
     }
 
     /// A session that goes down forgets what it sent, what it queued and
@@ -1098,7 +1056,7 @@ mod tests {
         for (i, &p) in prefixes.iter().enumerate() {
             let a = w.act(T0, |s| n.receive(0, ann(s.paths, p, &[1, 9]), s));
             for (j, &(slot, which)) in a.arms.iter().enumerate() {
-                assert_eq!(which, Some(p));
+                assert_eq!(which, n.routes.row(p), "{p:?}'s row");
                 let key = at(T0.time + MRAI);
                 assert!(!n.timer_armed_at(slot, which, EventKey { seq: 1 + (2 * i + j) as u64, ..key }));
             }
@@ -1186,7 +1144,8 @@ mod tests {
         assert!(n.view().is_suppressed(0, P));
         assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
         // Too-early wake-up: still suppressed.
-        let early = w.act(at(t + SimDuration::from_secs(60)), |s| n.rfd_reuse_caused(0, P, s));
+        let p_row = n.routes.row(P).expect("P has a row");
+        let early = w.act(at(t + SimDuration::from_secs(60)), |s| n.rfd_reuse_caused(0, p_row, s));
         assert!(early.is_empty());
         assert!(n.view().is_suppressed(0, P));
         // The MRAI windows of the flapping close, flushing what queued
@@ -1201,7 +1160,7 @@ mod tests {
         // again, and with every timer run out the re-selection is
         // announced at once.
         let wake = wake.expect("a wake-up was scheduled") + SimDuration::from_secs(3600);
-        let a = w.act(at(wake), |s| n.rfd_reuse_caused(0, P, s));
+        let a = w.act(at(wake), |s| n.rfd_reuse_caused(0, p_row, s));
         assert!(!n.view().is_suppressed(0, P));
         assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(1)));
         assert!(
@@ -1265,12 +1224,12 @@ mod tests {
         let mut n = net.node();
         w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         assert_eq!(
-            n.view().advertised(1, P),
+            n.view().queue(1).advertised(P),
             Some(w.paths.of(&[0, 1, 9]))
         );
-        assert_eq!(n.view().advertised(0, P), None, "never sent back to learner");
-        assert!(n.view().timer_armed(1, T0));
-        assert!(!n.view().timer_armed(0, T0));
+        assert_eq!(n.view().queue(0).advertised(P), None, "never sent back to learner");
+        assert!(n.view().queue(1).timer_armed(T0));
+        assert!(!n.view().queue(0).timer_armed(T0));
     }
 
     /// Delivers `update` over `slot` and returns the step's sends with
@@ -1302,7 +1261,7 @@ mod tests {
         assert_eq!(w.costs.path_intern_hits - hits, 3, "and taken three times");
         let export = w.paths.of(&[0, 1, 9]);
         assert!(a.sends.iter().all(|(_, u)| u.kind.path() == Some(export)));
-        let exported: Vec<PathId> = (1..4).filter_map(|s| n.view().advertised(s, P)).collect();
+        let exported: Vec<PathId> = (1..4).filter_map(|s| n.view().queue(s).advertised(P)).collect();
         assert_eq!(exported, vec![export; 3], "customer route reaches the other three");
     }
 
@@ -1343,7 +1302,7 @@ mod tests {
     /// The sends, session-timer arms and expiry requests of `a`,
     /// comparable.
     #[expect(clippy::type_complexity, reason = "a test's flat tuple view of Actions, compared whole")]
-    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<Prefix>, EventKey)>) {
+    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<u32>, EventKey)>) {
         assert!(a.rfd_wakeups.is_empty());
         (a.sends.clone(), arms_of(a), a.expiries.clone())
     }
@@ -1420,12 +1379,12 @@ mod tests {
         w.act(T0, |s| n.receive(0, ann(s.paths, Prefix(4), &[1, 8]), s));
         w.act(T0, |s| n.receive(0, ann(s.paths, Prefix(4), &[1, 7, 8]), s));
         w.act(T0, |s| n.session_down_caused(2, s));
-        assert!(n.view().timer_armed(1, T0), "recycled mid-window, timers armed");
+        assert!(n.view().queue(1).timer_armed(T0), "recycled mid-window, timers armed");
         used.routes.recycle();
         let n = used.node();
         assert_eq!(n.view().best_route(Prefix(4)), None);
-        assert!((0..3).all(|s| n.view().session_active(s) && !n.view().timer_armed(s, T0)));
-        assert!((0..3).all(|s| n.view().advertised(s, Prefix(4)).is_none()));
+        assert!((0..3).all(|s| n.view().queue(s).is_up() && !n.view().queue(s).timer_armed(T0)));
+        assert!((0..3).all(|s| n.view().queue(s).advertised(Prefix(4)).is_none()));
         assert_eq!(used.routes.arena_bytes(), 0);
 
         w.costs = OpCounts::default();
@@ -1507,7 +1466,8 @@ mod tests {
                 let peer = sessions[slot].peer;
                 let before = suppressed(&n);
                 for s in 0..5 {
-                    w.act(at(now), |step| n.rfd_reuse_caused(s, P, step));
+                    let Some(row) = n.routes.row(P) else { break };
+                    w.act(at(now), |step| n.rfd_reuse_caused(s, row, step));
                 }
                 let between = suppressed(&n);
                 reuses += before - between;

@@ -83,7 +83,7 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
         out.sends.clear();
         let export: PathId = paths.prepend(AsId(0), route);
         assert!(
-            (1..NEIGHBORS).all(|slot| node.view().advertised(slot, P) == Some(export)),
+            (1..NEIGHBORS).all(|slot| node.view().queue(slot).advertised(P) == Some(export)),
             "every session holds the one id of the export path"
         );
     };

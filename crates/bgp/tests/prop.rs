@@ -80,7 +80,7 @@ impl Driven {
     }
 
     /// The row of the timer `which` names: `None` for the session timer.
-    fn timer_row(&self, which: Option<Prefix>) -> Option<usize> {
+    fn timer_row(&self, which: Option<Prefix>) -> Option<u32> {
         which.map(|prefix| self.routes.row(prefix).expect("a timer's prefix has a row"))
     }
 
@@ -121,7 +121,7 @@ impl Driven {
         self.cfg.mrai_mode = mode;
         let row = self.routes.touch(prefix, 0, self.slab.stripe(0));
         let (mut q, mut step) = self.step();
-        let submit = q.submit(row, prefix, intent, rel, &mut step);
+        let submit = q.submit(row, intent, rel, &mut step);
         let which = if self.cfg.mrai_scope == MraiScope::PerPrefix { Some(prefix) } else { None };
         match &submit {
             Submit::SendNow { arm_timer: true, .. } => self.arm(which),
@@ -146,8 +146,8 @@ impl Driven {
         }
         let (which, key) = self.expiries.remove(0);
         self.now = key;
-        assert!(self.q().expiry_due(which, key));
-        let trigger = self.timer_row(which).zip(which);
+        assert!(self.q().expiry_due(self.timer_row(which), key));
+        let trigger = self.timer_row(which);
         let (mut q, mut step) = self.step();
         let rearm = q.flush(trigger, &mut step);
         let sends = std::mem::take(&mut self.out.sends);
@@ -162,7 +162,7 @@ impl Driven {
             Some(prefix) => self.q().is_armed(prefix, MraiScope::PerPrefix, self.now),
         };
         assert_eq!(rearm, armed, "the flushed timer stays armed iff the flush re-armed it");
-        assert!(!self.q().expiry_due(which, key), "flushed: the event is spent");
+        assert!(!self.q().expiry_due(self.timer_row(which), key), "flushed: the event is spent");
         sends
             .into_iter()
             .map(|(tag, update)| {

@@ -9,11 +9,18 @@
 //! — and a simulator's input queues are two heap blocks however many
 //! nodes it has. An entry is sixteen bytes in an unobserved run, whose
 //! messages carry no stamp; twenty-eight under a `Recorder`.
+//!
+//! A link failure discards the messages its sessions left queued
+//! ([`InboxPool::discard`]): each stays in its queue, holding its turn at
+//! the processor, and is handed out as discarded.
 
 use bgpscale_bgp::Update;
 
 /// No entry: the end of a queue or of the free list.
 const NIL: u32 = u32::MAX;
+
+/// The slot of a discarded entry: no session has it.
+const DISCARDED: u32 = u32::MAX;
 
 /// One queued message: the session slot it arrived over, the message,
 /// and the next entry of its queue (or of the free list).
@@ -101,13 +108,14 @@ impl<S: Copy> InboxPool<S> {
         queue.len += 1;
     }
 
-    /// Takes the message at the front of `node`'s queue, with the slot it
-    /// arrived over; `None` if the queue is empty.
-    pub(crate) fn pop(&mut self, node: usize) -> Option<(u32, Update<S>)> {
+    /// Takes the entry at the front of `node`'s queue: the message with
+    /// the slot it arrived over, or `None` for a discarded one. `None` if
+    /// the queue is empty.
+    pub(crate) fn pop(&mut self, node: usize) -> Option<Option<(u32, Update<S>)>> {
         let queue = self.queues.get_mut(node)?;
         let at = queue.head;
         let entry = self.entries.get_mut(at as usize)?;
-        let taken = (entry.slot, entry.update);
+        let taken = (entry.slot != DISCARDED).then_some((entry.slot, entry.update));
         queue.head = entry.next;
         queue.len -= 1;
         if queue.len == 0 {
@@ -116,6 +124,21 @@ impl<S: Copy> InboxPool<S> {
         entry.next = self.free;
         self.free = at;
         Some(taken)
+    }
+
+    /// Discards the messages queued at `node` that arrived over `slot`,
+    /// leaving their entries in place, and returns how many there were.
+    pub(crate) fn discard(&mut self, node: usize, slot: u32) -> u64 {
+        let mut at = self.queues.get(node).map_or(NIL, |q| q.head);
+        let mut discarded = 0;
+        while let Some(entry) = self.entries.get_mut(at as usize) {
+            if entry.slot == slot {
+                entry.slot = DISCARDED;
+                discarded += 1;
+            }
+            at = entry.next;
+        }
+        discarded
     }
 
     /// Empties every queue, keeping the pool's buffer.
@@ -160,21 +183,35 @@ mod tests {
         pool.push(0, 2, update(2));
         assert_eq!((pool.len(0), pool.len(1), pool.len(2)), (2, 0, 2));
         assert_eq!(pool.busiest(), Some((0, 2)), "ties go to the lowest node");
-        assert_eq!(pool.pop(0), Some((1, update(1))));
+        assert_eq!(pool.pop(0), Some(Some((1, update(1)))));
         assert_eq!(pool.pop(1), None);
         pool.push(1, 3, update(10));
         assert_eq!(pool.entries.len(), 4, "the popped entry was reused");
-        assert_eq!(pool.pop(2), Some((0, update(20))));
-        assert_eq!(pool.pop(2), Some((1, update(21))));
+        assert_eq!(pool.pop(2), Some(Some((0, update(20)))));
+        assert_eq!(pool.pop(2), Some(Some((1, update(21)))));
         assert_eq!(pool.pop(2), None);
         pool.push(2, 4, update(22));
-        assert_eq!(pool.pop(0), Some((2, update(2))));
-        assert_eq!(pool.pop(2), Some((4, update(22))));
+        assert_eq!(pool.pop(0), Some(Some((2, update(2)))));
+        assert_eq!(pool.pop(2), Some(Some((4, update(22)))));
         assert_eq!(pool.busiest(), Some((1, 1)));
         assert!(!pool.is_empty());
-        assert_eq!(pool.pop(1), Some((3, update(10))));
+        assert_eq!(pool.pop(1), Some(Some((3, update(10)))));
         assert!(pool.is_empty() && pool.busiest().is_none());
         assert_eq!(pool.entries.len(), 4, "never more than four queued at once");
+
+        // A discarded entry keeps its place in its queue; other slots and
+        // other nodes' entries are untouched.
+        pool.push(1, 7, update(30));
+        pool.push(1, 8, update(31));
+        pool.push(1, 7, update(32));
+        pool.push(2, 7, update(33));
+        assert_eq!(pool.discard(1, 7), 2);
+        assert_eq!(pool.discard(1, 7), 0, "already discarded");
+        assert_eq!(pool.len(1), 3);
+        assert_eq!(pool.pop(1), Some(None));
+        assert_eq!(pool.pop(1), Some(Some((8, update(31)))));
+        assert_eq!(pool.pop(1), Some(None));
+        assert_eq!(pool.pop(2), Some(Some((7, update(33)))));
 
         pool.push(1, 0, update(5));
         pool.clear();

@@ -13,7 +13,9 @@
 //!   message takes the same constant link delay after a monotone clock.
 //!   A delivery reads the session off the simulator's own slab and the
 //!   receiver's input queue; the receiver's routes are not touched until
-//!   its `ProcDone`.
+//!   its `ProcDone`. Only live sessions carry messages: a link failure
+//!   discards the unprocessed messages of its two sessions, on the wire
+//!   and in both input queues ([`Simulator::fail_link`]).
 //! * **ProcDone** — the processor finishes one message (service time drawn
 //!   uniformly from `(0, PROC_DELAY_MAX]`), the protocol machine runs, and
 //!   resulting transmissions go on the wire after the link delay.
@@ -22,7 +24,8 @@
 //!   sent. An expiry is valid iff the timer still waits for exactly this
 //!   event — its stored key is the event's unique `(time, seq)` — so one
 //!   scheduled before a session reset is dropped by comparison: there is
-//!   no epoch counter.
+//!   no epoch counter. A per-prefix timer, like a damping wake-up, is
+//!   named by its prefix's row.
 //!
 //! A node is routes; everything else a protocol step needs — the one
 //! configuration, the key of the event, the cause to stamp, the path
@@ -97,9 +100,7 @@ use std::sync::Arc;
 use bgpscale_bgp::mrai::Step;
 use bgpscale_bgp::node::{Actions, Session};
 use bgpscale_bgp::config::{LINK_DELAY, MRAI, MRAI_JITTER, PROC_DELAY_MAX};
-use bgpscale_bgp::{
-    BgpConfig, BgpNode, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update,
-};
+use bgpscale_bgp::{BgpConfig, BgpNode, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update};
 use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, RootCauseKind, SimObserver, Stamp, UpdateClass,
 };
@@ -124,16 +125,13 @@ enum SimEvent {
     /// `node`'s processor finishes the message at the head of its queue.
     ProcDone { node: AsId },
     /// An MRAI timer for `node`'s neighbor session `slot` expires with
-    /// an update waiting behind it: the session timer when `prefix` is
-    /// `None` (per-interface scope), a per-prefix timer otherwise. Stale
-    /// unless that timer still waits for the event popping at this key.
-    MraiExpire {
-        node: AsId,
-        slot: u32,
-        prefix: Option<Prefix>,
-    },
-    /// A Route-Flap-Damping reuse wake-up for `(node, slot, prefix)`.
-    RfdReuse { node: AsId, slot: u32, prefix: Prefix },
+    /// an update waiting behind it: the session timer when `row` is
+    /// `None` (per-interface scope), that prefix row's timer otherwise.
+    /// Stale unless the timer still waits for the event popping at this
+    /// key.
+    MraiExpire { node: AsId, slot: u32, row: Option<u32> },
+    /// A Route-Flap-Damping reuse wake-up for `(node, slot, row)`.
+    RfdReuse { node: AsId, slot: u32, row: u32 },
 }
 
 // With its 16-byte key, an entry of the event queue's pool is 32 bytes.
@@ -271,9 +269,8 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// activity, excluding trailing no-op timer expiries).
     last_activity: SimTime,
     event_limit: u64,
-    /// Links currently failed, stored as `(min, max)` endpoint pairs.
-    down_links: std::collections::BTreeSet<(AsId, AsId)>,
-    /// Messages lost because their link failed while they were in flight.
+    /// Messages of failed sessions that [`Simulator::fail_link`] discarded
+    /// unprocessed.
     messages_dropped: u64,
     /// Next root-cause id. Ids are allocated sequentially per simulator,
     /// stamp or no stamp, so they double as indices into the observer's
@@ -286,14 +283,6 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// The latest key ever reserved for an MRAI expiry, scheduled or not:
     /// where [`Simulator::run_to_quiescence`] leaves the clock.
     mrai_horizon: EventKey,
-}
-
-fn link_key(a: AsId, b: AsId) -> (AsId, AsId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 /// A simulator blueprint: topology, protocol configuration, and the
@@ -373,7 +362,6 @@ impl SimTemplate {
             churn,
             last_activity: SimTime::ZERO,
             event_limit: DEFAULT_EVENT_LIMIT,
-            down_links: Default::default(),
             messages_dropped: 0,
             next_root: 0,
             expiries_scheduled: 0,
@@ -465,14 +453,19 @@ impl<O: SimObserver> Simulator<O> {
         self.event_limit = limit;
     }
 
-    /// Messages lost to links that failed while they were in flight.
+    /// Messages lost to link failures: every message of a failed session
+    /// that was still on the wire or waiting in an input queue when
+    /// [`Simulator::fail_link`] took the session down.
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
     }
 
-    /// True if the `a`–`b` link is currently failed.
+    /// True if the `a`–`b` link is currently failed: `a`'s session
+    /// towards `b` is down (the two ends fail and come back together).
+    /// False if `a` and `b` are not neighbors.
     pub fn link_down(&self, a: AsId, b: AsId) -> bool {
-        self.down_links.contains(&link_key(a, b))
+        let node = self.node(a);
+        node.slot_of(b).is_some_and(|slot| !node.queue(slot).is_up())
     }
 
     /// Allocates a fresh root-cause id for a workload action at `node`,
@@ -509,8 +502,11 @@ impl<O: SimObserver> Simulator<O> {
 
     /// Fails the `a`–`b` link (an "L-event"): both BGP sessions drop,
     /// each side invalidates everything learned from the other and
-    /// notifies its remaining neighbors, and any in-flight messages on
-    /// the link are lost.
+    /// notifies its remaining neighbors, and every message of the two
+    /// sessions not yet processed is lost — in flight, or waiting in
+    /// either end's input queue, where it keeps its turn at the processor
+    /// but runs no protocol step. The losses count in
+    /// [`Simulator::messages_dropped`].
     ///
     /// # Panics
     /// Panics if `a`–`b` is not a topology link or is already down.
@@ -519,14 +515,8 @@ impl<O: SimObserver> Simulator<O> {
         reason = "the assert above checked that a–b is a link, and every link is a session at both ends"
     )]
     pub fn fail_link(&mut self, a: AsId, b: AsId) {
-        assert!(
-            self.graph.has_link(a, b),
-            "fail_link on non-adjacent {a}–{b}"
-        );
-        assert!(
-            self.down_links.insert(link_key(a, b)),
-            "link {a}–{b} already down"
-        );
+        assert!(self.graph.has_link(a, b), "fail_link on non-adjacent {a}–{b}");
+        assert!(!self.link_down(a, b), "link {a}–{b} already down");
         // One root cause covers both directions of the failure: churn on
         // either side is attributed to the same L-event.
         let cause = self.new_root(RootCauseKind::SessionDown, a);
@@ -534,41 +524,53 @@ impl<O: SimObserver> Simulator<O> {
         for (x, y) in [(a, b), (b, a)] {
             let node = NodeView::new(x, &self.slab, &self.routes);
             let slot = node.slot_of(y).expect("adjacent");
+            let queue = node.queue(slot);
             // `session_down` force-resets the output queue, forgetting its
             // timers. The clock must still pass the key of each armed one:
             // those no event stands for get theirs now, stale on arrival
             // like the ones already scheduled.
-            for (prefix, key) in node.silent_timers(slot, now) {
-                self.queue
-                    .schedule_reserved(key, SimEvent::MraiExpire { node: x, slot, prefix });
+            for (row, key) in queue.silent_timers(now) {
+                self.queue.schedule_reserved(key, SimEvent::MraiExpire { node: x, slot, row });
             }
             // The valid expiries are about to go stale; account for them
             // so the occupancy gauge stays exact.
-            let disarmed = u64::from(node.scheduled_expiries(slot));
+            let disarmed = queue.scheduled_expiries() as u64;
             if disarmed > 0 {
                 self.expiries_scheduled -= disarmed;
                 self.obs
                     .on_timer_occupancy(self.expiries_scheduled, self.queue.now());
             }
+            self.discard_messages(x, slot);
             self.lend_step(x, cause, |node, step| node.session_down_caused(slot, step));
             self.apply_actions(x);
         }
     }
 
+    /// Discards every message that arrived or is arriving at `node` over
+    /// session `slot` and has not been processed: taken off the wire (a
+    /// pop of the queue classes, so pushes still equal pops at
+    /// quiescence), and marked in the input queue, where it keeps its
+    /// turn at the processor.
+    fn discard_messages(&mut self, node: AsId, slot: u32) {
+        let on_wire = self.wire.len();
+        self.wire.retain(|msg| (msg.to, msg.slot) != (node, slot));
+        let on_wire = (on_wire - self.wire.len()) as u64;
+        self.ops.queue_pops += on_wire;
+        self.messages_dropped += on_wire + self.inbox.discard(node.index(), slot);
+    }
+
     /// Restores a previously failed link: both sessions re-establish and
-    /// exchange their current tables.
+    /// exchange their current tables. Nothing either side sent before the
+    /// failure arrives after it: [`Simulator::fail_link`] discarded it.
     ///
     /// # Panics
     /// Panics if the link is not currently down.
     #[expect(
         clippy::expect_used,
-        reason = "only fail_link puts a link down, after checking that it is one"
+        reason = "link_down found the session, so a–b is a link and a session at both ends"
     )]
     pub fn restore_link(&mut self, a: AsId, b: AsId) {
-        assert!(
-            self.down_links.remove(&link_key(a, b)),
-            "link {a}–{b} is not down"
-        );
+        assert!(self.link_down(a, b), "link {a}–{b} is not down");
         let cause = self.new_root(RootCauseKind::SessionUp, a);
         for (x, y) in [(a, b), (b, a)] {
             let slot = self.node(x).slot_of(y).expect("adjacent");
@@ -724,7 +726,6 @@ impl<O: SimObserver> Simulator<O> {
         self.churn.set_enabled(false);
         self.last_activity = SimTime::ZERO;
         self.event_limit = DEFAULT_EVENT_LIMIT;
-        self.down_links.clear();
         self.messages_dropped = 0;
         self.next_root = 0;
         self.expiries_scheduled = 0;
@@ -739,11 +740,6 @@ impl<O: SimObserver> Simulator<O> {
         let stripe = self.slab.stripe(to.0);
         let session = self.slab.session(stripe, slot);
         let from = session.peer;
-        if self.down_links.contains(&link_key(from, to)) {
-            // The link failed while the message was in flight.
-            self.messages_dropped += 1;
-            return;
-        }
         self.last_activity = now;
         self.ops.deliveries += 1;
         self.churn.record(stripe, slot, update.kind.is_withdraw(), now);
@@ -784,37 +780,38 @@ impl<O: SimObserver> Simulator<O> {
         self.obs.on_event(event.kind(), now);
         match event {
             SimEvent::ProcDone { node } => {
-                self.last_activity = now;
-                let (slot, update) = self
-                    .inbox
-                    .pop(node.index())
-                    .expect("ProcDone with empty input queue");
-                // `receive` takes the step's cause from the message.
-                self.lend_step(node, O::Stamp::default(), |n, step| n.receive(slot, update, step));
-                self.obs.on_decision_run(node, now);
-                self.apply_actions(node);
+                let entry = self.inbox.pop(node.index()).expect("ProcDone with empty input queue");
+                // A message discarded by a link failure had its turn, and
+                // runs no protocol step.
+                if let Some((slot, update)) = entry {
+                    self.last_activity = now;
+                    // `receive` takes the step's cause from the message.
+                    self.lend_step(node, O::Stamp::default(), |n, step| n.receive(slot, update, step));
+                    self.obs.on_decision_run(node, now);
+                    self.apply_actions(node);
+                }
                 if self.inbox.len(node.index()) > 0 {
                     let service = self.draw_service_time();
                     self.queue
                         .schedule(now + service, SimEvent::ProcDone { node });
                 }
             }
-            SimEvent::MraiExpire { node, slot, prefix } => {
-                if !self.node(node).expiry_due(slot, prefix, self.queue.last_key()) {
+            SimEvent::MraiExpire { node, slot, row } => {
+                if !self.node(node).queue(slot).expiry_due(row, self.queue.last_key()) {
                     return; // stale expiry from before a session reset
                 }
                 self.expiries_scheduled -= 1;
                 self.ops.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
                 let no_cause = O::Stamp::default(); // a flush sends stamps stored earlier
-                self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, prefix, step));
+                self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, row, step));
                 self.obs
                     .on_mrai_flush(node, self.actions.sends.len() as u32, now);
                 self.apply_actions(node);
             }
-            SimEvent::RfdReuse { node, slot, prefix } => {
+            SimEvent::RfdReuse { node, slot, row } => {
                 let cause = self.new_root(RootCauseKind::RfdReuse, node);
-                self.lend_step(node, cause, |n, step| n.rfd_reuse_caused(slot, prefix, step));
+                self.lend_step(node, cause, |n, step| n.rfd_reuse_caused(slot, row, step));
                 self.apply_actions(node);
             }
         }
@@ -854,24 +851,22 @@ impl<O: SimObserver> Simulator<O> {
         }
         // An arm draws its jitter and reserves the key its expiry pops
         // at, event or no event.
-        for (slot, prefix) in actions.arms.drain(..) {
+        for (slot, row) in actions.arms.drain(..) {
             let delay = self.draw_mrai_interval();
             let key = self.queue.reserve(now + delay);
             self.mrai_horizon = self.mrai_horizon.max(key);
-            if BgpNode::new(node, &self.slab, &mut self.routes).timer_armed_at(slot, prefix, key) {
-                actions.expiries.push((slot, prefix, key));
+            if BgpNode::new(node, &self.slab, &mut self.routes).timer_armed_at(slot, row, key) {
+                actions.expiries.push((slot, row, key));
             }
         }
         // The event follows once an update waits behind the timer.
-        for (slot, prefix, key) in actions.expiries.drain(..) {
-            self.queue
-                .schedule_reserved(key, SimEvent::MraiExpire { node, slot, prefix });
+        for (slot, row, key) in actions.expiries.drain(..) {
+            self.queue.schedule_reserved(key, SimEvent::MraiExpire { node, slot, row });
             self.expiries_scheduled += 1;
         }
-        for (slot, prefix, at) in actions.rfd_wakeups.drain(..) {
+        for (slot, row, at) in actions.rfd_wakeups.drain(..) {
             debug_assert!(at >= now, "reuse time in the past");
-            self.queue
-                .schedule(at.max(now), SimEvent::RfdReuse { node, slot, prefix });
+            self.queue.schedule(at.max(now), SimEvent::RfdReuse { node, slot, row });
         }
         self.actions = actions;
         if self.expiries_scheduled > scheduled_before {
@@ -1292,7 +1287,7 @@ mod tests {
         let now = sim.queue.last_key();
         for &id in &ids {
             let node = sim.node(id);
-            assert!((0..node.sessions().len() as u32).all(|slot| !node.timer_armed(slot, now)));
+            assert!((0..node.sessions().len() as u32).all(|slot| !node.queue(slot).timer_armed(now)));
         }
         // So a withdrawal right away is a fresh window everywhere, and
         // `reset_routing` accepts the state.
@@ -1313,7 +1308,7 @@ mod tests {
         assert!(sim.now() < SimTime::from_secs(5), "the last event, not the deadline");
         assert!(sim.queue.is_empty(), "converged; only unscheduled timers remain");
         let origin_timer = sim.node(ids[4]).latest_timer_key_by(SimTime::MAX);
-        let armed = |sim: &Simulator| sim.node(ids[4]).timer_armed(0, sim.queue.last_key());
+        let armed = |sim: &Simulator| sim.node(ids[4]).queue(0).timer_armed(sim.queue.last_key());
         assert!(armed(&sim));
 
         // A deadline between the first timer to run out and the last.
@@ -1396,6 +1391,52 @@ mod tests {
         assert_eq!((seen.flushes, seen.sent), (1, 1), "and it alone flushed, the one update waiting");
         assert!(sim.node(t).best_route(Prefix(2)).is_some());
         assert!(sim.queue.last_key() > new_timer, "the flush re-armed C's timer");
+    }
+
+    /// C4's announcement is on the wire when its only link fails; C4
+    /// withdraws during the outage, which its neighbor cannot hear, and
+    /// the link comes back. The announcement is lost with the session it
+    /// was sent on, so nobody routes the withdrawn prefix.
+    #[test]
+    fn a_message_in_flight_at_a_link_failure_never_arrives() {
+        let (g, ids) = chain_graph();
+        let (m2, c4) = (ids[2], ids[4]);
+        let mut sim = Simulator::new(g, BgpConfig::default(), 27);
+        sim.originate(c4, P);
+        assert_eq!(sim.wire.len(), 1);
+        sim.fail_link(c4, m2);
+        assert!(sim.wire.is_empty(), "the wire carries live sessions only");
+        sim.withdraw(c4, P);
+        sim.restore_link(c4, m2);
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.messages_dropped(), 1);
+        for &id in &ids {
+            assert_eq!(sim.node(id).best_route(P), None, "{id} routes the withdrawn prefix");
+        }
+        let ops = sim.cost_counts();
+        assert_eq!(ops.queue_pushes, ops.queue_pops, "a discarded message is popped, unprocessed");
+    }
+
+    /// C4's announcement waits in M2's input queue when their link fails:
+    /// it keeps its turn at M2's processor but is not processed, so no
+    /// node learns a route over the failed link.
+    #[test]
+    fn a_message_queued_at_a_link_failure_is_discarded() {
+        let (g, ids) = chain_graph();
+        let (m2, c4) = (ids[2], ids[4]);
+        let mut sim = Simulator::new(g, BgpConfig::default(), 28);
+        sim.originate(c4, P);
+        sim.run_until(SimTime::ZERO + LINK_DELAY).unwrap();
+        assert_eq!((sim.wire.len(), sim.inbox.len(m2.index())), (0, 1), "the announcement waits at M2");
+        sim.fail_link(c4, m2);
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.messages_dropped(), 1);
+        for &id in &ids {
+            if id != c4 {
+                assert_eq!(sim.node(id).best_route(P), None, "{id} routes P over the failed link");
+            }
+        }
+        assert!(sim.inbox.is_empty(), "the discarded entry had its turn");
     }
 
     #[test]

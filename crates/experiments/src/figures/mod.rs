@@ -84,17 +84,7 @@ pub fn trends_upward(series: &[f64]) -> bool {
         return false;
     }
     let rising_ends = series.last().unwrap() > series.first().unwrap();
-    let mut concordant = 0i64;
-    for i in 0..series.len() {
-        for j in (i + 1)..series.len() {
-            concordant += match series[j].partial_cmp(&series[i]).unwrap() {
-                std::cmp::Ordering::Greater => 1,
-                std::cmp::Ordering::Less => -1,
-                std::cmp::Ordering::Equal => 0,
-            };
-        }
-    }
-    rising_ends && concordant > 0
+    rising_ends && bgpscale_stats::mann_kendall::kendall_s(series) > 0
 }
 
 #[cfg(test)]

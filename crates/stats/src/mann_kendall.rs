@@ -55,16 +55,7 @@ impl MannKendall {
 pub fn mann_kendall(xs: &[f64]) -> MannKendall {
     let n = xs.len();
     assert!(n >= 3, "Mann–Kendall needs at least 3 observations");
-    let mut s: i64 = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            s += match xs[j].partial_cmp(&xs[i]).expect("NaN in series") {
-                std::cmp::Ordering::Greater => 1,
-                std::cmp::Ordering::Less => -1,
-                std::cmp::Ordering::Equal => 0,
-            };
-        }
-    }
+    let s = kendall_s(xs);
 
     // Tie correction: group the series by equal values.
     let mut sorted: Vec<f64> = xs.to_vec();
@@ -100,6 +91,25 @@ pub fn mann_kendall(xs: &[f64]) -> MannKendall {
         p_value: two_sided_p(z),
         tau: s as f64 / (nf * (nf - 1.0) / 2.0),
     }
+}
+
+/// Kendall's S of a series: over every pair `i < j`, +1 if `xs[j]` is
+/// above `xs[i]`, −1 if below, 0 on a tie — #concordant − #discordant.
+///
+/// # Panics
+/// Panics on a NaN.
+pub fn kendall_s(xs: &[f64]) -> i64 {
+    let mut s: i64 = 0;
+    for (i, x) in xs.iter().enumerate() {
+        for y in &xs[i + 1..] {
+            s += match y.partial_cmp(x).expect("NaN in series") {
+                std::cmp::Ordering::Greater => 1,
+                std::cmp::Ordering::Less => -1,
+                std::cmp::Ordering::Equal => 0,
+            };
+        }
+    }
+    s
 }
 
 /// Sen's slope: the median of all pairwise slopes `(x_j − x_i)/(j − i)`.
@@ -194,6 +204,13 @@ mod tests {
         xs[20] = 1e6; // single wild outlier
         let slope = sens_slope(&xs);
         assert!((slope - 1.0).abs() < 0.1, "slope {slope} not robust");
+    }
+
+    #[test]
+    fn kendall_s_counts_concordant_minus_discordant_pairs() {
+        assert_eq!(kendall_s(&[1.0, 2.0, 1.8, 3.0]), 5 - 1);
+        assert_eq!(kendall_s(&[2.0, 2.0]), 0, "a tie counts neither way");
+        assert_eq!(kendall_s(&[1.0]), 0);
     }
 
     #[test]
