@@ -15,7 +15,8 @@
 //!   the simulator not even there: the sender reads the receiver's slot
 //!   off the slab ([`SessionSlab::far_end`]).
 //! * **slot** (`u32`) — a node-local session index, `0..degree`: what a
-//!   node's protocol code and its [`crate::node::Actions`] speak.
+//!   node's protocol code, its send list and its requests to the clock
+//!   speak.
 //! * **global session id** (`u32`) — the index of a session among all
 //!   sessions of the topology. Node `i`'s sessions are the contiguous
 //!   [`Stripe`] `SessionSlab::stripe(i)` of this space, the one place a
@@ -360,7 +361,7 @@ impl Stripe {
     /// `column[at]`, for `at` the [`Stripe::cells`] or [`Stripe::slot_cell`] of a stripe.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Actions or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Clock or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
     )]
     pub(crate) fn cut<T, I: SliceIndex<[T]>>(column: &[T], at: I) -> &I::Output {
         &column[at]
@@ -369,7 +370,7 @@ impl Stripe {
     /// [`Stripe::cut`], writable.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Actions or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
+        reason = "the stripe contract: at is a stripe's cells or checked cell (Stripe::id refused a slot past the degree) in a row that touch/row returned (an OutQueue, Clock or SimEvent row included: each is one of those), or in the one row of a per-session column; SessionSlab::stripe checked the node, so that lies inside a column sized for the slab"
     )]
     pub(crate) fn cut_mut<T, I: SliceIndex<[T]>>(column: &mut [T], at: I) -> &mut I::Output {
         &mut column[at]
@@ -959,15 +960,7 @@ mod tests {
         type Entry<'e> = &'e dyn Fn(&mut BgpNode, &mut crate::mrai::Step);
         let mut act = |routes: &mut RouteSlab, id: u32, entry: Entry| {
             let mut node = BgpNode::new(AsId(id), &slab, routes);
-            let a = w.act(t0, |s| entry(&mut node, s));
-            for (i, &(slot, which)) in a.arms.iter().enumerate() {
-                let key = EventKey {
-                    time: SimTime::from_secs(30),
-                    seq: i as u64,
-                };
-                node.timer_armed_at(slot, which, key);
-            }
-            a
+            w.act(t0, |s| entry(&mut node, s))
         };
         let (p3, p5, p9) = (Prefix(3), Prefix(5), Prefix(9));
         // AS1 learns 9 from AS0; AS0 learns 3 from its peer AS2.

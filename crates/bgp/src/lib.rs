@@ -27,9 +27,9 @@
 //!   simulator-wide columns indexed by it.
 //! * [`node`] — [`BgpNode`], the view of one node's routes a protocol
 //!   step runs on: decision process, export filters, and one MRAI output
-//!   queue per neighbor. Processing a message returns the resulting sends
-//!   and timer requests as plain data ([`node::Actions`]); the simulator
-//!   decides when they happen.
+//!   queue per neighbor. Processing a message appends the resulting sends
+//!   to a list the simulator lends, and arms timers and schedules expiries
+//!   and wake-ups through the clock it lends ([`mrai::Clock`]).
 //! * [`config`] — [`BgpConfig`]: the WRATE switch, the MRAI scope and
 //!   optional damping; the timer value, its jitter range and the
 //!   processing and propagation delays are constants beside it.

@@ -19,16 +19,16 @@
 //! ## Lazy timers
 //!
 //! A timer is not a flag that an expiry event clears. Arming it stores
-//! the [`EventKey`] its expiry *would* pop at — the caller reserves that
-//! place in the event order at every arm, jitter drawn, whether or not an
-//! event is ever put there — and the timer is armed exactly while that
-//! key is after the key of the event being processed ([`Step::now`]).
-//! Most timers run out with nothing queued behind them; those lapse by
-//! comparison alone and cost the event loop nothing. Only the first
-//! update queued in a window asks for the expiry event
-//! (`expire_at` of [`Submit::Queued`]), at the stored key, so the flush
-//! happens at the instant, and at the rank among simultaneous events, at
-//! which an eagerly scheduled expiry would have fired.
+//! the [`EventKey`] its expiry *would* pop at — the step's [`Clock`]
+//! reserves that place in the event order at every arm, jitter drawn,
+//! whether or not an event is ever put there — and the timer is armed
+//! exactly while that key is after the key of the event being processed
+//! ([`Step::now`]). Most timers run out with nothing queued behind them;
+//! those lapse by comparison alone and cost the event loop nothing. Only
+//! the first update queued in a window asks the clock for the expiry
+//! event ([`Clock::expire`]), at the stored key, so the flush happens at
+//! the instant, and at the rank among simultaneous events, at which an
+//! eagerly scheduled expiry would have fired.
 //!
 //! The stored key is also what makes an expiry event *valid*: it is the
 //! one its timer waits for iff the timer still has an expiry scheduled
@@ -68,13 +68,35 @@ use bgpscale_topology::Relationship;
 use crate::arena::{PrefixRows, Stripe};
 use crate::config::{BgpConfig, MraiScope};
 use crate::message::{Prefix, Update, UpdateKind};
-use crate::node::Actions;
 use crate::path::{PathArena, PathId};
+
+/// The network's event clock as a protocol step sees it: what becomes of
+/// a timer a queue arms, of the first update queued behind it, and of a
+/// damped route that will need waking. The node keeps no clock; the
+/// caller lends its own for the step ([`Step::clock`]), one for the whole
+/// network.
+pub trait Clock: std::fmt::Debug {
+    /// Arms an MRAI timer now: draws its jittered interval and reserves
+    /// the key its expiry pops at, whether or not an event is ever put
+    /// there. Returns that key.
+    fn arm(&mut self) -> EventKey;
+
+    /// Schedules the expiry event of the timer `which` names on session
+    /// `slot` (`None`: the session timer, `Some(row)`: that row's) at
+    /// `key`, the key its arm took: an update now waits behind it. When
+    /// it pops and [`QueueView::expiry_due`] still holds of it, call
+    /// [`crate::BgpNode::mrai_flush`].
+    fn expire(&mut self, slot: u32, which: Option<u32>, key: EventKey);
+
+    /// Schedules a Route Flap Damping reuse wake-up for `(slot, row)` at
+    /// `at`, when [`crate::BgpNode::rfd_reuse_caused`] is to be called.
+    fn wake(&mut self, slot: u32, row: u32, at: SimTime);
+}
 
 /// Everything the caller lends a node for one protocol step — the
 /// handling of one event — and through the node every queue the step
 /// touches. A node and its queues hold routes; the configuration, the
-/// clock, the arena the routes' paths live in, the buffer the step's
+/// clock, the arena the routes' paths live in, the list the step's
 /// transmissions go to and the tallies of its work are the caller's, one
 /// of each for the whole network. `S` is the stamp the step's messages
 /// carry (see [`crate::Update`]).
@@ -94,41 +116,19 @@ pub struct Step<'a, S = ()> {
     pub cause: S,
     /// The arena every [`PathId`] the node holds or is handed lives in.
     pub paths: &'a mut PathArena,
-    /// Where the step's transmissions and timer requests are appended;
+    /// Where the step's timer arms, expiry events and damping wake-ups
+    /// go, as they happen.
+    pub clock: &'a mut dyn Clock,
+    /// The step's transmissions, `(neighbor slot, message)` in the order
+    /// they were sent, for the caller to put on the wire; appended to,
     /// never cleared by the node.
-    pub out: &'a mut Actions<S>,
+    pub out: &'a mut Vec<(u32, Update<S>)>,
     /// Where the step's work is tallied: its decision runs and route
-    /// comparisons, export paths built and taken, Adj-RIB-out writes and
-    /// MRAI coalescing. The caller's one table of the network's work
-    /// ([`OpCounts`]), never reset by routing-state clears, so
+    /// comparisons, export paths built and taken, Adj-RIB-out writes,
+    /// MRAI arms and coalescing. The caller's one table of the network's
+    /// work ([`OpCounts`]), never reset by routing-state clears, so
     /// phase-boundary snapshots can be diffed.
     pub costs: &'a mut OpCounts,
-}
-
-/// Result of submitting an update to an [`OutQueue`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Submit<S = ()> {
-    /// Send the update on the wire now. If `arm_timer` is true the caller
-    /// must reserve the key of a (jittered) MRAI expiry for this queue and
-    /// hand it over with [`OutQueue::arm_at`] before the step ends.
-    SendNow {
-        /// The message to transmit.
-        update: Update<S>,
-        /// Whether this transmission arms the MRAI timer.
-        arm_timer: bool,
-    },
-    /// The update was queued behind the running MRAI timer.
-    Queued {
-        /// `Some(key)` when this is the first update waiting in the
-        /// timer's window: the caller must schedule the expiry event at
-        /// `key`, the place reserved when the timer was armed. `None` when
-        /// the expiry is already scheduled, or when the timer was armed
-        /// earlier in this very step and [`OutQueue::arm_at`] will ask.
-        expire_at: Option<EventKey>,
-    },
-    /// The update was redundant (the neighbor already has, or will get,
-    /// equivalent state) and was dropped.
-    Suppressed,
 }
 
 /// A queued update in the four bytes of an `Option<PathId>`: `None` when
@@ -155,8 +155,7 @@ impl Queued {
 pub(crate) struct Timer {
     /// The key this timer's expiry pops at, reserved when the timer was
     /// armed; the timer is armed while it is after the current event's
-    /// key. [`EventKey::NEVER`] from the send that arms the timer until
-    /// [`OutQueue::arm_at`] delivers the key later in the same step.
+    /// key.
     pub(crate) until: EventKey,
     /// True while an expiry event is scheduled at `until` and has not
     /// popped: from the first update queued in the window to the flush.
@@ -471,9 +470,9 @@ impl<S: Stamp> OutQueue<'_, S> {
 
     /// Queues `kind` in cell `at` of `row` behind the armed timer
     /// governing it, folding the stamp of any update it displaces into its
-    /// own so no root loses its attribution, and asks for the timer's
-    /// expiry event if this is the first update to wait for it.
-    fn park(&mut self, row: u32, at: usize, kind: UpdateKind, mut stamp: S, step: &mut Step<S>) -> Submit<S> {
+    /// own so no root loses its attribution, and asks the clock for the
+    /// timer's expiry event if this is the first update to wait for it.
+    fn park(&mut self, row: u32, at: usize, kind: UpdateKind, mut stamp: S, step: &mut Step<S>) {
         let queued = Stripe::cut_mut(&mut self.out.queued, at);
         let held = Stripe::cut_mut(&mut self.out.stamps, at);
         if *queued == Queued::default() {
@@ -483,13 +482,11 @@ impl<S: Stamp> OutQueue<'_, S> {
             step.costs.mrai_coalesced += 1;
         }
         (*queued, *held) = (Queued::of(kind), stamp);
-        let (until, expiry_scheduled) = self.timer_mut(governing(step.cfg.mrai_scope, row));
-        // A timer armed earlier in this step has no key yet; `arm_at`
-        // delivers it and finds this update waiting.
-        let ask = !*expiry_scheduled && *until != EventKey::NEVER;
-        *expiry_scheduled |= ask;
-        Submit::Queued {
-            expire_at: ask.then_some(*until),
+        let (slot, which) = (self.slot, governing(step.cfg.mrai_scope, row));
+        let (until, expiry_scheduled) = self.timer_mut(which);
+        if !*expiry_scheduled {
+            *expiry_scheduled = true;
+            step.clock.expire(slot, which, *until);
         }
     }
 
@@ -497,25 +494,28 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// announce, `None` to withdraw. `rel` is the relation of this
     /// session's edge; the resulting update carries
     /// `step.cause.with_rel(rel)`. `intent` is an id of `step.paths`,
-    /// whose root-set table a coalesced stamp is interned in. Adj-RIB-out
-    /// writes and coalesced updates are tallied into `step.costs`.
-    /// Returns what the caller must do.
-    pub fn submit(&mut self, row: u32, intent: Option<PathId>, rel: Relationship, step: &mut Step<S>) -> Submit<S> {
+    /// whose root-set table a coalesced stamp is interned in. An update
+    /// sent now goes onto `step.out` tagged with this queue's slot and, if
+    /// it is rate-limited, arms the timer; one that waits behind an armed
+    /// timer asks `step.clock` for the expiry if it is the window's first;
+    /// one the neighbor needs not hear is dropped. Adj-RIB-out writes,
+    /// arms and coalesced updates are tallied into `step.costs`.
+    pub fn submit(&mut self, row: u32, intent: Option<PathId>, rel: Relationship, step: &mut Step<S>) {
         let at = self.out_cell(row);
         // Drop no-ops against the eventual neighbor state.
         if self.view().intent_at(at) == intent {
-            return Submit::Suppressed;
+            return;
         }
         let stamp = step.cause.with_rel(rel);
-        let scope = step.cfg.mrai_scope;
-        let armed = self.view().timer(governing(scope, row)).armed(step.now);
+        let which = governing(step.cfg.mrai_scope, row);
+        let armed = self.view().timer(which).armed(step.now);
         let Some(path) = intent else {
             // A queued announcement that never went out is invalidated: if
             // the neighbor holds nothing, removing it finishes the job
             // silently.
             self.take_queued(at);
             if self.view().sent(at).is_none() {
-                return Submit::Suppressed;
+                return;
             }
             // RFC 1771 (NO-WRATE): withdrawals are never rate-limited and
             // do not arm the timer. RFC 4271 (WRATE): they queue like
@@ -525,41 +525,19 @@ impl<S: Stamp> OutQueue<'_, S> {
                 return self.park(row, at, UpdateKind::Withdraw, stamp, step);
             }
             self.write_sent(at, None, step);
+            step.out.push((self.slot, Update::withdraw(self.rows.prefix(row)).stamped(stamp)));
             if rate_limited {
-                self.arm_timer(governing(scope, row));
+                self.arm_timer(which, step);
             }
-            return Submit::SendNow {
-                update: Update::withdraw(self.rows.prefix(row)).stamped(stamp),
-                arm_timer: rate_limited,
-            };
+            return;
         };
         if armed {
             return self.park(row, at, UpdateKind::Announce(path), stamp, step);
         }
         debug_assert!(self.view().queued(at).is_none(), "pending update with an idle timer");
         self.write_sent(at, Some(path), step);
-        self.arm_timer(governing(scope, row));
-        Submit::SendNow {
-            update: Update::announce(self.rows.prefix(row), path).stamped(stamp),
-            arm_timer: true,
-        }
-    }
-
-    /// Delivers the key reserved for the expiry of the timer `which`
-    /// names (`None`: the session timer, `Some(row)`: the per-prefix timer
-    /// of that row), which a send or [`OutQueue::arm_timer`] armed earlier
-    /// in this step. Returns true if an update was queued behind the timer
-    /// in the meantime: the caller must then schedule the expiry event at
-    /// `key` right away.
-    pub fn arm_at(&mut self, which: Option<u32>, key: EventKey) -> bool {
-        let waiting = match which {
-            None => self.state.pending > 0,
-            Some(row) => self.view().queued(self.out_cell(row)).is_some(),
-        };
-        let (until, expiry_scheduled) = self.timer_mut(which);
-        debug_assert!(*until == EventKey::NEVER, "a key for a timer nothing armed");
-        (*until, *expiry_scheduled) = (key, waiting);
-        waiting
+        step.out.push((self.slot, Update::announce(self.rows.prefix(row), path).stamped(stamp)));
+        self.arm_timer(which, step);
     }
 
     /// Handles the expiry event of the timer `trigger` names (`None`: the
@@ -567,16 +545,14 @@ impl<S: Stamp> OutQueue<'_, S> {
     /// that row), popping at `step.now`:
     /// drains the pending updates that timer governs, in prefix order
     /// (skipping any that have become no-ops against the Adj-RIB-out),
-    /// pushes the ones that go on the wire now onto `step.out.sends`
-    /// tagged with this queue's slot, and returns whether the timer
-    /// re-arms. When it does the caller must reserve the next expiry's key
-    /// and hand it over with [`OutQueue::arm_at`].
+    /// pushes the ones that go on the wire now onto `step.out` tagged with
+    /// this queue's slot, and re-arms the timer iff something was sent.
     ///
     /// # Panics
     /// Panics (in debug builds) unless [`QueueView::expiry_due`] holds of
     /// the trigger and `step.now`.
-    pub fn flush(&mut self, trigger: Option<u32>, step: &mut Step<S>) -> bool {
-        let before = step.out.sends.len();
+    pub fn flush(&mut self, trigger: Option<u32>, step: &mut Step<S>) {
+        let before = step.out.len();
         match trigger {
             Some(row) => self.emit(row, step),
             None => {
@@ -589,7 +565,6 @@ impl<S: Stamp> OutQueue<'_, S> {
                 }
             }
         }
-        let rearm = step.out.sends.len() > before;
         let (until, expiry_scheduled) = self.timer_mut(trigger);
         debug_assert!(
             *expiry_scheduled && *until == step.now,
@@ -599,14 +574,13 @@ impl<S: Stamp> OutQueue<'_, S> {
         );
         *expiry_scheduled = false;
         // Otherwise the timer has run out: its key is `now`.
-        if rearm {
-            *until = EventKey::NEVER;
+        if step.out.len() > before {
+            self.arm_timer(trigger, step);
         }
-        rearm
     }
 
-    /// Puts the update queued in `row` on `step.out.sends`, unless nothing
-    /// is queued there or it is a no-op against the Adj-RIB-out, which it
+    /// Puts the update queued in `row` on `step.out`, unless nothing is
+    /// queued there or it is a no-op against the Adj-RIB-out, which it
     /// updates on emission. The stored (possibly coalesced) stamp rides out
     /// on the message.
     fn emit(&mut self, row: u32, step: &mut Step<S>) {
@@ -614,7 +588,7 @@ impl<S: Stamp> OutQueue<'_, S> {
         if let Some((kind, stamp)) = self.take_queued(at) {
             if self.write_sent(at, kind.path(), step) {
                 let prefix = self.rows.prefix(row);
-                step.out.sends.push((self.slot, Update { prefix, kind, stamp }));
+                step.out.push((self.slot, Update { prefix, kind, stamp }));
             }
         }
     }
@@ -631,28 +605,35 @@ impl<S: Stamp> OutQueue<'_, S> {
         true
     }
 
-    /// Transmits `path` for the prefix of `row` immediately,
-    /// bypassing the rate limiter — used only for the initial full-table
-    /// exchange of a freshly established session, which real BGP does not
-    /// MRAI-limit (the timer governs *subsequent* advertisements). The
-    /// caller checks that no timer is armed. Returns the message to send,
-    /// stamped like a [`OutQueue::submit`] over an edge of relation `rel`,
-    /// or `None` if the neighbor already holds an identical route. The
-    /// caller arms the timer once afterwards via [`OutQueue::arm_timer`].
-    pub fn send_unlimited(&mut self, row: u32, path: PathId, rel: Relationship, step: &mut Step<S>) -> Option<Update<S>> {
+    /// Transmits `path` for the prefix of `row` immediately onto
+    /// `step.out`, bypassing the rate limiter — used only for the initial
+    /// full-table exchange of a freshly established session, which real
+    /// BGP does not MRAI-limit (the timer governs *subsequent*
+    /// advertisements). The caller checks that no timer is armed. The
+    /// message is stamped like a [`OutQueue::submit`] over an edge of
+    /// relation `rel`. Returns false, sending nothing, if the neighbor
+    /// already holds an identical route. The caller arms the timer
+    /// afterwards via [`OutQueue::arm_timer`].
+    pub fn send_unlimited(&mut self, row: u32, path: PathId, rel: Relationship, step: &mut Step<S>) -> bool {
         let written = self.write_sent(self.out_cell(row), Some(path), step);
-        written.then(|| Update::announce(self.rows.prefix(row), path).stamped(step.cause.with_rel(rel)))
+        if written {
+            let update = Update::announce(self.rows.prefix(row), path).stamped(step.cause.with_rel(rel));
+            step.out.push((self.slot, update));
+        }
+        written
     }
 
-    /// Arms a timer (a send does it itself; the caller does after an
-    /// initial table exchange): the per-interface session timer when
-    /// `which` is `None`, the per-prefix timer of row `which` otherwise.
-    /// The caller must reserve the expiry's key and hand it over with
-    /// [`OutQueue::arm_at`].
-    pub fn arm_timer(&mut self, which: Option<u32>) {
+    /// Arms a timer with the key `step.clock` reserves for its expiry (a
+    /// send does it itself; the caller does after an initial table
+    /// exchange): the per-interface session timer when `which` is `None`,
+    /// the per-prefix timer of row `which` otherwise. Tallied as an MRAI
+    /// arm.
+    pub fn arm_timer(&mut self, which: Option<u32>, step: &mut Step<S>) {
+        let key = step.clock.arm();
+        step.costs.mrai_armed += 1;
         let (until, expiry_scheduled) = self.timer_mut(which);
         debug_assert!(!*expiry_scheduled, "arming over a scheduled expiry");
-        *until = EventKey::NEVER;
+        *until = key;
     }
 
     /// Clears the session's Adj-RIB-out, queued updates and timers in
@@ -685,6 +666,83 @@ pub(crate) fn governing<T>(scope: MraiScope, prefix: T) -> Option<T> {
     }
 }
 
+/// The caller's clock for this crate's unit tests: it hands out keys one
+/// MRAI after the step's, each ranked after every key before it, and
+/// records what it was asked for.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct TestClock {
+    /// The key of the step being run; [`Lender::step`] sets it.
+    pub now: EventKey,
+    /// The sequence number of the latest key handed out.
+    seq: u64,
+    /// The keys of the timers armed, in arm order.
+    pub arms: Vec<EventKey>,
+    /// The expiry events asked for: `(slot, timer, key)`.
+    pub expiries: Vec<(u32, Option<u32>, EventKey)>,
+    /// The damping wake-ups asked for: `(slot, row, time)`.
+    pub wakeups: Vec<(u32, u32, SimTime)>,
+}
+
+#[cfg(test)]
+impl Default for TestClock {
+    fn default() -> TestClock {
+        TestClock {
+            now: EventKey::ZERO,
+            seq: 0,
+            arms: Vec::new(),
+            expiries: Vec::new(),
+            wakeups: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl TestClock {
+    /// A key at `time`, ranked after every key handed out so far.
+    pub fn reserve(&mut self, time: SimTime) -> EventKey {
+        self.seq += 1;
+        EventKey { time, seq: self.seq }
+    }
+}
+
+#[cfg(test)]
+impl Clock for TestClock {
+    fn arm(&mut self) -> EventKey {
+        let key = self.reserve(self.now.time + crate::config::MRAI);
+        self.arms.push(key);
+        key
+    }
+
+    fn expire(&mut self, slot: u32, which: Option<u32>, key: EventKey) {
+        assert!(key > self.now, "an expiry at {key:?}, not after the step at {:?}", self.now);
+        self.expiries.push((slot, which, key));
+    }
+
+    fn wake(&mut self, slot: u32, row: u32, at: SimTime) {
+        self.wakeups.push((slot, row, at));
+    }
+}
+
+/// What the steps since the last look produced, as their lender saw it:
+/// the sends, and the arms, expiries and wake-ups the clock was asked for.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct StepLog<S = ()> {
+    pub sends: Vec<(u32, Update<S>)>,
+    pub arms: Vec<EventKey>,
+    pub expiries: Vec<(u32, Option<u32>, EventKey)>,
+    pub wakeups: Vec<(u32, u32, SimTime)>,
+}
+
+#[cfg(test)]
+impl<S> StepLog<S> {
+    /// True if the steps did nothing the caller must act on.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty() && self.arms.is_empty() && self.expiries.is_empty() && self.wakeups.is_empty()
+    }
+}
+
 /// The caller's side of a [`Step`] for this crate's unit tests: owns what
 /// a simulator would own and lends it the same way.
 #[cfg(test)]
@@ -692,7 +750,8 @@ pub(crate) struct Lender<S = ()> {
     pub cfg: BgpConfig,
     pub paths: PathArena,
     pub costs: OpCounts,
-    pub out: Actions<S>,
+    pub clock: TestClock,
+    pub out: Vec<(u32, Update<S>)>,
 }
 
 #[cfg(test)]
@@ -709,28 +768,41 @@ impl<S: Stamp> Lender<S> {
             cfg,
             paths: PathArena::new(),
             costs: OpCounts::default(),
-            out: Actions::default(),
+            clock: TestClock::default(),
+            out: Vec::new(),
         }
     }
 
     /// The step of the event keyed `now`; what it produces stays in
-    /// `self.out`.
+    /// `self.out` and `self.clock`.
     pub fn step(&mut self, now: EventKey, cause: S) -> Step<'_, S> {
+        self.clock.now = now;
         Step {
             cfg: &self.cfg,
             now,
             cause,
             paths: &mut self.paths,
+            clock: &mut self.clock,
             out: &mut self.out,
             costs: &mut self.costs,
         }
     }
 
+    /// Takes what the steps since the last call produced.
+    pub fn take(&mut self) -> StepLog<S> {
+        StepLog {
+            sends: std::mem::take(&mut self.out),
+            arms: std::mem::take(&mut self.clock.arms),
+            expiries: std::mem::take(&mut self.clock.expiries),
+            wakeups: std::mem::take(&mut self.clock.wakeups),
+        }
+    }
+
     /// Runs `f` in a step at `now` that no cause stamps, and returns what
     /// it produced.
-    pub fn act(&mut self, now: EventKey, f: impl FnOnce(&mut Step<S>)) -> Actions<S> {
+    pub fn act(&mut self, now: EventKey, f: impl FnOnce(&mut Step<S>)) -> StepLog<S> {
         f(&mut self.step(now, S::default()));
-        std::mem::take(&mut self.out)
+        self.take()
     }
 }
 
@@ -752,16 +824,27 @@ mod tests {
     const REL: Relationship = Relationship::Peer;
     const MRAI: SimDuration = SimDuration::from_secs(30);
 
+    /// What one submission did, as the caller sees it.
+    #[derive(Debug, PartialEq)]
+    enum Did<S = ()> {
+        /// Sent `update` now, arming the timer iff `armed`.
+        Sent { update: Update<S>, armed: bool },
+        /// Queued behind the armed timer; `expire_at` is the expiry it
+        /// asked the clock for, if it was the first to wait in the window.
+        Queued { expire_at: Option<EventKey> },
+        /// Dropped: the neighbor has, or will get, equivalent state.
+        Suppressed,
+    }
+
     /// A queue with the caller's side of the contract around it, as the
     /// simulator keeps it: the node's slab and route columns, what a step
-    /// is lent, a clock, a sequence counter to reserve keys from and the
-    /// expiry events asked for.
+    /// is lent (its clock the key counter), the key of the current event
+    /// and the expiry events asked for.
     struct Driven<S = ()> {
         slab: Arc<SessionSlab>,
         routes: RouteSlab<S>,
         lent: Lender<S>,
         now: EventKey,
-        next_seq: u64,
         expiries: Vec<EventKey>,
     }
 
@@ -789,7 +872,6 @@ mod tests {
                     ..BgpConfig::default()
                 }),
                 now: EventKey::ZERO,
-                next_seq: 1,
                 expiries: Vec::new(),
             }
         }
@@ -809,26 +891,9 @@ mod tests {
             self.routes.touch(prefix, 0, self.slab.stripe(0))
         }
 
-        /// The key of an event scheduled now to pop `after` from now.
-        fn reserve(&mut self, after: SimDuration) -> EventKey {
-            self.next_seq += 1;
-            EventKey {
-                time: self.now.time + after,
-                seq: self.next_seq,
-            }
-        }
-
         /// Some later event pops `after` from now.
         fn advance(&mut self, after: SimDuration) {
-            self.now = self.reserve(after);
-        }
-
-        fn arm_at(&mut self, which: Option<Prefix>) {
-            let key = self.reserve(MRAI);
-            let which = which.map(|prefix| self.row(prefix));
-            if self.q_mut().arm_at(which, key) {
-                self.expiries.push(key);
-            }
+            self.now = self.lent.clock.reserve(self.now.time + after);
         }
 
         /// The id of the path with these hops.
@@ -836,45 +901,54 @@ mod tests {
             self.lent.paths.of(hops)
         }
 
-        fn submit_caused(
-            &mut self,
-            prefix: Prefix,
-            intent: Option<&[u32]>,
-            mode: MraiMode,
-            cause: S,
-        ) -> Submit<S> {
+        fn submit_caused(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode, cause: S) -> Did<S> {
             self.lent.cfg.mrai_mode = mode;
             let intent = intent.map(|hops| self.path(hops));
             let row = self.row(prefix);
+            let before = self.q().queued_update(prefix);
             let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
-            let submit = q.submit(row, intent, REL, &mut self.lent.step(self.now, cause));
-            match &submit {
-                Submit::SendNow { arm_timer: true, .. } => self.arm_at(governing(self.lent.cfg.mrai_scope, prefix)),
-                Submit::Queued { expire_at: Some(key) } => self.expiries.push(*key),
-                _ => {}
+            q.submit(row, intent, REL, &mut self.lent.step(self.now, cause));
+            let log = self.lent.take();
+            for &(slot, which, key) in &log.expiries {
+                assert_eq!((slot, which), (SLOT, governing(self.lent.cfg.mrai_scope, row)), "another timer's expiry");
+                self.expiries.push(key);
             }
-            submit
+            let after = self.q().queued_update(prefix);
+            match <[_; 1]>::try_from(log.sends) {
+                Ok([(slot, update)]) => {
+                    assert_eq!(slot, SLOT);
+                    Did::Sent { update, armed: !log.arms.is_empty() }
+                }
+                Err(sends) => {
+                    assert!(sends.is_empty() && log.arms.is_empty(), "one submission, one send at most");
+                    if after.is_some() && after != before {
+                        Did::Queued { expire_at: log.expiries.first().map(|&(_, _, key)| key) }
+                    } else {
+                        assert!(log.expiries.is_empty());
+                        Did::Suppressed
+                    }
+                }
+            }
         }
 
-        fn submit(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode) -> Submit<S> {
+        fn submit(&mut self, prefix: Prefix, intent: Option<&[u32]>, mode: MraiMode) -> Did<S> {
             self.submit_caused(prefix, intent, mode, S::default())
         }
 
         /// Pops the earliest expiry event asked for and flushes the timer
         /// `trigger` names at its key: the flushed updates (each tagged
-        /// with the queue's slot) and the re-arm flag.
+        /// with the queue's slot) and whether the flush re-armed the timer.
         fn expire(&mut self, trigger: Option<Prefix>) -> (Vec<Update<S>>, bool) {
             self.expiries.sort();
             self.now = self.expiries.remove(0);
             let trigger_row = trigger.map(|prefix| self.row(prefix));
             let mut q = self.routes.queue_mut(self.slab.stripe(0), SLOT);
-            let rearm = q.flush(trigger_row, &mut self.lent.step(self.now, S::default()));
-            if rearm {
-                self.arm_at(trigger);
-            }
-            let sends = std::mem::take(&mut self.lent.out.sends);
-            assert!(sends.iter().all(|(slot, _)| *slot == SLOT));
-            (sends.into_iter().map(|(_, u)| u).collect(), rearm)
+            q.flush(trigger_row, &mut self.lent.step(self.now, S::default()));
+            let log = self.lent.take();
+            assert!(log.sends.iter().all(|(slot, _)| *slot == SLOT));
+            assert!(log.expiries.is_empty(), "a flush asks for no expiry");
+            assert!(log.arms.len() <= 1, "a flush re-arms its one timer");
+            (log.sends.into_iter().map(|(_, u)| u).collect(), !log.arms.is_empty())
         }
 
         fn armed(&self) -> bool {
@@ -882,12 +956,12 @@ mod tests {
         }
     }
 
-    fn sent_now(submit: &Submit) -> bool {
-        matches!(submit, Submit::SendNow { .. })
+    fn sent_now(did: &Did) -> bool {
+        matches!(did, Did::Sent { .. })
     }
 
-    fn queued(submit: &Submit) -> bool {
-        matches!(submit, Submit::Queued { .. })
+    fn queued(did: &Did) -> bool {
+        matches!(did, Did::Queued { .. })
     }
 
     /// A queued cell holds nothing, a withdrawal or an announcement in the
@@ -929,9 +1003,9 @@ mod tests {
         let r = d.submit(P, Some(&[1, 2]), MraiMode::NoWrate);
         assert_eq!(
             r,
-            Submit::SendNow {
+            Did::Sent {
                 update: Update::announce(P, d.path(&[1, 2])),
-                arm_timer: true
+                armed: true
             }
         );
         assert!(d.armed());
@@ -969,7 +1043,7 @@ mod tests {
         let mut d = Driven::per_interface();
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         let r = d.submit(P, Some(&[1]), MraiMode::NoWrate);
-        assert_eq!(r, Submit::Suppressed);
+        assert_eq!(r, Did::Suppressed);
         assert_eq!(d.q().pending_len(), 0);
     }
 
@@ -995,9 +1069,9 @@ mod tests {
         let r = d.submit(P, None, MraiMode::NoWrate);
         assert_eq!(
             r,
-            Submit::SendNow {
+            Did::Sent {
                 update: Update::withdraw(P),
-                arm_timer: false
+                armed: false
             }
         );
         assert_eq!(d.q().advertised(P), None);
@@ -1015,7 +1089,7 @@ mod tests {
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         d.submit(Q, Some(&[2]), MraiMode::NoWrate);
         let r = d.submit(Q, None, MraiMode::NoWrate);
-        assert_eq!(r, Submit::Suppressed);
+        assert_eq!(r, Did::Suppressed);
         let (sent, rearm) = d.expire(None);
         assert!(sent.is_empty(), "queued announcement must be invalidated");
         assert!(!rearm && !d.armed());
@@ -1040,9 +1114,9 @@ mod tests {
         let r = d.submit(P, None, MraiMode::Wrate);
         assert_eq!(
             r,
-            Submit::SendNow {
+            Did::Sent {
                 update: Update::withdraw(P),
-                arm_timer: true
+                armed: true
             }
         );
     }
@@ -1050,8 +1124,8 @@ mod tests {
     #[test]
     fn withdraw_of_never_announced_prefix_is_suppressed() {
         let mut d = Driven::per_interface();
-        assert_eq!(d.submit(P, None, MraiMode::NoWrate), Submit::Suppressed);
-        assert_eq!(d.submit(P, None, MraiMode::Wrate), Submit::Suppressed);
+        assert_eq!(d.submit(P, None, MraiMode::NoWrate), Did::Suppressed);
+        assert_eq!(d.submit(P, None, MraiMode::Wrate), Did::Suppressed);
     }
 
     #[test]
@@ -1119,7 +1193,7 @@ mod tests {
             };
             let r = d.submit(P, Some(&[2]), MraiMode::NoWrate);
             if parks {
-                assert_eq!(r, Submit::Queued { expire_at: Some(until) });
+                assert_eq!(r, Did::Queued { expire_at: Some(until) });
                 let (sent, _) = d.expire(None);
                 assert_eq!(sent, vec![Update::announce(P, d.path(&[2]))]);
                 assert_eq!(d.now, until, "flushed at the stored key");
@@ -1134,48 +1208,53 @@ mod tests {
         let mut d = Driven::per_interface();
         d.submit(P, Some(&[1]), MraiMode::NoWrate);
         let first = d.submit(P, Some(&[2]), MraiMode::NoWrate);
-        let Submit::Queued { expire_at: Some(key) } = first else {
+        let Did::Queued { expire_at: Some(key) } = first else {
             panic!("the first update to wait asks for the expiry, got {first:?}");
         };
         assert_eq!(d.q().scheduled_expiries(), 1);
         // More updates in the window, and a NO-WRATE withdrawal that
         // empties the queue again, ask for nothing.
-        assert_eq!(d.submit(Q, Some(&[3]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
-        assert_eq!(d.submit(P, Some(&[4]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(Q, Some(&[3]), MraiMode::NoWrate), Did::Queued { expire_at: None });
+        assert_eq!(d.submit(P, Some(&[4]), MraiMode::NoWrate), Did::Queued { expire_at: None });
         d.submit(P, None, MraiMode::NoWrate);
         d.submit(Q, None, MraiMode::NoWrate);
         assert_eq!(d.q().pending_len(), 0);
-        assert_eq!(d.submit(P, Some(&[5]), MraiMode::NoWrate), Submit::Queued { expire_at: None });
+        assert_eq!(d.submit(P, Some(&[5]), MraiMode::NoWrate), Did::Queued { expire_at: None });
         assert_eq!(d.expiries, vec![key]);
         // The flush re-arms; the next window asks again, at its own key.
         let (_, rearm) = d.expire(None);
         assert!(rearm);
         assert_eq!(d.q().scheduled_expiries(), 0);
         let again = d.submit(P, Some(&[6]), MraiMode::NoWrate);
-        assert!(matches!(again, Submit::Queued { expire_at: Some(k) } if k > key));
+        assert!(matches!(again, Did::Queued { expire_at: Some(k) } if k > key));
     }
 
     /// Two prefixes exported in one step: the first send arms the session
-    /// timer, the second queues before the caller has reserved the key.
-    /// `arm_at` then reports the waiting update.
+    /// timer, and the second, submitted later in the same step, parks
+    /// behind it. The clock is asked for exactly one expiry, at the key
+    /// the arm took, and the flush at that key sends the parked update.
     #[test]
-    fn an_update_queued_before_the_key_arrives_gets_its_expiry_from_arm_at() {
+    fn a_submit_later_in_the_step_that_armed_the_timer_parks_behind_its_key() {
         let mut d = Driven::per_interface();
         let (one, two) = (d.path(&[1]), d.path(&[2]));
         let (p_row, q_row) = (d.row(P), d.row(Q));
         let mut q = d.routes.queue_mut(d.slab.stripe(0), SLOT);
         let mut step = d.lent.step(EventKey::ZERO, ());
-        assert!(sent_now(&q.submit(p_row, Some(one), REL, &mut step)));
-        let second = q.submit(q_row, Some(two), REL, &mut step);
-        assert_eq!(second, Submit::Queued { expire_at: None });
-        let key = EventKey {
-            time: SimTime::from_secs(25),
-            seq: 7,
+        q.submit(p_row, Some(one), REL, &mut step);
+        q.submit(q_row, Some(two), REL, &mut step);
+        let log = d.lent.take();
+        let [key] = log.arms[..] else {
+            panic!("the send arms the session timer once, got {:?}", log.arms);
         };
-        assert!(q.arm_at(None, key), "an update waits: schedule the expiry now");
-        assert_eq!(q.view().scheduled_expiries(), 1);
-        assert!(q.flush(None, &mut d.lent.step(key, ())));
-        assert_eq!(d.lent.out.sends, vec![(SLOT, Update::announce(Q, two))]);
+        assert_eq!(log.sends, vec![(SLOT, Update::announce(P, one))]);
+        assert_eq!(log.expiries, vec![(SLOT, None, key)], "one expiry, at the arm's key");
+        assert_eq!(d.q().scheduled_expiries(), 1);
+        assert!(d.q().expiry_due(None, key));
+        let mut q = d.routes.queue_mut(d.slab.stripe(0), SLOT);
+        q.flush(None, &mut d.lent.step(key, ()));
+        let flushed = d.lent.take();
+        assert_eq!(flushed.sends, vec![(SLOT, Update::announce(Q, two))]);
+        assert_eq!(flushed.arms.len(), 1, "the flush re-arms");
     }
 
     /// An expiry event is due exactly from the ask to the flush, at the
@@ -1197,7 +1276,7 @@ mod tests {
             let until = d.q().latest_key_by(SimTime::MAX);
             assert!(d.armed() && !d.q().expiry_due(which, until), "armed, but no event was asked for");
 
-            assert_eq!(d.submit(P, Some(&[2]), MraiMode::NoWrate), Submit::Queued { expire_at: Some(until) });
+            assert_eq!(d.submit(P, Some(&[2]), MraiMode::NoWrate), Did::Queued { expire_at: Some(until) });
             assert!(d.q().expiry_due(which, until));
             for seq in [until.seq - 1, until.seq + 1] {
                 assert!(!d.q().expiry_due(which, EventKey { seq, ..until }), "one seq off is another event");
@@ -1307,7 +1386,7 @@ mod tests {
         d.submit(Q, Some(&[2]), MraiMode::Wrate);
         d.advance(MRAI + MRAI);
         let r = d.submit(Q, None, MraiMode::Wrate);
-        assert!(matches!(r, Submit::SendNow { arm_timer: true, .. }));
+        assert!(matches!(r, Did::Sent { armed: true, .. }));
     }
 
     #[test]
@@ -1328,7 +1407,7 @@ mod tests {
         let mut d = Driven::<Provenance>::stamped(MraiScope::PerInterface);
         let first = d.submit_caused(P, Some(&[1]), MraiMode::NoWrate, Provenance::root(1));
         match first {
-            Submit::SendNow { update, .. } => assert_eq!(update.stamp.roots(d.lent.paths.root_sets()), &[1]),
+            Did::Sent { update, .. } => assert_eq!(update.stamp.roots(d.lent.paths.root_sets()), &[1]),
             other => panic!("expected SendNow, got {other:?}"),
         }
         d.submit_caused(P, Some(&[2]), MraiMode::NoWrate, Provenance::root(2));

@@ -16,15 +16,18 @@
 //! lends it (the event-driven simulator in `bgpscale-core`, or a unit
 //! test) carries everything that is not a route — the one protocol
 //! configuration of the network, the [`EventKey`] of the event being
-//! handled (the node keeps no clock; the key is all an MRAI timer needs to
-//! know whether it is still armed, see [`crate::mrai`]), the cause to
-//! stamp on exports (of the stamp type `S` every view, step and message
-//! is generic over: `()` unless the simulator is observed, see
-//! [`crate::Update`]), the [`PathArena`](crate::PathArena) the node's [`PathId`]s are ids of,
-//! the work tallies, and the [`Actions`] buffer the step's transmissions
-//! and timer requests are appended to as plain data. The caller decides
-//! when those happen; the simulator keeps one buffer, drains it after
-//! every step and lends it again, so a protocol step allocates nothing.
+//! handled (the key is all an MRAI timer needs to know whether it is
+//! still armed, see [`crate::mrai`]), the cause to stamp on exports (of
+//! the stamp type `S` every view, step and message is generic over: `()`
+//! unless the simulator is observed, see [`crate::Update`]), the
+//! [`PathArena`](crate::PathArena) the node's [`PathId`]s are ids of, the
+//! work tallies, the list the step's transmissions are appended to, and
+//! the network's event clock ([`crate::mrai::Clock`]). The node keeps no
+//! clock of its own: a timer it arms takes its key from the lent one at
+//! once, and an expiry event or a damping wake-up it needs is scheduled
+//! there as the step runs. The caller puts the sends on the wire after
+//! the step; the simulator keeps one send list, drains it after every
+//! step and lends it again, so a protocol step allocates nothing.
 //!
 //! Pipeline per received update (Fig. 2): update the neighbor's Adj-RIB-in
 //! → re-run the decision process → if the best route changed, run the
@@ -53,9 +56,9 @@
 //! A prefix comes in at the entry points — an origination, a withdrawal
 //! of the origin, a received update — and is turned into its row there.
 //! Below them a route cell, an MRAI timer and a damping entry are named by
-//! the row alone, and so are the timers and wake-ups an [`Actions`] asks
-//! the caller for, which come back to [`BgpNode::timer_armed_at`],
-//! [`BgpNode::mrai_flush`] and [`BgpNode::rfd_reuse_caused`] as rows.
+//! the row alone, and so are the expiries and wake-ups a step asks the
+//! clock for, which come back to [`BgpNode::mrai_flush`] and
+//! [`BgpNode::rfd_reuse_caused`] as rows.
 //!
 //! A route is a four-byte [`PathId`] wherever the node keeps one: an
 //! Adj-RIB-in cell is that id beside an eight-byte preference key
@@ -80,7 +83,7 @@ use crate::arena::{RouteSlab, SessionSlab, Stripe, SELF_SLOT};
 use crate::config::MraiScope;
 use crate::decision::rank_key;
 use crate::message::{Prefix, Update, UpdateKind};
-use crate::mrai::{governing, OutQueue, QueueView, Step, Submit};
+use crate::mrai::{governing, OutQueue, QueueView, Step};
 use crate::path::PathId;
 use crate::policy::{export_allowed, RouteSource};
 use crate::rfd::FlapKind;
@@ -92,63 +95,6 @@ pub struct Session {
     pub peer: AsId,
     /// Our relationship to the neighbor.
     pub rel: Relationship,
-}
-
-/// The transmissions and timer requests produced by one protocol step.
-///
-/// `sends` are messages to put on the wire immediately (the simulator adds
-/// link latency); for every entry of `arms`, in order, the caller must
-/// reserve the key of an expiry one jittered MRAI interval away and hand
-/// it to [`BgpNode::timer_armed_at`] — no event yet; for every entry of
-/// `expiries` it must schedule the expiry event at the given key and,
-/// when it pops and [`QueueView::expiry_due`] still holds of it, call
-/// [`BgpNode::mrai_flush`]. A per-prefix timer and a damped route are
-/// named by their prefix's row.
-///
-/// A step appends to the `Actions` it is lent and never clears them: the
-/// caller drains the lists once it has acted on them.
-#[derive(Clone, Debug, Default)]
-pub struct Actions<S = ()> {
-    /// `(neighbor slot, message)` pairs to transmit now.
-    pub sends: Vec<(u32, Update<S>)>,
-    /// MRAI timers to arm now: `(slot, None)` is the session timer,
-    /// `(slot, Some(row))` a per-prefix timer (the scope is the network's,
-    /// so one step lists one kind).
-    pub arms: Vec<(u32, Option<u32>)>,
-    /// Expiry events to schedule: an update now waits behind the timer of
-    /// `(slot, row or the session timer)`, armed in an earlier step under
-    /// the given key.
-    pub expiries: Vec<(u32, Option<u32>, EventKey)>,
-    /// Route-flap-damping reuse wake-ups to schedule: at the given time,
-    /// call [`BgpNode::rfd_reuse_caused`] for the (slot, row) pair.
-    pub rfd_wakeups: Vec<(u32, u32, SimTime)>,
-}
-
-impl<S> Actions<S> {
-    /// True if nothing needs to happen.
-    pub fn is_empty(&self) -> bool {
-        self.sends.is_empty()
-            && self.arms.is_empty()
-            && self.expiries.is_empty()
-            && self.rfd_wakeups.is_empty()
-    }
-
-    /// Records what `submit`, the answer of `slot`'s queue to an intent
-    /// in `row`, obliges the caller to do.
-    fn absorb(&mut self, slot: u32, row: u32, submit: Submit<S>, scope: MraiScope) {
-        match submit {
-            Submit::SendNow { update, arm_timer } => {
-                if arm_timer {
-                    self.arms.push((slot, governing(scope, row)));
-                }
-                self.sends.push((slot, update));
-            }
-            Submit::Queued {
-                expire_at: Some(key),
-            } => self.expiries.push((slot, governing(scope, row), key)),
-            Submit::Queued { expire_at: None } | Submit::Suppressed => {}
-        }
-    }
 }
 
 /// What changed since the row's last decision run.
@@ -287,14 +233,6 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         self.routes.touch(prefix, self.id.0, self.stripe)
     }
 
-    /// Delivers the key reserved for the expiry of the timer `(slot,
-    /// which)` this step listed in [`Actions::arms`]. Returns true if an
-    /// update already waits behind the timer: the caller must then
-    /// schedule the expiry event at `key` right away.
-    pub fn timer_armed_at(&mut self, slot: u32, which: Option<u32>, key: EventKey) -> bool {
-        self.queue_mut(slot).arm_at(which, key)
-    }
-
     /// Starts originating `prefix`. `step.cause` stamps the resulting
     /// exports, which are appended to `step.out`.
     pub fn originate_caused(&mut self, prefix: Prefix, step: &mut Step<S>) {
@@ -311,9 +249,10 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         self.reevaluate(row, Reeval::Full, step);
     }
 
-    /// Processes one UPDATE that arrived over session `slot`, appending
-    /// the resulting transmissions, timer arms and damping wake-ups to
-    /// `step.out`. The simulator resolves the slot once, when the message
+    /// Processes one UPDATE that arrived over session `slot`: the
+    /// resulting transmissions go to `step.out`, and the timer arms,
+    /// expiries and damping wake-ups to `step.clock`. The simulator
+    /// resolves the slot once, when the message
     /// is delivered, and queues it with the message. An announced path is
     /// an id of `step.paths`. The cause of the step is the message: this
     /// sets `step.cause` to its stamp, one hop further on.
@@ -354,7 +293,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
                 let state = self.routes.damp.get_or_insert(session, row);
                 if state.charge(kind, step.now.time) {
                     if let Some(at) = state.reuse_time() {
-                        step.out.rfd_wakeups.push((slot, row, at));
+                        step.clock.wake(slot, row, at);
                     }
                 }
             }
@@ -391,7 +330,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     /// BGP session drop implicitly withdraws the whole Adj-RIB-in), the
     /// output queue is cleared (the neighbor has likewise discarded our
     /// routes), and the decision process re-runs for every affected
-    /// prefix; the actions appended to `step.out` notify the *other*
+    /// prefix; the sends appended to `step.out` notify the *other*
     /// neighbors.
     ///
     /// An MRAI expiry event scheduled for this slot is stale from here
@@ -457,13 +396,11 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
             // The initial table exchange is not rate-limited; MRAI governs
             // subsequent updates only.
             let mut queue = self.queue_mut(slot);
-            if let Some(update) = queue.send_unlimited(row, export_path, neighbor.rel, step) {
-                step.out.sends.push((slot, update));
+            if queue.send_unlimited(row, export_path, neighbor.rel, step) {
                 // One arm for the session, or one per prefix replayed.
                 let which = governing(scope, row);
                 if which.is_some() || !replayed {
-                    queue.arm_timer(which);
-                    step.out.arms.push((slot, which));
+                    queue.arm_timer(which, step);
                 }
                 replayed = true;
             }
@@ -471,17 +408,14 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
     }
 
     /// Handles the MRAI expiry event of `slot` popping at `step.now`, the
-    /// key it was asked for at ([`Actions::expiries`]) and still due
-    /// ([`QueueView::expiry_due`]) — the session timer when `trigger` is
-    /// `None`, the per-prefix timer of `Some(row)` (only under
+    /// key it was asked for at ([`crate::mrai::Clock::expire`]) and still
+    /// due ([`QueueView::expiry_due`]) — the session timer when `trigger`
+    /// is `None`, the per-prefix timer of `Some(row)` (only under
     /// [`MraiScope::PerPrefix`]) — appending the flushed transmissions to
-    /// `step.out`, plus one timer arm iff something was sent: the caller
-    /// re-arms exactly the timers `step.out` lists.
+    /// `step.out` and re-arming the timer iff something was sent.
     pub fn mrai_flush(&mut self, slot: u32, trigger: Option<u32>, step: &mut Step<S>) {
         debug_assert_eq!(trigger.is_some(), step.cfg.mrai_scope == MraiScope::PerPrefix);
-        if self.queue_mut(slot).flush(trigger, step) {
-            step.out.arms.push((slot, trigger));
-        }
+        self.queue_mut(slot).flush(trigger, step);
     }
 
     /// The preference key of a path of `path_len` hops as a route learned
@@ -602,8 +536,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
                 }
                 _ => None,
             };
-            let submit = queue.submit(row, intent, session.rel, step);
-            step.out.absorb(slot, row, submit, step.cfg.mrai_scope);
+            queue.submit(row, intent, session.rel, step);
         }
     }
 }
@@ -612,7 +545,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
 mod tests {
     use super::*;
     use crate::config::BgpConfig;
-    use crate::mrai::Lender;
+    use crate::mrai::{Lender, StepLog, TestClock};
     use crate::path::PathArena;
     use crate::rfd::RfdConfig;
     use bgpscale_obs::OpCounts;
@@ -672,17 +605,18 @@ mod tests {
         Update::announce(prefix, paths.of(hops))
     }
 
-    fn sends_to(actions: &Actions) -> Vec<u32> {
-        actions.sends.iter().map(|(s, _)| *s).collect()
+    fn sends_to(log: &StepLog) -> Vec<u32> {
+        log.sends.iter().map(|(s, _)| *s).collect()
     }
 
-    /// The slots whose session timer `actions` arms.
-    fn arms_of(actions: &Actions) -> Vec<u32> {
-        let session_timer = |&(slot, which): &(u32, Option<u32>)| {
-            assert_eq!(which, None, "a per-prefix arm under the per-interface scope");
-            slot
-        };
-        actions.arms.iter().map(session_timer).collect()
+    /// The slots whose session timer holds a key the clock handed out in
+    /// the steps `log` covers: the session timers they armed.
+    fn arms_of(n: &BgpNode, log: &StepLog) -> Vec<u32> {
+        let view = n.view();
+        let slots = 0..view.sessions().len() as u32;
+        let armed: Vec<u32> = slots.filter(|&s| log.arms.contains(&view.queue(s).latest_key_by(SimTime::MAX))).collect();
+        assert_eq!(armed.len(), log.arms.len(), "an arm no session timer holds");
+        armed
     }
 
     /// The key of the step every test starts in.
@@ -692,24 +626,6 @@ mod tests {
     /// A step at time `t`.
     fn at(t: SimTime) -> EventKey {
         EventKey { time: t, seq: 0 }
-    }
-
-    /// The caller's side of the timer contract for the step at `now` that
-    /// produced `a`: reserves a key one MRAI later for every session timer
-    /// `a` arms and hands it to the node. Returns the expiry events to
-    /// schedule — those `a` lists and those `timer_armed_at` asks for.
-    fn settle(n: &mut BgpNode, a: &Actions, now: EventKey) -> Vec<(u32, Option<u32>, EventKey)> {
-        let mut expiries = a.expiries.clone();
-        for (i, slot) in arms_of(a).into_iter().enumerate() {
-            let key = EventKey {
-                time: now.time + MRAI,
-                seq: now.seq + 1 + i as u64,
-            };
-            if n.timer_armed_at(slot, None, key) {
-                expiries.push((slot, None, key));
-            }
-        }
-        expiries
     }
 
     /// A step after every timer armed at or before `now` has run out.
@@ -727,7 +643,7 @@ mod tests {
         let mut n = net.node();
         let a = w.act(T0, |s| n.originate_caused(P, s));
         assert_eq!(sends_to(&a), vec![0, 1, 2]);
-        assert_eq!(arms_of(&a), vec![0, 1, 2]);
+        assert_eq!(arms_of(&n, &a), vec![0, 1, 2]);
         for (_, u) in &a.sends {
             assert_eq!(u.kind.path(), Some(w.paths.of(&[0])), "path is just the origin");
         }
@@ -831,7 +747,7 @@ mod tests {
             .map(|(s, _)| *s)
             .collect();
         assert_eq!(announces, vec![0], "customer hears the fallback route");
-        assert_eq!(arms_of(&a), vec![0], "only the announcement arms a timer");
+        assert_eq!(arms_of(&n, &a), vec![0], "only the announcement arms a timer");
         assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
         assert!(a.expiries.is_empty(), "nothing waits behind slot 0's new timer");
     }
@@ -860,7 +776,7 @@ mod tests {
         let mut net = Net::new(vec![session(1, Relationship::Customer), session(2, Relationship::Peer)]);
         let mut n = net.node();
         let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        assert!(settle(&mut n, &first, T0).is_empty());
+        assert!(first.expiries.is_empty());
         // Announcement armed slot 1's timer; the withdrawal must queue,
         // and asks for the expiry at the timer's key.
         let a = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
@@ -872,7 +788,7 @@ mod tests {
         let f = w.act(key, |s| n.mrai_flush(1, None, s));
         assert_eq!(f.sends.len(), 1);
         assert!(f.sends[0].1.kind.is_withdraw());
-        assert_eq!(arms_of(&f), vec![1], "withdrawal re-arms under WRATE");
+        assert_eq!(arms_of(&n, &f), vec![1], "withdrawal re-arms under WRATE");
     }
 
     #[test]
@@ -880,8 +796,7 @@ mod tests {
         let mut w = Lender::default();
         let mut net = node();
         let mut n = net.node();
-        let first = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        settle(&mut n, &first, T0);
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Withdraw + identical re-announce before any timer expires.
         let down = w.act(T0, |s| n.receive(0, Update::withdraw(P), s));
         assert_eq!(down.sends.len(), 2, "withdrawals go out immediately (NO-WRATE)");
@@ -937,10 +852,9 @@ mod tests {
         let mut w = Lender::default();
         let mut net = node();
         let mut n = net.node();
-        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         // Slots 1 and 2 were armed (the customer route was exported to the
         // peer and provider) and run out with nothing behind them.
-        settle(&mut n, &a, T0);
         net.routes.reset_routing(after_mrai(T0));
         let n = net.node();
         assert_eq!(n.view().best_route(P), None);
@@ -1011,7 +925,7 @@ mod tests {
         assert_eq!(prefixes, vec![P, Prefix(7)]);
         assert!(a.sends.iter().all(|(s, u)| *s == 0 && u.kind.is_announce()));
         // The full-table replay arms the MRAI timer once.
-        assert_eq!(arms_of(&a), vec![0]);
+        assert_eq!(arms_of(&n, &a), vec![0]);
     }
 
     #[test]
@@ -1053,12 +967,13 @@ mod tests {
         let prefixes = [Prefix(4), Prefix(9), Prefix(2)];
         // Customer routes, exported to the peer (slot 1) and the provider
         // (slot 2), arm one timer per (slot, prefix).
-        for (i, &p) in prefixes.iter().enumerate() {
+        for &p in &prefixes {
             let a = w.act(T0, |s| n.receive(0, ann(s.paths, p, &[1, 9]), s));
-            for (j, &(slot, which)) in a.arms.iter().enumerate() {
-                assert_eq!(which, n.routes.row(p), "{p:?}'s row");
-                let key = at(T0.time + MRAI);
-                assert!(!n.timer_armed_at(slot, which, EventKey { seq: 1 + (2 * i + j) as u64, ..key }));
+            assert_eq!((a.arms.len(), a.expiries.len()), (2, 0), "{p:?}: two arms, nothing waiting");
+            for slot in [1, 2] {
+                let queue = n.view().queue(slot);
+                assert!(queue.is_armed(p, MraiScope::PerPrefix, T0), "{p:?}'s own timer");
+                assert!(!queue.is_armed(p, MraiScope::PerInterface, T0), "not the session timer");
             }
         }
         // Longer paths queue behind those timers.
@@ -1130,11 +1045,11 @@ mod tests {
         let mut expiries = Vec::new();
         for _ in 0..4 {
             let a = w.act(at(t), |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-            expiries.extend(settle(&mut n, &a, at(t)));
+            expiries.extend(a.expiries);
             t += SimDuration::from_secs(1);
             let a = w.act(at(t), |s| n.receive(0, Update::withdraw(P), s));
-            expiries.extend(settle(&mut n, &a, at(t)));
-            if let Some(&(_, _, reuse_at)) = a.rfd_wakeups.last() {
+            expiries.extend(a.expiries);
+            if let Some(&(_, _, reuse_at)) = a.wakeups.last() {
                 wake = Some(reuse_at);
             }
             t += SimDuration::from_secs(1);
@@ -1154,7 +1069,7 @@ mod tests {
         while !expiries.is_empty() {
             let (slot, which, key) = expiries.remove(0);
             let f = w.act(key, |s| n.mrai_flush(slot, which, s));
-            expiries.extend(settle(&mut n, &f, key));
+            expiries.extend(f.expiries);
         }
         // Well past the scheduled reuse time the customer route wins
         // again, and with every timer run out the re-selection is
@@ -1203,8 +1118,7 @@ mod tests {
         assert_eq!(w.costs, OpCounts::default());
         // One update → one decision run, a fresh export path, and a
         // refcount hit per session it is exported to (peer + provider).
-        let a = w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
-        settle(&mut n, &a, T0);
+        w.act(T0, |s| n.receive(0, ann(s.paths, P, &[1, 9]), s));
         let c = w.costs;
         assert_eq!(c.decision_runs, 1);
         assert_eq!(c.path_intern_misses, 1);
@@ -1235,7 +1149,7 @@ mod tests {
     /// Delivers `update` over `slot` and returns the step's sends with
     /// what it built: the `path_intern_misses` it counted and the cells it
     /// added to the arena.
-    fn builds(n: &mut BgpNode, w: &mut Lender, slot: u32, update: Update) -> (Actions, u64, usize) {
+    fn builds(n: &mut BgpNode, w: &mut Lender, slot: u32, update: Update) -> (StepLog, u64, usize) {
         let (misses, cells) = (w.costs.path_intern_misses, w.paths.paths());
         let a = w.act(T0, |s| n.receive(slot, update, s));
         (a, w.costs.path_intern_misses - misses, w.paths.paths() - cells)
@@ -1299,38 +1213,38 @@ mod tests {
         assert_eq!(n.view().best_route(P).unwrap().0, Some(AsId(3)));
     }
 
-    /// The sends, session-timer arms and expiry requests of `a`,
-    /// comparable.
-    #[expect(clippy::type_complexity, reason = "a test's flat tuple view of Actions, compared whole")]
-    fn flat(a: &Actions) -> (Vec<(u32, Update)>, Vec<u32>, Vec<(u32, Option<u32>, EventKey)>) {
-        assert!(a.rfd_wakeups.is_empty());
-        (a.sends.clone(), arms_of(a), a.expiries.clone())
+    /// The sends, arms and expiry requests of `a`, comparable.
+    #[expect(clippy::type_complexity, reason = "a test's flat tuple view of a step log, compared whole")]
+    fn flat(a: &StepLog) -> (Vec<(u32, Update)>, Vec<EventKey>, Vec<(u32, Option<u32>, EventKey)>) {
+        assert!(a.wakeups.is_empty());
+        (a.sends.clone(), a.arms.clone(), a.expiries.clone())
     }
 
-    /// The entry points append to the buffer they are lent — never
-    /// clearing it — exactly what they produce on an empty one.
+    /// The entry points append to the send list they are lent — never
+    /// clearing it — exactly what they produce on an empty one, and ask
+    /// the clock for the same arms and expiries.
     #[test]
     fn entry_points_append_to_a_shared_buffer_what_they_produce_on_an_empty_one() {
         let mut w = Lender::default();
         let customer = ann(&mut w.paths, P, &[1, 9]);
         let provider = ann(&mut w.paths, P, &[3, 9]);
         let longer = ann(&mut w.paths, P, &[1, 8, 9]);
-        // The key of slot 1's timer: the longer customer path waits behind
-        // it and is flushed at that key.
+        // The key of slot 1's timer, the clock's second (slot 0 took the
+        // first): the longer customer path waits behind it and is flushed
+        // at that key.
         let key = EventKey {
             time: T0.time + MRAI,
-            seq: 1,
+            seq: 2,
         };
         type Entry = Box<dyn Fn(&mut BgpNode, &mut Step)>;
         let script: Vec<(EventKey, Entry)> = vec![
             (T0, Box::new(move |n, s| n.receive(2, provider, s))),
             (T0, Box::new(move |n, s| n.receive(0, customer, s))),
-            (T0, Box::new(move |n, _| {
-                assert!(!n.timer_armed_at(1, None, key));
-                n.timer_armed_at(2, None, key);
-            })),
             (T0, Box::new(move |n, s| n.receive(0, longer, s))),
-            (key, Box::new(|n, s| n.mrai_flush(1, None, s))),
+            (key, Box::new(|n, s| {
+                assert!(n.view().queue(1).expiry_due(None, s.now), "slot 1's timer took the second key");
+                n.mrai_flush(1, None, s);
+            })),
             (T0, Box::new(|n, s| n.originate_caused(Prefix(7), s))),
             (T0, Box::new(|n, s| n.session_down_caused(0, s))),
             (T0, Box::new(|n, s| n.session_up_caused(0, s))),
@@ -1338,7 +1252,7 @@ mod tests {
         ];
 
         let (mut by_value, mut in_place) = (node(), node());
-        let mut want = Actions::default();
+        let mut want = StepLog::default();
         for (now, entry) in &script {
             let a = w.act(*now, |s| entry(&mut by_value.node(), s));
             want.sends.extend(a.sends);
@@ -1346,12 +1260,13 @@ mod tests {
             want.expiries.extend(a.expiries);
         }
         let by_value_costs = std::mem::take(&mut w.costs);
+        w.clock = TestClock::default();
         for (now, entry) in &script {
             entry(&mut in_place.node(), &mut w.step(*now, ()));
         }
 
         assert!(want.sends.len() >= 8, "the script must exercise the export path");
-        assert_eq!(flat(&w.out), flat(&want));
+        assert_eq!(flat(&w.take()), flat(&want));
         assert_eq!(w.costs, by_value_costs);
     }
 
@@ -1362,15 +1277,16 @@ mod tests {
     fn recycle_restores_the_constructed_state_from_any_state() {
         let mut w = Lender::default();
         let script = |n: &mut BgpNode, w: &mut Lender| {
+            w.clock = TestClock::default();
             n.receive(0, ann(&mut w.paths, P, &[1, 9]), &mut w.step(T0, ()));
-            assert!(settle(n, &w.out, T0).is_empty(), "slots 1 and 2 armed, nothing waiting");
+            assert!(w.clock.expiries.is_empty(), "slots 1 and 2 armed, nothing waiting");
             n.receive(2, ann(&mut w.paths, P, &[3, 9]), &mut w.step(T0, ()));
             // A longer customer path waits behind both timers.
             n.receive(0, ann(&mut w.paths, P, &[1, 8, 9]), &mut w.step(T0, ()));
-            let (slot, which, key) = w.out.expiries[0];
+            let (slot, which, key) = w.clock.expiries[0];
             n.mrai_flush(slot, which, &mut w.step(key, ()));
             n.receive(0, Update::withdraw(P), &mut w.step(T0, ()));
-            (flat(&std::mem::take(&mut w.out)), n.view().best_route(P), std::mem::take(&mut w.costs))
+            (flat(&w.take()), n.view().best_route(P), std::mem::take(&mut w.costs))
         };
         let want = script(&mut node().node(), &mut w);
 

@@ -36,7 +36,7 @@
 //! `Option<PathId>` is still four bytes.
 //!
 //! One arena serves one simulator, which lends it to every
-//! [`crate::BgpNode`] entry point the way it lends `Actions`, and
+//! [`crate::BgpNode`] entry point the way it lends its clock, and
 //! [clears](PathArena::clear) it — buffers kept — when it is recycled: an
 //! id means something only until then, and a recycled run hands out the
 //! ids a fresh one would. The arena also keeps the simulator's

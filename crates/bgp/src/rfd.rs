@@ -12,7 +12,7 @@
 //! The implementation uses lazy decay (the penalty is brought current
 //! whenever it is touched), so no periodic timer is needed; only a single
 //! *reuse* wake-up per suppressed route, which the host simulator
-//! schedules through [`crate::node::Actions::rfd_wakeups`].
+//! schedules through the step's clock ([`crate::mrai::Clock::wake`]).
 //!
 //! The parameters are the common vendor (Cisco-style) configuration, the
 //! one every experiment runs; they are constants, checked at compile time.

@@ -16,8 +16,8 @@
     reason = "the allocator counters are what this test reads"
 )]
 
-use bgpscale_bgp::mrai::Step;
-use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::mrai::{Clock, Step};
+use bgpscale_bgp::node::Session;
 use bgpscale_bgp::{BgpConfig, BgpNode, PathArena, PathId, Prefix, RouteSlab, SessionSlab, Update};
 use bgpscale_obs::OpCounts;
 use bgpscale_simkernel::alloc::{snapshot, CountingAlloc};
@@ -29,6 +29,36 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const P: Prefix = Prefix(0);
 const NEIGHBORS: u32 = 8;
+
+/// The simulator's clock as this test plays it: keys half a minute after
+/// the step's, each ranked after every key before it, and a record of
+/// the expiries and wake-ups asked for, which stays empty and so
+/// allocates nothing.
+#[derive(Debug)]
+struct TestClock {
+    now: EventKey,
+    seq: u64,
+    expiries: Vec<(u32, Option<u32>, EventKey)>,
+    wakeups: Vec<(u32, u32, SimTime)>,
+}
+
+impl Clock for TestClock {
+    fn arm(&mut self) -> EventKey {
+        self.seq += 1;
+        EventKey {
+            time: self.now.time + SimDuration::from_secs(30),
+            seq: self.seq,
+        }
+    }
+
+    fn expire(&mut self, slot: u32, which: Option<u32>, key: EventKey) {
+        self.expiries.push((slot, which, key));
+    }
+
+    fn wake(&mut self, slot: u32, row: u32, at: SimTime) {
+        self.wakeups.push((slot, row, at));
+    }
+}
 
 #[test]
 fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
@@ -47,7 +77,13 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
     let mut node = BgpNode::new(AsId(0), &slab, &mut routes);
     let cfg = BgpConfig::no_wrate();
     let mut paths = PathArena::new();
-    let mut out = Actions::default();
+    let mut out = Vec::new();
+    let mut clock = TestClock {
+        now: EventKey::ZERO,
+        seq: 0,
+        expiries: Vec::new(),
+        wakeups: Vec::new(),
+    };
     let mut costs = OpCounts::default();
     let learned = [
         paths.intern(&[AsId(1), AsId(90)]),
@@ -63,24 +99,20 @@ fn re_exporting_a_known_path_allocates_nothing_and_sessions_share_its_id() {
             seq: 0,
         };
         let route = learned[(round % 2) as usize];
+        clock.now = now;
         let mut step = Step {
             cfg: &cfg,
             now,
             cause: (),
             paths,
+            clock: &mut clock,
             out: &mut out,
             costs: &mut costs,
         };
         node.receive(0, Update::announce(P, route), &mut step);
-        assert_eq!(out.sends.len(), NEIGHBORS as usize - 1);
-        for (slot, which) in out.arms.drain(..) {
-            let expiry = EventKey {
-                time: now.time + SimDuration::from_secs(30),
-                seq: 1,
-            };
-            assert!(!node.timer_armed_at(slot, which, expiry), "nothing waits");
-        }
-        out.sends.clear();
+        assert_eq!(out.len(), NEIGHBORS as usize - 1);
+        assert!(clock.expiries.is_empty() && clock.wakeups.is_empty(), "nothing waits");
+        out.clear();
         let export: PathId = paths.prepend(AsId(0), route);
         assert!(
             (1..NEIGHBORS).all(|slot| node.view().queue(slot).advertised(P) == Some(export)),

@@ -6,14 +6,14 @@ use bgpscale_bgp::decision::{preference_key, select_best, Candidate};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bgpscale_bgp::mrai::{OutQueue, QueueView, Step, Submit};
-use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::mrai::{Clock, OutQueue, QueueView, Step};
+use bgpscale_bgp::node::Session;
 use bgpscale_bgp::{
     BgpConfig, MraiMode, MraiScope, PathArena, PathId, Prefix, Provenance, RouteSlab, SessionSlab, Stamp, Update,
     UpdateKind,
 };
 use bgpscale_obs::OpCounts;
-use bgpscale_simkernel::{EventKey, SimDuration};
+use bgpscale_simkernel::{EventKey, SimDuration, SimTime};
 use bgpscale_topology::{AsId, Relationship};
 use proptest::prelude::*;
 
@@ -25,20 +25,57 @@ fn rel_strategy() -> impl Strategy<Value = Relationship> {
     ])
 }
 
+/// The simulator's clock as a test plays it: keys one MRAI after the
+/// step's, each ranked after every key before it, and a record of the
+/// arms, expiries and wake-ups asked for.
+#[derive(Debug)]
+struct TestClock {
+    now: EventKey,
+    seq: u64,
+    arms: Vec<EventKey>,
+    expiries: Vec<(u32, Option<u32>, EventKey)>,
+    wakeups: Vec<(u32, u32, SimTime)>,
+}
+
+impl TestClock {
+    /// A key at `time`, ranked after every key handed out so far.
+    fn reserve(&mut self, time: SimTime) -> EventKey {
+        self.seq += 1;
+        EventKey { time, seq: self.seq }
+    }
+}
+
+impl Clock for TestClock {
+    fn arm(&mut self) -> EventKey {
+        let key = self.reserve(self.now.time + MRAI);
+        self.arms.push(key);
+        key
+    }
+
+    fn expire(&mut self, slot: u32, which: Option<u32>, key: EventKey) {
+        self.expiries.push((slot, which, key));
+    }
+
+    fn wake(&mut self, slot: u32, row: u32, at: SimTime) {
+        self.wakeups.push((slot, row, at));
+    }
+}
+
 /// One output queue — slot 5 of AS0, whose sessions are peers AS1 to
 /// AS8 — with the simulator's half of the timer contract around it: the
-/// node's slab and route columns, what a step is lent, a clock, keys
-/// reserved one MRAI ahead at every arm, and the expiry events the queue
-/// asked for. Its updates carry provenance stamps, so every send can be
-/// checked for the edge it went out on.
+/// node's slab and route columns, what a step is lent, among it a clock
+/// that reserves a key one MRAI ahead at every arm, the current event's
+/// key, and the expiry events the queue asked for. Its updates carry
+/// provenance stamps, so every send can be checked for the edge it went
+/// out on.
 struct Driven {
     slab: Arc<SessionSlab>,
     routes: RouteSlab<Provenance>,
     cfg: BgpConfig,
     paths: PathArena,
-    out: Actions<Provenance>,
+    clock: TestClock,
+    out: Vec<(u32, Update<Provenance>)>,
     now: EventKey,
-    next_seq: u64,
     /// The expiry events asked for and not yet popped, with the timer
     /// each is for (`None`: the session timer).
     expiries: Vec<(Option<Prefix>, EventKey)>,
@@ -57,9 +94,9 @@ impl Driven {
             slab,
             cfg: BgpConfig { mrai_scope, ..BgpConfig::default() },
             paths: PathArena::new(),
-            out: Actions::default(),
+            clock: TestClock { now: EventKey::ZERO, seq: 1, arms: Vec::new(), expiries: Vec::new(), wakeups: Vec::new() },
+            out: Vec::new(),
             now: EventKey::ZERO,
-            next_seq: 1,
             expiries: Vec::new(),
             costs: OpCounts::default(),
         }
@@ -70,67 +107,62 @@ impl Driven {
         self.routes.queue(self.slab.stripe(0), SLOT)
     }
 
-    /// A key one MRAI ahead, ranked after every key handed out so far.
-    fn reserve(&mut self) -> EventKey {
-        self.next_seq += 1;
-        EventKey {
-            time: self.now.time + MRAI,
-            seq: self.next_seq,
-        }
-    }
-
     /// The row of the timer `which` names: `None` for the session timer.
     fn timer_row(&self, which: Option<Prefix>) -> Option<u32> {
         which.map(|prefix| self.routes.row(prefix).expect("a timer's prefix has a row"))
     }
 
-    fn arm(&mut self, which: Option<Prefix>) {
-        let key = self.reserve();
-        let row = self.timer_row(which);
-        if self.routes.queue_mut(self.slab.stripe(0), SLOT).arm_at(row, key) {
-            self.expect_expiry(which, key);
+    /// Takes the expiries the clock was asked for, each one for the timer
+    /// `which` names.
+    fn expect_expiries(&mut self, which: Option<Prefix>) {
+        assert!(self.clock.wakeups.is_empty(), "a queue wakes no damped route");
+        for (slot, asked, key) in std::mem::take(&mut self.clock.expiries) {
+            assert_eq!((slot, asked), (SLOT, self.timer_row(which)), "an expiry for another timer");
+            assert!(key > self.now, "an expiry in the past");
+            assert!(self.expiries.iter().all(|&(w, _)| w != which), "one expiry per window");
+            self.expiries.push((which, key));
         }
-    }
-
-    fn expect_expiry(&mut self, which: Option<Prefix>, key: EventKey) {
-        assert!(key > self.now, "an expiry in the past");
-        assert!(self.expiries.iter().all(|&(w, _)| w != which), "one expiry per window");
-        self.expiries.push((which, key));
     }
 
     /// The queue under test and the step of the event keyed `self.now`.
     fn step(&mut self) -> (OutQueue<'_, Provenance>, Step<'_, Provenance>) {
+        self.clock.now = self.now;
         let step = Step {
             cfg: &self.cfg,
             now: self.now,
             cause: Provenance::root(7),
             paths: &mut self.paths,
+            clock: &mut self.clock,
             out: &mut self.out,
             costs: &mut self.costs,
         };
         (self.routes.queue_mut(self.slab.stripe(0), SLOT), step)
     }
 
+    /// Submits an intent; returns the update it sent now, if any.
     fn submit(
         &mut self,
         prefix: Prefix,
         intent: Option<PathId>,
         mode: MraiMode,
         rel: Relationship,
-    ) -> Submit<Provenance> {
+    ) -> Option<Update<Provenance>> {
         self.cfg.mrai_mode = mode;
         let row = self.routes.touch(prefix, 0, self.slab.stripe(0));
         let (mut q, mut step) = self.step();
-        let submit = q.submit(row, intent, rel, &mut step);
+        q.submit(row, intent, rel, &mut step);
         let which = if self.cfg.mrai_scope == MraiScope::PerPrefix { Some(prefix) } else { None };
-        match &submit {
-            Submit::SendNow { arm_timer: true, .. } => self.arm(which),
-            Submit::Queued { expire_at: Some(key) } => self.expect_expiry(which, *key),
-            _ => {}
-        }
+        self.expect_expiries(which);
         assert_eq!(self.expiries.len(), self.q().scheduled_expiries());
         assert!(!self.expiries.is_empty() || self.q().pending_len() == 0, "an update waits for no event");
-        submit
+        let sent = std::mem::take(&mut self.out);
+        assert!(sent.len() <= 1, "one submission, one send at most: {sent:?}");
+        assert!(self.clock.arms.len() <= sent.len(), "an arm with nothing sent");
+        self.clock.arms.clear();
+        sent.into_iter().map(|(tag, update)| {
+            assert_eq!(tag, SLOT, "sent updates carry the queue's slot");
+            update
+        }).next()
     }
 
     /// Lets the next window close: the earliest expiry event pops if one
@@ -140,7 +172,7 @@ impl Driven {
         self.expiries.sort_by_key(|&(_, key)| key);
         if self.expiries.is_empty() {
             assert_eq!(self.q().pending_len(), 0, "updates wait with no expiry scheduled");
-            self.now = self.reserve();
+            self.now = self.clock.reserve(self.now.time + MRAI);
             assert!(!self.q().timer_armed(self.now));
             return Vec::new();
         }
@@ -149,12 +181,11 @@ impl Driven {
         assert!(self.q().expiry_due(self.timer_row(which), key));
         let trigger = self.timer_row(which);
         let (mut q, mut step) = self.step();
-        let rearm = q.flush(trigger, &mut step);
-        let sends = std::mem::take(&mut self.out.sends);
+        q.flush(trigger, &mut step);
+        let rearm = !std::mem::take(&mut self.clock.arms).is_empty();
+        self.expect_expiries(which);
+        let sends = std::mem::take(&mut self.out);
         assert_eq!(rearm, !sends.is_empty(), "the timer re-arms iff something was sent");
-        if rearm {
-            self.arm(which);
-        }
         // Under the per-interface scope no per-prefix timer exists, so
         // `timer_armed` sees the session timer alone.
         let armed = match which {
@@ -330,12 +361,9 @@ proptest! {
         for (prefix, path_id, flush_after) in script {
             let path: Option<PathId> = path_id.map(|k| d.paths.intern(&[AsId(100 + k), AsId(999)]));
             intent.insert(prefix, path);
-            match d.submit(prefix, path, mode, rel) {
-                Submit::SendNow { update, .. } => {
-                    prop_assert_eq!(update.stamp.rel(), Some(rel), "sent over this edge");
-                    apply(&mut neighbor, update)?
-                }
-                Submit::Queued { .. } | Submit::Suppressed => {}
+            if let Some(update) = d.submit(prefix, path, mode, rel) {
+                prop_assert_eq!(update.stamp.rel(), Some(rel), "sent over this edge");
+                apply(&mut neighbor, update)?
             }
             if flush_after && d.q().timer_armed(d.now) {
                 for u in d.close_window() {
@@ -412,7 +440,7 @@ proptest! {
             let prefix = all[(index % prefixes) as usize];
             let path = path.map(|k| d.paths.intern(&[AsId(100 + k), AsId(999)]));
             intent.insert(prefix, path);
-            if let Submit::SendNow { update, .. } = d.submit(prefix, path, mode, rel) {
+            if let Some(update) = d.submit(prefix, path, mode, rel) {
                 match update.kind {
                     UpdateKind::Announce(p) => { neighbor.insert(prefix, p); }
                     UpdateKind::Withdraw => { neighbor.remove(&prefix); }
@@ -456,12 +484,13 @@ proptest! {
         let rel = Relationship::Customer;
         let path = d.paths.intern(&path);
         let first = d.submit(Prefix(0), Some(path), mode, rel);
-        let sent_now = matches!(first, Submit::SendNow { .. });
+        let sent_now = first.is_some();
         prop_assert!(sent_now);
         // Built again, hop by hop: the same id, the same intent.
         let hops = d.paths.to_vec(path);
         let rebuilt = d.paths.intern(&hops);
         let second = d.submit(Prefix(0), Some(rebuilt), mode, rel);
-        prop_assert_eq!(second, Submit::Suppressed);
+        prop_assert_eq!(second, None, "suppressed: not sent");
+        prop_assert_eq!(d.q().pending_len(), 0, "suppressed: not queued either");
     }
 }

@@ -29,9 +29,13 @@
 //!
 //! A node is routes; everything else a protocol step needs — the one
 //! configuration, the key of the event, the cause to stamp, the path
-//! arena, the `Actions` buffer, the cost tallies — is the simulator's, one
-//! of each for the whole network, lent as a [`Step`] for the length of
-//! the step.
+//! arena, the event clock, the send list, the cost tallies — is the
+//! simulator's, one of each for the whole network, lent as a [`Step`] for
+//! the length of the step. The clock is the simulator's one [`Clock`]: a
+//! view of the event queue, the RNG, the MRAI horizon and the gauge of
+//! scheduled expiries, through which the step arms timers and schedules
+//! expiry events and damping wake-ups as it runs. After the step the
+//! simulator puts its sends on the wire.
 //!
 //! What a cause is depends on who watches: the observer's
 //! [`SimObserver::Stamp`]. The default [`NoopObserver`] takes `()`, so an
@@ -52,17 +56,18 @@
 //! radix heap, which files the thousands of MRAI expiries 22.5–30 s out in
 //! high buckets that the near `ProcDone`s pop past without touching.
 //!
-//! MRAI timers are **lazy**. Every arm draws its jitter and reserves the
-//! `(time, seq)` key its expiry pops at (`EventQueue::reserve`), and the
-//! session's output queue keeps that key: the timer is armed while the key
-//! is after the key of the event being processed. An `MraiExpire` event
-//! is scheduled under the key (`EventQueue::schedule_reserved`) only once
-//! an update waits behind the timer — most timers run out with nothing
-//! queued, and those cost the loop no push, pop or dispatch. Every
-//! other event keeps the key, and so the place in the pop order, it would
-//! have had with an expiry event per arm, and the RNG is drawn at the
-//! same points: the run is that run minus the expiries that would have
-//! flushed nothing.
+//! MRAI timers are **lazy**. Every arm asks the clock ([`Clock::arm`]),
+//! which draws the jitter and reserves the `(time, seq)` key the expiry
+//! pops at (`EventQueue::reserve`), and the session's output queue keeps
+//! that key: the timer is armed while the key is after the key of the
+//! event being processed. An `MraiExpire` event is scheduled under the
+//! key (`EventQueue::schedule_reserved`, through [`Clock::expire`]) only
+//! once an update waits behind the timer — most timers run out with
+//! nothing queued, and those cost the loop no push, pop or dispatch.
+//! Every other event keeps the key, and so the place in the pop order, it
+//! would have had with an expiry event per arm, and the RNG is drawn at
+//! the same points: the run is that run minus the expiries that would
+//! have flushed nothing.
 //!
 //! The simulation **quiesces** when the event queue and the wire are
 //! empty: every RIB is stable, and the clock then moves to the latest key any timer reserved
@@ -97,8 +102,8 @@
 
 use std::sync::Arc;
 
-use bgpscale_bgp::mrai::Step;
-use bgpscale_bgp::node::{Actions, Session};
+use bgpscale_bgp::mrai::{Clock, Step};
+use bgpscale_bgp::node::Session;
 use bgpscale_bgp::config::{LINK_DELAY, MRAI, MRAI_JITTER, PROC_DELAY_MAX};
 use bgpscale_bgp::{BgpConfig, BgpNode, NodeView, PathArena, Prefix, RouteSlab, SessionSlab, Update};
 use bgpscale_obs::{
@@ -160,6 +165,42 @@ struct InFlight<S> {
 
 // One entry per message, as big as an entry of the event queue's pool.
 const _: () = assert!(std::mem::size_of::<InFlight<()>>() == 32);
+
+/// The simulator's event clock, lent to a protocol step at `node`: the
+/// event queue keys are reserved from and events scheduled on, the RNG
+/// the MRAI jitter is drawn from, the MRAI horizon, and the gauge of
+/// valid expiry events scheduled.
+#[derive(Debug)]
+struct SimClock<'a> {
+    node: AsId,
+    queue: &'a mut EventQueue<SimEvent>,
+    rng: &'a mut Xoshiro256StarStar,
+    mrai_horizon: &'a mut EventKey,
+    expiries_scheduled: &'a mut u64,
+}
+
+impl Clock for SimClock<'_> {
+    /// Draws the interval from the 30 s MRAI scaled by a factor in
+    /// [`MRAI_JITTER`], and reserves the key that far from now.
+    fn arm(&mut self) -> EventKey {
+        let (lo, hi) = MRAI_JITTER;
+        let interval = MRAI.mul_f64(self.rng.next_f64_range(lo, hi));
+        let key = self.queue.reserve(self.queue.now() + interval);
+        *self.mrai_horizon = (*self.mrai_horizon).max(key);
+        key
+    }
+
+    fn expire(&mut self, slot: u32, which: Option<u32>, key: EventKey) {
+        self.queue.schedule_reserved(key, SimEvent::MraiExpire { node: self.node, slot, row: which });
+        *self.expiries_scheduled += 1;
+    }
+
+    fn wake(&mut self, slot: u32, row: u32, at: SimTime) {
+        let now = self.queue.now();
+        debug_assert!(at >= now, "reuse time in the past");
+        self.queue.schedule(at.max(now), SimEvent::RfdReuse { node: self.node, slot, row });
+    }
+}
 
 /// A diagnostic snapshot of simulator state at the moment a run exceeded
 /// its event budget. Built only on the failure path (never in the event
@@ -237,15 +278,15 @@ pub struct Simulator<O: SimObserver = NoopObserver> {
     /// Every AS path of the run, hash-consed; lent to each protocol step.
     /// Cleared, buffers kept, by [`Simulator::recycle`].
     paths: PathArena,
-    /// The buffer every protocol step writes its transmissions and timer
-    /// arms into; [`Simulator::apply_actions`] drains it after each step,
-    /// so its lists are empty between steps and keep their capacity.
-    actions: Actions<O::Stamp>,
+    /// The send list every protocol step appends its transmissions to,
+    /// `(slot, message)`; [`Simulator::apply_actions`] drains it after each
+    /// step, so it is empty between steps and keeps its capacity.
+    sends: Vec<(u32, Update<O::Stamp>)>,
     /// The one tally of the run's work outside the event queue: the
-    /// decision, path and RIB work of every node, tallied by the steps it
-    /// is lent to; the wire's share of the queue classes (its pushes, its
-    /// pops and the comparisons of its front with the queue's minimum);
-    /// deliveries, MRAI arms and valid expiries. Monotone: phase costs
+    /// decision, path, RIB and MRAI-arm work of every node, tallied by the
+    /// steps it is lent to; the wire's share of the queue classes (its
+    /// pushes, its pops and the comparisons of its front with the queue's
+    /// minimum); deliveries and valid expiries. Monotone: phase costs
     /// only ever diff it.
     ops: OpCounts,
     /// Every node's FIFO input queue, in one pool: (the session slot the
@@ -352,7 +393,7 @@ impl SimTemplate {
             slab: Arc::clone(&self.slab),
             routes: RouteSlab::new(&self.slab),
             paths: PathArena::new(),
-            actions: Actions::default(),
+            sends: Vec::new(),
             ops: OpCounts::default(),
             inbox: InboxPool::new(self.graph.len()),
             queue: EventQueue::with_capacity(1024),
@@ -481,23 +522,39 @@ impl<O: SimObserver> Simulator<O> {
 
     /// Runs one protocol step at `node`, caused by `cause`, in the event
     /// being processed: builds the node's view of the route columns and
-    /// lends it everything else. What the step produces waits in
-    /// `self.actions` for [`Simulator::apply_actions`].
+    /// lends it everything else, the clock included, so its timers, expiry
+    /// events and damping wake-ups are keyed and scheduled as it runs. Its
+    /// sends wait in `self.sends` for [`Simulator::apply_actions`]. The
+    /// observer hears the occupancy gauge once if the step scheduled an
+    /// expiry.
     fn lend_step(
         &mut self,
         node: AsId,
         cause: O::Stamp,
         entry: impl FnOnce(&mut BgpNode<O::Stamp>, &mut Step<O::Stamp>),
     ) {
+        let scheduled_before = self.expiries_scheduled;
+        let now = self.queue.last_key();
+        let mut clock = SimClock {
+            node,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            mrai_horizon: &mut self.mrai_horizon,
+            expiries_scheduled: &mut self.expiries_scheduled,
+        };
         let mut step = Step {
             cfg: &self.cfg,
-            now: self.queue.last_key(),
+            now,
             cause,
             paths: &mut self.paths,
-            out: &mut self.actions,
+            clock: &mut clock,
+            out: &mut self.sends,
             costs: &mut self.ops,
         };
         entry(&mut BgpNode::new(node, &self.slab, &mut self.routes), &mut step);
+        if self.expiries_scheduled > scheduled_before {
+            self.obs.on_timer_occupancy(self.expiries_scheduled, now.time);
+        }
     }
 
     /// Fails the `a`–`b` link (an "L-event"): both BGP sessions drop,
@@ -805,8 +862,7 @@ impl<O: SimObserver> Simulator<O> {
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
                 let no_cause = O::Stamp::default(); // a flush sends stamps stored earlier
                 self.lend_step(node, no_cause, |n, step| n.mrai_flush(slot, row, step));
-                self.obs
-                    .on_mrai_flush(node, self.actions.sends.len() as u32, now);
+                self.obs.on_mrai_flush(node, self.sends.len() as u32, now);
                 self.apply_actions(node);
             }
             SimEvent::RfdReuse { node, slot, row } => {
@@ -817,60 +873,31 @@ impl<O: SimObserver> Simulator<O> {
         }
     }
 
-    /// Puts the transmissions on the wire, schedules the expiry events
-    /// and reserves the keys of the timer arms that the protocol step just
-    /// run at `node` wrote into `self.actions`, leaving the buffer empty
-    /// for the next step.
+    /// Puts the transmissions that the protocol step just run at `node`
+    /// appended to `self.sends` on the wire, one link delay out, leaving
+    /// the list empty for the next step.
     fn apply_actions(&mut self, node: AsId) {
-        let now = self.queue.now();
-        // Out of `self` while the loops below draw from the RNG and push
-        // onto the queue; handed back drained, capacity intact.
-        let mut actions = std::mem::take(&mut self.actions);
-        self.ops.mrai_armed += actions.arms.len() as u64;
-        let scheduled_before = self.expiries_scheduled;
-        if !actions.sends.is_empty() {
-            let arrival = now + LINK_DELAY;
-            // The event loop takes the wire's front as its next message,
-            // which is only right while the wire is in key order — true
-            // for one constant link delay, and what a per-link delay would
-            // have to give up the wire for.
-            if let Some(tail) = self.wire.back() {
-                assert!(
-                    arrival >= tail.key.time,
-                    "a message arriving at {arrival:?} scheduled before the wire's tail {:?}",
-                    tail.key.time
-                );
-            }
-            let stripe = self.slab.stripe(node.0);
-            for (slot, update) in actions.sends.drain(..) {
-                let (to, slot) = self.slab.far_end(stripe, slot);
-                let key = self.queue.reserve(arrival);
-                self.wire.push_back(InFlight { key, to, slot, update });
-                self.ops.queue_pushes += 1;
-            }
+        if self.sends.is_empty() {
+            return;
         }
-        // An arm draws its jitter and reserves the key its expiry pops
-        // at, event or no event.
-        for (slot, row) in actions.arms.drain(..) {
-            let delay = self.draw_mrai_interval();
-            let key = self.queue.reserve(now + delay);
-            self.mrai_horizon = self.mrai_horizon.max(key);
-            if BgpNode::new(node, &self.slab, &mut self.routes).timer_armed_at(slot, row, key) {
-                actions.expiries.push((slot, row, key));
-            }
+        let arrival = self.queue.now() + LINK_DELAY;
+        // The event loop takes the wire's front as its next message,
+        // which is only right while the wire is in key order — true for
+        // one constant link delay, and what a per-link delay would have to
+        // give up the wire for.
+        if let Some(tail) = self.wire.back() {
+            assert!(
+                arrival >= tail.key.time,
+                "a message arriving at {arrival:?} scheduled before the wire's tail {:?}",
+                tail.key.time
+            );
         }
-        // The event follows once an update waits behind the timer.
-        for (slot, row, key) in actions.expiries.drain(..) {
-            self.queue.schedule_reserved(key, SimEvent::MraiExpire { node, slot, row });
-            self.expiries_scheduled += 1;
-        }
-        for (slot, row, at) in actions.rfd_wakeups.drain(..) {
-            debug_assert!(at >= now, "reuse time in the past");
-            self.queue.schedule(at.max(now), SimEvent::RfdReuse { node, slot, row });
-        }
-        self.actions = actions;
-        if self.expiries_scheduled > scheduled_before {
-            self.obs.on_timer_occupancy(self.expiries_scheduled, now);
+        let stripe = self.slab.stripe(node.0);
+        for (slot, update) in self.sends.drain(..) {
+            let (to, slot) = self.slab.far_end(stripe, slot);
+            let key = self.queue.reserve(arrival);
+            self.wire.push_back(InFlight { key, to, slot, update });
+            self.ops.queue_pushes += 1;
         }
     }
 
@@ -901,11 +928,6 @@ impl<O: SimObserver> Simulator<O> {
     /// processing strictly follows arrival.
     fn draw_service_time(&mut self) -> SimDuration {
         SimDuration::from_micros(1 + self.rng.next_below(PROC_DELAY_MAX.as_micros()))
-    }
-
-    fn draw_mrai_interval(&mut self) -> SimDuration {
-        let (lo, hi) = MRAI_JITTER;
-        MRAI.mul_f64(self.rng.next_f64_range(lo, hi))
     }
 }
 
@@ -1260,9 +1282,21 @@ mod tests {
     /// the draws differ.
     #[test]
     fn mrai_intervals_are_jittered_within_the_standard_range() {
-        let (g, _) = chain_graph();
+        let (g, ids) = chain_graph();
         let mut sim = Simulator::new(g, BgpConfig::default(), 26);
-        let draws: Vec<SimDuration> = (0..10_000).map(|_| sim.draw_mrai_interval()).collect();
+        let now = sim.queue.now();
+        let mut clock = SimClock {
+            node: ids[0],
+            queue: &mut sim.queue,
+            rng: &mut sim.rng,
+            mrai_horizon: &mut sim.mrai_horizon,
+            expiries_scheduled: &mut sim.expiries_scheduled,
+        };
+        let keys: Vec<EventKey> = (0..10_000).map(|_| clock.arm()).collect();
+        assert!(keys.windows(2).all(|pair| pair[0].seq < pair[1].seq), "every arm reserves a key of its own");
+        assert_eq!(sim.mrai_horizon, keys.iter().copied().max().unwrap(), "the horizon is the latest key");
+        assert_eq!((sim.queue.len(), sim.expiries_scheduled), (0, 0), "an arm schedules no event");
+        let draws: Vec<SimDuration> = keys.iter().map(|key| key.time.since(now)).collect();
         let (lo, hi) = (draws.iter().min().unwrap(), draws.iter().max().unwrap());
         let range = SimDuration::from_millis(22_500)..=SimDuration::from_secs(30);
         assert!(range.contains(lo) && range.contains(hi), "drawn {lo:?} ..= {hi:?}");
