@@ -6,17 +6,15 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! With `jobs > 1` ([`Sweeper::set_jobs`]), a sweep splits its worker
-//! budget two ways: each cell's C-events fan out inside
-//! [`bgpscale_core::run_cell`], and when that leaves workers
-//! idle (more jobs than events per cell), multiple *uncached* cells run
-//! concurrently. Neither axis affects results: every cell's report is a
-//! pure function of `(scenario, n, mode, events, seed)`, and completed
-//! reports are folded into the memo cache on the calling thread in size
-//! order. The cache itself is only ever mutated by the thread that owns
-//! the `Sweeper` (`&mut self`), which is what keeps it trivially
-//! thread-safe; workers communicate results only through the ordered
-//! return of the pool.
+//! With `jobs > 1` ([`Sweeper::set_jobs`]), a sweep has one parallel
+//! axis: uncached cells are computed one after another, and each cell's
+//! C-events fan out across the whole worker budget inside
+//! [`bgpscale_core::run_cell`]. That does not affect results: every
+//! cell's report is a pure function of `(scenario, n, mode, events,
+//! seed)`, and reports are folded into the memo cache on the calling
+//! thread in size order. The cache itself is only ever mutated by the
+//! thread that owns the `Sweeper` (`&mut self`), which is what keeps it
+//! trivially thread-safe.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +24,6 @@ use bgpscale_core::{
     run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
 };
 use bgpscale_obs::{MetricsRegistry, TraceRecord};
-use bgpscale_simkernel::pool::run_indexed;
 use bgpscale_topology::GrowthScenario;
 
 use crate::log;
@@ -240,7 +237,7 @@ impl Sweeper {
         report
     }
 
-    /// Sets the worker budget: how many C-events / cells may be computed
+    /// Sets the worker budget: how many C-events of a cell may be computed
     /// concurrently. `0` means "use every hardware thread". Results are
     /// bit-for-bit independent of this setting.
     pub fn set_jobs(&mut self, jobs: usize) {
@@ -305,42 +302,17 @@ impl Sweeper {
         self.sweep_mode(scenario, MraiMode::NoWrate)
     }
 
-    /// Runs the whole size sweep for one scenario and MRAI mode.
-    ///
-    /// Uncached cells may compute concurrently when the worker budget
-    /// exceeds the per-cell event count (event-level parallelism is
-    /// preferred because events outnumber cells in every paper
-    /// configuration). Reports are folded into the cache on this thread
-    /// in ascending-size order; results are identical for any `jobs`.
+    /// Runs the whole size sweep for one scenario and MRAI mode: the
+    /// uncached cells one after another, in ascending-size order, each
+    /// fanning its C-events out across the whole worker budget. Results
+    /// are identical for any `jobs`.
     pub fn sweep_mode(
         &mut self,
         scenario: GrowthScenario,
         mode: MraiMode,
     ) -> Vec<Arc<ChurnReport>> {
-        let uncached: Vec<ExperimentConfig> = self
-            .cfg
-            .sizes
-            .iter()
-            .filter(|&&n| !self.cache.contains_key(&CellKey { scenario, n, mode }))
-            .map(|&n| self.cell_config(scenario, n, mode))
-            .collect();
-        let mut hb = Heartbeat::new(self.heartbeat, uncached.len());
-
-        // Split the budget: `inner` workers per cell (C-event fan-out),
-        // and any leftover across cells.
-        let inner = self.jobs.min(self.cfg.events.max(1));
-        let outer = uncached.len().min((self.jobs / inner.max(1)).max(1));
-        if outer > 1 {
-            // Workers hand their cells back to this thread, which folds
-            // them in ascending-size (index) order.
-            let computed = run_indexed(outer, uncached.len(), |i| {
-                run_cell(&uncached[i], inner, self.telemetry.as_ref(), |_| {})
-            });
-            for (cell_cfg, observed) in uncached.iter().zip(computed) {
-                self.fold_cell(cell_cfg, observed, &mut hb);
-            }
-        }
-
+        let uncached = self.cfg.sizes.iter().filter(|&&n| !self.cache.contains_key(&CellKey { scenario, n, mode }));
+        let mut hb = Heartbeat::new(self.heartbeat, uncached.count());
         let sizes = self.cfg.sizes.clone();
         sizes.into_iter().map(|n| self.cell(scenario, n, mode, &mut hb)).collect()
     }

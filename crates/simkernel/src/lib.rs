@@ -64,7 +64,7 @@ pub mod rss;
 pub mod time;
 
 pub use alloc::AllocSnapshot;
-pub use pool::{effective_jobs, run_indexed};
+pub use pool::{effective_jobs, run_indexed_with};
 pub use queue::{EventKey, EventQueue, QueueOpCounts};
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;

@@ -1,19 +1,19 @@
 //! A minimal scoped-thread worker pool for deterministic fan-out.
 //!
-//! The experiment layers parallelize *independent* units of work — C-events
-//! within one experiment, `(scenario, n, mode)` cells within one sweep —
-//! whose results must be folded back **in index order** so that a parallel
-//! run is bit-for-bit identical to a sequential one. This module provides
-//! exactly that shape and nothing more: [`run_indexed`] evaluates
-//! `f(0), f(1), …, f(count - 1)` on up to `jobs` worker threads and returns
-//! the results ordered by index.
+//! The experiment layers parallelize *independent* units of work — the
+//! C-events of one cell — whose results must be folded back **in index
+//! order** so that a parallel run is bit-for-bit identical to a
+//! sequential one. This module provides
+//! exactly that shape and nothing more: [`run_indexed_with`] evaluates
+//! `f(_, 0), f(_, 1), …, f(_, count - 1)` on up to `jobs` worker threads
+//! and returns the results ordered by index.
 //!
 //! Determinism contract:
 //!
 //! * `f` must be a pure function of its index (each unit derives its own
 //!   seed; no shared mutable state), so scheduling order cannot influence
-//!   any result. Per-worker state ([`run_indexed_with`]) may carry buffers
-//!   from one unit to the next, never values a result depends on.
+//!   any result. Per-worker state may carry buffers from one unit to the
+//!   next, never values a result depends on.
 //! * The returned `Vec` is always index-ordered, so any fold the caller
 //!   performs over it is independent of which worker finished first.
 //! * `jobs <= 1` takes a plain sequential loop — the exact same code path
@@ -40,8 +40,11 @@ pub fn effective_jobs(requested: usize) -> usize {
     }
 }
 
-/// Evaluates `f(i)` for `i in 0..count` on up to `jobs` threads and
-/// returns the results in index order.
+/// Evaluates `f(state, i)` for `i in 0..count` on up to `jobs` threads
+/// and returns the results in index order. Every worker calls `init`
+/// once and hands `f` a mutable reference to its own state with each
+/// index it claims — scratch buffers, or a simulator recycled from unit
+/// to unit.
 ///
 /// Work is distributed dynamically (an atomic next-index counter), so
 /// uneven unit costs — a C-event on a 9000-node topology next to one on a
@@ -50,17 +53,6 @@ pub fn effective_jobs(requested: usize) -> usize {
 ///
 /// Panics in `f` propagate: the pool joins all workers and re-raises the
 /// first panic rather than returning partial results.
-pub fn run_indexed<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_with(jobs, count, || (), |(), i| f(i))
-}
-
-/// [`run_indexed`] with per-worker state: every worker calls `init` once
-/// and hands `f` a mutable reference to its own state with each index it
-/// claims — scratch buffers, or a simulator recycled from unit to unit.
 ///
 /// The determinism contract extends to the state: `f(state, i)` must
 /// return the same value whatever indices the worker's state served
@@ -132,15 +124,15 @@ mod tests {
             // A little arithmetic so the units have non-trivial cost.
             (0..1000u64).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
         };
-        let seq = run_indexed(1, 64, work);
+        let seq = run_indexed_with(1, 64, || (), |(), i| work(i));
         for jobs in [2, 4, 8] {
-            assert_eq!(seq, run_indexed(jobs, 64, work), "jobs={jobs}");
+            assert_eq!(seq, run_indexed_with(jobs, 64, || (), |(), i| work(i)), "jobs={jobs}");
         }
     }
 
     #[test]
     fn results_are_index_ordered() {
-        let out = run_indexed(4, 100, |i| i);
+        let out = run_indexed_with(4, 100, || (), |(), i| i);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
@@ -171,8 +163,8 @@ mod tests {
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(run_indexed(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(8, 1, |i| i * 7), vec![0]);
+        assert_eq!(run_indexed_with(8, 0, || (), |(), i| i), Vec::<usize>::new());
+        assert_eq!(run_indexed_with(8, 1, || (), |(), i| i * 7), vec![0]);
     }
 
     #[test]
@@ -184,7 +176,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            run_indexed(4, 16, |i| {
+            run_indexed_with(4, 16, || (), |(), i| {
                 if i == 7 {
                     panic!("unit 7 failed");
                 }

@@ -192,45 +192,6 @@ pub fn avg_valley_free_path_length(g: &AsGraph, samples: usize, seed: u64) -> f6
     }
 }
 
-/// Mean undirected (policy-oblivious) path length over `samples` BFS
-/// sources — a lower bound on the valley-free length, included for
-/// comparison.
-pub fn avg_bfs_path_length(g: &AsGraph, samples: usize, seed: u64) -> f64 {
-    if g.len() < 2 {
-        return 0.0;
-    }
-    let mut rng = Xoshiro256StarStar::new(seed ^ 0x5A5A_A5A5);
-    let mut sum = 0u64;
-    let mut pairs = 0u64;
-    for _ in 0..samples {
-        let src = AsId(rng.next_below(g.len() as u64) as u32);
-        let mut dist = vec![u32::MAX; g.len()];
-        dist[src.index()] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.index()];
-            for nb in g.neighbors(u) {
-                if dist[nb.id.index()] == u32::MAX {
-                    dist[nb.id.index()] = du + 1;
-                    queue.push_back(nb.id);
-                }
-            }
-        }
-        for (i, &d) in dist.iter().enumerate() {
-            if i != src.index() && d != u32::MAX {
-                sum += d as u64;
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        0.0
-    } else {
-        sum as f64 / pairs as f64
-    }
-}
-
 /// Degree assortativity: the Pearson correlation of the degrees at the
 /// two ends of each link. The AS-level Internet is famously
 /// **disassortative** (high-degree providers connect to low-degree
@@ -389,14 +350,6 @@ mod tests {
             (l_big - l_small).abs() < 1.0,
             "path length drifts: {l_small} → {l_big}"
         );
-    }
-
-    #[test]
-    fn bfs_length_lower_bounds_valley_free() {
-        let g = generate(GrowthScenario::Baseline, 800, 9);
-        let bfs = avg_bfs_path_length(&g, 20, 9);
-        let vf = avg_valley_free_path_length(&g, 20, 9);
-        assert!(bfs <= vf + 1e-9, "bfs {bfs} > valley-free {vf}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::AsGraph;
-use crate::types::{AsId, Relationship};
+use crate::types::AsId;
 
 /// Shortest valley-free distance (in AS hops) from `src` to every node.
 ///
@@ -99,39 +99,6 @@ pub fn fully_valley_free_connected(g: &AsGraph) -> bool {
             .iter()
             .all(|d| d.is_some())
     })
-}
-
-/// The number of *policy-compliant simple paths* between `src` and `dst`
-/// would be exponential to enumerate; instead this returns the count of
-/// **distinct first-hop choices** at `src` that lie on at least one
-/// valley-free path to `dst` — the quantity that drives path exploration
-/// (how many alternatives a node can try when a route is withdrawn).
-pub fn valley_free_first_hops(g: &AsGraph, src: AsId, dst: AsId) -> usize {
-    if src == dst {
-        return 0;
-    }
-    g.neighbors(src)
-        .iter()
-        .filter(|nb| {
-            // A first hop to neighbor `nb` is usable if from `nb` there is a
-            // valley-free path to dst whose shape composes with the first
-            // hop: going *up* keeps all options; a *peer* hop or *down* hop
-            // restricts the remainder to downhill-only.
-            let dists = valley_free_distances(g, nb.id);
-            match nb.rel {
-                Relationship::Provider => dists[dst.index()].is_some(),
-                Relationship::Peer | Relationship::Customer => {
-                    downhill_reaches(g, nb.id, dst)
-                }
-            }
-        })
-        .count()
-}
-
-/// True if `dst` is reachable from `from` using only provider→customer
-/// (downhill) hops, including `from == dst`.
-fn downhill_reaches(g: &AsGraph, from: AsId, dst: AsId) -> bool {
-    from == dst || g.in_customer_tree(from, dst)
 }
 
 #[cfg(test)]
@@ -258,19 +225,6 @@ mod tests {
             .unwrap();
         let d = valley_free_distances(&g, stub);
         assert!(d.iter().all(|x| x.is_some()), "stub cannot reach everyone");
-    }
-
-    #[test]
-    fn first_hop_count_matches_multihoming_for_stub_to_far_dst() {
-        // A dual-homed stub whose providers both reach the destination has
-        // two usable first hops.
-        let (g, ids) = chain();
-        let mut g = g;
-        let extra = g.add_node(NodeType::M, RegionSet::all(1));
-        g.add_transit_link(extra, ids[0]);
-        g.add_transit_link(ids[4], extra); // C4 now dual-homed: M2 + extra
-        let hops = valley_free_first_hops(&g, ids[4], ids[5]);
-        assert_eq!(hops, 2);
     }
 
     #[test]
