@@ -573,7 +573,8 @@ impl<S: Stamp> OutQueue<'_, S> {
             until
         );
         *expiry_scheduled = false;
-        // Otherwise the timer has run out: its key is `now`.
+        // A flush that sent nothing leaves the timer run out: its key is
+        // `now`.
         if step.out.len() > before {
             self.arm_timer(trigger, step);
         }
