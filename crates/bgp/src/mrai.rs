@@ -414,6 +414,11 @@ impl<'a, S: Stamp> QueueView<'a, S> {
         self.intent_at(self.out_cell(self.rows.row(prefix)?))
     }
 
+    /// [`QueueView::intent`] of the prefix in `row`.
+    pub(crate) fn row_intent(self, row: u32) -> Option<PathId> {
+        self.intent_at(self.out_cell(row))
+    }
+
     /// The update queued for `prefix`, if one waits.
     pub fn queued_update(self, prefix: Prefix) -> Option<UpdateKind> {
         self.queued(self.out_cell(self.rows.row(prefix)?))

@@ -383,12 +383,7 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         let scope = step.cfg.mrai_scope;
         let mut replayed = false;
         for (row, best_slot, path) in snapshot {
-            let source = if best_slot == SELF_SLOT {
-                RouteSource::SelfOriginated
-            } else {
-                RouteSource::Learned(self.slab.session(self.stripe, best_slot).rel)
-            };
-            if !export_allowed(source, neighbor.rel) || step.paths.contains(path, neighbor.peer) {
+            if !export_allowed(self.source(best_slot), neighbor.rel) || step.paths.contains(path, neighbor.peer) {
                 continue;
             }
             let export_path = step.paths.prepend(self.id, path);
@@ -478,6 +473,17 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         winner.map(|(slot, path, _)| (slot, path))
     }
 
+    /// Where the route held on `slot` came from: this node for
+    /// [`SELF_SLOT`], else the relationship of the session it was learned
+    /// on.
+    fn source(&self, slot: u32) -> RouteSource {
+        if slot == SELF_SLOT {
+            RouteSource::SelfOriginated
+        } else {
+            RouteSource::Learned(self.slab.session(self.stripe, slot).rel)
+        }
+    }
+
     /// Re-runs the decision process for row `row`; on a best-route change,
     /// runs the export filters and submits new intents to every output
     /// queue. Each submission is stamped with `step.cause` plus the sending
@@ -505,14 +511,15 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         // was learned from, so this also prevents echoing a route back to
         // its sender) decide, per live session, between the export path
         // and a withdrawal. Most submissions are suppressed as no-ops.
-        let best = new_best.map(|(best_slot, best_path)| {
-            let source = if best_slot == SELF_SLOT {
-                RouteSource::SelfOriginated
-            } else {
-                RouteSource::Learned(self.slab.session(self.stripe, best_slot).rel)
-            };
-            (source, best_path)
-        });
+        let best = new_best.map(|(best_slot, best_path)| (self.source(best_slot), best_path));
+        // A peer- or provider-learned route goes to customers only. While
+        // neither the old best nor the new one goes further, every other
+        // session's intent is `None` before and after, and its submit
+        // would be a no-op: those sessions are skipped.
+        let customers_only = ![held.best().map(|(slot, _)| self.source(slot)), best.map(|(source, _)| source)]
+            .into_iter()
+            .flatten()
+            .any(|source| export_allowed(source, Relationship::Provider));
         // The exported path, ourselves prepended to the best path: built
         // by the first session that takes it — one lookup-or-insert — and
         // the same id for every later taker. A stub's provider route is
@@ -521,6 +528,10 @@ impl<'a, S: Stamp> BgpNode<'a, S> {
         for (slot, session) in (0..).zip(self.slab.sessions(self.stripe)) {
             let mut queue = self.routes.queue_mut(self.stripe, slot);
             if !queue.view().is_up() {
+                continue;
+            }
+            if customers_only && session.rel != Relationship::Customer {
+                debug_assert_eq!(queue.view().row_intent(row), None, "a skipped session's intent moves");
                 continue;
             }
             let intent = match best {

@@ -52,9 +52,10 @@
 //! the radix heap's reference alone. So the pop sequence is the one
 //! `(time, seq)` total order over every event and message, and the wire's
 //! pushes, pops and merge comparisons are counted in the queue's op
-//! classes. `ProcDone`s and the two timer-like kinds go into the queue's
-//! radix heap, which files the thousands of MRAI expiries 22.5–30 s out in
-//! high buckets that the near `ProcDone`s pop past without touching.
+//! classes. A `ProcDone`, at most 100 ms out, goes into the queue's
+//! calendar ring and is filed once, in the 32 µs slot it pops from; the
+//! thousands of MRAI expiries 22.5–30 s out, and the damping wake-ups, go
+//! into its radix heap, whose high buckets the ring's pops never touch.
 //!
 //! MRAI timers are **lazy**. Every arm asks the clock ([`Clock::arm`]),
 //! which draws the jitter and reserves the `(time, seq)` key the expiry
@@ -569,7 +570,9 @@ impl<O: SimObserver> Simulator<O> {
     /// Panics if `a`–`b` is not a topology link or is already down.
     #[expect(
         clippy::expect_used,
-        reason = "the assert above checked that a–b is a link, and every link is a session at both ends"
+        reason = "the assert above checked that a–b is a link, and every link is a session at both ends; \
+                  the occupancy gauge counts each valid expiry once, so it cannot go below zero unless \
+                  an expiry was taken for valid twice"
     )]
     pub fn fail_link(&mut self, a: AsId, b: AsId) {
         assert!(self.graph.has_link(a, b), "fail_link on non-adjacent {a}–{b}");
@@ -593,7 +596,10 @@ impl<O: SimObserver> Simulator<O> {
             // so the occupancy gauge stays exact.
             let disarmed = queue.scheduled_expiries() as u64;
             if disarmed > 0 {
-                self.expiries_scheduled -= disarmed;
+                self.expiries_scheduled = self
+                    .expiries_scheduled
+                    .checked_sub(disarmed)
+                    .expect("expiry gauge below zero: an expiry taken for valid twice");
                 self.obs
                     .on_timer_occupancy(self.expiries_scheduled, self.queue.now());
             }
@@ -831,7 +837,8 @@ impl<O: SimObserver> Simulator<O> {
 
     #[expect(
         clippy::expect_used,
-        reason = "a ProcDone with an empty inbox is a scheduling-invariant breach that must abort the run, not be masked"
+        reason = "a ProcDone with an empty inbox, or an expiry gauge below zero (an expiry taken for \
+                  valid twice), is a scheduling-invariant breach that must abort the run, not be masked"
     )]
     fn dispatch(&mut self, now: SimTime, event: SimEvent) {
         self.obs.on_event(event.kind(), now);
@@ -857,7 +864,10 @@ impl<O: SimObserver> Simulator<O> {
                 if !self.node(node).queue(slot).expiry_due(row, self.queue.last_key()) {
                     return; // stale expiry from before a session reset
                 }
-                self.expiries_scheduled -= 1;
+                self.expiries_scheduled = self
+                    .expiries_scheduled
+                    .checked_sub(1)
+                    .expect("expiry gauge below zero: an expiry taken for valid twice");
                 self.ops.mrai_fired += 1;
                 self.obs.on_timer_occupancy(self.expiries_scheduled, now);
                 let no_cause = O::Stamp::default(); // a flush sends stamps stored earlier

@@ -104,15 +104,18 @@ op_classes! {
     /// Events popped off the future-event list, the messages taken off
     /// the wire included.
     queue_pops: Work,
-    /// Entries the radix heap re-buckets: on each pop from it, the rest
-    /// of the popped minimum's bucket moves to lower buckets (the
-    /// "decrease"-class restructuring work of the priority queue).
+    /// Entries the event queue's radix heap re-buckets: on each pop from
+    /// it, the rest of the popped minimum's bucket moves to lower buckets
+    /// (the "decrease"-class restructuring work of the priority queue).
+    /// Its calendar ring, which takes the keys of the next 131 ms, never
+    /// moves an entry.
     queue_decreases: Work,
     /// `(time, seq)` key comparisons: one per entry filed into a bucket of
     /// the radix heap that already has a minimum (pushed or re-bucketed),
-    /// plus one per pop that finds both the heap and the simulator's wire
-    /// non-empty and takes the earlier of its minimum and the wire's
-    /// front.
+    /// one per entry of a ring slot's chain that an insertion into the
+    /// calendar ring examines, plus one per pop that finds both the queue
+    /// and the simulator's wire non-empty and takes the earlier of its
+    /// minimum and the wire's front.
     queue_comparisons: Work,
     /// BGP decision-process runs (one per `reevaluate` of a prefix).
     decision_runs: Work,

@@ -80,7 +80,9 @@ pub mod trace;
 /// baselines re-blessed once each time: the in-order lane, then the radix
 /// heap, under which the two classes count re-bucketed entries and the
 /// comparisons that keep its buckets' minima and merge it with the
-/// messages in flight. `path_intern_misses`
+/// messages in flight, then the calendar ring beside the heap, whose
+/// insertions add the entries of a slot they examine to the comparisons
+/// and whose entries are never re-bucketed. `path_intern_misses`
 /// moved under v3 once, also re-blessed without a bump: it counts an
 /// export path built only when a session takes it.
 pub const SCHEMA_VERSION: u32 = 3;

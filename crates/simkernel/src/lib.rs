@@ -13,10 +13,11 @@
 //! * **A deterministic event queue** ([`EventQueue`]) keyed by
 //!   `(time, sequence number)` so that events scheduled for the same
 //!   instant are delivered in scheduling order, making every run a pure
-//!   function of its inputs. It is a monotone radix heap over one pool
-//!   of entries, its work counted exactly ([`QueueOpCounts`]). A key can
-//!   be reserved without an event ([`EventQueue::reserve`]), so a caller
-//!   may keep events of its own beside the heap — a FIFO of messages that
+//!   function of its inputs. It files the keys of the next 131 ms in a
+//!   calendar ring and every later one in a monotone radix heap, over one
+//!   pool of entries, its work counted exactly ([`QueueOpCounts`]). A key
+//!   can be reserved without an event ([`EventQueue::reserve`]), so a
+//!   caller may keep events of its own beside the queue — a FIFO of messages that
 //!   all take one constant delay — and merge them into the same
 //!   `(time, sequence number)` order ([`EventQueue::pop_by`],
 //!   [`EventQueue::advance_to`]).

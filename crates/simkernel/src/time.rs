@@ -123,7 +123,12 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "duration factor must be finite and non-negative, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        let x = self.0 as f64 * factor;
+        // `x.round() as u64` without the call into libm: `x - t` is exact
+        // for 0 <= x < 2^52, and every larger float is a whole number (or
+        // saturates `t`, hence the saturating add).
+        let t = x as u64;
+        SimDuration(t.saturating_add(u64::from(x - t as f64 >= 0.5)))
     }
 
     /// True if the duration is zero.
@@ -241,6 +246,30 @@ mod tests {
         // Rounding, not truncation.
         let d = SimDuration::from_micros(3).mul_f64(0.5);
         assert_eq!(d.as_micros(), 2); // 1.5 rounds to 2
+    }
+
+    #[test]
+    fn mul_f64_agrees_with_f64_round() {
+        use crate::rng::{Rng, Xoshiro256StarStar};
+        let by_round = |d: SimDuration, factor: f64| (d.0 as f64 * factor).round() as u64;
+        // Ties at every scale, both neighbours of a tie, and the largest
+        // float whose fraction is exact.
+        let cases = [(1, 0.5), (3, 0.5), (5, 0.5), (1, 0.499_999_999_999_999_94), (1, 0.500_000_000_000_000_1)]
+            .into_iter()
+            .chain([(1u64 << 52) - 1, 1 << 52, (1 << 53) + 1, u64::MAX].map(|micros| (micros, 1.0)))
+            .chain([(1u64 << 53) - 1, u64::MAX].map(|micros| (micros, 0.5)));
+        for (micros, factor) in cases {
+            let d = SimDuration::from_micros(micros);
+            assert_eq!(d.mul_f64(factor).0, by_round(d, factor), "{micros} x {factor}");
+        }
+        let mut g = Xoshiro256StarStar::new(0x0071_77e5);
+        for _ in 0..100_000 {
+            let factor = 0.75 + 0.25 * g.next_f64();
+            let d = SimDuration::from_micros(g.next_below(1 << 40));
+            assert_eq!(d.mul_f64(factor).0, by_round(d, factor), "{d:?} x {factor}");
+            let mrai = SimDuration::from_secs(30);
+            assert_eq!(mrai.mul_f64(factor).0, by_round(mrai, factor), "30 s x {factor}");
+        }
     }
 
     #[test]

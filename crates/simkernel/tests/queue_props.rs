@@ -1,16 +1,91 @@
 //! Property-based tests for the counting event queue: delivery order
-//! against a sorted oracle, conservation of the op counters, and the
-//! radix heap's bounds on work and storage — for the queue alone and
-//! merged with a FIFO of messages kept beside it, as the simulator keeps
-//! its wire.
+//! against a sorted oracle, conservation of the op counters, and each
+//! lane's bounds on work and storage — the calendar ring's and the radix
+//! heap's — for the queue alone and merged with a FIFO of messages kept
+//! beside it, as the simulator keeps its wire.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 use bgpscale_simkernel::{EventKey, EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The one delay every message takes.
 const LINK: SimDuration = SimDuration::from_millis(2);
+
+/// The queue's near lane as these tests model it: slots of 32 µs, 4096
+/// of them. A key whose slot is less than `RING_SLOTS` after the clock's
+/// goes into the ring, every later one into the radix heap.
+const SLOT_US: u64 = 32;
+const RING_SLOTS: u64 = 4096;
+
+/// The first time that goes into the radix heap while the clock stands
+/// at `clock`.
+fn horizon(clock: SimTime) -> SimTime {
+    SimTime::from_micros((clock.as_micros() / SLOT_US + RING_SLOTS) * SLOT_US)
+}
+
+/// Which lane each pending event of a queue is in, and what each lane
+/// may cost: the heap compares at most once per filing (a push or a
+/// re-filed entry), and the ring examines at most the entries already on
+/// the slot's chain when it inserts; the ring never moves an entry.
+#[derive(Default)]
+struct Lanes {
+    /// Pending ring entries per slot.
+    slots: BTreeMap<u64, u64>,
+    /// The ids of the pending ring entries.
+    near: BTreeSet<u64>,
+    /// Events pushed into the heap.
+    far_pushes: u64,
+    /// Over every ring insertion: the entries its slot held.
+    near_chains: u64,
+}
+
+impl Lanes {
+    /// Event `id` at `time` was pushed while the clock stood at `clock`.
+    fn push(&mut self, time: SimTime, clock: SimTime, id: u64) {
+        if time < horizon(clock) {
+            let chain = self.slots.entry(time.as_micros() / SLOT_US).or_default();
+            self.near_chains += *chain;
+            *chain += 1;
+            self.near.insert(id);
+        } else {
+            self.far_pushes += 1;
+        }
+    }
+
+    /// Event `id` at `time` popped.
+    fn pop(&mut self, time: SimTime, id: u64) {
+        if self.near.remove(&id) {
+            let slot = time.as_micros() / SLOT_US;
+            if let Some(chain) = self.slots.get_mut(&slot) {
+                *chain -= 1;
+            }
+        }
+    }
+
+    /// Forgets the pending events and keeps the tallies, as a reset queue
+    /// does.
+    fn reset(&mut self) {
+        self.slots.clear();
+        self.near.clear();
+    }
+
+    /// The per-lane bounds on the queue's tallies `ops`.
+    fn check(&self, ops: QueueOpCounts) {
+        assert!(
+            ops.comparisons <= self.far_pushes + ops.decreases + self.near_chains,
+            "more than one comparison per heap filing plus one per ring entry on an insertion's \
+             chain: {ops:?}, {} heap pushes, {} ring chain entries",
+            self.far_pushes,
+            self.near_chains
+        );
+        assert!(
+            ops.decreases <= 128 * self.far_pushes,
+            "an entry moved more than once per bit of its key, or a ring entry moved: {ops:?}, {} heap pushes",
+            self.far_pushes
+        );
+    }
+}
 
 /// One step of a script: pop, or push a burst.
 #[derive(Clone, Copy, Debug)]
@@ -43,11 +118,25 @@ struct Merged {
     fifo: VecDeque<(EventKey, u64)>,
     /// The FIFO's share of the tallies (it re-buckets nothing).
     ops: QueueOpCounts,
+    /// The lane of each event in the queue.
+    lanes: Lanes,
 }
 
 impl Merged {
     fn new() -> Merged {
-        Merged { q: EventQueue::new(), fifo: VecDeque::new(), ops: QueueOpCounts::ZERO }
+        Merged { q: EventQueue::new(), fifo: VecDeque::new(), ops: QueueOpCounts::ZERO, lanes: Lanes::default() }
+    }
+
+    /// Schedules `id` in the queue at `time`.
+    fn schedule(&mut self, time: SimTime, id: u64) {
+        self.lanes.push(time, self.q.now(), id);
+        self.q.schedule(time, id);
+    }
+
+    /// Schedules `id` in the queue under the reserved `key`.
+    fn schedule_reserved(&mut self, key: EventKey, id: u64) {
+        self.lanes.push(key.time, self.q.now(), id);
+        self.q.schedule_reserved(key, id);
     }
 
     /// Puts `id` on the FIFO at `time`, which is not before its back.
@@ -65,6 +154,7 @@ impl Merged {
         let queue_bound = front.map_or(bound, |(key, _)| key.min(bound));
         if let Some(popped) = self.q.pop_by(queue_bound) {
             self.ops.comparisons += u64::from(front.is_some());
+            self.lanes.pop(popped.0, popped.1);
             return Some(popped);
         }
         let (key, id) = front.filter(|&(key, _)| key <= bound)?;
@@ -102,6 +192,7 @@ impl Merged {
     fn reset(&mut self) {
         self.q.reset();
         self.fifo.clear();
+        self.lanes.reset();
     }
 }
 
@@ -137,7 +228,7 @@ fn drive_against_oracle(
             for _ in 0..1 + g.next_below(3) {
                 match step {
                     Step::Message => m.send(time, scheduled),
-                    _ => m.q.schedule(time, scheduled),
+                    _ => m.schedule(time, scheduled),
                 }
                 oracle.insert((time, scheduled));
                 scheduled += 1;
@@ -153,6 +244,7 @@ fn drive_against_oracle(
     }
     assert!(oracle.first().is_none_or(|&(time, _)| time > deadline), "pop_by stopped early");
     assert_eq!(m.peek_time(), oracle.first().map(|&(time, _)| time));
+    m.lanes.check(m.q.op_counts());
     (scheduled, peak)
 }
 
@@ -236,24 +328,49 @@ proptest! {
     /// The radix heap's bound: an entry only ever moves to a strictly
     /// lower bucket, and its bucket is named by the highest bit in which
     /// its key differs from the reference — a bit of the time when the
-    /// times differ, of the sequence number when they are equal. So with
-    /// times below 2^14 µs and fewer than 2^9 keys, an entry visits at
-    /// most 14 + 9 buckets and moves at most 22 times, and each filing
-    /// (push or move) costs at most one comparison.
+    /// times differ, of the sequence number when they are equal. The
+    /// times are 2^20 µs (past the ring's 131 ms, so every key is the
+    /// heap's) plus less than 2^14 µs: an entry is filed first by bit 20
+    /// and, once the first pop made a reference of that bit too, by a bit
+    /// below 14 of the time or below 9 of the sequence number (fewer than
+    /// 2^9 keys). So it visits at most 1 + 14 + 9 buckets and moves at
+    /// most 23 times, and each filing (push or move) costs at most one
+    /// comparison.
     #[test]
     fn rebucketing_is_bounded_by_the_key_bits(times in prop::collection::vec(0u64..10_000, 2..500)) {
         let mut q = EventQueue::new();
         for &t in &times {
-            q.schedule(SimTime::from_micros(t), ());
+            q.schedule(SimTime::from_micros((1 << 20) + t), ());
         }
         while q.pop().is_some() {}
         let ops = q.op_counts();
         let n = times.len() as u64;
-        prop_assert!(ops.decreases <= 22 * n, "{} moves of {n} entries", ops.decreases);
+        prop_assert!(ops.decreases <= 23 * n, "{} moves of {n} entries", ops.decreases);
         prop_assert!(
             ops.comparisons <= ops.pushes + ops.decreases,
             "more than one comparison per filing: {ops:?}"
         );
+    }
+
+    /// The ring's bound, on the same times less the offset (all within
+    /// its 131 ms): no entry ever moves, and an insertion examines at most
+    /// the entries of its 32 µs slot — here, with every key pushed before
+    /// the first pop, those pushed before it into the slot.
+    #[test]
+    fn the_ring_never_moves_an_entry_and_examines_only_its_slot(
+        times in prop::collection::vec(0u64..10_000, 2..500),
+    ) {
+        let mut q = EventQueue::new();
+        let mut lanes = Lanes::default();
+        for (id, &t) in times.iter().enumerate() {
+            lanes.push(SimTime::from_micros(t), q.now(), id as u64);
+            q.schedule(SimTime::from_micros(t), ());
+        }
+        prop_assert_eq!(lanes.far_pushes, 0);
+        while q.pop().is_some() {}
+        let ops = q.op_counts();
+        prop_assert_eq!(ops.decreases, 0, "a ring entry moved");
+        prop_assert!(ops.comparisons <= lanes.near_chains, "{ops:?}, {} chain entries", lanes.near_chains);
     }
 
     /// Dense same-time collisions on an interleaved trace: a four-tick
@@ -291,11 +408,10 @@ proptest! {
     }
 
     /// The simulator's wire: every message is one constant delay after
-    /// the clock, on a FIFO beside the queue, while the radix heap takes
-    /// the jittered rest. Oracle order, the messages never enter the
-    /// heap (its pool is no longer than the pushes it took), and the
-    /// comparisons are at most one per filing in the heap plus one per
-    /// merged pop.
+    /// the clock, on a FIFO beside the queue, while the queue takes the
+    /// jittered rest. Oracle order, the messages never enter the queue
+    /// (its pool is no longer than the pushes it took), and the
+    /// comparisons are within each lane's bound plus one per merged pop.
     #[test]
     fn constant_delay_fifo_beside_a_jittered_heap_matches_sorted_oracle(
         seed in any::<u64>(),
@@ -316,7 +432,7 @@ proptest! {
                 }
                 Step::Schedule => {
                     let time = now + mrai_like_delay(&mut g);
-                    m.q.schedule(time, scheduled);
+                    m.schedule(time, scheduled);
                     oracle.insert((time, scheduled));
                     scheduled += 1;
                 }
@@ -326,10 +442,10 @@ proptest! {
             prop_assert_eq!(Some(popped), oracle.pop_first());
         }
         prop_assert!(oracle.is_empty());
-        let (ops, heap) = (m.op_counts(), m.q.op_counts());
+        let (ops, queue) = (m.op_counts(), m.q.op_counts());
         prop_assert_eq!((ops.pushes, ops.pops), (scheduled, scheduled));
-        prop_assert!(m.q.pool_len() as u64 <= heap.pushes, "messages were filed in the radix heap");
-        prop_assert!(heap.comparisons <= heap.pushes + heap.decreases, "{heap:?}");
+        prop_assert!(m.q.pool_len() as u64 <= queue.pushes, "messages were filed in the queue");
+        m.lanes.check(queue);
         prop_assert!(m.ops.comparisons <= ops.pops, "{:?} merging {ops:?}", m.ops);
     }
 
@@ -487,7 +603,7 @@ proptest! {
                 }
                 3 => {
                     let time = m.q.now() + SimDuration::from_micros(1 + g.next_below(100_000));
-                    m.q.schedule(time, id);
+                    m.schedule(time, id);
                     oracle.insert((next_key(time), id));
                 }
                 _ => {
@@ -502,7 +618,7 @@ proptest! {
             if !reserved.is_empty() && g.next_below(3) == 0 {
                 let key = reserved.swap_remove(g.next_below(reserved.len() as u64) as usize);
                 if key > m.q.last_key() && g.next_below(4) != 0 {
-                    m.q.schedule_reserved(key, id);
+                    m.schedule_reserved(key, id);
                     oracle.insert((key, id));
                 }
             }
@@ -514,6 +630,7 @@ proptest! {
             prop_assert_eq!(m.q.last_key(), key);
         }
         prop_assert_eq!(m.pop(), None);
+        m.lanes.check(m.q.op_counts());
     }
 
     /// `advance_to(k)` then `schedule_reserved(k)`: the turn of a key that
@@ -567,5 +684,222 @@ proptest! {
             prop_assert_eq!(Some(popped), oracle.pop_first());
         }
         prop_assert!(oracle.is_empty());
+    }
+}
+
+/// Pops `m` empty against `oracle`, key by key.
+fn drain_against_key_oracle(m: &mut Merged, oracle: &mut BTreeSet<(EventKey, u64)>) {
+    while let Some((key, id)) = oracle.pop_first() {
+        assert_eq!(m.pop(), Some((key.time, id)), "pop disagrees with the sorted oracle");
+        assert_eq!(m.q.last_key(), key);
+    }
+    assert_eq!(m.pop(), None);
+}
+
+// The two lanes: where a key goes depends on the clock, so one instant's
+// keys can sit in both, and the ring's slots wrap round under the clock.
+proptest! {
+    /// Keys at the ring's horizon — the last slot of the ring and the
+    /// first key of the heap, ±2 µs, in same-instant bursts — among near
+    /// events whose pops move the clock, and with it the horizon, a slot
+    /// or two at a time under keys already filed.
+    #[test]
+    fn keys_at_the_horizon_edge_match_sorted_oracle(
+        seed in any::<u64>(),
+        script in prop::collection::vec(0u64..4, 1..300),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut m = Merged::new();
+        let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
+        for (id, &step) in script.iter().enumerate() {
+            let now = m.q.now();
+            let time = match step {
+                0 => {
+                    let want = oracle.pop_first();
+                    prop_assert_eq!(m.pop(), want.map(|(key, id)| (key.time, id)), "pop disagrees with the sorted oracle");
+                    continue;
+                }
+                3 => now + SimDuration::from_micros(1 + g.next_below(2 * SLOT_US)),
+                _ => SimTime::from_micros(horizon(now).as_micros() + g.next_below(5) - 2),
+            };
+            for burst in 0..1 + g.next_below(3) {
+                let key = m.q.reserve(time);
+                m.schedule_reserved(key, (id as u64) << 8 | burst);
+                oracle.insert((key, (id as u64) << 8 | burst));
+            }
+        }
+        drain_against_key_oracle(&mut m, &mut oracle);
+        m.lanes.check(m.q.op_counts());
+    }
+
+    /// An MRAI timer's key is reserved 22.5–30 s ahead, far past the
+    /// ring, and its expiry is scheduled under it long after — often only
+    /// once the clock has come within the ring's 131 ms, so into the ring,
+    /// behind keys of the very same microsecond scheduled in the meantime
+    /// with later sequence numbers, into the heap while the instant was
+    /// far and into the ring once it was near. The old key pops first.
+    #[test]
+    fn reserved_keys_scheduled_into_the_ring_long_after_pop_before_later_keys_of_their_instant(
+        seed in any::<u64>(),
+        script in prop::collection::vec(0u64..5, 1..300),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut m = Merged::new();
+        let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
+        let mut reserved: Vec<EventKey> = Vec::new();
+        for (id, &step) in script.iter().enumerate() {
+            let id = id as u64;
+            let now = m.q.now();
+            let pick = |g: &mut Xoshiro256StarStar, reserved: &[EventKey]| {
+                reserved.get(g.next_below(reserved.len().max(1) as u64) as usize).copied()
+            };
+            match step {
+                0 => {
+                    let want = oracle.pop_first();
+                    prop_assert_eq!(m.pop(), want.map(|(key, id)| (key.time, id)), "pop disagrees with the sorted oracle");
+                }
+                1 => reserved.push(m.q.reserve(now + SimDuration::from_micros(22_500_000 + g.next_below(7_500_000)))),
+                // A key of a timer's own microsecond, with a later seq.
+                2 => if let Some(timer) = pick(&mut g, &reserved).filter(|timer| timer.time > now) {
+                    let key = m.q.reserve(timer.time);
+                    m.schedule_reserved(key, id);
+                    oracle.insert((key, id));
+                },
+                // An event whose pop brings the clock within the ring of a timer.
+                3 => if let Some(timer) = pick(&mut g, &reserved) {
+                    let time = SimTime::from_micros(timer.time.as_micros().saturating_sub(1 + g.next_below(131_000)));
+                    if time > now {
+                        let key = m.q.reserve(time);
+                        m.schedule_reserved(key, id);
+                        oracle.insert((key, id));
+                    }
+                },
+                // A timer's expiry goes under its key, if the clock has not
+                // passed it.
+                _ => if let Some(timer) = pick(&mut g, &reserved) {
+                    reserved.retain(|&other| other != timer);
+                    if timer > m.q.last_key() {
+                        m.schedule_reserved(timer, id);
+                        oracle.insert((timer, id));
+                    }
+                },
+            }
+            prop_assert_eq!(m.len(), oracle.len());
+        }
+        drain_against_key_oracle(&mut m, &mut oracle);
+        m.lanes.check(m.q.op_counts());
+    }
+
+    /// Keys of three adjacent microseconds around an instant `t` that is
+    /// past the ring at first: the keys scheduled then go into the heap.
+    /// Then an event `delta` before `t` pops, `t` is within the ring, and
+    /// the keys scheduled after go into the ring. Each instant's keys pop
+    /// in the order they were scheduled, whichever lane holds them.
+    #[test]
+    fn same_instant_keys_split_across_the_lanes_pop_in_schedule_order(
+        gap in 131_072u64..1_000_000,
+        delta in 1u64..131_000,
+        keys in prop::collection::vec((0u64..3, any::<bool>()), 1..40),
+    ) {
+        let t = SimTime::from_micros(gap);
+        let mut m = Merged::new();
+        let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
+        let mut schedule = |m: &mut Merged, offset: u64, id: u64| {
+            let key = m.q.reserve(t + SimDuration::from_micros(offset));
+            m.schedule_reserved(key, id);
+            oracle.insert((key, id));
+        };
+        for (id, &(offset, _)) in keys.iter().enumerate().filter(|(_, (_, late))| !late) {
+            schedule(&mut m, offset, id as u64);
+        }
+        let before = m.lanes.far_pushes;
+        let near = SimTime::from_micros(gap - delta);
+        m.q.schedule(near, u64::MAX);
+        prop_assert_eq!(m.q.pop(), Some((near, u64::MAX)));
+        for (id, &(offset, _)) in keys.iter().enumerate().filter(|(_, (_, late))| *late) {
+            schedule(&mut m, offset, id as u64);
+        }
+        prop_assert_eq!(m.lanes.far_pushes, before, "the late keys went into the ring");
+        drain_against_key_oracle(&mut m, &mut oracle);
+        m.lanes.check(m.q.op_counts());
+    }
+
+    /// `advance_to` moves the clock over empty ring slots while ring
+    /// entries wait beyond its target, and — with only heap timers
+    /// pending — over up to three whole turns of the ring, so new keys
+    /// land on slots whose heads a turn before left stale. Every pop
+    /// still matches the oracle.
+    #[test]
+    fn advance_to_across_empty_slots_and_ring_wraps_matches_sorted_oracle(
+        seed in any::<u64>(),
+        script in prop::collection::vec(0u64..4, 1..250),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut m = Merged::new();
+        let mut oracle: BTreeSet<(EventKey, u64)> = BTreeSet::new();
+        for (id, &step) in script.iter().enumerate() {
+            let (id, now) = (id as u64, m.q.now());
+            let time = match step {
+                0 => {
+                    let want = oracle.pop_first();
+                    prop_assert_eq!(m.pop(), want.map(|(key, id)| (key.time, id)), "pop disagrees with the sorted oracle");
+                    continue;
+                }
+                1 => now + SimDuration::from_micros(1 + g.next_below(131_000)),
+                2 => now + SimDuration::from_micros(22_500_000 + g.next_below(7_500_000)),
+                _ => {
+                    // A jump to before the next pending event.
+                    let jump = now + SimDuration::from_micros(1 + g.next_below(3 * RING_SLOTS * SLOT_US));
+                    let target = oracle
+                        .first()
+                        .map_or(jump, |(next, _)| jump.min(SimTime::from_micros(next.time.as_micros() - 1)));
+                    if target > now {
+                        let key = m.q.reserve(target);
+                        m.q.advance_to(key);
+                        prop_assert_eq!(m.q.last_key(), key);
+                    }
+                    continue;
+                }
+            };
+            let key = m.q.reserve(time);
+            m.schedule_reserved(key, id);
+            oracle.insert((key, id));
+        }
+        drain_against_key_oracle(&mut m, &mut oracle);
+        m.lanes.check(m.q.op_counts());
+    }
+
+    /// A reset with entries pending on many ring slots and in the heap,
+    /// the clock anywhere: the next run starts the clock at zero, on ring
+    /// slots the old run left stale, and pops and pays exactly what a
+    /// fresh queue does.
+    #[test]
+    fn reset_in_the_middle_of_a_run_pops_and_pays_like_a_fresh_queue(
+        seed in any::<u64>(),
+        start in 0u64..10_000_000,
+        first in steps(1..150),
+        second in steps(1..150),
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        let mut reused = Merged::new();
+        reused.q.schedule(SimTime::from_micros(start), u64::MAX);
+        reused.q.pop();
+        drive_against_oracle(&mut reused, &mut g, &first, mrai_like_delay, false);
+        reused.reset();
+        let before = reused.op_counts();
+        let mut replay = g.clone();
+        drive_against_oracle(&mut reused, &mut g, &second, mrai_like_delay, false);
+        let mut fresh = Merged::new();
+        drive_against_oracle(&mut fresh, &mut replay, &second, mrai_like_delay, false);
+        let after = reused.op_counts();
+        prop_assert_eq!(reused.q.last_key(), fresh.q.last_key());
+        prop_assert_eq!(after.decreases - before.decreases, fresh.op_counts().decreases);
+        prop_assert_eq!(after.comparisons - before.comparisons, fresh.op_counts().comparisons);
+        let pending = |m: &Merged| {
+            let mut events: Vec<u64> = m.q.iter_pending().map(|(_, &id)| id).collect();
+            events.sort_unstable();
+            events
+        };
+        prop_assert_eq!(pending(&reused), pending(&fresh), "no entry of the first run survived the reset");
     }
 }
