@@ -658,7 +658,7 @@ mod tests {
             [
                 r.metrics.counter("provenance.stamped"),
                 r.metrics.counter("provenance.coalesced"),
-                r.metrics.counter("provenance.depth_sum"),
+                r.metrics.histogram("provenance.depth").map_or(0, |h| h.sum()),
                 r.metrics.counter("provenance.to_customer"),
                 r.metrics.counter("provenance.to_peer"),
                 r.metrics.counter("provenance.to_provider"),

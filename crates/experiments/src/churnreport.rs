@@ -174,7 +174,7 @@ pub fn check(out: &ReportOutput) -> Result<(), String> {
         if ts.bins.iter().all(|b| b.by_rel.iter().sum::<u64>() == 0) {
             return Err(format!("{label}: per-relation panel is empty"));
         }
-        if ts.depth_hist.iter().sum::<u64>() == 0 {
+        if ts.depth.count() == 0 {
             return Err(format!("{label}: causal-depth histogram is empty"));
         }
         if ts.convergence_durations_us().is_empty() {
@@ -263,7 +263,7 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
                 per_mode("announce", &|_, ts| sum(ts, |b| b.announces).to_string()),
                 per_mode("withdraw", &|_, ts| sum(ts, |b| b.withdraws).to_string()),
                 per_mode("coalesced", &|_, ts| ts.coalesced.to_string()),
-                per_mode("depth max", &|_, ts| ts.depth_max.to_string()),
+                per_mode("depth max", &|_, ts| ts.depth.max().to_string()),
                 per_mode("mean U per event", &|i, _| {
                     format!("{:.1}", out.cells[i].report.mean_total_updates)
                 }),
@@ -281,7 +281,7 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
             &modes,
             depths
                 .enumerate()
-                .map(|(d, label)| per_mode(&label, &|_, ts| ts.depth_hist[d].to_string())),
+                .map(|(d, label)| per_mode(&label, &|_, ts| ts.depth.bucket_counts()[d].to_string())),
         ),
         Table::with_rows(
             "per-root convergence (root-cause fire to last attributed update)",

@@ -26,18 +26,8 @@ use crate::json::{Layout, Value};
 
 /// The bucket of `value` over inclusive upper `bounds`: the first bound
 /// at or above it, else `bounds.len()`, the overflow bucket.
-pub fn bucket(bounds: &[u64], value: u64) -> usize {
+fn bucket(bounds: &[u64], value: u64) -> usize {
     bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
-}
-
-/// Adds `n` to the bucket of `value` among `counts`, which holds one
-/// count per bound plus the overflow bucket.
-#[inline]
-pub fn tally(counts: &mut [u64], bounds: &[u64], value: u64, n: u64) {
-    debug_assert_eq!(counts.len(), bounds.len() + 1, "one count per bound, plus overflow");
-    if let Some(count) = counts.get_mut(bucket(bounds, value)) {
-        *count += n;
-    }
 }
 
 /// A gauge: last-set value and the peak ever set.
@@ -49,7 +39,12 @@ pub struct Gauge {
     pub max: u64,
 }
 
-/// A fixed-bucket integer histogram.
+/// The most bounds a [`Histogram`] takes: the causal-depth histogram's
+/// seven.
+pub const MAX_BOUNDS: usize = 7;
+
+/// A fixed-bucket integer histogram with an exact `count`, `sum` and
+/// `max`.
 ///
 /// `bounds[i]` is the inclusive upper edge of bucket `i`; one implicit
 /// **overflow bucket** catches everything above the last bound. A sample
@@ -57,32 +52,38 @@ pub struct Gauge {
 /// `bounds.len()` (the last entry of [`Histogram::bucket_counts`]) and
 /// still contributes to `count`/`sum`/`max`. The JSON serialization
 /// renders the overflow bucket with the bound `"inf"`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Bounds are constants and the counts a fixed array, so a histogram is
+/// `Copy` and building one allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
-    /// `bounds.len() + 1` buckets; the last is the overflow bucket.
-    counts: Vec<u64>,
+    bounds: &'static [u64],
+    /// `bounds.len() + 1` buckets used; the last of them is the overflow
+    /// bucket, and the rest stay 0.
+    counts: [u64; MAX_BOUNDS + 1],
     count: u64,
     sum: u64,
     max: u64,
 }
 
 impl Histogram {
-    /// Creates an empty histogram over `bounds` (must be strictly
-    /// increasing and non-empty).
+    /// Creates an empty histogram over `bounds`: strictly increasing, at
+    /// least one and at most [`MAX_BOUNDS`].
     ///
     /// # Panics
-    /// Panics on empty or non-increasing bounds.
-    pub fn new(bounds: Vec<u64>) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
+    /// Panics on bounds that break those rules.
+    pub fn new(bounds: &'static [u64]) -> Histogram {
+        assert!(
+            (1..=MAX_BOUNDS).contains(&bounds.len()),
+            "a histogram takes 1 to {MAX_BOUNDS} bounds"
+        );
         assert!(
             bounds.is_sorted_by(|a, b| a < b),
             "histogram bounds must be strictly increasing"
         );
-        let buckets = bounds.len() + 1;
         Histogram {
             bounds,
-            counts: vec![0; buckets],
+            counts: [0; MAX_BOUNDS + 1],
             count: 0,
             sum: 0,
             max: 0,
@@ -95,15 +96,15 @@ impl Histogram {
         self.observe_n(value, 1);
     }
 
-    /// Records `n` identical samples in O(buckets) — the bulk path used
-    /// when loading pre-aggregated counts (e.g. from `Recorder`'s fixed
-    /// arrays). A no-op when `n == 0`.
+    /// Records `n` identical samples. A no-op when `n == 0`.
     #[inline]
     pub fn observe_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
-        tally(&mut self.counts, &self.bounds, value, n);
+        if let Some(count) = self.counts.get_mut(bucket(self.bounds, value)) {
+            *count += n;
+        }
         self.count += n;
         self.sum += value * n;
         self.max = self.max.max(value);
@@ -139,8 +140,8 @@ impl Histogram {
     }
 
     /// The bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
+    pub fn bounds(&self) -> &'static [u64] {
+        self.bounds
     }
 
     /// Per-bucket counts: `bounds.len() + 1` entries, where entry `i < bounds.len()`
@@ -148,7 +149,7 @@ impl Histogram {
     /// bound), and the final entry is the overflow bucket holding every
     /// sample greater than `bounds.last()`.
     pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
+        self.counts.get(..=self.bounds.len()).unwrap_or(&self.counts)
     }
 
     /// Adds another histogram's samples into this one.
@@ -206,20 +207,18 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into histogram `name`, creating it with `bounds`
-    /// on first use. Later calls ignore `bounds` (the first shape wins).
-    pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.observe_n(name, bounds, value, 1);
-    }
-
-    /// Records `n` identical samples into histogram `name` (see
-    /// [`Histogram::observe_n`]). Creates the histogram with `bounds` on
-    /// first use even when `n == 0`, so a shape is always registered.
-    pub fn observe_n(&mut self, name: &str, bounds: &[u64], value: u64, n: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe_n(value, n);
+    /// Merges `h` into histogram `name`, registering it on first use
+    /// (an empty `h` registers its shape).
+    ///
+    /// # Panics
+    /// When `name` already holds a histogram over other bounds.
+    pub fn insert_histogram(&mut self, name: &str, h: &Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge(h),
+            None => {
+                self.histograms.insert(name.to_string(), *h);
+            }
+        }
     }
 
     /// Reads histogram `name`, if present.
@@ -262,12 +261,7 @@ impl MetricsRegistry {
             mine.max = mine.max.max(g.max);
         }
         for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
+            self.insert_histogram(k, h);
         }
     }
 
@@ -284,7 +278,7 @@ impl MetricsRegistry {
             // The overflow bucket's bound is "inf".
             let bounds = h.bounds.iter().map(|&b| Value::from(b)).chain(["inf".into()]);
             let buckets = bounds
-                .zip(&h.counts)
+                .zip(h.bucket_counts())
                 .map(|(bound, &count)| Value::arr(Layout::Inline, [bound, count.into()]));
             let histogram = [
                 ("count", h.count.into()),
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_samples_at_edges() {
-        let mut h = Histogram::new(vec![1, 10, 100]);
+        let mut h = Histogram::new(&[1, 10, 100]);
         for v in [0, 1, 2, 10, 11, 100, 101, 5_000] {
             h.observe(v);
         }
@@ -339,12 +333,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
-        Histogram::new(vec![10, 10]);
+        Histogram::new(&[10, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 7 bounds")]
+    fn histogram_rejects_more_bounds_than_it_holds() {
+        Histogram::new(&[1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
     fn values_past_the_top_bound_land_in_the_overflow_bucket() {
-        let mut h = Histogram::new(vec![1, 10]);
+        let mut h = Histogram::new(&[1, 10]);
         h.observe(11); // one past the top bound
         h.observe(5_000); // far past it
         assert_eq!(
@@ -359,15 +359,29 @@ mod tests {
         // Same through the registry, and the overflow bucket serializes
         // with the "inf" bound.
         let mut r = MetricsRegistry::new();
-        r.observe("x", &[1, 10], 9_999);
+        let mut x = Histogram::new(&[1, 10]);
+        x.observe(9_999);
+        r.insert_histogram("x", &x);
         assert_eq!(r.histogram("x").unwrap().bucket_counts(), &[0, 0, 1]);
         assert!(r.to_json().contains("[\"inf\", 1]"), "{}", r.to_json());
     }
 
     #[test]
+    fn insert_histogram_merges_by_name() {
+        let mut h = Histogram::new(&[1, 10]);
+        h.observe(4);
+        let mut r = MetricsRegistry::new();
+        r.insert_histogram("h", &h);
+        r.insert_histogram("h", &h);
+        let got = r.histogram("h").unwrap();
+        assert_eq!((got.count(), got.sum(), got.max()), (2, 8, 4));
+        assert_eq!(got.bucket_counts(), &[0, 2, 0]);
+    }
+
+    #[test]
     fn histogram_merge_adds_bucketwise() {
-        let mut a = Histogram::new(vec![5, 50]);
-        let mut b = Histogram::new(vec![5, 50]);
+        let mut a = Histogram::new(&[5, 50]);
+        let mut b = Histogram::new(&[5, 50]);
         a.observe(3);
         b.observe(7);
         b.observe(70);
@@ -380,8 +394,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatched bounds")]
     fn histogram_merge_rejects_different_shapes() {
-        let mut a = Histogram::new(vec![5]);
-        a.merge(&Histogram::new(vec![6]));
+        let mut a = Histogram::new(&[5]);
+        a.merge(&Histogram::new(&[6]));
     }
 
     #[test]
@@ -404,7 +418,9 @@ mod tests {
             let mut r = MetricsRegistry::new();
             r.inc("c", c);
             r.set_gauge("g", g);
-            r.observe("h", &[10, 100], h);
+            let mut hist = Histogram::new(&[10, 100]);
+            hist.observe(h);
+            r.insert_histogram("h", &hist);
             r
         };
         let parts = [mk(1, 5, 3), mk(2, 9, 30), mk(4, 2, 300)];
@@ -428,8 +444,10 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.inc("b.second", 2);
         r.inc("a.first", 1);
-        r.observe("lens", &[2, 8], 3);
-        r.observe("lens", &[2, 8], 9);
+        let mut lens = Histogram::new(&[2, 8]);
+        lens.observe(3);
+        lens.observe(9);
+        r.insert_histogram("lens", &lens);
         let j1 = r.to_json();
         let j2 = r.clone().to_json();
         assert_eq!(j1, j2);

@@ -2,8 +2,9 @@
 //!
 //! One `Recorder` observes one simulator instance (one C-event in the
 //! experiment harness). It keeps its hot-path state in plain fields —
-//! fixed arrays, no map lookups per event — and materializes a
-//! [`MetricsRegistry`] only when the run is over, so the metrics-on
+//! counters, fixed arrays and three [`Histogram`]s, no map lookups per
+//! event — and materializes a [`MetricsRegistry`] only when the run is
+//! over, so the metrics-on
 //! overhead stays small (measured by `benchmark/`'s `observed_5k`
 //! workload as `obs.recorder_ns_per_delivery`).
 //!
@@ -19,7 +20,7 @@
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, ByRel, Relationship};
 
-use crate::metrics::{tally, MetricsRegistry};
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::observer::{EventKind, SimObserver, UpdateClass};
 use crate::provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 use crate::timeseries::{TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
@@ -29,7 +30,9 @@ use crate::trace::{TraceBuffer, TraceRecord};
 pub const PATH_LEN_BOUNDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
 
 /// Bucket bounds for per-flush MRAI batch sizes (updates sent).
-pub const FLUSH_BOUNDS: [u64; 5] = [1, 2, 4, 8, 16];
+/// An expiry that finds every waiting update turned into a no-op sends
+/// nothing and lands in the ≤0 bucket.
+pub const FLUSH_BOUNDS: [u64; 6] = [0, 1, 2, 4, 8, 16];
 
 /// What a [`Recorder`] should capture beyond its always-on counters.
 #[derive(Clone, Debug, Default)]
@@ -43,29 +46,27 @@ pub struct RecorderOptions {
 /// The metrics/trace observer. Create one per simulator instance. The
 /// default is an empty metrics-only recorder: what an idle simulator holds
 /// between events.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Recorder {
     events_by_kind: [u64; EventKind::ALL.len()],
     msgs_by_rel: ByRel<u64>,
-    announces: u64,
     withdraws: u64,
-    mrai_flushes: u64,
-    mrai_flushed_updates: u64,
     decision_runs: u64,
     quiescences: u64,
     last_quiescence_us: u64,
     final_events_processed: u64,
-    path_len_hist: [u64; 7],
-    path_len_sum: u64,
-    path_len_max: u64,
-    flush_hist: [u64; 6],
+    /// The AS-path length of every announcement delivered: its count is
+    /// the announcements.
+    path_len: Histogram,
+    /// Updates sent by every valid MRAI expiry: its count is the flushes,
+    /// its sum the updates flushed.
+    flush_batch: Histogram,
     // Provenance accounting (all deliveries, stamped or not).
-    prov_stamped: u64,
+    /// The causal depth of every stamped delivery: its count is the
+    /// stamped deliveries.
+    depth: Histogram,
     prov_unstamped: u64,
     prov_coalesced: u64,
-    prov_depth_hist: [u64; 8],
-    prov_depth_sum: u64,
-    prov_depth_max: u64,
     /// Stamped deliveries by the *sending* edge's relation
     /// (to_customer / to_peer / to_provider).
     prov_to_rel: ByRel<u64>,
@@ -74,6 +75,31 @@ pub struct Recorder {
     armed_peak: u64,
     trace: Option<TraceBuffer>,
     timeseries: Option<TimeSeriesRecorder>,
+}
+
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder {
+            events_by_kind: Default::default(),
+            msgs_by_rel: ByRel::default(),
+            withdraws: 0,
+            decision_runs: 0,
+            quiescences: 0,
+            last_quiescence_us: 0,
+            final_events_processed: 0,
+            path_len: Histogram::new(&PATH_LEN_BOUNDS),
+            flush_batch: Histogram::new(&FLUSH_BOUNDS),
+            depth: Histogram::new(&DEPTH_BOUNDS),
+            prov_unstamped: 0,
+            prov_coalesced: 0,
+            prov_to_rel: ByRel::default(),
+            roots_by_kind: Default::default(),
+            inbox_peak: 0,
+            armed_peak: 0,
+            trace: None,
+            timeseries: None,
+        }
+    }
 }
 
 impl Recorder {
@@ -101,11 +127,10 @@ impl Recorder {
     /// recorder's own `provenance.*` tallies.
     pub fn into_parts(self) -> (Vec<TraceRecord>, Option<TimeSeries>) {
         let series = self.timeseries.map(|ts| TimeSeries {
-            stamped: self.prov_stamped,
+            stamped: self.depth.count(),
             unstamped: self.prov_unstamped,
             coalesced: self.prov_coalesced,
-            depth_hist: self.prov_depth_hist,
-            depth_max: self.prov_depth_max,
+            depth: self.depth,
             ..ts.finish()
         });
         (self.trace.map(TraceBuffer::into_records).unwrap_or_default(), series)
@@ -121,21 +146,17 @@ impl Recorder {
         r.inc("messages.from_customer", self.msgs_by_rel[Relationship::Customer]);
         r.inc("messages.from_peer", self.msgs_by_rel[Relationship::Peer]);
         r.inc("messages.from_provider", self.msgs_by_rel[Relationship::Provider]);
-        r.inc("messages.announce", self.announces);
+        r.inc("messages.announce", self.path_len.count());
         r.inc("messages.withdraw", self.withdraws);
-        r.inc("mrai.flushes", self.mrai_flushes);
-        r.inc("mrai.flushed_updates", self.mrai_flushed_updates);
+        r.inc("mrai.flushes", self.flush_batch.count());
+        r.inc("mrai.flushed_updates", self.flush_batch.sum());
         r.inc("decision.runs", self.decision_runs);
         r.inc("sim.quiescences", self.quiescences);
         r.set_gauge("sim.last_quiescence_us", self.last_quiescence_us);
         r.set_gauge("sim.events_processed", self.final_events_processed);
-        r.set_gauge("messages.path_len_max", self.path_len_max);
-        r.inc("messages.path_len_sum", self.path_len_sum);
-        r.inc("provenance.stamped", self.prov_stamped);
+        r.inc("provenance.stamped", self.depth.count());
         r.inc("provenance.unstamped", self.prov_unstamped);
         r.inc("provenance.coalesced", self.prov_coalesced);
-        r.inc("provenance.depth_sum", self.prov_depth_sum);
-        r.set_gauge("provenance.depth_max", self.prov_depth_max);
         r.inc("provenance.to_customer", self.prov_to_rel[Relationship::Customer]);
         r.inc("provenance.to_peer", self.prov_to_rel[Relationship::Peer]);
         r.inc("provenance.to_provider", self.prov_to_rel[Relationship::Provider]);
@@ -145,28 +166,10 @@ impl Recorder {
         r.inc("provenance.roots", self.roots_by_kind.iter().sum());
         r.set_gauge("sim.inbox_depth_peak", self.inbox_peak);
         r.set_gauge("mrai.armed_peak", self.armed_peak);
-        // Rebuild histograms from the fixed arrays (bounds are compile-
-        // time constants, so every recorder produces mergeable shapes).
-        inject_histogram(&mut r, "messages.path_len", &PATH_LEN_BOUNDS, &self.path_len_hist);
-        inject_histogram(&mut r, "mrai.flush_batch", &FLUSH_BOUNDS, &self.flush_hist);
-        inject_histogram(&mut r, "provenance.depth", &DEPTH_BOUNDS, &self.prov_depth_hist);
+        r.insert_histogram("messages.path_len", &self.path_len);
+        r.insert_histogram("mrai.flush_batch", &self.flush_batch);
+        r.insert_histogram("provenance.depth", &self.depth);
         r
-    }
-}
-
-/// Copies a fixed-array histogram into the registry by bulk-observing a
-/// representative value per bucket: the bound itself for bounded buckets,
-/// last-bound+1 for the overflow bucket. This preserves bucket *counts*
-/// exactly; the histogram's internal sum/max become bucket-edge
-/// approximations, so the true sum/max are recorded by the caller as a
-/// separate counter/gauge. Cost is O(buckets) regardless of sample count,
-/// keeping the fast fixed-array accounting in the hot loop while still
-/// producing a standard mergeable histogram.
-fn inject_histogram(r: &mut MetricsRegistry, name: &str, bounds: &[u64], counts: &[u64]) {
-    let overflow = bounds.last().map_or(0, |&top| top + 1);
-    for (i, &c) in counts.iter().enumerate() {
-        let representative = bounds.get(i).copied().unwrap_or(overflow);
-        r.observe_n(name, bounds, representative, c);
     }
 }
 
@@ -200,22 +203,12 @@ impl SimObserver for Recorder {
         let path_len = path_len();
         self.msgs_by_rel[rel] += 1;
         match class {
-            UpdateClass::Announce => {
-                self.announces += 1;
-                let len = u64::from(path_len.unwrap_or(0));
-                tally(&mut self.path_len_hist, &PATH_LEN_BOUNDS, len, 1);
-                self.path_len_sum += len;
-                self.path_len_max = self.path_len_max.max(len);
-            }
+            UpdateClass::Announce => self.path_len.observe(u64::from(path_len.unwrap_or(0))),
             UpdateClass::Withdraw => self.withdraws += 1,
         }
         self.inbox_peak = self.inbox_peak.max(u64::from(inbox_depth));
         if provenance.is_stamped() {
-            self.prov_stamped += 1;
-            let depth = u64::from(provenance.depth());
-            tally(&mut self.prov_depth_hist, &DEPTH_BOUNDS, depth, 1);
-            self.prov_depth_sum += depth;
-            self.prov_depth_max = self.prov_depth_max.max(depth);
+            self.depth.observe(u64::from(provenance.depth()));
             if provenance.roots(root_sets).len() > 1 {
                 self.prov_coalesced += 1;
             }
@@ -264,9 +257,7 @@ impl SimObserver for Recorder {
 
     #[inline]
     fn on_mrai_flush(&mut self, node: AsId, sent: u32, now: SimTime) {
-        self.mrai_flushes += 1;
-        self.mrai_flushed_updates += u64::from(sent);
-        tally(&mut self.flush_hist, &FLUSH_BOUNDS, u64::from(sent), 1);
+        self.flush_batch.observe(u64::from(sent));
         if let Some(t) = &mut self.trace {
             t.offer(|event| TraceRecord {
                 event,
@@ -374,6 +365,45 @@ mod tests {
         assert_eq!(r.gauge("sim.inbox_depth_peak").unwrap().value, 2);
         assert_eq!(r.gauge("mrai.armed_peak").unwrap().value, 5);
         assert_eq!(r.histogram("provenance.depth").unwrap().count(), 1);
+    }
+
+    /// Every distribution is counted once, in the registry's histogram:
+    /// its sum and maximum are the samples', not bucket edges.
+    #[test]
+    fn registry_histograms_count_sum_and_max_exactly() {
+        let mut rec = Recorder::default();
+        let root = Provenance::root(0);
+        let deliveries = [
+            (Some(2), root),
+            (Some(4), root.child()),
+            (Some(7), root.child().child().child()),
+            (None, root.child().child()),
+        ];
+        for (path_len, stamp) in deliveries {
+            let class = match path_len {
+                Some(_) => UpdateClass::Announce,
+                None => UpdateClass::Withdraw,
+            };
+            let (from, to, rel) = (AsId(0), AsId(1), Relationship::Customer);
+            let sets = RootSets::new();
+            rec.on_message(from, to, rel, class, 0, || path_len, &stamp, &sets, 1, SimTime::ZERO);
+        }
+        for sent in [0, 0, 3, 1] {
+            rec.on_mrai_flush(AsId(1), sent, SimTime::ZERO);
+        }
+        let r = rec.registry();
+        let exact = |name: &str| {
+            let h = r.histogram(name).unwrap();
+            (h.count(), h.sum(), h.max())
+        };
+        assert_eq!(exact("messages.path_len"), (3, 13, 7), "path lengths 2, 4, 7");
+        assert_eq!(exact("provenance.depth"), (4, 6, 3), "depths 0, 1, 3, 2");
+        assert_eq!(exact("mrai.flush_batch"), (4, 4, 3), "flushes of 0, 0, 3, 1");
+        let flushes = r.histogram("mrai.flush_batch").unwrap();
+        assert_eq!(flushes.bucket_counts(), [2, 1, 0, 1, 0, 0, 0], "empty flushes at <=0");
+        assert_eq!(r.counter("messages.announce"), 3);
+        assert_eq!(r.counter("provenance.stamped"), 4);
+        assert_eq!((r.counter("mrai.flushes"), r.counter("mrai.flushed_updates")), (4, 4));
     }
 
     #[test]
@@ -490,11 +520,9 @@ mod tests {
         assert_eq!(ts.stamped, r.counter("provenance.stamped"));
         assert_eq!(ts.unstamped, r.counter("provenance.unstamped"));
         assert_eq!(ts.coalesced, r.counter("provenance.coalesced"));
-        assert_eq!(ts.depth_max, 2);
-        assert_eq!(ts.depth_max, r.gauge("provenance.depth_max").unwrap().value);
-        assert_eq!(ts.depth_hist, [1, 0, 1, 0, 0, 0, 0, 0]);
-        let h = r.histogram("provenance.depth").unwrap();
-        assert_eq!(ts.depth_hist.as_slice(), h.bucket_counts());
+        assert_eq!(ts.depth.max(), 2);
+        assert_eq!(ts.depth.bucket_counts(), [1, 0, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(&ts.depth, r.histogram("provenance.depth").unwrap());
         assert_eq!(ts.roots.iter().map(|r| r.updates).collect::<Vec<_>>(), [2, 1]);
     }
 }

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use bgpscale_topology::{AsId, ByRel, ByType, NodeType, Relationship};
 
 use crate::json::{Layout, Value};
+use crate::metrics::Histogram;
 use crate::observer::UpdateClass;
 use crate::provenance::{Provenance, RootCauseKind, RootSets};
 
@@ -119,10 +120,9 @@ pub struct TimeSeries {
     pub events: u32,
     /// Bins, index k covering `[k*bin_us, (k+1)*bin_us)`.
     pub bins: Vec<TsBin>,
-    /// Causal-depth histogram over `DEPTH_BOUNDS` (+ overflow).
-    pub depth_hist: [u64; 8],
-    /// Maximum causal depth observed.
-    pub depth_max: u64,
+    /// Causal depths of the stamped updates, over [`DEPTH_BOUNDS`]
+    /// (written as `depth_hist` and `depth_max`).
+    pub depth: Histogram,
     /// Updates delivered with a provenance stamp.
     pub stamped: u64,
     /// Updates delivered without a stamp (direct `BgpNode` use).
@@ -140,8 +140,7 @@ impl TimeSeries {
             bin_us: bin_us.max(1),
             events: 0,
             bins: Vec::new(),
-            depth_hist: [0; 8],
-            depth_max: 0,
+            depth: Histogram::new(&DEPTH_BOUNDS),
             stamped: 0,
             unstamped: 0,
             coalesced: 0,
@@ -165,10 +164,7 @@ impl TimeSeries {
         for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
             mine.add(theirs);
         }
-        for (sum, n) in self.depth_hist.iter_mut().zip(other.depth_hist) {
-            *sum += n;
-        }
-        self.depth_max = self.depth_max.max(other.depth_max);
+        self.depth.merge(&other.depth);
         self.stamped += other.stamped;
         self.unstamped += other.unstamped;
         self.coalesced += other.coalesced;
@@ -233,8 +229,8 @@ impl TimeSeries {
             ("stamped", self.stamped.into()),
             ("unstamped", self.unstamped.into()),
             ("coalesced", self.coalesced.into()),
-            ("depth_max", self.depth_max.into()),
-            ("depth_hist", ints(&self.depth_hist)),
+            ("depth_max", self.depth.max().into()),
+            ("depth_hist", ints(self.depth.bucket_counts())),
             ("bins", Value::arr(Layout::Compact, bins)),
             ("roots", Value::arr(Layout::Compact, roots)),
         ];
@@ -297,7 +293,7 @@ impl TimeSeriesRecorder {
     }
 
     /// Records a delivered update. The provenance totals of the series
-    /// (`stamped`, `depth_hist`, …) are the owning `Recorder`'s to fill.
+    /// (`stamped`, `depth`, …) are the owning `Recorder`'s to fill.
     #[expect(
         clippy::too_many_arguments,
         reason = "the Recorder forwards its on_message hook's arguments unbundled"

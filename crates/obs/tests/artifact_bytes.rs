@@ -12,7 +12,8 @@ use bgpscale_obs::ledger::{parse_line, ArtifactHashes, LedgerRecord, RunKind, Wa
 use bgpscale_obs::provenance::RootCauseKind;
 use bgpscale_topology::ByKey;
 use bgpscale_obs::{
-    CostModel, EventKind, MetricsRegistry, RootRecord, TimeSeries, TraceRecord, TraceWriter, TsBin,
+    trace, CostModel, EventKind, Histogram, MetricsRegistry, RootRecord, TimeSeries, TraceRecord,
+    TsBin,
 };
 
 /// Class `i` (canonical order) holds `base + i`.
@@ -38,9 +39,11 @@ fn registry() -> MetricsRegistry {
     r.set_gauge("queue.depth", 7);
     r.set_gauge("queue.depth", 3);
     r.set_gauge("inbox.depth", 5);
-    r.observe("path_len", &[1, 4, 16], 2);
-    r.observe("path_len", &[1, 4, 16], 99);
-    r.observe("path_len", &[1, 4, 16], 1);
+    let mut path_len = Histogram::new(&[1, 4, 16]);
+    for value in [2, 99, 1] {
+        path_len.observe(value);
+    }
+    r.insert_histogram("path_len", &path_len);
     r
 }
 
@@ -65,8 +68,11 @@ fn series() -> TimeSeries {
             inbox_peak: 11,
         },
     ];
-    ts.depth_hist = [1, 2, 3, 4, 5, 6, 7, 8];
-    ts.depth_max = 40;
+    // Buckets 1, 2, …, 8 deep over [0, 1, 2, 4, 8, 16, 32] and the
+    // overflow; the deepest is 40.
+    for (depth, n) in [(0, 1), (1, 2), (2, 3), (4, 4), (8, 5), (16, 6), (32, 7), (33, 7), (40, 1)] {
+        ts.depth.observe_n(depth, n);
+    }
     ts.stamped = 30;
     ts.unstamped = 0;
     ts.coalesced = 3;
@@ -274,11 +280,7 @@ fn trace_bytes() {
         ..trace_record()
     };
     assert_eq!(bare.to_json_line(), TRACE_BARE);
-    let mut w = TraceWriter::new(Vec::new());
-    w.write_header().unwrap();
-    w.write_record(&bare).unwrap();
-    let text = String::from_utf8(w.finish().unwrap()).unwrap();
-    assert_eq!(text, format!("{TRACE_HEADER}\n{TRACE_BARE}\n"));
+    assert_eq!(trace::to_jsonl(&[bare]), format!("{TRACE_HEADER}\n{TRACE_BARE}\n"));
 }
 
 /// Schema 3 is what `to_line` writes. Schemas 1 and 2 are history the
