@@ -110,7 +110,7 @@ use bgpscale_experiments::Exit;
 use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord};
 use bgpscale_experiments::log;
 use bgpscale_experiments::wall::Stopwatch;
-use bgpscale_obs::{artifact, TraceRecord, TraceWriter};
+use bgpscale_obs::{artifact, trace, TraceRecord};
 use bgpscale_topology::GrowthScenario;
 
 fn usage(problem: &str) -> Exit {
@@ -305,13 +305,10 @@ fn write_metrics(
     Ok(())
 }
 
-/// Writes trace records as JSONL through a [`TraceWriter`], stamped with
-/// a schema-version header line.
+/// Writes trace records as JSONL, stamped with a schema-version header
+/// line.
 fn write_trace(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
-    let mut writer = TraceWriter::new(Vec::new());
-    writer.write_header()?;
-    writer.write_all(records)?;
-    artifact::write(path, &writer.finish()?)?;
+    artifact::write(path, trace::to_jsonl(records).as_bytes())?;
     log!(Info, "wrote {} trace records to {}", records.len(), path.display());
     Ok(())
 }

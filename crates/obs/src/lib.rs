@@ -97,4 +97,4 @@ pub use observer::{EventKind, NoopObserver, SimObserver, UpdateClass};
 pub use provenance::{Provenance, RootCauseKind, RootSets, Stamp};
 pub use recorder::{Recorder, RecorderOptions};
 pub use timeseries::{RootRecord, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, TsBin};
-pub use trace::{TraceBuffer, TraceRecord, TraceWriter};
+pub use trace::{TraceBuffer, TraceRecord};

@@ -3,14 +3,11 @@
 //! A [`TraceBuffer`] collects [`TraceRecord`]s in memory during a
 //! simulation (the parallel harness needs buffering so that per-event
 //! traces can be concatenated in event-index order — streaming straight
-//! from worker threads would interleave nondeterministically); a
-//! [`TraceWriter`] then streams any iterator of records to an
-//! `io::Write` as one JSON object per line.
+//! from worker threads would interleave nondeterministically); [`to_jsonl`]
+//! then renders the records as a trace file, one JSON object per line.
 //!
 //! Records are integer-only and carry the C-event index, so a trace file
 //! is byte-identical across `--jobs` levels, same as `metrics.json`.
-
-use std::io::{self, Write};
 
 use crate::json::{Layout, Value};
 use crate::observer::EventKind;
@@ -110,57 +107,17 @@ impl TraceBuffer {
     }
 }
 
-/// Streams trace records as JSONL.
-pub struct TraceWriter<W: Write> {
-    out: W,
-    written: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a sink.
-    pub fn new(out: W) -> TraceWriter<W> {
-        TraceWriter { out, written: 0 }
+/// Renders a trace file: the schema-version header line, which the one
+/// file writer, [`crate::artifact::write`], requires of a persisted
+/// artifact, then one line per record.
+pub fn to_jsonl(records: &[TraceRecord]) -> String {
+    let header = [("schema_version", crate::SCHEMA_VERSION.into()), ("kind", "trace".into())];
+    let mut out = Value::obj(Layout::Compact, header).to_json() + "\n";
+    for r in records {
+        out += &r.to_json_line();
+        out.push('\n');
     }
-
-    /// Writes the schema-version header line. Call once, before any
-    /// records, when the sink is a persisted artifact: the one file
-    /// writer, [`crate::artifact::write`], refuses a file whose first
-    /// line lacks the schema version. The header does not count toward
-    /// [`TraceWriter::written`].
-    pub fn write_header(&mut self) -> io::Result<()> {
-        let header = [("schema_version", crate::SCHEMA_VERSION.into()), ("kind", "trace".into())];
-        self.out.write_all((Value::obj(Layout::Compact, header).to_json() + "\n").as_bytes())
-    }
-
-    /// Writes one record as a line.
-    pub fn write_record(&mut self, r: &TraceRecord) -> io::Result<()> {
-        self.out.write_all(r.to_json_line().as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Writes every record of an iterator.
-    pub fn write_all<'a>(
-        &mut self,
-        records: impl IntoIterator<Item = &'a TraceRecord>,
-    ) -> io::Result<()> {
-        for r in records {
-            self.write_record(r)?;
-        }
-        Ok(())
-    }
-
-    /// Lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the sink.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
+    out
 }
 
 #[cfg(test)]
@@ -221,28 +178,14 @@ mod tests {
     }
 
     #[test]
-    fn writer_streams_jsonl() {
-        let mut w = TraceWriter::new(Vec::new());
-        let records = [rec(1), rec(2)];
-        w.write_all(&records).unwrap();
-        assert_eq!(w.written(), 2);
-        let bytes = w.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn header_is_stamped_and_uncounted() {
-        let mut w = TraceWriter::new(Vec::new());
-        w.write_header().unwrap();
-        w.write_record(&rec(1)).unwrap();
-        assert_eq!(w.written(), 1, "the header is not a record");
-        let text = String::from_utf8(w.finish().unwrap()).unwrap();
-        let first = text.lines().next().unwrap();
+    fn jsonl_is_the_stamped_header_then_one_line_per_record() {
+        let text = to_jsonl(&[rec(1), rec(2)]);
+        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
-            first,
+            lines[0],
             format!("{{\"schema_version\":{},\"kind\":\"trace\"}}", crate::SCHEMA_VERSION)
         );
+        assert_eq!(lines[1..], [rec(1).to_json_line(), rec(2).to_json_line()]);
+        assert!(text.ends_with('\n'));
     }
 }

@@ -54,9 +54,7 @@ fn timeseries_json_is_stamped() {
 
 #[test]
 fn trace_header_is_stamped() {
-    let mut w = bgpscale_obs::TraceWriter::new(Vec::new());
-    w.write_header().unwrap();
-    let text = String::from_utf8(w.finish().unwrap()).unwrap();
+    let text = bgpscale_obs::trace::to_jsonl(&[]);
     assert_stamped(&text, "trace header");
 }
 
