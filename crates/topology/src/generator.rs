@@ -364,6 +364,7 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
     use crate::types::Relationship;
+    use crate::validate::{validate, Rule};
 
     fn baseline(n: usize, seed: u64) -> AsGraph {
         generate(GrowthScenario::Baseline, n, seed)
@@ -534,15 +535,12 @@ mod tests {
 
     #[test]
     fn no_peer_link_inside_customer_tree() {
-        let g = baseline(1_000, 13);
-        for id in g.node_ids() {
-            for peer in g.peers(id) {
-                assert!(
-                    !g.in_customer_tree(id, peer),
-                    "{id} peers with its own customer {peer}"
-                );
-            }
-        }
+        let violations = validate(&baseline(1_000, 13)).err().unwrap_or_default();
+        let inside: Vec<_> = violations
+            .iter()
+            .filter(|v| v.rule == Rule::PeerInCustomerTree)
+            .collect();
+        assert!(inside.is_empty(), "{inside:?}");
     }
 
     #[test]

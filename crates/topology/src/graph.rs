@@ -9,8 +9,6 @@
 //! which matches how topologies are generated and lets all per-node lookup
 //! tables in the simulator be flat vectors indexed by [`AsId`].
 
-use std::collections::{BTreeSet, VecDeque};
-
 use crate::types::{AsId, NodeType, RegionSet, Relationship};
 
 /// One adjacency entry: a neighboring AS and our relationship to it.
@@ -254,31 +252,6 @@ impl AsGraph {
         self.peer_links += 1;
     }
 
-    /// Breadth-first enumeration of the customer tree of `root`:
-    /// every AS reachable by repeatedly following customer links downward.
-    /// `root` itself is **not** included.
-    ///
-    /// Despite the name (which follows the paper), the customer relation
-    /// forms a DAG under multihoming; each AS is visited once.
-    pub fn customer_tree(&self, root: AsId) -> Vec<AsId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue: VecDeque<AsId> = self.customers(root).collect();
-        for &c in &queue {
-            seen[c.index()] = true;
-        }
-        let mut out = Vec::new();
-        while let Some(node) = queue.pop_front() {
-            out.push(node);
-            for c in self.customers(node) {
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    queue.push_back(c);
-                }
-            }
-        }
-        out
-    }
-
     /// Visits every AS strictly above `from` in the provider hierarchy.
     ///
     /// `first_visit(p)` marks `p` as seen and says whether it was unseen;
@@ -292,20 +265,6 @@ impl AsGraph {
                 }
             }
         }
-    }
-
-    /// True if `candidate` lies in the customer tree of `root`
-    /// (i.e. strictly below it in the hierarchy).
-    ///
-    /// Walks *up* from `candidate`: the ASes above a node are transit
-    /// providers only, far fewer than the customer cone of a large `root`.
-    pub fn in_customer_tree(&self, root: AsId, candidate: AsId) -> bool {
-        if root == candidate {
-            return false;
-        }
-        let mut above = BTreeSet::new();
-        self.walk_up(candidate, |p| above.insert(p));
-        above.contains(&root)
     }
 
     /// Renders the topology in Graphviz DOT format. Transit links are drawn
@@ -419,42 +378,6 @@ mod tests {
         assert_eq!(g.peers(t0).collect::<Vec<_>>(), vec![ids[1]]);
         assert_eq!(g.providers(ids[4]).collect::<Vec<_>>(), vec![ids[2]]);
         assert!(g.providers(t0).next().is_none());
-    }
-
-    #[test]
-    fn customer_tree_walks_down_only() {
-        let (g, ids) = fixture();
-        let mut tree = g.customer_tree(ids[0]);
-        tree.sort();
-        assert_eq!(tree, vec![ids[2], ids[4], ids[5]]);
-        assert!(g.customer_tree(ids[4]).is_empty());
-        // Peering does not extend the customer tree.
-        assert_eq!(g.customer_tree(ids[3]), Vec::<AsId>::new());
-    }
-
-    #[test]
-    fn in_customer_tree_matches_enumeration() {
-        let (g, ids) = fixture();
-        assert!(g.in_customer_tree(ids[0], ids[4]));
-        assert!(!g.in_customer_tree(ids[4], ids[0]));
-        assert!(!g.in_customer_tree(ids[0], ids[0])); // not below itself
-        assert!(!g.in_customer_tree(ids[0], ids[3])); // via peer only
-    }
-
-    #[test]
-    fn multihomed_customer_tree_visits_once() {
-        let mut g = AsGraph::new();
-        let r = RegionSet::all(1);
-        let t = g.add_node(NodeType::T, r);
-        let m1 = g.add_node(NodeType::M, r);
-        let m2 = g.add_node(NodeType::M, r);
-        let c = g.add_node(NodeType::C, r);
-        g.add_transit_link(m1, t);
-        g.add_transit_link(m2, t);
-        g.add_transit_link(c, m1);
-        g.add_transit_link(c, m2); // multihomed: two paths from t to c
-        let tree = g.customer_tree(t);
-        assert_eq!(tree.len(), 3, "c must be visited exactly once");
     }
 
     #[test]

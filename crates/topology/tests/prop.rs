@@ -4,7 +4,7 @@
 
 use bgpscale_topology::valley::valley_free_distances;
 use bgpscale_topology::validate::validate;
-use bgpscale_topology::{generate, AsId, GrowthScenario, NodeType};
+use bgpscale_topology::{generate, GrowthScenario, NodeType};
 use proptest::prelude::*;
 
 fn scenario_strategy() -> impl Strategy<Value = GrowthScenario> {
@@ -61,26 +61,6 @@ proptest! {
         prop_assert!(d.iter().all(|x| x.is_some()));
         // No distance exceeds a loose diameter bound.
         prop_assert!(d.iter().flatten().all(|&h| h < n as u32));
-    }
-
-    /// The customer-tree membership test agrees with the enumerated tree.
-    #[test]
-    fn customer_tree_consistency(n in 60usize..200, seed in any::<u64>()) {
-        let g = generate(GrowthScenario::Baseline, n, seed);
-        // Check the largest T node's tree (the most interesting one).
-        let root = g.nodes_of_type(NodeType::T)
-            .into_iter()
-            .max_by_key(|&t| g.degree(t))
-            .unwrap();
-        let tree: std::collections::BTreeSet<AsId> =
-            g.customer_tree(root).into_iter().collect();
-        for id in g.node_ids() {
-            prop_assert_eq!(
-                tree.contains(&id),
-                g.in_customer_tree(root, id),
-                "membership disagrees for {}", id
-            );
-        }
     }
 
     /// Degree bookkeeping: cached per-relation tallies equal recounts.
