@@ -223,11 +223,8 @@ impl PathArena {
     }
 
     #[expect(
-
         clippy::indexing_slicing,
-
         reason = "id is one this arena handed out since its last clear, which indexes a pushed cell"
-
     )]
     fn path_cell(&self, id: PathId) -> Cell {
         self.cells[id.index() as usize]

@@ -39,7 +39,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         .find(|&id| graph.node_type(id) == NodeType::C)
         .expect("C nodes exist");
 
-    let mut rows = Vec::new();
     let mut stats = Vec::new();
     for mode in [MraiMode::NoWrate, MraiMode::Wrate] {
         let bgp = BgpConfig {
@@ -63,7 +62,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
             busy_seconds,
             outcome.down_convergence.as_secs_f64() + outcome.up_convergence.as_secs_f64(),
         ));
-        rows.push(timeline);
     }
 
     let mut t = Table::new(
@@ -95,7 +93,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         "WRATE stretches convergence (longer combined DOWN+UP time)",
         wrate.5 > no_wrate.5,
     );
-    let _ = rows;
     fig
 }
 

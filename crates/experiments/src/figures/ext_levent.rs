@@ -87,7 +87,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         ]);
         fail_below_c &= fail <= c_total * 1.05;
         total_near_c &= fail + restore <= c_total * 1.3;
-        let _ = healed_frac;
     }
     fig.tables.push(table);
 
