@@ -281,7 +281,9 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
             &modes,
             depths
                 .enumerate()
-                .map(|(d, label)| per_mode(&label, &|_, ts| ts.depth.bucket_counts()[d].to_string())),
+                .map(|(d, label)| {
+                    per_mode(&label, &|_, ts| ts.depth.bucket_counts()[d].to_string())
+                }),
         ),
         Table::with_rows(
             "per-root convergence (root-cause fire to last attributed update)",

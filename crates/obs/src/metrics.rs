@@ -41,7 +41,7 @@ pub struct Gauge {
 
 /// The most bounds a [`Histogram`] takes: the causal-depth histogram's
 /// seven.
-pub const MAX_BOUNDS: usize = 7;
+const MAX_BOUNDS: usize = 7;
 
 /// A fixed-bucket integer histogram with an exact `count`, `sum` and
 /// `max`.
@@ -68,7 +68,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram over `bounds`: strictly increasing, at
-    /// least one and at most [`MAX_BOUNDS`].
+    /// least one and at most seven.
     ///
     /// # Panics
     /// Panics on bounds that break those rules.

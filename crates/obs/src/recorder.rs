@@ -4,9 +4,9 @@
 //! experiment harness). It keeps its hot-path state in plain fields —
 //! counters, fixed arrays and three [`Histogram`]s, no map lookups per
 //! event — and materializes a [`MetricsRegistry`] only when the run is
-//! over, so the metrics-on
-//! overhead stays small (measured by `benchmark/`'s `observed_5k`
-//! workload as `obs.recorder_ns_per_delivery`).
+//! over, so the metrics-on overhead stays small (measured by
+//! `benchmark/`'s `observed_5k` workload as
+//! `obs.recorder_ns_per_delivery`).
 //!
 //! Everything a `Recorder` captures is a pure function of the simulated
 //! trajectory: counters, integer histograms, and (optionally) sampled

@@ -5,9 +5,10 @@
 //! (each C-event's clock starts at 0, so bins overlay across events).
 //! Per bin it tracks updates split by the sending edge's Gao–Rexford
 //! relation and by the receiving node's type, plus two peaks: armed MRAI
-//! timers and receiver in-queue depth. Alongside the bins it accumulates
-//! a causal-depth histogram and one [`RootRecord`] per root-cause event,
-//! whose first-to-last-update span is the per-root convergence duration.
+//! timers and receiver in-queue depth. Alongside the bins it keeps one
+//! [`RootRecord`] per root-cause event, whose first-to-last-update span is
+//! the per-root convergence duration; the series' causal-depth histogram
+//! is the owning `Recorder`'s.
 //!
 //! Determinism rules (same discipline as `metrics.json`):
 //! * integer-only — microsecond timestamps and counts, never floats;

@@ -70,7 +70,8 @@ fn series() -> TimeSeries {
     ];
     // Buckets 1, 2, …, 8 deep over [0, 1, 2, 4, 8, 16, 32] and the
     // overflow; the deepest is 40.
-    for (depth, n) in [(0, 1), (1, 2), (2, 3), (4, 4), (8, 5), (16, 6), (32, 7), (33, 7), (40, 1)] {
+    let depths = [(0, 1), (1, 2), (2, 3), (4, 4), (8, 5), (16, 6), (32, 7), (33, 7), (40, 1)];
+    for (depth, n) in depths {
         ts.depth.observe_n(depth, n);
     }
     ts.stamped = 30;

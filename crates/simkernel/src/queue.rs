@@ -45,7 +45,9 @@
 //! moves at most once per bit of the key, however many pops pass over it —
 //! a timer 30 s out sits still while the messages of those 30 s come and
 //! go. A key stays in the lane it was filed in: a far timer the clock has
-//! come within 131 ms of pops from the heap.
+//! come within 131 ms of pops from the heap. A binary or 4-ary heap in
+//! its place sifts every expiry on each push and pop, and ran the 5000-AS
+//! benchmark cells about 10 % slower for the re-files it saved.
 //!
 //! A pop takes the smaller of the two minima, so the pop sequence is the
 //! one total order over `(time, seq)` whichever lane holds each key. All
