@@ -127,7 +127,6 @@ impl Recorder {
     /// recorder's own `provenance.*` tallies.
     pub fn into_parts(self) -> (Vec<TraceRecord>, Option<TimeSeries>) {
         let series = self.timeseries.map(|ts| TimeSeries {
-            stamped: self.depth.count(),
             unstamped: self.prov_unstamped,
             coalesced: self.prov_coalesced,
             depth: self.depth,
@@ -516,8 +515,8 @@ mod tests {
         let r = rec.registry();
         let (_, series) = rec.into_parts();
         let ts = series.expect("time series enabled");
-        assert_eq!((ts.stamped, ts.unstamped, ts.coalesced), (2, 1, 1));
-        assert_eq!(ts.stamped, r.counter("provenance.stamped"));
+        assert_eq!((ts.depth.count(), ts.unstamped, ts.coalesced), (2, 1, 1));
+        assert_eq!(ts.depth.count(), r.counter("provenance.stamped"));
         assert_eq!(ts.unstamped, r.counter("provenance.unstamped"));
         assert_eq!(ts.coalesced, r.counter("provenance.coalesced"));
         assert_eq!(ts.depth.max(), 2);

@@ -122,10 +122,9 @@ pub struct TimeSeries {
     /// Bins, index k covering `[k*bin_us, (k+1)*bin_us)`.
     pub bins: Vec<TsBin>,
     /// Causal depths of the stamped updates, over [`DEPTH_BOUNDS`]
-    /// (written as `depth_hist` and `depth_max`).
+    /// (written as `depth_hist` and `depth_max`); its count is the
+    /// updates delivered with a provenance stamp (written as `stamped`).
     pub depth: Histogram,
-    /// Updates delivered with a provenance stamp.
-    pub stamped: u64,
     /// Updates delivered without a stamp (direct `BgpNode` use).
     pub unstamped: u64,
     /// Stamped updates carrying more than one root (MRAI coalescing).
@@ -142,7 +141,6 @@ impl TimeSeries {
             events: 0,
             bins: Vec::new(),
             depth: Histogram::new(&DEPTH_BOUNDS),
-            stamped: 0,
             unstamped: 0,
             coalesced: 0,
             roots: Vec::new(),
@@ -166,7 +164,6 @@ impl TimeSeries {
             mine.add(theirs);
         }
         self.depth.merge(&other.depth);
-        self.stamped += other.stamped;
         self.unstamped += other.unstamped;
         self.coalesced += other.coalesced;
         self.events += other.events;
@@ -227,7 +224,7 @@ impl TimeSeries {
         let series = [
             ("bin_us", self.bin_us.into()),
             ("events", self.events.into()),
-            ("stamped", self.stamped.into()),
+            ("stamped", self.depth.count().into()),
             ("unstamped", self.unstamped.into()),
             ("coalesced", self.coalesced.into()),
             ("depth_max", self.depth.max().into()),
@@ -442,10 +439,10 @@ mod tests {
             rec.record_root(0, RootCauseKind::Originate, AsId(0), 0);
             rec.record_timer_occupancy(u64::from(event) + 1, t);
             deliver(&mut rec, 0, &Provenance::root(0), t);
-            TimeSeries {
-                stamped: 1,
-                ..rec.finish()
-            }
+            // The recorder, not the series, observes the depth.
+            let mut ts = rec.finish();
+            ts.depth.observe(0);
+            ts
         };
         let mut a = mk(0, 5);
         let b = mk(1, 15);
@@ -458,7 +455,7 @@ mod tests {
         assert_eq!(a.roots.len(), 2);
         assert_eq!(a.roots[0].event, 0);
         assert_eq!(a.roots[1].event, 1);
-        assert_eq!(a.stamped, 2);
+        assert_eq!(a.depth.count(), 2);
     }
 
     #[test]

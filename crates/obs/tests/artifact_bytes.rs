@@ -68,13 +68,12 @@ fn series() -> TimeSeries {
             inbox_peak: 11,
         },
     ];
-    // Buckets 1, 2, …, 8 deep over [0, 1, 2, 4, 8, 16, 32] and the
-    // overflow; the deepest is 40.
-    let depths = [(0, 1), (1, 2), (2, 3), (4, 4), (8, 5), (16, 6), (32, 7), (33, 7), (40, 1)];
+    // Buckets 1, 2, …, 7 deep over [0, 1, 2, 4, 8, 16, 32] and 2 in the
+    // overflow, 30 stamped updates; the deepest is 40.
+    let depths = [(0, 1), (1, 2), (2, 3), (4, 4), (8, 5), (16, 6), (32, 7), (33, 1), (40, 1)];
     for (depth, n) in depths {
         ts.depth.observe_n(depth, n);
     }
-    ts.stamped = 30;
     ts.unstamped = 0;
     ts.coalesced = 3;
     ts.roots = vec![
@@ -196,7 +195,7 @@ const METRICS_EMPTY: &str = r#"{
 
 const TIMESERIES: &str = concat!(
     r#"{"bin_us":100000,"events":2,"stamped":30,"unstamped":0,"coalesced":3,"#,
-    r#""depth_max":40,"depth_hist":[1,2,3,4,5,6,7,8],"bins":[{"by_rel":[1,2,"#,
+    r#""depth_max":40,"depth_hist":[1,2,3,4,5,6,7,2],"bins":[{"by_rel":[1,2,"#,
     r#"3],"by_type":[4,5,6,7],"announces":15,"withdraws":7,"mrai_armed_peak":9,"#,
     r#""inbox_peak":2},{"by_rel":[0,0,8],"by_type":[0,1,0,7],"announces":0,"#,
     r#""withdraws":8,"mrai_armed_peak":0,"inbox_peak":11}],"roots":[{"event":0,"#,

@@ -46,8 +46,10 @@
 //! a timer 30 s out sits still while the messages of those 30 s come and
 //! go. A key stays in the lane it was filed in: a far timer the clock has
 //! come within 131 ms of pops from the heap. A binary or 4-ary heap in
-//! its place sifts every expiry on each push and pop, and ran the 5000-AS
-//! benchmark cells about 10 % slower for the re-files it saved.
+//! its place sifts every expiry on each push and pop, and ran the
+//! `baseline_5k` benchmark workload about 10 % slower for the re-files it
+//! saved (on `frontier_12k` and `densecore_wrate_500` the A/B did not
+//! resolve).
 //!
 //! A pop takes the smaller of the two minima, so the pop sequence is the
 //! one total order over `(time, seq)` whichever lane holds each key. All

@@ -364,7 +364,6 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
     use crate::types::Relationship;
-    use crate::validate::{validate, Rule};
 
     fn baseline(n: usize, seed: u64) -> AsGraph {
         generate(GrowthScenario::Baseline, n, seed)
@@ -531,13 +530,6 @@ mod tests {
                 .count();
             assert!(m_providers <= 1, "{id} has {m_providers} M providers");
         }
-    }
-
-    #[test]
-    fn no_peer_link_inside_customer_tree() {
-        let violations = validate(&baseline(1_000, 13)).err().unwrap_or_default();
-        let inside = violations.iter().any(|v| v.rule == Rule::PeerInCustomerTree);
-        assert!(!inside, "{violations:?}");
     }
 
     #[test]

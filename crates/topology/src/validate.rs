@@ -261,8 +261,9 @@ mod tests {
 
     #[test]
     fn generated_baseline_validates() {
-        let g = generate(GrowthScenario::Baseline, 800, 21);
-        validate(&g).unwrap();
+        for (n, seed) in [(800, 21), (1_000, 13)] {
+            validate(&generate(GrowthScenario::Baseline, n, seed)).unwrap();
+        }
     }
 
     #[test]
