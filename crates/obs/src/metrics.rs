@@ -24,10 +24,12 @@ use std::collections::BTreeMap;
 
 use crate::json::{Layout, Value};
 
-/// The bucket of `value` over inclusive upper `bounds`: the first bound
-/// at or above it, else `bounds.len()`, the overflow bucket.
+/// The bucket of `value` over inclusive, strictly increasing upper
+/// `bounds`: the first bound at or above it, else `bounds.len()`, the
+/// overflow bucket. Counting the bounds below `value` finds it without a
+/// branch per bound.
 fn bucket(bounds: &[u64], value: u64) -> usize {
-    bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
+    bounds.iter().filter(|&&b| b < value).count()
 }
 
 /// A gauge: last-set value and the peak ever set.
@@ -102,7 +104,9 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        if let Some(count) = self.counts.get_mut(bucket(self.bounds, value)) {
+        // `new` caps the bounds at MAX_BOUNDS; the `min` lets the compiler
+        // see that the bucket is always in range.
+        if let Some(count) = self.counts.get_mut(bucket(self.bounds, value).min(MAX_BOUNDS)) {
             *count += n;
         }
         self.count += n;
