@@ -4,19 +4,21 @@
 //! withdrawing a prefix from a C-type node, letting the network converge,
 //! and then re-announcing the prefix again."*
 //!
-//! [`run_c_event`] performs the full protocol:
+//! The protocol lives here once, as three phases over a slice of
+//! `(origin, prefix)` events that flap storms and the extension figures
+//! call too ([`run_c_event`] composes them for one event):
 //!
-//! 1. **warm-up** — the originator announces the prefix; the network
-//!    converges; nothing is counted (the initial announcement is not part
-//!    of the metric);
-//! 2. **DOWN** — counting on; the originator withdraws; converge;
-//! 3. **UP** — the originator re-announces; converge; counting off.
-//!
-//! The simulator is left converged with the prefix announced, so callers
-//! can chain further phases or reset.
+//! 1. [`warm_up`] — counting off; every origin announces its prefix; the
+//!    network converges; counters zeroed and counting on (the initial
+//!    announcement is not part of the metric);
+//! 2. [`down`] — every origin withdraws; converge;
+//! 3. [`up`] — every origin re-announces; converge. The simulator is
+//!    left converged with every prefix announced, so callers can chain
+//!    further phases or reset.
 
 use bgpscale_bgp::Prefix;
 use bgpscale_obs::costmodel::{OpCounts, PhaseCosts, PHASES};
+use bgpscale_obs::SimObserver;
 use bgpscale_simkernel::SimDuration;
 use bgpscale_topology::AsId;
 
@@ -41,38 +43,73 @@ pub struct CEventOutcome {
     pub phase_costs: PhaseCosts,
 }
 
-/// Runs one full C-event from `origin` for `prefix`. On return the
-/// simulator's churn counters hold exactly this event's DOWN+UP counts
-/// (any previous counts are cleared by this function).
+/// The uncounted warm-up: with counting off, every origin announces its
+/// prefix and the network converges; then the churn counters are zeroed
+/// and counting is switched on for the phases that follow.
+///
+/// # Errors
+/// Propagates [`EventBudgetExceeded`] if the network fails to quiesce.
+pub fn warm_up<O: SimObserver>(
+    sim: &mut Simulator<O>,
+    events: &[(AsId, Prefix)],
+) -> Result<(), EventBudgetExceeded> {
+    sim.churn_mut().set_enabled(false);
+    for &(origin, prefix) in events {
+        sim.originate(origin, prefix);
+    }
+    sim.run_to_quiescence()?;
+    sim.churn_mut().reset();
+    sim.churn_mut().set_enabled(true);
+    Ok(())
+}
+
+/// DOWN: every origin withdraws its prefix at the same instant; the
+/// network converges. Returns the simulated time from the withdrawals
+/// to the phase's last routing activity, or [`EventBudgetExceeded`].
+pub fn down<O: SimObserver>(
+    sim: &mut Simulator<O>,
+    events: &[(AsId, Prefix)],
+) -> Result<SimDuration, EventBudgetExceeded> {
+    let start = sim.now();
+    for &(origin, prefix) in events {
+        sim.withdraw(origin, prefix);
+    }
+    Ok(sim.run_to_quiescence()?.saturating_since(start))
+}
+
+/// UP: every origin re-announces its prefix at the same instant; the
+/// network converges. Returns the simulated time from the announcements
+/// to the phase's last routing activity, or [`EventBudgetExceeded`].
+pub fn up<O: SimObserver>(
+    sim: &mut Simulator<O>,
+    events: &[(AsId, Prefix)],
+) -> Result<SimDuration, EventBudgetExceeded> {
+    let start = sim.now();
+    for &(origin, prefix) in events {
+        sim.originate(origin, prefix);
+    }
+    Ok(sim.run_to_quiescence()?.saturating_since(start))
+}
+
+/// Runs one full C-event from `origin` for `prefix`: [`warm_up`],
+/// [`down`], [`up`], then counting off. On return the simulator's churn
+/// counters hold exactly this event's DOWN+UP counts (any previous counts
+/// are cleared by the warm-up).
 ///
 /// # Errors
 /// Propagates [`EventBudgetExceeded`] if any phase fails to quiesce.
-pub fn run_c_event<O: bgpscale_obs::SimObserver>(
+pub fn run_c_event<O: SimObserver>(
     sim: &mut Simulator<O>,
     origin: AsId,
     prefix: Prefix,
 ) -> Result<CEventOutcome, EventBudgetExceeded> {
+    let event = [(origin, prefix)];
     let cost_base = sim.cost_counts();
-
-    // Phase 0: warm-up announcement, uncounted.
-    sim.churn_mut().set_enabled(false);
-    sim.originate(origin, prefix);
-    sim.run_to_quiescence()?;
+    warm_up(sim, &event)?;
     let cost_warm = sim.cost_counts();
-
-    sim.churn_mut().reset();
-    sim.churn_mut().set_enabled(true);
-
-    // Phase 1: DOWN.
-    let down_start = sim.now();
-    sim.withdraw(origin, prefix);
-    let down_end = sim.run_to_quiescence()?;
+    let down_convergence = down(sim, &event)?;
     let cost_down = sim.cost_counts();
-
-    // Phase 2: UP.
-    let up_start = sim.now();
-    sim.originate(origin, prefix);
-    let up_end = sim.run_to_quiescence()?;
+    let up_convergence = up(sim, &event)?;
     let cost_up = sim.cost_counts();
 
     sim.churn_mut().set_enabled(false);
@@ -84,8 +121,8 @@ pub fn run_c_event<O: bgpscale_obs::SimObserver>(
     Ok(CEventOutcome {
         total_updates: sim.churn().total(),
         withdrawals: sim.churn().withdrawals(),
-        down_convergence: down_end.saturating_since(down_start),
-        up_convergence: up_end.saturating_since(up_start),
+        down_convergence,
+        up_convergence,
         phase_costs,
     })
 }

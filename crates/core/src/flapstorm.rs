@@ -11,6 +11,7 @@ use bgpscale_bgp::Prefix;
 use bgpscale_simkernel::SimDuration;
 use bgpscale_topology::AsId;
 
+use crate::cevent;
 use crate::sim::{EventBudgetExceeded, Simulator};
 
 /// Flap-storm shape.
@@ -54,8 +55,9 @@ pub struct FlapStormOutcome {
 
 /// Runs a flap storm from `origin` for `prefix`. The prefix must not yet
 /// be announced; the initial announcement and convergence are the
-/// uncounted warm-up. On return the network is fully quiesced (all reuse
-/// timers included) and the churn counters hold the storm's counts.
+/// C-event's uncounted [`cevent::warm_up`]. On return the network is
+/// fully quiesced (all reuse timers included) and the churn counters hold
+/// the storm's counts.
 ///
 /// # Errors
 /// Propagates [`EventBudgetExceeded`] from any phase.
@@ -65,12 +67,7 @@ pub fn run_flap_storm<O: bgpscale_obs::SimObserver>(
     prefix: Prefix,
     cfg: &FlapStormConfig,
 ) -> Result<FlapStormOutcome, EventBudgetExceeded> {
-    // Warm-up.
-    sim.churn_mut().set_enabled(false);
-    sim.originate(origin, prefix);
-    sim.run_to_quiescence()?;
-    sim.churn_mut().reset();
-    sim.churn_mut().set_enabled(true);
+    cevent::warm_up(sim, &[(origin, prefix)])?;
 
     // The storm: withdraw / re-announce at the configured cadence,
     // letting the network process whatever fits into each period.

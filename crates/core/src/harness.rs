@@ -51,8 +51,13 @@ use crate::factors::{node_factors, FactorAccumulator, FactorMeans};
 use crate::sim::{EventBudgetExceeded, SimTemplate, Simulator};
 
 /// The stream of a cell's master seed its topology is generated from:
-/// `hash64_pair(seed, TOPO_STREAM)`. Every figure that builds a cell's
-/// topology or simulators by hand takes the same streams.
+/// `hash64_pair(seed, TOPO_STREAM)`. Every figure that builds a topology
+/// by hand (`table1` and the extension figures) generates the cell's
+/// graph from it, but the extension figures take none of the cell's other
+/// streams: they pick originators from streams of their own (`0xE1`,
+/// `0xE3`, `0xE5`, `0xE6`) and seed one simulator per run, not one per
+/// event, from `hash64_pair(seed, SIM_STREAM)`, from `SIM_STREAM ^ mode`
+/// (`ext_rfd`) or from `0xB2` (`ext_burstiness`).
 pub const TOPO_STREAM: u64 = 0x7090;
 /// The stream of a cell's master seed its simulators are seeded from;
 /// event `k` runs on `hash64_pair(hash64_pair(seed, SIM_STREAM), k)`.

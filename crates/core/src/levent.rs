@@ -35,8 +35,7 @@ pub struct LEventOutcome {
 }
 
 /// Runs one L-event on the `a`–`b` link while `prefix` (already announced
-/// and converged — see [`crate::cevent::run_c_event`] or
-/// [`Simulator::originate`]) is monitored.
+/// and converged — see [`crate::cevent::warm_up`]) is monitored.
 ///
 /// On return the link is restored and the network converged; the churn
 /// counters hold the combined fail+restore counts.

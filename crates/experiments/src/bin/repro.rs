@@ -22,8 +22,6 @@
 //!                                     the ledger (the default mode)
 //!                    --bless          append the measured cells to the
 //!                                     ledger as the new baselines
-//!                    --perturb <seed> deterministically corrupt one
-//!                                     counter first (CI mutation gate)
 //!                    --costmodel-out <file> also write costmodel.json
 //!   profile        run one observed cell and print a phase profile
 //!                  (see --scenario, --check)
@@ -122,7 +120,7 @@ fn usage(problem: &str) -> Exit {
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--event-limit N] [--bin-us N] \
          [--timeseries-out FILE] [--check] \
-         [--bless] [--perturb SEED] [--costmodel-out FILE] \
+         [--bless] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error"
     );
@@ -158,8 +156,6 @@ struct Options {
     check: bool,
     /// `perf`: append the measured cells as baselines instead of checking.
     bless: bool,
-    /// `perf`: deterministically corrupt one counter before comparison.
-    perturb: Option<u64>,
     /// `perf`: also write the measured cost model here.
     costmodel_out: Option<PathBuf>,
     /// The append-only run ledger; `None` under `--no-ledger`.
@@ -192,7 +188,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         timeseries_out: PathBuf::from("timeseries.json"),
         check: false,
         bless: false,
-        perturb: None,
         costmodel_out: None,
         ledger: Some(PathBuf::from("results/ledger/runs.jsonl")),
         ledger_rev: None,
@@ -226,7 +221,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--timeseries-out" => o.timeseries_out = value(&mut args, flag)?,
             "--check" => o.check = true,
             "--bless" => o.bless = true,
-            "--perturb" => o.perturb = Some(value(&mut args, flag)?),
             "--costmodel-out" => o.costmodel_out = Some(value(&mut args, flag)?),
             "--ledger" => o.ledger = Some(value(&mut args, flag)?),
             "--no-ledger" => o.ledger = None,
@@ -241,7 +235,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             _ => return Err(format!("unknown option {flag}")),
         }
     }
-    if o.target == "trend" && (o.check || o.perturb.is_some()) {
+    if o.target == "trend" && o.check {
         return Err(TREND_IS_NOT_A_GATE.to_string());
     }
     o.cfg.seed = seed.unwrap_or(o.cfg.seed);
@@ -262,38 +256,6 @@ impl Options {
             .collect()
     }
 }
-
-fn run_target(target: &str, sw: &mut Sweeper) -> Option<Figure> {
-    let seed = sw.config().seed;
-    let cfg = sw.config().clone();
-    Some(match target {
-        "table1" => figures::table1::run(&cfg),
-        "fig1" => figures::fig1::run(seed),
-        "fig3" => figures::fig3::run(seed),
-        "fig4" => figures::fig4::run(sw),
-        "fig5" => figures::fig5::run(sw),
-        "fig6" => figures::fig6::run(sw),
-        "fig7" => figures::fig7::run(sw),
-        "fig8" => figures::fig8::run(sw),
-        "fig9" => figures::fig9::run(sw),
-        "fig10" => figures::fig10::run(sw),
-        "fig11" => figures::fig11::run(sw),
-        "fig12" => figures::fig12::run(sw),
-        "ext_levent" => figures::ext_levent::run(sw),
-        "ext_burstiness" => figures::ext_burstiness::run(sw),
-        "ext_rfd" => figures::ext_rfd::run(sw),
-        "ext_convergence" => figures::ext_convergence::run(sw),
-        "ext_concurrency" => figures::ext_concurrency::run(sw),
-        "ext_tablesize" => figures::ext_tablesize::run(sw),
-        _ => return None,
-    })
-}
-
-const ALL_TARGETS: [&str; 18] = [
-    "table1", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "ext_levent", "ext_burstiness", "ext_rfd", "ext_convergence", "ext_concurrency",
-    "ext_tablesize",
-];
 
 /// Writes the merged metrics registry as deterministic JSON.
 fn write_metrics(
@@ -455,17 +417,10 @@ fn run_perf_target(opts: &Options) -> Exit {
         eprintln!("perf: --no-ledger leaves no baselines to check or bless");
         return Exit::Usage;
     };
-    if opts.bless && opts.perturb.is_some() {
-        eprintln!(
-            "perf: --bless refuses --perturb — a deliberately shifted count must \
-             never become a baseline"
-        );
-        return Exit::Usage;
-    }
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
     let cells = opts.cells();
     let rev = ledger_rev(opts);
-    let outcomes = match perf::run(&cells, jobs, opts.perturb, opts.bless, ledger, &rev) {
+    let outcomes = match perf::run(&cells, jobs, opts.bless, ledger, &rev) {
         Ok(outcomes) => outcomes,
         Err(e) => return ledger_failure("perf", &e, ledger),
     };
@@ -543,17 +498,17 @@ fn run(opts: &Options) -> Exit {
         sw.enable_telemetry(sample);
     }
 
-    let targets: Vec<&str> = if opts.target == "all" {
-        ALL_TARGETS.to_vec()
-    } else {
-        vec![opts.target.as_str()]
-    };
+    let targets: Vec<_> = figures::TARGETS
+        .iter()
+        .filter(|(name, _)| opts.target == "all" || opts.target == *name)
+        .collect();
+    if targets.is_empty() {
+        return usage(&format!("unknown target: {}", opts.target));
+    }
 
     let (mut failed_claims, mut known_divergences) = (0usize, 0usize);
-    for t in &targets {
-        let Some(fig) = run_target(t, &mut sw) else {
-            return usage(&format!("unknown target: {t}"));
-        };
+    for (_, figure) in targets {
+        let fig = figure(&mut sw);
         println!("{}", fig.render());
         for c in fig.claims.iter().filter(|c| !c.holds) {
             if c.known_divergence {
@@ -643,7 +598,6 @@ mod tests {
     fn trend_refuses_gate_flags_with_a_pointer_to_perf_check() {
         for line in [
             "trend --check",
-            "trend --perturb 1",
             "trend --window 5",
             "trend --band 10",
             "trend --exp-band 0.25",

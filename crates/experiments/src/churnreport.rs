@@ -255,7 +255,8 @@ pub fn render_text(cell: &ExperimentConfig, bin_us: u64, out: &ReportOutput) -> 
     let depths = depths.chain([format!(">{}", DEPTH_BOUNDS[DEPTH_BOUNDS.len() - 1])]);
     let mut tables = vec![
         Table::with_rows(
-            "headline",
+            // The series ride the whole C-event, warm-up included.
+            "headline (updates, announce, withdraw: all three phases; mean U: DOWN+UP)",
             &modes,
             [
                 per_mode("events", &|_, ts| ts.events.to_string()),
@@ -456,11 +457,12 @@ mod tests {
         // The text carries the per-phase op tables, so it was re-pinned
         // when the event queue's ring moved `queue_decreases` and
         // `queue_comparisons` (and the totals, exponents and sweep they
-        // enter); `timeseries.json` did not move.
+        // enter), and again when the headline's title said what its rows
+        // count; `timeseries.json` did not move.
         let cell = tiny_cell();
         let out = run_report(&cell, 1, BIN_US);
         let text = render_text(&cell, BIN_US, &out);
-        assert_eq!((hash64_bytes(text.as_bytes()), text.len()), (0xf8d9_12df_0e94_dfac, 4611));
+        assert_eq!((hash64_bytes(text.as_bytes()), text.len()), (0x5a9f_9636_fcfb_3860, 4676));
         let json = &out.timeseries_json;
         assert_eq!((hash64_bytes(json.as_bytes()), json.len()), (0x0ec2_9b4c_7be3_786a, 406_576));
     }

@@ -13,7 +13,7 @@
 //! convergence).
 
 use bgpscale_bgp::{BgpConfig, MraiMode, Prefix};
-use bgpscale_core::cevent::run_c_event;
+use bgpscale_core::cevent::{self, run_c_event};
 use bgpscale_core::harness::TOPO_STREAM;
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::hash64_pair;
@@ -47,8 +47,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         };
         let mut sim = Simulator::new(graph.clone(), bgp, hash64_pair(cfg.seed, 0xB2));
         // Warm-up outside the timeline.
-        sim.originate(origin, Prefix(0));
-        sim.run_to_quiescence().expect("warm-up converges");
+        cevent::warm_up(&mut sim, &[(origin, Prefix(0))]).expect("warm-up converges");
         let start = sim.now();
         sim.churn_mut().start_timeline(start, SimDuration::from_secs(1));
         let outcome = run_c_event(&mut sim, origin, Prefix(1)).expect("converges");

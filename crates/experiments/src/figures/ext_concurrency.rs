@@ -20,10 +20,11 @@
 //! roughly flat.
 
 use bgpscale_bgp::{BgpConfig, MraiScope, Prefix};
+use bgpscale_core::cevent;
 use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
-use bgpscale_topology::{generate, GrowthScenario, NodeType};
+use bgpscale_topology::{generate, AsGraph, AsId, GrowthScenario, NodeType};
 
 use crate::figures::roughly_equal;
 use crate::report::{f2, Figure, Table};
@@ -32,37 +33,23 @@ use crate::sweep::Sweeper;
 /// Concurrency levels exercised.
 const LEVELS: [usize; 3] = [1, 8, 32];
 
-/// Runs `k` simultaneous C-events and returns total updates delivered.
-fn concurrent_churn(sw_seed: u64, n: usize, k: usize, scope: MraiScope) -> f64 {
-    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(sw_seed, TOPO_STREAM));
-    let mut pick = Xoshiro256StarStar::new(hash64_pair(sw_seed, 0xE5));
-    let mut origins = graph.nodes_of_type(NodeType::C);
-    pick.shuffle(&mut origins);
-    origins.truncate(k);
-
+/// Runs `events` as simultaneous C-events — one warm-up, one DOWN and
+/// one UP over all of them — and returns total updates delivered.
+fn concurrent_churn(
+    graph: &AsGraph,
+    events: &[(AsId, Prefix)],
+    sim_seed: u64,
+    scope: MraiScope,
+) -> u64 {
     let bgp = BgpConfig {
         mrai_scope: scope,
         ..BgpConfig::default()
     };
-    let mut sim = Simulator::new(graph, bgp, hash64_pair(sw_seed, SIM_STREAM));
-    // Warm-up: all k prefixes announced and converged.
-    for (i, &o) in origins.iter().enumerate() {
-        sim.originate(o, Prefix(i as u32));
-    }
-    sim.run_to_quiescence().expect("warm-up converges");
-    sim.churn_mut().reset();
-    sim.churn_mut().set_enabled(true);
-    // Simultaneous DOWN…
-    for (i, &o) in origins.iter().enumerate() {
-        sim.withdraw(o, Prefix(i as u32));
-    }
-    sim.run_to_quiescence().expect("DOWN converges");
-    // …and simultaneous UP.
-    for (i, &o) in origins.iter().enumerate() {
-        sim.originate(o, Prefix(i as u32));
-    }
-    sim.run_to_quiescence().expect("UP converges");
-    sim.churn().total() as f64
+    let mut sim = Simulator::new(graph.clone(), bgp, sim_seed);
+    cevent::warm_up(&mut sim, events).expect("warm-up converges");
+    cevent::down(&mut sim, events).expect("DOWN converges");
+    cevent::up(&mut sim, events).expect("UP converges");
+    sim.churn().total()
 }
 
 /// Regenerates extension E5.
@@ -74,6 +61,15 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         "Extension: k simultaneous C-events under per-interface vs per-prefix MRAI",
     );
 
+    // One topology and one shuffle of its C nodes; level k takes the
+    // first k of them, each with its own prefix.
+    let graph = generate(GrowthScenario::Baseline, n, hash64_pair(cfg.seed, TOPO_STREAM));
+    let mut pick = Xoshiro256StarStar::new(hash64_pair(cfg.seed, 0xE5));
+    let mut origins = graph.nodes_of_type(NodeType::C);
+    pick.shuffle(&mut origins);
+    let events: Vec<_> = origins.into_iter().zip(0..).map(|(o, i)| (o, Prefix(i))).collect();
+    let sim_seed = hash64_pair(cfg.seed, SIM_STREAM);
+
     let mut t = Table::new(
         format!("total updates per event at n = {n}"),
         &["k", "per-interface", "per-prefix", "interface/prefix"],
@@ -81,8 +77,10 @@ pub fn run(sw: &mut Sweeper) -> Figure {
     let mut per_iface_at_k = Vec::new();
     let mut per_prefix_at_k = Vec::new();
     for k in LEVELS {
-        let iface = concurrent_churn(cfg.seed, n, k, MraiScope::PerInterface) / k as f64;
-        let pprefix = concurrent_churn(cfg.seed, n, k, MraiScope::PerPrefix) / k as f64;
+        let level = &events[..k.min(events.len())];
+        let per_event = |scope| concurrent_churn(&graph, level, sim_seed, scope) as f64 / k as f64;
+        let iface = per_event(MraiScope::PerInterface);
+        let pprefix = per_event(MraiScope::PerPrefix);
         t.push_row(vec![
             k.to_string(),
             f2(iface),
@@ -123,5 +121,20 @@ mod tests {
         let f = run(&mut sw);
         assert!(f.all_claims_hold(), "{}", f.render());
         assert_eq!(f.tables[0].rows.len(), LEVELS.len());
+    }
+
+    /// One protocol, two drivers: a single "concurrent" C-event is
+    /// exactly `run_c_event` on the same topology, origin, prefix and
+    /// simulator seed.
+    #[test]
+    fn one_concurrent_event_is_one_c_event() {
+        let graph = generate(GrowthScenario::Baseline, 300, 7);
+        let origin = graph.nodes_of_type(NodeType::C)[3];
+        let event = (origin, Prefix(0));
+        let concurrent = concurrent_churn(&graph, &[event], 11, MraiScope::PerInterface);
+        let mut sim = Simulator::new(graph, BgpConfig::default(), 11);
+        let single = cevent::run_c_event(&mut sim, origin, Prefix(0)).unwrap();
+        assert!(concurrent > 0);
+        assert_eq!(concurrent, single.total_updates);
     }
 }

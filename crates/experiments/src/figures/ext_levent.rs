@@ -14,6 +14,7 @@
 //! tables.
 
 use bgpscale_bgp::{BgpConfig, Prefix};
+use bgpscale_core::cevent;
 use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::levent::run_l_event;
 use bgpscale_core::Simulator;
@@ -54,8 +55,7 @@ pub fn run(sw: &mut Sweeper) -> Figure {
         let events = c_nodes.len();
         for (k, &origin) in c_nodes.iter().enumerate() {
             let prefix = Prefix(k as u32);
-            sim.originate(origin, prefix);
-            sim.run_to_quiescence().expect("warm-up converges");
+            cevent::warm_up(&mut sim, &[(origin, prefix)]).expect("warm-up converges");
             let provider = sim.graph().providers(origin).next().expect("stub has provider");
             let multihomed = sim.graph().multihoming_degree(origin) > 1;
             let outcome = run_l_event(&mut sim, origin, provider, prefix).expect("converges");
@@ -68,7 +68,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
             // goes dark.
             healing_matches_multihoming &= no_outage == multihomed;
             sim.reset_routing();
-            sim.churn_mut().reset();
         }
         let fail = fail_sum / events as f64;
         let restore = restore_sum / events as f64;

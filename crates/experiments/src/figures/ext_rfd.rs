@@ -69,7 +69,6 @@ pub fn run(sw: &mut Sweeper) -> Figure {
                     unreachable_after_reuse += outcome.unreachable_after_reuse;
                 }
                 sim.reset_routing();
-                sim.churn_mut().reset();
             }
         }
         let events = c_nodes.len() as f64;

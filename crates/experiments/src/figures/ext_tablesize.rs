@@ -15,7 +15,7 @@
 //! is exactly how the paper models growth.
 
 use bgpscale_bgp::{BgpConfig, Prefix};
-use bgpscale_core::cevent::run_c_event;
+use bgpscale_core::cevent::{self, run_c_event};
 use bgpscale_core::harness::{SIM_STREAM, TOPO_STREAM};
 use bgpscale_core::Simulator;
 use bgpscale_simkernel::rng::{hash64_pair, Rng, Xoshiro256StarStar};
@@ -59,10 +59,8 @@ pub fn run(sw: &mut Sweeper) -> Figure {
     for k in resident {
         let mut sim = Simulator::new(graph.clone(), BgpConfig::default(), hash64_pair(cfg.seed, SIM_STREAM));
         // Fill the RIBs with k unrelated, stable prefixes.
-        for (i, &owner) in stubs.iter().take(k).enumerate() {
-            sim.originate(owner, Prefix(i as u32));
-        }
-        sim.run_to_quiescence().expect("warm-up converges");
+        let owned: Vec<_> = stubs.iter().take(k).zip(0..).map(|(&o, i)| (o, Prefix(i))).collect();
+        cevent::warm_up(&mut sim, &owned).expect("warm-up converges");
         // Measured events use fresh originators and prefix ids above k.
         let mut total = 0u64;
         for (j, &origin) in stubs.iter().skip(k).take(events).enumerate() {

@@ -8,12 +8,13 @@
 
 use crate::churn_trace::{analyze_trace, generate_trace, ChurnTraceConfig};
 use crate::report::{f2, f4, Figure, Table};
+use crate::sweep::Sweeper;
 use bgpscale_stats::mann_kendall::Trend;
 
 /// Regenerates Fig. 1.
-pub fn run(seed: u64) -> Figure {
+pub fn run(sw: &mut Sweeper) -> Figure {
     let cfg = ChurnTraceConfig {
-        seed,
+        seed: sw.config().seed,
         ..ChurnTraceConfig::default()
     };
     let trace = generate_trace(&cfg);
@@ -75,16 +76,21 @@ pub fn run(seed: u64) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::RunConfig;
+
+    fn at_seed(seed: u64) -> Figure {
+        run(&mut Sweeper::new(RunConfig { seed, ..RunConfig::tiny() }))
+    }
 
     #[test]
     fn fig1_claims_hold() {
-        let f = run(0x2005_0101);
+        let f = at_seed(0x2005_0101);
         assert!(f.all_claims_hold(), "{}", f.render());
         assert_eq!(f.tables.len(), 2);
     }
 
     #[test]
     fn fig1_is_deterministic() {
-        assert_eq!(run(1).render(), run(1).render());
+        assert_eq!(at_seed(1).render(), at_seed(1).render());
     }
 }

@@ -8,13 +8,15 @@
 use bgpscale_topology::{validate::validate, GrowthScenario, NodeType};
 
 use crate::report::{Figure, Table};
+use crate::sweep::Sweeper;
 
 /// Size of the illustration instance (small enough to render by hand).
 const ILLUSTRATION_N: usize = 40;
 
 /// Regenerates Fig. 3. The DOT source is included as a single-column
 /// table so it survives plain-text rendering.
-pub fn run(seed: u64) -> Figure {
+pub fn run(sw: &mut Sweeper) -> Figure {
+    let seed = sw.config().seed;
     let mut p = GrowthScenario::Baseline.params(ILLUSTRATION_N.max(20));
     // A sketch reads better with one region (no invisible constraint).
     p.regions = 1;
@@ -48,10 +50,11 @@ pub fn run(seed: u64) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::RunConfig;
 
     #[test]
     fn fig3_claims_hold() {
-        let f = run(42);
+        let f = run(&mut Sweeper::new(RunConfig { seed: 42, ..RunConfig::tiny() }));
         assert!(f.all_claims_hold(), "{}", f.render());
         let dot_table = &f.tables[1];
         assert!(dot_table.rows.iter().any(|r| r[0].contains("digraph")));

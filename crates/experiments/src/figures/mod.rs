@@ -1,8 +1,10 @@
 //! One module per reproduced table/figure, plus shared series helpers.
 //!
-//! Every driver has the signature `run(&mut Sweeper) -> Figure` (except
-//! [`fig1`] and [`fig3`], which need no churn sweep) and encodes the
-//! paper's qualitative claims for its figure as PASS/FAIL checks.
+//! Every driver has the signature `run(&mut Sweeper) -> Figure` (those
+//! that need no churn sweep — [`table1`], [`fig1`], [`fig3`] — read only
+//! its seed and sizes) and encodes the paper's qualitative claims for its
+//! figure as PASS/FAIL checks. [`TARGETS`] lists them all by `repro`
+//! target name.
 
 pub mod ext_burstiness;
 pub mod ext_concurrency;
@@ -27,6 +29,35 @@ use std::sync::Arc;
 
 use bgpscale_core::ChurnReport;
 use bgpscale_topology::{NodeType, Relationship};
+
+use crate::report::Figure;
+use crate::sweep::Sweeper;
+
+/// A figure driver.
+pub type Driver = fn(&mut Sweeper) -> Figure;
+
+/// Every figure `repro` regenerates, by target name, in the order
+/// `repro all` runs them.
+pub const TARGETS: [(&str, Driver); 18] = [
+    ("table1", table1::run),
+    ("fig1", fig1::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("ext_levent", ext_levent::run),
+    ("ext_burstiness", ext_burstiness::run),
+    ("ext_rfd", ext_rfd::run),
+    ("ext_convergence", ext_convergence::run),
+    ("ext_concurrency", ext_concurrency::run),
+    ("ext_tablesize", ext_tablesize::run),
+];
 
 /// Which of the three per-class factors to extract.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

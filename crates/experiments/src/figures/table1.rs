@@ -10,10 +10,11 @@ use bgpscale_topology::metrics::TopologySummary;
 use bgpscale_topology::{generate, validate::validate, GrowthScenario, TopologyParams};
 
 use crate::report::{f2, Figure, Table};
-use crate::sweep::RunConfig;
+use crate::sweep::Sweeper;
 
 /// Regenerates Table 1.
-pub fn run(cfg: &RunConfig) -> Figure {
+pub fn run(sw: &mut Sweeper) -> Figure {
+    let cfg = sw.config();
     let mut fig = Figure::new("table1", "Topology parameters: configured vs realized (Baseline)");
 
     let mut params_t = Table::new(
@@ -94,10 +95,11 @@ pub fn run(cfg: &RunConfig) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::RunConfig;
 
     #[test]
     fn table1_claims_hold_on_tiny_sweep() {
-        let f = run(&RunConfig::tiny());
+        let f = run(&mut Sweeper::new(RunConfig::tiny()));
         assert!(f.all_claims_hold(), "{}", f.render());
         assert_eq!(f.tables.len(), 2);
         // One row per size in each table.

@@ -22,9 +22,9 @@
 //! pass, 1 = check failed (drift, or no baseline for the cell), 2 =
 //! usage/config error (damaged ledger).
 //!
-//! `--perturb <seed>` corrupts one measured op count with
-//! [`perturb_ops`] before comparison — CI uses it as a mutation gate
-//! proving the check actually fails (exit exactly 1) when counts drift.
+//! CI proves the check has teeth with a seeded fault in the simulator
+//! (`scripts/mutate.sh` on one op count in `core::sim`): `--check` must
+//! then exit exactly 1 naming the drift.
 //!
 //! [`cell_record`] is the one builder of ledger lines: `perf` and
 //! `profile` both describe their cell through it.
@@ -37,7 +37,7 @@ use bgpscale_obs::ledger::{
     append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
 };
 use bgpscale_obs::{CostModel, SCHEMA_VERSION};
-use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
+use bgpscale_simkernel::rng::hash64_bytes;
 
 use crate::log;
 use crate::wall::Stopwatch;
@@ -68,19 +68,6 @@ pub fn measure(cell: &ExperimentConfig, jobs: usize) -> PerfMeasurement {
         cost,
         jobs,
     }
-}
-
-/// Deterministically inflates one op class (`v → 2·v + bump`,
-/// `bump ≥ 1`): class index and bump size both derive from `seed` via the
-/// repo's standard seed-fanout hash. The corruption behind `--perturb`.
-/// Returns the class and the bump for the caller's log line.
-pub fn perturb_ops(ops: &mut OpCounts, seed: u64) -> (&'static str, u64) {
-    let idx = (hash64_pair(seed, 0xBAD) % OpCounts::FIELD_COUNT as u64) as usize;
-    let bump = 1 + hash64_pair(seed, 0xB00) % 1_000;
-    let mut fields = ops.fields();
-    fields[idx].1 = fields[idx].1 * 2 + bump;
-    *ops = OpCounts::from_fields(&fields);
-    (fields[idx].0, bump)
 }
 
 /// The content hash of one JSON artifact, as a record's `artifacts`
@@ -196,10 +183,7 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
 /// One `repro perf` run: measures every cell on up to `jobs` workers,
 /// then checks each against its baseline in the ledger at `ledger` or,
 /// with `bless`, appends their records to it in one batch. A check reads
-/// the ledger and never writes it. With `perturb = Some(seed)`, each
-/// cell's op counts are corrupted by [`perturb_ops`] before its check.
-/// Callers must not bless with `perturb` — a deliberately shifted count
-/// must never become a baseline.
+/// the ledger and never writes it.
 ///
 /// # Errors
 /// Any [`LedgerError`] from reading (a damaged ledger is refused before
@@ -207,7 +191,6 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
 pub fn run(
     cells: &[ExperimentConfig],
     jobs: usize,
-    perturb: Option<u64>,
     bless: bool,
     ledger: &Path,
     git_rev: &str,
@@ -225,11 +208,7 @@ pub fn run(
             cell.seed,
             if bless { "bless" } else { "check" }
         );
-        let mut m = measure(cell, jobs);
-        if let Some(seed) = perturb {
-            let (class, bump) = perturb_ops(&mut m.ops, seed);
-            log!(Info, "perf: perturbing {class} (×2 +{bump}, seed {seed})");
-        }
+        let m = measure(cell, jobs);
         let record = perf_record(cell, &m, git_rev);
         let verdict = if bless {
             blessed.push(record);

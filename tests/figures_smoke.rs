@@ -11,11 +11,10 @@ fn tiny_sweeper() -> Sweeper {
 #[test]
 fn every_figure_renders_nonempty() {
     let mut sw = tiny_sweeper();
-    let cfg = sw.config().clone();
     let figures: Vec<bgpscale::experiments::Figure> = vec![
-        figures::table1::run(&cfg),
-        figures::fig1::run(cfg.seed),
-        figures::fig3::run(cfg.seed),
+        figures::table1::run(&mut sw),
+        figures::fig1::run(&mut sw),
+        figures::fig3::run(&mut sw),
         figures::fig4::run(&mut sw),
         figures::fig5::run(&mut sw),
         figures::fig6::run(&mut sw),

@@ -104,9 +104,10 @@ fn truncated_trailing_line_is_rejected_as_corrupt() {
 
 /// The perf gate over the ledger, through the same `perf::run` the
 /// `repro perf` target calls: a blessed cell passes its check at a later
-/// revision, a `--perturb`-style drift and a never-blessed cell fail (the
-/// latter with the `--bless` hint), and no check — passing or failing —
-/// changes a byte of the ledger file.
+/// revision, fails once a shifted baseline is blessed after it (the
+/// newest line is the baseline), a never-blessed cell fails with the
+/// `--bless` hint, and no check — passing or failing — changes a byte of
+/// the ledger file.
 #[test]
 #[expect(clippy::disallowed_methods, reason = "the test damages a ledger on purpose")]
 fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
@@ -114,25 +115,29 @@ fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     let _ = std::fs::remove_file(&path);
     let cell = cell();
 
-    let blessed = perf::run(std::slice::from_ref(&cell), 1, None, true, &path, "revA").unwrap();
+    let blessed = perf::run(std::slice::from_ref(&cell), 1, true, &path, "revA").unwrap();
     assert_eq!(blessed.len(), 1);
     let ledger = std::fs::read(&path).unwrap();
     assert_eq!(read_ledger(&path).unwrap().len(), 1, "bless appends the record");
 
-    let verdicts = |cells: &[ExperimentConfig], perturb| -> Vec<perf::Verdict> {
-        let outcomes = perf::run(cells, 1, perturb, false, &path, "revB").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), ledger, "a check wrote the ledger");
+    let verdicts = |cells: &[ExperimentConfig]| -> Vec<perf::Verdict> {
+        let before = std::fs::read(&path).unwrap();
+        let outcomes = perf::run(cells, 1, false, &path, "revB").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a check wrote the ledger");
         outcomes.into_iter().map(|(_, verdict)| verdict).collect()
     };
-    assert_eq!(verdicts(std::slice::from_ref(&cell), None), vec![Ok(())]);
+    assert_eq!(verdicts(std::slice::from_ref(&cell)), vec![Ok(())]);
 
+    let mut shifted = perf_record(&cell, &blessed[0].0, "revA2");
+    shifted.ops.deliveries += 1;
+    append_records(&path, &[shifted]).unwrap();
     let unknown = ExperimentConfig {
         n: 175,
         ..cell.clone()
     };
-    let failed = verdicts(&[cell.clone(), unknown], Some(1));
+    let failed = verdicts(&[cell.clone(), unknown]);
     let drift = failed[0].as_ref().unwrap_err();
-    assert!(drift.iter().any(|m| m.contains("op count drift")), "{drift:?}");
+    assert!(drift.iter().any(|m| m.contains("op count drift: deliveries")), "{drift:?}");
     let missing = failed[1].as_ref().unwrap_err();
     assert!(missing[0].contains("--bless"), "{missing:?}");
 
@@ -141,7 +146,7 @@ fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     std::fs::write(&path, &ledger[..ledger.len() - 25]).unwrap();
     for bless in [false, true] {
         assert!(matches!(
-            perf::run(std::slice::from_ref(&cell), 1, None, bless, &path, "revC"),
+            perf::run(std::slice::from_ref(&cell), 1, bless, &path, "revC"),
             Err(LedgerError::Corrupt { line: 1, .. })
         ));
     }

@@ -12,7 +12,7 @@
 
 use bgpscale_core::ExperimentConfig;
 use bgpscale_experiments::churnreport::run_report;
-use bgpscale_experiments::figures;
+use bgpscale_experiments::{figures, RunConfig, Sweeper};
 use bgpscale_experiments::perf::measure;
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
@@ -68,7 +68,7 @@ fn ledger_line_is_stamped() {
 
 #[test]
 fn figure_csvs_are_stamped() {
-    let fig = figures::fig3::run(11);
+    let fig = figures::fig3::run(&mut Sweeper::new(RunConfig { seed: 11, ..RunConfig::tiny() }));
     let files = fig.csv_files();
     assert_eq!(files.len(), fig.tables.len());
     for ((name, csv), table) in files.iter().zip(&fig.tables) {
