@@ -13,68 +13,7 @@
 use std::sync::Arc;
 
 use bgpscale_bgp::{SessionSlab, Stripe};
-use bgpscale_simkernel::{SimDuration, SimTime};
 use bgpscale_topology::AsId;
-
-/// A binned time series of network-wide update arrivals, for burstiness
-/// analysis (the paper's intro observes peak rates up to ~1000× daily
-/// averages; this measures the analogous within-convergence peaks).
-#[derive(Clone, Debug)]
-pub struct Timeline {
-    origin: SimTime,
-    bin: SimDuration,
-    counts: Vec<u32>,
-}
-
-impl Timeline {
-    fn new(origin: SimTime, bin: SimDuration) -> Timeline {
-        assert!(!bin.is_zero(), "timeline bin must be positive");
-        Timeline {
-            origin,
-            bin,
-            counts: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, now: SimTime) {
-        let idx = (now.saturating_since(self.origin).as_micros() / self.bin.as_micros()) as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        if let Some(count) = self.counts.get_mut(idx) {
-            *count += 1;
-        }
-    }
-
-    /// The bin width.
-    pub fn bin(&self) -> SimDuration {
-        self.bin
-    }
-
-    /// Updates per bin, starting at the timeline origin.
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// The busiest bin's count.
-    pub fn peak(&self) -> u32 {
-        self.counts.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Peak-to-mean ratio over non-empty time (0 if nothing recorded).
-    #[expect(
-        clippy::float_arithmetic,
-        reason = "display-only ratio of exact integer bins, one division each, never serialized"
-    )]
-    pub fn peak_to_mean(&self) -> f64 {
-        let total: u64 = self.counts.iter().map(|&c| c as u64).sum();
-        if total == 0 || self.counts.is_empty() {
-            return 0.0;
-        }
-        let mean = total as f64 / self.counts.len() as f64;
-        self.peak() as f64 / mean
-    }
-}
 
 /// Per-(receiver, neighbor-slot) update counters with a global toggle.
 #[derive(Clone, Debug)]
@@ -90,8 +29,6 @@ pub struct ChurnCollector {
     /// Withdrawals among those (announcements = total − withdrawals).
     withdrawals: u64,
     total: u64,
-    /// Optional arrival-time histogram.
-    timeline: Option<Timeline>,
 }
 
 impl ChurnCollector {
@@ -104,7 +41,6 @@ impl ChurnCollector {
             slab,
             withdrawals: 0,
             total: 0,
-            timeline: None,
         }
     }
 
@@ -120,31 +56,12 @@ impl ChurnCollector {
 
     /// Records one delivered update over the receiver's session `slot`.
     #[inline]
-    pub fn record(&mut self, to: Stripe, slot: u32, is_withdrawal: bool, now: SimTime) {
+    pub fn record(&mut self, to: Stripe, slot: u32, is_withdrawal: bool) {
         if self.enabled {
             *to.entry_mut(&mut self.per_edge, slot) += 1;
             self.total += 1;
             self.withdrawals += u64::from(is_withdrawal);
-            if let Some(tl) = &mut self.timeline {
-                tl.record(now);
-            }
         }
-    }
-
-    /// Starts recording a per-bin arrival timeline anchored at `origin`.
-    /// Replaces any previous timeline.
-    pub fn start_timeline(&mut self, origin: SimTime, bin: SimDuration) {
-        self.timeline = Some(Timeline::new(origin, bin));
-    }
-
-    /// Stops timeline recording and returns it, if one was active.
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take()
-    }
-
-    /// The active timeline, if any.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
     }
 
     /// Total updates recorded.
@@ -177,9 +94,6 @@ impl ChurnCollector {
         self.per_edge.fill(0);
         self.total = 0;
         self.withdrawals = 0;
-        if let Some(tl) = &mut self.timeline {
-            *tl = Timeline::new(tl.origin, tl.bin);
-        }
     }
 }
 
@@ -206,7 +120,7 @@ mod tests {
     #[test]
     fn disabled_collector_ignores_records() {
         let mut c = tiny();
-        c.record(c.slab.stripe(0), 0, false, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 0, false);
         assert_eq!(c.total(), 0);
         assert_eq!(c.node_total(AsId(0)), 0);
     }
@@ -215,9 +129,9 @@ mod tests {
     fn enabled_collector_attributes_per_slot() {
         let mut c = tiny();
         c.set_enabled(true);
-        c.record(c.slab.stripe(0), 0, false, SimTime::ZERO);
-        c.record(c.slab.stripe(0), 0, true, SimTime::ZERO);
-        c.record(c.slab.stripe(0), 1, false, SimTime::ZERO);
+        c.record(c.slab.stripe(0), 0, false);
+        c.record(c.slab.stripe(0), 0, true);
+        c.record(c.slab.stripe(0), 1, false);
         assert_eq!(c.total(), 3);
         assert_eq!(c.withdrawals(), 1);
         assert_eq!(c.announcements(), 2);
@@ -230,33 +144,11 @@ mod tests {
     fn reset_zeroes_but_keeps_enabled() {
         let mut c = tiny();
         c.set_enabled(true);
-        c.record(c.slab.stripe(1), 0, false, SimTime::ZERO);
+        c.record(c.slab.stripe(1), 0, false);
         c.reset();
         assert_eq!(c.total(), 0);
         assert_eq!(c.node_counts(AsId(1)), &[0]);
         assert!(c.enabled());
-    }
-
-    #[test]
-    fn timeline_bins_arrivals() {
-        let mut c = tiny();
-        c.set_enabled(true);
-        c.start_timeline(SimTime::ZERO, SimDuration::from_secs(1));
-        // Two in the first second, one at t = 2.5 s.
-        c.record(c.slab.stripe(0), 0, false, SimTime::from_millis(100));
-        c.record(c.slab.stripe(0), 0, false, SimTime::from_millis(900));
-        c.record(c.slab.stripe(0), 1, false, SimTime::from_millis(2_500));
-        let tl = c.timeline().unwrap();
-        assert_eq!(tl.counts(), &[2, 0, 1]);
-        assert_eq!(tl.peak(), 2);
-        assert!((tl.peak_to_mean() - 2.0).abs() < 1e-12);
-        // Reset keeps the timeline active but clears it.
-        c.reset();
-        assert_eq!(c.timeline().unwrap().counts().len(), 0);
-        assert_eq!(c.timeline().unwrap().peak_to_mean(), 0.0);
-        // take removes it.
-        assert!(c.take_timeline().is_some());
-        assert!(c.timeline().is_none());
     }
 
     #[test]

@@ -784,7 +784,6 @@ impl<O: SimObserver> Simulator<O> {
         self.routes.recycle();
         self.paths.clear();
         self.rng = Xoshiro256StarStar::new(seed);
-        self.churn.take_timeline();
         self.churn.reset();
         self.churn.set_enabled(false);
         self.last_activity = SimTime::ZERO;
@@ -805,7 +804,7 @@ impl<O: SimObserver> Simulator<O> {
         let from = session.peer;
         self.last_activity = now;
         self.ops.deliveries += 1;
-        self.churn.record(stripe, slot, update.kind.is_withdraw(), now);
+        self.churn.record(stripe, slot, update.kind.is_withdraw());
         // Depth the arriving message will reach once enqueued — the
         // receiver-side backlog signal.
         let inbox_depth = self.inbox.len(to.index()) + 1;

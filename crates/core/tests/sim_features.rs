@@ -1,5 +1,5 @@
 //! Integration tests for simulator features beyond the basic C-event:
-//! timelines, timed execution (`run_until`), MRAI scopes, and the
+//! timed execution (`run_until`), MRAI scopes, and the
 //! interaction of link events with WRATE and RFD.
 
 use bgpscale_bgp::rfd::RfdConfig;
@@ -17,24 +17,6 @@ fn baseline_sim(n: usize, seed: u64, cfg: BgpConfig) -> (Simulator, bgpscale_top
         .find(|&id| g.node_type(id) == NodeType::C)
         .unwrap();
     (Simulator::new(g, cfg, seed ^ 0xFEED), origin)
-}
-
-#[test]
-fn timeline_records_cevent_arrivals() {
-    let (mut sim, origin) = baseline_sim(200, 1, BgpConfig::default());
-    sim.originate(origin, Prefix(0));
-    sim.run_to_quiescence().unwrap();
-    let start = sim.now();
-    sim.churn_mut().start_timeline(start, SimDuration::from_secs(1));
-    let outcome = run_c_event(&mut sim, origin, Prefix(1)).unwrap();
-    let tl = sim.churn_mut().take_timeline().unwrap();
-    let binned: u64 = tl.counts().iter().map(|&c| c as u64).sum();
-    assert_eq!(
-        binned, outcome.total_updates,
-        "every counted update must land in exactly one bin"
-    );
-    assert!(tl.peak() > 0);
-    assert!(tl.peak_to_mean() >= 1.0);
 }
 
 #[test]

@@ -84,7 +84,7 @@
 //!   --ledger-rev <rev>  record this revision string instead of
 //!                  `git rev-parse HEAD` (tests, CI matrices)
 //!
-//! Set BGPSCALE_LOG=quiet|info|debug to control progress chatter on
+//! Set BGPSCALE_LOG=quiet|info to control progress chatter on
 //! stderr (default info).
 //!
 //! exit codes:
@@ -263,7 +263,7 @@ fn write_metrics(
     metrics: &bgpscale_obs::MetricsRegistry,
 ) -> std::io::Result<()> {
     artifact::write(path, metrics.to_json().as_bytes())?;
-    log!(Info, "wrote metrics to {}", path.display());
+    log!("wrote metrics to {}", path.display());
     Ok(())
 }
 
@@ -271,7 +271,7 @@ fn write_metrics(
 /// line.
 fn write_trace(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
     artifact::write(path, trace::to_jsonl(records).as_bytes())?;
-    log!(Info, "wrote {} trace records to {}", records.len(), path.display());
+    log!("wrote {} trace records to {}", records.len(), path.display());
     Ok(())
 }
 
@@ -306,7 +306,7 @@ fn run_profile_target(opts: &Options) -> std::io::Result<Exit> {
             eprintln!("profile check FAILED: {reason}");
             return Ok(Exit::Fail);
         }
-        log!(Info, "profile check passed");
+        log!("profile check passed");
     }
     Ok(Exit::Ok)
 }
@@ -317,7 +317,6 @@ fn run_profile_target(opts: &Options) -> std::io::Result<Exit> {
 fn run_report_target(opts: &Options) -> std::io::Result<Exit> {
     let cell = opts.cells().remove(0);
     log!(
-        Info,
         "report: {} n={} events={} bin={}us …",
         cell.scenario,
         cell.n,
@@ -327,13 +326,13 @@ fn run_report_target(opts: &Options) -> std::io::Result<Exit> {
     let out = churnreport::run_report(&cell, opts.jobs, opts.bin_us);
     print!("{}", churnreport::render_text(&cell, opts.bin_us, &out));
     artifact::write(&opts.timeseries_out, out.timeseries_json.as_bytes())?;
-    log!(Info, "wrote time series to {}", opts.timeseries_out.display());
+    log!("wrote time series to {}", opts.timeseries_out.display());
     if opts.check {
         if let Err(reason) = churnreport::check(&out) {
             eprintln!("report check FAILED: {reason}");
             return Ok(Exit::Fail);
         }
-        log!(Info, "report check passed");
+        log!("report check passed");
     }
     Ok(Exit::Ok)
 }
@@ -374,7 +373,6 @@ fn append_ledger(opts: &Options, records: &[LedgerRecord]) -> Exit {
     match append_records(path, records) {
         Ok(outcome) => {
             log!(
-                Info,
                 "ledger: {} record(s) appended to {} ({} deduped)",
                 outcome.appended,
                 path.display(),
@@ -428,7 +426,7 @@ fn run_perf_target(opts: &Options) -> Exit {
     for (cell, (measurement, verdict)) in cells.iter().zip(&outcomes) {
         let n = cell.n;
         match verdict {
-            Ok(()) => log!(Info, "perf: n={n} OK ({} total ops)", measurement.ops.grand_total()),
+            Ok(()) => log!("perf: n={n} OK ({} total ops)", measurement.ops.grand_total()),
             Err(msgs) => {
                 for msg in msgs {
                     eprintln!("perf: n={n} FAILED: {msg}");
@@ -450,7 +448,7 @@ fn run_perf_target(opts: &Options) -> Exit {
                 eprintln!("perf: writing {} failed: {e}", path.display());
                 return Exit::Fail;
             }
-            log!(Info, "perf: wrote {}", path.display());
+            log!("perf: wrote {}", path.display());
         }
     }
     exit
@@ -492,7 +490,6 @@ fn run(opts: &Options) -> Exit {
     let started = Stopwatch::start();
     let mut sw = Sweeper::new(opts.cfg.clone());
     sw.set_jobs(opts.jobs);
-    sw.enable_heartbeat();
     if opts.metrics_out.is_some() || opts.trace_out.is_some() {
         let sample = opts.trace_out.as_ref().map(|_| opts.trace_sample);
         sw.enable_telemetry(sample);
@@ -519,7 +516,7 @@ fn run(opts: &Options) -> Exit {
         }
         if let Some(dir) = &opts.csv_dir {
             if let Err(e) = write_csv(dir, &fig) {
-                log!(Info, "warning: CSV export failed: {e}");
+                log!("warning: CSV export failed: {e}");
             }
         }
     }
@@ -537,7 +534,6 @@ fn run(opts: &Options) -> Exit {
         }
     }
     log!(
-        Info,
         "done in {:.1}s ({} experiment cells, {} failed claims, {} known divergences)",
         started.elapsed_secs_f64(),
         sw.cached_cells(),

@@ -139,7 +139,7 @@ fn run() -> Exit {
     // A topology with no stubs would be useless for churn studies; flag
     // it loudly (TRANSIT-CLIQUE etc. still have stubs).
     if g.count_of_type(NodeType::C) == 0 {
-        bgpscale_experiments::log!(Info, "warning: no C-type stubs in this instance");
+        bgpscale_experiments::log!("warning: no C-type stubs in this instance");
     }
     Exit::Ok
 }

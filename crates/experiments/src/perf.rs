@@ -1,9 +1,9 @@
 //! `repro perf`: the repo's one regression gate, over the exact cost model.
 //!
 //! A cell's **baseline** is a line of the run ledger (`obs::ledger`,
-//! default `results/ledger/runs.jsonl`): the newest `perf` record of the
-//! current schema whose config fingerprint `(scenario, n, mode, seed,
-//! events)` is the cell's. `perf` records are written by `--bless` only —
+//! default `results/ledger/runs.jsonl`, which holds the current schema
+//! only): the newest `perf` record whose config fingerprint `(scenario,
+//! n, mode, seed, events)` is the cell's. `perf` records are written by `--bless` only —
 //! a `--check` never appends, so a drifted measurement cannot bless
 //! itself — and `profile` records, which every `repro profile` run
 //! appends ungated, are never baselines. Because the counts are exact
@@ -36,7 +36,7 @@ use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{
     append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
 };
-use bgpscale_obs::{CostModel, SCHEMA_VERSION};
+use bgpscale_obs::CostModel;
 use bgpscale_simkernel::rng::hash64_bytes;
 
 use crate::log;
@@ -94,7 +94,6 @@ pub fn cell_record(
     git_rev: &str,
 ) -> LedgerRecord {
     LedgerRecord {
-        schema: SCHEMA_VERSION,
         kind,
         git_rev: git_rev.to_string(),
         scenario: cell.scenario.to_string(),
@@ -108,8 +107,6 @@ pub fn cell_record(
             wall_us: (wall_s * 1e6).max(0.0).round() as u64,
             jobs: jobs as u64,
             peak_rss_bytes: bgpscale_simkernel::peak_rss_bytes(),
-            metrics_overhead_cpct: None,
-            trace_overhead_cpct: None,
         },
     }
 }
@@ -127,9 +124,7 @@ pub fn perf_record(cell: &ExperimentConfig, m: &PerfMeasurement, git_rev: &str) 
 /// returns it); see the module docs for what qualifies.
 pub fn baseline<'a>(history: &'a [LedgerRecord], cell: &LedgerRecord) -> Option<&'a LedgerRecord> {
     let fingerprint = cell.fingerprint();
-    history.iter().rev().find(|r| {
-        r.kind == RunKind::Perf && r.schema == cell.schema && r.fingerprint() == fingerprint
-    })
+    history.iter().rev().find(|r| r.kind == RunKind::Perf && r.fingerprint() == fingerprint)
 }
 
 /// How one cell's check ended: `Err` carries one message per finding (a
@@ -200,7 +195,6 @@ pub fn run(
     let mut blessed = Vec::new();
     for cell in cells {
         log!(
-            Info,
             "perf: {} n={} events={} seed={} ({}) …",
             cell.scenario,
             cell.n,
@@ -221,7 +215,6 @@ pub fn run(
     if bless {
         let outcome = append_records(ledger, &blessed)?;
         log!(
-            Info,
             "perf: blessed {} cell(s) into {} ({} deduped)",
             outcome.appended,
             ledger.display(),
@@ -245,21 +238,19 @@ mod tests {
     }
 
     #[test]
-    fn newest_same_schema_perf_line_is_the_baseline() {
+    fn newest_perf_line_of_the_cell_is_the_baseline() {
         let cfg = tiny();
         let cell = record(&cfg, "head");
         let mut stale = record(&cfg, "r1");
         stale.ops.deliveries += 1;
         let blessed = record(&cfg, "r2");
-        // Same cell, ungated kind and older schema: both must be skipped
-        // even though they are newer than the blessed line.
+        // Same cell, ungated kind: skipped even though it is newer than
+        // the blessed line.
         let mut profile = record(&cfg, "r3");
         profile.kind = RunKind::Profile;
         profile.ops.deliveries += 2;
-        let mut old_schema = record(&cfg, "r4");
-        old_schema.schema = 1;
-        let other_cell = record(&ExperimentConfig { n: 175, ..tiny() }, "r5");
-        let history = [stale, blessed, profile, old_schema, other_cell];
+        let other_cell = record(&ExperimentConfig { n: 175, ..tiny() }, "r4");
+        let history = [stale, blessed, profile, other_cell];
         assert_eq!(baseline(&history, &cell).unwrap().git_rev, "r2");
         assert_eq!(check(&history, &cell), Ok(()));
         // With only the drifted line left, the same cell fails.

@@ -20,9 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bgpscale_bgp::{BgpConfig, MraiMode};
-use bgpscale_core::{
-    run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions, ObservedReport,
-};
+use bgpscale_core::{run_cell, CellError, ChurnReport, ExperimentConfig, ObserveOptions};
 use bgpscale_obs::{MetricsRegistry, TraceRecord};
 use bgpscale_topology::GrowthScenario;
 
@@ -79,46 +77,35 @@ struct CellKey {
 }
 
 /// Wall-side progress of one [`Sweeper::sweep_mode`] or
-/// [`Sweeper::report`] call, on the owning thread (see
-/// [`Sweeper::enable_heartbeat`]).
+/// [`Sweeper::report`] call, on the owning thread: a [`crate::log!`]
+/// line as each uncached cell starts, and one as it completes — cells
+/// done/total within the call, the cell's simulator event count and the
+/// call's running events/sec, elapsed wall time, and a simple ETA
+/// (`elapsed / done · remaining`). Pure stderr chatter, silenced with
+/// `BGPSCALE_LOG=quiet`: the lines never enter any deterministic
+/// artifact.
 struct Heartbeat {
-    /// `None` when the heartbeat is off: every tick is then a no-op.
-    watch: Option<Stopwatch>,
+    watch: Stopwatch,
     total: usize,
     done: usize,
     events: u64,
 }
 
 impl Heartbeat {
-    fn new(on: bool, total: usize) -> Heartbeat {
+    fn new(total: usize) -> Heartbeat {
         Heartbeat {
-            watch: on.then(Stopwatch::start),
+            watch: Stopwatch::start(),
             total,
             done: 0,
             events: 0,
         }
     }
 
-    /// Logs that `cfg` starts computing: a cell run on its own, not one
-    /// of a parallel batch.
-    fn start(&self, cfg: &ExperimentConfig) {
-        if self.watch.is_some() {
-            log!(
-                Info,
-                "sweep: running {} n={} {} …",
-                cfg.scenario,
-                cfg.n,
-                cfg.bgp.mrai_mode.label()
-            );
-        }
-    }
-
     fn tick(&mut self, cfg: &ExperimentConfig, cell_events: u64) {
-        let Some(watch) = &self.watch else { return };
         self.done += 1;
         self.events += cell_events;
         let (done, total) = (self.done, self.total);
-        let elapsed = watch.elapsed_secs_f64();
+        let elapsed = self.watch.elapsed_secs_f64();
         let eta = if done < total {
             elapsed / done as f64 * (total - done) as f64
         } else {
@@ -130,7 +117,6 @@ impl Heartbeat {
             0.0
         };
         log!(
-            Info,
             "sweep: {done}/{total} cells done ({} n={} {}) {cell_events} events {rate:.0} ev/s elapsed {elapsed:.1}s eta {eta:.1}s",
             cfg.scenario,
             cfg.n,
@@ -154,9 +140,6 @@ pub struct Sweeper {
     /// Concatenated trace records of every uncached cell, same ordering
     /// discipline as `metrics`.
     trace: Vec<TraceRecord>,
-    /// Emit a wall-side heartbeat line per completed sweep cell (see
-    /// [`Sweeper::enable_heartbeat`]).
-    heartbeat: bool,
 }
 
 impl Sweeper {
@@ -170,21 +153,7 @@ impl Sweeper {
             telemetry: None,
             metrics: MetricsRegistry::new(),
             trace: Vec::new(),
-            heartbeat: false,
         }
-    }
-
-    /// Turns on the wall-side sweep heartbeat: every [`Sweeper::sweep_mode`]
-    /// and [`Sweeper::report`] call logs one [`crate::log!`] info line per
-    /// completed uncached cell — cells-done/total within the call, the
-    /// cell's simulator event count and the call's running events/sec
-    /// throughput, elapsed wall time, and a simple ETA (`elapsed / done ·
-    /// remaining`) — and one when a cell starts computing alone (the cells
-    /// of a parallel batch report only their fold). Pure stderr chatter
-    /// for long runs: the lines are emitted on the owning thread and never
-    /// enter any deterministic artifact.
-    pub fn enable_heartbeat(&mut self) {
-        self.heartbeat = true;
     }
 
     /// Turns on telemetry collection: every *uncached* cell computed from
@@ -209,32 +178,6 @@ impl Sweeper {
     /// order; within a cell, event-index order).
     pub fn take_trace(&mut self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Folds one computed cell into the cache and the accumulated
-    /// telemetry (empty for an unobserved cell), then ticks `hb`. Always on
-    /// the owning thread, in the order cells are handed in. Panics with
-    /// the [`CellError`]'s text if the cell failed: no sweep sets an event
-    /// budget, so that is a model bug, and a figure needs all its cells.
-    fn fold_cell(
-        &mut self,
-        cfg: &ExperimentConfig,
-        computed: Result<ObservedReport, CellError>,
-        hb: &mut Heartbeat,
-    ) -> Arc<ChurnReport> {
-        let observed = computed.unwrap_or_else(|e| panic!("{e}"));
-        let key = CellKey {
-            scenario: cfg.scenario,
-            n: cfg.n,
-            mode: cfg.bgp.mrai_mode,
-        };
-        self.metrics.merge(&observed.metrics);
-        self.trace.extend(observed.trace);
-        // Simulator events the cell processed: one queue pop each.
-        hb.tick(cfg, observed.cost.total().queue_pops);
-        let report = Arc::new(observed.report);
-        self.cache.insert(key, Arc::clone(&report));
-        report
     }
 
     /// Sets the worker budget: how many C-events of a cell may be computed
@@ -277,10 +220,15 @@ impl Sweeper {
         n: usize,
         mode: MraiMode,
     ) -> Arc<ChurnReport> {
-        self.cell(scenario, n, mode, &mut Heartbeat::new(self.heartbeat, 1))
+        self.cell(scenario, n, mode, &mut Heartbeat::new(1))
     }
 
-    /// [`Sweeper::report`], ticking `hb` when the cell had to be computed.
+    /// [`Sweeper::report`], through `hb`. An uncached cell is computed
+    /// and folded into the cache and the accumulated telemetry (empty for
+    /// an unobserved cell) on the owning thread, in call order. Panics
+    /// with the [`CellError`]'s text if the cell failed: no sweep sets an
+    /// event budget, so that is a model bug, and a figure needs all its
+    /// cells.
     fn cell(
         &mut self,
         scenario: GrowthScenario,
@@ -288,13 +236,21 @@ impl Sweeper {
         mode: MraiMode,
         hb: &mut Heartbeat,
     ) -> Arc<ChurnReport> {
-        if let Some(hit) = self.cache.get(&CellKey { scenario, n, mode }) {
+        let key = CellKey { scenario, n, mode };
+        if let Some(hit) = self.cache.get(&key) {
             return Arc::clone(hit);
         }
-        let cell_cfg = self.cell_config(scenario, n, mode);
-        hb.start(&cell_cfg);
-        let observed = run_cell(&cell_cfg, self.jobs, self.telemetry.as_ref(), |_| {});
-        self.fold_cell(&cell_cfg, observed, hb)
+        let cfg = self.cell_config(scenario, n, mode);
+        log!("sweep: running {scenario} n={n} {} …", mode.label());
+        let observed = run_cell(&cfg, self.jobs, self.telemetry.as_ref(), |_| {});
+        let observed = observed.unwrap_or_else(|e: CellError| panic!("{e}"));
+        self.metrics.merge(&observed.metrics);
+        self.trace.extend(observed.trace);
+        // Simulator events the cell processed: one queue pop each.
+        hb.tick(&cfg, observed.cost.total().queue_pops);
+        let report = Arc::new(observed.report);
+        self.cache.insert(key, Arc::clone(&report));
+        report
     }
 
     /// Runs the whole size sweep for one scenario (NO-WRATE).
@@ -312,7 +268,7 @@ impl Sweeper {
         mode: MraiMode,
     ) -> Vec<Arc<ChurnReport>> {
         let uncached = self.cfg.sizes.iter().filter(|&&n| !self.cache.contains_key(&CellKey { scenario, n, mode }));
-        let mut hb = Heartbeat::new(self.heartbeat, uncached.count());
+        let mut hb = Heartbeat::new(uncached.count());
         let sizes = self.cfg.sizes.clone();
         sizes.into_iter().map(|n| self.cell(scenario, n, mode, &mut hb)).collect()
     }

@@ -189,7 +189,7 @@ fn short_rev(rev: &str) -> &str {
 /// Renders the dashboard as text: the history's shape; per revision and
 /// n, events/sec and updates and ops per event for the config group with
 /// the most history; the exponent refits with each class's kind; and the
-/// wall-side context (peak RSS and observer overheads where recorded).
+/// wall-side context (peak RSS where recorded).
 pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
     let mut s = format!(
         "trend: {} records, {} revisions, {} config fingerprints (read-only: the regression \
@@ -231,24 +231,18 @@ pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
         &["config", "rev", "op class", "kind", "n-exponent", "r²"],
         fits,
     ));
-    let cpct = |c: Option<i64>| c.map_or("—".to_string(), |c| format!("{:.2}", c as f64 / 100.0));
-    let mib = |b: u64| format!("{:.1}", b as f64 / (1 << 20) as f64);
-    let measured = records
-        .iter()
-        .filter(|r| r.wall.peak_rss_bytes.is_some() || r.wall.metrics_overhead_cpct.is_some());
-    let wall = measured.map(|r| {
-        vec![
+    let wall = records.iter().filter_map(|r| {
+        let peak = r.wall.peak_rss_bytes?;
+        Some(vec![
             short_rev(&r.git_rev).to_string(),
             r.kind.to_string(),
             r.n.to_string(),
-            r.wall.peak_rss_bytes.map_or("—".to_string(), mib),
-            cpct(r.wall.metrics_overhead_cpct),
-            cpct(r.wall.trace_overhead_cpct),
-        ]
+            format!("{:.1}", peak as f64 / (1 << 20) as f64),
+        ])
     });
     tables.push(Table::with_rows(
         "wall-side context",
-        &["rev", "kind", "n", "peak RSS (MiB)", "metrics ovh %", "trace ovh %"],
+        &["rev", "kind", "n", "peak RSS (MiB)"],
         wall,
     ));
     for t in tables.iter().filter(|t| !t.rows.is_empty()) {
@@ -262,15 +256,13 @@ pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
 mod tests {
     use super::*;
     use bgpscale_obs::ledger::{ArtifactHashes, RunKind, WallSide};
-    use bgpscale_obs::SCHEMA_VERSION;
 
     /// A record whose counts are an exact linear (or quadratic) function
     /// of n, so exponent fits land on integers.
     fn rec(n: u64, rev: &str, per_class: u64) -> LedgerRecord {
         let fields = OpCounts::default().fields().map(|(name, _)| (name, per_class));
         LedgerRecord {
-            schema: SCHEMA_VERSION,
-            kind: RunKind::Bench,
+            kind: RunKind::Perf,
             git_rev: rev.to_string(),
             scenario: "BASELINE".to_string(),
             n,
@@ -283,8 +275,6 @@ mod tests {
                 wall_us: 1000 * n,
                 jobs: 1,
                 peak_rss_bytes: Some(1 << 20),
-                metrics_overhead_cpct: None,
-                trace_overhead_cpct: None,
             },
         }
     }
@@ -353,7 +343,7 @@ mod tests {
         };
         assert_eq!(kind_of(" mrai_coalesced "), Some(true), "kind column:\n{text}");
         assert_eq!(kind_of(" deliveries "), Some(false));
-        assert!(has_row(&["r2", "bench", "400", "1.0", "—", "—"]), "{text}");
+        assert!(has_row(&["r2", "perf", "400", "1.0"]), "{text}");
         assert!(!text.contains("Regressions"), "the dashboard judges nothing");
     }
 

@@ -10,18 +10,18 @@
 //!
 //! * [`Stopwatch`] — elapsed host time, for progress lines, profiles and
 //!   the run ledger's wall tier.
-//! * [`crate::log!`] — leveled progress chatter on stderr, controlled by
+//! * [`crate::log!`] — progress chatter on stderr, controlled by
 //!   `BGPSCALE_LOG`:
 //!
 //! ```text
 //! BGPSCALE_LOG=quiet  errors only (macro output fully suppressed)
 //! BGPSCALE_LOG=info   progress lines (the default)
-//! BGPSCALE_LOG=debug  everything, including per-cell detail
 //! ```
 //!
-//! The level is read once per process (`OnceLock`); unrecognized values
-//! fall back to `info`. Hard errors (usage, failed writes) stay on plain
-//! `eprintln!` — they are the program's interface, not diagnostics.
+//! The variable is read once per process (`OnceLock`); `0` and `off`
+//! mean `quiet`, and any other value means `info`. Hard errors (usage,
+//! failed writes) stay on plain `eprintln!` — they are the program's
+//! interface, not diagnostics.
 
 #![expect(
     clippy::disallowed_methods,
@@ -56,56 +56,26 @@ impl Stopwatch {
     }
 }
 
-/// Verbosity levels, ordered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Suppress all `log!` output.
-    Quiet = 0,
-    /// Progress lines (default).
-    Info = 1,
-    /// Detailed diagnostics.
-    Debug = 2,
+/// Whether a `BGPSCALE_LOG` value silences [`crate::log!`].
+fn is_quiet(value: &str) -> bool {
+    matches!(value.trim().to_ascii_lowercase().as_str(), "quiet" | "0" | "off")
 }
 
-impl Level {
-    /// Parses a `BGPSCALE_LOG` value; `None` for unrecognized input.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "quiet" | "0" | "off" => Some(Level::Quiet),
-            "info" | "1" => Some(Level::Info),
-            "debug" | "2" => Some(Level::Debug),
-            _ => None,
-        }
-    }
+/// True unless `BGPSCALE_LOG` silences progress lines (read once).
+pub fn enabled() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| !std::env::var("BGPSCALE_LOG").is_ok_and(|v| is_quiet(&v)))
 }
 
-/// The process-wide maximum level, from `BGPSCALE_LOG` (default `info`).
-fn max_level() -> Level {
-    static LEVEL: OnceLock<Level> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        std::env::var("BGPSCALE_LOG")
-            .ok()
-            .and_then(|v| Level::parse(&v))
-            .unwrap_or(Level::Info)
-    })
-}
-
-/// True if messages at `level` should be emitted. Messages tagged
-/// `Quiet` are never emitted (it is a threshold, not a message level).
-pub fn enabled(level: Level) -> bool {
-    level != Level::Quiet && level <= max_level()
-}
-
-/// Logs a line to stderr if the given level is enabled:
+/// Logs a progress line to stderr unless `BGPSCALE_LOG` is `quiet`:
 ///
 /// ```
-/// bgpscale_experiments::log!(Info, "running {} cells", 5);
-/// bgpscale_experiments::log!(Debug, "cache state: {:?}", ());
+/// bgpscale_experiments::log!("running {} cells", 5);
 /// ```
 #[macro_export]
 macro_rules! log {
-    ($lvl:ident, $($arg:tt)*) => {
-        if $crate::wall::enabled($crate::wall::Level::$lvl) {
+    ($($arg:tt)*) => {
+        if $crate::wall::enabled() {
             eprintln!($($arg)*);
         }
     };
@@ -124,26 +94,18 @@ mod tests {
     }
 
     #[test]
-    fn level_parsing() {
-        assert_eq!(Level::parse("quiet"), Some(Level::Quiet));
-        assert_eq!(Level::parse("OFF"), Some(Level::Quiet));
-        assert_eq!(Level::parse(" info "), Some(Level::Info));
-        assert_eq!(Level::parse("DEBUG"), Some(Level::Debug));
-        assert_eq!(Level::parse("2"), Some(Level::Debug));
-        assert_eq!(Level::parse("verbose"), None);
-        assert_eq!(Level::parse(""), None);
+    fn quiet_values() {
+        for quiet in ["quiet", "OFF", " 0 "] {
+            assert!(is_quiet(quiet), "{quiet:?}");
+        }
+        // `debug` is gone: like any other value it means `info`.
+        for info in ["info", "1", "debug", "verbose", ""] {
+            assert!(!is_quiet(info), "{info:?}");
+        }
     }
 
     #[test]
-    fn levels_are_ordered() {
-        assert!(Level::Quiet < Level::Info);
-        assert!(Level::Info < Level::Debug);
-    }
-
-    #[test]
-    fn log_macro_compiles_with_all_levels() {
-        crate::log!(Quiet, "never shown {}", 1);
-        crate::log!(Info, "info {}", 2);
-        crate::log!(Debug, "debug {:?}", (3, 4));
+    fn log_macro_formats_its_arguments() {
+        crate::log!("info {}", 2);
     }
 }

@@ -65,7 +65,7 @@ macro_rules! op_classes {
 
         impl OpCounts {
             /// Class names and kinds in canonical order; its length is
-            /// the number of counter classes (schemas 2 and 3).
+            /// the number of counter classes (schema 3).
             pub const CLASSES: &'static [(&'static str, ClassKind)] =
                 &[$((stringify!($name), ClassKind::$kind)),+];
 
@@ -146,7 +146,8 @@ op_classes! {
     mrai_coalesced: Avoided,
     /// Reserved: reads 0. Counted the re-files of the timing wheel that
     /// schemas 1–2 ran on; the radix heap has no such operation. The class
-    /// keeps its slot because ledger history and `benchmark/` name it.
+    /// keeps its slot because `benchmark/` names it; the next schema bump
+    /// deletes it (ROADMAP item 3).
     queue_cascades: Work,
     /// Bytes reserved by the node arenas (session slab + prefix-major
     /// RIB columns + damping entries) at snapshot time, per the fixed
@@ -159,12 +160,6 @@ op_classes! {
 impl OpCounts {
     /// Number of counter classes.
     pub const FIELD_COUNT: usize = Self::CLASSES.len();
-
-    /// Number of counter classes in schema v1 ledger lines
-    /// (everything before `queue_cascades`). New classes are only ever
-    /// appended, so a v1 prefix of [`OpCounts::fields`] is exactly the v1
-    /// field set.
-    pub const FIELD_COUNT_V1: usize = 13;
 
     /// Canonical field names (matches [`OpCounts::fields`] order).
     pub fn field_names() -> [&'static str; Self::FIELD_COUNT] {
@@ -315,13 +310,12 @@ mod tests {
             + c.mrai_fired
             + c.queue_cascades;
         assert_eq!(c.grand_total(), work);
-        assert_eq!(OpCounts::FIELD_COUNT, 15, "schemas 2 and 3 carry fifteen classes");
+        assert_eq!(OpCounts::FIELD_COUNT, 15, "schema 3 carries fifteen classes");
         assert_eq!(OpCounts::from_fields(&c.fields()), c, "fields roundtrip");
-        // Positions are the wire order: first, v1's last, and the two
-        // appended classes.
+        // Positions are the wire order: the first class and the last three.
         let at = |name: &str| OpCounts::field_names().iter().position(|&n| n == name);
         assert_eq!((c.queue_pushes, at("queue_pushes")), (1, Some(0)));
-        assert_eq!((c.mrai_coalesced, at("mrai_coalesced")), (13, Some(OpCounts::FIELD_COUNT_V1 - 1)));
+        assert_eq!((c.mrai_coalesced, at("mrai_coalesced")), (13, Some(12)));
         assert_eq!((c.queue_cascades, at("queue_cascades")), (14, Some(13)));
         assert_eq!((c.arena_bytes_reserved, at("arena_bytes_reserved")), (15, Some(14)));
     }

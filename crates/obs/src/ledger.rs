@@ -21,12 +21,11 @@
 //!   `(config, seed, code)` and therefore byte-identical across `--jobs`
 //!   — the same contract as every other deterministic writer, enforced by
 //!   the jobs-1/4/8 tests.
-//! * **`wall` — wall-side fields.** Wall time, worker count, peak RSS,
-//!   observer-overhead numbers. Machine- and scheduling-dependent by
-//!   definition; they never participate in hashing or dedup. All wall
-//!   fields are stored in integer units (microseconds, bytes,
-//!   centi-percent) because this file denies float arithmetic
-//!   (`clippy::float_arithmetic`).
+//! * **`wall` — wall-side fields.** Wall time, worker count, peak RSS.
+//!   Machine- and scheduling-dependent by definition; they never
+//!   participate in hashing or dedup. All wall fields are stored in
+//!   integer units (microseconds, bytes) because this file denies float
+//!   arithmetic (`clippy::float_arithmetic`).
 //!
 //! The **config fingerprint** hashes `(scenario, n, mode, seed, events)`
 //! via the simkernel hash chain ([`hash64_bytes`] / [`hash64_pair`]).
@@ -41,17 +40,20 @@
 //! ledger is a re-run of identical work and is deduplicated (skipped)
 //! instead of double-appended; a record differing in *any* deterministic
 //! byte gets a fresh line. Readers ([`read_ledger`]) verify every line by
-//! canonical round-trip: parse, re-serialize *in the line's own schema
-//! layout*, compare bytes — a corrupt or truncated trailing line is a
-//! hard [`LedgerError::Corrupt`], never silently skipped (surfaced as
-//! exit 2 by `repro perf` and `repro trend`, the shared
-//! usage/config-error code).
+//! canonical round-trip: parse, re-serialize, compare bytes — a corrupt
+//! or truncated trailing line is a hard [`LedgerError::Corrupt`], never
+//! silently skipped (surfaced as exit 2 by `repro perf` and `repro
+//! trend`, the shared usage/config-error code).
 //!
-//! Because history is append-only, a schema bump never orphans old
-//! lines: op-count classes are only ever appended to [`OpCounts`], so a
-//! v1 `ops` block is a prefix of today's and parses with the new classes
-//! at zero; v2 and v3 share a layout and differ only in what the queue
-//! classes count. New lines are always written in the current schema.
+//! ## One schema
+//!
+//! The ledger holds lines of the current [`SCHEMA_VERSION`] only, so
+//! every row a trend or a baseline compares was counted the same way. A
+//! line of any other schema is a [`LedgerError::Schema`]. A schema bump
+//! therefore does two things in one commit: it moves `runs.jsonl`
+//! verbatim under `results/ledger/archive/` (named for the schemas it
+//! holds; no code reads the archive), and it re-blesses the CI cells
+//! into a fresh ledger.
 
 // Integer-only: a float sum is order-sensitive, so merges would not be exact.
 #![deny(clippy::float_arithmetic)]
@@ -69,9 +71,6 @@ use crate::SCHEMA_VERSION;
 /// Which subcommand produced a record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunKind {
-    /// The retired `repro bench` wall-clock sweep. Nothing writes this
-    /// kind any more; it stays parseable so checked-in history round-trips.
-    Bench,
     /// `repro perf` — the exact op-count regression gate.
     Perf,
     /// `repro profile` — one observed cell with a phase profile.
@@ -82,7 +81,6 @@ impl RunKind {
     /// The serialized name.
     pub fn name(self) -> &'static str {
         match self {
-            RunKind::Bench => "bench",
             RunKind::Perf => "perf",
             RunKind::Profile => "profile",
         }
@@ -91,7 +89,6 @@ impl RunKind {
     /// Parses a serialized name.
     pub fn from_name(name: &str) -> Option<RunKind> {
         match name {
-            "bench" => Some(RunKind::Bench),
             "perf" => Some(RunKind::Perf),
             "profile" => Some(RunKind::Profile),
             _ => None,
@@ -119,9 +116,9 @@ pub struct ArtifactHashes {
     pub costmodel: Option<u64>,
 }
 
-/// Wall-side measurements of one run. Integer units only: microseconds,
-/// bytes, and centi-percent (1 cpct = 0.01%), so this file stays free of
-/// float arithmetic while still carrying signed overhead readings. Never hashed, never deduplicated on, never deterministic.
+/// Wall-side measurements of one run. Integer units only (microseconds,
+/// bytes), so this file stays free of float arithmetic. Never hashed,
+/// never deduplicated on, never deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallSide {
     /// Wall time of the cell in microseconds.
@@ -130,24 +127,12 @@ pub struct WallSide {
     pub jobs: u64,
     /// Peak resident set size in bytes (`None` off-Linux).
     pub peak_rss_bytes: Option<u64>,
-    /// Observer metrics-only overhead in centi-percent, unclamped (may be
-    /// negative: scheduling noise). `None` when the run measured none.
-    pub metrics_overhead_cpct: Option<i64>,
-    /// Observer full-trace overhead in centi-percent, unclamped.
-    pub trace_overhead_cpct: Option<i64>,
 }
 
 /// One ledger record: the deterministic identity and results of a run
 /// plus its wall-side context. See the module docs for the tier split.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerRecord {
-    /// The ledger schema version the record was written under — the
-    /// current [`SCHEMA_VERSION`] for fresh records, the wire version for
-    /// parsed ones. Op classes are append-only, so an older record's
-    /// trailing op fields are zero-filled; consumers comparing op counts
-    /// across records (the perf gate matches baselines on schema) must
-    /// not treat that padding as measured data.
-    pub schema: u32,
     /// Which subcommand produced this record.
     pub kind: RunKind,
     /// Git revision of the producing tree (`"unknown"` outside a repo).
@@ -181,15 +166,11 @@ impl LedgerRecord {
     /// The canonical deterministic block. Everything here is a pure
     /// function of `(config, seed, code)`; byte-identical across `--jobs`.
     pub fn det_json(&self) -> String {
-        self.det_value(OpCounts::FIELD_COUNT).to_json()
+        self.det().to_json()
     }
 
-    /// The deterministic block with the first `field_count` op classes —
-    /// what an older schema wrote. Op classes are only ever appended, so
-    /// every historical `ops` block is a prefix of the current one.
-    fn det_value(&self, field_count: usize) -> Value {
-        let ops = self.ops.fields().into_iter().take(field_count);
-        let ops = ops.map(|(name, v)| (name, v.into()));
+    fn det(&self) -> Value {
+        let ops = self.ops.fields().map(|(name, v)| (name, v.into()));
         let a = &self.artifacts;
         let artifacts = [
             ("metrics", a.metrics),
@@ -221,27 +202,24 @@ impl LedgerRecord {
     /// Serializes the full record as one canonical JSON line (no trailing
     /// newline). Parsing and re-serializing a valid line reproduces it
     /// byte-for-byte; [`parse_line`] relies on that for integrity.
+    ///
+    /// The wall block ends in two keys no writer fills any more,
+    /// `metrics_overhead_cpct` and `trace_overhead_cpct`, always `null`:
+    /// schema 3 wrote them, and its lines must round-trip. The next
+    /// schema bump drops them.
     pub fn to_line(&self) -> String {
-        self.to_line_with(SCHEMA_VERSION, OpCounts::FIELD_COUNT)
-    }
-
-    /// [`LedgerRecord::to_line`] in a historical schema's exact layout.
-    /// Used by [`parse_line`] to round-trip-verify old lines: the
-    /// `det_hash` on the wire covers the det block *as that schema wrote
-    /// it*, so the hash is recomputed over the truncated field set.
-    fn to_line_with(&self, schema: u32, field_count: usize) -> String {
-        let det = self.det_value(field_count);
+        let det = self.det();
         let det_hash = hash64_bytes(det.to_json().as_bytes());
         let w = &self.wall;
         let wall = [
             ("wall_us", w.wall_us.into()),
             ("jobs", w.jobs.into()),
             ("peak_rss_bytes", w.peak_rss_bytes.into()),
-            ("metrics_overhead_cpct", w.metrics_overhead_cpct.into()),
-            ("trace_overhead_cpct", w.trace_overhead_cpct.into()),
+            ("metrics_overhead_cpct", Value::Null),
+            ("trace_overhead_cpct", Value::Null),
         ];
         let line = [
-            ("schema_version", schema.into()),
+            ("schema_version", SCHEMA_VERSION.into()),
             ("det", det),
             ("det_hash", hex(det_hash).into()),
             ("wall", Value::obj(Layout::Compact, wall)),
@@ -272,8 +250,9 @@ pub enum LedgerError {
     /// A line failed to parse or round-trip — corruption or truncation.
     /// `line` is 1-based.
     Corrupt { line: usize, reason: String },
-    /// A line carries a schema version this reader does not understand
-    /// (newer than the code, or never shipped).
+    /// A line carries a schema version other than [`SCHEMA_VERSION`]:
+    /// older lines belong in `results/ledger/archive/`, newer ones to
+    /// newer code.
     Schema { line: usize, found: u64 },
 }
 
@@ -286,15 +265,17 @@ impl fmt::Display for LedgerError {
             }
             LedgerError::Schema { line, found } => write!(
                 f,
-                "ledger line {line} has schema_version {found}, this reader understands 1..={SCHEMA_VERSION}"
+                "ledger line {line} has schema_version {found}, this reader understands \
+                 {SCHEMA_VERSION} only (lines of older schemas are archived under \
+                 results/ledger/archive/)"
             ),
         }
     }
 }
 
-/// `Some(None)` for `null`, `Some(Some(v))` for an integer that fits `T`,
-/// `None` for anything else.
-fn nullable<T: TryFrom<i128>>(value: &Value) -> Option<Option<T>> {
+/// `Some(None)` for `null`, `Some(Some(v))` for an integer that fits a
+/// `u64`, `None` for anything else.
+fn nullable(value: &Value) -> Option<Option<u64>> {
     match value {
         Value::Null => Some(None),
         v => v.integer().map(Some),
@@ -326,8 +307,8 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
         let value = at(&["det", key])?;
         value.string().map(str::to_string).ok_or_else(|| bad(&[key]))
     };
-    let bytes = |key: &str| nullable::<u64>(at(&["wall", key])?).ok_or_else(|| bad(&[key]));
-    let cpct = |key: &str| nullable::<i64>(at(&["wall", key])?).ok_or_else(|| bad(&[key]));
+    let rss = ["wall", "peak_rss_bytes"];
+    let peak_rss_bytes = nullable(at(&rss)?).ok_or_else(|| bad(&rss))?;
     let hash = |key: &str| match at(&["det", "artifacts", key])? {
         Value::Null => Ok(None),
         v => v
@@ -337,27 +318,18 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
             .ok_or_else(|| bad(&[key])),
     };
     let schema = int(&["schema_version"])?;
-    // The ledger is append-only history: every schema this file was ever
-    // written in stays readable. Op classes are append-only, so an older
-    // line simply populates a prefix of today's OpCounts (the rest is 0).
-    let field_count = match schema {
-        1 => OpCounts::FIELD_COUNT_V1,
-        // v3 re-based the queue classes' meaning, not the layout.
-        v if (2..=u64::from(SCHEMA_VERSION)).contains(&v) => OpCounts::FIELD_COUNT,
-        _ => {
-            return Err(LedgerError::Schema {
-                line: line_no,
-                found: schema,
-            })
-        }
-    };
+    if schema != u64::from(SCHEMA_VERSION) {
+        return Err(LedgerError::Schema {
+            line: line_no,
+            found: schema,
+        });
+    }
     let kind = RunKind::from_name(&text("kind")?).ok_or_else(|| bad(&["det", "kind"]))?;
     let mut fields = OpCounts::default().fields();
-    for (name, value) in fields.iter_mut().take(field_count) {
+    for (name, value) in &mut fields {
         *value = int(&["det", "ops", name])?;
     }
     let record = LedgerRecord {
-        schema: schema as u32,
         kind,
         git_rev: text("git_rev")?,
         scenario: text("scenario")?,
@@ -374,16 +346,14 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
         wall: WallSide {
             wall_us: int(&["wall", "wall_us"])?,
             jobs: int(&["wall", "jobs"])?,
-            peak_rss_bytes: bytes("peak_rss_bytes")?,
-            metrics_overhead_cpct: cpct("metrics_overhead_cpct")?,
-            trace_overhead_cpct: cpct("trace_overhead_cpct")?,
+            peak_rss_bytes,
         },
     };
     // Canonical round-trip: a healthy line re-serializes byte-for-byte
-    // *in its own schema's layout* (this also re-derives and thereby
-    // verifies det_hash and the fingerprint). Anything else is
-    // corruption or truncation.
-    if record.to_line_with(schema as u32, field_count) != line {
+    // (this also re-derives and thereby verifies det_hash and the
+    // fingerprint, and requires the two retired overhead keys to be
+    // `null`). Anything else is corruption or truncation.
+    if record.to_line() != line {
         return Err(corrupt(
             "record does not round-trip canonically (truncated or edited line)".to_string(),
         ));
@@ -486,8 +456,7 @@ mod tests {
             ..OpCounts::default()
         };
         LedgerRecord {
-            schema: SCHEMA_VERSION,
-            kind: RunKind::Bench,
+            kind: RunKind::Perf,
             git_rev: rev.to_string(),
             scenario: "BASELINE".to_string(),
             n,
@@ -504,8 +473,6 @@ mod tests {
                 wall_us: 1_234,
                 jobs: 4,
                 peak_rss_bytes: Some(20 << 20),
-                metrics_overhead_cpct: Some(-451),
-                trace_overhead_cpct: Some(2062),
             },
         }
     }
@@ -642,51 +609,20 @@ mod tests {
 
     #[test]
     fn foreign_schema_version_is_rejected() {
+        // Older schemas are refused like newer ones: their lines live in
+        // the archive, which no code reads.
         let line = sample(300, "r1").to_line();
-        let bumped = line.replacen(
-            &format!("\"schema_version\":{SCHEMA_VERSION}"),
-            "\"schema_version\":999",
-            1,
-        );
-        match parse_line(&bumped, 3) {
-            Err(LedgerError::Schema { line: 3, found: 999 }) => {}
-            other => panic!("foreign schema must be Schema, got {other:?}"),
+        for found in [1, 2, 999] {
+            let stamped = line.replacen(
+                &format!("\"schema_version\":{SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{found}"),
+                1,
+            );
+            match parse_line(&stamped, 3) {
+                Err(LedgerError::Schema { line: 3, found: f }) if f == found => {}
+                other => panic!("schema {found} must be Schema, got {other:?}"),
+            }
         }
-    }
-
-    #[test]
-    fn v1_lines_stay_readable_and_round_trip_in_their_own_layout() {
-        // A v1 line carries only the first FIELD_COUNT_V1 op classes and a
-        // det_hash over that truncated block. It must still parse — the
-        // ledger is append-only history — with the appended v2 classes
-        // reading as zero.
-        let rec = sample(300, "r1");
-        let v1 = rec.to_line_with(1, OpCounts::FIELD_COUNT_V1);
-        assert!(v1.starts_with("{\"schema_version\":1,\"det\":{"));
-        assert!(!v1.contains("queue_cascades"), "v1 stops at mrai_coalesced");
-        assert!(!v1.contains("arena_bytes_reserved"));
-        let parsed = parse_line(&v1, 1).unwrap();
-        assert_eq!(parsed.ops.queue_cascades, 0);
-        assert_eq!(parsed.ops.arena_bytes_reserved, 0);
-        assert_eq!(parsed.schema, 1, "parsed records remember their wire schema");
-        assert_eq!(
-            parsed,
-            LedgerRecord { schema: 1, ..rec },
-            "sample sets no v2-only class"
-        );
-        // A v2 line has today's layout under its own stamp (v3 re-based
-        // the queue classes' meaning only) and keeps that stamp.
-        let v2 = sample(600, "r2").to_line_with(2, OpCounts::FIELD_COUNT);
-        assert!(v2.starts_with("{\"schema_version\":2,\"det\":{"));
-        assert_eq!(parse_line(&v2, 1).unwrap(), LedgerRecord { schema: 2, ..sample(600, "r2") });
-        // Mixed-schema ledgers read end to end, in order.
-        let v3 = sample(2000, "r3").to_line();
-        let all = parse_ledger(&format!("{v1}\n{v2}\n{v3}\n")).unwrap();
-        assert_eq!(all.iter().map(|r| (r.schema, r.n)).collect::<Vec<_>>(), [(1, 300), (2, 600), (3, 2000)]);
-        // An edited v1 line still fails its canonical round-trip.
-        let edited = v1.replacen("\"queue_pushes\":30000", "\"queue_pushes\":30001", 1);
-        assert_ne!(edited, v1);
-        assert!(matches!(parse_line(&edited, 1), Err(LedgerError::Corrupt { .. })));
     }
 
     #[test]
@@ -709,7 +645,10 @@ mod tests {
             reason: "truncated".to_string(),
         };
         assert!(e.to_string().contains("line 7"));
-        let s = LedgerError::Schema { line: 1, found: 9 };
-        assert!(s.to_string().contains("schema_version 9"));
+        let s = LedgerError::Schema { line: 1, found: 2 };
+        let text = s.to_string();
+        assert!(text.contains("schema_version 2"), "{text}");
+        assert!(text.contains(&format!("understands {SCHEMA_VERSION} only")), "{text}");
+        assert!(text.contains("results/ledger/archive/"), "{text}");
     }
 }

@@ -64,9 +64,10 @@ pub mod trace;
 /// Schema version stamped into every JSON artifact the workspace writes
 /// (`metrics.json`, `timeseries.json`, `costmodel.json`, the trace
 /// header, run-ledger lines). Bump when a writer changes its
-/// key layout incompatibly; readers reject mismatches — except the run
-/// ledger, which is append-only history and keeps a read path for every
-/// schema it ever wrote (see [`ledger::parse_line`]).
+/// key layout incompatibly; readers reject mismatches, the run ledger
+/// included ([`ledger::parse_line`]). A bump moves
+/// `results/ledger/runs.jsonl` verbatim under `results/ledger/archive/`
+/// and re-blesses the CI cells into a fresh ledger, in the same commit.
 ///
 /// v1 → v2: [`OpCounts`] grew `queue_cascades` and `arena_bytes_reserved`
 /// (appended classes; the v1 field set is an exact prefix).

@@ -112,9 +112,8 @@ fn trace_record() -> TraceRecord {
     }
 }
 
-fn ledger_record(schema: u32) -> LedgerRecord {
+fn ledger_record() -> LedgerRecord {
     LedgerRecord {
-        schema,
         kind: RunKind::Perf,
         git_rev: "0123456789abcdef0123456789abcdef01234567".to_string(),
         scenario: "DENSE-CORE".to_string(),
@@ -132,8 +131,6 @@ fn ledger_record(schema: u32) -> LedgerRecord {
             wall_us: 1_234_567,
             jobs: 4,
             peak_rss_bytes: Some(20 << 20),
-            metrics_overhead_cpct: Some(-451),
-            trace_overhead_cpct: None,
         },
     }
 }
@@ -213,32 +210,7 @@ const TRACE_BARE: &str = r#"{"event":3,"t_us":1000123,"node":77,"kind":"mrai_exp
 
 const TRACE_HEADER: &str = r#"{"schema_version":3,"kind":"trace"}"#;
 
-const LEDGER_V1: &str = concat!(
-    r#"{"schema_version":1,"det":{"kind":"perf","git_rev":"0123456789abcdef0123456789abcdef01234567","#,
-    r#""fingerprint":"7f387b2e1c286e7a","scenario":"DENSE-CORE","n":600,"mode":"WRATE","#,
-    r#""seed":537396754,"events":5,"ops":{"queue_pushes":1000,"queue_pops":1001,"#,
-    r#""queue_decreases":1002,"queue_comparisons":1003,"decision_runs":1004,"#,
-    r#""route_comparisons":1005,"rib_out_writes":1006,"path_intern_hits":1007,"#,
-    r#""path_intern_misses":1008,"deliveries":1009,"mrai_armed":1010,"mrai_fired":1011,"#,
-    r#""mrai_coalesced":1012},"artifacts":{"metrics":"000000000000abcd","timeseries":null,"#,
-    r#""costmodel":"123456789abcdef0"}},"det_hash":"b82ca786783f68a4","wall":{"wall_us":1234567,"#,
-    r#""jobs":4,"peak_rss_bytes":20971520,"metrics_overhead_cpct":-451,"trace_overhead_cpct":null}}"#,
-);
-
-const LEDGER_V2: &str = concat!(
-    r#"{"schema_version":2,"det":{"kind":"perf","git_rev":"0123456789abcdef0123456789abcdef01234567","#,
-    r#""fingerprint":"7f387b2e1c286e7a","scenario":"DENSE-CORE","n":600,"mode":"WRATE","#,
-    r#""seed":537396754,"events":5,"ops":{"queue_pushes":1000,"queue_pops":1001,"#,
-    r#""queue_decreases":1002,"queue_comparisons":1003,"decision_runs":1004,"#,
-    r#""route_comparisons":1005,"rib_out_writes":1006,"path_intern_hits":1007,"#,
-    r#""path_intern_misses":1008,"deliveries":1009,"mrai_armed":1010,"mrai_fired":1011,"#,
-    r#""mrai_coalesced":1012,"queue_cascades":1013,"arena_bytes_reserved":1014},"#,
-    r#""artifacts":{"metrics":"000000000000abcd","timeseries":null,"costmodel":"123456789abcdef0"}},"#,
-    r#""det_hash":"340e1c6966b5545a","wall":{"wall_us":1234567,"jobs":4,"peak_rss_bytes":20971520,"#,
-    r#""metrics_overhead_cpct":-451,"trace_overhead_cpct":null}}"#,
-);
-
-const LEDGER_V3: &str = concat!(
+const LEDGER: &str = concat!(
     r#"{"schema_version":3,"det":{"kind":"perf","git_rev":"0123456789abcdef0123456789abcdef01234567","#,
     r#""fingerprint":"7f387b2e1c286e7a","scenario":"DENSE-CORE","n":600,"mode":"WRATE","#,
     r#""seed":537396754,"events":5,"ops":{"queue_pushes":1000,"queue_pops":1001,"#,
@@ -248,7 +220,7 @@ const LEDGER_V3: &str = concat!(
     r#""mrai_coalesced":1012,"queue_cascades":1013,"arena_bytes_reserved":1014},"#,
     r#""artifacts":{"metrics":"000000000000abcd","timeseries":null,"costmodel":"123456789abcdef0"}},"#,
     r#""det_hash":"340e1c6966b5545a","wall":{"wall_us":1234567,"jobs":4,"peak_rss_bytes":20971520,"#,
-    r#""metrics_overhead_cpct":-451,"trace_overhead_cpct":null}}"#,
+    r#""metrics_overhead_cpct":null,"trace_overhead_cpct":null}}"#,
 );
 
 #[test]
@@ -283,17 +255,11 @@ fn trace_bytes() {
     assert_eq!(trace::to_jsonl(&[bare]), format!("{TRACE_HEADER}\n{TRACE_BARE}\n"));
 }
 
-/// Schema 3 is what `to_line` writes. Schemas 1 and 2 are history the
-/// ledger keeps reading: `parse_line` accepts a line only if the record
-/// it parsed re-serializes to the same bytes in that line's own layout,
-/// so a parse of the pinned v1 and v2 lines pins those layouts too.
+/// The ledger's one layout, schema 3: `to_line` writes these bytes and
+/// `parse_line` reads them back. The two retired overhead keys are
+/// always `null`.
 #[test]
 fn ledger_line_bytes() {
-    assert_eq!(ledger_record(3).to_line(), LEDGER_V3);
-    assert_eq!(parse_line(LEDGER_V3, 1), Ok(ledger_record(3)));
-    assert_eq!(parse_line(LEDGER_V2, 1), Ok(ledger_record(2)));
-    let mut v1 = ledger_record(1);
-    v1.ops.queue_cascades = 0;
-    v1.ops.arena_bytes_reserved = 0;
-    assert_eq!(parse_line(LEDGER_V1, 1), Ok(v1));
+    assert_eq!(ledger_record().to_line(), LEDGER);
+    assert_eq!(parse_line(LEDGER, 1), Ok(ledger_record()));
 }

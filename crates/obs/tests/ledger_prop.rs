@@ -5,7 +5,6 @@
 
 use bgpscale_obs::costmodel::OpCounts;
 use bgpscale_obs::ledger::{parse_line, ArtifactHashes, LedgerRecord, RunKind, WallSide};
-use bgpscale_obs::SCHEMA_VERSION;
 use proptest::prelude::*;
 
 /// Strings over an alphabet that exercises every escape the writer has.
@@ -37,7 +36,7 @@ fn record() -> impl Strategy<Value = LedgerRecord> {
         text(),
         text(),
         text(),
-        prop::sample::select(vec![RunKind::Bench, RunKind::Perf, RunKind::Profile]),
+        prop::sample::select(vec![RunKind::Perf, RunKind::Profile]),
     );
     let cell = (any::<u64>(), any::<u64>(), any::<u64>(), ops());
     let hashes = (
@@ -45,16 +44,9 @@ fn record() -> impl Strategy<Value = LedgerRecord> {
         prop::option::of(any::<u64>()),
         prop::option::of(any::<u64>()),
     );
-    let wall = (
-        any::<u64>(),
-        any::<u64>(),
-        prop::option::of(any::<u64>()),
-        prop::option::of(any::<i64>()),
-        prop::option::of(any::<i64>()),
-    );
+    let wall = (any::<u64>(), any::<u64>(), prop::option::of(any::<u64>()));
     (names, cell, hashes, wall).prop_map(
         |((git_rev, scenario, mode, kind), (n, seed, events, ops), h, w)| LedgerRecord {
-            schema: SCHEMA_VERSION,
             kind,
             git_rev,
             scenario,
@@ -72,8 +64,6 @@ fn record() -> impl Strategy<Value = LedgerRecord> {
                 wall_us: w.0,
                 jobs: w.1,
                 peak_rss_bytes: w.2,
-                metrics_overhead_cpct: w.3,
-                trace_overhead_cpct: w.4,
             },
         },
     )

@@ -4,7 +4,7 @@
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 
 use crate::graph::AsGraph;
-use crate::types::{AsId, NodeType};
+use crate::types::AsId;
 use crate::valley::valley_free_distances;
 
 /// Degree above which local clustering is estimated by sampling neighbor
@@ -47,7 +47,7 @@ impl TopologySummary {
         let mut mhd_sum = [0f64; 4];
         let mut peer_sum = [0f64; 4];
         for id in g.node_ids() {
-            let slot = type_slot(g.node_type(id));
+            let slot = g.node_type(id).index();
             population[slot] += 1;
             mhd_sum[slot] += g.multihoming_degree(id) as f64;
             peer_sum[slot] += g.peering_degree(id) as f64;
@@ -73,15 +73,6 @@ impl TopologySummary {
             clustering: clustering_coefficient(g, seed),
             avg_path_length: avg_valley_free_path_length(g, 30, seed),
         }
-    }
-}
-
-fn type_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::T => 0,
-        NodeType::M => 1,
-        NodeType::Cp => 2,
-        NodeType::C => 3,
     }
 }
 
@@ -240,7 +231,7 @@ pub fn degree_assortativity(g: &AsGraph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::RegionSet;
+    use crate::types::{NodeType, RegionSet};
     use crate::{generate, GrowthScenario};
 
     fn triangle_plus_tail() -> AsGraph {

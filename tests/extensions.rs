@@ -1,11 +1,14 @@
 //! Cross-crate integration tests for the extension machinery (L-events,
-//! Route Flap Damping, flap storms, burstiness timelines), driven through
+//! Route Flap Damping, flap storms, burstiness bins), driven through
 //! the facade exactly as a downstream user would.
 
 use bgpscale::bgp::rfd::RfdConfig;
 use bgpscale::core::flapstorm::{run_flap_storm, FlapStormConfig};
 use bgpscale::core::levent::run_l_event;
+use bgpscale::core::SimTemplate;
+use bgpscale::experiments::figures::ext_burstiness::{binned_c_event, ArrivalBins};
 use bgpscale::prelude::*;
+use std::sync::Arc;
 
 fn setup(n: usize, seed: u64, bgp: BgpConfig) -> (Simulator, AsId) {
     let graph = generate(GrowthScenario::Baseline, n, seed);
@@ -66,18 +69,20 @@ fn damping_suppresses_then_recovers_through_the_facade() {
 
 #[test]
 fn timeline_burstiness_through_the_facade() {
-    let (mut sim, origin) = setup(300, 4, BgpConfig::default());
-    sim.originate(origin, Prefix(0));
-    sim.run_to_quiescence().unwrap();
-    let start = sim.now();
-    sim.churn_mut()
-        .start_timeline(start, SimDuration::from_secs(1));
-    run_c_event(&mut sim, origin, Prefix(1)).unwrap();
-    let tl = sim.churn_mut().take_timeline().unwrap();
+    let graph = generate(GrowthScenario::Baseline, 300, 4);
+    let origin = graph
+        .node_ids()
+        .find(|&id| graph.node_type(id) == NodeType::C)
+        .unwrap();
+    let template = SimTemplate::new(Arc::new(graph), BgpConfig::default());
+    let mut sim = template.instantiate_observed(4, ArrivalBins::default());
+    let (bins, _) = binned_c_event(&mut sim, origin).unwrap();
+    let binned: u64 = bins.counts.iter().map(|&c| u64::from(c)).sum();
+    assert_eq!(binned, sim.churn().total(), "the bins hold exactly the counted updates");
     assert!(
-        tl.peak_to_mean() > 1.5,
+        bins.peak_to_mean() > 1.5,
         "convergence traffic should be bursty, got {}",
-        tl.peak_to_mean()
+        bins.peak_to_mean()
     );
 }
 

@@ -153,44 +153,42 @@ fn perf_gate_blesses_into_the_ledger_and_checks_never_write_it() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The checked-in ledger is history and baseline store at once. Every
-/// line of it — the schema-1 and schema-2 lines and the `bench` lines,
-/// whose writers are gone — must still pass the reader's canonical
-/// round-trip, and the three cells CI checks must each have a blessed
-/// `perf` baseline in the current schema (the only kind the gate uses).
+/// The checked-in ledger is history and baseline store at once, in one
+/// schema. Every line of it must pass the reader's canonical round-trip
+/// — which refuses any schema but `SCHEMA_VERSION`, naming it — every
+/// line is a `perf` line, and the three cells CI checks must each have a
+/// blessed baseline. Older lines live in `results/ledger/archive/`,
+/// which no code reads.
 #[test]
 fn checked_in_ledger_still_reads_and_holds_the_ci_baselines() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger/runs.jsonl");
-    let history = read_ledger(std::path::Path::new(path)).unwrap();
-    for schema in [1, 2] {
-        assert!(history.iter().any(|r| r.schema == schema), "schema-{schema} history kept");
-    }
-    assert!(history.iter().any(|r| r.kind == RunKind::Bench), "bench history kept");
+    let history = read_ledger(std::path::Path::new(path)).unwrap_or_else(|e| panic!("{e}"));
+    let raw = std::fs::read_to_string(path).unwrap();
+    let stamp = format!("{{\"schema_version\":{},", bgpscale_obs::SCHEMA_VERSION);
+    assert_eq!(raw.lines().count(), history.len());
+    assert!(raw.lines().all(|l| l.starts_with(&stamp)), "every line carries {stamp}");
+    assert!(history.iter().all(|r| r.kind == RunKind::Perf), "every line is a perf line");
     for n in [300, 600, 2000] {
         assert!(
-            history.iter().any(|r| {
-                r.kind == RunKind::Perf
-                    && r.schema == bgpscale_obs::SCHEMA_VERSION
-                    && (r.n, r.events, r.seed) == (n, 5, 0x2008_0612)
-            }),
-            "no current-schema perf baseline for n={n}: `repro perf --check` would fail in CI"
+            history.iter().any(|r| (r.n, r.events, r.seed) == (n, 5, 0x2008_0612)),
+            "no perf baseline for n={n}: `repro perf --check` would fail in CI"
         );
     }
 }
 
 /// The checked-in ledger renders: `repro trend` is a read-only dashboard
-/// over exactly this file, so its ten revisions and ten fingerprints
-/// must fold, and the text must name every revision and carry the
-/// exponent table with each class's kind.
+/// over exactly this file, so its eight revisions and three fingerprints
+/// (the three CI cells) must fold, and the text must name every revision
+/// and carry the exponent table with each class's kind.
 #[test]
 fn checked_in_ledger_renders_as_a_dashboard() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/ledger/runs.jsonl");
     let history = read_ledger(std::path::Path::new(path)).unwrap();
     let report = trend::analyze(&history);
     assert_eq!(report.records, history.len());
-    assert_eq!((report.revs.len(), report.fingerprints), (10, 10));
+    assert_eq!((report.revs.len(), report.fingerprints), (8, 3));
     let text = trend::render_text(&history, &report);
-    let shape = format!("trend: {} records, 10 revisions, 10 config fingerprints", history.len());
+    let shape = format!("trend: {} records, 8 revisions, 3 config fingerprints", history.len());
     assert!(text.starts_with(&shape), "{text}");
     for rev in &report.revs {
         assert!(text.contains(&rev[..10]), "the dashboard does not name rev {rev}");
