@@ -31,8 +31,8 @@
 //!                  timeseries.json artifact (see --bin-us,
 //!                  --timeseries-out, --check)
 //!   trend          read-only dashboard over the run ledger (`perf
-//!                  --bless` and every profile run append one record per
-//!                  cell to results/ledger/runs.jsonl), printed as text:
+//!                  --bless` appends one record per cell to
+//!                  results/ledger/runs.jsonl), printed as text:
 //!                  per-revision cells, scaling-exponent refits with each
 //!                  class's kind (work / avoided / gauge), wall-side
 //!                  context. It judges nothing (exit 0; 2 on an empty or
@@ -76,13 +76,12 @@
 //!   --check        (profile) exit non-zero unless each expected phase
 //!                  ran exactly once and events were processed;
 //!                  (report) exit non-zero if any report panel is empty
-//!   --ledger <file>  the append-only run ledger: `perf` reads its
-//!                  baselines from it and `--bless` appends them,
-//!                  `profile` records into it, `trend` reads it (default
-//!                  results/ledger/runs.jsonl)
-//!   --no-ledger    (profile) don't append this run to the ledger
-//!   --ledger-rev <rev>  record this revision string instead of
-//!                  `git rev-parse HEAD` (tests, CI matrices)
+//!   --ledger <file>  (perf/trend) the append-only run ledger: `perf`
+//!                  reads its baselines from it and `--bless` appends
+//!                  them, `trend` reads it (default
+//!                  results/ledger/runs.jsonl). No other target opens it.
+//!   --ledger-rev <rev>  (perf --bless) record this revision string
+//!                  instead of `git rev-parse HEAD` (tests, CI matrices)
 //!
 //! Set BGPSCALE_LOG=quiet|info to control progress chatter on
 //! stderr (default info).
@@ -105,7 +104,7 @@ use bgpscale_core::ExperimentConfig;
 use bgpscale_experiments::{churnreport, figures, perf, profile, trend};
 use bgpscale_experiments::{Figure, RunConfig, Sweeper};
 use bgpscale_experiments::Exit;
-use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord};
+use bgpscale_obs::ledger::{read_ledger, LedgerError};
 use bgpscale_experiments::log;
 use bgpscale_experiments::wall::Stopwatch;
 use bgpscale_obs::{artifact, trace, TraceRecord};
@@ -121,15 +120,11 @@ fn usage(problem: &str) -> Exit {
          [--scenario S] [--event-limit N] [--bin-us N] \
          [--timeseries-out FILE] [--check] \
          [--bless] [--costmodel-out FILE] \
-         [--ledger FILE] [--no-ledger] [--ledger-rev REV]\n\
+         [--ledger FILE] [--ledger-rev REV]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error"
     );
     Exit::Usage
 }
-
-/// What `repro trend` answers to a gate flag it used to take.
-const TREND_IS_NOT_A_GATE: &str =
-    "`repro trend` only reports; the regression gate is `repro perf --check`";
 
 struct Options {
     target: String,
@@ -158,9 +153,9 @@ struct Options {
     bless: bool,
     /// `perf`: also write the measured cost model here.
     costmodel_out: Option<PathBuf>,
-    /// The append-only run ledger; `None` under `--no-ledger`.
-    ledger: Option<PathBuf>,
-    /// Revision string to record instead of `git rev-parse HEAD`.
+    /// `perf`/`trend`: the append-only run ledger.
+    ledger: PathBuf,
+    /// `perf`: revision string to record instead of `git rev-parse HEAD`.
     ledger_rev: Option<String>,
 }
 
@@ -189,7 +184,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         check: false,
         bless: false,
         costmodel_out: None,
-        ledger: Some(PathBuf::from("results/ledger/runs.jsonl")),
+        ledger: PathBuf::from("results/ledger/runs.jsonl"),
         ledger_rev: None,
     };
     let (mut seed, mut events, mut sizes) = (None, None, None);
@@ -222,8 +217,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--check" => o.check = true,
             "--bless" => o.bless = true,
             "--costmodel-out" => o.costmodel_out = Some(value(&mut args, flag)?),
-            "--ledger" => o.ledger = Some(value(&mut args, flag)?),
-            "--no-ledger" => o.ledger = None,
+            "--ledger" => o.ledger = value(&mut args, flag)?,
             "--ledger-rev" => {
                 let rev: String = value(&mut args, flag)?;
                 if rev.is_empty() {
@@ -231,12 +225,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 }
                 o.ledger_rev = Some(rev);
             }
-            "--window" | "--band" | "--exp-band" => return Err(TREND_IS_NOT_A_GATE.to_string()),
             _ => return Err(format!("unknown option {flag}")),
         }
     }
     if o.target == "trend" && o.check {
-        return Err(TREND_IS_NOT_A_GATE.to_string());
+        let problem = "`repro trend` only reports; the regression gate is `repro perf --check`";
+        return Err(problem.to_string());
     }
     o.cfg.seed = seed.unwrap_or(o.cfg.seed);
     o.cfg.events = events.unwrap_or(o.cfg.events);
@@ -297,10 +291,6 @@ fn run_profile_target(opts: &Options) -> std::io::Result<Exit> {
     if let Some(path) = &opts.trace_out {
         write_trace(path, &out.observed.trace)?;
     }
-    let appended = append_ledger(opts, &[profile::profile_record(&cell, &out, &ledger_rev(opts))]);
-    if appended != Exit::Ok {
-        return Ok(appended);
-    }
     if opts.check {
         if let Err(reason) = profile::check(&out) {
             eprintln!("profile check FAILED: {reason}");
@@ -348,11 +338,6 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The revision recorded in ledger entries: `--ledger-rev` wins.
-fn ledger_rev(opts: &Options) -> String {
-    opts.ledger_rev.clone().unwrap_or_else(git_rev)
-}
-
 /// Reports a ledger failure as `who`'s and returns its exit code: a
 /// filesystem failure is a run failure (1); a corrupt or schema-foreign
 /// ledger is a configuration problem (2).
@@ -366,38 +351,17 @@ fn ledger_failure(who: &str, e: &LedgerError, path: &Path) -> Exit {
     }
 }
 
-/// Appends this run's records to the ledger (a no-op under
-/// `--no-ledger`); anything but [`Exit::Ok`] ends the run.
-fn append_ledger(opts: &Options, records: &[LedgerRecord]) -> Exit {
-    let Some(path) = &opts.ledger else { return Exit::Ok };
-    match append_records(path, records) {
-        Ok(outcome) => {
-            log!(
-                "ledger: {} record(s) appended to {} ({} deduped)",
-                outcome.appended,
-                path.display(),
-                outcome.deduped
-            );
-            Exit::Ok
-        }
-        Err(e) => ledger_failure("ledger", &e, path),
-    }
-}
-
 /// `repro trend`: fold the ledger and print the dashboard. Read-only and
 /// verdict-free.
 fn run_trend_target(opts: &Options) -> Exit {
-    let Some(path) = &opts.ledger else {
-        eprintln!("trend: --no-ledger leaves nothing to analyze");
-        return Exit::Usage;
-    };
+    let path = &opts.ledger;
     let records = match read_ledger(path) {
         Ok(records) => records,
         Err(e) => return ledger_failure("trend", &e, path),
     };
     if records.is_empty() {
         eprintln!(
-            "trend: ledger {} is empty — run `repro perf --bless` or `repro profile` first",
+            "trend: ledger {} is empty — run `repro perf --bless` first",
             path.display()
         );
         return Exit::Usage;
@@ -411,13 +375,10 @@ fn run_trend_target(opts: &Options) -> Exit {
 /// the cell's ledger baseline, or `--bless` them as the new baselines
 /// (policy in [`perf::run`]).
 fn run_perf_target(opts: &Options) -> Exit {
-    let Some(ledger) = &opts.ledger else {
-        eprintln!("perf: --no-ledger leaves no baselines to check or bless");
-        return Exit::Usage;
-    };
+    let ledger = &opts.ledger;
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
     let cells = opts.cells();
-    let rev = ledger_rev(opts);
+    let rev = opts.ledger_rev.clone().unwrap_or_else(git_rev);
     let outcomes = match perf::run(&cells, jobs, opts.bless, ledger, &rev) {
         Ok(outcomes) => outcomes,
         Err(e) => return ledger_failure("perf", &e, ledger),
@@ -585,6 +546,10 @@ mod tests {
             "fig4 --frobnicate",
             "report --report-out x",
             "trend --trend-out x",
+            "trend --window 5",
+            "trend --band 10",
+            "trend --exp-band 0.25",
+            "profile --no-ledger",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be a usage error");
         }
@@ -592,15 +557,8 @@ mod tests {
 
     #[test]
     fn trend_refuses_gate_flags_with_a_pointer_to_perf_check() {
-        for line in [
-            "trend --check",
-            "trend --window 5",
-            "trend --band 10",
-            "trend --exp-band 0.25",
-        ] {
-            let problem = parse(line).err().unwrap_or_else(|| panic!("`{line}` must not parse"));
-            assert!(problem.contains("repro perf --check"), "{line}: {problem}");
-        }
+        let problem = parse("trend --check").err().expect("`trend --check` must not parse");
+        assert!(problem.contains("repro perf --check"), "{problem}");
         assert!(parse("trend --ledger runs.jsonl").is_ok());
         assert!(parse("profile --check").is_ok(), "--check still gates profile/report");
     }

@@ -2,11 +2,10 @@
 //!
 //! A cell's **baseline** is a line of the run ledger (`obs::ledger`,
 //! default `results/ledger/runs.jsonl`, which holds the current schema
-//! only): the newest `perf` record whose config fingerprint `(scenario,
-//! n, mode, seed, events)` is the cell's. `perf` records are written by `--bless` only —
-//! a `--check` never appends, so a drifted measurement cannot bless
-//! itself — and `profile` records, which every `repro profile` run
-//! appends ungated, are never baselines. Because the counts are exact
+//! only): the newest record whose config fingerprint `(scenario, n,
+//! mode, seed, events)` is the cell's. [`run`] with `bless` is the only
+//! code that writes the ledger — a `--check` never appends, so a drifted
+//! measurement cannot bless itself. Because the counts are exact
 //! integers and a pure function of the cell, the comparison is exact
 //! equality of the record's `det` tier: each of the fifteen op counts and
 //! the `costmodel.json` content hash, which pins every per-event,
@@ -26,16 +25,13 @@
 //! (`scripts/mutate.sh` on one op count in `core::sim`): `--check` must
 //! then exit exactly 1 naming the drift.
 //!
-//! [`cell_record`] is the one builder of ledger lines: `perf` and
-//! `profile` both describe their cell through it.
+//! [`perf_record`] is the one builder of ledger lines.
 
 use std::path::Path;
 
 use bgpscale_core::{run_cell, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::ledger::{
-    append_records, read_ledger, ArtifactHashes, LedgerError, LedgerRecord, RunKind, WallSide,
-};
+use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord, WallSide};
 use bgpscale_obs::CostModel;
 use bgpscale_simkernel::rng::hash64_bytes;
 
@@ -70,61 +66,38 @@ pub fn measure(cell: &ExperimentConfig, jobs: usize) -> PerfMeasurement {
     }
 }
 
-/// The content hash of one JSON artifact, as a record's `artifacts`
-/// block stores it.
-pub fn artifact_hash(json: &str) -> u64 {
-    hash64_bytes(json.as_bytes())
-}
-
-/// The ledger record of one measured cell: the deterministic tier from
-/// the cell's config, op counts and artifact hashes, the wall tier in
-/// integer units. `perf` records are what `--check` compares against the
-/// cell's baseline and what `--bless` appends.
+/// The ledger record of one `repro perf` measurement of `cell`: the
+/// deterministic tier from the cell's config, op counts and
+/// `costmodel.json` hash, the wall tier in integer units. It is what
+/// `--check` compares against the cell's baseline and what `--bless`
+/// appends.
 #[expect(
     clippy::disallowed_methods,
     reason = "peak RSS goes to the wall tier, which no check compares"
 )]
-pub fn cell_record(
-    kind: RunKind,
-    cell: &ExperimentConfig,
-    jobs: usize,
-    ops: OpCounts,
-    artifacts: ArtifactHashes,
-    wall_s: f64,
-    git_rev: &str,
-) -> LedgerRecord {
+pub fn perf_record(cell: &ExperimentConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
     LedgerRecord {
-        kind,
         git_rev: git_rev.to_string(),
         scenario: cell.scenario.to_string(),
         n: cell.n as u64,
         mode: cell.bgp.mrai_mode.label().to_string(),
         seed: cell.seed,
         events: cell.events as u64,
-        ops,
-        artifacts,
+        ops: m.ops,
+        costmodel: hash64_bytes(m.cost.to_json().as_bytes()),
         wall: WallSide {
-            wall_us: (wall_s * 1e6).max(0.0).round() as u64,
-            jobs: jobs as u64,
+            wall_us: (m.wall_s * 1e6).max(0.0).round() as u64,
+            jobs: m.jobs as u64,
             peak_rss_bytes: bgpscale_simkernel::peak_rss_bytes(),
         },
     }
-}
-
-/// [`cell_record`] of one `repro perf` measurement of `cell`.
-pub fn perf_record(cell: &ExperimentConfig, m: &PerfMeasurement, git_rev: &str) -> LedgerRecord {
-    let artifacts = ArtifactHashes {
-        costmodel: Some(artifact_hash(&m.cost.to_json())),
-        ..ArtifactHashes::default()
-    };
-    cell_record(RunKind::Perf, cell, m.jobs, m.ops, artifacts, m.wall_s, git_rev)
 }
 
 /// The baseline of `cell` in `history` (append order, as `read_ledger`
 /// returns it); see the module docs for what qualifies.
 pub fn baseline<'a>(history: &'a [LedgerRecord], cell: &LedgerRecord) -> Option<&'a LedgerRecord> {
     let fingerprint = cell.fingerprint();
-    history.iter().rev().find(|r| r.kind == RunKind::Perf && r.fingerprint() == fingerprint)
+    history.iter().rev().find(|r| r.fingerprint() == fingerprint)
 }
 
 /// How one cell's check ended: `Err` carries one message per finding (a
@@ -159,13 +132,11 @@ pub fn check(history: &[LedgerRecord], cell: &LedgerRecord) -> Verdict {
             )
         })
         .collect();
-    if cell.artifacts.costmodel != base.artifacts.costmodel {
-        let hex = |h: Option<u64>| h.map_or("none".to_string(), |h| format!("{h:016x}"));
+    if cell.costmodel != base.costmodel {
         failures.push(format!(
-            "costmodel.json hash {} != baseline {} — the per-event, per-phase \
+            "costmodel.json hash {:016x} != baseline {:016x} — the per-event, per-phase \
              attribution moved",
-            hex(cell.artifacts.costmodel),
-            hex(base.artifacts.costmodel)
+            cell.costmodel, base.costmodel
         ));
     }
     if failures.is_empty() {
@@ -244,13 +215,16 @@ mod tests {
         let mut stale = record(&cfg, "r1");
         stale.ops.deliveries += 1;
         let blessed = record(&cfg, "r2");
-        // Same cell, ungated kind: skipped even though it is newer than
-        // the blessed line.
-        let mut profile = record(&cfg, "r3");
-        profile.kind = RunKind::Profile;
-        profile.ops.deliveries += 2;
-        let other_cell = record(&ExperimentConfig { n: 175, ..tiny() }, "r4");
-        let history = [stale, blessed, profile, other_cell];
+        let other_cell = record(&ExperimentConfig { n: 175, ..tiny() }, "r3");
+        // The mode label is the config's, not a constant: the same cell
+        // under WRATE is another fingerprint, so not a baseline here.
+        let wrate = ExperimentConfig {
+            bgp: bgpscale_bgp::BgpConfig::wrate(),
+            ..tiny()
+        };
+        let rated = record(&wrate, "r4");
+        assert_eq!((cell.mode.as_str(), rated.mode.as_str()), ("NO-WRATE", "WRATE"));
+        let history = [stale, blessed, other_cell, rated];
         assert_eq!(baseline(&history, &cell).unwrap().git_rev, "r2");
         assert_eq!(check(&history, &cell), Ok(()));
         // With only the drifted line left, the same cell fails.
@@ -286,7 +260,7 @@ mod tests {
         let cfg = tiny();
         let cell = record(&cfg, "head");
         let mut moved = cell.clone();
-        moved.artifacts.costmodel = Some(1);
+        moved.costmodel = 1;
         let msgs = check(&[moved], &cell).unwrap_err();
         assert!(msgs.len() == 1 && msgs[0].contains("costmodel.json hash"), "{msgs:?}");
         for wall_us in [0, 1, cell.wall.wall_us.max(1) * 1000] {

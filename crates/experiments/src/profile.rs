@@ -6,16 +6,16 @@
 //! the time goes, what the simulators did, and how the distributions look.
 //! The deterministic half of the output (the metrics registry and any
 //! trace records) can be written to files; the phase timings are
-//! wall-clock and stay on the terminal.
+//! wall-clock and stay on the terminal. A profile never writes the run
+//! ledger: its wall time includes the recorder, so it is not the
+//! measurement the perf gate's baselines are (`crate::perf`).
 //!
 //! The `check` gate is what CI runs: it fails unless each expected phase
 //! was entered exactly once, or when the simulators processed zero events
 //! — catching "the harness silently did no work" regressions.
 
 use bgpscale_core::{run_cell, CellError, CellPhase, ExperimentConfig, ObserveOptions, ObservedReport};
-use bgpscale_obs::ledger::{ArtifactHashes, LedgerRecord, RunKind};
 
-use crate::perf::{artifact_hash, cell_record};
 use crate::wall::Stopwatch;
 
 /// The result of [`run_profile`].
@@ -28,9 +28,6 @@ pub struct ProfileOutput {
     pub phases: Vec<(&'static str, u128)>,
     /// Total wall time of the profiled run in seconds.
     pub wall_s: f64,
-    /// The worker count the run used: the `jobs` asked for, with 0
-    /// resolved to the hardware threads.
-    pub jobs: usize,
 }
 
 /// The phases every profiled run must enter, each exactly once.
@@ -75,21 +72,7 @@ pub fn run_profile(
         observed,
         phases: phases.collect(),
         wall_s: end as f64 / 1e9,
-        jobs,
     })
-}
-
-/// [`cell_record`] of profiled `cell`, with content hashes of every
-/// deterministic artifact the run produced.
-pub fn profile_record(cell: &ExperimentConfig, out: &ProfileOutput, git_rev: &str) -> LedgerRecord {
-    let observed = &out.observed;
-    let artifacts = ArtifactHashes {
-        metrics: Some(artifact_hash(&observed.metrics.to_json())),
-        timeseries: observed.timeseries.as_ref().map(|ts| artifact_hash(&ts.to_json())),
-        costmodel: Some(artifact_hash(&observed.cost.to_json())),
-    };
-    let ops = observed.cost.total();
-    cell_record(RunKind::Profile, cell, out.jobs, ops, artifacts, out.wall_s, git_rev)
 }
 
 /// The CI gate: each expected phase was entered exactly once, and the
@@ -209,42 +192,6 @@ mod tests {
         let mut twice = out;
         twice.phases.push(("build_template", 1));
         assert!(check(&twice).unwrap_err().contains("\"build_template\" was entered 2 times"));
-    }
-
-    #[test]
-    fn perf_and_profile_records_share_the_cell_fingerprint() {
-        use crate::perf::{measure, perf_record};
-        let cell = ExperimentConfig { seed: 7, ..tiny_cell() };
-        let pr = perf_record(&cell, &measure(&cell, 1), "r1");
-        let out = run_profile(&cell, 1, None).unwrap();
-        let fr = profile_record(&cell, &out, "r1");
-        // Same cell coordinates → same fingerprint and identical ops
-        // (determinism); different kinds → distinct det hashes.
-        assert_eq!(pr.fingerprint(), fr.fingerprint());
-        assert_eq!(pr.ops, fr.ops, "op counts are a pure function of the cell");
-        assert_ne!(pr.det_hash(), fr.det_hash(), "kind is part of the det block");
-        assert!(fr.artifacts.metrics.is_some(), "profile hashes metrics.json");
-        assert!(fr.artifacts.costmodel.is_some());
-        // The mode label is the config's, not a constant: the same cell
-        // under WRATE is another fingerprint.
-        let wrate = ExperimentConfig {
-            bgp: bgpscale_bgp::BgpConfig::wrate(),
-            ..cell
-        };
-        let wr = cell_record(RunKind::Perf, &wrate, 1, pr.ops, pr.artifacts, 0.0, "r1");
-        assert_eq!((pr.mode.as_str(), wr.mode.as_str()), ("NO-WRATE", "WRATE"));
-        assert_ne!(pr.fingerprint(), wr.fingerprint());
-    }
-
-    /// `jobs: 0` asks for every hardware thread; the ledger's wall tier
-    /// records how many that was, never the request.
-    #[test]
-    fn a_default_jobs_profile_records_the_effective_worker_count() {
-        let cell = tiny_cell();
-        let out = run_profile(&cell, 0, None).unwrap();
-        let record = profile_record(&cell, &out, "r1");
-        assert!(record.wall.jobs >= 1, "recorded {} workers", record.wall.jobs);
-        assert_eq!(record.wall.jobs, bgpscale_simkernel::pool::effective_jobs(0).max(1) as u64);
     }
 
     /// A blown event budget surfaces the harness's typed error, budget

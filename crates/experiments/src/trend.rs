@@ -1,9 +1,10 @@
 //! `repro trend`: a read-only dashboard over the run ledger.
 //!
 //! The ledger (`obs::ledger`, default `results/ledger/runs.jsonl`) is the
-//! append-only history `repro perf --bless` and every `repro profile` run
-//! write. This module only reads its [`LedgerRecord`]s and judges
-//! nothing: the repo's one regression gate is `repro perf --check`
+//! append-only history of the baselines `repro perf --bless` writes: every
+//! line is one unobserved measurement of one cell, so every row here was
+//! measured the same way. This module only reads its [`LedgerRecord`]s
+//! and judges nothing: the repo's one regression gate is `repro perf --check`
 //! (`crate::perf`), and a re-blessed baseline shows here as a step
 //! between two revisions, with its cause in the commit that blessed it.
 //!
@@ -98,9 +99,10 @@ fn groups(records: &[LedgerRecord]) -> Vec<(GroupKey, Vec<&LedgerRecord>)> {
     groups
 }
 
-/// One record per size of a group at `rev`, ascending n; duplicates (a
-/// perf and a profile record of the same cell, or a dedupe-missed re-run)
-/// keep the newest.
+/// One record per size of a group at `rev`, ascending n; a size blessed
+/// twice at one revision (its counts drifted) keeps the newest, the
+/// baseline `repro perf --check` compares against, so a fit never sees
+/// one size twice.
 fn cells_at<'a>(entries: &[&'a LedgerRecord], rev: &str) -> Vec<&'a LedgerRecord> {
     let mut cells: Vec<&LedgerRecord> = Vec::new();
     for &r in entries.iter().filter(|r| r.git_rev == rev) {
@@ -235,14 +237,13 @@ pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
         let peak = r.wall.peak_rss_bytes?;
         Some(vec![
             short_rev(&r.git_rev).to_string(),
-            r.kind.to_string(),
             r.n.to_string(),
             format!("{:.1}", peak as f64 / (1 << 20) as f64),
         ])
     });
     tables.push(Table::with_rows(
         "wall-side context",
-        &["rev", "kind", "n", "peak RSS (MiB)"],
+        &["rev", "n", "peak RSS (MiB)"],
         wall,
     ));
     for t in tables.iter().filter(|t| !t.rows.is_empty()) {
@@ -255,14 +256,13 @@ pub fn render_text(records: &[LedgerRecord], report: &TrendReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpscale_obs::ledger::{ArtifactHashes, RunKind, WallSide};
+    use bgpscale_obs::ledger::WallSide;
 
     /// A record whose counts are an exact linear (or quadratic) function
     /// of n, so exponent fits land on integers.
     fn rec(n: u64, rev: &str, per_class: u64) -> LedgerRecord {
         let fields = OpCounts::default().fields().map(|(name, _)| (name, per_class));
         LedgerRecord {
-            kind: RunKind::Perf,
             git_rev: rev.to_string(),
             scenario: "BASELINE".to_string(),
             n,
@@ -270,7 +270,7 @@ mod tests {
             seed: 7,
             events: 10,
             ops: OpCounts::from_fields(&fields),
-            artifacts: ArtifactHashes::default(),
+            costmodel: 0,
             wall: WallSide {
                 wall_us: 1000 * n,
                 jobs: 1,
@@ -343,7 +343,7 @@ mod tests {
         };
         assert_eq!(kind_of(" mrai_coalesced "), Some(true), "kind column:\n{text}");
         assert_eq!(kind_of(" deliveries "), Some(false));
-        assert!(has_row(&["r2", "perf", "400", "1.0"]), "{text}");
+        assert!(has_row(&["r2", "400", "1.0"]), "{text}");
         assert!(!text.contains("Regressions"), "the dashboard judges nothing");
     }
 

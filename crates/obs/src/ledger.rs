@@ -1,26 +1,26 @@
-//! The run ledger: append-only, cross-run performance history.
+//! The run ledger: append-only history of the perf gate's baselines.
 //!
-//! Every `repro perf --bless` and `repro profile` invocation appends one
-//! immutable, schema-versioned record per experiment cell to
-//! `results/ledger/runs.jsonl`. It is also the perf gate's only baseline
-//! store: `repro perf --check` compares a cell against its newest blessed
-//! `perf` line and never appends. The ledger is the repo's own trend data:
-//! where the paper asks whether per-router workload stays sublinear as
-//! the topology grows, the ledger asks whether *our* per-event cost stays
-//! flat as the code grows — `repro trend` draws it as a read-only
-//! dashboard (per-revision series and scaling-exponent refits).
+//! Only `repro perf --bless` writes it: one immutable, schema-versioned
+//! record per experiment cell, appended to `results/ledger/runs.jsonl`.
+//! It is the perf gate's only baseline store: `repro perf --check`
+//! compares a cell against its newest line and never appends. Every line
+//! is a run of the same unobserved measurement, so the ledger is also
+//! the repo's own trend data: where the paper asks whether per-router
+//! workload stays sublinear as the topology grows, the ledger asks
+//! whether *our* per-event cost stays flat as the code grows — `repro
+//! trend` draws it as a read-only dashboard (per-revision series and
+//! scaling-exponent refits).
 //!
 //! ## Record anatomy
 //!
 //! Each record is one line of JSON with two clearly segregated tiers:
 //!
-//! * **`det` — deterministic fields.** Run kind, git rev, config
-//!   fingerprint, cell coordinates, exact [`OpCounts`], and content
-//!   hashes of the deterministic artifacts (`metrics.json`,
-//!   `timeseries.json`, `costmodel.json`). These are pure functions of
-//!   `(config, seed, code)` and therefore byte-identical across `--jobs`
-//!   — the same contract as every other deterministic writer, enforced by
-//!   the jobs-1/4/8 tests.
+//! * **`det` — deterministic fields.** Git rev, config fingerprint, cell
+//!   coordinates, exact [`OpCounts`], and the content hash of the cell's
+//!   `costmodel.json`. These are pure functions of `(config, seed,
+//!   code)` and therefore byte-identical across `--jobs` — the same
+//!   contract as every other deterministic writer, enforced by the
+//!   jobs-1/4/8 tests.
 //! * **`wall` — wall-side fields.** Wall time, worker count, peak RSS.
 //!   Machine- and scheduling-dependent by definition; they never
 //!   participate in hashing or dedup. All wall fields are stored in
@@ -53,7 +53,9 @@
 //! therefore does two things in one commit: it moves `runs.jsonl`
 //! verbatim under `results/ledger/archive/` (named for the schemas it
 //! holds; no code reads the archive), and it re-blesses the CI cells
-//! into a fresh ledger.
+//! into a fresh ledger. Five keys of schema 3 lines hold one value
+//! each; [`LedgerRecord::to_line`] writes them as literals until that
+//! bump drops them.
 
 // Integer-only: a float sum is order-sensitive, so merges would not be exact.
 #![deny(clippy::float_arithmetic)]
@@ -67,54 +69,6 @@ use bgpscale_simkernel::rng::{hash64_bytes, hash64_pair};
 use crate::costmodel::OpCounts;
 use crate::json::{self, Layout, Value};
 use crate::SCHEMA_VERSION;
-
-/// Which subcommand produced a record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RunKind {
-    /// `repro perf` — the exact op-count regression gate.
-    Perf,
-    /// `repro profile` — one observed cell with a phase profile.
-    Profile,
-}
-
-impl RunKind {
-    /// The serialized name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RunKind::Perf => "perf",
-            RunKind::Profile => "profile",
-        }
-    }
-
-    /// Parses a serialized name.
-    pub fn from_name(name: &str) -> Option<RunKind> {
-        match name {
-            "perf" => Some(RunKind::Perf),
-            "profile" => Some(RunKind::Profile),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for RunKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Content hashes of the deterministic artifacts a run produced, when it
-/// produced them ([`hash64_bytes`] over the serialized bytes). Byte
-/// identity of an artifact across commits is checkable after the fact by
-/// comparing these 64-bit values — without storing the artifacts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArtifactHashes {
-    /// Hash of `metrics.json` bytes (`MetricsRegistry::to_json`).
-    pub metrics: Option<u64>,
-    /// Hash of `timeseries.json` bytes.
-    pub timeseries: Option<u64>,
-    /// Hash of `costmodel.json` bytes (`CostModel::to_json`).
-    pub costmodel: Option<u64>,
-}
 
 /// Wall-side measurements of one run. Integer units only (microseconds,
 /// bytes), so this file stays free of float arithmetic. Never hashed,
@@ -133,8 +87,6 @@ pub struct WallSide {
 /// plus its wall-side context. See the module docs for the tier split.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerRecord {
-    /// Which subcommand produced this record.
-    pub kind: RunKind,
     /// Git revision of the producing tree (`"unknown"` outside a repo).
     pub git_rev: String,
     /// Growth-scenario name (e.g. `"BASELINE"`).
@@ -149,8 +101,10 @@ pub struct LedgerRecord {
     pub events: u64,
     /// Exact op counts of the cell (grand totals per class).
     pub ops: OpCounts,
-    /// Content hashes of the deterministic artifacts.
-    pub artifacts: ArtifactHashes,
+    /// Content hash of the cell's `costmodel.json` bytes
+    /// ([`hash64_bytes`] over `CostModel::to_json`). It pins every
+    /// per-event, per-phase count without storing the artifact.
+    pub costmodel: u64,
     /// Wall-side measurements.
     pub wall: WallSide,
 }
@@ -171,15 +125,13 @@ impl LedgerRecord {
 
     fn det(&self) -> Value {
         let ops = self.ops.fields().map(|(name, v)| (name, v.into()));
-        let a = &self.artifacts;
         let artifacts = [
-            ("metrics", a.metrics),
-            ("timeseries", a.timeseries),
-            ("costmodel", a.costmodel),
-        ]
-        .map(|(key, hash)| (key, hash.map(hex).into()));
+            ("metrics", Value::Null),
+            ("timeseries", Value::Null),
+            ("costmodel", hex(self.costmodel).into()),
+        ];
         let det = [
-            ("kind", self.kind.name().into()),
+            ("kind", "perf".into()),
             ("git_rev", self.git_rev.as_str().into()),
             ("fingerprint", hex(self.fingerprint()).into()),
             ("scenario", self.scenario.as_str().into()),
@@ -203,10 +155,11 @@ impl LedgerRecord {
     /// newline). Parsing and re-serializing a valid line reproduces it
     /// byte-for-byte; [`parse_line`] relies on that for integrity.
     ///
-    /// The wall block ends in two keys no writer fills any more,
-    /// `metrics_overhead_cpct` and `trace_overhead_cpct`, always `null`:
-    /// schema 3 wrote them, and its lines must round-trip. The next
-    /// schema bump drops them.
+    /// `det.kind`, `det.artifacts.metrics`, `det.artifacts.timeseries`
+    /// and the wall block's `metrics_overhead_cpct` and
+    /// `trace_overhead_cpct` are literals (`"perf"` and four `null`s):
+    /// schema 3 lines carry them and must round-trip. The next schema
+    /// bump drops them.
     pub fn to_line(&self) -> String {
         let det = self.det();
         let det_hash = hash64_bytes(det.to_json().as_bytes());
@@ -309,14 +262,6 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
     };
     let rss = ["wall", "peak_rss_bytes"];
     let peak_rss_bytes = nullable(at(&rss)?).ok_or_else(|| bad(&rss))?;
-    let hash = |key: &str| match at(&["det", "artifacts", key])? {
-        Value::Null => Ok(None),
-        v => v
-            .string()
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .map(Some)
-            .ok_or_else(|| bad(&[key])),
-    };
     let schema = int(&["schema_version"])?;
     if schema != u64::from(SCHEMA_VERSION) {
         return Err(LedgerError::Schema {
@@ -324,13 +269,17 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
             found: schema,
         });
     }
-    let kind = RunKind::from_name(&text("kind")?).ok_or_else(|| bad(&["det", "kind"]))?;
+    let kind = text("kind")?;
+    if kind != "perf" {
+        return Err(corrupt(format!(
+            "det.kind is {kind:?}: the ledger holds `repro perf --bless` baselines only"
+        )));
+    }
     let mut fields = OpCounts::default().fields();
     for (name, value) in &mut fields {
         *value = int(&["det", "ops", name])?;
     }
     let record = LedgerRecord {
-        kind,
         git_rev: text("git_rev")?,
         scenario: text("scenario")?,
         n: int(&["det", "n"])?,
@@ -338,10 +287,10 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
         seed: int(&["det", "seed"])?,
         events: int(&["det", "events"])?,
         ops: OpCounts::from_fields(&fields),
-        artifacts: ArtifactHashes {
-            metrics: hash("metrics")?,
-            timeseries: hash("timeseries")?,
-            costmodel: hash("costmodel")?,
+        costmodel: {
+            let path = ["det", "artifacts", "costmodel"];
+            let hash = at(&path)?.string().and_then(|h| u64::from_str_radix(h, 16).ok());
+            hash.ok_or_else(|| bad(&path))?
         },
         wall: WallSide {
             wall_us: int(&["wall", "wall_us"])?,
@@ -351,8 +300,8 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<LedgerRecord, LedgerErro
     };
     // Canonical round-trip: a healthy line re-serializes byte-for-byte
     // (this also re-derives and thereby verifies det_hash and the
-    // fingerprint, and requires the two retired overhead keys to be
-    // `null`). Anything else is corruption or truncation.
+    // fingerprint, and requires the literal keys to hold their one
+    // value). Anything else is corruption or truncation.
     if record.to_line() != line {
         return Err(corrupt(
             "record does not round-trip canonically (truncated or edited line)".to_string(),
@@ -456,7 +405,6 @@ mod tests {
             ..OpCounts::default()
         };
         LedgerRecord {
-            kind: RunKind::Perf,
             git_rev: rev.to_string(),
             scenario: "BASELINE".to_string(),
             n,
@@ -464,11 +412,7 @@ mod tests {
             seed: 7,
             events: 5,
             ops,
-            artifacts: ArtifactHashes {
-                metrics: Some(0xABCD),
-                timeseries: None,
-                costmodel: Some(0x1234_5678_9ABC_DEF0),
-            },
+            costmodel: 0x1234_5678_9ABC_DEF0,
             wall: WallSide {
                 wall_us: 1_234,
                 jobs: 4,
@@ -523,7 +467,7 @@ mod tests {
         c.ops.deliveries += 1;
         assert_ne!(a.det_hash(), c.det_hash());
         let mut d = a.clone();
-        d.artifacts.costmodel = Some(1);
+        d.costmodel = 1;
         assert_ne!(a.det_hash(), d.det_hash());
         let mut e = a.clone();
         e.git_rev = "r2".to_string();
@@ -598,12 +542,18 @@ mod tests {
     #[test]
     fn edited_line_fails_the_canonical_round_trip() {
         let line = sample(300, "r1").to_line();
-        // Flip one op-count digit without touching structure.
-        let edited = line.replacen("\"queue_pushes\":30000", "\"queue_pushes\":30001", 1);
-        assert_ne!(line, edited, "test must actually edit the line");
-        match parse_line(&edited, 1) {
-            Err(LedgerError::Corrupt { .. }) => {}
-            other => panic!("edited line must be Corrupt, got {other:?}"),
+        for (from, to, named) in [
+            // Flip one op-count digit without touching structure.
+            ("\"queue_pushes\":30000", "\"queue_pushes\":30001", "round-trip"),
+            // Not a baseline: older builds appended `profile` lines.
+            ("\"kind\":\"perf\"", "\"kind\":\"profile\"", "det.kind is \"profile\""),
+        ] {
+            let edited = line.replacen(from, to, 1);
+            assert_ne!(line, edited, "test must actually edit the line");
+            match parse_line(&edited, 1) {
+                Err(LedgerError::Corrupt { reason, .. }) if reason.contains(named) => {}
+                other => panic!("{to}: must be Corrupt naming {named:?}, got {other:?}"),
+            }
         }
     }
 

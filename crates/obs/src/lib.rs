@@ -69,6 +69,14 @@ pub mod trace;
 /// `results/ledger/runs.jsonl` verbatim under `results/ledger/archive/`
 /// and re-blesses the CI cells into a fresh ledger, in the same commit.
 ///
+/// A change to what an op class counts is a bump too, even when the
+/// layout stays: re-blessing the baselines alone leaves the ledger
+/// comparing two meanings of one class across its revisions. The next
+/// bump also drops the five keys schema 3 ledger lines carry as
+/// literals: `det.kind`, `det.artifacts.metrics`,
+/// `det.artifacts.timeseries`, and the wall tier's
+/// `metrics_overhead_cpct` and `trace_overhead_cpct`.
+///
 /// v1 → v2: [`OpCounts`] grew `queue_cascades` and `arena_bytes_reserved`
 /// (appended classes; the v1 field set is an exact prefix).
 ///
@@ -85,13 +93,14 @@ pub mod trace;
 /// insertions add the entries of a slot they examine to the comparisons
 /// and whose entries are never re-bucketed. `path_intern_misses`
 /// moved under v3 once, also re-blessed without a bump: it counts an
-/// export path built only when a session takes it.
+/// export path built only when a session takes it. Those re-blesses
+/// predate the rule above, so schema 3's ledger mixes their regimes.
 pub const SCHEMA_VERSION: u32 = 3;
 
 pub use costmodel::{ClassKind, CostModel, OpCounts, PhaseCosts, PHASES, PHASE_NAMES};
 pub use ledger::{
-    append_records, config_fingerprint, read_ledger, AppendOutcome, ArtifactHashes, LedgerError,
-    LedgerRecord, RunKind, WallSide,
+    append_records, config_fingerprint, read_ledger, AppendOutcome, LedgerError, LedgerRecord,
+    WallSide,
 };
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use observer::{EventKind, NoopObserver, SimObserver, UpdateClass};

@@ -8,7 +8,7 @@
 //! change, not a refactor.
 
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::ledger::{parse_line, ArtifactHashes, LedgerRecord, RunKind, WallSide};
+use bgpscale_obs::ledger::{parse_line, LedgerRecord, WallSide};
 use bgpscale_obs::provenance::RootCauseKind;
 use bgpscale_topology::ByKey;
 use bgpscale_obs::{
@@ -114,7 +114,6 @@ fn trace_record() -> TraceRecord {
 
 fn ledger_record() -> LedgerRecord {
     LedgerRecord {
-        kind: RunKind::Perf,
         git_rev: "0123456789abcdef0123456789abcdef01234567".to_string(),
         scenario: "DENSE-CORE".to_string(),
         n: 600,
@@ -122,11 +121,7 @@ fn ledger_record() -> LedgerRecord {
         seed: 0x2008_0612,
         events: 5,
         ops: ops(1_000),
-        artifacts: ArtifactHashes {
-            metrics: Some(0xABCD),
-            timeseries: None,
-            costmodel: Some(0x1234_5678_9ABC_DEF0),
-        },
+        costmodel: 0x1234_5678_9ABC_DEF0,
         wall: WallSide {
             wall_us: 1_234_567,
             jobs: 4,
@@ -218,8 +213,8 @@ const LEDGER: &str = concat!(
     r#""route_comparisons":1005,"rib_out_writes":1006,"path_intern_hits":1007,"#,
     r#""path_intern_misses":1008,"deliveries":1009,"mrai_armed":1010,"mrai_fired":1011,"#,
     r#""mrai_coalesced":1012,"queue_cascades":1013,"arena_bytes_reserved":1014},"#,
-    r#""artifacts":{"metrics":"000000000000abcd","timeseries":null,"costmodel":"123456789abcdef0"}},"#,
-    r#""det_hash":"340e1c6966b5545a","wall":{"wall_us":1234567,"jobs":4,"peak_rss_bytes":20971520,"#,
+    r#""artifacts":{"metrics":null,"timeseries":null,"costmodel":"123456789abcdef0"}},"#,
+    r#""det_hash":"a2fe345effaa87c1","wall":{"wall_us":1234567,"jobs":4,"peak_rss_bytes":20971520,"#,
     r#""metrics_overhead_cpct":null,"trace_overhead_cpct":null}}"#,
 );
 
@@ -256,7 +251,8 @@ fn trace_bytes() {
 }
 
 /// The ledger's one layout, schema 3: `to_line` writes these bytes and
-/// `parse_line` reads them back. The two retired overhead keys are
+/// `parse_line` reads them back. `det.kind` is always `"perf"`, and the
+/// metrics and timeseries hashes and the two retired overhead keys are
 /// always `null`.
 #[test]
 fn ledger_line_bytes() {

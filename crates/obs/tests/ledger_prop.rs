@@ -4,7 +4,7 @@
 //! non-ASCII text.
 
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::ledger::{parse_line, ArtifactHashes, LedgerRecord, RunKind, WallSide};
+use bgpscale_obs::ledger::{parse_line, LedgerRecord, WallSide};
 use proptest::prelude::*;
 
 /// Strings over an alphabet that exercises every escape the writer has.
@@ -32,22 +32,11 @@ fn ops() -> impl Strategy<Value = OpCounts> {
 }
 
 fn record() -> impl Strategy<Value = LedgerRecord> {
-    let names = (
-        text(),
-        text(),
-        text(),
-        prop::sample::select(vec![RunKind::Perf, RunKind::Profile]),
-    );
+    let names = (text(), text(), text());
     let cell = (any::<u64>(), any::<u64>(), any::<u64>(), ops());
-    let hashes = (
-        prop::option::of(any::<u64>()),
-        prop::option::of(any::<u64>()),
-        prop::option::of(any::<u64>()),
-    );
     let wall = (any::<u64>(), any::<u64>(), prop::option::of(any::<u64>()));
-    (names, cell, hashes, wall).prop_map(
-        |((git_rev, scenario, mode, kind), (n, seed, events, ops), h, w)| LedgerRecord {
-            kind,
+    (names, cell, any::<u64>(), wall).prop_map(
+        |((git_rev, scenario, mode), (n, seed, events, ops), costmodel, w)| LedgerRecord {
             git_rev,
             scenario,
             n,
@@ -55,11 +44,7 @@ fn record() -> impl Strategy<Value = LedgerRecord> {
             seed,
             events,
             ops,
-            artifacts: ArtifactHashes {
-                metrics: h.0,
-                timeseries: h.1,
-                costmodel: h.2,
-            },
+            costmodel,
             wall: WallSide {
                 wall_us: w.0,
                 jobs: w.1,
